@@ -31,6 +31,7 @@ from .core import (
     DirichletBC,
     IMPLEMENTATIONS,
     JacobiProblem,
+    RunConfig,
     RunResult,
     StencilSpec,
     StencilWeights,
@@ -54,6 +55,7 @@ __all__ = [
     "MachineSpec",
     "NetworkSpec",
     "NodeSpec",
+    "RunConfig",
     "RunResult",
     "SearchSpace",
     "StencilSpec",

@@ -27,10 +27,11 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from ..core.store import atomic_write
 
 _TILE_RE = re.compile(r"^step(\d+)_(\d+)_(\d+)_r(\d+)_c(\d+)\.npy$")
 
@@ -64,10 +65,8 @@ class CheckpointStore:
             return
         doc = {"ntiles": int(ntiles), "shape": [int(shape[0]), int(shape[1])],
                "cadence": int(cadence)}
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, self.meta_path)
+        atomic_write(self.meta_path,
+                     lambda fh: fh.write(json.dumps(doc).encode()))
 
     def meta(self) -> dict | None:
         if self._meta is None and self.meta_path.exists():
@@ -88,17 +87,7 @@ class CheckpointStore:
         path = self.tile_path(step, i, j, r0, c0)
         if path.exists():
             return
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.save(fh, np.ascontiguousarray(core))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, lambda fh: np.save(fh, np.ascontiguousarray(core)))
 
     # -- reads -----------------------------------------------------------
 

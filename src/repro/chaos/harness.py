@@ -32,6 +32,7 @@ from typing import Any
 
 import numpy as np
 
+from ..core.config import RunConfig, applies
 from ..distgrid.partition import ProcessGrid, RemappedGrid
 from ..machine.machine import MachineSpec, nacl
 from ..runtime.engine import NodeLostError
@@ -212,72 +213,107 @@ def _restore_point(store: CheckpointStore | None):
     return None, None
 
 
-def _publish_chaos_metrics(metrics, chaos_result: ChaosResult) -> None:
+def _tail(problem: JacobiProblem, ckpt: int | None, grid) -> JacobiProblem:
+    """What is left of ``problem`` after checkpoint sweep ``ckpt``: the
+    remaining iterations, starting from the restored ``grid`` (the
+    whole problem when there is no checkpoint)."""
+    if not ckpt:
+        return problem
+    return replace(problem, iterations=problem.iterations - ckpt,
+                   init=GridInit(grid))
+
+
+def _publish_chaos_metrics(metrics, faults: list[dict],
+                           restarts: list[dict], speculations: int = 0) -> None:
+    """Count what one chaos job (either entry point) went through."""
     if metrics is None:
         return
     c_faults = metrics.counter(
         "chaos_faults_injected_total", help="faults fired by the plan"
     )
     counts: dict[str, int] = {}
-    for rec in chaos_result.faults:
+    for rec in faults:
         counts[rec["kind"]] = counts.get(rec["kind"], 0) + 1
     for kind, count in sorted(counts.items()):
         c_faults.inc(count, kind=kind)
-    if chaos_result.restarts:
+    if restarts:
         metrics.counter(
             "chaos_recoveries_total", help="checkpoint restarts performed"
-        ).inc(len(chaos_result.restarts))
+        ).inc(len(restarts))
         c_lost = metrics.counter(
             "chaos_nodes_lost_total",
             help="node deaths that triggered a restart",
         )
         lost: dict[str, int] = {}
-        for restart in chaos_result.restarts:
+        for restart in restarts:
             node = str(restart.get("node", "?"))
             lost[node] = lost.get(node, 0) + 1
         for node, count in sorted(lost.items()):
             c_lost.inc(count, node=node)
-    if chaos_result.speculations:
+    if speculations:
         metrics.counter(
             "chaos_speculations_total",
             help="straggler tasks speculatively re-executed",
-        ).inc(chaos_result.speculations)
+        ).inc(speculations)
+
+
+def _fault_state(config: RunConfig, plan: FaultPlan, workdir: Path):
+    """The injector and (for the tiled implementations) checkpoint
+    store of one chaos job, plus the superstep length ``s`` that fault
+    steps and the default checkpoint cadence are counted in."""
+    s = config.steps if applies("steps", config.impl) else 1
+    injector = FaultInjector(plan, s=s, workdir=workdir)
+    store = (
+        CheckpointStore(workdir / "ckpt")
+        if applies("tile", config.impl) else None
+    )
+    return s, injector, store
+
+
+def _attempt_config(config: RunConfig, problem: JacobiProblem,
+                    **changes) -> RunConfig:
+    """``config`` for one attempt at ``problem`` (possibly only the
+    tail left after a checkpoint): a CA step never exceeds the sweeps
+    that remain."""
+    steps = config.steps
+    if applies("steps", config.impl) and problem.iterations > 0:
+        steps = max(1, min(steps, problem.iterations))
+    return config.replace(steps=steps, **changes)
 
 
 def run_with_recovery(
     problem: JacobiProblem,
     plan: FaultPlan,
-    impl: str = "ca-parsec",
     machine: MachineSpec | None = None,
-    tile: int | None = None,
-    steps: int = 4,
-    ratio: float = 1.0,
-    policy: str = "priority",
-    backend: str = "sim",
-    jobs: int | None = None,
-    pgrid=None,
+    *,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int | None = None,
     max_restarts: int = 3,
     metrics=None,
-    trace: bool = False,
     speculate: bool = False,
+    **knobs,
 ) -> ChaosResult:
     """Run ``problem`` under ``plan``, recovering from lost nodes.
 
-    Each :class:`NodeLostError` triggers one restart: ownership is
-    repartitioned onto the survivors (``machine.with_nodes(n - 1)``,
-    unless a ``pgrid`` pins the layout or one node remains) and the
-    run resumes from the latest *complete* checkpoint -- from scratch
-    only when the node died before the first boundary.  Durable fault
-    markers guarantee a consumed kill cannot re-fire on the retry.
+    ``knobs`` are :class:`~repro.core.config.RunConfig` fields (here
+    defaulting to ``impl="ca-parsec", steps=4`` and always executing
+    real kernels).  Each :class:`NodeLostError` triggers one restart:
+    ownership is repartitioned onto the survivors
+    (``machine.with_nodes(n - 1)``, unless a ``pgrid`` pins the layout
+    or one node remains) and the run resumes from the latest
+    *complete* checkpoint -- from scratch only when the node died
+    before the first boundary.  Durable fault markers guarantee a
+    consumed kill cannot re-fire on the retry.
     """
     from ..core.runner import run
 
-    if isinstance(steps, str) or isinstance(tile, str):
+    config = RunConfig(
+        **{"impl": "ca-parsec", "steps": 4, "mode": "execute", **knobs}
+    )
+    if config.auto:
         raise ValueError("chaos runs need concrete tile/steps (no 'auto')")
     machine = machine or nacl(4)
-    s = steps if impl == "ca-parsec" else 1
+    pgrid = config.pgrid
 
     import tempfile
 
@@ -287,8 +323,7 @@ def run_with_recovery(
         checkpoint_dir = tmp.name
     workdir = Path(checkpoint_dir)
     try:
-        injector = FaultInjector(plan, s=s, workdir=workdir)
-        store = CheckpointStore(workdir / "ckpt") if impl != "petsc" else None
+        s, injector, store = _fault_state(config, plan, workdir)
         cadence = checkpoint_every or s
 
         cur_problem = problem
@@ -309,16 +344,10 @@ def run_with_recovery(
             ctx = ChaosContext(
                 injector, store=store, base=base, checkpoint_every=cadence
             )
-            eff_steps = steps
-            if impl == "ca-parsec" and cur_problem.iterations > 0:
-                eff_steps = max(1, min(steps, cur_problem.iterations))
+            attempt = _attempt_config(config, cur_problem, pgrid=cur_pgrid)
             try:
-                result = run(
-                    cur_problem, impl=impl, machine=cur_machine, tile=tile,
-                    steps=eff_steps, ratio=ratio, mode="execute",
-                    policy=policy, trace=trace, pgrid=cur_pgrid,
-                    backend=backend, jobs=jobs, metrics=metrics, chaos=ctx,
-                )
+                result = run(cur_problem, cur_machine, metrics=metrics,
+                             chaos=ctx, **attempt.knobs())
                 break
             except NodeLostError as exc:
                 if len(restarts) >= max_restarts:
@@ -334,23 +363,14 @@ def run_with_recovery(
                     )
                     alive.remove(dead)
                     cur_machine = cur_machine.with_nodes(len(alive))
-                    if impl != "petsc" and geometry_ok:
+                    if store is not None and geometry_ok:
                         cur_pgrid = RemappedGrid.shrink(base_grid, alive)
                         if cur_pgrid is None:
                             # A whole process-grid column died: geometry
                             # cannot be preserved safely -- re-tile for
                             # the survivor count from here on.
                             geometry_ok = False
-                if ckpt:
-                    cur_problem = replace(
-                        problem,
-                        iterations=problem.iterations - ckpt,
-                        init=GridInit(grid),
-                    )
-                    base = ckpt
-                else:
-                    cur_problem = problem
-                    base = 0
+                cur_problem, base = _tail(problem, ckpt, grid), ckpt or 0
                 restarts.append({
                     "node": exc.node,
                     "checkpoint": ckpt,
@@ -360,7 +380,7 @@ def run_with_recovery(
         wall = time.perf_counter() - t0
 
         speculations = 0
-        if speculate and trace and result.trace is not None and store is not None:
+        if speculate and result.trace is not None and store is not None:
             from ..obs.critpath import find_stragglers
 
             stragglers = find_stragglers(result.trace)
@@ -368,17 +388,11 @@ def run_with_recovery(
             if stragglers and ckpt and ckpt < problem.iterations:
                 # Speculative duplicate of the straggling tail: re-run
                 # from the latest checkpoint and check it agrees.
-                tail = replace(
-                    problem,
-                    iterations=problem.iterations - ckpt,
-                    init=GridInit(ckpt_grid),
+                tail = _tail(problem, ckpt, ckpt_grid)
+                spec_config = _attempt_config(
+                    config, tail, pgrid=cur_pgrid, trace=False
                 )
-                spec_result = run(
-                    tail, impl=impl, machine=cur_machine, tile=tile,
-                    steps=max(1, min(steps, tail.iterations)) if impl == "ca-parsec" else steps,
-                    ratio=ratio, mode="execute", policy=policy,
-                    pgrid=cur_pgrid, backend=backend, jobs=jobs,
-                )
+                spec_result = run(tail, cur_machine, **spec_config.knobs())
                 if not np.array_equal(spec_result.grid, result.grid):
                     raise RuntimeError(
                         "speculative re-execution diverged from the "
@@ -395,7 +409,8 @@ def run_with_recovery(
             tasks_final_attempt=result.engine.tasks_run,
             speculations=speculations,
         )
-        _publish_chaos_metrics(metrics, chaos_result)
+        _publish_chaos_metrics(metrics, chaos_result.faults, restarts,
+                               speculations)
         return chaos_result
     finally:
         if tmp is not None:
@@ -443,78 +458,37 @@ def execute_with_resume(
     workdir = root / signature[:16]
     workdir.mkdir(parents=True, exist_ok=True)
 
-    s = request.steps if request.impl == "ca-parsec" else 1
-    injector = FaultInjector(plan, s=s, workdir=workdir)
-    store = CheckpointStore(workdir / "ckpt") if request.impl != "petsc" else None
+    config = request.resolved().replace(trace=want_trace)
+    s, injector, store = _fault_state(config, plan, workdir)
 
     t_restore = time.monotonic()
     ckpt, ckpt_grid = _restore_point(store)
-    problem = request.problem
-    base = 0
-    if ckpt:
-        problem = replace(
-            request.problem,
-            iterations=request.problem.iterations - ckpt,
-            init=GridInit(ckpt_grid),
+    problem, base = _tail(request.problem, ckpt, ckpt_grid), ckpt or 0
+    if ckpt and lifecycle is not None and trace_id is not None:
+        lifecycle.span(
+            trace_id, "recover", t_restore, time.monotonic(),
+            tenant=request.tenant, parent_span_id=parent_span_id,
+            checkpoint_step=ckpt, iterations_remaining=problem.iterations,
         )
-        base = ckpt
-        if lifecycle is not None and trace_id is not None:
-            lifecycle.span(
-                trace_id, "recover", t_restore, time.monotonic(),
-                tenant=request.tenant, parent_span_id=parent_span_id,
-                checkpoint_step=ckpt,
-                iterations_remaining=problem.iterations,
-            )
     ctx = ChaosContext(injector, store=store, base=base, checkpoint_every=s)
 
-    eff_steps = request.steps
-    if request.impl == "ca-parsec" and problem.iterations > 0:
-        eff_steps = max(1, min(request.steps, problem.iterations))
     result = run(
-        problem,
-        impl=request.impl,
-        machine=request.machine,
-        tile=request.resolved_tile(),
-        steps=eff_steps,
-        ratio=request.ratio,
-        mode="execute",
-        policy=request.policy,
-        backend=request.backend,
-        jobs=request.jobs,
-        trace=want_trace,
-        metrics=metrics,
-        on_executor=on_executor,
-        chaos=ctx,
+        problem, request.machine, metrics=metrics, on_executor=on_executor,
+        chaos=ctx, **_attempt_config(config, problem).knobs(),
     )
+    faults = injector.firing_log()
     outcome = outcome_from_result(
-        result, signature, tenant=request.tenant, warm=False
+        result, signature, tenant=request.tenant, trace_id=trace_id,
+        keep_trace=want_trace,
     )
     outcome.recovered = bool(ckpt)
-    outcome.faults_injected = len(injector.firing_log())
-    outcome.trace_id = trace_id
-    if want_trace:
-        outcome.trace = result.trace
-    if metrics is not None:
-        counts: dict[str, int] = {}
-        for rec in injector.firing_log():
-            counts[rec["kind"]] = counts.get(rec["kind"], 0) + 1
-        c = metrics.counter(
-            "chaos_faults_injected_total", help="faults fired by the plan"
-        )
-        for kind, count in sorted(counts.items()):
-            c.inc(count, kind=kind)
-        if ckpt:
-            metrics.counter(
-                "chaos_recoveries_total", help="checkpoint restarts performed"
-            ).inc()
-            # A resume implies the previous attempt died mid-run; the
-            # node-lost alert rule can watch this from the merged
-            # registry even when the failing attempt's error swallowed
-            # its own metrics.
-            metrics.counter(
-                "chaos_nodes_lost_total",
-                help="node deaths that triggered a restart",
-            ).inc(node="resumed")
+    outcome.faults_injected = len(faults)
+    # A resume implies the previous attempt died mid-run; the node-lost
+    # alert rule can watch this from the merged registry even when the
+    # failing attempt's error swallowed its own metrics.
+    _publish_chaos_metrics(
+        metrics, faults, [{"node": "resumed"}] if ckpt else []
+    )
     return outcome
 
 

@@ -49,42 +49,36 @@ import argparse
 import sys
 
 from .analysis.tables import format_table
-from .core.runner import BACKENDS, IMPLEMENTATIONS, run
+from .core.config import APPLIES, BACKENDS, IMPLEMENTATIONS, SERVE, RunConfig
+from .core.runner import run
 from .core.validate import validate_implementations
+from .exec.backends import MEASURED_BACKENDS
 from .experiments.sweeper import RUN_AXES as SWEEP_AXES
 from .machine.machine import PRESETS, preset
 from .stencil.problem import JacobiProblem
 
 
+def _add_problem_flags(p: argparse.ArgumentParser, n: int, iterations: int,
+                       nodes: int = 4) -> None:
+    """What to solve and on which machine model (the run's knobs come
+    from ``RunConfig.add_flags``)."""
+    p.add_argument("--machine", default="nacl", help="machine preset name")
+    p.add_argument("--nodes", type=int, default=nodes)
+    p.add_argument("--n", type=int, default=n, help="grid edge length")
+    p.add_argument("--iterations", type=int, default=iterations)
+
+
+def _problem_machine(args: argparse.Namespace):
+    return (JacobiProblem(n=args.n, iterations=args.iterations),
+            preset(args.machine, nodes=args.nodes))
+
+
 def _add_run_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("run", help="run one stencil implementation")
-    p.add_argument("--impl", choices=IMPLEMENTATIONS, default="ca-parsec")
-    p.add_argument("--machine", default="nacl", help="machine preset name")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--n", type=int, default=1152, help="grid edge length")
-    p.add_argument("--iterations", type=int, default=20)
-    p.add_argument("--tile", type=int, default=None)
-    p.add_argument("--steps", type=int, default=15, help="CA step size")
-    p.add_argument("--ratio", type=float, default=1.0,
-                   help="kernel adjustment ratio (section VI-D)")
-    p.add_argument("--policy", default="priority",
-                   choices=("priority", "fifo", "lifo"))
+    _add_problem_flags(p, n=1152, iterations=20)
+    RunConfig.add_flags(p, impl="ca-parsec")
     p.add_argument("--execute", action="store_true",
                    help="run real kernels and check against the reference")
-    p.add_argument("--backend", choices=BACKENDS, default="sim",
-                   help="'sim' = discrete-event model (virtual clock), "
-                        "'threads' = real parallel execution on this host, "
-                        "'processes' = one OS process per node with real "
-                        "IPC halo messages")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads for --backend threads/processes "
-                        "(default: all cores, split over the processes)")
-    p.add_argument("--procs", type=int, default=None,
-                   help="node processes for --backend processes "
-                        "(default: the machine's node count)")
-    p.add_argument("--passes", default=None, metavar="SPEC",
-                   help="IR rewrite pipeline applied to the built graph, "
-                        "e.g. 'fuse,coarsen:factor=4' (see docs/ir.md)")
     p.add_argument("--trace-out", default=None, metavar="FILE.json",
                    help="write a Chrome trace-event file")
 
@@ -94,18 +88,15 @@ def _add_compare_parser(sub: argparse._SubParsersAction) -> None:
         "compare",
         help="simulated-vs-measured report (model clock vs wall clock)",
     )
-    p.add_argument("--impl", choices=IMPLEMENTATIONS + ("all",), default="all")
     p.add_argument("--n", type=int, default=192, help="grid edge length")
     p.add_argument("--iterations", type=int, default=24)
-    p.add_argument("--tile", type=int, default=48)
-    p.add_argument("--steps", type=int, default=4, help="CA step size")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads for the measured runs")
-    p.add_argument("--backend", choices=("threads", "processes"),
-                   default="threads",
-                   help="which real backend supplies the measured side")
-    p.add_argument("--procs", type=int, default=None,
-                   help="node processes for --backend processes")
+    # --backend picks the real backend that supplies the measured side.
+    RunConfig.add_flags(
+        p, omit=("ratio", "policy", "passes"),
+        choices={"impl": IMPLEMENTATIONS + ("all",),
+                 "backend": MEASURED_BACKENDS},
+        impl="all", tile=48, steps=4, backend="threads",
+    )
     p.add_argument("--curve", action="store_true",
                    help="also measure a speedup curve over 1/2/4 workers")
 
@@ -115,12 +106,10 @@ def _add_tune_parser(sub: argparse._SubParsersAction) -> None:
         "tune",
         help="autotune tile/step/policy (model shortlist + successive halving)",
     )
-    p.add_argument("--impl", choices=("base-parsec", "ca-parsec"),
-                   default="ca-parsec")
-    p.add_argument("--machine", default="nacl", help="machine preset name")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--n", type=int, default=4608, help="grid edge length")
-    p.add_argument("--iterations", type=int, default=8)
+    # Not a run: --impl is what to tune, --backend what refines the
+    # shortlist, so the tuner declares its own flags.
+    p.add_argument("--impl", choices=APPLIES["tile"], default="ca-parsec")
+    _add_problem_flags(p, n=4608, iterations=8)
     p.add_argument("--budget", type=int, default=24,
                    help="maximum number of tuning runs (model ranking is free)")
     p.add_argument("--backend", choices=BACKENDS, default="sim",
@@ -168,35 +157,12 @@ def _add_sweep_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--json-out", default=None, metavar="FILE.json")
 
 
-def _int_or_auto(value: str) -> int | str:
-    """Knob values that are either an integer or the string 'auto'."""
-    if value == "auto":
-        return value
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}"
-        ) from None
-
-
 def _add_obs_run_flags(p: argparse.ArgumentParser) -> None:
-    """The run-configuration knobs shared by ``monitor`` and ``stats``."""
-    p.add_argument("--impl", choices=IMPLEMENTATIONS, default="ca-parsec")
-    p.add_argument("--machine", default="nacl", help="machine preset name")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--n", type=int, default=256, help="grid edge length")
-    p.add_argument("--iterations", type=int, default=8)
-    p.add_argument("--tile", type=_int_or_auto, default=None,
-                   help="tile size, or 'auto' for the tuner")
-    p.add_argument("--steps", type=_int_or_auto, default=4,
-                   help="CA step size, or 'auto' for the tuner")
-    p.add_argument("--ratio", type=float, default=1.0)
-    p.add_argument("--policy", default="priority",
-                   choices=("priority", "fifo", "lifo"))
-    p.add_argument("--backend", choices=BACKENDS, default="sim")
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--procs", type=int, default=None)
+    """The run-configuration knobs shared by ``monitor``, ``stats`` and
+    ``critpath``."""
+    _add_problem_flags(p, n=256, iterations=8)
+    RunConfig.add_flags(p, omit=("passes",), auto=True,
+                        impl="ca-parsec", steps=4)
 
 
 def _add_monitor_parser(sub: argparse._SubParsersAction) -> None:
@@ -266,20 +232,9 @@ def _add_trace_diff_parser(sub: argparse._SubParsersAction) -> None:
     )
     p.add_argument("--impl-a", choices=IMPLEMENTATIONS, default="base-parsec")
     p.add_argument("--impl-b", choices=IMPLEMENTATIONS, default="ca-parsec")
-    p.add_argument("--machine", default="nacl", help="machine preset name")
-    p.add_argument("--nodes", type=int, default=16)
-    p.add_argument("--n", type=int, default=23040, help="grid edge length")
-    p.add_argument("--iterations", type=int, default=8)
-    p.add_argument("--tile", type=int, default=288)
-    p.add_argument("--steps", type=int, default=15, help="CA step size")
-    p.add_argument("--ratio", type=float, default=0.2,
-                   help="kernel adjustment ratio (the paper's profiled "
-                        "run is comm-bound)")
-    p.add_argument("--policy", default="priority",
-                   choices=("priority", "fifo", "lifo"))
-    p.add_argument("--backend", choices=BACKENDS, default="sim")
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--procs", type=int, default=None)
+    _add_problem_flags(p, n=23040, iterations=8, nodes=16)
+    # ratio 0.2: the paper's profiled run is comm-bound.
+    RunConfig.add_flags(p, omit=("impl", "passes"), tile=288, ratio=0.2)
     p.add_argument("--passes-a", default=None, metavar="SPEC",
                    help="IR rewrite pipeline for side A")
     p.add_argument("--passes-b", default=None, metavar="SPEC",
@@ -311,22 +266,33 @@ def _add_validate_parser(sub: argparse._SubParsersAction) -> None:
 
 def _add_serve_request_flags(p: argparse.ArgumentParser) -> None:
     """The solve-shape knobs shared by ``serve`` and ``submit``."""
-    p.add_argument("--impl", choices=IMPLEMENTATIONS, default="base-parsec")
-    p.add_argument("--machine", default="nacl", help="machine preset name")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--n", type=int, default=96, help="grid edge length")
-    p.add_argument("--iterations", type=int, default=6)
-    p.add_argument("--tile", type=int, default=None)
-    p.add_argument("--steps", type=int, default=15, help="CA step size")
-    p.add_argument("--ratio", type=float, default=1.0)
-    p.add_argument("--backend", choices=("threads", "processes"),
-                   default="threads",
-                   help="execution backend inside the service workers")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads per solve")
-    p.add_argument("--passes", default=None, metavar="SPEC",
-                   help="IR rewrite pipeline for every request, e.g. "
-                        "'fuse,coarsen:factor=4'")
+    _add_problem_flags(p, n=96, iterations=6)
+    # --backend is the execution backend inside the service workers.
+    RunConfig.add_flags(p, omit=("policy", "procs"),
+                        choices={"backend": MEASURED_BACKENDS},
+                        backend="threads")
+
+
+def _add_traffic_flags(p: argparse.ArgumentParser, requests: int = 4) -> None:
+    """The request shape plus the size of the canned traffic."""
+    _add_serve_request_flags(p)
+    p.add_argument("--tenants", type=int, default=2,
+                   help="synthetic tenants submitting traffic")
+    p.add_argument("--requests", type=int, default=requests,
+                   help="requests per tenant (the second half repeats "
+                        "the first, exercising the result cache)")
+    p.add_argument("--workers", type=int, default=2,
+                   help="concurrent batches in flight (pool capacity)")
+
+
+def _add_fault_flags(p: argparse.ArgumentParser, effect: str) -> None:
+    p.add_argument("--fault", default=None, metavar="PLAN",
+                   help="also submit one zero-retry request under this "
+                        "chaos plan (e.g. 'kill:node=1,step=1s'): "
+                        + effect)
+    p.add_argument("--dump-dir", default=None, metavar="DIR",
+                   help="directory flight-recorder dumps land in "
+                        "(default: <tempdir>/repro-postmortem)")
 
 
 def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
@@ -335,18 +301,11 @@ def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
         help="run the solver service against synthetic multi-tenant "
              "traffic (live progress + serving summary)",
     )
-    _add_serve_request_flags(p)
+    _add_traffic_flags(p, requests=6)
     p.add_argument("--pool", choices=("threads", "processes"),
                    default="threads",
                    help="warm-pool kind: reusable in-process executors "
                         "or persistent forked children")
-    p.add_argument("--workers", type=int, default=2,
-                   help="concurrent batches in flight (pool capacity)")
-    p.add_argument("--tenants", type=int, default=2,
-                   help="synthetic tenants submitting traffic")
-    p.add_argument("--requests", type=int, default=6,
-                   help="requests per tenant (second half repeats the "
-                        "first, exercising the result cache)")
     p.add_argument("--queue-depth", type=int, default=64,
                    help="admission bound (submissions beyond it are "
                         "fast-rejected)")
@@ -380,24 +339,12 @@ def _add_slo_parser(sub: argparse._SubParsersAction) -> None:
         help="per-tenant SLO report (latency percentiles, error-budget "
              "burn) from canned multi-tenant traffic",
     )
-    _add_serve_request_flags(p)
-    p.add_argument("--tenants", type=int, default=2,
-                   help="synthetic tenants submitting traffic")
-    p.add_argument("--requests", type=int, default=4,
-                   help="requests per tenant")
-    p.add_argument("--workers", type=int, default=2,
-                   help="concurrent batches in flight (pool capacity)")
+    _add_traffic_flags(p)
     p.add_argument("--objective", type=float, default=0.99,
                    help="availability objective the error budget burns "
                         "against")
-    p.add_argument("--fault", default=None, metavar="PLAN",
-                   help="also submit one zero-retry request under this "
-                        "chaos plan (e.g. 'kill:node=1,step=1s'): the "
-                        "terminal failure exercises the flight recorder "
-                        "and prints the postmortem dump path")
-    p.add_argument("--dump-dir", default=None, metavar="DIR",
-                   help="directory flight-recorder dumps land in "
-                        "(default: <tempdir>/repro-postmortem)")
+    _add_fault_flags(p, "the terminal failure exercises the flight "
+                        "recorder and prints the postmortem dump path")
 
 
 def _add_alerts_parser(sub: argparse._SubParsersAction) -> None:
@@ -407,7 +354,7 @@ def _add_alerts_parser(sub: argparse._SubParsersAction) -> None:
              "service, or replay them over a recorded series file "
              "(deterministic: same file, byte-identical transitions)",
     )
-    _add_serve_request_flags(p)
+    _add_traffic_flags(p)
     p.add_argument("--rules", default=None, metavar="FILE.json",
                    help="alert rules file (default: the built-in "
                         "serving rules; see examples/alert_rules.json)")
@@ -420,26 +367,13 @@ def _add_alerts_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--series-out", default=None, metavar="FILE.jsonl",
                    help="live mode: export the sampled series for "
                         "later replay")
-    p.add_argument("--tenants", type=int, default=2,
-                   help="synthetic tenants submitting traffic")
-    p.add_argument("--requests", type=int, default=4,
-                   help="requests per tenant")
-    p.add_argument("--workers", type=int, default=2,
-                   help="concurrent batches in flight (pool capacity)")
     p.add_argument("--sample-interval", type=float, default=0.2,
                    help="telemetry sampling interval in seconds")
-    p.add_argument("--fault", default=None, metavar="PLAN",
-                   help="also submit one zero-retry request under this "
-                        "chaos plan (e.g. 'kill:node=1,step=1'): the "
-                        "node-lost and burn-rate rules should fire, "
-                        "then resolve once the windows slide past")
+    _add_fault_flags(p, "the node-lost and burn-rate rules should "
+                        "fire, then resolve once the windows slide past")
     p.add_argument("--settle", type=float, default=12.0,
                    help="seconds to keep sampling after traffic so "
                         "firing alerts can resolve")
-    p.add_argument("--dump-dir", default=None, metavar="DIR",
-                   help="directory alert-triggered flight-recorder "
-                        "dumps land in (default: "
-                        "<tempdir>/repro-postmortem)")
 
 
 def _add_top_parser(sub: argparse._SubParsersAction) -> None:
@@ -449,7 +383,7 @@ def _add_top_parser(sub: argparse._SubParsersAction) -> None:
              "busy share, rates, per-tenant p95 sparklines, active "
              "alerts (or one frame of a recorded series)",
     )
-    _add_serve_request_flags(p)
+    _add_traffic_flags(p)
     p.add_argument("--series", default=None, metavar="FILE.jsonl",
                    help="render a recorded series export instead of "
                         "driving live traffic")
@@ -466,12 +400,6 @@ def _add_top_parser(sub: argparse._SubParsersAction) -> None:
                    help="seconds between rendered frames")
     p.add_argument("--sample-interval", type=float, default=0.2,
                    help="telemetry sampling interval in seconds")
-    p.add_argument("--tenants", type=int, default=2,
-                   help="synthetic tenants submitting traffic")
-    p.add_argument("--requests", type=int, default=4,
-                   help="requests per tenant")
-    p.add_argument("--workers", type=int, default=2,
-                   help="concurrent batches in flight (pool capacity)")
 
 
 def _add_postmortem_parser(sub: argparse._SubParsersAction) -> None:
@@ -519,19 +447,10 @@ def _add_chaos_parser(sub: argparse._SubParsersAction) -> None:
                         "(kinds: kill, delay, slow, drop)")
     p.add_argument("--seed", type=int, default=0,
                    help="plan seed recorded in the fingerprint")
-    p.add_argument("--impl", choices=("base-parsec", "ca-parsec"),
-                   default="ca-parsec")
-    p.add_argument("--machine", default="nacl", help="machine preset name")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--n", type=int, default=192, help="grid edge length")
-    p.add_argument("--iterations", type=int, default=24)
-    p.add_argument("--tile", type=int, default=48)
-    p.add_argument("--steps", type=int, default=4, help="CA step size")
-    p.add_argument("--backend", choices=BACKENDS, default="threads")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads for the real backends")
-    p.add_argument("--policy", default="priority",
-                   choices=("priority", "fifo", "lifo"))
+    _add_problem_flags(p, n=192, iterations=24)
+    RunConfig.add_flags(p, omit=("ratio", "procs", "passes"),
+                        choices={"impl": APPLIES["tile"]},
+                        impl="ca-parsec", tile=48, steps=4, backend="threads")
     p.add_argument("--max-restarts", type=int, default=3,
                    help="recovery attempts before giving up")
     p.add_argument("--checkpoint-every", type=int, default=None,
@@ -558,16 +477,9 @@ def _add_ir_parser(sub: argparse._SubParsersAction) -> None:
                    help="pipeline spec, e.g. 'fuse,coarsen:factor=4' "
                         "(passes: %s)" % ", ".join(
                             ("fuse", "coarsen", "latency", "ca")))
-    p.add_argument("--impl", choices=IMPLEMENTATIONS, default="ca-parsec")
-    p.add_argument("--machine", default="nacl", help="machine preset name")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--n", type=int, default=192, help="grid edge length")
-    p.add_argument("--iterations", type=int, default=8)
-    p.add_argument("--tile", type=int, default=None)
-    p.add_argument("--steps", type=int, default=4, help="CA step size")
-    p.add_argument("--ratio", type=float, default=1.0)
-    p.add_argument("--policy", default="priority",
-                   choices=("priority", "fifo", "lifo"))
+    _add_problem_flags(p, n=192, iterations=8)
+    RunConfig.add_flags(p, omit=("backend", "jobs", "procs", "passes"),
+                        impl="ca-parsec", steps=4)
     p.add_argument("--dot-before", default=None, metavar="FILE.dot",
                    help="write the unrewritten graph as Graphviz dot")
     p.add_argument("--dot-after", default=None, metavar="FILE.dot",
@@ -578,53 +490,13 @@ def _add_ir_parser(sub: argparse._SubParsersAction) -> None:
                    help="write the rewritten run's Chrome trace-event file")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Communication-avoiding 2D stencils over a task-based "
-                    "runtime (IPDPSW 2020 reproduction)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    _add_run_parser(sub)
-    _add_compare_parser(sub)
-    _add_tune_parser(sub)
-    _add_sweep_parser(sub)
-    _add_monitor_parser(sub)
-    _add_stats_parser(sub)
-    _add_critpath_parser(sub)
-    _add_trace_diff_parser(sub)
-    _add_ir_parser(sub)
-    _add_experiment_parser(sub)
-    _add_serve_parser(sub)
-    _add_submit_parser(sub)
-    _add_slo_parser(sub)
-    _add_alerts_parser(sub)
-    _add_top_parser(sub)
-    _add_postmortem_parser(sub)
-    _add_chaos_parser(sub)
-    _add_validate_parser(sub)
-    sub.add_parser("machines", help="list machine presets")
-    return parser
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    machine = preset(args.machine, nodes=args.nodes)
-    problem = JacobiProblem(n=args.n, iterations=args.iterations)
-    result = run(
-        problem,
-        impl=args.impl,
-        machine=machine,
-        tile=args.tile,
-        steps=args.steps,
-        ratio=args.ratio,
-        policy=args.policy,
-        mode="execute" if args.execute else "simulate",
+    problem, machine = _problem_machine(args)
+    config = RunConfig.from_args(
+        args, mode="execute" if args.execute else "simulate",
         trace=args.trace_out is not None,
-        backend=args.backend,
-        jobs=args.jobs,
-        procs=args.procs,
-        passes=args.passes,
     )
+    result = run(problem, machine, **config.knobs())
     if result.pass_reports is not None:
         print(result.pass_reports.format())
     print(result.summary())
@@ -645,29 +517,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from .exec.compare import (
-        compare_all,
-        compare_backends,
-        format_comparison,
-        speedup_curve,
-    )
+    from .exec.compare import compare_backends, format_comparison, speedup_curve
 
     problem = JacobiProblem(n=args.n, iterations=args.iterations)
-    if args.impl == "all":
-        comparisons = compare_all(
-            problem, jobs=args.jobs, tile=args.tile, steps=args.steps,
-            backend=args.backend, procs=args.procs,
-        )
-    else:
-        kwargs = {}
-        if args.impl != "petsc":
-            kwargs["tile"] = args.tile
-        if args.impl == "ca-parsec":
-            kwargs["steps"] = args.steps
-        comparisons = [
-            compare_backends(problem, impl=args.impl, jobs=args.jobs,
-                             backend=args.backend, procs=args.procs, **kwargs)
-        ]
+    comparisons = [
+        compare_backends(problem, impl=impl, jobs=args.jobs,
+                         backend=args.backend, procs=args.procs,
+                         tile=args.tile, steps=args.steps)
+        for impl in (IMPLEMENTATIONS if args.impl == "all" else (args.impl,))
+    ]
     title = (
         f"model (virtual clock) vs measured (wall clock, "
         f"{comparisons[0].backend} backend), "
@@ -677,10 +535,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(format_comparison(comparisons, title=title))
     if args.curve:
         impl = comparisons[-1].impl
-        kwargs = {} if impl == "petsc" else {"tile": args.tile}
-        if impl == "ca-parsec":
-            kwargs["steps"] = args.steps
-        points = speedup_curve(problem, impl=impl, jobs_list=(1, 2, 4), **kwargs)
+        points = speedup_curve(problem, impl=impl, jobs_list=(1, 2, 4),
+                               tile=args.tile, steps=args.steps)
         print(format_table(
             ("jobs", "wall ms", "speedup", "efficiency"),
             [(p.jobs, f"{p.elapsed * 1e3:.2f}", f"{p.speedup:.2f}x",
@@ -694,8 +550,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from .tuning import TuningCache, format_tuning_report, tune
     from .tuning.space import SearchSpace
 
-    machine = preset(args.machine, nodes=args.nodes)
-    problem = JacobiProblem(n=args.n, iterations=args.iterations)
+    problem, machine = _problem_machine(args)
     if args.no_cache:
         cache = False
     elif args.cache_path is not None:
@@ -787,32 +642,14 @@ def _instrumented_run(args: argparse.Namespace, config: dict | None = None,
     exactly the recorded configuration.  Returns the RunResult."""
     from .obs import MetricRegistry
 
-    cfg = dict(config or {})
-    machine = preset(cfg.get("machine", args.machine),
-                     nodes=int(cfg.get("nodes", args.nodes)))
-    problem = JacobiProblem(n=int(cfg.get("n", args.n)),
-                            iterations=int(cfg.get("iterations",
-                                                   args.iterations)))
-    backend = cfg.get("backend", args.backend)
-    kwargs = dict(
-        impl=cfg.get("impl", args.impl),
-        machine=machine,
-        tile=cfg.get("tile", args.tile),
-        steps=cfg.get("steps", args.steps),
-        ratio=float(cfg.get("ratio", args.ratio)),
-        policy=cfg.get("policy", args.policy),
-        backend=backend,
-        jobs=cfg.get("jobs", args.jobs),
-        metrics=MetricRegistry(),
-        on_executor=on_executor,
-        trace=want_trace,
+    # A recorded value replaces the flag of the same name, nothing else.
+    recorded = {k: v for k, v in (config or {}).items() if hasattr(args, k)}
+    args = argparse.Namespace(**{**vars(args), **recorded})
+    problem, machine = _problem_machine(args)
+    return run(
+        problem, machine, metrics=MetricRegistry(), on_executor=on_executor,
+        **RunConfig.from_args(args, trace=want_trace).knobs(),
     )
-    if kwargs["impl"] == "petsc":
-        kwargs.pop("tile"), kwargs.pop("steps")
-        kwargs["ratio"] = 1.0
-    if backend == "processes":
-        kwargs["procs"] = cfg.get("procs", args.procs)
-    return run(problem, **kwargs)
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
@@ -927,28 +764,18 @@ def _cmd_critpath(args: argparse.Namespace) -> int:
 
 def _run_diff_side(args: argparse.Namespace, impl: str,
                    passes: str | None = None):
-    machine = preset(args.machine, nodes=args.nodes)
-    problem = JacobiProblem(n=args.n, iterations=args.iterations)
-    kwargs = dict(impl=impl, machine=machine, policy=args.policy,
-                  backend=args.backend, jobs=args.jobs, trace=True,
-                  passes=passes)
-    if args.backend == "processes":
-        kwargs["procs"] = args.procs
-    if impl != "petsc":
-        kwargs.update(tile=args.tile, steps=args.steps, ratio=args.ratio)
-    return run(problem, **kwargs)
+    problem, machine = _problem_machine(args)
+    config = RunConfig.from_args(args, impl=impl, passes=passes, trace=True)
+    return run(problem, machine, **config.knobs())
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
     from .obs.diff import diff_results
 
-    result_a = _run_diff_side(args, args.impl_a, getattr(args, "passes_a", None))
-    result_b = _run_diff_side(args, args.impl_b, getattr(args, "passes_b", None))
-    label_a, label_b = args.impl_a, args.impl_b
-    if getattr(args, "passes_a", None):
-        label_a += f"+{args.passes_a}"
-    if getattr(args, "passes_b", None):
-        label_b += f"+{args.passes_b}"
+    result_a = _run_diff_side(args, args.impl_a, args.passes_a)
+    result_b = _run_diff_side(args, args.impl_b, args.passes_b)
+    label_a = args.impl_a + (f"+{args.passes_a}" if args.passes_a else "")
+    label_b = args.impl_b + (f"+{args.passes_b}" if args.passes_b else "")
     diff = diff_results(result_a, result_b, label_a=label_a, label_b=label_b)
     print(result_a.summary())
     print(result_b.summary())
@@ -980,14 +807,11 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_ir(args: argparse.Namespace) -> int:
-    machine = preset(args.machine, nodes=args.nodes)
-    problem = JacobiProblem(n=args.n, iterations=args.iterations)
+    problem, machine = _problem_machine(args)
     want_trace = bool(args.trace_before or args.trace_after)
-    kwargs = dict(machine=machine, policy=args.policy, trace=want_trace)
-    if args.impl != "petsc":
-        kwargs.update(tile=args.tile, steps=args.steps, ratio=args.ratio)
-    baseline = run(problem, impl=args.impl, **kwargs)
-    rewritten = run(problem, impl=args.impl, passes=args.passes, **kwargs)
+    config = RunConfig.from_args(args, trace=want_trace)
+    baseline = run(problem, machine, **config.replace(passes=None).knobs())
+    rewritten = run(problem, machine, **config.knobs())
 
     print(rewritten.pass_reports.format())
     delta = rewritten.elapsed - baseline.elapsed
@@ -1072,110 +896,60 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_knobs(args: argparse.Namespace) -> dict:
-    """Solve-shape kwargs for a :class:`SolveRequest` from CLI flags."""
-    machine = preset(args.machine, nodes=args.nodes)
-    knobs = dict(impl=args.impl, machine=machine,
-                 backend=args.backend, jobs=args.jobs,
-                 passes=getattr(args, "passes", None))
-    if args.impl != "petsc":
-        knobs.update(tile=args.tile, ratio=args.ratio)
-        if args.impl == "ca-parsec":
-            knobs["steps"] = args.steps
-    return knobs
+def _serve_knobs(args: argparse.Namespace, **overrides) -> dict:
+    """Request keywords for a :class:`SolveRequest` from CLI flags."""
+    config = RunConfig.from_args(args, **overrides)
+    return {"machine": preset(args.machine, nodes=args.nodes),
+            **config.knobs(SERVE)}
 
 
-def _serve_traffic(
-    service,
-    tenants: int,
-    per_tenant: int,
-    problems: list,
-    knobs: dict,
-    deadline_s: float | None = None,
-    timeout: float = 300.0,
-) -> dict[str, int]:
-    """Synthetic multi-tenant traffic: each tenant submits its share
-    in two waves over the same problem variants, so the second wave
-    is served from the result cache.  Returns outcome tallies."""
-    from .serve import ServeError, SolverClient
-
-    clients = [
-        SolverClient(service, tenant=f"tenant-{chr(ord('a') + i)}",
-                     deadline_s=deadline_s)
-        for i in range(tenants)
-    ]
-    tally = {"ok": 0, "cached": 0, "rejected": 0, "failed": 0}
-    first = (per_tenant + 1) // 2
-    for count in (first, per_tenant - first):
-        futures = []
-        for client in clients:
-            for k in range(count):
-                try:
-                    futures.append(
-                        client.submit(problems[k % len(problems)], **knobs)
-                    )
-                except ServeError:
-                    tally["rejected"] += 1
-        for future in futures:
-            try:
-                outcome = future.result(timeout)
-            except ServeError:
-                tally["failed"] += 1
-            else:
-                tally["cached" if outcome.cached else "ok"] += 1
-    return tally
+def _force_fault(session, plan: str) -> None:
+    exc = session.force_fault(plan)
+    if exc is not None:
+        print(f"forced fault failed the request as intended: {exc!r}")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import tempfile
-
     from .obs import RunMonitor, format_serve_summary
-    from .serve import ServiceConfig, SolverService
+    from .serve.traffic import canned_session, format_tally
 
-    problems = [
-        JacobiProblem(n=args.n, iterations=args.iterations + k)
-        for k in range(max(1, (args.requests + 1) // 2))
-    ]
-    knobs = _serve_knobs(args)
-    with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
-        if args.no_cache:
-            cache: object = False
-        else:
-            cache = args.cache_dir if args.cache_dir else tmp
-        timeline_out = args.trace_out or args.otel_out
-        config = ServiceConfig(
-            pool=args.pool,
-            workers=args.workers,
-            jobs=args.jobs,
-            queue_depth=args.queue_depth,
-            tenant_limit=args.tenant_limit,
-            batch_window_s=args.batch_window,
-            max_batch=args.max_batch,
-            cache=cache,
-            trace_requests=bool(timeline_out),
-        )
-        monitor = RunMonitor(interval=args.interval, stream=sys.stdout)
-        with SolverService(config) as service:
-            monitor.attach(service)
-            try:
-                tally = _serve_traffic(
-                    service, args.tenants, args.requests, problems, knobs,
-                    deadline_s=args.deadline,
-                )
-            finally:
-                monitor.stop()
-            snapshot = service.metrics.snapshot()
-            stats = service.stats()
-            if timeline_out:
-                written = service.write_timeline(
-                    chrome=args.trace_out, otel=args.otel_out
-                )
-                for fmt, path in written.items():
-                    print(f"{fmt} timeline written to {path}")
+    problem, _ = _problem_machine(args)
+    variants = max(1, (args.requests + 1) // 2)
+    timeline_out = args.trace_out or args.otel_out
+    service = dict(
+        pool=args.pool,
+        workers=args.workers,
+        jobs=args.jobs,
+        queue_depth=args.queue_depth,
+        tenant_limit=args.tenant_limit,
+        batch_window_s=args.batch_window,
+        max_batch=args.max_batch,
+        trace_requests=bool(timeline_out),
+    )
+    if args.no_cache:
+        service["cache"] = False
+    elif args.cache_dir:
+        service["cache"] = args.cache_dir
+    monitor = RunMonitor(interval=args.interval, stream=sys.stdout)
+    with canned_session(problem, _serve_knobs(args), variants,
+                        **service) as session:
+        monitor.attach(session.service)
+        try:
+            tally = session.traffic(args.tenants, args.requests,
+                                    deadline_s=args.deadline)
+        finally:
+            monitor.stop()
+        snapshot = session.service.metrics.snapshot()
+        stats = session.service.stats()
+        if timeline_out:
+            written = session.service.write_timeline(
+                chrome=args.trace_out, otel=args.otel_out
+            )
+            for fmt, path in written.items():
+                print(f"{fmt} timeline written to {path}")
     print(f"traffic: {args.tenants} tenants x {args.requests} requests "
-          f"({len(problems)} distinct problems, second wave repeats)")
-    print(f"outcomes: {tally['ok']} solved, {tally['cached']} cached, "
-          f"{tally['rejected']} rejected, {tally['failed']} failed")
+          f"({variants} distinct problems, second wave repeats)")
+    print(format_tally(tally))
     print(format_serve_summary(snapshot))
     pool = stats["pool"]
     print(f"pool at shutdown: kind={pool['kind']} spawned={pool['spawned']}")
@@ -1187,59 +961,21 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     service, reported as per-tenant latency percentiles and
     error-budget burn; ``--fault`` additionally forces one terminal
     failure so the flight recorder dumps a postmortem."""
-    import tempfile
-
     from .obs.slo import format_slo_report, slo_report
-    from .serve import (
-        ServeError,
-        ServiceConfig,
-        SolveRequest,
-        SolverService,
-    )
+    from .serve.traffic import canned_session, format_tally
 
-    problems = [
-        JacobiProblem(n=args.n, iterations=args.iterations + k)
-        for k in range(2)
-    ]
-    knobs = _serve_knobs(args)
+    problem, _ = _problem_machine(args)
     dump = None
-    with tempfile.TemporaryDirectory(prefix="repro-slo-") as tmp:
-        # A private checkpoint dir per invocation: chaos fault state is
-        # per-workdir, so a shared default would let a previous run's
-        # already-fired fault turn --fault into a clean recovery.
-        config = ServiceConfig(
-            workers=args.workers, jobs=args.jobs, cache=tmp,
-            dump_dir=args.dump_dir, checkpoint_dir=f"{tmp}/chaos",
-        )
-        with SolverService(config) as service:
-            tally = _serve_traffic(
-                service, args.tenants, args.requests, problems, knobs
-            )
-            if args.fault:
-                # A fresh problem shape: the solve signature ignores
-                # the chaos plan (faults cannot change the answer), so
-                # reusing a traffic problem would hit the result cache
-                # and never execute -- much less fail.
-                request = SolveRequest(
-                    problem=JacobiProblem(
-                        n=args.n, iterations=args.iterations + 17,
-                    ),
-                    tenant="chaos", chaos_plan=args.fault, retries=0,
-                    **{k: v for k, v in knobs.items() if k != "passes"},
-                )
-                try:
-                    service.submit(request).result(timeout=300)
-                except ServeError as exc:
-                    # The whole point: the zero-retry chaos request
-                    # fails terminally and trips the flight recorder.
-                    print(f"forced fault failed the request as "
-                          f"intended: {exc!r}")
-                dumps = service.stats().get("postmortems", [])
-                dump = dumps[-1] if dumps else None
-            snapshot = service.metrics.snapshot()
+    with canned_session(problem, _serve_knobs(args), workers=args.workers,
+                        jobs=args.jobs, dump_dir=args.dump_dir) as session:
+        tally = session.traffic(args.tenants, args.requests)
+        if args.fault:
+            _force_fault(session, args.fault)
+            dumps = session.service.stats().get("postmortems", [])
+            dump = dumps[-1] if dumps else None
+        snapshot = session.service.metrics.snapshot()
     print(f"traffic: {args.tenants} tenants x {args.requests} requests")
-    print(f"outcomes: {tally['ok']} solved, {tally['cached']} cached, "
-          f"{tally['rejected']} rejected, {tally['failed']} failed")
+    print(format_tally(tally))
     print(format_slo_report(slo_report(snapshot, objective=args.objective)))
     if args.fault:
         if dump is None:
@@ -1274,53 +1010,29 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
               f"({firing} firing, {resolved} resolved)")
         return 0
 
-    import tempfile
     import time as _time
 
-    from .serve import ServeError, ServiceConfig, SolveRequest, SolverService
+    from .serve.traffic import canned_session, format_tally
 
-    problems = [
-        JacobiProblem(n=args.n, iterations=args.iterations + k)
-        for k in range(2)
-    ]
-    knobs = _serve_knobs(args)
-    with tempfile.TemporaryDirectory(prefix="repro-alerts-") as tmp:
-        # Private checkpoint dir per invocation, same reason as `slo
-        # --fault`: stale fault state would turn the kill into a no-op.
-        config = ServiceConfig(
-            workers=args.workers, jobs=args.jobs, cache=tmp,
-            dump_dir=args.dump_dir, checkpoint_dir=f"{tmp}/chaos",
-            sampling_interval_s=args.sample_interval,
-            alert_rules=rules, alert_log=args.log_out,
-        )
-        with SolverService(config) as service:
-            tally = _serve_traffic(
-                service, args.tenants, args.requests, problems, knobs
-            )
-            if args.fault:
-                request = SolveRequest(
-                    problem=JacobiProblem(
-                        n=args.n, iterations=args.iterations + 17,
-                    ),
-                    tenant="chaos", chaos_plan=args.fault, retries=0,
-                    **{k: v for k, v in knobs.items() if k != "passes"},
-                )
-                try:
-                    service.submit(request).result(timeout=300)
-                except ServeError as exc:
-                    print(f"forced fault failed the request as "
-                          f"intended: {exc!r}")
-            # Let firing alerts resolve: the sampler keeps evaluating
-            # until every rule's window slides past the incident.
-            deadline = _time.monotonic() + args.settle
-            while _time.monotonic() < deadline:
-                engine = service.alerts
-                if engine is not None and engine.transitions and \
-                        not engine.active():
-                    break
-                _time.sleep(args.sample_interval)
-            engine = service.alerts
-            series = service.series
+    problem, _ = _problem_machine(args)
+    with canned_session(
+        problem, _serve_knobs(args), workers=args.workers, jobs=args.jobs,
+        dump_dir=args.dump_dir, sampling_interval_s=args.sample_interval,
+        alert_rules=rules, alert_log=args.log_out,
+    ) as session:
+        tally = session.traffic(args.tenants, args.requests)
+        if args.fault:
+            _force_fault(session, args.fault)
+        # Let firing alerts resolve: the sampler keeps evaluating
+        # until every rule's window slides past the incident.
+        engine = session.service.alerts
+        deadline = _time.monotonic() + args.settle
+        while _time.monotonic() < deadline:
+            if engine is not None and engine.transitions and \
+                    not engine.active():
+                break
+            _time.sleep(args.sample_interval)
+        series = session.service.series
     if args.series_out and series is not None:
         print(f"series written to {series.to_jsonl(args.series_out)}")
     for event in engine.transitions:
@@ -1329,8 +1041,7 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
         print(f"alert postmortem: {dump}")
     firing = sum(1 for e in engine.transitions if e["to"] == "firing")
     resolved = sum(1 for e in engine.transitions if e["to"] == "resolved")
-    print(f"outcomes: {tally['ok']} solved, {tally['cached']} cached, "
-          f"{tally['rejected']} rejected, {tally['failed']} failed")
+    print(format_tally(tally))
     print(f"alerts: {firing} fired, {resolved} resolved")
     if args.fault and firing == 0:
         print("forced fault fired no alert", file=sys.stderr)
@@ -1360,46 +1071,38 @@ def _cmd_top(args: argparse.Namespace) -> int:
         print(format_top(store, alerts=engine, window_s=args.window))
         return 0
 
-    import tempfile
     import threading
-    import time as _time
 
-    from .serve import ServiceConfig, SolverService
+    from .serve.traffic import canned_session
 
-    problems = [
-        JacobiProblem(n=args.n, iterations=args.iterations + k)
-        for k in range(2)
-    ]
-    knobs = _serve_knobs(args)
-    with tempfile.TemporaryDirectory(prefix="repro-top-") as tmp:
-        config = ServiceConfig(
-            workers=args.workers, jobs=args.jobs, cache=tmp,
-            sampling_interval_s=args.sample_interval, alert_rules=rules,
-        )
-        with SolverService(config) as service:
-            done = threading.Event()
+    problem, _ = _problem_machine(args)
+    with canned_session(
+        problem, _serve_knobs(args), workers=args.workers, jobs=args.jobs,
+        sampling_interval_s=args.sample_interval, alert_rules=rules,
+    ) as session:
+        service = session.service
+        done = threading.Event()
 
-            def drive() -> None:
-                try:
-                    _serve_traffic(service, args.tenants, args.requests,
-                                   problems, knobs)
-                finally:
-                    done.set()
+        def drive() -> None:
+            try:
+                session.traffic(args.tenants, args.requests)
+            finally:
+                done.set()
 
-            thread = threading.Thread(target=drive, daemon=True)
-            thread.start()
-            if not args.once:
-                while not done.wait(args.refresh):
-                    frame = format_top(service.series, alerts=service.alerts,
-                                       window_s=args.window)
-                    if sys.stdout.isatty():
-                        print("\x1b[2J\x1b[H" + frame, flush=True)
-                    else:
-                        print(frame + "\n", flush=True)
-            thread.join()
-            service.sample_now()  # final frame sees the drained queue
-            print(format_top(service.series, alerts=service.alerts,
-                             window_s=args.window))
+        thread = threading.Thread(target=drive, daemon=True)
+        thread.start()
+        if not args.once:
+            while not done.wait(args.refresh):
+                frame = format_top(service.series, alerts=service.alerts,
+                                   window_s=args.window)
+                if sys.stdout.isatty():
+                    print("\x1b[2J\x1b[H" + frame, flush=True)
+                else:
+                    print(frame + "\n", flush=True)
+        thread.join()
+        service.sample_now()  # final frame sees the drained queue
+        print(format_top(service.series, alerts=service.alerts,
+                         window_s=args.window))
     return 0
 
 
@@ -1415,7 +1118,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from .obs import format_serve_summary
     from .serve import ServiceConfig, SolveRequest, SolverService
 
-    problem = JacobiProblem(n=args.n, iterations=args.iterations)
+    problem, _ = _problem_machine(args)
     request = SolveRequest(
         problem=problem,
         tenant=args.tenant,
@@ -1454,33 +1157,23 @@ def _cmd_stats_serve(args: argparse.Namespace) -> int:
     through a temporary service, reported (and optionally gated)
     through the serving metrics."""
     import json
-    import tempfile
     from pathlib import Path
 
     from .obs import format_serve_summary, regress
-    from .serve import ServiceConfig, SolverService
+    from .serve.traffic import canned_session, format_tally
 
-    tile = None if args.tile == "auto" else args.tile
-    steps = 15 if args.steps == "auto" else args.steps
-    machine = preset(args.machine, nodes=args.nodes)
-    backend = args.backend if args.backend != "sim" else "threads"
-    knobs = dict(impl=args.impl, machine=machine, backend=backend,
-                 jobs=args.jobs)
-    if args.impl != "petsc":
-        knobs.update(tile=tile, ratio=args.ratio)
-        if args.impl == "ca-parsec":
-            knobs["steps"] = steps
-    problems = [
-        JacobiProblem(n=args.n, iterations=args.iterations + k)
-        for k in range(3)
-    ]
-    with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
-        with SolverService(ServiceConfig(workers=2, cache=tmp)) as service:
-            tally = _serve_traffic(service, tenants=2, per_tenant=6,
-                                   problems=problems, knobs=knobs)
-            snapshot = service.metrics.snapshot()
-    print(f"outcomes: {tally['ok']} solved, {tally['cached']} cached, "
-          f"{tally['rejected']} rejected, {tally['failed']} failed")
+    # The service takes concrete knobs and a real backend.
+    knobs = _serve_knobs(
+        args,
+        tile=None if args.tile == "auto" else args.tile,
+        steps=RunConfig.steps if args.steps == "auto" else args.steps,
+        backend="threads" if args.backend == "sim" else args.backend,
+    )
+    problem, _ = _problem_machine(args)
+    with canned_session(problem, knobs, variants=3, workers=2) as session:
+        tally = session.traffic(tenants=2, per_tenant=6)
+        snapshot = session.service.metrics.snapshot()
+    print(format_tally(tally))
     print(format_serve_summary(snapshot))
     measured = regress.metrics_from_serve(snapshot)
     if args.write_baseline:
@@ -1512,28 +1205,23 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from .obs.metrics import MetricRegistry
 
     plan = parse_plan(args.plan, seed=args.seed)
-    machine = preset(args.machine, nodes=args.nodes)
-    problem = JacobiProblem(n=args.n, iterations=args.iterations)
+    problem, machine = _problem_machine(args)
+    config = RunConfig.from_args(args, mode="execute")
     metrics = MetricRegistry()
 
     print(f"plan {plan.spec()}  (seed {args.seed}, "
           f"fingerprint {plan.fingerprint()})")
     t0 = _time.perf_counter()
-    baseline = run(
-        problem, impl=args.impl, machine=machine, tile=args.tile,
-        steps=args.steps, mode="execute", policy=args.policy,
-        backend=args.backend, jobs=args.jobs,
-    )
+    baseline = run(problem, machine, **config.knobs())
     baseline_wall = _time.perf_counter() - t0
     print(f"fault-free: {baseline.summary()}")
 
     chaos = run_with_recovery(
-        problem, plan, impl=args.impl, machine=machine, tile=args.tile,
-        steps=args.steps, policy=args.policy, backend=args.backend,
-        jobs=args.jobs, checkpoint_dir=args.checkpoint_dir,
+        problem, plan, machine, checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         max_restarts=args.max_restarts, metrics=metrics,
-        trace=args.speculate, speculate=args.speculate,
+        speculate=args.speculate,
+        **config.replace(trace=args.speculate).knobs(),
     )
 
     identical = bool(np.array_equal(chaos.grid, baseline.grid))
@@ -1601,30 +1289,48 @@ def _cmd_machines(_args: argparse.Namespace) -> int:
     return 0
 
 
+#: Subcommand -> (flag registration, handler), in ``--help`` order.
+COMMANDS = {
+    "run": (_add_run_parser, _cmd_run),
+    "compare": (_add_compare_parser, _cmd_compare),
+    "tune": (_add_tune_parser, _cmd_tune),
+    "sweep": (_add_sweep_parser, _cmd_sweep),
+    "monitor": (_add_monitor_parser, _cmd_monitor),
+    "stats": (_add_stats_parser, _cmd_stats),
+    "critpath": (_add_critpath_parser, _cmd_critpath),
+    "trace-diff": (_add_trace_diff_parser, _cmd_trace_diff),
+    "ir": (_add_ir_parser, _cmd_ir),
+    "experiment": (_add_experiment_parser, _cmd_experiment),
+    "serve": (_add_serve_parser, _cmd_serve),
+    "submit": (_add_submit_parser, _cmd_submit),
+    "slo": (_add_slo_parser, _cmd_slo),
+    "alerts": (_add_alerts_parser, _cmd_alerts),
+    "top": (_add_top_parser, _cmd_top),
+    "postmortem": (_add_postmortem_parser, _cmd_postmortem),
+    "chaos": (_add_chaos_parser, _cmd_chaos),
+    "validate": (_add_validate_parser, _cmd_validate),
+    "machines": (
+        lambda sub: sub.add_parser("machines", help="list machine presets"),
+        _cmd_machines,
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Communication-avoiding 2D stencils over a task-based "
+                    "runtime (IPDPSW 2020 reproduction)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for add_parser, _ in COMMANDS.values():
+        add_parser(sub)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "compare": _cmd_compare,
-        "tune": _cmd_tune,
-        "sweep": _cmd_sweep,
-        "monitor": _cmd_monitor,
-        "stats": _cmd_stats,
-        "critpath": _cmd_critpath,
-        "trace-diff": _cmd_trace_diff,
-        "ir": _cmd_ir,
-        "experiment": _cmd_experiment,
-        "serve": _cmd_serve,
-        "submit": _cmd_submit,
-        "slo": _cmd_slo,
-        "alerts": _cmd_alerts,
-        "top": _cmd_top,
-        "postmortem": _cmd_postmortem,
-        "chaos": _cmd_chaos,
-        "validate": _cmd_validate,
-        "machines": _cmd_machines,
-    }
-    return handlers[args.command](args)
+    return COMMANDS[args.command][1](args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests

@@ -4,10 +4,11 @@ unified runner."""
 from . import analytic
 from .base_parsec import build_base_graph
 from .ca_parsec import build_ca_graph
+from .config import BACKENDS, IMPLEMENTATIONS, MODES, RunConfig, default_tile
 from .dataflow import BuildResult, StencilKernels, build_stencil_graph
 from .petsc_jacobi import PetscBuildResult, build_petsc_graph
 from .report import RunResult
-from .runner import BACKENDS, IMPLEMENTATIONS, MODES, default_tile, run
+from .runner import run
 from .solve import SolveResult, solve_to_tolerance
 from .spec import StencilSpec
 from .validate import ValidationReport, validate_implementations
@@ -27,6 +28,7 @@ __all__ = [
     "IMPLEMENTATIONS",
     "JacobiProblem",
     "PetscBuildResult",
+    "RunConfig",
     "RunResult",
     "StencilKernels",
     "StencilSpec",

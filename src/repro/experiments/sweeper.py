@@ -25,13 +25,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from ..analysis import csvio
+from ..core.config import SWEEP, knob_names
 from ..core.runner import run
 from ..machine.machine import MachineSpec, preset
 from ..stencil.problem import JacobiProblem
 
-#: Axes forwarded to :func:`repro.core.runner.run` verbatim.
-RUN_AXES = ("impl", "tile", "steps", "ratio", "policy", "overlap",
-            "boundary_priority", "passes")
+#: Axes forwarded to :func:`repro.core.runner.run` verbatim: the
+#: :class:`~repro.core.config.RunConfig` knobs marked sweepable.
+RUN_AXES = knob_names(SWEEP)
 
 
 @dataclass

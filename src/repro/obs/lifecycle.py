@@ -42,8 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import threading
 import time
 from collections import OrderedDict, deque
@@ -51,6 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
+from ..core.store import atomic_write
 from .metrics import MetricRegistry
 
 #: The span taxonomy, in the order a request normally traverses it.
@@ -274,19 +273,8 @@ class FlightRecorder:
         if extra:
             doc.update(extra)
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"postmortem-{reason}-{ordinal:03d}.json"
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pm-")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, lambda fh: fh.write(json.dumps(doc).encode()))
         self._prune_dumps(directory)
         return path
 

@@ -318,11 +318,10 @@ def measure_ir_passes(
 
     machine = nacl(nodes)
     problem = JacobiProblem(n=n, iterations=iterations)
-    kwargs = {"steps": steps} if impl == "ca-parsec" else {}
-    base = run(problem, impl=impl, machine=machine, tile=tile,
-               trace=True, **kwargs)
-    opt = run(problem, impl=impl, machine=machine, tile=tile,
-              trace=True, passes=passes, **kwargs)
+    base = run(problem, impl=impl, machine=machine, tile=tile, steps=steps,
+               trace=True)
+    opt = run(problem, impl=impl, machine=machine, tile=tile, steps=steps,
+              trace=True, passes=passes)
 
     def comm_queue_blame(result: Any) -> float:
         blames = critical_path(result.trace, result.graph).blame_seconds

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -39,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core.store import atomic_write
 from .request import SolveOutcome
 
 #: Bump when the entry layout changes; old stores are treated as empty.
@@ -51,25 +51,6 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env).expanduser()
     return Path.home() / ".cache" / "repro" / "serve"
-
-
-def _atomic_write(path: Path, write) -> None:
-    """Write via a sibling temp file + ``os.replace`` (same discipline
-    as the tuning cache: a killed writer corrupts nothing)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class ResultCache:
@@ -124,7 +105,7 @@ class ResultCache:
     def _store(self, entries: dict) -> None:
         doc = {"schema": SCHEMA_VERSION, "entries": entries}
         blob = json.dumps(doc, indent=2, sort_keys=True).encode()
-        _atomic_write(self.index_path, lambda fh: fh.write(blob))
+        atomic_write(self.index_path, lambda fh: fh.write(blob))
 
     def _grid_path(self, signature: str) -> Path:
         return self.root / f"{signature[:24]}.npz"
@@ -173,7 +154,7 @@ class ResultCache:
             if outcome.grid is not None:
                 grid_name = self._grid_path(signature).name
                 grid = np.ascontiguousarray(outcome.grid)
-                _atomic_write(
+                atomic_write(
                     self._grid_path(signature),
                     lambda fh: np.savez_compressed(fh, grid=grid),
                 )

@@ -16,7 +16,6 @@ standard ``as_completed`` / ``wait`` combinators apply.
 from __future__ import annotations
 
 from concurrent.futures import Future
-from dataclasses import replace
 
 from .request import SolveOutcome, SolveRequest
 from .service import SolverService
@@ -48,7 +47,7 @@ class SolverClient:
                 k: v for k, v in defaults.items()
                 if k not in knobs and getattr(request, k) in (None, "default", 0)
             }
-            return replace(request, **merged, **knobs)
+            return request.replace(**merged, **knobs)
         if problem is None:
             raise TypeError("submit() needs a problem or a request")
         return SolveRequest(problem=problem, **{**defaults, **knobs})

@@ -138,8 +138,8 @@ def execute_request(
     """Run one request to a reduced
     :class:`~repro.serve.request.SolveOutcome`.
 
-    Serving always runs ``mode="execute"`` -- the product is the
-    solution grid.  The warm ``slot`` is threaded through the runner's
+    Serving always runs ``mode="execute"`` (the request's config says
+    so) -- the product is the solution grid.  The warm ``slot`` is threaded through the runner's
     ``executor_factory`` hook for the real backends; the simulator
     builds no pool, so sim requests skip it.
 
@@ -166,26 +166,14 @@ def execute_request(
             want_trace=want_trace,
         )
 
+    config = request.config.replace(trace=want_trace)
     factory = None
-    if slot is not None and request.backend != "sim":
+    if slot is not None and config.backend != "sim":
         factory = slot.factory
     t0 = time.monotonic()
     result = run(
-        request.problem,
-        impl=request.impl,
-        machine=request.machine,
-        tile=request.tile,
-        steps=request.steps,
-        ratio=request.ratio,
-        mode="execute",
-        policy=request.policy,
-        backend=request.backend,
-        jobs=request.jobs,
-        trace=want_trace,
-        metrics=metrics,
-        on_executor=on_executor,
-        executor_factory=factory,
-        passes=request.passes,
+        request.problem, request.machine, metrics=metrics,
+        on_executor=on_executor, executor_factory=factory, **config.knobs(),
     )
     if (
         lifecycle is not None and trace_id is not None
@@ -200,16 +188,14 @@ def execute_request(
             spec=pr.spec, tasks_removed=pr.tasks_removed,
             messages_saved=pr.messages_saved,
         )
-    outcome = outcome_from_result(
+    return outcome_from_result(
         result,
         signature=request.signature(),
         tenant=request.tenant,
         warm=slot.last_was_warm if slot is not None else False,
+        trace_id=trace_id,
+        keep_trace=want_trace,
     )
-    outcome.trace_id = trace_id
-    if want_trace:
-        outcome.trace = result.trace
-    return outcome
 
 
 def _run_items(items: list[WorkItem], slot: WarmSlot, capture=None,

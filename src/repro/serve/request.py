@@ -24,20 +24,19 @@ not cross process boundaries and would pin memory in the cache).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 import numpy as np
 
+from ..core.config import ANSWER, SERVE, RunConfig, applies, knob_names
 from ..machine.machine import MachineSpec, nacl
 from ..stencil.problem import JacobiProblem
 
-#: Implementations a request may name (mirrors the runner's list; kept
-#: here so request validation does not import the runner eagerly).
-IMPLEMENTATIONS = ("petsc", "base-parsec", "ca-parsec")
 
-#: Backends a request may name.
-BACKENDS = ("sim", "threads", "processes")
+#: The knobs a request may set (everything else about a run is the
+#: service's business).
+SERVE_KNOBS = knob_names(SERVE)
 
 
 # -- typed errors --------------------------------------------------------
@@ -78,9 +77,17 @@ class JobSkipped(ServeError):
 # -- requests ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SolveRequest:
     """One solve the service should perform.
+
+    The solve-shape knobs (``impl``, ``tile``, ``steps``, ``ratio``,
+    ``passes``, ``backend``, ``jobs``, ``policy`` -- the ``SERVE``
+    knobs of :class:`~repro.core.config.RunConfig`) are given as
+    keywords, validated on construction and carried as ``config``;
+    ``request.impl`` etc. read through to it.  Serving always executes
+    real kernels, on ``backend="threads"`` unless the request says
+    otherwise.
 
     ``tenant`` / ``priority`` / ``deadline_s`` are the multi-tenant
     knobs: fair-share dequeue interleaves tenants, higher priority
@@ -90,136 +97,128 @@ class SolveRequest:
     """
 
     problem: JacobiProblem
-    impl: str = "base-parsec"
-    machine: MachineSpec = field(default_factory=lambda: nacl(4))
-    tile: int | None = None
-    steps: int = 15
-    ratio: float = 1.0
-    policy: str = "priority"
-    backend: str = "threads"
-    jobs: int | None = None
-    tenant: str = "default"
-    priority: int = 0
-    deadline_s: float | None = None
+    machine: MachineSpec
+    config: RunConfig
+    tenant: str
+    priority: int
+    deadline_s: float | None
     #: fault plan spec (see :func:`repro.chaos.parse_plan`) injected
     #: into the run -- a chaos job; None runs fault-free.
-    chaos_plan: str | None = None
-    #: IR rewrite pipeline (see :mod:`repro.ir`), canonicalised at
-    #: admission; None runs the builder's graph unrewritten.
-    passes: str | None = None
+    chaos_plan: str | None
     #: per-request retry budget override (None -> the service's
     #: ``retry_budget``); a failed attempt re-queues the job until the
     #: budget is spent, resuming from its signature's last checkpoint.
-    retries: int | None = None
+    retries: int | None
 
-    def __post_init__(self) -> None:
-        if self.impl not in IMPLEMENTATIONS:
-            raise ValueError(
-                f"unknown impl {self.impl!r}; choices: {IMPLEMENTATIONS}"
+    def __init__(
+        self,
+        problem: JacobiProblem,
+        machine: MachineSpec | None = None,
+        *,
+        tenant: str = "default",
+        priority: int = 0,
+        deadline_s: float | None = None,
+        chaos_plan: str | None = None,
+        retries: int | None = None,
+        **knobs: Any,
+    ) -> None:
+        unknown = sorted(set(knobs) - set(SERVE_KNOBS))
+        if unknown:
+            raise TypeError(
+                f"SolveRequest got unexpected knobs {unknown}; a request "
+                f"may set {SERVE_KNOBS}"
             )
-        if self.backend not in BACKENDS:
+        config = RunConfig(mode="execute", **{"backend": "threads", **knobs})
+        if config.auto:
             raise ValueError(
-                f"unknown backend {self.backend!r}; choices: {BACKENDS}"
+                "serve requests take a concrete tile and step size (or "
+                "tile=None for the model default); run the autotuner "
+                "ahead of submission"
             )
-        if self.impl == "petsc" and self.ratio != 1.0:
+        if deadline_s is not None and deadline_s <= 0:
             raise ValueError(
-                "the kernel adjustment ratio applies to the PaRSEC "
-                "versions only"
+                f"deadline_s must be positive seconds, got {deadline_s}"
             )
-        if isinstance(self.tile, str):
-            raise ValueError(
-                "serve requests take a concrete tile (or None for the "
-                "model default); run the autotuner ahead of submission"
-            )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(
-                f"deadline_s must be positive seconds, got {self.deadline_s}"
-            )
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError(f"jobs must be positive, got {self.jobs}")
-        if self.retries is not None and self.retries < 0:
-            raise ValueError(f"retries cannot be negative, got {self.retries}")
-        if self.chaos_plan is not None:
-            # Validate at admission, not deep inside a worker.
-            from ..chaos.plan import parse_plan
-
-            parse_plan(self.chaos_plan)
-        if self.passes is not None:
-            if self.chaos_plan is not None:
+        if retries is not None and retries < 0:
+            raise ValueError(f"retries cannot be negative, got {retries}")
+        if chaos_plan is not None:
+            if config.passes is not None:
                 raise ValueError(
                     "passes and chaos_plan cannot combine (the rewrite "
                     "may merge the kernels chaos instruments)"
                 )
-            # Canonicalise at admission so equivalent spellings share
-            # one signature and one batch.
-            from ..ir import canonical_pipeline
+            # Validate at admission, not deep inside a worker.
+            from ..chaos.plan import parse_plan
 
-            object.__setattr__(
-                self, "passes", canonical_pipeline(self.passes) or None
-            )
+            parse_plan(chaos_plan)
+        machine = machine or nacl(4)
+        self.__dict__.update(  # frozen: assignment is closed
+            problem=problem, machine=machine, config=config,
+            tenant=tenant, priority=priority, deadline_s=deadline_s,
+            chaos_plan=chaos_plan, retries=retries,
+            # not a field: the batching window compares batch keys of
+            # every queued job, so resolve once, not per comparison
+            _resolved=config.resolved(problem, machine),
+        )
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for names that are not fields: knob reads
+        # (request.impl, request.passes...) answer from the config.
+        if name in SERVE_KNOBS:
+            return getattr(self.config, name)
+        raise AttributeError(name)
+
+    def replace(self, **changes: Any) -> "SolveRequest":
+        """A copy with serving fields and/or solve knobs changed
+        (re-validated like a fresh request)."""
+        current = {
+            f.name: getattr(self, f.name)
+            for f in fields(self) if f.name != "config"
+        }
+        return SolveRequest(**{**current, **self.config.knobs(SERVE), **changes})
 
     # -- identity --------------------------------------------------------
 
-    def resolved_tile(self) -> int | None:
-        """The tile the run will actually use (``None`` stays the
-        runner's model-default pick, resolved here so that an explicit
-        request for the default tile hashes identically)."""
-        if self.impl == "petsc":
-            return None
-        if self.tile is not None:
-            return int(self.tile)
-        from ..core.runner import default_tile
-
-        return default_tile(self.problem, self.machine)
-
-    def solve_params(self) -> dict[str, Any]:
-        """The knobs that shape the *answer*, normalised: petsc has no
-        tile/steps/ratio; base-parsec ignores the CA step count."""
-        if self.impl == "petsc":
-            return {"passes": self.passes} if self.passes else {}
-        params: dict[str, Any] = {
-            "tile": self.resolved_tile(),
-            "ratio": self.ratio,
-        }
-        if self.impl == "ca-parsec":
-            params["steps"] = self.steps
-        if self.passes:
-            # Conservative: structural passes provably keep the grid
-            # bit-identical, but a rewritten request never shares a
-            # cache entry with an unrewritten one.
-            params["passes"] = self.passes
-        return params
+    def resolved(self) -> RunConfig:
+        """The config the run will actually use: per-impl knobs
+        settled and the model-default tile filled in, so that an
+        explicit request for the default tile hashes identically."""
+        return self._resolved
 
     def signature(self) -> str:
         """Content key of this solve: equal signatures guarantee
-        bit-identical solution grids (schedule knobs -- policy, jobs,
-        backend -- are deliberately excluded; the conformance suite
-        proves they cannot change the answer)."""
+        bit-identical solution grids.  Only the ``ANSWER`` knobs that
+        apply to the implementation enter (schedule knobs -- policy,
+        jobs, backend -- are deliberately excluded; the conformance
+        suite proves they cannot change the answer).  Conservative on
+        ``passes``: structural passes provably keep the grid
+        bit-identical, but a rewritten request never shares a cache
+        entry with an unrewritten one."""
         from ..core.signature import solve_signature
 
-        return solve_signature(
-            self.problem, self.machine, self.impl, **self.solve_params()
-        )
+        params = {
+            k: v for k, v in self.resolved().knobs(SERVE, ANSWER).items()
+            if v is not None and applies(k, self.config.impl)
+        }
+        impl = params.pop("impl")
+        return solve_signature(self.problem, self.machine, impl, **params)
 
     def batch_key(self) -> tuple:
         """Compatibility key for the batching window: requests sharing
         it use the same machine model, implementation, grid extents,
-        tile shape and execution config, so they can ride one pool
-        submission."""
+        tile shape and execution config -- every ``SERVE`` knob, as
+        resolved -- so they can ride one pool submission."""
+        knobs = self.resolved().knobs(SERVE)
+        passes = knobs.pop("passes")
         return (
-            self.impl,
+            knobs.pop("impl"),
             self.machine.fingerprint(),
             self.problem.shape,
-            self.resolved_tile(),
-            self.steps if self.impl == "ca-parsec" else None,
-            self.ratio,
-            self.backend,
-            self.jobs,
-            self.policy,
+            *knobs.values(),
             # Chaos jobs never fuse (or dedup) with fault-free jobs of
             # the same solve: faults and retries are per-plan state.
             self.chaos_plan,
-            self.passes,
+            passes,
         )
 
 
@@ -306,9 +305,12 @@ def outcome_from_result(
     signature: str,
     tenant: str = "default",
     warm: bool = False,
+    trace_id: str | None = None,
+    keep_trace: bool = False,
 ) -> SolveOutcome:
     """Reduce a :class:`~repro.core.report.RunResult` to the
-    serving-layer outcome."""
+    serving-layer outcome (``keep_trace`` carries the execution-level
+    trace along for the combined timeline)."""
     return SolveOutcome(
         signature=signature,
         impl=result.impl,
@@ -320,13 +322,13 @@ def outcome_from_result(
         grid=result.grid,
         tenant=tenant,
         warm=warm,
+        trace_id=trace_id,
+        trace=result.trace if keep_trace else None,
     )
 
 
 __all__ = [
-    "BACKENDS",
     "DeadlineExpired",
-    "IMPLEMENTATIONS",
     "JobSkipped",
     "QueueFullError",
     "ServeError",

@@ -331,7 +331,7 @@ class SolverService:
         if request is None:
             request = SolveRequest(**knobs)
         elif knobs:
-            request = replace(request, **knobs)
+            request = request.replace(**knobs)
         if not self._started:
             raise ServiceClosed("service not started; call start() first")
         t_admit = time.monotonic()

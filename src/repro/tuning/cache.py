@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from ..core.signature import problem_signature
+from ..core.store import atomic_write
 from ..machine.machine import MachineSpec
 from ..stencil.problem import JacobiProblem
 from .space import Candidate
@@ -79,20 +80,8 @@ class TuningCache:
 
     def _store(self, entries: dict) -> None:
         doc = {"schema": SCHEMA_VERSION, "entries": entries}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.path.parent), prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        blob = json.dumps(doc, indent=2, sort_keys=True).encode()
+        atomic_write(self.path, lambda fh: fh.write(blob))
 
     # -- API -----------------------------------------------------------
 
@@ -129,12 +118,7 @@ class TuningCache:
         replace, so two concurrent tuners merge rather than clobber.
         """
         entry = {
-            "tile": candidate.tile,
-            "steps": candidate.steps,
-            "policy": candidate.policy,
-            "overlap": candidate.overlap,
-            "boundary_priority": candidate.boundary_priority,
-            "passes": candidate.passes,
+            **asdict(candidate),
             "machine": machine.name,
             "nodes": machine.nodes,
             "backend": backend,

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..core.config import applies
 from ..distgrid.partition import ProcessGrid, even_split
 from ..machine.machine import MachineSpec
 from ..stencil.cost import KernelCostModel
@@ -75,7 +76,7 @@ def predict(
     shrinking it shifts the balance toward communication, which is
     exactly when larger CA steps start paying off.
     """
-    if impl not in ("base-parsec", "ca-parsec"):
+    if not applies("tile", impl):
         raise ValueError(
             f"the tuning model covers the PaRSEC implementations, not {impl!r}"
         )
@@ -90,7 +91,7 @@ def predict(
     workers = node.compute_cores if candidate.overlap else node.cores
 
     iterations = max(1, problem.iterations)
-    s = candidate.steps if impl == "ca-parsec" else 1
+    s = candidate.steps if applies("steps", impl) else 1
     s_eff = min(s, iterations)
 
     cost = KernelCostModel(machine, ratio=ratio)

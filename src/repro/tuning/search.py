@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Sequence
 
+from ..core.config import applies
 from ..exec import backends
 from ..experiments.sweeper import Sweep, to_csv
 from ..machine.machine import MachineSpec, nacl
@@ -199,6 +200,26 @@ def _shortlist(
     return top + sorted(explore)
 
 
+def _open_cache(
+    cache: TuningCache | str | Path | bool | None,
+) -> TuningCache | None:
+    """``False`` disables persistence; a :class:`TuningCache` is used as
+    is; a path (or ``None``: the default location) opens that store."""
+    if cache is False:
+        return None
+    return cache if isinstance(cache, TuningCache) else TuningCache(cache)
+
+
+def _lookup(store: TuningCache, metrics, *key) -> dict | None:
+    """``store.get(*key)``, counted as a tuning-cache hit or miss."""
+    entry = store.get(*key)
+    if metrics is not None:
+        name = ("tuning_cache_hits_total" if entry is not None
+                else "tuning_cache_misses_total")
+        metrics.counter(name, help="tuning-cache lookups by outcome").inc()
+    return entry
+
+
 def tune(
     problem: JacobiProblem,
     impl: str = "ca-parsec",
@@ -228,7 +249,7 @@ def tune(
     hits/misses and every budgeted trial by backend and status.
     """
     machine = machine or nacl(4)
-    if impl not in ("base-parsec", "ca-parsec"):
+    if not applies("tile", impl):
         raise ValueError(
             "autotuning applies to the PaRSEC implementations "
             f"('base-parsec', 'ca-parsec'), not {impl!r}"
@@ -240,23 +261,11 @@ def tune(
     if budget < 0:
         raise ValueError(f"tuning budget cannot be negative, got {budget}")
 
-    store: TuningCache | None
-    if cache is False:
-        store = None
-    elif isinstance(cache, TuningCache):
-        store = cache
-    else:
-        store = TuningCache(cache if cache is not None else None)
+    store = _open_cache(cache)
     extra = ",".join(f"{k}={v}" for k, v in sorted((run_kwargs or {}).items()))
 
     if store is not None and not force:
-        entry = store.get(machine, problem, backend, impl, extra)
-        if metrics is not None:
-            name = ("tuning_cache_hits_total" if entry is not None
-                    else "tuning_cache_misses_total")
-            metrics.counter(
-                name, help="tuning-cache lookups by outcome"
-            ).inc()
+        entry = _lookup(store, metrics, machine, problem, backend, impl, extra)
         if entry is not None:
             return TuningResult(
                 impl=impl, backend=backend, machine=machine, problem=problem,
@@ -334,7 +343,7 @@ def tune(
 
     pool = _shortlist(predictions, screen_budget, seed)
     ladder = _fidelity_ladder(problem.iterations)
-    if impl == "ca-parsec":
+    if applies("steps", impl):
         # Running fewer than s iterations truncates the CA step to the
         # iteration count, which makes different step sizes
         # indistinguishable; keep every rung deep enough to tell the
@@ -394,11 +403,8 @@ def resolve_auto(
     machine: MachineSpec,
     tile: int | str | None = "auto",
     steps: int | str = "auto",
-    backend: str = "sim",
     budget: int = 0,
     cache: TuningCache | str | Path | bool | None = None,
-    seed: int = 0,
-    timeout: float | None = None,
     jobs: int | None = None,
     metrics=None,
 ) -> tuple[int, int, dict]:
@@ -410,27 +416,20 @@ def resolve_auto(
     ``UserWarning`` naming the reason.  Returns ``(tile, steps,
     info)`` where ``info`` records the source and any tuning result.
     """
+    # An in-run resolution always searches in the simulator (seed 0);
+    # measuring finalists on this host is ``repro tune``'s job.
+    backend = "sim"
     fixed_tile = tile if isinstance(tile, int) else None
     # Only the CA implementation has a step knob; a fixed steps value
     # (e.g. the runner's default 15) is meaningless for the others and
     # must not constrain the space.
-    fixed_steps = steps if isinstance(steps, int) and impl == "ca-parsec" else None
-    store: TuningCache | None
-    if cache is False:
-        store = None
-    elif isinstance(cache, TuningCache):
-        store = cache
-    else:
-        store = TuningCache(cache if cache is not None else None)
+    fixed_steps = (
+        steps if isinstance(steps, int) and applies("steps", impl) else None
+    )
+    store = _open_cache(cache)
 
     if store is not None:
-        entry = store.get(machine, problem, backend, impl)
-        if metrics is not None:
-            name = ("tuning_cache_hits_total" if entry is not None
-                    else "tuning_cache_misses_total")
-            metrics.counter(
-                name, help="tuning-cache lookups by outcome"
-            ).inc()
+        entry = _lookup(store, metrics, machine, problem, backend, impl)
         if entry is not None:
             cand = store.candidate_of(entry)
             if (fixed_tile in (None, cand.tile)
@@ -453,7 +452,7 @@ def resolve_auto(
             problem, impl=impl, machine=machine, backend=backend,
             budget=budget, space=space,
             cache=False if (pinned or store is None) else store,
-            seed=seed, timeout=timeout, jobs=jobs, metrics=metrics,
+            jobs=jobs, metrics=metrics,
         )
         return result.winner.tile, result.winner.steps, {
             "source": result.source, "result": result,

@@ -23,10 +23,11 @@ thinned, crossed with the paper's step-size ladder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 from typing import Iterator
 
+from ..core.config import applicable, applies
 from ..distgrid.partition import ProcessGrid, even_split
 from ..machine.machine import MachineSpec
 from ..runtime.scheduler import POLICIES
@@ -43,7 +44,9 @@ DEFAULT_MAX_TASKS = 20_000
 
 @dataclass(frozen=True, order=True)
 class Candidate:
-    """One complete tunable configuration of :func:`repro.core.runner.run`."""
+    """One complete tunable configuration of :func:`repro.core.runner.run`
+    (every field is a ``RunConfig`` knob; unlike a ``RunConfig`` it may
+    hold illegal values, for :func:`invalid_reason` to explain)."""
 
     tile: int
     steps: int = 1
@@ -54,17 +57,13 @@ class Candidate:
     passes: str = ""
 
     def run_kwargs(self, impl: str) -> dict:
-        """The runner keyword arguments this candidate selects."""
-        kwargs = {
-            "tile": self.tile,
-            "policy": self.policy,
-            "overlap": self.overlap,
-            "boundary_priority": self.boundary_priority,
-        }
-        if impl == "ca-parsec":
-            kwargs["steps"] = self.steps
-        if self.passes:
-            kwargs["passes"] = self.passes
+        """The runner keyword arguments this candidate selects: its
+        fields, minus what ``impl`` has no use for and an empty
+        pipeline."""
+        kwargs = applicable({"impl": impl, **asdict(self)})
+        del kwargs["impl"]
+        if not self.passes:
+            del kwargs["passes"]
         return kwargs
 
     def label(self) -> str:
@@ -119,7 +118,7 @@ def invalid_reason(
         )
     if candidate.steps < 1:
         return "step size must be >= 1"
-    if impl == "ca-parsec":
+    if applies("steps", impl):
         if candidate.steps > candidate.tile:
             return (
                 f"step size {candidate.steps} exceeds tile {candidate.tile}; "
@@ -210,10 +209,8 @@ class SearchSpace:
             sorted(self.overlaps), sorted(self.boundary_priorities),
             sorted(self.pipelines),
         )
-        for tile, steps, policy, overlap, bprio, passes in combos:
-            yield Candidate(tile=tile, steps=steps, policy=policy,
-                            overlap=overlap, boundary_priority=bprio,
-                            passes=passes)
+        for combo in combos:  # axis order == Candidate field order
+            yield Candidate(*combo)
 
     def candidates(
         self, problem: JacobiProblem, machine: MachineSpec, impl: str
@@ -293,7 +290,7 @@ class SearchSpace:
             }) if hi > lo else [hi]
             tiles = ladder
         steps = (1,)
-        if impl == "ca-parsec":
+        if applies("steps", impl):
             # s > iterations degenerates to s = iterations; don't spend
             # budget on duplicates.
             cap = min(max(tiles), max(1, problem.iterations))

@@ -213,3 +213,81 @@ def test_top_renders_a_recorded_series(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "repro top" in out and "queue depth" in out
     assert "requests/s" in out
+
+
+# -- one description of a run: the flags are RunConfig's -----------------
+
+#: Every subcommand that describes a run (or a served solve) with flags,
+#: with the extra argv it cannot parse without.
+RUN_SHAPED = {
+    "run": [], "monitor": [], "stats": [], "critpath": [], "trace-diff": [],
+    "ir": ["--passes", "latency"], "chaos": ["--plan", "kill:node=1,step=1"],
+    "serve": [], "submit": [], "slo": [], "alerts": [], "top": [],
+}
+#: A non-default value per knob flag, so a mis-wired flag cannot hide
+#: behind a default.
+FLAG_VALUES = {"impl": "ca-parsec", "tile": 12, "steps": 2, "ratio": 0.5,
+               "policy": "fifo", "backend": "threads", "jobs": 1,
+               "passes": "fuse:max_chain=0"}
+
+
+@pytest.mark.parametrize("command", RUN_SHAPED)
+def test_run_shaped_flags_are_runconfig_knobs(command):
+    """Drift guard: a run-shaped subcommand's knob flags are exactly
+    the like-named RunConfig fields, and the parsed command line runs
+    to the same ``RunResult.params`` as the keyword call."""
+    from repro import JacobiProblem, nacl, run
+    from repro.core.config import RunConfig, knob_names
+
+    parser = build_parser()
+    sub = parser._subparsers._group_actions[0].choices[command]
+    dests = {a.dest for a in sub._actions}
+    given = {k: v for k, v in FLAG_VALUES.items()
+             if k in dests and f"--{k}" not in RUN_SHAPED[command]}
+    assert {"tile", "steps"} <= set(given)  # it *is* run-shaped
+    argv = [command, *RUN_SHAPED[command]]
+    for knob, value in given.items():
+        argv += [f"--{knob}", str(value)]
+    args = parser.parse_args(argv)
+
+    extra = {} if "impl" in given else {"impl": "ca-parsec"}  # trace-diff
+    config = RunConfig.from_args(args, **extra)
+    assert set(given) <= set(knob_names())
+    for knob, value in given.items():
+        assert getattr(config, knob) == value, knob
+    # the flags the command does not have stay at RunConfig's defaults,
+    # unless the command overrides that default on purpose
+    untouched = set(knob_names()) - dests - set(extra)
+    assert all(getattr(config, k) == getattr(RunConfig, k) for k in untouched)
+
+    problem, machine = JacobiProblem(n=48, iterations=4), nacl(4)
+    keywords = {**extra, **given}
+    if command == "ir":
+        keywords["passes"] = "latency"
+    from_flags = run(problem, machine, **config.knobs())
+    from_keywords = run(problem, machine=machine, **keywords)
+    assert from_flags.params == from_keywords.params
+    assert from_flags.to_dict().keys() == from_keywords.to_dict().keys()
+
+
+def test_flags_an_implementation_has_no_use_for_are_ignored():
+    from repro.core.config import RunConfig
+
+    args = build_parser().parse_args(
+        ["trace-diff", "--impl-a", "petsc", "--tile", "12"])
+    config = RunConfig.from_args(args, impl=args.impl_a)  # ratio flag: 0.2
+    assert (config.ratio, config.tile, config.steps) == (1.0, None, 15)
+
+
+def test_readme_knob_table_is_generated_from_runconfig():
+    from pathlib import Path
+
+    from repro.core.config import knob_table
+
+    root = Path(__file__).resolve().parent.parent
+    for doc in ("README.md", "docs/architecture.md"):
+        assert knob_table() in (root / doc).read_text(), (
+            f"{doc}: knob table is stale; paste the output of "
+            "`python -c 'from repro.core.config import knob_table; "
+            "print(knob_table())'`"
+        )

@@ -90,6 +90,36 @@ def test_validation_happens_before_graph_construction(monkeypatch):
             run(PROBLEM, machine=nacl(4), **bad)
 
 
+@pytest.mark.parametrize("bad", [
+    {"tile": 0}, {"tile": 2.5}, {"steps": 0}, {"ratio": 0.0}, {"ratio": -1.0},
+    {"impl": "petsc", "ratio": 0.5},
+])
+def test_out_of_range_knobs_rejected(bad):
+    with pytest.raises(ValueError):
+        run(PROBLEM, machine=nacl(4), **{"impl": "ca-parsec", **bad})
+    with pytest.raises(TypeError, match="no_such_knob"):
+        run(PROBLEM, machine=nacl(4), no_such_knob=1)
+
+
+@pytest.mark.parametrize("bad", [
+    {"backend": "threads", "jobs": 0},
+    {"backend": "threads", "procs": 2},
+    {"backend": "processes", "procs": 0},
+])
+def test_counts_validated_before_any_tuning_run_is_spent(bad, monkeypatch):
+    """``tile="auto"`` hands ``jobs`` to the tuner: a bad worker or
+    process count must fail before that, not after the search."""
+    import repro.tuning.search as search_mod
+
+    def explode(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("tuner reached with invalid knobs")
+
+    monkeypatch.setattr(search_mod, "resolve_auto", explode)
+    with pytest.raises(ValueError):
+        run(PROBLEM, machine=nacl(4), impl="ca-parsec", tile="auto",
+            tune=True, **bad)
+
+
 def test_valid_arguments_still_run():
     result = run(PROBLEM, impl="base-parsec", machine=nacl(1), tile=8,
                  policy="fifo", mode="simulate")

@@ -121,6 +121,45 @@ def test_atomic_writes_leave_no_temp_droppings(tmp_path):
     json.loads((tmp_path / "index.json").read_text())  # always parseable
 
 
+def test_atomic_write_failure_leaves_nothing_behind(tmp_path):
+    """The one writer every store shares: a failing ``write_fn`` leaves
+    neither a temp file nor a torn target."""
+    from repro.core.store import atomic_write
+
+    target = tmp_path / "deep" / "state.json"
+
+    def boom(fh):
+        fh.write(b"half")
+        raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError):
+        atomic_write(target, boom)
+    assert list(target.parent.iterdir()) == []
+    atomic_write(target, lambda fh: fh.write(b"v1"))
+    with pytest.raises(RuntimeError):
+        atomic_write(target, boom)
+    assert target.read_bytes() == b"v1"
+    assert [p.name for p in target.parent.iterdir()] == ["state.json"]
+
+
+def test_checkpoint_meta_failure_leaks_no_temp_file(tmp_path, monkeypatch):
+    """``CheckpointStore.ensure_meta`` was the one private writer that
+    left its ``*.tmp`` behind when the publish step raised."""
+    import os
+
+    from repro.chaos.checkpoint import CheckpointStore
+
+    store = CheckpointStore(tmp_path)
+
+    def refuse(src, dst):
+        raise OSError("read-only file system")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        store.ensure_meta(4, (8, 8), 2)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_concurrent_stores_merge_not_clobber(tmp_path):
     """Two service processes sharing one cache dir: the second put
     re-reads the index before replacing it, so the first's entry

@@ -240,6 +240,47 @@ def test_client_requires_problem_or_request():
         client.submit()
 
 
+@pytest.mark.parametrize("bad", [
+    {"policy": "bogus"},
+    {"steps": "auto"},
+    {"steps": 0},
+    {"tile": 0},
+    {"tile": "auto"},
+    {"ratio": 0.0},
+    {"ratio": -1.0},
+    {"jobs": 0},
+    {"backend": "mpi"},
+    {"impl": "petsc", "ratio": 0.5},
+])
+def test_invalid_knobs_fail_at_the_front_door(bad, tmp_path):
+    """Every knob error is a ValueError at request construction /
+    ``submit`` -- nothing is admitted, retried or dumped (a bogus
+    policy used to come back from a worker as WorkerDied plus a
+    postmortem file)."""
+    problem = random_problem(24, 2)
+    with pytest.raises(ValueError):
+        _request(problem, **bad)
+    config = ServiceConfig(cache=False, retry_budget=2, dump_dir=tmp_path)
+    with SolverService(config) as service:
+        client = SolverClient(service, tenant="alice")
+        with pytest.raises(ValueError):
+            client.submit(problem, **bad)
+        with pytest.raises(ValueError):
+            service.submit(_request(problem), **bad)
+        stats = service.stats()
+        snapshot = service.metrics.snapshot()
+    assert stats["submitted"] == 0 and stats["postmortems"] == []
+    assert snapshot.counter("serve_jobs_retried_total") == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_request_rejects_knobs_that_are_not_a_requests_to_set():
+    problem = random_problem(24, 2)
+    for knob in ({"mode": "simulate"}, {"procs": 2}, {"trace": True}):
+        with pytest.raises(TypeError, match="unexpected knobs"):
+            _request(problem, **knob)
+
+
 # -- faults under load (repro.chaos x repro.serve) -----------------------
 
 
