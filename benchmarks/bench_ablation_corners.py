@@ -10,8 +10,8 @@ of any timing model.
 from repro.analysis.tables import format_table
 from repro.core.base_parsec import build_base_graph
 from repro.core.ca_parsec import build_ca_graph
+from repro.core.spec import ca_plan
 from repro.experiments import NACL
-from repro.runtime.ca_transform import plan
 from repro.stencil.problem import JacobiProblem
 
 PROBLEM = JacobiProblem(n=5760, iterations=15)
@@ -55,8 +55,8 @@ def test_corner_traffic(once, show):
 
 
 def test_ca_plan_reports_replication(once, show):
-    base = build_base_graph(PROBLEM, MACHINE, tile=288, with_kernels=False)
-    p = once(plan, base.spec, steps=15)
+    _, _, base, ca = _census()
+    p = once(ca_plan, base, ca)
     show(f"CA plan: {p}")
     assert p.extra_ghost_bytes > 0
     assert 0.5 < p.messages_saved_fraction < 1.0

@@ -4,15 +4,16 @@
 The step size s trades per-message software cost against redundant
 halo computation and ghost memory.  This example sweeps s in the
 comm-bound regime (tuned kernel, ratio 0.2) and in the kernel-bound
-regime (ratio 1.0), prints the tradeoff columns, and uses the
-runtime's automatic-CA planner to show what each s costs in
-replication before running anything.
+regime (ratio 1.0), prints the tradeoff columns, and uses the CA plan
+(``repro.core.spec.ca_plan``) to show what each s costs in replication
+before running anything.
 """
 
 import repro
 from repro.analysis.tables import format_table
 from repro.core.base_parsec import build_base_graph
-from repro.runtime.ca_transform import plan
+from repro.core.ca_parsec import build_ca_graph
+from repro.core.spec import ca_plan
 
 
 def main() -> None:
@@ -25,7 +26,9 @@ def main() -> None:
 
     rows = []
     for s in step_sizes:
-        p = plan(base_build.spec, steps=s) if s > 1 else None
+        p = ca_plan(base_build, build_ca_graph(
+            problem, machine, tile=tile, steps=s, with_kernels=False,
+        )) if s > 1 else None
         bound = repro.run(problem, impl="ca-parsec", machine=machine,
                           tile=tile, steps=s, ratio=0.2, mode="simulate")
         calm = repro.run(problem, impl="ca-parsec", machine=machine,

@@ -34,8 +34,6 @@ def build_ca_graph(
     from a single neighbouring tile); the paper uses s = 15 with tiles
     of 288 (NaCL) and 864 (Stampede2).
     """
-    if steps < 1:
-        raise ValueError("step size must be >= 1")
     spec = StencilSpec.create(problem, nodes=machine.nodes, tile=tile, steps=steps,
                               pgrid=pgrid)
     return build_stencil_graph(

@@ -174,6 +174,48 @@ class StencilSpec:
         return stats
 
 
+@dataclass(frozen=True)
+class CAPlan:
+    """What deepening a base build to step size ``steps`` costs (ghost
+    memory, on how many tiles) and saves (messages)."""
+
+    steps: int
+    boundary_tiles: int
+    interior_tiles: int
+    extra_ghost_bytes: int
+    messages_per_superstep: int
+    messages_saved_fraction: float
+
+
+def ca_plan(base, ca) -> CAPlan:
+    """Describe the replication the CA build ``ca`` introduces over the
+    base (``steps=1``) build ``base`` of the same problem and
+    partition.  Ghost memory comes from the two specs' tile geometry;
+    the message counts are the two graphs' message plans, totalled by
+    their census -- nothing is re-derived here."""
+    spec: StencilSpec = ca.spec
+    tiles = list(spec.tiles())
+    boundary = sum(tile.is_boundary() for tile in tiles)
+    extra_points = 0
+    for tile in tiles:
+        deep = tile.ext_shape()
+        flat = base.spec.tile(tile.i, tile.j).ext_shape()
+        extra_points += deep[0] * deep[1] - flat[0] * flat[1]
+    ca_messages = ca.graph.census().remote_messages
+    base_messages = base.graph.census().remote_messages
+    supersteps = -(-spec.problem.iterations // spec.steps)
+    return CAPlan(
+        steps=spec.steps,
+        boundary_tiles=boundary,
+        interior_tiles=len(tiles) - boundary,
+        extra_ghost_bytes=extra_points * ITEMSIZE,
+        messages_per_superstep=ca_messages // supersteps,
+        messages_saved_fraction=(
+            1.0 - ca_messages / base_messages if base_messages else 0.0
+        ),
+    )
+
+
 @lru_cache(maxsize=262144)
 def _tile_spec(partition: GridPartition, steps: int, i: int, j: int) -> TileSpec:
     """Build the TileSpec for global tile (i, j): pads of depth

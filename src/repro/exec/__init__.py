@@ -41,7 +41,6 @@ from .executor import (
     default_jobs,
     ensure_executable,
     execute,
-    max_flow_bytes,
 )
 from ..runtime.engine import KernelError, NodeLostError
 from .futures import ExecutionTimeout, RunCancelled, RunHandle, TaskFuture, TaskRecord
@@ -87,6 +86,5 @@ __all__ = [
     "fork_available",
     "format_comparison",
     "make_work_queues",
-    "max_flow_bytes",
     "speedup_curve",
 ]

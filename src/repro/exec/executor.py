@@ -30,15 +30,15 @@ from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Collection
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..obs import trace_validation_enabled
 from ..obs.metrics import MetricRegistry, MetricsSnapshot
 from ..runtime.engine import EngineReport, KernelError
 from ..runtime.graph import TaskGraph
-from ..runtime.task import Task, TaskKey
+from ..runtime.store import PayloadStore
+from ..runtime.task import Flow, Task, TaskKey
 from .futures import RunCancelled, RunHandle, TaskRecord
 from .policies import make_work_queues
 from .wallclock_trace import HOST_NODE, WallClockRecorder
@@ -49,16 +49,6 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def max_flow_bytes(graph: TaskGraph, producer: TaskKey, tag: str) -> int:
-    """Largest payload size any consumer declared for (producer, tag)."""
-    biggest = 0
-    for consumer_key in graph.consumers.get((producer, tag), ()):
-        for flow in graph[consumer_key].inputs:
-            if flow.producer == producer and flow.tag == tag:
-                biggest = max(biggest, flow.nbytes)
-    return biggest
-
-
 def ensure_executable(graph: TaskGraph, backend: str = "threads") -> None:
     """Refuse timing-only graphs up front: a task without a kernel can
     satisfy control edges only (zero-byte flows).  Shared by every
@@ -67,7 +57,7 @@ def ensure_executable(graph: TaskGraph, backend: str = "threads") -> None:
         if task.kernel is not None:
             continue
         for tag in graph.out_tags.get(task.key, ()):
-            if task.out_nbytes.get(tag, 0) or max_flow_bytes(graph, task.key, tag):
+            if graph.flow_bytes(task.key, tag):
                 raise ValueError(
                     f"task {task.key!r} has no kernel but consumers expect "
                     f"payload {tag!r}; the {backend} backend needs a graph "
@@ -167,11 +157,9 @@ class ThreadedExecutor:
         # Bookkeeping shared by all workers, guarded by _lock.
         self._pending: dict[TaskKey, int] = {}
         self._release: dict[TaskKey, list[TaskKey]] = {}
-        self._store: dict[tuple[TaskKey, str], list] = {}
-        self._refcount: dict[tuple[TaskKey, str], int] = {}
-        self._results: dict[tuple[TaskKey, str], object] = {}
+        self._store = PayloadStore(self.graph, self._tasks())
         self._completed: set[TaskKey] = set()
-        self._unfinished = len(self.graph)
+        self._unfinished = len(self._tasks())
         self._steals = 0
         self._failure: BaseException | None = None
         self._cancelled = False
@@ -221,24 +209,29 @@ class ThreadedExecutor:
     def _check_executable(self) -> None:
         ensure_executable(self.graph, backend="threads")
 
-    def _max_flow_bytes(self, producer: TaskKey, tag: str) -> int:
-        return max_flow_bytes(self.graph, producer, tag)
-
     # -- setup -----------------------------------------------------------
 
+    def _tasks(self) -> Collection[Task]:
+        """The tasks this executor runs: the whole graph (the procs
+        backend's per-node subclass narrows it to its node's)."""
+        return self.graph.tasks.values()
+
     def _prepare(self) -> list[Task]:
-        """Build pending counts, release lists and payload refcounts;
-        returns the in-degree-0 seed tasks in graph order."""
+        """Build pending counts and release lists; returns the
+        in-degree-0 seed tasks in graph order."""
         seeds: list[Task] = []
-        for task in self.graph:
+        for task in self._tasks():
             self._pending[task.key] = len(task.inputs)
             for flow in task.inputs:
-                self._release.setdefault(flow.producer, []).append(task.key)
-                key = (flow.producer, flow.tag)
-                self._refcount[key] = self._refcount.get(key, 0) + 1
+                self._await(flow, task)
             if not task.inputs:
                 seeds.append(task)
         return seeds
+
+    def _await(self, flow: Flow, task: Task) -> None:
+        """``task`` waits on ``flow``: its producer's :meth:`_publish`
+        releases it."""
+        self._release.setdefault(flow.producer, []).append(task.key)
 
     def _seed(self, seeds: list[Task]) -> None:
         for idx, task in enumerate(self._queues.seed_order(seeds)):
@@ -368,7 +361,7 @@ class ThreadedExecutor:
             comm_busy={},
             max_comm_backlog=0,
             trace=trace,
-            results=self._results,
+            results=self._store.results,
             metrics=self._publish_metrics(elapsed),
             jobs=self.jobs,
             policy=self.policy,
@@ -404,7 +397,7 @@ class ThreadedExecutor:
                 return
             try:
                 with self._lock:
-                    inputs = self._gather_inputs(task)
+                    inputs = self._store.gather(task)
                 start = recorder.now()
                 outputs = (
                     dict(task.kernel(inputs, task)) if task.kernel is not None else {}
@@ -441,64 +434,32 @@ class ThreadedExecutor:
 
     # -- dataflow bookkeeping ---------------------------------------------------
 
-    def _gather_inputs(self, task: Task) -> dict[tuple[TaskKey, str], object]:
-        inputs: dict[tuple[TaskKey, str], object] = {}
-        for flow in task.inputs:
-            key = (flow.producer, flow.tag)
-            entry = self._store.get(key)
-            if entry is None:
-                raise RuntimeError(
-                    f"payload {key!r} missing when task {task.key!r} started"
-                )
-            inputs[key] = entry[0]
-        return inputs
-
-    def _expected_outputs(self, task: Task, outputs: dict) -> dict:
-        """Same contract as the simulator: every consumed tag must be
-        produced; zero-byte control edges are auto-filled with None."""
-        expected = set(self.graph.out_tags.get(task.key, ()))
-        missing = expected - set(outputs)
-        for tag in missing:
-            if task.out_nbytes.get(tag, 0) == 0 and self._max_flow_bytes(task.key, tag) == 0:
-                outputs[tag] = None
-            else:
-                raise RuntimeError(
-                    f"task {task.key!r} produced tags {sorted(set(outputs))} "
-                    f"but consumers expect {sorted(expected)}"
-                )
-        return outputs
-
     def _publish(self, task: Task, outputs: dict, wid: int) -> None:
         """Store outputs, free inputs, release consumers -- one
         critical section; newly-ready tasks land on worker ``wid``."""
-        outputs = self._expected_outputs(task, outputs)
-        for payload in outputs.values():
-            if isinstance(payload, np.ndarray):
-                payload.setflags(write=False)  # catch cross-thread mutation
-        woke = False
         with self._work_ready:
-            for tag, payload in outputs.items():
-                key = (task.key, tag)
-                refs = self._refcount.get(key, 0)
-                if refs == 0:
-                    self._results[key] = payload  # terminal output
-                else:
-                    self._store[key] = [payload, refs]
-            for flow in task.inputs:
-                key = (flow.producer, flow.tag)
-                entry = self._store[key]
-                entry[1] -= 1
-                if entry[1] == 0:
-                    del self._store[key]
+            outputs = self._store.publish(task, outputs)
+            self._send_remote(task, outputs)
+            self._store.release(task)
             self._completed.add(task.key)
             self._unfinished -= 1
-            for consumer_key in self._release.get(task.key, ()):
-                self._pending[consumer_key] -= 1
-                if self._pending[consumer_key] == 0:
-                    self._queues.push(wid, self.graph[consumer_key])
-                    woke = True
-            if woke or self._unfinished == 0:
+            if self._wake(self._release.get(task.key, ()), wid):
                 self._work_ready.notify_all()
+
+    def _send_remote(self, task: Task, outputs: dict) -> None:
+        """Shared memory moves no messages."""
+
+    def _wake(self, consumers, wid: int) -> bool:
+        """One dependency of each of ``consumers`` is met; the ones it
+        readies land on worker ``wid``.  True when a sleeping worker
+        has something to wake for (new work, or the run's end)."""
+        woke = self._unfinished == 0
+        for consumer_key in consumers:
+            self._pending[consumer_key] -= 1
+            if self._pending[consumer_key] == 0:
+                self._queues.push(wid, self.graph[consumer_key])
+                woke = True
+        return woke
 
 
 def execute(
@@ -521,5 +482,4 @@ __all__ = [
     "default_jobs",
     "ensure_executable",
     "execute",
-    "max_flow_bytes",
 ]

@@ -37,12 +37,13 @@ process boundary without deadlocking anyone; cancellation and
 parent-death likewise unwind every pool, and the parent terminates
 stragglers after a grace period so no orphan workers survive.
 
-Accounting: per-edge message counts and *declared* payload bytes match
-:meth:`TaskGraph.census` exactly (one message per producer/tag/
-destination, sized by the same max-over-flows rule); actual pickled
-wire bytes are tallied separately.  Send/recv spans land in the
-standard :class:`~repro.runtime.trace.Trace` schema on comm lanes, so
-occupancy analyses and the Perfetto exporter work unchanged.
+Accounting: the courier ships exactly the entries of
+:meth:`TaskGraph.message_plan`, so per-edge message counts and
+*declared* payload bytes equal :meth:`TaskGraph.census` by
+construction; actual pickled wire bytes are tallied separately.
+Send/recv spans land in the standard
+:class:`~repro.runtime.trace.Trace` schema on comm lanes, so occupancy
+analyses and the Perfetto exporter work unchanged.
 """
 
 from __future__ import annotations
@@ -58,14 +59,12 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as conn_wait
 
-import numpy as np
-
 from ..obs import trace_validation_enabled
 from ..obs.export import build_trace
 from ..obs.metrics import MetricRegistry, MetricsSnapshot
 from ..runtime.engine import KernelError, NodeLostError
 from ..runtime.graph import TaskGraph
-from ..runtime.task import Task, TaskKey
+from ..runtime.task import Flow, Task, TaskKey
 from ..runtime.trace import Trace
 from .executor import ExecReport, ThreadedExecutor, ensure_executable
 from .futures import RunCancelled, RunHandle
@@ -127,33 +126,6 @@ class ProcsReport(ExecReport):
 # ---------------------------------------------------------------------------
 # child side
 # ---------------------------------------------------------------------------
-
-
-def _send_plan(
-    graph: TaskGraph, node: int
-) -> dict[TaskKey, list[tuple[str, int, int]]]:
-    """(producer key) -> [(tag, dst node, declared nbytes)] for every
-    output of a local task that some other node consumes.  One entry is
-    one wire message; sizes follow the census rule (max over the
-    destination's flow declarations and the producer's out_nbytes)."""
-    plan: dict[TaskKey, list[tuple[str, int, int]]] = {}
-    for task in graph:
-        if task.node != node:
-            continue
-        for tag in graph.out_tags.get(task.key, ()):
-            per_dst: dict[int, int] = {}
-            for ckey in graph.consumers.get((task.key, tag), ()):
-                consumer = graph[ckey]
-                if consumer.node == node:
-                    continue
-                size = per_dst.get(consumer.node, task.out_nbytes.get(tag, 0))
-                for flow in consumer.inputs:
-                    if flow.producer == task.key and flow.tag == tag:
-                        size = max(size, flow.nbytes)
-                per_dst[consumer.node] = size
-            for dst in sorted(per_dst):
-                plan.setdefault(task.key, []).append((tag, dst, per_dst[dst]))
-    return plan
 
 
 class _Courier(threading.Thread):
@@ -343,48 +315,32 @@ class _NodeExecutor(ThreadedExecutor):
         self._courier: _Courier | None = None
         super().__init__(graph, jobs=jobs, policy=policy, trace=trace,
                          metrics=metrics)
-        self._unfinished = len(self._local)
-        self._plan = _send_plan(graph, node)
 
     def _check_executable(self) -> None:
         pass  # the parent ran ensure_executable() once, before forking
 
-    def _prepare(self) -> list[Task]:
-        seeds: list[Task] = []
-        for task in self._local:
-            self._pending[task.key] = len(task.inputs)
-            for flow in task.inputs:
-                key = (flow.producer, flow.tag)
-                self._refcount[key] = self._refcount.get(key, 0) + 1
-                if self.graph[flow.producer].node == self.node:
-                    self._release.setdefault(flow.producer, []).append(task.key)
-                else:
-                    self._remote_consumers.setdefault(key, []).append(task.key)
-            if not task.inputs:
-                seeds.append(task)
-        return seeds
+    def _tasks(self) -> list[Task]:
+        return self._local
+
+    def _await(self, flow: Flow, task: Task) -> None:
+        if self.graph[flow.producer].node == self.node:
+            super()._await(flow, task)
+        else:  # released by the payload's arrival, not a local publish
+            self._remote_consumers.setdefault(
+                (flow.producer, flow.tag), []
+            ).append(task.key)
 
     def _inject(self, producer: TaskKey, tag: str, payload) -> None:
         """A remote payload arrived: store it and release the local
         consumers waiting on it (the receiver thread's entry point)."""
-        key = (producer, tag)
         with self._work_ready:
-            consumers = self._remote_consumers.pop(key, None)
+            consumers = self._remote_consumers.pop((producer, tag), None)
             if consumers is None or self._failure is not None or self._cancelled:
                 return
-            refs = self._refcount.get(key, 0)
-            if refs:
-                self._store[key] = [payload, refs]
-            woke = False
-            for consumer_key in consumers:
-                self._pending[consumer_key] -= 1
-                if self._pending[consumer_key] == 0:
-                    self._queues.push(self._inject_rr % self.jobs,
-                                      self.graph[consumer_key])
-                    self._inject_rr += 1
-                    woke = True
-            if woke:
+            self._store.inject(producer, tag, payload)
+            if self._wake(consumers, self._inject_rr % self.jobs):
                 self._work_ready.notify_all()
+            self._inject_rr += 1
 
     def _fail_remote(self, exc: BaseException) -> None:
         """A peer (or the parent) asked us to stop with an error."""
@@ -393,39 +349,12 @@ class _NodeExecutor(ThreadedExecutor):
                 self._failure = exc
             self._work_ready.notify_all()
 
-    def _publish(self, task: Task, outputs: dict, wid: int) -> None:
-        outputs = self._expected_outputs(task, outputs)
-        for payload in outputs.values():
-            if isinstance(payload, np.ndarray):
-                payload.setflags(write=False)
-        # Ship remote copies before taking the lock: pickling is heavy.
-        for tag, dst, nbytes in self._plan.get(task.key, ()):
-            assert self._courier is not None
+    def _send_remote(self, task: Task, outputs: dict) -> None:
+        """One wire message per entry of the graph's message plan (the
+        parent computed it before forking)."""
+        assert self._courier is not None
+        for tag, dst, nbytes in self.graph.message_plan().get(task.key, ()):
             self._courier.send_data(dst, task.key, tag, outputs[tag], nbytes)
-        woke = False
-        with self._work_ready:
-            for tag, payload in outputs.items():
-                key = (task.key, tag)
-                refs = self._refcount.get(key, 0)
-                if refs > 0:
-                    self._store[key] = [payload, refs]
-                elif key not in self.graph.consumers:
-                    self._results[key] = payload  # terminal output
-            for flow in task.inputs:
-                key = (flow.producer, flow.tag)
-                entry = self._store[key]
-                entry[1] -= 1
-                if entry[1] == 0:
-                    del self._store[key]
-            self._completed.add(task.key)
-            self._unfinished -= 1
-            for consumer_key in self._release.get(task.key, ()):
-                self._pending[consumer_key] -= 1
-                if self._pending[consumer_key] == 0:
-                    self._queues.push(wid, self.graph[consumer_key])
-                    woke = True
-            if woke or self._unfinished == 0:
-                self._work_ready.notify_all()
 
 
 def _relative_spans(spans, epoch):
@@ -477,7 +406,7 @@ def _node_main(
             stats = {
                 "node": node,
                 "completed": list(executor._completed),
-                "results": executor._results,
+                "results": executor._store.results,
                 "worker_busy": busy,
                 "steals": executor._steals,
                 "messages": courier.messages,
@@ -703,6 +632,7 @@ class ProcessExecutor:
                 "reset(); call reset() to re-arm it for another run"
             )
         self._started = True
+        self.graph.message_plan()  # once, here: the children inherit it
         ctx = mp.get_context("fork")
 
         # Full mesh of duplex pipes (data + aborts can always flow).
@@ -876,12 +806,7 @@ class ProcessExecutor:
     def _build_report(self, outcomes: dict[int, tuple], t_end: float) -> ProcsReport:
         elapsed = t_end - self._epoch
         useful, redundant = self.graph.total_flops()
-        local_edges = local_bytes = 0
-        for task in self.graph:
-            for flow in task.inputs:
-                if self.graph[flow.producer].node == task.node:
-                    local_edges += 1
-                    local_bytes += flow.nbytes
+        census = self.graph.census()
         results: dict = {}
         completed: set = set()
         worker_busy: dict[int, float] = {}
@@ -931,8 +856,8 @@ class ProcessExecutor:
             tasks_run=len(completed),
             messages=messages,
             message_bytes=payload_bytes,
-            local_edges=local_edges,
-            local_bytes=local_bytes,
+            local_edges=census.local_edges,
+            local_bytes=census.local_bytes,
             useful_flops=useful,
             redundant_flops=redundant,
             node_busy=node_busy,

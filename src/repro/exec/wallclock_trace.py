@@ -33,9 +33,8 @@ class WallClockRecorder:
     renderer both prefer small positive timestamps).
     """
 
-    def __init__(self, jobs: int, enabled: bool = True) -> None:
+    def __init__(self, jobs: int) -> None:
         self.jobs = jobs
-        self.enabled = enabled
         self._t0 = 0.0
         #: per-worker lists of (kind, start, end, label, task_id); no
         #: locking needed because worker ``w`` is the only writer of
@@ -63,11 +62,7 @@ class WallClockRecorder:
         task_id: object = None,
     ) -> None:
         """Record one span with *raw* timestamps from :meth:`now`."""
-        if self.enabled:
-            self._lanes[wid].append((kind, start, end, label, task_id))
-
-    def span_count(self) -> int:
-        return sum(len(lane) for lane in self._lanes)
+        self._lanes[wid].append((kind, start, end, label, task_id))
 
     def to_trace(self, node: int = HOST_NODE) -> Trace:
         """Materialise a :class:`Trace` with origin-relative seconds

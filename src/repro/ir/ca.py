@@ -1,10 +1,17 @@
 """Communication avoidance as a rewrite pass.
 
-Re-expresses :func:`repro.runtime.ca_transform.transform_build` -- the
-PA1 s-step deepening of the paper's Sec. IV -- inside the pass
-pipeline, so ``--passes ca:steps=4`` and a hand-built
+The paper's Sec. VII sketches "a more generic communication avoiding
+framework ... built directly into the runtime system", where "the
+generation and the scheduling of the redundant tasks become
+transparent to the users".  This pass is that: given only a *base*
+(``steps=1``) stencil build it deepens the spec to ``steps=s`` and
+rebuilds -- ghost-region deepening on node-facing sides, corner
+replication flows, redundant halo updates and the superstep schedule
+all follow from :class:`~repro.core.spec.StencilSpec`, and the same
+kernels execute.  ``--passes ca:steps=4`` and a hand-built
 ``ca-parsec --steps 4`` run produce census-identical graphs (the test
-suite asserts exactly that).
+suite asserts exactly that against
+:func:`~repro.core.ca_parsec.build_ca_graph`).
 
 Unlike the structural passes this one *re-derives* the graph from the
 build's :class:`~repro.core.dataflow.StencilSpec`: redundant ghost
@@ -16,7 +23,10 @@ build to start from.
 
 from __future__ import annotations
 
-from ..runtime.ca_transform import CATransformError, transform_build
+from dataclasses import replace
+
+from ..core.dataflow import build_stencil_graph
+from ..stencil.cost import KernelCostModel
 from .core import GraphPass, PassContext, PassError, int_param, reject_unknown
 
 
@@ -53,22 +63,21 @@ class CAInsertionPass(GraphPass):
                 f"pass 'ca' must start from a base (steps=1) build, "
                 f"got steps={spec.steps}"
             )
-        from ..stencil.cost import KernelCostModel
-
         cost = KernelCostModel(
             ctx.machine,
             ratio=ctx.ratio,
             include_redundant=ctx.include_redundant,
         )
-        try:
-            new_build = transform_build(
-                build,
-                ctx.machine,
-                self.steps,
-                cost=cost,
-                with_kernels=ctx.with_kernels,
-            )
-        except CATransformError as exc:
+        try:  # the spec itself rejects steps the tiles cannot supply
+            deepened = replace(spec, steps=self.steps)
+        except ValueError as exc:
             raise PassError(f"pass 'ca': {exc}") from exc
+        new_build = build_stencil_graph(
+            deepened,
+            ctx.machine,
+            cost=cost,
+            name="ca-auto",
+            with_kernels=ctx.with_kernels,
+        )
         notes = {"steps": self.steps, "tasks": len(new_build.graph)}
         return new_build, notes

@@ -42,12 +42,6 @@ from .rewrite import (
 COARSE_KIND = "coarse"
 
 
-def _message_size(graph: TaskGraph, producer: Task, tag: str, nbytes: int) -> int:
-    """The census/engine size rule for one flow: the largest size any
-    party declared."""
-    return max(nbytes, producer.out_nbytes.get(tag, 0))
-
-
 class CoarsenPass(GraphPass):
     """Merge same-node same-level task groups into super-tasks."""
 
@@ -125,11 +119,9 @@ class CoarsenPass(GraphPass):
                 if pgid is None:
                     continue
                 part = (flow.producer, flow.tag)
-                size = _message_size(
-                    graph, graph[flow.producer], flow.tag, flow.nbytes
-                )
                 parts = demand.setdefault(pgid, {}).setdefault(cid, {})
-                parts[part] = max(parts.get(part, 0), size)
+                if part not in parts:
+                    parts[part] = graph.flow_bytes(*part)
 
         # Assign one packed output tag per (producer group, consumer).
         pack_tag: dict[tuple, dict[tuple, str]] = {}

@@ -27,15 +27,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from ..machine.machine import MachineSpec
 from ..obs import trace_validation_enabled
 from ..obs.metrics import MetricRegistry, MetricsSnapshot
 from .graph import GraphError, TaskGraph
 from .scheduler import make_queue
+from .store import PayloadStore
 from .task import Task, TaskKey
 from .trace import Trace
+
 
 class KernelError(RuntimeError):
     """A task kernel raised during execution; the message carries the
@@ -224,13 +224,12 @@ class Engine:
         self._waiters: dict[tuple[TaskKey, str, int], list[TaskKey]] = {}
         # producer -> same-node consumer keys (one entry per flow instance).
         self._local_waiters: dict[TaskKey, list[TaskKey]] = {}
-        # producer -> messages its completion emits.
-        self._remote_msgs: dict[TaskKey, list[_Message]] = {}
+        # producer -> (tag, dst, nbytes) messages its completion emits.
+        self._plan = graph.message_plan()
         # blocking mode: per-consumer receive-processing charge.
         self._recv_charge: dict[TaskKey, float] = {}
-        # Payload mailbox (execute mode): (producer, tag) -> [payload, refcount]
-        self._store: dict[tuple[TaskKey, str], list] = {}
-        self._refcount: dict[tuple[TaskKey, str], int] = {}
+        # Payload mailbox (execute mode only).
+        self._store = PayloadStore(graph, graph) if execute else None
 
         self._events: list[tuple] = []  # (time, seq, kind, payload)
         self._seq = 0
@@ -243,7 +242,6 @@ class Engine:
         self._node_busy = dict.fromkeys(range(nnodes), 0.0)
         self._comm_busy = dict.fromkeys(range(nnodes), 0.0)
         self._tasks_run = 0
-        self.results: dict[tuple[TaskKey, str], Any] = {}
 
     # -- event helpers ----------------------------------------------------
 
@@ -254,40 +252,27 @@ class Engine:
     # -- setup -------------------------------------------------------------
 
     def _prepare(self) -> None:
-        """One pass over the graph building the runtime tables:
+        """One pass over the graph building the dependency tables:
 
         * ``_pending`` -- unmet input counts per task;
         * ``_local_waiters`` -- consumer lists woken directly when a
           same-node producer completes;
         * ``_waiters`` -- consumer lists keyed by (producer, tag, node),
-          woken when a message is delivered to that node;
-        * ``_remote_msgs`` -- per producer, the unique messages its
-          completion emits: one per (tag, destination node), consumers
-          on the same node sharing it (PaRSEC's message coalescing).
+          woken when a message is delivered to that node.
         """
-        census_local = 0
-        census_local_bytes = 0
         tasks = self.graph.tasks
         local_waiters = self._local_waiters
         waiters = self._waiters
-        remote_msgs: dict[TaskKey, dict[tuple[str, int], int]] = {}
         for task in self.graph:
             self._pending[task.key] = len(task.inputs)
             node = task.node
             for flow in task.inputs:
-                src_node = tasks[flow.producer].node
-                if src_node == node:
+                if tasks[flow.producer].node == node:
                     local_waiters.setdefault(flow.producer, []).append(task.key)
-                    census_local += 1
-                    census_local_bytes += flow.nbytes
                 else:
                     waiters.setdefault((flow.producer, flow.tag, node), []).append(
                         task.key
                     )
-                    sizes = remote_msgs.setdefault(flow.producer, {})
-                    mkey = (flow.tag, node)
-                    declared = tasks[flow.producer].out_nbytes.get(flow.tag, 0)
-                    sizes[mkey] = max(sizes.get(mkey, 0), flow.nbytes, declared)
                     if not self.overlap:
                         # Blocking MPI: the consumer's worker processes
                         # the matching receive itself.
@@ -295,18 +280,6 @@ class Engine:
                             self._recv_charge.get(task.key, 0.0)
                             + self.machine.network.software_overhead
                         )
-                if self.execute:
-                    key = (flow.producer, flow.tag)
-                    self._refcount[key] = self._refcount.get(key, 0) + 1
-        self._remote_msgs = {
-            key: [
-                _Message(key, tag, tasks[key].node, dst, nbytes)
-                for (tag, dst), nbytes in sizes.items()
-            ]
-            for key, sizes in remote_msgs.items()
-        }
-        self._local_edges = census_local
-        self._local_bytes = census_local_bytes
         for task in self.graph:
             if self._pending[task.key] == 0:
                 self._ready[task.node].push(task)
@@ -344,20 +317,21 @@ class Engine:
         if self.trace is not None and trace_validation_enabled():
             self.trace.validate()
         useful, redundant = self.graph.total_flops()
+        census = self.graph.census()
         return EngineReport(
             elapsed=self._now,
             tasks_run=self._tasks_run,
             messages=self._messages,
             message_bytes=self._message_bytes,
-            local_edges=self._local_edges,
-            local_bytes=self._local_bytes,
+            local_edges=census.local_edges,
+            local_bytes=census.local_bytes,
             useful_flops=useful,
             redundant_flops=redundant,
             node_busy=self._node_busy,
             comm_busy=self._comm_busy,
             max_comm_backlog=self._max_comm_backlog,
             trace=self.trace,
-            results=self.results,
+            results=self._store.results if self._store is not None else {},
             metrics=self._publish_metrics(),
         )
 
@@ -389,12 +363,13 @@ class Engine:
         for (src, dst), (n, nbytes) in self._pair_msgs.items():
             msgs.inc(n, src=src, dst=dst)
             mbytes.inc(nbytes, src=src, dst=dst)
+        census = self.graph.census()
         reg.counter("local_edges_total",
                     "same-node producer-consumer flows", "edges").inc(
-            self._local_edges)
+            census.local_edges)
         reg.counter("local_bytes_total",
                     "same-node flow payload bytes", "bytes").inc(
-            self._local_bytes)
+            census.local_bytes)
         busy = reg.counter("worker_busy_seconds_total",
                            "busy time per compute worker", "seconds")
         assert self._worker_busy is not None
@@ -468,26 +443,9 @@ class Engine:
                 self._run_kernel(task)
             self._push_event(end, _TASK_DONE, (task, worker))
 
-    def _max_flow_bytes(self, producer: TaskKey, tag: str) -> int:
-        """Largest declared flow size for (producer, tag) across
-        consumers -- 0 means every consumer treats it as control."""
-        biggest = 0
-        for consumer_key in self.graph.consumers.get((producer, tag), ()):
-            for flow in self.graph[consumer_key].inputs:
-                if flow.producer == producer and flow.tag == tag:
-                    biggest = max(biggest, flow.nbytes)
-        return biggest
-
     def _run_kernel(self, task: Task) -> None:
-        inputs: dict[tuple[TaskKey, str], Any] = {}
-        for flow in task.inputs:
-            key = (flow.producer, flow.tag)
-            entry = self._store.get(key)
-            if entry is None:
-                raise RuntimeError(
-                    f"payload {key!r} missing when task {task.key!r} started"
-                )
-            inputs[key] = entry[0]
+        store = self._store
+        inputs = store.gather(task)
         try:
             outputs = dict(task.kernel(inputs, task)) if task.kernel is not None else {}
         except Exception as exc:
@@ -496,42 +454,18 @@ class Engine:
             raise KernelError(
                 f"kernel of task {task.key!r} (kind {task.kind!r}) failed: {exc}"
             ) from exc
-        expected = set(self.graph.out_tags.get(task.key, ()))
-        produced = set(outputs)
-        missing = expected - produced
-        for tag in missing:
-            # Control edges (zero-byte flows nobody sized) carry no
-            # payload; they exist purely for ordering (DTD WAR/WAW).
-            if task.out_nbytes.get(tag, 0) == 0 and self._max_flow_bytes(task.key, tag) == 0:
-                outputs[tag] = None
-            else:
-                raise RuntimeError(
-                    f"task {task.key!r} produced tags {sorted(produced)} but "
-                    f"consumers expect {sorted(expected)}"
-                )
-        for tag, payload in outputs.items():
-            if isinstance(payload, np.ndarray):
-                payload.setflags(write=False)  # catch consumer mutation bugs
-            key = (task.key, tag)
-            refs = self._refcount.get(key, 0)
-            if refs == 0:
-                self.results[key] = payload  # terminal output
-            else:
-                self._store[key] = [payload, refs]
-        # Release inputs.
-        for flow in task.inputs:
-            key = (flow.producer, flow.tag)
-            entry = self._store[key]
-            entry[1] -= 1
-            if entry[1] == 0:
-                del self._store[key]
+        store.publish(task, outputs)
+        store.release(task)
 
     # -- completion & message machinery --------------------------------------
 
     def _on_task_done(self, task: Task, worker: int) -> None:
         node = task.node
         self._tasks_run += 1
-        msgs = self._remote_msgs.get(task.key, ())
+        msgs = [
+            _Message(task.key, tag, node, dst, nbytes)
+            for tag, dst, nbytes in self._plan.get(task.key, ())
+        ]
         # Local consumers are satisfied immediately.
         local = self._local_waiters.get(task.key)
         if local:

@@ -35,6 +35,9 @@ class TaskGraph:
         #: producer key -> tags it must produce (declared + consumed)
         self.out_tags: dict[TaskKey, tuple[str, ...]] = {}
         self._finalized = False
+        self._plan: dict[TaskKey, list[tuple[str, int, int]]] | None = None
+        #: (edges, bytes) of the same-node flows, tallied with the plan
+        self._local = (0, 0)
         self._census: EdgeCensus | None = None
 
     # -- construction --------------------------------------------------
@@ -127,22 +130,34 @@ class TaskGraph:
 
     # -- static analysis -------------------------------------------------
 
-    def census(self) -> EdgeCensus:
-        """Count the communication the graph implies, independent of any
-        schedule: a remote *message* is one (producer, tag, destination
-        node) triple (consumers on the same node share a message, as in
-        PaRSEC); a local edge is a same-node flow."""
+    def flow_bytes(self, producer: TaskKey, tag: str) -> int:
+        """The size of output ``tag`` of ``producer``: the largest any
+        party declared (the producer's ``out_nbytes`` or a consuming
+        flow).  0 means a control edge -- pure ordering, no payload."""
+        biggest = self.tasks[producer].out_nbytes.get(tag, 0)
+        for consumer_key in self.consumers.get((producer, tag), ()):
+            for flow in self.tasks[consumer_key].inputs:
+                if flow.producer == producer and flow.tag == tag:
+                    biggest = max(biggest, flow.nbytes)
+        return biggest
+
+    def message_plan(self) -> dict[TaskKey, list[tuple[str, int, int]]]:
+        """The communication the graph implies, independent of any
+        schedule: producer key -> ``(tag, destination node, nbytes)``,
+        one entry per remote *message*.  Consumers of one output on the
+        same node share a message (as in PaRSEC); its payload is the
+        largest size any party declared for it -- the producer's
+        ``out_nbytes`` or a consuming flow on that node.  Entries are
+        ordered by their first consuming flow in graph order: that is
+        the order the engine sends them in, and virtual time depends on
+        it.  Every backend and :meth:`census` read this one table;
+        computed on first use, immutable once finalized."""
         if not self._finalized:
             raise GraphError("finalize() the graph before analysing it")
-        if self._census is not None:  # immutable once finalized
-            return self._census
-        census = EdgeCensus()
-        # A message's payload is the largest size any party declared for
-        # it: consumer flow sizes or the producer's out_nbytes (the
-        # engine uses the same rule).  This runs once per run when
-        # telemetry is on, so the loop stays allocation-light.
-        msg_sizes: dict[tuple[TaskKey, str, int], int] = {}
+        if self._plan is not None:
+            return self._plan
         tasks = self.tasks
+        sizes: dict[TaskKey, dict[tuple[str, int], int]] = {}
         local_edges = local_bytes = 0
         for task in tasks.values():
             node = task.node
@@ -152,25 +167,32 @@ class TaskGraph:
                 if producer.node == node:
                     local_edges += 1
                     local_bytes += nbytes
-                else:
-                    key = (flow.producer, flow.tag, node)
-                    declared = producer.out_nbytes.get(flow.tag, 0)
-                    if declared > nbytes:
-                        nbytes = declared
-                    prev = msg_sizes.get(key)
-                    if prev is None or nbytes > prev:
-                        msg_sizes[key] = nbytes
-        census.local_edges = local_edges
-        census.local_bytes = local_bytes
-        by_pair = census.by_pair
-        remote_bytes = 0
-        for (producer_key, _tag, dst), nbytes in msg_sizes.items():
-            remote_bytes += nbytes
-            pair = (tasks[producer_key].node, dst)
-            msgs, byts = by_pair.get(pair, (0, 0))
-            by_pair[pair] = (msgs + 1, byts + nbytes)
-        census.remote_messages = len(msg_sizes)
-        census.remote_bytes = remote_bytes
+                    continue
+                per_message = sizes.setdefault(flow.producer, {})
+                message = (flow.tag, node)
+                prev = per_message.get(message)
+                if prev is None:
+                    prev = producer.out_nbytes.get(flow.tag, 0)
+                per_message[message] = nbytes if nbytes > prev else prev
+        self._local = (local_edges, local_bytes)
+        self._plan = {
+            key: [(tag, dst, nbytes) for (tag, dst), nbytes in per_message.items()]
+            for key, per_message in sizes.items()
+        }
+        return self._plan
+
+    def census(self) -> EdgeCensus:
+        """Totals of :meth:`message_plan` (remote messages and bytes,
+        per node pair) plus the same-node flows it skipped -- the
+        ground truth the backends' measured counts are tested against."""
+        if self._census is not None:  # immutable once finalized
+            return self._census
+        plan = self.message_plan()
+        census = EdgeCensus(*self._local)
+        for producer, messages in plan.items():
+            src = self.tasks[producer].node
+            for _tag, dst, nbytes in messages:
+                census.add_remote(src, dst, nbytes)
         self._census = census
         return census
 

@@ -151,12 +151,19 @@ def test_stats_section_serve_writes_and_checks_baseline(tmp_path, capsys):
     assert "serve summary" in out and base.exists()
     doc = json.loads(base.read_text())
     assert doc["kind"] == "serve-baseline"
-    assert "serve_cache_hit_rate" in doc["metrics"]
+    # This test is about the write -> check plumbing, so the verdict
+    # rests on the deterministic serving rates: the wall-clock p95s of
+    # two back-to-back 48^2 runs are noise at any tolerance.
+    rates = ("serve_cache_hit_rate", "serve_warm_start_rate")
+    doc["metrics"] = {name: doc["metrics"][name] for name in rates}
+    base.write_text(json.dumps(doc))
     rc = main(["stats", "--section", "serve", "--n", "48", "--iterations",
                "3", "--tile", "12", "--impl", "base-parsec",
                "--check", str(base), "--tolerance", "0.5"])
     out = capsys.readouterr().out
-    assert "serve_cache_hit_rate" in out
+    for name in rates:
+        assert f"ok   {name}" in out
+    assert "PASS: 2/2 gated metrics" in out
     assert rc == 0
 
 

@@ -191,7 +191,7 @@ def test_execute_mailbox_freed_after_consumption():
                kernel=lambda ins, t: {})
     engine = Engine(g, simple_machine(), execute=True)
     engine.run()
-    assert engine._store == {}
+    assert len(engine._store) == 0
 
 
 def test_occupancy_metric():

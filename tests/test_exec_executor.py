@@ -91,7 +91,7 @@ def test_terminal_outputs_kept_intermediates_freed():
     report = ex.run()
     # Only d's output is terminal; the store drained completely.
     assert set(report.results) == {("d", "w")}
-    assert ex._store == {}
+    assert len(ex._store) == 0
 
 
 def test_worker_busy_and_occupancy_accounting():

@@ -97,10 +97,3 @@ def test_recorder_normalises_to_run_start():
     busy = rec.busy_per_worker()
     assert set(busy) == {0, 1}
     assert busy[0] == pytest.approx(a1 - a0)
-
-
-def test_recorder_disabled_records_nothing():
-    rec = WallClockRecorder(jobs=1, enabled=False)
-    rec.start()
-    rec.record(0, "k", rec.now(), rec.now())
-    assert rec.span_count() == 0

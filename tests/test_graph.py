@@ -83,6 +83,70 @@ def test_census_message_coalescing():
 def test_census_requires_finalize():
     with pytest.raises(GraphError):
         chain(2).census()
+    with pytest.raises(GraphError):
+        chain(2).message_plan()
+
+
+def plan_graph() -> TaskGraph:
+    """One producer on node 0 feeding nodes 0, 1 and 2 through three
+    tags, with every sizing case of the message rule."""
+    g = TaskGraph()
+    g.add_task("p", node=0, out_nbytes={"big": 100, "small": 8})
+    # node 2 is reached first in graph order, and by "small" before "big"
+    g.add_task("c2", node=2, inputs=(Flow("p", "small", 40), Flow("p", "big", 10)))
+    # two node-1 consumers share one "big" message, sized by the larger
+    # flow; "ctl" is a zero-byte control edge that still crosses nodes
+    g.add_task("c1a", node=1, inputs=(Flow("p", "big", 120), Flow("p", "ctl")))
+    g.add_task("c1b", node=1, inputs=(Flow("p", "big", 300),))
+    # same-node consumers never appear in the plan
+    g.add_task("c0", node=0, inputs=(Flow("p", "big", 999), Flow("p", "ctl")))
+    # a second remote producer, so by_pair has more than one source
+    g.add_task("q", node=1, inputs=(Flow("c1a", "out", 16),), out_nbytes={"r": 24})
+    g.add_task("c3", node=0, inputs=(Flow("q", "r"),))
+    return g.finalize()
+
+
+def test_message_plan_contract():
+    plan = plan_graph().message_plan()
+    assert set(plan) == {"p", "q"}  # c1a -> q stays on node 1
+    # one entry per (tag, destination); size = max(declared, every
+    # consuming flow on that node); order = first consuming flow
+    assert plan["p"] == [
+        ("small", 2, 40),   # flow (40) beats declared (8)
+        ("big", 2, 100),    # declared (100) beats flow (10)
+        ("big", 1, 300),    # c1a and c1b coalesce, the larger flow wins
+        ("ctl", 1, 0),      # zero-byte control edge still a message
+    ]
+    assert plan["q"] == [("r", 0, 24)]  # unsized flow takes the declared size
+
+
+def test_message_plan_cached_and_census_is_its_fold():
+    g = plan_graph()
+    plan = g.message_plan()
+    assert g.message_plan() is plan
+    census = g.census()
+    assert g.census() is census
+    entries = [(g[key].node, dst, nbytes)
+               for key, messages in plan.items() for _tag, dst, nbytes in messages]
+    assert census.remote_messages == len(entries) == 5
+    assert census.remote_bytes == sum(n for _s, _d, n in entries) == 464
+    by_pair: dict = {}
+    for src, dst, nbytes in entries:
+        msgs, total = by_pair.get((src, dst), (0, 0))
+        by_pair[(src, dst)] = (msgs + 1, total + nbytes)
+    assert census.by_pair == by_pair == {
+        (0, 2): (2, 140), (0, 1): (2, 300), (1, 0): (1, 24),
+    }
+    # the same-node flows the plan skipped: p->c0 twice, c1a->q
+    assert (census.local_edges, census.local_bytes) == (3, 999 + 16)
+
+
+def test_flow_bytes_is_the_largest_declaration():
+    g = plan_graph()
+    assert g.flow_bytes("p", "big") == 999     # a same-node flow counts
+    assert g.flow_bytes("p", "small") == 40
+    assert g.flow_bytes("q", "r") == 24        # declared only
+    assert g.flow_bytes("p", "ctl") == 0       # control edge
 
 
 def test_total_flops():

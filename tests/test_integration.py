@@ -9,7 +9,8 @@ from repro.analysis import csvio, format_table, render_gantt
 from repro.core.verify import verify_schedule
 from repro.experiments.sweeper import Sweep, best
 from repro.runtime import chrome_trace
-from repro.runtime.ca_transform import plan, transform_build
+from repro.core.spec import ca_plan
+from repro.ir import PassContext, PassManager
 
 from .conftest import random_problem
 
@@ -51,9 +52,9 @@ def test_transform_verify_run_roundtrip(machine4):
 
     prob = random_problem(n=24, iterations=7, seed=21)
     base = build_base_graph(prob, machine4, tile=6, with_kernels=False)
-    p = plan(base.spec, steps=3)
-    assert p.messages_saved_fraction > 0
-    ca = transform_build(base, machine4, steps=3)
+    ctx = PassContext(machine=machine4, with_kernels=True)
+    ca, _ = PassManager("ca:steps=3").run(base, ctx)
+    assert ca_plan(base, ca).messages_saved_fraction > 0
     verify_schedule(ca.spec)
     rep = repro.Engine(ca.graph, machine4, execute=True).run()
     assert np.array_equal(ca.assemble_grid(rep.results), prob.reference_solution())

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.base_parsec import build_base_graph
+from repro.core.ca_parsec import build_ca_graph
 from repro.core.runner import run
 from repro.ir import (
     FusePass,
@@ -31,7 +32,6 @@ from repro.ir import (
 from repro.ir.core import GraphPass
 from repro.ir.rewrite import clone_task
 from repro.machine.machine import nacl
-from repro.runtime.ca_transform import transform_build
 from repro.stencil.cost import KernelCostModel
 
 from .conftest import random_problem
@@ -243,8 +243,8 @@ def test_ca_pass_census_identical_to_transform_build():
     prob, m, build = small_build(n=24, nodes=4, tile=6, T=4)
     ctx = PassContext(machine=m, with_kernels=True)
     by_pass, _ = PassManager("ca:steps=2").run(build, ctx)
-    by_hand = transform_build(build, m, steps=2,
-                              cost=KernelCostModel(m), with_kernels=True)
+    by_hand = build_ca_graph(prob, m, tile=6, steps=2,
+                             cost=KernelCostModel(m), with_kernels=True)
     ca, cb = by_pass.graph.census(), by_hand.graph.census()
     assert ca.remote_messages == cb.remote_messages
     assert ca.remote_bytes == cb.remote_bytes
