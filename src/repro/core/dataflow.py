@@ -21,6 +21,7 @@ single source of truth shared with the executing kernels):
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -50,6 +51,17 @@ def _corner_tag(consumer_corner: Corner) -> str:
     return "c" + consumer_corner.name
 
 
+class _WorkerBuffers(threading.local):
+    """What one worker thread keeps between stencil tasks."""
+
+    def __init__(self) -> None:  # runs once in each thread that touches it
+        #: the flat array tiles are assembled in; grows to the largest
+        self.flat = np.empty(0)
+        #: ext shape -> the buffer this thread's next update of a tile
+        #: of that shape is written to
+        self.spare: dict[tuple[int, int], np.ndarray] = {}
+
+
 class StencilKernels:
     """The executable bodies of the stencil tasks.
 
@@ -57,10 +69,23 @@ class StencilKernels:
     the task key supplies (i, j, t).  Payload contract: ``"tile"``
     carries the tile's full extended array holding iteration-``t+1``
     values on the update region and still-valid older values elsewhere.
+
+    No stencil task allocates.  It assembles its tile in per-thread
+    scratch and writes the update into its worker thread's *spare* --
+    the input of the stencil task that thread ran last, dead from the
+    moment that task's kernel returned (a ``"tile"`` flow has exactly
+    one consumer, and every strip or corner a neighbour got is a copy)
+    and still warm in that core's cache -- then leaves its own input
+    behind as the next spare.  So a consumer must not keep a reference
+    to an input tile past its return: the buffer is rewritten by the
+    next task.  A run holds one buffer per tile plus one spare per
+    worker; the last sweep takes spares without leaving any, and a
+    worker's spare dies with its thread, so none outlives a run.
     """
 
     def __init__(self, spec: StencilSpec) -> None:
         self.spec = spec
+        self._local = _WorkerBuffers()
 
     # -- initialisation ---------------------------------------------------
 
@@ -69,9 +94,8 @@ class StencilKernels:
         spec = self.spec
         tile = spec.tile(i, j)
         ext = tile.alloc_ext()
-        gr, gc = tile.global_coords()
-        rs, cs = tile.core_slices()
-        ext[rs, cs] = spec.problem.initial_values(gr[rs, cs], gc[rs, cs])
+        tile.load_core(ext, spec.problem.initial_block(
+            slice(tile.r0, tile.r1), slice(tile.c0, tile.c1)))
         nrows, ncols = spec.problem.shape
         spec.problem.bc.fill_exterior(ext, tile, nrows, ncols)
         return self._publish(ext, tile, t=-1)
@@ -82,10 +106,12 @@ class StencilKernels:
         name, i, j, t = task.key
         spec = self.spec
         tile = spec.tile(i, j)
-        prev_key = (name, i, j, t - 1)
-        ext = np.array(inputs[(prev_key, "tile")])  # writable copy
+        prev = inputs[((name, i, j, t - 1), "tile")]  # read-only, stays so
 
-        # Paste incoming ghost data (iteration-t values).
+        # Assemble the iteration-t tile -- previous values plus incoming
+        # ghost data -- in this thread's scratch.
+        ext = self._assembly_array(prev.shape)
+        np.copyto(ext, prev)
         for side in SIDES:
             strip = spec.local_strip(tile, side, t)
             if strip is not None:
@@ -105,24 +131,45 @@ class StencilKernels:
                     tile.paste(ext, block.pad_region(tile.h, tile.w),
                                inputs[(producer, _corner_tag(corner))])
 
-        # Jacobi update of core + redundant halo extension.
+        # Jacobi update of core + redundant halo extension, written
+        # into the spare; around it the assembled values carry over.
         region = spec.update_region(tile, t)
         rs, cs = tile.ext_slices(region)
-        origin = (tile.r0 - tile.pads[0], tile.c0 - tile.pads[2])
-        ext[rs, cs] = apply_stencil_region(
-            ext, spec.problem.weights, rs, cs, origin=origin
+        origin = tile.origin
+        spare = self._local.spare
+        new = spare.pop(prev.shape, None)
+        if new is None or new is prev:  # a thread's first task / the same task re-run
+            new = np.empty(prev.shape)
+        else:
+            new.setflags(write=True)  # frozen when it was published
+        new[: rs.start] = ext[: rs.start]
+        new[rs.stop :] = ext[rs.stop :]
+        new[rs, : cs.start] = ext[rs, : cs.start]
+        new[rs, cs.stop :] = ext[rs, cs.stop :]
+        apply_stencil_region(
+            ext, spec.problem.weights, rs, cs, origin=origin, out=new[rs, cs]
         )
         if spec.problem.source is not None:
             # Forcing is a global field, so redundantly updated halo
             # cells receive exactly the same contribution their owner
             # applies -- CA equivalence is preserved.
-            gr = np.arange(origin[0] + rs.start, origin[0] + rs.stop)
-            gc = np.arange(origin[1] + cs.start, origin[1] + cs.stop)
-            GR, GC = np.meshgrid(gr, gc, indexing="ij")
-            ext[rs, cs] += spec.problem.source_values(GR, GC)
-        return self._publish(ext, tile, t)
+            new[rs, cs] += spec.problem.source_block(
+                slice(origin[0] + rs.start, origin[0] + rs.stop),
+                slice(origin[1] + cs.start, origin[1] + cs.stop),
+            )
+        if t + 1 < spec.problem.iterations:
+            spare[prev.shape] = prev
+        return self._publish(new, tile, t)
 
     # -- helpers -----------------------------------------------------------------
+
+    def _assembly_array(self, shape: tuple[int, int]) -> np.ndarray:
+        """This thread's scratch viewed as ``shape``; it grows to the
+        largest tile the thread has assembled."""
+        cells = shape[0] * shape[1]
+        if self._local.flat.size < cells:
+            self._local.flat = np.empty(cells)
+        return self._local.flat[:cells].reshape(shape)
 
     def _neighbor_key(self, name: str, tile: TileSpec, side: Side, t: int) -> TaskKey:
         ni, nj = self.spec.partition.neighbor(tile.i, tile.j, side)

@@ -49,21 +49,39 @@ class DirichletBC:
         """Write boundary values into every cell of ``ext`` whose global
         coordinate lies outside the grid.  Interior pad cells (ghosts
         of real neighbours) are left untouched."""
-        gr, gc = tile.global_coords()
-        outside = (gr < 0) | (gr >= nrows) | (gc < 0) | (gc >= ncols)
-        if outside.any():
-            ext[outside] = self.evaluate(gr[outside], gc[outside])
+        self._fill_outside(ext, tile.origin, nrows, ncols)
 
     def frame(self, nrows: int, ncols: int, depth: int = 1) -> np.ndarray:
         """A dense (nrows + 2*depth) x (ncols + 2*depth) array holding
         boundary values on the outer frame and zeros inside; used by
         the single-array reference implementation."""
         framed = np.zeros((nrows + 2 * depth, ncols + 2 * depth))
-        gr, gc = np.meshgrid(
-            np.arange(-depth, nrows + depth),
-            np.arange(-depth, ncols + depth),
-            indexing="ij",
-        )
-        outside = (gr < 0) | (gr >= nrows) | (gc < 0) | (gc >= ncols)
-        framed[outside] = self.evaluate(gr[outside], gc[outside])
+        self._fill_outside(framed, (-depth, -depth), nrows, ncols)
         return framed
+
+    def _fill_outside(
+        self, arr: np.ndarray, origin: tuple[int, int], nrows: int, ncols: int
+    ) -> None:
+        """Evaluate the boundary on the cells of ``arr`` (whose [0, 0]
+        is global cell ``origin``) outside ``[0, nrows) x [0, ncols)``.
+        Those cells form at most four edge strips -- full-width rows
+        above and below the grid, columns left and right of it in
+        between -- so the work is O(perimeter), not O(area)."""
+        height, width = arr.shape
+        top = min(max(-origin[0], 0), height)
+        bottom = min(max(nrows - origin[0], top), height)
+        left = min(max(-origin[1], 0), width)
+        right = min(max(ncols - origin[1], left), width)
+        for rs, cs in (
+            (slice(0, top), slice(0, width)),
+            (slice(bottom, height), slice(0, width)),
+            (slice(top, bottom), slice(0, left)),
+            (slice(top, bottom), slice(right, width)),
+        ):
+            if rs.stop > rs.start and cs.stop > cs.start:
+                gr, gc = np.meshgrid(
+                    np.arange(origin[0] + rs.start, origin[0] + rs.stop),
+                    np.arange(origin[1] + cs.start, origin[1] + cs.stop),
+                    indexing="ij",
+                )
+                arr[rs, cs] = self.evaluate(gr, gc)

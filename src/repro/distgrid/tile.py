@@ -63,6 +63,11 @@ class TileSpec:
     def pad(self, side: Side) -> int:
         return self.pads[side]
 
+    @property
+    def origin(self) -> tuple[int, int]:
+        """Global (row, col) of cell [0, 0] of the extended array."""
+        return (self.r0 - self.pads[0], self.c0 - self.pads[2])
+
     def ext_shape(self) -> tuple[int, int]:
         pn, ps, pw, pe = self.pads
         return (self.h + pn + ps, self.w + pw + pe)
@@ -126,8 +131,5 @@ class TileSpec:
     def global_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Global (row, col) index grids for every cell of the extended
         array, used to evaluate boundary conditions."""
-        pn, _ps, pw, _pe = self.pads
-        eh, ew = self.ext_shape()
-        rows = np.arange(self.r0 - pn, self.r0 - pn + eh)
-        cols = np.arange(self.c0 - pw, self.c0 - pw + ew)
-        return np.meshgrid(rows, cols, indexing="ij")
+        (r, c), (eh, ew) = self.origin, self.ext_shape()
+        return np.meshgrid(np.arange(r, r + eh), np.arange(c, c + ew), indexing="ij")

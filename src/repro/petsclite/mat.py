@@ -10,12 +10,15 @@ schedule: start the scatter, apply A, finish the scatter, apply B.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .scatter import ScatterPlan
 from .vec import Vec, VecLayout
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -53,6 +56,12 @@ class MatAIJ:
     ) -> "MatAIJ":
         """Assemble from global COO triplets (duplicates are summed,
         like ADD_VALUES assembly)."""
+        # Imported here, not at module level: the runner imports this
+        # package for every impl, and scipy costs each process (forked
+        # node processes included) 0.15 s and ~20 MiB that only
+        # PETSc-lite runs use.
+        import scipy.sparse as sp
+
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)

@@ -83,42 +83,31 @@ class JacobiProblem:
 
     def initial_values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Evaluate the initialiser on global index arrays."""
-        if callable(self.init):
-            out = np.asarray(self.init(rows, cols), dtype=np.float64)
-            if out.shape != rows.shape:
-                raise ValueError(
-                    f"initialiser returned shape {out.shape}, expected {rows.shape}"
-                )
-            return out
-        return np.full(rows.shape, float(self.init))
+        return _field_values(self.init, rows, cols, "initialiser")
+
+    def initial_block(self, rows: slice, cols: slice) -> np.ndarray:
+        """Initial values of the global cells ``[rows, cols]``."""
+        return _field_block(self.init, rows, cols, "initialiser")
 
     def initial_grid(self) -> np.ndarray:
-        rows, cols = np.meshgrid(
-            np.arange(self.shape[0]), np.arange(self.shape[1]), indexing="ij"
-        )
-        return self.initial_values(rows, cols)
+        return self.initial_block(slice(0, self.shape[0]), slice(0, self.shape[1]))
 
     def source_values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
         """Evaluate the forcing term on global index arrays (None when
         the problem has no source)."""
         if self.source is None:
             return None
-        if callable(self.source):
-            out = np.asarray(self.source(rows, cols), dtype=np.float64)
-            if out.shape != rows.shape:
-                raise ValueError(
-                    f"source returned shape {out.shape}, expected {rows.shape}"
-                )
-            return out
-        return np.full(rows.shape, float(self.source))
+        return _field_values(self.source, rows, cols, "source")
 
-    def source_grid(self) -> np.ndarray | None:
+    def source_block(self, rows: slice, cols: slice) -> np.ndarray | None:
+        """Forcing on the global cells ``[rows, cols]`` (None when the
+        problem has no source)."""
         if self.source is None:
             return None
-        rows, cols = np.meshgrid(
-            np.arange(self.shape[0]), np.arange(self.shape[1]), indexing="ij"
-        )
-        return self.source_values(rows, cols)
+        return _field_block(self.source, rows, cols, "source")
+
+    def source_grid(self) -> np.ndarray | None:
+        return self.source_block(slice(0, self.shape[0]), slice(0, self.shape[1]))
 
     def reference_solution(self) -> np.ndarray:
         """Ground-truth final grid from the single-array solver."""
@@ -126,3 +115,29 @@ class JacobiProblem:
             self.initial_grid(), self.weights, self.iterations, self.bc,
             source=self.source_grid(),
         )
+
+
+def _field_values(
+    value: Initializer, rows: np.ndarray, cols: np.ndarray, what: str
+) -> np.ndarray:
+    """A constant or vectorised-callable field on global index arrays."""
+    if callable(value):
+        out = np.asarray(value(rows, cols), dtype=np.float64)
+        if out.shape != rows.shape:
+            raise ValueError(
+                f"{what} returned shape {out.shape}, expected {rows.shape}"
+            )
+        return out
+    return np.full(rows.shape, float(value))
+
+
+def _field_block(value: Initializer, rows: slice, cols: slice, what: str) -> np.ndarray:
+    """The field on a rectangular block of global cells; coordinate
+    grids are built only for a callable -- a constant is ``np.full``."""
+    if not callable(value):
+        return np.full((rows.stop - rows.start, cols.stop - cols.start), float(value))
+    gr, gc = np.meshgrid(
+        np.arange(rows.start, rows.stop), np.arange(cols.start, cols.stop),
+        indexing="ij",
+    )
+    return _field_values(value, gr, gc, what)

@@ -35,22 +35,23 @@ def jacobi_reference(
         raise ValueError("grid must be 2-D")
     bc = bc or DirichletBC(0.0)
     nrows, ncols = grid.shape
-    framed = bc.frame(nrows, ncols, depth=1)
-    framed[1:-1, 1:-1] = grid
+    cur = bc.frame(nrows, ncols, depth=1)
+    cur[1:-1, 1:-1] = grid
     rows = slice(1, nrows + 1)
     cols = slice(1, ncols + 1)
-    cur = framed
-    nxt = framed.copy()
+    nxt = cur.copy()
     if source is not None and source.shape != grid.shape:
         raise ValueError(f"source shape {source.shape} != grid {grid.shape}")
     for _ in range(iterations):
-        # framed[0, 0] is global cell (-1, -1).
-        nxt[rows, cols] = apply_stencil_region(
-            cur, weights, rows, cols, origin=(-1, -1)
+        # Sweep from one framed buffer straight into the other's
+        # interior; [0, 0] of either is global cell (-1, -1).
+        apply_stencil_region(
+            cur, weights, rows, cols, origin=(-1, -1), out=nxt[rows, cols]
         )
         if source is not None:
             nxt[rows, cols] += source
         cur, nxt = nxt, cur
+    del nxt  # two grids, not three, while the result is copied out
     return cur[rows, cols].copy()
 
 

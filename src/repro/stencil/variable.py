@@ -22,6 +22,14 @@ from typing import Callable
 
 import numpy as np
 
+from .kernels import (
+    StencilWeights,
+    jacobi_update_region,
+    row_bands,
+    update_target,
+    weighted_sum_band,
+)
+
 #: A coefficient field: constant, or a vectorised callable of global
 #: (row, col) index arrays.
 Coefficient = float | Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -110,33 +118,25 @@ def jacobi_update_region_variable(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Variable-coefficient version of
-    :func:`repro.stencil.kernels.jacobi_update_region`.
+    :func:`repro.stencil.kernels.jacobi_update_region`, with the same
+    ``out`` contract and the same row bands: the coefficient fields
+    are evaluated band by band, so they too stay cache-sized.
 
     ``origin`` is the global (row, col) of ``ext[0, 0]`` so the
     coefficient fields can be evaluated at the right grid positions.
     """
-    r0, r1 = rows.start, rows.stop
+    out = update_target(ext, rows, cols, out)
+    if out.size == 0:
+        return out
+    r0 = rows.start
     c0, c1 = cols.start, cols.stop
-    if r0 < 1 or c0 < 1 or r1 > ext.shape[0] - 1 or c1 > ext.shape[1] - 1:
-        raise IndexError(
-            f"update region rows {r0}:{r1} cols {c0}:{c1} leaves no "
-            f"neighbour ring inside array of shape {ext.shape}"
+    gcols = np.arange(origin[1] + c0, origin[1] + c1)
+    for b0, b1, acc, tmp in row_bands(rows, c1 - c0):
+        gr, gc = np.meshgrid(
+            np.arange(origin[0] + b0, origin[0] + b1), gcols, indexing="ij"
         )
-    if r1 <= r0 or c1 <= c0:
-        return np.empty((max(0, r1 - r0), max(0, c1 - c0)))
-    gr, gc = np.meshgrid(
-        np.arange(origin[0] + r0, origin[0] + r1),
-        np.arange(origin[1] + c0, origin[1] + c1),
-        indexing="ij",
-    )
-    wc, wn, ws, ww, we = weights.evaluate(gr, gc)
-    if out is None:
-        out = np.empty((r1 - r0, c1 - c0))
-    np.multiply(ext[r0:r1, c0:c1], wc, out=out)
-    out += wn * ext[r0 - 1 : r1 - 1, c0:c1]
-    out += ws * ext[r0 + 1 : r1 + 1, c0:c1]
-    out += ww * ext[r0:r1, c0 - 1 : c1 - 1]
-    out += we * ext[r0:r1, c0 + 1 : c1 + 1]
+        weighted_sum_band(ext, b0, b1, c0, c1, weights.evaluate(gr, gc),
+                          acc, tmp, out[b0 - r0 : b1 - r0])
     return out
 
 
@@ -151,8 +151,6 @@ def apply_stencil_region(
     """Dispatch on the weight kind: constant weights ignore ``origin``,
     variable weights need it.  This is the single entry point the
     dataflow kernels and the reference solver share."""
-    from .kernels import StencilWeights, jacobi_update_region
-
     if isinstance(weights, VariableStencilWeights):
         return jacobi_update_region_variable(ext, weights, rows, cols, origin, out)
     if isinstance(weights, StencilWeights):

@@ -1,8 +1,14 @@
 """Stencil kernels: weights, vectorised updates, FLOP accounting."""
 
+import sys
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.stencil import kernels
 from repro.stencil.kernels import (
     FLOP_PER_POINT,
     StencilWeights,
@@ -90,3 +96,196 @@ def test_region_flops():
     assert region_flops((0, 4), (0, 5)) == FLOP_PER_POINT * 20
     assert region_flops((3, 3), (0, 5)) == 0
     assert FLOP_PER_POINT == 9  # paper's 5 multiplies + 4 adds
+
+
+# -- banded, allocation-free arithmetic: bit-identity ---------------------
+
+
+@contextmanager
+def band_cells(cells):
+    """Shrink the band so toy-sized regions straddle several bands."""
+    saved = kernels.BAND_CELLS
+    kernels.BAND_CELLS = cells
+    try:
+        yield
+    finally:
+        kernels.BAND_CELLS = saved
+
+
+def wide_range_values(seed, shape):
+    """|x| in {0} U [2^-500, 2^500], either sign (zeros of both signs)."""
+    rng = np.random.default_rng(seed)
+    x = np.ldexp(rng.uniform(1.0, 2.0, shape), rng.integers(-500, 500, shape))
+    x *= rng.choice([-1.0, 1.0], shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    x[rng.random(shape) < 0.05] = -0.0
+    return x
+
+
+def nine_terms(ext, wts, rows, cols):
+    """The paper's update, one explicit left-to-right expression."""
+    r0, r1, c0, c1 = rows.start, rows.stop, cols.start, cols.stop
+    wc, wn, ws, ww, we = wts
+    return ((((wc * ext[r0:r1, c0:c1] + wn * ext[r0 - 1 : r1 - 1, c0:c1])
+              + ws * ext[r0 + 1 : r1 + 1, c0:c1])
+             + ww * ext[r0:r1, c0 - 1 : c1 - 1])
+            + we * ext[r0:r1, c0 + 1 : c1 + 1])
+
+
+def call_forms(ext, rows, cols):
+    """``out=None``, a contiguous ``out`` and a strided-view ``out``;
+    yields ``(out, check)`` where ``check(got)`` verifies where the
+    result went."""
+    def fresh(got):
+        assert got.base is None and got.flags.c_contiguous
+
+    yield None, fresh
+
+    contiguous = np.full(
+        (rows.stop - rows.start, cols.stop - cols.start), np.nan)
+
+    def same_array(got):
+        assert got is contiguous
+
+    yield contiguous, same_array
+
+    new = np.full(ext.shape, np.nan)
+    view = new[rows, cols]
+
+    def same_view(got):
+        assert got is view
+        outside = np.ones(ext.shape, dtype=bool)
+        outside[rows, cols] = False
+        assert np.isnan(new[outside]).all()  # nothing written around it
+
+    yield view, same_view
+
+
+@st.composite
+def regions(draw):
+    height = draw(st.integers(3, 24))
+    width = draw(st.integers(3, 24))
+    r0 = draw(st.integers(1, height - 2))
+    r1 = draw(st.integers(r0 + 1, height - 1))
+    c0 = draw(st.integers(1, width - 2))
+    c1 = draw(st.integers(c0 + 1, width - 1))
+    return (height, width), slice(r0, r1), slice(c0, c1)
+
+
+def assert_bitwise(got, want, where=None):
+    where = np.ones(want.shape, dtype=bool) if where is None else where
+    assert got[where].tobytes() == want[where].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(regions(), st.integers(0, 2**16), st.sampled_from([0.25, 0.5, 2.0**-5]),
+       st.sampled_from([1, 7, 40, 10**6]))
+def test_power_of_two_weights_equal_the_nine_term_update(region, seed, w, cells):
+    shape, rows, cols = region
+    ext = wide_range_values(seed, shape)
+    weights = StencilWeights(0.0, w, w, w, w)
+    want = nine_terms(ext, weights.as_tuple(), rows, cols)
+    before = ext.copy()
+    with band_cells(cells):
+        for out, check in call_forms(ext, rows, cols):
+            got = jacobi_update_region(ext, weights, rows, cols, out=out)
+            check(got)
+            assert np.array_equal(got, want)
+            # ...and bit for bit, except possibly the sign of a zero.
+            assert_bitwise(got, want, where=want != 0)
+    assert ext.tobytes() == before.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(regions(), st.integers(0, 2**16),
+       st.sampled_from([StencilWeights(0.0, 0.2, 0.2, 0.2, 0.2),
+                        StencilWeights.damped_jacobi(0.8),
+                        StencilWeights.heat_explicit(0.2),
+                        StencilWeights(0.0, 0.25, 0.25, 0.25, 0.5)]),
+       st.sampled_from([1, 7, 40, 10**6]))
+def test_other_weights_keep_the_nine_term_order_bitwise(region, seed, weights, cells):
+    shape, rows, cols = region
+    ext = wide_range_values(seed, shape)
+    want = nine_terms(ext, weights.as_tuple(), rows, cols)
+    with band_cells(cells):
+        for out, check in call_forms(ext, rows, cols):
+            got = jacobi_update_region(ext, weights, rows, cols, out=out)
+            check(got)
+            assert_bitwise(got, want)
+
+
+def test_weights_alone_select_the_operation_order():
+    """Outside the exactness domain the two orders are told apart: a
+    non-finite centre times a zero weight is NaN only where the centre
+    is multiplied at all."""
+    ext = np.ones((3, 3))
+    ext[1, 1] = np.inf
+    region = (slice(1, 2), slice(1, 2))
+    assert jacobi_update_region(ext, StencilWeights(), *region)[0, 0] == 1.0
+    fifth = StencilWeights(0.0, 0.2, 0.2, 0.2, 0.2)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(jacobi_update_region(ext, fifth, *region)[0, 0])
+
+
+@pytest.mark.parametrize("shape,rows,cols", [
+    ((302, 302), slice(1, 301), slice(1, 301)),  # 3 bands at the real band size
+    ((400, 3), slice(1, 399), slice(1, 2)),      # width 1
+    ((3, 40002), slice(1, 2), slice(1, 40001)),  # one row wider than a band
+])
+def test_real_band_size_shapes(shape, rows, cols):
+    assert (rows.stop - rows.start) * (cols.stop - cols.start) > 0
+    ext = wide_range_values(5, shape)
+    for weights in (StencilWeights(), StencilWeights.damped_jacobi(0.7)):
+        want = nine_terms(ext, weights.as_tuple(), rows, cols)
+        for out, check in call_forms(ext, rows, cols):
+            got = jacobi_update_region(ext, weights, rows, cols, out=out)
+            check(got)
+            assert_bitwise(got, want, where=want != 0)
+
+
+def test_out_shape_is_checked_and_empty_region_returns_out():
+    ext = np.ones((6, 6))
+    with pytest.raises(ValueError, match="out has shape"):
+        jacobi_update_region(ext, StencilWeights(), slice(1, 5), slice(1, 5),
+                             out=np.empty((5, 4)))
+    out = np.empty((0, 3))
+    assert jacobi_update_region(ext, StencilWeights(), slice(2, 2), slice(1, 4),
+                                out=out) is out
+
+
+def test_scratch_is_per_thread():
+    """Two threads updating at once never share an accumulator."""
+    ext = wide_range_values(9, (130, 130))
+    rows = cols = slice(1, 129)
+    weights = StencilWeights.damped_jacobi(0.6)
+    want = nine_terms(ext, weights.as_tuple(), rows, cols)
+    results = []
+
+    def work():
+        for _ in range(50):
+            results.append(jacobi_update_region(ext, weights, rows, cols))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with band_cells(512):
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert len(results) == 200
+    assert all(got.tobytes() == want.tobytes() for got in results)
+
+
+def test_framed_sweep_equals_the_nine_term_update():
+    framed = wide_range_values(2, (9, 12))
+    weights = StencilWeights.damped_jacobi(0.9)
+    swept = jacobi_sweep_framed(framed, weights, depth=2)
+    rows, cols = slice(2, 7), slice(2, 10)
+    want = framed.copy()
+    want[rows, cols] = nine_terms(framed, weights.as_tuple(), rows, cols)
+    assert_bitwise(swept, want)

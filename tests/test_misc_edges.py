@@ -91,3 +91,25 @@ def test_projection_point_gain_zero_base():
     from repro.experiments.projection import ProjectionPoint
 
     assert ProjectionPoint(1.0, 0.0, 5.0).gain == 0.0
+
+
+def test_only_petsc_lite_imports_scipy():
+    """scipy costs every process 0.15 s and 24 MiB; only
+    ``MatAIJ.from_coo`` needs it, so importing the runner, the service
+    and the CLI must not pull it in."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, repro, repro.core.runner, repro.serve, repro.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

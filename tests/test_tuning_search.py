@@ -1,6 +1,7 @@
 """Successive-halving search: budget accounting, determinism,
 failure containment and the cache fast path."""
 
+import gc
 import time
 
 import pytest
@@ -127,6 +128,10 @@ def test_timeout_containment(monkeypatch):
 
     monkeypatch.setattr(Sweep, "run_configs", slow)
     space = SearchSpace(tiles=(12, 24), steps=(1,))
+    # Late in a full suite a full garbage collection pauses this process
+    # for 90-150 ms; one landing inside the fast candidate's 0.15 s would
+    # time it out too.  Collect now, so none is due during the test.
+    gc.collect()
     result = small_tune(budget=6, space=space, backend="threads",
                         timeout=0.15)
     timeouts = [t for t in result.trials if t.status == "timeout"]

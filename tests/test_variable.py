@@ -123,3 +123,33 @@ def test_heterogeneous_diffusion_slows_in_low_kappa_region():
 
 def test_extra_traffic_estimate():
     assert VariableStencilWeights.bytes_per_point_extra() == 40
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([1, 9, 50, 10**6]))
+def test_banded_variable_update_keeps_the_operation_order_bitwise(seed, cells):
+    """``out=None``, contiguous ``out`` and strided-view ``out`` all
+    equal the explicit left-to-right expression, band edges included."""
+    from repro.stencil import kernels
+
+    rng = np.random.default_rng(seed)
+    ext = rng.normal(size=(14, 11))
+    rows, cols, origin = slice(2, 13), slice(1, 9), (5, -3)
+    gr, gc = np.meshgrid(np.arange(7, 18), np.arange(-2, 6), indexing="ij")
+    wc, wn, ws, ww, we = wavy().evaluate(gr, gc)
+    want = ((((wc * ext[2:13, 1:9] + wn * ext[1:12, 1:9]) + ws * ext[3:14, 1:9])
+             + ww * ext[2:13, 0:8]) + we * ext[2:13, 2:10])
+    new = np.full(ext.shape, np.nan)
+    saved = kernels.BAND_CELLS
+    kernels.BAND_CELLS = cells
+    try:
+        for out in (None, np.empty((11, 8)), new[rows, cols]):
+            got = jacobi_update_region_variable(ext, wavy(), rows, cols, origin, out=out)
+            assert out is None or got is out
+            assert got.tobytes() == want.tobytes()
+    finally:
+        kernels.BAND_CELLS = saved
+    assert np.isnan(new[:2]).all() and np.isnan(new[:, 9:]).all()
+    empty = np.empty((0, 8))
+    assert jacobi_update_region_variable(
+        ext, wavy(), slice(3, 3), cols, origin, out=empty) is empty
