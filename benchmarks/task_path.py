@@ -1,0 +1,128 @@
+"""One stencil task's path through the runtime, hop by hop (wall-clock).
+
+    PYTHONPATH=src python benchmarks/task_path.py [kernel_large|halo_base|halo_ca]
+
+Walks the hops `docs/runtime-guide.md` lists -- graph build, executor
+`_prepare`, ready queue, `PayloadStore.gather`, the task body (plan
+lookup, copy, ghost assigns, frame, banded kernel, outgoing copies),
+`publish`/`release`, `assemble_grid` -- on one of the wall-clock
+benchmark's geometries, single-threaded, and prints microseconds per
+stencil task for each: the median over every stencil task of the solve,
+taken three times, best kept.  The hops are timed where they are called,
+one after the other, so the numbers add up to a `jobs=1` solve without
+thread hand-offs; they are a map of where the time goes, not a benchmark.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from statistics import median
+
+import numpy as np
+
+from repro.core.dataflow import build_stencil_graph
+from repro.core.spec import StencilSpec
+from repro.exec.executor import ThreadedExecutor
+from repro.exec.policies import make_work_queues
+from repro.machine.machine import nacl
+from repro.runtime.store import PayloadStore
+from repro.stencil.problem import JacobiProblem
+from repro.stencil.variable import apply_stencil_region
+
+GEOMETRIES = {  # benchmarks/wallclock/batch_workloads.py: CONFIGS
+    "kernel_large": dict(n=2048, ncols=2048, iterations=16, nodes=1, tile=256, steps=1),
+    "halo_base": dict(n=4096, ncols=256, iterations=64, nodes=2, tile=128, steps=1),
+    "halo_ca": dict(n=4096, ncols=256, iterations=64, nodes=2, tile=128, steps=4),
+}
+
+
+def clock(fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return time.perf_counter() - t0, out
+
+
+def one_solve(geometry: dict) -> dict[str, float]:
+    g = dict(geometry)
+    nodes, tile, steps = g.pop("nodes"), g.pop("tile"), g.pop("steps")
+    problem = JacobiProblem(init=0.5, **g)
+    spec = StencilSpec.create(problem, nodes=nodes, tile=tile, steps=steps)
+    build_s, built = clock(build_stencil_graph, spec, nacl(nodes))
+    graph = built.graph
+    stencil = [task for task in graph if task.key[-1] >= 0]
+    per_task = 1e6 / len(stencil)
+    hops = {"graph build": build_s * per_task}
+
+    executor = ThreadedExecutor(graph, jobs=1, policy="priority")
+    hops["_prepare"] = clock(executor._prepare)[0] * per_task
+    queues = make_work_queues("priority", 1)
+    dt_push = clock(lambda: [queues.push(0, task) for task in stencil])[0]
+    dt_pop = clock(lambda: [queues.pop_local(0) for _ in stencil])[0]
+    hops["ready queue push + pop"] = (dt_push + dt_pop) * per_task
+
+    # The run itself, in graph order (a legal schedule), hop by hop.
+    store = PayloadStore(graph, graph.tasks.values())
+    plan, weights = spec.exchange_plan(), problem.weights
+    scratch = np.empty(0)
+    parts = {name: [] for name in ("gather", "plan lookup", "copy previous tile", "ghost assigns",
+                                   "frame", "banded kernel", "outgoing copies", "stencil_task",
+                                   "publish + release")}
+    for task in graph:
+        dt, inputs = clock(store.gather, task)
+        kernel_dt, outputs = clock(task.kernel, inputs, task)
+        post_dt, _ = clock(lambda: (store.publish(task, dict(outputs)), store.release(task)))
+        if task.key[-1] < 0:
+            continue
+        parts["gather"].append(dt)
+        parts["stencil_task"].append(kernel_dt)
+        parts["publish + release"].append(post_dt)
+        # The body's pieces again, on the same (now cache-warm) data.
+        name, i, j, t = task.key
+        dt, exchange = clock(lambda: plan[(i, j)][t % steps])
+        parts["plan lookup"].append(dt)
+        prev = inputs[((name, i, j, t - 1), "tile")]
+        if scratch.size < prev.size:
+            scratch = np.empty(prev.size)
+        ext = scratch[: prev.size].reshape(prev.shape)
+        parts["copy previous tile"].append(clock(np.copyto, ext, prev)[0])
+
+        def ghosts():
+            for (pi, pj), tag, _, dest, shape, _ in exchange.incoming:
+                values = inputs[((name, pi, pj, t - 1), tag)]
+                if values.shape == shape:
+                    ext[dest] = values
+
+        parts["ghost assigns"].append(clock(ghosts)[0])
+        rs, cs = exchange.update
+        new = np.empty(prev.shape)
+
+        def frame():
+            new[: rs.start] = ext[: rs.start]
+            new[rs.stop :] = ext[rs.stop :]
+            new[rs, : cs.start] = ext[rs, : cs.start]
+            new[rs, cs.stop :] = ext[rs, cs.stop :]
+
+        parts["frame"].append(clock(frame)[0])
+        parts["banded kernel"].append(clock(
+            lambda: apply_stencil_region(ext, weights, rs, cs, origin=exchange.origin,
+                                         out=new[rs, cs]))[0])
+        parts["outgoing copies"].append(clock(
+            lambda: [new[source].copy() for _, source in exchange.outgoing])[0])
+    for name, samples in parts.items():
+        hops[name] = median(samples) * 1e6
+    hops["assemble_grid"] = clock(built.assemble_grid, store.results)[0] * per_task
+    return hops
+
+
+def main(argv: list[str]) -> None:
+    names = argv or list(GEOMETRIES)
+    runs = {name: [one_solve(GEOMETRIES[name]) for _ in range(3)] for name in names}
+    print(f"{'us per stencil task':<26}" + "".join(f"{name:>14}" for name in names))
+    for hop in runs[names[0]][0]:
+        cells = (min(run[hop] for run in runs[name]) for name in names)
+        print(f"{hop:<26}" + "".join(f"{cell:14.2f}" for cell in cells))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

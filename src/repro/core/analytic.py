@@ -4,8 +4,9 @@ The paper's section V reasons about "the number of floating-point
 numbers communicated per processor, and the number of messages sent
 per processor" analytically; this module provides those closed forms
 for any partition, and the tests cross-check them against the task
-graphs' static census -- two independent derivations of the same
-quantities (formula vs graph enumeration).
+graphs' static census -- two routes from the one exchange plan to the
+same quantities (per-superstep entries x supersteps vs the unrolled
+graph's message plan).
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..distgrid.halo import CORNERS, SIDES
-from .spec import ITEMSIZE, StencilSpec
+from .spec import StencilSpec
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,7 @@ class CommForecast:
 def remote_edges(spec: StencilSpec) -> int:
     """Directed remote tile edges (= messages per exchanging
     iteration of the base scheme)."""
-    return sum(
-        1
-        for tile in spec.tiles()
-        for side in SIDES
-        if tile.remote[side]
-    )
+    return sum(sum(tile.remote) for tile in spec.tiles())
 
 
 def supersteps(spec: StencilSpec) -> int:
@@ -56,22 +51,18 @@ def forecast(spec: StencilSpec) -> CommForecast:
     For the base scheme (s=1) this is the textbook
     ``edges x iterations`` with one tile-edge of doubles per message;
     for CA it adds the corner blocks and the deep strips' s-fold
-    payload, all per superstep.
+    payload, all per superstep: the refresh-phase entries of the
+    exchange plan whose producer lives on another node.
     """
     n_super = supersteps(spec)
-    msgs_per_super = 0
-    bytes_per_super = 0
-    for tile in spec.tiles():
-        for side in SIDES:
-            deep = spec.deep_strip(tile, side)
-            if deep is not None:
-                msgs_per_super += 1
-                bytes_per_super += spec.strip_nbytes(tile, deep)
-        for corner in CORNERS:
-            block = spec.corner_block(tile, corner)
-            if block is not None:
-                msgs_per_super += 1
-                bytes_per_super += block.nbytes(ITEMSIZE)
+    plan, owner = spec.exchange_plan(), spec.partition.owner
+    crossing = [
+        entry.nbytes
+        for tile in spec.tiles()
+        for entry in plan[tile.key][0].incoming
+        if owner(*entry.producer) != tile.node
+    ]
+    msgs_per_super, bytes_per_super = len(crossing), sum(crossing)
 
     # Redundant points: per tile per iteration, the update region
     # exceeds the core by a phase-dependent amount; sum the phases
@@ -100,7 +91,6 @@ def surface_to_volume(spec: StencilSpec) -> float:
     part = spec.partition
     total_surface = 0
     for tile in spec.tiles():
-        for side in SIDES:
-            if tile.remote[side]:
-                total_surface += tile.w if side.axis == 0 else tile.h
+        north, south, west, east = tile.remote
+        total_surface += (north + south) * tile.w + (west + east) * tile.h
     return total_surface / float(part.nrows * part.ncols)

@@ -6,8 +6,10 @@ Every task is keyed ``(name, i, j, t)`` with ``t = -1`` for the
 initialisation tasks that load the initial grid and publish the first
 ghost strips.
 
-Flows (all derived from :class:`~repro.core.spec.StencilSpec`, the
-single source of truth shared with the executing kernels):
+Flows (all read from :meth:`StencilSpec.exchange_plan
+<repro.core.spec.StencilSpec.exchange_plan>`, the single source of
+truth: the builder makes a task's flows from its incoming entries, the
+kernels paste by the same entries and publish by their inverse):
 
 * ``"tile"`` -- the tile's extended array, flowing iteration to
   iteration on the same node (0 bytes: it never moves);
@@ -27,8 +29,6 @@ from typing import Mapping
 
 import numpy as np
 
-from ..distgrid.halo import CORNERS, SIDES, Corner, Side
-from ..distgrid.tile import TileSpec
 from ..machine.machine import MachineSpec
 from ..runtime.graph import TaskGraph
 from ..runtime.task import Flow, Task, TaskKey
@@ -41,14 +41,6 @@ from .spec import ITEMSIZE, StencilSpec
 #: within the same iteration, so their messages enter the network as
 #: early as possible (the communication-hiding heuristic).
 BOUNDARY_PRIORITY = 1
-
-
-def _side_tag(consumer_side: Side, deep: bool) -> str:
-    return ("d" if deep else "s") + consumer_side.name[0]
-
-
-def _corner_tag(consumer_corner: Corner) -> str:
-    return "c" + consumer_corner.name
 
 
 class _WorkerBuffers(threading.local):
@@ -85,6 +77,7 @@ class StencilKernels:
 
     def __init__(self, spec: StencilSpec) -> None:
         self.spec = spec
+        self.plan = spec.exchange_plan()
         self._local = _WorkerBuffers()
 
     # -- initialisation ---------------------------------------------------
@@ -98,44 +91,33 @@ class StencilKernels:
             slice(tile.r0, tile.r1), slice(tile.c0, tile.c1)))
         nrows, ncols = spec.problem.shape
         spec.problem.bc.fill_exterior(ext, tile, nrows, ncols)
-        return self._publish(ext, tile, t=-1)
+        return self._publish(ext, self.plan[(i, j)][-1], t=-1)
 
     # -- one stencil iteration -----------------------------------------------
 
     def stencil_task(self, inputs: Mapping, task: Task) -> dict:
         name, i, j, t = task.key
-        spec = self.spec
-        tile = spec.tile(i, j)
+        problem = self.spec.problem
+        exchange = self.plan[(i, j)][t % self.spec.steps]
         prev = inputs[((name, i, j, t - 1), "tile")]  # read-only, stays so
 
         # Assemble the iteration-t tile -- previous values plus incoming
         # ghost data -- in this thread's scratch.
         ext = self._assembly_array(prev.shape)
         np.copyto(ext, prev)
-        for side in SIDES:
-            strip = spec.local_strip(tile, side, t)
-            if strip is not None:
-                producer = self._neighbor_key(name, tile, side, t - 1)
-                tile.paste(ext, strip.pad_region(tile.h, tile.w),
-                           inputs[(producer, _side_tag(side, deep=False))])
-            elif tile.remote[side] and spec.is_refresh(t):
-                deep = spec.deep_strip(tile, side)
-                producer = self._neighbor_key(name, tile, side, t - 1)
-                tile.paste(ext, deep.pad_region(tile.h, tile.w),
-                           inputs[(producer, _side_tag(side, deep=True))])
-        if spec.is_refresh(t):
-            for corner in CORNERS:
-                block = spec.corner_block(tile, corner)
-                if block is not None:
-                    producer = self._diagonal_key(name, tile, corner, t - 1)
-                    tile.paste(ext, block.pad_region(tile.h, tile.w),
-                               inputs[(producer, _corner_tag(corner))])
+        for (pi, pj), tag, _, dest, shape, _ in exchange.incoming:
+            values = inputs[((name, pi, pj, t - 1), tag)]
+            if values.shape != shape:  # it may come from another process
+                raise ValueError(
+                    f"tile {(i, j)}, iteration {t}: {tag!r} from tile {(pi, pj)} "
+                    f"has shape {values.shape}, expected {shape}"
+                )
+            ext[dest] = values
 
         # Jacobi update of core + redundant halo extension, written
         # into the spare; around it the assembled values carry over.
-        region = spec.update_region(tile, t)
-        rs, cs = tile.ext_slices(region)
-        origin = tile.origin
+        rs, cs = exchange.update
+        origin = exchange.origin
         spare = self._local.spare
         new = spare.pop(prev.shape, None)
         if new is None or new is prev:  # a thread's first task / the same task re-run
@@ -147,19 +129,19 @@ class StencilKernels:
         new[rs, : cs.start] = ext[rs, : cs.start]
         new[rs, cs.stop :] = ext[rs, cs.stop :]
         apply_stencil_region(
-            ext, spec.problem.weights, rs, cs, origin=origin, out=new[rs, cs]
+            ext, problem.weights, rs, cs, origin=origin, out=new[rs, cs]
         )
-        if spec.problem.source is not None:
+        if problem.source is not None:
             # Forcing is a global field, so redundantly updated halo
             # cells receive exactly the same contribution their owner
             # applies -- CA equivalence is preserved.
-            new[rs, cs] += spec.problem.source_block(
+            new[rs, cs] += problem.source_block(
                 slice(origin[0] + rs.start, origin[0] + rs.stop),
                 slice(origin[1] + cs.start, origin[1] + cs.stop),
             )
-        if t + 1 < spec.problem.iterations:
+        if t + 1 < problem.iterations:
             spare[prev.shape] = prev
-        return self._publish(new, tile, t)
+        return self._publish(new, exchange, t)
 
     # -- helpers -----------------------------------------------------------------
 
@@ -171,52 +153,14 @@ class StencilKernels:
             self._local.flat = np.empty(cells)
         return self._local.flat[:cells].reshape(shape)
 
-    def _neighbor_key(self, name: str, tile: TileSpec, side: Side, t: int) -> TaskKey:
-        ni, nj = self.spec.partition.neighbor(tile.i, tile.j, side)
-        return (name, ni, nj, t)
-
-    def _diagonal_key(self, name: str, tile: TileSpec, corner: Corner, t: int) -> TaskKey:
-        ni, nj = self.spec.partition.diagonal(tile.i, tile.j, corner)
-        return (name, ni, nj, t)
-
-    def _publish(self, ext: np.ndarray, tile: TileSpec, t: int) -> dict:
+    def _publish(self, ext: np.ndarray, exchange, t: int) -> dict:
         """Outputs of the task that just produced iteration ``t + 1``
-        values on ``ext``: the array itself plus every strip some
-        neighbour consumes at iteration ``t + 1``."""
-        spec = self.spec
+        values on ``ext``: the array itself plus a copy of every piece
+        some neighbour pastes at iteration ``t + 1``."""
         outputs: dict = {"tile": ext}
-        t_next = t + 1
-        if t_next >= spec.problem.iterations:
-            return outputs
-        part = spec.partition
-        for side in SIDES:
-            nb = part.neighbor(tile.i, tile.j, side)
-            if nb is None:
-                continue
-            consumer = spec.tile(*nb)
-            cside = side.opposite  # the strip lands in this pad of the consumer
-            strip = spec.local_strip(consumer, cside, t_next)
-            if strip is not None:
-                outputs[_side_tag(cside, deep=False)] = tile.extract(
-                    ext, strip.source_region(tile.h, tile.w)
-                )
-            elif consumer.remote[cside] and spec.is_refresh(t_next):
-                deep = spec.deep_strip(consumer, cside)
-                outputs[_side_tag(cside, deep=True)] = tile.extract(
-                    ext, deep.source_region(tile.h, tile.w)
-                )
-        if spec.is_refresh(t_next):
-            for corner in CORNERS:
-                diag = part.diagonal(tile.i, tile.j, corner)
-                if diag is None:
-                    continue
-                consumer = spec.tile(*diag)
-                ccorner = corner.opposite
-                block = spec.corner_block(consumer, ccorner)
-                if block is not None:
-                    outputs[_corner_tag(ccorner)] = tile.extract(
-                        ext, block.source_region(tile.h, tile.w)
-                    )
+        if t + 1 < self.spec.problem.iterations:
+            for tag, source in exchange.outgoing:
+                outputs[tag] = ext[source].copy()
         return outputs
 
 
@@ -267,7 +211,7 @@ def build_stencil_graph(
     workers = machine.node.compute_cores
     kernels = StencilKernels(spec) if with_kernels else None
     graph = TaskGraph()
-    part = spec.partition
+    plan = spec.exchange_plan()
     T = spec.problem.iterations
 
     for tile in spec.tiles():
@@ -297,35 +241,12 @@ def build_stencil_graph(
         boundary = tile.is_boundary()
         per_phase = []
         for phase in range(spec.steps):
-            refresh = phase == 0
             # Ghost assembly traffic: only the strips are copies the
             # task body pays for; the tile's own read+write is already
             # in the kernel's bytes/point.
-            copy_bytes = 0
-            flow_templates: list[tuple[int, int, str, int]] = []
-            for side in SIDES:
-                strip = spec.local_strip(tile, side, phase)
-                if strip is not None:
-                    nb = part.neighbor(i, j, side)
-                    nbytes = spec.strip_nbytes(tile, strip)
-                    flow_templates.append((nb[0], nb[1], _side_tag(side, False), nbytes))
-                    copy_bytes += nbytes
-                elif tile.remote[side] and refresh:
-                    deep = spec.deep_strip(tile, side)
-                    nb = part.neighbor(i, j, side)
-                    nbytes = spec.strip_nbytes(tile, deep)
-                    flow_templates.append((nb[0], nb[1], _side_tag(side, True), nbytes))
-                    copy_bytes += nbytes
-            if refresh:
-                for corner in CORNERS:
-                    block = spec.corner_block(tile, corner)
-                    if block is not None:
-                        diag = part.diagonal(i, j, corner)
-                        nbytes = block.nbytes(ITEMSIZE)
-                        flow_templates.append(
-                            (diag[0], diag[1], _corner_tag(corner), nbytes)
-                        )
-                        copy_bytes += nbytes
+            incoming = plan[(i, j)][phase].incoming
+            flow_templates = [(*e.producer, e.tag, e.nbytes) for e in incoming]
+            copy_bytes = sum(e.nbytes for e in incoming)
             core_pts, redundant_pts = spec.region_points(tile, phase)
             ext_pts = tile.ext_shape()[0] * tile.ext_shape()[1]
             per_phase.append(

@@ -21,22 +21,58 @@ are instances of one scheme, parameterized by the step size ``s``:
 one exchange per iteration, no redundant work and no corner blocks.
 
 Everything here is a pure function of (tile coords, side/corner,
-iteration), so the graph builder and the executing kernels derive the
-byte-identical strip shapes from one source of truth.
+phase ``t % s``).  The three primitives :meth:`StencilSpec.local_strip`,
+:meth:`~StencilSpec.deep_strip` and :meth:`~StencilSpec.corner_block`
+define the rule; :meth:`StencilSpec.exchange_plan` walks them once per
+(tile, phase) and is the single source of truth everything else reads:
+the graph builder makes its flows from it, the task body pastes and
+publishes by it, the schedule verifier and the forecast iterate it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from ..distgrid.halo import SIDES, Corner, CornerSpec, Side, StripSpec
+from ..distgrid.halo import CORNERS, SIDES, Corner, CornerSpec, Side, StripSpec
 from ..distgrid.partition import GridPartition, ProcessGrid
 from ..distgrid.tile import TileSpec
 from ..stencil.problem import JacobiProblem
 
 #: float64 payloads everywhere.
 ITEMSIZE = 8
+
+Slices = tuple[slice, slice]
+
+
+class Incoming(NamedTuple):
+    """One strip or corner block a tile receives before it updates."""
+
+    producer: tuple[int, int]  #: tile (i, j) that cut it, one iteration earlier
+    tag: str  #: "sN"/"dN"/"cNW"...: local / deep strip, corner, by the consumer's pad
+    nbytes: int
+    dest: Slices  #: where it lands in the consumer's extended array
+    shape: tuple[int, int]  #: the payload shape ``dest`` accepts
+    source: Slices  #: where it was cut from the producer's extended array
+
+
+class Outgoing(NamedTuple):
+    """One piece a tile cuts from its fresh values for a neighbour."""
+
+    tag: str
+    source: Slices
+
+
+class Exchange(NamedTuple):
+    """What one tile does at one phase ``t % steps``: paste ``incoming``
+    (N, S, W, E, then NW, NE, SW, SE), update ``update``, cut
+    ``outgoing`` -- the neighbours' phase ``t + 1`` incoming entries
+    that name this tile, so the two cannot disagree."""
+
+    incoming: tuple[Incoming, ...]
+    outgoing: tuple[Outgoing, ...]
+    update: Slices  #: the update region in the extended array
+    origin: tuple[int, int]  #: global cell of ``ext[0, 0]``
 
 
 @dataclass(frozen=True)
@@ -46,6 +82,9 @@ class StencilSpec:
     problem: JacobiProblem
     partition: GridPartition
     steps: int = 1
+    #: this instance's tile table and exchange plan, filled on first
+    #: use; never compared, and a ``dataclasses.replace`` starts empty
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -74,7 +113,10 @@ class StencilSpec:
     # -- tiles ------------------------------------------------------------
 
     def tile(self, i: int, j: int) -> TileSpec:
-        return _tile_spec(self.partition, self.steps, i, j)
+        tile = self._memo.get((i, j))
+        if tile is None:
+            tile = self._memo[(i, j)] = _tile_spec(self.partition, self.steps, i, j)
+        return tile
 
     def tiles(self):
         for (i, j) in self.partition.tiles():
@@ -160,10 +202,66 @@ class StencilSpec:
             depth_c=consumer.pad(col_side),
         )
 
-    # -- flow sizes ---------------------------------------------------------------
+    # -- the exchange plan ----------------------------------------------------------
 
-    def strip_nbytes(self, consumer: TileSpec, strip: StripSpec) -> int:
-        return strip.nbytes(consumer.h, consumer.w, ITEMSIZE)
+    def exchange_plan(self) -> dict[tuple[int, int], tuple[Exchange, ...]]:
+        """Tile (i, j) -> its :class:`Exchange` at each phase
+        ``0..steps-1``; the task of iteration ``t`` (``-1`` for the
+        initial load) reads entry ``t % steps``.  Built once per spec
+        from the three primitives above, every region validated
+        against its tile's pads; immutable, shared by every reader."""
+        plan = self._memo.get("exchange")
+        if plan is None:
+            plan = self._memo["exchange"] = self._build_exchange_plan()
+        return plan
+
+    def _build_exchange_plan(self) -> dict[tuple[int, int], tuple[Exchange, ...]]:
+        phases = range(self.steps)
+        incoming = {
+            tile.key: [self._incoming(tile, phase) for phase in phases] for tile in self.tiles()
+        }
+        # What a tile sends is what its neighbours said they receive
+        # from it one phase later: inverted, never written twice.
+        outgoing = {key: [[] for _ in phases] for key in incoming}
+        for per_phase in incoming.values():
+            for phase, entries in enumerate(per_phase):
+                for entry in entries:
+                    outgoing[entry.producer][phase - 1].append(Outgoing(entry.tag, entry.source))
+        return {
+            tile.key: tuple(
+                Exchange(incoming[tile.key][phase], tuple(outgoing[tile.key][phase]),
+                         tile.ext_slices(self.update_region(tile, phase)), tile.origin)
+                for phase in phases
+            )
+            for tile in self.tiles()
+        }
+
+    def _incoming(self, tile: TileSpec, phase: int) -> tuple[Incoming, ...]:
+        """The PA1 rule, walked: per side a local strip, else (at a
+        refresh) the deep strip; at a refresh also the corner blocks."""
+        part, (i, j) = self.partition, tile.key
+        refresh = self.is_refresh(phase)
+        pieces = []  # (producer tile, tag, strip or corner block)
+        for side in SIDES:
+            strip, kind = self.local_strip(tile, side, phase), "s"
+            if strip is None and refresh:
+                strip, kind = self.deep_strip(tile, side), "d"
+            if strip is not None:
+                pieces.append((part.neighbor(i, j, side), kind + side.name[0], strip))
+        if refresh:
+            for corner in CORNERS:
+                block = self.corner_block(tile, corner)
+                if block is not None:
+                    pieces.append((part.diagonal(i, j, corner), "c" + corner.name, block))
+        entries = []
+        for producer_key, tag, piece in pieces:
+            producer = self.tile(*producer_key)
+            dest = tile.ext_slices(piece.pad_region(tile.h, tile.w))
+            shape = (dest[0].stop - dest[0].start, dest[1].stop - dest[1].start)
+            source = producer.ext_slices(piece.source_region(producer.h, producer.w))
+            nbytes = shape[0] * shape[1] * ITEMSIZE
+            entries.append(Incoming(producer_key, tag, nbytes, dest, shape, source))
+        return tuple(entries)
 
     # -- totals (for reports / sanity checks) -----------------------------------
 
@@ -216,7 +314,6 @@ def ca_plan(base, ca) -> CAPlan:
     )
 
 
-@lru_cache(maxsize=262144)
 def _tile_spec(partition: GridPartition, steps: int, i: int, j: int) -> TileSpec:
     """Build the TileSpec for global tile (i, j): pads of depth
     ``steps`` on remote sides, 1 elsewhere."""

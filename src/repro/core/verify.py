@@ -14,14 +14,15 @@ Each cell of each tile's extended array carries the iteration index of
 the value it currently holds (``AGE_BC`` for time-invariant Dirichlet
 cells, ``AGE_GARBAGE`` for never-written pads).  Iterations replay the
 exact paste/update sequence of the real kernels, checking ages instead
-of computing values.
+of computing values: what is pasted, from whom and out of which cells
+is read from :meth:`StencilSpec.exchange_plan`, the same entries the
+task body pastes by.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..distgrid.halo import CORNERS, SIDES
 from .spec import StencilSpec
 
 AGE_GARBAGE = -(10**9)
@@ -51,19 +52,6 @@ def _require(cond: bool, what: str, tile, t: int) -> None:
         raise ScheduleError(f"iteration {t}, tile {tile.key}: {what}")
 
 
-def _check_source(age: np.ndarray, tile, region, t: int, what: str) -> None:
-    rs, cs = tile.ext_slices(region)
-    block = age[rs, cs]
-    ok = (block == t) | (block == AGE_BC)
-    if not ok.all():
-        worst = int(block.min())
-        raise ScheduleError(
-            f"iteration {t}, tile {tile.key}: {what} would ship cells of "
-            f"age {worst} where iteration {t} values are required "
-            f"(region {region})"
-        )
-
-
 def verify_schedule(spec: StencilSpec, iterations: int | None = None) -> int:
     """Replay ``iterations`` steps of the schedule, checking validity.
 
@@ -72,7 +60,7 @@ def verify_schedule(spec: StencilSpec, iterations: int | None = None) -> int:
     """
     T = spec.problem.iterations if iterations is None else iterations
     ages_prev = _initial_ages(spec)
-    part = spec.partition
+    plan = spec.exchange_plan()
     checks = 0
 
     for t in range(T):
@@ -81,40 +69,16 @@ def verify_schedule(spec: StencilSpec, iterations: int | None = None) -> int:
             age = ages_prev[tile.key].copy()
 
             # Paste incoming ghosts, verifying the producer-side cells.
-            for side in SIDES:
-                strip = spec.local_strip(tile, side, t)
-                if strip is not None:
-                    nb = part.neighbor(tile.i, tile.j, side)
-                    producer = spec.tile(*nb)
-                    src_region = strip.source_region(producer.h, producer.w)
-                    _check_source(ages_prev[producer.key], producer, src_region,
-                                  t, f"local strip into {side.name}")
-                    rs, cs = tile.ext_slices(strip.pad_region(tile.h, tile.w))
-                    age[rs, cs] = t
-                    checks += (rs.stop - rs.start) * (cs.stop - cs.start)
-                elif tile.remote[side] and spec.is_refresh(t):
-                    deep = spec.deep_strip(tile, side)
-                    nb = part.neighbor(tile.i, tile.j, side)
-                    producer = spec.tile(*nb)
-                    src_region = deep.source_region(producer.h, producer.w)
-                    _check_source(ages_prev[producer.key], producer, src_region,
-                                  t, f"deep strip into {side.name}")
-                    rs, cs = tile.ext_slices(deep.pad_region(tile.h, tile.w))
-                    age[rs, cs] = t
-                    checks += (rs.stop - rs.start) * (cs.stop - cs.start)
-            if spec.is_refresh(t):
-                for corner in CORNERS:
-                    block = spec.corner_block(tile, corner)
-                    if block is None:
-                        continue
-                    diag = part.diagonal(tile.i, tile.j, corner)
-                    producer = spec.tile(*diag)
-                    src_region = block.source_region(producer.h, producer.w)
-                    _check_source(ages_prev[producer.key], producer, src_region,
-                                  t, f"corner block {corner.name}")
-                    rs, cs = tile.ext_slices(block.pad_region(tile.h, tile.w))
-                    age[rs, cs] = t
-                    checks += (rs.stop - rs.start) * (cs.stop - cs.start)
+            for producer, tag, _, dest, shape, source in plan[tile.key][t % spec.steps].incoming:
+                block = ages_prev[producer][source]
+                if not ((block == t) | (block == AGE_BC)).all():
+                    raise ScheduleError(
+                        f"iteration {t}, tile {tile.key}: {tag!r} from tile "
+                        f"{producer} would ship cells of age {int(block.min())} "
+                        f"where iteration {t} values are required (cells {source})"
+                    )
+                age[dest] = t
+                checks += shape[0] * shape[1]
 
             # The 5-point update reads the region itself plus its four
             # 1-deep side aprons -- a plus shape, never the diagonal

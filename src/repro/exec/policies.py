@@ -1,11 +1,10 @@
 """Work-distribution policies for the threaded backend.
 
-These mirror :mod:`repro.runtime.scheduler` -- the same three names
-(``"fifo"``, ``"lifo"``, ``"priority"``) select the same ordering
-semantics -- but the shape is different: instead of one ready queue
-per simulated node, the executor keeps one local queue *per worker
-thread* plus work stealing, the structure of Cilk-style runtimes and
-of PaRSEC's own per-core mempools.
+The same three names (``"fifo"``, ``"lifo"``, ``"priority"``) select
+the same queues as :mod:`repro.runtime.scheduler` -- but the shape is
+different: instead of one ready queue per simulated node, the executor
+keeps one *per worker thread* plus work stealing, the structure of
+Cilk-style runtimes and of PaRSEC's own per-core mempools.
 
 All queue operations are called under the executor's lock, so the
 structures themselves need no internal synchronisation.
@@ -22,9 +21,6 @@ structures themselves need no internal synchronisation.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-
 from ..runtime.scheduler import POLICIES
 from ..runtime.task import Task
 
@@ -35,113 +31,49 @@ EXEC_POLICIES = tuple(sorted(POLICIES))
 
 
 class WorkQueues:
-    """Per-worker task queues with stealing; base for the two shapes."""
+    """One scheduler queue of ``policy`` per worker, with stealing."""
 
-    def __init__(self, jobs: int) -> None:
+    def __init__(self, policy: str, jobs: int) -> None:
         if jobs < 1:
             raise ValueError("need at least one worker")
+        self.policy = policy
         self.jobs = jobs
-
-    def push(self, wid: int, task: Task) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def pop_local(self, wid: int) -> Task | None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def steal(self, wid: int) -> Task | None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def __len__(self) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def seed_order(self, tasks: list[Task]) -> list[Task]:
-        """Order the in-degree-0 tasks before round-robin seeding."""
-        return tasks
-
-
-class DequeQueues(WorkQueues):
-    """Deque-backed queues covering both FIFO and LIFO disciplines."""
-
-    def __init__(self, jobs: int, lifo: bool) -> None:
-        super().__init__(jobs)
-        self._qs: list[deque[Task]] = [deque() for _ in range(jobs)]
-        self._lifo = lifo
+        self._qs = [POLICIES[policy]() for _ in range(jobs)]
 
     def push(self, wid: int, task: Task) -> None:
-        self._qs[wid].append(task)
+        self._qs[wid].push(task)
 
     def pop_local(self, wid: int) -> Task | None:
         q = self._qs[wid]
-        if not q:
-            return None
-        return q.pop() if self._lifo else q.popleft()
+        return q.pop() if q else None
 
     def steal(self, wid: int) -> Task | None:
-        # Scan victims round-robin from the thief's right neighbour and
-        # take from the end opposite the owner's, minimising contention
-        # on the tasks the owner is about to run.
+        # Scan victims round-robin from the thief's right neighbour.
         for off in range(1, self.jobs):
             q = self._qs[(wid + off) % self.jobs]
             if q:
-                return q.popleft() if self._lifo else q.pop()
+                return q.steal()
         return None
 
     def __len__(self) -> int:
         return sum(len(q) for q in self._qs)
 
-
-class PriorityQueues(WorkQueues):
-    """Per-worker max-heaps on task priority (FIFO among equals)."""
-
-    def __init__(self, jobs: int) -> None:
-        super().__init__(jobs)
-        self._heaps: list[list[tuple[int, int, Task]]] = [[] for _ in range(jobs)]
-        self._seq = 0
-
-    def push(self, wid: int, task: Task) -> None:
-        heapq.heappush(self._heaps[wid], (-task.priority, self._seq, task))
-        self._seq += 1
-
-    def pop_local(self, wid: int) -> Task | None:
-        heap = self._heaps[wid]
-        if not heap:
-            return None
-        return heapq.heappop(heap)[2]
-
-    def steal(self, wid: int) -> Task | None:
-        for off in range(1, self.jobs):
-            heap = self._heaps[(wid + off) % self.jobs]
-            if heap:
-                return heapq.heappop(heap)[2]
-        return None
-
-    def __len__(self) -> int:
-        return sum(len(h) for h in self._heaps)
-
     def seed_order(self, tasks: list[Task]) -> list[Task]:
-        return sorted(
-            tasks, key=lambda t: -t.priority
-        )  # stable: graph order among equals
+        """Order the in-degree-0 tasks before round-robin seeding: best
+        first under ``priority`` (stable: graph order among equals)."""
+        if self.policy == "priority":
+            return sorted(tasks, key=lambda t: -t.priority)
+        return tasks
 
 
 def make_work_queues(policy: str, jobs: int) -> WorkQueues:
     """Instantiate the per-worker queues for ``policy``."""
     name = policy.lower()
-    if name == "fifo":
-        return DequeQueues(jobs, lifo=False)
-    if name == "lifo":
-        return DequeQueues(jobs, lifo=True)
-    if name == "priority":
-        return PriorityQueues(jobs)
-    raise ValueError(
-        f"unknown execution policy {policy!r}; choices: {list(EXEC_POLICIES)}"
-    )
+    if name not in POLICIES:
+        raise ValueError(
+            f"unknown execution policy {policy!r}; choices: {list(EXEC_POLICIES)}"
+        )
+    return WorkQueues(name, jobs)
 
 
-__all__ = [
-    "DequeQueues",
-    "EXEC_POLICIES",
-    "PriorityQueues",
-    "WorkQueues",
-    "make_work_queues",
-]
+__all__ = ["EXEC_POLICIES", "WorkQueues", "make_work_queues"]

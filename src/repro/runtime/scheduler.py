@@ -19,12 +19,19 @@ from .task import Task
 
 
 class ReadyQueue(Protocol):
-    """Interface the engine drives: one instance per node."""
+    """Interface the engine drives, one instance per node; the
+    threaded backend keeps one per worker and also steals."""
 
     def push(self, task: Task) -> None:  # pragma: no cover - protocol
         ...
 
     def pop(self) -> Task:  # pragma: no cover - protocol
+        ...
+
+    def steal(self) -> Task:  # pragma: no cover - protocol
+        """Take a task for another worker: from the end the owner does
+        not pop (least contention on what it runs next), or the best
+        task under ``priority``."""
         ...
 
     def __len__(self) -> int:  # pragma: no cover - protocol
@@ -43,6 +50,9 @@ class FifoQueue:
     def pop(self) -> Task:
         return self._q.popleft()
 
+    def steal(self) -> Task:
+        return self._q.pop()
+
     def __len__(self) -> int:
         return len(self._q)
 
@@ -53,13 +63,16 @@ class LifoQueue:
     the default flavour of many work-stealing runtimes)."""
 
     def __init__(self) -> None:
-        self._q: list[Task] = []
+        self._q: deque[Task] = deque()
 
     def push(self, task: Task) -> None:
         self._q.append(task)
 
     def pop(self) -> Task:
         return self._q.pop()
+
+    def steal(self) -> Task:
+        return self._q.popleft()
 
     def __len__(self) -> int:
         return len(self._q)
@@ -84,6 +97,8 @@ class PriorityQueue:
 
     def pop(self) -> Task:
         return heapq.heappop(self._heap)[2]
+
+    steal = pop  # "communication tasks first" holds across the pool
 
     def __len__(self) -> int:
         return len(self._heap)

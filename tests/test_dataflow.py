@@ -1,11 +1,14 @@
 """The stencil graph builder: structure, costs, numerical execution."""
 
 import numpy as np
+import pytest
 
 from repro.core.dataflow import build_stencil_graph
 from repro.core.spec import StencilSpec
+from repro.distgrid.partition import ProcessGrid
 from repro.machine.machine import nacl
 from repro.runtime.engine import Engine
+from repro.stencil.problem import JacobiProblem
 
 from .conftest import random_problem
 
@@ -107,3 +110,64 @@ def test_same_node_tile_flow_is_zero_bytes():
         for flow in task.inputs:
             if flow.tag == "tile":
                 assert flow.nbytes == 0
+
+
+# -- pinned identity ---------------------------------------------------------
+#
+# The message plan of the wall-clock benchmark's three batch geometries
+# (benchmarks/wallclock/batch_workloads.py: CONFIGS) and of one odd
+# case, digested at commit 7f16c1c.  A change to the exchange rule that
+# moves any (producer, tag, destination node, nbytes), or their order,
+# fails here instead of at the benchmark's `messages != census` exit.
+
+PINNED = {
+    # name: (nrows, ncols, T, nodes, pgrid, tile, steps) -> tasks, messages, bytes, digest
+    "kernel_large": ((2048, 2048, 16, 1, None, 256, 1), 1088, 0, 0, "4f53cda18c2baa0c"),
+    "halo_base": ((4096, 256, 64, 2, None, 128, 1), 4160, 4096, 4194304, "a63537ccefa9d8f2"),
+    "halo_ca": ((4096, 256, 64, 2, None, 128, 4), 4160, 3008, 4257792, "167944ff4b732c21"),
+    # 3x2 process grid, non-square grid, ragged last tile column,
+    # iterations % steps != 0
+    "odd": ((54, 42, 7, 6, (3, 2), 6, 3), 576, 390, 26784, "1724b53a6138fedc"),
+}
+
+
+def plan_digest(graph) -> str:
+    import hashlib
+
+    rows = [
+        (producer, tag, dst, nbytes)
+        for producer, messages in graph.message_plan().items()
+        for tag, dst, nbytes in messages
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_message_plan(name):
+    (nrows, ncols, T, nodes, pgrid, tile, steps), tasks, messages, nbytes, digest = PINNED[name]
+    spec = StencilSpec.create(
+        JacobiProblem(n=nrows, ncols=ncols, iterations=T), nodes=nodes, tile=tile,
+        steps=steps, pgrid=ProcessGrid(*pgrid) if pgrid else None,
+    )
+    graph = build_stencil_graph(spec, nacl(nodes), with_kernels=False).graph
+    census = graph.census()
+    assert len(graph) == tasks
+    assert (census.remote_messages, census.remote_bytes) == (messages, nbytes)
+    assert plan_digest(graph) == digest
+
+
+def test_wrong_shaped_strip_is_rejected_not_broadcast():
+    """A strip arrives from another process on `processes`; one of the
+    wrong shape must fail naming tile and tag, not broadcast into the
+    pad (a (1, 1) array would assign silently)."""
+    built = build(steps=1, T=2)
+    task = built.graph[("st", 1, 1, 0)]
+    kernels = task.kernel.__self__
+    inputs = {}
+    for flow in task.inputs:
+        producer = built.graph[flow.producer]
+        inputs[(flow.producer, flow.tag)] = producer.kernel({}, producer)[flow.tag]
+    assert kernels.stencil_task(inputs, task)["tile"].shape == (6, 6)
+    inputs[(("st", 0, 1, -1), "sN")] = np.zeros((1, 1))
+    with pytest.raises(ValueError, match=r"tile \(1, 1\).*'sN'"):
+        kernels.stencil_task(inputs, task)

@@ -30,7 +30,7 @@ def stencil_configs(draw):
     ncols = draw(st.integers(pcols * tile, 30))
     pgrid = ProcessGrid(prows, pcols)
     partition = GridPartition(nrows, ncols, pgrid, tile)
-    steps = draw(st.integers(1, min(4, partition.min_tile_dim())))
+    steps = draw(st.integers(1, partition.min_tile_dim()))  # up to the tile edge
     iterations = draw(st.integers(0, 9))
     seed = draw(st.integers(0, 2**16))
     omega = draw(st.floats(0.3, 1.0))
@@ -83,6 +83,30 @@ def test_result_independent_of_schedule(config, policy):
     built = build_stencil_graph(spec, machine)
     rep = Engine(built.graph, machine, execute=True, policy=policy).run()
     assert np.array_equal(built.assemble_grid(rep.results), problem.reference_solution())
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(stencil_configs())
+def test_task_inputs_are_the_exchange_plan(config):
+    """Every stencil task of a built graph consumes its own previous
+    tile plus exactly the plan's incoming entries for (i, j, t % steps)
+    -- producer key, tag and bytes, in the plan's order."""
+    nrows, ncols, pgrid, tile, steps, iterations, _, _ = config
+    problem = JacobiProblem(n=nrows, ncols=ncols, iterations=iterations)
+    spec = StencilSpec(problem=problem, partition=GridPartition(nrows, ncols, pgrid, tile), steps=steps)
+    built = build_stencil_graph(spec, nacl(pgrid.size), with_kernels=False)
+    plan = spec.exchange_plan()
+    assert len(built.graph) == len(plan) * (iterations + 1)
+    for task in built.graph:
+        name, i, j, t = task.key
+        flows = [(flow.producer, flow.tag, flow.nbytes) for flow in task.inputs]
+        if t < 0:
+            assert flows == []
+            continue
+        assert flows == [((name, i, j, t - 1), "tile", 0)] + [
+            ((name, *entry.producer, t - 1), entry.tag, entry.nbytes)
+            for entry in plan[(i, j)][t % steps].incoming
+        ]
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

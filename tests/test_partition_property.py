@@ -3,8 +3,10 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.core.spec import ITEMSIZE, StencilSpec
 from repro.distgrid.halo import SIDES
 from repro.distgrid.partition import GridPartition, ProcessGrid, even_split
+from repro.stencil.problem import JacobiProblem
 
 
 @st.composite
@@ -96,6 +98,54 @@ def test_remoteness_constant_along_axes(p):
     for i in range(tr):
         flags = {p.is_remote(i, j, Side.SOUTH) for j in range(tc)}
         assert len(flags) == 1
+
+
+@st.composite
+def specs(draw):
+    """Any partition with any step size its tiles allow (up to the
+    smallest tile edge)."""
+    p = draw(partitions())
+    steps = draw(st.integers(1, p.min_tile_dim()))
+    problem = JacobiProblem(n=p.nrows, ncols=p.ncols, iterations=1)
+    return StencilSpec(problem=problem, partition=p, steps=steps)
+
+
+def _extent(slices):
+    return tuple(s.stop - s.start for s in slices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs())
+def test_exchange_plan_sends_exactly_what_is_received(spec):
+    """Every outgoing entry of a producer is one incoming entry of a
+    neighbour one phase later (same tag, cells, shape, bytes), every
+    incoming entry has that twin, and nothing else is cut."""
+    plan = spec.exchange_plan()
+    assert set(plan) == set(spec.partition.tiles())
+    sent = {}
+    for producer, phases in plan.items():
+        assert len(phases) == spec.steps
+        for phase, exchange in enumerate(phases):
+            for tag, source in exchange.outgoing:
+                key = (producer, (phase + 1) % spec.steps, tag)
+                assert key not in sent  # one tag, one consumer
+                sent[key] = source
+    received = 0
+    for consumer, phases in plan.items():
+        tile = spec.tile(*consumer)
+        for phase, exchange in enumerate(phases):
+            assert exchange.origin == tile.origin
+            assert exchange.update == tile.ext_slices(spec.update_region(tile, phase))
+            tags = [entry.tag for entry in exchange.incoming]
+            assert len(set(tags)) == len(tags)
+            for entry in exchange.incoming:
+                di, dj = entry.producer[0] - consumer[0], entry.producer[1] - consumer[1]
+                assert (abs(di), abs(dj)) in ((0, 1), (1, 0), (1, 1))
+                assert sent[(entry.producer, phase, entry.tag)] == entry.source
+                assert _extent(entry.source) == _extent(entry.dest) == entry.shape
+                assert entry.nbytes == entry.shape[0] * entry.shape[1] * ITEMSIZE
+                received += 1
+    assert received == len(sent)
 
 
 @settings(max_examples=100, deadline=None)
