@@ -5,12 +5,13 @@
 Walks the hops `docs/runtime-guide.md` lists -- graph build, executor
 `_prepare`, ready queue, `PayloadStore.gather`, the task body (plan
 lookup, copy, ghost assigns, frame, banded kernel, outgoing copies),
-`publish`/`release`, `assemble_grid` -- on one of the wall-clock
-benchmark's geometries, single-threaded, and prints microseconds per
-stencil task for each: the median over every stencil task of the solve,
-taken three times, best kept.  The hops are timed where they are called,
-one after the other, so the numbers add up to a `jobs=1` solve without
-thread hand-offs; they are a map of where the time goes, not a benchmark.
+`publish`/`release`, the worker's per-task record, `assemble_grid` --
+on one of the wall-clock benchmark's geometries, single-threaded, and
+prints microseconds per stencil task for each: the median over every
+stencil task of the solve, taken three times, best kept.  The hops are
+timed where they are called, one after the other, so the numbers add up
+to a `jobs=1` solve without thread hand-offs; they are a map of where
+the time goes, not a benchmark.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.core.dataflow import build_stencil_graph
 from repro.core.spec import StencilSpec
 from repro.exec.executor import ThreadedExecutor
 from repro.exec.policies import make_work_queues
+from repro.exec.wallclock_trace import WallClockRecorder
 from repro.machine.machine import nacl
 from repro.runtime.store import PayloadStore
 from repro.stencil.problem import JacobiProblem
@@ -63,20 +65,24 @@ def one_solve(geometry: dict) -> dict[str, float]:
 
     # The run itself, in graph order (a legal schedule), hop by hop.
     store = PayloadStore(graph, graph.tasks.values())
+    recorder = WallClockRecorder(1)
     plan, weights = spec.exchange_plan(), problem.weights
     scratch = np.empty(0)
     parts = {name: [] for name in ("gather", "plan lookup", "copy previous tile", "ghost assigns",
                                    "frame", "banded kernel", "outgoing copies", "stencil_task",
-                                   "publish + release")}
+                                   "publish + release", "per-task record")}
     for task in graph:
         dt, inputs = clock(store.gather, task)
         kernel_dt, outputs = clock(task.kernel, inputs, task)
         post_dt, _ = clock(lambda: (store.publish(task, dict(outputs)), store.release(task)))
+        # All a worker writes about a finished task: one lane tuple.
+        record_dt, _ = clock(recorder.record, 0, task.kind, 0.0, kernel_dt, task.key, task.key)
         if task.key[-1] < 0:
             continue
         parts["gather"].append(dt)
         parts["stencil_task"].append(kernel_dt)
         parts["publish + release"].append(post_dt)
+        parts["per-task record"].append(record_dt)
         # The body's pieces again, on the same (now cache-warm) data.
         name, i, j, t = task.key
         dt, exchange = clock(lambda: plan[(i, j)][t % steps])

@@ -6,7 +6,8 @@ The same CA task graph is executed on real worker threads
 (``backend="threads"``) at several worker counts, verified bit-exact
 against the reference solver, and compared against the simulator's
 prediction for the identical graph.  Also shows the asynchronous API:
-a ``RunHandle`` with per-task futures and cancellation.
+a ``RunHandle`` (wait / timeout / cancel) and, with ``trace=True``,
+where and when any one task ran.
 """
 
 import os
@@ -52,11 +53,12 @@ def main() -> None:
     # -- the asynchronous API -------------------------------------------
     built = build_base_graph(problem, repro.nacl(1), tile=64)
     handle = ThreadedExecutor(built.graph, jobs=2, trace=True).start()
-    # Watch one mid-graph task complete while the run is in flight.
-    record = handle.future(("base", 0, 0, problem.iterations - 1)).result(timeout=60)
-    print(f"\ntile (0,0) finished its last iteration on worker "
-          f"{record.worker} at t={record.end * 1e3:.2f} ms")
     report = handle.result(timeout=60)
+    # Every task leaves one span in the trace, addressed by its key.
+    last = ("base", 0, 0, problem.iterations - 1)
+    span = next(s for s in report.trace.spans if s.task_id == last)
+    print(f"\ntile (0,0) finished its last iteration on worker "
+          f"{span.worker} at t={span.end * 1e3:.2f} ms")
     print(f"run complete: {report.tasks_run} tasks, "
           f"{report.steals} steals, {report.elapsed * 1e3:.1f} ms wall, "
           f"worker occupancy {report.worker_occupancy:.2f}")

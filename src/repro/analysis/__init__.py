@@ -7,7 +7,6 @@ from .occupancy import (
     compare_occupancy,
     kind_summary,
     occupancy_report,
-    occupancy_report_from_snapshot,
     utilisation_timeline,
 )
 from .tables import dicts_to_table, format_markdown, format_table
@@ -23,7 +22,6 @@ __all__ = [
     "kind_summary",
     "legend",
     "occupancy_report",
-    "occupancy_report_from_snapshot",
     "render_gantt",
     "utilisation_timeline",
 ]

@@ -59,44 +59,6 @@ def occupancy_report(trace: Trace, node: int, workers: int) -> OccupancyReport:
     )
 
 
-def occupancy_report_from_snapshot(
-    snapshot, node: int, workers: int | None = None
-) -> OccupancyReport:
-    """An :class:`OccupancyReport` from a metrics snapshot instead of a
-    span trace.
-
-    Full traces cost memory proportional to the task count and are
-    often disabled for overhead; the registry's
-    ``worker_busy_seconds_total`` / ``run_elapsed_seconds`` counters
-    are always exact, so occupancy (and the busy/makespan totals) stay
-    reportable.  Per-kind medians need span durations and are reported
-    as 0 -- a counter cannot recover a distribution.
-    """
-    cells = snapshot.labelled("worker_busy_seconds_total")
-    per_worker = {
-        dict(ls).get("worker"): value
-        for ls, value in cells.items()
-        if dict(ls).get("node") in (node, str(node))
-    }
-    if workers is None:
-        workers = len(per_worker) or int(snapshot.gauge("workers_per_node")) or 1
-    busy = float(sum(per_worker.values()))
-    makespan = float(snapshot.gauge("run_elapsed_seconds"))
-    denom = makespan * workers
-    return OccupancyReport(
-        node=node,
-        workers=workers,
-        occupancy=busy / denom if denom > 0 else 0.0,
-        median_task_s=0.0,
-        median_boundary_s=0.0,
-        median_interior_s=0.0,
-        mean_task_s=0.0,
-        mean_boundary_s=0.0,
-        busy_s=busy,
-        makespan_s=makespan,
-    )
-
-
 def utilisation_timeline(trace: Trace, node: int, workers: int, buckets: int = 50) -> list[float]:
     """Busy-fraction per time bucket (Fig. 10's visual density)."""
     return idle_fraction_timeline(trace, node, workers, buckets)
@@ -133,13 +95,3 @@ def compare_occupancy(
 def kind_summary(trace: Trace) -> list[tuple[str, int, float, float]]:
     """(kind, count, total_s, median_s) rows, biggest first."""
     return [(k.kind, k.count, k.total, k.median) for k in kind_statistics(trace)]
-
-
-def critpath_blame_shares(trace: Trace, graph=None) -> dict[str, float]:
-    """Blame shares of the executed critical path -- the causal
-    complement of occupancy: occupancy says how busy the workers were,
-    this says what the *makespan-determining chain* was spent on.
-    Returns ``{blame: fraction of makespan}``."""
-    from ..obs.critpath import critical_path
-
-    return critical_path(trace, graph).blame_shares()

@@ -30,7 +30,7 @@ Gives the library's main entry points a shell-friendly face:
   strictly lower communication share of critical-path time);
 * ``serve`` -- run the persistent solver service against synthetic
   multi-tenant traffic with live queue/progress lines and a serving
-  summary (warm starts, cache hit-rate, batching, admission rejects;
+  summary (warm-worker starts, cache hit-rate, batching, admission rejects;
   see ``docs/serving.md``);
 * ``submit`` -- submit one solve through a transient service backed
   by the persistent on-disk result cache: a repeated identical
@@ -304,8 +304,9 @@ def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
     _add_traffic_flags(p, requests=6)
     p.add_argument("--pool", choices=("threads", "processes"),
                    default="threads",
-                   help="warm-pool kind: reusable in-process executors "
-                        "or persistent forked children")
+                   help="what the pool keeps warm between requests: "
+                        "in-process workers or persistent forked "
+                        "children (executors are built per request)")
     p.add_argument("--queue-depth", type=int, default=64,
                    help="admission bound (submissions beyond it are "
                         "fast-rejected)")
@@ -509,9 +510,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print("VALIDATION FAILED", file=sys.stderr)
             return 1
     if args.trace_out:
-        from .runtime import chrome_trace
+        from .obs import export
 
-        chrome_trace.write(result.trace, args.trace_out)
+        export.write(result.trace, args.trace_out)
         print(f"trace written to {args.trace_out} (open in chrome://tracing)")
     return 0
 
@@ -832,13 +833,13 @@ def _cmd_ir(args: argparse.Namespace) -> int:
             write_dot(rewritten.graph, args.dot_after)
             print(f"rewritten graph written to {args.dot_after}")
     if want_trace:
-        from .runtime import chrome_trace
+        from .obs import export
 
         if args.trace_before:
-            chrome_trace.write(baseline.trace, args.trace_before)
+            export.write(baseline.trace, args.trace_before)
             print(f"baseline trace written to {args.trace_before}")
         if args.trace_after:
-            chrome_trace.write(rewritten.trace, args.trace_after)
+            export.write(rewritten.trace, args.trace_after)
             print(f"rewritten trace written to {args.trace_after}")
     return 0
 
@@ -1136,8 +1137,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         outcome = service.submit(request).result(args.timeout)
         snapshot = service.metrics.snapshot()
     served_by = ("result cache" if outcome.cached
-                 else "warm executor" if outcome.warm
-                 else "cold executor")
+                 else "warm worker" if outcome.warm
+                 else "cold worker")
     print(f"signature      {outcome.signature}")
     params = " ".join(f"{k}={v}" for k, v in sorted(outcome.params.items()))
     print(f"impl           {outcome.impl}  {params}")

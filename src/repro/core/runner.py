@@ -134,10 +134,10 @@ def _rewrite(built, machine: MachineSpec, config: RunConfig, metrics):
 
 
 def _make_executor(graph, machine: MachineSpec, config: RunConfig,
-                   metrics, chaos, executor_factory):
+                   metrics, chaos):
     """The thing with a ``run()`` for ``config.backend``: the
-    discrete-event engine, or a real executor (fresh, or the warm
-    pool's via ``executor_factory``)."""
+    discrete-event engine or a real executor, built for this graph and
+    run once."""
     if config.backend == "sim":
         return Engine(
             graph, machine, policy=config.policy, execute=config.with_kernels,
@@ -148,9 +148,7 @@ def _make_executor(graph, machine: MachineSpec, config: RunConfig,
                 metrics=metrics)
     if config.backend == "processes":
         real["procs"] = machine.nodes
-    if executor_factory is not None:
-        executor = executor_factory(graph, backend=config.backend, **real)
-    elif config.backend == "threads":
+    if config.backend == "threads":
         from ..exec.executor import ThreadedExecutor
 
         executor = ThreadedExecutor(graph, **real)
@@ -173,7 +171,6 @@ def run(
     *,
     metrics=None,
     on_executor=None,
-    executor_factory=None,
     chaos=None,
     tune_cache=None,
     **knobs: Any,
@@ -209,14 +206,6 @@ def run(
     ``on_executor`` is called with the live engine/executor just
     before the run starts, so a monitor can poll its ``progress()``.
 
-    ``executor_factory`` is the warm-pool reuse hook for the real
-    backends: when given, it is called as ``factory(graph, backend=...,
-    jobs=..., procs=..., policy=..., trace=..., metrics=...)`` and must
-    return a ready executor (typically a pooled instance re-armed via
-    its ``reset()`` contract) instead of this function constructing a
-    fresh one.  The simulator builds no pool, so combining a factory
-    with ``backend="sim"`` is an error.
-
     ``chaos`` accepts a :class:`repro.chaos.ChaosContext`: the built
     graph is instrumented in place (fault injection at kernel entry
     and message delivery, grid checkpoints at CA exchange boundaries)
@@ -243,11 +232,6 @@ def run(
             "passes and chaos cannot combine: chaos instruments the "
             "builder's original kernels and checkpoint boundaries, which "
             "a rewrite pass may merge or wrap away"
-        )
-    if executor_factory is not None and config.backend == "sim":
-        raise ValueError(
-            "executor_factory is the warm-pool hook of the real backends; "
-            "it does not apply to backend='sim'"
         )
     if chaos is not None and not config.with_kernels:
         raise ValueError(
@@ -286,9 +270,7 @@ def run(
         chaos.attach(built, backend=config.backend, machine=machine)
 
     # make executor -> run -> assemble
-    executor = _make_executor(
-        built.graph, machine, config, metrics, chaos, executor_factory
-    )
+    executor = _make_executor(built.graph, machine, config, metrics, chaos)
     if on_executor is not None:
         on_executor(executor)
     report = executor.run()

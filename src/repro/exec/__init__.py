@@ -30,7 +30,6 @@ from .backends import BACKEND_DESCRIPTIONS, BACKENDS, MEASURED_BACKENDS
 from .compare import (
     BackendComparison,
     SpeedupPoint,
-    compare_all,
     compare_backends,
     format_comparison,
     speedup_curve,
@@ -43,12 +42,11 @@ from .executor import (
     execute,
 )
 from ..runtime.engine import KernelError, NodeLostError
-from .futures import ExecutionTimeout, RunCancelled, RunHandle, TaskFuture, TaskRecord
+from .futures import ExecutionTimeout, RunCancelled, RunHandle
 from .policies import EXEC_POLICIES, make_work_queues
 from .procs import (
     ProcessExecutor,
     ProcsReport,
-    ProcsRunHandle,
     default_procs,
     execute_procs,
     fork_available,
@@ -68,15 +66,11 @@ __all__ = [
     "NodeLostError",
     "ProcessExecutor",
     "ProcsReport",
-    "ProcsRunHandle",
     "RunCancelled",
     "RunHandle",
     "SpeedupPoint",
-    "TaskFuture",
-    "TaskRecord",
     "ThreadedExecutor",
     "WallClockRecorder",
-    "compare_all",
     "compare_backends",
     "default_jobs",
     "default_procs",

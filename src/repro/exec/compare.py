@@ -131,27 +131,6 @@ def compare_backends(
     )
 
 
-def compare_all(
-    problem: JacobiProblem,
-    machine: MachineSpec | None = None,
-    jobs: int | None = None,
-    tile: int | None = None,
-    steps: int = 4,
-    backend: str = "threads",
-    procs: int | None = None,
-) -> list[BackendComparison]:
-    """The full three-implementation side-by-side."""
-    out = []
-    for impl, kw in (
-        ("petsc", {}),
-        ("base-parsec", {"tile": tile}),
-        ("ca-parsec", {"tile": tile, "steps": steps}),
-    ):
-        out.append(compare_backends(problem, impl=impl, machine=machine, jobs=jobs,
-                                    backend=backend, procs=procs, **kw))
-    return out
-
-
 @dataclass(frozen=True)
 class SpeedupPoint:
     """One point of a measured strong-scaling curve."""
@@ -214,7 +193,6 @@ __all__ = [
     "BackendComparison",
     "HEADERS",
     "SpeedupPoint",
-    "compare_all",
     "compare_backends",
     "format_comparison",
     "speedup_curve",

@@ -39,7 +39,7 @@ from ..runtime.engine import EngineReport, KernelError
 from ..runtime.graph import TaskGraph
 from ..runtime.store import PayloadStore
 from ..runtime.task import Flow, Task, TaskKey
-from .futures import RunCancelled, RunHandle, TaskRecord
+from .futures import RunCancelled, RunHandle
 from .policies import make_work_queues
 from .wallclock_trace import HOST_NODE, WallClockRecorder
 
@@ -113,8 +113,11 @@ class ThreadedExecutor:
         Capture a wall-clock :class:`~repro.runtime.trace.Trace`.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricRegistry` the run
-        emits into.  Hot-path tallies are per-worker (contention-free);
-        the registry is populated once at report time.
+        emits into.  Nothing is tallied per task for it: the registry
+        is populated once, at report time, from the recorder's lanes.
+
+    An executor is built for one graph, runs it once and returns a
+    report; a second :meth:`start` raises.
     """
 
     #: Node label the executor's metrics are emitted under (the procs
@@ -137,72 +140,29 @@ class ThreadedExecutor:
         self.policy = policy.lower()
         self.want_trace = trace
         self.metrics = metrics
-        # The lock/condition outlive resets (a warm pool may hold
-        # references); everything per-run lives in _reset_state().
         self._lock = threading.Lock()
         self._work_ready = threading.Condition(self._lock)
-        self._reset_state()
-        self._check_executable()
-
-    def _reset_state(self) -> None:
-        """(Re)initialise every piece of per-run state, so one
-        executor instance can run graph after graph on a warm pool."""
-        #: per-worker kind tallies; worker ``w`` is the only writer of
-        #: slot ``w``, so recording is lock-free like the recorder lanes
-        self._kind_counts: list[dict[str, int]] | None = (
-            [{} for _ in range(self.jobs)] if self.metrics is not None else None
-        )
         self._queues = make_work_queues(self.policy, self.jobs)
 
         # Bookkeeping shared by all workers, guarded by _lock.
         self._pending: dict[TaskKey, int] = {}
         self._release: dict[TaskKey, list[TaskKey]] = {}
         self._store = PayloadStore(self.graph, self._tasks())
-        self._completed: set[TaskKey] = set()
         self._unfinished = len(self._tasks())
         self._steals = 0
         self._failure: BaseException | None = None
         self._cancelled = False
         self._started = False
 
+        #: the one per-task record: worker ``w`` appends a span tuple to
+        #: lane ``w`` after each kernel, and every tally in the report
+        #: (completed set, kind counts, busy seconds) is a fold of it
         self._recorder = WallClockRecorder(self.jobs)
         self._handle: RunHandle | None = None
         self._threads: list[threading.Thread] = []
         self._t_begin = 0.0
         self._t_end = 0.0
-
-    # -- reuse contract (warm pools) -------------------------------------
-
-    def _run_in_flight(self) -> bool:
-        return self._started and not (
-            self._handle is not None and self._handle.done()
-        )
-
-    def reset(self, graph: TaskGraph | None = None) -> "ThreadedExecutor":
-        """Re-arm this executor for another run, optionally binding a
-        new ``graph``.  The warm-pool reuse contract: after a run
-        completes (cleanly or not), ``reset()`` restores the instance
-        to its freshly-constructed state -- same jobs/policy/metrics,
-        empty bookkeeping -- without reallocating the executor itself.
-        Raises while a run is still in flight."""
-        if self._run_in_flight():
-            raise RuntimeError(
-                "cannot reset an executor while its run is in flight"
-            )
-        if graph is not None:
-            graph.finalize()
-            self.graph = graph
-        self._reset_state()
         self._check_executable()
-        return self
-
-    def is_healthy(self) -> bool:
-        """Whether this executor is usable (or currently running
-        cleanly): a failed or cancelled run leaves it unhealthy until
-        :meth:`reset`."""
-        if not self._started:
-            return True
-        return self._failure is None and not self._cancelled
 
     # -- validation -----------------------------------------------------
 
@@ -243,8 +203,8 @@ class ThreadedExecutor:
         """Launch the worker pool; returns immediately with the handle."""
         if self._started:
             raise RuntimeError(
-                "a ThreadedExecutor instance runs exactly once per "
-                "reset(); call reset() to re-arm it for another graph"
+                "a ThreadedExecutor instance runs exactly once; build "
+                "another executor to run the graph again"
             )
         self._started = True
         self._handle = RunHandle(self._request_cancel)
@@ -267,6 +227,14 @@ class ThreadedExecutor:
     def run(self, timeout: float | None = None) -> ExecReport:
         """Start, wait, and return the report (the blocking front door)."""
         return self.start().result(timeout)
+
+    def cancel(self) -> bool:
+        """Stop the run: workers finish the task in hand and take no
+        more, and the handle's ``result()`` raises
+        :class:`RunCancelled`.  ``False`` before :meth:`start` and
+        once the run has finished."""
+        handle = self._handle
+        return handle is not None and handle.cancel()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -295,7 +263,7 @@ class ThreadedExecutor:
             handle._finish(self._build_report(), None)
 
     def _publish_metrics(self, elapsed: float) -> MetricsSnapshot | None:
-        """Fold the per-worker tallies into the attached registry and
+        """Fold the recorder's lanes into the attached registry and
         return its snapshot (called once, at report time)."""
         reg = self.metrics
         if reg is None:
@@ -303,10 +271,8 @@ class ThreadedExecutor:
         node = self.metrics_node
         tasks = reg.counter("tasks_executed_total",
                             "tasks executed, by kind", "tasks")
-        assert self._kind_counts is not None
-        for kinds in self._kind_counts:
-            for kind, count in kinds.items():
-                tasks.inc(count, kind=kind)
+        for kind, count in self._recorder.kind_counts().items():
+            tasks.inc(count, kind=kind)
         if self._steals:
             reg.counter("tasks_stolen_total",
                         "tasks acquired by work stealing", "tasks").inc(
@@ -345,12 +311,13 @@ class ThreadedExecutor:
         worker_busy = self._recorder.busy_per_worker()
         local_edges = sum(len(t.inputs) for t in self.graph)
         local_bytes = sum(f.nbytes for t in self.graph for f in t.inputs)
+        completed = frozenset(self._recorder.completed())
         trace = self._recorder.to_trace() if self.want_trace else None
         if trace is not None and trace_validation_enabled():
             trace.validate()
         return ExecReport(
             elapsed=elapsed,
-            tasks_run=len(self._completed),
+            tasks_run=len(completed),
             messages=0,
             message_bytes=0,
             local_edges=local_edges,
@@ -367,7 +334,7 @@ class ThreadedExecutor:
             policy=self.policy,
             steals=self._steals,
             worker_busy=worker_busy,
-            completed=frozenset(self._completed),
+            completed=completed,
         )
 
     # -- worker loop ----------------------------------------------------------
@@ -416,21 +383,6 @@ class ThreadedExecutor:
                     self._work_ready.notify_all()
                 return
             recorder.record(wid, task.kind, start, end, task.key, task_id=task.key)
-            if self._kind_counts is not None:
-                kinds = self._kind_counts[wid]
-                kinds[task.kind] = kinds.get(task.kind, 0) + 1
-            handle = self._handle
-            if handle is not None:
-                handle._record_done(
-                    task.key,
-                    TaskRecord(
-                        key=task.key,
-                        worker=wid,
-                        start=start - self._t_begin,
-                        end=end - self._t_begin,
-                        kind=task.kind,
-                    ),
-                )
 
     # -- dataflow bookkeeping ---------------------------------------------------
 
@@ -441,7 +393,6 @@ class ThreadedExecutor:
             outputs = self._store.publish(task, outputs)
             self._send_remote(task, outputs)
             self._store.release(task)
-            self._completed.add(task.key)
             self._unfinished -= 1
             if self._wake(self._release.get(task.key, ()), wid):
                 self._work_ready.notify_all()

@@ -1,139 +1,58 @@
-"""Futures for real (wall-clock) task-graph execution.
+"""The future of a real (wall-clock) task-graph run.
 
-The threaded backend is asynchronous by nature: :class:`RunHandle` is
+The real backends are asynchronous by nature: :class:`RunHandle` is
 the future of a whole run (wait / cancel / timeout, in the spirit of
-``concurrent.futures``), and :class:`TaskFuture` is the future of one
-task inside it.  A task future resolves to a :class:`TaskRecord` --
-when and where the task ran -- not to its payload: payloads are
-refcounted and freed as soon as their last consumer finishes, exactly
-like PaRSEC reclaims data copies, so holding them alive per-future
-would defeat the memory discipline.  Terminal outputs survive in the
-report's ``results`` mapping as in the simulator.
+``concurrent.futures``), the same class for ``threads`` and
+``processes``.  There is no per-task future: where and when task *k*
+ran is a span of ``report.trace`` (``trace=True``; spans carry
+``task_id``), and payloads are refcounted and freed as soon as their
+last consumer finishes, exactly like PaRSEC reclaims data copies --
+terminal outputs survive in the report's ``results`` mapping as in
+the simulator.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
-
-from ..runtime.task import TaskKey
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .executor import ExecReport
 
 
 class ExecutionTimeout(TimeoutError):
-    """Waiting on a run or task future exceeded the given timeout."""
+    """Waiting on a run exceeded the given timeout."""
 
 
 class RunCancelled(RuntimeError):
     """The run was cancelled before every task completed."""
 
 
-@dataclass(frozen=True)
-class TaskRecord:
-    """Where and when one task executed (wall-clock seconds relative
-    to the run start)."""
-
-    key: TaskKey
-    worker: int
-    start: float
-    end: float
-    kind: str
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-class TaskFuture:
-    """Completion future of a single task in a running graph."""
-
-    def __init__(self, key: TaskKey) -> None:
-        self.key = key
-        self._event = threading.Event()
-        self._record: TaskRecord | None = None
-        self._exception: BaseException | None = None
-
-    # -- producer side (executor) --------------------------------------
-
-    def _resolve(self, record: TaskRecord) -> None:
-        self._record = record
-        self._event.set()
-
-    def _fail(self, exc: BaseException) -> None:
-        self._exception = exc
-        self._event.set()
-
-    # -- consumer side --------------------------------------------------
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def result(self, timeout: float | None = None) -> TaskRecord:
-        """Block until the task completes; raises :class:`ExecutionTimeout`
-        on expiry, or the run's error if the run died first."""
-        if not self._event.wait(timeout):
-            raise ExecutionTimeout(
-                f"task {self.key!r} did not complete within {timeout} s"
-            )
-        if self._exception is not None:
-            raise self._exception
-        assert self._record is not None
-        return self._record
-
-
 class RunHandle:
-    """Handle on an in-flight threaded run.
+    """Handle on an in-flight run.
 
-    Returned by :meth:`ThreadedExecutor.start`; :meth:`result` joins the
-    run and returns its :class:`~repro.exec.executor.ExecReport`.
+    Returned by :meth:`ThreadedExecutor.start` and
+    :meth:`ProcessExecutor.start`; :meth:`result` joins the run and
+    returns its :class:`~repro.exec.executor.ExecReport`.
     """
 
     def __init__(self, cancel_callback: Callable[[], None]) -> None:
-        self._cancel_callback = cancel_callback
+        self._cancel_callback: Callable[[], None] | None = cancel_callback
         self._finished = threading.Event()
         self._report: "ExecReport | None" = None
         self._exception: BaseException | None = None
-        self._cancel_requested = False
-        self._futures: dict[TaskKey, TaskFuture] = {}
-        self._records: dict[TaskKey, TaskRecord] = {}
-        self._lock = threading.Lock()
 
     # -- producer side (executor) --------------------------------------
 
     def _finish(self, report: "ExecReport | None", exc: BaseException | None) -> None:
         self._report = report
         self._exception = exc
-        with self._lock:
-            pending = [f for f in self._futures.values() if not f.done()]
-        failure = exc or RunCancelled("run finished without this task executing")
-        for fut in pending:
-            fut._fail(failure)
+        # A finished run cannot be cancelled.  Letting go of the
+        # executor here breaks the executor <-> handle cycle, so a
+        # one-shot executor (graph, payload store, lanes) is freed by
+        # reference count, not whenever the cycle collector next runs.
+        self._cancel_callback = None
         self._finished.set()
-
-    def _watch(self, key: TaskKey) -> TaskFuture:
-        with self._lock:
-            fut = self._futures.get(key)
-            if fut is None:
-                fut = self._futures[key] = TaskFuture(key)
-                record = self._records.get(key)
-                if record is not None:
-                    fut._resolve(record)
-                elif self._finished.is_set():
-                    fut._fail(
-                        self._exception
-                        or RunCancelled("run finished without this task executing")
-                    )
-            return fut
-
-    def _record_done(self, key: TaskKey, record: TaskRecord) -> None:
-        with self._lock:
-            self._records[key] = record
-            fut = self._futures.get(key)
-        if fut is not None:
-            fut._resolve(record)
 
     # -- consumer side --------------------------------------------------
 
@@ -147,10 +66,10 @@ class RunHandle:
         """Request cancellation.  Returns ``False`` if the run already
         finished; otherwise workers stop dequeuing tasks and
         :meth:`result` raises :class:`RunCancelled`."""
-        if self._finished.is_set():
+        callback = self._cancel_callback
+        if callback is None or self._finished.is_set():
             return False
-        self._cancel_requested = True
-        self._cancel_callback()
+        callback()
         return True
 
     def exception(self, timeout: float | None = None) -> BaseException | None:
@@ -158,11 +77,6 @@ class RunHandle:
         if not self._finished.wait(timeout):
             raise ExecutionTimeout(f"run still executing after {timeout} s")
         return self._exception
-
-    def future(self, key: TaskKey) -> TaskFuture:
-        """A future resolving when task ``key`` completes.  May be
-        requested before, during, or after the run."""
-        return self._watch(key)
 
     def result(self, timeout: float | None = None) -> "ExecReport":
         """Wait for the run; returns the report or re-raises the first
@@ -187,6 +101,4 @@ __all__ = [
     "ExecutionTimeout",
     "RunCancelled",
     "RunHandle",
-    "TaskFuture",
-    "TaskRecord",
 ]

@@ -16,7 +16,7 @@ Topology and roles
 * the parent builds a full mesh of duplex pipes between the ``procs``
   node processes plus one control pipe per child, forks the children
   (the graph is inherited copy-on-write; only *messages* are pickled),
-  then watches the control pipes from a ``ProcsRunHandle``;
+  then watches the control pipes on behalf of the run's ``RunHandle``;
 * inside each child a :class:`_NodeExecutor` -- a
   :class:`ThreadedExecutor` restricted to the node's own tasks -- runs
   interior tiles on a work-stealing thread pool exactly as the threads
@@ -405,7 +405,7 @@ def _node_main(
             busy = executor._recorder.busy_per_worker()
             stats = {
                 "node": node,
-                "completed": list(executor._completed),
+                "completed": executor._recorder.completed(),
                 "results": executor._store.results,
                 "worker_busy": busy,
                 "steals": executor._steals,
@@ -472,18 +472,6 @@ def _node_main(
 # ---------------------------------------------------------------------------
 # parent side
 # ---------------------------------------------------------------------------
-
-
-class ProcsRunHandle(RunHandle):
-    """Handle on an in-flight multiprocess run.  Per-task futures do
-    not cross address spaces; everything else (wait / cancel / timeout)
-    behaves exactly like the threads backend's handle."""
-
-    def future(self, key):  # noqa: D102 - narrowing the contract
-        raise NotImplementedError(
-            "per-task futures are not available across process boundaries; "
-            "use result()/cancel() on the run handle"
-        )
 
 
 class ProcessExecutor:
@@ -559,7 +547,7 @@ class ProcessExecutor:
         self._started = False
         self._processes: list[mp.Process] = []
         self._ctrl: dict[int, Connection] = {}
-        self._handle: ProcsRunHandle | None = None
+        self._handle: RunHandle | None = None
         self._epoch = 0.0
         self._cancel_at: float | None = None
         self._lock = threading.Lock()
@@ -582,54 +570,14 @@ class ProcessExecutor:
             "procs": self.procs,
         }
 
-    # -- reuse contract (warm pools) -------------------------------------
-
-    def _run_in_flight(self) -> bool:
-        return self._started and not (
-            self._handle is not None and self._handle.done()
-        )
-
-    def reset(self) -> "ProcessExecutor":
-        """Re-arm this executor for another run of the same graph.
-        The node processes themselves are per-run (they inherit the
-        graph via fork at :meth:`start`); what reset restores is the
-        parent-side lifecycle so a pool can hold one executor object
-        per slot.  Raises while a run is still in flight."""
-        if self._run_in_flight():
-            raise RuntimeError(
-                "cannot reset an executor while its run is in flight"
-            )
-        self._started = False
-        self._processes = []
-        self._ctrl = {}
-        self._handle = None
-        self._epoch = 0.0
-        self._cancel_at = None
-        return self
-
-    def is_healthy(self) -> bool:
-        """Whether this executor is usable or running cleanly: every
-        forked node process alive mid-run, every one reaped with a
-        clean outcome after; a failed/cancelled run leaves it
-        unhealthy until :meth:`reset`."""
-        if not self._started:
-            return True
-        handle = self._handle
-        if handle is None or not handle.done():
-            return all(p.is_alive() for p in self._processes)
-        try:
-            return handle.exception(timeout=0) is None
-        except Exception:  # pragma: no cover - defensive
-            return False
-
     # -- public API -----------------------------------------------------
 
-    def start(self) -> ProcsRunHandle:
+    def start(self) -> RunHandle:
         """Fork the node processes; returns immediately with the handle."""
         if self._started:
             raise RuntimeError(
-                "a ProcessExecutor instance runs exactly once per "
-                "reset(); call reset() to re-arm it for another run"
+                "a ProcessExecutor instance runs exactly once; build "
+                "another executor to run the graph again"
             )
         self._started = True
         self.graph.message_plan()  # once, here: the children inherit it
@@ -670,7 +618,7 @@ class ProcessExecutor:
         for _parent_end, child_end in ctrl_pairs:
             child_end.close()
 
-        self._handle = ProcsRunHandle(self._request_cancel)
+        self._handle = RunHandle(self._request_cancel)
         threading.Thread(
             target=self._watch, name="repro-procs-watch", daemon=True
         ).start()
@@ -679,6 +627,14 @@ class ProcessExecutor:
     def run(self, timeout: float | None = None) -> ProcsReport:
         """Start, wait, and return the report (the blocking front door)."""
         return self.start().result(timeout)
+
+    def cancel(self) -> bool:
+        """Stop the run: every node pool is told to unwind (stragglers
+        are terminated after ``JOIN_GRACE``) and the handle's
+        ``result()`` raises :class:`RunCancelled`.  ``False`` before
+        :meth:`start` and once the run has finished."""
+        handle = self._handle
+        return handle is not None and handle.cancel()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -897,7 +853,6 @@ __all__ = [
     "JOIN_GRACE",
     "ProcessExecutor",
     "ProcsReport",
-    "ProcsRunHandle",
     "RECV_LANE",
     "SEND_LANE",
     "default_procs",

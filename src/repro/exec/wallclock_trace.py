@@ -5,9 +5,13 @@ The recorder collects per-worker span tuples with
 so recording is contention-free) and converts them into the existing
 :class:`repro.runtime.trace.Trace` schema.  Downstream consumers --
 :mod:`repro.analysis.occupancy`, :mod:`repro.analysis.gantt`,
-:mod:`repro.runtime.chrome_trace` -- therefore work unchanged on real
-runs: a measured trace is just a trace whose seconds happen to be
-wall-clock seconds.
+:mod:`repro.obs.export` -- therefore work unchanged on real runs: a
+measured trace is just a trace whose seconds happen to be wall-clock
+seconds.
+
+The lane tuple is also the *only* per-task record a worker writes:
+which tasks completed, how many of each kind and how long each worker
+was busy are folds of the lanes, taken once at report time.
 
 Convention: the shared-memory host is trace node ``0`` and every
 worker thread is a worker lane on it; the task's *simulated* node
@@ -17,6 +21,7 @@ placement stays visible through the span label (the task key).
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 from ..obs.export import build_trace
 from ..runtime.trace import Trace
@@ -74,6 +79,15 @@ class WallClockRecorder:
             for wid, lane in enumerate(self._lanes)
             for kind, start, end, label, task_id in lane
         )
+
+    def completed(self) -> list:
+        """Task id of every recorded span (a worker records a task
+        exactly once, after it published)."""
+        return [tid for lane in self._lanes for _k, _s, _e, _l, tid in lane]
+
+    def kind_counts(self) -> Counter:
+        """Recorded spans per task kind."""
+        return Counter(span[0] for lane in self._lanes for span in lane)
 
     def busy_per_worker(self) -> dict[int, float]:
         """Total busy seconds per worker lane."""

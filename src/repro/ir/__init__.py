@@ -22,7 +22,6 @@ from .pipeline import (
     PASSES,
     PassManager,
     canonical_pipeline,
-    parse_pass,
     parse_pipeline,
     pipeline_spec,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "canonical_pipeline",
     "expand_inputs",
     "pack_payload",
-    "parse_pass",
     "parse_pipeline",
     "pipeline_spec",
     "terminal_outputs",

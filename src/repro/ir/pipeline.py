@@ -41,14 +41,6 @@ PASSES: dict[str, type[GraphPass]] = {
 # -- spec parsing ---------------------------------------------------------
 
 
-def parse_pass(spec: str) -> GraphPass:
-    """One ``name[:key=value,...]`` spec to a configured pass."""
-    passes = parse_pipeline(spec)
-    if len(passes) != 1:
-        raise PassError(f"expected one pass spec, got {spec!r}")
-    return passes[0]
-
-
 def parse_pipeline(spec: str | Iterable[str | GraphPass] | None) -> list[GraphPass]:
     """A pipeline spec (string, or a list of specs/instances) to a
     pass list.  ``None``/empty yields an empty pipeline."""

@@ -6,8 +6,7 @@ clock, the threads pool's wall clock, the procs mesh's merged lanes),
 so every export lives here, once:
 
 * **Chrome/Perfetto trace events** -- the interactive Fig.-10 viewer
-  (formerly duplicated in ``runtime/chrome_trace.py``, which is now a
-  thin alias of this module);
+  (:func:`to_events` / :func:`dumps` / :func:`write`);
 * **JSON lines** -- one span or one metric sample per line, the
   append-friendly form log pipelines want;
 * **OTel-style spans** -- an OpenTelemetry-compatible JSON document

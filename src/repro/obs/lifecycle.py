@@ -40,7 +40,6 @@ task spans under the request's ``execute`` span;
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 import time
@@ -50,6 +49,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from ..core.store import atomic_write
+from .export import _span_id
 from .metrics import MetricRegistry
 
 #: The span taxonomy, in the order a request normally traverses it.
@@ -70,20 +70,16 @@ SERVICE_PID = 9990
 POSTMORTEM_KIND = "repro-postmortem"
 
 
-def _hash(payload: str, nbytes: int) -> str:
-    return hashlib.sha256(payload.encode()).hexdigest()[: 2 * nbytes]
-
-
 def request_trace_id(signature: str, seq: int) -> str:
     """Deterministic 16-byte trace id of one admitted request: the
     solve signature plus the service-local admission ordinal, so a
     replayed workload reproduces its trace ids exactly."""
-    return _hash(f"{signature}:{seq}", 16)
+    return _span_id(f"{signature}:{seq}", 16)
 
 
 def root_span_id(trace_id: str) -> str:
     """Span id of the implicit ``request`` root span of a trace."""
-    return _hash(f"{trace_id}:request", 8)
+    return _span_id(f"{trace_id}:request", 8)
 
 
 def span_id_for(trace_id: str, origin: str, name: str, index: int) -> str:
@@ -91,7 +87,7 @@ def span_id_for(trace_id: str, origin: str, name: str, index: int) -> str:
     component (service loop vs a named worker -- disjoint counters
     cannot collide), the span kind, and that component's per-trace
     ordinal."""
-    return _hash(f"{trace_id}:{origin}:{name}:{index}", 8)
+    return _span_id(f"{trace_id}:{origin}:{name}:{index}", 8)
 
 
 @dataclass

@@ -370,7 +370,7 @@ def format_serve_summary(snapshot: MetricsSnapshot) -> str:
     warm = snapshot.counter("serve_pool_warm_starts_total")
     cold = snapshot.counter("serve_pool_cold_starts_total")
     if warm or cold:
-        row("executor starts", f"{warm:.0f} warm / {cold:.0f} cold")
+        row("worker starts", f"{warm:.0f} warm / {cold:.0f} cold")
     replaced = snapshot.counter("serve_pool_replaced_total")
     retired = snapshot.counter("serve_pool_retired_total")
     if replaced or retired:

@@ -17,7 +17,7 @@ Layers:
 * :mod:`~repro.runtime.trace` -- PaRSEC-profiling-style trace capture.
 """
 
-from . import chrome_trace, dot
+from . import dot
 from .dtd import IN, INOUT, OUT, DataHandle, DTDRuntime
 from .engine import Engine, EngineReport, KernelError
 from .graph import GraphError, TaskGraph
@@ -29,7 +29,6 @@ from .trace import KindStats, Span, Trace, idle_fraction_timeline, kind_statisti
 
 __all__ = [
     "DTDRuntime",
-    "chrome_trace",
     "dot",
     "DataHandle",
     "Dependency",

@@ -1,12 +1,13 @@
 """``repro.serve``: a persistent stencil-solver service.
 
-Instead of paying graph construction, pool spin-up and executor
-tear-down per ``run()`` call, a :class:`SolverService` keeps warm
-executor pools alive across jobs, batches compatible small solves
-into single submissions, admits work through a bounded multi-tenant
-queue, and serves repeated requests straight from a content-keyed
-result cache -- with every stage instrumented through
-:mod:`repro.obs`.
+Instead of paying imports, worker spin-up (a fork, on the
+``processes`` pool) and tear-down per ``run()`` call, a
+:class:`SolverService` keeps warm workers alive across jobs (each
+request still builds its own graph and one-shot executor), batches
+compatible small solves into single submissions, admits work through
+a bounded multi-tenant queue, and serves repeated requests straight
+from a content-keyed result cache -- with every stage instrumented
+through :mod:`repro.obs`.
 
 Quick start::
 
@@ -22,7 +23,7 @@ See ``docs/serving.md`` for the architecture and the ops runbook.
 from .batch import Batch, BatchCollector
 from .cache import ResultCache, default_cache_dir
 from .client import SolverClient
-from .pool import WarmSlot, WorkerPool, execute_request
+from .pool import WorkerPool, execute_request
 from .queue import Job, JobQueue
 from .request import (
     DeadlineExpired,
@@ -53,7 +54,6 @@ __all__ = [
     "SolveRequest",
     "SolverClient",
     "SolverService",
-    "WarmSlot",
     "WorkerDied",
     "WorkerPool",
     "default_cache_dir",

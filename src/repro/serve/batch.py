@@ -1,14 +1,16 @@
 """Batching window: fuse compatible small solves into one submission.
 
-Small solves are dominated by dispatch overhead (graph hand-off, pool
-wake-up, executor arming), so the dispatcher does not take jobs one
+Small solves are dominated by dispatch overhead (queue hand-off, pool
+wake-up, a pipe round-trip), so the dispatcher does not take jobs one
 by one: after dequeuing a *leader* it holds a short window open and
 pulls every queued job of the same tenant whose
 :meth:`~repro.serve.request.SolveRequest.batch_key` matches -- same
 machine model, implementation, grid extents, tile shape and execution
 config -- up to ``max_batch``.  The whole batch rides one pool
-submission and executes back-to-back on one warm worker, which is
-where the warm-start reuse pays off.
+submission and executes back-to-back on one worker.  What that buys
+is the dedup below and, on ``pool="processes"``, one pipe round-trip
+for the batch instead of one per job; every job still builds its own
+graph and one-shot executor.
 
 Within a batch, jobs with *equal signatures* are deduplicated: the
 group's leader is solved once and every duplicate's future resolves

@@ -1,37 +1,40 @@
-"""Warm executor pools: reusable solve capacity surviving across jobs.
+"""Warm worker pools: solve capacity that survives across jobs.
+
+What a pool keeps between requests is the *worker*, never an executor
+(an executor is built for one graph and runs once): a request is
+``warm`` when the worker that ran it had already executed one.
 
 Two pool kinds, one contract:
 
-* ``"threads"`` -- each worker is an in-process :class:`WarmSlot`
-  holding a :class:`~repro.exec.executor.ThreadedExecutor` that is
-  re-armed with :meth:`~repro.exec.executor.ThreadedExecutor.reset`
-  between jobs instead of being reconstructed (the warm start the
-  bench measures).  Concurrency comes from the service's runner
-  threads; the pool hands out slots.
+* ``"threads"`` -- each worker is an in-process object; concurrency
+  comes from the service's runner threads and the pool hands workers
+  out.  Warm here means only that the worker has run a request in
+  this process before (lazy imports done, allocator arenas grown).
 * ``"processes"`` -- each worker is a persistent forked child with a
   duplex pipe, in the style of Parsl's HTEX interchange loop: the
-  parent ships a pickled batch of requests, the child solves them on
-  its own warm slot and ships back reduced outcomes plus a metrics
-  snapshot the parent merges (counter exactness across the process
-  boundary, same scheme the procs backend uses).  Children survive
-  across batches; a dead child is detected at acquire/release and
-  replaced.
+  parent ships a pickled batch of requests, the child solves them and
+  ships back reduced outcomes plus a metrics snapshot the parent
+  merges (counter exactness across the process boundary, same scheme
+  the procs backend uses).  Children survive across batches, which is
+  what a warm child saves: the fork, its imports and its allocator
+  state.  A dead child is detected at acquire/release and replaced.
 
 Shared lifecycle: ``acquire`` health-checks and replaces dead
 workers, ``release`` returns them to the idle list, ``reap_idle``
 retires workers idle beyond the timeout down to ``min_workers``
 (called from the service's reaper loop), ``shutdown`` closes
 everything.  All pool metrics are bumped inside the pool lock;
-slot-level warm/cold counters go into the per-batch registry the
+worker-level warm/cold counters go into the per-batch registry the
 executing worker owns (single-writer discipline throughout).
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
 import threading
 import time
-from typing import Callable
+from typing import Callable, Iterator
 
 from ..obs.lifecycle import SpanLog
 from .request import (
@@ -50,83 +53,8 @@ from .request import (
 WorkItem = tuple[int, SolveRequest, float | None, str | None]
 
 
-class WarmSlot:
-    """Per-worker reusable executor state, plugged into
-    :func:`repro.core.runner.run` via its ``executor_factory`` hook.
-
-    Threads-backend runs reuse one :class:`ThreadedExecutor` instance
-    across jobs (``reset()`` re-arms it; an unhealthy survivor of a
-    failed/cancelled run is replaced).  Processes-backend runs always
-    construct cold: the node processes are per-run by design, so
-    there is nothing to keep warm below the serve pool itself.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._executor = None
-        self.last_was_warm = False
-        self.warm_starts = 0
-        self.cold_starts = 0
-
-    def factory(
-        self,
-        graph,
-        backend: str = "threads",
-        jobs: int | None = None,
-        procs: int | None = None,
-        policy: str = "priority",
-        trace: bool = False,
-        metrics=None,
-    ):
-        self.last_was_warm = False
-        if backend == "threads":
-            from ..exec.executor import ThreadedExecutor, default_jobs
-
-            ex = self._executor
-            reusable = (
-                ex is not None
-                and ex.is_healthy()
-                and not ex._run_in_flight()
-            )
-            if reusable:
-                # reset() rebuilds all per-run state from these attrs.
-                ex.jobs = jobs if jobs is not None else default_jobs()
-                ex.policy = policy.lower()
-                ex.want_trace = trace
-                ex.metrics = metrics
-                ex.reset(graph)
-                self.last_was_warm = True
-                self.warm_starts += 1
-            else:
-                if ex is not None:
-                    self._executor = None  # unhealthy survivor dropped
-                ex = ThreadedExecutor(
-                    graph, jobs=jobs, policy=policy, trace=trace,
-                    metrics=metrics,
-                )
-                self._executor = ex
-                self.cold_starts += 1
-        else:
-            from ..exec.procs import ProcessExecutor
-
-            ex = ProcessExecutor(
-                graph, procs=procs, jobs=jobs, policy=policy, trace=trace,
-                metrics=metrics,
-            )
-            self.cold_starts += 1
-        if metrics is not None:
-            # The executing worker owns this registry for the batch.
-            kind = "warm" if self.last_was_warm else "cold"
-            metrics.counter(
-                f"serve_pool_{kind}_starts_total",
-                f"executor {kind} starts", "starts",
-            ).inc(slot=self.name)
-        return ex
-
-
 def execute_request(
     request: SolveRequest,
-    slot: WarmSlot | None = None,
     metrics=None,
     on_executor: Callable | None = None,
     checkpoint_dir=None,
@@ -139,12 +67,12 @@ def execute_request(
     :class:`~repro.serve.request.SolveOutcome`.
 
     Serving always runs ``mode="execute"`` (the request's config says
-    so) -- the product is the solution grid.  The warm ``slot`` is threaded through the runner's
-    ``executor_factory`` hook for the real backends; the simulator
-    builds no pool, so sim requests skip it.
+    so) -- the product is the solution grid.  The outcome reports
+    ``warm=False``: warmth is a fact about the pool worker a request
+    ran on, which :func:`_run_items` fills in.
 
     A request carrying a ``chaos_plan`` takes the resumable path
-    instead: one cold attempt under the plan, restarting from the
+    instead: one attempt under the plan, restarting from the
     signature's latest checkpoint under ``checkpoint_dir`` if an
     earlier attempt died (the service's retry budget drives the
     re-submission; this function never loops).
@@ -167,13 +95,10 @@ def execute_request(
         )
 
     config = request.config.replace(trace=want_trace)
-    factory = None
-    if slot is not None and config.backend != "sim":
-        factory = slot.factory
     t0 = time.monotonic()
     result = run(
         request.problem, request.machine, metrics=metrics,
-        on_executor=on_executor, executor_factory=factory, **config.knobs(),
+        on_executor=on_executor, **config.knobs(),
     )
     if (
         lifecycle is not None and trace_id is not None
@@ -192,26 +117,29 @@ def execute_request(
         result,
         signature=request.signature(),
         tenant=request.tenant,
-        warm=slot.last_was_warm if slot is not None else False,
         trace_id=trace_id,
         keep_trace=want_trace,
     )
 
 
-def _run_items(items: list[WorkItem], slot: WarmSlot, capture=None,
-               checkpoint_dir=None, origin: str = "worker",
-               want_trace: bool = False):
-    """Shared worker loop: solve each item on ``slot``, honouring
-    per-item deadlines, into ``(status, payload)`` pairs plus the
-    batch's metrics snapshot and its lifecycle spans (an ``execute``
-    span per traced item, parenting any ``ir_passes``/``recover``
-    children the run recorded).  Items may be 3-tuples (untraced) or
-    4-tuples carrying the request's trace id."""
+def _run_items(items: list[WorkItem], name: str, served: Iterator[int],
+               capture=None, checkpoint_dir=None, want_trace: bool = False):
+    """Shared worker loop: solve each item on worker ``name``,
+    honouring per-item deadlines, into ``(status, payload)`` pairs
+    plus the batch's metrics snapshot and its lifecycle spans (an
+    ``execute`` span per traced item, parenting any
+    ``ir_passes``/``recover`` children the run recorded).  Items may
+    be 3-tuples (untraced) or 4-tuples carrying the request's trace id.
+
+    ``served`` is the worker's own ``itertools.count()``: it yields how
+    many requests the worker executed before this one, so a request is
+    ``warm`` exactly when its worker had already run one -- whatever
+    the backend, chaos requests included."""
     from ..exec.futures import RunCancelled
     from ..obs.metrics import MetricRegistry
 
     reg = MetricRegistry()
-    log = SpanLog(origin=origin)
+    log = SpanLog(origin=name)
     out: list[tuple[str, object]] = []
     for item in items:
         seq, request, deadline = item[:3]
@@ -225,19 +153,26 @@ def _run_items(items: list[WorkItem], slot: WarmSlot, capture=None,
             log.allocate(trace_id, "execute")
             if trace_id is not None else None
         )
+        warm = next(served) > 0
+        start_kind = "warm" if warm else "cold"
+        reg.counter(
+            f"serve_pool_{start_kind}_starts_total",
+            f"requests executed on a {start_kind} pool worker", "starts",
+        ).inc(slot=name)
         t0 = time.monotonic()
         status, error = "ok", None
         try:
             if capture is not None:
                 capture.arm(seq)
             outcome = execute_request(
-                request, slot=slot, metrics=reg,
+                request, metrics=reg,
                 on_executor=capture.seen if capture is not None else None,
                 checkpoint_dir=checkpoint_dir,
                 lifecycle=log if trace_id is not None else None,
                 trace_id=trace_id, parent_span_id=exec_id,
                 want_trace=want_trace,
             )
+            outcome.warm = warm
             out.append(("ok", outcome))
         except RunCancelled:
             status, error = "expired", "cancelled at deadline"
@@ -251,8 +186,7 @@ def _run_items(items: list[WorkItem], slot: WarmSlot, capture=None,
             if capture is not None:
                 capture.disarm()
         if trace_id is not None:
-            attrs = {"seq": seq, "worker": slot.name,
-                     "warm": slot.last_was_warm}
+            attrs = {"seq": seq, "worker": name, "warm": warm}
             if error is not None:
                 attrs["error"] = error
             log.span(
@@ -288,23 +222,16 @@ class _CancelScope:
 
     def cancel(self, seq: int | None = None) -> bool:
         """Cancel the current run if it is (or ``seq`` is None) the
-        targeted job.  Races benignly with run start: the reaper
-        retries on its next tick once the handle exists."""
+        targeted job.  Races benignly with run start: an executor
+        that has not started yet answers ``False`` and the reaper
+        retries on its next tick."""
         with self._lock:
             if seq is not None and seq != self._seq:
                 return False
             ex = self._executor
-        if ex is None:
-            return False
-        handle = getattr(ex, "_handle", None)
-        if handle is not None:
-            handle.cancel()
-            return True
-        request_cancel = getattr(ex, "_request_cancel", None)
-        if request_cancel is not None:
-            request_cancel()
-            return True
-        return False
+        # The sim Engine has no cancel(); neither has "no executor yet".
+        cancel = getattr(ex, "cancel", None)
+        return cancel() if cancel is not None else False
 
 
 class InProcessWorker:
@@ -315,8 +242,8 @@ class InProcessWorker:
     def __init__(self, name: str, checkpoint_dir=None,
                  want_trace: bool = False) -> None:
         self.name = name
-        self.slot = WarmSlot(name)
         self.idle_since = time.monotonic()
+        self._served = itertools.count()
         self._scope = _CancelScope()
         self._checkpoint_dir = checkpoint_dir
         self._want_trace = want_trace
@@ -325,25 +252,26 @@ class InProcessWorker:
         return True
 
     def run_batch(self, items: list[WorkItem]):
-        return _run_items(items, self.slot, capture=self._scope,
+        return _run_items(items, self.name, self._served,
+                          capture=self._scope,
                           checkpoint_dir=self._checkpoint_dir,
-                          origin=self.name, want_trace=self._want_trace)
+                          want_trace=self._want_trace)
 
     def cancel(self, seq: int | None = None) -> bool:
         return self._scope.cancel(seq)
 
     def close(self) -> None:
-        self.slot._executor = None  # free the warm executor's memory
+        """Nothing to release: executors live for one request."""
 
 
 def _pool_child_main(conn, name: str, checkpoint_dir=None,
                      want_trace: bool = False) -> None:
     """Entry point of one persistent forked child: loop on the pipe,
-    solve batches on a child-local warm slot, ship reduced outcomes,
-    the batch's metrics snapshot and its lifecycle spans back.  Span
-    timestamps need no adjustment: ``time.monotonic`` is
-    CLOCK_MONOTONIC, shared with the forking parent on Linux."""
-    slot = WarmSlot(name)
+    solve batches, ship reduced outcomes, the batch's metrics snapshot
+    and its lifecycle spans back.  Span timestamps need no adjustment:
+    ``time.monotonic`` is CLOCK_MONOTONIC, shared with the forking
+    parent on Linux."""
+    served = itertools.count()
     while True:
         try:
             msg = conn.recv()
@@ -365,7 +293,7 @@ def _pool_child_main(conn, name: str, checkpoint_dir=None,
                 trace_id,
             ))
         results, snapshot, spans = _run_items(
-            local, slot, checkpoint_dir=checkpoint_dir, origin=name,
+            local, name, served, checkpoint_dir=checkpoint_dir,
             want_trace=want_trace,
         )
         try:
@@ -619,7 +547,6 @@ class WorkerPool:
 __all__ = [
     "InProcessWorker",
     "ProcessWorker",
-    "WarmSlot",
     "WorkerPool",
     "WorkItem",
     "execute_request",

@@ -242,7 +242,8 @@ class SolveOutcome:
     tenant: str = "default"
     #: Served straight from the result cache (no tasks executed).
     cached: bool = False
-    #: Executed on a warm (reset-reused) executor rather than a cold one.
+    #: Executed by a pool worker that had already run a request (its
+    #: process state -- imports, allocator, a forked child -- was warm).
     warm: bool = False
     #: Resumed from a checkpoint left by a failed earlier attempt.
     recovered: bool = False

@@ -56,7 +56,7 @@ from .request import (
 class ServiceConfig:
     """Every serving knob in one place (the CLI mirrors these)."""
 
-    #: pool kind: "threads" (warm in-process slots) or "processes"
+    #: pool kind: "threads" (in-process workers) or "processes"
     #: (persistent forked children)
     pool: str = "threads"
     #: concurrent batches in flight (= runner threads = pool capacity)

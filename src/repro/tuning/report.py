@@ -83,23 +83,3 @@ def format_tuning_report(result: TuningResult, limit: int = 12) -> str:
     return "\n".join(lines)
 
 
-def predicted_vs_measured_rows(result: TuningResult) -> list[tuple]:
-    """Model error per refined candidate (run minus prediction)."""
-    predicted = {p.candidate: p for p in result.predictions}
-    rows = []
-    for trial in result.trials:
-        pred = predicted.get(trial.candidate)
-        if not trial.ok or pred is None or pred.gflops <= 0:
-            continue
-        rows.append((
-            trial.candidate.label(), trial.backend, trial.fidelity,
-            pred.gflops, trial.gflops,
-            f"{100 * (trial.gflops - pred.gflops) / pred.gflops:+.1f}%",
-        ))
-    return rows
-
-
-PREDICTED_HEADERS = (
-    "candidate", "backend", "iters", "predicted GFLOP/s",
-    "run GFLOP/s", "delta",
-)

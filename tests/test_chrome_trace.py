@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.runtime import chrome_trace
+from repro.obs import export
 from repro.runtime.trace import Trace
 
 
@@ -17,7 +17,7 @@ def sample_trace():
 
 
 def test_events_complete_and_typed():
-    events = chrome_trace.to_events(sample_trace())
+    events = export.to_events(sample_trace())
     spans = [e for e in events if e["ph"] == "X"]
     assert len(spans) == 3
     interior = next(e for e in spans if e["name"] == "interior")
@@ -29,7 +29,7 @@ def test_events_complete_and_typed():
 
 
 def test_metadata_names_processes_and_threads():
-    events = chrome_trace.to_events(sample_trace())
+    events = export.to_events(sample_trace())
     meta = [e for e in events if e["ph"] == "M"]
     thread_names = {(e["pid"], e["tid"]): e["args"]["name"]
                     for e in meta if e["name"] == "thread_name"}
@@ -40,22 +40,22 @@ def test_metadata_names_processes_and_threads():
 
 
 def test_time_scale():
-    base = chrome_trace.to_events(sample_trace())
-    scaled = chrome_trace.to_events(sample_trace(), time_scale=10.0)
+    base = export.to_events(sample_trace())
+    scaled = export.to_events(sample_trace(), time_scale=10.0)
     b = next(e for e in base if e.get("name") == "boundary")
     s = next(e for e in scaled if e.get("name") == "boundary")
     assert s["dur"] == pytest.approx(10 * b["dur"])
     with pytest.raises(ValueError):
-        chrome_trace.to_events(sample_trace(), time_scale=0)
+        export.to_events(sample_trace(), time_scale=0)
 
 
 def test_dumps_and_write_roundtrip(tmp_path):
     path = tmp_path / "trace.json"
-    chrome_trace.write(sample_trace(), str(path))
+    export.write(sample_trace(), str(path))
     doc = json.loads(path.read_text())
     assert doc["displayTimeUnit"] == "ms"
     assert any(e.get("name") == "interior" for e in doc["traceEvents"])
-    assert json.loads(chrome_trace.dumps(sample_trace())) == doc
+    assert json.loads(export.dumps(sample_trace())) == doc
 
 
 def test_engine_trace_exports(machine4, small_problem):
@@ -63,6 +63,6 @@ def test_engine_trace_exports(machine4, small_problem):
 
     res = run(small_problem, impl="ca-parsec", machine=machine4, tile=6,
               steps=3, mode="simulate", trace=True)
-    doc = json.loads(chrome_trace.dumps(res.trace))
+    doc = json.loads(export.dumps(res.trace))
     kinds = {e.get("name") for e in doc["traceEvents"] if e["ph"] == "X"}
     assert {"interior", "boundary", "init", "send", "recv"} <= kinds

@@ -123,7 +123,7 @@ def test_submit_repeat_hits_disk_cache(tmp_path, capsys):
             "--cache-dir", str(tmp_path)]
     assert main(args) == 0
     first = capsys.readouterr().out
-    assert "served by      cold executor" in first
+    assert "served by      cold worker" in first
     assert main(args) == 0
     second = capsys.readouterr().out
     assert "served by      result cache" in second
@@ -138,7 +138,7 @@ def test_submit_no_cache_always_executes(tmp_path, capsys):
             "--no-cache"]
     assert main(args) == 0
     out = capsys.readouterr().out
-    assert "served by      cold executor" in out
+    assert "served by      cold worker" in out
 
 
 def test_stats_section_serve_writes_and_checks_baseline(tmp_path, capsys):

@@ -1,10 +1,12 @@
-"""Unit tests of the threaded executor: pool mechanics, futures,
-cancellation, error propagation and policy plumbing."""
+"""Unit tests of the threaded executor: pool mechanics, the run
+handle, cancellation, error propagation and policy plumbing."""
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -17,9 +19,16 @@ from repro.exec import (
     execute,
     make_work_queues,
 )
+from repro.obs import MetricRegistry
 from repro.runtime.engine import KernelError
 from repro.runtime.graph import TaskGraph
 from repro.runtime.task import Flow, Task
+
+from .conftest import (
+    assert_report_folds_match_graph,
+    join_all,
+    small_stencil_graph,
+)
 
 
 def diamond_graph(results: list | None = None) -> TaskGraph:
@@ -71,6 +80,16 @@ def test_diamond_runs_and_routes_payloads(jobs, policy):
     assert report.results[("d", "w")] == 7.0
     assert report.jobs == jobs
     assert report.elapsed > 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+@pytest.mark.parametrize("policy", sorted(EXEC_POLICIES))
+@pytest.mark.parametrize("make_graph",
+                         [diamond_graph, chain_graph, small_stencil_graph])
+def test_report_tallies_are_folds_of_the_lanes(make_graph, policy, jobs):
+    graph = make_graph()
+    report = execute(graph, jobs=jobs, policy=policy, metrics=MetricRegistry())
+    assert_report_folds_match_graph(graph, report)
 
 
 def test_dependency_order_respected():
@@ -135,16 +154,24 @@ def test_executor_is_single_shot():
         ex.start()
 
 
-def test_task_future_resolves_with_record():
-    ex = ThreadedExecutor(diamond_graph(), jobs=2)
-    handle = ex.start()
-    record = handle.future("d").result(timeout=30)
-    assert record.key == "d" and record.kind == "task"
-    assert record.end >= record.start >= 0
-    report = handle.result(timeout=30)
-    assert handle.done() and not handle.running()
-    assert handle.exception() is None
-    assert report.tasks_run == 4
+def test_finished_executor_is_freed_without_the_cycle_collector():
+    """Executors are one per run, so a finished one must not wait for
+    the cycle collector: the handle lets go of it when the run ends."""
+    gc.disable()
+    try:
+        ex = ThreadedExecutor(diamond_graph(), jobs=2)
+        handle = ex.start()
+        handle.result(timeout=30)
+        # (the thread that finished the handle holds the executor
+        # until it returns)
+        assert join_all(t for t in threading.enumerate()
+                        if t.name == "repro-exec-join") == []
+        gone = weakref.ref(ex)
+        del ex
+        assert gone() is None
+        assert handle.cancel() is False and handle.done()
+    finally:
+        gc.enable()
 
 
 def test_result_timeout_without_cancel():
@@ -163,6 +190,8 @@ def test_result_timeout_without_cancel():
     gate.set()
     report = handle.result(timeout=30)
     assert report.tasks_run == 1
+    assert handle.done() and not handle.running()
+    assert handle.exception() is None
 
 
 def test_cancel_stops_remaining_work():
@@ -181,17 +210,16 @@ def test_cancel_stops_remaining_work():
     g.add(Task("first", node=0, kernel=first, out_nbytes={"v": 8}))
     g.add(Task("second", node=0, inputs=(Flow("first", "v", 8),), kernel=never,
                out_nbytes={}))
-    handle = ThreadedExecutor(g, jobs=1).start()
+    ex = ThreadedExecutor(g, jobs=1)
+    assert ex.cancel() is False  # not started: nothing to stop yet
+    handle = ex.start()
     started.wait(30)
-    assert handle.cancel()
+    assert ex.cancel()  # the public stop a non-owner (the pool) uses
     release.set()
     with pytest.raises(RunCancelled):
         handle.result(timeout=30)
     assert isinstance(handle.exception(), RunCancelled)
-    # The pending task's future fails rather than hanging forever.
-    with pytest.raises(RunCancelled):
-        handle.future("second").result(timeout=30)
-    assert handle.cancel() is False  # already finished
+    assert handle.cancel() is False and ex.cancel() is False  # finished
 
 
 def test_outputs_published_read_only():

@@ -12,7 +12,7 @@ from repro.analysis.occupancy import occupancy_report
 from repro.core.runner import run
 from repro.exec.wallclock_trace import HOST_NODE, WallClockRecorder
 from repro.machine.machine import nacl
-from repro.runtime import chrome_trace
+from repro.obs import export
 from repro.runtime.trace import Trace
 from tests.conftest import random_problem
 
@@ -55,7 +55,7 @@ def test_chrome_trace_valid_perfetto_json(tmp_path, threads_result):
     """The exported document must load as Perfetto-style trace-event
     JSON with non-overlapping complete events per (pid, tid) lane."""
     path = tmp_path / "threads.json"
-    chrome_trace.write(threads_result.trace, str(path))
+    export.write(threads_result.trace, str(path))
     doc = json.loads(path.read_text())
 
     events = doc["traceEvents"]

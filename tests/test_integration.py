@@ -8,7 +8,7 @@ import repro
 from repro.analysis import csvio, format_table, render_gantt
 from repro.core.verify import verify_schedule
 from repro.experiments.sweeper import Sweep, best
-from repro.runtime import chrome_trace
+from repro.obs import export
 from repro.core.spec import ca_plan
 from repro.ir import PassContext, PassManager
 
@@ -39,7 +39,7 @@ def test_trace_pipeline_gantt_and_chrome(tmp_path, machine4):
     gantt = render_gantt(res.trace, node=0, width=60)
     assert " w" in gantt and "comm" in gantt
     path = tmp_path / "trace.json"
-    chrome_trace.write(res.trace, str(path))
+    export.write(res.trace, str(path))
     doc = json.loads(path.read_text())
     span_count = sum(1 for e in doc["traceEvents"] if e["ph"] == "X")
     assert span_count == len(res.trace)

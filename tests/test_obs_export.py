@@ -20,7 +20,6 @@ from repro.obs.export import (
     spans_jsonl,
     to_otel,
 )
-from repro.runtime import chrome_trace
 from repro.runtime.trace import Trace
 
 
@@ -37,15 +36,6 @@ def test_build_trace_sorts_by_start():
     trace = _trace()
     assert [s.start for s in trace.spans] == [0.0, 0.5, 1.0, 1.1]
     assert trace.makespan() == pytest.approx(1.3)
-
-
-def test_chrome_trace_module_is_an_alias():
-    # the old import path keeps working and produces the same events
-    assert chrome_trace.to_events is not None
-    events = chrome_trace.to_events(_trace())
-    assert any(e.get("ph") == "X" for e in events)
-    doc = json.loads(chrome_trace.dumps(_trace()))
-    assert doc["traceEvents"]
 
 
 def test_otel_document_shape_and_determinism():

@@ -5,6 +5,7 @@ load with no orphan worker processes, and argument validation."""
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import numpy as np
@@ -19,9 +20,16 @@ from repro.exec import (
     fork_available,
 )
 from repro.exec.procs import default_procs
+from repro.obs import MetricRegistry
 from repro.runtime.engine import KernelError
 from repro.runtime.graph import TaskGraph
 from repro.runtime.task import Flow, Task
+
+from .conftest import (
+    assert_report_folds_match_graph,
+    join_all,
+    small_stencil_graph,
+)
 
 pytestmark = [
     pytest.mark.skipif(not fork_available(), reason="needs POSIX fork"),
@@ -49,11 +57,15 @@ def cross_diamond() -> TaskGraph:
     return g
 
 
-def cross_chain(n: int = 12, nodes: int = 2, delay: float = 0.0) -> TaskGraph:
-    """A chain that ping-pongs between nodes every task."""
+def cross_chain(n: int = 12, nodes: int = 2, delay: float = 0.0,
+                started=None) -> TaskGraph:
+    """A chain that ping-pongs between nodes every task; ``started``
+    (a ``multiprocessing.Event``) is set once a kernel is running."""
 
     def make():
         def k(inputs, task):
+            if started is not None:
+                started.set()
             if delay:
                 time.sleep(delay)
             return {"v": sum(v for v in inputs.values() if v is not None) + 1.0}
@@ -70,12 +82,8 @@ def cross_chain(n: int = 12, nodes: int = 2, delay: float = 0.0) -> TaskGraph:
 
 def assert_no_orphans(ex: ProcessExecutor) -> None:
     """Every node process must be dead once the handle resolved."""
-    deadline = time.monotonic() + 10
-    while any(p.is_alive() for p in ex.processes):
-        if time.monotonic() > deadline:
-            alive = [p.name for p in ex.processes if p.is_alive()]
-            pytest.fail(f"orphan node processes survived the run: {alive}")
-        time.sleep(0.05)
+    alive = join_all(ex.processes)
+    assert alive == [], f"orphan node processes survived the run: {alive}"
 
 
 # -- happy path ---------------------------------------------------------
@@ -95,6 +103,15 @@ def test_cross_process_diamond_routes_payloads():
     assert report.by_pair == {(0, 1): (2, 16)}
     assert report.procs == 2 and report.jobs == 1
     assert report.local_edges == 2
+
+
+@pytest.mark.parametrize("make_graph",
+                         [cross_diamond, cross_chain, small_stencil_graph])
+def test_report_tallies_are_folds_of_the_lanes(make_graph):
+    """Each child folds its own lanes; merged, they are the graph."""
+    graph = make_graph()
+    report = execute_procs(graph, procs=2, jobs=1, metrics=MetricRegistry())
+    assert_report_folds_match_graph(graph, report)
 
 
 def test_matches_threads_backend_results():
@@ -180,12 +197,16 @@ def test_silent_child_death_is_reported():
 
 
 def test_cancel_under_load_leaves_no_orphans():
-    ex = ProcessExecutor(cross_chain(400, delay=0.05), procs=2, jobs=1)
+    started = multiprocessing.get_context("fork").Event()
+    ex = ProcessExecutor(cross_chain(400, delay=0.05, started=started),
+                         procs=2, jobs=1)
+    assert ex.cancel() is False  # not started: nothing to stop yet
     handle = ex.start()
-    time.sleep(0.3)  # let the pipeline get going
-    assert handle.cancel()
+    assert started.wait(60)  # the pipeline got going
+    assert ex.cancel()
     with pytest.raises(RunCancelled):
         handle.result(timeout=60)
+    assert ex.cancel() is False  # finished
     assert_no_orphans(ex)
 
 
@@ -207,7 +228,10 @@ def test_stuck_kernel_is_forcibly_terminated(monkeypatch):
     not keep the run handle or the process alive forever."""
     monkeypatch.setattr("repro.exec.procs.JOIN_GRACE", 1.0)
 
+    started = multiprocessing.get_context("fork").Event()
+
     def stuck(inputs, task):
+        started.set()
         time.sleep(120)
         return {}
 
@@ -215,7 +239,7 @@ def test_stuck_kernel_is_forcibly_terminated(monkeypatch):
     g.add(Task("stuck", node=0, kernel=stuck, out_nbytes={}))
     ex = ProcessExecutor(g, procs=1, jobs=1)
     handle = ex.start()
-    time.sleep(0.2)
+    assert started.wait(60)
     handle.cancel()
     with pytest.raises(RunCancelled):
         handle.result(timeout=30)
@@ -256,15 +280,6 @@ def test_executor_is_single_shot():
     ex.run()
     with pytest.raises(RuntimeError, match="exactly once"):
         ex.start()
-
-
-def test_per_task_futures_unavailable_across_processes():
-    ex = ProcessExecutor(cross_diamond(), procs=2, jobs=1)
-    handle = ex.start()
-    with pytest.raises(NotImplementedError, match="process boundaries"):
-        handle.future("d")
-    report = handle.result(timeout=60)
-    assert report.tasks_run == 4
 
 
 def test_silent_child_death_raises_typed_node_lost_error():

@@ -25,7 +25,7 @@ from repro.core.runner import run
 from repro.distgrid.partition import ProcessGrid
 from repro.exec import fork_available
 from repro.machine.machine import nacl
-from repro.runtime import chrome_trace
+from repro.obs import export
 from repro.stencil.problem import JacobiProblem
 
 pytestmark = [
@@ -131,6 +131,6 @@ def test_trace_has_comm_lanes_and_exports(tmp_path):
     nodes = {span.node for span in trace.spans}
     assert nodes == {0, 1, 2, 3}  # every process contributed spans
     out = tmp_path / "procs_trace.json"
-    chrome_trace.write(trace, str(out))
+    export.write(trace, str(out))
     events = json.loads(out.read_text())["traceEvents"]
     assert any(e.get("cat") == "comm" for e in events)

@@ -1,13 +1,15 @@
-"""Warm executor pools (``repro.serve.pool``).
+"""Warm worker pools (``repro.serve.pool``).
 
-The load-bearing test is the warm-reuse regression: two sequential
-jobs through one warm slot must produce grids bit-identical to two
-cold ``run()`` calls -- executor reuse is an optimisation, never an
-answer change.
+The load-bearing test is the warm-reuse regression: sequential jobs
+through one pool worker must produce grids bit-identical to cold
+``run()`` calls, and ``warm`` must mean exactly "this worker had
+already executed a request" -- on both worker kinds, for every
+backend.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -17,8 +19,8 @@ from repro.core.runner import run
 from repro.distgrid.boundary import DirichletBC
 from repro.exec import fork_available
 from repro.machine.machine import nacl
-from repro.serve import SolveRequest, WarmSlot, WorkerPool, execute_request
-from repro.serve.pool import InProcessWorker, ProcessWorker
+from repro.serve import SolveRequest, WorkerPool, execute_request
+from repro.serve.pool import InProcessWorker, ProcessWorker, _CancelScope
 from repro.serve.request import DeadlineExpired, WorkerDied
 from repro.stencil.kernels import StencilWeights
 from repro.stencil.problem import JacobiProblem
@@ -63,48 +65,91 @@ def _request(problem, **overrides) -> SolveRequest:
 # -- warm reuse ----------------------------------------------------------
 
 
-def test_warm_reuse_bit_identical_to_cold_runs():
-    """Two sequential jobs on one warm slot == two cold runs, bit for
-    bit (the satellite regression test for the reset() contract)."""
-    problems = [random_problem(24, 6, seed=1), random_problem(24, 6, seed=2)]
+def _three_requests_warm_after_the_first(worker, backends):
+    """Three sequential requests through one pool worker == three cold
+    ``run()`` calls bit for bit, and only the first one is cold --
+    whatever backend the request asks for."""
+    problems = [random_problem(24, 6, seed=s) for s in (1, 2, 3)]
     cold_grids = [
         run(p, impl="ca-parsec", machine=nacl(4), tile=6, steps=3,
-            mode="execute", backend="threads", jobs=2).grid
+            mode="execute").grid
         for p in problems
     ]
-    slot = WarmSlot("t")
-    warm = [execute_request(_request(p), slot=slot) for p in problems]
-    assert not warm[0].warm and warm[1].warm  # first cold, second reused
-    assert slot.cold_starts == 1 and slot.warm_starts == 1
-    for outcome, grid in zip(warm, cold_grids):
+    try:
+        outcomes = []
+        for seq, (problem, backend) in enumerate(zip(problems, backends)):
+            jobs = None if backend == "sim" else 2
+            request = _request(problem, backend=backend, jobs=jobs)
+            results, snapshot, _spans = worker.run_batch([(seq, request, None)])
+            (status, outcome), = results
+            assert status == "ok"
+            outcomes.append(outcome)
+            kind = "warm" if seq else "cold"
+            assert snapshot.labelled(f"serve_pool_{kind}_starts_total") == {
+                (("slot", worker.name),): 1}
+    finally:
+        worker.close()
+    assert [o.warm for o in outcomes] == [False, True, True]
+    for outcome, grid in zip(outcomes, cold_grids):
         assert np.array_equal(outcome.grid, grid)
 
 
-def test_warm_slot_drops_unhealthy_executor():
-    class DeadExecutor:
-        def is_healthy(self):
-            return False
-
-        def _run_in_flight(self):
-            return False
-
-    slot = WarmSlot("t")
-    slot._executor = DeadExecutor()
-    outcome = execute_request(_request(random_problem(24, 2)), slot=slot)
-    assert not outcome.warm  # unhealthy survivor replaced, not reused
-    assert slot.cold_starts == 1
-    assert not isinstance(slot._executor, DeadExecutor)
+def test_warm_reuse_bit_identical_to_cold_runs():
+    second = "processes" if fork_available() else "threads"
+    _three_requests_warm_after_the_first(
+        InProcessWorker("w"), ["threads", second, "sim"])
 
 
-def test_processes_backend_always_cold():
-    if not fork_available():
-        pytest.skip("processes backend needs POSIX fork")
-    slot = WarmSlot("t")
-    request = _request(random_problem(24, 2), backend="processes", jobs=2)
-    for _ in range(2):
-        outcome = execute_request(request, slot=slot)
-        assert not outcome.warm
-    assert slot.cold_starts == 2 and slot.warm_starts == 0
+@pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")
+def test_warm_reuse_bit_identical_to_cold_runs_in_a_forked_worker():
+    # (a daemonic pool child cannot fork a processes-backend run)
+    _three_requests_warm_after_the_first(
+        ProcessWorker("w"), ["threads", "threads", "sim"])
+
+
+def test_direct_execute_request_is_never_warm():
+    request = _request(random_problem(24, 2))
+    assert [execute_request(request).warm for _ in range(2)] == [False, False]
+
+
+# -- deadline cancellation -----------------------------------------------
+
+
+def test_cancel_scope_retries_until_the_run_has_started():
+    """The reaper calls ``cancel(seq)`` every tick: before the executor
+    exists, and before it has started, the answer is ``False`` (try
+    again); once running it is stopped through its public ``cancel()``;
+    an engine without one is left alone."""
+    from repro.exec import RunCancelled, ThreadedExecutor
+    from repro.runtime.graph import TaskGraph
+    from repro.runtime.task import Task
+
+    started, release = threading.Event(), threading.Event()
+
+    def kernel(inputs, task):
+        started.set()
+        release.wait(30)
+        return {}
+
+    graph = TaskGraph()
+    graph.add(Task("only", node=0, kernel=kernel, out_nbytes={}))
+    graph.add(Task("later", node=0, kernel=kernel, out_nbytes={}))
+    executor = ThreadedExecutor(graph, jobs=1)
+    scope = _CancelScope()
+    scope.arm(7)
+    assert scope.cancel(7) is False  # no executor seen yet
+    scope.seen(executor)
+    assert scope.cancel(7) is False  # seen, not started: next tick
+    handle = executor.start()
+    assert started.wait(30)
+    assert scope.cancel(8) is False  # another job's deadline
+    assert scope.cancel(7) is True
+    release.set()
+    with pytest.raises(RunCancelled):
+        handle.result(timeout=30)
+    assert scope.cancel(7) is False  # finished
+    scope.seen(object())  # the sim Engine: no cancel()
+    assert scope.cancel(7) is False
 
 
 # -- workers -------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.serve import (
     SolverService,
 )
 
+from .conftest import join_all
 from .test_serve_pool import random_problem
 
 pytestmark = pytest.mark.timeout(300)
@@ -43,12 +44,12 @@ def _request(problem, **overrides) -> SolveRequest:
     return SolveRequest(problem=problem, **knobs)
 
 
-def _no_serve_leftovers():
-    threads = [t.name for t in threading.enumerate()
-               if t.name.startswith("repro-serve")]
-    children = [p.name for p in multiprocessing.active_children()
-                if p.name.startswith("repro-serve")]
-    return threads + children
+def _no_serve_leftovers(timeout: float = 0.0):
+    """Names of the service's threads and children still alive after
+    joining each against one ``timeout``-second deadline."""
+    workers = [*threading.enumerate(), *multiprocessing.active_children()]
+    return join_all([w for w in workers if w.name.startswith("repro-serve")],
+                    timeout)
 
 
 # -- the smoke (mirrors the CI serve-smoke job) --------------------------
@@ -106,10 +107,7 @@ def test_processes_pool_serves_and_leaves_no_orphans():
             assert np.array_equal(outcome.grid, direct)
         # the child's task counters merged back into the service registry
         assert service.metrics.snapshot().counter("tasks_executed_total") > 0
-    deadline = time.monotonic() + 10.0
-    while _no_serve_leftovers() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert _no_serve_leftovers() == []
+    assert _no_serve_leftovers(timeout=10.0) == []
 
 
 # -- admission control at the service boundary ---------------------------

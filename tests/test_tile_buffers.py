@@ -194,21 +194,20 @@ def test_running_the_same_task_twice_never_writes_its_input():
 
 @pytest.mark.timeout(120)
 def test_reset_and_rerun_of_the_same_graph_is_bit_identical():
+    """A "reset" is a fresh executor on the same graph: its kernels
+    keep their spares from the previous run and must still be right."""
     problem = random_problem(n=24, iterations=9, seed=5)
     built = build(problem, nacl(4), "ca")
     truth = problem.reference_solution()
-    executor = ThreadedExecutor(built.graph, jobs=2)
     for _ in range(3):
-        report = executor.run()
+        report = ThreadedExecutor(built.graph, jobs=2).run()
         assert np.array_equal(built.assemble_grid(report.results), truth)
-        executor.reset()
 
 
 @pytest.mark.timeout(120)
 def test_cancelled_run_then_reset_and_full_run_is_bit_identical():
     problem = random_problem(n=24, iterations=12, seed=6)
     built = build(problem, nacl(4), "base")
-    executor = ThreadedExecutor(built.graph, jobs=2)
 
     # Cancel from inside a mid-run task: every worker holds a spare then.
     trigger = built.graph[(built.name, 1, 1, 6)]
@@ -220,13 +219,13 @@ def test_cancelled_run_then_reset_and_full_run_is_bit_identical():
         return plain(inputs, task)
 
     trigger.kernel = cancelling
-    handle = executor.start()
+    handle = ThreadedExecutor(built.graph, jobs=2).start()
     handles.put(handle)
     with pytest.raises(RunCancelled):
         handle.result(timeout=60)
 
     trigger.kernel = plain
-    report = executor.reset().run()
+    report = ThreadedExecutor(built.graph, jobs=2).run()
     assert np.array_equal(built.assemble_grid(report.results),
                           problem.reference_solution())
 
