@@ -2,7 +2,8 @@
 
 This bench runs the paper's headline claim end to end with *nothing
 modelled*: four OS processes, one per simulated cluster node, exchange
-node-boundary halos as real pickled messages over pipes.  The
+node-boundary halos as real messages -- records their workers write
+into and copy out of shared-memory rings (`repro.exec.procs`).  The
 decomposition mirrors the paper's regime -- node-sized tiles on a 1D
 process grid, as with the 288/864-wide tiles on NaCL/Stampede2 -- so
 each node boundary is one producer and PA1's message coalescing is
@@ -99,7 +100,7 @@ def test_backend_processes_message_avoidance(once, show):
             f"model predicted {sim.messages}"
         )
         assert real.messages > 0
-        # The wire carries pickle framing on top of the declared payload.
+        # The rings carry record headers on top of the declared payload.
         assert real.engine.wire_bytes >= real.message_bytes
 
     base_msgs = results["base-parsec"][0].messages

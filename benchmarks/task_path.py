@@ -8,14 +8,19 @@ lookup, copy, ghost assigns, frame, banded kernel, outgoing copies),
 `publish`/`release`, the worker's per-task record, `assemble_grid` --
 on one of the wall-clock benchmark's geometries, single-threaded, and
 prints microseconds per stencil task for each: the median over every
-stencil task of the solve, taken three times, best kept.  The hops are
-timed where they are called, one after the other, so the numbers add up
-to a `jobs=1` solve without thread hand-offs; they are a map of where
-the time goes, not a benchmark.
+stencil task of the solve, taken three times, best kept.  On the
+two-node geometries it also walks the `processes` backend's two hops
+per *message*: "ring write" (encode the record, copy it into the
+destination's shared-memory ring, post the doorbell) and "ring drain"
+(take the ring lock, copy the record out into a private array).  The
+hops are timed where they are called, one after the other, so the
+numbers add up to a `jobs=1` solve without thread hand-offs; they are a
+map of where the time goes, not a benchmark.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import sys
 import time
 from statistics import median
@@ -26,6 +31,7 @@ from repro.core.dataflow import build_stencil_graph
 from repro.core.spec import StencilSpec
 from repro.exec.executor import ThreadedExecutor
 from repro.exec.policies import make_work_queues
+from repro.exec.procs import _Channels, _encode, _record_bytes
 from repro.exec.wallclock_trace import WallClockRecorder
 from repro.machine.machine import nacl
 from repro.runtime.store import PayloadStore
@@ -70,10 +76,24 @@ def one_solve(geometry: dict) -> dict[str, float]:
     scratch = np.empty(0)
     parts = {name: [] for name in ("gather", "plan lookup", "copy previous tile", "ghost assigns",
                                    "frame", "banded kernel", "outgoing copies", "stencil_task",
-                                   "publish + release", "per-task record")}
+                                   "publish + release", "per-task record",
+                                   "ring write (per message)", "ring drain (per message)")}
+    # What the processes backend lays out before forking (rings only
+    # where the plan sends: none on a one-node geometry).
+    channels = _Channels(graph, nodes, multiprocessing.get_context("fork"))
     for task in graph:
         dt, inputs = clock(store.gather, task)
         kernel_dt, outputs = clock(task.kernel, inputs, task)
+        for index, tag, dst, _nbytes in channels.sends.get(task.key, ()):
+            ring = channels.rings[task.node, dst]
+
+            def write():
+                fields, body = _encode(index, outputs[tag])
+                ring.put(fields, body, _record_bytes(body))
+                channels.doorbells[dst].release()
+
+            parts["ring write (per message)"].append(clock(write)[0])
+            parts["ring drain (per message)"].append(clock(ring.take)[0])
         post_dt, _ = clock(lambda: (store.publish(task, dict(outputs)), store.release(task)))
         # All a worker writes about a finished task: one lane tuple.
         record_dt, _ = clock(recorder.record, 0, task.kind, 0.0, kernel_dt, task.key, task.key)
@@ -116,7 +136,7 @@ def one_solve(geometry: dict) -> dict[str, float]:
         parts["outgoing copies"].append(clock(
             lambda: [new[source].copy() for _, source in exchange.outgoing])[0])
     for name, samples in parts.items():
-        hops[name] = median(samples) * 1e6
+        hops[name] = median(samples) * 1e6 if samples else float("nan")
     hops["assemble_grid"] = clock(built.assemble_grid, store.results)[0] * per_task
     return hops
 

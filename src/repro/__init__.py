@@ -17,32 +17,24 @@ Quickstart
 (64, 64)
 """
 
-from .machine import (
-    MachineSpec,
-    NetworkSpec,
-    NodeSpec,
-    nacl,
-    preset,
-    stampede2,
-    summit_like,
-)
-from .core import (
-    BACKENDS,
-    DirichletBC,
-    IMPLEMENTATIONS,
-    JacobiProblem,
-    RunConfig,
-    RunResult,
-    StencilSpec,
-    StencilWeights,
-    run,
-    validate_implementations,
-)
-from .exec import ThreadedExecutor
-from .runtime import Engine, TaskGraph, Trace
-from .tuning import Candidate, SearchSpace, TuningCache, TuningResult, tune
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+#: Re-exported name -> sub-package that defines it, resolved on first
+#: access (see :mod:`repro._lazy`).
+_EXPORTS = {
+    **dict.fromkeys(("MachineSpec", "NetworkSpec", "NodeSpec", "nacl", "preset",
+                     "stampede2", "summit_like"), "machine"),
+    **dict.fromkeys(("BACKENDS", "DirichletBC", "IMPLEMENTATIONS", "JacobiProblem",
+                     "RunConfig", "RunResult", "StencilSpec", "StencilWeights",
+                     "run", "validate_implementations"), "core"),
+    "ThreadedExecutor": "exec",
+    **dict.fromkeys(("Engine", "TaskGraph", "Trace"), "runtime"),
+    **dict.fromkeys(("Candidate", "SearchSpace", "TuningCache", "TuningResult",
+                     "tune"), "tuning"),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "BACKENDS",

@@ -164,7 +164,7 @@ class ChaosContext:
 
     def on_message(self, producer, tag, src: int, dst: int) -> float | None:
         """Drop-fault consult at message-delivery time (the engine's
-        arrival event, the courier's ship loop).  Returns the
+        arrival event, the procs backend's sending worker).  Returns the
         retransmit delay in seconds, or None to deliver normally.
 
         A message's iteration is the sweep whose values it carries:

@@ -43,7 +43,7 @@ FAULT_KINDS = ("kill", "delay", "slow", "drop")
 #: Default extra seconds of a ``delay`` fault.
 DEFAULT_DELAY_S = 0.005
 #: Default retransmit wait of a ``drop`` fault (seconds; virtual on
-#: the simulator, slept by the courier on the processes backend).
+#: the simulator, spent in the sender's outbox on the processes backend).
 DEFAULT_RETRANSMIT_S = 0.002
 #: Default slowdown of a ``slow`` fault.
 DEFAULT_SLOW_FACTOR = 3.0

@@ -158,8 +158,8 @@ def _make_executor(graph, machine: MachineSpec, config: RunConfig,
         executor = ProcessExecutor(graph, **real)
     if chaos is not None and config.backend == "processes":
         # Forked node processes inherit the context (and its wrapped
-        # kernels) in memory; couriers consult it for drop faults and
-        # the watcher stamps NodeLostError with the latest checkpoint.
+        # kernels) in memory; sending workers consult it for drop faults
+        # and the watcher stamps NodeLostError with the latest checkpoint.
         executor.chaos = chaos
         executor.checkpoint_store = chaos.store
     return executor
@@ -185,9 +185,9 @@ def run(
     executes the graph for real on ``jobs`` worker threads and reports
     wall-clock performance.  ``backend="processes"`` runs each
     simulated node as a real OS process, each with ``jobs`` worker
-    threads, and exchanges node-boundary halos as real pickled
-    messages over pipes; passing ``procs`` resizes the machine so the
-    process count *is* the node count.  A caller that already holds a
+    threads, and exchanges node-boundary halos as real messages
+    through shared-memory rings; passing ``procs`` resizes the machine
+    so the process count *is* the node count.  A caller that already holds a
     config passes ``**config.knobs()``.
 
     ``tile="auto"`` / ``steps="auto"`` hand the knob to the autotuner

@@ -9,8 +9,8 @@ actual host, at two levels of realism:
   communication is free, as within one cluster node;
 * ``backend="processes"`` -- one OS process per simulated node, each
   running its own thread pool; node-boundary ghost exchanges are real
-  pickled messages over ``multiprocessing`` pipes, so the base-vs-CA
-  message-count gap is *measured*, not modelled.
+  messages the workers write into and copy out of shared-memory rings,
+  so the base-vs-CA message-count gap is *measured*, not modelled.
 
 Both record wall-clock traces in the existing trace schema and report
 measured performance side by side with the simulator's predictions.

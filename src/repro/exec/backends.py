@@ -17,7 +17,7 @@ BACKEND_DESCRIPTIONS: dict[str, str] = {
     "sim": "discrete-event model of a cluster (virtual clock), the default",
     "threads": "real shared-memory execution on a work-stealing thread pool",
     "processes": "one OS process per simulated node; node-boundary halos "
-                 "travel as real pickled messages over pipes",
+                 "travel as real messages through shared-memory rings",
 }
 
 BACKENDS: tuple[str, ...] = tuple(BACKEND_DESCRIPTIONS)

@@ -343,6 +343,7 @@ class ThreadedExecutor:
         """Pop local work, steal, or sleep; ``None`` means shut down."""
         with self._work_ready:
             while True:
+                self._poll(wid)
                 if self._failure is not None or self._cancelled:
                     return None
                 task = self._queues.pop_local(wid)
@@ -354,7 +355,16 @@ class ThreadedExecutor:
                     return task
                 if self._unfinished == 0:
                     return None
-                self._work_ready.wait()
+                self._idle_wait()
+
+    def _poll(self, wid: int) -> None:
+        """Hook, under the lock before every pop: a node of the procs
+        backend takes in its remote inputs here (a whole graph has none)."""
+
+    def _idle_wait(self) -> None:
+        """Hook: sleep, lock released, until a worker publishes, fails
+        or the run is cancelled."""
+        self._work_ready.wait()
 
     def _worker(self, wid: int) -> None:
         recorder = self._recorder

@@ -1,63 +1,86 @@
-"""Multiprocess execution backend: real IPC halo exchange.
+"""Multiprocess execution backend: halo exchange over shared-memory rings.
 
 Where :class:`~repro.exec.executor.ThreadedExecutor` runs a whole task
 graph inside one address space (so "communication" is a pointer hand
 over), this backend makes the paper's cost observable: every simulated
 cluster *node* becomes a real OS process that owns exactly the tasks
 placed on that node, and every node-boundary ghost flow becomes a real
-pickled message travelling through a ``multiprocessing`` pipe.  The
-base-vs-CA message-count gap -- the whole point of communication
-avoidance -- is therefore measured, not modelled: CA sends ~``s``x
-fewer inter-process messages for the same problem.
+message -- a record one process writes into shared memory and another
+copies out.  The base-vs-CA message-count gap is therefore measured,
+not modelled: CA sends ~``s``x fewer messages for the same problem.
 
-Topology and roles
-------------------
+Channels.  :meth:`TaskGraph.message_plan` lists every message before
+anything runs, so :meth:`ProcessExecutor.start` lays the channels out
+before forking (:class:`_Channels`): one single-producer/single-consumer
+byte ring per ordered node pair *the plan sends on*, inside one
+anonymous shared ``mmap`` the children inherit -- no name, no resource
+tracker, nothing to unlink: the kernel frees it with the last process
+that maps it, on every exit path.  With the rings come a process-shared
+lock per ring, a semaphore *doorbell* per node and a few header words
+per node (abort flag, tasks done, messages sent).
 
-* the parent builds a full mesh of duplex pipes between the ``procs``
-  node processes plus one control pipe per child, forks the children
-  (the graph is inherited copy-on-write; only *messages* are pickled),
-  then watches the control pipes on behalf of the run's ``RunHandle``;
-* inside each child a :class:`_NodeExecutor` -- a
-  :class:`ThreadedExecutor` restricted to the node's own tasks -- runs
-  interior tiles on a work-stealing thread pool exactly as the threads
-  backend does;
-* a dedicated *courier* thread is the single writer of the peer pipes
-  (the paper's per-node communication thread): completed boundary
-  tasks enqueue their remote strips and the courier pickles and ships
-  one message per (producer, tag, destination node), the same unit the
-  static census counts;
-* a *receiver* thread drains incoming pipes, injecting remote payloads
-  into the executor's payload store and releasing consumer dependency
-  counts, and listens on the control pipe for cancel/exit requests.
+No communication thread.  A send is a memcpy of a few KiB -- shorter
+than one thread hand-off -- so the worker that ran the producing task
+writes the record itself (:meth:`_NodeExecutor._send_remote`) and posts
+the destination's doorbell, and a worker looking for its next task
+first copies whatever arrived out of its node's inbound rings
+(:meth:`_NodeExecutor._poll`); ``comm_busy`` is worker time.  A worker
+never blocks on a full ring: the record waits in the node's *outbox*
+(as does one a chaos ``drop`` fault delays), retried wherever rings are
+polled and before the node reports ``done``.  A node with nothing to
+run but remote inputs outstanding has exactly one idle worker asleep on
+its doorbell, outside the executor lock; the others sleep on the pool's
+condition as in the threads backend.  A received payload is a private
+copy (arrays read-only, owning their memory): no view into a ring ever
+reaches a kernel or the payload store.
 
-Failure containment: a kernel error in one process is broadcast as an
-abort message to every peer and reported to the parent, so
-:class:`~repro.runtime.engine.KernelError` propagates across the
-process boundary without deadlocking anyone; cancellation and
-parent-death likewise unwind every pool, and the parent terminates
-stragglers after a grace period so no orphan workers survive.
+Visibility.  Ring bytes and the ``head``/``tail`` counters are read and
+written for effect only under the ring's lock, whose acquire/release
+are the fences: what a producer stored before releasing is visible to
+the consumer that acquires next, and a consumer's ``tail`` to the
+producer before it reuses the bytes.  The unlocked peek ``head !=
+tail`` decides *whether* to take the lock, never *what* is read: a
+stale "empty" costs a delay the doorbell bounds (posted after the
+release, and semaphore operations synchronise too), a stale
+"non-empty" one lock round-trip.  Nothing rests on a CPU's store
+ordering.  Lock order is executor lock -> ring lock, never the reverse,
+and every wait on a shared primitive is bounded by ``_POLL``, so a peer
+killed mid-write cannot hang anyone.
 
-Accounting: the courier ships exactly the entries of
-:meth:`TaskGraph.message_plan`, so per-edge message counts and
-*declared* payload bytes equal :meth:`TaskGraph.census` by
-construction; actual pickled wire bytes are tallied separately.
-Send/recv spans land in the standard
-:class:`~repro.runtime.trace.Trace` schema on comm lanes, so occupancy
-analyses and the Perfetto exporter work unchanged.
+Roles.  The parent forks the children (graph and channels inherited
+copy-on-write; only results and statistics are pickled) and watches one
+control pipe per child for the run's ``RunHandle``.  Each child runs a
+:class:`_NodeExecutor` -- a :class:`ThreadedExecutor` restricted to the
+node's tasks, plus the send/poll hooks -- and one *control* thread that
+blocks on the pipe (``cancel`` down, EOF = the parent died), idle for
+all of a healthy run.  A failing node sets every peer's abort word,
+posts every doorbell and reports to the parent, which cancels everyone,
+so :class:`~repro.runtime.engine.KernelError` crosses the process
+boundary without deadlocking anyone; stragglers are terminated after a
+grace period so no orphan survives.
+
+Accounting.  Workers write exactly the message plan's entries, so
+per-edge message counts and *declared* payload bytes equal
+:meth:`TaskGraph.census` by construction; ring bytes (payloads plus
+record headers) are tallied apart as ``wire_bytes``.  Send/recv spans
+land on the comm lanes of the standard
+:class:`~repro.runtime.trace.Trace` schema.
 """
 
 from __future__ import annotations
 
-import itertools
+import mmap
 import multiprocessing as mp
 import os
 import pickle
+import struct
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as conn_wait
+
+import numpy as np
 
 from ..obs import trace_validation_enabled
 from ..obs.export import build_trace
@@ -69,17 +92,46 @@ from ..runtime.trace import Trace
 from .executor import ExecReport, ThreadedExecutor, ensure_executable
 from .futures import RunCancelled, RunHandle
 
-#: Trace worker lanes of the communication threads (compute workers are
+#: Trace lanes of a node's communication (compute workers are
 #: ``0..jobs-1``; anything negative is a comm lane, as in the engine).
+#: Workers send and receive under the executor lock: a lane is serial.
 SEND_LANE = -1
 RECV_LANE = -2
 
 #: Seconds a process gets to exit voluntarily before it is terminated.
 JOIN_GRACE = 5.0
 
-#: Poll interval of the receiver / watcher loops (they mostly sleep in
-#: ``connection.wait``; this only bounds reaction time to local flags).
+#: Bound of every wait on a shared primitive (doorbell, ring lock) and
+#: of the parent's watcher loop: the reaction time to a dead peer.
 _POLL = 0.1
+
+#: Doorbell timeout while the outbox is not empty: a consumer does not
+#: signal that it made room, so the producer looks again.
+_RETRY = 0.0005
+
+#: Ring capacity per ordered node pair (bytes), unless the pair's whole
+#: planned traffic is smaller or a message exceeds a quarter of it.
+#: Measured flat: halo_base / halo_ca solve_s (median of 9 interleaved
+#: rounds, procs=2) 64 KiB 0.83 / 0.74 s, 256 KiB 0.83 / 0.73 s, 1 MiB
+#: 0.81 / 0.73 s (16 KiB, all outbox: 0.82 / 0.73) -- a node runs at most
+#: a sweep ahead, <= 64 / 132 KiB in flight; 256 KiB keeps the outbox idle.
+RING_BYTES = 256 * 1024
+
+#: Smallest ring: the suites send pickled scalars, whose bytes exceed
+#: the 8 they declare.
+_MIN_RING = 4096
+
+#: Record header: plan index, encoding, two shape/length words.  The
+#: encoding is the ``ndim`` (1 or 2) of a raw C-contiguous float64
+#: array whose shape follows, or ``_PICKLED`` with the byte length.
+_HDR = struct.Struct("<4q")
+_PICKLED = 0
+
+#: int64 words per node / per ring in the shared header: one cache
+#: line each, so one node's per-task stores do not bounce a peer's.
+_LINE = 8
+_ABORT, _DONE, _MESSAGES = range(3)  # a node's words
+_HEAD, _TAIL = range(2)  # a ring's words: bytes ever written / read
 
 
 def default_procs(graph: TaskGraph) -> int:
@@ -91,7 +143,7 @@ def default_procs(graph: TaskGraph) -> int:
 
 def fork_available() -> bool:
     """The backend needs POSIX ``fork`` (the graph, with its closures
-    and kernels, is inherited rather than pickled)."""
+    and kernels, and the shared channels are inherited, not pickled)."""
     return "fork" in mp.get_all_start_methods()
 
 
@@ -99,17 +151,17 @@ def fork_available() -> bool:
 class ProcsReport(ExecReport):
     """An :class:`ExecReport` measured across real processes.
 
-    ``messages`` / ``message_bytes`` count real pipe messages with
-    their census-declared payload sizes (so they are directly
+    ``messages`` / ``message_bytes`` count real inter-process messages
+    with their census-declared payload sizes (so they are directly
     comparable to the simulator's numbers); ``wire_bytes`` is what
-    actually crossed the pipes including pickle framing.  ``node_busy``
-    has one entry per process, so the inherited ``occupancy(jobs)``
-    averages worker busyness over every pool.
+    was actually written to the rings, record headers included.
+    ``node_busy`` has one entry per process, so the inherited
+    ``occupancy(jobs)`` averages worker busyness over every pool.
     """
 
     #: number of node processes that executed the graph
     procs: int = 0
-    #: bytes that actually crossed the pipes (pickled frames)
+    #: bytes written to the shared-memory rings (payloads + headers)
     wire_bytes: int = 0
     #: (src, dst) -> (messages, declared payload bytes)
     by_pair: dict = field(default_factory=dict)
@@ -124,195 +176,207 @@ class ProcsReport(ExecReport):
 
 
 # ---------------------------------------------------------------------------
+# shared channels
+# ---------------------------------------------------------------------------
+
+
+class _Ring:
+    """One single-producer/single-consumer byte ring in the shared
+    region.  ``head``/``tail`` count bytes ever written/read.  A record
+    is its header plus the payload padded to whole header-sized slots
+    and the capacity is a whole number of slots, so a header never
+    straddles the wrap (a payload may: it is copied in two pieces) and
+    a record fits whenever ``capacity - (head - tail)`` bytes are free."""
+
+    def __init__(self, data: memoryview, words: memoryview, lock) -> None:
+        self.data = data
+        self.words = words  # this ring's header line: [_HEAD, _TAIL]
+        self.capacity = len(data)
+        self.lock = lock
+
+    def pending(self) -> bool:
+        """Unlocked peek: is it worth taking the lock to read?"""
+        return self.words[_HEAD] != self.words[_TAIL]
+
+    def put(self, fields: tuple, body, size: int) -> bool:
+        """Append one record of ``size`` ring bytes; False when it does
+        not fit right now (or the peer has held the lock for longer
+        than ``_POLL``: it died)."""
+        if not self.lock.acquire(timeout=_POLL):
+            return False
+        try:
+            head = self.words[_HEAD]
+            if size > self.capacity - (head - self.words[_TAIL]):
+                return False
+            data, pos = self.data, head % self.capacity
+            _HDR.pack_into(data, pos, *fields)
+            pos += _HDR.size
+            first = self.capacity - pos
+            if len(body) <= first:
+                data[pos:pos + len(body)] = body
+            else:
+                data[pos:] = body[:first]
+                data[:len(body) - first] = body[first:]
+            self.words[_HEAD] = head + size
+            return True
+        finally:
+            self.lock.release()
+
+    def take(self):
+        """Copy the oldest record out: ``(plan index, payload)``, or
+        None when the ring is empty (or its lock is stuck)."""
+        if not self.lock.acquire(timeout=_POLL):
+            return None
+        try:
+            tail = self.words[_TAIL]
+            if tail == self.words[_HEAD]:
+                return None
+            data, pos = self.data, tail % self.capacity
+            index, encoding, rows, cols = _HDR.unpack_from(data, pos)
+            if encoding == _PICKLED:
+                body = bytearray(rows)
+            else:
+                payload = np.empty((rows, cols) if encoding == 2 else rows)
+                body = memoryview(payload).cast("B")
+            pos += _HDR.size
+            first = self.capacity - pos
+            if len(body) <= first:
+                body[:] = data[pos:pos + len(body)]
+            else:
+                body[:first] = data[pos:]
+                body[first:] = data[:len(body) - first]
+            if encoding == _PICKLED:
+                payload = pickle.loads(body)
+            if type(payload) is np.ndarray:
+                payload.setflags(write=False)
+            self.words[_TAIL] = tail + _record_bytes(body)
+            return index, payload
+        finally:
+            self.lock.release()
+
+
+def _record_bytes(body) -> int:
+    """Ring bytes of a record: header slot + payload in whole slots."""
+    return _HDR.size * (1 - (-len(body) // _HDR.size))
+
+
+def _encode(index: int, payload) -> tuple[tuple, "bytes | memoryview"]:
+    """One record's header fields and body: raw bytes for the arrays the
+    stencil sends, pickle for the rest (scalars, ``None``, odd arrays)."""
+    if (type(payload) is np.ndarray and payload.dtype == np.float64
+            and payload.ndim in (1, 2) and payload.size
+            and payload.flags.c_contiguous):
+        cols = payload.shape[1] if payload.ndim == 2 else 0
+        return ((index, payload.ndim, payload.shape[0], cols),
+                memoryview(payload).cast("B"))
+    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    return (index, _PICKLED, len(body), 0), body
+
+
+class _Channels:
+    """Everything the node processes share, laid out from the message
+    plan before the fork: the plan's index, the rings, the doorbells
+    and the header words."""
+
+    def __init__(self, graph: TaskGraph, procs: int, ctx) -> None:
+        #: plan index -> (producer, tag): what a record's index names
+        self.entries: list[tuple[TaskKey, str]] = []
+        #: producer -> [(plan index, tag, dst, declared nbytes)]
+        self.sends: dict[TaskKey, list[tuple[int, str, int, int]]] = {}
+        traffic: dict[tuple[int, int], list[int]] = {}  # pair -> [bytes, largest]
+        for producer, messages in graph.message_plan().items():
+            src = graph[producer].node
+            rows = self.sends[producer] = []
+            for tag, dst, nbytes in messages:
+                rows.append((len(self.entries), tag, dst, nbytes))
+                self.entries.append((producer, tag))
+                pair = traffic.setdefault((src, dst), [0, 0])
+                pair[0] += 2 * _HDR.size + nbytes  # header + padding
+                pair[1] = max(pair[1], nbytes)
+        line = _LINE * 8
+        header = (procs + len(traffic)) * line  # the words; the rings follow
+        offsets, size = {}, header
+        for pair, (planned, largest) in traffic.items():
+            capacity = min(max(planned, _MIN_RING), max(RING_BYTES, 4 * largest))
+            capacity = -(-capacity // line) * line
+            offsets[pair] = (size, capacity)
+            size += capacity
+        self.region = mmap.mmap(-1, size)
+        self._view = memoryview(self.region)
+        self.words = self._view[:header].cast("q")
+        self.rings = {
+            pair: _Ring(self._view[start:start + capacity],
+                        self.words[(procs + k) * _LINE:(procs + k + 1) * _LINE],
+                        ctx.Lock())
+            for k, (pair, (start, capacity)) in enumerate(offsets.items())
+        }
+        self.doorbells = [ctx.Semaphore(0) for _ in range(procs)]
+
+    def abort(self, by: int) -> None:
+        """Node ``by`` failed: tell everyone to stop waiting."""
+        for node, doorbell in enumerate(self.doorbells):
+            self.words[node * _LINE + _ABORT] = by + 1
+            doorbell.release()
+
+    def tallies(self) -> tuple[int, int]:
+        """(tasks done, messages sent) over all nodes, as of now."""
+        end = len(self.doorbells) * _LINE
+        return (sum(self.words[_DONE:end:_LINE]),
+                sum(self.words[_MESSAGES:end:_LINE]))
+
+    def close(self) -> None:
+        """Unmap the region now (the parent's side; a child's goes with
+        its process)."""
+        for ring in self.rings.values():
+            ring.words.release()
+            ring.data.release()
+        self.words.release()
+        self._view.release()
+        self.region.close()
+
+
+# ---------------------------------------------------------------------------
 # child side
 # ---------------------------------------------------------------------------
 
 
-class _Courier(threading.Thread):
-    """Single writer of every outbound peer pipe (one comm thread per
-    node, like the engine's overlap mode).  Serialises with pickle,
-    tallies the message census, and records send spans."""
-
-    def __init__(
-        self,
-        peers: dict[int, Connection],
-        node: int = -1,
-        chaos=None,
-    ) -> None:
-        super().__init__(name="repro-procs-courier", daemon=True)
-        self.peers = peers
-        self.node = node
-        #: optional fault-injection hook (repro.chaos): a matched
-        #: message sleeps its retransmit delay before shipping,
-        #: modelling one dropped frame.  None pays nothing.
-        self.chaos = chaos
-        self._cv = threading.Condition()
-        self._queue: deque = deque()
-        self._closing = False
-        self.messages = 0
-        self.payload_bytes = 0
-        self.wire_bytes = 0
-        self.by_dst: dict[int, list[int]] = {}
-        #: (start, end, label) with raw perf_counter stamps
-        self.spans: list[tuple[float, float, object]] = []
-
-    def send_data(
-        self, dst: int, producer: TaskKey, tag: str, payload, nbytes: int
-    ) -> None:
-        with self._cv:
-            if self._closing:
-                return
-            self._queue.append(("data", dst, producer, tag, payload, nbytes))
-            self._cv.notify()
-
-    def abort_and_stop(self, message: str) -> None:
-        """Drop queued data, tell every peer to abort, then drain."""
-        with self._cv:
-            self._queue.clear()
-            for dst in self.peers:
-                self._queue.append(("abort", dst, message))
-            self._closing = True
-            self._cv.notify()
-
-    def stop(self, flush: bool = True) -> None:
-        with self._cv:
-            if not flush:
-                self._queue.clear()
-            self._closing = True
-            self._cv.notify()
-
-    def run(self) -> None:
-        while True:
-            with self._cv:
-                while not self._queue and not self._closing:
-                    self._cv.wait()
-                if not self._queue:
-                    return
-                item = self._queue.popleft()
-            if item[0] == "data":
-                _kind, dst, producer, tag, payload, nbytes = item
-                if self.chaos is not None:
-                    delay = self.chaos.on_message(producer, tag, self.node, dst)
-                    if delay:
-                        time.sleep(delay)  # the dropped frame's retransmit wait
-                frame = pickle.dumps(
-                    ("data", producer, tag, payload), protocol=pickle.HIGHEST_PROTOCOL
-                )
-                start = time.perf_counter()
-                if not self._ship(dst, frame):
-                    continue
-                end = time.perf_counter()
-                self.messages += 1
-                self.payload_bytes += nbytes
-                self.wire_bytes += len(frame)
-                stats = self.by_dst.setdefault(dst, [0, 0, 0])
-                stats[0] += 1
-                stats[1] += nbytes
-                stats[2] += len(frame)
-                self.spans.append((start, end, (producer, tag, dst)))
-            else:  # abort
-                _kind, dst, message = item
-                self._ship(
-                    dst,
-                    pickle.dumps(("abort", message), protocol=pickle.HIGHEST_PROTOCOL),
-                )
-
-    def _ship(self, dst: int, frame: bytes) -> bool:
-        try:
-            self.peers[dst].send_bytes(frame)
-            return True
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            return False  # peer already gone; its fate is reported elsewhere
-
-
-class _Receiver(threading.Thread):
-    """Single reader of the inbound peer pipes and the control pipe.
-
-    Runs for the whole life of the child -- even after the local pool
-    finished -- so a slower peer's courier never blocks on a full pipe.
-    """
-
-    def __init__(
-        self,
-        executor: "_NodeExecutor",
-        peers: dict[int, Connection],
-        ctrl: Connection,
-    ) -> None:
-        super().__init__(name="repro-procs-receiver", daemon=True)
-        self.executor = executor
-        self.peers = peers
-        self.ctrl = ctrl
-        self.exit_seen = threading.Event()
-        # NB: not named _stop -- threading.Thread owns that attribute.
-        self._stopped = threading.Event()
-        self.recv_messages = 0
-        self.recv_bytes = 0
-        self.spans: list[tuple[float, float, object]] = []
-
-    def stop(self) -> None:
-        self._stopped.set()
-
-    def run(self) -> None:
-        sources = {conn: src for src, conn in self.peers.items()}
-        live: list[Connection] = [*sources, self.ctrl]
-        while live and not self._stopped.is_set():
-            for conn in conn_wait(live, timeout=_POLL):
-                if conn is self.ctrl:
-                    if not self._handle_ctrl():
-                        live.remove(conn)
-                    continue
-                try:
-                    frame = conn.recv_bytes()
-                except (EOFError, OSError):
-                    live.remove(conn)
-                    continue
-                start = time.perf_counter()
-                msg = pickle.loads(frame)
-                end = time.perf_counter()
-                if msg[0] == "data":
-                    _kind, producer, tag, payload = msg
-                    self.executor._inject(producer, tag, payload)
-                    self.recv_messages += 1
-                    self.recv_bytes += len(frame)
-                    self.spans.append((start, end, (producer, tag, sources[conn])))
-                elif msg[0] == "abort":
-                    self.executor._fail_remote(KernelError(msg[1]))
-
-    def _handle_ctrl(self) -> bool:
-        """React to a parent request; False when the pipe is dead."""
-        try:
-            msg = self.ctrl.recv()
-        except (EOFError, OSError):
-            # The parent vanished: unwind rather than run headless.
-            self.executor._fail_remote(
-                KernelError("parent process disappeared during the run")
-            )
-            self.exit_seen.set()
-            return False
-        if msg[0] == "cancel":
-            self.executor._request_cancel()
-        elif msg[0] == "exit":
-            self.exit_seen.set()
-            self._stopped.set()
-        return True
-
-
 class _NodeExecutor(ThreadedExecutor):
     """A :class:`ThreadedExecutor` that owns one node's tasks of a
-    larger graph.  Remote inputs arrive via :meth:`_inject`; remote
-    outputs leave through the attached courier."""
+    larger graph.  Its workers also move the node's messages: remote
+    outputs leave through :meth:`_send_remote`, remote inputs arrive
+    in :meth:`_poll`."""
 
     def __init__(
-        self, graph: TaskGraph, node: int, jobs: int, policy: str, trace: bool,
-        metrics: MetricRegistry | None = None,
+        self, graph: TaskGraph, node: int, channels: _Channels, jobs: int,
+        policy: str, trace: bool, metrics: MetricRegistry | None = None,
+        chaos=None,
     ) -> None:
         self.node = node
         self.metrics_node = node  # label this node's metrics correctly
         self._local: list[Task] = [t for t in graph if t.node == node]
         #: (producer, tag) -> local consumer keys (one entry per flow)
         self._remote_consumers: dict[tuple[TaskKey, str], list[TaskKey]] = {}
-        self._inject_rr = 0
-        self._courier: _Courier | None = None
+        self._channels = channels
+        self._words = channels.words[node * _LINE:(node + 1) * _LINE]
+        self._doorbell = channels.doorbells[node]
+        self._inbound = [(src, ring) for (src, dst), ring
+                         in channels.rings.items() if dst == node]
+        self._outbound = {dst: ring for (src, dst), ring
+                          in channels.rings.items() if src == node}
+        #: optional fault-injection hook (repro.chaos): a matched
+        #: message waits its retransmit delay in the outbox, modelling
+        #: one dropped frame.  None pays nothing.
+        self._chaos = chaos
+        #: records waiting for their due time or for ring space:
+        #: (due, label, declared nbytes, header fields, body, ring bytes)
+        self._outbox: list[tuple] = []
+        #: a worker is asleep on the doorbell (at most one is)
+        self._listening = False
+        self._published = 0
+        #: one tuple per message sent / received, raw perf_counter
+        #: stamps: (start, end, (producer, tag, peer), nbytes, ring bytes)
+        self.sent: list[tuple] = []
+        self.received: list[tuple] = []
         super().__init__(graph, jobs=jobs, policy=policy, trace=trace,
                          metrics=metrics)
 
@@ -330,143 +394,221 @@ class _NodeExecutor(ThreadedExecutor):
                 (flow.producer, flow.tag), []
             ).append(task.key)
 
-    def _inject(self, producer: TaskKey, tag: str, payload) -> None:
-        """A remote payload arrived: store it and release the local
-        consumers waiting on it (the receiver thread's entry point)."""
-        with self._work_ready:
-            consumers = self._remote_consumers.pop((producer, tag), None)
-            if consumers is None or self._failure is not None or self._cancelled:
-                return
-            self._store.inject(producer, tag, payload)
-            if self._wake(consumers, self._inject_rr % self.jobs):
-                self._work_ready.notify_all()
-            self._inject_rr += 1
-
-    def _fail_remote(self, exc: BaseException) -> None:
-        """A peer (or the parent) asked us to stop with an error."""
-        with self._work_ready:
-            if self._failure is None:
-                self._failure = exc
-            self._work_ready.notify_all()
+    # -- sending (under the executor lock) ---------------------------------
 
     def _send_remote(self, task: Task, outputs: dict) -> None:
-        """One wire message per entry of the graph's message plan (the
-        parent computed it before forking)."""
-        assert self._courier is not None
-        for tag, dst, nbytes in self.graph.message_plan().get(task.key, ()):
-            self._courier.send_data(dst, task.key, tag, outputs[tag], nbytes)
+        """One record per entry of the graph's message plan, written by
+        the worker that ran ``task``; also the node's live task tally."""
+        self._published += 1
+        self._words[_DONE] = self._published
+        for index, tag, dst, nbytes in self._channels.sends.get(task.key, ()):
+            start = time.perf_counter()
+            fields, body = _encode(index, outputs[tag])
+            size, capacity = _record_bytes(body), self._outbound[dst].capacity
+            if size > capacity:
+                raise KernelError(
+                    f"task {task.key!r} sent {len(body)} bytes for tag "
+                    f"{tag!r} but declared {nbytes}: the record cannot fit "
+                    f"the {capacity}-byte ring to node {dst}"
+                )
+            delay = (self._chaos.on_message(task.key, tag, self.node, dst)
+                     if self._chaos is not None else None)
+            record = ((task.key, tag, dst), nbytes, fields, body, size)
+            if delay or not self._ship(start, *record):
+                self._outbox.append((start + (delay or 0.0), *record))
+
+    def _ship(self, start: float, label, nbytes: int, fields, body, size) -> bool:
+        """Write one record into its ring and ring the doorbell; the
+        message is counted here, once, when it is really on its way."""
+        dst = label[2]
+        if not self._outbound[dst].put(fields, body, size):
+            return False
+        self._channels.doorbells[dst].release()
+        self.sent.append((start, time.perf_counter(), label, nbytes, size))
+        self._words[_MESSAGES] = len(self.sent)
+        return True
+
+    def _flush(self) -> None:
+        """Retry the outbox: whatever is due and now fits, goes."""
+        now = time.perf_counter()
+        self._outbox = [item for item in self._outbox
+                        if item[0] > now or not self._ship(now, *item[1:])]
+
+    def flush_outbox(self) -> bool:
+        """After the pool finished: block until the outbox is empty
+        (False when the run was stopped first)."""
+        while self._outbox:
+            with self._lock:
+                if self._cancelled or self._words[_ABORT]:
+                    return False
+                self._flush()
+            if self._outbox:
+                time.sleep(_RETRY)
+        return True
+
+    # -- receiving (under the executor lock) -------------------------------
+
+    def _poll(self, wid: int) -> None:
+        """Before every pop: notice a peer's abort, retry the outbox,
+        copy arrived payloads out of the inbound rings and release
+        their consumers onto this worker's queue."""
+        if self._words[_ABORT] and not self._cancelled:
+            self._cancelled = True
+            self._work_ready.notify_all()
+        if self._outbox:
+            self._flush()
+        for src, ring in self._inbound:
+            while ring.pending():
+                start = time.perf_counter()
+                record = ring.take()
+                if record is None:
+                    break
+                producer, tag = self._channels.entries[record[0]]
+                consumers = self._remote_consumers.pop((producer, tag))
+                self._store.inject(producer, tag, record[1])
+                if self._wake(consumers, wid):
+                    self._work_ready.notify_all()
+                self.received.append(
+                    (start, time.perf_counter(), (producer, tag, src)))
+
+    def _idle_wait(self) -> None:
+        """Nothing to run.  With remote inputs (or outbox records)
+        outstanding, one worker sleeps on the doorbell with the
+        executor lock released; everyone else on the condition."""
+        if self._listening or not (self._remote_consumers or self._outbox):
+            self._work_ready.wait()
+            return
+        self._listening = True
+        self._lock.release()
+        try:
+            self._doorbell.acquire(timeout=_RETRY if self._outbox else _POLL)
+        finally:
+            self._lock.acquire()
+            self._listening = False
+            # Should this worker leave with a task, a sleeper on the
+            # condition takes the doorbell over.
+            self._work_ready.notify()
+
+    def _wake(self, consumers, wid: int) -> bool:
+        woke = super()._wake(consumers, wid)
+        if woke and self._listening:
+            self._doorbell.release()  # local work (or the end) for the listener
+        return woke
+
+    def _request_cancel(self) -> None:
+        super()._request_cancel()
+        self._doorbell.release()
 
 
-def _relative_spans(spans, epoch):
-    return [(start - epoch, end - epoch, label) for start, end, label in spans]
+def _control(executor: _NodeExecutor, ctrl: Connection) -> None:
+    """The child's control thread: blocks on the control pipe for the
+    whole run.  Only a cancel request (the one message the parent
+    sends) or the parent's death (EOF) wake it, and either way the pool
+    unwinds -- a node does not run headless."""
+    try:
+        ctrl.recv()
+    except (EOFError, OSError):
+        pass
+    executor._request_cancel()
+
+
+def _relative_spans(records, epoch):
+    return [(r[0] - epoch, r[1] - epoch, r[2]) for r in records]
 
 
 def _node_main(
     node: int,
     graph: TaskGraph,
+    channels: _Channels,
     jobs: int,
     policy: str,
     want_trace: bool,
     want_metrics: bool,
     epoch: float,
-    peers: dict[int, Connection],
     ctrl: Connection,
-    unused: list[Connection],
+    inherited: list[Connection],
     chaos=None,
 ) -> None:
     """Entry point of one node process (runs under fork)."""
-    for conn in unused:  # inherited fds of other nodes' pipes
+    for conn in inherited:  # the parent's pipe ends: EOF must mean it died
         conn.close()
-    courier = _Courier(peers, node=node, chaos=chaos)
-    receiver: _Receiver | None = None
     registry = MetricRegistry() if want_metrics else None
     try:
-        executor = _NodeExecutor(graph, node, jobs=jobs, policy=policy,
-                                 trace=want_trace, metrics=registry)
-        executor._courier = courier
-        receiver = _Receiver(executor, peers, ctrl)
-        courier.start()
-        handle = executor.start()
-        receiver.start()
+        executor = _NodeExecutor(graph, node, channels, jobs=jobs,
+                                 policy=policy, trace=want_trace,
+                                 metrics=registry, chaos=chaos)
+        threading.Thread(target=_control, args=(executor, ctrl),
+                         name="repro-procs-control", daemon=True).start()
         try:
-            handle.result()
-            courier.stop(flush=True)
-            outcome = ("done", None)
+            executor.run()
+            if not executor.flush_outbox():
+                raise RunCancelled("stopped with records still in the outbox")
         except RunCancelled:
-            courier.stop(flush=False)
-            outcome = ("cancelled", None)
+            ctrl.send(("cancelled", None))
+            return
         except BaseException as exc:  # KernelError and anything unexpected
             if not isinstance(exc, KernelError):
                 exc = KernelError(f"node {node} failed: {exc!r}")
-            courier.abort_and_stop(str(exc))
-            outcome = ("error", exc)
-        courier.join(timeout=JOIN_GRACE)
-        if outcome[0] == "done":
-            busy = executor._recorder.busy_per_worker()
-            stats = {
-                "node": node,
-                "completed": executor._recorder.completed(),
-                "results": executor._store.results,
-                "worker_busy": busy,
-                "steals": executor._steals,
-                "messages": courier.messages,
-                "payload_bytes": courier.payload_bytes,
-                "wire_bytes": courier.wire_bytes,
-                "by_dst": {dst: tuple(v) for dst, v in courier.by_dst.items()},
-                "send_busy": sum(e - s for s, e, _ in courier.spans),
-                "recv_busy": sum(e - s for s, e, _ in receiver.spans),
-            }
-            if want_trace:
-                stats["task_spans"] = [
-                    (wid, kind, start - epoch, end - epoch, label, task_id)
-                    for wid, lane in enumerate(executor._recorder._lanes)
-                    for kind, start, end, label, task_id in lane
-                ]
-                stats["send_spans"] = _relative_spans(courier.spans, epoch)
-                stats["recv_spans"] = _relative_spans(receiver.spans, epoch)
-            if registry is not None:
-                # Child-registry merge: fold this node's comm tallies in
-                # and ship the snapshot home over the control pipe.
-                msgs = registry.counter(
-                    "messages_total",
-                    "remote messages delivered, by lane", "messages")
-                mbytes = registry.counter(
-                    "message_bytes_total",
-                    "declared ghost-copy payload bytes, by lane", "bytes")
-                wire = registry.counter(
-                    "wire_bytes_total",
-                    "pickled frame bytes that crossed the pipes, by lane",
-                    "bytes")
-                for dst, (n, nbytes, wbytes) in courier.by_dst.items():
-                    msgs.inc(n, src=node, dst=dst)
-                    mbytes.inc(nbytes, src=node, dst=dst)
-                    wire.inc(wbytes, src=node, dst=dst)
-                comm = registry.counter(
-                    "comm_busy_seconds_total",
-                    "communication-thread busy time per node", "seconds")
-                if courier.spans:
-                    comm.inc(stats["send_busy"], node=node, lane="send")
-                if receiver.spans:
-                    comm.inc(stats["recv_busy"], node=node, lane="recv")
-                # The worker-side counters were already folded in by the
-                # executor's own report; snapshot and ship everything.
-                stats["metrics"] = registry.snapshot()
-            ctrl.send(("done", stats))
-        else:
-            ctrl.send(outcome)
+            channels.abort(node)
+            ctrl.send(("error", exc))
+            return
+        by_dst: dict[int, list[int]] = {}
+        for _start, _end, label, nbytes, ring_bytes in executor.sent:
+            tally = by_dst.setdefault(label[2], [0, 0, 0])
+            tally[0] += 1
+            tally[1] += nbytes
+            tally[2] += ring_bytes
+        stats = {
+            "completed": executor._recorder.completed(),
+            "results": executor._store.results,
+            "worker_busy": executor._recorder.busy_per_worker(),
+            "steals": executor._steals,
+            "by_dst": by_dst,
+            "send_busy": sum(r[1] - r[0] for r in executor.sent),
+            "recv_busy": sum(r[1] - r[0] for r in executor.received),
+        }
+        if want_trace:
+            stats["task_spans"] = [
+                (wid, kind, start - epoch, end - epoch, label, task_id)
+                for wid, lane in enumerate(executor._recorder._lanes)
+                for kind, start, end, label, task_id in lane
+            ]
+            stats["send_spans"] = _relative_spans(executor.sent, epoch)
+            stats["recv_spans"] = _relative_spans(executor.received, epoch)
+        if registry is not None:
+            # Child-registry merge: fold this node's comm tallies in
+            # and ship the snapshot home over the control pipe.
+            msgs = registry.counter(
+                "messages_total",
+                "remote messages delivered, by lane", "messages")
+            mbytes = registry.counter(
+                "message_bytes_total",
+                "declared ghost-copy payload bytes, by lane", "bytes")
+            wire = registry.counter(
+                "wire_bytes_total",
+                "bytes written to the shared-memory rings (payloads + "
+                "record headers), by lane", "bytes")
+            for dst, (n, nbytes, wbytes) in by_dst.items():
+                msgs.inc(n, src=node, dst=dst)
+                mbytes.inc(nbytes, src=node, dst=dst)
+                wire.inc(wbytes, src=node, dst=dst)
+            comm = registry.counter(
+                "comm_busy_seconds_total",
+                "worker time spent sending / receiving messages, per node",
+                "seconds")
+            if executor.sent:
+                comm.inc(stats["send_busy"], node=node, lane="send")
+            if executor.received:
+                comm.inc(stats["recv_busy"], node=node, lane="recv")
+            # The worker-side counters were already folded in by the
+            # executor's own report; snapshot and ship everything.
+            stats["metrics"] = registry.snapshot()
+        ctrl.send(("done", stats))
     except BaseException as exc:  # pragma: no cover - defensive
         try:
             ctrl.send(("error", KernelError(f"node {node} crashed: {exc!r}")))
         except Exception:
             pass
-        return
-    finally:
-        # Keep draining peers until the parent confirms everyone is
-        # done, so no peer courier blocks on a full pipe at shutdown.
-        if receiver is not None and receiver.is_alive():
-            receiver.exit_seen.wait(timeout=JOIN_GRACE)
-            receiver.stop()
-            receiver.join(timeout=JOIN_GRACE)
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +638,9 @@ class ProcessExecutor:
     metrics:
         Optional :class:`~repro.obs.metrics.MetricRegistry`.  Each node
         process records into its own child registry; the children ship
-        their snapshots home over the existing control pipes at
-        shutdown and the parent merges them into this registry, so
-        merged counters equal single-process totals exactly.
+        their snapshots home over the control pipes at shutdown and the
+        parent merges them into this registry, so merged counters equal
+        single-process totals exactly.
     """
 
     def __init__(
@@ -537,7 +679,7 @@ class ProcessExecutor:
         ensure_executable(graph, backend="processes")
 
         #: optional fault-injection hook (repro.chaos), forked into the
-        #: node processes' couriers; set by the runner before start().
+        #: node executors; set by the runner before start().
         self.chaos = None
         #: optional :class:`repro.chaos.checkpoint.CheckpointStore`;
         #: when set, a lost node's :class:`NodeLostError` carries the
@@ -547,6 +689,9 @@ class ProcessExecutor:
         self._started = False
         self._processes: list[mp.Process] = []
         self._ctrl: dict[int, Connection] = {}
+        self._channels: _Channels | None = None  # while the run is live
+        #: (tasks done, messages sent, elapsed): the last progress() sample
+        self._tallies: tuple[int, int, float] = (0, 0, 0.0)
         self._handle: RunHandle | None = None
         self._epoch = 0.0
         self._cancel_at: float | None = None
@@ -558,15 +703,21 @@ class ProcessExecutor:
         return list(self._processes)
 
     def progress(self) -> dict:
-        """Live view for :mod:`repro.obs.monitor`.  Children report
-        their task tallies only at shutdown, so mid-run the parent can
-        observe process liveness and elapsed time, not task counts."""
-        alive = sum(1 for p in self._processes if p.is_alive())
+        """Live view for :mod:`repro.obs.monitor`: every node bumps its
+        ``tasks done`` / ``messages sent`` words in the shared header
+        as it goes, so the parent reads task and message counts mid-run
+        (a sample may be one task stale).  Frozen once the run ends."""
+        with self._lock:
+            if self._channels is not None:
+                self._tallies = (*self._channels.tallies(),
+                                 time.perf_counter() - self._epoch)
+            done, messages, elapsed = self._tallies
         return {
+            "done": done,
             "total": len(self.graph),
-            "elapsed_s": (time.perf_counter() - self._epoch)
-            if self._started else 0.0,
-            "procs_alive": alive,
+            "messages": messages,
+            "elapsed_s": elapsed,
+            "procs_alive": sum(1 for p in self._processes if p.is_alive()),
             "procs": self.procs,
         }
 
@@ -580,43 +731,24 @@ class ProcessExecutor:
                 "another executor to run the graph again"
             )
         self._started = True
-        self.graph.message_plan()  # once, here: the children inherit it
         ctx = mp.get_context("fork")
-
-        # Full mesh of duplex pipes (data + aborts can always flow).
-        ends: dict[int, dict[int, Connection]] = {n: {} for n in range(self.procs)}
-        for a, b in itertools.combinations(range(self.procs), 2):
-            conn_a, conn_b = ctx.Pipe(duplex=True)
-            ends[a][b] = conn_a
-            ends[b][a] = conn_b
-        ctrl_pairs = [ctx.Pipe(duplex=True) for _ in range(self.procs)]
-        self._ctrl = {n: pair[0] for n, pair in enumerate(ctrl_pairs)}
-
-        everything: list[Connection] = [
-            *(c for per in ends.values() for c in per.values()),
-            *(c for pair in ctrl_pairs for c in pair),
-        ]
+        # Laid out before the fork: the children inherit the channels.
+        self._channels = _Channels(self.graph, self.procs, ctx)
         self._epoch = time.perf_counter()
         for node in range(self.procs):
-            mine = {*ends[node].values(), ctrl_pairs[node][1]}
-            unused = [c for c in everything if c not in mine]
+            parent_end, child_end = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_node_main,
-                args=(node, self.graph, self.jobs, self.policy, self.want_trace,
-                      self.metrics is not None, self._epoch, ends[node],
-                      ctrl_pairs[node][1], unused, self.chaos),
+                args=(node, self.graph, self._channels, self.jobs, self.policy,
+                      self.want_trace, self.metrics is not None, self._epoch,
+                      child_end, [*self._ctrl.values(), parent_end], self.chaos),
                 name=f"repro-procs-{node}",
                 daemon=True,
             )
             proc.start()
+            child_end.close()  # the child owns it now
+            self._ctrl[node] = parent_end
             self._processes.append(proc)
-        # The children own these now; drop the parent's copies so EOFs
-        # propagate.
-        for per in ends.values():
-            for conn in per.values():
-                conn.close()
-        for _parent_end, child_end in ctrl_pairs:
-            child_end.close()
 
         self._handle = RunHandle(self._request_cancel)
         threading.Thread(
@@ -653,14 +785,12 @@ class ProcessExecutor:
         """Collect every child's outcome, reap the processes, finish
         the handle.  Runs on a daemon thread in the parent."""
         waiting = dict(self._ctrl)  # node -> conn, removed once reported
-        sentinels = {p.sentinel: node for node, p in enumerate(self._processes)}
         outcomes: dict[int, tuple] = {}
         first_error: BaseException | None = None
         forced = False
 
-        def fail(node: int, exc: BaseException) -> None:
+        def fail(exc: BaseException) -> None:
             nonlocal first_error
-            outcomes.setdefault(node, ("error", exc))
             if first_error is None:
                 first_error = exc
                 # Peers may now be waiting on inputs that will never
@@ -689,46 +819,38 @@ class ProcessExecutor:
                     outcomes.setdefault(node, ("cancelled", None))
                 forced = True
                 break
-            ready = conn_wait(
-                [*waiting.values(), *sentinels], timeout=_POLL
-            )
-            for item in ready:
-                if item in sentinels:
-                    node = sentinels.pop(item)
-                    if node in waiting:
-                        del waiting[node]
-                        code = self._processes[node].exitcode
-                        fail(node, lost(node, (
-                            f"node {node} process died without reporting "
-                            f"(exit code {code})"
-                        )))
-                    continue
-                node = next(n for n, c in waiting.items() if c is item)
+            sentinels = {n: self._processes[n].sentinel for n in waiting}
+            ready = conn_wait([*waiting.values(), *sentinels.values()],
+                              timeout=_POLL)
+            for node in [n for n, conn in waiting.items()
+                         if conn in ready or sentinels[n] in ready]:
+                # A child exits right after reporting, so its death and
+                # its report can show up together: read the pipe first.
+                conn = waiting.pop(node)
                 try:
-                    outcome = item.recv()
+                    outcome = conn.recv() if conn.poll() else None
                 except (EOFError, OSError):
-                    del waiting[node]
-                    fail(node, lost(
-                        node, f"node {node} closed its control pipe mid-run"
-                    ))
-                    continue
-                del waiting[node]
+                    outcome = None
+                if outcome is None:  # exited (or closed its pipe) unreported
+                    self._processes[node].join(timeout=_POLL)
+                    outcome = ("error", lost(node, (
+                        f"node {node} process died without reporting (exit "
+                        f"code {self._processes[node].exitcode})")))
                 outcomes[node] = outcome
                 if outcome[0] == "error":
-                    fail(node, outcome[1])
+                    fail(outcome[1])
         t_end = time.perf_counter()
 
-        for conn in self._ctrl.values():  # release the children
-            try:
-                conn.send(("exit",))
-            except (BrokenPipeError, OSError):
-                pass
         self._reap(force=forced)
         for conn in self._ctrl.values():
             try:
                 conn.close()
             except OSError:
                 pass
+        with self._lock:  # freeze progress(), then unmap the channels
+            self._tallies = (*self._channels.tallies(), t_end - self._epoch)
+            self._channels.close()
+            self._channels = None
 
         handle = self._handle
         assert handle is not None
@@ -781,11 +903,11 @@ class ProcessExecutor:
             node_busy[node] = sum(stats["worker_busy"].values())
             comm_busy[node] = stats["send_busy"] + stats["recv_busy"]
             steals += stats["steals"]
-            messages += stats["messages"]
-            payload_bytes += stats["payload_bytes"]
-            wire_bytes += stats["wire_bytes"]
-            for dst, (msgs, nbytes, _wire) in stats["by_dst"].items():
+            for dst, (msgs, nbytes, wire) in stats["by_dst"].items():
                 by_pair[(node, dst)] = (msgs, nbytes)
+                messages += msgs
+                payload_bytes += nbytes
+                wire_bytes += wire
             if self.want_trace:
                 for wid, kind, start, end, label, task_id in stats["task_spans"]:
                     spans.append((node, wid, kind, start, end, label, task_id))

@@ -7,7 +7,7 @@ execution layer:
 
 * :mod:`repro.obs.metrics` -- counters / gauges / histograms in one
   process-mergeable registry; the sim engine, the threads pool, the
-  procs IPC mesh and the autotuner all emit into it;
+  procs node processes and the autotuner all emit into it;
 * :mod:`repro.obs.export` -- one serializer for every trace and
   metric sink: Chrome/Perfetto events, JSON lines, OTel-style spans,
   Prometheus text exposition;
@@ -32,52 +32,30 @@ from __future__ import annotations
 
 import os
 
-from .alerts import (
-    AlertEngine,
-    AlertRule,
-    JsonlSink,
-    default_rules,
-    load_rules,
-    parse_rules,
-    replay_rules,
-)
-from .critpath import (
-    CritPathReport,
-    critical_path,
-    find_stragglers,
-    publish_critpath_metrics,
-    robust_scores,
-)
-from .diff import TraceDiff, diff_results, diff_traces
-from .lifecycle import (
-    FlightRecorder,
-    LifecycleTracer,
-    LifeSpan,
-    format_postmortem,
-    load_postmortem,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    MetricsSnapshot,
-)
-from .monitor import (
-    RunMonitor,
-    format_serve_summary,
-    format_summary,
-    format_top,
-    monitored_run,
-)
-from .regress import (
-    RegressReport,
-    compare,
-    load_baseline,
-    metrics_from_serve,
-)
-from .slo import format_slo_report, slo_gate_metrics, slo_report
-from .timeseries import TelemetrySampler, TimeSeriesStore, read_series_jsonl
+from .._lazy import lazy_exports
+
+#: Re-exported name -> sub-module that defines it, resolved on first
+#: access: the engine and both executors import this package only for
+#: :func:`trace_validation_enabled`.
+_EXPORTS = {
+    **dict.fromkeys(("AlertEngine", "AlertRule", "JsonlSink", "default_rules",
+                     "load_rules", "parse_rules", "replay_rules"), "alerts"),
+    **dict.fromkeys(("CritPathReport", "critical_path", "find_stragglers",
+                     "publish_critpath_metrics", "robust_scores"), "critpath"),
+    **dict.fromkeys(("TraceDiff", "diff_results", "diff_traces"), "diff"),
+    **dict.fromkeys(("FlightRecorder", "LifecycleTracer", "LifeSpan",
+                     "format_postmortem", "load_postmortem"), "lifecycle"),
+    **dict.fromkeys(("Counter", "Gauge", "Histogram", "MetricRegistry",
+                     "MetricsSnapshot"), "metrics"),
+    **dict.fromkeys(("RunMonitor", "format_serve_summary", "format_summary",
+                     "format_top", "monitored_run"), "monitor"),
+    **dict.fromkeys(("RegressReport", "compare", "load_baseline",
+                     "metrics_from_serve"), "regress"),
+    **dict.fromkeys(("format_slo_report", "slo_gate_metrics", "slo_report"), "slo"),
+    **dict.fromkeys(("TelemetrySampler", "TimeSeriesStore", "read_series_jsonl"),
+                    "timeseries"),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 #: Environment variable enabling the debug-mode trace validation the
 #: engine and both real backends run after a traced run.

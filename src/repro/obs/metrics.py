@@ -5,9 +5,9 @@ Design goals, in the order they mattered:
 * **Cheap recording.**  A metric cell is a plain Python attribute that
   its (single) writer bumps without taking a lock -- the execution
   layers are already structured so that each hot counter has exactly
-  one writer (a worker thread owns its lane, the courier owns the
-  send tallies, the engine is single-threaded), or the increment
-  happens inside a critical section the layer already holds.  Cell
+  one writer (a worker thread owns its lane, the engine is
+  single-threaded), or the increment happens inside a critical section
+  the layer already holds (a procs node's send tallies).  Cell
   *creation* is the only locked path, and layers hoist it out of hot
   loops by keeping the cell handle.
 * **Exactness.**  The acceptance tests assert the procs-merged

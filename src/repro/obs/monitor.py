@@ -10,8 +10,8 @@ three backends expose ``progress()``:
   plus delivered messages;
 * :class:`repro.exec.executor.ThreadedExecutor` -- wall-clock
   done/total, busy seconds and steal count;
-* :class:`repro.exec.procs.ProcessExecutor` -- node processes alive
-  (per-task progress lives inside the children).
+* :class:`repro.exec.procs.ProcessExecutor` -- done/total and
+  messages sent, read from the nodes' shared header, plus liveness.
 
 The monitor attaches through :func:`repro.core.runner.run`'s
 ``on_executor`` hook, which fires just before the run starts::
@@ -214,7 +214,7 @@ def format_summary(
         row("remote payload bytes", f"{mbytes:.0f}{against}")
     wire = snapshot.counter("wire_bytes_total")
     if wire:
-        row("wire bytes (pickled)", f"{wire:.0f}")
+        row("wire bytes (ring)", f"{wire:.0f}")
     hits = snapshot.counter("tuning_cache_hits_total")
     misses = snapshot.counter("tuning_cache_misses_total")
     if hits or misses:

@@ -96,20 +96,27 @@ def test_projection_point_gain_zero_base():
 def test_only_petsc_lite_imports_scipy():
     """scipy costs every process 0.15 s and 24 MiB; only
     ``MatAIJ.from_coo`` needs it, so importing the runner, the service
-    and the CLI must not pull it in."""
+    and the CLI must not pull it in.  Likewise a solve needs only the
+    runner: importing it must not execute the experiments or the
+    alerting / time-series half of the telemetry stack (``repro`` and
+    ``repro.obs`` resolve their re-exports lazily)."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "import sys, repro, repro.core.runner, repro.serve, repro.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, text=True,
-                          capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    for imports, unwanted in (
+        ("import repro, repro.core.runner, repro.serve, repro.cli", "{'scipy'}"),
+        ("from repro.core.runner import run",
+         "{'repro.experiments', 'repro.obs.alerts', 'repro.obs.timeseries'}"),
+    ):
+        code = (f"import sys\n{imports}\n"
+                f"print(sorted(m for m in sys.modules if m in {unwanted} "
+                f"or m.split('.')[0] in {unwanted}))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", imports
