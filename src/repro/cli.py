@@ -282,7 +282,8 @@ def _add_traffic_flags(p: argparse.ArgumentParser, requests: int = 4) -> None:
                    help="requests per tenant (the second half repeats "
                         "the first, exercising the result cache)")
     p.add_argument("--workers", type=int, default=2,
-                   help="concurrent batches in flight (pool capacity)")
+                   help="runner threads, each owning one worker (= "
+                        "concurrent batches in flight)")
 
 
 def _add_fault_flags(p: argparse.ArgumentParser, effect: str) -> None:
@@ -304,18 +305,16 @@ def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
     _add_traffic_flags(p, requests=6)
     p.add_argument("--pool", choices=("threads", "processes"),
                    default="threads",
-                   help="what the pool keeps warm between requests: "
-                        "in-process workers or persistent forked "
-                        "children (executors are built per request)")
+                   help="what a worker is -- the thing each runner "
+                        "keeps warm between requests: an in-process "
+                        "object, or a persistent forked child (closed "
+                        "after 30 s idle, replaced when it dies); "
+                        "executors are built per request")
     p.add_argument("--queue-depth", type=int, default=64,
                    help="admission bound (submissions beyond it are "
                         "fast-rejected)")
     p.add_argument("--tenant-limit", type=int, default=2,
                    help="per-tenant in-flight cap")
-    p.add_argument("--batch-window", type=float, default=0.005,
-                   help="seconds the dispatcher waits to fuse "
-                        "compatible jobs into one batch")
-    p.add_argument("--max-batch", type=int, default=8)
     p.add_argument("--deadline", type=float, default=None,
                    help="per-request deadline in seconds")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -923,8 +922,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         queue_depth=args.queue_depth,
         tenant_limit=args.tenant_limit,
-        batch_window_s=args.batch_window,
-        max_batch=args.max_batch,
         trace_requests=bool(timeline_out),
     )
     if args.no_cache:
@@ -941,7 +938,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             monitor.stop()
         snapshot = session.service.metrics.snapshot()
-        stats = session.service.stats()
         if timeline_out:
             written = session.service.write_timeline(
                 chrome=args.trace_out, otel=args.otel_out
@@ -952,8 +948,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"({variants} distinct problems, second wave repeats)")
     print(format_tally(tally))
     print(format_serve_summary(snapshot))
-    pool = stats["pool"]
-    print(f"pool at shutdown: kind={pool['kind']} spawned={pool['spawned']}")
+    pool = session.service.stats()["pool"]  # read after stop()
+    print(f"pool at shutdown: kind={pool['kind']} spawned={pool['spawned']} "
+          f"live={pool['workers']}")
     return 0 if tally["failed"] == 0 else 1
 
 

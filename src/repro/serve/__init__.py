@@ -2,12 +2,13 @@
 
 Instead of paying imports, worker spin-up (a fork, on the
 ``processes`` pool) and tear-down per ``run()`` call, a
-:class:`SolverService` keeps warm workers alive across jobs (each
-request still builds its own graph and one-shot executor), batches
-compatible small solves into single submissions, admits work through
-a bounded multi-tenant queue, and serves repeated requests straight
-from a content-keyed result cache -- with every stage instrumented
-through :mod:`repro.obs`.
+:class:`SolverService` runs ``workers`` runner threads that each keep
+one warm worker -- an in-process object or a persistent forked child
+-- alive across jobs (each request still builds its own graph and
+one-shot executor), batches compatible queued solves into single
+submissions, admits work through a bounded multi-tenant queue, and
+serves repeated requests straight from a content-keyed result cache
+-- with every stage instrumented through :mod:`repro.obs`.
 
 Quick start::
 
@@ -23,7 +24,7 @@ See ``docs/serving.md`` for the architecture and the ops runbook.
 from .batch import Batch, BatchCollector
 from .cache import ResultCache, default_cache_dir
 from .client import SolverClient
-from .pool import WorkerPool, execute_request
+from .pool import execute_request
 from .queue import Job, JobQueue
 from .request import (
     DeadlineExpired,
@@ -55,7 +56,6 @@ __all__ = [
     "SolverClient",
     "SolverService",
     "WorkerDied",
-    "WorkerPool",
     "default_cache_dir",
     "execute_request",
     "outcome_from_result",

@@ -1,16 +1,17 @@
-"""Batching window: fuse compatible small solves into one submission.
+"""Batching: fuse compatible queued solves into one submission.
 
-Small solves are dominated by dispatch overhead (queue hand-off, pool
-wake-up, a pipe round-trip), so the dispatcher does not take jobs one
-by one: after dequeuing a *leader* it holds a short window open and
-pulls every queued job of the same tenant whose
+A runner does not take jobs one by one: after dequeuing a *leader* it
+also takes every job **already queued** for the same tenant whose
 :meth:`~repro.serve.request.SolveRequest.batch_key` matches -- same
 machine model, implementation, grid extents, tile shape and execution
-config -- up to ``max_batch``.  The whole batch rides one pool
-submission and executes back-to-back on one worker.  What that buys
-is the dedup below and, on ``pool="processes"``, one pipe round-trip
-for the batch instead of one per job; every job still builds its own
-graph and one-shot executor.
+config -- up to :data:`MAX_BATCH`.  It never waits for more to arrive:
+a backlog, the only time fusing pays, is by definition already in the
+queue, while a wait is paid by every lone job (``docs/serving.md``
+prices the batch-take hop).  The whole batch executes back-to-back on
+the runner's worker.  What that buys is the dedup below and, on
+``pool="processes"``, one pipe round-trip for the batch instead of
+one per job; every job still builds its own graph and one-shot
+executor.
 
 Within a batch, jobs with *equal signatures* are deduplicated: the
 group's leader is solved once and every duplicate's future resolves
@@ -31,18 +32,17 @@ from dataclasses import dataclass
 
 from .queue import Job, JobQueue
 
+#: Most jobs one batch carries: bounds how long one tenant's backlog
+#: holds a worker before fair share gets another look at the queue.
+MAX_BATCH = 8
+
 
 @dataclass
 class Batch:
-    """Jobs fused into one pool submission (all one tenant, all one
+    """Jobs fused into one worker submission (all one tenant, all one
     batch key)."""
 
     jobs: list[Job]
-    key: tuple
-
-    @property
-    def tenant(self) -> str:
-        return self.jobs[0].tenant
 
     def groups(self) -> "OrderedDict[str, list[Job]]":
         """Jobs grouped by solve signature, leader-first submission
@@ -58,32 +58,12 @@ class Batch:
 
 
 class BatchCollector:
-    """Turns the job queue's single-job dequeue into batch dequeue.
+    """Turns the job queue's single-job dequeue into batch dequeue."""
 
-    ``window_s`` bounds the extra latency batching may add to the
-    leader: the collector polls for compatible arrivals until the
-    window closes or the batch fills.  ``window_s=0`` degenerates to
-    purely opportunistic batching (whatever is already queued), and
-    ``max_batch=1`` disables fusion entirely.
-    """
-
-    def __init__(
-        self,
-        queue: JobQueue,
-        window_s: float = 0.005,
-        max_batch: int = 8,
-        metrics=None,
-        lifecycle=None,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be positive, got {max_batch}")
-        if window_s < 0:
-            raise ValueError(f"window_s cannot be negative, got {window_s}")
+    def __init__(self, queue: JobQueue, metrics=None, lifecycle=None) -> None:
         self.queue = queue
-        self.window_s = window_s
-        self.max_batch = max_batch
         #: Optional :class:`~repro.obs.lifecycle.LifecycleTracer` the
-        #: fusion window reports ``batch_fuse`` spans to.
+        #: collector reports ``batch_fuse`` spans to.
         self._lifecycle = lifecycle
         # Several runner threads collect concurrently; the lock keeps
         # the metric cells single-writer.
@@ -107,29 +87,19 @@ class BatchCollector:
             )
 
     def take(self, timeout: float | None = None) -> Batch | None:
-        """The next batch: a leader from the fair-share queue plus
-        every compatible same-tenant job the window catches."""
+        """The next batch: a leader from the fair-share queue (waited
+        for up to ``timeout``) plus every compatible same-tenant job
+        queued behind it right now."""
         leader = self.queue.take(timeout)
         if leader is None:
             return None
-        t_window = time.monotonic()
-        jobs = [leader]
+        t_fuse = time.monotonic()
         key = leader.request.batch_key()
-        if self.max_batch > 1:
-            window_end = time.monotonic() + self.window_s
-            while len(jobs) < self.max_batch:
-                jobs.extend(self.queue.take_more(
-                    leader.tenant,
-                    lambda j: j.request.batch_key() == key,
-                    self.max_batch - len(jobs),
-                ))
-                if len(jobs) >= self.max_batch:
-                    break
-                remaining = window_end - time.monotonic()
-                if remaining <= 0:
-                    break
-                time.sleep(min(remaining, 0.001))
-        batch = Batch(jobs=jobs, key=key)
+        jobs = [leader, *self.queue.take_more(
+            leader.tenant, lambda j: j.request.batch_key() == key,
+            MAX_BATCH - 1,
+        )]
+        batch = Batch(jobs)
         if self._metrics is not None:
             with self._mlock:
                 self._c_batches.inc()
@@ -141,7 +111,7 @@ class BatchCollector:
             trace_id = leader.extra.get("trace_id")
             if trace_id is not None:
                 self._lifecycle.span(
-                    trace_id, "batch_fuse", t_window, time.monotonic(),
+                    trace_id, "batch_fuse", t_fuse, time.monotonic(),
                     jobs=len(jobs), dedup=batch.duplicates,
                 )
         return batch

@@ -1,31 +1,31 @@
-"""Warm worker pools: solve capacity that survives across jobs.
+"""Serve workers: solve capacity that survives across jobs.
 
-What a pool keeps between requests is the *worker*, never an executor
-(an executor is built for one graph and runs once): a request is
-``warm`` when the worker that ran it had already executed one.
+What survives between requests is the *worker*, never an executor (an
+executor is built for one graph and runs once): a request is ``warm``
+when the worker that ran it had already executed one.
 
-Two pool kinds, one contract:
+Two kinds, one contract (``name``, ``alive()``, ``run_batch(items)``,
+``cancel(seq)``, ``close()``, ``retire_when_idle``):
 
-* ``"threads"`` -- each worker is an in-process object; concurrency
-  comes from the service's runner threads and the pool hands workers
-  out.  Warm here means only that the worker has run a request in
-  this process before (lazy imports done, allocator arenas grown).
-* ``"processes"`` -- each worker is a persistent forked child with a
-  duplex pipe, in the style of Parsl's HTEX interchange loop: the
-  parent ships a pickled batch of requests, the child solves them and
-  ships back reduced outcomes plus a metrics snapshot the parent
+* ``"threads"`` -- :class:`InProcessWorker`, an object in the service
+  process; the solve runs on the runner thread that owns it.  Warm
+  here means only that the worker has run a request in this process
+  before (lazy imports done, allocator arenas grown).  It holds
+  nothing between requests, so it is never retired.
+* ``"processes"`` -- :class:`ProcessWorker`, a persistent forked child
+  with a duplex pipe, in the style of Parsl's HTEX interchange loop:
+  the parent ships a pickled batch of requests, the child solves them
+  and ships back reduced outcomes plus a metrics snapshot the parent
   merges (counter exactness across the process boundary, same scheme
-  the procs backend uses).  Children survive across batches, which is
-  what a warm child saves: the fork, its imports and its allocator
-  state.  A dead child is detected at acquire/release and replaced.
+  the procs backend uses).  The child survives across batches, which
+  is what a warm child saves: the fork, its imports and its allocator
+  state.
 
-Shared lifecycle: ``acquire`` health-checks and replaces dead
-workers, ``release`` returns them to the idle list, ``reap_idle``
-retires workers idle beyond the timeout down to ``min_workers``
-(called from the service's reaper loop), ``shutdown`` closes
-everything.  All pool metrics are bumped inside the pool lock;
-worker-level warm/cold counters go into the per-batch registry the
-executing worker owns (single-writer discipline throughout).
+Each of the service's runner threads owns one worker for its lifetime
+-- spawns it on its first batch, replaces it when it died, closes an
+idle child (:mod:`repro.serve.service`).  Worker-level warm/cold
+counters go into the per-batch registry the executing worker owns
+(single-writer discipline throughout).
 """
 
 from __future__ import annotations
@@ -44,12 +44,11 @@ from .request import (
     outcome_from_result,
 )
 
-#: One unit of pool work: (job seq, request, absolute monotonic
-#: deadline or None[, lifecycle trace id or None]).  Sequence numbers
+#: One unit of worker input: (job seq, request, absolute monotonic
+#: deadline or None, lifecycle trace id or None).  Sequence numbers
 #: let the reaper target the currently-running job; the trace id
-#: (optional on the wire -- a 3-tuple runs untraced) carries the
-#: request's lifecycle context into the worker, fork boundary
-#: included.
+#: (None runs untraced) carries the request's lifecycle context into
+#: the worker, fork boundary included.
 WorkItem = tuple[int, SolveRequest, float | None, str | None]
 
 
@@ -128,8 +127,7 @@ def _run_items(items: list[WorkItem], name: str, served: Iterator[int],
     honouring per-item deadlines, into ``(status, payload)`` pairs
     plus the batch's metrics snapshot and its lifecycle spans (an
     ``execute`` span per traced item, parenting any
-    ``ir_passes``/``recover`` children the run recorded).  Items may
-    be 3-tuples (untraced) or 4-tuples carrying the request's trace id.
+    ``ir_passes``/``recover`` children the run recorded).
 
     ``served`` is the worker's own ``itertools.count()``: it yields how
     many requests the worker executed before this one, so a request is
@@ -141,9 +139,7 @@ def _run_items(items: list[WorkItem], name: str, served: Iterator[int],
     reg = MetricRegistry()
     log = SpanLog(origin=name)
     out: list[tuple[str, object]] = []
-    for item in items:
-        seq, request, deadline = item[:3]
-        trace_id = item[3] if len(item) > 3 else None
+    for seq, request, deadline, trace_id in items:
         if deadline is not None and time.monotonic() >= deadline:
             out.append(("expired", DeadlineExpired(
                 f"job {seq} expired before execution started"
@@ -235,14 +231,14 @@ class _CancelScope:
 
 
 class InProcessWorker:
-    """Pool worker living in the service process (threads kind)."""
+    """Worker living in the service process (threads kind)."""
 
-    kind = "threads"
+    #: nothing is held between requests, so idling costs nothing
+    retire_when_idle = False
 
     def __init__(self, name: str, checkpoint_dir=None,
                  want_trace: bool = False) -> None:
         self.name = name
-        self.idle_since = time.monotonic()
         self._served = itertools.count()
         self._scope = _CancelScope()
         self._checkpoint_dir = checkpoint_dir
@@ -283,15 +279,11 @@ def _pool_child_main(conn, name: str, checkpoint_dir=None,
         _, items = msg
         # Relative deadlines -> this process's monotonic clock.
         now = time.monotonic()
-        local = []
-        for item in items:
-            seq, req, remaining = item[:3]
-            trace_id = item[3] if len(item) > 3 else None
-            local.append((
-                seq, req,
-                None if remaining is None else now + remaining,
-                trace_id,
-            ))
+        local = [
+            (seq, req, None if remaining is None else now + remaining,
+             trace_id)
+            for seq, req, remaining, trace_id in items
+        ]
         results, snapshot, spans = _run_items(
             local, name, served, checkpoint_dir=checkpoint_dir,
             want_trace=want_trace,
@@ -303,14 +295,14 @@ def _pool_child_main(conn, name: str, checkpoint_dir=None,
 
 
 class ProcessWorker:
-    """Pool worker backed by a persistent forked child process."""
+    """Worker backed by a persistent forked child process."""
 
-    kind = "processes"
+    #: an idle child still costs a process and its memory
+    retire_when_idle = True
 
     def __init__(self, name: str, checkpoint_dir=None,
                  want_trace: bool = False) -> None:
         self.name = name
-        self.idle_since = time.monotonic()
         ctx = mp.get_context("fork")
         self._conn, child_conn = ctx.Pipe(duplex=True)
         self._proc = ctx.Process(
@@ -321,35 +313,33 @@ class ProcessWorker:
         )
         self._proc.start()
         child_conn.close()
+        self._pipe_broke = False
 
     def alive(self) -> bool:
-        return self._proc.is_alive()
+        # A killed child's pipe reads EOF a moment before ``waitpid``
+        # can reap it; the broken pipe alone already means dead.
+        return not self._pipe_broke and self._proc.is_alive()
 
     def run_batch(self, items: list[WorkItem]):
         now = time.monotonic()
-        wire = []
-        for item in items:
-            seq, req, dl = item[:3]
-            trace_id = item[3] if len(item) > 3 else None
-            wire.append((
-                seq, req,
-                None if dl is None else max(0.0, dl - now),
-                trace_id,
-            ))
+        wire = [
+            (seq, req, None if dl is None else max(0.0, dl - now), trace_id)
+            for seq, req, dl, trace_id in items
+        ]
         try:
             self._conn.send(("batch", wire))
-            msg = self._conn.recv()
+            _done, results, snapshot, spans = self._conn.recv()
         except (EOFError, OSError, BrokenPipeError) as exc:
+            self._pipe_broke = True
             raise WorkerDied(
                 f"pool worker {self.name} died mid-batch: {exc!r}"
             ) from exc
-        results, snapshot = msg[1], msg[2]
-        spans = msg[3] if len(msg) > 3 else []
         return results, snapshot, spans
 
     def cancel(self, seq: int | None = None) -> bool:
         """Deadline enforcement for a child is the blunt instrument:
-        kill it (the batch fails, the pool replaces the worker)."""
+        kill it (the batch fails, the owning runner forks its
+        replacement)."""
         if not self._proc.is_alive():
             return False
         self._proc.terminate()
@@ -371,183 +361,14 @@ class ProcessWorker:
             pass
 
 
-class WorkerPool:
-    """Fixed-capacity pool of warm workers with idle shrink and
-    health-checked replacement."""
-
-    def __init__(
-        self,
-        kind: str = "threads",
-        max_workers: int = 2,
-        min_workers: int = 1,
-        idle_timeout_s: float | None = 30.0,
-        metrics=None,
-        name: str = "pool",
-        checkpoint_dir=None,
-        want_trace: bool = False,
-    ) -> None:
-        if kind not in ("threads", "processes"):
-            raise ValueError(
-                f"unknown pool kind {kind!r}; choices: ('threads', 'processes')"
-            )
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
-        self.kind = kind
-        self.max_workers = max_workers
-        self.min_workers = max(0, min(min_workers, max_workers))
-        self.idle_timeout_s = idle_timeout_s
-        self.name = name
-        self.checkpoint_dir = checkpoint_dir
-        self.want_trace = want_trace
-        self._lock = threading.Lock()
-        self._free = threading.Condition(self._lock)
-        self._idle: list = []
-        self._busy: set = set()
-        self._spawned = 0
-        self._closed = False
-
-        self._metrics = metrics
-        if metrics is not None:
-            self._g_workers = metrics.gauge(
-                "serve_pool_workers", "live pool workers", "workers"
-            )
-            self._c_replaced = metrics.counter(
-                "serve_pool_replaced_total",
-                "dead workers replaced by health checks", "workers",
-            )
-            self._c_retired = metrics.counter(
-                "serve_pool_retired_total",
-                "workers retired by the idle timeout", "workers",
-            )
-
-    # -- internals -------------------------------------------------------
-
-    def _spawn_locked(self):
-        self._spawned += 1
-        name = f"{self.name}-{self.kind}-{self._spawned}"
-        worker = (
-            InProcessWorker(name, checkpoint_dir=self.checkpoint_dir,
-                            want_trace=self.want_trace)
-            if self.kind == "threads"
-            else ProcessWorker(name, checkpoint_dir=self.checkpoint_dir,
-                               want_trace=self.want_trace)
-        )
-        if self._metrics is not None:
-            self._g_workers.set(len(self._idle) + len(self._busy) + 1)
-        return worker
-
-    def _note_size_locked(self) -> None:
-        if self._metrics is not None:
-            self._g_workers.set(len(self._idle) + len(self._busy))
-
-    # -- API -------------------------------------------------------------
-
-    def acquire(self, timeout: float | None = None):
-        """A healthy worker, or None on timeout.  Dead idle workers
-        found here are closed and replaced transparently."""
-        limit = None if timeout is None else time.monotonic() + timeout
-        with self._free:
-            while True:
-                if self._closed:
-                    raise WorkerDied("pool is shut down")
-                while self._idle:
-                    worker = self._idle.pop()
-                    if worker.alive():
-                        self._busy.add(worker)
-                        return worker
-                    worker.close()
-                    if self._metrics is not None:
-                        self._c_replaced.inc(kind=self.kind)
-                    # fall through: spawn (or wait) below
-                if len(self._busy) < self.max_workers:
-                    worker = self._spawn_locked()
-                    self._busy.add(worker)
-                    return worker
-                if limit is not None:
-                    remaining = limit - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                    self._free.wait(remaining)
-                else:
-                    self._free.wait()
-
-    def release(self, worker) -> None:
-        """Return a worker; a dead one is dropped (and counted as
-        replaced -- the next acquire spawns its successor)."""
-        with self._free:
-            self._busy.discard(worker)
-            if self._closed:
-                worker.close()
-            elif worker.alive():
-                worker.idle_since = time.monotonic()
-                self._idle.append(worker)
-            else:
-                worker.close()
-                if self._metrics is not None:
-                    self._c_replaced.inc(kind=self.kind)
-            self._note_size_locked()
-            self._free.notify()
-
-    def reap_idle(self, now: float | None = None) -> int:
-        """Retire workers idle beyond ``idle_timeout_s`` down to
-        ``min_workers``; returns how many were retired."""
-        if self.idle_timeout_s is None:
-            return 0
-        now = time.monotonic() if now is None else now
-        retired = []
-        with self._free:
-            keep = []
-            total = len(self._idle) + len(self._busy)
-            for worker in self._idle:
-                if (
-                    total > self.min_workers
-                    and now - worker.idle_since > self.idle_timeout_s
-                ):
-                    retired.append(worker)
-                    total -= 1
-                else:
-                    keep.append(worker)
-            self._idle = keep
-            if retired and self._metrics is not None:
-                self._c_retired.inc(len(retired), kind=self.kind)
-            self._note_size_locked()
-        for worker in retired:
-            worker.close()
-        return len(retired)
-
-    def shutdown(self) -> None:
-        with self._free:
-            self._closed = True
-            workers = self._idle + list(self._busy)
-            self._idle = []
-            self._busy = set()
-            self._note_size_locked()
-            self._free.notify_all()
-        for worker in workers:
-            worker.close()
-
-    # -- introspection ---------------------------------------------------
-
-    def size(self) -> int:
-        with self._lock:
-            return len(self._idle) + len(self._busy)
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "kind": self.kind,
-                "idle": len(self._idle),
-                "busy": len(self._busy),
-                "spawned": self._spawned,
-                "max_workers": self.max_workers,
-                "min_workers": self.min_workers,
-            }
+#: ``ServiceConfig.pool`` -> the worker class a runner spawns
+WORKER_KINDS = {"threads": InProcessWorker, "processes": ProcessWorker}
 
 
 __all__ = [
     "InProcessWorker",
     "ProcessWorker",
-    "WorkerPool",
+    "WORKER_KINDS",
     "WorkItem",
     "execute_request",
 ]

@@ -251,8 +251,8 @@ class JobQueue:
         match: Callable[[Job], bool],
         limit: int,
     ) -> list[Job]:
-        """Non-blocking companion of :meth:`take` for the batching
-        window: up to ``limit`` additional jobs of the *same tenant*
+        """Non-blocking companion of :meth:`take` for the batch
+        collector: up to ``limit`` additional jobs of the *same tenant*
         satisfying ``match`` (in priority order), each counted against
         the tenant's in-flight cap.  Batching stays within a tenant so
         the fairness story stays one queue's."""

@@ -11,7 +11,7 @@ request knows its own
   two requests with equal signatures must produce bit-identical
   solution grids, which the backend-conformance suite guarantees;
 * :meth:`~SolveRequest.batch_key` -- the coarser compatibility key the
-  batching window fuses on: requests sharing it run on the same
+  batch collector fuses on: requests sharing it run on the same
   machine model, implementation and tile shape, so dispatching them
   as one pool submission amortises per-job overhead without changing
   any answer.
@@ -156,7 +156,7 @@ class SolveRequest:
             problem=problem, machine=machine, config=config,
             tenant=tenant, priority=priority, deadline_s=deadline_s,
             chaos_plan=chaos_plan, retries=retries,
-            # not a field: the batching window compares batch keys of
+            # not a field: the batch collector compares batch keys of
             # every queued job, so resolve once, not per comparison
             _resolved=config.resolved(problem, machine),
         )
@@ -204,7 +204,7 @@ class SolveRequest:
         return solve_signature(self.problem, self.machine, impl, **params)
 
     def batch_key(self) -> tuple:
-        """Compatibility key for the batching window: requests sharing
+        """Compatibility key for the batch collector: requests sharing
         it use the same machine model, implementation, grid extents,
         tile shape and execution config -- every ``SERVE`` knob, as
         resolved -- so they can ride one pool submission."""

@@ -1,4 +1,4 @@
-"""The solver service: warm pools + queue + batching + cache, wired.
+"""The solver service: queue + batching + workers + cache, wired.
 
 :class:`SolverService` is the façade the CLI (``repro serve`` /
 ``repro submit``) and :class:`~repro.serve.client.SolverClient` talk
@@ -6,10 +6,11 @@ to.  One service owns
 
 * a :class:`~repro.serve.queue.JobQueue` (admission control, tenant
   fair share, priorities, queued-deadline enforcement),
-* a :class:`~repro.serve.batch.BatchCollector` (window-fused
-  dispatch with intra-batch dedup),
-* a :class:`~repro.serve.pool.WorkerPool` of warm workers (threads
-  or persistent forked children),
+* a :class:`~repro.serve.batch.BatchCollector` (a leader plus the
+  compatible jobs already queued, with intra-batch dedup),
+* ``workers`` runner threads, each owning one warm worker
+  (:mod:`repro.serve.pool`: an in-process object or a persistent
+  forked child),
 * an optional :class:`~repro.serve.cache.ResultCache` probed at
   admission -- a hit resolves the future immediately and executes
   **zero** tasks (the obs counters prove it), and
@@ -17,13 +18,15 @@ to.  One service owns
   into, so ``repro monitor`` and the regression gate work against a
   live service.
 
-Threading model: ``workers`` runner threads each loop
-``collect batch -> acquire worker -> execute -> finalize``; one
-reaper thread enforces deadlines (queued jobs purged, running jobs
-cancelled and their workers reclaimed) and shrinks the idle pool.
-Per-batch metrics come back as snapshots and are merged into the
-service registry under one lock, keeping every counter cell
-single-writer.
+Threading model: each runner loops ``collect batch -> execute on its
+worker -> finalize``.  The worker is the runner's for life: spawned on
+the first batch, replaced when it died, a forked child closed after
+:data:`IDLE_TIMEOUT_S` without work; ``stop()`` closes it once the
+runners are joined.  One reaper thread enforces deadlines (queued
+jobs purged, running jobs cancelled).  Per-batch metrics come back as
+snapshots and are merged into the service registry under one lock,
+keeping every counter cell single-writer; the same lock guards the
+runners' worker table.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from ..obs.lifecycle import FlightRecorder, LifecycleTracer
 from ..obs.metrics import MetricRegistry
 from .batch import Batch, BatchCollector
 from .cache import ResultCache
-from .pool import WorkerPool
+from .pool import WORKER_KINDS
 from .queue import Job, JobQueue
 from .request import (
     DeadlineExpired,
@@ -51,6 +54,13 @@ from .request import (
     WorkerDied,
 )
 
+#: reaper cadence: how late a deadline can be noticed
+REAP_INTERVAL_S = 0.05
+#: a forked child that served nothing for this long is closed (the
+#: next batch forks a fresh, cold one); in-process workers hold
+#: nothing and stay
+IDLE_TIMEOUT_S = 30.0
+
 
 @dataclass
 class ServiceConfig:
@@ -59,27 +69,20 @@ class ServiceConfig:
     #: pool kind: "threads" (in-process workers) or "processes"
     #: (persistent forked children)
     pool: str = "threads"
-    #: concurrent batches in flight (= runner threads = pool capacity)
+    #: concurrent batches in flight (= runner threads, one worker each)
     workers: int = 2
     #: worker threads per solve (None -> the runner's default)
     jobs: int | None = None
-    min_workers: int = 1
-    idle_timeout_s: float | None = 30.0
     queue_depth: int = 64
     #: per-tenant in-flight cap (None -> unbounded)
     tenant_limit: int | None = 2
     #: per-tenant overrides of ``tenant_limit``
     tenant_limits: dict = field(default_factory=dict)
-    batch_window_s: float = 0.005
-    max_batch: int = 8
     #: result cache: a path, None for the default location, or False
     #: to disable caching entirely
     cache: object = None
-    cache_entries: int = 256
     #: deadline applied to requests that do not carry one (None = none)
     default_deadline_s: float | None = None
-    #: reaper cadence (deadlines, idle shrink)
-    reap_interval_s: float = 0.05
     #: failed-job retries granted when the request does not set its
     #: own budget (0 = fail on first error, the historical behaviour);
     #: a retried chaos job resumes from its last checkpoint
@@ -91,8 +94,6 @@ class ServiceConfig:
     #: histograms and the flight recorder.  Always-on by design (the
     #: bench gates its overhead under 3%); False turns all three off.
     lifecycle: bool = True
-    #: flight-recorder ring capacity (lifecycle events retained)
-    recorder_events: int = 4096
     #: directory flight-recorder dumps land in (None ->
     #: ``<tempdir>/repro-postmortem``)
     dump_dir: object = None
@@ -107,8 +108,6 @@ class ServiceConfig:
     #: disables the sampler, the store and alerting entirely -- the
     #: same zero-cost contract ``metrics=None`` set
     sampling_interval_s: float | None = None
-    #: samples retained per series in the time-series store
-    series_capacity: int = 512
     #: alert rules evaluated on each sample: a rules-file path, a
     #: parsed rule list (:func:`repro.obs.alerts.parse_rules` input,
     #: including pre-built :class:`~repro.obs.alerts.AlertRule`
@@ -141,16 +140,20 @@ class SolverService:
             config = ServiceConfig(**overrides)
         elif overrides:
             config = replace(config, **overrides)
+        if config.pool not in WORKER_KINDS:
+            raise ValueError(
+                f"unknown pool kind {config.pool!r}; "
+                f"choices: {tuple(WORKER_KINDS)}"
+            )
+        if config.workers < 1:
+            raise ValueError(f"workers must be positive, got {config.workers}")
         self.config = config
         self.metrics = metrics if metrics is not None else MetricRegistry()
 
         self.recorder: FlightRecorder | None = None
         self.lifecycle: LifecycleTracer | None = None
         if config.lifecycle:
-            self.recorder = FlightRecorder(
-                capacity=config.recorder_events,
-                max_dumps=config.max_postmortems,
-            )
+            self.recorder = FlightRecorder(max_dumps=config.max_postmortems)
             self.lifecycle = LifecycleTracer(
                 metrics=self.metrics, recorder=self.recorder
             )
@@ -163,26 +166,12 @@ class SolverService:
             lifecycle=self.lifecycle,
         )
         self.collector = BatchCollector(
-            self.queue,
-            window_s=config.batch_window_s,
-            max_batch=config.max_batch,
-            metrics=self.metrics,
-            lifecycle=self.lifecycle,
-        )
-        self.pool = WorkerPool(
-            kind=config.pool,
-            max_workers=config.workers,
-            min_workers=config.min_workers,
-            idle_timeout_s=config.idle_timeout_s,
-            metrics=self.metrics,
-            checkpoint_dir=config.checkpoint_dir,
-            want_trace=config.trace_requests,
+            self.queue, metrics=self.metrics, lifecycle=self.lifecycle
         )
         self.cache: ResultCache | None = None
         if config.cache is not False:
             self.cache = ResultCache(
                 path=None if config.cache is None else config.cache,
-                max_entries=config.cache_entries,
                 metrics=self.metrics,
             )
 
@@ -194,7 +183,7 @@ class SolverService:
         self._sampler = None
         if config.sampling_interval_s is not None:
             from ..obs.timeseries import TelemetrySampler, TimeSeriesStore
-            self.series = TimeSeriesStore(capacity=config.series_capacity)
+            self.series = TimeSeriesStore()
             if config.alert_rules is not None:
                 from ..obs.alerts import AlertEngine, JsonlSink
                 from ..obs.alerts import load_rules, parse_rules
@@ -217,9 +206,25 @@ class SolverService:
                 progress=self.progress, on_sample=self._on_sample,
             )
 
-        # Registry mutations outside the queue/pool/cache/collector
-        # locks happen under this one (merge + service counters).
+        # Registry mutations outside the queue/cache/collector locks
+        # happen under this one (merge + service counters), and so do
+        # changes to the runners' worker table.
         self._mlock = threading.Lock()
+        #: runner slot -> the worker that runner owns (None: not
+        #: spawned yet, retired, or dropped dead)
+        self._workers: list = [None] * config.workers
+        self._spawned = 0
+        self._g_workers = self.metrics.gauge(
+            "serve_pool_workers", "live pool workers", "workers"
+        )
+        self._c_replaced = self.metrics.counter(
+            "serve_pool_replaced_total",
+            "dead workers replaced by health checks", "workers",
+        )
+        self._c_retired = self.metrics.counter(
+            "serve_pool_retired_total",
+            "workers retired by the idle timeout", "workers",
+        )
         self._c_submitted = self.metrics.counter(
             "serve_jobs_submitted_total", "requests admitted, by tenant",
             "jobs",
@@ -269,8 +274,8 @@ class SolverService:
         self._t_start = time.monotonic()
         self._runners = [
             threading.Thread(
-                target=self._runner, name=f"repro-serve-runner-{i}",
-                daemon=True,
+                target=self._runner, args=(i,),
+                name=f"repro-serve-runner-{i}", daemon=True,
             )
             for i in range(self.config.workers)
         ]
@@ -286,7 +291,9 @@ class SolverService:
 
     def stop(self, timeout: float = 10.0) -> None:
         """Drain nothing, fail everything queued, join every thread,
-        close every worker.  Safe to call twice."""
+        then close every worker -- including the one a runner stuck
+        past ``timeout`` still executes on: a killed child fails that
+        runner's batch and lets it exit.  Safe to call twice."""
         if not self._started:
             return
         self._started = False
@@ -298,11 +305,12 @@ class SolverService:
             self._reaper.join(timeout)
         if self._sampler is not None:
             # Final sample (and alert pass) with every runner drained,
-            # before the pool the progress() probe reads shuts down.
+            # before the workers the progress() probe counts are closed.
             self._sampler.stop(timeout)
             if self.alerts is not None:
                 self.alerts.close()
-        self.pool.shutdown()
+        for slot in range(len(self._workers)):
+            self._drop_worker(slot)
         self._runners = []
         self._reaper = None
 
@@ -402,33 +410,84 @@ class SolverService:
 
     # -- execution -------------------------------------------------------
 
-    def _runner(self) -> None:
+    def _runner(self, slot: int) -> None:
+        idle_since = time.monotonic()
         while not self._stop.is_set():
-            batch = self.collector.take(timeout=0.1)
-            if batch is None:
-                continue
-            t_dispatch = time.monotonic()
-            worker = self.pool.acquire(timeout=5.0)
-            try:
-                if worker is None:
-                    raise WorkerDied("no pool worker became available")
-                if self.lifecycle is not None:
-                    now = time.monotonic()
-                    for job in batch.jobs:
-                        trace_id = job.extra.get("trace_id")
-                        if trace_id is not None:
-                            self.lifecycle.span(
-                                trace_id, "dispatch", t_dispatch, now,
-                                worker=worker.name, seq=job.seq,
-                            )
-                self._execute_batch(batch, worker)
-            except Exception as exc:  # noqa: BLE001 - fail the batch, keep serving
-                self._fail_batch(batch, exc)
-            finally:
-                if worker is not None:
-                    self.pool.release(worker)
+            # Wake without work only to retire an idle child; stop()
+            # wakes an untimed wait by closing the queue.
+            worker = self._workers[slot]
+            retire_at = wait = None
+            if worker is not None and worker.retire_when_idle:
+                retire_at = idle_since + IDLE_TIMEOUT_S
+                wait = max(0.0, retire_at - time.monotonic())
+            batch = self.collector.take(timeout=wait)
+            if batch is not None:
+                self._run_batch(slot, batch)
+                idle_since = time.monotonic()
+            elif retire_at is not None and time.monotonic() >= retire_at:
+                self._drop_worker(slot, self._c_retired)
+
+    def _run_batch(self, slot: int, batch: Batch) -> None:
+        t_dispatch = time.monotonic()
+        try:
+            worker = self._live_worker(slot)
+            if self.lifecycle is not None:
+                now = time.monotonic()
                 for job in batch.jobs:
-                    self.queue.task_done(job.tenant)
+                    trace_id = job.extra.get("trace_id")
+                    if trace_id is not None:
+                        self.lifecycle.span(
+                            trace_id, "dispatch", t_dispatch, now,
+                            worker=worker.name, seq=job.seq,
+                        )
+            self._execute_batch(batch, worker)
+        except Exception as exc:  # noqa: BLE001 - fail the batch, keep serving
+            self._fail_batch(batch, exc)
+        finally:
+            self._drop_dead(slot)
+            for job in batch.jobs:
+                self.queue.task_done(job.tenant)
+
+    # -- the runner's worker ---------------------------------------------
+
+    def _live_worker(self, slot: int):
+        """The worker runner ``slot`` owns, spawned if it has none (its
+        first batch, or the last one was retired or died)."""
+        self._drop_dead(slot)
+        worker = self._workers[slot]
+        if worker is None:
+            with self._mlock:
+                self._spawned += 1
+                name = f"pool-{self.config.pool}-{self._spawned}"
+            # Forked outside the lock: only the owner fills its slot.
+            worker = WORKER_KINDS[self.config.pool](
+                name, checkpoint_dir=self.config.checkpoint_dir,
+                want_trace=self.config.trace_requests,
+            )
+            with self._mlock:
+                self._workers[slot] = worker
+                self._g_workers.set(self._live_locked())
+        return worker
+
+    def _drop_dead(self, slot: int) -> None:
+        worker = self._workers[slot]
+        if worker is not None and not worker.alive():
+            self._drop_worker(slot, self._c_replaced)
+
+    def _drop_worker(self, slot: int, counter=None) -> None:
+        """Close runner ``slot``'s worker, if it holds one, counting
+        why (``counter``: replaced or retired; None at shutdown)."""
+        with self._mlock:
+            worker, self._workers[slot] = self._workers[slot], None
+            if worker is None:
+                return
+            if counter is not None:
+                counter.inc(kind=self.config.pool)
+            self._g_workers.set(self._live_locked())
+        worker.close()
+
+    def _live_locked(self) -> int:
+        return sum(w is not None for w in self._workers)
 
     def _finish_trace(self, job: Job, status: str) -> None:
         if self.lifecycle is not None:
@@ -585,21 +644,13 @@ class SolverService:
 
     @staticmethod
     def _failure_cause(exc: Exception) -> str:
-        causes = [exc, getattr(exc, "__cause__", None)]
-        try:
-            from ..runtime.engine import NodeLostError
-        except Exception:  # pragma: no cover - engine always importable
-            NodeLostError = ()
-        try:
-            from ..ir.core import PassError
-        except Exception:  # pragma: no cover - ir always importable
-            PassError = ()
-        for c in causes:
-            if c is None:
-                continue
-            if NodeLostError and isinstance(c, NodeLostError):
+        from ..ir.core import PassError
+        from ..runtime.engine import NodeLostError
+
+        for c in (exc, exc.__cause__):
+            if isinstance(c, NodeLostError):
                 return "node-lost"
-            if PassError and isinstance(c, PassError):
+            if isinstance(c, PassError):
                 return "pass-error"
             if isinstance(c, WorkerDied):
                 return "worker-died"
@@ -664,7 +715,7 @@ class SolverService:
             )
 
     def _fail_batch(self, batch: Batch, exc: Exception) -> None:
-        """A whole-batch failure (dead worker, no worker): expired
+        """A whole-batch failure (dead worker, failed spawn): expired
         jobs report their deadline, the rest go through the per-group
         retry-or-fail policy."""
         now = time.monotonic()
@@ -686,7 +737,7 @@ class SolverService:
     # -- reaper ----------------------------------------------------------
 
     def _reap(self) -> None:
-        while not self._stop.wait(self.config.reap_interval_s):
+        while not self._stop.wait(REAP_INTERVAL_S):
             now = time.monotonic()
             self.queue.purge_expired(now)
             with self._lock:
@@ -697,10 +748,9 @@ class SolverService:
                 ]
             for job, worker in victims:
                 # Threads kind cancels exactly this job; processes
-                # kind kills the child (reclaimed + replaced by the
-                # pool's health check).
+                # kind kills the child (its runner fails the batch and
+                # forks a replacement for the next one).
                 worker.cancel(job.seq)
-            self.pool.reap_idle(now)
 
     # -- introspection ---------------------------------------------------
 
@@ -709,13 +759,14 @@ class SolverService:
         jobs finished over jobs admitted, plus serving levels."""
         with self._mlock:
             done, total = self._finished, self._submitted
+            workers = self._live_locked()
         return {
             "done": done,
             "total": total,
             "elapsed_s": (
                 time.monotonic() - self._t_start if self._started else 0.0
             ),
-            "workers": self.pool.size(),
+            "workers": workers,
             "queue_depth": self.queue.depth,
         }
 
@@ -732,11 +783,13 @@ class SolverService:
     def stats(self) -> dict:
         with self._mlock:
             done, total = self._finished, self._submitted
+            pool = {"kind": self.config.pool, "spawned": self._spawned,
+                    "workers": self._live_locked()}
         out = {
             "submitted": total,
             "finished": done,
             "queue": self.queue.stats(),
-            "pool": self.pool.stats(),
+            "pool": pool,
             "cache_entries": len(self.cache) if self.cache is not None else 0,
         }
         if self.lifecycle is not None:

@@ -263,7 +263,8 @@ def test_progress_reads_live_task_and_message_counts():
     mid = None
     while handle.running() and mid is None:
         sample = ex.progress()
-        if 0 < sample["done"] < sample["total"]:
+        # (the first task's done word lands before its message's count)
+        if 0 < sample["done"] < sample["total"] and sample["messages"]:
             mid = sample
         time.sleep(0.002)
     handle.result(timeout=60)

@@ -26,7 +26,7 @@ from repro.serve import (
 )
 
 from .test_serve_pool import random_problem
-from .test_serve_service import _no_serve_leftovers
+from .test_serve_pool import _no_serve_leftovers
 
 pytestmark = pytest.mark.timeout(300)
 

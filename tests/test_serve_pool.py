@@ -1,14 +1,21 @@
-"""Warm worker pools (``repro.serve.pool``).
+"""Serve workers (``repro.serve.pool``) and the runner threads that
+own them (``repro.serve.service``).
 
 The load-bearing test is the warm-reuse regression: sequential jobs
-through one pool worker must produce grids bit-identical to cold
-``run()`` calls, and ``warm`` must mean exactly "this worker had
-already executed a request" -- on both worker kinds, for every
-backend.
+through one worker must produce grids bit-identical to cold ``run()``
+calls, and ``warm`` must mean exactly "this worker had already
+executed a request" -- on both worker kinds, for every backend.  The
+second half drives a live service: a runner spawns its worker on its
+first batch, replaces a dead one, retires an idle child, and closes
+whatever it holds on the way out.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import sys
 import threading
 import time
 
@@ -19,11 +26,25 @@ from repro.core.runner import run
 from repro.distgrid.boundary import DirichletBC
 from repro.exec import fork_available
 from repro.machine.machine import nacl
-from repro.serve import SolveRequest, WorkerPool, execute_request
+from repro.serve import (
+    ServiceClosed,
+    ServiceConfig,
+    SolveRequest,
+    SolverService,
+    execute_request,
+)
 from repro.serve.pool import InProcessWorker, ProcessWorker, _CancelScope
 from repro.serve.request import DeadlineExpired, WorkerDied
 from repro.stencil.kernels import StencilWeights
 from repro.stencil.problem import JacobiProblem
+
+from .conftest import join_all
+
+KINDS = [
+    "threads",
+    pytest.param("processes", marks=pytest.mark.skipif(
+        not fork_available(), reason="needs POSIX fork")),
+]
 
 
 class _GridInit:
@@ -53,6 +74,41 @@ def random_problem(n, iterations, seed=0):
     )
 
 
+class Gate:
+    """Picklable ``init`` that parks the first worker to evaluate it --
+    any thread but the one that armed it, a forked child included --
+    until ``release`` is set, so a test can hold a request *in
+    execution* and act on events instead of sleeping.  The events are
+    class attributes: a request crosses a pool child's pipe by pickle,
+    the events reach the child by fork."""
+
+    owner = entered = release = None
+
+    @classmethod
+    def arm(cls) -> "Gate":
+        event = (multiprocessing.get_context("fork").Event
+                 if fork_available() else threading.Event)
+        cls.owner = (os.getpid(), threading.get_ident())
+        cls.entered, cls.release = event(), event()
+        return cls()
+
+    def __call__(self, rows, cols):
+        me = (os.getpid(), threading.get_ident())
+        if me != self.owner and not self.entered.is_set():
+            self.entered.set()
+            self.release.wait(60)
+        return 0.01 * rows + cols
+
+
+def gated_problem(n=24, iterations=2) -> JacobiProblem:
+    """A problem whose solve parks in its first init task (the gate's
+    events are on the returned problem's ``init``).  Build it before
+    the service forks the child that is to park."""
+    return JacobiProblem(n=n, iterations=iterations, init=Gate.arm(),
+                         bc=DirichletBC(_bc),
+                         weights=StencilWeights.damped_jacobi(0.9))
+
+
 def _request(problem, **overrides) -> SolveRequest:
     knobs = dict(
         impl="ca-parsec", machine=nacl(4), tile=6, steps=3,
@@ -80,7 +136,8 @@ def _three_requests_warm_after_the_first(worker, backends):
         for seq, (problem, backend) in enumerate(zip(problems, backends)):
             jobs = None if backend == "sim" else 2
             request = _request(problem, backend=backend, jobs=jobs)
-            results, snapshot, _spans = worker.run_batch([(seq, request, None)])
+            results, snapshot, _spans = worker.run_batch(
+                [(seq, request, None, None)])
             (status, outcome), = results
             assert status == "ok"
             outcomes.append(outcome)
@@ -159,8 +216,9 @@ def test_inprocess_worker_batch_with_pre_expired_item():
     worker = InProcessWorker("w")
     fresh = _request(random_problem(24, 2, seed=3))
     items = [
-        (0, fresh, None),
-        (1, _request(random_problem(24, 2, seed=4)), time.monotonic() - 1.0),
+        (0, fresh, None, None),
+        (1, _request(random_problem(24, 2, seed=4)), time.monotonic() - 1.0,
+         None),
     ]
     results, snapshot, spans = worker.run_batch(items)
     (status_a, outcome), (status_b, error) = results
@@ -177,7 +235,7 @@ def test_process_worker_solves_and_dies_on_cancel():
     try:
         problem = random_problem(24, 2, seed=5)
         results, snapshot, _spans = worker.run_batch(
-            [(0, _request(problem), None)]
+            [(0, _request(problem), None, None)]
         )
         status, outcome = results[0]
         assert status == "ok"
@@ -190,77 +248,261 @@ def test_process_worker_solves_and_dies_on_cancel():
         worker._proc.join(timeout=5.0)
         assert not worker.alive()
         with pytest.raises(WorkerDied):
-            worker.run_batch([(1, _request(problem), None)])
+            worker.run_batch([(1, _request(problem), None, None)])
     finally:
         worker.close()
 
 
-# -- the pool ------------------------------------------------------------
 
 
+# -- runners own their workers (service level) ---------------------------
+
+
+def _no_serve_leftovers(timeout: float = 0.0) -> list[str]:
+    """Names of the service's threads and children still alive after
+    joining each against one ``timeout``-second deadline."""
+    workers = [*threading.enumerate(), *multiprocessing.active_children()]
+    return join_all([w for w in workers if w.name.startswith("repro-serve")],
+                    timeout)
+
+
+def batch_finished(service, tenant: str = "default") -> bool:
+    """Wait until ``tenant`` has nothing in flight, on the queue's own
+    condition: ``task_done`` is the last thing a runner does for a
+    batch, after it dropped a worker the batch left dead."""
+    queue = service.queue
+    with queue._ready:
+        return queue._ready.wait_for(
+            lambda: not queue._inflight.get(tenant), timeout=30)
+
+
+def _pool_counter(service, what: str) -> float:
+    return service.metrics.snapshot().counter(f"serve_pool_{what}_total")
+
+
+def _solve(service, seed: int):
+    return service.submit(
+        _request(random_problem(24, 2, seed=seed))).result(timeout=120)
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")
 def test_pool_replaces_dead_idle_worker():
-    from repro.obs import MetricRegistry
-
-    reg = MetricRegistry()
-    pool = WorkerPool(kind="threads", max_workers=1, metrics=reg)
-    try:
-        first = pool.acquire(timeout=1.0)
-        pool.release(first)
-        first.alive = lambda: False  # simulate death while idle
-        second = pool.acquire(timeout=1.0)
-        assert second is not first  # health check swapped it out
-        pool.release(second)
-        assert reg.snapshot().counter("serve_pool_replaced_total") == 1
-    finally:
-        pool.shutdown()
+    """A child killed while idle: the next request is served by a
+    fresh, cold one, and the death is counted once."""
+    config = ServiceConfig(pool="processes", workers=1, cache=False)
+    with SolverService(config) as service:
+        assert _solve(service, 1).warm is False
+        assert _solve(service, 2).warm is True
+        child = service._workers[0]._proc
+        os.kill(child.pid, signal.SIGKILL)
+        child.join(10)
+        assert _solve(service, 3).warm is False  # a fresh child
+        assert _solve(service, 4).warm is True
+        assert service.stats()["pool"] == {
+            "kind": "processes", "spawned": 2, "workers": 1}
+        snap = service.metrics.snapshot()  # names and labels, pinned
+        assert snap.labelled("serve_pool_replaced_total") == {
+            (("kind", "processes"),): 1}
+        assert snap.gauge("serve_pool_workers") == 1
+        assert snap.labelled("serve_pool_cold_starts_total") == {
+            (("slot", "pool-processes-1"),): 1,
+            (("slot", "pool-processes-2"),): 1}
+    assert _no_serve_leftovers(timeout=10.0) == []
 
 
 def test_pool_counts_dead_worker_on_release():
-    from repro.obs import MetricRegistry
-
-    reg = MetricRegistry()
-    pool = WorkerPool(kind="threads", max_workers=1, metrics=reg)
-    try:
-        worker = pool.acquire(timeout=1.0)
-        worker.alive = lambda: False
-        pool.release(worker)
-        assert pool.size() == 0  # dropped, successor spawns on demand
-        assert reg.snapshot().counter("serve_pool_replaced_total") == 1
-        assert pool.acquire(timeout=1.0) is not worker
-    finally:
-        pool.shutdown()
-
-
-def test_pool_reap_idle_down_to_min_workers():
-    from repro.obs import MetricRegistry
-
-    reg = MetricRegistry()
-    pool = WorkerPool(kind="threads", max_workers=2, min_workers=1,
-                      idle_timeout_s=0.01, metrics=reg)
-    try:
-        a, b = pool.acquire(timeout=1.0), pool.acquire(timeout=1.0)
-        pool.release(a), pool.release(b)
-        assert pool.size() == 2
-        assert pool.reap_idle(now=time.monotonic() + 1.0) == 1
-        assert pool.size() == 1  # the floor holds
-        assert reg.snapshot().counter("serve_pool_retired_total") == 1
-    finally:
-        pool.shutdown()
+    """A worker found dead when its batch ends is dropped there and
+    then (the live count says so), counted, and its successor spawns
+    on demand."""
+    with SolverService(ServiceConfig(workers=1, cache=False)) as service:
+        assert _solve(service, 1).warm is False
+        problem = gated_problem()
+        running = service.submit(_request(problem))
+        assert problem.init.entered.wait(30)
+        service._workers[0].alive = lambda: False  # dies mid-batch
+        problem.init.release.set()
+        assert running.result(timeout=120).warm is True
+        assert batch_finished(service)
+        assert service.progress()["workers"] == 0
+        assert _pool_counter(service, "replaced") == 1
+        assert _solve(service, 2).warm is False
+        assert service.stats()["pool"] == {
+            "kind": "threads", "spawned": 2, "workers": 1}
 
 
-def test_pool_acquire_blocks_at_capacity_then_frees():
-    pool = WorkerPool(kind="threads", max_workers=1)
-    try:
-        worker = pool.acquire(timeout=1.0)
-        assert pool.acquire(timeout=0.05) is None  # capacity exhausted
-        pool.release(worker)
-        assert pool.acquire(timeout=1.0) is worker  # warm body reused
-    finally:
-        pool.shutdown()
+@pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")
+@pytest.mark.parametrize("retry_budget", [0, 1])
+def test_killed_child_mid_batch_fails_or_retries_and_is_replaced(retry_budget):
+    """SIGKILL the child while it executes: without a retry budget the
+    future fails with WorkerDied, within one the request is re-run; in
+    both cases by a fresh child, and one replacement is counted."""
+    config = ServiceConfig(pool="processes", workers=1, cache=False,
+                           retry_budget=retry_budget)
+    with SolverService(config) as service:
+        problem = gated_problem()
+        doomed = service.submit(_request(problem))
+        assert problem.init.entered.wait(30)  # parked inside the child
+        os.kill(service._workers[0]._proc.pid, signal.SIGKILL)
+        if retry_budget:
+            outcome = doomed.result(timeout=120)  # the gate parks once
+            assert outcome.retries == 1 and outcome.warm is False
+        else:
+            with pytest.raises(WorkerDied):
+                doomed.result(timeout=120)
+            assert batch_finished(service)
+            assert service.progress()["workers"] == 0
+            assert _solve(service, 1).warm is False
+        assert _pool_counter(service, "replaced") == 1
+        assert service.stats()["pool"]["spawned"] == 2
+    assert _no_serve_leftovers(timeout=10.0) == []
 
 
-def test_pool_shutdown_rejects_acquire():
-    pool = WorkerPool(kind="threads", max_workers=1)
-    pool.shutdown()
+def test_pool_reap_idle_down_to_min_workers(monkeypatch):
+    """What idling costs decides who is retired: a forked child is
+    closed after ``IDLE_TIMEOUT_S`` without work (counted; the next
+    request forks a cold one), an in-process worker holds nothing, is
+    never retired and never reads cold again."""
+    monkeypatch.setattr("repro.serve.service.IDLE_TIMEOUT_S", 0.05)
+    if fork_available():
+        config = ServiceConfig(pool="processes", workers=1, cache=False)
+        with SolverService(config) as service:
+            assert _solve(service, 1).warm is False
+            service._workers[0]._proc.join(30)  # the runner closes it
+            assert service._workers[0] is None
+            snap = service.metrics.snapshot()
+            assert snap.labelled("serve_pool_retired_total") == {
+                (("kind", "processes"),): 1}
+            assert snap.gauge("serve_pool_workers") == 0
+            assert service.progress()["workers"] == 0
+            assert _solve(service, 2).warm is False
+            assert _pool_counter(service, "replaced") == 0
+        assert _no_serve_leftovers(timeout=10.0) == []
+    with SolverService(ServiceConfig(workers=1, cache=False)) as service:
+        assert _solve(service, 1).warm is False
+        time.sleep(0.25)  # five timeouts: a negative needs the time to pass
+        assert _solve(service, 2).warm is True
+        assert _pool_counter(service, "retired") == 0
+        assert service.stats()["pool"] == {
+            "kind": "threads", "spawned": 1, "workers": 1}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_deadline_cancel_reaches_the_running_job(kind):
+    """The reaper finds the expired job in ``_running`` and cancels it
+    on the worker that runs it: an in-process run stops at its next
+    task boundary, a child is terminated (and replaced)."""
+    config = ServiceConfig(pool=kind, workers=1, cache=False)
+    problem = gated_problem()  # armed before the child is forked
+    with SolverService(config) as service:
+        assert _solve(service, 1).warm is False
+        worker = service._workers[0]
+        cancelled, cancel = threading.Event(), worker.cancel
+
+        def spy(seq):
+            hit = cancel(seq)
+            if hit:
+                cancelled.set()
+            return hit
+
+        worker.cancel = spy
+        doomed = service.submit(_request(problem, deadline_s=0.2))
+        assert problem.init.entered.wait(30)  # running, parked
+        assert cancelled.wait(30)
+        if kind == "threads":  # (a terminated child took its gate along)
+            problem.init.release.set()
+        reason = "mid-run" if kind == "threads" else "worker was reclaimed"
+        with pytest.raises(DeadlineExpired, match=reason):
+            doomed.result(timeout=120)
+        fresh = _solve(service, 2)
+        assert fresh.warm is (kind == "threads")
+        assert _pool_counter(service, "replaced") == (kind == "processes")
+        expired = service.metrics.snapshot().labelled(
+            "serve_deadline_expired_total")
+        assert expired == {(("where", "running"),): 1}
+    assert _no_serve_leftovers(timeout=10.0) == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stop_while_a_batch_executes(kind):
+    """``stop()`` with one batch in flight and more queued: the queued
+    futures fail typed, the batch finishes, every thread and child is
+    gone and the worker table is empty."""
+    config = ServiceConfig(pool=kind, workers=1, cache=False,
+                           tenant_limit=None)
+    service = SolverService(config).start()
+    problem = gated_problem()
+    running = service.submit(_request(problem))
+    assert problem.init.entered.wait(30)
+    queued = [service.submit(_request(random_problem(24, 2, seed=s)))
+              for s in (1, 2)]
+    stopper = threading.Thread(target=service.stop)
+    stopper.start()
+    for future in queued:  # stop() is past closing the queue: joining
+        assert isinstance(future.exception(timeout=30), ServiceClosed)
+    problem.init.release.set()
+    assert running.result(timeout=120).grid is not None
+    assert join_all([stopper], 30) == []
+    assert _no_serve_leftovers(timeout=10.0) == []
+    assert service.stats()["pool"] == {
+        "kind": kind, "spawned": 1, "workers": 0}
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")
+def test_stop_closes_the_child_a_stuck_runner_holds():
+    """A runner that outlasts ``stop()``'s join: its child is closed
+    under it, which fails the batch and lets the runner exit."""
+    config = ServiceConfig(pool="processes", workers=1, cache=False)
+    service = SolverService(config).start()
+    problem = gated_problem()
+    stuck = service.submit(_request(problem))
+    assert problem.init.entered.wait(30)
+    service.stop(timeout=0.1)
     with pytest.raises(WorkerDied):
-        pool.acquire(timeout=0.1)
+        stuck.result(timeout=30)
+    assert _no_serve_leftovers(timeout=10.0) == []
+    assert service.stats()["pool"]["workers"] == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_two_runners_spawn_one_worker_each_and_keep_it(kind):
+    """2 runners x 40 closed-loop requests under a short switch
+    interval: cold starts == workers spawned, and every ``slot`` label
+    is the name of the worker exactly one runner holds."""
+    problems = [random_problem(24, 2, seed=s) for s in range(4)]
+    config = ServiceConfig(pool=kind, workers=2, cache=False)
+    errors: list[BaseException] = []
+
+    def client(service, tenant):
+        try:
+            for k in range(40):
+                service.submit(_request(problems[k % 4], tenant=tenant,
+                                        jobs=1)).result(timeout=120)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with SolverService(config) as service:
+            clients = [threading.Thread(target=client, args=(service, t))
+                       for t in ("alice", "bob")]
+            for t in clients:
+                t.start()
+            assert join_all(clients, 240) == [] and errors == []
+            # a batch's counters are merged after its futures resolve
+            assert batch_finished(service, "alice")
+            assert batch_finished(service, "bob")
+            snap = service.metrics.snapshot()
+            held = [w.name for w in service._workers if w is not None]
+            pool = service.stats()["pool"]
+    finally:
+        sys.setswitchinterval(interval)
+    cold = snap.labelled("serve_pool_cold_starts_total")
+    warm = snap.labelled("serve_pool_warm_starts_total")
+    assert set(cold.values()) == {1}
+    assert sum(cold.values()) == pool["spawned"] == pool["workers"] == len(held)
+    assert {dict(ls)["slot"] for ls in cold} == set(held)
+    assert {dict(ls)["slot"] for ls in warm} <= set(held)
+    assert sum(cold.values()) + sum(warm.values()) == 80
+    assert _pool_counter(service, "replaced") == 0
+    assert _no_serve_leftovers(timeout=10.0) == []

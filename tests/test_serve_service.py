@@ -8,8 +8,6 @@ admission-control behaviours at the service boundary.
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
 import time
 
 import numpy as np
@@ -24,32 +22,19 @@ from repro.serve import (
     QueueFullError,
     ServiceClosed,
     ServiceConfig,
-    SolveRequest,
     SolverClient,
     SolverService,
 )
 
-from .conftest import join_all
-from .test_serve_pool import random_problem
+from .test_serve_pool import (
+    _no_serve_leftovers,
+    _request,
+    batch_finished,
+    gated_problem,
+    random_problem,
+)
 
 pytestmark = pytest.mark.timeout(300)
-
-
-def _request(problem, **overrides) -> SolveRequest:
-    knobs = dict(
-        impl="ca-parsec", machine=nacl(4), tile=6, steps=3,
-        backend="threads", jobs=2,
-    )
-    knobs.update(overrides)
-    return SolveRequest(problem=problem, **knobs)
-
-
-def _no_serve_leftovers(timeout: float = 0.0):
-    """Names of the service's threads and children still alive after
-    joining each against one ``timeout``-second deadline."""
-    workers = [*threading.enumerate(), *multiprocessing.active_children()]
-    return join_all([w for w in workers if w.name.startswith("repro-serve")],
-                    timeout)
 
 
 # -- the smoke (mirrors the CI serve-smoke job) --------------------------
@@ -157,7 +142,7 @@ def test_expired_jobs_cancelled_and_workers_reclaimed(deadlines):
     """Whatever tiny deadlines arrive, every such job fails with the
     typed error and the service keeps serving afterwards (workers
     reclaimed, capacity intact)."""
-    config = ServiceConfig(workers=1, cache=False, reap_interval_s=0.01)
+    config = ServiceConfig(workers=1, cache=False)
     with SolverService(config) as service:
         blocker = service.submit(
             _request(random_problem(48, 8, seed=1), jobs=1)
@@ -174,14 +159,13 @@ def test_expired_jobs_cancelled_and_workers_reclaimed(deadlines):
         # capacity survived: a fresh job still completes
         fresh = service.submit(_request(random_problem(24, 2, seed=42)))
         assert fresh.result(timeout=120).grid is not None
-        assert service.pool.size() <= config.workers
+        assert service.progress()["workers"] <= config.workers
         snap = service.metrics.snapshot()
         assert snap.counter("serve_deadline_expired_total") >= len(deadlines)
 
 
 def test_default_deadline_from_config():
-    config = ServiceConfig(workers=1, cache=False, reap_interval_s=0.01,
-                           default_deadline_s=0.001)
+    config = ServiceConfig(workers=1, cache=False, default_deadline_s=0.001)
     with SolverService(config) as service:
         blocker = service.submit(
             _request(random_problem(48, 8, seed=1), jobs=1,
@@ -196,24 +180,44 @@ def test_default_deadline_from_config():
 # -- batching ------------------------------------------------------------
 
 
+def _hold_the_runner(service):
+    """Park the (single) runner inside a blocker request; what is
+    submitted before the returned ``release()`` queues up behind it and
+    is taken as one batch."""
+    blocker = gated_problem()
+    future = service.submit(_request(blocker, tenant="blocker"))
+    assert blocker.init.entered.wait(30)
+
+    def release():
+        blocker.init.release.set()
+        future.result(timeout=120)
+
+    return release
+
+
 def test_identical_requests_deduplicate_within_a_batch():
     problem = random_problem(24, 4, seed=7)
-    config = ServiceConfig(workers=1, cache=False, tenant_limit=None,
-                           batch_window_s=0.25, max_batch=8)
+    config = ServiceConfig(workers=1, cache=False, tenant_limit=None)
     with SolverService(config) as service:
+        release = _hold_the_runner(service)
         client = SolverClient(service, tenant="alice")
         futures = client.map([problem] * 6)
+        release()
         grids = [f.result(timeout=120).grid for f in futures]
         for grid in grids[1:]:
             assert np.array_equal(grid, grids[0])
+        assert batch_finished(service, "alice")  # its counters merged
         snap = service.metrics.snapshot()
-        assert snap.counter("serve_dedup_total") >= 1
-        assert snap.counter("serve_batches_total") < 6
-        # dedup means strictly fewer executions than submissions
+        assert snap.counter("serve_dedup_total") == 5
+        assert snap.counter("serve_batches_total") == 2  # blocker + the six
+        # dedup means fewer executions than submissions: seven futures
+        # resolved ok, two requests (the blocker, one of the six) ran
         completed = snap.labelled("serve_jobs_completed_total")
         total_ok = sum(v for ls, v in completed.items()
                        if dict(ls)["status"] == "ok")
-        assert total_ok == 6
+        assert total_ok == 7
+        assert (snap.counter("serve_pool_cold_starts_total")
+                + snap.counter("serve_pool_warm_starts_total")) == 2
 
 
 # -- client ergonomics ---------------------------------------------------
@@ -338,13 +342,14 @@ def test_retry_budget_exhausted_fails_leader_and_skips_followers(tmp_path):
     problem = random_problem(24, 6, seed=13)
     plan = "kill:node=0,step=1;kill:node=1,step=2;kill:node=2,step=3"
     config = ServiceConfig(workers=1, cache=False, retry_budget=1,
-                           checkpoint_dir=tmp_path, batch_window_s=0.25,
-                           max_batch=8, tenant_limit=None)
+                           checkpoint_dir=tmp_path, tenant_limit=None)
     with SolverService(config) as service:
+        release = _hold_the_runner(service)
         futures = [
             service.submit(_request(problem, tenant="alice", chaos_plan=plan))
             for _ in range(2)
         ]
+        release()
         errors = []
         for future in futures:
             with pytest.raises(Exception) as info:
