@@ -4,18 +4,20 @@
 
 Walks the hops `docs/runtime-guide.md` lists -- graph build, executor
 `_prepare`, ready queue, `PayloadStore.gather`, the task body (plan
-lookup, copy, ghost assigns, frame, banded kernel, outgoing copies),
-`publish`/`release`, the worker's per-task record, `assemble_grid` --
-on one of the wall-clock benchmark's geometries, single-threaded, and
-prints microseconds per stencil task for each: the median over every
-stencil task of the solve, taken three times, best kept.  On the
-two-node geometries it also walks the `processes` backend's two hops
-per *message*: "ring write" (encode the record, copy it into the
-destination's shared-memory ring, post the doorbell) and "ring drain"
-(take the ring lock, copy the record out into a private array).  The
-hops are timed where they are called, one after the other, so the
-numbers add up to a `jobs=1` solve without thread hand-offs; they are a
-map of where the time goes, not a benchmark.
+lookup, ghost assigns, frame, banded kernel, outgoing copies; for a
+tile's last task the kernel writing the core into the result grid),
+`publish`/`release`, the worker's per-task record -- on one of the
+wall-clock benchmark's geometries, single-threaded, and prints
+microseconds per stencil task for each: the median over every stencil
+task of the solve (over the last sweep's for "last sweep into grid"),
+taken three times, best kept.  On the two-node geometries it also walks
+the `processes` backend's two hops per *message*: "ring write" (encode
+the record, copy it into the destination's shared-memory ring, post the
+doorbell) and "ring drain" (take the ring lock, copy the record out
+into a private array).  The hops are timed where they are called, one
+after the other, so the numbers add up to a `jobs=1` solve without
+thread hand-offs; they are a map of where the time goes, not a
+benchmark.
 """
 
 from __future__ import annotations
@@ -73,10 +75,9 @@ def one_solve(geometry: dict) -> dict[str, float]:
     store = PayloadStore(graph, graph.tasks.values())
     recorder = WallClockRecorder(1)
     plan, weights = spec.exchange_plan(), problem.weights
-    scratch = np.empty(0)
-    parts = {name: [] for name in ("gather", "plan lookup", "copy previous tile", "ghost assigns",
-                                   "frame", "banded kernel", "outgoing copies", "stencil_task",
-                                   "publish + release", "per-task record",
+    parts = {name: [] for name in ("gather", "plan lookup", "ghost assigns", "frame",
+                                   "banded kernel", "outgoing copies", "last sweep into grid",
+                                   "stencil_task", "publish + release", "per-task record",
                                    "ring write (per message)", "ring drain (per message)")}
     # What the processes backend lays out before forking (rings only
     # where the plan sends: none on a one-node geometry).
@@ -107,21 +108,27 @@ def one_solve(geometry: dict) -> dict[str, float]:
         name, i, j, t = task.key
         dt, exchange = clock(lambda: plan[(i, j)][t % steps])
         parts["plan lookup"].append(dt)
-        prev = inputs[((name, i, j, t - 1), "tile")]
-        if scratch.size < prev.size:
-            scratch = np.empty(prev.size)
-        ext = scratch[: prev.size].reshape(prev.shape)
-        parts["copy previous tile"].append(clock(np.copyto, ext, prev)[0])
+        ext = inputs[((name, i, j, t - 1), "tile")]
 
         def ghosts():
+            ext.setflags(write=True)
             for (pi, pj), tag, _, dest, shape, _ in exchange.incoming:
                 values = inputs[((name, pi, pj, t - 1), tag)]
                 if values.shape == shape:
                     ext[dest] = values
+            ext.setflags(write=False)
 
         parts["ghost assigns"].append(clock(ghosts)[0])
+        if t + 1 == problem.iterations:
+            tile = spec.tile(i, j)
+            rs, cs = tile.core_slices()
+            view = built.grid[tile.r0 : tile.r1, tile.c0 : tile.c1]
+            parts["last sweep into grid"].append(clock(
+                lambda: apply_stencil_region(ext, weights, rs, cs, origin=exchange.origin,
+                                             out=view))[0])
+            continue
         rs, cs = exchange.update
-        new = np.empty(prev.shape)
+        new = np.empty(ext.shape)
 
         def frame():
             new[: rs.start] = ext[: rs.start]
@@ -137,7 +144,6 @@ def one_solve(geometry: dict) -> dict[str, float]:
             lambda: [new[source].copy() for _, source in exchange.outgoing])[0])
     for name, samples in parts.items():
         hops[name] = median(samples) * 1e6 if samples else float("nan")
-    hops["assemble_grid"] = clock(built.assemble_grid, store.results)[0] * per_task
     return hops
 
 

@@ -48,16 +48,18 @@ and every wait on a shared primitive is bounded by ``_POLL``, so a peer
 killed mid-write cannot hang anyone.
 
 Roles.  The parent forks the children (graph and channels inherited
-copy-on-write; only results and statistics are pickled) and watches one
-control pipe per child for the run's ``RunHandle``.  Each child runs a
-:class:`_NodeExecutor` -- a :class:`ThreadedExecutor` restricted to the
-node's tasks, plus the send/poll hooks -- and one *control* thread that
-blocks on the pipe (``cancel`` down, EOF = the parent died), idle for
-all of a healthy run.  A failing node sets every peer's abort word,
-posts every doorbell and reports to the parent, which cancels everyone,
-so :class:`~repro.runtime.engine.KernelError` crosses the process
-boundary without deadlocking anyone; stragglers are terminated after a
-grace period so no orphan survives.
+copy-on-write; only statistics and terminal results are pickled -- of a
+stencil graph one token per tile: final cores land in the build's shared
+result grid) and watches one control pipe per child for the run's
+``RunHandle``.  Each child runs a :class:`_NodeExecutor` -- a
+:class:`ThreadedExecutor` restricted to the node's tasks, plus the
+send/poll hooks -- and one *control* thread that blocks on the pipe
+(``cancel`` down, EOF = the parent died), idle for all of a healthy
+run.  A failing node sets every peer's abort word, posts every doorbell
+and reports to the parent, which cancels everyone, so
+:class:`~repro.runtime.engine.KernelError` crosses the process boundary
+without deadlocking anyone; stragglers are terminated after a grace
+period so no orphan survives.
 
 Accounting.  Workers write exactly the message plan's entries, so
 per-edge message counts and *declared* payload bytes equal

@@ -12,6 +12,8 @@ both real executors.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,7 @@ from repro.exec import fork_available
 from repro.machine.machine import nacl
 
 from .conftest import random_problem
+from .test_result_grid import shared_mappings
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -118,6 +121,26 @@ def test_kill_recovers_on_processes_backend():
     assert np.array_equal(chaos.grid, baseline.grid)
     assert chaos.recovered
     assert chaos.restarts[0]["nodes_after"] == 3
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+@pytest.mark.parametrize("impl", ["base-parsec", "ca-parsec"])
+def test_kill_during_the_last_sweep_recovers_through_a_fresh_grid(impl):
+    """Node 1 dies in sweep 5 of 6, when final cores are landing in the
+    first attempt's grid; the restart builds its own."""
+    problem = random_problem(n=24, iterations=6, seed=13)
+    truth = problem.reference_solution()
+    before = shared_mappings()
+    chaos = run_with_recovery(
+        problem, parse_plan("kill:node=1,step=5", seed=0), impl=impl,
+        machine=nacl(4), tile=6, steps=3, backend="processes", jobs=1,
+    )
+    assert chaos.recovered
+    assert np.array_equal(chaos.grid, truth)
+    assert shared_mappings() == before + 1  # the survivor's grid, no rings
+    del chaos
+    assert shared_mappings() == before
+    assert multiprocessing.active_children() == []
 
 
 def test_petsc_kill_restarts_from_scratch():

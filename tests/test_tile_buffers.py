@@ -1,10 +1,12 @@
 """Tile buffer lifetime and allocation budget of the stencil data path.
 
-A stencil task writes its output into its worker thread's spare -- the
-input of the task that thread ran last -- and leaves its own input
-behind as the next spare.  These tests pin what makes that safe
-(inputs are never written, no spare outlives a run, a re-armed
-executor starts clean) and that the allocations it removed do not
+A stencil task pastes its ghosts into its input tile, writes its output
+into its worker thread's spare -- the input of the task that thread ran
+last -- and leaves its own input behind as the next spare; a tile's
+last task writes the core into the build's result grid instead.  These
+tests pin what makes that safe (only the declared ghost cells of an
+input are written, no spare or tile outlives a run, a fresh executor on
+the same build starts clean) and that the allocations it removed do not
 creep back.
 """
 
@@ -48,16 +50,21 @@ def build(problem, machine, variant):
 def instrument(built, kernels):
     """Wrap every task before any pass sees it: collect a weak reference
     to each tile buffer published, and fail the run -- in whichever
-    process or thread it happens -- if a last-sweep task leaves a spare
-    of its shape behind on its thread."""
+    process or thread it happens -- if a last-sweep task publishes an
+    array or leaves a spare of its tile's shape behind on its thread."""
     t_last = built.spec.problem.iterations - 1
     tiles = []
 
     def wrapped(inner, last):
         def kernel(inputs, task):
             out = inner(inputs, task)
-            tiles.append(weakref.ref(out["tile"]))
-            if last and out["tile"].shape in kernels._local.spare:
+            if not last:
+                tiles.append(weakref.ref(out["tile"]))
+                return out
+            name, i, j, t = task.key
+            if list(arrays_in(out.values())):
+                raise AssertionError(f"{task.key} published an array: {out}")
+            if inputs[((name, i, j, t - 1), "tile")].shape in kernels._local.spare:
                 raise AssertionError(f"{task.key} left a spare past the last sweep")
             return out
         return kernel
@@ -104,19 +111,21 @@ def test_complete_run_pins_no_tile_memory_and_empties_the_store(backend, variant
     else:
         executor = ProcessExecutor(built.graph, procs=machine.nodes, jobs=1)
     report = executor.run()
-    assert np.array_equal(built.assemble_grid(report.results),
-                          problem.reference_solution())
+    grid = built.assemble_grid(report.results)
+    assert grid is built.grid
+    assert np.array_equal(grid, problem.reference_solution())
+    # One token per final tile, and nothing tile-sized came back.
+    assert set(report.results) == set(built.final_keys())
+    assert list(arrays_in(report.results.values())) == []
     if backend == "processes":
         return  # the node processes' tiles and stores died with them
     assert len(executor._store) == 0
-    # The graph, its kernels and the executor are all still here, yet of
-    # the buffers the 16 * 11 publications went through only the final
-    # tiles are alive.
-    assert len(tiles) == 16 * 11
-    results = {id(a) for a in arrays_in(report.results.values())}
+    # The graph, its kernels and the executor are all still here, yet
+    # none of the buffers the 16 * 10 array publications went through
+    # is alive: the grid is the only tile-sized memory left.
+    assert len(tiles) == 16 * 10
     gc.collect()
-    alive = {id(a) for a in (ref() for ref in tiles) if a is not None}
-    assert len(alive) == 16 and alive <= results
+    assert [ref() for ref in tiles if ref() is not None] == []
 
 
 def sweep_by_hand(built, call):
@@ -131,7 +140,8 @@ def sweep_by_hand(built, call):
                   for f in task.inputs}
         outputs = call(task, inputs)
         for tag, payload in outputs.items():
-            payload.setflags(write=False)
+            if isinstance(payload, np.ndarray):
+                payload.setflags(write=False)
             payloads[(key, tag)] = payload
     return payloads
 
@@ -142,35 +152,53 @@ def test_inputs_are_intact_and_read_only_when_the_kernel_returns(variant):
     built = build(problem, nacl(4), variant)
     buffers = {}  # id -> array, kept alive so an id names one buffer
     fresh_by_sweep = {}
+    plan = built.spec.exchange_plan()
 
     def checked_call(task, inputs):
-        before = {k: v.tobytes() for k, v in inputs.items()}
+        name, i, j, t = task.key
+        own = ((name, i, j, t - 1), "tile")
+        before = {k: v.copy() for k, v in inputs.items()}
         outputs = task.kernel(inputs, task)
+        arrays = list(arrays_in(outputs.values()))
         for k, payload in inputs.items():
-            assert payload.tobytes() == before[k], f"{task.key} wrote input {k}"
             assert not payload.flags.writeable
-            assert all(not np.shares_memory(payload, out) for out in outputs.values())
+            assert all(not np.shares_memory(payload, out) for out in arrays)
+            if k != own:  # a strip or a corner
+                assert payload.tobytes() == before[k].tobytes(), f"{task.key} wrote input {k}"
+        if task.inputs:
+            # The task's own tile: the declared ghost cells hold the
+            # declared values, every other byte is as it came.
+            expected, pasted = before[own], np.zeros(before[own].shape, bool)
+            for (pi, pj), tag, _, dest, _, _ in plan[(i, j)][t % built.spec.steps].incoming:
+                expected[dest] = inputs[((name, pi, pj, t - 1), tag)]
+                pasted[dest] = True
+            assert pasted.any() and not pasted.all()
+            assert inputs[own].tobytes() == expected.tobytes()
         tile = outputs["tile"]
-        if id(tile) not in buffers:
-            fresh_by_sweep[task.key[-1]] = fresh_by_sweep.get(task.key[-1], 0) + 1
-        buffers[id(tile)] = tile
+        if isinstance(tile, np.ndarray):  # not the last sweep's token
+            if id(tile) not in buffers:
+                fresh_by_sweep[t] = fresh_by_sweep.get(t, 0) + 1
+            buffers[id(tile)] = tile
         return outputs
 
     payloads = sweep_by_hand(built, checked_call)
     # One thread ran everything: after the 16 initial tiles it allocated
-    # a spare per tile shape in sweep 0, recycled inputs from then on,
-    # and the last sweep -- which takes spares but leaves none --
-    # allocated the rest of its outputs.
+    # a spare per tile shape in sweep 0 and recycled inputs from then
+    # on; the last sweep (for "ca" one that declares a halo extension:
+    # 6 % 4 != 3) wrote the grid, published no array and dropped the
+    # spares.
     shapes = {t.ext_shape() for t in built.spec.tiles()}
-    assert fresh_by_sweep == {-1: 16, 0: len(shapes), 6: 16 - len(shapes)}
+    assert fresh_by_sweep == {-1: 16, 0: len(shapes)}
     assert kernels_of(built)._local.spare == {}
-    final = built.assemble_grid({k: payloads[k] for k in built.final_keys()})
-    assert np.array_equal(final, problem.reference_solution())
+    finals = {k: payloads[k] for k in built.final_keys()}
+    assert list(arrays_in(finals.values())) == []
+    assert np.array_equal(built.assemble_grid(finals), problem.reference_solution())
 
 
 def test_running_the_same_task_twice_never_writes_its_input():
     """The spare a first call leaves behind *is* the second call's
-    input; the kernel must not take it."""
+    input; the kernel must not take it, and pasting the same ghosts
+    again changes nothing."""
     problem = random_problem(n=12, iterations=4, seed=2)
     built = build(problem, nacl(4), "base")
     graph = built.graph
@@ -240,9 +268,9 @@ def test_a_steady_state_stencil_task_allocates_less_than_half_a_tile():
     peaks = []
 
     def traced_call(task, inputs):
-        # Sweep 0 allocates the spare and the scratch, the last sweep
-        # its results; sweeps 1-4 are the steady state.
-        if not 1 <= task.key[-1] < 5:
+        # Sweep 0 allocates the spare; sweeps 1-4 are the steady state
+        # and the last one writes the grid, which exists since the build.
+        if task.key[-1] < 1:
             return task.kernel(inputs, task)
         tracemalloc.start()
         try:
@@ -255,7 +283,7 @@ def test_a_steady_state_stencil_task_allocates_less_than_half_a_tile():
         return outputs
 
     payloads = sweep_by_hand(built, traced_call)
-    assert len(peaks) == 4 * 4
+    assert len(peaks) == 5 * 4
     assert max(peaks) < tile_bytes // 2, f"a task allocated {max(peaks)} B"
     assert np.array_equal(
         built.assemble_grid({k: payloads[k] for k in built.final_keys()}),
