@@ -24,7 +24,9 @@ serving-performance trajectory accumulates across commits
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -174,61 +176,84 @@ def test_cache_hit_executes_zero_tasks(tmp_path, show):
     })
 
 
-def _stream_seconds(lifecycle: bool, reps: int = 3,
-                    sampling: float | None = None) -> float:
-    """Best-of-``reps`` wall time for the full request stream through
-    a cache-less service (every request executes, so the lifecycle
-    span path is exercised end to end on each one)."""
-    from repro.obs.alerts import default_rules
+#: The overhead gates compare two services on a stream the size of the
+#: wall-clock benchmark's ``serve_mix`` workload: 256^2 solves (8 sweeps,
+#: 32-cell tiles, one worker thread per solve), every request executed
+#: (no result cache), ``OVERHEAD_REQUESTS`` per side -- 3% of a side is
+#: a dozen requests' worth of time, not one scheduling hiccup.
+OVERHEAD_SOLVE = dict(impl="base-parsec", tile=32, backend="threads", jobs=1)
+OVERHEAD_N, OVERHEAD_ITERATIONS = 256, 8
+OVERHEAD_REQUESTS = 400
+#: Both sides serve ``OVERHEAD_REQUESTS / OVERHEAD_ROUNDS`` requests per
+#: round and the order flips every round (ABBA), so a drift in this
+#: host's speed -- it slows by half after ~2 s of load and recovers when
+#: idle -- lands on both sides alike.  Measured resolution: the total
+#: over 20 such rounds repeats within about +-3 points, over 40 within
+#: about +-1.5, with single rounds anywhere in [-19%, +47%].
+OVERHEAD_ROUNDS = 40
+OVERHEAD_BUDGET = 0.03
 
-    best = float("inf")
-    for _ in range(reps):
-        config = ServiceConfig(workers=2, cache=False, tenant_limit=None,
-                               lifecycle=lifecycle,
-                               sampling_interval_s=sampling,
-                               alert_rules=(default_rules()
-                                            if sampling is not None else None))
-        with SolverService(config) as service:
-            client = SolverClient(service, tenant="bench")
-            t0 = time.perf_counter()
-            for wave in _waves():
-                futures = [
-                    client.submit(problem, machine=MACHINE,
-                                  backend="threads", jobs=2, **SOLVE)
-                    for problem in wave
-                ]
-                for future in futures:
-                    future.result(timeout=300)
-            best = min(best, time.perf_counter() - t0)
-    return best
+
+def _serve_seconds(requests: int, **config) -> float:
+    """Wall time of ``requests`` executed solves through a cache-less
+    two-runner service built from ``config``."""
+    problems = [JacobiProblem(n=OVERHEAD_N, iterations=OVERHEAD_ITERATIONS,
+                              init=0.5 + k * 2.0**-20) for k in range(requests)]
+    gc.collect()
+    with SolverService(ServiceConfig(workers=2, cache=False, tenant_limit=None,
+                                     **config)) as service:
+        client = SolverClient(service, tenant="bench")
+        t0 = time.perf_counter()
+        futures = [client.submit(problem, machine=MACHINE, **OVERHEAD_SOLVE)
+                   for problem in problems]
+        for future in futures:
+            future.result(timeout=600)
+        return time.perf_counter() - t0
+
+
+def _overhead(base: dict, extra: dict) -> tuple[float, float, list[float]]:
+    """Seconds the ``base`` and the ``extra`` service took for
+    ``OVERHEAD_REQUESTS`` requests each, in alternating order, and the
+    quartiles of the per-round overheads (%) behind the totals."""
+    per_round = OVERHEAD_REQUESTS // OVERHEAD_ROUNDS
+    totals, rounds = {"base": 0.0, "extra": 0.0}, []
+    for k in range(OVERHEAD_ROUNDS):
+        order = ("base", "extra") if k % 2 == 0 else ("extra", "base")
+        took = {side: _serve_seconds(per_round, **(base if side == "base" else extra))
+                for side in order}
+        for side in order:
+            totals[side] += took[side]
+        rounds.append(100 * (took["extra"] / took["base"] - 1.0))
+    quartiles = [round(q, 2) for q in statistics.quantiles(rounds, n=4)]
+    return totals["base"], totals["extra"], quartiles
 
 
 def test_lifecycle_tracing_overhead(show):
     """The always-on lifecycle tracer (spans + SLO histograms + flight
     recorder) must cost <3% against the same service with tracing
     detached -- the budget that justifies leaving it on."""
-    detached_s = _stream_seconds(lifecycle=False)
-    traced_s = _stream_seconds(lifecycle=True)
+    detached_s, traced_s, rounds = _overhead(
+        dict(lifecycle=False), dict(lifecycle=True))
     overhead = traced_s / detached_s - 1.0
     show(
-        f"lifecycle tracing overhead ({REQUESTS} executed requests, "
-        f"best of 3):",
+        f"lifecycle tracing overhead ({OVERHEAD_REQUESTS} executed "
+        f"{OVERHEAD_N}^2 requests per side, {OVERHEAD_ROUNDS} alternating rounds):",
         f"  detached : {detached_s:.3f} s",
         f"  traced   : {traced_s:.3f} s",
-        f"  overhead : {100 * overhead:+.2f}%  (budget +3%)",
-    )
-    # 3% relative plus a 30 ms absolute floor so a sub-second stream's
-    # scheduling jitter cannot fail the gate spuriously.
-    assert traced_s <= detached_s * 1.03 + 0.03, (
-        f"lifecycle tracing costs {100 * overhead:.1f}% "
-        f"({detached_s:.3f}s -> {traced_s:.3f}s); the budget is 3%"
+        f"  overhead : {100 * overhead:+.2f}%  (budget +3%; round quartiles {rounds})",
     )
     _emit("lifecycle_overhead", {
-        "requests": REQUESTS,
+        "requests": OVERHEAD_REQUESTS,
+        "problem_n": OVERHEAD_N,
         "detached_seconds": round(detached_s, 4),
         "traced_seconds": round(traced_s, 4),
         "overhead_pct": round(100 * overhead, 2),
+        "round_overhead_pct_quartiles": rounds,
     })
+    assert overhead <= OVERHEAD_BUDGET, (
+        f"lifecycle tracing costs {100 * overhead:.1f}% "
+        f"({detached_s:.3f}s -> {traced_s:.3f}s); the budget is 3%"
+    )
 
 
 def test_sampling_overhead(show):
@@ -236,29 +261,34 @@ def test_sampling_overhead(show):
     rules evaluated on every sample) must cost <3% against the same
     service with sampling disabled -- and ``sampling_interval_s=None``
     must build nothing at all, so the idle path pays nothing."""
-    plain_s = _stream_seconds(lifecycle=True, sampling=None)
-    sampled_s = _stream_seconds(lifecycle=True, sampling=0.05)
+    from repro.obs.alerts import default_rules
+
+    plain_s, sampled_s, rounds = _overhead(
+        dict(lifecycle=True),
+        dict(lifecycle=True, sampling_interval_s=0.05,
+             alert_rules=default_rules()))
     overhead = sampled_s / plain_s - 1.0
     show(
-        f"telemetry sampling overhead ({REQUESTS} executed requests, "
-        f"best of 3, 50 ms interval + default alert rules):",
+        f"telemetry sampling overhead ({OVERHEAD_REQUESTS} executed "
+        f"{OVERHEAD_N}^2 requests per side, {OVERHEAD_ROUNDS} alternating rounds, "
+        f"50 ms interval + default alert rules):",
         f"  sampling off : {plain_s:.3f} s",
         f"  sampling on  : {sampled_s:.3f} s",
-        f"  overhead     : {100 * overhead:+.2f}%  (budget +3%)",
-    )
-    # Same gate shape as the lifecycle tracer: 3% relative plus a 30 ms
-    # absolute floor against sub-second scheduling jitter.
-    assert sampled_s <= plain_s * 1.03 + 0.03, (
-        f"telemetry sampling costs {100 * overhead:.1f}% "
-        f"({plain_s:.3f}s -> {sampled_s:.3f}s); the budget is 3%"
+        f"  overhead     : {100 * overhead:+.2f}%  (budget +3%; round quartiles {rounds})",
     )
     _emit("sampling_overhead", {
-        "requests": REQUESTS,
+        "requests": OVERHEAD_REQUESTS,
+        "problem_n": OVERHEAD_N,
         "interval_s": 0.05,
         "plain_seconds": round(plain_s, 4),
         "sampled_seconds": round(sampled_s, 4),
         "overhead_pct": round(100 * overhead, 2),
+        "round_overhead_pct_quartiles": rounds,
     })
+    assert overhead <= OVERHEAD_BUDGET, (
+        f"telemetry sampling costs {100 * overhead:.1f}% "
+        f"({plain_s:.3f}s -> {sampled_s:.3f}s); the budget is 3%"
+    )
 
 
 def test_multitenant_traffic(tmp_path, show):

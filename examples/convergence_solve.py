@@ -1,3 +1,4 @@
+#!/usr/bin/env python
 """Convergence-driven solves: iterate until the residual drops.
 
 The paper runs fixed iteration counts (100) because it measures
@@ -6,7 +7,9 @@ This driver runs any implementation in chunks of ``check_every``
 sweeps, monitors the stencil residual ``|x - S(x) - source|`` between
 chunks, and aggregates both the numerics and the modelled performance
 across chunks -- so you get time-to-solution in model seconds, not
-just time-per-sweep.
+just time-per-sweep.  It is built on the public ``run()`` only, which
+is why it lives here and not in the package (``tests/test_solve.py``
+drives it).
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..machine.machine import MachineSpec
-from ..stencil.problem import JacobiProblem
-from ..stencil.reference import residual_norm
-from .runner import run
+from repro.core.runner import run
+from repro.distgrid.boundary import DirichletBC
+from repro.machine.machine import MachineSpec, nacl
+from repro.stencil.problem import JacobiProblem
+from repro.stencil.reference import residual_norm
 
 
 @dataclass
@@ -98,3 +102,18 @@ def solve_to_tolerance(
     result.grid = current
     result.iterations = done
     return result
+
+
+def main() -> None:
+    problem = JacobiProblem(n=24, iterations=0, init=0.0, bc=DirichletBC(1.0))
+    result = solve_to_tolerance(problem, nacl(4), impl="ca-parsec", tol=1e-6,
+                                check_every=100, max_iterations=5000,
+                                tile=6, steps=4)
+    assert result.converged and np.allclose(result.grid, 1.0, atol=1e-3)
+    print(f"converged in {result.iterations} sweeps: residual "
+          f"{result.final_residual:.2e}, {result.model_elapsed * 1e3:.2f} model ms, "
+          f"{result.messages} messages")
+
+
+if __name__ == "__main__":
+    main()

@@ -224,7 +224,7 @@ def _tail(problem: JacobiProblem, ckpt: int | None, grid) -> JacobiProblem:
 
 
 def _publish_chaos_metrics(metrics, faults: list[dict],
-                           restarts: list[dict], speculations: int = 0) -> None:
+                           restarts: list[dict]) -> None:
     """Count what one chaos job (either entry point) went through."""
     if metrics is None:
         return
@@ -240,21 +240,6 @@ def _publish_chaos_metrics(metrics, faults: list[dict],
         metrics.counter(
             "chaos_recoveries_total", help="checkpoint restarts performed"
         ).inc(len(restarts))
-        c_lost = metrics.counter(
-            "chaos_nodes_lost_total",
-            help="node deaths that triggered a restart",
-        )
-        lost: dict[str, int] = {}
-        for restart in restarts:
-            node = str(restart.get("node", "?"))
-            lost[node] = lost.get(node, 0) + 1
-        for node, count in sorted(lost.items()):
-            c_lost.inc(count, node=node)
-    if speculations:
-        metrics.counter(
-            "chaos_speculations_total",
-            help="straggler tasks speculatively re-executed",
-        ).inc(speculations)
 
 
 def _fault_state(config: RunConfig, plan: FaultPlan, workdir: Path):
@@ -409,8 +394,7 @@ def run_with_recovery(
             tasks_final_attempt=result.engine.tasks_run,
             speculations=speculations,
         )
-        _publish_chaos_metrics(metrics, chaos_result.faults, restarts,
-                               speculations)
+        _publish_chaos_metrics(metrics, chaos_result.faults, restarts)
         return chaos_result
     finally:
         if tmp is not None:

@@ -1200,12 +1200,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .chaos import parse_plan, run_with_recovery
-    from .obs.metrics import MetricRegistry
 
     plan = parse_plan(args.plan, seed=args.seed)
     problem, machine = _problem_machine(args)
     config = RunConfig.from_args(args, mode="execute")
-    metrics = MetricRegistry()
 
     print(f"plan {plan.spec()}  (seed {args.seed}, "
           f"fingerprint {plan.fingerprint()})")
@@ -1217,8 +1215,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     chaos = run_with_recovery(
         problem, plan, machine, checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
-        max_restarts=args.max_restarts, metrics=metrics,
-        speculate=args.speculate,
+        max_restarts=args.max_restarts, speculate=args.speculate,
         **config.replace(trace=args.speculate).knobs(),
     )
 
@@ -1227,10 +1224,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         chaos.wall_elapsed / baseline_wall if baseline_wall > 0
         else float("inf")
     )
-    metrics.gauge(
-        "chaos_makespan_inflation",
-        "chaos wall time over the fault-free run", "ratio",
-    ).set(inflation)
 
     for rec in chaos.faults:
         print(f"fault fired: {rec['spec']}")

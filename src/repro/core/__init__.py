@@ -9,7 +9,6 @@ from .dataflow import BuildResult, StencilKernels, build_stencil_graph
 from .petsc_jacobi import PetscBuildResult, build_petsc_graph
 from .report import RunResult
 from .runner import run
-from .solve import SolveResult, solve_to_tolerance
 from .spec import StencilSpec
 from .validate import ValidationReport, validate_implementations
 from .verify import ScheduleError, verify_schedule
@@ -40,8 +39,6 @@ __all__ = [
     "build_stencil_graph",
     "default_tile",
     "run",
-    "SolveResult",
-    "solve_to_tolerance",
     "validate_implementations",
     "ScheduleError",
     "verify_schedule",

@@ -25,7 +25,7 @@ from numbers import Integral
 from typing import Any
 
 from ..exec.backends import BACKEND_DESCRIPTIONS, BACKENDS
-from ..exec.policies import EXEC_POLICIES
+from ..exec.policies import DEFAULT_POLICY, EXEC_POLICIES
 
 IMPLEMENTATIONS = ("petsc", "base-parsec", "ca-parsec")
 MODES = ("simulate", "execute")
@@ -133,7 +133,7 @@ class RunConfig:
         None, "worker threads of the real backends (default: all cores, "
               "split over the node processes)",
         faces=(SERVE,), cli=dict(type=int))
-    policy: str = _knob("priority", "ready-queue scheduling policy",
+    policy: str = _knob(DEFAULT_POLICY, "ready-queue scheduling policy",
                         faces=(SERVE, SWEEP), cli=dict(choices=EXEC_POLICIES))
     procs: int | None = _knob(
         None, "node processes of backend 'processes'; resizes the machine "

@@ -44,10 +44,10 @@ def _publish_critpath(metrics, report, graph) -> None:
 
 
 def _publish_ir_metrics(metrics, report) -> None:
-    """Mirror a pipeline's per-pass deltas into the registry so the
-    regression gate and ``repro trace-diff`` can prove what each pass
-    bought (counters only go up: negative deltas clamp to zero and the
-    signed totals live on the gauges)."""
+    """Mirror what a pipeline bought into the registry: passes applied,
+    remote messages saved per pass (counters only go up: a negative
+    delta clamps to zero) and the signed pipeline total.  The per-pass
+    task, edge and byte deltas are fields of ``result.pass_reports``."""
     if metrics is None:
         return
     for p in report.passes:
@@ -56,26 +56,12 @@ def _publish_ir_metrics(metrics, report) -> None:
             "ir_pass_applied", help="rewrite passes applied"
         ).inc(1, **labels)
         metrics.counter(
-            "ir_pass_tasks_removed", help="tasks removed by rewrite passes"
-        ).inc(max(0, p.tasks_removed), **labels)
-        metrics.counter(
             "ir_pass_messages_saved",
             help="remote messages removed by rewrite passes",
         ).inc(max(0, p.messages_saved), **labels)
-        metrics.counter(
-            "ir_pass_local_edges_removed",
-            help="local edges internalised by rewrite passes",
-        ).inc(max(0, p.local_edges_removed), **labels)
-    metrics.gauge(
-        "ir_tasks_removed", help="pipeline-total task delta (signed)"
-    ).set(report.tasks_removed)
     metrics.gauge(
         "ir_messages_saved", help="pipeline-total remote message delta (signed)"
     ).set(report.messages_saved)
-    metrics.gauge(
-        "ir_remote_bytes_delta", unit="bytes",
-        help="pipeline-total remote byte delta (after - before)",
-    ).set(report.after.remote_bytes - report.before.remote_bytes)
 
 
 def _publish_census(metrics, graph) -> None:

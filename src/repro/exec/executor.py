@@ -31,16 +31,16 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..obs import trace_validation_enabled
-from ..obs.metrics import MetricRegistry, MetricsSnapshot
+from ..obs.metrics import MetricRegistry, publish_run
 from ..runtime.engine import EngineReport, KernelError
 from ..runtime.graph import TaskGraph
 from ..runtime.store import PayloadStore
 from ..runtime.task import Flow, Task, TaskKey
 from .futures import RunCancelled, RunHandle
-from .policies import make_work_queues
+from .policies import DEFAULT_POLICY, make_work_queues
 from .wallclock_trace import HOST_NODE, WallClockRecorder
 
 
@@ -70,20 +70,18 @@ class ExecReport(EngineReport):
     """An :class:`EngineReport` whose times are wall-clock seconds.
 
     ``elapsed`` is measured, ``node_busy`` holds the single host node's
-    total worker-busy seconds, and the extra fields describe the
-    thread pool itself.  ``messages`` is always 0: shared memory moves
-    no network messages (the whole point of comparing against the
-    simulator's modelled cluster).
+    total worker-busy seconds (``worker_busy``: per worker thread), and
+    the extra fields describe the thread pool itself.  ``messages`` is
+    always 0: shared memory moves no network messages (the whole point
+    of comparing against the simulator's modelled cluster).
     """
 
     #: number of worker threads that executed the graph
     jobs: int = 0
     #: scheduling policy the pool ran under
-    policy: str = "lifo"
+    policy: str = DEFAULT_POLICY
     #: tasks acquired by stealing from another worker's queue
     steals: int = 0
-    #: busy wall-clock seconds per worker thread
-    worker_busy: dict[int, float] = field(default_factory=dict)
     #: keys of every task that completed (the determinism tests compare
     #: these sets across runs -- schedules may differ, sets may not)
     completed: frozenset = frozenset()
@@ -112,23 +110,19 @@ class ThreadedExecutor:
     trace:
         Capture a wall-clock :class:`~repro.runtime.trace.Trace`.
     metrics:
-        Optional :class:`~repro.obs.metrics.MetricRegistry` the run
-        emits into.  Nothing is tallied per task for it: the registry
-        is populated once, at report time, from the recorder's lanes.
+        Optional :class:`~repro.obs.metrics.MetricRegistry`.  Nothing
+        is tallied per task for it: the finished report is folded into
+        it once (:func:`~repro.obs.metrics.publish_run`).
 
     An executor is built for one graph, runs it once and returns a
     report; a second :meth:`start` raises.
     """
 
-    #: Node label the executor's metrics are emitted under (the procs
-    #: backend's per-node subclass overrides this with its node id).
-    metrics_node = HOST_NODE
-
     def __init__(
         self,
         graph: TaskGraph,
         jobs: int | None = None,
-        policy: str = "lifo",
+        policy: str = DEFAULT_POLICY,
         trace: bool = False,
         metrics: MetricRegistry | None = None,
     ) -> None:
@@ -262,33 +256,6 @@ class ThreadedExecutor:
         else:
             handle._finish(self._build_report(), None)
 
-    def _publish_metrics(self, elapsed: float) -> MetricsSnapshot | None:
-        """Fold the recorder's lanes into the attached registry and
-        return its snapshot (called once, at report time)."""
-        reg = self.metrics
-        if reg is None:
-            return None
-        node = self.metrics_node
-        tasks = reg.counter("tasks_executed_total",
-                            "tasks executed, by kind", "tasks")
-        for kind, count in self._recorder.kind_counts().items():
-            tasks.inc(count, kind=kind)
-        if self._steals:
-            reg.counter("tasks_stolen_total",
-                        "tasks acquired by work stealing", "tasks").inc(
-                self._steals, node=node)
-        busy = reg.counter("worker_busy_seconds_total",
-                           "busy time per compute worker", "seconds")
-        for wid, seconds in self._recorder.busy_per_worker().items():
-            busy.inc(seconds, node=node, worker=wid)
-        reg.gauge("run_elapsed_seconds",
-                  "wall-clock makespan of the run", "seconds").set(elapsed)
-        reg.gauge("tasks_total", "tasks in the executed graph",
-                  "tasks").set(len(self.graph))
-        reg.gauge("workers_per_node", "worker threads per node/process",
-                  "workers").set(self.jobs)
-        return reg.snapshot()
-
     def progress(self) -> dict:
         """Live view of the run for :mod:`repro.obs.monitor`.  Reads
         shared integers without the lock -- a sample may be one task
@@ -315,7 +282,7 @@ class ThreadedExecutor:
         trace = self._recorder.to_trace() if self.want_trace else None
         if trace is not None and trace_validation_enabled():
             trace.validate()
-        return ExecReport(
+        report = ExecReport(
             elapsed=elapsed,
             tasks_run=len(completed),
             messages=0,
@@ -329,13 +296,15 @@ class ThreadedExecutor:
             max_comm_backlog=0,
             trace=trace,
             results=self._store.results,
-            metrics=self._publish_metrics(elapsed),
             jobs=self.jobs,
             policy=self.policy,
             steals=self._steals,
             worker_busy=worker_busy,
             completed=completed,
         )
+        if self.metrics is not None:
+            report.metrics = publish_run(self.metrics, report, self.graph)
+        return report
 
     # -- worker loop ----------------------------------------------------------
 
@@ -426,7 +395,7 @@ class ThreadedExecutor:
 def execute(
     graph: TaskGraph,
     jobs: int | None = None,
-    policy: str = "lifo",
+    policy: str = DEFAULT_POLICY,
     trace: bool = False,
     timeout: float | None = None,
     metrics: MetricRegistry | None = None,

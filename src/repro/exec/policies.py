@@ -11,12 +11,13 @@ structures themselves need no internal synchronisation.
 
 * ``lifo`` -- owner pops its newest task (depth-first, cache-hot),
   thieves steal the oldest (breadth-first), the classic Chase-Lev
-  discipline and the backend default.
+  discipline.
 * ``fifo`` -- owner pops its oldest task; thieves steal the newest.
 * ``priority`` -- per-worker max-heaps on :attr:`Task.priority`
   (boundary-first for the stencil graphs); thieves take the victim's
   best task, preserving the "communication tasks first" heuristic
-  across the whole pool.
+  across the whole pool.  The default (:data:`DEFAULT_POLICY`) of
+  ``RunConfig.policy`` and of both executors.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from ..runtime.task import Task
 #: same set the simulator's scheduler exposes, so ablations sweep one
 #: name across both backends.
 EXEC_POLICIES = tuple(sorted(POLICIES))
+
+#: The one default: what ``run()``, the service, the tuner and the
+#: benchmark run under unless told otherwise, so a direct
+#: ``ThreadedExecutor(graph)`` schedules like ``run(backend="threads")``.
+DEFAULT_POLICY = "priority"
 
 
 class WorkQueues:
@@ -76,4 +82,4 @@ def make_work_queues(policy: str, jobs: int) -> WorkQueues:
     return WorkQueues(name, jobs)
 
 
-__all__ = ["EXEC_POLICIES", "WorkQueues", "make_work_queues"]
+__all__ = ["DEFAULT_POLICY", "EXEC_POLICIES", "WorkQueues", "make_work_queues"]

@@ -64,9 +64,13 @@ period so no orphan survives.
 Accounting.  Workers write exactly the message plan's entries, so
 per-edge message counts and *declared* payload bytes equal
 :meth:`TaskGraph.census` by construction; ring bytes (payloads plus
-record headers) are tallied apart as ``wire_bytes``.  Send/recv spans
-land on the comm lanes of the standard
-:class:`~repro.runtime.trace.Trace` schema.
+record headers) are tallied apart as ``wire_bytes``.  A node ships what
+it *measured* home once, in its ``("done", stats)`` message (messages,
+declared and ring bytes per destination, busy seconds, steals); the
+parent builds the report from those and an attached registry is a fold
+of that report -- no registry exists in a child.  Send/recv spans land
+on the comm lanes of the standard :class:`~repro.runtime.trace.Trace`
+schema.
 """
 
 from __future__ import annotations
@@ -86,13 +90,14 @@ import numpy as np
 
 from ..obs import trace_validation_enabled
 from ..obs.export import build_trace
-from ..obs.metrics import MetricRegistry, MetricsSnapshot
+from ..obs.metrics import MetricRegistry, publish_run
 from ..runtime.engine import KernelError, NodeLostError
 from ..runtime.graph import TaskGraph
 from ..runtime.task import Flow, Task, TaskKey
 from ..runtime.trace import Trace
 from .executor import ExecReport, ThreadedExecutor, ensure_executable
 from .futures import RunCancelled, RunHandle
+from .policies import DEFAULT_POLICY
 
 #: Trace lanes of a node's communication (compute workers are
 #: ``0..jobs-1``; anything negative is a comm lane, as in the engine).
@@ -153,20 +158,27 @@ def fork_available() -> bool:
 class ProcsReport(ExecReport):
     """An :class:`ExecReport` measured across real processes.
 
-    ``messages`` / ``message_bytes`` count real inter-process messages
-    with their census-declared payload sizes (so they are directly
-    comparable to the simulator's numbers); ``wire_bytes`` is what
-    was actually written to the rings, record headers included.
+    ``messages`` / ``message_bytes`` / ``by_pair`` count real
+    inter-process messages -- what each node measured itself sending,
+    never the plan -- with their census-declared payload sizes (so they
+    are directly comparable to the simulator's numbers); ``wire_bytes``
+    is what was actually written to the rings, record headers included.
     ``node_busy`` has one entry per process, so the inherited
     ``occupancy(jobs)`` averages worker busyness over every pool.
     """
 
     #: number of node processes that executed the graph
     procs: int = 0
-    #: bytes written to the shared-memory rings (payloads + headers)
-    wire_bytes: int = 0
-    #: (src, dst) -> (messages, declared payload bytes)
-    by_pair: dict = field(default_factory=dict)
+    #: (src, dst) -> bytes written to that ring (payloads + headers)
+    wire_by_pair: dict = field(default_factory=dict)
+    #: (node, "send" | "recv") -> worker seconds spent writing /
+    #: draining rings (``comm_busy[node]`` is their sum)
+    comm_lanes: dict = field(default_factory=dict)
+
+    @property
+    def wire_bytes(self) -> int:
+        """Bytes written to the shared-memory rings, all pairs."""
+        return sum(self.wire_by_pair.values())
 
     @property
     def worker_occupancy(self) -> float:
@@ -350,11 +362,9 @@ class _NodeExecutor(ThreadedExecutor):
 
     def __init__(
         self, graph: TaskGraph, node: int, channels: _Channels, jobs: int,
-        policy: str, trace: bool, metrics: MetricRegistry | None = None,
-        chaos=None,
+        policy: str, trace: bool, chaos=None,
     ) -> None:
         self.node = node
-        self.metrics_node = node  # label this node's metrics correctly
         self._local: list[Task] = [t for t in graph if t.node == node]
         #: (producer, tag) -> local consumer keys (one entry per flow)
         self._remote_consumers: dict[tuple[TaskKey, str], list[TaskKey]] = {}
@@ -379,8 +389,7 @@ class _NodeExecutor(ThreadedExecutor):
         #: stamps: (start, end, (producer, tag, peer), nbytes, ring bytes)
         self.sent: list[tuple] = []
         self.received: list[tuple] = []
-        super().__init__(graph, jobs=jobs, policy=policy, trace=trace,
-                         metrics=metrics)
+        super().__init__(graph, jobs=jobs, policy=policy, trace=trace)
 
     def _check_executable(self) -> None:
         pass  # the parent ran ensure_executable() once, before forking
@@ -525,7 +534,6 @@ def _node_main(
     jobs: int,
     policy: str,
     want_trace: bool,
-    want_metrics: bool,
     epoch: float,
     ctrl: Connection,
     inherited: list[Connection],
@@ -534,11 +542,9 @@ def _node_main(
     """Entry point of one node process (runs under fork)."""
     for conn in inherited:  # the parent's pipe ends: EOF must mean it died
         conn.close()
-    registry = MetricRegistry() if want_metrics else None
     try:
         executor = _NodeExecutor(graph, node, channels, jobs=jobs,
-                                 policy=policy, trace=want_trace,
-                                 metrics=registry, chaos=chaos)
+                                 policy=policy, trace=want_trace, chaos=chaos)
         threading.Thread(target=_control, args=(executor, ctrl),
                          name="repro-procs-control", daemon=True).start()
         try:
@@ -577,34 +583,6 @@ def _node_main(
             ]
             stats["send_spans"] = _relative_spans(executor.sent, epoch)
             stats["recv_spans"] = _relative_spans(executor.received, epoch)
-        if registry is not None:
-            # Child-registry merge: fold this node's comm tallies in
-            # and ship the snapshot home over the control pipe.
-            msgs = registry.counter(
-                "messages_total",
-                "remote messages delivered, by lane", "messages")
-            mbytes = registry.counter(
-                "message_bytes_total",
-                "declared ghost-copy payload bytes, by lane", "bytes")
-            wire = registry.counter(
-                "wire_bytes_total",
-                "bytes written to the shared-memory rings (payloads + "
-                "record headers), by lane", "bytes")
-            for dst, (n, nbytes, wbytes) in by_dst.items():
-                msgs.inc(n, src=node, dst=dst)
-                mbytes.inc(nbytes, src=node, dst=dst)
-                wire.inc(wbytes, src=node, dst=dst)
-            comm = registry.counter(
-                "comm_busy_seconds_total",
-                "worker time spent sending / receiving messages, per node",
-                "seconds")
-            if executor.sent:
-                comm.inc(stats["send_busy"], node=node, lane="send")
-            if executor.received:
-                comm.inc(stats["recv_busy"], node=node, lane="recv")
-            # The worker-side counters were already folded in by the
-            # executor's own report; snapshot and ship everything.
-            stats["metrics"] = registry.snapshot()
         ctrl.send(("done", stats))
     except BaseException as exc:  # pragma: no cover - defensive
         try:
@@ -638,11 +616,11 @@ class ProcessExecutor:
         (compute lanes per worker, ``-1``/``-2`` comm lanes for
         send/recv).
     metrics:
-        Optional :class:`~repro.obs.metrics.MetricRegistry`.  Each node
-        process records into its own child registry; the children ship
-        their snapshots home over the control pipes at shutdown and the
-        parent merges them into this registry, so merged counters equal
-        single-process totals exactly.
+        Optional :class:`~repro.obs.metrics.MetricRegistry`.  It never
+        leaves the parent: a node ships its tallies home once, in its
+        ``("done", stats)`` message, the parent builds the report from
+        them and folds the report into the registry
+        (:func:`~repro.obs.metrics.publish_run`).
     """
 
     def __init__(
@@ -650,7 +628,7 @@ class ProcessExecutor:
         graph: TaskGraph,
         procs: int | None = None,
         jobs: int | None = None,
-        policy: str = "lifo",
+        policy: str = DEFAULT_POLICY,
         trace: bool = False,
         metrics: MetricRegistry | None = None,
     ) -> None:
@@ -742,7 +720,7 @@ class ProcessExecutor:
             proc = ctx.Process(
                 target=_node_main,
                 args=(node, self.graph, self._channels, self.jobs, self.policy,
-                      self.want_trace, self.metrics is not None, self._epoch,
+                      self.want_trace, self._epoch,
                       child_end, [*self._ctrl.values(), parent_end], self.chaos),
                 name=f"repro-procs-{node}",
                 daemon=True,
@@ -892,8 +870,10 @@ class ProcessExecutor:
         worker_busy: dict[int, float] = {}
         node_busy: dict[int, float] = {}
         comm_busy: dict[int, float] = {}
+        comm_lanes: dict[tuple[int, str], float] = {}
         by_pair: dict[tuple[int, int], tuple[int, int]] = {}
-        messages = payload_bytes = wire_bytes = steals = 0
+        wire_by_pair: dict[tuple[int, int], int] = {}
+        steals = 0
         trace: Trace | None = None
         spans: list[tuple] = []
         for node, outcome in sorted(outcomes.items()):
@@ -903,13 +883,13 @@ class ProcessExecutor:
             for wid, busy in stats["worker_busy"].items():
                 worker_busy[node * self.jobs + wid] = busy
             node_busy[node] = sum(stats["worker_busy"].values())
+            comm_lanes[node, "send"] = stats["send_busy"]
+            comm_lanes[node, "recv"] = stats["recv_busy"]
             comm_busy[node] = stats["send_busy"] + stats["recv_busy"]
             steals += stats["steals"]
             for dst, (msgs, nbytes, wire) in stats["by_dst"].items():
-                by_pair[(node, dst)] = (msgs, nbytes)
-                messages += msgs
-                payload_bytes += nbytes
-                wire_bytes += wire
+                by_pair[node, dst] = (msgs, nbytes)
+                wire_by_pair[node, dst] = wire
             if self.want_trace:
                 for wid, kind, start, end, label, task_id in stats["task_spans"]:
                     spans.append((node, wid, kind, start, end, label, task_id))
@@ -919,23 +899,15 @@ class ProcessExecutor:
                     spans.append((node, SEND_LANE, "send", start, end, label, label[0]))
                 for start, end, label in stats["recv_spans"]:
                     spans.append((node, RECV_LANE, "recv", start, end, label, label[0]))
-            if self.metrics is not None and "metrics" in stats:
-                self.metrics.merge(stats["metrics"])
         if self.want_trace:
             trace = build_trace(spans)
             if trace_validation_enabled():
                 trace.validate()
-        snapshot: MetricsSnapshot | None = None
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "run_elapsed_seconds", "wall-clock makespan of the run",
-                "seconds").set(elapsed)
-            snapshot = self.metrics.snapshot()
-        return ProcsReport(
+        report = ProcsReport(
             elapsed=elapsed,
             tasks_run=len(completed),
-            messages=messages,
-            message_bytes=payload_bytes,
+            messages=sum(msgs for msgs, _ in by_pair.values()),
+            message_bytes=sum(nbytes for _, nbytes in by_pair.values()),
             local_edges=census.local_edges,
             local_bytes=census.local_bytes,
             useful_flops=useful,
@@ -945,23 +917,26 @@ class ProcessExecutor:
             max_comm_backlog=0,
             trace=trace,
             results=results,
-            metrics=snapshot,
             jobs=self.jobs,
             policy=self.policy,
             steals=steals,
             worker_busy=worker_busy,
+            by_pair=by_pair,
             completed=frozenset(completed),
             procs=self.procs,
-            wire_bytes=wire_bytes,
-            by_pair=by_pair,
+            wire_by_pair=wire_by_pair,
+            comm_lanes=comm_lanes,
         )
+        if self.metrics is not None:
+            report.metrics = publish_run(self.metrics, report, self.graph)
+        return report
 
 
 def execute_procs(
     graph: TaskGraph,
     procs: int | None = None,
     jobs: int | None = None,
-    policy: str = "lifo",
+    policy: str = DEFAULT_POLICY,
     trace: bool = False,
     timeout: float | None = None,
     metrics: MetricRegistry | None = None,

@@ -10,8 +10,8 @@ measured trace is just a trace whose seconds happen to be wall-clock
 seconds.
 
 The lane tuple is also the *only* per-task record a worker writes:
-which tasks completed, how many of each kind and how long each worker
-was busy are folds of the lanes, taken once at report time.
+which tasks completed and how long each worker was busy are folds of
+the lanes, taken once at report time.
 
 Convention: the shared-memory host is trace node ``0`` and every
 worker thread is a worker lane on it; the task's *simulated* node
@@ -21,7 +21,6 @@ placement stays visible through the span label (the task key).
 from __future__ import annotations
 
 import time
-from collections import Counter
 
 from ..obs.export import build_trace
 from ..runtime.trace import Trace
@@ -84,10 +83,6 @@ class WallClockRecorder:
         """Task id of every recorded span (a worker records a task
         exactly once, after it published)."""
         return [tid for lane in self._lanes for _k, _s, _e, _l, tid in lane]
-
-    def kind_counts(self) -> Counter:
-        """Recorded spans per task kind."""
-        return Counter(span[0] for lane in self._lanes for span in lane)
 
     def busy_per_worker(self) -> dict[int, float]:
         """Total busy seconds per worker lane."""

@@ -6,8 +6,8 @@ This package is our software-counter equivalent, shared by every
 execution layer:
 
 * :mod:`repro.obs.metrics` -- counters / gauges / histograms in one
-  process-mergeable registry; the sim engine, the threads pool, the
-  procs node processes and the autotuner all emit into it;
+  process-mergeable registry, and ``publish_run``, the one fold of a
+  finished report into it that every backend calls;
 * :mod:`repro.obs.export` -- one serializer for every trace and
   metric sink: Chrome/Perfetto events, JSON lines, OTel-style spans,
   Prometheus text exposition;

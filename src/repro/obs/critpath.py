@@ -438,10 +438,6 @@ def robust_scores(values: list[float]) -> tuple[list[float], float] | None:
     return [(v - med) / scale for v in values], med
 
 
-#: historical private alias (pre-dates the public export)
-_robust_scores = robust_scores
-
-
 def find_stragglers(
     trace: Trace, threshold: float = STRAGGLER_THRESHOLD
 ) -> list[Straggler]:
@@ -453,7 +449,7 @@ def find_stragglers(
             by_kind.setdefault(span.kind, []).append(span)
     out: list[Straggler] = []
     for kind, spans in by_kind.items():
-        scored = _robust_scores([s.duration for s in spans])
+        scored = robust_scores([s.duration for s in spans])
         if scored is None:
             continue
         scores, med = scored
@@ -480,7 +476,7 @@ def worker_loads(trace: Trace) -> list[WorkerLoad]:
     makespan = trace.makespan()
     keys = sorted(busy)
     values = [busy[k] for k in keys]
-    scored = _robust_scores(values)
+    scored = robust_scores(values)
     scores = scored[0] if scored is not None else [0.0] * len(keys)
     loads = [
         WorkerLoad(node=node, worker=worker, busy=b,

@@ -34,9 +34,9 @@ import hashlib
 import json
 from typing import Any, Iterable
 
-from ..runtime.trace import Span, Trace
+from ..runtime.trace import Trace
 from .critpath import CritPathReport
-from .metrics import MetricsSnapshot
+from .metrics import MetricsSnapshot, label_str
 
 #: Microseconds per virtual second (trace events use microseconds).
 _US = 1e6
@@ -94,6 +94,17 @@ def build_trace(
 # ---------------------------------------------------------------------------
 
 
+def complete_event(name: str, cat: str, pid: int, tid: int,
+                   ts: float, dur: float, args: dict | None = None) -> dict[str, Any]:
+    """One Chrome complete ('X') event (``ts`` / ``dur`` in microseconds);
+    every timeline this package writes builds its spans here."""
+    event = {"ph": "X", "name": name, "cat": cat, "pid": pid, "tid": tid,
+             "ts": ts, "dur": dur}
+    if args is not None:
+        event["args"] = args
+    return event
+
+
 def to_events(
     trace: Trace,
     time_scale: float = 1.0,
@@ -125,17 +136,11 @@ def to_events(
                 "tid": tid,
                 "args": {"name": "comm" if span.worker < 0 else f"worker {span.worker}"},
             })
-        event = {
-            "ph": "X",
-            "name": span.kind,
-            "cat": "task" if span.worker >= 0 else "comm",
-            "pid": span.node,
-            "tid": tid,
-            "ts": span.start * _US * time_scale,
-            "dur": span.duration * _US * time_scale,
-        }
-        if span.label is not None:
-            event["args"] = {"label": repr(span.label)}
+        event = complete_event(
+            span.kind, "task" if span.worker >= 0 else "comm", span.node, tid,
+            span.start * _US * time_scale, span.duration * _US * time_scale,
+            {"label": repr(span.label)} if span.label is not None else None,
+        )
         color = _COLORS.get(span.kind)
         if color:
             event["cname"] = color
@@ -155,17 +160,11 @@ def to_events(
                     "tid": CRITPATH_TID,
                     "args": {"name": "critical path"},
                 })
-            event = {
-                "ph": "X",
-                "name": seg.blame,
-                "cat": "critpath",
-                "pid": node,
-                "tid": CRITPATH_TID,
-                "ts": seg.start * _US * time_scale,
-                "dur": seg.duration * _US * time_scale,
-                "args": {"blame": seg.blame, "kind": seg.kind,
-                         "worker": seg.worker},
-            }
+            event = complete_event(
+                seg.blame, "critpath", node, CRITPATH_TID,
+                seg.start * _US * time_scale, seg.duration * _US * time_scale,
+                {"blame": seg.blame, "kind": seg.kind, "worker": seg.worker},
+            )
             if seg.task_id is not None:
                 event["args"]["task"] = repr(seg.task_id)
             color = _BLAME_COLORS.get(seg.blame)
@@ -259,9 +258,9 @@ def write_flamegraph(
 # ---------------------------------------------------------------------------
 
 
-def span_record(span: Span) -> dict[str, Any]:
-    """One span as a flat JSON-safe record."""
-    return {
+def spans_jsonl(trace: Trace) -> str:
+    """One span per line -- a flat JSON-safe record -- in trace order."""
+    return "\n".join(json.dumps({
         "node": span.node,
         "worker": span.worker,
         "kind": span.kind,
@@ -270,12 +269,7 @@ def span_record(span: Span) -> dict[str, Any]:
         "duration_s": span.duration,
         "label": repr(span.label) if span.label is not None else None,
         "task_id": repr(span.task_id) if span.task_id is not None else None,
-    }
-
-
-def spans_jsonl(trace: Trace) -> str:
-    """One span per line, in trace order."""
-    return "\n".join(json.dumps(span_record(s)) for s in trace.spans)
+    }) for span in trace.spans)
 
 
 def metrics_jsonl(snapshot: MetricsSnapshot) -> str:
@@ -317,6 +311,58 @@ def _span_id(payload: str, nbytes: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[: 2 * nbytes]
 
 
+def otel_attributes(items: Iterable[tuple[str, Any]]) -> list[dict[str, Any]]:
+    """OTLP typed attribute list of ``(key, value)`` pairs: bool, int,
+    float and str values, in the order given; anything else is left out."""
+    out = []
+    for key, value in items:
+        if isinstance(value, bool):
+            typed = {"boolValue": value}
+        elif isinstance(value, int):
+            typed = {"intValue": str(value)}
+        elif isinstance(value, float):
+            typed = {"doubleValue": value}
+        elif isinstance(value, str):
+            typed = {"stringValue": value}
+        else:
+            continue
+        out.append({"key": key, "value": typed})
+    return out
+
+
+def otel_span(trace_id: str, span_id: str, name: str, start_ns: int,
+              end_ns: int, attributes: list, status: dict | None = None,
+              parent_span_id: str | None = None) -> dict[str, Any]:
+    """One OTLP/JSON span (``SPAN_KIND_INTERNAL``)."""
+    doc = {
+        "traceId": trace_id,
+        "spanId": span_id,
+        "name": name,
+        "kind": 1,
+        "startTimeUnixNano": str(start_ns),
+        "endTimeUnixNano": str(end_ns),
+        "attributes": attributes,
+        "status": status or {},
+    }
+    if parent_span_id:
+        doc["parentSpanId"] = parent_span_id
+    return doc
+
+
+def otel_document(service_name: str, scope: str, spans: list) -> dict[str, Any]:
+    """The OTLP/JSON envelope: one resource, one scope, ``spans``."""
+    return {
+        "resourceSpans": [{
+            "resource": {"attributes": otel_attributes(
+                [("service.name", service_name)])},
+            "scopeSpans": [{
+                "scope": {"name": scope, "version": "1"},
+                "spans": spans,
+            }],
+        }],
+    }
+
+
 def to_otel(
     trace: Trace,
     service_name: str = "repro",
@@ -348,53 +394,25 @@ def to_otel(
     occurrences: dict[str, int] = {}
     for span in trace.spans:
         worker_name = "comm" if span.worker < 0 else f"worker-{span.worker}"
-        attributes = [
-            {"key": "node", "value": {"intValue": str(span.node)}},
-            {"key": "worker", "value": {"intValue": str(span.worker)}},
-            {"key": "kind", "value": {"stringValue": span.kind}},
-            {"key": "lane", "value": {"stringValue": worker_name}},
-        ]
-        if span.label is not None:
-            attributes.append(
-                {"key": "label", "value": {"stringValue": repr(span.label)}}
-            )
-        if span.task_id is not None:
-            attributes.append(
-                {"key": "task_id", "value": {"stringValue": repr(span.task_id)}}
-            )
+        attributes = otel_attributes([
+            ("node", int(span.node)), ("worker", int(span.worker)),
+            ("kind", span.kind), ("lane", worker_name),
+            ("label", None if span.label is None else repr(span.label)),
+            ("task_id", None if span.task_id is None else repr(span.task_id)),
+        ])
         identity = (
             f"{span.node}:{span.worker}:{span.kind}:{span.start}:"
             f"{span.end}:{span.label!r}"
         )
         n = occurrences.get(identity, 0)
         occurrences[identity] = n + 1
-        span_doc = {
-            "traceId": trace_id,
-            "spanId": _span_id(f"{trace_id}:{identity}:{n}", 8),
-            "name": span.kind,
-            "kind": 1,  # SPAN_KIND_INTERNAL
-            "startTimeUnixNano": str(epoch_unix_nanos + int(span.start * 1e9)),
-            "endTimeUnixNano": str(epoch_unix_nanos + int(span.end * 1e9)),
-            "attributes": attributes,
-            "status": {},
-        }
-        if parent_span_id is not None:
-            span_doc["parentSpanId"] = parent_span_id
-        spans.append(span_doc)
-    return {
-        "resourceSpans": [{
-            "resource": {
-                "attributes": [{
-                    "key": "service.name",
-                    "value": {"stringValue": service_name},
-                }],
-            },
-            "scopeSpans": [{
-                "scope": {"name": "repro.obs", "version": "1"},
-                "spans": spans,
-            }],
-        }],
-    }
+        spans.append(otel_span(
+            trace_id, _span_id(f"{trace_id}:{identity}:{n}", 8), span.kind,
+            epoch_unix_nanos + int(span.start * 1e9),
+            epoch_unix_nanos + int(span.end * 1e9),
+            attributes, parent_span_id=parent_span_id,
+        ))
+    return otel_document(service_name, "repro.obs", spans)
 
 
 def write_otel(trace: Trace, path: str, service_name: str = "repro") -> None:
@@ -412,10 +430,8 @@ def _prom_name(name: str) -> str:
 
 
 def _prom_labels(ls: tuple[tuple[str, str], ...], extra: str = "") -> str:
-    parts = [f'{k}="{v}"' for k, v in ls]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
+    body = ",".join(filter(None, (label_str(ls, quote='"'), extra)))
+    return "{" + body + "}" if body else ""
 
 
 def prometheus_text(snapshot: MetricsSnapshot) -> str:
@@ -460,7 +476,6 @@ __all__ = [
     "flamegraph_folded",
     "metrics_jsonl",
     "prometheus_text",
-    "span_record",
     "spans_jsonl",
     "to_events",
     "to_otel",

@@ -49,7 +49,15 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from ..core.store import atomic_write
-from .export import _span_id
+from .export import (
+    _span_id,
+    complete_event,
+    otel_attributes,
+    otel_document,
+    otel_span,
+    to_events,
+    to_otel,
+)
 from .metrics import MetricRegistry
 
 #: The span taxonomy, in the order a request normally traverses it.
@@ -591,16 +599,10 @@ def lifecycle_events(
         for key, value in sp.attrs.items():
             if isinstance(value, (bool, int, float, str)) or value is None:
                 args[key] = value
-        events.append({
-            "ph": "X",
-            "name": sp.name,
-            "cat": "lifecycle",
-            "pid": SERVICE_PID,
-            "tid": lane,
-            "ts": (sp.start - origin) * 1e6,
-            "dur": sp.duration * 1e6,
-            "args": args,
-        })
+        events.append(complete_event(
+            sp.name, "lifecycle", SERVICE_PID, lane,
+            (sp.start - origin) * 1e6, sp.duration * 1e6, args,
+        ))
     return events
 
 
@@ -614,8 +616,6 @@ def combined_events(
     :class:`~repro.runtime.trace.Trace`), the latter shifted to start
     at the request's ``execute`` span so queue wait and task kernels
     share one clock."""
-    from .export import to_events
-
     spans = sorted(spans, key=lambda s: (s.start, s.end))
     events = lifecycle_events(spans, time_origin=time_origin)
     if not spans or not exec_traces:
@@ -637,76 +637,6 @@ def combined_events(
     return events
 
 
-def lifecycle_otel(
-    spans: Iterable[LifeSpan],
-    service_name: str = "repro-serve",
-    epoch_unix_nanos: int = 0,
-    time_origin: float | None = None,
-) -> dict[str, Any]:
-    """The lifecycle spans as an OTLP/JSON trace document.  Span and
-    trace ids are the deterministic ids recorded on the spans, so
-    re-exports (and the Chrome export's ``args``) correlate exactly."""
-    spans = sorted(spans, key=lambda s: (s.trace_id, s.start, s.end))
-    origin = _time_origin(spans, time_origin)
-    out = []
-    for sp in spans:
-        attributes = [
-            {"key": "tenant", "value": {"stringValue": sp.tenant}},
-            {"key": "status", "value": {"stringValue": sp.status}},
-        ]
-        for key, value in sorted(sp.attrs.items()):
-            if isinstance(value, bool):
-                attributes.append(
-                    {"key": key, "value": {"boolValue": value}}
-                )
-            elif isinstance(value, int):
-                attributes.append(
-                    {"key": key, "value": {"intValue": str(value)}}
-                )
-            elif isinstance(value, float):
-                attributes.append(
-                    {"key": key, "value": {"doubleValue": value}}
-                )
-            elif isinstance(value, str):
-                attributes.append(
-                    {"key": key, "value": {"stringValue": value}}
-                )
-        status: dict[str, Any] = {}
-        if sp.status != "ok":
-            status = {"code": 2, "message": str(sp.attrs.get("error", sp.status))}
-        span_doc = {
-            "traceId": sp.trace_id,
-            "spanId": sp.span_id,
-            "name": sp.name,
-            "kind": 1,  # SPAN_KIND_INTERNAL
-            "startTimeUnixNano": str(
-                epoch_unix_nanos + int((sp.start - origin) * 1e9)
-            ),
-            "endTimeUnixNano": str(
-                epoch_unix_nanos + int((sp.end - origin) * 1e9)
-            ),
-            "attributes": attributes,
-            "status": status,
-        }
-        if sp.parent_span_id:
-            span_doc["parentSpanId"] = sp.parent_span_id
-        out.append(span_doc)
-    return {
-        "resourceSpans": [{
-            "resource": {
-                "attributes": [{
-                    "key": "service.name",
-                    "value": {"stringValue": service_name},
-                }],
-            },
-            "scopeSpans": [{
-                "scope": {"name": "repro.obs.lifecycle", "version": "1"},
-                "spans": out,
-            }],
-        }],
-    }
-
-
 def combined_otel(
     spans: Iterable[LifeSpan],
     exec_traces: Mapping[str, Any] | None = None,
@@ -714,19 +644,29 @@ def combined_otel(
     epoch_unix_nanos: int = 0,
     time_origin: float | None = None,
 ) -> dict[str, Any]:
-    """One OTel document: the lifecycle spans plus, per request with a
-    captured execution :class:`Trace`, the task-level spans exported
-    under the *same* ``trace_id`` with their ``parentSpanId`` set to
-    the request's ``execute`` span -- the acceptance shape: queue wait
-    and task kernels in one trace tree."""
-    from .export import to_otel
-
+    """One OTel (OTLP/JSON) document: the lifecycle spans -- span and
+    trace ids are the deterministic ids recorded on the spans, so
+    re-exports (and the Chrome export's ``args``) correlate exactly --
+    plus, per request with a captured execution :class:`Trace`, the
+    task-level spans exported under the *same* ``trace_id`` with their
+    ``parentSpanId`` set to the request's ``execute`` span -- the
+    acceptance shape: queue wait and task kernels in one trace tree."""
     spans = sorted(spans, key=lambda s: (s.trace_id, s.start, s.end))
     origin = _time_origin(spans, time_origin)
-    doc = lifecycle_otel(
-        spans, service_name=service_name,
-        epoch_unix_nanos=epoch_unix_nanos, time_origin=origin,
-    )
+    out = []
+    for sp in spans:
+        status: dict[str, Any] = {}
+        if sp.status != "ok":
+            status = {"code": 2, "message": str(sp.attrs.get("error", sp.status))}
+        out.append(otel_span(
+            sp.trace_id, sp.span_id, sp.name,
+            epoch_unix_nanos + int((sp.start - origin) * 1e9),
+            epoch_unix_nanos + int((sp.end - origin) * 1e9),
+            otel_attributes([("tenant", sp.tenant), ("status", sp.status),
+                             *sorted(sp.attrs.items())]),
+            status, sp.parent_span_id,
+        ))
+    doc = otel_document(service_name, "repro.obs.lifecycle", out)
     for trace_id, trace in (exec_traces or {}).items():
         anchor = _execute_span(spans, trace_id)
         if anchor is None or trace is None:
@@ -859,7 +799,6 @@ __all__ = [
     "combined_otel",
     "format_postmortem",
     "lifecycle_events",
-    "lifecycle_otel",
     "load_postmortem",
     "request_trace_id",
     "root_span_id",

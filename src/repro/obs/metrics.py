@@ -10,12 +10,13 @@ Design goals, in the order they mattered:
   the layer already holds (a procs node's send tallies).  Cell
   *creation* is the only locked path, and layers hoist it out of hot
   loops by keeping the cell handle.
-* **Exactness.**  The acceptance tests assert the procs-merged
-  counters equal the simulator's static census *exactly*; sums of
-  integer cells merged once at shutdown make that trivial.
+* **Exactness.**  A run's series are a fold of its finished report
+  (:func:`publish_run`, the one place they are named), so the counters
+  of every backend equal the report's -- and the report's measured
+  message counts equal the static census -- by construction.
 * **Process-safe merging.**  A registry snapshots to a plain-dict,
-  pickle/JSON-friendly form; child processes ship snapshots over the
-  existing control pipes and the parent folds them back in with
+  pickle/JSON-friendly form; the service's forked workers ship batch
+  snapshots home and the parent folds them back in with
   :meth:`MetricRegistry.merge`.
 * **Snapshot/delta semantics.**  Monitors poll with
   :meth:`MetricRegistry.snapshot` and diff consecutive snapshots with
@@ -44,6 +45,22 @@ def _labelset(labels: Mapping[str, object] | None) -> LabelSet:
     if not labels:
         return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+def label_str(ls: LabelSet, quote: str = "") -> str:
+    """A label set as ``k=v,k=v`` -- the JSON-safe key of snapshots and
+    series files (``quote='"'``: the Prometheus form ``k="v",k="v"``)."""
+    return ",".join(f"{k}={quote}{v}{quote}" for k, v in ls)
+
+
+def parse_label_str(text: str) -> LabelSet:
+    """Inverse of :func:`label_str` (unquoted form)."""
+    if not text:
+        return ()
+    return tuple(
+        tuple(part.split("=", 1))  # type: ignore[misc]
+        for part in text.split(",")
+    )
 
 
 def bucket_quantile(
@@ -379,7 +396,7 @@ class MetricsSnapshot:
                 "help": entry["help"],
                 "unit": entry["unit"],
                 "values": {
-                    ",".join(f"{k}={v}" for k, v in ls): state
+                    label_str(ls): state
                     for ls, state in entry["values"].items()
                 },
             }
@@ -390,20 +407,14 @@ class MetricsSnapshot:
         """Inverse of :meth:`as_dict`."""
         data: dict = {}
         for name, entry in doc.items():
-            values = {}
-            for label_str, state in entry.get("values", {}).items():
-                ls: LabelSet = ()
-                if label_str:
-                    ls = tuple(
-                        tuple(part.split("=", 1))  # type: ignore[misc]
-                        for part in label_str.split(",")
-                    )
-                values[ls] = state
             data[name] = {
                 "kind": entry.get("kind", "untyped"),
                 "help": entry.get("help", ""),
                 "unit": entry.get("unit", ""),
-                "values": values,
+                "values": {
+                    parse_label_str(text): state
+                    for text, state in entry.get("values", {}).items()
+                },
             }
         return cls(data)
 
@@ -411,9 +422,8 @@ class MetricsSnapshot:
 class MetricRegistry:
     """Named collection of metrics with snapshot/merge semantics.
 
-    One registry serves one run (or one node process of a run); the
-    procs backend creates a child registry per node and merges every
-    child's snapshot into the parent's registry at shutdown.
+    One registry serves one run, or one service (whose forked workers
+    ship per-batch snapshots home to be merged).
     """
 
     def __init__(self) -> None:
@@ -536,6 +546,73 @@ class MetricRegistry:
             self._metrics.clear()
 
 
+def publish_run(registry: MetricRegistry, report, graph) -> MetricsSnapshot:
+    """Fold one finished run into ``registry``; returns its snapshot.
+
+    The only place the run-level series are named.  Every backend's
+    report builder calls it, when a registry is attached, with the
+    report it is about to return and the graph it ran, and it reads
+    nothing else: task counts by kind come off the graph (a report
+    exists only for a run in which every task ran once), everything
+    measured off the report -- ``worker_busy`` (dense, keyed
+    ``node * workers + worker``), ``by_pair``, ``comm_busy`` and
+    ``elapsed`` on every backend, ``steals`` on the real ones,
+    ``wire_by_pair`` and ``comm_lanes`` on ``processes``.  Zero-valued
+    cells are not created.
+    """
+    tasks = registry.counter("tasks_executed_total",
+                             "tasks executed, by kind", "tasks")
+    kinds: dict[str, int] = {}
+    for task in graph:
+        kinds[task.kind] = kinds.get(task.kind, 0) + 1
+    for kind, count in kinds.items():
+        tasks.inc(count, kind=kind)
+    steals = getattr(report, "steals", 0)
+    if steals:
+        registry.counter("tasks_stolen_total",
+                         "tasks acquired by work stealing", "tasks").inc(steals)
+    workers = len(report.worker_busy) // max(1, len(report.node_busy))
+    busy = registry.counter("worker_busy_seconds_total",
+                            "busy time per compute worker", "seconds")
+    for index, seconds in report.worker_busy.items():
+        if seconds:
+            node, worker = divmod(index, workers)
+            busy.inc(seconds, node=node, worker=worker)
+    if report.by_pair:
+        msgs = registry.counter("messages_total",
+                                "remote messages delivered, by lane", "messages")
+        mbytes = registry.counter("message_bytes_total",
+                                  "declared ghost-copy payload bytes, by lane",
+                                  "bytes")
+        for (src, dst), (count, nbytes) in report.by_pair.items():
+            msgs.inc(count, src=src, dst=dst)
+            mbytes.inc(nbytes, src=src, dst=dst)
+    for (src, dst), nbytes in getattr(report, "wire_by_pair", {}).items():
+        registry.counter("wire_bytes_total",
+                         "bytes written to the shared-memory rings (payloads "
+                         "+ record headers), by lane", "bytes").inc(
+            nbytes, src=src, dst=dst)
+    # On processes comm time is worker time, split by what the worker
+    # was doing; the simulator's comm thread is one lane per node.
+    lanes = getattr(report, "comm_lanes", None)
+    if lanes is None:
+        lanes = {(node, None): s for node, s in report.comm_busy.items()}
+    for (node, lane), seconds in lanes.items():
+        if seconds:
+            labels = {"node": node} if lane is None else {"node": node, "lane": lane}
+            registry.counter("comm_busy_seconds_total",
+                             "time spent sending / receiving messages, per node",
+                             "seconds").inc(seconds, **labels)
+    registry.gauge("run_elapsed_seconds",
+                   "makespan of the run (virtual seconds on the sim backend, "
+                   "wall-clock on the real ones)", "seconds").set(report.elapsed)
+    registry.gauge("tasks_total", "tasks in the executed graph",
+                   "tasks").set(len(graph))
+    registry.gauge("workers_per_node", "compute workers per node / process",
+                   "workers").set(workers)
+    return registry.snapshot()
+
+
 __all__ = [
     "Counter",
     "CounterCell",
@@ -547,6 +624,9 @@ __all__ = [
     "MetricRegistry",
     "MetricsSnapshot",
     "bucket_quantile",
+    "label_str",
     "merge_histogram_states",
+    "parse_label_str",
+    "publish_run",
     "quantile_from_state",
 ]

@@ -50,7 +50,9 @@ from .metrics import (
     MetricRegistry,
     MetricsSnapshot,
     _labelset,
+    label_str,
     merge_histogram_states,
+    parse_label_str,
     quantile_from_state,
 )
 
@@ -64,19 +66,6 @@ __all__ = [
 #: discriminator in the JSONL header line, so ``repro alerts --series``
 #: can reject files that are not series exports
 SERIES_KIND = "repro-timeseries"
-
-
-def _label_str(ls: LabelSet) -> str:
-    return ",".join(f"{k}={v}" for k, v in ls)
-
-
-def _parse_label_str(label_str: str) -> LabelSet:
-    if not label_str:
-        return ()
-    return tuple(
-        tuple(part.split("=", 1))  # type: ignore[return-value]
-        for part in label_str.split(",")
-    )
 
 
 def _subtract_hist(last: Mapping, base: Mapping) -> dict:
@@ -478,7 +467,7 @@ class TimeSeriesStore:
             rows: dict[float, dict] = {t: {} for t, _ in times}
             for name, cells in self._series.items():
                 for ls, ring in cells.items():
-                    key = _label_str(ls)
+                    key = label_str(ls)
                     for t, value in ring:
                         row = rows.get(t)
                         if row is not None:
@@ -539,7 +528,7 @@ def read_series_jsonl(
                 "help": m.get("help", ""),
                 "unit": m.get("unit", ""),
                 "values": {
-                    _parse_label_str(key): value
+                    parse_label_str(key): value
                     for key, value in values.items()
                 },
             }

@@ -29,7 +29,7 @@ from typing import Any
 
 from ..machine.machine import MachineSpec
 from ..obs import trace_validation_enabled
-from ..obs.metrics import MetricRegistry, MetricsSnapshot
+from ..obs.metrics import MetricRegistry, MetricsSnapshot, publish_run
 from .graph import GraphError, TaskGraph
 from .scheduler import make_queue
 from .store import PayloadStore
@@ -101,6 +101,11 @@ class EngineReport:
     redundant_flops: float
     node_busy: dict[int, float] = field(default_factory=dict)
     comm_busy: dict[int, float] = field(default_factory=dict)
+    #: busy seconds per compute worker, one entry per worker of every
+    #: node, keyed ``node * workers_per_node + worker``
+    worker_busy: dict[int, float] = field(default_factory=dict)
+    #: (src, dst) -> (messages delivered, declared payload bytes)
+    by_pair: dict = field(default_factory=dict)
     #: deepest per-node communication-thread backlog observed; values
     #: much larger than 1 mean the comm thread was the bottleneck (the
     #: regime where communication avoiding pays).
@@ -150,12 +155,10 @@ class Engine:
         Charge the node's per-task software overhead in addition to the
         task's modelled cost (disable for pure-execution runs).
     metrics:
-        Optional :class:`~repro.obs.metrics.MetricRegistry` the run
-        emits its counters into (tasks by kind, messages and bytes per
-        lane, per-worker busy time, ready-queue pressure).  Hot-path
-        recording stays in plain attributes; the registry is populated
-        once at the end of the run, so overhead is negligible and the
-        default (``None``) pays nothing at all.
+        Optional :class:`~repro.obs.metrics.MetricRegistry`: the
+        finished report is folded into it once, at the end of the run
+        (:func:`~repro.obs.metrics.publish_run`); the event loop never
+        touches it.
     """
 
     def __init__(
@@ -194,23 +197,7 @@ class Engine:
         self.chaos = chaos
 
         nnodes = machine.nodes
-        instrument = metrics is not None
         self._ready = [make_queue(policy) for _ in range(nnodes)]
-        # The only live tallies telemetry needs are the ones the graph
-        # cannot reproduce afterwards: per-worker busy time and the
-        # ready-queue high-water mark.  Everything schedule-independent
-        # (task counts by kind, queue pushes) is derived from the graph
-        # once, in :meth:`_publish_metrics`.
-        self._ready_depth_max: list[int] | None = (
-            [0] * nnodes if instrument else None
-        )
-        self._worker_busy: list[list[float]] | None = (
-            [[0.0] * self.workers_per_node for _ in range(nnodes)]
-            if instrument else None
-        )
-        self._pair_msgs: dict[tuple[int, int], list[int]] | None = (
-            {} if instrument else None
-        )
         self._idle = [list(range(self.workers_per_node)) for _ in range(nnodes)]
         # Comm thread & NIC: next free virtual time and FIFO backlog.
         self._comm_free = [0.0] * nnodes
@@ -241,6 +228,9 @@ class Engine:
         self._max_comm_backlog = 0
         self._node_busy = dict.fromkeys(range(nnodes), 0.0)
         self._comm_busy = dict.fromkeys(range(nnodes), 0.0)
+        #: flat, indexed ``node * workers_per_node + worker``
+        self._worker_busy = [0.0] * (nnodes * self.workers_per_node)
+        self._by_pair: dict[tuple[int, int], tuple[int, int]] = {}
         self._tasks_run = 0
 
     # -- event helpers ----------------------------------------------------
@@ -283,10 +273,6 @@ class Engine:
         for task in self.graph:
             if self._pending[task.key] == 0:
                 self._ready[task.node].push(task)
-        if self._ready_depth_max is not None:
-            # Seeding only grows the queues, so the post-seed length is
-            # the high-water mark so far.
-            self._ready_depth_max = [len(q) for q in self._ready]
 
     # -- main loop -----------------------------------------------------------
 
@@ -318,7 +304,7 @@ class Engine:
             self.trace.validate()
         useful, redundant = self.graph.total_flops()
         census = self.graph.census()
-        return EngineReport(
+        report = EngineReport(
             elapsed=self._now,
             tasks_run=self._tasks_run,
             messages=self._messages,
@@ -329,80 +315,15 @@ class Engine:
             redundant_flops=redundant,
             node_busy=self._node_busy,
             comm_busy=self._comm_busy,
+            worker_busy=dict(enumerate(self._worker_busy)),
+            by_pair=self._by_pair,
             max_comm_backlog=self._max_comm_backlog,
             trace=self.trace,
             results=self._store.results if self._store is not None else {},
-            metrics=self._publish_metrics(),
         )
-
-    def _publish_metrics(self) -> MetricsSnapshot | None:
-        """Fold the run's tallies into the attached registry (once, at
-        the end -- the hot path never touches the registry) and return
-        its snapshot."""
-        reg = self.metrics
-        if reg is None:
-            return None
-        tasks = reg.counter("tasks_executed_total",
-                            "tasks executed, by kind", "tasks")
-        # The event loop ran every graph task exactly once (a deadlock
-        # raises before we get here), so kind counts and per-node push
-        # counts are exact when read off the graph -- no hot-path cost.
-        kind_counts: dict[str, int] = {}
-        node_tasks = [0] * self.machine.nodes
-        for t in self.graph.tasks.values():
-            kind_counts[t.kind] = kind_counts.get(t.kind, 0) + 1
-            node_tasks[t.node] += 1
-        for kind, count in kind_counts.items():
-            tasks.inc(count, kind=kind)
-        msgs = reg.counter("messages_total",
-                           "remote messages delivered, by lane", "messages")
-        mbytes = reg.counter("message_bytes_total",
-                             "declared ghost-copy payload bytes, by lane",
-                             "bytes")
-        assert self._pair_msgs is not None
-        for (src, dst), (n, nbytes) in self._pair_msgs.items():
-            msgs.inc(n, src=src, dst=dst)
-            mbytes.inc(nbytes, src=src, dst=dst)
-        census = self.graph.census()
-        reg.counter("local_edges_total",
-                    "same-node producer-consumer flows", "edges").inc(
-            census.local_edges)
-        reg.counter("local_bytes_total",
-                    "same-node flow payload bytes", "bytes").inc(
-            census.local_bytes)
-        busy = reg.counter("worker_busy_seconds_total",
-                           "busy time per compute worker", "seconds")
-        assert self._worker_busy is not None
-        for node, lanes in enumerate(self._worker_busy):
-            for worker, seconds in enumerate(lanes):
-                if seconds:
-                    busy.inc(seconds, node=node, worker=worker)
-        comm = reg.counter("comm_busy_seconds_total",
-                           "communication-thread busy time per node",
-                           "seconds")
-        for node, seconds in self._comm_busy.items():
-            if seconds:
-                comm.inc(seconds, node=node)
-        reg.gauge("comm_backlog_max",
-                  "deepest communication-thread backlog observed",
-                  "messages").set(self._max_comm_backlog)
-        depth = reg.gauge("ready_queue_max_depth",
-                          "deepest per-node ready queue observed", "tasks")
-        pushes = reg.counter("ready_queue_pushes_total",
-                             "tasks enqueued per node ready queue", "tasks")
-        assert self._ready_depth_max is not None
-        for node, high_water in enumerate(self._ready_depth_max):
-            depth.set(high_water, node=node)
-            if node_tasks[node]:
-                pushes.inc(node_tasks[node], node=node)
-        reg.gauge("run_elapsed_seconds",
-                  "makespan of the run (virtual seconds on the sim "
-                  "backend)", "seconds").set(self._now)
-        reg.gauge("tasks_total", "tasks in the executed graph",
-                  "tasks").set(len(self.graph))
-        reg.gauge("workers_per_node", "compute workers modelled per node",
-                  "workers").set(self.workers_per_node)
-        return reg.snapshot()
+        if self.metrics is not None:
+            report.metrics = publish_run(self.metrics, report, self.graph)
+        return report
 
     def progress(self) -> dict:
         """Live view of the run for :mod:`repro.obs.monitor` (the
@@ -433,8 +354,7 @@ class Engine:
             start = self._now
             end = start + duration
             self._node_busy[node] += duration
-            if self._worker_busy is not None:
-                self._worker_busy[node][worker] += duration
+            self._worker_busy[node * self.workers_per_node + worker] += duration
             if self.trace is not None:
                 self.trace.record(
                     node, worker, task.kind, start, end, task.key, task_id=task.key
@@ -485,8 +405,7 @@ class Engine:
                 )
             end = self._now + send_time
             self._node_busy[node] += send_time
-            if self._worker_busy is not None:
-                self._worker_busy[node][worker] += send_time
+            self._worker_busy[node * self.workers_per_node + worker] += send_time
             if self.trace is not None:
                 self.trace.record(
                     node, worker, "send", self._now, end, task.key, task_id=task.key
@@ -513,17 +432,11 @@ class Engine:
 
     def _wake(self, waiters: list[TaskKey]) -> None:
         touched_nodes = set()
-        depth_max = self._ready_depth_max
         for consumer_key in waiters:
             self._pending[consumer_key] -= 1
             if self._pending[consumer_key] == 0:
                 consumer = self.graph[consumer_key]
-                queue = self._ready[consumer.node]
-                queue.push(consumer)
-                if depth_max is not None:
-                    depth = len(queue)
-                    if depth > depth_max[consumer.node]:
-                        depth_max[consumer.node] = depth
+                self._ready[consumer.node].push(consumer)
                 touched_nodes.add(consumer.node)
         for node in touched_nodes:
             self._dispatch(node)
@@ -588,10 +501,9 @@ class Engine:
                 return
         self._messages += 1
         self._message_bytes += msg.nbytes
-        if self._pair_msgs is not None:
-            stats = self._pair_msgs.setdefault((msg.src, msg.dst), [0, 0])
-            stats[0] += 1
-            stats[1] += msg.nbytes
+        pair = (msg.src, msg.dst)
+        count, nbytes = self._by_pair.get(pair, (0, 0))
+        self._by_pair[pair] = (count + 1, nbytes + msg.nbytes)
         if self.overlap:
             self._enqueue_comm_job(msg.dst, ("recv", msg))
         else:

@@ -81,10 +81,6 @@ class BatchCollector:
                 "serve_dedup_total",
                 "duplicate jobs served from their batch leader", "jobs",
             )
-            self._h_size = metrics.histogram(
-                "serve_batch_size", "jobs fused per submission", "jobs",
-                buckets=(1, 2, 4, 8, 16, 32),
-            )
 
     def take(self, timeout: float | None = None) -> Batch | None:
         """The next batch: a leader from the fair-share queue (waited
@@ -104,7 +100,6 @@ class BatchCollector:
             with self._mlock:
                 self._c_batches.inc()
                 self._c_jobs.inc(len(jobs))
-                self._h_size.observe(len(jobs))
                 if batch.duplicates:
                     self._c_dedup.inc(batch.duplicates)
         if self._lifecycle is not None:

@@ -136,9 +136,6 @@ class JobQueue:
                 "serve_deadline_expired_total",
                 "jobs cancelled by their deadline, by where it caught them",
             )
-            self._h_wait = metrics.histogram(
-                "serve_wait_seconds", "queue wait before dispatch", "seconds"
-            )
 
     # -- configuration ---------------------------------------------------
 
@@ -219,7 +216,6 @@ class JobQueue:
                 self._g_inflight.set(
                     self._inflight[tenant], tenant=tenant
                 )
-                self._h_wait.observe(now - job.enqueued)
             self._record_queued(job, now)
             return job
         return None
@@ -278,8 +274,6 @@ class JobQueue:
             if self._metrics is not None and taken:
                 self._g_depth.set(self._depth)
                 self._g_inflight.set(self._inflight[tenant], tenant=tenant)
-                for job in taken:
-                    self._h_wait.observe(now - job.enqueued)
             for job in taken:
                 self._record_queued(job, now)
         return taken

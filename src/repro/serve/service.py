@@ -245,9 +245,6 @@ class SolverService:
             "serve_node_lost_total",
             "batch attempts lost to a (simulated) node death", "attempts",
         )
-        self._h_exec = self.metrics.histogram(
-            "serve_exec_seconds", "wall time executing one batch", "seconds"
-        )
 
         self._lock = threading.Lock()
         self._running: dict[int, tuple[Job, object]] = {}
@@ -511,14 +508,12 @@ class SolverService:
         with self._lock:
             for job in leaders:
                 self._running[job.seq] = (job, worker)
-        t0 = time.monotonic()
         try:
             results, snapshot, wspans = worker.run_batch(items)
         finally:
             with self._lock:
                 for job in leaders:
                     self._running.pop(job.seq, None)
-        elapsed = time.monotonic() - t0
         if self.lifecycle is not None and wspans:
             # Fold the worker's spans in *before* finishing any trace,
             # so the SLO execute aggregate sees them.
@@ -550,7 +545,7 @@ class SolverService:
                 statuses["expired"] = statuses.get("expired", 0) + len(jobs)
             else:
                 self._retry_or_fail(jobs, payload, statuses)
-        self._account(statuses, snapshot=snapshot, elapsed=elapsed)
+        self._account(statuses, snapshot=snapshot)
 
     def _retry_or_fail(self, jobs, exc: Exception,
                        statuses: dict[str, int]) -> None:
@@ -691,8 +686,7 @@ class SolverService:
             return
         self._note_dump(path)
 
-    def _account(self, statuses: dict[str, int], snapshot=None,
-                 elapsed: float | None = None) -> None:
+    def _account(self, statuses: dict[str, int], snapshot=None) -> None:
         """Fold a batch's statuses into the service counters.  A
         ``retried`` job is still pending (its future unresolved), so
         it counts toward ``serve_jobs_retried_total`` but never toward
@@ -700,8 +694,6 @@ class SolverService:
         with self._mlock:
             if snapshot is not None:
                 self.metrics.merge(snapshot)
-            if elapsed is not None:
-                self._h_exec.observe(elapsed)
             for status, count in statuses.items():
                 if status == "retried":
                     self._c_retried.inc(count)

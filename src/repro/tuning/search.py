@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -33,6 +34,7 @@ from typing import Any, Sequence
 
 from ..core.config import applies
 from ..exec import backends
+from ..exec.futures import RunCancelled
 from ..experiments.sweeper import Sweep, to_csv
 from ..machine.machine import MachineSpec, nacl
 from ..stencil.problem import JacobiProblem
@@ -151,9 +153,11 @@ def _evaluate(
     Reuses the :class:`~repro.experiments.sweeper.Sweep` plumbing for
     the actual call so tuning records and sweep records are the same
     animal.  Exceptions become ``status="error"`` trials; a measured
-    run exceeding ``timeout`` seconds becomes ``status="timeout"``
-    (the stray worker thread is abandoned -- the simulator is never
-    run under a timeout because it is deterministic and cheap).
+    run exceeding ``timeout`` seconds becomes ``status="timeout"`` and
+    is cancelled -- its worker threads, or forked node processes, must
+    not run on underneath the next candidate's measurement (the
+    simulator is never run under a timeout: it is deterministic and
+    cheap).
     """
     sweep = Sweep(problem=replace(problem, iterations=fidelity))
     config = dict(run_kwargs or {})
@@ -163,16 +167,33 @@ def _evaluate(
     if backend in backends.MEASURED_BACKENDS and jobs is not None:
         common["jobs"] = jobs
 
+    live: list = []  # the candidate's executor, once run() has built it
+    timed_out = threading.Event()
+
+    def capture(executor) -> None:
+        if timed_out.is_set():  # too late to be worth starting
+            raise RunCancelled("candidate timed out before its run started")
+        live.append(executor)
+
     def work() -> dict:
-        return sweep.run_configs([config], machine=machine, **common)[0]
+        return sweep.run_configs([config], machine=machine,
+                                 on_executor=capture, **common)[0]
 
     try:
         if timeout is None or backend == "sim":
             record = work()
         else:
             pool = ThreadPoolExecutor(max_workers=1)
+            future = pool.submit(work)
             try:
-                record = pool.submit(work).result(timeout)
+                record = future.result(timeout)
+            except FutureTimeout:
+                timed_out.set()
+                # An executor that is still starting answers False:
+                # ask until it takes the cancel (or the run is over).
+                while live and not future.done() and not live[0].cancel():
+                    wait([future], timeout=0.001)
+                raise
             finally:
                 pool.shutdown(wait=False, cancel_futures=True)
     except FutureTimeout:

@@ -147,6 +147,22 @@ def test_invalid_jobs_and_policy_rejected():
         ThreadedExecutor(g, policy="round-robin")
 
 
+def test_one_default_policy():
+    """A direct executor schedules like ``run()``: the default policy is
+    named once (``exec/policies.py``) and every front door uses it."""
+    import inspect
+
+    from repro.core.config import RunConfig
+    from repro.exec import ProcessExecutor, execute_procs
+    from repro.exec.policies import DEFAULT_POLICY
+
+    assert RunConfig().policy == DEFAULT_POLICY == "priority"
+    for front_door in (ThreadedExecutor, ProcessExecutor, execute, execute_procs):
+        default = inspect.signature(front_door).parameters["policy"].default
+        assert default == DEFAULT_POLICY, front_door
+    assert ThreadedExecutor(diamond_graph(), jobs=1).run().policy == DEFAULT_POLICY
+
+
 def test_executor_is_single_shot():
     ex = ThreadedExecutor(diamond_graph(), jobs=1)
     ex.run()

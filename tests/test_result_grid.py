@@ -34,6 +34,7 @@ from repro.exec.executor import ThreadedExecutor
 from repro.exec.futures import RunCancelled
 from repro.exec.procs import ProcessExecutor, _Channels, _node_main
 from repro.machine.machine import nacl
+from repro.obs import MetricRegistry
 from repro.runtime.engine import Engine
 from repro.serve import ResultCache, ServiceConfig, SolverClient, SolverService
 from repro.serve.request import SolveOutcome
@@ -300,7 +301,7 @@ def done_messages(n: int, ncols: int, tile: int) -> list[dict]:
     pipes = [ctx.Pipe(duplex=True) for _ in range(2)]
     nodes = [
         threading.Thread(target=_node_main, args=(
-            node, built.graph, channels, 1, "priority", False, False,
+            node, built.graph, channels, 1, "priority", False,
             time.perf_counter(), pipes[node][1], [], None))
         for node in range(2)
     ]
@@ -319,7 +320,7 @@ def done_messages(n: int, ncols: int, tile: int) -> list[dict]:
 
 
 @needs_fork
-def test_what_a_node_ships_home_is_o_tasks_not_o_grid():
+def test_what_a_node_ships_home_is_o_tasks_not_o_grid(monkeypatch):
     small = done_messages(256, 32, 16)
     large = done_messages(512, 64, 32)  # same task keys, tiles of 4x the area
     for stats in small + large:
@@ -333,6 +334,29 @@ def test_what_a_node_ships_home_is_o_tasks_not_o_grid():
         size_a, size_b = len(pickle.dumps(a)), len(pickle.dumps(b))
         assert abs(size_b - size_a) <= 4, (size_a, size_b)
         assert size_a < 16 * 16 * 16 * 8  # under the node's 16 small cores
+
+    # A registry on the executor never reaches a node: its series are a
+    # fold of the report the parent builds from these same messages.
+    shipped = {}
+    build_report = ProcessExecutor._build_report
+
+    def spy(self, outcomes, t_end):
+        shipped[self.metrics is not None] = outcomes
+        return build_report(self, outcomes, t_end)
+
+    monkeypatch.setattr(ProcessExecutor, "_build_report", spy)
+    graph = build_base_graph(JacobiProblem(n=256, ncols=32, iterations=8, init=0.5),
+                             nacl(2), tile=16).graph
+    plain = ProcessExecutor(graph, procs=2, jobs=1).run()
+    counted = ProcessExecutor(graph, procs=2, jobs=1, metrics=MetricRegistry()).run()
+    assert plain.metrics is None
+    assert counted.metrics.counter("messages_total") == counted.messages == 256
+    for node in range(2):
+        bare, instrumented = (pickle.dumps(shipped[flag][node]) for flag in (False, True))
+        assert shipped[True][node][0] == "done"
+        assert set(shipped[True][node][1]) == set(shipped[False][node][1])
+        assert b"MetricsSnapshot" not in instrumented
+        assert len(instrumented) <= len(bare)
 
 
 @needs_fork

@@ -1,15 +1,20 @@
-"""Convergence-driven solves."""
+"""Convergence-driven solves (``examples/convergence_solve.py``)."""
+
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
-from repro.core.solve import solve_to_tolerance
 from repro.distgrid.boundary import DirichletBC
 from repro.machine.machine import nacl
 from repro.stencil.problem import JacobiProblem
 from repro.stencil.reference import jacobi_reference
 
 from .test_source_term import poisson_problem
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "examples"))
+from convergence_solve import solve_to_tolerance  # noqa: E402
 
 
 def laplace_problem(n=24):

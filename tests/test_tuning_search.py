@@ -2,16 +2,21 @@
 failure containment and the cache fast path."""
 
 import gc
+import multiprocessing
+import threading
 import time
 
 import pytest
 
-from repro.exec import backends
+from repro.exec import ProcessExecutor, ThreadedExecutor, backends, fork_available
+from repro.exec.procs import JOIN_GRACE
 from repro.experiments.sweeper import Sweep
 from repro.machine.machine import nacl
 from repro.stencil.problem import JacobiProblem
 from repro.tuning import SearchSpace, TuningCache, tune
-from repro.tuning.search import _fidelity_ladder
+from repro.tuning.search import Candidate, _evaluate, _fidelity_ladder
+
+from .conftest import join_all
 
 
 PROBLEM = JacobiProblem(n=96, iterations=4)
@@ -137,6 +142,51 @@ def test_timeout_containment(monkeypatch):
     timeouts = [t for t in result.trials if t.status == "timeout"]
     assert timeouts and all(t.backend == "threads" for t in timeouts)
     assert result.winner.tile == 12
+
+
+class Parked:
+    """``init`` whose first evaluation -- on a worker thread or in a
+    forked node -- parks until ``release`` is set: a kernel that blocks."""
+
+    def __init__(self) -> None:
+        ctx = multiprocessing.get_context("fork")
+        self.entered, self.release = ctx.Event(), ctx.Event()
+
+    def __call__(self, rows, cols):
+        if not self.entered.is_set():
+            self.entered.set()
+            self.release.wait(60)
+        return 0.0 * rows
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")
+@pytest.mark.parametrize("backend, executor", [
+    ("threads", ThreadedExecutor), ("processes", ProcessExecutor)])
+def test_timed_out_candidate_is_cancelled_not_abandoned(monkeypatch, backend,
+                                                        executor):
+    """A measured run that outlives its timeout is told to stop through
+    its executor's public ``cancel()``; once its blocked kernel returns
+    nothing of it is left running under the next candidate."""
+    cancelled = []
+    cancel = executor.cancel
+
+    def recording_cancel(self):
+        cancelled.append(cancel(self))
+        return cancelled[-1]
+
+    monkeypatch.setattr(executor, "cancel", recording_cancel)
+    parked = Parked()
+    problem = JacobiProblem(n=24, iterations=4, init=parked)
+    trial = _evaluate(problem, "base-parsec", nacl(2), Candidate(tile=6),
+                      4, backend, 2.0, 1, None)
+    assert trial.status == "timeout"
+    assert parked.entered.is_set()  # it timed out mid-run, not before it
+    assert cancelled and cancelled[-1] is True
+    parked.release.set()
+    assert join_all(multiprocessing.active_children(), JOIN_GRACE) == []
+    assert join_all((t for t in threading.enumerate()
+                     if t.name.startswith(("repro-exec-", "repro-procs-"))),
+                    JOIN_GRACE) == []
 
 
 def test_empty_space_raises():
