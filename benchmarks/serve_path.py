@@ -9,15 +9,19 @@ requests per cache hit) and prints where an *executed* request's
 latency went, from the service's own lifecycle spans:
 
     submit (signature, cache probe, enqueue) -> queued -> batch take ->
-    dispatch -> execute (graph build, run, assemble) -> cache write ->
-    respond -> the client's wake-up
+    dispatch -> baton wait -> execute (template bind, run, assemble) ->
+    respond -> the client's wake-up; then, off the request's path, the
+    cache write
 
-The hops between spans are read off the spans' edges, so the rows add
-up to the client-side latency; `cache write` is timed around
-`ResultCache.put`, and the three stages inside `execute` are timed by
-running `run()`'s sequence on the same request shape with nothing else
-in flight (they are what `execute` is made of, not extra rows).  Every
-figure is the median over the executed requests with its quartiles.  A
+The hops between spans are read off the spans' edges, so the rows down
+to the client's wake-up add up to the client-side latency; `baton wait`
+is the worker's `queued` span (0 for a request that found the baton
+free), `cache write` is timed around `ResultCache.put` and happens
+after the future resolved, and the three stages inside `execute` are
+timed by running `run()`'s sequence on the same request shape with
+nothing else in flight (they are what `execute` is made of, not extra
+rows; the first build of a shape is timed from an empty template memo).
+Every figure is the median over the executed requests with its quartiles.  A
 map of where the time goes -- `docs/serving.md` carries the table --
 not a benchmark: `benchmarks/wallclock/run.py --workload serve_mix` is.
 """
@@ -31,6 +35,7 @@ import time
 from statistics import median, quantiles
 
 from repro.core.base_parsec import build_base_graph
+from repro.core.dataflow import TEMPLATES
 from repro.exec.executor import ThreadedExecutor
 from repro.machine.machine import nacl
 from repro.serve import ServiceConfig, SolverClient, SolverService
@@ -58,10 +63,13 @@ def client_loop(client: SolverClient, base: int, count: int, records: list) -> N
 
 def hops_of(service: SolverService, record, put_s: dict) -> dict[str, float]:
     t0, t_submitted, t_done, outcome = record
-    spans = {s.name: s for s in service.lifecycle.spans_of(outcome.trace_id)}
-    probe, queued = spans["cache_probe"], spans["queued"]
-    fuse, dispatch, execute = spans["batch_fuse"], spans["dispatch"], spans["execute"]
-    put = put_s[outcome.signature]
+    spans = {(s.name, s.attrs.get("where")): s
+             for s in service.lifecycle.spans_of(outcome.trace_id)}
+    probe, queued = spans["cache_probe", None], spans["queued", None]
+    fuse, dispatch = spans["batch_fuse", None], spans["dispatch", None]
+    execute, request = spans["execute", None], spans["request", None]
+    baton = spans.get(("queued", "baton"))
+    baton_s = baton.duration if baton is not None else 0.0
     return {
         "submit: signature": probe.start - t0,
         "submit: cache probe (miss)": probe.duration,
@@ -69,19 +77,27 @@ def hops_of(service: SolverService, record, put_s: dict) -> dict[str, float]:
         "queued": queued.duration,
         "batch take": fuse.duration,
         "dispatch (worker lookup, spans)": dispatch.end - fuse.end,
-        "hand-off to the worker": execute.start - dispatch.end,
+        "hand-off to the worker": execute.start - dispatch.end - baton_s,
+        "baton wait (the other runner's solve)": baton_s,
         "execute": execute.duration,
-        "cache write": put,
-        "respond (adopt spans, resolve future, SLO fold)":
-            spans["request"].end - execute.end - put,
-        "client wake-up": t_done - spans["request"].end,
+        "respond (adopt spans, remember, resolve, SLO fold)":
+            request.end - execute.end,
+        "client wake-up": t_done - request.end,
         "= client-side latency": t_done - t0,
+        "cache write (after the future resolved)": put_s.get(outcome.signature, 0.0),
     }
 
 
 def staged() -> dict[str, float]:
     """`run()`'s stages on one request shape, nothing else in flight."""
-    out: dict[str, list[float]] = {"graph build": [], "run": [], "assemble": []}
+    out: dict[str, list[float]] = {"of which template bind": [], "of which run": [],
+                                   "of which assemble": [],
+                                   "first of a shape: template build": []}
+    for k in range(15):
+        TEMPLATES.clear()
+        t0 = time.monotonic()
+        build_base_graph(problem(10**6 + k), nacl(4), tile=TILE)
+        out["first of a shape: template build"].append(time.monotonic() - t0)
     for k in range(15):
         t0 = time.monotonic()
         built = build_base_graph(problem(10**6 + k), nacl(4), tile=TILE)
@@ -89,9 +105,9 @@ def staged() -> dict[str, float]:
         report = ThreadedExecutor(built.graph, jobs=1, policy="priority").run()
         t2 = time.monotonic()
         built.assemble_grid(report.results)
-        out["graph build"].append(t1 - t0)
-        out["run"].append(t2 - t1)
-        out["assemble"].append(time.monotonic() - t2)
+        out["of which template bind"].append(t1 - t0)
+        out["of which run"].append(t2 - t1)
+        out["of which assemble"].append(time.monotonic() - t2)
     return {name: median(values) for name, values in out.items()}
 
 
@@ -134,7 +150,7 @@ def main(per_client: int) -> None:
         print(f"{name:<50} {median(values):>10.3f}  [{q1:.3f}, {q3:.3f}]")
         if name == "execute":
             for stage, seconds in stages.items():
-                print(f"{'    of which ' + stage + ' (solo)':<50} {1e3 * seconds:>10.3f}")
+                print(f"{'    ' + stage + ' (solo)':<50} {1e3 * seconds:>10.3f}")
 
 
 if __name__ == "__main__":

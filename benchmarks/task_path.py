@@ -2,8 +2,10 @@
 
     PYTHONPATH=src python benchmarks/task_path.py [kernel_large|halo_base|halo_ca]
 
-Walks the hops `docs/runtime-guide.md` lists -- graph build, executor
-`_prepare`, ready queue, `PayloadStore.gather`, the task body (plan
+Walks the hops `docs/runtime-guide.md` lists -- the graph template's
+build (the first build of a shape, from an empty memo) and its bind
+(every build: result grid, kernels, one shallow clone per task),
+executor `_prepare`, ready queue, `PayloadStore.gather`, the task body (plan
 lookup, ghost assigns, frame, banded kernel, outgoing copies; for a
 tile's last task the kernel writing the core into the result grid),
 `publish`/`release`, the worker's per-task record -- on one of the
@@ -29,7 +31,7 @@ from statistics import median
 
 import numpy as np
 
-from repro.core.dataflow import build_stencil_graph
+from repro.core.dataflow import TEMPLATES, build_stencil_graph
 from repro.core.spec import StencilSpec
 from repro.exec.executor import ThreadedExecutor
 from repro.exec.policies import make_work_queues
@@ -57,12 +59,16 @@ def one_solve(geometry: dict) -> dict[str, float]:
     g = dict(geometry)
     nodes, tile, steps = g.pop("nodes"), g.pop("tile"), g.pop("steps")
     problem = JacobiProblem(init=0.5, **g)
-    spec = StencilSpec.create(problem, nodes=nodes, tile=tile, steps=steps)
-    build_s, built = clock(build_stencil_graph, spec, nacl(nodes))
+    specs = [StencilSpec.create(problem, nodes=nodes, tile=tile, steps=steps) for _ in range(2)]
+    TEMPLATES.clear()
+    first_s, _ = clock(build_stencil_graph, specs[0], nacl(nodes))
+    spec = specs[1]  # a fresh one, as every run() makes: it adopts the geometry
+    bind_s, built = clock(build_stencil_graph, spec, nacl(nodes))
     graph = built.graph
     stencil = [task for task in graph if task.key[-1] >= 0]
     per_task = 1e6 / len(stencil)
-    hops = {"graph build": build_s * per_task}
+    hops = {"template build (first)": first_s * per_task,
+            "bind (every run)": bind_s * per_task}
 
     executor = ThreadedExecutor(graph, jobs=1, policy="priority")
     hops["_prepare"] = clock(executor._prepare)[0] * per_task

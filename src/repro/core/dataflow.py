@@ -24,7 +24,9 @@ kernels paste by the same entries and publish by their inverse):
 from __future__ import annotations
 
 import mmap
+import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -205,6 +207,56 @@ class BuildResult:
         return self.grid
 
 
+class _TemplateCache:
+    """Process-wide LRU of templates -- (finalized, analysed, kernel-less
+    graph, spec geometry): what every build of one shape shares --
+    bounded by the tasks it retains.  A template holds no array,
+    mapping, kernel object or problem, so it pins no run's memory.  The
+    lock covers the table, never a build: two threads that miss on one
+    shape both build it, and both graphs are right."""
+
+    def __init__(self, max_tasks: int) -> None:
+        self.max_tasks = max_tasks
+        self._items: OrderedDict = OrderedDict()
+        self._new_lock()
+        # a child forked while another thread held the lock builds too
+        os.register_at_fork(after_in_child=self._new_lock)
+
+    def _new_lock(self) -> None:
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            template = self._items.get(key)
+            if template is not None:
+                self._items.move_to_end(key)
+            return template
+
+    def put(self, key, template) -> None:
+        if len(template[0]) > self.max_tasks:
+            return  # e.g. the n=23040 simulator sweeps: built per run, as before
+        with self._lock:
+            self._items[key] = template
+            while self.retained_tasks() > self.max_tasks:
+                self._items.popitem(last=False)
+
+    def retained_tasks(self) -> int:
+        return sum(len(graph) for graph, _ in self._items.values())
+
+    def clear(self) -> None:
+        self._items.clear()
+
+
+#: Tasks the templates may retain in all.  Measured (tracemalloc, the
+#: benchmark's shapes): a retained task costs 2.1-2.5 KiB -- 576 tasks
+#: 1.4 MiB (`serve_mix`), 1088 tasks 2.4 MiB (`kernel_large`), 4160
+#: tasks 8.8 / 8.4 MiB (`halo_base` / `halo_ca`); a bound copy 0.4 KiB a
+#: task -- so the templates hold at most ~38 MiB: the four benchmark
+#: shapes at once (9 984 tasks), or 28 shapes of a 256^2 service.
+TEMPLATE_TASKS = 16384
+TEMPLATES = _TemplateCache(TEMPLATE_TASKS)
+
+
 def build_stencil_graph(
     spec: StencilSpec,
     machine: MachineSpec,
@@ -213,17 +265,36 @@ def build_stencil_graph(
     with_kernels: bool = True,
     boundary_priority: bool = True,
 ) -> BuildResult:
-    """Unroll the dataflow of ``spec`` into a concrete task graph.
-
-    ``with_kernels=False`` builds a timing-only graph (no numpy work, no
-    result grid), which is what the benchmark sweeps use.
-    """
+    """The task graph of ``spec``, bound to this run.  What depends on
+    geometry and the cost model only -- the unrolled graph with its
+    analysis, the tile table, the exchange plan -- is a template built
+    once per shape (:data:`TEMPLATES`); per call there is a result grid,
+    one :class:`StencilKernels` and a shallow clone of every task
+    pointing at it.  ``with_kernels=False`` binds a timing-only graph (no
+    numpy work, no result grid), which is what the benchmark sweeps use."""
     cost = cost or KernelCostModel(machine)
-    grid = kernels = None
+    key = (type(spec), spec.partition, spec.steps, spec.problem.iterations,
+           name, boundary_priority, machine, cost)
+    template = TEMPLATES.get(key)
+    if template is None:
+        template = _build_template(spec, machine, cost, name, boundary_priority)
+        TEMPLATES.put(key, template)
+    graph, geometry = template
+    spec.adopt_geometry(geometry)
+    grid = init = stencil = None
     if with_kernels:
         shape = spec.problem.shape
         grid = np.ndarray(shape, buffer=mmap.mmap(-1, shape[0] * shape[1] * ITEMSIZE))
         kernels = StencilKernels(spec, grid)
+        init, stencil = kernels.init_task, kernels.stencil_task
+    bound = graph.bind(lambda task: init if task.kind == "init" else stencil)
+    return BuildResult(bound, spec, name, grid)
+
+
+def _build_template(spec: StencilSpec, machine: MachineSpec, cost: KernelCostModel,
+                    name: str, boundary_priority: bool) -> tuple[TaskGraph, dict]:
+    """Unroll the dataflow of ``spec`` into a concrete, kernel-less
+    task graph and analyse it."""
     graph = TaskGraph()
     plan = spec.exchange_plan()
     T = spec.problem.iterations
@@ -240,7 +311,6 @@ def build_stencil_graph(
             (name, tile.i, tile.j, -1),
             node=tile.node,
             cost=cost.copy_cost(ext_pts * ITEMSIZE),
-            kernel=kernels.init_task if kernels else None,
             out_nbytes={"tile": 0},
             priority=(T + 1) * 2 + (BOUNDARY_PRIORITY if boundary else 0),
             kind="init",
@@ -264,7 +334,6 @@ def build_stencil_graph(
                 tile.node,
             ))
 
-    stencil_kernel = kernels.stencil_task if kernels else None
     for t in range(T):
         for (i, j), per_phase in templates.items():
             flows, task_cost, flops, red_flops, kind, prio_bias, node = per_phase[t % spec.steps]
@@ -278,9 +347,11 @@ def build_stencil_graph(
                 cost=task_cost,
                 flops=flops,
                 redundant_flops=red_flops,
-                kernel=stencil_kernel,
                 out_nbytes={"tile": 0},
                 priority=(T - t) * 2 + prio_bias,
                 kind=kind,
             ))
-    return BuildResult(graph.finalize(validate=False), spec, name, grid)
+    graph.finalize(validate=False)
+    graph.census()  # with message_plan(): every bound graph shares them
+    graph.total_flops()
+    return graph, spec.geometry()

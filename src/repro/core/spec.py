@@ -215,6 +215,16 @@ class StencilSpec:
             plan = self._memo["exchange"] = self._build_exchange_plan()
         return plan
 
+    def geometry(self) -> dict:
+        """The complete tile table and exchange plan: a function of
+        ``(type(self), partition, steps)`` alone (no problem data), so a
+        spec of another problem on the same three may adopt it."""
+        self.exchange_plan()  # walks every tile
+        return self._memo
+
+    def adopt_geometry(self, geometry: dict) -> None:
+        self._memo.update(geometry)
+
     def _build_exchange_plan(self) -> dict[tuple[int, int], tuple[Exchange, ...]]:
         phases = range(self.steps)
         incoming = {

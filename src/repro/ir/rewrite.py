@@ -157,16 +157,8 @@ class UnpackKernel:
 # -- graph/build rebuilding ----------------------------------------------
 
 
-def clone_task(task: Task, **overrides: Any) -> Task:
-    """A copy of ``task`` with selected attributes replaced."""
-    kwargs = dict(
-        key=task.key, node=task.node, inputs=task.inputs, cost=task.cost,
-        flops=task.flops, redundant_flops=task.redundant_flops,
-        kernel=task.kernel, out_nbytes=task.out_nbytes,
-        priority=task.priority, kind=task.kind,
-    )
-    kwargs.update(overrides)
-    return Task(**kwargs)
+#: A copy of a task with selected attributes replaced.
+clone_task = Task.clone
 
 
 def rebuild_graph(tasks: Iterable[Task], validate: bool = True) -> TaskGraph:

@@ -10,9 +10,9 @@ ground truth.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Callable, Iterator
 
-from .task import EdgeCensus, Task, TaskKey
+from .task import EdgeCensus, Kernel, Task, TaskKey
 
 
 class GraphError(Exception):
@@ -39,6 +39,7 @@ class TaskGraph:
         #: (edges, bytes) of the same-node flows, tallied with the plan
         self._local = (0, 0)
         self._census: EdgeCensus | None = None
+        self._flops: tuple[float, float] | None = None
 
     # -- construction --------------------------------------------------
 
@@ -55,6 +56,17 @@ class TaskGraph:
     def add_task(self, key: TaskKey, node: int, **kwargs) -> Task:
         """Convenience wrapper building the :class:`Task` in place."""
         return self.add(Task(key, node, **kwargs))
+
+    def bind(self, kernel_of: Callable[[Task], Kernel | None]) -> "TaskGraph":
+        """This finalized graph for one more run: every task cloned
+        with the kernel ``kernel_of`` gives it, so the copy's tasks may
+        be instrumented in place; the consumer maps and whatever static
+        analysis was computed before the call are shared, read-only."""
+        bound = TaskGraph.__new__(TaskGraph)
+        bound.__dict__.update(self.__dict__)
+        bound.tasks = {key: task.clone(kernel=kernel_of(task))
+                       for key, task in self.tasks.items()}
+        return bound
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -109,24 +121,21 @@ class TaskGraph:
         while ready:
             key = ready.popleft()
             order.append(key)
-            task = self.tasks[key]
-            for tag in self._out_tags(task):
+            for tag in self.out_tags.get(key, ()):
                 for consumer in self.consumers.get((key, tag), ()):
                     indeg[consumer] -= 1
                     if indeg[consumer] == 0:
                         ready.append(consumer)
         return order, indeg
 
-    def _check_acyclic(self) -> None:
-        """Raises :class:`GraphError` with a sample of the offending
-        tasks if a cycle exists."""
+    def _check_acyclic(self) -> list[TaskKey]:
+        """The tasks in dependency order; raises :class:`GraphError`
+        with a sample of the offending tasks if a cycle exists."""
         order, indeg = self._kahn()
         if len(order) != len(self.tasks):
             stuck = [k for k, d in indeg.items() if d > 0][:5]
             raise GraphError(f"task graph has a cycle; sample of blocked tasks: {stuck}")
-
-    def _out_tags(self, task: Task) -> Iterable[str]:
-        return self.out_tags.get(task.key, ())
+        return order
 
     # -- static analysis -------------------------------------------------
 
@@ -198,9 +207,10 @@ class TaskGraph:
 
     def total_flops(self) -> tuple[float, float]:
         """(useful, redundant) FLOP over the whole graph."""
-        useful = sum(t.flops for t in self.tasks.values())
-        redundant = sum(t.redundant_flops for t in self.tasks.values())
-        return useful, redundant
+        if self._flops is None or not self._finalized:
+            self._flops = (sum(t.flops for t in self.tasks.values()),
+                           sum(t.redundant_flops for t in self.tasks.values()))
+        return self._flops
 
     def critical_path(self) -> float:
         """Length (seconds of task cost) of the longest dependency chain
@@ -226,11 +236,7 @@ class TaskGraph:
         truncated order."""
         if not self._finalized:
             raise GraphError("finalize() the graph before analysing it")
-        order, indeg = self._kahn()
-        if len(order) != len(self.tasks):
-            stuck = [k for k, d in indeg.items() if d > 0][:5]
-            raise GraphError(f"task graph has a cycle; sample of blocked tasks: {stuck}")
-        return order
+        return self._check_acyclic()
 
     def nodes_used(self) -> set[int]:
         return {t.node for t in self.tasks.values()}

@@ -130,6 +130,26 @@ class Task:
         self.priority = priority
         self.kind = kind
 
+    def clone(self, **overrides: Any) -> "Task":
+        """A copy with selected attributes replaced (taken as given): its
+        own ``out_nbytes``, every immutable part shared.  Validated when
+        ``self`` was made, so it goes around ``__init__`` (about 1 us: a
+        graph template is bound to a run by cloning its tasks)."""
+        new = Task.__new__(Task)
+        new.key = self.key
+        new.node = self.node
+        new.inputs = self.inputs
+        new.cost = self.cost
+        new.flops = self.flops
+        new.redundant_flops = self.redundant_flops
+        new.kernel = self.kernel
+        new.out_nbytes = dict(self.out_nbytes)
+        new.priority = self.priority
+        new.kind = self.kind
+        for name, value in overrides.items():
+            setattr(new, name, value)
+        return new
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Task({self.key!r}, node={self.node}, kind={self.kind}, "

@@ -20,7 +20,8 @@ itself":
   recency, which costs at worst a suboptimal eviction, never a wrong
   answer);
 * a small in-memory layer keeps the hottest grids loaded so repeat
-  submissions in one service process skip the disk entirely.
+  submissions in one service process skip the disk entirely; the
+  parsed index is kept too, re-read when another process replaced it.
 
 Unknown schema versions are ignored wholesale, never migrated.
 All hit/miss/eviction counters are bumped inside the cache lock
@@ -34,6 +35,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,9 @@ class ResultCache:
         self._mem: OrderedDict[str, SolveOutcome] = OrderedDict()
         #: get-side recency not yet persisted (folded in on put)
         self._touched: dict[str, float] = {}
+        #: the parsed index and the (inode, mtime, size) it was read at
+        self._entries: dict = {}
+        self._stamp: tuple | None = ()  # nothing read yet; None: no index file
 
         self._metrics = metrics
         if metrics is not None:
@@ -92,20 +97,33 @@ class ResultCache:
 
     # -- IO --------------------------------------------------------------
 
-    def _load(self) -> dict:
+    def _index_stamp(self) -> tuple | None:
         try:
-            doc = json.loads(self.index_path.read_text())
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
-            return {}
-        entries = doc.get("entries")
-        return entries if isinstance(entries, dict) else {}
+            st = os.stat(self.index_path)
+        except OSError:
+            return None
+        return (st.st_ino, st.st_mtime_ns, st.st_size)
+
+    def _load(self) -> dict:
+        """The index's entries, parsed again only when the file is not
+        the one last read or written here (every write replaces it)."""
+        stamp = self._index_stamp()
+        if stamp != self._stamp:
+            self._entries, self._stamp = {}, stamp
+            try:
+                doc = json.loads(self.index_path.read_text())
+            except (OSError, ValueError):
+                doc = None
+            if isinstance(doc, dict) and doc.get("schema") == SCHEMA_VERSION \
+                    and isinstance(doc.get("entries"), dict):
+                self._entries = doc["entries"]
+        return self._entries
 
     def _store(self, entries: dict) -> None:
         doc = {"schema": SCHEMA_VERSION, "entries": entries}
-        blob = json.dumps(doc, indent=2, sort_keys=True).encode()
+        blob = json.dumps(doc, sort_keys=True).encode()
         atomic_write(self.index_path, lambda fh: fh.write(blob))
+        self._entries, self._stamp = entries, self._index_stamp()
 
     def _grid_path(self, signature: str) -> Path:
         return self.root / f"{signature[:24]}.npz"
@@ -123,7 +141,7 @@ class ResultCache:
                 self._touched[signature] = time.time()
                 if self._metrics is not None:
                     self._c_hits.inc()
-                return self._copy_hit(hot)
+                return replace(hot, cached=True)
 
             entry = self._load().get(signature)
             grid = None
@@ -142,22 +160,23 @@ class ResultCache:
             self._touched[signature] = time.time()
             if self._metrics is not None:
                 self._c_hits.inc()
-            return self._copy_hit(outcome)
+            return replace(outcome, cached=True)
 
     def put(self, signature: str, outcome: SolveOutcome) -> None:
         """Insert (or refresh) one outcome; evicts LRU entries beyond
-        ``max_entries``.  The index is re-read immediately before the
-        atomic replace, so concurrent services merge rather than
-        clobber each other."""
+        ``max_entries``.  The payload is compressed and written before
+        the lock is taken -- a probe never waits behind it -- and the
+        index is re-read immediately before the atomic replace, so
+        concurrent services merge rather than clobber each other."""
+        grid_name = None
+        if outcome.grid is not None:
+            grid_name = self._grid_path(signature).name
+            grid = np.ascontiguousarray(outcome.grid)
+            atomic_write(
+                self._grid_path(signature),
+                lambda fh: np.savez_compressed(fh, grid=grid),
+            )
         with self._lock:
-            grid_name = None
-            if outcome.grid is not None:
-                grid_name = self._grid_path(signature).name
-                grid = np.ascontiguousarray(outcome.grid)
-                atomic_write(
-                    self._grid_path(signature),
-                    lambda fh: np.savez_compressed(fh, grid=grid),
-                )
             now = time.time()
             entries = self._load()
             for sig, ts in self._touched.items():
@@ -178,10 +197,15 @@ class ResultCache:
                 if evicted:
                     self._c_evictions.inc(evicted)
 
+    def remember(self, signature: str, outcome: SolveOutcome) -> None:
+        """Serve ``outcome`` from the memory layer from now on; the
+        service resolves its futures on that and :meth:`put`s after."""
+        with self._lock:
+            self._remember(signature, outcome)
+
     def clear(self) -> None:
         with self._lock:
-            entries = self._load()
-            for entry in entries.values():
+            for entry in self._load().values():
                 self._unlink_grid(entry)
             self._store({})
             self._mem.clear()
@@ -194,14 +218,9 @@ class ResultCache:
     def entries(self) -> dict:
         """A copy of the on-disk index (metadata only, no grids)."""
         with self._lock:
-            return self._load()
+            return {sig: dict(entry) for sig, entry in self._load().items()}
 
     # -- internals -------------------------------------------------------
-
-    def _copy_hit(self, outcome: SolveOutcome) -> SolveOutcome:
-        from dataclasses import replace
-
-        return replace(outcome, cached=True)
 
     def _remember(self, signature: str, outcome: SolveOutcome) -> None:
         if outcome.grid is not None:

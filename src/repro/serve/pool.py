@@ -8,10 +8,10 @@ Two kinds, one contract (``name``, ``alive()``, ``run_batch(items)``,
 ``cancel(seq)``, ``close()``, ``retire_when_idle``):
 
 * ``"threads"`` -- :class:`InProcessWorker`, an object in the service
-  process; the solve runs on the runner thread that owns it.  Warm
-  here means only that the worker has run a request in this process
-  before (lazy imports done, allocator arenas grown).  It holds
-  nothing between requests, so it is never retired.
+  process; the solve runs on the runner thread that owns it, one at
+  a time across the process (:data:`_BATON`).  Warm here means that
+  the worker has run a request in this process before (lazy imports
+  done, allocator arenas grown).  It holds nothing, so it is never retired.
 * ``"processes"`` -- :class:`ProcessWorker`, a persistent forked child
   with a duplex pipe, in the style of Parsl's HTEX interchange loop:
   the parent ships a pickled batch of requests, the child solves them
@@ -50,6 +50,16 @@ from .request import (
 #: (None runs untraced) carries the request's lifecycle context into
 #: the worker, fork boundary included.
 WorkItem = tuple[int, SolveRequest, float | None, str | None]
+
+#: Held by the one in-process worker whose request computes in this
+#: interpreter (`threads`, `sim`; a `processes`-backend request computes
+#: in its node children and does not take it).  Two solves on two runner
+#: threads only trade the interpreter lock (`serve_mix`: 98 ms beside
+#: another, 25 ms alone), so the runners overlap admission, batching,
+#: cache I/O and responding; compute parallelism is ``pool="processes"``.
+#: Waiting for it is queue wait (a ``queued`` span, ``queue_wait_s``)
+#: bounded by the job's deadline; ``execute`` covers the solve alone.
+_BATON = threading.Lock()
 
 
 def execute_request(
@@ -122,7 +132,8 @@ def execute_request(
 
 
 def _run_items(items: list[WorkItem], name: str, served: Iterator[int],
-               capture=None, checkpoint_dir=None, want_trace: bool = False):
+               capture=None, checkpoint_dir=None, want_trace: bool = False,
+               baton=None):
     """Shared worker loop: solve each item on worker ``name``,
     honouring per-item deadlines, into ``(status, payload)`` pairs
     plus the batch's metrics snapshot and its lifecycle spans (an
@@ -132,7 +143,7 @@ def _run_items(items: list[WorkItem], name: str, served: Iterator[int],
     ``served`` is the worker's own ``itertools.count()``: it yields how
     many requests the worker executed before this one, so a request is
     ``warm`` exactly when its worker had already run one -- whatever
-    the backend, chaos requests included."""
+    the backend, chaos requests included.  ``baton``: :data:`_BATON`."""
     from ..exec.futures import RunCancelled
     from ..obs.metrics import MetricRegistry
 
@@ -140,47 +151,58 @@ def _run_items(items: list[WorkItem], name: str, served: Iterator[int],
     log = SpanLog(origin=name)
     out: list[tuple[str, object]] = []
     for seq, request, deadline, trace_id in items:
-        if deadline is not None and time.monotonic() >= deadline:
-            out.append(("expired", DeadlineExpired(
-                f"job {seq} expired before execution started"
-            )))
-            continue
-        exec_id = (
-            log.allocate(trace_id, "execute")
-            if trace_id is not None else None
-        )
-        warm = next(served) > 0
-        start_kind = "warm" if warm else "cold"
-        reg.counter(
-            f"serve_pool_{start_kind}_starts_total",
-            f"requests executed on a {start_kind} pool worker", "starts",
-        ).inc(slot=name)
-        t0 = time.monotonic()
-        status, error = "ok", None
+        held, waited, expired = None, 0.0, False
+        if baton is not None and request.config.backend != "processes":
+            held = baton
+            if not held.acquire(blocking=False):
+                t_wait = time.monotonic()
+                remaining = -1 if deadline is None else max(0.0, deadline - t_wait)
+                if not held.acquire(timeout=remaining):
+                    held, expired = None, True
+                waited = time.monotonic() - t_wait
+                if trace_id is not None:
+                    log.span(trace_id, "queued", t_wait, t_wait + waited,
+                             tenant=request.tenant, seq=seq, where="baton")
         try:
-            if capture is not None:
-                capture.arm(seq)
-            outcome = execute_request(
-                request, metrics=reg,
-                on_executor=capture.seen if capture is not None else None,
-                checkpoint_dir=checkpoint_dir,
-                lifecycle=log if trace_id is not None else None,
-                trace_id=trace_id, parent_span_id=exec_id,
-                want_trace=want_trace,
-            )
-            outcome.warm = warm
-            out.append(("ok", outcome))
-        except RunCancelled:
-            status, error = "expired", "cancelled at deadline"
-            out.append(("expired", DeadlineExpired(
-                f"job {seq} cancelled at its deadline mid-run"
-            )))
-        except Exception as exc:  # noqa: BLE001 - forwarded to the future
-            status, error = "error", repr(exc)
-            out.append(("error", exc))
+            if expired or (deadline is not None and time.monotonic() >= deadline):
+                out.append(("expired", DeadlineExpired(
+                    f"job {seq} expired before execution started")))
+                continue
+            exec_id = log.allocate(trace_id, "execute") if trace_id is not None else None
+            warm = next(served) > 0
+            start_kind = "warm" if warm else "cold"
+            reg.counter(
+                f"serve_pool_{start_kind}_starts_total",
+                f"requests executed on a {start_kind} pool worker", "starts",
+            ).inc(slot=name)
+            t0 = time.monotonic()
+            status, error = "ok", None
+            try:
+                if capture is not None:
+                    capture.arm(seq)
+                outcome = execute_request(
+                    request, metrics=reg,
+                    on_executor=capture.seen if capture is not None else None,
+                    checkpoint_dir=checkpoint_dir,
+                    lifecycle=log if trace_id is not None else None,
+                    trace_id=trace_id, parent_span_id=exec_id,
+                    want_trace=want_trace,
+                )
+                outcome.warm, outcome.queue_wait_s = warm, waited
+                out.append(("ok", outcome))
+            except RunCancelled:
+                status, error = "expired", "cancelled at deadline"
+                out.append(("expired", DeadlineExpired(
+                    f"job {seq} cancelled at its deadline mid-run")))
+            except Exception as exc:  # noqa: BLE001 - forwarded to the future
+                status, error = "error", repr(exc)
+                out.append(("error", exc))
+            finally:
+                if capture is not None:
+                    capture.disarm()
         finally:
-            if capture is not None:
-                capture.disarm()
+            if held is not None:
+                held.release()
         if trace_id is not None:
             attrs = {"seq": seq, "worker": name, "warm": warm}
             if error is not None:
@@ -251,7 +273,7 @@ class InProcessWorker:
         return _run_items(items, self.name, self._served,
                           capture=self._scope,
                           checkpoint_dir=self._checkpoint_dir,
-                          want_trace=self._want_trace)
+                          want_trace=self._want_trace, baton=_BATON)
 
     def cancel(self, seq: int | None = None) -> bool:
         return self._scope.cancel(seq)

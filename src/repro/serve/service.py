@@ -34,6 +34,7 @@ from __future__ import annotations
 import tempfile
 import threading
 import time
+import warnings
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
@@ -519,20 +520,21 @@ class SolverService:
             # so the SLO execute aggregate sees them.
             self.lifecycle.adopt(wspans)
         statuses: dict[str, int] = {}
+        unwritten = []
         for (status, payload), jobs in zip(results, groups.values()):
             if status == "ok":
                 outcome = payload
                 self._stash_timeline(outcome.trace_id, outcome.trace)
                 if self.cache is not None and outcome.grid is not None:
-                    self.cache.put(outcome.signature, (
-                        outcome if outcome.trace is None
-                        else replace(outcome, trace=None)
-                    ))
+                    stored = replace(outcome, trace=None)
+                    self.cache.remember(outcome.signature, stored)
+                    unwritten.append(stored)
                 for job in jobs:
                     job.complete(replace(
                         outcome.with_tenant(job.tenant),
                         retries=job.extra.get("attempts", 0),
-                        queue_wait_s=job.extra.get("queue_wait_s", 0.0),
+                        queue_wait_s=(job.extra.get("queue_wait_s", 0.0)
+                                      + outcome.queue_wait_s),
                         trace_id=job.extra.get("trace_id"),
                     ))
                     self._finish_trace(job, "ok")
@@ -546,6 +548,13 @@ class SolverService:
             else:
                 self._retry_or_fail(jobs, payload, statuses)
         self._account(statuses, snapshot=snapshot)
+        # Resolved, then persisted: a failed or interrupted write loses
+        # a cache entry, never an answer.  stop() joins this thread.
+        for stored in unwritten:
+            try:
+                self.cache.put(stored.signature, stored)
+            except OSError as exc:
+                warnings.warn(f"result cache write failed: {exc!r}", RuntimeWarning)
 
     def _retry_or_fail(self, jobs, exc: Exception,
                        statuses: dict[str, int]) -> None:

@@ -8,7 +8,7 @@ recovers, the JSONL alert log, and postmortem retention.
 from __future__ import annotations
 
 import json
-import time
+import threading
 
 import pytest
 
@@ -57,6 +57,22 @@ def test_sampling_disabled_builds_nothing(tmp_path):
     assert "samples" not in stats and "alerts" not in stats
 
 
+def after_a_sample(service, done, timeout: float) -> bool:
+    """Wait until ``done()`` holds, re-checked after every sample the
+    service's sampler lands (its alert pass included) -- woken by the
+    sampler's own ``on_sample`` callback, not by polling."""
+    landed, inner = threading.Condition(), service._sampler.on_sample
+
+    def notify(t):
+        inner(t)
+        with landed:
+            landed.notify_all()
+
+    service._sampler.on_sample = notify
+    with landed:
+        return landed.wait_for(done, timeout)
+
+
 def test_sampler_feeds_the_store_under_real_traffic(tmp_path):
     problems = [random_problem(24, 3, seed=s) for s in (42, 43)]
     config = ServiceConfig(workers=2, cache=tmp_path,
@@ -70,9 +86,7 @@ def test_sampler_feeds_the_store_under_real_traffic(tmp_path):
             f.result(timeout=120)
         # small solves can finish before the first 50 ms tick: wait
         # for the sampler thread to land a few samples of its own
-        deadline = time.monotonic() + 30
-        while service.series.samples < 3 and time.monotonic() < deadline:
-            time.sleep(0.02)
+        assert after_a_sample(service, lambda: service.series.samples >= 3, 30)
         stats = service.stats()
         store = service.series
     assert not _no_serve_leftovers()
@@ -109,11 +123,8 @@ def test_node_lost_alert_fires_and_resolves_after_recovery(tmp_path):
         engine = service.alerts
         # the lost attempt bumped the counter; the next samples must
         # fire the alert, then resolve it once the window drains
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            if any(e["to"] == "resolved" for e in engine.transitions):
-                break
-            time.sleep(0.05)
+        assert after_a_sample(service, lambda: any(
+            e["to"] == "resolved" for e in engine.transitions), 60)
         path = [(e["rule"], e["to"]) for e in engine.transitions]
         assert ("node-lost", "firing") in path
         assert ("node-lost", "resolved") in path

@@ -4,12 +4,15 @@ schema versioning, the LRU bound and atomic-write hygiene."""
 from __future__ import annotations
 
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.obs import MetricRegistry
 from repro.serve import ResultCache
+from repro.serve import cache as cache_module
 from repro.serve.cache import SCHEMA_VERSION, default_cache_dir
 from repro.serve.request import SolveOutcome
 
@@ -183,3 +186,82 @@ def test_clear_empties_index_and_payloads(tmp_path):
 def test_default_cache_dir_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_SERVE_CACHE", str(tmp_path / "elsewhere"))
     assert default_cache_dir() == tmp_path / "elsewhere"
+
+
+# -- the lock is not held across a payload write; the index is parsed once --
+
+
+class GatedPayloadWrites:
+    """Parks every ``.npz`` write of ``repro.serve.cache`` until
+    ``release`` is set (``fail`` makes it raise instead)."""
+
+    def __init__(self, monkeypatch, fail: bool = False) -> None:
+        self.started, self.release = threading.Event(), threading.Event()
+        write = cache_module.atomic_write
+
+        def gated(path, write_fn):
+            if str(path).endswith(".npz"):
+                self.started.set()
+                if fail:
+                    return write(path, self._disk_full)
+                assert self.release.wait(60)
+            return write(path, write_fn)
+
+        monkeypatch.setattr(cache_module, "atomic_write", gated)
+
+    @staticmethod
+    def _disk_full(fh):
+        fh.write(b"half a payload")
+        raise OSError(28, "No space left on device")
+
+
+def test_probes_do_not_wait_behind_a_payload_write(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    cache.put("sig-old", make_outcome("sig-old", 1.0))
+    gate = GatedPayloadWrites(monkeypatch)
+    with ThreadPoolExecutor(2) as threads:
+        writing = threads.submit(cache.put, "sig-a", make_outcome("sig-a", 2.0))
+        assert gate.started.wait(30)
+        # A miss, a disk hit and a memory hit all return while it writes.
+        assert threads.submit(cache.get, "sig-b").result(timeout=10) is None
+        assert threads.submit(cache.get, "sig-old").result(timeout=10).cached
+        assert threads.submit(cache.get, "sig-a").result(timeout=10) is None
+        cache.remember("sig-a", make_outcome("sig-a", 2.0))
+        hit = threads.submit(cache.get, "sig-a").result(timeout=10)
+        assert hit.cached and np.array_equal(hit.grid, np.full((6, 6), 2.0))
+        assert len(cache) == 1 and not writing.done()
+        gate.release.set()
+        writing.result(timeout=30)
+    assert set(ResultCache(tmp_path).entries()) == {"sig-old", "sig-a"}
+    assert ResultCache(tmp_path).get("sig-a") is not None
+
+
+def test_failed_payload_write_leaves_no_entry_and_no_temp_file(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    GatedPayloadWrites(monkeypatch, fail=True)
+    with pytest.raises(OSError, match="No space left"):
+        cache.put("sig-a", make_outcome("sig-a"))
+    assert list(tmp_path.iterdir()) == [] and len(cache) == 0
+    assert cache.get("sig-a") is None
+
+
+def test_index_is_parsed_once_until_another_process_replaces_it(tmp_path, monkeypatch):
+    writer = ResultCache(tmp_path)
+    for name in ("sig-a", "sig-b", "sig-c"):
+        writer.put(name, make_outcome(name))
+    assert "\n" not in (tmp_path / "index.json").read_text()  # no indent
+    parses, loads = [], json.loads
+    monkeypatch.setattr(cache_module.json, "loads",
+                        lambda text: (parses.append(1), loads(text))[1])
+    reader = ResultCache(tmp_path)
+    for k in range(5):
+        assert reader.get(f"never-stored-{k}") is None
+    assert len(reader) == 3 and set(reader.entries()) == {"sig-a", "sig-b", "sig-c"}
+    assert len(parses) == 1
+    reader.put("sig-d", make_outcome("sig-d"))  # merge-before-replace: from memory
+    assert reader.get("nope") is None and len(parses) == 1
+    writer.put("sig-e", make_outcome("sig-e"))  # "another process": it re-reads ...
+    assert set(writer.entries()) == {"sig-a", "sig-b", "sig-c", "sig-d", "sig-e"}
+    assert reader.get("sig-e") is not None  # ... and so does this one, once
+    assert reader.get("nope") is None and len(reader) == 5
+    assert len(parses) == 3

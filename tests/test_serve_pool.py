@@ -12,6 +12,7 @@ whatever it holds on the way out.
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
 import os
 import signal
@@ -33,6 +34,7 @@ from repro.serve import (
     SolverService,
     execute_request,
 )
+from repro.serve import pool
 from repro.serve.pool import InProcessWorker, ProcessWorker, _CancelScope
 from repro.serve.request import DeadlineExpired, WorkerDied
 from repro.stencil.kernels import StencilWeights
@@ -378,8 +380,18 @@ def test_pool_reap_idle_down_to_min_workers(monkeypatch):
             assert _pool_counter(service, "replaced") == 0
         assert _no_serve_leftovers(timeout=10.0) == []
     with SolverService(ServiceConfig(workers=1, cache=False)) as service:
+        waits, back_at_the_queue = [], threading.Event()
+        take = service.collector.take
+
+        def spy(timeout=None):
+            waits.append(timeout)
+            back_at_the_queue.set()
+            return take(timeout=timeout)
+
+        service.collector.take = spy
         assert _solve(service, 1).warm is False
-        time.sleep(0.25)  # five timeouts: a negative needs the time to pass
+        assert back_at_the_queue.wait(30)
+        assert waits == [None]  # an untimed wait: nothing to wake up and retire
         assert _solve(service, 2).warm is True
         assert _pool_counter(service, "retired") == 0
         assert service.stats()["pool"] == {
@@ -505,4 +517,209 @@ def test_two_runners_spawn_one_worker_each_and_keep_it(kind):
     assert {dict(ls)["slot"] for ls in warm} <= set(held)
     assert sum(cold.values()) + sum(warm.values()) == 80
     assert _pool_counter(service, "replaced") == 0
+    assert _no_serve_leftovers(timeout=10.0) == []
+
+
+# -- one in-process solve at a time (the baton) ------------------------------
+
+
+class SpyBaton:
+    """``pool._BATON`` with an event for "a runner is about to block on
+    it", so a test knows a request is parked *at the baton* without
+    sleeping."""
+
+    def __init__(self) -> None:
+        self._lock, self.contended = threading.Lock(), threading.Event()
+
+    def acquire(self, blocking=True, timeout=-1):
+        if blocking:
+            self.contended.set()
+        return self._lock.acquire(blocking, timeout)
+
+    def release(self) -> None:
+        self._lock.release()
+
+    def locked(self) -> bool:
+        return self._lock.locked()
+
+
+@pytest.fixture
+def baton(monkeypatch) -> SpyBaton:
+    spy = SpyBaton()
+    monkeypatch.setattr(pool, "_BATON", spy)
+    return spy
+
+
+def _still_parked(*futures) -> bool:
+    """None of ``futures`` resolves within 50 ms: the negative needs
+    the time to pass, and gives the park a measurable length."""
+    done, _ = concurrent.futures.wait(futures, timeout=0.05)
+    return not done
+
+
+def _spans(service, outcome) -> dict[str, list]:
+    spans: dict[str, list] = {}
+    for span in service.lifecycle.spans_of(outcome.trace_id):
+        spans.setdefault(span.name, []).append(span)
+    return spans
+
+
+def test_second_in_process_request_waits_for_the_baton(baton):
+    """Two runners, one interpreter: while A executes, B is admitted,
+    queued, dispatched -- and computes only after A.  B's wait is queue
+    wait; its ``execute`` span and ``elapsed`` are the solve alone."""
+    config = ServiceConfig(workers=2, cache=False, tenant_limit=None)
+    with SolverService(config) as service:
+        problem = gated_problem()
+        first = service.submit(_request(problem, jobs=1))
+        assert problem.init.entered.wait(30)  # A is executing, baton held
+        second = service.submit(_request(random_problem(24, 2, seed=1), jobs=1))
+        assert baton.contended.wait(30)  # B's runner reached the baton
+        t_seen = time.monotonic()
+        assert _still_parked(first, second)
+        assert service.progress()["workers"] == 2  # both runners hold a batch
+        t_release = time.monotonic()
+        problem.init.release.set()
+        a, b = first.result(timeout=120), second.result(timeout=120)
+        spans_a, spans_b = _spans(service, a), _spans(service, b)
+        (exec_a,), (exec_b,) = spans_a["execute"], spans_b["execute"]
+        (wait_b,) = [s for s in spans_b["queued"] if s.attrs.get("where") == "baton"]
+        assert [s.attrs.get("where") for s in spans_a["queued"]] == [None]
+        assert len(spans_b["dispatch"]) == 1 and spans_b["dispatch"][0].end <= wait_b.start
+        assert wait_b.end >= exec_a.end and exec_b.start >= wait_b.end
+        assert b.queue_wait_s >= wait_b.duration >= t_release - t_seen >= 0.05
+        assert a.queue_wait_s < 0.05
+        assert b.elapsed <= exec_b.duration < t_release - t_seen
+        assert np.array_equal(b.grid, run(
+            random_problem(24, 2, seed=1), impl="ca-parsec", machine=nacl(4),
+            tile=6, steps=3, mode="execute").grid)
+        assert batch_finished(service)
+        slo = service.metrics.snapshot().labelled("slo_queue_wait_seconds")
+        assert sum(cell["sum"] for cell in slo.values()) >= wait_b.duration
+    assert not baton.locked()
+
+
+def test_deadline_expires_at_the_baton_without_building(baton, monkeypatch):
+    from repro.core import runner
+
+    built, build = [], runner._build
+    monkeypatch.setattr(runner, "_build", lambda problem, *rest: (
+        built.append(problem), build(problem, *rest))[1])
+    config = ServiceConfig(workers=2, cache=False, tenant_limit=None)
+    with SolverService(config) as service:
+        problem, waiting = gated_problem(), random_problem(24, 2, seed=2)
+        first = service.submit(_request(problem, jobs=1))
+        assert problem.init.entered.wait(30)
+        t0 = time.monotonic()
+        doomed = service.submit(_request(waiting, jobs=1, deadline_s=0.2))
+        with pytest.raises(DeadlineExpired, match="before execution started"):
+            doomed.result(timeout=30)
+        late = time.monotonic() - t0 - 0.2
+        assert 0.0 <= late < 2.0  # at its deadline, not at A's release
+        assert baton.contended.is_set() and not first.done()
+        assert [p for p in built if p is waiting] == []
+        problem.init.release.set()
+        assert first.result(timeout=120).grid is not None
+        assert batch_finished(service)
+        expired = service.metrics.snapshot().labelled("serve_deadline_expired_total")
+        assert expired == {(("where", "running"),): 1}
+    assert not baton.locked()
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")
+def test_a_processes_backend_request_does_not_take_the_baton(baton):
+    """It computes in its node children: the in-process worker that
+    runs it neither waits for the baton nor holds it."""
+    config = ServiceConfig(workers=2, cache=False, tenant_limit=None)
+    with SolverService(config) as service:
+        problem, other = gated_problem(), random_problem(24, 2, seed=3)
+        first = service.submit(_request(problem, jobs=1))
+        assert problem.init.entered.wait(30)
+        outcome = service.submit(
+            _request(other, backend="processes", jobs=1)).result(timeout=120)
+        assert not first.done() and not baton.contended.is_set()
+        assert outcome.queue_wait_s < 0.05
+        assert np.array_equal(outcome.grid, run(
+            other, impl="ca-parsec", machine=nacl(4), tile=6, steps=3,
+            mode="execute").grid)
+        problem.init.release.set()
+        first.result(timeout=120)
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")
+def test_a_processes_pool_serialises_nothing(baton):
+    config = ServiceConfig(pool="processes", workers=2, cache=False,
+                           tenant_limit=None)
+    problem = gated_problem()  # armed before either child is forked
+    with SolverService(config) as service:
+        first = service.submit(_request(problem, jobs=1))
+        assert problem.init.entered.wait(30)  # parked inside one child
+        outcome = service.submit(
+            _request(random_problem(24, 2, seed=4), jobs=1)).result(timeout=120)
+        assert not first.done() and outcome.queue_wait_s < 0.05
+        problem.init.release.set()
+        first.result(timeout=120)
+    assert not baton.contended.is_set() and not baton.locked()
+    assert _no_serve_leftovers(timeout=10.0) == []
+
+
+def _boom(rows, cols):
+    if rows.shape == (24, 24):  # the signature hashes the whole field
+        return 0.0 * rows
+    raise ArithmeticError("kernel failure")  # an init task loads a tile
+
+
+def test_a_raising_kernel_releases_the_baton(baton):
+    """... and the next request, on either runner, completes."""
+    config = ServiceConfig(workers=2, cache=False, tenant_limit=None)
+    with SolverService(config) as service:
+        broken = JacobiProblem(n=24, iterations=2, init=_boom)
+        with pytest.raises(WorkerDied, match="kernel failure"):
+            service.submit(_request(broken, jobs=1)).result(timeout=120)
+        assert not baton.locked()
+        for seed in (1, 2):
+            assert _solve(service, seed).grid is not None
+
+
+def test_reaper_cancel_and_stop_mid_solve_release_the_baton(baton, monkeypatch):
+    """Each time the request waiting at the baton, on the other runner,
+    runs to completion."""
+    cancelled, cancel = threading.Event(), InProcessWorker.cancel
+
+    def spy(self, seq=None):
+        hit = cancel(self, seq)
+        if hit:
+            cancelled.set()
+        return hit
+
+    monkeypatch.setattr(InProcessWorker, "cancel", spy)
+    config = ServiceConfig(workers=2, cache=False, tenant_limit=None)
+    service = SolverService(config).start()
+    try:
+        problem = gated_problem()
+        doomed = service.submit(_request(problem, jobs=1, deadline_s=0.2))
+        assert problem.init.entered.wait(30)
+        waiting = service.submit(_request(random_problem(24, 2, seed=5), jobs=1))
+        assert baton.contended.wait(30) and cancelled.wait(30)
+        problem.init.release.set()  # the cancel lands at the next task boundary
+        with pytest.raises(DeadlineExpired, match="mid-run"):
+            doomed.result(timeout=120)
+        assert waiting.result(timeout=120).queue_wait_s > 0.0
+
+        baton.contended.clear()
+        problem = gated_problem()
+        running = service.submit(_request(problem, jobs=1))
+        assert problem.init.entered.wait(30)
+        waiting = service.submit(_request(random_problem(24, 2, seed=6), jobs=1))
+        assert baton.contended.wait(30)
+        stopper = threading.Thread(target=service.stop, name="stopper")
+        stopper.start()
+        assert join_all([stopper], 0.2) == ["stopper"]  # both batches in flight
+        problem.init.release.set()
+        assert running.result(timeout=120).grid is not None
+        assert waiting.result(timeout=120).grid is not None
+        assert join_all([stopper], 30) == []
+    finally:
+        service.stop()
+    assert not baton.locked()
     assert _no_serve_leftovers(timeout=10.0) == []

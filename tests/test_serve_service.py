@@ -8,6 +8,7 @@ admission-control behaviours at the service boundary.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -20,12 +21,15 @@ from repro.machine.machine import nacl
 from repro.serve import (
     DeadlineExpired,
     QueueFullError,
+    ResultCache,
     ServiceClosed,
     ServiceConfig,
     SolverClient,
     SolverService,
 )
 
+from .conftest import join_all
+from .test_serve_cache import GatedPayloadWrites
 from .test_serve_pool import (
     _no_serve_leftovers,
     _request,
@@ -218,6 +222,62 @@ def test_identical_requests_deduplicate_within_a_batch():
         assert total_ok == 7
         assert (snap.counter("serve_pool_cold_starts_total")
                 + snap.counter("serve_pool_warm_starts_total")) == 2
+
+
+# -- resolve, then persist -----------------------------------------------
+
+
+def test_solve_returns_before_the_cache_write_and_stop_waits_for_it(
+        tmp_path, monkeypatch):
+    problem = random_problem(24, 4, seed=21)
+    gate = GatedPayloadWrites(monkeypatch)
+    service = SolverService(ServiceConfig(workers=1, cache=tmp_path)).start()
+    client = SolverClient(service, tenant="alice")
+    outcome = client.solve(problem, timeout=120)  # the write is parked
+    assert not outcome.cached and gate.started.wait(30)
+    assert list(tmp_path.glob("*.npz")) == [] and len(service.cache) == 0
+    # The answer is already served from the cache's memory layer, and a
+    # probe for something else does not wait for the write either.
+    before = service.metrics.snapshot().counter("tasks_executed_total")
+    repeat = client.solve(problem, timeout=10)
+    assert repeat.cached and np.array_equal(repeat.grid, outcome.grid)
+    assert service.cache.get("some-other-signature") is None
+    stats = service.stats()
+    assert stats["submitted"] == 2 and stats["finished"] == 2
+    assert stats["cache_entries"] == 0
+    assert service.metrics.snapshot().counter("tasks_executed_total") == before
+    stopper = threading.Thread(target=service.stop, name="stopper")
+    stopper.start()
+    assert join_all([stopper], 0.2) == ["stopper"]  # waits for the runner's write
+    gate.release.set()
+    assert join_all([stopper], 30) == []
+    assert _no_serve_leftovers() == []
+    hit = ResultCache(tmp_path).get(outcome.signature)  # on disk now
+    assert hit is not None and np.array_equal(hit.grid, outcome.grid)
+    assert not list(tmp_path.glob(".*.tmp"))
+
+
+def test_a_failing_cache_write_fails_no_future(tmp_path, monkeypatch):
+    problems = [random_problem(24, 4, seed=s) for s in (22, 23)]
+    GatedPayloadWrites(monkeypatch, fail=True)
+    with SolverService(ServiceConfig(workers=1, cache=tmp_path)) as service:
+        client = SolverClient(service, tenant="alice")
+        with pytest.warns(RuntimeWarning, match="result cache write failed"):
+            first = client.solve(problems[0], timeout=120)
+            assert batch_finished(service, "alice")
+        assert first.grid is not None and not first.cached
+        assert client.solve(problems[0], timeout=10).cached  # the memory layer
+        with pytest.warns(RuntimeWarning, match="No space left"):
+            assert client.solve(problems[1], timeout=120).grid is not None
+            assert batch_finished(service, "alice")  # the runner outlived it
+        snap = service.metrics.snapshot()
+        assert snap.counter("serve_cache_stores_total") == 0
+        completed = {dict(ls)["status"]: v for ls, v in
+                     snap.labelled("serve_jobs_completed_total").items()}
+        assert completed == {"ok": 2, "cached": 1}
+        assert service.stats()["postmortems"] == []
+    assert list(tmp_path.iterdir()) == []  # no payload, no index, no temp file
+    assert _no_serve_leftovers() == []
 
 
 # -- client ergonomics ---------------------------------------------------
