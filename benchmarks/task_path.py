@@ -34,10 +34,10 @@ import numpy as np
 from repro.core.dataflow import TEMPLATES, build_stencil_graph
 from repro.core.spec import StencilSpec
 from repro.exec.executor import ThreadedExecutor
-from repro.exec.policies import make_work_queues
 from repro.exec.procs import _Channels, _encode, _record_bytes
 from repro.exec.wallclock_trace import WallClockRecorder
 from repro.machine.machine import nacl
+from repro.runtime.scheduler import make_queue
 from repro.runtime.store import PayloadStore
 from repro.stencil.problem import JacobiProblem
 from repro.stencil.variable import apply_stencil_region
@@ -72,9 +72,9 @@ def one_solve(geometry: dict) -> dict[str, float]:
 
     executor = ThreadedExecutor(graph, jobs=1, policy="priority")
     hops["_prepare"] = clock(executor._prepare)[0] * per_task
-    queues = make_work_queues("priority", 1)
-    dt_push = clock(lambda: [queues.push(0, task) for task in stencil])[0]
-    dt_pop = clock(lambda: [queues.pop_local(0) for _ in stencil])[0]
+    ready = make_queue("priority")  # what the executor holds, one per node
+    dt_push = clock(lambda: [ready.push(task) for task in stencil])[0]
+    dt_pop = clock(lambda: [ready.pop() for _ in stencil])[0]
     hops["ready queue push + pop"] = (dt_push + dt_pop) * per_task
 
     # The run itself, in graph order (a legal schedule), hop by hop.

@@ -60,7 +60,7 @@ def main() -> None:
     print(f"\ntile (0,0) finished its last iteration on worker "
           f"{span.worker} at t={span.end * 1e3:.2f} ms")
     print(f"run complete: {report.tasks_run} tasks, "
-          f"{report.steals} steals, {report.elapsed * 1e3:.1f} ms wall, "
+          f"{report.elapsed * 1e3:.1f} ms wall, "
           f"worker occupancy {report.worker_occupancy:.2f}")
 
 

@@ -186,7 +186,6 @@ class ChaosResult:
     faults: list[dict] = field(default_factory=list)
     wall_elapsed: float = 0.0
     tasks_final_attempt: int = 0
-    speculations: int = 0
 
     @property
     def recovered(self) -> bool:
@@ -275,7 +274,6 @@ def run_with_recovery(
     checkpoint_every: int | None = None,
     max_restarts: int = 3,
     metrics=None,
-    speculate: bool = False,
     **knobs,
 ) -> ChaosResult:
     """Run ``problem`` under ``plan``, recovering from lost nodes.
@@ -364,27 +362,6 @@ def run_with_recovery(
                 })
         wall = time.perf_counter() - t0
 
-        speculations = 0
-        if speculate and result.trace is not None and store is not None:
-            from ..obs.critpath import find_stragglers
-
-            stragglers = find_stragglers(result.trace)
-            ckpt, ckpt_grid = _restore_point(store)
-            if stragglers and ckpt and ckpt < problem.iterations:
-                # Speculative duplicate of the straggling tail: re-run
-                # from the latest checkpoint and check it agrees.
-                tail = _tail(problem, ckpt, ckpt_grid)
-                spec_config = _attempt_config(
-                    config, tail, pgrid=cur_pgrid, trace=False
-                )
-                spec_result = run(tail, cur_machine, **spec_config.knobs())
-                if not np.array_equal(spec_result.grid, result.grid):
-                    raise RuntimeError(
-                        "speculative re-execution diverged from the "
-                        "primary result"
-                    )
-                speculations = len(stragglers)
-
         chaos_result = ChaosResult(
             result=result,
             attempts=attempts,
@@ -392,7 +369,6 @@ def run_with_recovery(
             faults=injector.firing_log(),
             wall_elapsed=wall,
             tasks_final_attempt=result.engine.tasks_run,
-            speculations=speculations,
         )
         _publish_chaos_metrics(metrics, chaos_result.faults, restarts)
         return chaos_result

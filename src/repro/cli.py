@@ -5,7 +5,7 @@ Gives the library's main entry points a shell-friendly face:
 * ``run`` -- run one implementation on one machine configuration and
   print the performance summary (optionally verify against the
   reference or export a Chrome trace); ``--backend threads --jobs N``
-  executes the graph for real on this host's cores;
+  executes the graph for real on N worker threads (default 1);
 * ``compare`` -- simulated-vs-measured side-by-side plus a measured
   speedup curve over worker counts;
 * ``tune`` -- model-guided autotuning of tile size, CA step size and
@@ -462,9 +462,6 @@ def _add_chaos_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--inflation-bound", type=float, default=2.0,
                    help="fail if chaos wall time exceeds this multiple "
                         "of the fault-free run")
-    p.add_argument("--speculate", action="store_true",
-                   help="speculatively re-execute the straggler tail "
-                        "from the latest checkpoint and verify it")
 
 
 def _add_ir_parser(sub: argparse._SubParsersAction) -> None:
@@ -1215,8 +1212,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     chaos = run_with_recovery(
         problem, plan, machine, checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
-        max_restarts=args.max_restarts, speculate=args.speculate,
-        **config.replace(trace=args.speculate).knobs(),
+        max_restarts=args.max_restarts, **config.knobs(),
     )
 
     identical = bool(np.array_equal(chaos.grid, baseline.grid))
@@ -1237,9 +1233,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"final attempt replayed sweeps {last}..{problem.iterations} "
               f"({chaos.tasks_final_attempt} tasks; the checkpoint "
               f"skipped the first {last} of {problem.iterations} sweeps)")
-    if chaos.speculations:
-        print(f"speculative re-execution verified "
-              f"{chaos.speculations} straggler task(s)")
     print(f"attempts: {chaos.attempts}")
     print(f"grids bit-identical: {identical}")
     print(f"makespan inflation: {inflation:.2f}x "

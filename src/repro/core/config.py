@@ -25,7 +25,7 @@ from numbers import Integral
 from typing import Any
 
 from ..exec.backends import BACKEND_DESCRIPTIONS, BACKENDS
-from ..exec.policies import DEFAULT_POLICY, EXEC_POLICIES
+from ..runtime.scheduler import DEFAULT_POLICY, POLICIES
 
 IMPLEMENTATIONS = ("petsc", "base-parsec", "ca-parsec")
 MODES = ("simulate", "execute")
@@ -130,11 +130,11 @@ class RunConfig:
             f"'{name}' = {what}" for name, what in BACKEND_DESCRIPTIONS.items()),
         faces=(SERVE,), cli=dict(choices=BACKENDS))
     jobs: int | None = _knob(
-        None, "worker threads of the real backends (default: all cores, "
-              "split over the node processes)",
+        None, "worker threads per node of the real backends (default: 1; "
+              "a second thread gains nothing here, multi-core is 'procs')",
         faces=(SERVE,), cli=dict(type=int))
     policy: str = _knob(DEFAULT_POLICY, "ready-queue scheduling policy",
-                        faces=(SERVE, SWEEP), cli=dict(choices=EXEC_POLICIES))
+                        faces=(SERVE, SWEEP), cli=dict(choices=tuple(POLICIES)))
     procs: int | None = _knob(
         None, "node processes of backend 'processes'; resizes the machine "
               "(default: its node count)",
@@ -171,7 +171,7 @@ class RunConfig:
         _check_choice("impl", self.impl, IMPLEMENTATIONS)
         _check_choice("mode", self.mode, MODES)
         _check_choice("backend", self.backend, BACKENDS)
-        _check_choice("policy", self.policy, EXEC_POLICIES)
+        _check_choice("policy", self.policy, POLICIES)
         _check_count("tile", self.tile, optional=True, auto=True)
         # None = "not applicable", the form resolved() gives non-CA runs.
         _check_count("steps", self.steps, auto=True,

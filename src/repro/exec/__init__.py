@@ -4,13 +4,17 @@ Where :mod:`repro.runtime.engine` *simulates* a distributed machine on
 a virtual clock, this package *executes* the same task graphs on the
 actual host, at two levels of realism:
 
-* ``backend="threads"`` -- one shared-memory work-stealing thread pool
-  runs the numpy kernels (which release the GIL) concurrently;
+* ``backend="threads"`` -- one shared-memory pool of worker threads
+  popping one ready queue, the simulator's node made real;
   communication is free, as within one cluster node;
 * ``backend="processes"`` -- one OS process per simulated node, each
-  running its own thread pool; node-boundary ghost exchanges are real
-  messages the workers write into and copy out of shared-memory rings,
-  so the base-vs-CA message-count gap is *measured*, not modelled.
+  such a pool; node-boundary ghost exchanges are real messages the
+  workers write into and copy out of shared-memory rings, so the
+  base-vs-CA message-count gap is *measured*, not modelled.
+
+``jobs`` (worker threads per node) defaults to 1 on both: a second
+thread gains nothing on these kernels (``docs/runtime-guide.md``,
+*Does a second thread help?*); multi-core is ``procs``.
 
 Both record wall-clock traces in the existing trace schema and report
 measured performance side by side with the simulator's predictions.
@@ -37,13 +41,11 @@ from .compare import (
 from .executor import (
     ExecReport,
     ThreadedExecutor,
-    default_jobs,
     ensure_executable,
     execute,
 )
 from ..runtime.engine import KernelError, NodeLostError
 from .futures import ExecutionTimeout, RunCancelled, RunHandle
-from .policies import EXEC_POLICIES, make_work_queues
 from .procs import (
     ProcessExecutor,
     ProcsReport,
@@ -58,7 +60,6 @@ __all__ = [
     "BACKEND_DESCRIPTIONS",
     "MEASURED_BACKENDS",
     "BackendComparison",
-    "EXEC_POLICIES",
     "ExecReport",
     "ExecutionTimeout",
     "HOST_NODE",
@@ -72,13 +73,11 @@ __all__ = [
     "ThreadedExecutor",
     "WallClockRecorder",
     "compare_backends",
-    "default_jobs",
     "default_procs",
     "ensure_executable",
     "execute",
     "execute_procs",
     "fork_available",
     "format_comparison",
-    "make_work_queues",
     "speedup_curve",
 ]

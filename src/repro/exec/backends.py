@@ -15,7 +15,8 @@ from __future__ import annotations
 #: one-line story the CLI help repeats.
 BACKEND_DESCRIPTIONS: dict[str, str] = {
     "sim": "discrete-event model of a cluster (virtual clock), the default",
-    "threads": "real shared-memory execution on a work-stealing thread pool",
+    "threads": "real shared-memory execution on worker threads sharing one "
+               "ready queue",
     "processes": "one OS process per simulated node; node-boundary halos "
                  "travel as real messages through shared-memory rings",
 }

@@ -4,21 +4,20 @@ This is the "real hardware" counterpart of the discrete-event
 simulator in :mod:`repro.runtime.engine`: it runs the *same*
 :class:`~repro.runtime.graph.TaskGraph` objects (base-PaRSEC,
 CA-PaRSEC, PETSc-lite -- any graph whose tasks carry kernels) on a
-pool of worker threads.  The numpy kernels release the GIL, so tiles
-genuinely execute concurrently on multiple cores.
+pool of worker threads.
 
-Structure, in the style of high-throughput executors (Parsl's HTEX,
-PaRSEC's per-core queues):
+Structure -- a PaRSEC node, as the simulator models one:
 
-* the ready set is seeded from the in-degree-0 tasks, distributed
-  round-robin over per-worker queues;
-* each worker drains its own queue and *steals* from its neighbours
-  when empty (:mod:`repro.exec.policies` selects the discipline);
+* one ready queue (:func:`repro.runtime.scheduler.make_queue`, the
+  object the engine keeps per simulated node), seeded with the
+  in-degree-0 tasks in graph order;
+* every worker pops its next task from that queue, so ``priority``
+  means "boundary tiles first" across the whole pool;
 * completing a task publishes its outputs into a refcounted payload
   store and releases its consumers' dependency counts; tasks reaching
-  zero become ready on the completing worker's queue (data-locality:
-  the consumer's inputs are cache-hot there);
-* one mutex guards the bookkeeping only -- kernels run outside it.
+  zero are pushed to the queue;
+* one mutex guards the queue and the bookkeeping -- kernels run
+  outside it.
 
 The report mirrors :class:`~repro.runtime.engine.EngineReport` (it
 *is* one, extended), so :class:`~repro.core.report.RunResult`, the
@@ -28,7 +27,6 @@ unchanged on measured runs.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections.abc import Collection
 from dataclasses import dataclass
@@ -37,16 +35,11 @@ from ..obs import trace_validation_enabled
 from ..obs.metrics import MetricRegistry, publish_run
 from ..runtime.engine import EngineReport, KernelError
 from ..runtime.graph import TaskGraph
+from ..runtime.scheduler import DEFAULT_POLICY, make_queue
 from ..runtime.store import PayloadStore
 from ..runtime.task import Flow, Task, TaskKey
 from .futures import RunCancelled, RunHandle
-from .policies import DEFAULT_POLICY, make_work_queues
 from .wallclock_trace import HOST_NODE, WallClockRecorder
-
-
-def default_jobs() -> int:
-    """Worker count when the caller does not choose one: every core."""
-    return os.cpu_count() or 1
 
 
 def ensure_executable(graph: TaskGraph, backend: str = "threads") -> None:
@@ -80,7 +73,10 @@ class ExecReport(EngineReport):
     jobs: int = 0
     #: scheduling policy the pool ran under
     policy: str = DEFAULT_POLICY
-    #: tasks acquired by stealing from another worker's queue
+    #: always 0: a node has one ready queue, nothing is stolen.  Kept
+    #: only because ``benchmarks/wallclock/batch_workloads.py`` (frozen)
+    #: reads it for its ``exec.steals`` row; both go in the next
+    #: benchmark change.
     steals: int = 0
     #: keys of every task that completed (the determinism tests compare
     #: these sets across runs -- schedules may differ, sets may not)
@@ -103,10 +99,10 @@ class ThreadedExecutor:
         The task graph; every task that owns consumed data flows must
         carry a kernel (build with ``with_kernels=True``).
     jobs:
-        Worker threads; defaults to the host's core count.
+        Worker threads; ``None`` means 1.
     policy:
-        ``"fifo"`` / ``"lifo"`` / ``"priority"`` -- same names as the
-        simulator's scheduler (see :mod:`repro.exec.policies`).
+        ``"fifo"`` / ``"lifo"`` / ``"priority"``: the pool's one ready
+        queue (:mod:`repro.runtime.scheduler`, as in the simulator).
     trace:
         Capture a wall-clock :class:`~repro.runtime.trace.Trace`.
     metrics:
@@ -128,7 +124,7 @@ class ThreadedExecutor:
     ) -> None:
         graph.finalize()
         self.graph = graph
-        self.jobs = jobs if jobs is not None else default_jobs()
+        self.jobs = jobs if jobs is not None else 1
         if self.jobs < 1:
             raise ValueError(f"need at least one worker thread, got {self.jobs}")
         self.policy = policy.lower()
@@ -136,14 +132,13 @@ class ThreadedExecutor:
         self.metrics = metrics
         self._lock = threading.Lock()
         self._work_ready = threading.Condition(self._lock)
-        self._queues = make_work_queues(self.policy, self.jobs)
+        self._ready = make_queue(self.policy)
 
         # Bookkeeping shared by all workers, guarded by _lock.
         self._pending: dict[TaskKey, int] = {}
         self._release: dict[TaskKey, list[TaskKey]] = {}
         self._store = PayloadStore(self.graph, self._tasks())
         self._unfinished = len(self._tasks())
-        self._steals = 0
         self._failure: BaseException | None = None
         self._cancelled = False
         self._started = False
@@ -170,26 +165,20 @@ class ThreadedExecutor:
         backend's per-node subclass narrows it to its node's)."""
         return self.graph.tasks.values()
 
-    def _prepare(self) -> list[Task]:
-        """Build pending counts and release lists; returns the
-        in-degree-0 seed tasks in graph order."""
-        seeds: list[Task] = []
+    def _prepare(self) -> None:
+        """Build pending counts and release lists; the in-degree-0
+        tasks enter the ready queue in graph order."""
         for task in self._tasks():
             self._pending[task.key] = len(task.inputs)
             for flow in task.inputs:
                 self._await(flow, task)
             if not task.inputs:
-                seeds.append(task)
-        return seeds
+                self._ready.push(task)
 
     def _await(self, flow: Flow, task: Task) -> None:
         """``task`` waits on ``flow``: its producer's :meth:`_publish`
         releases it."""
         self._release.setdefault(flow.producer, []).append(task.key)
-
-    def _seed(self, seeds: list[Task]) -> None:
-        for idx, task in enumerate(self._queues.seed_order(seeds)):
-            self._queues.push(idx % self.jobs, task)
 
     # -- public API --------------------------------------------------------
 
@@ -202,7 +191,7 @@ class ThreadedExecutor:
             )
         self._started = True
         self._handle = RunHandle(self._request_cancel)
-        self._seed(self._prepare())
+        self._prepare()
         self._t_begin = self._recorder.start()
         self._threads = [
             threading.Thread(
@@ -269,7 +258,6 @@ class ThreadedExecutor:
             "elapsed_s": (now - self._t_begin) if self._started else 0.0,
             "busy_s": sum(self._recorder.busy_per_worker().values()),
             "workers": self.jobs,
-            "steals": self._steals,
         }
 
     def _build_report(self) -> ExecReport:
@@ -298,7 +286,6 @@ class ThreadedExecutor:
             results=self._store.results,
             jobs=self.jobs,
             policy=self.policy,
-            steals=self._steals,
             worker_busy=worker_busy,
             completed=completed,
         )
@@ -308,25 +295,20 @@ class ThreadedExecutor:
 
     # -- worker loop ----------------------------------------------------------
 
-    def _next_task(self, wid: int) -> Task | None:
-        """Pop local work, steal, or sleep; ``None`` means shut down."""
+    def _next_task(self) -> Task | None:
+        """Pop the ready queue, or sleep; ``None`` means shut down."""
         with self._work_ready:
             while True:
-                self._poll(wid)
+                self._poll()
                 if self._failure is not None or self._cancelled:
                     return None
-                task = self._queues.pop_local(wid)
-                if task is None:
-                    task = self._queues.steal(wid)
-                    if task is not None:
-                        self._steals += 1
-                if task is not None:
-                    return task
+                if self._ready:
+                    return self._ready.pop()
                 if self._unfinished == 0:
                     return None
                 self._idle_wait()
 
-    def _poll(self, wid: int) -> None:
+    def _poll(self) -> None:
         """Hook, under the lock before every pop: a node of the procs
         backend takes in its remote inputs here (a whole graph has none)."""
 
@@ -338,7 +320,7 @@ class ThreadedExecutor:
     def _worker(self, wid: int) -> None:
         recorder = self._recorder
         while True:
-            task = self._next_task(wid)
+            task = self._next_task()
             if task is None:
                 return
             try:
@@ -349,45 +331,47 @@ class ThreadedExecutor:
                     dict(task.kernel(inputs, task)) if task.kernel is not None else {}
                 )
                 end = recorder.now()
-                self._publish(task, outputs, wid)
+                self._publish(task, outputs)
             except Exception as exc:  # noqa: BLE001 - forwarded to the handle
+                failure = exc
                 if not isinstance(exc, KernelError):
-                    exc = KernelError(
+                    failure = KernelError(
                         f"kernel of task {task.key!r} (kind {task.kind!r}) "
                         f"failed: {exc}"
                     )
+                    failure.__cause__ = exc
                 with self._work_ready:
                     if self._failure is None:
-                        self._failure = exc
+                        self._failure = failure
                     self._work_ready.notify_all()
                 return
             recorder.record(wid, task.kind, start, end, task.key, task_id=task.key)
 
     # -- dataflow bookkeeping ---------------------------------------------------
 
-    def _publish(self, task: Task, outputs: dict, wid: int) -> None:
+    def _publish(self, task: Task, outputs: dict) -> None:
         """Store outputs, free inputs, release consumers -- one
-        critical section; newly-ready tasks land on worker ``wid``."""
+        critical section."""
         with self._work_ready:
             outputs = self._store.publish(task, outputs)
             self._send_remote(task, outputs)
             self._store.release(task)
             self._unfinished -= 1
-            if self._wake(self._release.get(task.key, ()), wid):
+            if self._wake(self._release.get(task.key, ())):
                 self._work_ready.notify_all()
 
     def _send_remote(self, task: Task, outputs: dict) -> None:
         """Shared memory moves no messages."""
 
-    def _wake(self, consumers, wid: int) -> bool:
+    def _wake(self, consumers) -> bool:
         """One dependency of each of ``consumers`` is met; the ones it
-        readies land on worker ``wid``.  True when a sleeping worker
+        readies enter the ready queue.  True when a sleeping worker
         has something to wake for (new work, or the run's end)."""
         woke = self._unfinished == 0
         for consumer_key in consumers:
             self._pending[consumer_key] -= 1
             if self._pending[consumer_key] == 0:
-                self._queues.push(wid, self.graph[consumer_key])
+                self._ready.push(self.graph[consumer_key])
                 woke = True
         return woke
 
@@ -409,7 +393,6 @@ def execute(
 __all__ = [
     "ExecReport",
     "ThreadedExecutor",
-    "default_jobs",
     "ensure_executable",
     "execute",
 ]

@@ -66,7 +66,7 @@ per-edge message counts and *declared* payload bytes equal
 :meth:`TaskGraph.census` by construction; ring bytes (payloads plus
 record headers) are tallied apart as ``wire_bytes``.  A node ships what
 it *measured* home once, in its ``("done", stats)`` message (messages,
-declared and ring bytes per destination, busy seconds, steals); the
+declared and ring bytes per destination, busy seconds); the
 parent builds the report from those and an attached registry is a fold
 of that report -- no registry exists in a child.  Send/recv spans land
 on the comm lanes of the standard :class:`~repro.runtime.trace.Trace`
@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import mmap
 import multiprocessing as mp
-import os
 import pickle
 import struct
 import threading
@@ -93,11 +92,11 @@ from ..obs.export import build_trace
 from ..obs.metrics import MetricRegistry, publish_run
 from ..runtime.engine import KernelError, NodeLostError
 from ..runtime.graph import TaskGraph
+from ..runtime.scheduler import DEFAULT_POLICY
 from ..runtime.task import Flow, Task, TaskKey
 from ..runtime.trace import Trace
 from .executor import ExecReport, ThreadedExecutor, ensure_executable
 from .futures import RunCancelled, RunHandle
-from .policies import DEFAULT_POLICY
 
 #: Trace lanes of a node's communication (compute workers are
 #: ``0..jobs-1``; anything negative is a comm lane, as in the engine).
@@ -459,10 +458,10 @@ class _NodeExecutor(ThreadedExecutor):
 
     # -- receiving (under the executor lock) -------------------------------
 
-    def _poll(self, wid: int) -> None:
+    def _poll(self) -> None:
         """Before every pop: notice a peer's abort, retry the outbox,
         copy arrived payloads out of the inbound rings and release
-        their consumers onto this worker's queue."""
+        their consumers into the node's ready queue."""
         if self._words[_ABORT] and not self._cancelled:
             self._cancelled = True
             self._work_ready.notify_all()
@@ -477,7 +476,7 @@ class _NodeExecutor(ThreadedExecutor):
                 producer, tag = self._channels.entries[record[0]]
                 consumers = self._remote_consumers.pop((producer, tag))
                 self._store.inject(producer, tag, record[1])
-                if self._wake(consumers, wid):
+                if self._wake(consumers):
                     self._work_ready.notify_all()
                 self.received.append(
                     (start, time.perf_counter(), (producer, tag, src)))
@@ -500,8 +499,8 @@ class _NodeExecutor(ThreadedExecutor):
             # condition takes the doorbell over.
             self._work_ready.notify()
 
-    def _wake(self, consumers, wid: int) -> bool:
-        woke = super()._wake(consumers, wid)
+    def _wake(self, consumers) -> bool:
+        woke = super()._wake(consumers)
         if woke and self._listening:
             self._doorbell.release()  # local work (or the end) for the listener
         return woke
@@ -570,7 +569,6 @@ def _node_main(
             "completed": executor._recorder.completed(),
             "results": executor._store.results,
             "worker_busy": executor._recorder.busy_per_worker(),
-            "steals": executor._steals,
             "by_dst": by_dst,
             "send_busy": sum(r[1] - r[0] for r in executor.sent),
             "recv_busy": sum(r[1] - r[0] for r in executor.received),
@@ -607,10 +605,11 @@ class ProcessExecutor:
     procs:
         Node processes; defaults to the number of nodes the graph uses.
     jobs:
-        Worker *threads per process*; defaults to spreading the host's
-        cores over the processes (at least 1 each).
+        Worker *threads per process*; ``None`` means 1 (the cores go
+        to ``procs``).
     policy:
-        Per-process pool policy (``"fifo"`` / ``"lifo"`` / ``"priority"``).
+        Each node's ready-queue policy (``"fifo"`` / ``"lifo"`` /
+        ``"priority"``).
     trace:
         Capture a merged wall-clock :class:`Trace` across processes
         (compute lanes per worker, ``-1``/``-2`` comm lanes for
@@ -648,11 +647,10 @@ class ProcessExecutor:
                 f"graph places tasks on node {top} but only {self.procs} "
                 "processes were requested"
             )
-        if jobs is None:
-            jobs = max(1, (os.cpu_count() or 1) // self.procs)
-        if jobs < 1:
-            raise ValueError(f"need at least one worker thread per process, got {jobs}")
-        self.jobs = jobs
+        self.jobs = jobs if jobs is not None else 1
+        if self.jobs < 1:
+            raise ValueError(
+                f"need at least one worker thread per process, got {self.jobs}")
         self.policy = policy.lower()
         self.want_trace = trace
         self.metrics = metrics
@@ -873,7 +871,6 @@ class ProcessExecutor:
         comm_lanes: dict[tuple[int, str], float] = {}
         by_pair: dict[tuple[int, int], tuple[int, int]] = {}
         wire_by_pair: dict[tuple[int, int], int] = {}
-        steals = 0
         trace: Trace | None = None
         spans: list[tuple] = []
         for node, outcome in sorted(outcomes.items()):
@@ -886,7 +883,6 @@ class ProcessExecutor:
             comm_lanes[node, "send"] = stats["send_busy"]
             comm_lanes[node, "recv"] = stats["recv_busy"]
             comm_busy[node] = stats["send_busy"] + stats["recv_busy"]
-            steals += stats["steals"]
             for dst, (msgs, nbytes, wire) in stats["by_dst"].items():
                 by_pair[node, dst] = (msgs, nbytes)
                 wire_by_pair[node, dst] = wire
@@ -919,7 +915,6 @@ class ProcessExecutor:
             results=results,
             jobs=self.jobs,
             policy=self.policy,
-            steals=steals,
             worker_busy=worker_busy,
             by_pair=by_pair,
             completed=frozenset(completed),

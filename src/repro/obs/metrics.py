@@ -556,9 +556,8 @@ def publish_run(registry: MetricRegistry, report, graph) -> MetricsSnapshot:
     exists only for a run in which every task ran once), everything
     measured off the report -- ``worker_busy`` (dense, keyed
     ``node * workers + worker``), ``by_pair``, ``comm_busy`` and
-    ``elapsed`` on every backend, ``steals`` on the real ones,
-    ``wire_by_pair`` and ``comm_lanes`` on ``processes``.  Zero-valued
-    cells are not created.
+    ``elapsed`` on every backend, ``wire_by_pair`` and ``comm_lanes``
+    on ``processes``.  Zero-valued cells are not created.
     """
     tasks = registry.counter("tasks_executed_total",
                              "tasks executed, by kind", "tasks")
@@ -567,10 +566,6 @@ def publish_run(registry: MetricRegistry, report, graph) -> MetricsSnapshot:
         kinds[task.kind] = kinds.get(task.kind, 0) + 1
     for kind, count in kinds.items():
         tasks.inc(count, kind=kind)
-    steals = getattr(report, "steals", 0)
-    if steals:
-        registry.counter("tasks_stolen_total",
-                         "tasks acquired by work stealing", "tasks").inc(steals)
     workers = len(report.worker_busy) // max(1, len(report.node_busy))
     busy = registry.counter("worker_busy_seconds_total",
                             "busy time per compute worker", "seconds")

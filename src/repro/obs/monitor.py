@@ -9,7 +9,7 @@ three backends expose ``progress()``:
 * :class:`repro.runtime.engine.Engine` -- virtual-clock done/total
   plus delivered messages;
 * :class:`repro.exec.executor.ThreadedExecutor` -- wall-clock
-  done/total, busy seconds and steal count;
+  done/total and busy seconds;
 * :class:`repro.exec.procs.ProcessExecutor` -- done/total and
   messages sent, read from the nodes' shared header, plus liveness.
 
@@ -59,8 +59,6 @@ def format_sample(p: dict[str, Any], census_messages: int | None = None) -> str:
     if busy is not None and workers and elapsed:
         occ = busy / (elapsed * workers)
         parts.append(f"occupancy {occ:.2f}")
-    if "steals" in p:
-        parts.append(f"steals {p['steals']}")
     msgs = p.get("messages")
     if msgs is not None:
         if census_messages:
@@ -193,9 +191,6 @@ def format_summary(
     for ls, count in sorted(snapshot.labelled("tasks_executed_total").items()):
         label = dict(ls).get("kind", "?")
         row(f"  kind={label}", f"{count:.0f}")
-    steals = snapshot.counter("tasks_stolen_total")
-    if steals:
-        row("tasks stolen", f"{steals:.0f}")
     busy = snapshot.counter("worker_busy_seconds_total")
     workers = snapshot.gauge("workers_per_node")
     nodes = max(

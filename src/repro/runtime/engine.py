@@ -31,7 +31,7 @@ from ..machine.machine import MachineSpec
 from ..obs import trace_validation_enabled
 from ..obs.metrics import MetricRegistry, MetricsSnapshot, publish_run
 from .graph import GraphError, TaskGraph
-from .scheduler import make_queue
+from .scheduler import DEFAULT_POLICY, make_queue
 from .store import PayloadStore
 from .task import Task, TaskKey
 from .trace import Trace
@@ -165,7 +165,7 @@ class Engine:
         self,
         graph: TaskGraph,
         machine: MachineSpec,
-        policy: str = "priority",
+        policy: str = DEFAULT_POLICY,
         execute: bool = False,
         overlap: bool = True,
         trace: bool = False,

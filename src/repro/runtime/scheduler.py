@@ -7,6 +7,10 @@ higher priority to node-boundary tiles so their ghost data enters the
 network as early as possible -- the classic "communication tasks
 first" heuristic that maximises overlap.  The ablation bench
 ``bench_ablation_scheduler`` compares the policies.
+
+A node has one ready queue on every backend: the engine keeps one per
+simulated node, the threaded executor one for its pool, the processes
+backend one in each node process -- all built by :func:`make_queue`.
 """
 
 from __future__ import annotations
@@ -19,19 +23,14 @@ from .task import Task
 
 
 class ReadyQueue(Protocol):
-    """Interface the engine drives, one instance per node; the
-    threaded backend keeps one per worker and also steals."""
+    """Interface the engine and both executors drive, one instance per
+    node.  No internal locking: the engine is one thread, an executor
+    calls it under its own lock."""
 
     def push(self, task: Task) -> None:  # pragma: no cover - protocol
         ...
 
     def pop(self) -> Task:  # pragma: no cover - protocol
-        ...
-
-    def steal(self) -> Task:  # pragma: no cover - protocol
-        """Take a task for another worker: from the end the owner does
-        not pop (least contention on what it runs next), or the best
-        task under ``priority``."""
         ...
 
     def __len__(self) -> int:  # pragma: no cover - protocol
@@ -50,17 +49,13 @@ class FifoQueue:
     def pop(self) -> Task:
         return self._q.popleft()
 
-    def steal(self) -> Task:
-        return self._q.pop()
-
     def __len__(self) -> int:
         return len(self._q)
 
 
 class LifoQueue:
     """Depth-first queue: runs the most recently enabled task first,
-    which tends to follow the data just produced (better cache reuse,
-    the default flavour of many work-stealing runtimes)."""
+    which tends to follow the data just produced (better cache reuse)."""
 
     def __init__(self) -> None:
         self._q: deque[Task] = deque()
@@ -70,9 +65,6 @@ class LifoQueue:
 
     def pop(self) -> Task:
         return self._q.pop()
-
-    def steal(self) -> Task:
-        return self._q.popleft()
 
     def __len__(self) -> int:
         return len(self._q)
@@ -98,8 +90,6 @@ class PriorityQueue:
     def pop(self) -> Task:
         return heapq.heappop(self._heap)[2]
 
-    steal = pop  # "communication tasks first" holds across the pool
-
     def __len__(self) -> int:
         return len(self._heap)
 
@@ -109,6 +99,12 @@ POLICIES = {
     "lifo": LifoQueue,
     "priority": PriorityQueue,
 }
+
+#: The one default: what ``run()``, the engine, both executors, the
+#: service, the tuner and the benchmark schedule by unless told
+#: otherwise, so a direct ``ThreadedExecutor(graph)`` schedules like
+#: ``run(backend="threads")``.
+DEFAULT_POLICY = "priority"
 
 
 def make_queue(policy: str) -> ReadyQueue:
@@ -120,9 +116,8 @@ def make_queue(policy: str) -> ReadyQueue:
     identical with and without a metrics registry attached.
     """
     try:
-        queue = POLICIES[policy.lower()]()
+        return POLICIES[policy.lower()]()
     except KeyError:
-        raise KeyError(
-            f"unknown scheduler policy {policy!r}; choices: {sorted(POLICIES)}"
+        raise ValueError(
+            f"unknown policy {policy!r}; choices: {tuple(POLICIES)}"
         ) from None
-    return queue

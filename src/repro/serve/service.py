@@ -72,7 +72,8 @@ class ServiceConfig:
     pool: str = "threads"
     #: concurrent batches in flight (= runner threads, one worker each)
     workers: int = 2
-    #: worker threads per solve (None -> the runner's default)
+    #: worker threads per node of a solve (None -> 1; multi-core is
+    #: ``pool="processes"`` or a request's ``procs``)
     jobs: int | None = None
     queue_depth: int = 64
     #: per-tenant in-flight cap (None -> unbounded)

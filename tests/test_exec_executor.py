@@ -1,8 +1,9 @@
 """Unit tests of the threaded executor: pool mechanics, the run
-handle, cancellation, error propagation and policy plumbing."""
+handle, cancellation, error propagation and the one ready queue."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import threading
 import time
@@ -11,22 +12,24 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.core.base_parsec import build_base_graph
 from repro.exec import (
-    EXEC_POLICIES,
     ExecutionTimeout,
     RunCancelled,
     ThreadedExecutor,
     execute,
-    make_work_queues,
 )
+from repro.machine.machine import nacl
 from repro.obs import MetricRegistry
-from repro.runtime.engine import KernelError
+from repro.runtime.engine import Engine, KernelError
 from repro.runtime.graph import TaskGraph
+from repro.runtime.scheduler import POLICIES, make_queue
 from repro.runtime.task import Flow, Task
 
 from .conftest import (
     assert_report_folds_match_graph,
     join_all,
+    random_problem,
     small_stencil_graph,
 )
 
@@ -71,7 +74,7 @@ def chain_graph(n: int = 20) -> TaskGraph:
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
-@pytest.mark.parametrize("policy", sorted(EXEC_POLICIES))
+@pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_diamond_runs_and_routes_payloads(jobs, policy):
     report = execute(diamond_graph(), jobs=jobs, policy=policy)
     assert report.tasks_run == 4
@@ -83,7 +86,7 @@ def test_diamond_runs_and_routes_payloads(jobs, policy):
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
-@pytest.mark.parametrize("policy", sorted(EXEC_POLICIES))
+@pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("make_graph",
                          [diamond_graph, chain_graph, small_stencil_graph])
 def test_report_tallies_are_folds_of_the_lanes(make_graph, policy, jobs):
@@ -131,6 +134,18 @@ def test_kernel_error_propagates_with_task_identity():
         execute(g, jobs=2)
 
 
+@pytest.mark.parametrize("backend", ["sim", "threads"])
+def test_kernel_error_keeps_the_kernels_traceback(backend):
+    g = TaskGraph()
+    g.add(Task("bad", node=0, kernel=lambda i, t: {"x": 1 / 0}, out_nbytes={}))
+    with pytest.raises(KernelError) as caught:
+        if backend == "sim":
+            Engine(g, nacl(1), execute=True).run()
+        else:
+            execute(g, jobs=1)
+    assert isinstance(caught.value.__cause__, ZeroDivisionError)
+
+
 def test_timing_only_graph_rejected():
     g = TaskGraph()
     g.add(Task("p", node=0, out_nbytes={"x": 8}))
@@ -143,21 +158,22 @@ def test_invalid_jobs_and_policy_rejected():
     g = diamond_graph()
     with pytest.raises(ValueError, match="worker thread"):
         ThreadedExecutor(g, jobs=0)
-    with pytest.raises(ValueError, match="unknown execution policy"):
+    with pytest.raises(ValueError, match="unknown policy 'round-robin'.*'fifo'"):
         ThreadedExecutor(g, policy="round-robin")
 
 
 def test_one_default_policy():
     """A direct executor schedules like ``run()``: the default policy is
-    named once (``exec/policies.py``) and every front door uses it."""
+    named once (``runtime/scheduler.py``) and every front door uses it."""
     import inspect
 
     from repro.core.config import RunConfig
     from repro.exec import ProcessExecutor, execute_procs
-    from repro.exec.policies import DEFAULT_POLICY
+    from repro.runtime.scheduler import DEFAULT_POLICY
 
     assert RunConfig().policy == DEFAULT_POLICY == "priority"
-    for front_door in (ThreadedExecutor, ProcessExecutor, execute, execute_procs):
+    for front_door in (Engine, ThreadedExecutor, ProcessExecutor, execute,
+                       execute_procs):
         default = inspect.signature(front_door).parameters["policy"].default
         assert default == DEFAULT_POLICY, front_door
     assert ThreadedExecutor(diamond_graph(), jobs=1).run().policy == DEFAULT_POLICY
@@ -257,41 +273,85 @@ def test_outputs_published_read_only():
     assert seen["writeable"] is False
 
 
-def test_work_stealing_actually_steals():
-    # Many independent tasks seeded onto few queues: with 4 workers
-    # some must steal to keep busy.
-    def kernel(inputs, task):
-        time.sleep(0.001)
+def test_one_worker_unless_asked():
+    assert ThreadedExecutor(diamond_graph()).jobs == 1
+    report = execute(diamond_graph())
+    assert report.jobs == 1 and set(report.worker_busy) == {0}
+    # One ready queue: nothing is ever stolen (see ExecReport.steals).
+    assert report.steals == 0 and execute(diamond_graph(), jobs=4).steals == 0
+
+
+def test_shared_queue_balances_load():
+    """One seed fans out to 8 sleeping children: every worker of the
+    pool finds them in the one ready queue (8 x 50 ms on 4 workers is
+    two rounds, not eight)."""
+    def nap(inputs, task):
+        time.sleep(0.05)
         return {}
 
     g = TaskGraph()
-    for i in range(40):
-        g.add(Task(i, node=0, kernel=kernel, out_nbytes={}))
-    report = execute(g, jobs=4, policy="lifo")
-    assert report.tasks_run == 40
-    assert report.steals >= 0  # single-core hosts may never need to
+    g.add(Task("seed", node=0, kernel=lambda i, t: {"x": 1.0}, out_nbytes={"x": 8}))
+    for i in range(8):
+        g.add(Task(i, node=0, inputs=(Flow("seed", "x", 8),), kernel=nap,
+                   out_nbytes={}))
+    report = execute(g, jobs=4)
+    assert report.tasks_run == 9
+    assert report.elapsed < 0.3
+    assert sum(1 for busy in report.worker_busy.values() if busy >= 0.05) > 1
 
 
-def test_workqueue_priority_steal_takes_best():
-    qs = make_work_queues("priority", 2)
-    lo = Task("lo", node=0, priority=1)
-    hi = Task("hi", node=0, priority=9)
-    qs.push(0, lo)
-    qs.push(0, hi)
-    assert qs.steal(1) is hi
-    assert qs.pop_local(0) is lo
-    assert qs.pop_local(0) is None and qs.steal(1) is None
+def replay(graph: TaskGraph, policy: str) -> list:
+    """The order one worker runs ``graph`` in, by the queue alone."""
+    ready, pending, release, order = make_queue(policy), {}, {}, []
+    for task in graph:
+        pending[task.key] = len(task.inputs)
+        for flow in task.inputs:
+            release.setdefault(flow.producer, []).append(task.key)
+        if not task.inputs:
+            ready.push(task)
+    while ready:
+        task = ready.pop()
+        order.append(task.key)
+        for consumer in release.get(task.key, ()):
+            pending[consumer] -= 1
+            if not pending[consumer]:
+                ready.push(graph[consumer])
+    return order
 
 
-def test_workqueue_fifo_lifo_ends():
-    fifo = make_work_queues("fifo", 2)
-    a, b = Task("a", node=0), Task("b", node=0)
-    fifo.push(0, a)
-    fifo.push(0, b)
-    assert fifo.pop_local(0) is a       # oldest first
-    lifo = make_work_queues("lifo", 2)
-    lifo.push(0, a)
-    lifo.push(0, b)
-    assert lifo.pop_local(0) is b       # newest first
-    lifo.push(0, b)
-    assert lifo.steal(1) is a           # thief takes the oldest
+def base_3x3(machine) -> TaskGraph:
+    """3 sweeps over 12 x 12 in tiles of 4: 3 x 3 tiles on one node."""
+    return build_base_graph(random_problem(12, 3), machine, tile=4,
+                            with_kernels=True).graph
+
+
+def measured_order(graph: TaskGraph, policy: str) -> list:
+    trace = execute(graph, jobs=1, policy=policy, trace=True).trace
+    return [span.task_id for span in trace.compute_spans()]
+
+
+def test_one_worker_completes_in_queue_order():
+    """With one worker a real run completes tasks in the order the
+    policy's queue yields them -- a different order per policy (tiles
+    placed over two nodes, so boundary tiles carry their priority)."""
+    orders = set()
+    for policy in sorted(POLICIES):
+        graph = base_3x3(nacl(2))
+        expected = replay(graph, policy)
+        assert measured_order(graph, policy) == expected
+        orders.add(tuple(expected))
+    assert len(orders) == 3
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_one_worker_schedules_like_the_simulators_node(policy):
+    """The parity the one queue is for: real order == the engine's on a
+    one-node, one-worker machine == the queue's."""
+    one = nacl(1)
+    one = dataclasses.replace(one, node=dataclasses.replace(one.node, cores=1))
+    graph = base_3x3(one)
+    expected = replay(graph, policy)
+    assert len(expected) == 9 * (3 + 1)
+    simulated = Engine(graph, one, policy=policy, trace=True).run().trace
+    assert [span.task_id for span in simulated.compute_spans()] == expected
+    assert measured_order(graph, policy) == expected

@@ -23,6 +23,7 @@ from repro.exec.procs import default_procs
 from repro.obs import MetricRegistry
 from repro.runtime.engine import KernelError
 from repro.runtime.graph import TaskGraph
+from repro.runtime.scheduler import POLICIES
 from repro.runtime.task import Flow, Task
 
 from .conftest import (
@@ -153,6 +154,27 @@ def test_per_node_worker_accounting():
     assert set(report.worker_busy) == {0, 1, 2, 3}
     assert set(report.node_busy) == {0, 1}
     assert 0 <= report.worker_occupancy <= 1
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_ring_arrival_readies_a_consumer_through_the_nodes_queue(policy):
+    """``c`` has one input and it is remote: only the arrived ring
+    record can push it to node 1's ready queue, whichever of the node's
+    two workers drains the ring; and what the nodes sent is the census."""
+    report = execute_procs(cross_diamond(), procs=2, jobs=2, policy=policy)
+    assert report.results[("d", "v")] == 7.0
+    assert report.jobs == 2
+    graph = small_stencil_graph()
+    report = execute_procs(graph, procs=2, jobs=2, policy=policy)
+    census = graph.census()
+    assert report.completed == {task.key for task in graph}
+    assert census.remote_messages > 0 and report.by_pair == census.by_pair
+    assert (report.messages, report.message_bytes) == (
+        census.remote_messages, census.remote_bytes)
+
+
+def test_one_worker_per_node_unless_asked():
+    assert ProcessExecutor(cross_diamond(), procs=2).jobs == 1
 
 
 # -- failure containment ------------------------------------------------

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.runtime.scheduler import FifoQueue, LifoQueue, PriorityQueue, make_queue
+from repro.runtime.scheduler import (
+    POLICIES,
+    FifoQueue,
+    LifoQueue,
+    PriorityQueue,
+    ReadyQueue,
+    make_queue,
+)
 from repro.runtime.task import Task
 
 
@@ -54,5 +61,17 @@ def test_lengths():
 def test_make_queue():
     assert isinstance(make_queue("fifo"), FifoQueue)
     assert isinstance(make_queue("PRIORITY"), PriorityQueue)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown policy 'random'.*'fifo', 'lifo', 'priority'"):
         make_queue("random")
+
+
+def test_protocol_is_push_pop_len():
+    """One queue per node, popped by whoever is idle: nothing takes a
+    task from "another worker's" queue, so there is no third way out."""
+    def public(cls):
+        return {name for name in vars(cls) if not name.startswith("_")}
+
+    assert public(ReadyQueue) == {"push", "pop"}
+    for queue_class in POLICIES.values():
+        assert public(queue_class) == {"push", "pop"}
+        assert callable(queue_class.__len__)
