@@ -19,9 +19,13 @@ itself":
   next ``put`` (best-effort: a read-only session does not persist
   recency, which costs at worst a suboptimal eviction, never a wrong
   answer);
-* a small in-memory layer keeps the hottest grids loaded so repeat
-  submissions in one service process skip the disk entirely; the
-  parsed index is kept too, re-read when another process replaced it.
+* the memory layer holds what is being written or has been re-read,
+  nothing else: :meth:`remember` parks an outcome in a pending table
+  for the window between its future resolving and its :meth:`put`
+  landing, and only :meth:`get` admits to the ``memory_entries``-
+  bounded LRU, so a result nobody asks for again lives on disk only
+  and a hot entry skips the disk after its first re-read; the parsed
+  index is kept too, re-read when another process replaced it.
 
 Unknown schema versions are ignored wholesale, never migrated.
 All hit/miss/eviction counters are bumped inside the cache lock
@@ -57,7 +61,11 @@ def default_cache_dir() -> Path:
 
 class ResultCache:
     """Disk-backed LRU map from solve signature to
-    :class:`~repro.serve.request.SolveOutcome`."""
+    :class:`~repro.serve.request.SolveOutcome`.
+
+    ``memory_entries`` bounds the re-read layer; 0 means there is none
+    (every hit after the write window reads the disk), while the
+    pending table still answers during the write window."""
 
     def __init__(
         self,
@@ -68,12 +76,18 @@ class ResultCache:
     ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
+        if memory_entries < 0:
+            raise ValueError(
+                f"memory_entries must be non-negative, got {memory_entries}")
         self.root = Path(path) if path is not None else default_cache_dir()
         self.index_path = self.root / "index.json"
         self.max_entries = max_entries
         self.memory_entries = memory_entries
         self._lock = threading.Lock()
+        #: re-read outcomes, least recently used first
         self._mem: OrderedDict[str, SolveOutcome] = OrderedDict()
+        #: remembered outcomes whose put has not landed yet
+        self._pending: dict[str, SolveOutcome] = {}
         #: get-side recency not yet persisted (folded in on put)
         self._touched: dict[str, float] = {}
         #: the parsed index and the (inode, mtime, size) it was read at
@@ -133,75 +147,93 @@ class ResultCache:
     def get(self, signature: str) -> SolveOutcome | None:
         """The cached outcome (marked ``cached=True``) or None.  A hit
         means the stored grid is bit-identical to recomputing the
-        request: the signature covers every answer-shaping input."""
+        request: the signature covers every answer-shaping input.
+
+        A hit from the pending table or from disk is a re-read: it
+        admits the outcome to the memory layer.  A disk payload is
+        decompressed outside the cache lock, so other probes and every
+        index merge proceed meanwhile; an entry evicted in between is
+        a miss."""
         with self._lock:
             hot = self._mem.get(signature)
             if hot is not None:
                 self._mem.move_to_end(signature)
-                self._touched[signature] = time.time()
-                if self._metrics is not None:
-                    self._c_hits.inc()
-                return replace(hot, cached=True)
-
+                return self._hit_locked(signature, hot)
+            unwritten = self._pending.get(signature)
+            if unwritten is not None:
+                return self._hit_locked(signature, self._admit(signature, unwritten))
             entry = self._load().get(signature)
-            grid = None
-            if entry is not None and entry.get("grid"):
-                try:
-                    with np.load(self.root / entry["grid"]) as payload:
-                        grid = payload["grid"]
-                except (OSError, ValueError, KeyError):
-                    entry = None  # payload lost -> treat as a miss
             if entry is None:
-                if self._metrics is not None:
-                    self._c_misses.inc()
-                return None
+                return self._miss_locked()
+
+        grid = None
+        if entry.get("grid"):
+            try:
+                with np.load(self.root / entry["grid"]) as payload:
+                    grid = payload["grid"]
+            except (OSError, ValueError, KeyError):
+                entry = None  # payload lost -> treat as a miss
+        with self._lock:
+            if entry is None or signature not in self._load():
+                return self._miss_locked()
             outcome = SolveOutcome.from_doc(entry["meta"], grid)
-            self._remember(signature, outcome)
-            self._touched[signature] = time.time()
-            if self._metrics is not None:
-                self._c_hits.inc()
-            return replace(outcome, cached=True)
+            return self._hit_locked(signature, self._admit(signature, outcome))
 
     def put(self, signature: str, outcome: SolveOutcome) -> None:
-        """Insert (or refresh) one outcome; evicts LRU entries beyond
-        ``max_entries``.  The payload is compressed and written before
-        the lock is taken -- a probe never waits behind it -- and the
-        index is re-read immediately before the atomic replace, so
-        concurrent services merge rather than clobber each other."""
-        grid_name = None
-        if outcome.grid is not None:
-            grid_name = self._grid_path(signature).name
-            grid = np.ascontiguousarray(outcome.grid)
-            atomic_write(
-                self._grid_path(signature),
-                lambda fh: np.savez_compressed(fh, grid=grid),
-            )
-        with self._lock:
-            now = time.time()
-            entries = self._load()
-            for sig, ts in self._touched.items():
-                if sig in entries and ts > entries[sig].get("used", 0):
-                    entries[sig]["used"] = ts
-            self._touched.clear()
-            entries[signature] = {
-                "meta": outcome.to_doc(),
-                "grid": grid_name,
-                "created": now,
-                "used": now,
-            }
-            evicted = self._evict_locked(entries)
-            self._store(entries)
-            self._remember(signature, outcome)
-            if self._metrics is not None:
-                self._c_stores.inc()
-                if evicted:
-                    self._c_evictions.inc(evicted)
+        """Insert (or refresh) one outcome on disk; evicts LRU entries
+        beyond ``max_entries``.  The payload is compressed and written
+        before the lock is taken -- a probe never waits behind it --
+        and the index is re-read immediately before the atomic
+        replace, so concurrent services merge rather than clobber each
+        other.
+
+        Nothing is added to memory: a landed write closes the
+        outcome's write window (the pending entry :meth:`remember`
+        made goes, the disk answers from now on).  A write that raises
+        leaves the pending outcome as the only copy, so it moves to
+        the memory layer before the error propagates."""
+        try:
+            grid_name = None
+            if outcome.grid is not None:
+                grid_name = self._grid_path(signature).name
+                grid = np.ascontiguousarray(outcome.grid)
+                atomic_write(
+                    self._grid_path(signature),
+                    lambda fh: np.savez_compressed(fh, grid=grid),
+                )
+            with self._lock:
+                now = time.time()
+                entries = self._load()
+                for sig, ts in self._touched.items():
+                    if sig in entries and ts > entries[sig].get("used", 0):
+                        entries[sig]["used"] = ts
+                self._touched.clear()
+                entries[signature] = {
+                    "meta": outcome.to_doc(),
+                    "grid": grid_name,
+                    "created": now,
+                    "used": now,
+                }
+                evicted = self._evict_locked(entries)
+                self._store(entries)
+                self._pending.pop(signature, None)
+                if self._metrics is not None:
+                    self._c_stores.inc()
+                    if evicted:
+                        self._c_evictions.inc(evicted)
+        except BaseException:
+            with self._lock:
+                unwritten = self._pending.pop(signature, None)
+                if unwritten is not None:
+                    self._admit(signature, unwritten)
+            raise
 
     def remember(self, signature: str, outcome: SolveOutcome) -> None:
-        """Serve ``outcome`` from the memory layer from now on; the
-        service resolves its futures on that and :meth:`put`s after."""
+        """Serve ``outcome`` from the pending table until its
+        :meth:`put` lands; the service resolves its futures after this
+        and :meth:`put`s last."""
         with self._lock:
-            self._remember(signature, outcome)
+            self._pending[signature] = _frozen(outcome)
 
     def clear(self) -> None:
         with self._lock:
@@ -209,6 +241,7 @@ class ResultCache:
                 self._unlink_grid(entry)
             self._store({})
             self._mem.clear()
+            self._pending.clear()
             self._touched.clear()
 
     def __len__(self) -> int:
@@ -222,16 +255,24 @@ class ResultCache:
 
     # -- internals -------------------------------------------------------
 
-    def _remember(self, signature: str, outcome: SolveOutcome) -> None:
-        if outcome.grid is not None:
-            try:
-                outcome.grid.setflags(write=False)  # hits share this array
-            except ValueError:
-                pass
-        self._mem[signature] = outcome
+    def _hit_locked(self, signature: str, outcome: SolveOutcome) -> SolveOutcome:
+        self._touched[signature] = time.time()
+        if self._metrics is not None:
+            self._c_hits.inc()
+        return replace(outcome, cached=True)
+
+    def _miss_locked(self) -> None:
+        if self._metrics is not None:
+            self._c_misses.inc()
+
+    def _admit(self, signature: str, outcome: SolveOutcome) -> SolveOutcome:
+        """Make ``outcome`` the most recently re-read entry, dropping
+        the least recently re-read ones beyond ``memory_entries``."""
+        self._mem[signature] = outcome = _frozen(outcome)
         self._mem.move_to_end(signature)
         while len(self._mem) > self.memory_entries:
             self._mem.popitem(last=False)
+        return outcome
 
     def _evict_locked(self, entries: dict) -> int:
         overflow = len(entries) - self.max_entries
@@ -250,6 +291,16 @@ class ResultCache:
                 os.unlink(self.root / name)
             except OSError:
                 pass
+
+
+def _frozen(outcome: SolveOutcome) -> SolveOutcome:
+    """``outcome`` with its grid made read-only: hits share the array."""
+    if outcome.grid is not None:
+        try:
+            outcome.grid.setflags(write=False)
+        except ValueError:
+            pass
+    return outcome
 
 
 __all__ = ["ResultCache", "SCHEMA_VERSION", "default_cache_dir"]

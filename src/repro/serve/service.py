@@ -422,6 +422,9 @@ class SolverService:
             batch = self.collector.take(timeout=wait)
             if batch is not None:
                 self._run_batch(slot, batch)
+                # Its futures hold their results: waiting for the next
+                # batch must not keep the last one's grids alive.
+                batch = None
                 idle_since = time.monotonic()
             elif retire_at is not None and time.monotonic() >= retire_at:
                 self._drop_worker(slot, self._c_retired)

@@ -42,7 +42,7 @@ from repro.stencil.problem import JacobiProblem
 from repro.stencil.variable import VariableStencilWeights
 
 from .conftest import random_problem
-from .test_serve_pool import random_problem as picklable_problem
+from .serve_helpers import random_problem as picklable_problem
 from .test_tile_buffers import arrays_in
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")

@@ -21,8 +21,7 @@ from repro.serve import (
     SolverService,
 )
 
-from .test_serve_pool import random_problem
-from .test_serve_pool import _no_serve_leftovers
+from .serve_helpers import _no_serve_leftovers, random_problem
 
 pytestmark = pytest.mark.timeout(300)
 

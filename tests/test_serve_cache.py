@@ -1,9 +1,11 @@
 """Content-keyed result cache (``repro.serve.cache``): persistence,
-schema versioning, the LRU bound and atomic-write hygiene."""
+schema versioning, the LRU bound, atomic-write hygiene and what the
+memory layer holds (a result being written, or one read again)."""
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +17,9 @@ from repro.serve import ResultCache
 from repro.serve import cache as cache_module
 from repro.serve.cache import SCHEMA_VERSION, default_cache_dir
 from repro.serve.request import SolveOutcome
+
+from .conftest import join_all
+from .serve_helpers import GatedPayloadWrites, LoadSpy
 
 
 def make_outcome(signature: str, value: float = 1.0) -> SolveOutcome:
@@ -191,30 +196,6 @@ def test_default_cache_dir_env_override(monkeypatch, tmp_path):
 # -- the lock is not held across a payload write; the index is parsed once --
 
 
-class GatedPayloadWrites:
-    """Parks every ``.npz`` write of ``repro.serve.cache`` until
-    ``release`` is set (``fail`` makes it raise instead)."""
-
-    def __init__(self, monkeypatch, fail: bool = False) -> None:
-        self.started, self.release = threading.Event(), threading.Event()
-        write = cache_module.atomic_write
-
-        def gated(path, write_fn):
-            if str(path).endswith(".npz"):
-                self.started.set()
-                if fail:
-                    return write(path, self._disk_full)
-                assert self.release.wait(60)
-            return write(path, write_fn)
-
-        monkeypatch.setattr(cache_module, "atomic_write", gated)
-
-    @staticmethod
-    def _disk_full(fh):
-        fh.write(b"half a payload")
-        raise OSError(28, "No space left on device")
-
-
 def test_probes_do_not_wait_behind_a_payload_write(tmp_path, monkeypatch):
     cache = ResultCache(tmp_path)
     cache.put("sig-old", make_outcome("sig-old", 1.0))
@@ -265,3 +246,156 @@ def test_index_is_parsed_once_until_another_process_replaces_it(tmp_path, monkey
     assert reader.get("sig-e") is not None  # ... and so does this one, once
     assert reader.get("nope") is None and len(reader) == 5
     assert len(parses) == 3
+
+
+# -- what the memory layer holds: the write window and re-reads --------------
+
+
+def test_memory_entries_must_be_non_negative(tmp_path):
+    with pytest.raises(ValueError, match="memory_entries must be non-negative"):
+        ResultCache(tmp_path, memory_entries=-1)
+    with pytest.raises(ValueError, match="max_entries must be positive"):
+        ResultCache(tmp_path, max_entries=0)
+
+
+def test_a_write_is_not_admitted_a_re_read_is(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    cache.put("sig-a", make_outcome("sig-a", 4.0))
+    disk = LoadSpy(monkeypatch)
+    assert cache.get("sig-a").cached and disk.calls == 1  # not kept by put
+    assert cache.get("sig-a").cached and disk.calls == 1  # kept by the re-read
+
+
+def test_zero_memory_entries_keeps_the_write_window_only(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path, memory_entries=0)
+    disk = LoadSpy(monkeypatch)
+    cache.remember("sig-a", make_outcome("sig-a", 5.0))
+    hit = cache.get("sig-a")  # pending: served while the write is due
+    assert hit.cached and np.array_equal(hit.grid, np.full((6, 6), 5.0))
+    cache.put("sig-a", make_outcome("sig-a", 5.0))
+    for expected_reads in (1, 2):  # no re-read layer: every hit is a disk read
+        assert cache.get("sig-a").cached and disk.calls == expected_reads
+
+
+def test_re_reads_beyond_memory_entries_are_dropped_lru_first(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path, memory_entries=3)
+    names = [f"sig-{k}" for k in range(5)]
+    for name in names:
+        cache.put(name, make_outcome(name))
+    disk = LoadSpy(monkeypatch)
+    for name in names:
+        assert cache.get(name) is not None
+    assert disk.calls == 5 and list(cache._mem) == names[2:]
+    for name in names[2:]:  # the three most recent re-reads: memory hits
+        assert cache.get(name) is not None
+    assert disk.calls == 5
+    assert cache.get(names[0]) is not None and disk.calls == 6
+    assert list(cache._mem) == [*names[3:], names[0]]
+
+
+def test_eviction_and_clear_drop_admitted_entries(tmp_path):
+    cache = ResultCache(tmp_path, max_entries=2)
+    cache.put("sig-a", make_outcome("sig-a"))
+    assert cache.get("sig-a") is not None  # admitted
+    cache.put("sig-b", make_outcome("sig-b"))
+    cache.put("sig-c", make_outcome("sig-c"))  # evicts a, the least recently used
+    assert cache.get("sig-a") is None and "sig-a" not in cache._mem
+    assert cache.get("sig-c") is not None and "sig-c" in cache._mem
+    cache.remember("sig-d", make_outcome("sig-d"))
+    cache.clear()
+    assert cache.get("sig-c") is None and cache.get("sig-d") is None
+    assert not cache._mem and not cache._pending
+
+
+def test_every_kind_of_hit_is_read_only_and_bit_identical(tmp_path):
+    executed = make_outcome("sig-a", 6.5)
+    truth = executed.grid.copy()
+    cache = ResultCache(tmp_path)
+    cache.remember("sig-a", executed)
+    hits = [cache.get("sig-a")]  # from the pending table
+    cache.put("sig-a", executed)
+    hits.append(cache.get("sig-a"))  # from the re-read layer
+    hits.append(ResultCache(tmp_path).get("sig-a"))  # from disk
+    for hit in hits:
+        assert hit.cached and not hit.grid.flags.writeable
+        assert np.array_equal(hit.grid, truth)
+        with pytest.raises(ValueError):
+            hit.grid[0, 0] = 99.0
+
+
+def test_a_failed_write_keeps_the_remembered_outcome_in_memory(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path, memory_entries=1)
+    GatedPayloadWrites(monkeypatch, fail=True)
+    cache.remember("sig-a", make_outcome("sig-a", 7.0))
+    with pytest.raises(OSError, match="No space left"):
+        cache.put("sig-a", make_outcome("sig-a", 7.0))
+    assert not cache._pending and list(cache._mem) == ["sig-a"]
+    assert np.array_equal(cache.get("sig-a").grid, np.full((6, 6), 7.0))
+    assert list(tmp_path.iterdir()) == [] and len(cache) == 0
+
+
+def test_a_disk_hit_decodes_outside_the_lock(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    for name in ("sig-disk", "sig-hot"):
+        cache.put(name, make_outcome(name))
+    assert cache.get("sig-hot") is not None  # admitted: a memory hit from now on
+    disk = LoadSpy(monkeypatch, park=True)
+    with ThreadPoolExecutor(2) as threads:
+        reading = threads.submit(cache.get, "sig-disk")
+        assert disk.started.wait(30)
+        # A memory hit, a miss and an index merge all go by the parked read.
+        assert threads.submit(cache.get, "sig-hot").result(timeout=10).cached
+        assert threads.submit(cache.get, "sig-none").result(timeout=10) is None
+        threads.submit(cache.put, "sig-new", make_outcome("sig-new")).result(timeout=10)
+        assert not reading.done()
+        disk.release.set()
+        assert reading.result(timeout=30).cached
+    assert disk.calls == 1 and "sig-disk" in cache._mem
+
+
+def test_an_entry_evicted_while_its_payload_decodes_is_a_miss(tmp_path, monkeypatch):
+    reg = MetricRegistry()
+    cache = ResultCache(tmp_path, max_entries=1, metrics=reg)
+    cache.put("sig-a", make_outcome("sig-a"))
+    disk = LoadSpy(monkeypatch, park=True)
+    with ThreadPoolExecutor(1) as threads:
+        reading = threads.submit(cache.get, "sig-a")
+        assert disk.started.wait(30)
+        cache.put("sig-b", make_outcome("sig-b"))  # evicts a under the reader
+        disk.release.set()
+        assert reading.result(timeout=30) is None
+    assert "sig-a" not in cache._mem
+    snap = reg.snapshot()
+    assert snap.counter("serve_cache_misses_total") == 1
+    assert snap.counter("serve_cache_hits_total") == 0
+
+
+def test_a_remembered_result_always_hits_under_racing_threads(tmp_path):
+    """Four threads remember, re-read and write results while each
+    probes the others' latest: whichever of the pending table, the
+    disk or the re-read layer holds a result, a probe finds it, and
+    when every write has landed only re-reads are left in memory."""
+    cache = ResultCache(tmp_path, memory_entries=4)
+    remembered: list[str] = []
+    misses: list[str] = []
+
+    def writer(t: int) -> None:
+        for k in range(12):
+            name = f"sig-{t}-{k}"
+            outcome = make_outcome(name, float(k))
+            cache.remember(name, outcome)
+            remembered.append(name)
+            misses.extend(sig for sig in remembered[-6:] if cache.get(sig) is None)
+            cache.put(name, outcome)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        assert join_all(threads, 120) == []
+    finally:
+        sys.setswitchinterval(interval)
+    assert misses == []
+    assert not cache._pending and len(cache._mem) <= 4 and len(cache) == 48

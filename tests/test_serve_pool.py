@@ -13,7 +13,6 @@ whatever it holds on the way out.
 from __future__ import annotations
 
 import concurrent.futures
-import multiprocessing
 import os
 import signal
 import sys
@@ -24,100 +23,33 @@ import numpy as np
 import pytest
 
 from repro.core.runner import run
-from repro.distgrid.boundary import DirichletBC
 from repro.exec import fork_available
 from repro.machine.machine import nacl
 from repro.serve import (
     ServiceClosed,
     ServiceConfig,
-    SolveRequest,
     SolverService,
     execute_request,
 )
 from repro.serve import pool
 from repro.serve.pool import InProcessWorker, ProcessWorker, _CancelScope
 from repro.serve.request import DeadlineExpired, WorkerDied
-from repro.stencil.kernels import StencilWeights
 from repro.stencil.problem import JacobiProblem
 
 from .conftest import join_all
+from .serve_helpers import (
+    _no_serve_leftovers,
+    _request,
+    batch_finished,
+    gated_problem,
+    random_problem,
+)
 
 KINDS = [
     "threads",
     pytest.param("processes", marks=pytest.mark.skipif(
         not fork_available(), reason="needs POSIX fork")),
 ]
-
-
-class _GridInit:
-    """Picklable random-data initialiser: requests cross the process
-    pool's pipes, so closures are off the table."""
-
-    def __init__(self, values: np.ndarray) -> None:
-        self.values = values
-
-    def __call__(self, rows, cols):
-        n, nc = self.values.shape
-        return self.values[np.clip(rows, 0, n - 1), np.clip(cols, 0, nc - 1)]
-
-
-def _bc(rows, cols):
-    return np.sin(0.1 * rows) + np.cos(0.2 * cols)
-
-
-def random_problem(n, iterations, seed=0):
-    rng = np.random.default_rng(seed)
-    return JacobiProblem(
-        n=n,
-        iterations=iterations,
-        init=_GridInit(rng.normal(size=(n, n))),
-        bc=DirichletBC(_bc),
-        weights=StencilWeights.damped_jacobi(0.9),
-    )
-
-
-class Gate:
-    """Picklable ``init`` that parks the first worker to evaluate it --
-    any thread but the one that armed it, a forked child included --
-    until ``release`` is set, so a test can hold a request *in
-    execution* and act on events instead of sleeping.  The events are
-    class attributes: a request crosses a pool child's pipe by pickle,
-    the events reach the child by fork."""
-
-    owner = entered = release = None
-
-    @classmethod
-    def arm(cls) -> "Gate":
-        event = (multiprocessing.get_context("fork").Event
-                 if fork_available() else threading.Event)
-        cls.owner = (os.getpid(), threading.get_ident())
-        cls.entered, cls.release = event(), event()
-        return cls()
-
-    def __call__(self, rows, cols):
-        me = (os.getpid(), threading.get_ident())
-        if me != self.owner and not self.entered.is_set():
-            self.entered.set()
-            self.release.wait(60)
-        return 0.01 * rows + cols
-
-
-def gated_problem(n=24, iterations=2) -> JacobiProblem:
-    """A problem whose solve parks in its first init task (the gate's
-    events are on the returned problem's ``init``).  Build it before
-    the service forks the child that is to park."""
-    return JacobiProblem(n=n, iterations=iterations, init=Gate.arm(),
-                         bc=DirichletBC(_bc),
-                         weights=StencilWeights.damped_jacobi(0.9))
-
-
-def _request(problem, **overrides) -> SolveRequest:
-    knobs = dict(
-        impl="ca-parsec", machine=nacl(4), tile=6, steps=3,
-        backend="threads", jobs=2,
-    )
-    knobs.update(overrides)
-    return SolveRequest(problem=problem, **knobs)
 
 
 # -- warm reuse ----------------------------------------------------------
@@ -255,27 +187,7 @@ def test_process_worker_solves_and_dies_on_cancel():
         worker.close()
 
 
-
-
 # -- runners own their workers (service level) ---------------------------
-
-
-def _no_serve_leftovers(timeout: float = 0.0) -> list[str]:
-    """Names of the service's threads and children still alive after
-    joining each against one ``timeout``-second deadline."""
-    workers = [*threading.enumerate(), *multiprocessing.active_children()]
-    return join_all([w for w in workers if w.name.startswith("repro-serve")],
-                    timeout)
-
-
-def batch_finished(service, tenant: str = "default") -> bool:
-    """Wait until ``tenant`` has nothing in flight, on the queue's own
-    condition: ``task_done`` is the last thing a runner does for a
-    batch, after it dropped a worker the batch left dead."""
-    queue = service.queue
-    with queue._ready:
-        return queue._ready.wait_for(
-            lambda: not queue._inflight.get(tenant), timeout=30)
 
 
 def _pool_counter(service, what: str) -> float:

@@ -8,8 +8,10 @@ admission-control behaviours at the service boundary.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -29,8 +31,9 @@ from repro.serve import (
 )
 
 from .conftest import join_all
-from .test_serve_cache import GatedPayloadWrites
-from .test_serve_pool import (
+from .serve_helpers import (
+    GatedPayloadWrites,
+    LoadSpy,
     _no_serve_leftovers,
     _request,
     batch_finished,
@@ -145,12 +148,14 @@ def test_submit_before_start_raises():
 def test_expired_jobs_cancelled_and_workers_reclaimed(deadlines):
     """Whatever tiny deadlines arrive, every such job fails with the
     typed error and the service keeps serving afterwards (workers
-    reclaimed, capacity intact)."""
+    reclaimed, capacity intact).  The blocker is parked until every
+    doomed job has raised: however fast a solve is, none of them can
+    reach the runner before its deadline."""
     config = ServiceConfig(workers=1, cache=False)
     with SolverService(config) as service:
-        blocker = service.submit(
-            _request(random_problem(48, 8, seed=1), jobs=1)
-        )
+        gate = gated_problem()
+        blocker = service.submit(_request(gate, jobs=1))
+        assert gate.init.entered.wait(30)
         doomed = [
             service.submit(_request(random_problem(24, 2, seed=2 + i),
                                     deadline_s=dl))
@@ -159,6 +164,7 @@ def test_expired_jobs_cancelled_and_workers_reclaimed(deadlines):
         for future in doomed:
             with pytest.raises(DeadlineExpired):
                 future.result(timeout=30)
+        gate.init.release.set()
         blocker.result(timeout=120)
         # capacity survived: a fresh job still completes
         fresh = service.submit(_request(random_problem(24, 2, seed=42)))
@@ -171,13 +177,13 @@ def test_expired_jobs_cancelled_and_workers_reclaimed(deadlines):
 def test_default_deadline_from_config():
     config = ServiceConfig(workers=1, cache=False, default_deadline_s=0.001)
     with SolverService(config) as service:
-        blocker = service.submit(
-            _request(random_problem(48, 8, seed=1), jobs=1,
-                     deadline_s=120.0)
-        )
+        gate = gated_problem()
+        blocker = service.submit(_request(gate, jobs=1, deadline_s=120.0))
+        assert gate.init.entered.wait(30)
         doomed = service.submit(_request(random_problem(24, 2, seed=5)))
         with pytest.raises(DeadlineExpired):
             doomed.result(timeout=30)
+        gate.init.release.set()
         blocker.result(timeout=120)
 
 
@@ -278,6 +284,51 @@ def test_a_failing_cache_write_fails_no_future(tmp_path, monkeypatch):
         assert service.stats()["postmortems"] == []
     assert list(tmp_path.iterdir()) == []  # no payload, no index, no temp file
     assert _no_serve_leftovers() == []
+
+
+# -- what the service keeps resident -------------------------------------
+
+
+def test_unique_results_are_not_kept_once_written(tmp_path):
+    """40 executed requests nobody asks for again: once their writes
+    have landed and the client has dropped them, no grid is alive --
+    the cache keeps a result in memory only while it is written or
+    after it is read again."""
+    with SolverService(ServiceConfig(workers=1, cache=tmp_path)) as service:
+        client = SolverClient(service, tenant="alice")
+        mappings = []
+        for seed in range(40):
+            outcome = client.solve(random_problem(24, 2, seed=300 + seed),
+                                   timeout=120)
+            assert not outcome.cached
+            mappings.append(weakref.ref(outcome.grid.base))
+        del outcome
+        assert batch_finished(service, "alice")
+        gc.collect()
+        assert [ref for ref in mappings if ref() is not None] == []
+        assert len(service.cache) == 40
+
+
+def test_a_repeat_during_the_write_is_admitted_and_skips_the_disk_after(
+        tmp_path, monkeypatch):
+    problem = random_problem(24, 4, seed=24)
+    gate = GatedPayloadWrites(monkeypatch)
+    with SolverService(ServiceConfig(workers=1, cache=tmp_path)) as service:
+        client = SolverClient(service, tenant="alice")
+        executed = client.solve(problem, timeout=120)
+        assert gate.started.wait(30)  # the write is parked
+        during = client.solve(problem, timeout=10)  # the write window: a hit
+        gate.release.set()
+        assert batch_finished(service, "alice") and len(service.cache) == 1
+        disk = LoadSpy(monkeypatch)
+        after = client.solve(problem, timeout=10)  # admitted by the re-read
+        assert disk.calls == 0
+        for hit in (during, after):
+            assert hit.cached and not hit.grid.flags.writeable
+            assert np.array_equal(hit.grid, executed.grid)
+        completed = {dict(ls)["status"]: v for ls, v in service.metrics.snapshot()
+                     .labelled("serve_jobs_completed_total").items()}
+        assert completed == {"ok": 1, "cached": 2}
 
 
 # -- client ergonomics ---------------------------------------------------
