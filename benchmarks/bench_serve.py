@@ -6,7 +6,7 @@ exists for -- many modest solves, heavy repetition):
 
 * **warm vs cold throughput** -- the same request stream through a
   persistent :class:`~repro.serve.SolverService` (warm workers,
-  batching, result cache) against one cold :func:`repro.core.runner.run`
+  dedup, result cache) against one cold :func:`repro.core.runner.run`
   per request.  The acceptance bar is 3x; the ratio is mostly the
   result cache (the mix repeats 3 problems 8 times), so the label
   states the hit count next to it.  ``warm``/``cold`` count requests
@@ -15,7 +15,7 @@ exists for -- many modest solves, heavy repetition):
   served with *zero* task executions, proven by the
   ``tasks_executed_total`` counter, not by timing.
 * **multi-tenant traffic** -- two tenants with different priorities
-  through one service; records queue/batch/fairness statistics.
+  through one service; records queue/dispatch/fairness statistics.
 
 Outcomes append to ``BENCH_serve.json`` at the repo root so the
 serving-performance trajectory accumulates across commits
@@ -293,7 +293,7 @@ def test_sampling_overhead(show):
 
 def test_multitenant_traffic(tmp_path, show):
     """Two tenants, interleaved submission, one service: records the
-    fairness and batching statistics of a mixed stream."""
+    fairness and dispatch statistics of a mixed stream."""
     problems = _problems()
     config = ServiceConfig(workers=2, cache=tmp_path, tenant_limit=2)
     with SolverService(config) as service:
@@ -313,18 +313,18 @@ def test_multitenant_traffic(tmp_path, show):
     peaks = {
         dict(ls)["tenant"]: state["max"] for ls, state in inflight.items()
     }
-    batches = snap.counter("serve_batches_total")
-    batched = snap.counter("serve_batched_jobs_total")
+    dispatches = snap.counter("serve_batches_total")
+    dedup = snap.counter("serve_dedup_total")
     show(
         f"two-tenant stream: {REQUESTS} requests, per-tenant in-flight "
         f"peaks {peaks} (cap 2), "
-        f"{batches:.0f} batches ({batched / max(batches, 1):.1f} jobs/batch)",
+        f"{dispatches:.0f} solves dispatched, {dedup:.0f} deduplicated",
     )
     assert all(peak <= 2 for peak in peaks.values())
     _emit("multitenant", {
         "requests": REQUESTS,
         "tenant_peaks": {k: round(v, 1) for k, v in sorted(peaks.items())},
-        "batches": round(batches, 1),
-        "jobs_per_batch": round(batched / max(batches, 1), 2),
+        "batches": round(dispatches, 1),
+        "dedup": round(dedup, 1),
         "cache_hits": round(snap.counter("serve_cache_hits_total"), 1),
     })

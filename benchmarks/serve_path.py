@@ -8,10 +8,9 @@ two closed-loop clients on a two-runner service, three executed
 requests per cache hit) and prints where an *executed* request's
 latency went, from the service's own lifecycle spans:
 
-    submit (signature, cache probe, enqueue) -> queued -> batch take ->
-    dispatch -> baton wait -> execute (template bind, run, assemble) ->
-    respond -> the client's wake-up; then, off the request's path, the
-    cache write
+    submit (signature, cache probe, enqueue) -> queued -> dispatch ->
+    baton wait -> execute (template bind, run, assemble) -> respond ->
+    the client's wake-up; then, off the request's path, the cache write
 
 The hops between spans are read off the spans' edges, so the rows down
 to the client's wake-up add up to the client-side latency; `baton wait`
@@ -66,7 +65,7 @@ def hops_of(service: SolverService, record, put_s: dict) -> dict[str, float]:
     spans = {(s.name, s.attrs.get("where")): s
              for s in service.lifecycle.spans_of(outcome.trace_id)}
     probe, queued = spans["cache_probe", None], spans["queued", None]
-    fuse, dispatch = spans["batch_fuse", None], spans["dispatch", None]
+    dispatch = spans["dispatch", None]
     execute, request = spans["execute", None], spans["request", None]
     baton = spans.get(("queued", "baton"))
     baton_s = baton.duration if baton is not None else 0.0
@@ -75,8 +74,7 @@ def hops_of(service: SolverService, record, put_s: dict) -> dict[str, float]:
         "submit: cache probe (miss)": probe.duration,
         "submit: enqueue + admit span": t_submitted - probe.end,
         "queued": queued.duration,
-        "batch take": fuse.duration,
-        "dispatch (worker lookup, spans)": dispatch.end - fuse.end,
+        "dispatch (duplicates, worker lookup, spans)": dispatch.end - queued.end,
         "hand-off to the worker": execute.start - dispatch.end - baton_s,
         "baton wait (the other runner's solve)": baton_s,
         "execute": execute.duration,
@@ -115,7 +113,7 @@ def main(per_client: int) -> None:
     records: list = []
     put_s: dict[str, float] = {}
     with tempfile.TemporaryDirectory(prefix="repro-serve-path-") as tmp:
-        config = ServiceConfig(workers=CLIENTS, jobs=1, cache=f"{tmp}/cache", tenant_limit=None,
+        config = ServiceConfig(workers=CLIENTS, cache=f"{tmp}/cache", tenant_limit=None,
                                dump_dir=f"{tmp}/dumps", checkpoint_dir=f"{tmp}/checkpoints")
         with SolverService(config) as service:
             cache_put = service.cache.put
@@ -138,11 +136,11 @@ def main(per_client: int) -> None:
                 t.join()
             executed = [hops_of(service, r, put_s) for r in records if not r[3].cached]
             hit_ms = [1e3 * (r[2] - r[0]) for r in records if r[3].cached]
-            batches = service.metrics.snapshot().counter("serve_batches_total")
+            dispatches = service.metrics.snapshot().counter("serve_batches_total")
     stages = staged()
     print(f"serve_mix-shaped stream: {len(records)} requests, {len(executed)} executed, "
           f"{len(hit_ms)} cache hits (median {median(hit_ms):.2f} ms), "
-          f"{batches:.0f} batches incl. {HOT} set-up solves")
+          f"{dispatches:.0f} dispatches incl. {HOT} set-up solves")
     print(f"{'hop':<50} {'median ms':>10}  [p25, p75]")
     for name in executed[0]:
         values = [1e3 * h[name] for h in executed]

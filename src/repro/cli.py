@@ -30,7 +30,7 @@ Gives the library's main entry points a shell-friendly face:
   strictly lower communication share of critical-path time);
 * ``serve`` -- run the persistent solver service against synthetic
   multi-tenant traffic with live queue/progress lines and a serving
-  summary (warm-worker starts, cache hit-rate, batching, admission rejects;
+  summary (warm-worker starts, cache hit-rate, dedup, admission rejects;
   see ``docs/serving.md``);
 * ``submit`` -- submit one solve through a transient service backed
   by the persistent on-disk result cache: a repeated identical
@@ -283,7 +283,7 @@ def _add_traffic_flags(p: argparse.ArgumentParser, requests: int = 4) -> None:
                         "the first, exercising the result cache)")
     p.add_argument("--workers", type=int, default=2,
                    help="runner threads, each owning one worker (= "
-                        "concurrent batches in flight)")
+                        "concurrent solves in flight)")
 
 
 def _add_fault_flags(p: argparse.ArgumentParser, effect: str) -> None:
@@ -916,7 +916,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = dict(
         pool=args.pool,
         workers=args.workers,
-        jobs=args.jobs,
         queue_depth=args.queue_depth,
         tenant_limit=args.tenant_limit,
         trace_requests=bool(timeline_out),
@@ -962,7 +961,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     problem, _ = _problem_machine(args)
     dump = None
     with canned_session(problem, _serve_knobs(args), workers=args.workers,
-                        jobs=args.jobs, dump_dir=args.dump_dir) as session:
+                        dump_dir=args.dump_dir) as session:
         tally = session.traffic(args.tenants, args.requests)
         if args.fault:
             _force_fault(session, args.fault)
@@ -1011,7 +1010,7 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
 
     problem, _ = _problem_machine(args)
     with canned_session(
-        problem, _serve_knobs(args), workers=args.workers, jobs=args.jobs,
+        problem, _serve_knobs(args), workers=args.workers,
         dump_dir=args.dump_dir, sampling_interval_s=args.sample_interval,
         alert_rules=rules, alert_log=args.log_out,
     ) as session:
@@ -1072,7 +1071,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     problem, _ = _problem_machine(args)
     with canned_session(
-        problem, _serve_knobs(args), workers=args.workers, jobs=args.jobs,
+        problem, _serve_knobs(args), workers=args.workers,
         sampling_interval_s=args.sample_interval, alert_rules=rules,
     ) as session:
         service = session.service
@@ -1125,8 +1124,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         cache: object = False
     else:
         cache = args.cache_dir  # None -> the persistent default dir
-    config = ServiceConfig(pool="threads", workers=1, jobs=args.jobs,
-                           cache=cache)
+    config = ServiceConfig(pool="threads", workers=1, cache=cache)
     with SolverService(config) as service:
         outcome = service.submit(request).result(args.timeout)
         snapshot = service.metrics.snapshot()

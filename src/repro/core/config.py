@@ -6,7 +6,7 @@ implementation, tile (Fig. 6), CA step size (Fig. 9), kernel ratio
 defaulted, validated and normalised*: :func:`repro.core.runner.run`
 builds a ``RunConfig`` from its ``**knobs``; a
 :class:`repro.serve.SolveRequest` carries one and reads its
-``signature()``/``batch_key()`` off the field classification; the chaos
+``signature()`` off the field classification; the chaos
 harness, the tuner's ``Candidate``, ``Sweep``'s axes and the CLI flags
 (:meth:`RunConfig.add_flags` / :meth:`RunConfig.from_args`) consume it.
 The rule "PETSc has no tile/steps/ratio, base-parsec has no CA step"
@@ -43,8 +43,7 @@ APPLIES = {"tile": _PARSEC, "ratio": _PARSEC, "steps": ("ca-parsec",)}
 ANSWER, SCHEDULE = "answer", "schedule"
 
 #: Where, besides ``run()`` itself, a knob may be set: on a service
-#: request (``SERVE``: the batch key is exactly these) and as a
-#: ``Sweep`` axis (``SWEEP``).
+#: request (``SERVE``) and as a ``Sweep`` axis (``SWEEP``).
 SERVE, SWEEP = "serve", "sweep"
 
 
@@ -108,8 +107,7 @@ class RunConfig:
     machine and its runtime hooks.  Constructing one validates it --
     selector typos, non-positive counts and per-impl misuse raise
     ``ValueError`` before anything is built or queued.  Field order is
-    load-bearing: the serve batch key and ``Sweep``'s axis tuple list
-    their knobs in it.
+    load-bearing: ``Sweep``'s axis tuple lists its knobs in it.
     """
 
     impl: str = _knob(
@@ -199,7 +197,7 @@ class RunConfig:
             _check_count("procs", self.procs, "process count")
         if self.passes is not None:
             # Parsed up front so a typo fails here, not after the build,
-            # and equivalent spellings share one signature and batch.
+            # and equivalent spellings share one signature.
             from ..ir import canonical_pipeline
 
             object.__setattr__(

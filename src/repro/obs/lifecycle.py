@@ -3,16 +3,15 @@ recorder of the solver service.
 
 Execution-level tracing (:mod:`repro.runtime.trace`) stops at task
 kernels; a request's life through the serve layer -- admission, queue
-wait, batch fusion, dispatch, rewrite passes, execution, retries,
-checkpoint recovery, response -- was invisible except as aggregate
-counters.  This module closes that gap with three cooperating pieces:
+wait, dispatch, rewrite passes, execution, retries, checkpoint
+recovery, response -- was invisible except as aggregate counters.  This module closes that gap with three cooperating pieces:
 
 * **Lifecycle spans.**  Every admitted :class:`SolveRequest` gets a
   deterministic ``trace_id`` (:func:`request_trace_id`); the service
   layers emit typed :class:`LifeSpan` records (``admit``,
-  ``cache_probe``, ``queued``, ``batch_fuse``, ``dispatch``,
-  ``ir_passes``, ``execute``, ``retry``, ``recover``, ``respond``)
-  into a :class:`LifecycleTracer`.  Workers -- including forked
+  ``cache_probe``, ``queued``, ``dispatch``, ``ir_passes``,
+  ``execute``, ``retry``, ``recover``, ``respond``) into a
+  :class:`LifecycleTracer`.  Workers -- including forked
   ``ProcessWorker`` children -- collect spans into a plain
   :class:`SpanLog` that ships back over the existing result pipes and
   is folded in with :meth:`LifecycleTracer.adopt` (``time.monotonic``
@@ -62,7 +61,7 @@ from .metrics import MetricRegistry
 
 #: The span taxonomy, in the order a request normally traverses it.
 LIFECYCLE_KINDS = (
-    "admit", "cache_probe", "queued", "batch_fuse", "dispatch",
+    "admit", "cache_probe", "queued", "dispatch",
     "ir_passes", "execute", "retry", "recover", "respond",
 )
 

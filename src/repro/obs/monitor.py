@@ -373,8 +373,7 @@ def format_serve_summary(snapshot: MetricsSnapshot) -> str:
             f"{replaced:.0f} replaced / {retired:.0f} retired")
     batches = snapshot.counter("serve_batches_total")
     if batches:
-        batched = snapshot.counter("serve_batched_jobs_total")
-        row("batches", f"{batches:.0f} ({batched / batches:.1f} jobs/batch)")
+        row("solves dispatched", f"{batches:.0f}")
         dedup = snapshot.counter("serve_dedup_total")
         if dedup:
             row("deduplicated jobs", f"{dedup:.0f}")

@@ -5,10 +5,10 @@ Instead of paying imports, worker spin-up (a fork, on the
 :class:`SolverService` runs ``workers`` runner threads that each keep
 one warm worker -- an in-process object or a persistent forked child
 -- alive across jobs (each request still builds its own graph and
-one-shot executor), batches compatible queued solves into single
-submissions, admits work through a bounded multi-tenant queue, and
-serves repeated requests straight from a content-keyed result cache
--- with every stage instrumented through :mod:`repro.obs`.
+one-shot executor), solves identical queued requests once, admits work
+through a bounded multi-tenant queue, and serves repeated requests
+straight from a content-keyed result cache -- with every stage
+instrumented through :mod:`repro.obs`.
 
 Quick start::
 
@@ -21,7 +21,6 @@ Quick start::
 See ``docs/serving.md`` for the architecture and the ops runbook.
 """
 
-from .batch import Batch, BatchCollector
 from .cache import ResultCache, default_cache_dir
 from .client import SolverClient
 from .pool import execute_request
@@ -40,8 +39,6 @@ from .request import (
 from .service import ServiceConfig, SolverService
 
 __all__ = [
-    "Batch",
-    "BatchCollector",
     "DeadlineExpired",
     "Job",
     "JobQueue",

@@ -4,7 +4,7 @@ What survives between requests is the *worker*, never an executor (an
 executor is built for one graph and runs once): a request is ``warm``
 when the worker that ran it had already executed one.
 
-Two kinds, one contract (``name``, ``alive()``, ``run_batch(items)``,
+Two kinds, one contract (``name``, ``alive()``, ``run(item)``,
 ``cancel(seq)``, ``close()``, ``retire_when_idle``):
 
 * ``"threads"`` -- :class:`InProcessWorker`, an object in the service
@@ -14,17 +14,17 @@ Two kinds, one contract (``name``, ``alive()``, ``run_batch(items)``,
   done, allocator arenas grown).  It holds nothing, so it is never retired.
 * ``"processes"`` -- :class:`ProcessWorker`, a persistent forked child
   with a duplex pipe, in the style of Parsl's HTEX interchange loop:
-  the parent ships a pickled batch of requests, the child solves them
-  and ships back reduced outcomes plus a metrics snapshot the parent
-  merges (counter exactness across the process boundary, same scheme
-  the procs backend uses).  The child survives across batches, which
-  is what a warm child saves: the fork, its imports and its allocator
+  the parent ships one pickled request, the child solves it and ships
+  back the reduced outcome plus a metrics snapshot the parent merges
+  (counter exactness across the process boundary, same scheme the
+  procs backend uses).  The child survives across requests, which is
+  what a warm child saves: the fork, its imports and its allocator
   state.
 
 Each of the service's runner threads owns one worker for its lifetime
--- spawns it on its first batch, replaces it when it died, closes an
+-- spawns it on its first solve, replaces it when it died, closes an
 idle child (:mod:`repro.serve.service`).  Worker-level warm/cold
-counters go into the per-batch registry the executing worker owns
+counters go into the per-solve registry the executing worker owns
 (single-writer discipline throughout).
 """
 
@@ -44,9 +44,9 @@ from .request import (
     outcome_from_result,
 )
 
-#: One unit of worker input: (job seq, request, absolute monotonic
-#: deadline or None, lifecycle trace id or None).  Sequence numbers
-#: let the reaper target the currently-running job; the trace id
+#: What a worker runs: (job seq, request, absolute monotonic deadline
+#: or None, lifecycle trace id or None).  Sequence numbers let the
+#: reaper target the currently-running job; the trace id
 #: (None runs untraced) carries the request's lifecycle context into
 #: the worker, fork boundary included.
 WorkItem = tuple[int, SolveRequest, float | None, str | None]
@@ -55,7 +55,7 @@ WorkItem = tuple[int, SolveRequest, float | None, str | None]
 #: interpreter (`threads`, `sim`; a `processes`-backend request computes
 #: in its node children and does not take it).  Two solves on two runner
 #: threads only trade the interpreter lock (`serve_mix`: 98 ms beside
-#: another, 25 ms alone), so the runners overlap admission, batching,
+#: another, 25 ms alone), so the runners overlap admission, dispatch,
 #: cache I/O and responding; compute parallelism is ``pool="processes"``.
 #: Waiting for it is queue wait (a ``queued`` span, ``queue_wait_s``)
 #: bounded by the job's deadline; ``execute`` covers the solve alone.
@@ -78,7 +78,7 @@ def execute_request(
     Serving always runs ``mode="execute"`` (the request's config says
     so) -- the product is the solution grid.  The outcome reports
     ``warm=False``: warmth is a fact about the pool worker a request
-    ran on, which :func:`_run_items` fills in.
+    ran on, which :func:`_run_item` fills in.
 
     A request carrying a ``chaos_plan`` takes the resumable path
     instead: one attempt under the plan, restarting from the
@@ -131,14 +131,14 @@ def execute_request(
     )
 
 
-def _run_items(items: list[WorkItem], name: str, served: Iterator[int],
-               capture=None, checkpoint_dir=None, want_trace: bool = False,
-               baton=None):
-    """Shared worker loop: solve each item on worker ``name``,
-    honouring per-item deadlines, into ``(status, payload)`` pairs
-    plus the batch's metrics snapshot and its lifecycle spans (an
-    ``execute`` span per traced item, parenting any
-    ``ir_passes``/``recover`` children the run recorded).
+def _run_item(item: WorkItem, name: str, served: Iterator[int],
+              capture=None, checkpoint_dir=None, want_trace: bool = False,
+              baton=None):
+    """Shared worker body: solve ``item`` on worker ``name``, honouring
+    its deadline, into ``((status, payload), snapshot, spans)`` -- the
+    solve's metrics snapshot and its lifecycle spans (an ``execute``
+    span when traced, parenting any ``ir_passes``/``recover`` children
+    the run recorded).
 
     ``served`` is the worker's own ``itertools.count()``: it yields how
     many requests the worker executed before this one, so a request is
@@ -147,72 +147,71 @@ def _run_items(items: list[WorkItem], name: str, served: Iterator[int],
     from ..exec.futures import RunCancelled
     from ..obs.metrics import MetricRegistry
 
+    seq, request, deadline, trace_id = item
     reg = MetricRegistry()
     log = SpanLog(origin=name)
-    out: list[tuple[str, object]] = []
-    for seq, request, deadline, trace_id in items:
-        held, waited, expired = None, 0.0, False
-        if baton is not None and request.config.backend != "processes":
-            held = baton
-            if not held.acquire(blocking=False):
-                t_wait = time.monotonic()
-                remaining = -1 if deadline is None else max(0.0, deadline - t_wait)
-                if not held.acquire(timeout=remaining):
-                    held, expired = None, True
-                waited = time.monotonic() - t_wait
-                if trace_id is not None:
-                    log.span(trace_id, "queued", t_wait, t_wait + waited,
-                             tenant=request.tenant, seq=seq, where="baton")
+    held, waited, expired = None, 0.0, False
+    if baton is not None and request.config.backend != "processes":
+        held = baton
+        if not held.acquire(blocking=False):
+            t_wait = time.monotonic()
+            remaining = -1 if deadline is None else max(0.0, deadline - t_wait)
+            if not held.acquire(timeout=remaining):
+                held, expired = None, True
+            waited = time.monotonic() - t_wait
+            if trace_id is not None:
+                log.span(trace_id, "queued", t_wait, t_wait + waited,
+                         tenant=request.tenant, seq=seq, where="baton")
+    try:
+        if expired or (deadline is not None and time.monotonic() >= deadline):
+            return (("expired", DeadlineExpired(
+                f"job {seq} expired before execution started")),
+                reg.snapshot(), log.spans)
+        exec_id = log.allocate(trace_id, "execute") if trace_id is not None else None
+        warm = next(served) > 0
+        start_kind = "warm" if warm else "cold"
+        reg.counter(
+            f"serve_pool_{start_kind}_starts_total",
+            f"requests executed on a {start_kind} pool worker", "starts",
+        ).inc(slot=name)
+        t0 = time.monotonic()
+        error = None
         try:
-            if expired or (deadline is not None and time.monotonic() >= deadline):
-                out.append(("expired", DeadlineExpired(
-                    f"job {seq} expired before execution started")))
-                continue
-            exec_id = log.allocate(trace_id, "execute") if trace_id is not None else None
-            warm = next(served) > 0
-            start_kind = "warm" if warm else "cold"
-            reg.counter(
-                f"serve_pool_{start_kind}_starts_total",
-                f"requests executed on a {start_kind} pool worker", "starts",
-            ).inc(slot=name)
-            t0 = time.monotonic()
-            status, error = "ok", None
-            try:
-                if capture is not None:
-                    capture.arm(seq)
-                outcome = execute_request(
-                    request, metrics=reg,
-                    on_executor=capture.seen if capture is not None else None,
-                    checkpoint_dir=checkpoint_dir,
-                    lifecycle=log if trace_id is not None else None,
-                    trace_id=trace_id, parent_span_id=exec_id,
-                    want_trace=want_trace,
-                )
-                outcome.warm, outcome.queue_wait_s = warm, waited
-                out.append(("ok", outcome))
-            except RunCancelled:
-                status, error = "expired", "cancelled at deadline"
-                out.append(("expired", DeadlineExpired(
-                    f"job {seq} cancelled at its deadline mid-run")))
-            except Exception as exc:  # noqa: BLE001 - forwarded to the future
-                status, error = "error", repr(exc)
-                out.append(("error", exc))
-            finally:
-                if capture is not None:
-                    capture.disarm()
-        finally:
-            if held is not None:
-                held.release()
-        if trace_id is not None:
-            attrs = {"seq": seq, "worker": name, "warm": warm}
-            if error is not None:
-                attrs["error"] = error
-            log.span(
-                trace_id, "execute", t0, time.monotonic(),
-                status="ok" if status == "ok" else "error",
-                tenant=request.tenant, span_id=exec_id, **attrs,
+            if capture is not None:
+                capture.arm(seq)
+            outcome = execute_request(
+                request, metrics=reg,
+                on_executor=capture.seen if capture is not None else None,
+                checkpoint_dir=checkpoint_dir,
+                lifecycle=log if trace_id is not None else None,
+                trace_id=trace_id, parent_span_id=exec_id,
+                want_trace=want_trace,
             )
-    return out, reg.snapshot(), log.spans
+            outcome.warm, outcome.queue_wait_s = warm, waited
+            result = ("ok", outcome)
+        except RunCancelled:
+            error = "cancelled at deadline"
+            result = ("expired", DeadlineExpired(
+                f"job {seq} cancelled at its deadline mid-run"))
+        except Exception as exc:  # noqa: BLE001 - forwarded to the future
+            error = repr(exc)
+            result = ("error", exc)
+        finally:
+            if capture is not None:
+                capture.disarm()
+    finally:
+        if held is not None:
+            held.release()
+    if trace_id is not None:
+        attrs = {"seq": seq, "worker": name, "warm": warm}
+        if error is not None:
+            attrs["error"] = error
+        log.span(
+            trace_id, "execute", t0, time.monotonic(),
+            status="ok" if error is None else "error",
+            tenant=request.tenant, span_id=exec_id, **attrs,
+        )
+    return result, reg.snapshot(), log.spans
 
 
 class _CancelScope:
@@ -269,11 +268,11 @@ class InProcessWorker:
     def alive(self) -> bool:
         return True
 
-    def run_batch(self, items: list[WorkItem]):
-        return _run_items(items, self.name, self._served,
-                          capture=self._scope,
-                          checkpoint_dir=self._checkpoint_dir,
-                          want_trace=self._want_trace, baton=_BATON)
+    def run(self, item: WorkItem):
+        return _run_item(item, self.name, self._served,
+                         capture=self._scope,
+                         checkpoint_dir=self._checkpoint_dir,
+                         want_trace=self._want_trace, baton=_BATON)
 
     def cancel(self, seq: int | None = None) -> bool:
         return self._scope.cancel(seq)
@@ -285,10 +284,10 @@ class InProcessWorker:
 def _pool_child_main(conn, name: str, checkpoint_dir=None,
                      want_trace: bool = False) -> None:
     """Entry point of one persistent forked child: loop on the pipe,
-    solve batches, ship reduced outcomes, the batch's metrics snapshot
-    and its lifecycle spans back.  Span timestamps need no adjustment:
-    ``time.monotonic`` is CLOCK_MONOTONIC, shared with the forking
-    parent on Linux."""
+    solve one request per message, ship the reduced outcome, the
+    solve's metrics snapshot and its lifecycle spans back.  Span
+    timestamps need no adjustment: ``time.monotonic`` is
+    CLOCK_MONOTONIC, shared with the forking parent on Linux."""
     served = itertools.count()
     while True:
         try:
@@ -298,20 +297,15 @@ def _pool_child_main(conn, name: str, checkpoint_dir=None,
         if msg[0] == "stop":
             conn.close()
             return
-        _, items = msg
-        # Relative deadlines -> this process's monotonic clock.
-        now = time.monotonic()
-        local = [
-            (seq, req, None if remaining is None else now + remaining,
-             trace_id)
-            for seq, req, remaining, trace_id in items
-        ]
-        results, snapshot, spans = _run_items(
-            local, name, served, checkpoint_dir=checkpoint_dir,
-            want_trace=want_trace,
+        seq, req, remaining, trace_id = msg[1]
+        # A relative deadline -> this process's monotonic clock.
+        deadline = None if remaining is None else time.monotonic() + remaining
+        result = _run_item(
+            (seq, req, deadline, trace_id), name, served,
+            checkpoint_dir=checkpoint_dir, want_trace=want_trace,
         )
         try:
-            conn.send(("done", results, snapshot, spans))
+            conn.send(result)
         except (BrokenPipeError, OSError):
             return
 
@@ -342,25 +336,21 @@ class ProcessWorker:
         # can reap it; the broken pipe alone already means dead.
         return not self._pipe_broke and self._proc.is_alive()
 
-    def run_batch(self, items: list[WorkItem]):
-        now = time.monotonic()
-        wire = [
-            (seq, req, None if dl is None else max(0.0, dl - now), trace_id)
-            for seq, req, dl, trace_id in items
-        ]
+    def run(self, item: WorkItem):
+        seq, req, deadline, trace_id = item
+        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
         try:
-            self._conn.send(("batch", wire))
-            _done, results, snapshot, spans = self._conn.recv()
+            self._conn.send(("run", (seq, req, remaining, trace_id)))
+            return self._conn.recv()
         except (EOFError, OSError, BrokenPipeError) as exc:
             self._pipe_broke = True
             raise WorkerDied(
-                f"pool worker {self.name} died mid-batch: {exc!r}"
+                f"pool worker {self.name} died mid-solve: {exc!r}"
             ) from exc
-        return results, snapshot, spans
 
     def cancel(self, seq: int | None = None) -> bool:
         """Deadline enforcement for a child is the blunt instrument:
-        kill it (the batch fails, the owning runner forks its
+        kill it (the solve fails, the owning runner forks its
         replacement)."""
         if not self._proc.is_alive():
             return False

@@ -35,7 +35,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 from concurrent.futures import Future, InvalidStateError
 
@@ -241,41 +240,40 @@ class JobQueue:
                 else:
                     self._ready.wait()
 
-    def take_more(
-        self,
-        tenant: str,
-        match: Callable[[Job], bool],
-        limit: int,
-    ) -> list[Job]:
-        """Non-blocking companion of :meth:`take` for the batch
-        collector: up to ``limit`` additional jobs of the *same tenant*
-        satisfying ``match`` (in priority order), each counted against
-        the tenant's in-flight cap.  Batching stays within a tenant so
-        the fairness story stays one queue's."""
+    def take_duplicates(self, leader: Job) -> list[Job]:
+        """Non-blocking companion of :meth:`take`: the jobs still queued
+        that are the same solve as ``leader`` (just taken) -- same
+        tenant, equal signature and chaos plan, not expired -- in
+        priority order while the tenant's in-flight cap has room, each
+        counted against it.  The service solves them once, as the
+        leader; fair share stays one queue's story."""
+        tenant, plan = leader.tenant, leader.request.chaos_plan
         taken: list[Job] = []
         with self._ready:
-            now = time.monotonic()
             heap = self._heaps.get(tenant)
             if not heap:
                 return taken
+            now = time.monotonic()
             cap = self.cap(tenant)
             keep: list = []
             for entry in sorted(heap):
                 job = entry[2]
                 room = cap is None or self._inflight.get(tenant, 0) < cap
-                if len(taken) < limit and room and match(job) and not job.expired(now):
+                if (room and job.signature == leader.signature
+                        and job.request.chaos_plan == plan
+                        and not job.expired(now)):
                     taken.append(job)
                     self._depth -= 1
                     self._inflight[tenant] = self._inflight.get(tenant, 0) + 1
+                    self._record_queued(job, now)
                 else:
                     keep.append(entry)
-            heapq.heapify(keep)
-            self._heaps[tenant] = keep
-            if self._metrics is not None and taken:
-                self._g_depth.set(self._depth)
-                self._g_inflight.set(self._inflight[tenant], tenant=tenant)
-            for job in taken:
-                self._record_queued(job, now)
+            if taken:
+                heapq.heapify(keep)
+                self._heaps[tenant] = keep
+                if self._metrics is not None:
+                    self._g_depth.set(self._depth)
+                    self._g_inflight.set(self._inflight[tenant], tenant=tenant)
         return taken
 
     def task_done(self, tenant: str) -> None:

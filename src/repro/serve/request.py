@@ -4,17 +4,11 @@ A :class:`SolveRequest` is the serving-layer unit of work: a
 :class:`~repro.stencil.problem.JacobiProblem` plus the solver knobs
 that shape its *answer* (impl, machine, tile, steps, ratio) and the
 knobs that shape its *treatment* (tenant, priority, deadline).  The
-request knows its own
-
-* :meth:`~SolveRequest.signature` -- the content key the result cache
-  stores under (see :func:`repro.core.signature.solve_signature`):
-  two requests with equal signatures must produce bit-identical
-  solution grids, which the backend-conformance suite guarantees;
-* :meth:`~SolveRequest.batch_key` -- the coarser compatibility key the
-  batch collector fuses on: requests sharing it run on the same
-  machine model, implementation and tile shape, so dispatching them
-  as one pool submission amortises per-job overhead without changing
-  any answer.
+request knows its own :meth:`~SolveRequest.signature` -- the content
+key the result cache stores under and the service deduplicates queued
+solves by (see :func:`repro.core.signature.solve_signature`): two
+requests with equal signatures must produce bit-identical solution
+grids, which the backend-conformance suite guarantees.
 
 A :class:`SolveOutcome` is the reduced, pickle-friendly result the
 service hands back: the solution grid plus the report scalars, *not*
@@ -63,7 +57,7 @@ class ServiceClosed(ServeError):
 
 
 class WorkerDied(ServeError):
-    """A pool worker died mid-batch (killed, crashed, or reaped)."""
+    """A pool worker died mid-solve (killed, crashed, or reaped)."""
 
 
 class JobSkipped(ServeError):
@@ -156,9 +150,6 @@ class SolveRequest:
             problem=problem, machine=machine, config=config,
             tenant=tenant, priority=priority, deadline_s=deadline_s,
             chaos_plan=chaos_plan, retries=retries,
-            # not a field: the batch collector compares batch keys of
-            # every queued job, so resolve once, not per comparison
-            _resolved=config.resolved(problem, machine),
         )
 
     def __getattr__(self, name: str) -> Any:
@@ -183,7 +174,7 @@ class SolveRequest:
         """The config the run will actually use: per-impl knobs
         settled and the model-default tile filled in, so that an
         explicit request for the default tile hashes identically."""
-        return self._resolved
+        return self.config.resolved(self.problem, self.machine)
 
     def signature(self) -> str:
         """Content key of this solve: equal signatures guarantee
@@ -202,24 +193,6 @@ class SolveRequest:
         }
         impl = params.pop("impl")
         return solve_signature(self.problem, self.machine, impl, **params)
-
-    def batch_key(self) -> tuple:
-        """Compatibility key for the batch collector: requests sharing
-        it use the same machine model, implementation, grid extents,
-        tile shape and execution config -- every ``SERVE`` knob, as
-        resolved -- so they can ride one pool submission."""
-        knobs = self.resolved().knobs(SERVE)
-        passes = knobs.pop("passes")
-        return (
-            knobs.pop("impl"),
-            self.machine.fingerprint(),
-            self.problem.shape,
-            *knobs.values(),
-            # Chaos jobs never fuse (or dedup) with fault-free jobs of
-            # the same solve: faults and retries are per-plan state.
-            self.chaos_plan,
-            passes,
-        )
 
 
 # -- outcomes ------------------------------------------------------------

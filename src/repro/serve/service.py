@@ -1,4 +1,4 @@
-"""The solver service: queue + batching + workers + cache, wired.
+"""The solver service: queue + workers + cache, wired.
 
 :class:`SolverService` is the façade the CLI (``repro serve`` /
 ``repro submit``) and :class:`~repro.serve.client.SolverClient` talk
@@ -6,8 +6,6 @@ to.  One service owns
 
 * a :class:`~repro.serve.queue.JobQueue` (admission control, tenant
   fair share, priorities, queued-deadline enforcement),
-* a :class:`~repro.serve.batch.BatchCollector` (a leader plus the
-  compatible jobs already queued, with intra-batch dedup),
 * ``workers`` runner threads, each owning one warm worker
   (:mod:`repro.serve.pool`: an in-process object or a persistent
   forked child),
@@ -18,15 +16,17 @@ to.  One service owns
   into, so ``repro monitor`` and the regression gate work against a
   live service.
 
-Threading model: each runner loops ``collect batch -> execute on its
-worker -> finalize``.  The worker is the runner's for life: spawned on
-the first batch, replaced when it died, a forked child closed after
-:data:`IDLE_TIMEOUT_S` without work; ``stop()`` closes it once the
-runners are joined.  One reaper thread enforces deadlines (queued
-jobs purged, running jobs cancelled).  Per-batch metrics come back as
-snapshots and are merged into the service registry under one lock,
-keeping every counter cell single-writer; the same lock guards the
-runners' worker table.
+Threading model: each runner loops ``take a job and its queued
+duplicates -> solve once on its worker -> resolve every member``; the
+solve is the only dispatch unit.  The worker is the runner's for life:
+spawned on the first solve, replaced when it died, a forked child
+closed after :data:`IDLE_TIMEOUT_S` without work; ``stop()`` closes it
+once the runners are joined.  One reaper thread enforces deadlines:
+queued jobs are purged, a member of a running solve fails at its own
+deadline, and the solve is cancelled only once no member is left
+waiting on it.  Per-solve metrics come back as snapshots and are
+merged into the service registry under one lock, keeping every counter
+cell single-writer; the same lock guards the runners' worker table.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from pathlib import Path
 
 from ..obs.lifecycle import FlightRecorder, LifecycleTracer
 from ..obs.metrics import MetricRegistry
-from .batch import Batch, BatchCollector
 from .cache import ResultCache
 from .pool import WORKER_KINDS
 from .queue import Job, JobQueue
@@ -55,12 +54,31 @@ from .request import (
     WorkerDied,
 )
 
+#: how an admitted request's future failed -> its completion status
+#: (any other exception is an "error")
+_STATUS_OF = {DeadlineExpired: "expired", JobSkipped: "skipped",
+              ServiceClosed: "closed"}
+
 #: reaper cadence: how late a deadline can be noticed
 REAP_INTERVAL_S = 0.05
 #: a forked child that served nothing for this long is closed (the
-#: next batch forks a fresh, cold one); in-process workers hold
+#: next solve forks a fresh, cold one); in-process workers hold
 #: nothing and stay
 IDLE_TIMEOUT_S = 30.0
+
+
+class _Solve:
+    """One dispatch in flight: a leader and its duplicates, solved
+    once.  The solve runs to the latest member deadline (none if any
+    member has none); ``waiting`` is the members nobody resolved yet,
+    guarded by the service's ``_lock`` -- whoever removes a member
+    resolves it, so each future resolves exactly once."""
+
+    def __init__(self, jobs: list[Job]) -> None:
+        self.waiting = list(jobs)
+        deadlines = [job.deadline for job in jobs]
+        self.deadline = None if None in deadlines else max(deadlines)
+        self.worker = None
 
 
 @dataclass
@@ -70,10 +88,10 @@ class ServiceConfig:
     #: pool kind: "threads" (in-process workers) or "processes"
     #: (persistent forked children)
     pool: str = "threads"
-    #: concurrent batches in flight (= runner threads, one worker each)
+    #: concurrent solves in flight (= runner threads, one worker each)
     workers: int = 2
-    #: worker threads per node of a solve (None -> 1; multi-core is
-    #: ``pool="processes"`` or a request's ``procs``)
+    #: unread: a request's own ``jobs`` knob is what a solve runs with.
+    #: Kept because ``benchmarks/wallclock/serve_workload.py`` passes it.
     jobs: int | None = None
     queue_depth: int = 64
     #: per-tenant in-flight cap (None -> unbounded)
@@ -167,9 +185,6 @@ class SolverService:
             metrics=self.metrics,
             lifecycle=self.lifecycle,
         )
-        self.collector = BatchCollector(
-            self.queue, metrics=self.metrics, lifecycle=self.lifecycle
-        )
         self.cache: ResultCache | None = None
         if config.cache is not False:
             self.cache = ResultCache(
@@ -208,7 +223,7 @@ class SolverService:
                 progress=self.progress, on_sample=self._on_sample,
             )
 
-        # Registry mutations outside the queue/cache/collector locks
+        # Registry mutations outside the queue/cache locks
         # happen under this one (merge + service counters), and so do
         # changes to the runners' worker table.
         self._mlock = threading.Lock()
@@ -245,11 +260,19 @@ class SolverService:
         )
         self._c_node_lost = self.metrics.counter(
             "serve_node_lost_total",
-            "batch attempts lost to a (simulated) node death", "attempts",
+            "solve attempts lost to a (simulated) node death", "attempts",
+        )
+        self._c_batches = self.metrics.counter(
+            "serve_batches_total", "pool submissions dispatched", "batches"
+        )
+        self._c_dedup = self.metrics.counter(
+            "serve_dedup_total",
+            "duplicate jobs served by their leader's solve", "jobs",
         )
 
         self._lock = threading.Lock()
-        self._running: dict[int, tuple[Job, object]] = {}
+        #: leader seq -> the solve in flight (the reaper's view)
+        self._running: dict[int, _Solve] = {}
         #: trace_id -> execution-level Trace (bounded; filled only
         #: under ``trace_requests`` for the combined timeline export)
         self.timelines: "OrderedDict[str, object]" = OrderedDict()
@@ -292,7 +315,7 @@ class SolverService:
         """Drain nothing, fail everything queued, join every thread,
         then close every worker -- including the one a runner stuck
         past ``timeout`` still executes on: a killed child fails that
-        runner's batch and lets it exit.  Safe to call twice."""
+        runner's solve and lets it exit.  Safe to call twice."""
         if not self._started:
             return
         self._started = False
@@ -344,6 +367,7 @@ class SolverService:
         t_admit = time.monotonic()
         signature = request.signature()
         future: Future = Future()
+        future.add_done_callback(self._count_done)
         with self._mlock:
             self._submitted += 1
             admit_seq = self._submitted
@@ -365,9 +389,6 @@ class SolverService:
                 future.set_result(replace(
                     hit.with_tenant(request.tenant), trace_id=trace_id,
                 ))
-                with self._mlock:
-                    self._finished += 1
-                    self._c_completed.inc(status="cached")
                 if self.lifecycle is not None:
                     self.lifecycle.finish(trace_id, "cached")
                 return future
@@ -390,6 +411,7 @@ class SolverService:
         try:
             self.queue.submit(job)
         except ServeError as exc:
+            # The one outcome no future carries: submit() raises it.
             with self._mlock:
                 self._finished += 1
                 self._c_completed.inc(status="rejected")
@@ -419,42 +441,62 @@ class SolverService:
             if worker is not None and worker.retire_when_idle:
                 retire_at = idle_since + IDLE_TIMEOUT_S
                 wait = max(0.0, retire_at - time.monotonic())
-            batch = self.collector.take(timeout=wait)
-            if batch is not None:
-                self._run_batch(slot, batch)
-                # Its futures hold their results: waiting for the next
-                # batch must not keep the last one's grids alive.
-                batch = None
+            leader = self.queue.take(timeout=wait)
+            if leader is not None:
+                self._solve(slot, [leader, *self.queue.take_duplicates(leader)])
+                # Its future holds the result: waiting for the next
+                # job must not keep the last one's grid alive.
+                leader = None
                 idle_since = time.monotonic()
             elif retire_at is not None and time.monotonic() >= retire_at:
                 self._drop_worker(slot, self._c_retired)
 
-    def _run_batch(self, slot: int, batch: Batch) -> None:
+    def _solve(self, slot: int, jobs: list[Job]) -> None:
+        """One dispatch: solve ``jobs`` (a leader and its queued
+        duplicates) once on runner ``slot``'s worker, then resolve the
+        members the reaper has not already failed at their deadlines."""
+        leader = jobs[0]
+        solve = _Solve(jobs)
+        with self._mlock:
+            self._c_batches.inc()
+            if len(jobs) > 1:
+                self._c_dedup.inc(len(jobs) - 1)
         t_dispatch = time.monotonic()
         try:
-            worker = self._live_worker(slot)
-            if self.lifecycle is not None:
-                now = time.monotonic()
-                for job in batch.jobs:
-                    trace_id = job.extra.get("trace_id")
-                    if trace_id is not None:
-                        self.lifecycle.span(
-                            trace_id, "dispatch", t_dispatch, now,
-                            worker=worker.name, seq=job.seq,
-                        )
-            self._execute_batch(batch, worker)
-        except Exception as exc:  # noqa: BLE001 - fail the batch, keep serving
-            self._fail_batch(batch, exc)
+            try:
+                worker = self._live_worker(slot)
+                if self.lifecycle is not None:
+                    now = time.monotonic()
+                    for job in jobs:
+                        trace_id = job.extra.get("trace_id")
+                        if trace_id is not None:
+                            self.lifecycle.span(
+                                trace_id, "dispatch", t_dispatch, now,
+                                worker=worker.name, seq=job.seq,
+                                leader=leader.seq,
+                            )
+                with self._lock:
+                    solve.worker = worker
+                    self._running[leader.seq] = solve
+                result = worker.run((leader.seq, leader.request, solve.deadline,
+                                     leader.extra.get("trace_id")))
+            finally:
+                with self._lock:
+                    self._running.pop(leader.seq, None)
+                    waiting, solve.waiting = solve.waiting, []
+            self._resolve(waiting, *result)
+        except Exception as exc:  # noqa: BLE001 - fail the solve, keep serving
+            self._fail([job for job in waiting if not job.future.done()], exc)
         finally:
             self._drop_dead(slot)
-            for job in batch.jobs:
+            for job in jobs:
                 self.queue.task_done(job.tenant)
 
     # -- the runner's worker ---------------------------------------------
 
     def _live_worker(self, slot: int):
         """The worker runner ``slot`` owns, spawned if it has none (its
-        first batch, or the last one was retired or died)."""
+        first solve, or the last one was retired or died)."""
         self._drop_dead(slot)
         worker = self._workers[slot]
         if worker is None:
@@ -503,91 +545,71 @@ class SolverService:
             while len(self.timelines) > 32:
                 self.timelines.popitem(last=False)
 
-    def _execute_batch(self, batch: Batch, worker) -> None:
-        groups = batch.groups()
-        leaders = [jobs[0] for jobs in groups.values()]
-        items = [
-            (j.seq, j.request, j.deadline, j.extra.get("trace_id"))
-            for j in leaders
-        ]
-        with self._lock:
-            for job in leaders:
-                self._running[job.seq] = (job, worker)
-        try:
-            results, snapshot, wspans = worker.run_batch(items)
-        finally:
-            with self._lock:
-                for job in leaders:
-                    self._running.pop(job.seq, None)
+    def _resolve(self, jobs: list[Job], result, snapshot, wspans) -> None:
+        """Resolve the members still waiting on a finished solve,
+        account for them, then persist the outcome."""
+        status, payload = result
         if self.lifecycle is not None and wspans:
             # Fold the worker's spans in *before* finishing any trace,
             # so the SLO execute aggregate sees them.
             self.lifecycle.adopt(wspans)
-        statuses: dict[str, int] = {}
-        unwritten = []
-        for (status, payload), jobs in zip(results, groups.values()):
-            if status == "ok":
-                outcome = payload
-                self._stash_timeline(outcome.trace_id, outcome.trace)
-                if self.cache is not None and outcome.grid is not None:
-                    stored = replace(outcome, trace=None)
-                    self.cache.remember(outcome.signature, stored)
-                    unwritten.append(stored)
-                for job in jobs:
-                    job.complete(replace(
-                        outcome.with_tenant(job.tenant),
-                        retries=job.extra.get("attempts", 0),
-                        queue_wait_s=(job.extra.get("queue_wait_s", 0.0)
-                                      + outcome.queue_wait_s),
-                        trace_id=job.extra.get("trace_id"),
-                    ))
-                    self._finish_trace(job, "ok")
-                statuses["ok"] = statuses.get("ok", 0) + len(jobs)
-            elif status == "expired":
-                # Deadlines are final: a retry cannot un-expire a job.
-                for job in jobs:
-                    job.fail(payload)
-                    self._finish_trace(job, "expired")
-                statuses["expired"] = statuses.get("expired", 0) + len(jobs)
-            else:
-                self._retry_or_fail(jobs, payload, statuses)
-        self._account(statuses, snapshot=snapshot)
+        stored = None
+        if status == "ok":
+            outcome = payload
+            self._stash_timeline(outcome.trace_id, outcome.trace)
+            if self.cache is not None and outcome.grid is not None:
+                stored = replace(outcome, trace=None)
+                self.cache.remember(outcome.signature, stored)
+            for job in jobs:
+                job.complete(replace(
+                    outcome.with_tenant(job.tenant),
+                    retries=job.extra.get("attempts", 0),
+                    queue_wait_s=(job.extra.get("queue_wait_s", 0.0)
+                                  + outcome.queue_wait_s),
+                    trace_id=job.extra.get("trace_id"),
+                ))
+                self._finish_trace(job, "ok")
+        elif status == "expired":
+            # Deadlines are final: a retry cannot un-expire a job.
+            self._expire(jobs, payload)
+        else:
+            self._retry_or_fail(jobs, payload)
+        self._account(snapshot=snapshot)
         # Resolved, then persisted: a failed or interrupted write loses
         # a cache entry, never an answer.  stop() joins this thread.
-        for stored in unwritten:
+        if stored is not None:
             try:
                 self.cache.put(stored.signature, stored)
             except OSError as exc:
                 warnings.warn(f"result cache write failed: {exc!r}", RuntimeWarning)
 
-    def _retry_or_fail(self, jobs, exc: Exception,
-                       statuses: dict[str, int]) -> None:
-        """Failure policy for one dedup group: within the retry
-        budget, re-queue every job (a fresh seq, attempts + 1 -- a
-        chaos job finds its checkpoint directory warm and resumes
-        instead of starting over); past it, the group leader fails
-        with the real error and downstream duplicates are *skipped*
+    def _retry_or_fail(self, jobs: list[Job], exc: Exception) -> None:
+        """Failure policy for the members of one failed solve: within
+        the retry budget, re-queue every job (a fresh seq, attempts + 1
+        -- a chaos job finds its checkpoint directory warm and resumes
+        instead of starting over); past it, the first member fails
+        with the real error and its duplicates are *skipped*
         (:class:`~repro.serve.request.JobSkipped`) rather than
         re-running a solve that just failed repeatedly."""
+        if self._failure_cause(exc) == "node-lost":
+            # The signal the node-lost alert rule watches: bumped on
+            # every lost attempt, terminal or retried.
+            with self._mlock:
+                self._c_node_lost.inc()
+        if not jobs:
+            return
         leader = jobs[0]
         budget = leader.request.retries
         if budget is None:
             budget = self.config.retry_budget
         attempts = leader.extra.get("attempts", 0)
         now = time.monotonic()
-        if self._failure_cause(exc) == "node-lost":
-            # The signal the node-lost alert rule watches: bumped on
-            # every lost attempt, terminal or retried.
-            with self._mlock:
-                self._c_node_lost.inc()
         if budget > 0 and attempts < budget and not self._stop.is_set():
+            self._expire([job for job in jobs if job.expired(now)],
+                         "deadline passed before its retry")
+            retried = 0
             for job in jobs:
                 if job.expired(now):
-                    job.fail(DeadlineExpired(
-                        f"job {job.seq} deadline passed before its retry"
-                    ))
-                    statuses["expired"] = statuses.get("expired", 0) + 1
-                    self._finish_trace(job, "expired")
                     continue
                 retry = Job(
                     request=job.request,
@@ -606,7 +628,6 @@ class SolverService:
                     self.queue.submit(retry)
                 except ServeError as submit_exc:
                     job.fail(submit_exc)
-                    statuses["error"] = statuses.get("error", 0) + 1
                     self._finish_trace(job, "error")
                     continue
                 if self.lifecycle is not None:
@@ -617,10 +638,11 @@ class SolverService:
                             attempt=attempts + 1,
                             error=repr(exc)[:200],
                         )
-                statuses["retried"] = statuses.get("retried", 0) + 1
+                retried += 1
+            self._account(retried=retried)
             return
         err = (exc if isinstance(exc, ServeError)
-               else WorkerDied(f"batch execution failed: {exc}"))
+               else WorkerDied(f"solve failed: {exc}"))
         # Finish the traces (their terminal spans land in the flight
         # recorder) and write the dump *before* failing any future: a
         # client woken by its failure must already see the dump in
@@ -640,9 +662,8 @@ class SolverService:
                 ), "skipped"))
             self._finish_trace(job, terminal[-1][2])
         self._dump_failure(err, trace_ids, attempts, budget)
-        for job, job_err, status in terminal:
+        for job, job_err, _ in terminal:
             job.fail(job_err)
-            statuses[status] = statuses.get(status, 0) + 1
 
     def _dump_reason(self, exc: Exception, attempts: int,
                      budget: int) -> str:
@@ -699,45 +720,51 @@ class SolverService:
             return
         self._note_dump(path)
 
-    def _account(self, statuses: dict[str, int], snapshot=None) -> None:
-        """Fold a batch's statuses into the service counters.  A
-        ``retried`` job is still pending (its future unresolved), so
-        it counts toward ``serve_jobs_retried_total`` but never toward
-        ``_finished`` or the completion counter."""
+    def _count_done(self, future: Future) -> None:
+        """Count one admitted request, once, by its outcome: called by
+        whoever resolves its future -- a runner, the reaper, the queue's
+        purge or close, a cache hit."""
+        if future.cancelled():
+            status = "cancelled"
+        elif future.exception() is None:
+            status = "cached" if future.result().cached else "ok"
+        else:
+            status = _STATUS_OF.get(type(future.exception()), "error")
+        with self._mlock:
+            self._finished += 1
+            self._c_completed.inc(status=status)
+
+    def _account(self, snapshot=None, expired: int = 0, retried: int = 0) -> None:
+        """Fold a solve's metrics snapshot, and the jobs that expired
+        past the queue or were re-queued, into the service counters (a
+        retried job is still pending: it is no completion yet)."""
         with self._mlock:
             if snapshot is not None:
                 self.metrics.merge(snapshot)
-            for status, count in statuses.items():
-                if status == "retried":
-                    self._c_retried.inc(count)
-                    continue
-                self._c_completed.inc(count, status=status)
-                if status == "expired":
-                    self._c_expired.inc(count, where="running")
-            self._finished += sum(
-                count for status, count in statuses.items()
-                if status != "retried"
-            )
+            if expired:
+                self._c_expired.inc(expired, where="running")
+            if retried:
+                self._c_retried.inc(retried)
 
-    def _fail_batch(self, batch: Batch, exc: Exception) -> None:
-        """A whole-batch failure (dead worker, failed spawn): expired
-        jobs report their deadline, the rest go through the per-group
+    def _expire(self, jobs: list[Job], why) -> None:
+        """Fail dispatched ``jobs`` at their deadlines: ``why`` is the
+        worker's :class:`DeadlineExpired`, or how the deadline caught
+        each job."""
+        for job in jobs:
+            job.fail(why if isinstance(why, DeadlineExpired)
+                     else DeadlineExpired(f"job {job.seq} {why}"))
+            self._finish_trace(job, "expired")
+        if jobs:
+            self._account(expired=len(jobs))
+
+    def _fail(self, jobs: list[Job], exc: Exception) -> None:
+        """A solve that never returned (dead worker, failed spawn):
+        expired members report their deadline, the rest go through the
         retry-or-fail policy."""
         now = time.monotonic()
-        statuses: dict[str, int] = {}
-        groups: dict[str, list[Job]] = {}
-        for job in batch.jobs:
-            if job.expired(now):
-                job.fail(DeadlineExpired(
-                    f"job {job.seq} deadline passed; its worker was reclaimed"
-                ))
-                statuses["expired"] = statuses.get("expired", 0) + 1
-                self._finish_trace(job, "expired")
-            else:
-                groups.setdefault(job.signature, []).append(job)
-        for jobs in groups.values():
-            self._retry_or_fail(jobs, exc, statuses)
-        self._account(statuses)
+        self._expire([job for job in jobs if job.expired(now)],
+                     "deadline passed; its worker was reclaimed")
+        self._retry_or_fail([job for job in jobs if not job.expired(now)], exc)
 
     # -- reaper ----------------------------------------------------------
 
@@ -745,17 +772,25 @@ class SolverService:
         while not self._stop.wait(REAP_INTERVAL_S):
             now = time.monotonic()
             self.queue.purge_expired(now)
+            expired, overdue = [], []
             with self._lock:
-                victims = [
-                    (job, worker)
-                    for job, worker in self._running.values()
-                    if job.expired(now)
-                ]
-            for job, worker in victims:
-                # Threads kind cancels exactly this job; processes
-                # kind kills the child (its runner fails the batch and
+                for seq, solve in self._running.items():
+                    if solve.deadline is not None and now >= solve.deadline:
+                        # No member waits past it: the solve itself
+                        # ends, and its runner resolves who is left.
+                        overdue.append((seq, solve.worker))
+                        continue
+                    # Another member still waits on the solve: these
+                    # fail at their own deadlines and it runs on.
+                    expired += [job for job in solve.waiting if job.expired(now)]
+                    solve.waiting = [job for job in solve.waiting
+                                     if not job.expired(now)]
+            self._expire(expired, "deadline passed while its solve ran on")
+            for seq, worker in overdue:
+                # Threads kind cancels exactly this solve; processes
+                # kind kills the child (its runner fails the solve and
                 # forks a replacement for the next one).
-                worker.cancel(job.seq)
+                worker.cancel(seq)
 
     # -- introspection ---------------------------------------------------
 

@@ -100,10 +100,10 @@ def _no_serve_leftovers(timeout: float = 0.0) -> list[str]:
                     timeout)
 
 
-def batch_finished(service, tenant: str = "default") -> bool:
+def solve_finished(service, tenant: str = "default") -> bool:
     """Wait until ``tenant`` has nothing in flight, on the queue's own
     condition: ``task_done`` is the last thing a runner does for a
-    batch, after it dropped a worker the batch left dead."""
+    solve, after it dropped a worker the solve left dead."""
     queue = service.queue
     with queue._ready:
         return queue._ready.wait_for(

@@ -352,7 +352,6 @@ def test_serve_request_canonicalises_passes():
     assert req.passes == "coarsen:factor=4"
     plain = SolveRequest(problem=prob, machine=m, tile=4)
     assert req.signature() != plain.signature()
-    assert req.batch_key() != plain.batch_key()
     with pytest.raises(ValueError, match="passes and chaos"):
         SolveRequest(problem=prob, machine=m, tile=4, passes="fuse",
                      chaos_plan="kill:node=1,step=1s")

@@ -6,7 +6,7 @@ through one worker must produce grids bit-identical to cold ``run()``
 calls, and ``warm`` must mean exactly "this worker had already
 executed a request" -- on both worker kinds, for every backend.  The
 second half drives a live service: a runner spawns its worker on its
-first batch, replaces a dead one, retires an idle child, and closes
+first solve, replaces a dead one, retires an idle child, and closes
 whatever it holds on the way out.
 """
 
@@ -40,7 +40,7 @@ from .conftest import join_all
 from .serve_helpers import (
     _no_serve_leftovers,
     _request,
-    batch_finished,
+    solve_finished,
     gated_problem,
     random_problem,
 )
@@ -70,9 +70,8 @@ def _three_requests_warm_after_the_first(worker, backends):
         for seq, (problem, backend) in enumerate(zip(problems, backends)):
             jobs = None if backend == "sim" else 2
             request = _request(problem, backend=backend, jobs=jobs)
-            results, snapshot, _spans = worker.run_batch(
-                [(seq, request, None, None)])
-            (status, outcome), = results
+            (status, outcome), snapshot, _spans = worker.run(
+                (seq, request, None, None))
             assert status == "ok"
             outcomes.append(outcome)
             kind = "warm" if seq else "cold"
@@ -146,21 +145,21 @@ def test_cancel_scope_retries_until_the_run_has_started():
 # -- workers -------------------------------------------------------------
 
 
-def test_inprocess_worker_batch_with_pre_expired_item():
+def test_inprocess_worker_with_pre_expired_item():
     worker = InProcessWorker("w")
     fresh = _request(random_problem(24, 2, seed=3))
-    items = [
-        (0, fresh, None, None),
-        (1, _request(random_problem(24, 2, seed=4)), time.monotonic() - 1.0,
-         None),
-    ]
-    results, snapshot, spans = worker.run_batch(items)
-    (status_a, outcome), (status_b, error) = results
-    assert spans == []  # untraced items produce no lifecycle spans
+    (status_a, outcome), snapshot_a, spans_a = worker.run((0, fresh, None, None))
+    stale = (1, _request(random_problem(24, 2, seed=4)), time.monotonic() - 1.0, None)
+    (status_b, error), snapshot_b, spans_b = worker.run(stale)
+    assert spans_a == spans_b == []  # untraced items produce no lifecycle spans
     assert status_a == "ok" and outcome.grid is not None
     assert status_b == "expired" and isinstance(error, DeadlineExpired)
-    assert snapshot.counter("tasks_executed_total") > 0
-    assert snapshot.counter("serve_pool_cold_starts_total") == 1
+    assert snapshot_a.counter("tasks_executed_total") > 0
+    assert snapshot_a.counter("serve_pool_cold_starts_total") == 1
+    # an item expired on arrival starts nothing and runs nothing
+    assert snapshot_b.counter("tasks_executed_total") == 0
+    assert snapshot_b.counter("serve_pool_cold_starts_total") == 0
+    assert snapshot_b.counter("serve_pool_warm_starts_total") == 0
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")
@@ -168,10 +167,8 @@ def test_process_worker_solves_and_dies_on_cancel():
     worker = ProcessWorker("w")
     try:
         problem = random_problem(24, 2, seed=5)
-        results, snapshot, _spans = worker.run_batch(
-            [(0, _request(problem), None, None)]
-        )
-        status, outcome = results[0]
+        (status, outcome), snapshot, _spans = worker.run(
+            (0, _request(problem), None, None))
         assert status == "ok"
         direct = run(problem, impl="ca-parsec", machine=nacl(4), tile=6,
                      steps=3, mode="execute", backend="threads", jobs=2)
@@ -182,7 +179,7 @@ def test_process_worker_solves_and_dies_on_cancel():
         worker._proc.join(timeout=5.0)
         assert not worker.alive()
         with pytest.raises(WorkerDied):
-            worker.run_batch([(1, _request(problem), None, None)])
+            worker.run((1, _request(problem), None, None))
     finally:
         worker.close()
 
@@ -225,7 +222,7 @@ def test_pool_replaces_dead_idle_worker():
 
 
 def test_pool_counts_dead_worker_on_release():
-    """A worker found dead when its batch ends is dropped there and
+    """A worker found dead when its solve ends is dropped there and
     then (the live count says so), counted, and its successor spawns
     on demand."""
     with SolverService(ServiceConfig(workers=1, cache=False)) as service:
@@ -233,10 +230,10 @@ def test_pool_counts_dead_worker_on_release():
         problem = gated_problem()
         running = service.submit(_request(problem))
         assert problem.init.entered.wait(30)
-        service._workers[0].alive = lambda: False  # dies mid-batch
+        service._workers[0].alive = lambda: False  # dies mid-solve
         problem.init.release.set()
         assert running.result(timeout=120).warm is True
-        assert batch_finished(service)
+        assert solve_finished(service)
         assert service.progress()["workers"] == 0
         assert _pool_counter(service, "replaced") == 1
         assert _solve(service, 2).warm is False
@@ -263,7 +260,7 @@ def test_killed_child_mid_batch_fails_or_retries_and_is_replaced(retry_budget):
         else:
             with pytest.raises(WorkerDied):
                 doomed.result(timeout=120)
-            assert batch_finished(service)
+            assert solve_finished(service)
             assert service.progress()["workers"] == 0
             assert _solve(service, 1).warm is False
         assert _pool_counter(service, "replaced") == 1
@@ -293,14 +290,14 @@ def test_pool_reap_idle_down_to_min_workers(monkeypatch):
         assert _no_serve_leftovers(timeout=10.0) == []
     with SolverService(ServiceConfig(workers=1, cache=False)) as service:
         waits, back_at_the_queue = [], threading.Event()
-        take = service.collector.take
+        take = service.queue.take
 
         def spy(timeout=None):
             waits.append(timeout)
             back_at_the_queue.set()
             return take(timeout=timeout)
 
-        service.collector.take = spy
+        service.queue.take = spy
         assert _solve(service, 1).warm is False
         assert back_at_the_queue.wait(30)
         assert waits == [None]  # an untimed wait: nothing to wake up and retire
@@ -348,8 +345,8 @@ def test_deadline_cancel_reaches_the_running_job(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_stop_while_a_batch_executes(kind):
-    """``stop()`` with one batch in flight and more queued: the queued
-    futures fail typed, the batch finishes, every thread and child is
+    """``stop()`` with one solve in flight and more queued: the queued
+    futures fail typed, the solve finishes, every thread and child is
     gone and the worker table is empty."""
     config = ServiceConfig(pool=kind, workers=1, cache=False,
                            tenant_limit=None)
@@ -374,7 +371,7 @@ def test_stop_while_a_batch_executes(kind):
 @pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")
 def test_stop_closes_the_child_a_stuck_runner_holds():
     """A runner that outlasts ``stop()``'s join: its child is closed
-    under it, which fails the batch and lets the runner exit."""
+    under it, which fails the solve and lets the runner exit."""
     config = ServiceConfig(pool="processes", workers=1, cache=False)
     service = SolverService(config).start()
     problem = gated_problem()
@@ -413,9 +410,9 @@ def test_two_runners_spawn_one_worker_each_and_keep_it(kind):
             for t in clients:
                 t.start()
             assert join_all(clients, 240) == [] and errors == []
-            # a batch's counters are merged after its futures resolve
-            assert batch_finished(service, "alice")
-            assert batch_finished(service, "bob")
+            # a solve's counters are merged after its futures resolve
+            assert solve_finished(service, "alice")
+            assert solve_finished(service, "bob")
             snap = service.metrics.snapshot()
             held = [w.name for w in service._workers if w is not None]
             pool = service.stats()["pool"]
@@ -489,7 +486,7 @@ def test_second_in_process_request_waits_for_the_baton(baton):
         assert baton.contended.wait(30)  # B's runner reached the baton
         t_seen = time.monotonic()
         assert _still_parked(first, second)
-        assert service.progress()["workers"] == 2  # both runners hold a batch
+        assert service.progress()["workers"] == 2  # both runners hold a solve
         t_release = time.monotonic()
         problem.init.release.set()
         a, b = first.result(timeout=120), second.result(timeout=120)
@@ -505,7 +502,7 @@ def test_second_in_process_request_waits_for_the_baton(baton):
         assert np.array_equal(b.grid, run(
             random_problem(24, 2, seed=1), impl="ca-parsec", machine=nacl(4),
             tile=6, steps=3, mode="execute").grid)
-        assert batch_finished(service)
+        assert solve_finished(service)
         slo = service.metrics.snapshot().labelled("slo_queue_wait_seconds")
         assert sum(cell["sum"] for cell in slo.values()) >= wait_b.duration
     assert not baton.locked()
@@ -532,7 +529,7 @@ def test_deadline_expires_at_the_baton_without_building(baton, monkeypatch):
         assert [p for p in built if p is waiting] == []
         problem.init.release.set()
         assert first.result(timeout=120).grid is not None
-        assert batch_finished(service)
+        assert solve_finished(service)
         expired = service.metrics.snapshot().labelled("serve_deadline_expired_total")
         assert expired == {(("where", "running"),): 1}
     assert not baton.locked()
@@ -626,7 +623,7 @@ def test_reaper_cancel_and_stop_mid_solve_release_the_baton(baton, monkeypatch):
         assert baton.contended.wait(30)
         stopper = threading.Thread(target=service.stop, name="stopper")
         stopper.start()
-        assert join_all([stopper], 0.2) == ["stopper"]  # both batches in flight
+        assert join_all([stopper], 0.2) == ["stopper"]  # both solves in flight
         problem.init.release.set()
         assert running.result(timeout=120).grid is not None
         assert waiting.result(timeout=120).grid is not None

@@ -34,13 +34,16 @@ def make_job(
     tenant: str = "t",
     priority: int = 0,
     deadline: float | None = None,
+    signature: str | None = None,
+    chaos_plan: str | None = None,
 ) -> Job:
-    request = SolveRequest(problem=PROBLEM, tenant=tenant, priority=priority)
+    request = SolveRequest(problem=PROBLEM, tenant=tenant, priority=priority,
+                           chaos_plan=chaos_plan)
     seq = queue.next_seq()
     return Job(
         request=request,
         future=Future(),
-        signature=f"sig-{seq}",
+        signature=signature or f"sig-{seq}",
         seq=seq,
         enqueued=time.monotonic(),
         deadline=deadline,
@@ -168,32 +171,50 @@ def test_take_purges_opportunistically():
     assert dead.future.done()
 
 
-# -- batching companion --------------------------------------------------
+# -- duplicates of a leader ---------------------------------------------
 
 
-def test_take_more_stays_within_tenant_and_cap():
+def test_take_duplicates_stays_within_tenant_and_cap():
     q = JobQueue(max_depth=16, tenant_limit=3)
-    a = [make_job(q, "a") for _ in range(3)]
-    b = make_job(q, "b")
+    a = [make_job(q, "a", priority=p, signature="s") for p in (5, 0, 1, 2)]
+    b = make_job(q, "b", signature="s")
     for job in (*a, b):
         q.submit(job)
     leader = q.take(timeout=0)
     assert leader is a[0]
-    more = q.take_more("a", match=lambda j: True, limit=8)
-    assert more == [a[1], a[2]]  # never crosses into tenant b
+    # priority order while the cap has room; never tenant b's twin
+    assert q.take_duplicates(leader) == [a[3], a[2]]
+    assert q.inflight("a") == 3  # the cap counts every member
     assert q.take(timeout=0) is b
-    # cap accounting covered the whole batch
-    assert q.inflight("a") == 3
+    assert q.take(timeout=0) is None  # a[1] waits for a's cap
 
 
-def test_take_more_respects_match_predicate():
+def test_take_duplicates_takes_equal_signature_and_chaos_plan_only():
     q = JobQueue(max_depth=16, tenant_limit=None)
-    lo, hi = make_job(q, "a", priority=0), make_job(q, "a", priority=2)
-    q.submit(lo), q.submit(hi)
-    leader = q.take(timeout=0)
-    assert leader is hi
-    assert q.take_more("a", match=lambda j: j.priority > 1, limit=8) == []
-    assert q.take(timeout=0) is lo
+    leader, twin = make_job(q, signature="s"), make_job(q, signature="s")
+    other = make_job(q, signature="other")
+    chaos = make_job(q, signature="s", chaos_plan="kill:node=1,step=1")
+    for job in (leader, other, chaos, twin):
+        q.submit(job)
+    assert q.take(timeout=0) is leader
+    assert q.take_duplicates(leader) == [twin]
+    assert q.take(timeout=0) is other and q.take_duplicates(other) == []
+    assert q.take(timeout=0) is chaos and q.take_duplicates(chaos) == []
+
+
+def test_take_duplicates_skips_expired_jobs():
+    q = JobQueue(max_depth=16, tenant_limit=None)
+    leader = make_job(q, signature="s")
+    q.submit(leader)
+    assert q.take(timeout=0) is leader
+    dead = make_job(q, signature="s", deadline=time.monotonic() - 0.01)
+    live = make_job(q, signature="s")
+    q.submit(dead), q.submit(live)
+    assert q.take_duplicates(leader) == [live]
+    assert not dead.future.done() and q.depth == 1  # left for the purge
+    assert q.purge_expired() == 1
+    with pytest.raises(DeadlineExpired):
+        dead.future.result(timeout=0)
 
 
 # -- lifecycle -----------------------------------------------------------

@@ -9,9 +9,12 @@ admission-control behaviours at the service boundary.
 from __future__ import annotations
 
 import gc
+import sys
 import threading
 import time
 import weakref
+from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -36,7 +39,7 @@ from .serve_helpers import (
     LoadSpy,
     _no_serve_leftovers,
     _request,
-    batch_finished,
+    solve_finished,
     gated_problem,
     random_problem,
 )
@@ -187,13 +190,13 @@ def test_default_deadline_from_config():
         blocker.result(timeout=120)
 
 
-# -- batching ------------------------------------------------------------
+# -- one dispatch, one solve ----------------------------------------------
 
 
 def _hold_the_runner(service):
     """Park the (single) runner inside a blocker request; what is
-    submitted before the returned ``release()`` queues up behind it and
-    is taken as one batch."""
+    submitted before the returned ``release()`` queues up behind it, so
+    identical requests are taken together as one solve."""
     blocker = gated_problem()
     future = service.submit(_request(blocker, tenant="blocker"))
     assert blocker.init.entered.wait(30)
@@ -216,7 +219,7 @@ def test_identical_requests_deduplicate_within_a_batch():
         grids = [f.result(timeout=120).grid for f in futures]
         for grid in grids[1:]:
             assert np.array_equal(grid, grids[0])
-        assert batch_finished(service, "alice")  # its counters merged
+        assert solve_finished(service, "alice")  # its counters merged
         snap = service.metrics.snapshot()
         assert snap.counter("serve_dedup_total") == 5
         assert snap.counter("serve_batches_total") == 2  # blocker + the six
@@ -228,6 +231,177 @@ def test_identical_requests_deduplicate_within_a_batch():
         assert total_ok == 7
         assert (snap.counter("serve_pool_cold_starts_total")
                 + snap.counter("serve_pool_warm_starts_total")) == 2
+
+
+def _starts(snap) -> float:
+    return (snap.counter("serve_pool_cold_starts_total")
+            + snap.counter("serve_pool_warm_starts_total"))
+
+
+def test_different_solves_of_one_tenant_are_separate_dispatches():
+    """Nothing fuses different solves: two signatures queued behind a
+    blocker are two dispatches.  A third request that differs from the
+    first only in schedule knobs is the same solve and rides it."""
+    problems = [random_problem(24, 4, seed=s) for s in (8, 9)]
+    config = ServiceConfig(workers=1, cache=False, tenant_limit=None)
+    with SolverService(config) as service:
+        release = _hold_the_runner(service)
+        futures = [
+            service.submit(_request(problems[0], tenant="alice")),
+            service.submit(_request(problems[1], tenant="alice")),
+            service.submit(_request(problems[0], tenant="alice", jobs=1,
+                                    policy="fifo")),
+        ]
+        release()
+        first, second, again = [f.result(timeout=120) for f in futures]
+        assert solve_finished(service, "alice")
+        snap = service.metrics.snapshot()
+    assert snap.counter("serve_batches_total") == 3  # the blocker + one per signature
+    assert snap.counter("serve_dedup_total") == 1
+    assert _starts(snap) == 3
+    assert np.array_equal(first.grid, again.grid)
+    assert not np.array_equal(first.grid, second.grid)
+
+
+def test_a_chaos_request_never_rides_its_fault_free_twin(tmp_path):
+    """Equal signatures, one under a fault plan: two solves (faults and
+    retries are per-plan state), and still one answer."""
+    problem = random_problem(24, 4, seed=10)
+    config = ServiceConfig(workers=1, cache=False, tenant_limit=None,
+                           checkpoint_dir=tmp_path)
+    with SolverService(config) as service:
+        release = _hold_the_runner(service)
+        futures = [
+            service.submit(_request(problem, tenant="alice")),
+            service.submit(_request(problem, tenant="alice",
+                                    chaos_plan="delay:node=1,step=1,secs=0")),
+        ]
+        release()
+        plain, chaos = [f.result(timeout=120) for f in futures]
+        assert solve_finished(service, "alice")
+        snap = service.metrics.snapshot()
+    assert plain.signature == chaos.signature
+    assert snap.counter("serve_dedup_total") == 0
+    assert snap.counter("serve_batches_total") == 3
+    assert plain.faults_injected == 0 and chaos.faults_injected > 0
+    assert np.array_equal(plain.grid, chaos.grid)
+
+
+def test_a_duplicate_keeps_its_own_deadline(tmp_path, monkeypatch):
+    """A (a deadline) and B (none) are identical and solved once: A
+    fails at its own deadline while the solve runs on for B, and B
+    resolves with the direct-run grid.  Each is counted once."""
+    writes = GatedPayloadWrites(monkeypatch)
+    with SolverService(ServiceConfig(workers=1, cache=tmp_path)) as service:
+        blocker = service.submit(_request(random_problem(24, 2, seed=31),
+                                          tenant="blocker"))
+        blocker.result(timeout=120)
+        assert writes.started.wait(30)  # the runner is parked in its cache write
+        problem = gated_problem()
+        a = service.submit(_request(problem, tenant="alice", deadline_s=2.0))
+        b = service.submit(_request(problem, tenant="alice"))
+        writes.release.set()
+        assert problem.init.entered.wait(30)  # one solve for both, parked
+        error = a.exception(timeout=30)
+        assert isinstance(error, DeadlineExpired)
+        assert "while its solve ran" in str(error)
+        assert not b.done()
+        problem.init.release.set()
+        outcome = b.result(timeout=120)
+        assert solve_finished(service, "alice")
+        snap = service.metrics.snapshot()
+        stats = service.stats()
+    direct = run(problem, impl="ca-parsec", machine=nacl(4), tile=6, steps=3,
+                 mode="execute", backend="threads", jobs=2).grid
+    assert np.array_equal(outcome.grid, direct)
+    assert snap.counter("serve_dedup_total") == 1
+    assert snap.counter("serve_batches_total") == 2
+    completed = {dict(ls)["status"]: v for ls, v in
+                 snap.labelled("serve_jobs_completed_total").items()}
+    assert completed == {"ok": 2, "expired": 1}
+    assert snap.labelled("serve_deadline_expired_total") == {
+        (("where", "running"),): 1}
+    assert stats["submitted"] == stats["finished"] == 3
+
+
+@lru_cache(maxsize=None)
+def _direct(seed: int) -> np.ndarray:
+    return run(random_problem(24, 2, seed=seed), impl="ca-parsec",
+               machine=nacl(4), tile=6, steps=3, mode="execute").grid
+
+
+@given(mix=st.lists(
+    st.tuples(st.integers(40, 42), st.sampled_from(["alice", "bob"]),
+              st.booleans()),
+    min_size=2, max_size=8,
+))
+@settings(max_examples=8, deadline=None)
+def test_every_future_resolves_once_and_the_counters_conserve(mix):
+    """Any mix of duplicates, tenants and deadlines that have already
+    passed, queued behind a blocker: every future resolves exactly once
+    (an answer equal to the direct run, or DeadlineExpired), the
+    completions by status add up to the submissions, and no dispatch
+    starts or executes more than one solve."""
+    config = ServiceConfig(workers=1, cache=False, tenant_limit=None)
+    resolved = Counter()
+    with SolverService(config) as service:
+        release = _hold_the_runner(service)
+        futures = []
+        for k, (seed, tenant, expired) in enumerate(mix):
+            future = service.submit(_request(
+                random_problem(24, 2, seed=seed), tenant=tenant, jobs=1,
+                deadline_s=1e-9 if expired else None))
+            future.add_done_callback(lambda _, k=k: resolved.update([k]))
+            futures.append(future)
+        release()
+        for future in futures:
+            future.exception(timeout=120)
+        assert all(solve_finished(service, t) for t in ("alice", "bob", "blocker"))
+        snap = service.metrics.snapshot()
+        stats = service.stats()
+        executes = [span for tid in service.lifecycle.trace_ids()
+                    for span in service.lifecycle.spans_of(tid)
+                    if span.name == "execute"]
+    assert resolved == Counter(range(len(mix)))
+    completed = snap.labelled("serve_jobs_completed_total")
+    assert sum(completed.values()) == stats["finished"] == stats["submitted"] == len(mix) + 1
+    dispatches = snap.counter("serve_batches_total")
+    assert _starts(snap) <= dispatches and len(executes) <= dispatches
+    for (seed, _, expired), future in zip(mix, futures):
+        if expired:
+            assert isinstance(future.exception(), DeadlineExpired)
+        else:
+            assert np.array_equal(future.result().grid, _direct(seed))
+
+
+def test_racing_deadlines_resolve_and_count_every_member_once():
+    """Three runners (more than the host's cores) under a 10 µs switch
+    interval, duplicates with and without short deadlines: whichever of
+    the queue, a runner or the reaper reaches a member first resolves it,
+    once, and each request is counted once."""
+    config = ServiceConfig(workers=3, cache=False, tenant_limit=None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with SolverService(config) as service:
+            futures = [service.submit(_request(
+                random_problem(24, 2, seed=40 + k % 3), tenant=("alice", "bob")[k % 2],
+                jobs=1, deadline_s=(None, 0.005, 0.05)[k // 3 % 3]))
+                for k in range(40)]
+            errors = [f.exception(timeout=120) for f in futures]
+            assert solve_finished(service, "alice") and solve_finished(service, "bob")
+            snap = service.metrics.snapshot()
+    finally:
+        sys.setswitchinterval(interval)
+    expired = sum(isinstance(e, DeadlineExpired) for e in errors)
+    assert all(e is None or isinstance(e, DeadlineExpired) for e in errors)
+    completed = {dict(ls)["status"]: v for ls, v in
+                 snap.labelled("serve_jobs_completed_total").items()}
+    assert completed == {k: v for k, v in (("ok", 40 - expired), ("expired", expired)) if v}
+    assert sum(snap.labelled("serve_deadline_expired_total").values()) == expired
+    for k, (future, error) in enumerate(zip(futures, errors)):
+        if error is None:
+            assert np.array_equal(future.result().grid, _direct(40 + k % 3))
 
 
 # -- resolve, then persist -----------------------------------------------
@@ -270,12 +444,12 @@ def test_a_failing_cache_write_fails_no_future(tmp_path, monkeypatch):
         client = SolverClient(service, tenant="alice")
         with pytest.warns(RuntimeWarning, match="result cache write failed"):
             first = client.solve(problems[0], timeout=120)
-            assert batch_finished(service, "alice")
+            assert solve_finished(service, "alice")
         assert first.grid is not None and not first.cached
         assert client.solve(problems[0], timeout=10).cached  # the memory layer
         with pytest.warns(RuntimeWarning, match="No space left"):
             assert client.solve(problems[1], timeout=120).grid is not None
-            assert batch_finished(service, "alice")  # the runner outlived it
+            assert solve_finished(service, "alice")  # the runner outlived it
         snap = service.metrics.snapshot()
         assert snap.counter("serve_cache_stores_total") == 0
         completed = {dict(ls)["status"]: v for ls, v in
@@ -303,7 +477,7 @@ def test_unique_results_are_not_kept_once_written(tmp_path):
             assert not outcome.cached
             mappings.append(weakref.ref(outcome.grid.base))
         del outcome
-        assert batch_finished(service, "alice")
+        assert solve_finished(service, "alice")
         gc.collect()
         assert [ref for ref in mappings if ref() is not None] == []
         assert len(service.cache) == 40
@@ -319,7 +493,7 @@ def test_a_repeat_during_the_write_is_admitted_and_skips_the_disk_after(
         assert gate.started.wait(30)  # the write is parked
         during = client.solve(problem, timeout=10)  # the write window: a hit
         gate.release.set()
-        assert batch_finished(service, "alice") and len(service.cache) == 1
+        assert solve_finished(service, "alice") and len(service.cache) == 1
         disk = LoadSpy(monkeypatch)
         after = client.solve(problem, timeout=10)  # admitted by the re-read
         assert disk.calls == 0

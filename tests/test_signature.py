@@ -129,70 +129,45 @@ def test_tuning_cache_keys_via_shared_module():
 
 # -- pinned request identity ----------------------------------------------
 
-_SHAPE = (48, 48)
-_FUSED = "fuse:max_chain=0,coarsen:factor=4"
-
-
-def _key(impl, tile, steps, passes=None, backend="threads", jobs=None,
-         policy="priority", chaos=None):
-    # nacl(4)'s fingerprint: recalibrating the machine model re-keys the
-    # cache by design, and then these literals move with it.
-    return (impl, "2ae565b2b43e", _SHAPE, tile, steps, 1.0, backend, jobs,
-            policy, chaos, passes)
-
-
-#: (request knobs, signature(), batch_key()) captured at the commit before
-#: RunConfig existed (c7ace3d): the refactor -- and any later one -- must
-#: not silently re-key the on-disk result cache or re-shape batches.
+#: (request knobs, signature()) captured at the commit before RunConfig
+#: existed (c7ace3d): the refactor -- and any later one -- must not
+#: silently re-key the on-disk result cache.
 PINNED = [
     ({"impl": "petsc"},
-     "ac5d34ec5909a1d7ccc6d61c3d1e09bbe96694c4c711937767992ed8b69f21bb",
-     _key("petsc", None, None)),
+     "ac5d34ec5909a1d7ccc6d61c3d1e09bbe96694c4c711937767992ed8b69f21bb"),
     ({"impl": "petsc", "passes": "fuse, coarsen:factor=4"},
-     "b4603a28093e3ef8fa0c2c1596ea9c285c7ab2fe85008d13f12b8abb30dac4ad",
-     _key("petsc", None, None, _FUSED)),
+     "b4603a28093e3ef8fa0c2c1596ea9c285c7ab2fe85008d13f12b8abb30dac4ad"),
     ({"impl": "base-parsec"},
-     "1d20156556c2ce011e9ac769f83864d517e2115d0929d8f511e532db4c2eca6e",
-     _key("base-parsec", 4, None)),
+     "1d20156556c2ce011e9ac769f83864d517e2115d0929d8f511e532db4c2eca6e"),
     ({"impl": "base-parsec", "tile": 12},
-     "469d779b409ef39bc7798e6c53180e236a7cdd94789ff78b184ee001f8e89e9c",
-     _key("base-parsec", 12, None)),
+     "469d779b409ef39bc7798e6c53180e236a7cdd94789ff78b184ee001f8e89e9c"),
     ({"impl": "base-parsec", "passes": "fuse, coarsen:factor=4"},
-     "0fdaa194729c1e9e15255315620d0cfa7b8f3b114a13f5deccb4c5cd4a7f3b6f",
-     _key("base-parsec", 4, None, _FUSED)),
+     "0fdaa194729c1e9e15255315620d0cfa7b8f3b114a13f5deccb4c5cd4a7f3b6f"),
     ({"impl": "base-parsec", "tile": 12, "passes": "fuse, coarsen:factor=4"},
-     "660959fdde482b7f95047c6204dd96e0a5f0605f9ccd7d44a686173600fb37c7",
-     _key("base-parsec", 12, None, _FUSED)),
+     "660959fdde482b7f95047c6204dd96e0a5f0605f9ccd7d44a686173600fb37c7"),
     ({"impl": "ca-parsec", "steps": 3},
-     "54f89ae817465b8b65b9eebda41d0531eb3b28b131eefac976e4df28e276c26a",
-     _key("ca-parsec", 4, 3)),
+     "54f89ae817465b8b65b9eebda41d0531eb3b28b131eefac976e4df28e276c26a"),
     ({"impl": "ca-parsec", "tile": 12, "steps": 3},
-     "e09d837be46f84edf9e066a5ff7b36993fc42faf3ebcb7fd3d5ca5e000dc04c0",
-     _key("ca-parsec", 12, 3)),
+     "e09d837be46f84edf9e066a5ff7b36993fc42faf3ebcb7fd3d5ca5e000dc04c0"),
     ({"impl": "ca-parsec", "steps": 3, "passes": "fuse, coarsen:factor=4"},
-     "87d69c04e3995d7e1fa98df7942e18dacb47e84732d2e88e9257fb12daf288d8",
-     _key("ca-parsec", 4, 3, _FUSED)),
+     "87d69c04e3995d7e1fa98df7942e18dacb47e84732d2e88e9257fb12daf288d8"),
     ({"impl": "ca-parsec", "tile": 12, "steps": 3,
       "passes": "fuse, coarsen:factor=4"},
-     "d1e17371ab0c53abc3d8669ff82ce9eb8f8540b5341923f1b202b6bf81e20720",
-     _key("ca-parsec", 12, 3, _FUSED)),
+     "d1e17371ab0c53abc3d8669ff82ce9eb8f8540b5341923f1b202b6bf81e20720"),
     # A chaos plan, tenant and schedule knobs never touch the signature
-    # (it equals the plain tile=12/steps=3 one above); only the batch key.
+    # (it equals the plain tile=12/steps=3 one above).
     ({"impl": "ca-parsec", "tile": 12, "steps": 3, "policy": "fifo",
       "backend": "processes", "jobs": 2, "tenant": "t", "retries": 0,
       "chaos_plan": "kill:node=1,step=1"},
-     "e09d837be46f84edf9e066a5ff7b36993fc42faf3ebcb7fd3d5ca5e000dc04c0",
-     _key("ca-parsec", 12, 3, None, "processes", 2, "fifo",
-          "kill:node=1,step=1")),
+     "e09d837be46f84edf9e066a5ff7b36993fc42faf3ebcb7fd3d5ca5e000dc04c0"),
 ]
 
 
-@pytest.mark.parametrize("knobs,signature,batch_key", PINNED)
-def test_request_identity_is_pinned(knobs, signature, batch_key):
+@pytest.mark.parametrize("knobs,signature", PINNED)
+def test_request_identity_is_pinned(knobs, signature):
     from repro.serve import SolveRequest
 
     request = SolveRequest(
         problem=JacobiProblem(n=48, iterations=6), machine=nacl(4), **knobs
     )
     assert request.signature() == signature
-    assert request.batch_key() == batch_key
