@@ -54,10 +54,11 @@ def main() -> None:
     built = build_base_graph(problem, repro.nacl(1), tile=64)
     handle = ThreadedExecutor(built.graph, jobs=2, trace=True).start()
     report = handle.result(timeout=60)
-    # Every task leaves one span in the trace, addressed by its key.
-    last = ("base", 0, 0, problem.iterations - 1)
+    # Every task leaves one span in the trace, addressed by its key: on
+    # the real backends a task is one node block's tiles of one kind.
+    last = ("base", 0, "interior", problem.iterations - 1)
     span = next(s for s in report.trace.spans if s.task_id == last)
-    print(f"\ntile (0,0) finished its last iteration on worker "
+    print(f"\nnode 0's interior tiles finished their last iteration on worker "
           f"{span.worker} at t={span.end * 1e3:.2f} ms")
     print(f"run complete: {report.tasks_run} tasks, "
           f"{report.elapsed * 1e3:.1f} ms wall, "

@@ -92,10 +92,10 @@ class ChaosContext:
         checkpointing.  Called by the runner between build and run."""
         self.backend = backend
         inj = self.injector
-        spec = getattr(built, "spec", None)
-        stencil = spec is not None and hasattr(spec, "tile")
+        kernels = getattr(built, "kernels", None)  # the stencil builds'
         cadence = None
-        if stencil and self.store is not None:
+        if kernels is not None and self.store is not None:
+            spec = built.spec
             cadence = self.checkpoint_every or spec.steps
             ntiles = len(list(spec.partition.tiles()))
             self.store.ensure_meta(ntiles, spec.problem.shape, cadence)
@@ -115,12 +115,10 @@ class ChaosContext:
                 # This task produces sweep gt+1 values on its core.
                 ckpt_step = gt + 1
             if task.kernel is not None and (gt is not None or ckpt_step):
-                task.kernel = self._wrap(
-                    task.kernel, task.node, gt, ckpt_step,
-                    spec if stencil else None, task.key,
-                )
+                task.kernel = self._wrap(task.kernel, task.node, gt, ckpt_step,
+                                         kernels, task.key)
 
-    def _wrap(self, kernel, node, gt, ckpt_step, spec, key):
+    def _wrap(self, kernel, node, gt, ckpt_step, kernels, key):
         inj = self.injector
         backend = lambda: self.backend  # resolved at call time  # noqa: E731
 
@@ -133,12 +131,10 @@ class ChaosContext:
                     if extra > 0:
                         time.sleep(extra)
             out = kernel(inputs, task)
-            if ckpt_step is not None and spec is not None:
-                _, i, j, _ = key
-                tile = spec.tile(i, j)
-                rs, cs = tile.core_slices()
-                self.store.save(ckpt_step, i, j, out["tile"][rs, cs],
-                                tile.r0, tile.c0)
+            if ckpt_step is not None:
+                # Each tile's core as this task left it in its node buffer.
+                for tile, core in kernels.cores_after(key):
+                    self.store.save(ckpt_step, tile.i, tile.j, core, tile.r0, tile.c0)
             return out
 
         return chaotic_kernel

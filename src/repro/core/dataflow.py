@@ -2,23 +2,45 @@
 
 One builder covers both PaRSEC implementations of the paper; the step
 size selects the scheme (``steps=1`` = base, ``steps=s`` = CA/PA1).
-Every task is keyed ``(name, i, j, t)`` with ``t = -1`` for the
-initialisation tasks that load the initial grid and publish the first
-ghost strips.
+One dataflow, at two granularities:
 
-Flows (all read from :meth:`StencilSpec.exchange_plan
+* the paper's graph: one task per tile and sweep, keyed ``(name, i, j,
+  t)`` with ``t = -1`` for the initialisation tasks that load the
+  initial grid and publish the first ghost strips.  It is what
+  ``with_kernels=False`` returns, what the census counts and what the
+  simulator runs;
+* the node-block graph the real executors run: per node and sweep one
+  task for the node's boundary tiles (those with a remote side) and,
+  where it has any, one for its interior tiles, keyed ``(name, node,
+  part, t)`` with ``part`` the tiles' kind.  Boundary tasks keep the
+  paper's priority bias, so remote strips still leave before interior
+  work.  It is what ``with_kernels=True`` returns; :meth:`BuildResult.
+  per_tile` binds the paper's graph to the same kernels instead.
+
+Flows of the paper's graph (all read from :meth:`StencilSpec.exchange_plan
 <repro.core.spec.StencilSpec.exchange_plan>`, the single source of
-truth: the builder makes a task's flows from its incoming entries, the
-kernels paste by the same entries and publish by their inverse):
+truth):
 
-* ``"tile"`` -- the tile's extended array, flowing iteration to
-  iteration on the same node (0 bytes), :data:`IN_GRID` at the end;
+* ``"tile"`` -- the tile, flowing iteration to iteration on the same
+  node (0 bytes);
 * ``"sN" / "sS" / "sW" / "sE"`` -- 1-deep local strips named by the
   *consumer's* pad side, exchanged every iteration across local edges;
 * ``"dN" / ...`` -- s-deep remote strips, sent every ``s`` iterations
   across node boundaries;
 * ``"cNW" / ...`` -- corner blocks for remote refreshes, named by the
   consumer's corner (CA only).
+
+Data.  Each node block owns one framed double buffer
+(:class:`~repro.core.spec.NodeBuffer`) and every tile's extended array
+is a window of it: sweep ``t`` reads half ``t % 2`` and writes its
+update regions into half ``(t + 1) % 2``; the last sweep writes the
+cores into the build's result grid.  A flow between two tiles of one
+buffer carries a token -- the values already sit where the consumer
+reads them, and the flow orders the two -- and a flow between buffers
+(every remote strip and corner) carries the copy the consumer pastes
+into its pads.  The block graph keeps one such flow per copy, named
+``tag:i,j`` after the producing tile, so its remote messages and bytes
+are the paper graph's, entry for entry.
 """
 
 from __future__ import annotations
@@ -27,8 +49,8 @@ import mmap
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field, replace
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -36,9 +58,9 @@ from ..machine.machine import MachineSpec
 from ..runtime.graph import TaskGraph
 from ..runtime.task import Flow, Task, TaskKey
 from ..stencil.cost import KernelCostModel
-from ..stencil.kernels import FLOP_PER_POINT
+from ..stencil.kernels import BAND_CELLS, FLOP_PER_POINT
 from ..stencil.variable import apply_stencil_region
-from .spec import ITEMSIZE, StencilSpec
+from .spec import ITEMSIZE, Slices, StencilSpec
 
 #: Priority bias making node-boundary tasks run before interior ones
 #: within the same iteration, so their messages enter the network as
@@ -49,171 +71,488 @@ BOUNDARY_PRIORITY = 1
 #: ``"tile"``: the core is in the build's result grid.
 IN_GRID = "in-grid"
 
+#: What every other same-buffer output carries: the values are in the
+#: node buffer the consumer reads.
+IN_BUFFER = "in-buffer"
 
-class _WorkerBuffers(threading.local):
-    """What one worker thread keeps between stencil tasks."""
+Block = tuple[int, int]  #: a node block, by its process-grid coordinates
 
-    def __init__(self) -> None:  # runs once in each thread that touches it
-        #: ext shape -> the buffer this thread's next update of a tile
-        #: of that shape is written to
-        self.spare: dict[tuple[int, int], np.ndarray] = {}
+
+class _Rect(NamedTuple):
+    """A rectangle of one node buffer."""
+
+    block: Block
+    rows: slice
+    cols: slice
+
+
+class _Paste(NamedTuple):
+    """A copy a task pastes into a pad before it updates."""
+
+    producer: tuple  #: key prefix of the task that cut it one sweep earlier
+    tag: str  #: the producer's output
+    block: Block
+    dest: Slices  #: where it lands in the buffer
+    shape: tuple[int, int]
+    tile: tuple[int, int]  #: the tile whose pad it fills
+
+
+class _Cut(NamedTuple):
+    """An output a task publishes after its update: the copy of
+    ``source`` for a consumer in another buffer, or (``source`` None) a
+    token for one in the same buffer."""
+
+    tag: str
+    block: Block | None
+    source: Slices | None
+
+
+class _Phase(NamedTuple):
+    pastes: tuple[_Paste, ...]
+    update: tuple[_Rect, ...]  #: the tiles' update regions, joined
+    cuts: tuple[_Cut, ...]  #: for the next sweep's consumers
+
+
+class _Plan(NamedTuple):
+    """What the kernels do for one task prefix: its tiles, their cores
+    (one rect each, for loading and checkpoints), the joined cores (the
+    last sweep's update) and one :class:`_Phase` per ``t % steps`` (the
+    initial load cuts ``phases[-1].cuts``)."""
+
+    tiles: tuple[tuple[int, int], ...]
+    cores: tuple[_Rect, ...]
+    finals: tuple[_Rect, ...]
+    phases: tuple[_Phase, ...]
 
 
 class StencilKernels:
-    """The executable bodies of the stencil tasks.
+    """The executable bodies of a stencil build's tasks, at either
+    granularity: a task keyed ``prefix + (t,)`` runs ``plans[prefix]``
+    at sweep ``t`` -- one tile of the paper's graph, or one node block's
+    boundary or interior tiles.
 
-    One instance serves every task of a graph (no per-task closures);
-    the task key supplies (i, j, t).  Payload contract: ``"tile"``
-    carries the tile's full extended array holding iteration-``t+1``
-    values on the update region and still-valid older values elsewhere
-    -- except from the task that produces a tile's final values (sweep
-    ``T-1``; the initial load when ``T == 0``), which writes the core
-    into ``grid`` and returns :data:`IN_GRID`.  It updates the core
-    only: a CA phase's halo extension has no reader after the last sweep
-    (the graph's declared flops and costs stay, and so does virtual time).
+    A sweep pastes the task's incoming copies into the pads of half
+    ``t % 2``, runs the banded kernel once per rectangle of its tiles'
+    joined update regions from that half into the other, and cuts the
+    copies its consumers in other buffers paste next; the last sweep
+    writes the joined cores into ``grid`` and returns :data:`IN_GRID`.
+    It updates the cores only: a CA phase's halo extension has no reader
+    after the last sweep (the graph's declared flops and costs stay, and
+    so does virtual time).
 
-    Input contract: when a kernel returns, strips and corners are intact
-    and read-only; the task's own ``"tile"`` input has exactly the cells
-    named by ``exchange.incoming[*].dest`` overwritten with the declared
-    values (ghosts are pasted in place: the flow has one consumer and the
-    paste is idempotent, so a re-run reads the same values), every other
-    cell unchanged, and is read-only again.
+    Nothing is copied between tiles of one buffer, and no task allocates
+    anything tile-sized besides the copies it sends.  Two halves make
+    that safe because every graph orders, per buffer, each sweep's tasks
+    after all the previous sweep's tasks that read what they overwrite
+    (the paper's flows do it tile by tile; the block graph joins every
+    task of a node to every task of its next sweep).  Tasks of one sweep
+    write disjoint update regions, and whatever two of them read or
+    paste in the same cell is that cell's exact value at that sweep.
 
-    No stencil task allocates: the update goes into its worker thread's
-    *spare* -- the input of the stencil task that thread ran last, dead
-    since that kernel returned and still warm in that core's cache --
-    and its own input becomes the next spare, so a consumer must not
-    keep a reference to an input tile past its return.  A run holds one
-    buffer per tile plus one spare per worker; a last-sweep task drops
-    its thread's spare and a worker's dies with its thread.
+    A kernel's inputs are tokens and the copies, intact and read-only
+    when it returns: a wrapper may keep them.  The cells a task wrote
+    (:meth:`cores_after`) are rewritten two sweeps later, so a wrapper
+    reads or copies them before it returns (the chaos checkpoint hook
+    saves synchronously).  The buffers are allocated by the first task
+    of a process that touches the block (the ``processes`` parent never
+    does) and live as long as these kernels: as long as the graph they
+    are bound to.
     """
 
-    def __init__(self, spec: StencilSpec, grid: np.ndarray) -> None:
+    def __init__(self, spec: StencilSpec, grid: np.ndarray, plans: dict[tuple, _Plan]) -> None:
         self.spec = spec
         self.grid = grid
-        self.plan = spec.exchange_plan()
-        self._local = _WorkerBuffers()
+        self.plans = plans
+        self.layout = spec.buffers()
+        #: node block -> its two halves, one ``(2, h, w)`` array
+        self.buffers: dict[Block, np.ndarray] = {}
+
+    def bind(self, graph: TaskGraph) -> TaskGraph:
+        return graph.bind(lambda task: self.init_task if task.kind == "init"
+                          else self.stencil_task)
+
+    def _halves(self, block: Block) -> np.ndarray:
+        halves = self.buffers.get(block)
+        if halves is None:
+            node_buffer, problem = self.layout[block], self.spec.problem
+            # Private memory: a node process makes its own, and a large
+            # one gets huge pages (a shared mapping would not: 30 ms
+            # against 5 ms to first touch 2 x 2050^2 on the development
+            # host).  No cell but the frame is read before it is written.
+            halves = np.empty((2, *node_buffer.shape))
+            for half in halves:  # Dirichlet data never changes: framed once
+                problem.bc.fill_outside(half, node_buffer.origin, *problem.shape)
+            # two tiles of one block may start at once: the first one in wins
+            halves = self.buffers.setdefault(block, halves)
+        return halves
+
+    def _global(self, rect: _Rect) -> Slices:
+        r, c = self.layout[rect.block].origin
+        return (slice(r + rect.rows.start, r + rect.rows.stop),
+                slice(c + rect.cols.start, c + rect.cols.stop))
 
     # -- initialisation ---------------------------------------------------
 
     def init_task(self, inputs: Mapping, task: Task) -> dict:
-        _, i, j, _ = task.key
-        spec = self.spec
-        tile = spec.tile(i, j)
-        block = spec.problem.initial_block(
-            slice(tile.r0, tile.r1), slice(tile.c0, tile.c1))
-        if spec.problem.iterations == 0:  # the initial values are the final ones
-            self.grid[tile.r0 : tile.r1, tile.c0 : tile.c1] = block
+        plan = self.plans[task.key[:-1]]
+        problem = self.spec.problem
+        if problem.iterations == 0:  # the initial values are the final ones
+            for rect in plan.cores:
+                rows, cols = self._global(rect)
+                self.grid[rows, cols] = problem.initial_block(rows, cols)
             return {"tile": IN_GRID}
-        ext = tile.alloc_ext()
-        tile.load_core(ext, block)
-        spec.problem.bc.fill_exterior(ext, tile, *spec.problem.shape)
-        return self._publish(ext, self.plan[(i, j)][-1])
+        for rect in plan.cores:  # tile by tile: no block-sized temporary
+            self._halves(rect.block)[0, rect.rows, rect.cols] = problem.initial_block(
+                *self._global(rect))
+        return self._cut(plan.phases[-1].cuts, 0)
 
     # -- one stencil iteration -----------------------------------------------
 
     def stencil_task(self, inputs: Mapping, task: Task) -> dict:
-        name, i, j, t = task.key
+        t = task.key[-1]
+        plan = self.plans[task.key[:-1]]
+        phase = plan.phases[t % self.spec.steps]
         problem = self.spec.problem
-        exchange = self.plan[(i, j)][t % self.spec.steps]
-        ext = inputs[((name, i, j, t - 1), "tile")]
-
-        # The iteration-t tile: the incoming ghosts over the previous one's pads.
-        ext.setflags(write=True)  # frozen when it was published
-        for (pi, pj), tag, _, dest, shape, _ in exchange.incoming:
-            values = inputs[((name, pi, pj, t - 1), tag)]
+        read = t % 2
+        for producer, tag, block, dest, shape, tile in phase.pastes:
+            values = inputs[(producer + (t - 1,), tag)]
             if values.shape != shape:  # it may come from another process
-                raise ValueError(f"tile {(i, j)}, iteration {t}: {tag!r} from tile "
-                                 f"{(pi, pj)} has shape {values.shape}, expected {shape}")
-            ext[dest] = values
-        ext.setflags(write=False)
+                raise ValueError(f"tile {tile}, iteration {t}: {tag!r} from task "
+                                 f"{producer + (t - 1,)} has shape {values.shape}, "
+                                 f"expected {shape}")
+            self._halves(block)[read][dest] = values
+        if t + 1 == problem.iterations:  # the cores alone, into the result grid
+            for rect in plan.finals:
+                rows, cols = self._global(rect)
+                self._update(rect, read, self.grid[rows, cols])
+            return {"tile": IN_GRID}
+        for rect in phase.update:
+            self._update(rect, read, self._halves(rect.block)[1 - read, rect.rows, rect.cols])
+        return self._cut(phase.cuts, 1 - read)
 
-        origin = exchange.origin
-        spare = self._local.spare
-        new = spare.pop(ext.shape, None)
-        last = t + 1 == problem.iterations
-        if last:  # the core alone into the result grid; the spare is dropped
-            tile = self.spec.tile(i, j)
-            rs, cs = tile.core_slices()
-            out = self.grid[tile.r0 : tile.r1, tile.c0 : tile.c1]
-        else:
-            # Jacobi update of core + redundant halo extension, written
-            # into the spare; around it the pasted values carry over.
-            rs, cs = exchange.update
-            if new is None or new is ext:  # a thread's first task / the same task re-run
-                new = np.empty(ext.shape)
-            else:
-                new.setflags(write=True)  # frozen when it was published
-            new[: rs.start] = ext[: rs.start]
-            new[rs.stop :] = ext[rs.stop :]
-            new[rs, : cs.start] = ext[rs, : cs.start]
-            new[rs, cs.stop :] = ext[rs, cs.stop :]
-            out = new[rs, cs]
-        apply_stencil_region(ext, problem.weights, rs, cs, origin=origin, out=out)
+    def _update(self, rect: _Rect, read: int, out: np.ndarray) -> None:
+        problem = self.spec.problem
+        origin = self.layout[rect.block].origin
+        apply_stencil_region(self._halves(rect.block)[read], problem.weights,
+                             rect.rows, rect.cols, origin=origin, out=out)
         if problem.source is not None:
             # Forcing is a global field, so redundantly updated halo
             # cells receive exactly the same contribution their owner
-            # applies -- CA equivalence is preserved.
-            out += problem.source_block(
-                slice(origin[0] + rs.start, origin[0] + rs.stop),
-                slice(origin[1] + cs.start, origin[1] + cs.stop),
-            )
-        if last:
-            return {"tile": IN_GRID}
-        spare[ext.shape] = ext
-        return self._publish(new, exchange)
+            # applies -- CA equivalence is preserved.  Added in bands:
+            # no rectangle-sized temporary.
+            rows, cols = self._global(rect)
+            band = max(1, BAND_CELLS // out.shape[1])
+            for r in range(0, out.shape[0], band):
+                out[r : r + band] += problem.source_block(
+                    slice(rows.start + r, min(rows.start + r + band, rows.stop)), cols)
 
-    def _publish(self, ext: np.ndarray, exchange) -> dict:
-        """Outputs of a task that is not a tile's last: ``ext`` itself
-        plus a copy of every piece some neighbour pastes next."""
-        outputs: dict = {"tile": ext}
-        for tag, source in exchange.outgoing:
-            outputs[tag] = ext[source].copy()
+    def _cut(self, cuts: tuple[_Cut, ...], half: int) -> dict:
+        outputs: dict = {"tile": IN_BUFFER}
+        for tag, block, source in cuts:
+            outputs[tag] = (IN_BUFFER if source is None
+                            else self._halves(block)[half][source].copy())
         return outputs
+
+    def cores_after(self, key: TaskKey):
+        """``(tile, core)`` for every tile of task ``key``: a view of the
+        core's values after that task's sweep (not the last one: those
+        are in the result grid)."""
+        half = (key[-1] + 1) % 2
+        plan = self.plans[key[:-1]]
+        for (i, j), rect in zip(plan.tiles, plan.cores):
+            yield self.spec.tile(i, j), self._halves(rect.block)[half, rect.rows, rect.cols]
+
+
+def _moved(slices: Slices, by: tuple[int, int]) -> Slices:
+    rows, cols = slices
+    return (slice(rows.start + by[0], rows.stop + by[0]),
+            slice(cols.start + by[1], cols.stop + by[1]))
+
+
+def _joined(rects: list[_Rect]) -> tuple[_Rect, ...]:
+    """Disjoint rectangles with fewer, larger ones in their place:
+    neighbours sharing a whole edge are joined, first along rows, then
+    along columns -- a node's interior is one rectangle, its boundary
+    ring one per side."""
+    out: list[_Rect] = []
+    for rect in sorted(rects, key=lambda r: (r.block, r.rows.start, r.cols.start)):
+        last = out[-1] if out else None
+        if (last is not None and last.block == rect.block and last.rows == rect.rows
+                and last.cols.stop == rect.cols.start):
+            out[-1] = _Rect(rect.block, rect.rows, slice(last.cols.start, rect.cols.stop))
+        else:
+            out.append(rect)
+    joined: list[_Rect] = []
+    for rect in sorted(out, key=lambda r: (r.block, r.cols.start, r.cols.stop, r.rows.start)):
+        last = joined[-1] if joined else None
+        if (last is not None and last.block == rect.block and last.cols == rect.cols
+                and last.rows.stop == rect.rows.start):
+            joined[-1] = _Rect(rect.block, slice(last.rows.start, rect.rows.stop), rect.cols)
+        else:
+            joined.append(rect)
+    return tuple(joined)
+
+
+def _plans(spec: StencilSpec, members: dict[tuple, list[tuple[int, int]]],
+           per_tile: bool) -> dict[tuple, _Plan]:
+    """Read ``spec.exchange_plan()`` for kernels whose task prefixes own
+    ``members`` (tile keys, row-major).  Per tile, every output a
+    consumer declared is published (a token within a buffer); per block,
+    only the copies, named after their producing tile."""
+    exchange, buffers, steps = spec.exchange_plan(), spec.buffers(), spec.steps
+    prefix_of = {tile: prefix for prefix, tiles in members.items() for tile in tiles}
+    block_of, shift = {}, {}
+    for tile in spec.tiles():
+        block = block_of[tile.key] = spec.partition.block(tile.i, tile.j)
+        origin = buffers[block].origin
+        shift[tile.key] = (tile.origin[0] - origin[0], tile.origin[1] - origin[1])
+    pastes = {prefix: [[] for _ in range(steps)] for prefix in members}
+    cuts = {prefix: [[] for _ in range(steps)] for prefix in members}
+    update = {prefix: [[] for _ in range(steps)] for prefix in members}
+    for key, phases in exchange.items():
+        prefix, block = prefix_of[key], block_of[key]
+        for phase, ex in enumerate(phases):
+            update[prefix][phase].append(_Rect(block, *_moved(ex.update, shift[key])))
+            for entry in ex.incoming:
+                source = entry.producer
+                tag = entry.tag if per_tile else f"{entry.tag}:{source[0]},{source[1]}"
+                out = cuts[prefix_of[source]][phase - 1]  # cut one sweep earlier
+                if block_of[source] == block:
+                    if per_tile:
+                        out.append(_Cut(tag, None, None))
+                    continue
+                pastes[prefix][phase].append(_Paste(
+                    prefix_of[source], tag, block, _moved(entry.dest, shift[key]),
+                    entry.shape, key))
+                out.append(_Cut(tag, block_of[source], _moved(entry.source, shift[source])))
+    plans = {}
+    for prefix, tiles in members.items():
+        cores = [_Rect(block_of[key], *_moved(spec.tile(*key).core_slices(), shift[key]))
+                 for key in tiles]
+        plans[prefix] = _Plan(tuple(tiles), tuple(cores), _joined(cores), tuple(
+            _Phase(tuple(pastes[prefix][phase]), _joined(update[prefix][phase]),
+                  tuple(cuts[prefix][phase]))
+            for phase in range(steps)))
+    return plans
+
+
+class _Unit(NamedTuple):
+    """What every task of one prefix -- a tile of the paper's graph, or
+    a node block -- shares at one phase.  ``flows`` name their producers
+    by prefix, one sweep earlier; the priority of sweep ``t`` is
+    ``2 * (T - t) + bias``."""
+
+    flows: tuple[tuple[tuple, str, int], ...]  #: (producer prefix, tag, nbytes)
+    cost: float
+    flops: float
+    redundant_flops: float
+    kind: str
+    bias: int
+    node: int
+
+
+def _tile_units(spec: StencilSpec, machine: MachineSpec, cost: KernelCostModel,
+                name: str, boundary_priority: bool) -> dict[tuple, tuple[_Unit, ...]]:
+    """Per tile of the paper's graph (prefix ``(name, i, j)``): its
+    :class:`_Unit` at each phase ``0..steps-1``, then its initial load.
+    Everything but the producer iteration repeats with period ``steps``,
+    so this is computed once per phase, not once per task."""
+    plan = spec.exchange_plan()
+    units = {}
+    for tile in spec.tiles():
+        boundary = tile.is_boundary()
+        ext_pts = tile.ext_shape()[0] * tile.ext_shape()[1]
+        kind = "boundary" if boundary else "interior"
+        bias = BOUNDARY_PRIORITY if boundary else 0
+        phases = []
+        for phase in range(spec.steps):
+            # Ghost assembly traffic: only the strips are copies the
+            # task body pays for; the tile's own read+write is already
+            # in the kernel's bytes/point.
+            incoming = plan[tile.key][phase].incoming
+            copy_bytes = sum(e.nbytes for e in incoming)
+            core_pts, redundant_pts = spec.region_points(tile, phase)
+            flows = (((name, tile.i, tile.j), "tile", 0),
+                     *(((name, *e.producer), e.tag, e.nbytes) for e in incoming))
+            phases.append(_Unit(
+                flows,
+                cost.task_cost(core_pts, redundant_pts, copy_bytes, ext_pts,
+                               machine.node.compute_cores),
+                FLOP_PER_POINT * core_pts, FLOP_PER_POINT * redundant_pts,
+                kind, bias if boundary_priority else 0, tile.node))
+        phases.append(_Unit((), cost.copy_cost(ext_pts * ITEMSIZE), 0.0, 0.0, "init", bias,
+                           tile.node))
+        units[(name, tile.i, tile.j)] = tuple(phases)
+    return units
+
+
+def _lower(spec: StencilSpec, name: str, units: dict[tuple, tuple[_Unit, ...]]
+           ) -> tuple[dict[tuple, tuple[_Unit, ...]], dict[tuple, _Plan]]:
+    """The node blocks of the paper's ``units``, with their kernels'
+    plans.  A block sums its tiles' costs and flops and keeps their kind
+    and priority; it waits on every block of its node one sweep earlier
+    (token flows) and on one copy flow per pasted strip or corner."""
+    members: dict[tuple, list[tuple[int, int]]] = {}
+    for tile in sorted(spec.tiles(), key=lambda tile: (tile.node, not tile.is_boundary())):
+        part = "boundary" if tile.is_boundary() else "interior"
+        members.setdefault((name, tile.node, part), []).append(tile.key)
+    plans = _plans(spec, members, per_tile=False)
+    parts: dict[int, list[tuple]] = {}
+    for prefix in plans:
+        parts.setdefault(prefix[1], []).append(prefix)
+    blocks = {}
+    for prefix, plan in plans.items():
+        tokens = tuple((part, "tile", 0) for part in parts[prefix[1]])
+        per_phase = []
+        for k, phase in enumerate((*plan.phases, None)):  # then the initial load
+            tiles = [units[(name, i, j)][k] for (i, j) in plan.tiles]
+            flows = () if phase is None else tokens + tuple(
+                (paste.producer, paste.tag, paste.shape[0] * paste.shape[1] * ITEMSIZE)
+                for paste in phase.pastes)
+            per_phase.append(_Unit(
+                flows, sum(unit.cost for unit in tiles), sum(unit.flops for unit in tiles),
+                sum(unit.redundant_flops for unit in tiles), tiles[0].kind,
+                max(unit.bias for unit in tiles), prefix[1]))
+        blocks[prefix] = tuple(per_phase)
+    return blocks, plans
+
+
+def _unroll(units: dict[tuple, tuple[_Unit, ...]], iterations: int) -> TaskGraph:
+    """The finalized, analysed, kernel-less graph of ``units``: every
+    prefix's initial load, then sweep by sweep."""
+    graph = TaskGraph()
+    for t in range(-1, iterations):
+        for prefix, phases in units.items():
+            steps = len(phases) - 1  # the last is the initial load
+            unit = phases[t % steps if t >= 0 else -1]
+            graph.add(Task(
+                prefix + (t,),
+                node=unit.node,
+                inputs=tuple(Flow(producer + (t - 1,), tag, nbytes)
+                             for producer, tag, nbytes in unit.flows),
+                cost=unit.cost,
+                flops=unit.flops,
+                redundant_flops=unit.redundant_flops,
+                out_nbytes={"tile": 0},
+                priority=(iterations - t) * 2 + unit.bias,
+                kind=unit.kind,
+            ))
+    graph.finalize(validate=False)
+    graph.census()  # with message_plan(): every bound graph shares them
+    graph.total_flops()
+    return graph
 
 
 @dataclass(frozen=True)
 class BuildResult:
     """A built graph plus the context needed to run and interpret it.
 
-    A build has one result ``grid`` (None without kernels): float64 over
-    an anonymous shared mapping that forked node processes write too and
+    A build with kernels has one result ``grid``: float64 over an
+    anonymous shared mapping that forked node processes write too and
     that lives exactly as long as the array.  Running a build twice
     overwrites it; ``run()`` builds per call, as an executor runs once.
+    ``blocks`` says the graph runs node blocks (what the builder returns
+    with kernels); :meth:`per_tile` is the same build as the paper's
+    graph.
     """
 
     graph: TaskGraph
     spec: StencilSpec
     name: str
     grid: np.ndarray | None = None
+    kernels: StencilKernels | None = None
+    blocks: bool = False
+    template: "Template | None" = field(default=None, repr=False, compare=False)
+
+    def per_tile(self) -> "BuildResult":
+        """This build at the paper's granularity -- one task per tile and
+        sweep, the graph ``with_kernels=False`` returns -- bound to
+        kernels that run each task as a one-tile block: what the
+        simulator executes."""
+        if not self.blocks:
+            return self
+        template = self.template
+        kernels = StencilKernels(self.spec, self.grid, template.tile_plans(self.spec))
+        graph = kernels.bind(template.paper())
+        TEMPLATES.put(template)
+        return replace(self, graph=graph, kernels=kernels, blocks=False)
 
     def final_keys(self) -> list[tuple[TaskKey, str]]:
         """(task key, tag) pairs under which the engine's results hold
         the final tasks' :data:`IN_GRID` reports."""
         t_last = self.spec.problem.iterations - 1
-        return [
-            ((self.name, i, j, t_last), "tile")
-            for (i, j) in self.spec.partition.tiles()
-        ]
+        prefixes = (self.kernels.plans if self.kernels is not None
+                    else [(self.name, i, j) for (i, j) in self.spec.partition.tiles()])
+        return [(prefix + (t_last,), "tile") for prefix in prefixes]
 
     def assemble_grid(self, results: Mapping) -> np.ndarray:
-        """The result grid, once every final task reported its core in
+        """The result grid, once every final task reported its cores in
         it: a cancelled or failed run's grid is half-written and is
         never returned."""
         for key in self.final_keys():
             if results.get(key) != IN_GRID:
-                raise RuntimeError(f"tile {key[0][1:3]} did not report its final "
-                                   f"values (result {key!r}); the grid is incomplete")
+                tiles = (self.kernels.plans[key[0][:-1]].tiles if self.kernels is not None
+                         else [key[0][1:3]])
+                what = ", ".join(map(str, tiles))
+                raise RuntimeError(f"tile{'s' if len(tiles) > 1 else ''} {what} did not "
+                                   f"report final values (result {key!r}); the grid is "
+                                   f"incomplete")
         return self.grid
 
 
+class Template:
+    """What every build of one shape shares: the spec geometry and the
+    paper's tasks per tile and phase (:class:`_Unit`) -- then, each made
+    on first use, the paper's graph (finalized, analysed, kernel-less)
+    with its kernels' plans, and the node-block graph with its plans.
+    A real backend's build never unrolls the paper's graph.  Nothing in
+    it is an array, a mapping, a kernel object or problem data, so it
+    pins no run's memory; racing builds may each make a part, and any
+    of them is right."""
+
+    __slots__ = ("key", "name", "iterations", "geometry", "units", "graph", "plans", "blocks")
+
+    def __init__(self, key: tuple, spec: StencilSpec, machine: MachineSpec,
+                 cost: KernelCostModel, name: str, boundary_priority: bool) -> None:
+        self.key = key
+        self.name = name
+        self.iterations = spec.problem.iterations
+        self.geometry = spec.geometry()
+        self.units = _tile_units(spec, machine, cost, name, boundary_priority)
+        self.graph: TaskGraph | None = None
+        self.plans: dict[tuple, _Plan] | None = None
+        #: (node-block graph, its kernels' plans)
+        self.blocks: tuple[TaskGraph, dict[tuple, _Plan]] | None = None
+
+    @property
+    def tasks(self) -> int:
+        """Tasks retained: what bounds the cache."""
+        return sum(len(graph) for graph in (self.graph, self.blocks and self.blocks[0])
+                   if graph is not None)
+
+    def paper(self) -> TaskGraph:
+        if self.graph is None:
+            self.graph = _unroll(self.units, self.iterations)
+        return self.graph
+
+    def tile_plans(self, spec: StencilSpec) -> dict[tuple, _Plan]:
+        if self.plans is None:
+            self.plans = _plans(spec, {(self.name, i, j): [(i, j)]
+                                       for (i, j) in spec.partition.tiles()}, per_tile=True)
+        return self.plans
+
+    def lowered(self, spec: StencilSpec) -> tuple[TaskGraph, dict[tuple, _Plan]]:
+        if self.blocks is None:
+            units, plans = _lower(spec, self.name, self.units)
+            self.blocks = (_unroll(units, self.iterations), plans)
+        return self.blocks
+
+
 class _TemplateCache:
-    """Process-wide LRU of templates -- (finalized, analysed, kernel-less
-    graph, spec geometry): what every build of one shape shares --
-    bounded by the tasks it retains.  A template holds no array,
-    mapping, kernel object or problem, so it pins no run's memory.  The
-    lock covers the table, never a build: two threads that miss on one
-    shape both build it, and both graphs are right."""
+    """Process-wide LRU of :class:`Template` objects, bounded by the
+    tasks they retain.  The lock covers the table, never a build: two
+    threads that miss on one shape both build it (or lower it), and both
+    results are right."""
 
     def __init__(self, max_tasks: int) -> None:
         self.max_tasks = max_tasks
@@ -232,19 +571,23 @@ class _TemplateCache:
                 self._items.move_to_end(key)
             return template
 
-    def put(self, key, template) -> None:
-        if len(template[0]) > self.max_tasks:
-            return  # e.g. the n=23040 simulator sweeps: built per run, as before
+    def put(self, template: Template) -> None:
+        """Keep ``template`` (again, after it grew a graph)."""
         with self._lock:
-            self._items[key] = template
+            if template.tasks > self.max_tasks:
+                # e.g. the n=23040 simulator sweeps: built per run, as before
+                self._items.pop(template.key, None)
+                return
+            self._items[template.key] = template
             while self.retained_tasks() > self.max_tasks:
                 self._items.popitem(last=False)
 
     def retained_tasks(self) -> int:
-        return sum(len(graph) for graph, _ in self._items.values())
+        return sum(template.tasks for template in self._items.values())
 
     def clear(self) -> None:
-        self._items.clear()
+        with self._lock:
+            self._items.clear()
 
 
 #: Tasks the templates may retain in all.  Measured (tracemalloc, the
@@ -252,7 +595,8 @@ class _TemplateCache:
 #: 1.4 MiB (`serve_mix`), 1088 tasks 2.4 MiB (`kernel_large`), 4160
 #: tasks 8.8 / 8.4 MiB (`halo_base` / `halo_ca`); a bound copy 0.4 KiB a
 #: task -- so the templates hold at most ~38 MiB: the four benchmark
-#: shapes at once (9 984 tasks), or 28 shapes of a 256^2 service.
+#: shapes at once (9 984 tasks, plus 287 block tasks), or 27 shapes of a
+#: 256^2 service.
 TEMPLATE_TASKS = 16384
 TEMPLATES = _TemplateCache(TEMPLATE_TASKS)
 
@@ -266,92 +610,28 @@ def build_stencil_graph(
     boundary_priority: bool = True,
 ) -> BuildResult:
     """The task graph of ``spec``, bound to this run.  What depends on
-    geometry and the cost model only -- the unrolled graph with its
-    analysis, the tile table, the exchange plan -- is a template built
-    once per shape (:data:`TEMPLATES`); per call there is a result grid,
-    one :class:`StencilKernels` and a shallow clone of every task
-    pointing at it.  ``with_kernels=False`` binds a timing-only graph (no
-    numpy work, no result grid), which is what the benchmark sweeps use."""
+    geometry and the cost model only -- the tile table, the exchange
+    plan, the node buffers, the unrolled graphs with their analysis --
+    is a :class:`Template` made once per shape (:data:`TEMPLATES`); per
+    call there is a result grid, one :class:`StencilKernels` and a
+    shallow clone of every task pointing at it.  ``with_kernels=False``
+    binds the paper's graph timing-only (no numpy work, no result grid),
+    which is what the benchmark sweeps use; with kernels the graph is
+    the node-block one the real executors run."""
     cost = cost or KernelCostModel(machine)
     key = (type(spec), spec.partition, spec.steps, spec.problem.iterations,
            name, boundary_priority, machine, cost)
     template = TEMPLATES.get(key)
     if template is None:
-        template = _build_template(spec, machine, cost, name, boundary_priority)
-        TEMPLATES.put(key, template)
-    graph, geometry = template
-    spec.adopt_geometry(geometry)
-    grid = init = stencil = None
-    if with_kernels:
-        shape = spec.problem.shape
-        grid = np.ndarray(shape, buffer=mmap.mmap(-1, shape[0] * shape[1] * ITEMSIZE))
-        kernels = StencilKernels(spec, grid)
-        init, stencil = kernels.init_task, kernels.stencil_task
-    bound = graph.bind(lambda task: init if task.kind == "init" else stencil)
-    return BuildResult(bound, spec, name, grid)
-
-
-def _build_template(spec: StencilSpec, machine: MachineSpec, cost: KernelCostModel,
-                    name: str, boundary_priority: bool) -> tuple[TaskGraph, dict]:
-    """Unroll the dataflow of ``spec`` into a concrete, kernel-less
-    task graph and analyse it."""
-    graph = TaskGraph()
-    plan = spec.exchange_plan()
-    T = spec.problem.iterations
-
-    # Per tile its init task, then per (tile, phase) a template:
-    # everything except the producer iteration index repeats with period
-    # `steps`, so precompute the flow shapes and costs once per phase
-    # instead of once per task.  A flow template is (ni, nj, tag, nbytes).
-    templates: dict[tuple[int, int], list] = {}
-    for tile in spec.tiles():
-        boundary = tile.is_boundary()
-        ext_pts = tile.ext_shape()[0] * tile.ext_shape()[1]
-        graph.add_task(
-            (name, tile.i, tile.j, -1),
-            node=tile.node,
-            cost=cost.copy_cost(ext_pts * ITEMSIZE),
-            out_nbytes={"tile": 0},
-            priority=(T + 1) * 2 + (BOUNDARY_PRIORITY if boundary else 0),
-            kind="init",
-        )
-        per_phase = templates[tile.key] = []
-        for phase in range(spec.steps):
-            # Ghost assembly traffic: only the strips are copies the
-            # task body pays for; the tile's own read+write is already
-            # in the kernel's bytes/point.
-            incoming = plan[tile.key][phase].incoming
-            copy_bytes = sum(e.nbytes for e in incoming)
-            core_pts, redundant_pts = spec.region_points(tile, phase)
-            per_phase.append((
-                [(*e.producer, e.tag, e.nbytes) for e in incoming],
-                cost.task_cost(core_pts, redundant_pts, copy_bytes, ext_pts,
-                               machine.node.compute_cores),
-                FLOP_PER_POINT * core_pts,
-                FLOP_PER_POINT * redundant_pts,
-                "boundary" if boundary else "interior",
-                BOUNDARY_PRIORITY if boundary and boundary_priority else 0,
-                tile.node,
-            ))
-
-    for t in range(T):
-        for (i, j), per_phase in templates.items():
-            flows, task_cost, flops, red_flops, kind, prio_bias, node = per_phase[t % spec.steps]
-            inputs = [Flow((name, i, j, t - 1), "tile", 0)]
-            for (ni, nj, tag, nbytes) in flows:
-                inputs.append(Flow((name, ni, nj, t - 1), tag, nbytes))
-            graph.add(Task(
-                (name, i, j, t),
-                node=node,
-                inputs=tuple(inputs),
-                cost=task_cost,
-                flops=flops,
-                redundant_flops=red_flops,
-                out_nbytes={"tile": 0},
-                priority=(T - t) * 2 + prio_bias,
-                kind=kind,
-            ))
-    graph.finalize(validate=False)
-    graph.census()  # with message_plan(): every bound graph shares them
-    graph.total_flops()
-    return graph, spec.geometry()
+        template = Template(key, spec, machine, cost, name, boundary_priority)
+    spec.adopt_geometry(template.geometry)
+    if not with_kernels:
+        graph = template.paper()
+        TEMPLATES.put(template)
+        return BuildResult(graph.bind(lambda task: None), spec, name)
+    graph, plans = template.lowered(spec)
+    TEMPLATES.put(template)
+    shape = spec.problem.shape
+    grid = np.ndarray(shape, buffer=mmap.mmap(-1, shape[0] * shape[1] * ITEMSIZE))
+    kernels = StencilKernels(spec, grid, plans)
+    return BuildResult(kernels.bind(graph), spec, name, grid, kernels, True, template)

@@ -96,10 +96,13 @@ def _build(problem: JacobiProblem, machine: MachineSpec, config: RunConfig):
     )
     if config.impl == "ca-parsec":
         built = build_ca_graph(problem, machine, steps=config.steps, **shared)
-        return built, {"tile": config.tile, "steps": config.steps,
-                       "ratio": config.ratio}
-    built = build_base_graph(problem, machine, **shared)
-    return built, {"tile": config.tile, "ratio": config.ratio}
+        params = {"tile": config.tile, "steps": config.steps, "ratio": config.ratio}
+    else:
+        built = build_base_graph(problem, machine, **shared)
+        params = {"tile": config.tile, "ratio": config.ratio}
+    if config.backend == "sim":  # the machine model prices the paper's tasks
+        built = built.per_tile()
+    return built, params
 
 
 def _rewrite(built, machine: MachineSpec, config: RunConfig, metrics):

@@ -25,8 +25,13 @@ phase ``t % s``).  The three primitives :meth:`StencilSpec.local_strip`,
 :meth:`~StencilSpec.deep_strip` and :meth:`~StencilSpec.corner_block`
 define the rule; :meth:`StencilSpec.exchange_plan` walks them once per
 (tile, phase) and is the single source of truth everything else reads:
-the graph builder makes its flows from it, the task body pastes and
-publishes by it, the schedule verifier and the forecast iterate it.
+the graph builder makes its flows from it, the kernels' plans paste and
+cut by it, the schedule verifier and the forecast iterate it.
+
+Each node block owns one framed double buffer
+(:meth:`StencilSpec.buffers`) of which its tiles' extended arrays are
+windows; a tile's pads toward a tile of the same block are that tile's
+core, so only strips and corners that cross a block edge are copied.
 """
 
 from __future__ import annotations
@@ -56,23 +61,29 @@ class Incoming(NamedTuple):
     source: Slices  #: where it was cut from the producer's extended array
 
 
-class Outgoing(NamedTuple):
-    """One piece a tile cuts from its fresh values for a neighbour."""
-
-    tag: str
-    source: Slices
-
-
 class Exchange(NamedTuple):
-    """What one tile does at one phase ``t % steps``: paste ``incoming``
-    (N, S, W, E, then NW, NE, SW, SE), update ``update``, cut
-    ``outgoing`` -- the neighbours' phase ``t + 1`` incoming entries
-    that name this tile, so the two cannot disagree."""
+    """What one tile does at one phase ``t % steps``: receive
+    ``incoming`` (N, S, W, E, then NW, NE, SW, SE) and update
+    ``update``.  What it cuts for its neighbours is their phase
+    ``t + 1`` incoming entries that name it."""
 
     incoming: tuple[Incoming, ...]
-    outgoing: tuple[Outgoing, ...]
     update: Slices  #: the update region in the extended array
-    origin: tuple[int, int]  #: global cell of ``ext[0, 0]``
+
+
+class NodeBuffer(NamedTuple):
+    """Where one node block's framed buffer sits in the global grid.
+
+    It is the bounding box of the block's tiles' extended arrays: the
+    block, its ghost pads (depth ``steps`` toward another node, 1
+    toward another block of the same node) and, along the grid's edge,
+    the Dirichlet frame.  Every tile's extended array is the window of
+    it at ``tile.origin - origin``.
+    """
+
+    node: int
+    origin: tuple[int, int]  #: global cell of ``buffer[0, 0]``
+    shape: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -215,33 +226,42 @@ class StencilSpec:
             plan = self._memo["exchange"] = self._build_exchange_plan()
         return plan
 
+    def buffers(self) -> dict[tuple[int, int], NodeBuffer]:
+        """Node block (its process-grid coordinates,
+        :meth:`GridPartition.block`) -> its :class:`NodeBuffer`."""
+        buffers = self._memo.get("buffers")
+        if buffers is None:
+            spans: dict[tuple[int, int], tuple[int, int, int, int, int]] = {}
+            for tile in self.tiles():
+                (r, c), (h, w) = tile.origin, tile.ext_shape()
+                block = self.partition.block(tile.i, tile.j)
+                r0, c0, r1, c1, _ = spans.get(block, (r, c, r + h, c + w, tile.node))
+                spans[block] = (min(r0, r), min(c0, c), max(r1, r + h), max(c1, c + w),
+                                tile.node)
+            buffers = self._memo["buffers"] = {
+                block: NodeBuffer(node, (r0, c0), (r1 - r0, c1 - c0))
+                for block, (r0, c0, r1, c1, node) in spans.items()
+            }
+        return buffers
+
     def geometry(self) -> dict:
-        """The complete tile table and exchange plan: a function of
-        ``(type(self), partition, steps)`` alone (no problem data), so a
-        spec of another problem on the same three may adopt it."""
+        """The complete tile table, exchange plan and node buffers: a
+        function of ``(type(self), partition, steps)`` alone (no problem
+        data), so a spec of another problem on the same three may adopt
+        it."""
         self.exchange_plan()  # walks every tile
+        self.buffers()
         return self._memo
 
     def adopt_geometry(self, geometry: dict) -> None:
         self._memo.update(geometry)
 
     def _build_exchange_plan(self) -> dict[tuple[int, int], tuple[Exchange, ...]]:
-        phases = range(self.steps)
-        incoming = {
-            tile.key: [self._incoming(tile, phase) for phase in phases] for tile in self.tiles()
-        }
-        # What a tile sends is what its neighbours said they receive
-        # from it one phase later: inverted, never written twice.
-        outgoing = {key: [[] for _ in phases] for key in incoming}
-        for per_phase in incoming.values():
-            for phase, entries in enumerate(per_phase):
-                for entry in entries:
-                    outgoing[entry.producer][phase - 1].append(Outgoing(entry.tag, entry.source))
         return {
             tile.key: tuple(
-                Exchange(incoming[tile.key][phase], tuple(outgoing[tile.key][phase]),
-                         tile.ext_slices(self.update_region(tile, phase)), tile.origin)
-                for phase in phases
+                Exchange(self._incoming(tile, phase),
+                         tile.ext_slices(self.update_region(tile, phase)))
+                for phase in range(self.steps)
             )
             for tile in self.tiles()
         }

@@ -49,17 +49,17 @@ class DirichletBC:
         """Write boundary values into every cell of ``ext`` whose global
         coordinate lies outside the grid.  Interior pad cells (ghosts
         of real neighbours) are left untouched."""
-        self._fill_outside(ext, tile.origin, nrows, ncols)
+        self.fill_outside(ext, tile.origin, nrows, ncols)
 
     def frame(self, nrows: int, ncols: int, depth: int = 1) -> np.ndarray:
         """A dense (nrows + 2*depth) x (ncols + 2*depth) array holding
         boundary values on the outer frame and zeros inside; used by
         the single-array reference implementation."""
         framed = np.zeros((nrows + 2 * depth, ncols + 2 * depth))
-        self._fill_outside(framed, (-depth, -depth), nrows, ncols)
+        self.fill_outside(framed, (-depth, -depth), nrows, ncols)
         return framed
 
-    def _fill_outside(
+    def fill_outside(
         self, arr: np.ndarray, origin: tuple[int, int], nrows: int, ncols: int
     ) -> None:
         """Evaluate the boundary on the cells of ``arr`` (whose [0, 0]

@@ -198,7 +198,7 @@ class GridPartition:
 
     # -- shapes ----------------------------------------------------------
 
-    @property
+    @cached_property
     def tile_shape(self) -> tuple[int, int]:
         """(tile rows, tile cols) in the global tile index space."""
         return len(self._row_layout[1]), len(self._col_layout[1])
@@ -238,9 +238,13 @@ class GridPartition:
 
     # -- ownership -----------------------------------------------------------
 
+    def block(self, i: int, j: int) -> tuple[int, int]:
+        """Process-grid coordinates of the node block holding tile (i, j)."""
+        return self._row_layout[1][i], self._col_layout[1][j]
+
     def owner(self, i: int, j: int) -> int:
         """Node rank owning tile (i, j)."""
-        return self.pgrid.rank(self._row_layout[1][i], self._col_layout[1][j])
+        return self.pgrid.rank(*self.block(i, j))
 
     def neighbor(self, i: int, j: int, side: Side) -> tuple[int, int] | None:
         """Global coords of the tile across ``side``, or None at the

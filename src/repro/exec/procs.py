@@ -21,8 +21,8 @@ per node (abort flag, tasks done, messages sent).
 
 No communication thread.  A send is a memcpy of a few KiB -- shorter
 than one thread hand-off -- so the worker that ran the producing task
-writes the record itself (:meth:`_NodeExecutor._send_remote`) and posts
-the destination's doorbell, and a worker looking for its next task
+writes its records itself (:meth:`_NodeExecutor._send_remote`) and posts
+each destination's doorbell once, and a worker looking for its next task
 first copies whatever arrived out of its node's inbound rings
 (:meth:`_NodeExecutor._poll`); ``comm_busy`` is worker time.  A worker
 never blocks on a full ring: the record waits in the node's *outbox*
@@ -49,8 +49,8 @@ killed mid-write cannot hang anyone.
 
 Roles.  The parent forks the children (graph and channels inherited
 copy-on-write; only statistics and terminal results are pickled -- of a
-stencil graph one token per tile: final cores land in the build's shared
-result grid) and watches one control pipe per child for the run's
+stencil graph one token per final task: final cores land in the build's
+shared result grid) and watches one control pipe per child for the run's
 ``RunHandle``.  Each child runs a :class:`_NodeExecutor` -- a
 :class:`ThreadedExecutor` restricted to the node's tasks, plus the
 send/poll hooks -- and one *control* thread that blocks on the pipe
@@ -408,9 +408,12 @@ class _NodeExecutor(ThreadedExecutor):
 
     def _send_remote(self, task: Task, outputs: dict) -> None:
         """One record per entry of the graph's message plan, written by
-        the worker that ran ``task``; also the node's live task tally."""
+        the worker that ran ``task`` -- a node-block task sends one per
+        strip and corner it cut -- then one doorbell per destination
+        reached; also the node's live task tally."""
         self._published += 1
         self._words[_DONE] = self._published
+        reached = set()
         for index, tag, dst, nbytes in self._channels.sends.get(task.key, ()):
             start = time.perf_counter()
             fields, body = _encode(index, outputs[tag])
@@ -426,23 +429,34 @@ class _NodeExecutor(ThreadedExecutor):
             record = ((task.key, tag, dst), nbytes, fields, body, size)
             if delay or not self._ship(start, *record):
                 self._outbox.append((start + (delay or 0.0), *record))
+            else:
+                reached.add(dst)
+        self._ring(reached)
 
     def _ship(self, start: float, label, nbytes: int, fields, body, size) -> bool:
-        """Write one record into its ring and ring the doorbell; the
-        message is counted here, once, when it is really on its way."""
-        dst = label[2]
-        if not self._outbound[dst].put(fields, body, size):
+        """Write one record into its ring; the message is counted here,
+        once, when it is really on its way.  The caller rings."""
+        if not self._outbound[label[2]].put(fields, body, size):
             return False
-        self._channels.doorbells[dst].release()
         self.sent.append((start, time.perf_counter(), label, nbytes, size))
         self._words[_MESSAGES] = len(self.sent)
         return True
 
+    def _ring(self, nodes) -> None:
+        for dst in nodes:
+            self._channels.doorbells[dst].release()
+
     def _flush(self) -> None:
         """Retry the outbox: whatever is due and now fits, goes."""
         now = time.perf_counter()
-        self._outbox = [item for item in self._outbox
-                        if item[0] > now or not self._ship(now, *item[1:])]
+        waiting, reached = [], set()
+        for item in self._outbox:
+            if item[0] <= now and self._ship(now, *item[1:]):
+                reached.add(item[1][2])
+            else:
+                waiting.append(item)
+        self._outbox = waiting
+        self._ring(reached)
 
     def flush_outbox(self) -> bool:
         """After the pool finished: block until the outbox is empty

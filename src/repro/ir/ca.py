@@ -79,5 +79,7 @@ class CAInsertionPass(GraphPass):
             name="ca-auto",
             with_kernels=ctx.with_kernels,
         )
+        if not build.blocks:  # the simulator's build stays the paper's graph
+            new_build = new_build.per_tile()
         notes = {"steps": self.steps, "tasks": len(new_build.graph)}
         return new_build, notes

@@ -96,14 +96,15 @@ class TaskGraph:
         consumers: dict[tuple[TaskKey, str], list[TaskKey]] = {}
         out_tags: dict[TaskKey, set[str]] = {key: set(t.out_nbytes) for key, t in self.tasks.items()}
         for task in self.tasks.values():
-            for flow in task.inputs:
-                if flow.producer not in self.tasks:
+            for producer, tag, _ in task.inputs:
+                tags = out_tags.get(producer)
+                if tags is None:
                     raise GraphError(
-                        f"task {task.key!r} consumes {flow.tag!r} of missing "
-                        f"producer {flow.producer!r}"
+                        f"task {task.key!r} consumes {tag!r} of missing "
+                        f"producer {producer!r}"
                     )
-                consumers.setdefault((flow.producer, flow.tag), []).append(task.key)
-                out_tags[flow.producer].add(flow.tag)
+                consumers.setdefault((producer, tag), []).append(task.key)
+                tags.add(tag)
         self.consumers = consumers
         self.out_tags = {key: tuple(sorted(tags)) for key, tags in out_tags.items()}
         if validate:
@@ -170,18 +171,17 @@ class TaskGraph:
         local_edges = local_bytes = 0
         for task in tasks.values():
             node = task.node
-            for flow in task.inputs:
-                producer = tasks[flow.producer]
-                nbytes = flow.nbytes
+            for key, tag, nbytes in task.inputs:
+                producer = tasks[key]
                 if producer.node == node:
                     local_edges += 1
                     local_bytes += nbytes
                     continue
-                per_message = sizes.setdefault(flow.producer, {})
-                message = (flow.tag, node)
+                per_message = sizes.setdefault(key, {})
+                message = (tag, node)
                 prev = per_message.get(message)
                 if prev is None:
-                    prev = producer.out_nbytes.get(flow.tag, 0)
+                    prev = producer.out_nbytes.get(tag, 0)
                 per_message[message] = nbytes if nbytes > prev else prev
         self._local = (local_edges, local_bytes)
         self._plan = {

@@ -11,7 +11,7 @@ strip to the tile below), exactly like PaRSEC's named flows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Mapping
+from typing import Any, Callable, Hashable, Mapping, NamedTuple
 
 #: Task keys are arbitrary hashables; stencil builders use tuples like
 #: ``("st", tx, ty, it)``.
@@ -22,10 +22,16 @@ TaskKey = Hashable
 Kernel = Callable[[Mapping[tuple[TaskKey, str], Any], "Task"], Mapping[str, Any]]
 
 
-@dataclass(frozen=True)
-class Flow:
+class _FlowFields(NamedTuple):
+    producer: TaskKey
+    tag: str
+    nbytes: int = 0
+
+
+class Flow(_FlowFields):
     """One incoming dataflow edge: *this* task consumes output ``tag``
-    of ``producer``.
+    of ``producer``.  Immutable, and a tuple underneath: a stencil
+    graph makes one per declared edge, so construction is kept cheap.
 
     Parameters
     ----------
@@ -41,13 +47,12 @@ class Flow:
         nodes.
     """
 
-    producer: TaskKey
-    tag: str
-    nbytes: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
+    def __new__(cls, producer: TaskKey, tag: str, nbytes: int = 0) -> "Flow":
+        if nbytes < 0:
             raise ValueError("flow payload size cannot be negative")
+        return tuple.__new__(cls, (producer, tag, nbytes))
 
 
 class Task:

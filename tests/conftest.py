@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 from collections import Counter
 
@@ -64,6 +65,14 @@ def assert_report_folds_match_graph(graph, report) -> None:
     by_kind = {dict(labels)["kind"]: count for labels, count
                in report.metrics.labelled("tasks_executed_total").items()}
     assert by_kind == Counter(task.kind for task in graph)
+
+
+def shared_mappings() -> int:
+    """Anonymous shared mappings of this process (what ``mmap.mmap(-1,
+    n)`` makes: the result grids and the procs backend's rings)."""
+    gc.collect()
+    with open("/proc/self/maps") as maps:
+        return sum("/dev/zero (deleted)" in line for line in maps)
 
 
 def join_all(workers, timeout: float = 10.0) -> list[str]:

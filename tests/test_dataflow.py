@@ -1,4 +1,8 @@
-"""The stencil graph builder: structure, costs, numerical execution."""
+"""The stencil graph builder: structure, costs, numerical execution.
+
+The paper's graph (one task per tile and sweep) is what the builder
+returns without kernels; with kernels it returns the node-block graph
+the real executors run (``tests/test_node_blocks.py``)."""
 
 import numpy as np
 import pytest
@@ -20,13 +24,15 @@ def build(n=24, nodes=4, tile=4, steps=3, T=7, seed=0, with_kernels=True):
 
 
 def test_task_count():
-    built = build(T=7)
+    built = build(T=7, with_kernels=False)
     tiles = 6 * 6
     assert len(built.graph) == tiles * (7 + 1)  # init + 7 iterations
+    # With kernels: a boundary and an interior task per node and sweep.
+    assert len(build(T=7).graph) == 4 * 2 * (7 + 1)
 
 
 def test_kind_labels():
-    built = build()
+    built = build(with_kernels=False)
     kinds = {}
     for task in built.graph:
         kinds[task.kind] = kinds.get(task.kind, 0) + 1
@@ -61,7 +67,7 @@ def test_redundant_flops_only_in_ca():
 
 
 def test_boundary_priority_bias():
-    built = build()
+    built = build(with_kernels=False)
     t = 3
     boundary = built.graph[("st", 2, 2, t)]
     interior = built.graph[("st", 1, 1, t)]
@@ -161,13 +167,15 @@ def test_wrong_shaped_strip_is_rejected_not_broadcast():
     wrong shape must fail naming tile and tag, not broadcast into the
     pad (a (1, 1) array would assign silently)."""
     built = build(steps=1, T=2)
-    task = built.graph[("st", 1, 1, 0)]
+    task = built.graph[("st", 3, "boundary", 0)]
     kernels = task.kernel.__self__
     inputs = {}
     for flow in task.inputs:
         producer = built.graph[flow.producer]
         inputs[(flow.producer, flow.tag)] = producer.kernel({}, producer)[flow.tag]
-    assert kernels.stencil_task(inputs, task)["tile"].shape == (6, 6)
-    inputs[(("st", 0, 1, -1), "sN")] = np.zeros((1, 1))
-    with pytest.raises(ValueError, match=r"tile \(1, 1\).*'sN'"):
+    strips = [key for key, value in inputs.items() if isinstance(value, np.ndarray)]
+    assert strips and all(inputs[key].shape in ((1, 4), (4, 1)) for key in strips)
+    assert kernels.stencil_task(inputs, task)["tile"] == "in-buffer"
+    inputs[(("st", 1, "boundary", -1), "dN:2,3")] = np.zeros((1, 1))
+    with pytest.raises(ValueError, match=r"tile \(3, 3\), iteration 0: 'dN:2,3'"):
         kernels.stencil_task(inputs, task)

@@ -4,7 +4,9 @@ import dataclasses
 import gc
 import weakref
 
+from repro.core.dataflow import build_stencil_graph
 from repro.core.spec import StencilSpec
+from repro.machine.machine import nacl
 from repro.stencil.problem import JacobiProblem
 
 
@@ -30,19 +32,25 @@ def test_equal_specs_with_different_rules_get_different_plans():
     real, broken = make_spec(), make_spec(_NoCorners)
     assert dataclasses.astuple(real)[:3] == dataclasses.astuple(broken)[:3]
 
-    def corner_tags(plan, direction):
+    def corner_tags(plan):
         return {
             entry.tag
             for phases in plan.values()
             for exchange in phases
-            for entry in getattr(exchange, direction)
+            for entry in exchange.incoming
             if entry.tag.startswith("c")
         }
 
-    assert corner_tags(real.exchange_plan(), "incoming") == {"cNW", "cNE", "cSW", "cSE"}
-    assert corner_tags(broken.exchange_plan(), "incoming") == set()
-    # ... and what nobody receives, nobody cuts.
-    assert corner_tags(broken.exchange_plan(), "outgoing") == set()
+    def corners_cut(spec):
+        kernels = build_stencil_graph(spec, nacl(4)).per_tile().kernels
+        return {cut.tag for plan in kernels.plans.values() for phase in plan.phases
+                for cut in phase.cuts if cut.tag.startswith("c")}
+
+    assert corner_tags(real.exchange_plan()) == {"cNW", "cNE", "cSW", "cSE"}
+    assert corner_tags(broken.exchange_plan()) == set()
+    # ... and what nobody receives, no kernel cuts.
+    assert corners_cut(real) == {"cNW", "cNE", "cSW", "cSE"}
+    assert corners_cut(broken) == set()
 
 
 def test_replace_starts_from_an_empty_table():

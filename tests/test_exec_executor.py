@@ -320,9 +320,10 @@ def replay(graph: TaskGraph, policy: str) -> list:
 
 
 def base_3x3(machine) -> TaskGraph:
-    """3 sweeps over 12 x 12 in tiles of 4: 3 x 3 tiles on one node."""
+    """3 sweeps over 12 x 12 in tiles of 4: 3 x 3 tiles, as the paper's
+    graph (one task per tile and sweep), with kernels."""
     return build_base_graph(random_problem(12, 3), machine, tile=4,
-                            with_kernels=True).graph
+                            with_kernels=True).per_tile().graph
 
 
 def measured_order(graph: TaskGraph, policy: str) -> list:

@@ -1,7 +1,8 @@
 """Stencil graphs are templates built once per shape and bound per run
 (``repro.core.dataflow``): what a bound graph must equal, what a second
-build may not redo, what a template may not keep alive, and that
-instrumenting one run's tasks never reaches the next run's.
+build may not redo, what a template -- the paper's graph and its
+node-block lowering -- may not keep alive, and that instrumenting one
+run's tasks never reaches the next run's.
 """
 
 from __future__ import annotations
@@ -62,8 +63,20 @@ def facts(graph) -> dict:
     }
 
 
+def retained_graphs(template) -> list:
+    """The paper's graph and the node-block graph, whichever were made."""
+    return [graph for graph in (template.graph, template.blocks and template.blocks[0])
+            if graph is not None]
+
+
 def retained_facts() -> dict:
-    return {key: facts(graph) for key, (graph, _) in TEMPLATES._items.items()}
+    return {key: [facts(graph) for graph in retained_graphs(template)]
+            for key, template in TEMPLATES._items.items()}
+
+
+#: Node-block tasks of one sweep of the 24^2, tile-6, four-node shape
+#: the tests below use: per node one boundary and one interior task.
+BLOCKS = 4 * 2
 
 
 def spec_of(problem, nodes=4, tile=6, steps=1, pgrid=None) -> StencilSpec:
@@ -113,6 +126,8 @@ def test_bound_graph_equals_a_build_from_an_empty_memo(shape):
     assert timing_only.grid is None
     assert all(t.kernel is None for t in timing_only.graph)
     assert len(TEMPLATES._items) == 1  # the same template, with kernels or without
+    # ... and the simulator's view of a build is the paper's graph itself.
+    assert facts(bound.per_tile().graph) == facts(timing_only.graph)
 
 
 # -- (b) same shape, different data --------------------------------------
@@ -145,7 +160,7 @@ def same_shape_problems(n=24, iterations=5) -> list[JacobiProblem]:
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_same_shape_different_data_builds_once(backend, monkeypatch):
     counts = {"flows": 0, "templates": 0}
-    real_flow, real_template = dataflow.Flow, dataflow._build_template
+    real_flow, real_template = dataflow.Flow, dataflow.Template
 
     def counting_flow(*args):
         counts["flows"] += 1
@@ -156,7 +171,7 @@ def test_same_shape_different_data_builds_once(backend, monkeypatch):
         return real_template(*args)
 
     monkeypatch.setattr(dataflow, "Flow", counting_flow)
-    monkeypatch.setattr(dataflow, "_build_template", counting_template)
+    monkeypatch.setattr(dataflow, "Template", counting_template)
     knobs = dict(impl="ca-parsec", tile=6, steps=3, mode="execute", backend=backend)
     if backend != "sim":
         knobs["jobs"] = 1
@@ -193,7 +208,8 @@ def test_a_chaos_run_leaves_the_template_and_the_next_run_clean(backend):
     assert chaos.recovered and np.array_equal(chaos.grid, clean.grid)
     after = retained_facts()
     assert {key: after[key] for key in retained} == retained
-    assert all(t.kernel is None for graph, _ in TEMPLATES._items.values() for t in graph)
+    assert all(t.kernel is None for template in TEMPLATES._items.values()
+               for graph in retained_graphs(template) for t in graph)
     again = run(second, nacl(4), mode="execute", **knobs)
     assert _plain_kernels(again.graph)  # no chaos wrapper, no inflated cost
     assert facts(again.graph) == facts(clean.graph)
@@ -244,8 +260,16 @@ def test_a_template_reaches_no_array_mapping_kernels_or_problem():
             backend="threads", jobs=1)
     run(random_problem(24, 4), nacl(4), impl="base-parsec", tile=6, mode="execute")
     assert len(TEMPLATES._items) == 2
+    # The walk goes through the lowering too: node-block graphs, their
+    # kernels' plans and the node buffers' geometry.
+    lowered = [template.blocks for template in TEMPLATES._items.values()]
+    assert all(blocks is not None for blocks in lowered)
     objects = reachable_from([TEMPLATES._items])
     assert len(objects) > TEMPLATES.retained_tasks()  # the walk went in
+    ids = {id(obj) for obj in objects}
+    for graph, plans in lowered:
+        assert id(graph) in ids and id(plans) in ids
+        assert all(id(plan) in ids for plan in plans.values())
     banned = (np.ndarray, mmap.mmap, StencilKernels, JacobiProblem, types.MethodType)
     assert [type(obj).__name__ for obj in objects if isinstance(obj, banned)] == []
 
@@ -257,11 +281,13 @@ def test_a_runs_grid_dies_with_its_result_while_the_template_stays(backend):
         knobs["jobs"] = 1
     result = run(random_problem(24, 5, seed=7), nacl(4), **knobs)
     mapping, graph = weakref.ref(result.grid.base), weakref.ref(result.graph)
-    kernels = weakref.ref(result.graph[("ca", 0, 0, 0)].kernel.__self__)
+    kernels = weakref.ref(next(iter(result.graph)).kernel.__self__)
     del result
     gc.collect()
     assert mapping() is None and graph() is None and kernels() is None
-    assert TEMPLATES.retained_tasks() == 16 * 6
+    # The node-block graph always (the builder's with kernels), the
+    # paper's graph where the simulator ran it.
+    assert TEMPLATES.retained_tasks() == BLOCKS * 6 + (16 * 6 if backend == "sim" else 0)
 
 
 def test_retained_tasks_stay_under_the_bound(monkeypatch):
@@ -284,6 +310,38 @@ def test_retained_tasks_stay_under_the_bound(monkeypatch):
     assert len(build(9)) == 160  # evicts the older of the two
     assert retained_iterations() == [1, 9]
     assert TEMPLATES.retained_tasks() == 192 <= TEMPLATES.max_tasks
+
+
+def test_clear_racing_put_never_breaks_the_tables_walk():
+    """``put`` walks the table (``retained_tasks``) under the lock; a
+    ``clear`` that did not take it could empty the table mid-walk."""
+    cache = dataflow._TemplateCache(max_tasks=10**6)
+    done, errors = threading.Event(), []
+
+    def putting():
+        try:
+            k = 0
+            while not done.is_set():
+                cache.put(types.SimpleNamespace(key=k % 128, tasks=1))
+                k += 1
+        except Exception as exc:  # noqa: BLE001 - the failure under test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    putter = threading.Thread(target=putting)
+    try:
+        putter.start()
+        for _ in range(100):
+            while len(cache._items) < 64 and putter.is_alive():
+                pass  # a long walk for every put until the next clear
+            cache.clear()
+    finally:
+        done.set()
+        putter.join(30)
+        sys.setswitchinterval(interval)
+    assert errors == [] and not putter.is_alive()
+    assert cache.retained_tasks() <= 128
 
 
 def test_the_bound_is_a_module_constant_that_holds_the_benchmark_shapes():
@@ -330,6 +388,6 @@ def test_two_threads_first_building_one_shape_both_solve_correctly():
             assert join_all(threads, 120) == []
             for k, problem in enumerate(problems):
                 assert np.array_equal(grids.pop(k), problem.reference_solution())
-            assert TEMPLATES.retained_tasks() == 16 * 6
+            assert TEMPLATES.retained_tasks() == 16 * 6 + BLOCKS * 6
     finally:
         sys.setswitchinterval(interval)

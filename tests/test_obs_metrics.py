@@ -16,6 +16,7 @@ backends and the static graph census for one fixed problem:
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -152,16 +153,17 @@ def test_sim_metrics_equal_static_census():
     assert snap.gauge("census_messages") == census.remote_messages
 
 
-def test_threads_task_counts_equal_sim():
-    graph = _census()
-    _, sim = _run("sim")
-    _, threads = _run("threads", jobs=2)
-    assert (threads.counter("tasks_executed_total")
-            == sim.counter("tasks_executed_total")
-            == len(graph.tasks))
-    # per-kind splits agree too, not just the grand total
-    assert (threads.labelled("tasks_executed_total")
-            == sim.labelled("tasks_executed_total"))
+def test_threads_task_counts_equal_their_graph():
+    """Each backend counts the tasks it ran: the simulator the paper's
+    graph, the threads backend the node-block graph -- per kind too."""
+    sim_result, sim = _run("sim")
+    threads_result, threads = _run("threads", jobs=2)
+    assert sim.counter("tasks_executed_total") == len(_census().tasks)
+    for result, snap in ((sim_result, sim), (threads_result, threads)):
+        kinds = Counter(task.kind for task in result.graph)
+        assert snap.counter("tasks_executed_total") == len(result.graph)
+        assert snap.labelled("tasks_executed_total") == {
+            (("kind", kind),): count for kind, count in kinds.items()}
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")
@@ -169,10 +171,11 @@ def test_threads_task_counts_equal_sim():
 def test_procs_merged_counters_equal_single_process_totals():
     census = _census().census()
     _, sim = _run("sim")
+    _, threads = _run("threads", jobs=1)
     _, procs = _run("processes", procs=2, jobs=1)
     # merged child registries reproduce the single-process totals exactly
-    assert (procs.counter("tasks_executed_total")
-            == sim.counter("tasks_executed_total"))
+    assert (procs.labelled("tasks_executed_total")
+            == threads.labelled("tasks_executed_total"))
     assert procs.counter("messages_total") == census.remote_messages
     assert procs.counter("messages_total") == sim.counter("messages_total")
     assert (procs.counter("message_bytes_total")

@@ -3,9 +3,11 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.core.dataflow import build_stencil_graph
 from repro.core.spec import ITEMSIZE, StencilSpec
 from repro.distgrid.halo import SIDES
 from repro.distgrid.partition import GridPartition, ProcessGrid, even_split
+from repro.machine.machine import nacl
 from repro.stencil.problem import JacobiProblem
 
 
@@ -114,38 +116,66 @@ def _extent(slices):
     return tuple(s.stop - s.start for s in slices)
 
 
+def _cells(origin, slices):
+    """The global cells a window of an array at ``origin`` covers."""
+    rows, cols = slices
+    return (origin[0] + rows.start, origin[0] + rows.stop,
+            origin[1] + cols.start, origin[1] + cols.stop)
+
+
 @settings(max_examples=60, deadline=None)
 @given(specs())
 def test_exchange_plan_sends_exactly_what_is_received(spec):
-    """Every outgoing entry of a producer is one incoming entry of a
-    neighbour one phase later (same tag, cells, shape, bytes), every
-    incoming entry has that twin, and nothing else is cut."""
+    """Every incoming entry names a neighbour's cells that are the very
+    cells of its own pad, and what the kernels cut is exactly what they
+    paste one phase later -- per tile and per node block: the same tag,
+    shape and global cells, one paste per copy, nothing else cut, and a
+    token wherever producer and consumer share a node buffer."""
     plan = spec.exchange_plan()
     assert set(plan) == set(spec.partition.tiles())
-    sent = {}
-    for producer, phases in plan.items():
-        assert len(phases) == spec.steps
-        for phase, exchange in enumerate(phases):
-            for tag, source in exchange.outgoing:
-                key = (producer, (phase + 1) % spec.steps, tag)
-                assert key not in sent  # one tag, one consumer
-                sent[key] = source
-    received = 0
+    declared = 0
     for consumer, phases in plan.items():
         tile = spec.tile(*consumer)
+        assert len(phases) == spec.steps
         for phase, exchange in enumerate(phases):
-            assert exchange.origin == tile.origin
             assert exchange.update == tile.ext_slices(spec.update_region(tile, phase))
             tags = [entry.tag for entry in exchange.incoming]
             assert len(set(tags)) == len(tags)
             for entry in exchange.incoming:
                 di, dj = entry.producer[0] - consumer[0], entry.producer[1] - consumer[1]
                 assert (abs(di), abs(dj)) in ((0, 1), (1, 0), (1, 1))
-                assert sent[(entry.producer, phase, entry.tag)] == entry.source
+                producer = spec.tile(*entry.producer)
+                assert (_cells(tile.origin, entry.dest)
+                        == _cells(producer.origin, entry.source))
                 assert _extent(entry.source) == _extent(entry.dest) == entry.shape
                 assert entry.nbytes == entry.shape[0] * entry.shape[1] * ITEMSIZE
-                received += 1
-    assert received == len(sent)
+                declared += 1
+    built = build_stencil_graph(spec, nacl(spec.partition.pgrid.size))
+    origin = {block: buffer.origin for block, buffer in spec.buffers().items()}
+    for kernels in (built.kernels, built.per_tile().kernels):
+        sent, tokens = {}, 0
+        for prefix, task_plan in kernels.plans.items():
+            for phase, step in enumerate(task_plan.phases):
+                for tag, block, source in step.cuts:
+                    if source is None:
+                        tokens += 1
+                        continue
+                    key = (prefix, (phase + 1) % spec.steps, tag)
+                    assert key not in sent  # one tag, one consumer
+                    sent[key] = _cells(origin[block], source)
+        received = 0
+        for prefix, task_plan in kernels.plans.items():
+            for phase, step in enumerate(task_plan.phases):
+                for paste in step.pastes:
+                    cells = _cells(origin[paste.block], paste.dest)
+                    assert sent[(paste.producer, phase, paste.tag)] == cells
+                    assert (cells[1] - cells[0], cells[3] - cells[2]) == paste.shape
+                    received += 1
+        assert received == len(sent)
+        if kernels is built.kernels:  # within a buffer: the block graph's token edges
+            assert tokens == 0
+        else:  # the paper's graph publishes every declared flow, by copy or token
+            assert received + tokens == declared
 
 
 @settings(max_examples=100, deadline=None)

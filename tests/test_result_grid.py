@@ -41,20 +41,12 @@ from repro.serve.request import SolveOutcome
 from repro.stencil.problem import JacobiProblem
 from repro.stencil.variable import VariableStencilWeights
 
-from .conftest import random_problem
+from .conftest import random_problem, shared_mappings
 from .serve_helpers import random_problem as picklable_problem
 from .test_tile_buffers import arrays_in
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")
 pytestmark = pytest.mark.timeout(300)
-
-
-def shared_mappings() -> int:
-    """Anonymous shared mappings of this process (what ``mmap.mmap(-1,
-    n)`` makes: the result grids and the procs backend's rings)."""
-    gc.collect()
-    with open("/proc/self/maps") as maps:
-        return sum("/dev/zero (deleted)" in line for line in maps)
 
 
 # -- ownership and lifetime -------------------------------------------------
@@ -106,16 +98,18 @@ def test_simulate_mode_allocates_no_grid():
 def test_incomplete_results_never_return_the_grid():
     problem = random_problem(n=24, iterations=3, seed=6)
     built = build_base_graph(problem, nacl(4), tile=6)
-    with pytest.raises(RuntimeError, match=r"tile \(0, 0\) did not report"):
+    # A node-block task reports for all of its tiles: node 0's boundary
+    # task first, then its interior one, node by node.
+    with pytest.raises(RuntimeError, match=r"tiles \(0, 1\), \(1, 0\), \(1, 1\) did not report"):
         built.assemble_grid({})
     results = ThreadedExecutor(built.graph, jobs=1).run().results
     assert built.assemble_grid(results) is built.grid
-    key = built.final_keys()[5]
+    key = built.final_keys()[5]  # node 2's interior task
     partial = {k: v for k, v in results.items() if k != key}
-    with pytest.raises(RuntimeError, match=r"tile \(1, 1\) did not report"):
+    with pytest.raises(RuntimeError, match=r"tile \(3, 0\) did not report"):
         built.assemble_grid(partial)
     # An old-style payload is not a report either.
-    with pytest.raises(RuntimeError, match=r"tile \(1, 1\)"):
+    with pytest.raises(RuntimeError, match=r"tile \(3, 0\)"):
         built.assemble_grid({**results, key: None})
 
 
@@ -232,7 +226,9 @@ def test_composites_keep_one_result_slot_per_final_tile(backend, impl, passes):
     result = run(problem, nacl(4), **knobs)
     assert np.array_equal(result.grid, problem.reference_solution())
     finals = {k: v for k, v in result.engine.results.items() if k[1] == "tile"}
-    assert len(finals) == 16
+    # One per tile on the simulator's graph; on the real backends one
+    # per node-block task (a boundary and an interior one per node).
+    assert len(finals) == (16 if backend == "sim" else 4 * 2)
     assert set(finals.values()) == {IN_GRID}
 
 
@@ -325,7 +321,9 @@ def test_what_a_node_ships_home_is_o_tasks_not_o_grid(monkeypatch):
     large = done_messages(512, 64, 32)  # same task keys, tiles of 4x the area
     for stats in small + large:
         assert b"numpy" not in pickle.dumps(stats)  # no array, however nested
-        assert len(stats["results"]) == 16  # one token per final tile
+        # One token per final task: each node's 16 tiles all face the
+        # other node, so they are one boundary task.
+        assert len(stats["results"]) == 1
         assert set(stats["results"].values()) == {IN_GRID}
     assert [s["completed"] for s in small] == [s["completed"] for s in large]
     for a, b in zip(small, large):

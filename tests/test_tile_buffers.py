@@ -1,13 +1,16 @@
-"""Tile buffer lifetime and allocation budget of the stencil data path.
+"""Node buffer lifetime and allocation budget of the stencil data path.
 
-A stencil task pastes its ghosts into its input tile, writes its output
-into its worker thread's spare -- the input of the task that thread ran
-last -- and leaves its own input behind as the next spare; a tile's
-last task writes the core into the build's result grid instead.  These
-tests pin what makes that safe (only the declared ghost cells of an
-input are written, no spare or tile outlives a run, a fresh executor on
-the same build starts clean) and that the allocations it removed do not
-creep back.
+Every node block has one framed double buffer and every tile's extended
+array is a window of it: a task pastes the copies it received (remote
+strips and corners) into the pads of the half it reads, updates its
+tiles into the other half and cuts copies for the consumers in other
+buffers; a flow between tiles of one buffer is a token.  The last
+sweep writes the cores into the build's result grid.  These tests pin
+what makes that safe (only the declared pad cells are written, inputs
+stay intact, a fresh executor on the same build starts clean), who
+owns the buffers (the kernels: they die with the run's result, and the
+``processes`` parent never makes one) and that the allocations the
+buffers removed do not creep back.
 """
 
 import gc
@@ -20,6 +23,8 @@ import pytest
 
 from repro.core.base_parsec import build_base_graph
 from repro.core.ca_parsec import build_ca_graph
+from repro.core.dataflow import IN_BUFFER, IN_GRID
+from repro.core.runner import run
 from repro.exec import fork_available
 from repro.exec.executor import ThreadedExecutor
 from repro.exec.futures import RunCancelled
@@ -31,7 +36,7 @@ from repro.stencil.kernels import StencilWeights
 from repro.stencil.problem import JacobiProblem
 from repro.stencil.reference import jacobi_reference
 
-from .conftest import random_problem
+from .conftest import random_problem, shared_mappings
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")
 
@@ -47,31 +52,30 @@ def build(problem, machine, variant):
     return build_ca_graph(problem, machine, tile=6, steps=4)
 
 
-def instrument(built, kernels):
+def instrument(built):
     """Wrap every task before any pass sees it: collect a weak reference
-    to each tile buffer published, and fail the run -- in whichever
-    process or thread it happens -- if a last-sweep task publishes an
-    array or leaves a spare of its tile's shape behind on its thread."""
+    to each copy published, and fail the run -- in whichever process or
+    thread it happens -- if a last-sweep task publishes anything but its
+    grid token, or a copy is a view of a node buffer."""
     t_last = built.spec.problem.iterations - 1
-    tiles = []
+    copies = []
 
     def wrapped(inner, last):
         def kernel(inputs, task):
             out = inner(inputs, task)
-            if not last:
-                tiles.append(weakref.ref(out["tile"]))
-                return out
-            name, i, j, t = task.key
-            if list(arrays_in(out.values())):
-                raise AssertionError(f"{task.key} published an array: {out}")
-            if inputs[((name, i, j, t - 1), "tile")].shape in kernels._local.spare:
-                raise AssertionError(f"{task.key} left a spare past the last sweep")
+            if last and out != {"tile": IN_GRID}:
+                raise AssertionError(f"{task.key} published {out}")
+            buffers = list(inner.__self__.buffers.values())  # other tasks add to it
+            for copy in arrays_in(out.values()):
+                if any(np.shares_memory(copy, halves) for halves in buffers):
+                    raise AssertionError(f"{task.key} published a view of its buffer")
+                copies.append(weakref.ref(copy))
             return out
         return kernel
 
     for task in built.graph:
         task.kernel = wrapped(task.kernel, task.key[-1] == t_last)
-    return tiles
+    return copies
 
 
 def arrays_in(payloads):
@@ -100,7 +104,9 @@ def test_complete_run_pins_no_tile_memory_and_empties_the_store(backend, variant
     problem = random_problem(n=24, iterations=10, seed=3)
     machine = nacl(4)
     built = build(problem, machine, variant)
-    tiles = instrument(built, kernels_of(built))
+    if backend == "sim":
+        built = built.per_tile()  # what the simulator runs
+    copies = instrument(built)
     if passes:
         built, _ = PassManager(parse_pipeline(passes)).run(
             built, PassContext(machine=machine, with_kernels=True))
@@ -114,18 +120,19 @@ def test_complete_run_pins_no_tile_memory_and_empties_the_store(backend, variant
     grid = built.assemble_grid(report.results)
     assert grid is built.grid
     assert np.array_equal(grid, problem.reference_solution())
-    # One token per final tile, and nothing tile-sized came back.
+    # One token per final task, and nothing tile-sized came back.
     assert set(report.results) == set(built.final_keys())
     assert list(arrays_in(report.results.values())) == []
     if backend == "processes":
-        return  # the node processes' tiles and stores died with them
+        return  # the node processes' buffers and stores died with them
     assert len(executor._store) == 0
     # The graph, its kernels and the executor are all still here, yet
-    # none of the buffers the 16 * 10 array publications went through
-    # is alive: the grid is the only tile-sized memory left.
-    assert len(tiles) == 16 * 10
+    # none of the copies that crossed a buffer edge is alive: the node
+    # buffers and the grid are the only tile-sized memory left.
+    assert copies
     gc.collect()
-    assert [ref() for ref in tiles if ref() is not None] == []
+    assert [ref() for ref in copies if ref() is not None] == []
+    assert len(built.kernels.buffers) == machine.nodes
 
 
 def sweep_by_hand(built, call):
@@ -150,55 +157,42 @@ def sweep_by_hand(built, call):
 def test_inputs_are_intact_and_read_only_when_the_kernel_returns(variant):
     problem = random_problem(n=24, iterations=7, seed=1)
     built = build(problem, nacl(4), variant)
-    buffers = {}  # id -> array, kept alive so an id names one buffer
-    fresh_by_sweep = {}
-    plan = built.spec.exchange_plan()
+    kernels = kernels_of(built)
+    pasted = 0
 
     def checked_call(task, inputs):
-        name, i, j, t = task.key
-        own = ((name, i, j, t - 1), "tile")
-        before = {k: v.copy() for k, v in inputs.items()}
+        nonlocal pasted
+        t = task.key[-1]
+        before = {k: v.copy() for k, v in inputs.items() if isinstance(v, np.ndarray)}
         outputs = task.kernel(inputs, task)
         arrays = list(arrays_in(outputs.values()))
         for k, payload in inputs.items():
+            if not isinstance(payload, np.ndarray):
+                assert payload == IN_BUFFER  # a flow within one buffer
+                continue
             assert not payload.flags.writeable
             assert all(not np.shares_memory(payload, out) for out in arrays)
-            if k != own:  # a strip or a corner
-                assert payload.tobytes() == before[k].tobytes(), f"{task.key} wrote input {k}"
-        if task.inputs:
-            # The task's own tile: the declared ghost cells hold the
-            # declared values, every other byte is as it came.
-            expected, pasted = before[own], np.zeros(before[own].shape, bool)
-            for (pi, pj), tag, _, dest, _, _ in plan[(i, j)][t % built.spec.steps].incoming:
-                expected[dest] = inputs[((name, pi, pj, t - 1), tag)]
-                pasted[dest] = True
-            assert pasted.any() and not pasted.all()
-            assert inputs[own].tobytes() == expected.tobytes()
-        tile = outputs["tile"]
-        if isinstance(tile, np.ndarray):  # not the last sweep's token
-            if id(tile) not in buffers:
-                fresh_by_sweep[t] = fresh_by_sweep.get(t, 0) + 1
-            buffers[id(tile)] = tile
+            assert payload.tobytes() == before[k].tobytes(), f"{task.key} wrote input {k}"
+        if t >= 0 and t + 1 < problem.iterations:
+            # Every copy sits in the pad of the half this sweep read.
+            plan = kernels.plans[task.key[:-1]]
+            for paste in plan.phases[t % built.spec.steps].pastes:
+                halves = kernels.buffers[paste.block]
+                value = inputs[(paste.producer + (t - 1,), paste.tag)]
+                assert np.array_equal(halves[t % 2][paste.dest], value)
+                pasted += 1
         return outputs
 
     payloads = sweep_by_hand(built, checked_call)
-    # One thread ran everything: after the 16 initial tiles it allocated
-    # a spare per tile shape in sweep 0 and recycled inputs from then
-    # on; the last sweep (for "ca" one that declares a halo extension:
-    # 6 % 4 != 3) wrote the grid, published no array and dropped the
-    # spares.
-    shapes = {t.ext_shape() for t in built.spec.tiles()}
-    assert fresh_by_sweep == {-1: 16, 0: len(shapes)}
-    assert kernels_of(built)._local.spare == {}
+    assert pasted > 0
     finals = {k: payloads[k] for k in built.final_keys()}
     assert list(arrays_in(finals.values())) == []
     assert np.array_equal(built.assemble_grid(finals), problem.reference_solution())
 
 
 def test_running_the_same_task_twice_never_writes_its_input():
-    """The spare a first call leaves behind *is* the second call's
-    input; the kernel must not take it, and pasting the same ghosts
-    again changes nothing."""
+    """A task is re-runnable: it reads one half and its copies, writes
+    the other half, so running it again changes nothing it read."""
     problem = random_problem(n=12, iterations=4, seed=2)
     built = build(problem, nacl(4), "base")
     graph = built.graph
@@ -211,19 +205,23 @@ def test_running_the_same_task_twice_never_writes_its_input():
                   for f in task.inputs}
         first = task.kernel(inputs, task)
         if task.inputs:
-            before = {k: v.tobytes() for k, v in inputs.items()}
+            before = {k: v.tobytes() for k, v in inputs.items() if isinstance(v, np.ndarray)}
             again = task.kernel(inputs, task)
-            assert all(inputs[k].tobytes() == before[k] for k in inputs)
-            assert again["tile"].tobytes() == first["tile"].tobytes()
+            assert all(inputs[k].tobytes() == before[k] for k in before)
+            assert list(again) == list(first)
+            for tag, payload in first.items():
+                assert np.array_equal(again[tag], payload)
         for tag, payload in first.items():
-            payload.setflags(write=False)
+            if isinstance(payload, np.ndarray):
+                payload.setflags(write=False)
             payloads[(key, tag)] = payload
 
 
 @pytest.mark.timeout(120)
 def test_reset_and_rerun_of_the_same_graph_is_bit_identical():
     """A "reset" is a fresh executor on the same graph: its kernels
-    keep their spares from the previous run and must still be right."""
+    keep their node buffers from the previous run and must still be
+    right."""
     problem = random_problem(n=24, iterations=9, seed=5)
     built = build(problem, nacl(4), "ca")
     truth = problem.reference_solution()
@@ -237,8 +235,8 @@ def test_cancelled_run_then_reset_and_full_run_is_bit_identical():
     problem = random_problem(n=24, iterations=12, seed=6)
     built = build(problem, nacl(4), "base")
 
-    # Cancel from inside a mid-run task: every worker holds a spare then.
-    trigger = built.graph[(built.name, 1, 1, 6)]
+    # Cancel from inside a mid-run task: both halves hold live values then.
+    trigger = built.graph[(built.name, 3, "boundary", 6)]
     plain = trigger.kernel
     handles = queue.Queue()
 
@@ -258,36 +256,83 @@ def test_cancelled_run_then_reset_and_full_run_is_bit_identical():
                           problem.reference_solution())
 
 
+# -- who owns the node buffers -------------------------------------------------
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_node_buffers_die_with_the_run_result(backend):
+    problem = random_problem(n=24, iterations=5, seed=7)
+    knobs = dict(impl="ca-parsec", tile=6, steps=3, mode="execute", backend=backend)
+    result = run(problem, nacl(4), **knobs)
+    buffers = next(iter(result.graph)).kernel.__self__.buffers
+    if backend == "processes":  # each node made its own, and died with it
+        assert buffers == {}
+    else:
+        assert sorted(buffers) == [(0, 0), (0, 1), (1, 0), (1, 1)]  # one per node block
+        assert all(halves.shape[0] == 2 and halves.base is None  # owning its memory
+                   for halves in buffers.values())
+    refs = [weakref.ref(halves) for halves in buffers.values()]
+    grid = result.grid
+    del result, buffers
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
+    assert np.array_equal(grid, problem.reference_solution())  # the grid is the caller's
+
+
+@needs_fork
+@pytest.mark.timeout(120)
+def test_the_processes_parent_maps_no_node_buffer():
+    """Each node process makes its own node's buffer: the parent's
+    kernels never touch one, and after the run the parent maps exactly
+    one anonymous shared region more than before -- the result grid."""
+    problem = random_problem(n=24, iterations=5, seed=8)
+    before = shared_mappings()
+    result = run(problem, nacl(4), impl="base-parsec", tile=6, backend="processes")
+    assert next(iter(result.graph)).kernel.__self__.buffers == {}
+    assert shared_mappings() == before + 1
+    assert np.array_equal(result.grid, problem.reference_solution())
+
+
 # -- allocation budget (tracemalloc sees numpy's array data) ---------------
 
 
 def test_a_steady_state_stencil_task_allocates_less_than_half_a_tile():
+    """A node-block task allocates nothing block- or grid-sized (the
+    grid is 2 MiB, a node's block 1-2 MiB): the update goes from one
+    half of the node buffer into the other and the last sweep into the
+    result grid; what is left is the copies it cuts for another node (a
+    256-cell strip on two nodes) and slicing."""
     problem = JacobiProblem(n=512, iterations=6)
-    built = build_base_graph(problem, nacl(1), tile=256)
     tile_bytes = 256 * 256 * 8
-    peaks = []
+    for nodes in (1, 2):
+        built = build_base_graph(problem, nacl(nodes), tile=256)
+        peaks = []
 
-    def traced_call(task, inputs):
-        # Sweep 0 allocates the spare; sweeps 1-4 are the steady state
-        # and the last one writes the grid, which exists since the build.
-        if task.key[-1] < 1:
-            return task.kernel(inputs, task)
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            outputs = task.kernel(inputs, task)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        peaks.append(peak - base)
-        return outputs
+        def traced_call(task, inputs):
+            # Sweep 0 grows the thread's band scratch; sweeps 1-4 are the
+            # steady state and the last one writes the grid, which exists
+            # since the build.
+            if task.key[-1] < 1:
+                return task.kernel(inputs, task)
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                outputs = task.kernel(inputs, task)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - base)
+            return outputs
 
-    payloads = sweep_by_hand(built, traced_call)
-    assert len(peaks) == 5 * 4
-    assert max(peaks) < tile_bytes // 2, f"a task allocated {max(peaks)} B"
-    assert np.array_equal(
-        built.assemble_grid({k: payloads[k] for k in built.final_keys()}),
-        problem.reference_solution())
+        payloads = sweep_by_hand(built, traced_call)
+        # one task per node and sweep: on two nodes all tiles face the other
+        assert len(peaks) == 5 * nodes
+        # (numpy's ufunc buffer -- 128 KiB however large the region -- aside)
+        assert max(peaks) < tile_bytes // 2, f"a task allocated {max(peaks)} B"
+        assert np.array_equal(
+            built.assemble_grid({k: payloads[k] for k in built.final_keys()}),
+            problem.reference_solution())
 
 
 @pytest.mark.parametrize("weights", [StencilWeights(), StencilWeights.damped_jacobi(0.8)])
