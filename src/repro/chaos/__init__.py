@@ -5,8 +5,8 @@ seeded :class:`FaultPlan` (kill-node, delay-task, slow-node,
 drop-message) replays identically on the simulator, the thread pool
 and the process mesh, because faults fire as pure functions of task
 identity ``(node, global iteration)`` rather than schedule order.
-Recovery restarts a lost node's work on the survivors from the latest
-grid checkpoint at a CA exchange boundary, and -- Jacobi being
+Recovery restarts the run on the survivors, freshly partitioned, from
+the latest grid checkpoint at a CA exchange boundary, and -- Jacobi being
 elementwise -- reproduces the fault-free answer *bit-identically*,
 which is exactly what the property suite pins.
 
@@ -17,7 +17,8 @@ Entry points
 * :func:`run_with_recovery` -- run a problem under a plan with
   checkpoint-restart recovery (the ``repro chaos`` command);
 * :class:`ChaosContext` -- the runner hook (``run(..., chaos=ctx)``);
-* :class:`CheckpointStore` -- the on-disk tile checkpoint format;
+* :class:`CheckpointStore` -- the on-disk checkpoint format (the
+  rectangles each task wrote, complete once they cover the grid);
 * :func:`execute_with_resume` -- the serve integration (one attempt,
   resuming from the job signature's latest checkpoint).
 """

@@ -7,19 +7,19 @@ the superstep boundary is where the paper's scheme is also globally
 exchanged, so checkpointing there costs one extra copy per superstep
 and aligns recovery with the algorithm's own cadence).
 
-A :class:`CheckpointStore` is a directory of raw ``.npy`` tiles, one
-file per ``(step, tile)``, with the tile's *global* coordinates
-encoded in the file name -- so a restart may repartition ownership
-(fewer nodes, a different process grid) and still reassemble the
-identical grid, and both save and load stay a single contiguous
-read/write per tile (an order of magnitude cheaper than a zip
-container, which matters because checkpointing sits on the hot path
-of every superstep).  Writes are atomic (tmp + rename) and
-idempotent; a step counts as *complete* only when every expected tile
-is present, so a node dying mid-checkpoint can never produce a
-restartable-but-torn state.  Because the store is plain files, it
-survives process death -- exactly the property the processes
-backend's recovery path needs.
+A :class:`CheckpointStore` is a directory of raw ``.npy`` rectangles,
+one file per rectangle of cells a task wrote, named by step, *global*
+origin and shape.  A step counts as *complete* once its rectangles
+cover every cell of the grid, whatever partition wrote them: attempts
+with different partitions (a restart on fewer nodes) share one
+directory, and a node dying mid-checkpoint leaves a step that is not
+restartable rather than one that is torn.  Both save and load stay a
+single contiguous read/write per rectangle (an order of magnitude
+cheaper than a zip container, which matters because checkpointing sits
+on the hot path of every superstep).  Writes are atomic (tmp + rename)
+and idempotent, and because the store is plain files it survives
+process death -- exactly the property the processes backend's recovery
+path needs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from ..core.store import atomic_write
 
-_TILE_RE = re.compile(r"^step(\d+)_(\d+)_(\d+)_r(\d+)_c(\d+)\.npy$")
+_RECT_RE = re.compile(r"^step(\d+)_r(\d+)_c(\d+)_(\d+)x(\d+)\.npy$")
 
 
 class CheckpointError(RuntimeError):
@@ -41,11 +41,11 @@ class CheckpointError(RuntimeError):
 
 
 class CheckpointStore:
-    """A directory of per-(step, tile) grid checkpoints.
+    """A directory of per-(step, rectangle) grid checkpoints.
 
-    ``meta.json`` records the expected tile count and grid shape;
-    :meth:`ensure_meta` writes it once (first writer wins, so every
-    forked node process agrees on completeness).
+    ``meta.json`` records the grid shape; :meth:`ensure_meta` writes it
+    once (first writer wins, so every forked node process agrees on
+    what a complete step covers).
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
@@ -59,12 +59,10 @@ class CheckpointStore:
     def meta_path(self) -> Path:
         return self.root / "meta.json"
 
-    def ensure_meta(self, ntiles: int, shape: tuple[int, int],
-                    cadence: int) -> None:
+    def ensure_meta(self, shape: tuple[int, int]) -> None:
         if self.meta_path.exists():
             return
-        doc = {"ntiles": int(ntiles), "shape": [int(shape[0]), int(shape[1])],
-               "cadence": int(cadence)}
+        doc = {"shape": [int(shape[0]), int(shape[1])]}
         atomic_write(self.meta_path,
                      lambda fh: fh.write(json.dumps(doc).encode()))
 
@@ -76,77 +74,73 @@ class CheckpointStore:
 
     # -- writes ----------------------------------------------------------
 
-    def tile_path(self, step: int, i: int, j: int, r0: int, c0: int) -> Path:
-        return self.root / f"step{step:06d}_{i}_{j}_r{r0}_c{c0}.npy"
-
-    def save(self, step: int, i: int, j: int, core: np.ndarray,
-             r0: int, c0: int) -> None:
-        """Atomically persist one tile core at global sweep ``step``.
-        A repeated save of the same tile (a retried superstep) is a
-        no-op: the data is identical by determinism."""
-        path = self.tile_path(step, i, j, r0, c0)
+    def save(self, step: int, r0: int, c0: int, cells: np.ndarray) -> None:
+        """Atomically persist the rectangle ``cells`` whose top-left
+        cell is global ``(r0, c0)``, at global sweep ``step``.  A
+        repeated save (a retried superstep, or another attempt's
+        partition cutting the same rectangle) is a no-op: the data is
+        identical by determinism."""
+        h, w = cells.shape
+        path = self.root / f"step{step:06d}_r{r0}_c{c0}_{h}x{w}.npy"
         if path.exists():
             return
-        atomic_write(path, lambda fh: np.save(fh, np.ascontiguousarray(core)))
+        atomic_write(path, lambda fh: np.save(fh, np.ascontiguousarray(cells)))
 
     # -- reads -----------------------------------------------------------
 
-    def steps_on_disk(self) -> dict[int, int]:
-        """step -> number of tile files present."""
-        counts: dict[int, int] = {}
+    def _rects(self) -> dict[int, list[tuple[Path, slice, slice]]]:
+        """step -> ``(file, rows, cols)`` of every rectangle on disk."""
+        rects: dict[int, list] = {}
         for entry in self.root.iterdir():
-            m = _TILE_RE.match(entry.name)
+            m = _RECT_RE.match(entry.name)
             if m:
-                step = int(m.group(1))
-                counts[step] = counts.get(step, 0) + 1
-        return counts
+                step, r0, c0, h, w = map(int, m.groups())
+                rects.setdefault(step, []).append(
+                    (entry, slice(r0, r0 + h), slice(c0, c0 + w)))
+        return rects
+
+    def _covered(self, rects) -> np.ndarray:
+        covered = np.zeros(tuple(self.meta()["shape"]), dtype=bool)
+        for _, rows, cols in rects:
+            covered[rows, cols] = True
+        return covered
 
     def complete_steps(self) -> list[int]:
-        """Sweeps with a full tile set, ascending (restartable points)."""
-        meta = self.meta()
-        if meta is None:
+        """Sweeps whose rectangles cover the grid, ascending
+        (restartable points)."""
+        if self.meta() is None:
             return []
-        want = meta["ntiles"]
-        return sorted(s for s, n in self.steps_on_disk().items() if n >= want)
+        return sorted(step for step, rects in self._rects().items()
+                      if self._covered(rects).all())
 
     def latest_complete(self) -> int | None:
-        steps = self.complete_steps()
+        """The newest complete sweep, or None -- also when the store
+        cannot be read (a removed directory, a ``meta.json`` that is not
+        this format's): a loss report names no restart point then, and
+        does not fail."""
+        try:
+            steps = self.complete_steps()
+        except (OSError, ValueError, KeyError):
+            return None
         return steps[-1] if steps else None
 
     def load_grid(self, step: int) -> np.ndarray:
-        """Reassemble the full grid of sweep ``step`` from its tiles
-        (partition-independent: tiles carry global coordinates)."""
-        meta = self.meta()
-        if meta is None:
+        """Reassemble the full grid of sweep ``step`` from its
+        rectangles (partition-independent: they carry global
+        coordinates, and where two overlap they hold the same values)."""
+        if self.meta() is None:
             raise CheckpointError(f"no meta.json under {self.root}")
-        grid = np.full(tuple(meta["shape"]), np.nan)
-        found = 0
-        for entry in sorted(self.root.iterdir()):
-            m = _TILE_RE.match(entry.name)
-            if not m or int(m.group(1)) != step:
-                continue
-            core = np.load(entry)
-            r0, c0 = int(m.group(4)), int(m.group(5))
-            grid[r0:r0 + core.shape[0], c0:c0 + core.shape[1]] = core
-            found += 1
-        if found < meta["ntiles"]:
+        rects = self._rects().get(step, [])
+        covered = self._covered(rects)
+        if not covered.all():
             raise CheckpointError(
-                f"checkpoint step {step} incomplete: {found} of "
-                f"{meta['ntiles']} tiles on disk"
+                f"checkpoint step {step} incomplete: {int(covered.sum())} of "
+                f"{covered.size} cells on disk"
             )
-        if np.isnan(grid).any():  # pragma: no cover - defensive
-            raise CheckpointError(
-                f"checkpoint step {step} left uncovered cells"
-            )
+        grid = np.empty(covered.shape)
+        for path, rows, cols in rects:
+            grid[rows, cols] = np.load(path)
         return grid
-
-    def clear(self) -> None:
-        for entry in self.root.iterdir():
-            if _TILE_RE.match(entry.name):
-                try:
-                    entry.unlink()
-                except OSError:  # pragma: no cover - concurrent clear
-                    pass
 
 
 __all__ = ["CheckpointError", "CheckpointStore"]

@@ -9,9 +9,9 @@ boundaries on the way through.
 
 :func:`run_with_recovery` is the recovery driver the ``repro chaos``
 CLI and the resilience suite use: run, catch
-:class:`~repro.runtime.engine.NodeLostError`, restart the lost node's
-work on the survivors (ownership repartitioned by shrinking the
-machine), resuming from the latest complete checkpoint rather than
+:class:`~repro.runtime.engine.NodeLostError`, restart on the
+survivors (a fresh partition of the grid over the shrunken machine),
+resuming from the latest complete checkpoint rather than
 from scratch.  Because Jacobi is elementwise and tile cores are exact
 at every sweep, the recovered grid is *bit-identical* to the
 fault-free answer -- the property the whole suite pins.
@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from ..core.config import RunConfig, applies
-from ..distgrid.partition import ProcessGrid, RemappedGrid
+from ..distgrid.partition import GridPartition, ProcessGrid
 from ..machine.machine import MachineSpec, nacl
 from ..runtime.engine import NodeLostError
 from ..stencil.problem import JacobiProblem
@@ -97,8 +97,7 @@ class ChaosContext:
         if kernels is not None and self.store is not None:
             spec = built.spec
             cadence = self.checkpoint_every or spec.steps
-            ntiles = len(list(spec.partition.tiles()))
-            self.store.ensure_meta(ntiles, spec.problem.shape, cadence)
+            self.store.ensure_meta(spec.problem.shape)
             total = self.base + spec.problem.iterations
         for task in built.graph:
             t = task.key[-1]
@@ -132,9 +131,9 @@ class ChaosContext:
                         time.sleep(extra)
             out = kernel(inputs, task)
             if ckpt_step is not None:
-                # Each tile's core as this task left it in its node buffer.
-                for tile, core in kernels.cores_after(key):
-                    self.store.save(ckpt_step, tile.i, tile.j, core, tile.r0, tile.c0)
+                # The cells this task wrote, as it left them in its node buffer.
+                for (r0, c0), cells in kernels.cores_after(key):
+                    self.store.save(ckpt_step, r0, c0, cells)
             return out
 
         return chaotic_kernel
@@ -145,12 +144,7 @@ class ChaosContext:
         reports it), a raised :class:`NodeLostError` elsewhere."""
         if self.backend == "processes":
             os._exit(KILL_EXIT_CODE)
-        step = None
-        if self.store is not None:
-            try:
-                step = self.store.latest_complete()
-            except Exception:
-                step = None
+        step = self.store.latest_complete() if self.store is not None else None
         raise NodeLostError(
             f"node {node} killed by fault plan", node=node,
             checkpoint_step=step,
@@ -194,10 +188,8 @@ class ChaosResult:
 
 def _restore_point(store: CheckpointStore | None):
     """The newest checkpoint that actually reassembles, as
-    ``(step, grid)`` -- ``(None, None)`` when none does.  A step whose
-    tile-count quorum was met by a *mixed* set (possible after a
-    re-tiling restart changed the tile census) fails assembly and is
-    skipped rather than trusted."""
+    ``(step, grid)`` -- ``(None, None)`` when none does.  A step that
+    fails assembly is skipped rather than trusted."""
     if store is None:
         return None, None
     for step in reversed(store.complete_steps()):
@@ -250,15 +242,28 @@ def _fault_state(config: RunConfig, plan: FaultPlan, workdir: Path):
     return s, injector, store
 
 
-def _attempt_config(config: RunConfig, problem: JacobiProblem,
-                    **changes) -> RunConfig:
+def _attempt_config(config: RunConfig, problem: JacobiProblem) -> RunConfig:
     """``config`` for one attempt at ``problem`` (possibly only the
     tail left after a checkpoint): a CA step never exceeds the sweeps
     that remain."""
     steps = config.steps
     if applies("steps", config.impl) and problem.iterations > 0:
         steps = max(1, min(steps, problem.iterations))
-    return config.replace(steps=steps, **changes)
+    return config.replace(steps=steps)
+
+
+def _fitting_steps(config: RunConfig, problem: JacobiProblem,
+                   machine: MachineSpec) -> int | None:
+    """``config.steps`` clamped to the smallest tile edge of the
+    partition a run on ``machine`` gets (a restart's survivors may
+    partition into narrower tiles; every step size gives the same
+    bits)."""
+    if not applies("steps", config.impl):
+        return config.steps
+    resolved = config.resolved(problem, machine)
+    pgrid = config.pgrid or ProcessGrid.square(machine.nodes)
+    partition = GridPartition(*problem.shape, pgrid, resolved.tile)
+    return min(config.steps, partition.min_tile_dim())
 
 
 def run_with_recovery(
@@ -276,13 +281,14 @@ def run_with_recovery(
 
     ``knobs`` are :class:`~repro.core.config.RunConfig` fields (here
     defaulting to ``impl="ca-parsec", steps=4`` and always executing
-    real kernels).  Each :class:`NodeLostError` triggers one restart:
-    ownership is repartitioned onto the survivors
-    (``machine.with_nodes(n - 1)``, unless a ``pgrid`` pins the layout
-    or one node remains) and the run resumes from the latest
-    *complete* checkpoint -- from scratch only when the node died
-    before the first boundary.  Durable fault markers guarantee a
-    consumed kill cannot re-fire on the retry.
+    real kernels).  Each :class:`NodeLostError` triggers one restart on
+    the survivors (``machine.with_nodes(n - 1)``, unless a ``pgrid``
+    pins the layout or one node remains), partitioned like a fresh run
+    on that many nodes, with ``steps`` clamped to its smallest tile
+    edge.  It resumes from the latest *complete* checkpoint -- from
+    scratch only when the node died before the first boundary.
+    Durable fault markers guarantee a consumed kill cannot re-fire on
+    the retry.
     """
     from ..core.runner import run
 
@@ -292,7 +298,6 @@ def run_with_recovery(
     if config.auto:
         raise ValueError("chaos runs need concrete tile/steps (no 'auto')")
     machine = machine or nacl(4)
-    pgrid = config.pgrid
 
     import tempfile
 
@@ -305,15 +310,7 @@ def run_with_recovery(
         s, injector, store = _fault_state(config, plan, workdir)
         cadence = checkpoint_every or s
 
-        cur_problem = problem
-        cur_machine = machine
-        cur_pgrid = pgrid
-        # Tile geometry is pinned by the *original* node arrangement;
-        # shrinking only renumbers ownership (RemappedGrid), so every
-        # restart reuses checkpointed tiles one-to-one.
-        base_grid = pgrid or ProcessGrid.square(machine.nodes)
-        geometry_ok = True  # flips off once a restart had to re-tile
-        alive = list(range(machine.nodes))
+        cur_problem, cur_machine, cur_config = problem, machine, config
         base = 0
         attempts = 0
         restarts: list[dict] = []
@@ -323,7 +320,7 @@ def run_with_recovery(
             ctx = ChaosContext(
                 injector, store=store, base=base, checkpoint_every=cadence
             )
-            attempt = _attempt_config(config, cur_problem, pgrid=cur_pgrid)
+            attempt = _attempt_config(cur_config, cur_problem)
             try:
                 result = run(cur_problem, cur_machine, metrics=metrics,
                              chaos=ctx, **attempt.knobs())
@@ -332,28 +329,17 @@ def run_with_recovery(
                 if len(restarts) >= max_restarts:
                     raise
                 ckpt, grid = _restore_point(store)
-                if len(alive) > 1 and pgrid is None:
-                    # exc.node is a rank of the *current* machine; alive
-                    # maps it back to the original block it stood for.
-                    dead = (
-                        alive[exc.node]
-                        if exc.node is not None and 0 <= exc.node < len(alive)
-                        else alive[-1]
-                    )
-                    alive.remove(dead)
-                    cur_machine = cur_machine.with_nodes(len(alive))
-                    if store is not None and geometry_ok:
-                        cur_pgrid = RemappedGrid.shrink(base_grid, alive)
-                        if cur_pgrid is None:
-                            # A whole process-grid column died: geometry
-                            # cannot be preserved safely -- re-tile for
-                            # the survivor count from here on.
-                            geometry_ok = False
                 cur_problem, base = _tail(problem, ckpt, grid), ckpt or 0
+                if cur_machine.nodes > 1 and config.pgrid is None:
+                    # The survivors partition the grid as a fresh run
+                    # on their count would; checkpoints are partition-free.
+                    cur_machine = cur_machine.with_nodes(cur_machine.nodes - 1)
+                    cur_config = config.replace(
+                        steps=_fitting_steps(config, cur_problem, cur_machine))
                 restarts.append({
                     "node": exc.node,
                     "checkpoint": ckpt,
-                    "nodes_after": len(alive),
+                    "nodes_after": cur_machine.nodes,
                     "reason": str(exc),
                 })
         wall = time.perf_counter() - t0
@@ -387,7 +373,7 @@ def execute_with_resume(
     signature's latest checkpoint if an earlier attempt died.
 
     The service owns the retry budget, so a lost node propagates as
-    :class:`NodeLostError` for the batch-failure path to catch; the
+    :class:`NodeLostError` for the service's failure path to catch; the
     retried job lands back here, finds the checkpoint directory warm,
     and finishes the remaining sweeps instead of starting over.
     Returns a :class:`~repro.serve.request.SolveOutcome` whose

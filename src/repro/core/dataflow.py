@@ -115,9 +115,9 @@ class _Phase(NamedTuple):
 
 class _Plan(NamedTuple):
     """What the kernels do for one task prefix: its tiles, their cores
-    (one rect each, for loading and checkpoints), the joined cores (the
-    last sweep's update) and one :class:`_Phase` per ``t % steps`` (the
-    initial load cuts ``phases[-1].cuts``)."""
+    (one rect each, for loading), the joined cores (the last sweep's
+    update, and the checkpoints) and one :class:`_Phase` per
+    ``t % steps`` (the initial load cuts ``phases[-1].cuts``)."""
 
     tiles: tuple[tuple[int, int], ...]
     cores: tuple[_Rect, ...]
@@ -254,13 +254,14 @@ class StencilKernels:
         return outputs
 
     def cores_after(self, key: TaskKey):
-        """``(tile, core)`` for every tile of task ``key``: a view of the
-        core's values after that task's sweep (not the last one: those
-        are in the result grid)."""
+        """``(origin, cells)`` for every joined core rectangle of task
+        ``key``: its global top-left cell and a view of its values
+        after that task's sweep (not the last one: those are in the
+        result grid)."""
         half = (key[-1] + 1) % 2
-        plan = self.plans[key[:-1]]
-        for (i, j), rect in zip(plan.tiles, plan.cores):
-            yield self.spec.tile(i, j), self._halves(rect.block)[half, rect.rows, rect.cols]
+        for rect in self.plans[key[:-1]].finals:
+            rows, cols = self._global(rect)
+            yield (rows.start, cols.start), self._halves(rect.block)[half, rect.rows, rect.cols]
 
 
 def _moved(slices: Slices, by: tuple[int, int]) -> Slices:

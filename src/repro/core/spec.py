@@ -75,9 +75,8 @@ class NodeBuffer(NamedTuple):
     """Where one node block's framed buffer sits in the global grid.
 
     It is the bounding box of the block's tiles' extended arrays: the
-    block, its ghost pads (depth ``steps`` toward another node, 1
-    toward another block of the same node) and, along the grid's edge,
-    the Dirichlet frame.  Every tile's extended array is the window of
+    block, its ghost pads (depth ``steps``, toward another node) and,
+    along the grid's edge, the Dirichlet frame.  Every tile's extended array is the window of
     it at ``tile.origin - origin``.
     """
 

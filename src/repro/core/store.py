@@ -24,7 +24,7 @@ def atomic_write(path: str | os.PathLike, write_fn: Callable[[BinaryIO], object]
     partial file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # Hidden name: directory scans (checkpoint tiles, postmortem-*.json
+    # Hidden name: directory scans (checkpoint rectangles, postmortem-*.json
     # retention) never mistake an in-flight temp file for an entry.
     fd, tmp = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"

@@ -55,83 +55,6 @@ class ProcessGrid:
         return cls(rows=p, cols=nodes // p)
 
 
-@dataclass(frozen=True)
-class RemappedGrid(ProcessGrid):
-    """A process grid whose ranks were renumbered after node loss.
-
-    Recovery keeps the *geometry* (``rows x cols`` blocks, hence the
-    exact tile layout of the original partition) and changes only the
-    ownership: each original block maps through ``mapping`` to a
-    surviving node id, a dead block being adopted by the nearest
-    survivor in its *own column* (the buddy scheme).  Preserving the
-    tile layout is what lets a restart reuse checkpointed tiles
-    one-to-one instead of resharding the grid -- and keeps the
-    restarted graph the same size as the original rather than
-    re-tiling around an awkward survivor count.
-
-    Adoption is column-local on purpose.  The CA dataflow assumes
-    ownership invariants that hold for any injective rank map -- a
-    tile with two local sides needs no corner block, and a local
-    strip's perpendicular extension exists because the producer's
-    matching side is also remote.  Column-local groups keep every
-    east/west block boundary remote and give each tile at most one
-    local axis, so both invariants survive.  L-shaped adoption groups
-    (e.g. three blocks of a 2x2 grid on one node) break them and
-    silently corrupt corner cells -- which is why :meth:`shrink`
-    refuses (returns ``None``) when a column has no survivor left,
-    and recovery falls back to re-tiling instead.
-    """
-
-    mapping: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if len(self.mapping) != self.rows * self.cols:
-            raise ValueError(
-                f"mapping covers {len(self.mapping)} blocks; the grid "
-                f"has {self.rows * self.cols}"
-            )
-
-    @property
-    def size(self) -> int:
-        """Surviving node count (distinct target ids)."""
-        return len(set(self.mapping))
-
-    def rank(self, pr: int, pc: int) -> int:
-        return self.mapping[super().rank(pr, pc)]
-
-    @classmethod
-    def shrink(cls, base: ProcessGrid, alive: list[int]) -> "RemappedGrid | None":
-        """Renumber ``base`` onto the surviving original ranks ``alive``
-        (sorted); every dead rank's block is adopted by the nearest
-        survivor in the same column (ties go downward).  Returns
-        ``None`` when some column has no survivor -- geometry cannot
-        be preserved safely then (see the class docstring)."""
-        total = base.rows * base.cols
-        new_id = {r: i for i, r in enumerate(alive)}
-        if not new_id or any(not 0 <= r < total for r in new_id):
-            raise ValueError(f"alive ranks {alive!r} outside {base}")
-        mapping = []
-        for r in range(total):
-            if r in new_id:
-                mapping.append(new_id[r])
-                continue
-            pr, pc = divmod(r, base.cols)
-            buddy = None
-            for k in range(1, base.rows):
-                for cand_row in ((pr + k) % base.rows, (pr - k) % base.rows):
-                    cand = cand_row * base.cols + pc
-                    if cand in new_id:
-                        buddy = cand
-                        break
-                if buddy is not None:
-                    break
-            if buddy is None:
-                return None
-            mapping.append(new_id[buddy])
-        return cls(rows=base.rows, cols=base.cols, mapping=tuple(mapping))
-
-
 def even_split(total: int, parts: int) -> list[int]:
     """Split ``total`` cells into ``parts`` contiguous chunks whose
     sizes differ by at most one (the first ``total % parts`` chunks get

@@ -792,12 +792,8 @@ class ProcessExecutor:
         def lost(node: int, why: str) -> NodeLostError:
             """The typed loss report: which node, and the last complete
             checkpoint a recovery layer may restart from."""
-            step = None
-            if self.checkpoint_store is not None:
-                try:
-                    step = self.checkpoint_store.latest_complete()
-                except Exception:  # pragma: no cover - a torn store
-                    step = None
+            store = self.checkpoint_store
+            step = store.latest_complete() if store is not None else None
             return NodeLostError(why, node=node, checkpoint_step=step)
 
         while waiting:

@@ -4,7 +4,7 @@ The resilience contract: under *any* seeded fault plan, a run driven
 by :func:`run_with_recovery` finishes and its final grid is
 bit-identical to the fault-free answer.  Jacobi is elementwise and
 tile cores are exact at every sweep, so checkpoint restart -- even
-onto fewer nodes with remapped ownership -- must not perturb a single
+onto fewer nodes, freshly partitioned -- must not perturb a single
 bit.  Hypothesis drives the plan seeds; every backend shares the same
 interception points, so the property is asserted on the simulator and
 both real executors.
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chaos import (
+    CheckpointError,
     CheckpointStore,
     GridInit,
     parse_plan,
@@ -26,7 +27,6 @@ from repro.chaos import (
     run_with_recovery,
 )
 from repro.core.runner import run
-from repro.distgrid.partition import ProcessGrid, RemappedGrid
 from repro.exec import fork_available
 from repro.machine.machine import nacl
 
@@ -104,8 +104,8 @@ def test_kill_at_superstep_boundary_restarts_from_checkpoint(backend, tmp_path):
         assert 3 in complete
     else:
         # on real threads node 3's kill can fire before the other
-        # nodes' sweep-3 tile checkpoints complete the quorum; restarting
-        # from scratch is then the correct recovery
+        # nodes' sweep-3 rectangles cover the grid; restarting from
+        # scratch is then the correct recovery
         assert restart["checkpoint"] is None or restart["checkpoint"] in complete
 
 
@@ -173,6 +173,40 @@ def test_two_kills_two_restarts():
     assert chaos.restarts[-1]["nodes_after"] == 2
 
 
+@pytest.mark.parametrize("backend", ["sim", "threads"])
+def test_a_restart_partitions_the_survivors_like_a_fresh_run(backend):
+    """Node 3 of 4 dies: the restart runs on the 1 x 3 partition a fresh
+    three-node run gets, whose tiles are 6 and 2 cells wide, so its CA
+    step is clamped from 3 to 2."""
+    problem = random_problem(n=24, iterations=6)
+    chaos = run_with_recovery(
+        problem, parse_plan("kill:node=3,step=1s", seed=0), impl="ca-parsec",
+        machine=nacl(4), tile=6, steps=3, backend=backend,
+    )
+    assert np.array_equal(chaos.grid, _baseline(problem, backend=backend).grid)
+    assert chaos.result.machine.nodes == 3
+    assert chaos.result.params["steps"] == 2
+
+
+@pytest.mark.parametrize("backend", [
+    "sim", "threads",
+    pytest.param("processes", marks=pytest.mark.skipif(
+        not fork_available(), reason="needs fork start method"))])
+def test_losing_a_whole_process_grid_column_recovers_bit_identical(backend):
+    """Nodes 0 and then 1 die, which empties the first column of the
+    2 x 2 process grid.  The restarts run on 1 x 3 and then 1 x 2
+    partitions, with the step clamped to their narrowest tiles (1, then
+    3 cells)."""
+    problem = random_problem(n=24, iterations=8)
+    knobs = dict(impl="ca-parsec", machine=nacl(4), tile=7, steps=4, backend=backend)
+    baseline = run(problem, mode="execute", **knobs)
+    chaos = run_with_recovery(
+        problem, parse_plan("kill:node=0,step=2;kill:node=1,step=5", seed=0), **knobs)
+    assert np.array_equal(chaos.grid, baseline.grid)
+    assert [restart["nodes_after"] for restart in chaos.restarts] == [3, 2]
+    assert chaos.result.params["steps"] == 3
+
+
 def test_restart_budget_exhausted_raises():
     from repro.exec import NodeLostError
 
@@ -188,29 +222,14 @@ def test_restart_budget_exhausted_raises():
 # -- the recovery building blocks ------------------------------------------
 
 
-def test_remapped_grid_preserves_geometry_and_adopts_dead_blocks():
-    base = ProcessGrid.square(4)
-    shrunk = RemappedGrid.shrink(base, alive=[0, 1, 2])
-    assert (shrunk.rows, shrunk.cols) == (base.rows, base.cols)
-    assert shrunk.size == 3
-    # rank 3's block is adopted by its column buddy, rank 1
-    assert shrunk.mapping == (0, 1, 2, 1)
-    assert shrunk.rank(1, 1) == 1
-    # a whole dead column cannot be remapped safely
-    assert RemappedGrid.shrink(base, alive=[1, 3]) is None
-    # a whole dead *row* can: each block adopts within its column
-    assert RemappedGrid.shrink(base, alive=[2, 3]).mapping == (0, 1, 0, 1)
-
-
 def test_grid_init_replays_checkpoint_grid(tmp_path):
     store = CheckpointStore(tmp_path)
-    store.ensure_meta(ntiles=4, shape=(8, 8), cadence=2)
+    store.ensure_meta(shape=(8, 8))
     rng = np.random.default_rng(0)
     grid = rng.normal(size=(8, 8))
-    for i in range(2):
-        for j in range(2):
-            store.save(2, i, j, grid[i * 4:(i + 1) * 4, j * 4:(j + 1) * 4],
-                       r0=i * 4, c0=j * 4)
+    for r0 in (0, 4):
+        for c0 in (0, 4):
+            store.save(2, r0, c0, grid[r0:r0 + 4, c0:c0 + 4])
     assert store.latest_complete() == 2
     loaded = store.load_grid(2)
     assert np.array_equal(loaded, grid)
@@ -221,7 +240,34 @@ def test_grid_init_replays_checkpoint_grid(tmp_path):
 
 def test_incomplete_checkpoint_is_not_restartable(tmp_path):
     store = CheckpointStore(tmp_path)
-    store.ensure_meta(ntiles=4, shape=(8, 8), cadence=2)
-    store.save(2, 0, 0, np.zeros((4, 4)), r0=0, c0=0)
+    store.ensure_meta(shape=(8, 8))
+    store.save(2, 0, 0, np.zeros((4, 4)))
     assert store.latest_complete() is None
     assert store.complete_steps() == []
+
+
+def test_a_step_is_complete_once_two_partitions_rectangles_cover_the_grid(tmp_path):
+    """Two attempts with different partitions write one step into one
+    directory: it is complete only once their rectangles cover every
+    cell, and where they overlap they agree."""
+    store = CheckpointStore(tmp_path)
+    store.ensure_meta(shape=(8, 8))
+    grid = np.random.default_rng(1).normal(size=(8, 8))
+    # a 2 x 2 attempt saved its northern blocks, then lost a node ...
+    store.save(4, 0, 0, grid[:4, :4])
+    store.save(4, 0, 4, grid[:4, 4:])
+    # ... and the 1 x 2 restart has saved its western block so far
+    store.save(4, 0, 0, grid[:, :4])
+    assert store.complete_steps() == []  # the south-east quadrant is missing
+    with pytest.raises(CheckpointError, match="48 of 64 cells"):
+        store.load_grid(4)
+    store.save(4, 0, 4, grid[:, 4:])
+    assert store.latest_complete() == 4
+    assert np.array_equal(store.load_grid(4), grid)
+
+
+def test_an_unreadable_store_has_no_latest_checkpoint(tmp_path):
+    store = CheckpointStore(tmp_path)
+    store.meta_path.write_text("{torn")
+    store.save(2, 0, 0, np.zeros((8, 8)))
+    assert store.latest_complete() is None

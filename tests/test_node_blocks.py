@@ -26,7 +26,7 @@ from repro.core.base_parsec import build_base_graph
 from repro.core.ca_parsec import build_ca_graph
 from repro.core.runner import run
 from repro.distgrid.boundary import DirichletBC
-from repro.distgrid.partition import GridPartition, ProcessGrid, RemappedGrid
+from repro.distgrid.partition import GridPartition, ProcessGrid
 from repro.exec import fork_available
 from repro.exec.executor import ThreadedExecutor
 from repro.machine.machine import nacl
@@ -44,9 +44,9 @@ SHAPES = {
     "non-square": (24, 48, 4, None, 6),
     "ragged": (29, 38, 4, None, 5),  # last tile row and column narrower
     "odd": (54, 42, 6, ProcessGrid(3, 2), 6),  # tests/test_dataflow.py PINNED["odd"]
-    # after a recovery lost rank 4: node 0 adopts block (2, 0), so it
-    # owns two buffers that do not touch (chaos/harness.py's buddy rule)
-    "remapped": (36, 24, 5, RemappedGrid.shrink(ProcessGrid(3, 2), [0, 1, 2, 3, 5]), 4),
+    # after a recovery lost one of six nodes: the five survivors get the
+    # partition a fresh five-node run gets (1 x 5, chaos/harness.py)
+    "remapped": (24, 40, 5, None, 4),
 }
 VARIANTS = {"base": {}, "ca2": {"steps": 2}, "ca3": {"steps": 3}, "ca4": {"steps": 4}}
 #: every shape with every step size its narrowest tile (3 cells in "odd") allows
@@ -124,14 +124,15 @@ def test_a_constant_boundary_and_a_constant_start_need_no_callables():
 
 @st.composite
 def layouts(draw):
-    """Any partition, including a recovery's (several node blocks on one
-    node: ``RemappedGrid``), with any step size its tiles allow."""
+    """Any partition, including a recovery's (the survivors of a lost
+    node partitioned like a fresh run on their count), with any step
+    size its tiles allow."""
     base = ProcessGrid(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
-    dead = draw(st.sets(st.integers(0, base.size - 1), max_size=base.size - 1))
-    pgrid = RemappedGrid.shrink(base, sorted(set(range(base.size)) - dead)) or base
+    dead = draw(st.integers(0, base.size - 1))
+    pgrid = ProcessGrid.square(base.size - dead) if dead else base
     tile = draw(st.integers(2, 6))
-    nrows = draw(st.integers(2 * base.rows, 30))
-    ncols = draw(st.integers(2 * base.cols, 30))
+    nrows = draw(st.integers(2 * pgrid.rows, 30))
+    ncols = draw(st.integers(2 * pgrid.cols, 30))
     steps = draw(st.integers(1, GridPartition(nrows, ncols, pgrid, tile).min_tile_dim()))
     return nrows, ncols, pgrid, tile, steps, draw(st.integers(0, 5)), draw(st.integers(1, 3))
 

@@ -335,8 +335,8 @@ def test_node_lost_error_reports_last_checkpoint(tmp_path):
     from repro.exec import NodeLostError
 
     store = CheckpointStore(tmp_path)
-    store.ensure_meta(ntiles=1, shape=(2, 2), cadence=1)
-    store.save(5, 0, 0, np.zeros((2, 2)), r0=0, c0=0)
+    store.ensure_meta(shape=(2, 2))
+    store.save(5, 0, 0, np.zeros((2, 2)))
 
     def die(inputs, task):
         import os

@@ -164,7 +164,7 @@ def test_checkpoint_meta_failure_leaks_no_temp_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError):
-        store.ensure_meta(4, (8, 8), 2)
+        store.ensure_meta((8, 8))
     assert list(tmp_path.iterdir()) == []
 
 
