@@ -6,10 +6,12 @@ Unlike every other bench in this suite, the interesting number here
 ``repro.exec``.  Three findings are reported:
 
 * measured wall time of base and CA over ``jobs`` in {1, 2, 4} -- a
-  table, not a bar: the bare kernel gains nothing from a second thread
-  at the tile sizes in use (2 threads / 1 = 0.94-1.01,
-  ``docs/runtime-guide.md``, *Does a second thread help?*), so
-  ``jobs`` defaults to 1 and multi-core is ``procs``;
+  table, not a bar: how much a second thread gains moves with the host
+  from session to session (the bare kernel's 2 threads / 1 read
+  0.94-1.01 in one session and 0.50-0.79 in another,
+  ``docs/runtime-guide.md``, *Does a second thread help?*), and these
+  small grids have one or two tasks per node and sweep, so ``jobs``
+  defaults to 1 and multi-core is ``procs``;
 * the base-vs-CA comparison on real hardware (the paper's headline,
   without the network: CA's fewer-but-fatter tasks vs base's
   per-iteration synchronisation);

@@ -136,19 +136,28 @@ class FaultInjector:
                 return fault
         return None
 
+    def _delay_claim(self, idx: int, node: int, gt: int | None) -> float:
+        """The seconds delay fault ``idx`` adds to this task: all of
+        them for the one task that claims it (its fire-once marker, as
+        :meth:`kill_action`), none for every other task of its (node,
+        sweep) -- however many tasks a sweep of the node is."""
+        step = self.steps[idx]
+        if step is not None and step != gt:
+            return 0.0
+        if not self.log_once(idx, node=node, step=step):
+            return 0.0
+        fault = self.faults[idx]
+        return fault.secs if fault.secs is not None else DEFAULT_DELAY_S
+
     def sleep_for(self, node: int, gt: int | None) -> float:
         """Extra wall seconds this task owes on the measured backends
-        (delay faults at its iteration plus the node's slow factor)."""
+        (a delay fault it claims plus the node's slow factor)."""
         total = 0.0
         for idx, fault in enumerate(self.faults):
             if fault.node != node:
                 continue
             if fault.kind == "delay":
-                step = self.steps[idx]
-                if step is not None and step != gt:
-                    continue
-                self.log_once(idx, node=node, step=step)
-                total += fault.secs if fault.secs is not None else DEFAULT_DELAY_S
+                total += self._delay_claim(idx, node, gt)
             elif fault.kind == "slow":
                 self.log_once(idx, node=node)
                 base = fault.secs if fault.secs is not None else SLOW_BASE_S
@@ -169,12 +178,7 @@ class FaultInjector:
                 cost = cost * factor
                 self.log_once(idx, node=node)
             elif fault.kind == "delay":
-                step = self.steps[idx]
-                if step is not None and step != gt:
-                    continue
-                cost = cost + (fault.secs if fault.secs is not None
-                               else DEFAULT_DELAY_S)
-                self.log_once(idx, node=node, step=step)
+                cost += self._delay_claim(idx, node, gt)
         return cost
 
     # -- message decisions -----------------------------------------------

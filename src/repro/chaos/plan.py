@@ -7,7 +7,7 @@ recovery machinery must survive:
 * ``kill``  -- the node is lost at iteration ``step`` (hard process
   death on the processes backend, a raised
   :class:`~repro.runtime.engine.NodeLostError` elsewhere);
-* ``delay`` -- every task of the node at iteration ``step`` takes
+* ``delay`` -- one task of the node at iteration ``step`` takes
   ``secs`` extra seconds (virtual cost on the simulator, a real sleep
   on the measured backends) -- the straggler generator;
 * ``slow``  -- every task of the node runs ``factor``x slower for the

@@ -129,7 +129,8 @@ class RunConfig:
         faces=(SERVE,), cli=dict(choices=BACKENDS))
     jobs: int | None = _knob(
         None, "worker threads per node of the real backends (default: 1; "
-              "a second thread gains nothing here, multi-core is 'procs')",
+              "they share the row slabs of a large node block's sweep, "
+              "multi-core across nodes is 'procs')",
         faces=(SERVE,), cli=dict(type=int))
     policy: str = _knob(DEFAULT_POLICY, "ready-queue scheduling policy",
                         faces=(SERVE, SWEEP), cli=dict(choices=tuple(POLICIES)))

@@ -12,9 +12,12 @@ One dataflow, at two granularities:
 * the node-block graph the real executors run: per node and sweep one
   task for the node's boundary tiles (those with a remote side) and,
   where it has any, one for its interior tiles, keyed ``(name, node,
-  part, t)`` with ``part`` the tiles' kind.  Boundary tasks keep the
-  paper's priority bias, so remote strips still leave before interior
-  work.  It is what ``with_kernels=True`` returns; :meth:`BuildResult.
+  part, t)`` with ``part`` the tiles' kind.  A part of at least twice
+  :data:`~repro.stencil.kernels.SLAB_CELLS` cells is cut into row slabs
+  instead, one task each, keyed ``(name, node, part, slab, t)``, so a
+  node's workers share its sweep.  Boundary tasks keep the paper's
+  priority bias, so remote strips still leave before interior work.
+  It is what ``with_kernels=True`` returns; :meth:`BuildResult.
   per_tile` binds the paper's graph to the same kernels instead.
 
 Flows of the paper's graph (all read from :meth:`StencilSpec.exchange_plan
@@ -54,11 +57,12 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from ..distgrid.tile import TileSpec
 from ..machine.machine import MachineSpec
 from ..runtime.graph import TaskGraph
 from ..runtime.task import Flow, Task, TaskKey
 from ..stencil.cost import KernelCostModel
-from ..stencil.kernels import BAND_CELLS, FLOP_PER_POINT
+from ..stencil.kernels import BAND_CELLS, FLOP_PER_POINT, SLAB_CELLS
 from ..stencil.variable import apply_stencil_region
 from .spec import ITEMSIZE, Slices, StencilSpec
 
@@ -129,7 +133,7 @@ class StencilKernels:
     """The executable bodies of a stencil build's tasks, at either
     granularity: a task keyed ``prefix + (t,)`` runs ``plans[prefix]``
     at sweep ``t`` -- one tile of the paper's graph, or one node block's
-    boundary or interior tiles.
+    boundary or interior tiles (or a row slab of them).
 
     A sweep pastes the task's incoming copies into the pads of half
     ``t % 2``, runs the banded kernel once per rectangle of its tiles'
@@ -166,6 +170,7 @@ class StencilKernels:
         self.layout = spec.buffers()
         #: node block -> its two halves, one ``(2, h, w)`` array
         self.buffers: dict[Block, np.ndarray] = {}
+        self._allocating = threading.Lock()
 
     def bind(self, graph: TaskGraph) -> TaskGraph:
         return graph.bind(lambda task: self.init_task if task.kind == "init"
@@ -174,16 +179,23 @@ class StencilKernels:
     def _halves(self, block: Block) -> np.ndarray:
         halves = self.buffers.get(block)
         if halves is None:
-            node_buffer, problem = self.layout[block], self.spec.problem
-            # Private memory: a node process makes its own, and a large
-            # one gets huge pages (a shared mapping would not: 30 ms
-            # against 5 ms to first touch 2 x 2050^2 on the development
-            # host).  No cell but the frame is read before it is written.
-            halves = np.empty((2, *node_buffer.shape))
-            for half in halves:  # Dirichlet data never changes: framed once
-                problem.bc.fill_outside(half, node_buffer.origin, *problem.shape)
-            # two tiles of one block may start at once: the first one in wins
-            halves = self.buffers.setdefault(block, halves)
+            # Several tasks of one block may start at once: one of them
+            # allocates and frames it, the others wait for that one.
+            with self._allocating:
+                halves = self.buffers.get(block)
+                if halves is None:
+                    halves = self.buffers[block] = self._allocate(block)
+        return halves
+
+    def _allocate(self, block: Block) -> np.ndarray:
+        node_buffer, problem = self.layout[block], self.spec.problem
+        # Private memory: a node process makes its own, and a large one
+        # gets huge pages (a shared mapping would not: 30 ms against 5 ms
+        # to first touch 2 x 2050^2 on the development host).  No cell
+        # but the frame is read before it is written.
+        halves = np.empty((2, *node_buffer.shape))
+        for half in halves:  # Dirichlet data never changes: framed once
+            problem.bc.fill_outside(half, node_buffer.origin, *problem.shape)
         return halves
 
     def _global(self, rect: _Rect) -> Slices:
@@ -387,23 +399,44 @@ def _tile_units(spec: StencilSpec, machine: MachineSpec, cost: KernelCostModel,
     return units
 
 
+def _slabs(tiles: list[TileSpec]) -> list[list[tuple[int, int]]]:
+    """The keys of ``tiles`` (one part of a node block, row-major) cut
+    into runs of whole consecutive tile rows: ``cells // SLAB_CELLS``
+    of them, at least one and at most one per tile row."""
+    rows = sorted({tile.i for tile in tiles})
+    count = min(len(rows), max(1, sum(tile.h * tile.w for tile in tiles) // SLAB_CELLS))
+    slab_of = {row: k * count // len(rows) for k, row in enumerate(rows)}
+    slabs: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    for tile in tiles:
+        slabs[slab_of[tile.i]].append(tile.key)
+    return slabs
+
+
 def _lower(spec: StencilSpec, name: str, units: dict[tuple, tuple[_Unit, ...]]
            ) -> tuple[dict[tuple, tuple[_Unit, ...]], dict[tuple, _Plan]]:
     """The node blocks of the paper's ``units``, with their kernels'
-    plans.  A block sums its tiles' costs and flops and keeps their kind
-    and priority; it waits on every block of its node one sweep earlier
-    (token flows) and on one copy flow per pasted strip or corner."""
-    members: dict[tuple, list[tuple[int, int]]] = {}
+    plans.  A part of a block (its boundary or its interior tiles) is
+    one task prefix ``(name, node, part)``, or, cut into row slabs
+    (:func:`_slabs`), one ``(name, node, part, slab)`` per slab.  A task
+    sums its tiles' costs and flops and keeps their kind and priority;
+    it waits on every task of its node one sweep earlier (token flows)
+    and on one copy flow per pasted strip or corner."""
+    parts: dict[tuple, list[TileSpec]] = {}
     for tile in sorted(spec.tiles(), key=lambda tile: (tile.node, not tile.is_boundary())):
         part = "boundary" if tile.is_boundary() else "interior"
-        members.setdefault((name, tile.node, part), []).append(tile.key)
+        parts.setdefault((name, tile.node, part), []).append(tile)
+    members: dict[tuple, list[tuple[int, int]]] = {}
+    for prefix, tiles in parts.items():
+        slabs = _slabs(tiles)
+        for k, slab in enumerate(slabs):
+            members[prefix if len(slabs) == 1 else prefix + (k,)] = slab
     plans = _plans(spec, members, per_tile=False)
-    parts: dict[int, list[tuple]] = {}
+    of_node: dict[int, list[tuple]] = {}
     for prefix in plans:
-        parts.setdefault(prefix[1], []).append(prefix)
+        of_node.setdefault(prefix[1], []).append(prefix)
     blocks = {}
     for prefix, plan in plans.items():
-        tokens = tuple((part, "tile", 0) for part in parts[prefix[1]])
+        tokens = tuple((task, "tile", 0) for task in of_node[prefix[1]])
         per_phase = []
         for k, phase in enumerate((*plan.phases, None)):  # then the initial load
             tiles = [units[(name, i, j)][k] for (i, j) in plan.tiles]
@@ -596,8 +629,8 @@ class _TemplateCache:
 #: 1.4 MiB (`serve_mix`), 1088 tasks 2.4 MiB (`kernel_large`), 4160
 #: tasks 8.8 / 8.4 MiB (`halo_base` / `halo_ca`); a bound copy 0.4 KiB a
 #: task -- so the templates hold at most ~38 MiB: the four benchmark
-#: shapes at once (9 984 tasks, plus 287 block tasks), or 27 shapes of a
-#: 256^2 service.
+#: shapes at once (9 984 tasks, plus 468 block tasks: 136 + 130 + 130 +
+#: 72), or 27 shapes of a 256^2 service.
 TEMPLATE_TASKS = 16384
 TEMPLATES = _TemplateCache(TEMPLATE_TASKS)
 

@@ -12,9 +12,11 @@ actual host, at two levels of realism:
   workers write into and copy out of shared-memory rings, so the
   base-vs-CA message-count gap is *measured*, not modelled.
 
-``jobs`` (worker threads per node) defaults to 1 on both: a second
-thread gains nothing on these kernels (``docs/runtime-guide.md``,
-*Does a second thread help?*); multi-core is ``procs``.
+``jobs`` (worker threads per node) defaults to 1 on both.  More
+workers share a node's sweep where the graph has several tasks in it:
+a stencil build cuts a large node block into row slabs
+(``docs/runtime-guide.md``, *Does a second thread help?*); multi-core
+across nodes is ``procs``.
 
 Both record wall-clock traces in the existing trace schema and report
 measured performance side by side with the simulator's predictions.

@@ -35,6 +35,16 @@ FLOP_PER_POINT = 9
 #: numpy's per-call cost, tall ones fall out of cache).
 BAND_CELLS = 32768
 
+#: Cells of one row slab of a node-block task (``repro.core.dataflow``):
+#: a part of a node block -- its boundary or its interior tiles -- is cut
+#: into ``cells // SLAB_CELLS`` runs of whole tile rows, so a node's
+#: workers have tasks to share.  A task costs ~40-100 us of runtime
+#: (``exec.overhead_us_per_task`` 67 / 92 on ``kernel_large`` /
+#: ``halo_base``) and the kernel ~4-6 ns a cell (the 2048^2 region above),
+#: so 2^19 cells is ~2-3 ms of kernel per task and the overhead a few
+#: percent of it.  A function of size alone, never of the worker count.
+SLAB_CELLS = 1 << 19
+
 _scratch = threading.local()
 
 

@@ -13,6 +13,8 @@ both real executors.
 from __future__ import annotations
 
 import multiprocessing
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +28,9 @@ from repro.chaos import (
     random_plan,
     run_with_recovery,
 )
+from repro.chaos import harness
+from repro.chaos.harness import ChaosContext
+from repro.chaos.inject import FaultInjector
 from repro.core.runner import run
 from repro.exec import fork_available
 from repro.machine.machine import nacl
@@ -205,6 +210,33 @@ def test_losing_a_whole_process_grid_column_recovers_bit_identical(backend):
     assert np.array_equal(chaos.grid, baseline.grid)
     assert [restart["nodes_after"] for restart in chaos.restarts] == [3, 2]
     assert chaos.result.params["steps"] == 3
+
+
+@pytest.mark.parametrize("step", [2, None])
+@pytest.mark.parametrize("backend", ["threads", "sim"])
+def test_a_delay_stalls_one_task_of_its_node_and_sweep(backend, step, monkeypatch):
+    """One node of 2^20 cells: a sweep is two row-slab tasks on
+    ``threads`` and 256 tile tasks on the simulator, and the delay
+    lands on exactly one of them (a step-less one on the first task
+    that asks)."""
+    problem = random_problem(n=1024, iterations=4)
+    secs = 0.25
+    plan = f"delay:node=0,secs={secs}" + (f",step={step}" if step is not None else "")
+    slept: list[float] = []
+    monkeypatch.setattr(harness, "time", SimpleNamespace(
+        sleep=slept.append, perf_counter=time.perf_counter, monotonic=time.monotonic))
+    knobs = dict(impl="base-parsec", machine=nacl(1), tile=64, backend=backend,
+                 mode="execute", **({"jobs": 2} if backend == "threads" else {}))
+    plain = run(problem, **knobs)
+    injector = FaultInjector(parse_plan(plan))
+    delayed = run(problem, chaos=ChaosContext(injector), **knobs)
+    assert np.array_equal(delayed.grid, plain.grid)
+    if backend == "sim":
+        extra = sum(task.cost for task in delayed.graph) - sum(task.cost for task in plain.graph)
+        assert extra == pytest.approx(secs) and slept == []
+    else:
+        assert len(delayed.graph) == 2 * 5 and slept == [secs]
+    assert [fault["kind"] for fault in injector.firing_log()] == ["delay"]
 
 
 def test_restart_budget_exhausted_raises():

@@ -1,13 +1,16 @@
 """The real backends execute node blocks, not tiles (``repro.core.dataflow``).
 
 Per node and sweep one task runs the node's boundary tiles and one its
-interior tiles, over one framed double buffer per node block; remote
-strips and corners stay one flow per message of the paper's graph.
-These tests pin that the grids are the reference's on every shape and
-backend, that the executed graph has at most two tasks per node and
-sweep (the simulator keeps one per tile), that its census is the
-declared one, and that a sweep never overwrites the half a task of the
-previous sweep still reads.
+interior tiles, over one framed double buffer per node block; a part
+of at least twice ``SLAB_CELLS`` cells is cut into row slabs, one task
+each, so a node's workers share its sweep.  Remote strips and corners
+stay one flow per message of the paper's graph.  These tests pin that
+the grids are the reference's on every shape and backend, that the
+executed graph has one task per part or slab, node and sweep (the
+simulator keeps one per tile) whatever the worker count, that its
+census is the declared one, that a block's buffer is allocated once,
+and that a sweep never overwrites the half a task of the previous
+sweep still reads.
 """
 
 from __future__ import annotations
@@ -22,14 +25,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.core import dataflow
 from repro.core.base_parsec import build_base_graph
 from repro.core.ca_parsec import build_ca_graph
+from repro.core.dataflow import TEMPLATES
 from repro.core.runner import run
 from repro.distgrid.boundary import DirichletBC
 from repro.distgrid.partition import GridPartition, ProcessGrid
 from repro.exec import fork_available
 from repro.exec.executor import ThreadedExecutor
 from repro.machine.machine import nacl
+from repro.stencil.kernels import SLAB_CELLS
 from repro.stencil.problem import JacobiProblem
 from repro.stencil.variable import VariableStencilWeights
 
@@ -170,18 +176,21 @@ def test_at_most_two_executed_tasks_per_node_and_sweep(shape, backend):
     graph = result.graph
     executed = per_node_and_sweep(result.engine.completed if backend != "sim"
                                   else graph.tasks, graph)
-    if backend == "sim":  # the paper's graph: a task per tile and sweep
-        tiles = Counter(graph[key].node for key in graph.tasks if key[-1] == 0)
-        assert executed == {(node, t): tiles[node] for node in tiles for t in range(-1, 7)}
-    else:
-        assert len(result.engine.completed) == len(graph)
-        assert set(executed.values()) <= {1, 2} and len(executed) == nodes * 8
+    # the same tasks at every sweep: a tile each (the paper's graph, what
+    # the simulator runs), or a part of the node block each
+    tasks = Counter(graph[key].node for key in graph.tasks if key[-1] == 0)
+    assert executed == {(node, t): tasks[node] for node in tasks for t in range(-1, 7)}
+    if backend != "sim":
+        assert len(result.engine.completed) == len(graph) and len(tasks) == nodes
+        assert set(tasks.values()) <= {1, 2}  # every part here is below 2 x SLAB_CELLS
 
 
 @pytest.mark.parametrize("name,shape,executed", [
     # (rows, cols, iterations, nodes, tile, steps): the benchmark's geometries
     ("serve_mix", (256, 256, 8, 4, 32, 1), 4 * 2 * 9),  # 7 boundary, 9 interior tiles
-    ("kernel_large", (2048, 2048, 16, 1, 256, 1), 17),
+    # one node of 2^22 cells: 8 slabs of one tile row (2^19 cells) each
+    ("kernel_large", (2048, 2048, 16, 1, 256, 1), 8 * 17),
+    # 2^19 cells per node, all of them boundary tiles: below 2 x SLAB_CELLS
     ("halo_base", (4096, 256, 64, 2, 128, 1), 130),
     ("halo_ca", (4096, 256, 64, 2, 128, 4), 130),
 ])
@@ -195,11 +204,126 @@ def test_the_benchmark_geometries_lower_to_few_tasks(name, shape, executed):
     assert len(built.graph) == executed
     paper = built.per_tile().graph
     assert len(paper) == len(built.spec.exchange_plan()) * (iterations + 1)
-    # The kernel runs once per rectangle: one for a node's interior,
-    # one per side of its boundary ring.
-    for (_, _, part), plan in built.kernels.plans.items():
-        assert len(plan.finals) <= (1 if part == "interior" else 4)
+    # The kernel runs once per rectangle: one for a node's interior (or
+    # a slab of it), one per side of its boundary ring.
+    for prefix, plan in built.kernels.plans.items():
+        assert len(plan.finals) <= (1 if prefix[2] == "interior" else 4)
         assert all(len(phase.update) == len(plan.finals) for phase in plan.phases)
+
+
+# -- row slabs ------------------------------------------------------------------------------
+
+#: name -> (rows, cols, nodes, process grid, tile): a part of >= 2 x SLAB_CELLS
+SLABBED = {
+    "one-node": (1024, 1024, 1, None, 64),  # 2^20 interior cells: 2 slabs of 8 tile rows
+    # per node 2048 x 640: a boundary column of 16 tiles (2^18 cells,
+    # one task) and 2^20 interior cells (2 slabs)
+    "two-node": (2048, 1280, 2, ProcessGrid(1, 2), 128),
+}
+
+
+def slabbed(shape: str, iterations: int, **more):
+    """The problem of ``shape`` and a ``run()`` of it that takes the
+    backend's knobs."""
+    rows, cols, nodes, pgrid, tile = SLABBED[shape]
+    problem = random_problem(rows, iterations, seed=rows + cols, ncols=cols)
+    return problem, lambda **knobs: run(problem, nacl(nodes), tile=tile, pgrid=pgrid,
+                                        **{"impl": "base-parsec", **more, **knobs})
+
+
+def parts_of(plans) -> dict:
+    """(node, part) -> the tile keys of each of its tasks, in slab order."""
+    parts: dict = {}
+    for prefix in sorted(plans):
+        parts.setdefault(prefix[1:3], []).append(plans[prefix].tiles)
+    return parts
+
+
+@pytest.mark.parametrize("variant", ["base", "ca2"])
+@pytest.mark.parametrize("shape", SLABBED)
+def test_slabbed_grids_equal_the_reference(shape, variant):
+    problem, solve = slabbed(shape, 5, **knobs(variant))
+    truth = problem.reference_solution()
+    for jobs in (1, 2, 3):
+        assert np.array_equal(solve(backend="threads", jobs=jobs).grid, truth), jobs
+    if fork_available():
+        assert np.array_equal(solve(backend="processes", procs=SLABBED[shape][2]).grid, truth)
+
+
+@pytest.mark.parametrize("shape", SLABBED)
+def test_a_slab_is_a_run_of_whole_consecutive_tile_rows(shape):
+    rows, cols, nodes, pgrid, tile = SLABBED[shape]
+    problem = JacobiProblem(n=rows, ncols=cols, iterations=2, init=0.5)
+    built = build_base_graph(problem, nacl(nodes), tile=tile, pgrid=pgrid)
+    sliced = 0
+    for (node, part), slabs in parts_of(built.kernels.plans).items():
+        tiles = [built.spec.tile(i, j) for slab in slabs for (i, j) in slab]
+        tile_rows = sorted({t.i for t in tiles})
+        cells = sum(t.h * t.w for t in tiles)
+        assert len(slabs) == min(len(tile_rows), max(1, cells // SLAB_CELLS))
+        sliced += len(slabs) > 1
+        taken = []
+        for slab in slabs:
+            mine = sorted({i for i, _ in slab})
+            assert mine == list(range(mine[0], mine[-1] + 1))  # consecutive
+            assert sorted(slab) == sorted(t.key for t in tiles if t.i in mine)  # whole rows
+            taken += mine
+        assert taken == tile_rows  # in order, each row once
+    assert sliced == nodes
+
+
+def test_the_slabs_do_not_depend_on_the_worker_count():
+    _, solve = slabbed("two-node", 2)
+    one, four = (solve(backend="threads", jobs=jobs) for jobs in (1, 4))
+    assert set(one.graph.tasks) == set(four.graph.tasks) == set(four.engine.completed)
+    assert len(one.graph) == 2 * 3 * 3  # 2 nodes x (boundary + 2 slabs) x 3 sweeps
+
+
+def test_two_workers_share_a_nodes_sweep():
+    problem, solve = slabbed("one-node", 10)
+    result = solve(backend="threads", jobs=2, trace=True)
+    assert np.array_equal(result.grid, problem.reference_solution())
+    lanes: dict = {}
+    for span in result.engine.trace:
+        if span.kind != "init":
+            lanes.setdefault(span.task_id[-1], set()).add(span.worker)
+    assert set(lanes) == set(range(10))
+    assert any(len(workers) == 2 for workers in lanes.values()), lanes
+
+
+@pytest.fixture
+def small_slabs(monkeypatch):
+    """Every part cut into as many slabs as it has tile rows, on shapes
+    small enough to run every backend: a template holds the lowered
+    graph, so both sides of the test start cold."""
+    monkeypatch.setattr(dataflow, "SLAB_CELLS", 1)
+    TEMPLATES.clear()
+    yield
+    TEMPLATES.clear()
+
+
+@pytest.mark.parametrize("shape,variant", [("square", "base"), ("odd", "ca3"),
+                                           ("ragged", "ca2"), ("remapped", "ca4")])
+def test_a_boundary_ring_cut_into_slabs_solves_exactly(small_slabs, shape, variant):
+    _, _, nodes, pgrid, tile = SHAPES[shape]
+    problem = problem_of(shape, 7, seed=3)
+    truth = problem.reference_solution()
+    builder = build_ca_graph if VARIANTS[variant] else build_base_graph
+    built = builder(problem, nacl(nodes), tile=tile, pgrid=pgrid, **VARIANTS[variant])
+    assert any(len(slabs) > 1 for (_, part), slabs in parts_of(built.kernels.plans).items()
+               if part == "boundary")
+    declared = builder(problem, nacl(nodes), tile=tile, pgrid=pgrid, with_kernels=False,
+                       **VARIANTS[variant]).graph.census()
+    assert built.graph.census().by_pair == declared.by_pair
+    for jobs in (1, 3):
+        result = run(problem, nacl(nodes), backend="threads", jobs=jobs, tile=tile,
+                     pgrid=pgrid, **knobs(variant))
+        assert np.array_equal(result.grid, truth), jobs
+    if fork_available():
+        result = run(problem, backend="processes", procs=nodes, tile=tile, pgrid=pgrid,
+                     **knobs(variant))
+        assert np.array_equal(result.grid, truth)
+        assert result.engine.messages == declared.remote_messages
 
 
 # -- the census ---------------------------------------------------------------------------
@@ -262,7 +386,32 @@ class Spans:
         task.kernel = kernel
 
 
-def test_a_sweep_never_overwrites_a_half_the_previous_sweep_still_reads():
+@pytest.fixture
+def fast_switching():
+    """A 10 us switch interval: four workers interleave as much as this
+    host lets them."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def check_write_after_read(built, truth, label) -> None:
+    """Run ``built`` on four workers; each of a node's tasks at t+1 must
+    start after all of its tasks at t ended, and the grid is ``truth``."""
+    spans = Spans()
+    for task in built.graph:
+        spans.wrap(task)
+    report = ThreadedExecutor(built.graph, jobs=4, policy="fifo").run(timeout=120)
+    assert np.array_equal(built.assemble_grid(report.results), truth), label
+    for key, (start, _) in spans.spans.items():
+        node, t = built.graph[key].node, key[-1]
+        for other, (_, end) in spans.spans.items():
+            if other[-1] == t - 1 and built.graph[other].node == node:
+                assert end <= start, (label, other, key)
+
+
+def test_a_sweep_never_overwrites_a_half_the_previous_sweep_still_reads(fast_switching):
     """Sweep t+1 writes the half sweep t-1 wrote and sweep t reads: each
     of a node's tasks at t+1 must start after all of its tasks at t
     ended.  Four workers and a 10 us switch interval interleave the
@@ -270,22 +419,45 @@ def test_a_sweep_never_overwrites_a_half_the_previous_sweep_still_reads():
     every rep must still be the reference."""
     problem = random_problem(32, 9, seed=5)
     truth = problem.reference_solution()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for rep in range(20):
-            variant = ("base", "ca3")[rep % 2]
-            builder = build_ca_graph if VARIANTS[variant] else build_base_graph
-            built = builder(problem, nacl(4), tile=4, **VARIANTS[variant])
-            spans = Spans()
-            for task in built.graph:
-                spans.wrap(task)
-            report = ThreadedExecutor(built.graph, jobs=4, policy="fifo").run(timeout=120)
-            assert np.array_equal(built.assemble_grid(report.results), truth), rep
-            for key, (start, _) in spans.spans.items():
-                node, t = built.graph[key].node, key[-1]
-                for other, (_, end) in spans.spans.items():
-                    if other[-1] == t - 1 and built.graph[other].node == node:
-                        assert end <= start, (rep, other, key)
-    finally:
-        sys.setswitchinterval(interval)
+    for rep in range(20):
+        variant = ("base", "ca3")[rep % 2]
+        builder = build_ca_graph if VARIANTS[variant] else build_base_graph
+        check_write_after_read(builder(problem, nacl(4), tile=4, **VARIANTS[variant]),
+                               truth, rep)
+
+
+@pytest.mark.parametrize("shape", SLABBED)
+def test_a_slab_never_overwrites_a_half_the_previous_sweep_still_reads(fast_switching, shape):
+    problem, _ = slabbed(shape, 4)
+    rows, cols, nodes, pgrid, tile = SLABBED[shape]
+    truth = problem.reference_solution()
+    for rep in range(3):
+        check_write_after_read(build_base_graph(problem, nacl(nodes), tile=tile, pgrid=pgrid),
+                               truth, rep)
+
+
+@pytest.mark.parametrize("shape,reps", [("one-node", 4), ("square", 20)])
+def test_a_node_buffer_is_allocated_and_framed_once(fast_switching, monkeypatch, shape, reps):
+    """Every task of a block may be the first to touch its buffer; one
+    of them frames each half, once."""
+    if shape in SLABBED:
+        problem, _ = slabbed(shape, 1)
+        _, _, nodes, pgrid, tile = SLABBED[shape]
+    else:
+        problem = problem_of(shape, 1)
+        _, _, nodes, pgrid, tile = SHAPES[shape]
+    bc = type(problem.bc)
+    fill_outside, framed, lock = bc.fill_outside, Counter(), threading.Lock()
+
+    def counted(self, half, origin, *grid):
+        with lock:
+            framed[origin] += 1
+        return fill_outside(self, half, origin, *grid)
+
+    monkeypatch.setattr(bc, "fill_outside", counted)
+    for rep in range(reps):
+        built = build_base_graph(problem, nacl(nodes), tile=tile, pgrid=pgrid)
+        ThreadedExecutor(built.graph, jobs=4, policy="fifo").run(timeout=120)
+        blocks = [buffer.origin for buffer in built.spec.buffers().values()]
+        assert framed == Counter({origin: 2 for origin in blocks}), rep
+        framed.clear()
