@@ -5,14 +5,26 @@ Everything comes together: the damped-Jacobi iteration with a forcing
 term turns the paper's stencil sweeps into an actual Poisson solver,
 executed through the communication-avoiding task graph with real
 numerics and modelled time.  We solve a manufactured problem, verify
-the answer against the PDE's exact solution AND against the
-independent multigrid solver, and report what CA saved along the way.
+the answer against the PDE's exact solution AND against a direct
+sparse solve of the same discrete system, and report what CA saved
+along the way.
 """
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 import repro
-from repro.multigrid import solve as mg_solve
+
+
+def direct_solve(f: np.ndarray, h: float) -> np.ndarray:
+    """-Lap(u) = f with zero Dirichlet data, 5-point stencil, by a
+    sparse direct solve."""
+    n = f.shape[0]
+    second_difference = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    eye = sp.identity(n)
+    laplacian = (sp.kron(second_difference, eye) + sp.kron(eye, second_difference)) / h**2
+    return spsolve(laplacian.tocsc(), f.ravel()).reshape(n, n)
 
 
 def main() -> None:
@@ -41,23 +53,22 @@ def main() -> None:
                           tile=16, mode="simulate").messages
 
     pde_err = float(np.max(np.abs(ca.grid - u_exact)))
-    mg = mg_solve(f, rtol=1e-12)
-    mg_err = float(np.max(np.abs(ca.grid - mg.u)))
+    direct_err = float(np.max(np.abs(ca.grid - direct_solve(f, h))))
 
     print(f"Poisson -Lap(u) = f on a {n}x{n} grid, {sweeps} damped-Jacobi "
           "sweeps via CA-PaRSEC (real kernels):")
     print(f"  error vs exact PDE solution : {pde_err:.2e} "
           f"(O(h^2) = {h * h:.2e})")
-    print(f"  error vs multigrid solver   : {mg_err:.2e} "
+    print(f"  error vs direct sparse solve: {direct_err:.2e} "
           f"(two independent solvers, one discrete answer)")
     print(f"  messages: {ca.messages} (base version would send "
           f"{base_msgs}; CA cut {1 - ca.messages / base_msgs:.0%} for "
           f"{ca.redundant_fraction:.1%} redundant work)")
     assert pde_err < 10 * h * h
-    assert mg_err < 1e-4
-    print("\nJacobi needed thousands of sweeps where multigrid needed ~16 "
-          "cycles -- exactly why the paper's kernel must be cheap: "
-          "solvers built on it apply it relentlessly.")
+    assert direct_err < 1e-4
+    print("\nJacobi needed thousands of sweeps to reach the answer one "
+          "direct solve gives -- exactly why the paper's kernel must be "
+          "cheap: solvers built on it apply it relentlessly.")
 
 
 if __name__ == "__main__":

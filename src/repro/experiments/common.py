@@ -22,6 +22,7 @@ def full_mode() -> bool:
 
 
 def iterations(default_scaled: int = 8, full: int = 100) -> int:
+    """Sweep count of a run: ``full`` under REPRO_FULL, else ``default_scaled``."""
     return full if full_mode() else default_scaled
 
 
@@ -68,6 +69,7 @@ STEP_SIZES = (5, 15, 25, 40)
 
 
 def setup_by_name(name: str) -> MachineSetup:
+    """The platform in ``SETUPS`` called ``name`` (any case); KeyError if none."""
     for s in SETUPS:
         if s.name.lower() == name.lower():
             return s

@@ -75,6 +75,7 @@ REGISTRY: dict[str, ExperimentEntry] = {
 
 
 def get(experiment_id: str) -> ExperimentEntry:
+    """The registry entry of ``experiment_id``; KeyError naming the choices if none."""
     try:
         return REGISTRY[experiment_id]
     except KeyError:

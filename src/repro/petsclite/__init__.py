@@ -9,7 +9,6 @@ behind the 2x performance gap of Fig. 7.
 """
 
 from .cost import SpMVCostModel
-from .ksp import KSPResult, cg, jacobi_preconditioner, poisson_system, richardson
 from .da import (
     ghost_indices,
     grid_to_vec,
@@ -23,12 +22,7 @@ from .scatter import ScatterPlan
 from .vec import Vec, VecLayout
 
 __all__ = [
-    "KSPResult",
     "MatAIJ",
-    "cg",
-    "jacobi_preconditioner",
-    "poisson_system",
-    "richardson",
     "ScatterPlan",
     "SpMVCostModel",
     "Vec",

@@ -92,9 +92,6 @@ class Vec:
             [values[slice(*layout.range_of(r))].copy() for r in range(layout.nranks)],
         )
 
-    def duplicate(self) -> "Vec":
-        return Vec(self.layout, [a.copy() for a in self.locals])
-
     # -- access ------------------------------------------------------------
 
     def local(self, rank: int) -> np.ndarray:
@@ -102,41 +99,3 @@ class Vec:
 
     def to_global(self) -> np.ndarray:
         return np.concatenate(self.locals)
-
-    # -- BLAS-ish operations --------------------------------------------------
-
-    def norm(self, ord: float = 2) -> float:
-        return float(np.linalg.norm(self.to_global(), ord=ord))
-
-    def axpy(self, alpha: float, x: "Vec") -> "Vec":
-        """self += alpha * x (in place, like VecAXPY)."""
-        self._check_compatible(x)
-        for mine, theirs in zip(self.locals, x.locals):
-            mine += alpha * theirs
-        return self
-
-    def scale(self, alpha: float) -> "Vec":
-        for mine in self.locals:
-            mine *= alpha
-        return self
-
-    def set(self, alpha: float) -> "Vec":
-        for mine in self.locals:
-            mine[:] = alpha
-        return self
-
-    def dot(self, x: "Vec") -> float:
-        self._check_compatible(x)
-        return float(
-            sum(np.dot(a, b) for a, b in zip(self.locals, x.locals))
-        )
-
-    def swap(self, x: "Vec") -> None:
-        """Exchange contents with ``x`` (the two-solution-vector swap of
-        the paper's PETSc Jacobi loop)."""
-        self._check_compatible(x)
-        self.locals, x.locals = x.locals, self.locals
-
-    def _check_compatible(self, x: "Vec") -> None:
-        if x.layout != self.layout:
-            raise ValueError("vectors have different layouts")

@@ -1,10 +1,10 @@
 """Task-graph container: construction, validation and static analysis.
 
-The graph is the hand-off point between the algorithm front-ends (the
-stencil builders, the PTG and DTD DSLs) and the execution engine.  It
-owns the reverse dependency maps the engine needs and can compute the
-static communication census that the benchmarks and tests use as
-ground truth.
+The graph is the hand-off point between the stencil builders (which
+unroll a spec's per-tile, per-phase units, :mod:`repro.core.dataflow`)
+and the execution engine.  It owns the reverse dependency maps the
+engine needs and can compute the static communication census that the
+benchmarks and tests use as ground truth.
 """
 
 from __future__ import annotations

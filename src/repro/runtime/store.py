@@ -61,10 +61,9 @@ class PayloadStore:
     def publish(self, task: Task, outputs: dict[str, Any]) -> dict[str, Any]:
         """Take the outputs ``task``'s kernel returned.  Every tag a
         consumer expects must be there, except control edges
-        (zero-byte flows nobody sized, pure ordering as in DTD WAR/WAW
-        dependencies), which are filled with ``None``.  Arrays are
-        frozen read-only to catch consumer mutation bugs.  Returns the
-        completed outputs."""
+        (zero-byte flows nobody sized: pure ordering), which are filled
+        with ``None``.  Arrays are frozen read-only to catch consumer
+        mutation bugs.  Returns the completed outputs."""
         expected = self.graph.out_tags.get(task.key, ())
         missing = [tag for tag in expected if tag not in outputs]
         for tag in missing:

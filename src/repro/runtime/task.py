@@ -41,10 +41,9 @@ class Flow(_FlowFields):
         Which named output of the producer to consume.
     nbytes:
         Payload size in bytes.  Drives message timing and the byte
-        census; for zero-byte control edges (pure ordering, e.g. WAR
-        dependencies inferred by the DTD front-end) only the
-        per-message software overhead is charged when the edge crosses
-        nodes.
+        census; for zero-byte control edges (pure ordering, no
+        payload) only the per-message software overhead is charged when
+        the edge crosses nodes.
     """
 
     __slots__ = ()

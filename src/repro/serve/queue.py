@@ -101,6 +101,14 @@ class JobQueue:
     ) -> None:
         if max_depth < 1:
             raise ValueError(f"max_depth must be positive, got {max_depth}")
+        # A cap of 0 would admit a tenant's jobs and never dispatch them.
+        caps = {"tenant_limit": tenant_limit, **{
+            f"tenant_limits[{tenant!r}]": cap
+            for tenant, cap in (tenant_limits or {}).items()
+        }}
+        for name, cap in caps.items():
+            if cap is not None and cap < 1:
+                raise ValueError(f"{name} must be None or positive, got {cap}")
         self.max_depth = max_depth
         #: Optional :class:`~repro.obs.lifecycle.LifecycleTracer`; jobs
         #: whose ``extra`` carries a ``trace_id`` get ``queued`` spans

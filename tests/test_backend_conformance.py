@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from repro.core.config import IMPLEMENTATIONS
 from repro.core.runner import run
 from repro.distgrid.boundary import DirichletBC
 from repro.exec import fork_available
@@ -79,7 +80,7 @@ def conformance_configs(draw):
     """(impl, problem, nodes, tile, steps) always valid for a 2x2 grid:
     the grid is an exact multiple of 2*tile, so every tile is full-size
     and any steps <= tile is legal."""
-    impl = draw(st.sampled_from(["petsc", "base-parsec", "ca-parsec"]))
+    impl = draw(st.sampled_from(IMPLEMENTATIONS))
     nodes = draw(st.sampled_from([1, 2, 4]))
     tile = draw(st.integers(4, 6))
     n = 2 * tile * draw(st.integers(1, 2))
@@ -128,7 +129,7 @@ def test_ca_nondividing_steps_across_backends():
     assert np.array_equal(procs_grid, ref)
 
 
-@pytest.mark.parametrize("impl", ["petsc", "base-parsec", "ca-parsec"])
+@pytest.mark.parametrize("impl", IMPLEMENTATIONS)
 def test_all_impls_on_processes_match_reference(impl):
     """One deterministic mid-size case per implementation through the
     multiprocess backend alone (the conformance suite's anchor)."""
@@ -144,7 +145,7 @@ def test_all_impls_on_processes_match_reference(impl):
         assert np.array_equal(result.grid, ref)
 
 
-@pytest.mark.parametrize("impl", ["petsc", "base-parsec", "ca-parsec"])
+@pytest.mark.parametrize("impl", IMPLEMENTATIONS)
 def test_serve_path_matches_direct_run(impl):
     """The serving layer (warm slots, batching, reduced outcomes) is
     transparent: grids served over the threads and processes pools are

@@ -61,19 +61,16 @@ def test_transform_verify_run_roundtrip(machine4):
 
 
 def test_public_api_surface():
-    """Everything __all__ promises exists and is documented."""
-    import repro.analysis
-    import repro.distgrid
-    import repro.experiments
-    import repro.machine
-    import repro.multigrid
-    import repro.petsclite
-    import repro.runtime
-    import repro.stencil
+    """Everything __all__ promises exists and is documented, in the
+    package and in every subpackage."""
+    import importlib
+    import pkgutil
 
-    for module in (repro, repro.machine, repro.runtime, repro.distgrid,
-                   repro.stencil, repro.petsclite, repro.analysis,
-                   repro.multigrid):
+    subpackages = [
+        importlib.import_module(f"repro.{info.name}")
+        for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+    ]
+    for module in (repro, *subpackages):
         assert module.__doc__, f"{module.__name__} lacks a docstring"
         for name in getattr(module, "__all__", ()):
             obj = getattr(module, name)  # raises if the export is broken

@@ -145,6 +145,24 @@ def test_per_tenant_cap_override():
     assert q.take(timeout=0) is v2  # cap 2 lets both fly
 
 
+@pytest.mark.parametrize("caps", [
+    {"tenant_limit": 0},
+    {"tenant_limit": -1},
+    {"tenant_limit": 1, "tenant_limits": {"vip": 0}},
+])
+def test_cap_below_one_is_rejected(caps):
+    """A cap of 0 would admit a tenant's jobs and never dispatch them."""
+    with pytest.raises(ValueError, match="tenant_limit"):
+        JobQueue(max_depth=16, **caps)
+
+
+def test_service_rejects_a_zero_tenant_limit():
+    from repro.serve import ServiceConfig, SolverService
+
+    with pytest.raises(ValueError, match="tenant_limit"):
+        SolverService(ServiceConfig(tenant_limit=0, cache=False))
+
+
 # -- deadlines -----------------------------------------------------------
 
 

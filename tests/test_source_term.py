@@ -88,10 +88,11 @@ def test_poisson_iteration_converges_to_pde_solution():
     assert residual_norm(sol, prob.weights, prob.bc, prob.source_grid()) < 1e-6
 
 
-def test_fixed_point_agrees_with_multigrid():
+def test_fixed_point_agrees_with_direct_solve():
     """Two independent solvers, one answer: the damped-Jacobi fixed
-    point equals the multigrid solution of the same discrete system."""
-    from repro.multigrid import solve
+    point equals a direct sparse solve of the same 5-point system."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
 
     n = 31
     prob, _ = poisson_problem(n=n, iterations=6000)
@@ -100,6 +101,8 @@ def test_fixed_point_agrees_with_multigrid():
     x = np.arange(1, n + 1) * h
     X, Y = np.meshgrid(x, x, indexing="ij")
     f = 5.0 * np.pi**2 * np.sin(np.pi * X) * np.sin(2 * np.pi * Y)
-    mg = solve(f, rtol=1e-12)
-    assert mg.converged
-    assert np.max(np.abs(jacobi - mg.u)) < 1e-5
+    second_difference = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    eye = sp.identity(n)
+    laplacian = (sp.kron(second_difference, eye) + sp.kron(eye, second_difference)) / h**2
+    direct = spsolve(laplacian.tocsc(), f.ravel()).reshape(n, n)
+    assert np.max(np.abs(jacobi - direct)) < 1e-5

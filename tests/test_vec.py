@@ -43,41 +43,6 @@ def test_from_global_roundtrip():
         Vec.from_global(lay, np.zeros(5))
 
 
-def test_blas_operations():
-    lay = VecLayout(n=8, nranks=2)
-    x = Vec.from_global(lay, np.arange(8.0))
-    y = x.duplicate()
-    y.axpy(2.0, x)
-    assert np.array_equal(y.to_global(), 3.0 * np.arange(8.0))
-    y.scale(0.5)
-    assert np.array_equal(y.to_global(), 1.5 * np.arange(8.0))
-    assert x.dot(x) == pytest.approx(float((np.arange(8.0) ** 2).sum()))
-    assert x.norm() == pytest.approx(np.linalg.norm(np.arange(8.0)))
-    assert x.norm(np.inf) == 7.0
-
-
-def test_swap():
-    lay = VecLayout(n=4, nranks=2)
-    x = Vec.from_global(lay, np.zeros(4))
-    y = Vec.from_global(lay, np.ones(4))
-    x.swap(y)
-    assert np.all(x.to_global() == 1.0) and np.all(y.to_global() == 0.0)
-
-
-def test_set():
-    lay = VecLayout(n=4, nranks=2)
-    v = Vec(lay)
-    v.set(7.0)
-    assert np.all(v.to_global() == 7.0)
-
-
-def test_layout_mismatch_rejected():
-    x = Vec(VecLayout(n=4, nranks=2))
-    y = Vec(VecLayout(n=4, nranks=4))
-    with pytest.raises(ValueError):
-        x.axpy(1.0, y)
-
-
 def test_local_sizes_checked():
     lay = VecLayout(n=4, nranks=2)
     with pytest.raises(ValueError):
