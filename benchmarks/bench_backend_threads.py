@@ -9,12 +9,14 @@ Unlike every other bench in this suite, the interesting number here
   table, not a bar: how much a second thread gains moves with the host
   from session to session (the bare kernel's 2 threads / 1 read
   0.94-1.01 in one session and 0.50-0.79 in another,
-  ``docs/runtime-guide.md``, *Does a second thread help?*), and these
-  small grids have one or two tasks per node and sweep, so ``jobs``
-  defaults to 1 and multi-core is ``procs``;
-* the base-vs-CA comparison on real hardware (the paper's headline,
-  without the network: CA's fewer-but-fatter tasks vs base's
-  per-iteration synchronisation);
+  ``docs/runtime-guide.md``, *Does a second thread help?*), and
+  ``threads`` runs these small grids as one node block of one task a
+  sweep, so ``jobs`` defaults to 1 and multi-core is ``procs``;
+* the base-vs-CA comparison on real hardware, which on ``threads`` is
+  a control: one address space runs the grid as one node block, so base
+  and CA execute the same one-buffer sweep (no halo, no redundant
+  cell).  CA's saving is a distributed-memory effect, measured on
+  ``processes`` (``bench_backend_processes.py``);
 * simulated-vs-measured occupancy and GFLOP/s side by side
   (``repro.exec.compare``), closing the loop on the model.
 

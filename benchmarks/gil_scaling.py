@@ -13,7 +13,10 @@ five, seconds.
 Then the task runtime on the same shape: `run()` entry to grid on
 `threads` with `jobs=1` and `jobs=2` (the node-block graph: 8 row slabs
 per sweep), the reference loop beside them, the three interleaved so
-host drift hits all of them.  Best and median of five, seconds.
+host drift hits all of them.  Best and median of five, seconds.  Then
+the same on 512^2 on the modelled `nacl(4)`: `threads` runs it as one
+node block of 2^18 cells, below 2 x `SLAB_CELLS`, so one task a sweep
+and nothing for a second worker to share.
 """
 
 from __future__ import annotations
@@ -64,33 +67,37 @@ def bare_kernel() -> None:
     kernels.BAND_CELLS = banded
 
 
-def runtime() -> None:
-    """`kernel_large` (2048^2, 256^2 tiles, 16 sweeps, one node): the
-    reference loop, then `run()` with one and with two workers."""
-    problem = JacobiProblem(n=2048, iterations=SWEEPS, init=0.5, bc=DirichletBC(1.5))
+def runtime(label: str, problem: JacobiProblem, nodes: int, tile: int) -> None:
+    """The reference loop, then `run()` on `threads` with one and with
+    two workers, on the modelled `nacl(nodes)`."""
     truth = problem.reference_solution()
 
     def threads(jobs: int):
-        return lambda: run(problem, nacl(1), impl="base-parsec", backend="threads",
-                           jobs=jobs, tile=256).grid
+        return lambda: run(problem, nacl(nodes), impl="base-parsec", backend="threads",
+                           jobs=jobs, tile=tile).grid
 
     rows = {"reference": problem.reference_solution, "jobs=1": threads(1), "jobs=2": threads(2)}
     for solve_once in rows.values():  # warm: templates, page cache, allocator
         assert np.array_equal(solve_once(), truth)
-    seconds: dict[str, list[float]] = {label: [] for label in rows}
+    seconds: dict[str, list[float]] = {name: [] for name in rows}
     for _ in range(REPS):
-        for label, solve_once in rows.items():
+        for name, solve_once in rows.items():
             t0 = time.perf_counter()
             grid = solve_once()
-            seconds[label].append(time.perf_counter() - t0)
-            assert np.array_equal(grid, truth), label
-    print(f"\n{'kernel_large':>12} {'best':>8} {'median':>8}")
-    for label, times in seconds.items():
-        print(f"{label:>12} {min(times):>8.3f} {statistics.median(times):>8.3f}")
-    one, two = (min(seconds[label]) for label in ("jobs=1", "jobs=2"))
+            seconds[name].append(time.perf_counter() - t0)
+            assert np.array_equal(grid, truth), name
+    print(f"\n{label:>12} {'best':>8} {'median':>8}")
+    for name, times in seconds.items():
+        print(f"{name:>12} {min(times):>8.3f} {statistics.median(times):>8.3f}")
+    one, two = (min(seconds[name]) for name in ("jobs=1", "jobs=2"))
     print(f"{'2 / 1':>12} {two / one:>8.2f}")
 
 
 if __name__ == "__main__":
     bare_kernel()
-    runtime()
+    # kernel_large: 2048^2, 256^2 tiles, 16 sweeps, one node (8 row slabs a sweep)
+    runtime("kernel_large", JacobiProblem(n=2048, iterations=SWEEPS, init=0.5,
+                                          bc=DirichletBC(1.5)), 1, 256)
+    # 512^2 on the modelled nacl(4): one node block of 2^18 cells, one task a sweep
+    runtime("512^2 nacl(4)", JacobiProblem(n=512, iterations=SWEEPS, init=0.5,
+                                           bc=DirichletBC(1.5)), 4, 64)

@@ -87,18 +87,20 @@ def hops_of(service: SolverService, record, put_s: dict) -> dict[str, float]:
 
 
 def staged() -> dict[str, float]:
-    """`run()`'s stages on one request shape, nothing else in flight."""
+    """`run()`'s stages on one request shape, nothing else in flight:
+    the graph `threads` executes for the modelled nacl(4), one node
+    block for the grid."""
     out: dict[str, list[float]] = {"of which template bind": [], "of which run": [],
                                    "of which assemble": [],
                                    "first of a shape: template build": []}
     for k in range(15):
         TEMPLATES.clear()
         t0 = time.monotonic()
-        build_base_graph(problem(10**6 + k), nacl(4), tile=TILE)
+        build_base_graph(problem(10**6 + k), nacl(1), tile=TILE)
         out["first of a shape: template build"].append(time.monotonic() - t0)
     for k in range(15):
         t0 = time.monotonic()
-        built = build_base_graph(problem(10**6 + k), nacl(4), tile=TILE)
+        built = build_base_graph(problem(10**6 + k), nacl(1), tile=TILE)
         t1 = time.monotonic()
         report = ThreadedExecutor(built.graph, jobs=1, policy="priority").run()
         t2 = time.monotonic()

@@ -3,7 +3,9 @@
     PYTHONPATH=src python benchmarks/task_path.py [serve_mix|kernel_large|halo_base|halo_ca]
 
 Walks the hops `docs/runtime-guide.md` lists on one of the wall-clock
-benchmark's geometries, single-threaded.  First the build: a shape's
+benchmark's geometries, single-threaded, over the graph its backend
+executes: one node block for the whole grid on `threads` (`serve_mix`,
+`kernel_large`), one per node on `processes` (`halo_*`).  First the build: a shape's
 first build (from an empty memo) and the bind every later build pays,
 in microseconds per *declared* task -- the paper's graph, one task per
 tile and sweep, which is what every earlier version of this table
@@ -42,8 +44,13 @@ from repro.runtime.scheduler import make_queue
 from repro.runtime.store import PayloadStore
 from repro.stencil.problem import JacobiProblem
 
-GEOMETRIES = {  # benchmarks/wallclock: batch_workloads.py CONFIGS, serve_workload.py staged()
-    "serve_mix": dict(n=256, ncols=256, iterations=8, nodes=4, tile=32, steps=1),
+#: The benchmark's geometries (benchmarks/wallclock: batch_workloads.py
+#: CONFIGS, serve_workload.py staged()), each with the node count of the
+#: graph its backend executes: ``threads`` (serve_mix on the modelled
+#: nacl(4), kernel_large) runs the grid as one node block, ``processes``
+#: (halo_*) one block per node process.
+GEOMETRIES = {
+    "serve_mix": dict(n=256, ncols=256, iterations=8, nodes=1, tile=32, steps=1),
     "kernel_large": dict(n=2048, ncols=2048, iterations=16, nodes=1, tile=256, steps=1),
     "halo_base": dict(n=4096, ncols=256, iterations=64, nodes=2, tile=128, steps=1),
     "halo_ca": dict(n=4096, ncols=256, iterations=64, nodes=2, tile=128, steps=4),

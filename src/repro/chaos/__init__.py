@@ -23,7 +23,7 @@ Entry points
   resuming from the job signature's latest checkpoint).
 """
 
-from ..runtime.engine import KernelError, NodeLostError
+from ..runtime.report import KernelError, NodeLostError
 from .checkpoint import CheckpointError, CheckpointStore
 from .harness import (
     ChaosContext,

@@ -9,7 +9,7 @@ boundaries on the way through.
 
 :func:`run_with_recovery` is the recovery driver the ``repro chaos``
 CLI and the resilience suite use: run, catch
-:class:`~repro.runtime.engine.NodeLostError`, restart on the
+:class:`~repro.runtime.report.NodeLostError`, restart on the
 survivors (a fresh partition of the grid over the shrunken machine),
 resuming from the latest complete checkpoint rather than
 from scratch.  Because Jacobi is elementwise and tile cores are exact
@@ -27,15 +27,16 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from ..core.config import RunConfig, applies
-from ..distgrid.partition import GridPartition, ProcessGrid
+from ..distgrid.partition import GridPartition, ProcessGrid, even_split
 from ..machine.machine import MachineSpec, nacl
-from ..runtime.engine import NodeLostError
+from ..runtime.report import NodeLostError
 from ..stencil.problem import JacobiProblem
 from .checkpoint import CheckpointError, CheckpointStore
 from .inject import FaultInjector
@@ -86,24 +87,37 @@ class ChaosContext:
 
     # -- runner hook ----------------------------------------------------
 
-    def attach(self, built, backend: str, machine: MachineSpec) -> None:
+    def attach(self, built, backend: str, machine: MachineSpec,
+               pgrid: ProcessGrid | None = None) -> None:
         """Instrument a freshly built graph in place: adjust simulated
         costs for delay/slow, wrap kernels for kill/delay/slow plus
-        checkpointing.  Called by the runner between build and run."""
+        checkpointing.  Called by the runner between build and run.
+
+        Faults name nodes of the modelled ``machine`` (laid out by
+        ``pgrid``).  A task of a stencil build answers for every node
+        whose block its cores meet: its own node where the build is the
+        model's partition, every node it covers where the backend runs
+        fewer, larger blocks (``threads``: one)."""
         self.backend = backend
         inj = self.injector
         kernels = getattr(built, "kernels", None)  # the stencil builds'
         cadence = None
-        if kernels is not None and self.store is not None:
-            spec = built.spec
-            cadence = self.checkpoint_every or spec.steps
-            self.store.ensure_meta(spec.problem.shape)
-            total = self.base + spec.problem.iterations
+        if kernels is not None:
+            spans = _node_spans(built.spec.problem.shape,
+                                pgrid or ProcessGrid.square(machine.nodes))
+            if self.store is not None:
+                spec = built.spec
+                cadence = self.checkpoint_every or spec.steps
+                self.store.ensure_meta(spec.problem.shape)
+                total = self.base + spec.problem.iterations
         for task in built.graph:
             t = task.key[-1]
             gt = self.base + t if isinstance(t, int) and t >= 0 else None
+            nodes = (task.node,) if kernels is None or gt is None else tuple(
+                _nodes_met(kernels.regions(task.key), spans))
             if gt is not None and backend == "sim":
-                task.cost = inj.sim_cost(task.node, gt, task.cost)
+                for node in nodes:
+                    task.cost = inj.sim_cost(node, gt, task.cost)
             ckpt_step = None
             if (
                 cadence is not None
@@ -114,19 +128,20 @@ class ChaosContext:
                 # This task produces sweep gt+1 values on its core.
                 ckpt_step = gt + 1
             if task.kernel is not None and (gt is not None or ckpt_step):
-                task.kernel = self._wrap(task.kernel, task.node, gt, ckpt_step,
+                task.kernel = self._wrap(task.kernel, nodes, gt, ckpt_step,
                                          kernels, task.key)
 
-    def _wrap(self, kernel, node, gt, ckpt_step, kernels, key):
+    def _wrap(self, kernel, nodes, gt, ckpt_step, kernels, key):
         inj = self.injector
         backend = lambda: self.backend  # resolved at call time  # noqa: E731
 
         def chaotic_kernel(inputs, task):
             if gt is not None:
-                if inj.kill_action(node, gt) is not None:
-                    self._die(node)
+                for node in nodes:
+                    if inj.kill_action(node, gt) is not None:
+                        self._die(node)
                 if backend() != "sim":
-                    extra = inj.sleep_for(node, gt)
+                    extra = sum(inj.sleep_for(node, gt) for node in nodes)
                     if extra > 0:
                         time.sleep(extra)
             out = kernel(inputs, task)
@@ -164,6 +179,24 @@ class ChaosContext:
         t = producer[-1] if isinstance(producer, tuple) else None
         gt = self.base + t + 1 if isinstance(t, int) and t >= -1 else None
         return self.injector.drop_delay(src, dst, gt)
+
+
+def _node_spans(shape: tuple[int, int], pgrid: ProcessGrid):
+    """Node rank -> the rows and columns of its block: the grid split
+    over ``pgrid`` as :class:`GridPartition` splits it, whatever the
+    tile."""
+    rows = [0, *accumulate(even_split(shape[0], pgrid.rows))]
+    cols = [0, *accumulate(even_split(shape[1], pgrid.cols))]
+    return {pgrid.rank(pr, pc): (rows[pr], rows[pr + 1], cols[pc], cols[pc + 1])
+            for pr in range(pgrid.rows) for pc in range(pgrid.cols)}
+
+
+def _nodes_met(regions, spans) -> list[int]:
+    """The ranks whose block meets one of ``regions`` (global slices)."""
+    regions = list(regions)
+    return [node for node, (r0, r1, c0, c1) in spans.items()
+            if any(rows.start < r1 and r0 < rows.stop and cols.start < c1 and c0 < cols.stop
+                   for rows, cols in regions)]
 
 
 @dataclass

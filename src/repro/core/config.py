@@ -143,7 +143,8 @@ class RunConfig:
               "implementation's natural setting (PaRSEC yes, PETSc no)",
         faces=(SWEEP,))
     boundary_priority: bool = _knob(
-        True, "schedule node-boundary tiles first", faces=(SWEEP,))
+        True, "schedule node-boundary tiles first (no effect on 'threads', "
+              "which runs the grid as one node block)", faces=(SWEEP,))
     passes: str | None = _knob(
         None, "IR rewrite pipeline applied to the built graph, e.g. "
               "'fuse,coarsen:factor=4' (see docs/ir.md); canonicalised "
@@ -159,7 +160,8 @@ class RunConfig:
         None, "charge CA's redundant updates to task time; default: only "
               "at ratio 1, the paper's choice")
     pgrid: Any = _knob(
-        None, "explicit ProcessGrid; default: the squarest for the node count")
+        None, "explicit ProcessGrid; default: the squarest for the node count "
+              "(on 'threads' it only places faults: the grid runs as one block)")
     tune: bool = _knob(
         False, "search tile/steps now (tune_budget simulated runs) instead "
                "of taking the cached or model-only pick")

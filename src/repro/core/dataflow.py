@@ -81,6 +81,10 @@ IN_BUFFER = "in-buffer"
 
 Block = tuple[int, int]  #: a node block, by its process-grid coordinates
 
+#: Node buffers of at least this many bytes ask for transparent huge
+#: pages, from the size at which numpy asks for its own arrays.
+HUGE_PAGE_BYTES = 1 << 22
+
 
 class _Rect(NamedTuple):
     """A rectangle of one node buffer."""
@@ -159,8 +163,8 @@ class StencilKernels:
     reads or copies them before it returns (the chaos checkpoint hook
     saves synchronously).  The buffers are allocated by the first task
     of a process that touches the block (the ``processes`` parent never
-    does) and live as long as these kernels: as long as the graph they
-    are bound to.
+    does) and released once :meth:`BuildResult.assemble_grid` has seen
+    every final task report, so a kept result pins its grid alone.
     """
 
     def __init__(self, spec: StencilSpec, grid: np.ndarray, plans: dict[tuple, _Plan]) -> None:
@@ -189,11 +193,19 @@ class StencilKernels:
 
     def _allocate(self, block: Block) -> np.ndarray:
         node_buffer, problem = self.layout[block], self.spec.problem
-        # Private memory: a node process makes its own, and a large one
-        # gets huge pages (a shared mapping would not: 30 ms against 5 ms
-        # to first touch 2 x 2050^2 on the development host).  No cell
-        # but the frame is read before it is written.
-        halves = np.empty((2, *node_buffer.shape))
+        # A private anonymous mapping of its own: a node process makes
+        # its own, the pages go back to the OS with the array (a freed
+        # heap block of ~1 MiB may stay in the process, under glibc's
+        # dynamic mmap threshold), and a large one gets huge pages as
+        # numpy's large arrays do (a shared mapping would not: 30 ms
+        # against 5 ms to first touch 2 x 2050^2 on a 2-core x86 host).
+        # No cell but the frame is read before it is written.
+        shape = (2, *node_buffer.shape)
+        memory = mmap.mmap(-1, shape[0] * shape[1] * shape[2] * ITEMSIZE,
+                           flags=mmap.MAP_PRIVATE)
+        if len(memory) >= HUGE_PAGE_BYTES and hasattr(mmap, "MADV_HUGEPAGE"):
+            memory.madvise(mmap.MADV_HUGEPAGE)
+        halves = np.ndarray(shape, buffer=memory)
         for half in halves:  # Dirichlet data never changes: framed once
             problem.bc.fill_outside(half, node_buffer.origin, *problem.shape)
         return halves
@@ -264,6 +276,12 @@ class StencilKernels:
             outputs[tag] = (IN_BUFFER if source is None
                             else self._halves(block)[half][source].copy())
         return outputs
+
+    def regions(self, key: TaskKey):
+        """The global ``(rows, cols)`` of every joined core rectangle of
+        task ``key``: the cells it owns."""
+        for rect in self.plans[key[:-1]].finals:
+            yield self._global(rect)
 
     def cores_after(self, key: TaskKey):
         """``(origin, cells)`` for every joined core rectangle of task
@@ -531,6 +549,10 @@ class BuildResult:
                 raise RuntimeError(f"tile{'s' if len(tiles) > 1 else ''} {what} did not "
                                    f"report final values (result {key!r}); the grid is "
                                    f"incomplete")
+        if self.kernels is not None:
+            # Every task has run and nothing reads the buffers again (a
+            # second run of this build allocates them afresh).
+            self.kernels.buffers = {}
         return self.grid
 
 
@@ -629,8 +651,9 @@ class _TemplateCache:
 #: 1.4 MiB (`serve_mix`), 1088 tasks 2.4 MiB (`kernel_large`), 4160
 #: tasks 8.8 / 8.4 MiB (`halo_base` / `halo_ca`); a bound copy 0.4 KiB a
 #: task -- so the templates hold at most ~38 MiB: the four benchmark
-#: shapes at once (9 984 tasks, plus 468 block tasks: 136 + 130 + 130 +
-#: 72), or 27 shapes of a 256^2 service.
+#: shapes' paper graphs at once (9 984 tasks), plus the 405 block tasks
+#: their backends execute (136 + 130 + 130, and 9 for `serve_mix`'s one
+#: block on `threads`).
 TEMPLATE_TASKS = 16384
 TEMPLATES = _TemplateCache(TEMPLATE_TASKS)
 

@@ -8,7 +8,7 @@ from typing import Any
 import numpy as np
 
 from ..machine.machine import MachineSpec
-from ..runtime.engine import EngineReport
+from ..runtime.report import EngineReport
 from ..runtime.graph import TaskGraph
 from ..runtime.trace import Trace
 from ..stencil.problem import JacobiProblem

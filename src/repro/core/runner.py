@@ -16,15 +16,13 @@ from __future__ import annotations
 from typing import Any
 
 from ..machine.machine import MachineSpec, nacl
-from ..petsclite.cost import SpMVCostModel
-from ..runtime.engine import Engine
 from ..stencil.cost import KernelCostModel
 from ..stencil.problem import JacobiProblem
 from .base_parsec import build_base_graph
 from .ca_parsec import build_ca_graph
-from .config import BACKENDS, IMPLEMENTATIONS, MODES, RunConfig, default_tile
-from .petsc_jacobi import build_petsc_graph
+from .config import BACKENDS, IMPLEMENTATIONS, MODES, RunConfig, applies, default_tile
 from .report import RunResult
+from .spec import StencilSpec
 
 __all__ = ["BACKENDS", "IMPLEMENTATIONS", "MODES", "default_tile", "run"]
 
@@ -77,22 +75,46 @@ def _publish_census(metrics, graph) -> None:
     ).set(census.remote_bytes)
 
 
+def _executed_machine(machine: MachineSpec, config: RunConfig) -> MachineSpec:
+    """The machine whose graph ``config.backend`` executes.  A real
+    backend builds for the address spaces it really has: ``processes``
+    one per node of ``machine`` (``procs`` resized it), ``threads`` one
+    for all, so a tiled run on ``threads`` is one node block -- the
+    whole grid in one framed double buffer, every flow a token.
+    ``machine`` stays the model: what faults target, what the
+    simulator prices and what ``RunResult.machine`` reports."""
+    if config.backend == "threads" and applies("tile", config.impl):
+        return machine.with_nodes(1)
+    return machine
+
+
 def _build(problem: JacobiProblem, machine: MachineSpec, config: RunConfig):
-    """Build the resolved ``config.impl``'s task graph; returns it with
+    """Build the resolved ``config.impl``'s task graph for the machine
+    the backend executes (:func:`_executed_machine`); returns it with
     the per-implementation entries of ``RunResult.params``."""
     if config.impl == "petsc":
+        from ..petsclite.cost import SpMVCostModel
+        from .petsc_jacobi import build_petsc_graph
+
         built = build_petsc_graph(
             problem, machine, cost=SpMVCostModel(machine),
             with_kernels=config.with_kernels,
         )
         return built, {"ranks": machine.nodes * machine.node.cores}
+    pgrid = config.pgrid
+    executed = _executed_machine(machine, config)
+    if executed is not machine:
+        # The model still bounds the step size (the one-node spec has no
+        # remote side, so any step fits it); its partition places faults.
+        StencilSpec.create(problem, machine.nodes, config.tile, config.steps or 1, pgrid)
+        machine, pgrid = executed, None
     shared = dict(
         tile=config.tile,
         cost=KernelCostModel(machine, ratio=config.ratio,
                              include_redundant=config.include_redundant),
         with_kernels=config.with_kernels,
         boundary_priority=config.boundary_priority,
-        pgrid=config.pgrid,
+        pgrid=pgrid,
     )
     if config.impl == "ca-parsec":
         built = build_ca_graph(problem, machine, steps=config.steps, **shared)
@@ -112,7 +134,7 @@ def _rewrite(built, machine: MachineSpec, config: RunConfig, metrics):
 
     manager = PassManager(parse_pipeline(config.passes))
     ctx = PassContext(
-        machine=machine,
+        machine=_executed_machine(machine, config),
         with_kernels=config.with_kernels,
         ratio=config.ratio,
         include_redundant=config.include_redundant,
@@ -128,6 +150,8 @@ def _make_executor(graph, machine: MachineSpec, config: RunConfig,
     discrete-event engine or a real executor, built for this graph and
     run once."""
     if config.backend == "sim":
+        from ..runtime.engine import Engine
+
         return Engine(
             graph, machine, policy=config.policy, execute=config.with_kernels,
             overlap=config.overlap, trace=config.trace, metrics=metrics,
@@ -172,7 +196,9 @@ def run(
     ``tile`` (Fig. 6), ``steps`` (Fig. 9, CA only), ``ratio`` (Fig. 8's
     kernel adjustment), ``trace`` (Fig. 10).  ``backend="threads"``
     executes the graph for real on ``jobs`` worker threads and reports
-    wall-clock performance.  ``backend="processes"`` runs each
+    wall-clock performance; its one address space runs the grid as one
+    node block, while ``machine`` stays the model that faults target
+    and the result reports.  ``backend="processes"`` runs each
     simulated node as a real OS process, each with ``jobs`` worker
     threads, and exchanges node-boundary halos as real messages
     through shared-memory rings; passing ``procs`` resizes the machine
@@ -256,7 +282,7 @@ def run(
     if metrics is not None:
         _publish_census(metrics, built.graph)
     if chaos is not None:
-        chaos.attach(built, backend=config.backend, machine=machine)
+        chaos.attach(built, backend=config.backend, machine=machine, pgrid=config.pgrid)
 
     # make executor -> run -> assemble
     executor = _make_executor(built.graph, machine, config, metrics, chaos)

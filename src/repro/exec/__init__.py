@@ -32,30 +32,23 @@ Entry points
 * :mod:`repro.exec.compare` -- simulated-vs-measured reports.
 """
 
-from .backends import BACKEND_DESCRIPTIONS, BACKENDS, MEASURED_BACKENDS
-from .compare import (
-    BackendComparison,
-    SpeedupPoint,
-    compare_backends,
-    format_comparison,
-    speedup_curve,
-)
-from .executor import (
-    ExecReport,
-    ThreadedExecutor,
-    ensure_executable,
-    execute,
-)
-from ..runtime.engine import KernelError, NodeLostError
-from .futures import ExecutionTimeout, RunCancelled, RunHandle
-from .procs import (
-    ProcessExecutor,
-    ProcsReport,
-    default_procs,
-    execute_procs,
-    fork_available,
-)
-from .wallclock_trace import HOST_NODE, WallClockRecorder
+from .._lazy import lazy_exports
+from ..runtime.report import KernelError, NodeLostError
+
+#: Re-exported name -> the sub-module that defines it: the simulated-vs-
+#: measured comparison loads the simulator, so a run does not load it.
+_EXPORTS = {
+    **dict.fromkeys(("BACKEND_DESCRIPTIONS", "BACKENDS", "MEASURED_BACKENDS"), "backends"),
+    **dict.fromkeys(("BackendComparison", "SpeedupPoint", "compare_backends",
+                     "format_comparison", "speedup_curve"), "compare"),
+    **dict.fromkeys(("ExecReport", "ThreadedExecutor", "ensure_executable", "execute"),
+                    "executor"),
+    **dict.fromkeys(("ExecutionTimeout", "RunCancelled", "RunHandle"), "futures"),
+    **dict.fromkeys(("ProcessExecutor", "ProcsReport", "default_procs", "execute_procs",
+                     "fork_available"), "procs"),
+    **dict.fromkeys(("HOST_NODE", "WallClockRecorder"), "wallclock_trace"),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "BACKENDS",

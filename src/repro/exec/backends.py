@@ -16,7 +16,7 @@ from __future__ import annotations
 BACKEND_DESCRIPTIONS: dict[str, str] = {
     "sim": "discrete-event model of a cluster (virtual clock), the default",
     "threads": "real shared-memory execution on worker threads sharing one "
-               "ready queue",
+               "ready queue; one address space, so the grid is one node block",
     "processes": "one OS process per simulated node; node-boundary halos "
                  "travel as real messages through shared-memory rings",
 }

@@ -19,7 +19,7 @@ Structure -- a PaRSEC node, as the simulator models one:
 * one mutex guards the queue and the bookkeeping -- kernels run
   outside it.
 
-The report mirrors :class:`~repro.runtime.engine.EngineReport` (it
+The report mirrors :class:`~repro.runtime.report.EngineReport` (it
 *is* one, extended), so :class:`~repro.core.report.RunResult`, the
 occupancy/Gantt analyses and the Chrome-trace exporter all work
 unchanged on measured runs.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from ..obs import trace_validation_enabled
 from ..obs.metrics import MetricRegistry, publish_run
-from ..runtime.engine import EngineReport, KernelError
+from ..runtime.report import EngineReport, KernelError
 from ..runtime.graph import TaskGraph
 from ..runtime.scheduler import DEFAULT_POLICY, make_queue
 from ..runtime.store import PayloadStore

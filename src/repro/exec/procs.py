@@ -57,7 +57,7 @@ send/poll hooks -- and one *control* thread that blocks on the pipe
 (``cancel`` down, EOF = the parent died), idle for all of a healthy
 run.  A failing node sets every peer's abort word, posts every doorbell
 and reports to the parent, which cancels everyone, so
-:class:`~repro.runtime.engine.KernelError` crosses the process boundary
+:class:`~repro.runtime.report.KernelError` crosses the process boundary
 without deadlocking anyone; stragglers are terminated after a grace
 period so no orphan survives.
 
@@ -77,8 +77,10 @@ from __future__ import annotations
 
 import mmap
 import multiprocessing as mp
+import os
 import pickle
 import struct
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -90,7 +92,7 @@ import numpy as np
 from ..obs import trace_validation_enabled
 from ..obs.export import build_trace
 from ..obs.metrics import MetricRegistry, publish_run
-from ..runtime.engine import KernelError, NodeLostError
+from ..runtime.report import KernelError, NodeLostError
 from ..runtime.graph import TaskGraph
 from ..runtime.scheduler import DEFAULT_POLICY
 from ..runtime.task import Flow, Task, TaskKey
@@ -603,6 +605,24 @@ def _node_main(
             pass
 
 
+def _node_process(*args) -> None:
+    """A node process: :func:`_node_main`, then exit at once.  It must
+    not run the interpreter shutdown it inherited with the fork: that
+    joins the forking process's threads, and where the fork came from a
+    ``ThreadPoolExecutor`` worker (a tuning candidate's timeout) the
+    pool's exit hook joins the very thread that forked, raises, and the
+    child unwinds into the parent's code instead of exiting."""
+    try:
+        _node_main(*args)
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except (AttributeError, OSError, ValueError):
+                pass
+        os._exit(0)
+
+
 # ---------------------------------------------------------------------------
 # parent side
 # ---------------------------------------------------------------------------
@@ -730,7 +750,7 @@ class ProcessExecutor:
         for node in range(self.procs):
             parent_end, child_end = ctx.Pipe(duplex=True)
             proc = ctx.Process(
-                target=_node_main,
+                target=_node_process,
                 args=(node, self.graph, self._channels, self.jobs, self.policy,
                       self.want_trace, self._epoch,
                       child_end, [*self._ctrl.values(), parent_end], self.chaos),

@@ -36,7 +36,9 @@ class PassContext:
     insertion) whether to attach real kernels; ``ratio`` /
     ``include_redundant`` parameterise the cost model exactly as the
     runner's own build path does, so a pass-built graph prices its
-    tasks identically to a hand-built one.
+    tasks identically to a hand-built one.  ``machine`` is the machine
+    whose graph the backend executes -- the runner passes one node on
+    ``threads``, so a rebuilt graph is again one node block there.
     """
 
     machine: MachineSpec

@@ -12,17 +12,29 @@ Layers:
 * :mod:`~repro.runtime.engine` -- the discrete-event engine: per-node
   worker pools, a dedicated communication thread per node, a NIC/wire
   network model, and real kernel execution through the payload store.
+* :mod:`~repro.runtime.report` -- the run report every backend fills and
+  the errors a failing kernel or a lost node raises.
 * :mod:`~repro.runtime.scheduler` -- pluggable ready-queue policies.
 * :mod:`~repro.runtime.trace` -- PaRSEC-profiling-style trace capture.
+
+Names resolve on first access (:mod:`repro._lazy`): a real backend
+loads neither the engine nor the DOT exporter.
 """
 
-from . import dot
-from .engine import Engine, EngineReport, KernelError
-from .graph import GraphError, TaskGraph
-from .scheduler import FifoQueue, LifoQueue, PriorityQueue, make_queue
-from .store import PayloadStore
-from .task import EdgeCensus, Flow, Task, TaskKey
-from .trace import KindStats, Span, Trace, idle_fraction_timeline, kind_statistics
+from .._lazy import lazy_exports
+
+#: Re-exported name -> the sub-module that defines it.
+_EXPORTS = {
+    "Engine": "engine",
+    **dict.fromkeys(("EngineReport", "KernelError", "NodeLostError"), "report"),
+    **dict.fromkeys(("GraphError", "TaskGraph"), "graph"),
+    **dict.fromkeys(("FifoQueue", "LifoQueue", "PriorityQueue", "make_queue"), "scheduler"),
+    "PayloadStore": "store",
+    **dict.fromkeys(("EdgeCensus", "Flow", "Task", "TaskKey"), "task"),
+    **dict.fromkeys(("KindStats", "Span", "Trace", "idle_fraction_timeline",
+                     "kind_statistics"), "trace"),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "dot",
@@ -35,6 +47,7 @@ __all__ = [
     "KernelError",
     "KindStats",
     "LifoQueue",
+    "NodeLostError",
     "PayloadStore",
     "PriorityQueue",
     "Span",

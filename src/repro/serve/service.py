@@ -674,7 +674,7 @@ class SolverService:
     @staticmethod
     def _failure_cause(exc: Exception) -> str:
         from ..ir.core import PassError
-        from ..runtime.engine import NodeLostError
+        from ..runtime.report import NodeLostError
 
         for c in (exc, exc.__cause__):
             if isinstance(c, NodeLostError):

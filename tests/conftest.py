@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import multiprocessing.connection
+import multiprocessing.process
 import time
 from collections import Counter
 
@@ -82,7 +84,22 @@ def join_all(workers, timeout: float = 10.0) -> list[str]:
     deadline = time.monotonic() + timeout
     for worker in workers:
         worker.join(max(0.0, deadline - time.monotonic()))
-    return [worker.name for worker in workers if worker.is_alive()]
+    return [worker.name for worker in workers if _running(worker)]
+
+
+def _running(worker) -> bool:
+    """Whether a thread or process has not ended.  A process is asked
+    through its sentinel, ready once it has exited: ``is_alive()`` on a
+    process that another thread (an executor's watcher) is reaping at
+    that moment answers True, because CPython's ``Popen.poll`` reads the
+    other thread's ``waitpid`` win as "still running"."""
+    if not isinstance(worker, multiprocessing.process.BaseProcess):
+        return worker.is_alive()
+    try:
+        sentinel = worker.sentinel
+    except ValueError:  # closed: only a finished process can be
+        return False
+    return not multiprocessing.connection.wait([sentinel], 0)
 
 
 @pytest.fixture

@@ -10,7 +10,8 @@ executed graph has one task per part or slab, node and sweep (the
 simulator keeps one per tile) whatever the worker count, that its
 census is the declared one, that a block's buffer is allocated once,
 and that a sweep never overwrites the half a task of the previous
-sweep still reads.
+sweep still reads.  ``threads`` has one address space and runs the
+grid as one node block, whose faults still land on the modelled nodes.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ import sys
 import threading
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.chaos import ChaosContext, FaultInjector, harness, parse_plan, run_with_recovery
 from repro.core import dataflow
 from repro.core.base_parsec import build_base_graph
 from repro.core.ca_parsec import build_ca_graph
@@ -32,7 +35,7 @@ from repro.core.dataflow import TEMPLATES
 from repro.core.runner import run
 from repro.distgrid.boundary import DirichletBC
 from repro.distgrid.partition import GridPartition, ProcessGrid
-from repro.exec import fork_available
+from repro.exec import NodeLostError, fork_available
 from repro.exec.executor import ThreadedExecutor
 from repro.machine.machine import nacl
 from repro.stencil.kernels import SLAB_CELLS
@@ -181,7 +184,9 @@ def test_at_most_two_executed_tasks_per_node_and_sweep(shape, backend):
     tasks = Counter(graph[key].node for key in graph.tasks if key[-1] == 0)
     assert executed == {(node, t): tasks[node] for node in tasks for t in range(-1, 7)}
     if backend != "sim":
-        assert len(result.engine.completed) == len(graph) and len(tasks) == nodes
+        # threads has one address space, so it runs the grid as one node block
+        assert len(result.engine.completed) == len(graph)
+        assert len(tasks) == (1 if backend == "threads" else nodes)
         assert set(tasks.values()) <= {1, 2}  # every part here is below 2 x SLAB_CELLS
 
 
@@ -276,7 +281,8 @@ def test_the_slabs_do_not_depend_on_the_worker_count():
     _, solve = slabbed("two-node", 2)
     one, four = (solve(backend="threads", jobs=jobs) for jobs in (1, 4))
     assert set(one.graph.tasks) == set(four.graph.tasks) == set(four.engine.completed)
-    assert len(one.graph) == 2 * 3 * 3  # 2 nodes x (boundary + 2 slabs) x 3 sweeps
+    # threads runs the grid as one node block: 2048 x 1280 cells, 5 slabs
+    assert len(one.graph) == 5 * 3  # x 3 sweeps
 
 
 def test_two_workers_share_a_nodes_sweep():
@@ -461,3 +467,104 @@ def test_a_node_buffer_is_allocated_and_framed_once(fast_switching, monkeypatch,
         blocks = [buffer.origin for buffer in built.spec.buffers().values()]
         assert framed == Counter({origin: 2 for origin in blocks}), rep
         framed.clear()
+
+
+# -- threads: the grid as one node block -----------------------------------------------
+
+
+def test_threads_runs_the_serve_mix_geometry_as_one_node_block(monkeypatch):
+    """``serve_mix``'s request (256^2, 8 sweeps, tile 32, modelled on
+    nacl(4)): 9 tasks, one buffer, every flow a token and nothing but
+    tokens published."""
+    allocated = []
+    allocate = dataflow.StencilKernels._allocate
+    monkeypatch.setattr(dataflow.StencilKernels, "_allocate",
+                        lambda self, block: allocated.append(block) or allocate(self, block))
+    published = []
+
+    def recording(executor):
+        for task in executor.graph:
+            def kernel(inputs, task, inner=task.kernel):
+                out = inner(inputs, task)
+                published.extend(out.values())
+                return out
+            task.kernel = kernel
+
+    problem = JacobiProblem(n=256, iterations=8, init=0.5, bc=DirichletBC(1.5))
+    result = run(problem, nacl(4), impl="base-parsec", backend="threads", jobs=1, tile=32,
+                 on_executor=recording)
+    assert np.array_equal(result.grid, problem.reference_solution())
+    assert len(result.graph) == result.engine.tasks_run == 9
+    assert allocated == [(0, 0)]
+    assert all(flow.nbytes == 0 for task in result.graph for flow in task.inputs)
+    assert result.graph.census().remote_messages == result.engine.messages == 0
+    assert len(published) == 9 and not any(isinstance(p, np.ndarray) for p in published)
+    assert result.machine == nacl(4)  # the model is what the result reports
+
+
+@pytest.mark.parametrize("shape,variant", [("odd", "ca3"), ("remapped", "base")])
+def test_threads_tasks_and_grids_do_not_depend_on_jobs(small_slabs, shape, variant):
+    _, _, nodes, pgrid, tile = SHAPES[shape]
+    problem = problem_of(shape, 7, seed=6)
+    results = [run(problem, nacl(nodes), backend="threads", jobs=jobs, tile=tile, pgrid=pgrid,
+                   **knobs(variant)) for jobs in (1, 2, 3)]
+    keys = {frozenset(result.engine.completed) for result in results}
+    assert len(keys) == 1 and keys == {frozenset(results[0].graph.tasks)}
+    assert {task.node for task in results[0].graph} == {0}  # one block
+    assert len(results[0].graph) > 8  # a slab per tile row, per sweep
+    for result in results:
+        assert np.array_equal(result.grid, problem.reference_solution())
+
+
+@pytest.mark.parametrize("variant", ["base", "ca3"])
+def test_the_one_buffer_and_its_slabs_never_overwrite_a_half_still_read(
+        small_slabs, fast_switching, variant):
+    """What ``threads`` runs for a four-node model: one buffer, here cut
+    into a slab per tile row, on four workers."""
+    problem = random_problem(32, 9, seed=8)
+    truth = problem.reference_solution()
+    builder = build_ca_graph if VARIANTS[variant] else build_base_graph
+    for rep in range(10):
+        built = builder(problem, nacl(1), tile=4, **VARIANTS[variant])
+        assert len(built.spec.buffers()) == 1 and len(built.kernels.plans) == 8
+        check_write_after_read(built, truth, rep)
+
+
+@pytest.mark.parametrize("kind", ["kill", "delay"])
+def test_a_fault_on_a_modelled_node_fires_in_a_threads_task_covering_it(
+        small_slabs, monkeypatch, tmp_path, kind):
+    """24^2 on a modelled 2 x 2 nacl(4): ``threads`` runs one block, one
+    slab per tile row (rows 6k .. 6k + 5 in slab k).  A fault on node 3
+    at sweep 2 fires in a sweep-2 slab that meets node 3's block (rows
+    12-23), then recovers bit-identically."""
+    problem = random_problem(24, 6, seed=11)
+    knobs = dict(impl="base-parsec", tile=6, backend="threads", jobs=1)
+    plan = f"{kind}:node=3,step=2" + (",secs=0.25" if kind == "delay" else "")
+    running, culprits = [], []
+
+    def tracked(executor):
+        for task in executor.graph:
+            def kernel(inputs, task, inner=task.kernel):
+                running.append(task.key)
+                return inner(inputs, task)
+            task.kernel = kernel
+
+    monkeypatch.setattr(harness, "time", SimpleNamespace(
+        sleep=lambda secs: culprits.append((running[-1], secs)),
+        perf_counter=time.perf_counter, monotonic=time.monotonic))
+    chaos = ChaosContext(FaultInjector(parse_plan(plan), workdir=tmp_path / "once"))
+    if kind == "kill":
+        with pytest.raises(NodeLostError) as lost:
+            run(problem, nacl(4), chaos=chaos, on_executor=tracked, **knobs)
+        assert lost.value.node == 3
+        culprits.append((running[-1], None))
+    else:
+        result = run(problem, nacl(4), chaos=chaos, on_executor=tracked, **knobs)
+        assert np.array_equal(result.grid, problem.reference_solution())
+    [(key, _)] = culprits
+    assert key[-1] == 2 and key[3] >= 2, key
+    recovered = run_with_recovery(problem, parse_plan(plan), nacl(4),
+                                  checkpoint_dir=tmp_path / "run", **knobs)
+    assert np.array_equal(recovered.grid, problem.reference_solution())
+    assert [restart["node"] for restart in recovered.restarts] == (
+        [3] if kind == "kill" else [])

@@ -171,11 +171,18 @@ def test_threads_task_counts_equal_their_graph():
 def test_procs_merged_counters_equal_single_process_totals():
     census = _census().census()
     _, sim = _run("sim")
-    _, threads = _run("threads", jobs=1)
-    _, procs = _run("processes", procs=2, jobs=1)
-    # merged child registries reproduce the single-process totals exactly
-    assert (procs.labelled("tasks_executed_total")
-            == threads.labelled("tasks_executed_total"))
+    threads_run, threads = _run("threads", jobs=1)
+    procs_run, procs = _run("processes", procs=2, jobs=1)
+
+    def executed(result):
+        return {(("kind", kind),): count
+                for kind, count in Counter(task.kind for task in result.graph).items()}
+
+    # Each backend's counters are the graph it ran: merged child
+    # registries count the per-node graph, threads its one node block.
+    assert procs.labelled("tasks_executed_total") == executed(procs_run)
+    assert threads.labelled("tasks_executed_total") == executed(threads_run)
+    assert threads.gauge("census_messages") == threads.counter("messages_total") == 0
     assert procs.counter("messages_total") == census.remote_messages
     assert procs.counter("messages_total") == sim.counter("messages_total")
     assert (procs.counter("message_bytes_total")

@@ -85,14 +85,22 @@ def test_fold_reproduces_the_parent_publishers(backend):
         "worker_busy_seconds_total{node=%d,worker=%d}" % divmod(index, workers)
         for index, seconds in report.worker_busy.items() if not seconds
     }
-    assert set(cells) == set(expected) - idle
     pinned = {cell: value for cell, value in expected.items() if value is not None}
     if backend != "sim":
-        # The real backends run node blocks since the parent: their task
-        # counts are the executed graph's, the cells the same.
+        # The real backends run node blocks since the parent, and threads
+        # one block for the grid: their task counts and census are the
+        # executed graph's, the cells the same but for the task kinds.
+        executed = {f"tasks_executed_total{{kind={kind}}}": count for kind, count
+                    in Counter(task.kind for task in result.graph).items()}
+        census = result.graph.census()
+        expected = {cell: value for cell, value in expected.items()
+                    if not cell.startswith("tasks_executed_total{")} | executed
+        pinned = {cell: value for cell, value in pinned.items()
+                  if not cell.startswith("tasks_executed_total{")} | executed
         pinned["tasks_total{}"] = len(result.graph)
-        for kind, count in Counter(task.kind for task in result.graph).items():
-            pinned[f"tasks_executed_total{{kind={kind}}}"] = count
+        pinned["census_messages{}"] = census.remote_messages
+        pinned["census_message_bytes{}"] = census.remote_bytes
+    assert set(cells) == set(expected) - idle
     assert {cell: cells[cell] for cell in pinned} == pinned
 
 

@@ -227,8 +227,9 @@ def test_composites_keep_one_result_slot_per_final_tile(backend, impl, passes):
     assert np.array_equal(result.grid, problem.reference_solution())
     finals = {k: v for k, v in result.engine.results.items() if k[1] == "tile"}
     # One per tile on the simulator's graph; on the real backends one
-    # per node-block task (a boundary and an interior one per node).
-    assert len(finals) == (16 if backend == "sim" else 4 * 2)
+    # per node-block task: a boundary and an interior one per node on
+    # processes, the one block of the grid on threads.
+    assert len(finals) == {"sim": 16, "threads": 1, "processes": 4 * 2}[backend]
     assert set(finals.values()) == {IN_GRID}
 
 

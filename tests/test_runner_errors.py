@@ -69,6 +69,7 @@ def test_nonpositive_jobs_rejected(jobs):
 
 def test_validation_happens_before_graph_construction(monkeypatch):
     """A bad policy must not reach the (expensive) graph builders."""
+    import repro.core.petsc_jacobi as petsc_mod
     import repro.core.runner as runner_mod
 
     def explode(*args, **kwargs):  # pragma: no cover - must not run
@@ -76,7 +77,8 @@ def test_validation_happens_before_graph_construction(monkeypatch):
 
     monkeypatch.setattr(runner_mod, "build_base_graph", explode)
     monkeypatch.setattr(runner_mod, "build_ca_graph", explode)
-    monkeypatch.setattr(runner_mod, "build_petsc_graph", explode)
+    # imported where the runner uses it, so a solve does not load it
+    monkeypatch.setattr(petsc_mod, "build_petsc_graph", explode)
     for bad in (
         {"impl": "nope"},
         {"impl": "base-parsec", "mode": "nope"},

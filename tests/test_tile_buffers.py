@@ -21,9 +21,10 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.chaos import ChaosContext, CheckpointStore, FaultInjector, parse_plan
 from repro.core.base_parsec import build_base_graph
 from repro.core.ca_parsec import build_ca_graph
-from repro.core.dataflow import IN_BUFFER, IN_GRID
+from repro.core.dataflow import IN_BUFFER, IN_GRID, StencilKernels
 from repro.core.runner import run
 from repro.exec import fork_available
 from repro.exec.executor import ThreadedExecutor
@@ -117,6 +118,7 @@ def test_complete_run_pins_no_tile_memory_and_empties_the_store(backend, variant
     else:
         executor = ProcessExecutor(built.graph, procs=machine.nodes, jobs=1)
     report = executor.run()
+    buffers = len(built.kernels.buffers)
     grid = built.assemble_grid(report.results)
     assert grid is built.grid
     assert np.array_equal(grid, problem.reference_solution())
@@ -127,12 +129,13 @@ def test_complete_run_pins_no_tile_memory_and_empties_the_store(backend, variant
         return  # the node processes' buffers and stores died with them
     assert len(executor._store) == 0
     # The graph, its kernels and the executor are all still here, yet
-    # none of the copies that crossed a buffer edge is alive: the node
-    # buffers and the grid are the only tile-sized memory left.
+    # none of the copies that crossed a buffer edge is alive, and the
+    # node buffers went once the grid was assembled: the grid is the
+    # only tile-sized memory left.
     assert copies
     gc.collect()
     assert [ref() for ref in copies if ref() is not None] == []
-    assert len(built.kernels.buffers) == machine.nodes
+    assert buffers == machine.nodes and built.kernels.buffers == {}
 
 
 def sweep_by_hand(built, call):
@@ -259,25 +262,63 @@ def test_cancelled_run_then_reset_and_full_run_is_bit_identical():
 # -- who owns the node buffers -------------------------------------------------
 
 
+@pytest.fixture
+def allocations(monkeypatch):
+    """(node block, weak reference) of every node buffer this process
+    allocates."""
+    made = []
+    allocate = StencilKernels._allocate
+
+    def recorded(self, block):
+        halves = allocate(self, block)
+        made.append((block, weakref.ref(halves)))
+        return halves
+
+    monkeypatch.setattr(StencilKernels, "_allocate", recorded)
+    return made
+
+
 @pytest.mark.timeout(120)
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_node_buffers_die_with_the_run_result(backend):
+def test_node_buffers_die_with_the_run_result(backend, allocations):
     problem = random_problem(n=24, iterations=5, seed=7)
     knobs = dict(impl="ca-parsec", tile=6, steps=3, mode="execute", backend=backend)
     result = run(problem, nacl(4), **knobs)
-    buffers = next(iter(result.graph)).kernel.__self__.buffers
+    blocks = sorted(block for block, _ in allocations)
     if backend == "processes":  # each node made its own, and died with it
-        assert buffers == {}
+        assert blocks == []
+    elif backend == "threads":  # one address space: the grid is one node block
+        assert blocks == [(0, 0)]
     else:
-        assert sorted(buffers) == [(0, 0), (0, 1), (1, 0), (1, 1)]  # one per node block
-        assert all(halves.shape[0] == 2 and halves.base is None  # owning its memory
-                   for halves in buffers.values())
-    refs = [weakref.ref(halves) for halves in buffers.values()]
-    grid = result.grid
-    del result, buffers
+        assert blocks == [(0, 0), (0, 1), (1, 0), (1, 1)]  # one per node block
+    # Released once the grid was assembled: a kept result pins its grid alone.
     gc.collect()
-    assert [ref for ref in refs if ref() is not None] == []
-    assert np.array_equal(grid, problem.reference_solution())  # the grid is the caller's
+    assert next(iter(result.graph)).kernel.__self__.buffers == {}
+    assert [block for block, ref in allocations if ref() is not None] == []
+    assert np.array_equal(result.grid, problem.reference_solution())
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("wrapped", ["plain", "chaos", "passes"])
+def test_a_held_threads_result_keeps_no_node_buffer(wrapped, allocations, tmp_path):
+    """However the kernels were wrapped -- by a chaos context (which
+    also checkpoints from the buffers during the run) or by a rewrite
+    pass -- the result a caller keeps holds the grid and no buffer."""
+    problem = random_problem(n=48, iterations=6, seed=9)
+    knobs = dict(impl="base-parsec", tile=6, backend="threads", jobs=2)
+    if wrapped == "chaos":
+        knobs["chaos"] = ChaosContext(
+            FaultInjector(parse_plan("delay:node=2,step=3,secs=0")),
+            store=CheckpointStore(tmp_path), checkpoint_every=2)
+    elif wrapped == "passes":
+        knobs["passes"] = "fuse,coarsen"
+    result = run(problem, nacl(4), **knobs)
+    assert len(allocations) == 1
+    gc.collect()
+    assert [ref() for _, ref in allocations if ref() is not None] == []
+    assert np.array_equal(result.grid, problem.reference_solution())
+    if wrapped == "chaos":
+        assert knobs["chaos"].store.complete_steps() == [2, 4]
 
 
 @needs_fork

@@ -17,7 +17,8 @@ PR lowers the count).
 Orphan modules: every module under ``src/repro`` that no file under
 ``src`` (other than the module itself), ``benchmarks`` or ``tools``
 imports.  A package ``__init__`` import of a name it lists in
-``__all__`` is a re-export: it counts for the module it re-exports from
+``__all__`` is a re-export, and so is an entry of its lazy ``_EXPORTS``
+table (``repro._lazy``): it counts for the module it re-exports from
 only when some file imports that name through the package (``from
 ..ir import PassManager`` is a use of ``ir/pipeline.py``).  Tests,
 examples and docs do not count: a module only they import backs no
@@ -76,6 +77,21 @@ def _declared_all(tree: ast.Module) -> set[str]:
     return set()
 
 
+def _lazy_exports(tree: ast.Module, package: str):
+    """``(module, (name,), attribute)`` for every entry of the package's
+    ``_EXPORTS`` table: name -> ``"sub.module"`` or
+    ``"sub.module:attribute"`` (the tables spell groups with
+    ``dict.fromkeys``)."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "_EXPORTS" for t in node.targets)):
+            table = eval(compile(ast.Expression(node.value), "_EXPORTS", "eval"),
+                         {"__builtins__": {}, "dict": dict})
+            for name, where in table.items():
+                module, _, attribute = where.partition(":")
+                yield f"{package}.{module}", name, attribute or name
+
+
 def orphan_modules(root: Path = ROOT) -> list[str]:
     """Modules of ``src/repro`` no importer uses (see the docstring)."""
     src = root / "src"
@@ -94,6 +110,10 @@ def orphan_modules(root: Path = ROOT) -> list[str]:
                 for module, names in _imports(parsed[path], name)
                 for alias in names if alias in public
             }
+            reexports[name].update(
+                (alias, (module, attribute))
+                for module, alias, attribute in _lazy_exports(parsed[path], name)
+                if alias in public)
 
     def sources(module: str, name: str) -> str:
         if f"{module}.{name}" in modules:
