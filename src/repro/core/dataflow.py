@@ -161,10 +161,22 @@ class StencilKernels:
     when it returns: a wrapper may keep them.  The cells a task wrote
     (:meth:`cores_after`) are rewritten two sweeps later, so a wrapper
     reads or copies them before it returns (the chaos checkpoint hook
-    saves synchronously).  The buffers are allocated by the first task
-    of a process that touches the block (the ``processes`` parent never
-    does) and released once :meth:`BuildResult.assemble_grid` has seen
-    every final task report, so a kept result pins its grid alone.
+    saves synchronously).
+
+    A block's buffer is allocated by the first task of a process that
+    touches the block (the ``processes`` parent never does).  Of its
+    ``T = iterations`` sweeps, the last reads half ``(T - 1) % 2`` and
+    writes the result grid, so half ``T % 2`` is dead once the last of
+    the block's sweep ``T - 2`` tasks has returned -- one per task
+    prefix on the block, at either granularity, whatever order they ran
+    in.  That task hands the half's pages back to the OS
+    (:meth:`_release`) before it returns, so the block's last sweep
+    holds one half and the grid, not two halves and the grid.  The
+    buffer itself goes once :meth:`BuildResult.assemble_grid` has seen
+    every final task report, so a kept result pins its grid alone.  A
+    run of the same build that starts before that (after a cancel)
+    counts its readers afresh and reallocates a released block
+    (:meth:`_loading`).
     """
 
     def __init__(self, spec: StencilSpec, grid: np.ndarray, plans: dict[tuple, _Plan]) -> None:
@@ -174,7 +186,16 @@ class StencilKernels:
         self.layout = spec.buffers()
         #: node block -> its two halves, one ``(2, h, w)`` array
         self.buffers: dict[Block, np.ndarray] = {}
-        self._allocating = threading.Lock()
+        #: node block -> the task prefixes on it, each the last reader
+        #: of half ``T % 2`` at its sweep ``T - 2``
+        self._prefixes: dict[Block, set] = {}
+        for prefix, plan in plans.items():
+            self._prefixes.setdefault(plan.cores[0].block, set()).add(prefix)
+        #: node block -> the prefixes whose sweep ``T - 2`` task has not
+        #: returned yet in this run
+        self._readers: dict[Block, set] = {}
+        self._released: set[Block] = set()
+        self._lock = threading.Lock()
 
     def bind(self, graph: TaskGraph) -> TaskGraph:
         return graph.bind(lambda task: self.init_task if task.kind == "init"
@@ -185,11 +206,30 @@ class StencilKernels:
         if halves is None:
             # Several tasks of one block may start at once: one of them
             # allocates and frames it, the others wait for that one.
-            with self._allocating:
+            with self._lock:
                 halves = self.buffers.get(block)
                 if halves is None:
                     halves = self.buffers[block] = self._allocate(block)
+                    self._readers[block] = set(self._prefixes[block])
         return halves
+
+    def _loading(self, block: Block) -> np.ndarray:
+        """The buffer an initial load writes.  A block's loads all come
+        before its sweep ``T - 2`` (the block graph orders every load
+        before the node's first sweep), so a load into a block some of
+        whose tasks already retired belongs to a new run of the build:
+        the readers are counted afresh, from a fresh buffer if a half
+        went back to the OS.  (Should a load of the paper's graph come
+        after a retirement of its own run, the count restarts and the
+        half is kept: never released early.)"""
+        readers = self._readers.get(block)
+        if readers is not None and len(readers) < len(self._prefixes[block]):
+            with self._lock:
+                if block in self._released:
+                    self.buffers[block] = self._allocate(block)
+                    self._released.discard(block)
+                self._readers[block] = set(self._prefixes[block])
+        return self._halves(block)
 
     def _allocate(self, block: Block) -> np.ndarray:
         node_buffer, problem = self.layout[block], self.spec.problem
@@ -210,6 +250,28 @@ class StencilKernels:
             problem.bc.fill_outside(half, node_buffer.origin, *problem.shape)
         return halves
 
+    def _retire(self, prefix: tuple, block: Block) -> None:
+        """``prefix``'s task at sweep ``T - 2`` is about to return: the
+        last of its block to do so releases half ``T % 2``."""
+        with self._lock:
+            readers = self._readers[block]
+            readers.discard(prefix)  # a task run twice retires once
+            if readers or block in self._released:
+                return
+            self._released.add(block)
+        self._release(block, self.spec.problem.iterations % 2)
+
+    def _release(self, block: Block, half: int) -> None:
+        """Give the pages of ``half`` of ``block``'s buffer back to the
+        OS, rounded inward: no page the other half shares is touched.
+        The half reads as zeros if anything touched it again."""
+        halves = self.buffers[block]
+        size, page = halves[0].nbytes, mmap.PAGESIZE
+        start = -(-half * size // page) * page
+        stop = (half + 1) * size // page * page
+        if stop > start and hasattr(mmap, "MADV_DONTNEED"):
+            halves.base.madvise(mmap.MADV_DONTNEED, start, stop - start)
+
     def _global(self, rect: _Rect) -> Slices:
         r, c = self.layout[rect.block].origin
         return (slice(r + rect.rows.start, r + rect.rows.stop),
@@ -226,7 +288,7 @@ class StencilKernels:
                 self.grid[rows, cols] = problem.initial_block(rows, cols)
             return {"tile": IN_GRID}
         for rect in plan.cores:  # tile by tile: no block-sized temporary
-            self._halves(rect.block)[0, rect.rows, rect.cols] = problem.initial_block(
+            self._loading(rect.block)[0, rect.rows, rect.cols] = problem.initial_block(
                 *self._global(rect))
         return self._cut(plan.phases[-1].cuts, 0)
 
@@ -252,7 +314,10 @@ class StencilKernels:
             return {"tile": IN_GRID}
         for rect in phase.update:
             self._update(rect, read, self._halves(rect.block)[1 - read, rect.rows, rect.cols])
-        return self._cut(phase.cuts, 1 - read)
+        outputs = self._cut(phase.cuts, 1 - read)
+        if t + 2 == problem.iterations:  # the last read of half ``read``
+            self._retire(task.key[:-1], plan.cores[0].block)
+        return outputs
 
     def _update(self, rect: _Rect, read: int, out: np.ndarray) -> None:
         problem = self.spec.problem

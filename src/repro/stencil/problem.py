@@ -13,8 +13,8 @@ from typing import Callable
 import numpy as np
 
 from ..distgrid.boundary import DirichletBC
-from .kernels import FLOP_PER_POINT, StencilWeights
-from .reference import jacobi_reference
+from .kernels import BAND_CELLS, FLOP_PER_POINT, StencilWeights
+from .reference import jacobi_sweeps
 
 Initializer = float | Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -110,11 +110,20 @@ class JacobiProblem:
         return self.source_block(slice(0, self.shape[0]), slice(0, self.shape[1]))
 
     def reference_solution(self) -> np.ndarray:
-        """Ground-truth final grid from the single-array solver."""
-        return jacobi_reference(
-            self.initial_grid(), self.weights, self.iterations, self.bc,
-            source=self.source_grid(),
-        )
+        """Ground-truth final grid from the single-array solver.  The
+        initial values go straight into its framed buffer, band by band
+        as the tasks load them tile by tile, so the solve holds two
+        grids (a ``source`` is one more)."""
+        nrows, ncols = self.shape
+        band = max(1, BAND_CELLS // ncols)
+
+        def load(interior: np.ndarray) -> None:
+            for r in range(0, nrows, band):
+                rows = slice(r, min(r + band, nrows))
+                interior[rows] = self.initial_block(rows, slice(0, ncols))
+
+        return jacobi_sweeps(self.shape, load, self.weights, self.iterations, self.bc,
+                             self.source_grid())
 
 
 def _field_values(

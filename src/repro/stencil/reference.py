@@ -8,6 +8,8 @@ with an explicit Dirichlet frame.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..distgrid.boundary import DirichletBC
@@ -29,19 +31,37 @@ def jacobi_reference(
     optional ``source`` array is added after every sweep (damped-Jacobi
     forcing for Poisson problems).
     """
-    if iterations < 0:
-        raise ValueError("iteration count cannot be negative")
     if grid.ndim != 2:
         raise ValueError("grid must be 2-D")
-    bc = bc or DirichletBC(0.0)
-    nrows, ncols = grid.shape
-    cur = bc.frame(nrows, ncols, depth=1)
-    cur[1:-1, 1:-1] = grid
-    rows = slice(1, nrows + 1)
-    cols = slice(1, ncols + 1)
+
+    def load(interior: np.ndarray) -> None:
+        interior[...] = grid
+
+    return jacobi_sweeps(grid.shape, load, weights, iterations, bc, source)
+
+
+def jacobi_sweeps(
+    shape: tuple[int, int],
+    load: Callable[[np.ndarray], None],
+    weights,
+    iterations: int,
+    bc: DirichletBC | None = None,
+    source: np.ndarray | None = None,
+) -> np.ndarray:
+    """The sweeps of :func:`jacobi_reference` on a grid of ``shape``
+    whose initial values ``load(interior)`` writes into the interior of
+    the framed buffer: two framed buffers, both this call's, so the
+    solve holds two grids -- the one it reads and the one it writes --
+    and only the final one while the result is copied out."""
+    if iterations < 0:  # checked before anything grid-sized exists
+        raise ValueError("iteration count cannot be negative")
+    if source is not None and source.shape != tuple(shape):
+        raise ValueError(f"source shape {source.shape} != grid {tuple(shape)}")
+    cur = (bc or DirichletBC(0.0)).frame(*shape, depth=1)
+    rows = slice(1, shape[0] + 1)
+    cols = slice(1, shape[1] + 1)
+    load(cur[rows, cols])
     nxt = cur.copy()
-    if source is not None and source.shape != grid.shape:
-        raise ValueError(f"source shape {source.shape} != grid {grid.shape}")
     for _ in range(iterations):
         # Sweep from one framed buffer straight into the other's
         # interior; [0, 0] of either is global cell (-1, -1).

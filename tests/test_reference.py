@@ -1,5 +1,7 @@
 """Reference solver: convergence and analytic checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,15 @@ def test_validation():
         jacobi_reference(np.zeros((3, 3)), StencilWeights(), -1)
     with pytest.raises(ValueError):
         jacobi_reference(np.zeros(9), StencilWeights(), 1)
+
+
+def test_a_bad_source_is_rejected_before_anything_grid_sized_is_allocated():
+    grid, source = np.zeros((256, 256)), np.zeros((256, 255))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="source shape"):
+            jacobi_reference(grid, StencilWeights(), 3, source=source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.nbytes // 4, peak

@@ -396,3 +396,23 @@ def test_reference_sweeps_allocate_nothing_grid_sized(weights):
         peaks[sweeps] = peak - base
     assert peaks[8] < 2.5 * grid_bytes, peaks
     assert abs(peaks[8] - peaks[1]) < grid_bytes // 2, peaks
+
+
+@pytest.mark.parametrize("init", ["constant", "callable"])
+def test_a_reference_solution_holds_two_grids_not_three(init):
+    """``JacobiProblem.reference_solution()`` writes the initial values
+    straight into the framed buffer it sweeps, band by band: no initial
+    grid beside its two framed buffers (the test above passes in a grid
+    its caller holds, so it never saw that one)."""
+    problem = (JacobiProblem(n=512, iterations=8, init=0.25) if init == "constant"
+               else random_problem(n=512, iterations=8, seed=4))
+    grid_bytes = 512 * 512 * 8
+    problem.reference_solution()  # band scratch exists from here on
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        problem.reference_solution()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 2.5 * grid_bytes, (peak - base) / grid_bytes
