@@ -176,11 +176,12 @@ def test_cache_hit_executes_zero_tasks(tmp_path, show):
     })
 
 
-#: The overhead gates compare two services on a stream the size of the
-#: wall-clock benchmark's ``serve_mix`` workload: 256^2 solves (8 sweeps,
-#: 32-cell tiles, one worker thread per solve), every request executed
-#: (no result cache), ``OVERHEAD_REQUESTS`` per side -- 3% of a side is
-#: a dozen requests' worth of time, not one scheduling hiccup.
+#: The lifecycle-overhead gate compares two services on a stream the
+#: size of the wall-clock benchmark's ``serve_mix`` workload: 256^2
+#: solves (8 sweeps, 32-cell tiles, one worker thread per solve), every
+#: request executed (no result cache), ``OVERHEAD_REQUESTS`` per side --
+#: 3% of a side is a dozen requests' worth of time, not one scheduling
+#: hiccup.
 OVERHEAD_SOLVE = dict(impl="base-parsec", tile=32, backend="threads", jobs=1)
 OVERHEAD_N, OVERHEAD_ITERATIONS = 256, 8
 OVERHEAD_REQUESTS = 400
@@ -253,41 +254,6 @@ def test_lifecycle_tracing_overhead(show):
     assert overhead <= OVERHEAD_BUDGET, (
         f"lifecycle tracing costs {100 * overhead:.1f}% "
         f"({detached_s:.3f}s -> {traced_s:.3f}s); the budget is 3%"
-    )
-
-
-def test_sampling_overhead(show):
-    """The telemetry sampler + alert engine (20 Hz snapshots, default
-    rules evaluated on every sample) must cost <3% against the same
-    service with sampling disabled -- and ``sampling_interval_s=None``
-    must build nothing at all, so the idle path pays nothing."""
-    from repro.obs.alerts import default_rules
-
-    plain_s, sampled_s, rounds = _overhead(
-        dict(lifecycle=True),
-        dict(lifecycle=True, sampling_interval_s=0.05,
-             alert_rules=default_rules()))
-    overhead = sampled_s / plain_s - 1.0
-    show(
-        f"telemetry sampling overhead ({OVERHEAD_REQUESTS} executed "
-        f"{OVERHEAD_N}^2 requests per side, {OVERHEAD_ROUNDS} alternating rounds, "
-        f"50 ms interval + default alert rules):",
-        f"  sampling off : {plain_s:.3f} s",
-        f"  sampling on  : {sampled_s:.3f} s",
-        f"  overhead     : {100 * overhead:+.2f}%  (budget +3%; round quartiles {rounds})",
-    )
-    _emit("sampling_overhead", {
-        "requests": OVERHEAD_REQUESTS,
-        "problem_n": OVERHEAD_N,
-        "interval_s": 0.05,
-        "plain_seconds": round(plain_s, 4),
-        "sampled_seconds": round(sampled_s, 4),
-        "overhead_pct": round(100 * overhead, 2),
-        "round_overhead_pct_quartiles": rounds,
-    })
-    assert overhead <= OVERHEAD_BUDGET, (
-        f"telemetry sampling costs {100 * overhead:.1f}% "
-        f"({plain_s:.3f}s -> {sampled_s:.3f}s); the budget is 3%"
     )
 
 

@@ -14,29 +14,6 @@ from typing import Sequence
 #: Glyphs assigned to series, in order.
 MARKS = "*o+x#@%&"
 
-#: Block glyphs for sparklines, shortest to tallest.
-SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
-
-
-def spark(values: Sequence[float], width: int | None = None) -> str:
-    """One-line sparkline of ``values`` (the ``repro top`` per-tenant
-    latency trend).  Keeps the trailing ``width`` points; a constant
-    series renders flat at mid-height; empty input is empty output."""
-    vs = [float(v) for v in values]
-    if width is not None:
-        if width < 1:
-            raise ValueError(f"width must be positive, got {width}")
-        vs = vs[-width:]
-    if not vs:
-        return ""
-    lo, hi = min(vs), max(vs)
-    if hi <= lo:
-        return SPARK_BLOCKS[len(SPARK_BLOCKS) // 2] * len(vs)
-    top = len(SPARK_BLOCKS) - 1
-    return "".join(
-        SPARK_BLOCKS[round((v - lo) / (hi - lo) * top)] for v in vs
-    )
-
 
 def plot(
     x: Sequence[float],

@@ -458,9 +458,8 @@ def execute_with_resume(
     )
     outcome.recovered = bool(ckpt)
     outcome.faults_injected = len(faults)
-    # A resume implies the previous attempt died mid-run; the node-lost
-    # alert rule can watch this from the merged registry even when the
-    # failing attempt's error swallowed its own metrics.
+    # A resume implies the previous attempt died mid-run; counted here
+    # because the failing attempt's error swallowed its own metrics.
     _publish_chaos_metrics(
         metrics, faults, [{"node": "resumed"}] if ckpt else []
     )

@@ -286,16 +286,6 @@ def _add_traffic_flags(p: argparse.ArgumentParser, requests: int = 4) -> None:
                         "concurrent solves in flight)")
 
 
-def _add_fault_flags(p: argparse.ArgumentParser, effect: str) -> None:
-    p.add_argument("--fault", default=None, metavar="PLAN",
-                   help="also submit one zero-retry request under this "
-                        "chaos plan (e.g. 'kill:node=1,step=1s'): "
-                        + effect)
-    p.add_argument("--dump-dir", default=None, metavar="DIR",
-                   help="directory flight-recorder dumps land in "
-                        "(default: <tempdir>/repro-postmortem)")
-
-
 def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "serve",
@@ -343,63 +333,14 @@ def _add_slo_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--objective", type=float, default=0.99,
                    help="availability objective the error budget burns "
                         "against")
-    _add_fault_flags(p, "the terminal failure exercises the flight "
-                        "recorder and prints the postmortem dump path")
-
-
-def _add_alerts_parser(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "alerts",
-        help="evaluate alert rules against a live canned-traffic "
-             "service, or replay them over a recorded series file "
-             "(deterministic: same file, byte-identical transitions)",
-    )
-    _add_traffic_flags(p)
-    p.add_argument("--rules", default=None, metavar="FILE.json",
-                   help="alert rules file (default: the built-in "
-                        "serving rules; see examples/alert_rules.json)")
-    p.add_argument("--series", default=None, metavar="FILE.jsonl",
-                   help="replay a recorded series export instead of "
-                        "running live traffic")
-    p.add_argument("--log-out", default=None, metavar="FILE.jsonl",
-                   help="append alert transitions as JSONL (the sink "
-                        "CI greps and byte-compares)")
-    p.add_argument("--series-out", default=None, metavar="FILE.jsonl",
-                   help="live mode: export the sampled series for "
-                        "later replay")
-    p.add_argument("--sample-interval", type=float, default=0.2,
-                   help="telemetry sampling interval in seconds")
-    _add_fault_flags(p, "the node-lost and burn-rate rules should "
-                        "fire, then resolve once the windows slide past")
-    p.add_argument("--settle", type=float, default=12.0,
-                   help="seconds to keep sampling after traffic so "
-                        "firing alerts can resolve")
-
-
-def _add_top_parser(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "top",
-        help="live terminal dashboard over a serving run: queue depth, "
-             "busy share, rates, per-tenant p95 sparklines, active "
-             "alerts (or one frame of a recorded series)",
-    )
-    _add_traffic_flags(p)
-    p.add_argument("--series", default=None, metavar="FILE.jsonl",
-                   help="render a recorded series export instead of "
-                        "driving live traffic")
-    p.add_argument("--rules", default=None, metavar="FILE.json",
-                   help="alert rules for the active-alert table "
-                        "(default: the built-in serving rules)")
-    p.add_argument("--no-alerts", action="store_true",
-                   help="skip alert evaluation entirely")
-    p.add_argument("--once", action="store_true",
-                   help="render a single frame and exit")
-    p.add_argument("--window", type=float, default=10.0,
-                   help="trailing window for rates and percentiles")
-    p.add_argument("--refresh", type=float, default=0.5,
-                   help="seconds between rendered frames")
-    p.add_argument("--sample-interval", type=float, default=0.2,
-                   help="telemetry sampling interval in seconds")
+    p.add_argument("--fault", default=None, metavar="PLAN",
+                   help="also submit one zero-retry request under this "
+                        "chaos plan (e.g. 'kill:node=1,step=1s'): the "
+                        "terminal failure exercises the flight recorder "
+                        "and prints the postmortem dump path")
+    p.add_argument("--dump-dir", default=None, metavar="DIR",
+                   help="directory flight-recorder dumps land in "
+                        "(default: <tempdir>/repro-postmortem)")
 
 
 def _add_postmortem_parser(sub: argparse._SubParsersAction) -> None:
@@ -900,12 +841,6 @@ def _serve_knobs(args: argparse.Namespace, **overrides) -> dict:
             **config.knobs(SERVE)}
 
 
-def _force_fault(session, plan: str) -> None:
-    exc = session.force_fault(plan)
-    if exc is not None:
-        print(f"forced fault failed the request as intended: {exc!r}")
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .obs import RunMonitor, format_serve_summary
     from .serve.traffic import canned_session, format_tally
@@ -964,7 +899,9 @@ def _cmd_slo(args: argparse.Namespace) -> int:
                         dump_dir=args.dump_dir) as session:
         tally = session.traffic(args.tenants, args.requests)
         if args.fault:
-            _force_fault(session, args.fault)
+            exc = session.force_fault(args.fault)
+            if exc is not None:
+                print(f"forced fault failed the request as intended: {exc!r}")
             dumps = session.service.stats().get("postmortems", [])
             dump = dumps[-1] if dumps else None
         snapshot = session.service.metrics.snapshot()
@@ -977,127 +914,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
             return 1
         print(f"postmortem dump: {dump}")
     return 0 if tally["failed"] == 0 else 1
-
-
-def _alert_rules_from(args: argparse.Namespace) -> list:
-    from .obs.alerts import default_rules, load_rules
-
-    return load_rules(args.rules) if args.rules else default_rules()
-
-
-def _cmd_alerts(args: argparse.Namespace) -> int:
-    """``repro alerts``: replay a rules file over a recorded series
-    (``--series``), or run canned traffic through a sampled service
-    and report every alert transition; ``--fault`` injects a chaos
-    kill so the node-lost and burn-rate rules fire and resolve."""
-    from .obs.alerts import JsonlSink, format_transition, replay_rules
-
-    rules = _alert_rules_from(args)
-    if args.series:
-        sinks = [JsonlSink(args.log_out)] if args.log_out else []
-        transitions = replay_rules(rules, args.series, sinks=sinks)
-        for event in transitions:
-            print(format_transition(event))
-        firing = sum(1 for e in transitions if e["to"] == "firing")
-        resolved = sum(1 for e in transitions if e["to"] == "resolved")
-        print(f"replayed {args.series}: {len(transitions)} transitions "
-              f"({firing} firing, {resolved} resolved)")
-        return 0
-
-    import time as _time
-
-    from .serve.traffic import canned_session, format_tally
-
-    problem, _ = _problem_machine(args)
-    with canned_session(
-        problem, _serve_knobs(args), workers=args.workers,
-        dump_dir=args.dump_dir, sampling_interval_s=args.sample_interval,
-        alert_rules=rules, alert_log=args.log_out,
-    ) as session:
-        tally = session.traffic(args.tenants, args.requests)
-        if args.fault:
-            _force_fault(session, args.fault)
-        # Let firing alerts resolve: the sampler keeps evaluating
-        # until every rule's window slides past the incident.
-        engine = session.service.alerts
-        deadline = _time.monotonic() + args.settle
-        while _time.monotonic() < deadline:
-            if engine is not None and engine.transitions and \
-                    not engine.active():
-                break
-            _time.sleep(args.sample_interval)
-        series = session.service.series
-    if args.series_out and series is not None:
-        print(f"series written to {series.to_jsonl(args.series_out)}")
-    for event in engine.transitions:
-        print(format_transition(event))
-    for dump in engine.dumps:
-        print(f"alert postmortem: {dump}")
-    firing = sum(1 for e in engine.transitions if e["to"] == "firing")
-    resolved = sum(1 for e in engine.transitions if e["to"] == "resolved")
-    print(format_tally(tally))
-    print(f"alerts: {firing} fired, {resolved} resolved")
-    if args.fault and firing == 0:
-        print("forced fault fired no alert", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    """``repro top``: the live dashboard.  With ``--series`` it
-    renders one frame of a recorded export (alert table reflects the
-    series' end state); live, it drives canned traffic in a background
-    thread and refreshes until the traffic drains."""
-    from .obs.monitor import format_top
-
-    rules = None if args.no_alerts else _alert_rules_from(args)
-    if args.series:
-        from .obs.alerts import AlertEngine
-        from .obs.timeseries import TimeSeriesStore, read_series_jsonl
-
-        header, samples = read_series_jsonl(args.series)
-        store = TimeSeriesStore(capacity=int(header.get("capacity", 512)))
-        engine = AlertEngine(store, rules) if rules else None
-        for t, wall, data in samples:
-            store.ingest(data, t=t, wall=wall)
-            if engine is not None:
-                engine.evaluate(t)
-        print(format_top(store, alerts=engine, window_s=args.window))
-        return 0
-
-    import threading
-
-    from .serve.traffic import canned_session
-
-    problem, _ = _problem_machine(args)
-    with canned_session(
-        problem, _serve_knobs(args), workers=args.workers,
-        sampling_interval_s=args.sample_interval, alert_rules=rules,
-    ) as session:
-        service = session.service
-        done = threading.Event()
-
-        def drive() -> None:
-            try:
-                session.traffic(args.tenants, args.requests)
-            finally:
-                done.set()
-
-        thread = threading.Thread(target=drive, daemon=True)
-        thread.start()
-        if not args.once:
-            while not done.wait(args.refresh):
-                frame = format_top(service.series, alerts=service.alerts,
-                                   window_s=args.window)
-                if sys.stdout.isatty():
-                    print("\x1b[2J\x1b[H" + frame, flush=True)
-                else:
-                    print(frame + "\n", flush=True)
-        thread.join()
-        service.sample_now()  # final frame sees the drained queue
-        print(format_top(service.series, alerts=service.alerts,
-                         window_s=args.window))
-    return 0
 
 
 def _cmd_postmortem(args: argparse.Namespace) -> int:
@@ -1286,8 +1102,6 @@ COMMANDS = {
     "serve": (_add_serve_parser, _cmd_serve),
     "submit": (_add_submit_parser, _cmd_submit),
     "slo": (_add_slo_parser, _cmd_slo),
-    "alerts": (_add_alerts_parser, _cmd_alerts),
-    "top": (_add_top_parser, _cmd_top),
     "postmortem": (_add_postmortem_parser, _cmd_postmortem),
     "chaos": (_add_chaos_parser, _cmd_chaos),
     "validate": (_add_validate_parser, _cmd_validate),

@@ -18,14 +18,7 @@ execution layer:
 * :mod:`repro.obs.lifecycle` -- request-scoped lifecycle spans, the
   flight recorder and the combined service/execution timeline export;
 * :mod:`repro.obs.slo` -- per-tenant latency percentiles and
-  error-budget burn (the ``repro slo`` report);
-* :mod:`repro.obs.timeseries` -- bounded metric history sampled from
-  a live registry, with derived signals (rates, windowed quantiles,
-  EWMA, MAD z-scores) and a replayable JSONL export;
-* :mod:`repro.obs.alerts` -- declarative threshold / multi-window
-  burn-rate / anomaly rules over the time-series store, with a
-  pending -> firing -> resolved lifecycle and flight-recorder dumps
-  on firing (the ``repro alerts`` / ``repro top`` CLI).
+  error-budget burn (the ``repro slo`` report).
 """
 
 from __future__ import annotations
@@ -38,8 +31,6 @@ from .._lazy import lazy_exports
 #: access: the engine and both executors import this package only for
 #: :func:`trace_validation_enabled`.
 _EXPORTS = {
-    **dict.fromkeys(("AlertEngine", "AlertRule", "JsonlSink", "default_rules",
-                     "load_rules", "parse_rules", "replay_rules"), "alerts"),
     **dict.fromkeys(("CritPathReport", "critical_path", "find_stragglers",
                      "publish_critpath_metrics", "robust_scores"), "critpath"),
     **dict.fromkeys(("TraceDiff", "diff_results", "diff_traces"), "diff"),
@@ -48,12 +39,10 @@ _EXPORTS = {
     **dict.fromkeys(("Counter", "Gauge", "Histogram", "MetricRegistry",
                      "MetricsSnapshot"), "metrics"),
     **dict.fromkeys(("RunMonitor", "format_serve_summary", "format_summary",
-                     "format_top", "monitored_run"), "monitor"),
+                     "monitored_run"), "monitor"),
     **dict.fromkeys(("RegressReport", "compare", "load_baseline",
                      "metrics_from_serve"), "regress"),
     **dict.fromkeys(("format_slo_report", "slo_gate_metrics", "slo_report"), "slo"),
-    **dict.fromkeys(("TelemetrySampler", "TimeSeriesStore", "read_series_jsonl"),
-                    "timeseries"),
 }
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
@@ -70,27 +59,21 @@ def trace_validation_enabled() -> bool:
 
 
 __all__ = [
-    "AlertEngine",
-    "AlertRule",
     "Counter",
     "CritPathReport",
     "DEBUG_TRACE_ENV",
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "JsonlSink",
     "LifeSpan",
     "LifecycleTracer",
     "MetricRegistry",
     "MetricsSnapshot",
     "RegressReport",
     "RunMonitor",
-    "TelemetrySampler",
-    "TimeSeriesStore",
     "TraceDiff",
     "compare",
     "critical_path",
-    "default_rules",
     "diff_results",
     "diff_traces",
     "find_stragglers",
@@ -98,16 +81,11 @@ __all__ = [
     "format_serve_summary",
     "format_slo_report",
     "format_summary",
-    "format_top",
     "load_baseline",
     "load_postmortem",
-    "load_rules",
     "metrics_from_serve",
     "monitored_run",
-    "parse_rules",
     "publish_critpath_metrics",
-    "read_series_jsonl",
-    "replay_rules",
     "robust_scores",
     "slo_gate_metrics",
     "slo_report",

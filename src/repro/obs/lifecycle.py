@@ -39,6 +39,7 @@ task spans under the request's ``execute`` span;
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from ..core.store import atomic_write
+from ..core.store import atomic_create
 from .export import (
     _span_id,
     complete_event,
@@ -207,8 +208,9 @@ class FlightRecorder:
     Always on: recording is one deque append under a lock (well under
     the <3% overhead budget the metrics registry set).  On a fatal
     serving error the service calls :meth:`dump`, which snapshots the
-    ring and writes it atomically (temp file + ``os.replace``, the
-    result cache's idiom) so a post-mortem never reads a torn file.
+    ring and writes it atomically under a name no other dump holds
+    (:func:`~repro.core.store.atomic_create`), so a post-mortem never
+    reads a torn file and never replaces another recorder's.
     """
 
     SCHEMA = 1
@@ -224,7 +226,7 @@ class FlightRecorder:
         #: retention cap: after each dump, only the newest
         #: ``max_dumps`` ``postmortem-*.json`` files survive in the
         #: dump directory (None = keep everything, the historical
-        #: behaviour).  Alert-triggered dumps during long chaos runs
+        #: behaviour).  Terminal failures during long chaos runs
         #: would otherwise grow the directory without bound.
         self.max_dumps = max_dumps
         self._lock = threading.Lock()
@@ -259,7 +261,10 @@ class FlightRecorder:
         extra: Mapping[str, Any] | None = None,
     ) -> Path:
         """Write the ring to ``directory`` atomically; returns the
-        dump path (``postmortem-<reason>-<n>.json``)."""
+        dump path, ``postmortem-<reason>-<n>.json`` with ``n`` this
+        recorder's dump count, or the next number no file in
+        ``directory`` holds yet (other recorders -- another service,
+        an earlier process -- may share it)."""
         with self._lock:
             events = list(self._ring)
             self._dumped += 1
@@ -276,8 +281,11 @@ class FlightRecorder:
         if extra:
             doc.update(extra)
         directory = Path(directory)
-        path = directory / f"postmortem-{reason}-{ordinal:03d}.json"
-        atomic_write(path, lambda fh: fh.write(json.dumps(doc).encode()))
+        path = atomic_create(
+            (directory / f"postmortem-{reason}-{k:03d}.json"
+             for k in itertools.count(ordinal)),
+            lambda fh: fh.write(json.dumps(doc).encode()),
+        )
         self._prune_dumps(directory)
         return path
 

@@ -38,7 +38,6 @@ __all__ = [
     "format_sample",
     "format_serve_summary",
     "format_summary",
-    "format_top",
 ]
 
 
@@ -234,99 +233,6 @@ def format_summary(
         ):
             row(f"  blame={dict(ls).get('blame', '?')}",
                 f"{state['value']:.6f} s")
-    return "\n".join(lines)
-
-
-def format_top(
-    store,
-    alerts=None,
-    window_s: float = 10.0,
-    spark_width: int = 24,
-) -> str:
-    """One ``repro top`` frame from a
-    :class:`~repro.obs.timeseries.TimeSeriesStore` (live or replayed):
-    queue depth, worker busy share, request/cache-hit rates over the
-    trailing window, the active-alert table and per-tenant e2e p95
-    sparklines.  Tolerant of missing metrics -- a store sampled from a
-    plain solve renders whatever it has."""
-    from ..analysis.asciiplot import spark
-    from .metrics import quantile_from_state
-
-    lines: list[str] = []
-    t = store.latest_time()
-    if t is None:
-        return "repro top  (no samples yet)"
-    elapsed = store.latest("live_elapsed_s")
-    head = f"repro top  samples {store.samples}  window {window_s:g}s"
-    if elapsed:
-        head += f"  t={elapsed:.1f}s"
-    lines.append(head)
-
-    def row(label: str, value: str) -> None:
-        lines.append(f"  {label:<22} {value}")
-
-    depth = store.latest("serve_queue_depth")
-    if depth is not None:
-        peak = max(
-            (float(v) for _, v in store.points("serve_queue_depth")),
-            default=depth,
-        )
-        row("queue depth", f"{depth:.0f}  (peak {peak:.0f})")
-    workers = store.latest("live_workers")
-    busy_rate = store.rate("worker_busy_seconds_total", window_s)
-    if busy_rate is not None:
-        shown = f"{busy_rate:.2f} core-s/s"
-        if workers:
-            shown += f"  ({busy_rate / workers:.0%} of {workers:.0f} workers)"
-        row("worker busy", shown)
-    elif workers is not None:
-        row("workers", f"{workers:.0f}")
-    submitted = store.rate("serve_jobs_submitted_total", window_s)
-    if submitted is not None:
-        row("requests/s", f"{submitted:.2f}")
-    completed = store.cell_increases("serve_jobs_completed_total", window_s)
-    if completed:
-        mix = "  ".join(
-            f"{dict(ls).get('status', '?')} {inc / window_s:.2f}/s"
-            for ls, inc in sorted(completed.items())
-        )
-        row("completed", mix)
-    hits = store.increase("serve_cache_hits_total", window_s)
-    misses = store.increase("serve_cache_misses_total", window_s)
-    if hits is not None and misses is not None and (hits + misses) > 0:
-        row("cache hit rate",
-            f"{hits / (hits + misses):.0%}  ({hits:.0f}/{hits + misses:.0f})")
-
-    if alerts is not None:
-        active = alerts.active()
-        firing = sum(1 for a in active if a["state"] == "firing")
-        row("alerts", f"{firing} firing / {len(active) - firing} pending")
-        for a in active:
-            since = "" if a["since"] is None else f"  for {t - a['since']:.1f}s"
-            value = "-" if a["value"] is None else f"{a['value']:.6g}"
-            lines.append(
-                f"    {a['state'].upper():<8} {a['rule']:<20} "
-                f"[{a['severity']}]  value={value}{since}"
-            )
-
-    tenants = store.labelsets("slo_e2e_seconds")
-    if tenants:
-        lines.append("  e2e p95 by tenant")
-        for ls in tenants:
-            trend = [
-                p95
-                for _, state in store.points("slo_e2e_seconds", **dict(ls))
-                if state["count"]
-                for p95 in (quantile_from_state(state, 0.95),)
-                if p95 is not None
-            ]
-            if not trend:
-                continue
-            tenant = dict(ls).get("tenant", "?")
-            lines.append(
-                f"    {tenant:<12} {trend[-1] * 1000:8.1f}ms  "
-                f"{spark(trend, width=spark_width)}"
-            )
     return "\n".join(lines)
 
 

@@ -121,20 +121,6 @@ class ServiceConfig:
     #: :meth:`SolverService.write_timeline` can export task kernels
     #: under their lifecycle spans (off by default: traces are big)
     trace_requests: bool = False
-    #: telemetry sampling interval in seconds: a sampler thread
-    #: snapshots the registry into a bounded
-    #: :class:`~repro.obs.timeseries.TimeSeriesStore` and (with
-    #: ``alert_rules``) evaluates alerts after each sample.  None
-    #: disables the sampler, the store and alerting entirely -- the
-    #: same zero-cost contract ``metrics=None`` set
-    sampling_interval_s: float | None = None
-    #: alert rules evaluated on each sample: a rules-file path, a
-    #: parsed rule list (:func:`repro.obs.alerts.parse_rules` input,
-    #: including pre-built :class:`~repro.obs.alerts.AlertRule`
-    #: objects), or None for no alerting.  Requires sampling
-    alert_rules: object = None
-    #: JSONL file alert transitions append to (None = no file sink)
-    alert_log: object = None
     #: retention cap on ``postmortem-*.json`` files in ``dump_dir``
     #: (oldest pruned after each dump; None = keep everything)
     max_postmortems: int | None = 32
@@ -192,37 +178,6 @@ class SolverService:
                 metrics=self.metrics,
             )
 
-        #: time-series store / sampler / alert engine -- all None when
-        #: ``sampling_interval_s`` is None (nothing is built, nothing
-        #: is paid; the zero-cost contract the bench gates)
-        self.series = None
-        self.alerts = None
-        self._sampler = None
-        if config.sampling_interval_s is not None:
-            from ..obs.timeseries import TelemetrySampler, TimeSeriesStore
-            self.series = TimeSeriesStore()
-            if config.alert_rules is not None:
-                from ..obs.alerts import AlertEngine, JsonlSink
-                from ..obs.alerts import load_rules, parse_rules
-                rules = config.alert_rules
-                if isinstance(rules, (str, Path)):
-                    rules = load_rules(rules)
-                else:
-                    rules = parse_rules(rules)
-                sinks = []
-                if config.alert_log is not None:
-                    sinks.append(JsonlSink(config.alert_log))
-                self.alerts = AlertEngine(
-                    self.series, rules, sinks=sinks,
-                    recorder=self.recorder, dump_dir=self._dump_dir(),
-                    on_dump=self._note_dump,
-                )
-            self._sampler = TelemetrySampler(
-                self.metrics, self.series,
-                interval_s=config.sampling_interval_s,
-                progress=self.progress, on_sample=self._on_sample,
-            )
-
         # Registry mutations outside the queue/cache locks
         # happen under this one (merge + service counters), and so do
         # changes to the runners' worker table.
@@ -257,10 +212,6 @@ class SolverService:
         self._c_retried = self.metrics.counter(
             "serve_jobs_retried_total",
             "failed jobs re-queued within their retry budget", "jobs",
-        )
-        self._c_node_lost = self.metrics.counter(
-            "serve_node_lost_total",
-            "solve attempts lost to a (simulated) node death", "attempts",
         )
         self._c_batches = self.metrics.counter(
             "serve_batches_total", "pool submissions dispatched", "batches"
@@ -307,8 +258,6 @@ class SolverService:
             target=self._reap, name="repro-serve-reaper", daemon=True
         )
         self._reaper.start()
-        if self._sampler is not None:
-            self._sampler.start()
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
@@ -325,12 +274,6 @@ class SolverService:
             t.join(timeout)
         if self._reaper is not None:
             self._reaper.join(timeout)
-        if self._sampler is not None:
-            # Final sample (and alert pass) with every runner drained,
-            # before the workers the progress() probe counts are closed.
-            self._sampler.stop(timeout)
-            if self.alerts is not None:
-                self.alerts.close()
         for slot in range(len(self._workers)):
             self._drop_worker(slot)
         self._runners = []
@@ -591,11 +534,6 @@ class SolverService:
         with the real error and its duplicates are *skipped*
         (:class:`~repro.serve.request.JobSkipped`) rather than
         re-running a solve that just failed repeatedly."""
-        if self._failure_cause(exc) == "node-lost":
-            # The signal the node-lost alert rule watches: bumped on
-            # every lost attempt, terminal or retried.
-            with self._mlock:
-                self._c_node_lost.inc()
         if not jobs:
             return
         leader = jobs[0]
@@ -697,10 +635,6 @@ class SolverService:
         with self._lock:
             self.dumps.append(path)
             self.dumps = [p for p in self.dumps if Path(p).exists()]
-
-    def _on_sample(self, t: float) -> None:
-        if self.alerts is not None:
-            self.alerts.evaluate(t)
 
     def _dump_failure(self, exc: Exception, trace_ids, attempts: int,
                       budget: int) -> None:
@@ -810,16 +744,6 @@ class SolverService:
             "queue_depth": self.queue.depth,
         }
 
-    def sample_now(self) -> float | None:
-        """Force one telemetry sample (and alert pass) immediately --
-        ``repro top``'s final frame and deterministic tests use this
-        instead of waiting out the sampling interval."""
-        if self._sampler is None:
-            raise ServeError(
-                "sampling is disabled (ServiceConfig.sampling_interval_s)"
-            )
-        return self._sampler.sample()
-
     def stats(self) -> dict:
         with self._mlock:
             done, total = self._finished, self._submitted
@@ -840,13 +764,6 @@ class SolverService:
                 len(self.recorder) if self.recorder is not None else 0
             )
             out["postmortems"] = dumps
-        if self.series is not None:
-            out["samples"] = self.series.samples
-        if self.alerts is not None:
-            out["alerts"] = {
-                "active": self.alerts.active(),
-                "transitions": len(self.alerts.transitions),
-            }
         return out
 
     def write_timeline(

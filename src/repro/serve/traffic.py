@@ -1,7 +1,6 @@
 """Canned multi-tenant traffic against a temporary service.
 
-``repro serve``, ``slo``, ``alerts``, ``top`` and ``stats --section
-serve`` all exercise a live :class:`~repro.serve.service.SolverService`
+``repro serve``, ``slo`` and ``stats --section serve`` all exercise a live :class:`~repro.serve.service.SolverService`
 the same way: a private temporary directory for its cache and chaos
 state, a few variants of one problem submitted by several tenants in
 two waves, and optionally one forced terminal failure.  This is that
@@ -82,7 +81,7 @@ class CannedSession:
         """Submit one zero-retry request under chaos ``plan`` (a rewrite
         pipeline in ``knobs`` is dropped: it cannot combine with chaos).
         The point is the terminal failure -- it trips the flight
-        recorder and the node-lost/burn-rate alerts -- so the error is
+        recorder and burns the tenant's error budget -- so the error is
         returned, not raised; ``None`` means the request survived."""
         knobs = {k: v for k, v in self.knobs.items() if k != "passes"}
         request = SolveRequest(self._fault_problem, tenant="chaos",

@@ -167,61 +167,6 @@ def test_stats_section_serve_writes_and_checks_baseline(tmp_path, capsys):
     assert rc == 0
 
 
-def _recorded_series(tmp_path):
-    """A small synthetic series: queue depth spikes, then drains."""
-    from repro.obs import MetricRegistry, TimeSeriesStore
-
-    store = TimeSeriesStore(capacity=64)
-    for i, depth in enumerate([0, 1, 0, 1, 0, 1, 0, 12, 12, 0, 0, 0]):
-        reg = MetricRegistry()
-        reg.gauge("serve_queue_depth").set(depth)
-        reg.counter("serve_jobs_submitted_total").inc(i + 1)
-        reg.counter("slo_requests_total").inc(i + 1, tenant="a",
-                                              status="ok")
-        store.observe(reg.snapshot(), t=float(i), wall=100.0 + i)
-    return store.to_jsonl(tmp_path / "series.jsonl")
-
-
-def test_alerts_replay_is_byte_identical(tmp_path, capsys):
-    series = _recorded_series(tmp_path)
-    rules = tmp_path / "rules.json"
-    rules.write_text(json.dumps({"rules": [{
-        "name": "queue-deep", "metric": "serve_queue_depth",
-        "signal": "latest", "op": ">", "threshold": 5.0,
-    }]}))
-
-    def replay(log_name):
-        rc = main(["alerts", "--series", str(series), "--rules",
-                   str(rules), "--log-out", str(tmp_path / log_name)])
-        assert rc == 0
-        return (tmp_path / log_name).read_text()
-
-    first = replay("a.jsonl")
-    out = capsys.readouterr().out
-    assert "ALERT queue-deep" in out and "inactive -> firing" in out
-    assert "firing -> resolved" in out
-    assert "2 transitions (1 firing, 1 resolved)" in out
-    # a second replay of the same series is byte-identical
-    assert replay("b.jsonl") == first
-    events = [json.loads(line) for line in first.splitlines()]
-    assert [e["to"] for e in events] == ["firing", "resolved"]
-
-
-def test_alerts_replay_rejects_foreign_series(tmp_path):
-    bogus = tmp_path / "x.jsonl"
-    bogus.write_text('{"kind": "not-a-series"}\n')
-    with pytest.raises(ValueError):
-        main(["alerts", "--series", str(bogus)])
-
-
-def test_top_renders_a_recorded_series(tmp_path, capsys):
-    series = _recorded_series(tmp_path)
-    assert main(["top", "--series", str(series)]) == 0
-    out = capsys.readouterr().out
-    assert "repro top" in out and "queue depth" in out
-    assert "requests/s" in out
-
-
 # -- one description of a run: the flags are RunConfig's -----------------
 
 #: Every subcommand that describes a run (or a served solve) with flags,
@@ -229,7 +174,7 @@ def test_top_renders_a_recorded_series(tmp_path, capsys):
 RUN_SHAPED = {
     "run": [], "monitor": [], "stats": [], "critpath": [], "trace-diff": [],
     "ir": ["--passes", "latency"], "chaos": ["--plan", "kill:node=1,step=1"],
-    "serve": [], "submit": [], "slo": [], "alerts": [], "top": [],
+    "serve": [], "submit": [], "slo": [],
 }
 #: A non-default value per knob flag, so a mis-wired flag cannot hide
 #: behind a default.

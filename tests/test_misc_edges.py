@@ -97,9 +97,8 @@ def test_only_petsc_lite_imports_scipy():
     """scipy costs every process 0.15 s and 24 MiB; only
     ``MatAIJ.from_coo`` needs it, so importing the runner, the service
     and the CLI must not pull it in.  Likewise a solve needs only the
-    runner: importing it must not execute the experiments or the
-    alerting / time-series half of the telemetry stack (``repro`` and
-    ``repro.obs`` resolve their re-exports lazily)."""
+    runner: importing it must not execute the experiments (``repro``
+    and ``repro.obs`` resolve their re-exports lazily)."""
     import os
     import subprocess
     import sys
@@ -111,7 +110,7 @@ def test_only_petsc_lite_imports_scipy():
     for imports, unwanted in (
         ("import repro, repro.core.runner, repro.serve, repro.cli", "{'scipy'}"),
         ("from repro.core.runner import run",
-         "{'repro.experiments', 'repro.obs.alerts', 'repro.obs.timeseries'}"),
+         "{'repro.experiments'}"),
     ):
         code = (f"import sys\n{imports}\n"
                 f"print(sorted(m for m in sys.modules if m in {unwanted} "

@@ -203,6 +203,42 @@ def test_recorder_dump_retention_prunes_oldest(tmp_path):
         FlightRecorder(max_dumps=0)
 
 
+def test_recorders_sharing_a_directory_keep_each_others_dumps(tmp_path):
+    import threading
+
+    # Two services on one host, or a restarted one, share the default
+    # dump directory: no recorder may replace another one's postmortem.
+    a, b = FlightRecorder(capacity=8), FlightRecorder(capacity=8)
+    a.note("from-a")
+    b.note("from-b")
+    path_a = a.dump(tmp_path, reason="failure")
+    path_b = b.dump(tmp_path, reason="failure")
+    assert sorted(tmp_path.glob("postmortem-*.json")) == sorted({path_a, path_b})
+    assert [e["event"] for e in load_postmortem(path_a)["events"]] == ["from-a"]
+    assert [e["event"] for e in load_postmortem(path_b)["events"]] == ["from-b"]
+    # racing writers claim distinct names too, and leave no temp file
+    racers = [FlightRecorder(capacity=8) for _ in range(4)]
+    for i, rec in enumerate(racers):
+        rec.note(f"racer-{i}")
+    paths: list = []
+    threads = [
+        threading.Thread(target=lambda rec=rec: paths.extend(
+            rec.dump(tmp_path / "race", reason="failure") for _ in range(10)))
+        for rec in racers
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(set(paths)) == 40
+    assert sorted(p.name for p in (tmp_path / "race").iterdir()) == sorted(
+        p.name for p in paths)
+    for i in range(4):
+        own = [p for p in paths
+               if load_postmortem(p)["events"][0]["event"] == f"racer-{i}"]
+        assert len(own) == 10
+
+
 def test_load_postmortem_rejects_foreign_documents(tmp_path):
     bogus = tmp_path / "x.json"
     bogus.write_text(json.dumps({"kind": "something-else"}))

@@ -258,3 +258,24 @@ def test_progress_and_stats_under_concurrent_multitenant_submit(tmp_path):
     assert stats["traces"] == 6
     assert len(seen) > 0
     assert not _no_serve_leftovers()
+
+
+def test_max_postmortems_caps_the_dump_directory(tmp_path):
+    dumps = tmp_path / "dumps"
+    config = ServiceConfig(workers=1, cache=False, dump_dir=dumps,
+                           max_postmortems=2)
+    with SolverService(config) as service:
+        assert service.recorder.max_dumps == 2
+        service.recorder.note("tick")
+        for _ in range(5):
+            service.recorder.dump(dumps, reason="flood")
+    assert not _no_serve_leftovers()
+    survivors = sorted(p.name for p in dumps.glob("postmortem-*.json"))
+    assert survivors == ["postmortem-flood-004.json",
+                         "postmortem-flood-005.json"]
+    # None lifts the cap (the historical keep-everything behaviour)
+    uncapped = ServiceConfig(workers=1, cache=False,
+                             max_postmortems=None)
+    with SolverService(uncapped) as service:
+        assert service.recorder.max_dumps is None
+    assert not _no_serve_leftovers()
