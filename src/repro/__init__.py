@@ -28,7 +28,7 @@ _EXPORTS = {
                      "stampede2", "summit_like"), "machine"),
     **dict.fromkeys(("BACKENDS", "DirichletBC", "IMPLEMENTATIONS", "JacobiProblem",
                      "RunConfig", "RunResult", "StencilSpec", "StencilWeights",
-                     "run", "validate_implementations"), "core"),
+                     "run"), "core"),
     "ThreadedExecutor": "exec",
     **dict.fromkeys(("Engine", "TaskGraph", "Trace"), "runtime"),
     **dict.fromkeys(("Candidate", "SearchSpace", "TuningCache", "TuningResult",
@@ -62,6 +62,5 @@ __all__ = [
     "stampede2",
     "summit_like",
     "tune",
-    "validate_implementations",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Trace analysis (occupancy, Gantt), table rendering and CSV I/O."""
+"""Trace analysis (occupancy, Gantt), table rendering and CSV export."""
 
 from . import asciiplot, csvio
 from .gantt import legend, render_gantt

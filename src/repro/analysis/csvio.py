@@ -1,8 +1,8 @@
-"""Flat-record CSV export/import for sweep results.
+"""Flat-record CSV export.
 
 The benchmark harness prints tables; longer studies want files.  These
-helpers move lists of flat dicts (e.g. ``RunResult.to_dict()``) in and
-out of CSV with type round-tripping for the common scalar types.
+helpers write lists of flat dicts (e.g. ``RunResult.to_dict()`` or the
+tuner's trial records) as CSV.
 """
 
 from __future__ import annotations
@@ -20,53 +20,27 @@ def _encode(value: Any) -> str:
     return str(value)
 
 
-def _decode(text: str) -> Any:
-    if text == "":
-        return None
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def dumps(records: Sequence[dict], fields: Sequence[str] | None = None) -> str:
-    """Render records as CSV text; columns default to the union of keys
-    in first-seen order."""
+def dumps(records: Sequence[dict]) -> str:
+    """Render records as CSV text; the columns are the union of keys in
+    first-seen order."""
     if not records:
         return ""
-    if fields is None:
-        fields = []
-        for rec in records:
-            for key in rec:
-                if key not in fields:
-                    fields.append(key)
+    fields: list[str] = []
+    for rec in records:
+        for key in rec:
+            if key not in fields:
+                fields.append(key)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(fields), extrasaction="ignore")
+    writer = csv.DictWriter(buf, fieldnames=fields)
     writer.writeheader()
     for rec in records:
         writer.writerow({k: _encode(rec.get(k)) for k in fields})
     return buf.getvalue()
 
 
-def loads(text: str) -> list[dict]:
-    """Parse CSV text back into typed records."""
-    if not text.strip():
-        return []
-    reader = csv.DictReader(io.StringIO(text))
-    return [{k: _decode(v) for k, v in row.items()} for row in reader]
-
-
-def write_csv(records: Sequence[dict], path: str, fields: Sequence[str] | None = None) -> None:
+def write_csv(records: Sequence[dict], path: str) -> str:
+    """Write :func:`dumps` of ``records`` to ``path``; returns the text."""
+    text = dumps(records)
     with open(path, "w", newline="") as fh:
-        fh.write(dumps(records, fields))
-
-
-def read_csv(path: str) -> list[dict]:
-    with open(path) as fh:
-        return loads(fh.read())
+        fh.write(text)
+    return text

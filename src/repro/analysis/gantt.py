@@ -111,7 +111,3 @@ def legend() -> str:
     """Human-readable glyph legend for rendered charts."""
     return ", ".join(f"{g} = {k}" for k, g in DEFAULT_GLYPHS.items()) + f", {IDLE} = idle"
 
-
-def crit_legend() -> str:
-    """Glyph legend for the critical-path overlay row."""
-    return ", ".join(f"{g} = {k}" for k, g in CRIT_GLYPHS.items() if g.strip())

@@ -1,33 +1,27 @@
 """Command-line interface: ``python -m repro ...``.
 
-Gives the library's main entry points a shell-friendly face:
+Gives the library's main entry points a shell-friendly face, one
+subcommand each, in ``--help`` order:
 
 * ``run`` -- run one implementation on one machine configuration and
   print the performance summary (optionally verify against the
   reference or export a Chrome trace); ``--backend threads --jobs N``
   executes the graph for real on N worker threads (default 1);
-* ``compare`` -- simulated-vs-measured side-by-side plus a measured
-  speedup curve over worker counts;
 * ``tune`` -- model-guided autotuning of tile size, CA step size and
   scheduling policy (successive halving under a run budget, winners
   cached per machine fingerprint; see ``docs/tuning-guide.md``);
-* ``sweep`` -- a general cartesian sweep over runner parameters with
-  CSV/JSON export (the shell face of ``repro.experiments.sweeper``);
-* ``experiment`` -- regenerate one of the paper's tables/figures by
-  registry id (``table1``, ``fig5`` ... ``headlines``);
-* ``monitor`` -- run one configuration with live progress lines
-  (tasks done/total, occupancy, messages vs. the static census);
 * ``stats`` -- an instrumented run with a post-run metric summary,
-  Prometheus/JSONL/OTel exports, baseline recording
+  its top critical-path segments, baseline recording
   (``--write-baseline``) and the perf-regression gate (``--check``,
   exit 1 on regression; see ``docs/observability.md``);
-* ``critpath`` -- causal critical-path analysis of one traced run:
-  per-segment blame (compute / comm / wire / queue), stragglers,
-  worker imbalance, flamegraph and highlighted Chrome-trace exports;
 * ``trace-diff`` -- run two implementations on the same problem and
   report where the time moved (defaults to the Fig.-10 base-vs-CA
   configuration; ``--assert-comm-drop`` exits 1 unless CA shows a
   strictly lower communication share of critical-path time);
+* ``ir`` -- rewrite a task graph through an IR pass pipeline and
+  report the before/after evidence (see ``docs/ir.md``);
+* ``experiment`` -- regenerate one of the paper's tables/figures by
+  registry id (``table1``, ``fig5`` ... ``headlines``);
 * ``serve`` -- run the persistent solver service against synthetic
   multi-tenant traffic with live queue/progress lines and a serving
   summary (warm-worker starts, cache hit-rate, dedup, admission rejects;
@@ -35,12 +29,15 @@ Gives the library's main entry points a shell-friendly face:
 * ``submit`` -- submit one solve through a transient service backed
   by the persistent on-disk result cache: a repeated identical
   invocation is served from the cache and executes zero tasks;
+* ``slo`` / ``postmortem`` -- per-tenant latency percentiles and
+  error-budget burn from canned traffic, and a flight-recorder dump
+  rendered as a terminal timeline;
 * ``chaos`` -- run one workload twice, fault-free and under a seeded
   fault plan (``--plan "kill:node=3,step=2s"``), recover via
   checkpoint restart and assert the final grids are bit-identical
-  with bounded makespan inflation (see ``docs/chaos.md``);
-* ``validate`` -- the cross-implementation equivalence check;
-* ``machines`` -- list the machine presets with their parameters.
+  with bounded makespan inflation (see ``docs/chaos.md``).
+
+``docs/architecture.md`` names the consumer each subcommand backs.
 """
 
 from __future__ import annotations
@@ -51,10 +48,8 @@ import sys
 from .analysis.tables import format_table
 from .core.config import APPLIES, BACKENDS, IMPLEMENTATIONS, SERVE, RunConfig
 from .core.runner import run
-from .core.validate import validate_implementations
 from .exec.backends import MEASURED_BACKENDS
-from .experiments.sweeper import RUN_AXES as SWEEP_AXES
-from .machine.machine import PRESETS, preset
+from .machine.machine import preset
 from .stencil.problem import JacobiProblem
 
 
@@ -81,24 +76,6 @@ def _add_run_parser(sub: argparse._SubParsersAction) -> None:
                    help="run real kernels and check against the reference")
     p.add_argument("--trace-out", default=None, metavar="FILE.json",
                    help="write a Chrome trace-event file")
-
-
-def _add_compare_parser(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "compare",
-        help="simulated-vs-measured report (model clock vs wall clock)",
-    )
-    p.add_argument("--n", type=int, default=192, help="grid edge length")
-    p.add_argument("--iterations", type=int, default=24)
-    # --backend picks the real backend that supplies the measured side.
-    RunConfig.add_flags(
-        p, omit=("ratio", "policy", "passes"),
-        choices={"impl": IMPLEMENTATIONS + ("all",),
-                 "backend": MEASURED_BACKENDS},
-        impl="all", tile=48, steps=4, backend="threads",
-    )
-    p.add_argument("--curve", action="store_true",
-                   help="also measure a speedup curve over 1/2/4 workers")
 
 
 def _add_tune_parser(sub: argparse._SubParsersAction) -> None:
@@ -135,53 +112,15 @@ def _add_tune_parser(sub: argparse._SubParsersAction) -> None:
                    help="write the per-trial records as CSV")
 
 
-def _add_sweep_parser(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "sweep",
-        help="cartesian sweep over runner parameters (CSV/JSON export)",
-    )
-    p.add_argument("--machine", action="append", default=None,
-                   help="machine preset, repeatable (default: nacl)")
-    p.add_argument("--nodes", action="append", type=int, default=None,
-                   help="node count, repeatable (default: 4)")
-    p.add_argument("--n", type=int, default=1152, help="grid edge length")
-    p.add_argument("--iterations", type=int, default=6)
-    p.add_argument("--axis", action="append", default=[],
-                   metavar="KEY=V1,V2,...",
-                   help="sweep axis, repeatable; keys: "
-                        f"{', '.join(SWEEP_AXES)} "
-                        "(the passes axis separates values with ';')")
-    p.add_argument("--seed", type=int, default=None,
-                   help="shuffle evaluation order reproducibly")
-    p.add_argument("--csv-out", default=None, metavar="FILE.csv")
-    p.add_argument("--json-out", default=None, metavar="FILE.json")
-
-
-def _add_obs_run_flags(p: argparse.ArgumentParser) -> None:
-    """The run-configuration knobs shared by ``monitor``, ``stats`` and
-    ``critpath``."""
-    _add_problem_flags(p, n=256, iterations=8)
-    RunConfig.add_flags(p, omit=("passes",), auto=True,
-                        impl="ca-parsec", steps=4)
-
-
-def _add_monitor_parser(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "monitor",
-        help="run one configuration with live progress telemetry",
-    )
-    _add_obs_run_flags(p)
-    p.add_argument("--interval", type=float, default=0.5,
-                   help="seconds between progress samples")
-
-
 def _add_stats_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "stats",
         help="instrumented run: metric summary, baselines and the "
              "perf-regression gate",
     )
-    _add_obs_run_flags(p)
+    _add_problem_flags(p, n=256, iterations=8)
+    RunConfig.add_flags(p, omit=("passes",), auto=True,
+                        impl="ca-parsec", steps=4)
     p.add_argument("--check", default=None, metavar="FILE.json",
                    help="compare against a recorded baseline "
                         "(obs-baseline or BENCH_*.json); exit 1 on "
@@ -196,32 +135,6 @@ def _add_stats_parser(sub: argparse._SubParsersAction) -> None:
                         "(repeatable); --section serve runs a canned "
                         "service workload and reports/gates its serving "
                         "metrics instead of a single run")
-    p.add_argument("--prom-out", default=None, metavar="FILE.prom",
-                   help="write Prometheus text exposition")
-    p.add_argument("--jsonl-out", default=None, metavar="FILE.jsonl",
-                   help="write metrics (and spans, if traced) as JSON lines")
-    p.add_argument("--otel-out", default=None, metavar="FILE.json",
-                   help="write OTel-style span export (implies tracing)")
-
-
-def _add_critpath_parser(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "critpath",
-        help="causal critical-path analysis of one traced run "
-             "(blame, slack, stragglers, flamegraph)",
-    )
-    _add_obs_run_flags(p)
-    p.add_argument("--segments", type=int, default=5,
-                   help="longest critical-path segments to list")
-    p.add_argument("--gantt", action="store_true",
-                   help="render the Gantt chart with the critical-path "
-                        "overlay row")
-    p.add_argument("--flame-out", default=None, metavar="FILE.folded",
-                   help="write collapsed stacks (trace + critical path) "
-                        "for flamegraph.pl / speedscope")
-    p.add_argument("--trace-out", default=None, metavar="FILE.json",
-                   help="write a Chrome trace with the critical-path "
-                        "highlight lane")
 
 
 def _add_trace_diff_parser(sub: argparse._SubParsersAction) -> None:
@@ -253,15 +166,6 @@ def _add_trace_diff_parser(sub: argparse._SubParsersAction) -> None:
 def _add_experiment_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     p.add_argument("id", help="experiment id (use 'list' to enumerate)")
-
-
-def _add_validate_parser(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("validate", help="cross-implementation equivalence check")
-    p.add_argument("--n", type=int, default=48)
-    p.add_argument("--iterations", type=int, default=8)
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--tile", type=int, default=8)
-    p.add_argument("--steps", type=int, default=3)
 
 
 def _add_serve_request_flags(p: argparse.ArgumentParser) -> None:
@@ -454,36 +358,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    from .exec.compare import compare_backends, format_comparison, speedup_curve
-
-    problem = JacobiProblem(n=args.n, iterations=args.iterations)
-    comparisons = [
-        compare_backends(problem, impl=impl, jobs=args.jobs,
-                         backend=args.backend, procs=args.procs,
-                         tile=args.tile, steps=args.steps)
-        for impl in (IMPLEMENTATIONS if args.impl == "all" else (args.impl,))
-    ]
-    title = (
-        f"model (virtual clock) vs measured (wall clock, "
-        f"{comparisons[0].backend} backend), "
-        f"{problem.shape[0]}^2 x {problem.iterations} iterations, "
-        f"{comparisons[0].jobs} worker threads"
-    )
-    print(format_comparison(comparisons, title=title))
-    if args.curve:
-        impl = comparisons[-1].impl
-        points = speedup_curve(problem, impl=impl, jobs_list=(1, 2, 4),
-                               tile=args.tile, steps=args.steps)
-        print(format_table(
-            ("jobs", "wall ms", "speedup", "efficiency"),
-            [(p.jobs, f"{p.elapsed * 1e3:.2f}", f"{p.speedup:.2f}x",
-              f"{100 * p.efficiency:.0f}%") for p in points],
-            title=f"measured strong scaling ({impl})",
-        ))
-    return 0
-
-
 def _cmd_tune(args: argparse.Namespace) -> int:
     from .tuning import TuningCache, format_tuning_report, tune
     from .tuning.space import SearchSpace
@@ -520,61 +394,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_sweep_axes(specs: list[str]) -> dict[str, list]:
-    from .analysis.csvio import _decode
-
-    axes: dict[str, list] = {}
-    for spec in specs:
-        key, sep, values = spec.partition("=")
-        key = key.strip()
-        if not sep or not values or key not in SWEEP_AXES:
-            raise SystemExit(
-                f"bad --axis {spec!r}: expected KEY=V1,V2,... with KEY in "
-                f"{SWEEP_AXES}"
-            )
-        # Pipeline specs contain commas ("fuse,coarsen:factor=4"), so
-        # the passes axis separates its values with ';' instead.
-        sep_char = ";" if key == "passes" else ","
-        axes[key] = [_decode(v.strip()) for v in values.split(sep_char)]
-    return axes
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .experiments.sweeper import Sweep, to_csv
-
-    axes = _parse_sweep_axes(args.axis)
-    if "impl" not in axes:
-        axes["impl"] = ["base-parsec"]
-    problem = JacobiProblem(n=args.n, iterations=args.iterations)
-    sweep = Sweep(problem=problem)
-    records = sweep.run(
-        machine=args.machine or ["nacl"],
-        nodes=args.nodes or [4],
-        seed=args.seed,
-        **axes,
-    )
-    swept = [k for k in ("machine_preset", "nodes", *SWEEP_AXES)
-             if any(k in r for r in records)]
-    rows = [
-        tuple(r.get(k, "") for k in swept) + (f"{r['gflops']:.2f}",)
-        for r in records
-    ]
-    print(format_table(tuple(swept) + ("gflops",), rows,
-                       title=f"{len(records)} configurations"))
-    if args.csv_out:
-        to_csv(records, args.csv_out)
-        print(f"records written to {args.csv_out}")
-    if args.json_out:
-        import json
-
-        with open(args.json_out, "w") as fh:
-            json.dump(records, fh, indent=2)
-        print(f"records written to {args.json_out}")
-    return 0
-
-
 def _instrumented_run(args: argparse.Namespace, config: dict | None = None,
-                      on_executor=None, want_trace: bool = False):
+                      want_trace: bool = False):
     """One run with a metrics registry attached; ``config`` (from an
     obs-baseline document) overrides the CLI flags so a check re-runs
     exactly the recorded configuration.  Returns the RunResult."""
@@ -585,22 +406,9 @@ def _instrumented_run(args: argparse.Namespace, config: dict | None = None,
     args = argparse.Namespace(**{**vars(args), **recorded})
     problem, machine = _problem_machine(args)
     return run(
-        problem, machine, metrics=MetricRegistry(), on_executor=on_executor,
+        problem, machine, metrics=MetricRegistry(),
         **RunConfig.from_args(args, trace=want_trace).knobs(),
     )
-
-
-def _cmd_monitor(args: argparse.Namespace) -> int:
-    from .obs import RunMonitor, format_summary
-
-    monitor = RunMonitor(interval=args.interval, stream=sys.stdout)
-    try:
-        result = _instrumented_run(args, on_executor=monitor.attach)
-    finally:
-        monitor.stop()
-    print(result.summary())
-    print(format_summary(result.metrics))
-    return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -639,9 +447,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     # comm share, per-blame seconds) need spans, and the summary's
     # top-segment lines come straight from the analysis.
     result = _instrumented_run(args, want_trace=True)
-    snapshot = result.metrics
     print(result.summary())
-    print(format_summary(snapshot))
+    print(format_summary(result.metrics))
     crit = result.critpath()
     print("  top critical-path segments")
     for seg in crit.top_segments(3):
@@ -649,54 +456,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         task = f"  task {seg.task_id!r}" if seg.task_id is not None else ""
         print(f"    {seg.duration:.6g} s  {seg.blame:<10} {what:<10} "
               f"node {seg.node} worker {seg.worker}{task}")
-    if args.prom_out:
-        from .obs.export import write_prometheus
-
-        write_prometheus(snapshot, args.prom_out)
-        print(f"Prometheus exposition written to {args.prom_out}")
-    if args.jsonl_out:
-        from .obs.export import write_jsonl
-
-        write_jsonl(args.jsonl_out, trace=result.trace, snapshot=snapshot)
-        print(f"JSON lines written to {args.jsonl_out}")
-    if args.otel_out:
-        from .obs.export import write_otel
-
-        write_otel(result.trace, args.otel_out)
-        print(f"OTel span export written to {args.otel_out}")
     if args.write_baseline:
         regress.write_baseline(args.write_baseline,
                                regress.baseline_doc(result))
         print(f"baseline written to {args.write_baseline}")
-    return 0
-
-
-def _cmd_critpath(args: argparse.Namespace) -> int:
-    result = _instrumented_run(args, want_trace=True)
-    report = result.critpath()
-    print(result.summary())
-    print(report.format())
-    if args.segments > 3:  # format() already shows the top 3
-        extra = report.top_segments(args.segments)[3:]
-        for seg in extra:
-            what = seg.kind or seg.blame
-            print(f"    {seg.duration:.6g} s  {seg.blame:<10} {what:<10} "
-                  f"node {seg.node} worker {seg.worker}")
-    if args.gantt:
-        from .analysis.gantt import crit_legend, render_gantt
-
-        print(render_gantt(result.trace, 0, critpath=report))
-        print(f"crit row: {crit_legend()}")
-    if args.flame_out:
-        from .obs.export import write_flamegraph
-
-        write_flamegraph(args.flame_out, trace=result.trace, critpath=report)
-        print(f"collapsed stacks written to {args.flame_out}")
-    if args.trace_out:
-        from .obs import export
-
-        export.write(result.trace, args.trace_out, critpath=report)
-        print(f"trace with critical-path lane written to {args.trace_out}")
     return 0
 
 
@@ -1056,46 +819,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    problem = JacobiProblem(n=args.n, iterations=args.iterations)
-    machine = preset("nacl", nodes=args.nodes)
-    report = validate_implementations(problem, machine, tile=args.tile, steps=args.steps)
-    print(format_table(
-        ("implementation", "max |error| vs reference"),
-        [("base-parsec", report.base_error),
-         ("ca-parsec", report.ca_error),
-         ("petsc", report.petsc_error)],
-    ))
-    print("OK" if report.ok else "VALIDATION FAILED")
-    return 0 if report.ok else 1
-
-
-def _cmd_machines(_args: argparse.Namespace) -> int:
-    rows = []
-    for name, factory in PRESETS.items():
-        m = factory()
-        rows.append((
-            name, m.nodes, m.node.cores,
-            m.node.node_stream_bw / 1e9,
-            m.network.effective_bw * 8 / 1e9,
-            m.network.software_overhead * 1e6,
-        ))
-    print(format_table(
-        ("preset", "nodes", "cores", "node BW GB/s", "net eff Gb/s", "msg overhead us"),
-        rows,
-    ))
-    return 0
-
-
 #: Subcommand -> (flag registration, handler), in ``--help`` order.
 COMMANDS = {
     "run": (_add_run_parser, _cmd_run),
-    "compare": (_add_compare_parser, _cmd_compare),
     "tune": (_add_tune_parser, _cmd_tune),
-    "sweep": (_add_sweep_parser, _cmd_sweep),
-    "monitor": (_add_monitor_parser, _cmd_monitor),
     "stats": (_add_stats_parser, _cmd_stats),
-    "critpath": (_add_critpath_parser, _cmd_critpath),
     "trace-diff": (_add_trace_diff_parser, _cmd_trace_diff),
     "ir": (_add_ir_parser, _cmd_ir),
     "experiment": (_add_experiment_parser, _cmd_experiment),
@@ -1104,11 +832,6 @@ COMMANDS = {
     "slo": (_add_slo_parser, _cmd_slo),
     "postmortem": (_add_postmortem_parser, _cmd_postmortem),
     "chaos": (_add_chaos_parser, _cmd_chaos),
-    "validate": (_add_validate_parser, _cmd_validate),
-    "machines": (
-        lambda sub: sub.add_parser("machines", help="list machine presets"),
-        _cmd_machines,
-    ),
 }
 
 

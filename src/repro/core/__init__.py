@@ -1,7 +1,7 @@
 """The paper's contribution: three stencil implementations and the
 unified runner.  Names resolve on first access (:mod:`repro._lazy`):
 a solve loads the runner and the stencil builders, not the PETSc model,
-the analytic model or the validators."""
+the analytic model or the schedule verifier."""
 
 from .._lazy import lazy_exports
 
@@ -21,7 +21,6 @@ _EXPORTS = {
     "RunResult": "report",
     "run": "runner",
     "StencilSpec": "spec",
-    **dict.fromkeys(("ValidationReport", "validate_implementations"), "validate"),
     **dict.fromkeys(("ScheduleError", "verify_schedule"), "verify"),
 }
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
@@ -40,14 +39,12 @@ __all__ = [
     "StencilKernels",
     "StencilSpec",
     "StencilWeights",
-    "ValidationReport",
     "build_base_graph",
     "build_ca_graph",
     "build_petsc_graph",
     "build_stencil_graph",
     "default_tile",
     "run",
-    "validate_implementations",
     "ScheduleError",
     "verify_schedule",
 ]

@@ -7,7 +7,7 @@ defaulted, validated and normalised*: :func:`repro.core.runner.run`
 builds a ``RunConfig`` from its ``**knobs``; a
 :class:`repro.serve.SolveRequest` carries one and reads its
 ``signature()`` off the field classification; the chaos
-harness, the tuner's ``Candidate``, ``Sweep``'s axes and the CLI flags
+harness, the tuner's ``Candidate`` and the CLI flags
 (:meth:`RunConfig.add_flags` / :meth:`RunConfig.from_args`) consume it.
 The rule "PETSc has no tile/steps/ratio, base-parsec has no CA step"
 lives in :data:`APPLIES` and nowhere else.
@@ -43,8 +43,8 @@ APPLIES = {"tile": _PARSEC, "ratio": _PARSEC, "steps": ("ca-parsec",)}
 ANSWER, SCHEDULE = "answer", "schedule"
 
 #: Where, besides ``run()`` itself, a knob may be set: on a service
-#: request (``SERVE``) and as a ``Sweep`` axis (``SWEEP``).
-SERVE, SWEEP = "serve", "sweep"
+#: request (``SERVE``).
+SERVE = "serve"
 
 
 def applies(knob: str, impl: str) -> bool:
@@ -107,22 +107,22 @@ class RunConfig:
     machine and its runtime hooks.  Constructing one validates it --
     selector typos, non-positive counts and per-impl misuse raise
     ``ValueError`` before anything is built or queued.  Field order is
-    load-bearing: ``Sweep``'s axis tuple lists its knobs in it.
+    the order :func:`knob_table` and ``--help`` list the knobs in.
     """
 
     impl: str = _knob(
-        "base-parsec", "which implementation runs", ANSWER, (SERVE, SWEEP),
+        "base-parsec", "which implementation runs", ANSWER, (SERVE,),
         dict(choices=IMPLEMENTATIONS))
     tile: int | str | None = _knob(
         None, "tile edge length (Fig. 6); default: a model pick",
-        ANSWER, (SERVE, SWEEP), dict(type=int))
+        ANSWER, (SERVE,), dict(type=int))
     steps: int | str = _knob(
         15, "CA step size (Fig. 9; ca-parsec only)",
-        ANSWER, (SERVE, SWEEP), dict(type=int))
+        ANSWER, (SERVE,), dict(type=int))
     ratio: float = _knob(
         1.0, "kernel adjustment ratio in (0, 1] (section VI-D; PaRSEC "
              "versions only)",
-        ANSWER, (SERVE, SWEEP), dict(type=float))
+        ANSWER, (SERVE,), dict(type=float))
     backend: str = _knob(
         "sim", "what executes the graph: " + "; ".join(
             f"'{name}' = {what}" for name, what in BACKEND_DESCRIPTIONS.items()),
@@ -133,23 +133,22 @@ class RunConfig:
               "multi-core across nodes is 'procs')",
         faces=(SERVE,), cli=dict(type=int))
     policy: str = _knob(DEFAULT_POLICY, "ready-queue scheduling policy",
-                        faces=(SERVE, SWEEP), cli=dict(choices=tuple(POLICIES)))
+                        faces=(SERVE,), cli=dict(choices=tuple(POLICIES)))
     procs: int | None = _knob(
         None, "node processes of backend 'processes'; resizes the machine "
               "(default: its node count)",
         cli=dict(type=int))
     overlap: bool | None = _knob(
         None, "dedicated communication thread; default: the "
-              "implementation's natural setting (PaRSEC yes, PETSc no)",
-        faces=(SWEEP,))
+              "implementation's natural setting (PaRSEC yes, PETSc no)")
     boundary_priority: bool = _knob(
         True, "schedule node-boundary tiles first (no effect on 'threads', "
-              "which runs the grid as one node block)", faces=(SWEEP,))
+              "which runs the grid as one node block)")
     passes: str | None = _knob(
         None, "IR rewrite pipeline applied to the built graph, e.g. "
               "'fuse,coarsen:factor=4' (see docs/ir.md); canonicalised "
               "on construction",
-        ANSWER, (SERVE, SWEEP), dict(metavar="SPEC"))
+        ANSWER, (SERVE,), dict(metavar="SPEC"))
     mode: str = _knob(
         "simulate", "fidelity of backend 'sim': 'simulate' = timing-only "
                     "graph, any problem size; 'execute' = real kernels on "
@@ -318,7 +317,6 @@ __all__ = [
     "RunConfig",
     "SCHEDULE",
     "SERVE",
-    "SWEEP",
     "applicable",
     "applies",
     "default_tile",

@@ -39,8 +39,8 @@ from ..runtime.report import KernelError, NodeLostError
 #: measured comparison loads the simulator, so a run does not load it.
 _EXPORTS = {
     **dict.fromkeys(("BACKEND_DESCRIPTIONS", "BACKENDS", "MEASURED_BACKENDS"), "backends"),
-    **dict.fromkeys(("BackendComparison", "SpeedupPoint", "compare_backends",
-                     "format_comparison", "speedup_curve"), "compare"),
+    **dict.fromkeys(("BackendComparison", "compare_backends", "format_comparison"),
+                    "compare"),
     **dict.fromkeys(("ExecReport", "ThreadedExecutor", "ensure_executable", "execute"),
                     "executor"),
     **dict.fromkeys(("ExecutionTimeout", "RunCancelled", "RunHandle"), "futures"),
@@ -64,7 +64,6 @@ __all__ = [
     "ProcsReport",
     "RunCancelled",
     "RunHandle",
-    "SpeedupPoint",
     "ThreadedExecutor",
     "WallClockRecorder",
     "compare_backends",
@@ -74,5 +73,4 @@ __all__ = [
     "execute_procs",
     "fork_available",
     "format_comparison",
-    "speedup_curve",
 ]

@@ -131,55 +131,6 @@ def compare_backends(
     )
 
 
-@dataclass(frozen=True)
-class SpeedupPoint:
-    """One point of a measured strong-scaling curve."""
-
-    jobs: int
-    elapsed: float
-    speedup: float
-    efficiency: float
-
-
-def speedup_curve(
-    problem: JacobiProblem,
-    impl: str = "ca-parsec",
-    jobs_list: tuple[int, ...] = (1, 2, 4),
-    machine: MachineSpec | None = None,
-    repeats: int = 1,
-    **kwargs,
-) -> list[SpeedupPoint]:
-    """Measured wall-clock speedup vs worker count (best of
-    ``repeats`` per point, standard practice for wall-clock curves)."""
-    from ..core.runner import run
-
-    machine = machine or nacl(1)
-    points: list[SpeedupPoint] = []
-    base = None
-    for jobs in jobs_list:
-        elapsed = min(
-            run(
-                problem,
-                impl=impl,
-                machine=machine,
-                backend="threads",
-                jobs=jobs,
-                **kwargs,
-            ).elapsed
-            for _ in range(max(1, repeats))
-        )
-        base = elapsed if base is None else base
-        points.append(
-            SpeedupPoint(
-                jobs=jobs,
-                elapsed=elapsed,
-                speedup=base / elapsed if elapsed > 0 else float("inf"),
-                efficiency=(base / elapsed) / jobs if elapsed > 0 else 0.0,
-            )
-        )
-    return points
-
-
 def format_comparison(comparisons: list[BackendComparison], title: str | None = None) -> str:
     """Render the side-by-side as the repo's standard ASCII table."""
     from ..analysis.tables import format_table
@@ -192,8 +143,6 @@ def format_comparison(comparisons: list[BackendComparison], title: str | None = 
 __all__ = [
     "BackendComparison",
     "HEADERS",
-    "SpeedupPoint",
     "compare_backends",
     "format_comparison",
-    "speedup_curve",
 ]

@@ -14,7 +14,7 @@ from .common import (
     setup_by_name,
 )
 from .registry import REGISTRY, ExperimentEntry, get
-from . import projection, sweeper, weak_scaling
+from . import projection, weak_scaling
 
 __all__ = [
     "MachineSetup",
@@ -31,6 +31,5 @@ __all__ = [
     "iterations",
     "projection",
     "setup_by_name",
-    "sweeper",
     "weak_scaling",
 ]

@@ -8,11 +8,10 @@ execution layer:
 * :mod:`repro.obs.metrics` -- counters / gauges / histograms in one
   process-mergeable registry, and ``publish_run``, the one fold of a
   finished report into it that every backend calls;
-* :mod:`repro.obs.export` -- one serializer for every trace and
-  metric sink: Chrome/Perfetto events, JSON lines, OTel-style spans,
-  Prometheus text exposition;
+* :mod:`repro.obs.export` -- one serializer for every trace sink:
+  Chrome/Perfetto events, OTel-style spans, collapsed-stack flamegraphs;
 * :mod:`repro.obs.monitor` -- live progress of a running backend and
-  post-run summaries (the ``repro monitor`` / ``repro stats`` CLI);
+  post-run summaries (``repro serve``'s live lines, ``repro stats``);
 * :mod:`repro.obs.regress` -- the perf-regression gate comparing a
   fresh run against recorded BENCH baselines with tolerances;
 * :mod:`repro.obs.lifecycle` -- request-scoped lifecycle spans, the
@@ -32,14 +31,14 @@ from .._lazy import lazy_exports
 #: :func:`trace_validation_enabled`.
 _EXPORTS = {
     **dict.fromkeys(("CritPathReport", "critical_path", "find_stragglers",
-                     "publish_critpath_metrics", "robust_scores"), "critpath"),
+                     "publish_critpath_metrics"), "critpath"),
     **dict.fromkeys(("TraceDiff", "diff_results", "diff_traces"), "diff"),
     **dict.fromkeys(("FlightRecorder", "LifecycleTracer", "LifeSpan",
                      "format_postmortem", "load_postmortem"), "lifecycle"),
     **dict.fromkeys(("Counter", "Gauge", "Histogram", "MetricRegistry",
                      "MetricsSnapshot"), "metrics"),
-    **dict.fromkeys(("RunMonitor", "format_serve_summary", "format_summary",
-                     "monitored_run"), "monitor"),
+    **dict.fromkeys(("RunMonitor", "format_serve_summary", "format_summary"),
+                    "monitor"),
     **dict.fromkeys(("RegressReport", "compare", "load_baseline",
                      "metrics_from_serve"), "regress"),
     **dict.fromkeys(("format_slo_report", "slo_gate_metrics", "slo_report"), "slo"),
@@ -84,9 +83,7 @@ __all__ = [
     "load_baseline",
     "load_postmortem",
     "metrics_from_serve",
-    "monitored_run",
     "publish_critpath_metrics",
-    "robust_scores",
     "slo_gate_metrics",
     "slo_report",
     "trace_validation_enabled",

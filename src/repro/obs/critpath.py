@@ -423,11 +423,10 @@ class _CausalDag:
 # ---------------------------------------------------------------------------
 
 
-def robust_scores(values: list[float]) -> tuple[list[float], float] | None:
+def _robust_scores(values: list[float]) -> tuple[list[float], float] | None:
     """Modified z-scores of ``values`` (MAD-scaled, mean-absolute-
     deviation fallback) and their median; ``None`` when the spread is
-    exactly zero.  Shared by straggler detection here and the
-    time-series anomaly signal (:meth:`TimeSeriesStore.mad_z`)."""
+    exactly zero.  Shared by straggler detection and worker loads."""
     med = median(values)
     abs_dev = [abs(v - med) for v in values]
     scale = _MAD_SCALE * median(abs_dev)
@@ -449,7 +448,7 @@ def find_stragglers(
             by_kind.setdefault(span.kind, []).append(span)
     out: list[Straggler] = []
     for kind, spans in by_kind.items():
-        scored = robust_scores([s.duration for s in spans])
+        scored = _robust_scores([s.duration for s in spans])
         if scored is None:
             continue
         scores, med = scored
@@ -476,7 +475,7 @@ def worker_loads(trace: Trace) -> list[WorkerLoad]:
     makespan = trace.makespan()
     keys = sorted(busy)
     values = [busy[k] for k in keys]
-    scored = robust_scores(values)
+    scored = _robust_scores(values)
     scores = scored[0] if scored is not None else [0.0] * len(keys)
     loads = [
         WorkerLoad(node=node, worker=worker, busy=b,
@@ -584,6 +583,5 @@ __all__ = [
     "critical_path",
     "find_stragglers",
     "publish_critpath_metrics",
-    "robust_scores",
     "worker_loads",
 ]

@@ -7,22 +7,13 @@ so every export lives here, once:
 
 * **Chrome/Perfetto trace events** -- the interactive Fig.-10 viewer
   (:func:`to_events` / :func:`dumps` / :func:`write`);
-* **JSON lines** -- one span or one metric sample per line, the
-  append-friendly form log pipelines want;
 * **OTel-style spans** -- an OpenTelemetry-compatible JSON document
   (``resourceSpans`` / ``scopeSpans`` with span ids and unix-nano
   timestamps) built from the same :class:`Span` schema;
-* **Prometheus text exposition** -- a :class:`MetricsSnapshot`
-  rendered in the ``# HELP`` / ``# TYPE`` format scrapers parse;
 * **collapsed-stack flamegraphs** -- the ``stack;frames count`` lines
   ``flamegraph.pl`` and speedscope consume, for whole traces
   (:func:`flamegraph_folded`) and for the blamed critical path
   (:func:`critpath_folded`).
-
-The Chrome export can additionally paint a *critical-path highlight
-lane* (one ``critpath`` thread per node, tid 9998) from a
-:class:`~repro.obs.critpath.CritPathReport`, so the makespan-deciding
-chain is visible on top of the regular worker lanes.
 
 It also owns :func:`build_trace`, the span-list-to-``Trace``
 normalisation both wall-clock recorders previously reimplemented.
@@ -36,7 +27,6 @@ from typing import Any, Iterable
 
 from ..runtime.trace import Trace
 from .critpath import CritPathReport
-from .metrics import MetricsSnapshot, label_str
 
 #: Microseconds per virtual second (trace events use microseconds).
 _US = 1e6
@@ -50,19 +40,6 @@ _COLORS = {
     "send": "rail_animation",
     "recv": "rail_load",
 }
-
-#: Colour per critical-path blame category (highlight lane).
-_BLAME_COLORS = {
-    "compute": "thread_state_running",
-    "comm": "rail_animation",
-    "wire": "rail_load",
-    "queue": "thread_state_runnable",
-    "comm-queue": "rail_response",
-    "startup": "startup",
-}
-
-#: Synthetic thread id of the per-node critical-path highlight lane.
-CRITPATH_TID = 9998
 
 
 # ---------------------------------------------------------------------------
@@ -105,20 +82,13 @@ def complete_event(name: str, cat: str, pid: int, tid: int,
     return event
 
 
-def to_events(
-    trace: Trace,
-    time_scale: float = 1.0,
-    critpath: CritPathReport | None = None,
-) -> list[dict[str, Any]]:
+def to_events(trace: Trace, time_scale: float = 1.0) -> list[dict[str, Any]]:
     """Convert spans to Chrome trace-event dicts.
 
     Each node becomes a process, each worker a thread (comm lanes are
     ``comm``), every span a complete ('X') event.  ``time_scale``
     stretches virtual time (useful when spans are nanoseconds-short
-    and the viewer rounds them away).  ``critpath`` adds a highlight
-    lane (tid :data:`CRITPATH_TID`) per node painting each
-    critical-path segment with its blame category, so the
-    makespan-deciding chain reads directly off the timeline.
+    and the viewer rounds them away).
     """
     if time_scale <= 0:
         raise ValueError("time_scale must be positive")
@@ -145,32 +115,6 @@ def to_events(
         if color:
             event["cname"] = color
         events.append(event)
-    if critpath is not None:
-        lane_nodes: set[int] = set()
-        for seg in critpath.segments:
-            if seg.duration <= 0:
-                continue
-            node = max(seg.node, 0)
-            if node not in lane_nodes:
-                lane_nodes.add(node)
-                events.append({
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": node,
-                    "tid": CRITPATH_TID,
-                    "args": {"name": "critical path"},
-                })
-            event = complete_event(
-                seg.blame, "critpath", node, CRITPATH_TID,
-                seg.start * _US * time_scale, seg.duration * _US * time_scale,
-                {"blame": seg.blame, "kind": seg.kind, "worker": seg.worker},
-            )
-            if seg.task_id is not None:
-                event["args"]["task"] = repr(seg.task_id)
-            color = _BLAME_COLORS.get(seg.blame)
-            if color:
-                event["cname"] = color
-            events.append(event)
     for node in sorted({s.node for s in trace.spans}):
         events.append({
             "ph": "M",
@@ -181,27 +125,18 @@ def to_events(
     return events
 
 
-def dumps(
-    trace: Trace,
-    time_scale: float = 1.0,
-    critpath: CritPathReport | None = None,
-) -> str:
+def dumps(trace: Trace, time_scale: float = 1.0) -> str:
     """The complete Chrome trace JSON document as a string."""
     return json.dumps({
-        "traceEvents": to_events(trace, time_scale, critpath=critpath),
+        "traceEvents": to_events(trace, time_scale),
         "displayTimeUnit": "ms",
     })
 
 
-def write(
-    trace: Trace,
-    path: str,
-    time_scale: float = 1.0,
-    critpath: CritPathReport | None = None,
-) -> None:
+def write(trace: Trace, path: str, time_scale: float = 1.0) -> None:
     """Write the Chrome trace to ``path`` (open in chrome://tracing)."""
     with open(path, "w") as fh:
-        fh.write(dumps(trace, time_scale, critpath=critpath))
+        fh.write(dumps(trace, time_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -251,55 +186,6 @@ def write_flamegraph(
         chunks.append(critpath_folded(critpath))
     with open(path, "w") as fh:
         fh.write("\n".join(c for c in chunks if c) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# JSON lines
-# ---------------------------------------------------------------------------
-
-
-def spans_jsonl(trace: Trace) -> str:
-    """One span per line -- a flat JSON-safe record -- in trace order."""
-    return "\n".join(json.dumps({
-        "node": span.node,
-        "worker": span.worker,
-        "kind": span.kind,
-        "start_s": span.start,
-        "end_s": span.end,
-        "duration_s": span.duration,
-        "label": repr(span.label) if span.label is not None else None,
-        "task_id": repr(span.task_id) if span.task_id is not None else None,
-    }) for span in trace.spans)
-
-
-def metrics_jsonl(snapshot: MetricsSnapshot) -> str:
-    """One metric cell per line: name, kind, labels, state."""
-    lines = []
-    for name, entry in sorted(snapshot.data.items()):
-        for ls, state in sorted(entry["values"].items()):
-            lines.append(json.dumps({
-                "metric": name,
-                "kind": entry["kind"],
-                "unit": entry["unit"],
-                "labels": dict(ls),
-                "value": state,
-            }))
-    return "\n".join(lines)
-
-
-def write_jsonl(
-    path: str,
-    trace: Trace | None = None,
-    snapshot: MetricsSnapshot | None = None,
-) -> None:
-    """Append-friendly export: spans then metrics, one record per line."""
-    chunks = []
-    if trace is not None and len(trace):
-        chunks.append(spans_jsonl(trace))
-    if snapshot is not None and snapshot.data:
-        chunks.append(metrics_jsonl(snapshot))
-    with open(path, "w") as fh:
-        fh.write("\n".join(chunks) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -415,73 +301,13 @@ def to_otel(
     return otel_document(service_name, "repro.obs", spans)
 
 
-def write_otel(trace: Trace, path: str, service_name: str = "repro") -> None:
-    with open(path, "w") as fh:
-        json.dump(to_otel(trace, service_name), fh)
-
-
-# ---------------------------------------------------------------------------
-# Prometheus text exposition
-# ---------------------------------------------------------------------------
-
-
-def _prom_name(name: str) -> str:
-    return name.replace(".", "_").replace("-", "_")
-
-
-def _prom_labels(ls: tuple[tuple[str, str], ...], extra: str = "") -> str:
-    body = ",".join(filter(None, (label_str(ls, quote='"'), extra)))
-    return "{" + body + "}" if body else ""
-
-
-def prometheus_text(snapshot: MetricsSnapshot) -> str:
-    """Render a snapshot in the Prometheus text exposition format."""
-    lines: list[str] = []
-    for name, entry in sorted(snapshot.data.items()):
-        pname = _prom_name(name)
-        kind = entry["kind"]
-        if entry.get("help"):
-            lines.append(f"# HELP {pname} {entry['help']}")
-        lines.append(f"# TYPE {pname} {kind if kind != 'untyped' else 'gauge'}")
-        for ls, state in sorted(entry["values"].items()):
-            if kind == "counter":
-                lines.append(f"{pname}{_prom_labels(ls)} {state}")
-            elif kind == "gauge":
-                lines.append(f"{pname}{_prom_labels(ls)} {state['value']}")
-            elif kind == "histogram":
-                cumulative = 0
-                for bound, n in zip(state["bounds"], state["buckets"]):
-                    cumulative += n
-                    le = 'le="%s"' % bound
-                    lines.append(f"{pname}_bucket{_prom_labels(ls, le)} {cumulative}")
-                inf = 'le="+Inf"'
-                lines.append(
-                    f"{pname}_bucket{_prom_labels(ls, inf)} {state['count']}"
-                )
-                lines.append(f"{pname}_sum{_prom_labels(ls)} {state['sum']}")
-                lines.append(f"{pname}_count{_prom_labels(ls)} {state['count']}")
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def write_prometheus(snapshot: MetricsSnapshot, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(prometheus_text(snapshot))
-
-
 __all__ = [
-    "CRITPATH_TID",
     "build_trace",
     "critpath_folded",
     "dumps",
     "flamegraph_folded",
-    "metrics_jsonl",
-    "prometheus_text",
-    "spans_jsonl",
     "to_events",
     "to_otel",
     "write",
     "write_flamegraph",
-    "write_jsonl",
-    "write_otel",
-    "write_prometheus",
 ]

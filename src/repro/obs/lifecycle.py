@@ -71,7 +71,7 @@ LIFECYCLE_KINDS = (
 ERROR_STATUSES = ("error", "expired", "skipped")
 
 #: Synthetic Chrome-trace process id of the service-lifecycle lanes
-#: (node pids are small integers; critpath uses tid 9998).
+#: (node pids are small integers).
 SERVICE_PID = 9990
 
 #: Document kind of a flight-recorder dump.

@@ -18,9 +18,8 @@ Design goals, in the order they mattered:
   pickle/JSON-friendly form; the service's forked workers ship batch
   snapshots home and the parent folds them back in with
   :meth:`MetricRegistry.merge`.
-* **Snapshot/delta semantics.**  Monitors poll with
-  :meth:`MetricRegistry.snapshot` and diff consecutive snapshots with
-  :meth:`MetricsSnapshot.delta` to get rates.
+* **Snapshots.**  Readers poll with :meth:`MetricRegistry.snapshot`,
+  a deterministic point-in-time copy.
 """
 
 from __future__ import annotations
@@ -47,14 +46,13 @@ def _labelset(labels: Mapping[str, object] | None) -> LabelSet:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-def label_str(ls: LabelSet, quote: str = "") -> str:
-    """A label set as ``k=v,k=v`` -- the JSON-safe key of snapshots and
-    series files (``quote='"'``: the Prometheus form ``k="v",k="v"``)."""
-    return ",".join(f"{k}={quote}{v}{quote}" for k, v in ls)
+def label_str(ls: LabelSet) -> str:
+    """A label set as ``k=v,k=v`` -- the JSON-safe key of snapshots."""
+    return ",".join(f"{k}={v}" for k, v in ls)
 
 
 def parse_label_str(text: str) -> LabelSet:
-    """Inverse of :func:`label_str` (unquoted form)."""
+    """Inverse of :func:`label_str`."""
     if not text:
         return ()
     return tuple(
@@ -368,24 +366,6 @@ class MetricsSnapshot:
     def labelled(self, name: str) -> dict[LabelSet, object]:
         entry = self.data.get(name)
         return dict(entry["values"]) if entry else {}
-
-    def delta(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Counter differences since ``earlier`` (gauges and histograms
-        keep their current state -- levels have no meaningful delta)."""
-        out: dict = {}
-        for name, entry in self.data.items():
-            if entry["kind"] != "counter":
-                out[name] = entry
-                continue
-            before = earlier.data.get(name, {}).get("values", {})
-            out[name] = {
-                **entry,
-                "values": {
-                    ls: v - before.get(ls, 0)
-                    for ls, v in entry["values"].items()
-                },
-            }
-        return MetricsSnapshot(out)
 
     def as_dict(self) -> dict:
         """JSON-safe form: label sets become ``k=v,k=v`` strings."""

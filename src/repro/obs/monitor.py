@@ -20,21 +20,19 @@ The monitor attaches through :func:`repro.core.runner.run`'s
     result = run(problem, ..., on_executor=mon.attach)
     mon.stop()
 
-or in one line via :func:`monitored_run`.  The CLI face is
-``repro monitor`` / ``repro stats`` (see :mod:`repro.cli`).
+``repro serve --interval`` drives one over a live service;
+``repro stats`` prints :func:`format_summary` (see :mod:`repro.cli`).
 """
 
 from __future__ import annotations
 
-import sys
 import threading
-from typing import Any, Callable, TextIO
+from typing import Any, TextIO
 
 from .metrics import MetricsSnapshot
 
 __all__ = [
     "RunMonitor",
-    "monitored_run",
     "format_sample",
     "format_serve_summary",
     "format_summary",
@@ -139,26 +137,6 @@ class RunMonitor:
 
     def __exit__(self, *exc: object) -> None:
         self.stop()
-
-
-def monitored_run(
-    run_fn: Callable[..., Any],
-    *args: Any,
-    interval: float = 0.5,
-    stream: TextIO | None = None,
-    **kwargs: Any,
-):
-    """Call ``run_fn(*args, on_executor=..., **kwargs)`` under a live
-    monitor; returns ``(result, monitor)``.  ``stream`` defaults to
-    stderr so status lines never pollute piped stdout."""
-    monitor = RunMonitor(
-        interval=interval, stream=sys.stderr if stream is None else stream
-    )
-    try:
-        result = run_fn(*args, on_executor=monitor.attach, **kwargs)
-    finally:
-        monitor.stop()
-    return result, monitor
 
 
 def format_summary(

@@ -13,8 +13,8 @@ to.  One service owns
   admission -- a hit resolves the future immediately and executes
   **zero** tasks (the obs counters prove it), and
 * a :class:`~repro.obs.metrics.MetricRegistry` every layer publishes
-  into, so ``repro monitor`` and the regression gate work against a
-  live service.
+  into, so a :class:`~repro.obs.monitor.RunMonitor` (``repro serve``'s
+  live lines) and the regression gate work against a live service.
 
 Threading model: each runner loops ``take a job and its queued
 duplicates -> solve once on its worker -> resolve every member``; the

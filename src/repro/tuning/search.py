@@ -11,8 +11,8 @@ The tuner spends a fixed *budget* of actual runs:
    at each rung while doubling fidelity -- the classic successive
    halving schedule;
 3. an optional **narrow pass** re-measures the finalists on a real
-   backend (``threads`` / ``processes``) through the same
-   ``run()``/``Sweep`` plumbing, with a per-candidate timeout and
+   backend (``threads`` / ``processes``) through the same ``run()``
+   call, with a per-candidate timeout and
    failure containment so one bad configuration cannot kill the
    session.
 
@@ -32,10 +32,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Sequence
 
+from ..analysis import csvio
 from ..core.config import applies
+from ..core.runner import run
 from ..exec import backends
 from ..exec.futures import RunCancelled
-from ..experiments.sweeper import Sweep, to_csv
 from ..machine.machine import MachineSpec, nacl
 from ..stencil.problem import JacobiProblem
 from . import model
@@ -108,9 +109,7 @@ class TuningResult:
         return sum(1 for t in self.trials if t.backend != "sim")
 
     def records(self) -> list[dict]:
-        """Flat per-trial records, model predictions attached -- the
-        same shape :meth:`Sweep.run` returns, so both share one export
-        path."""
+        """Flat per-trial records, model predictions attached."""
         predicted = {p.candidate: p.gflops for p in self.predictions}
         out = []
         for trial in self.trials:
@@ -122,8 +121,9 @@ class TuningResult:
             out.append(rec)
         return out
 
-    def to_csv(self, path: str | None = None) -> str:
-        return to_csv(self.records(), path)
+    def to_csv(self, path: str) -> str:
+        """Write :meth:`records` to ``path`` as CSV; returns the text."""
+        return csvio.write_csv(self.records(), path)
 
 
 def _fidelity_ladder(full: int) -> list[int]:
@@ -150,16 +150,13 @@ def _evaluate(
 ) -> Trial:
     """Run one candidate with full failure containment.
 
-    Reuses the :class:`~repro.experiments.sweeper.Sweep` plumbing for
-    the actual call so tuning records and sweep records are the same
-    animal.  Exceptions become ``status="error"`` trials; a measured
-    run exceeding ``timeout`` seconds becomes ``status="timeout"`` and
-    is cancelled -- its worker threads, or forked node processes, must
-    not run on underneath the next candidate's measurement (the
-    simulator is never run under a timeout: it is deterministic and
-    cheap).
+    Exceptions become ``status="error"`` trials; a measured run
+    exceeding ``timeout`` seconds becomes ``status="timeout"`` and is
+    cancelled -- its worker threads, or forked node processes, must not
+    run on underneath the next candidate's measurement (the simulator
+    is never run under a timeout: it is deterministic and cheap).
     """
-    sweep = Sweep(problem=replace(problem, iterations=fidelity))
+    problem = replace(problem, iterations=fidelity)
     config = dict(run_kwargs or {})
     config.update(candidate.run_kwargs(impl))
     config["impl"] = impl
@@ -175,18 +172,18 @@ def _evaluate(
             raise RunCancelled("candidate timed out before its run started")
         live.append(executor)
 
-    def work() -> dict:
-        return sweep.run_configs([config], machine=machine,
-                                 on_executor=capture, **common)[0]
+    def work():
+        return run(problem, machine=machine, on_executor=capture,
+                   **common, **config)
 
     try:
         if timeout is None or backend == "sim":
-            record = work()
+            result = work()
         else:
             pool = ThreadPoolExecutor(max_workers=1)
             future = pool.submit(work)
             try:
-                record = future.result(timeout)
+                result = future.result(timeout)
             except FutureTimeout:
                 timed_out.set()
                 # An executor that is still starting answers False:
@@ -202,8 +199,8 @@ def _evaluate(
     except Exception as exc:  # noqa: BLE001 - containment is the point
         return Trial(candidate, backend, fidelity, None, None, "error",
                      f"{type(exc).__name__}: {exc}")
-    return Trial(candidate, backend, fidelity, float(record["gflops"]),
-                 float(record["elapsed_s"]), "ok")
+    return Trial(candidate, backend, fidelity, float(result.gflops),
+                 float(result.elapsed), "ok")
 
 
 def _shortlist(

@@ -1,7 +1,8 @@
-"""Analysis helpers: Gantt rendering, occupancy, tables."""
+"""Analysis helpers: Gantt rendering, occupancy, tables, CSV export."""
 
 import pytest
 
+from repro.analysis import csvio
 from repro.analysis.gantt import legend, render_gantt
 from repro.analysis.occupancy import (
     compare_occupancy,
@@ -96,3 +97,15 @@ def test_dicts_to_table():
     out = dicts_to_table([{"a": 1, "b": 2}, {"a": 3, "b": 4}])
     assert "a" in out and "3" in out
     assert dicts_to_table([]) == "(no rows)"
+
+
+def test_csv_dumps_encodes_scalars_over_the_union_of_keys(tmp_path):
+    records = [{"impl": "ca-parsec", "overlap": True, "note": None},
+               {"impl": "petsc", "overlap": False, "gflops": 6.25}]
+    path = tmp_path / "records.csv"
+    text = csvio.write_csv(records, str(path))
+    assert path.read_bytes().decode() == text
+    assert text.splitlines() == ["impl,overlap,note,gflops",
+                                 "ca-parsec,true,,",
+                                 "petsc,false,,6.25"]
+    assert csvio.dumps([]) == ""

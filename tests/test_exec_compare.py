@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exec.compare import (
-    HEADERS,
-    compare_backends,
-    format_comparison,
-    speedup_curve,
-)
+from repro.exec.compare import HEADERS, compare_backends, format_comparison
 from repro.machine.machine import nacl
 from tests.conftest import random_problem
 
@@ -51,13 +46,3 @@ def test_comparison_row_matches_headers(comparison):
         assert head in table
     assert "ca-parsec" in table
 
-
-def test_speedup_curve_shape():
-    problem = random_problem(n=20, iterations=4, seed=4)
-    points = speedup_curve(problem, impl="base-parsec", jobs_list=(1, 2),
-                           machine=nacl(1), tile=5)
-    assert [p.jobs for p in points] == [1, 2]
-    assert points[0].speedup == pytest.approx(1.0)
-    assert points[0].efficiency == pytest.approx(1.0)
-    for p in points:
-        assert p.elapsed > 0 and p.speedup > 0

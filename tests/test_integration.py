@@ -1,5 +1,6 @@
 """End-to-end integration scenarios across package boundaries."""
 
+import csv
 import json
 
 import numpy as np
@@ -7,7 +8,6 @@ import numpy as np
 import repro
 from repro.analysis import csvio, format_table, render_gantt
 from repro.core.verify import verify_schedule
-from repro.experiments.sweeper import Sweep, best
 from repro.obs import export
 from repro.core.spec import ca_plan
 from repro.ir import PassContext, PassManager
@@ -17,14 +17,18 @@ from .conftest import random_problem
 
 def test_sweep_to_csv_to_table(tmp_path):
     """The analysis pipeline a user would run: sweep -> CSV -> table."""
-    sweep = Sweep(problem=repro.JacobiProblem(n=576, iterations=4))
-    records = sweep.run(impl=["base-parsec", "ca-parsec"], tile=[144],
-                        steps=[4], ratio=[1.0, 0.25], nodes=(4,))
+    problem = repro.JacobiProblem(n=576, iterations=4)
+    records = [
+        repro.run(problem, machine=repro.nacl(4), impl=impl, tile=144,
+                  steps=4, ratio=ratio).to_dict()
+        for impl in ("base-parsec", "ca-parsec") for ratio in (1.0, 0.25)
+    ]
     path = tmp_path / "sweep.csv"
     csvio.write_csv(records, str(path))
-    back = csvio.read_csv(str(path))
+    with open(path, newline="") as fh:
+        back = list(csv.DictReader(fh))
     assert len(back) == 4
-    assert best(back)["ratio"] == 0.25
+    assert max(back, key=lambda r: float(r["gflops"]))["ratio"] == "0.25"
     table = format_table(
         ("impl", "ratio", "gflops"),
         [(r["impl"], r["ratio"], r["gflops"]) for r in back],

@@ -1,25 +1,17 @@
 """The unified exporters and the debug-mode trace validator.
 
 ``obs/export.py`` is the single serializer behind the Chrome viewer,
-JSON-lines logs, OTel-style span documents and Prometheus exposition;
+OTel-style span documents and collapsed-stack flamegraphs;
 ``Trace.validate()`` is the debug gate (``REPRO_DEBUG_TRACE``) the
 engine and both real backends run after a traced run.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.obs import DEBUG_TRACE_ENV, MetricRegistry, trace_validation_enabled
-from repro.obs.export import (
-    build_trace,
-    metrics_jsonl,
-    prometheus_text,
-    spans_jsonl,
-    to_otel,
-)
+from repro.obs import DEBUG_TRACE_ENV, trace_validation_enabled
+from repro.obs.export import build_trace, to_otel
 from repro.runtime.trace import Trace
 
 
@@ -51,31 +43,6 @@ def test_otel_document_shape_and_determinism():
             "value": {"stringValue": "repro-test"}} in attrs
     # same trace, same ids: the export is reproducible
     assert to_otel(_trace(), service_name="repro-test") == doc
-
-
-def test_prometheus_exposition():
-    reg = MetricRegistry()
-    reg.counter("messages_total", help="msgs", unit="messages").inc(
-        7, src=0, dst=1)
-    reg.gauge("backlog").set(3)
-    reg.histogram("dur_seconds", buckets=(0.1, 1.0)).observe(0.5)
-    text = prometheus_text(reg.snapshot())
-    assert "# TYPE messages_total counter" in text
-    assert 'messages_total{dst="1",src="0"} 7' in text
-    assert "backlog 3" in text
-    assert 'dur_seconds_bucket{le="+Inf"} 1' in text
-    assert "dur_seconds_count 1" in text
-
-
-def test_jsonl_round_trip():
-    lines = spans_jsonl(_trace()).splitlines()
-    assert len(lines) == 4
-    assert json.loads(lines[0])["kind"] == "interior"
-    reg = MetricRegistry()
-    reg.counter("n_total").inc(2)
-    (line,) = metrics_jsonl(reg.snapshot()).splitlines()
-    assert json.loads(line) == {"metric": "n_total", "kind": "counter",
-                                "unit": "", "labels": {}, "value": 2}
 
 
 # ---------------------------------------------------------------------------

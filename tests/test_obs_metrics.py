@@ -113,16 +113,6 @@ def test_snapshot_determinism_and_roundtrip():
     assert pickle.loads(pickle.dumps(a)).data == a.data
 
 
-def test_snapshot_delta():
-    reg = MetricRegistry()
-    c = reg.counter("n_total")
-    c.inc(5)
-    before = reg.snapshot()
-    c.inc(3)
-    delta = reg.snapshot().delta(before)
-    assert delta.counter("n_total") == 3
-
-
 def test_merge_adds_counters_and_maxes_gauges():
     a, b = MetricRegistry(), MetricRegistry()
     a.counter("msgs_total").inc(4, dst="1")

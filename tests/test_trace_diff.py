@@ -1,4 +1,4 @@
-"""Trace diffing and the causal CLI faces (critpath, trace-diff)."""
+"""Trace diffing and the causal CLI faces (stats, trace-diff)."""
 
 import pytest
 
@@ -89,25 +89,6 @@ def test_diff_results_requires_traces():
 CLI_SIZE = ["--machine", "nacl", "--nodes", "4", "--n", "576",
             "--iterations", "6", "--tile", "144", "--steps", "3",
             "--ratio", "0.2"]
-
-
-def test_cli_critpath(capsys):
-    rc = main(["critpath", "--impl", "ca-parsec", *CLI_SIZE])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "critical path" in out
-    assert "blame" in out
-
-
-def test_cli_critpath_gantt_and_flame(tmp_path, capsys):
-    flame = tmp_path / "flame.folded"
-    rc = main(["critpath", "--impl", "ca-parsec", *CLI_SIZE,
-               "--gantt", "--flame-out", str(flame)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "crit |" in out
-    folded = flame.read_text()
-    assert "critical path;" in folded
 
 
 def test_cli_trace_diff_assert_comm_drop(capsys):

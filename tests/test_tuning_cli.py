@@ -1,8 +1,4 @@
-"""The ``tune`` and ``sweep`` subcommands."""
-
-import json
-
-import pytest
+"""The ``tune`` subcommand."""
 
 from repro.cli import main
 
@@ -48,37 +44,3 @@ def test_tune_wide_searches_policies(capsys):
     assert rc == 0
     assert "best: tile=" in capsys.readouterr().out
 
-
-def test_sweep_table_and_exports(tmp_path, capsys):
-    csv_path = tmp_path / "sweep.csv"
-    json_path = tmp_path / "sweep.json"
-    rc = main(["sweep", "--n", "96", "--iterations", "3",
-               "--axis", "impl=base-parsec,ca-parsec",
-               "--axis", "tile=24,48",
-               "--csv-out", str(csv_path), "--json-out", str(json_path)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "4 configurations" in out and "gflops" in out
-    rows = csv_path.read_text().splitlines()
-    assert len(rows) == 5  # header + 4 records
-    records = json.loads(json_path.read_text())
-    assert len(records) == 4
-    assert {r["impl"] for r in records} == {"base-parsec", "ca-parsec"}
-
-
-def test_sweep_seed_shuffles_reproducibly(capsys):
-    argv = ["sweep", "--n", "96", "--iterations", "3",
-            "--axis", "impl=base-parsec", "--axis", "tile=12,24,48",
-            "--seed", "5"]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert main(argv) == 0
-    second = capsys.readouterr().out
-    assert first == second
-
-
-def test_sweep_rejects_bad_axis():
-    with pytest.raises(SystemExit):
-        main(["sweep", "--axis", "flavour=spicy"])
-    with pytest.raises(SystemExit):
-        main(["sweep", "--axis", "tile"])  # no '=' separator

@@ -10,10 +10,9 @@ import pytest
 
 from repro.exec import ProcessExecutor, ThreadedExecutor, backends, fork_available
 from repro.exec.procs import JOIN_GRACE
-from repro.experiments.sweeper import Sweep
 from repro.machine.machine import nacl
 from repro.stencil.problem import JacobiProblem
-from repro.tuning import SearchSpace, TuningCache, tune
+from repro.tuning import SearchSpace, TuningCache, search, tune
 from repro.tuning.search import Candidate, _evaluate, _fidelity_ladder
 
 from .conftest import join_all
@@ -104,14 +103,14 @@ def test_memoised_rerun_costs_no_budget():
 def test_failure_containment(monkeypatch):
     """One exploding configuration becomes an 'error' trial; the search
     still returns a winner from the survivors."""
-    real = Sweep.run_configs
+    real = search.run
 
-    def explode(self, configs, **kwargs):
-        if any(c.get("tile") == 24 for c in configs):
+    def explode(problem, **kwargs):
+        if kwargs.get("tile") == 24:
             raise RuntimeError("kaboom")
-        return real(self, configs, **kwargs)
+        return real(problem, **kwargs)
 
-    monkeypatch.setattr(Sweep, "run_configs", explode)
+    monkeypatch.setattr(search, "run", explode)
     space = SearchSpace(tiles=(12, 24), steps=(1, 2))
     result = small_tune(budget=8, space=space)
     errors = [t for t in result.trials if t.status == "error"]
@@ -124,14 +123,14 @@ def test_failure_containment(monkeypatch):
 def test_timeout_containment(monkeypatch):
     """A measured run that hangs becomes a 'timeout' trial instead of
     hanging the session.  The simulator is never run under a timeout."""
-    real = Sweep.run_configs
+    real = search.run
 
-    def slow(self, configs, backend="sim", **kwargs):
-        if backend == "threads" and any(c.get("tile") == 24 for c in configs):
+    def slow(problem, backend="sim", **kwargs):
+        if backend == "threads" and kwargs.get("tile") == 24:
             time.sleep(0.6)
-        return real(self, configs, backend=backend, **kwargs)
+        return real(problem, backend=backend, **kwargs)
 
-    monkeypatch.setattr(Sweep, "run_configs", slow)
+    monkeypatch.setattr(search, "run", slow)
     space = SearchSpace(tiles=(12, 24), steps=(1,))
     # Late in a full suite a full garbage collection pauses this process
     # for 90-150 ms; one landing inside the fast candidate's 0.15 s would

@@ -61,7 +61,7 @@ def test_lazy_reexports_count_like_imported_ones(tmp_path):
 
 def test_a_solve_imports_only_what_it_runs():
     """The simulator, the PETSc model, the analytic model, the
-    validators, the host measurements and the DOT exporter stay
+    schedule verifier, the host measurements and the DOT exporter stay
     unloaded until something asks for them."""
     code = ("import sys, repro.serve, repro.core.runner; "
             "print('\\n'.join(sorted(m for m in sys.modules if m.startswith('repro'))))")
@@ -71,7 +71,7 @@ def test_a_solve_imports_only_what_it_runs():
     ).stdout.split())
     assert "repro.core.runner" in loaded
     unwanted = {"repro.runtime.engine", "repro.core.petsc_jacobi", "repro.core.analytic",
-                "repro.core.verify", "repro.core.validate", "repro.machine.stream",
+                "repro.core.verify", "repro.machine.stream",
                 "repro.machine.netpipe", "repro.machine.roofline", "repro.exec.compare",
                 "repro.runtime.dot"}
     assert sorted(loaded & unwanted) == []
