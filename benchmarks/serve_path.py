@@ -20,24 +20,33 @@ after the future resolved, and the three stages inside `execute` are
 timed by running `run()`'s sequence on the same request shape with
 nothing else in flight (they are what `execute` is made of, not extra
 rows; the first build of a shape is timed from an empty template memo).
-Every figure is the median over the executed requests with its quartiles.  A
+Every figure is the median over the executed requests with its quartiles.
+
+The stream never fills the result cache, so two standalone lines follow:
+`ResultCache.put`, and a cold instance's disk hit (a fresh `ResultCache`
+on the same directory, its first `get`), each timed on a store already
+holding `max_entries` entries of random-double 256^2 grids.  A
 map of where the time goes -- `docs/serving.md` carries the table --
 not a benchmark: `benchmarks/wallclock/run.py --workload serve_mix` is.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import tempfile
 import threading
 import time
 from statistics import median, quantiles
 
+import numpy as np
+
 from repro.core.base_parsec import build_base_graph
 from repro.core.dataflow import TEMPLATES
 from repro.exec.executor import ThreadedExecutor
 from repro.machine.machine import nacl
-from repro.serve import ServiceConfig, SolverClient, SolverService
+from repro.serve import ResultCache, ServiceConfig, SolverClient, SolverService
+from repro.serve.request import SolveOutcome
 from repro.stencil.problem import JacobiProblem
 
 N, TILE, SWEEPS, CLIENTS = 256, 32, 8, 2
@@ -111,6 +120,36 @@ def staged() -> dict[str, float]:
     return {name: median(values) for name, values in out.items()}
 
 
+def full_store(reps: int = 25) -> dict[str, list[float]]:
+    """`put` into, and a cold instance's disk hit from, a result cache
+    holding `max_entries` random-double N^2 grids."""
+    rng = np.random.default_rng(0)
+
+    def outcome(k: int) -> SolveOutcome:
+        signature = hashlib.sha256(str(k).encode()).hexdigest()
+        return SolveOutcome(signature=signature, impl="base-parsec", elapsed=0.01,
+                            gflops=1.0, messages=0, message_bytes=0,
+                            params={"tile": TILE}, grid=rng.random((N, N)))
+
+    times: dict[str, list[float]] = {"put": [], "cold disk hit": []}
+    with tempfile.TemporaryDirectory(prefix="repro-serve-store-") as tmp:
+        cache = ResultCache(tmp)
+        for k in range(cache.max_entries):
+            filler = outcome(k)
+            cache.put(filler.signature, filler)
+        for k in range(reps):
+            timed = outcome(cache.max_entries + k)
+            t0 = time.monotonic()
+            cache.put(timed.signature, timed)
+            times["put"].append(time.monotonic() - t0)
+            cold = ResultCache(tmp)
+            t0 = time.monotonic()
+            hit = cold.get(timed.signature)
+            times["cold disk hit"].append(time.monotonic() - t0)
+            assert hit is not None and np.array_equal(hit.grid, timed.grid)
+    return times
+
+
 def main(per_client: int) -> None:
     records: list = []
     put_s: dict[str, float] = {}
@@ -151,6 +190,11 @@ def main(per_client: int) -> None:
         if name == "execute":
             for stage, seconds in stages.items():
                 print(f"{'    ' + stage + ' (solo)':<50} {1e3 * seconds:>10.3f}")
+    for name, seconds in full_store().items():
+        values = [1e3 * s for s in seconds]
+        q1, _, q3 = quantiles(values, n=4)
+        print(f"{'full store: ' + name + ' (solo)':<50} {median(values):>10.3f}  "
+              f"[{q1:.3f}, {q3:.3f}]")
 
 
 if __name__ == "__main__":

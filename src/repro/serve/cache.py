@@ -1,35 +1,24 @@
 """Content-keyed result cache: solve signature -> grid + report.
 
-Generalises the :mod:`repro.tuning.cache` persistence pattern (one
-schema-versioned JSON index, atomic temp-file + ``os.replace`` writes,
-re-read-before-replace merge) from "best-known knobs" to "the answer
-itself":
+The answer itself, stored by a deterministic key, one file per entry:
 
-* the key is :meth:`SolveRequest.signature` -- a content hash over
-  everything that shapes the solution grid (problem data, machine
-  fingerprint, impl, tile/steps/ratio), so a hit is *guaranteed*
-  bit-identical to recomputing (the conformance suite proves schedule
-  knobs cannot change the answer);
-* grids live beside the index as compressed ``.npz`` payloads, one
-  file per entry, also written atomically, so the index stays small
-  and corruption of one payload loses one entry, not the store;
-* the store is LRU-bounded (``max_entries``): inserts evict the
-  least-recently-used entries and unlink their payloads.  Recency
-  from ``get`` is tracked in memory and folded into the index on the
-  next ``put`` (best-effort: a read-only session does not persist
-  recency, which costs at worst a suboptimal eviction, never a wrong
-  answer);
-* the memory layer holds what is being written or has been re-read,
-  nothing else: :meth:`remember` parks an outcome in a pending table
-  for the window between its future resolving and its :meth:`put`
-  landing, and only :meth:`get` admits to the ``memory_entries``-
-  bounded LRU, so a result nobody asks for again lives on disk only
-  and a hot entry skips the disk after its first re-read; the parsed
-  index is kept too, re-read when another process replaced it.
+* the key is :meth:`SolveRequest.signature`, a content hash over
+  everything that shapes the solution grid, so a hit is *guaranteed*
+  bit-identical to recomputing it;
+* an entry is ``<signature[:24]>.result``, written atomically: a
+  one-line JSON header (schema, full signature, the
+  :meth:`SolveOutcome.to_doc` meta, shape, dtype), then the grid's raw
+  C-order bytes.  A missing, foreign or torn file is a miss, never a
+  crash and never migrated; the next store of its signature replaces it;
+* there is no index: a miss is an ``open`` that fails, and ``len()`` and
+  the ``max_entries`` LRU bound scan the directory.  Recency of use is
+  the file's mtime, stamped explicitly by every store and hit, so
+  processes sharing a directory see each other's entries and recency;
+* memory holds what is being written (:meth:`remember` until its
+  :meth:`put` lands) or was re-read (:meth:`get`, ``memory_entries``).
 
-Unknown schema versions are ignored wholesale, never migrated.
-All hit/miss/eviction counters are bumped inside the cache lock
-(single-writer discipline of :mod:`repro.obs.metrics`).
+Entry files are read and written outside the cache lock; every counter
+is bumped inside it (single-writer discipline of :mod:`repro.obs.metrics`).
 """
 
 from __future__ import annotations
@@ -41,14 +30,17 @@ import time
 from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from ..core.store import atomic_write
 from .request import SolveOutcome
 
-#: Bump when the entry layout changes; old stores are treated as empty.
-SCHEMA_VERSION = 1
+#: Bump when the entry layout changes; entries of another schema are misses.
+SCHEMA_VERSION = 2
+#: What an entry file's name ends in (after the signature prefix).
+SUFFIX = ".result"
 
 
 def default_cache_dir() -> Path:
@@ -67,20 +59,14 @@ class ResultCache:
     (every hit after the write window reads the disk), while the
     pending table still answers during the write window."""
 
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        max_entries: int = 256,
-        memory_entries: int = 32,
-        metrics=None,
-    ) -> None:
+    def __init__(self, path: str | Path | None = None, max_entries: int = 256,
+                 memory_entries: int = 32, metrics=None) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         if memory_entries < 0:
             raise ValueError(
                 f"memory_entries must be non-negative, got {memory_entries}")
         self.root = Path(path) if path is not None else default_cache_dir()
-        self.index_path = self.root / "index.json"
         self.max_entries = max_entries
         self.memory_entries = memory_entries
         self._lock = threading.Lock()
@@ -88,59 +74,19 @@ class ResultCache:
         self._mem: OrderedDict[str, SolveOutcome] = OrderedDict()
         #: remembered outcomes whose put has not landed yet
         self._pending: dict[str, SolveOutcome] = {}
-        #: get-side recency not yet persisted (folded in on put)
-        self._touched: dict[str, float] = {}
-        #: the parsed index and the (inode, mtime, size) it was read at
-        self._entries: dict = {}
-        self._stamp: tuple | None = ()  # nothing read yet; None: no index file
-
         self._metrics = metrics
         if metrics is not None:
             self._c_hits = metrics.counter(
-                "serve_cache_hits_total", "result-cache hits", "requests"
-            )
+                "serve_cache_hits_total", "result-cache hits", "requests")
             self._c_misses = metrics.counter(
-                "serve_cache_misses_total", "result-cache misses", "requests"
-            )
+                "serve_cache_misses_total", "result-cache misses", "requests")
             self._c_stores = metrics.counter(
-                "serve_cache_stores_total", "result-cache inserts", "entries"
-            )
+                "serve_cache_stores_total", "result-cache inserts", "entries")
             self._c_evictions = metrics.counter(
-                "serve_cache_evictions_total", "LRU evictions", "entries"
-            )
+                "serve_cache_evictions_total", "LRU evictions", "entries")
 
-    # -- IO --------------------------------------------------------------
-
-    def _index_stamp(self) -> tuple | None:
-        try:
-            st = os.stat(self.index_path)
-        except OSError:
-            return None
-        return (st.st_ino, st.st_mtime_ns, st.st_size)
-
-    def _load(self) -> dict:
-        """The index's entries, parsed again only when the file is not
-        the one last read or written here (every write replaces it)."""
-        stamp = self._index_stamp()
-        if stamp != self._stamp:
-            self._entries, self._stamp = {}, stamp
-            try:
-                doc = json.loads(self.index_path.read_text())
-            except (OSError, ValueError):
-                doc = None
-            if isinstance(doc, dict) and doc.get("schema") == SCHEMA_VERSION \
-                    and isinstance(doc.get("entries"), dict):
-                self._entries = doc["entries"]
-        return self._entries
-
-    def _store(self, entries: dict) -> None:
-        doc = {"schema": SCHEMA_VERSION, "entries": entries}
-        blob = json.dumps(doc, sort_keys=True).encode()
-        atomic_write(self.index_path, lambda fh: fh.write(blob))
-        self._entries, self._stamp = entries, self._index_stamp()
-
-    def _grid_path(self, signature: str) -> Path:
-        return self.root / f"{signature[:24]}.npz"
+    def _path(self, signature: str) -> Path:
+        return self.root / f"{signature[:24]}{SUFFIX}"
 
     # -- API -------------------------------------------------------------
 
@@ -150,72 +96,46 @@ class ResultCache:
         request: the signature covers every answer-shaping input.
 
         A hit from the pending table or from disk is a re-read: it
-        admits the outcome to the memory layer.  A disk payload is
-        decompressed outside the cache lock, so other probes and every
-        index merge proceed meanwhile; an entry evicted in between is
-        a miss."""
+        admits the outcome to the memory layer.  The entry file is read
+        outside the cache lock; an entry evicted meanwhile is a miss."""
+        path = self._path(signature)
         with self._lock:
             hot = self._mem.get(signature)
             if hot is not None:
                 self._mem.move_to_end(signature)
-                return self._hit_locked(signature, hot)
+                _touch(path)
+                return self._hit_locked(hot)
             unwritten = self._pending.get(signature)
             if unwritten is not None:
-                return self._hit_locked(signature, self._admit(signature, unwritten))
-            entry = self._load().get(signature)
-            if entry is None:
-                return self._miss_locked()
+                return self._hit_locked(self._admit(signature, unwritten))
 
-        grid = None
-        if entry.get("grid"):
-            try:
-                with np.load(self.root / entry["grid"]) as payload:
-                    grid = payload["grid"]
-            except (OSError, ValueError, KeyError):
-                entry = None  # payload lost -> treat as a miss
+        try:
+            with open(path, "rb") as fh:
+                outcome = _read_entry(fh, signature)
+        except (OSError, ValueError, KeyError, TypeError):
+            outcome = None  # absent, foreign or torn: a miss
         with self._lock:
-            if entry is None or signature not in self._load():
-                return self._miss_locked()
-            outcome = SolveOutcome.from_doc(entry["meta"], grid)
-            return self._hit_locked(signature, self._admit(signature, outcome))
+            if outcome is not None and _touch(path):
+                return self._hit_locked(self._admit(signature, outcome))
+            if self._metrics is not None:
+                self._c_misses.inc()
+            return None
 
     def put(self, signature: str, outcome: SolveOutcome) -> None:
-        """Insert (or refresh) one outcome on disk; evicts LRU entries
-        beyond ``max_entries``.  The payload is compressed and written
-        before the lock is taken -- a probe never waits behind it --
-        and the index is re-read immediately before the atomic
-        replace, so concurrent services merge rather than clobber each
-        other.
+        """Insert (or refresh) one outcome and its grid on disk; evicts
+        LRU entries beyond ``max_entries``.  The write and the directory
+        scan happen outside the cache lock.
 
-        Nothing is added to memory: a landed write closes the
-        outcome's write window (the pending entry :meth:`remember`
-        made goes, the disk answers from now on).  A write that raises
-        leaves the pending outcome as the only copy, so it moves to
-        the memory layer before the error propagates."""
+        Nothing is added to memory: a landed write ends the outcome's
+        pending entry.  A write that raises leaves the pending outcome
+        as the only copy, so it moves to the memory layer."""
+        path = self._path(signature)
         try:
-            grid_name = None
-            if outcome.grid is not None:
-                grid_name = self._grid_path(signature).name
-                grid = np.ascontiguousarray(outcome.grid)
-                atomic_write(
-                    self._grid_path(signature),
-                    lambda fh: np.savez_compressed(fh, grid=grid),
-                )
+            atomic_write(path, lambda fh: _write_entry(fh, signature, outcome))
+            _touch(path)
+            used = self._scan()
             with self._lock:
-                now = time.time()
-                entries = self._load()
-                for sig, ts in self._touched.items():
-                    if sig in entries and ts > entries[sig].get("used", 0):
-                        entries[sig]["used"] = ts
-                self._touched.clear()
-                entries[signature] = {
-                    "meta": outcome.to_doc(),
-                    "grid": grid_name,
-                    "created": now,
-                    "used": now,
-                }
-                evicted = self._evict_locked(entries)
-                self._store(entries)
+                evicted = self._evict_locked(used)
                 self._pending.pop(signature, None)
                 if self._metrics is not None:
                     self._c_stores.inc()
@@ -237,33 +157,20 @@ class ResultCache:
 
     def clear(self) -> None:
         with self._lock:
-            for entry in self._load().values():
-                self._unlink_grid(entry)
-            self._store({})
+            for name in self._scan():
+                (self.root / name).unlink(missing_ok=True)
             self._mem.clear()
             self._pending.clear()
-            self._touched.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._load())
-
-    def entries(self) -> dict:
-        """A copy of the on-disk index (metadata only, no grids)."""
-        with self._lock:
-            return {sig: dict(entry) for sig, entry in self._load().items()}
+        return len(self._scan())
 
     # -- internals -------------------------------------------------------
 
-    def _hit_locked(self, signature: str, outcome: SolveOutcome) -> SolveOutcome:
-        self._touched[signature] = time.time()
+    def _hit_locked(self, outcome: SolveOutcome) -> SolveOutcome:
         if self._metrics is not None:
             self._c_hits.inc()
         return replace(outcome, cached=True)
-
-    def _miss_locked(self) -> None:
-        if self._metrics is not None:
-            self._c_misses.inc()
 
     def _admit(self, signature: str, outcome: SolveOutcome) -> SolveOutcome:
         """Make ``outcome`` the most recently re-read entry, dropping
@@ -274,32 +181,75 @@ class ResultCache:
             self._mem.popitem(last=False)
         return outcome
 
-    def _evict_locked(self, entries: dict) -> int:
-        overflow = len(entries) - self.max_entries
-        if overflow <= 0:
-            return 0
-        victims = sorted(entries, key=lambda s: entries[s].get("used", 0))
-        for sig in victims[:overflow]:
-            self._unlink_grid(entries.pop(sig))
-            self._mem.pop(sig, None)
-        return overflow
+    def _scan(self) -> dict[str, int]:
+        """Entry file name -> last use (mtime, ns)."""
+        used = {}
+        try:
+            listing = list(os.scandir(self.root))
+        except FileNotFoundError:
+            return used  # nothing stored yet
+        for item in listing:
+            if item.name.endswith(SUFFIX):
+                try:
+                    used[item.name] = item.stat().st_mtime_ns
+                except FileNotFoundError:
+                    pass  # evicted by another process meanwhile
+        return used
 
-    def _unlink_grid(self, entry: dict) -> None:
-        name = entry.get("grid")
-        if name:
+    def _evict_locked(self, used: dict[str, int]) -> int:
+        """Unlink the least recently used entries beyond ``max_entries``
+        of a scan; returns how many of them this call removed."""
+        overflow = len(used) - self.max_entries
+        victims = sorted(used, key=lambda name: (used[name], name))[:max(overflow, 0)]
+        evicted = 0
+        for name in victims:
             try:
                 os.unlink(self.root / name)
-            except OSError:
-                pass
+            except FileNotFoundError:
+                continue  # evicted by another put meanwhile
+            evicted += 1
+        for sig in [s for s in self._mem if self._path(s).name in victims]:
+            del self._mem[sig]
+        return evicted
+
+
+def _write_entry(fh: BinaryIO, signature: str, outcome: SolveOutcome) -> None:
+    grid = np.ascontiguousarray(outcome.grid)
+    head = {"schema": SCHEMA_VERSION, "signature": signature, "meta": outcome.to_doc(),
+            "shape": grid.shape, "dtype": grid.dtype.str}
+    fh.write(json.dumps(head).encode() + b"\n")
+    fh.write(grid)
+
+
+def _read_entry(fh: BinaryIO, signature: str) -> SolveOutcome:
+    """The outcome an entry file holds; ValueError unless it is a whole
+    entry of this schema for ``signature``."""
+    head = json.loads(fh.readline())
+    if head["schema"] != SCHEMA_VERSION or head["signature"] != signature:
+        raise ValueError("an entry of another schema or signature")
+    grid = np.empty(head["shape"], np.dtype(head["dtype"]))
+    if fh.readinto(grid) != grid.nbytes or fh.read(1):
+        raise ValueError("a payload of the wrong size")
+    return SolveOutcome.from_doc(head["meta"], grid)
+
+
+def _touch(path: Path) -> bool:
+    """Stamp ``path`` as used now (explicitly: the kernel's own stamps
+    tie calls that follow closely); False if it is gone."""
+    now = time.time_ns()
+    try:
+        os.utime(path, ns=(now, now))
+    except FileNotFoundError:
+        return False
+    except OSError:
+        pass  # a read-only store: recency is best-effort, the hit stands
+    return True
 
 
 def _frozen(outcome: SolveOutcome) -> SolveOutcome:
     """``outcome`` with its grid made read-only: hits share the array."""
     if outcome.grid is not None:
-        try:
-            outcome.grid.setflags(write=False)
-        except ValueError:
-            pass
+        outcome.grid.setflags(write=False)
     return outcome
 
 

@@ -239,8 +239,8 @@ class SolveOutcome:
         return replace(self, tenant=tenant)
 
     def to_doc(self) -> dict[str, Any]:
-        """JSON-safe record *without* the grid (the cache stores grids
-        as separate ``.npz`` payloads)."""
+        """JSON-safe record *without* the grid (a result-cache entry
+        file carries it in its header, the grid's raw bytes after)."""
         return {
             "signature": self.signature,
             "impl": self.impl,

@@ -111,7 +111,7 @@ def solve_finished(service, tenant: str = "default") -> bool:
 
 
 class GatedPayloadWrites:
-    """Parks every ``.npz`` write of ``repro.serve.cache`` until
+    """Parks every entry-file write of ``repro.serve.cache`` until
     ``release`` is set (``fail`` makes it raise instead)."""
 
     def __init__(self, monkeypatch, fail: bool = False) -> None:
@@ -119,7 +119,7 @@ class GatedPayloadWrites:
         write = cache_module.atomic_write
 
         def gated(path, write_fn):
-            if str(path).endswith(".npz"):
+            if str(path).endswith(cache_module.SUFFIX):
                 self.started.set()
                 if fail:
                     return write(path, self._disk_full)
@@ -135,21 +135,21 @@ class GatedPayloadWrites:
 
 
 class LoadSpy:
-    """Counts ``np.load`` calls of ``repro.serve.cache`` (disk reads);
-    with ``park=True`` the first one, its payload file open, waits for
-    ``release`` before it returns."""
+    """Counts the entry-file reads of ``repro.serve.cache`` (disk
+    reads); with ``park=True`` the first one, its entry file open,
+    waits for ``release`` before it returns."""
 
     def __init__(self, monkeypatch, park: bool = False) -> None:
         self.calls, self.park = 0, park
         self.started, self.release = threading.Event(), threading.Event()
-        load = np.load
+        read = cache_module._read_entry
 
         def spy(*args, **kwargs):
             self.calls += 1
-            payload = load(*args, **kwargs)
+            outcome = read(*args, **kwargs)
             if self.park and not self.started.is_set():
                 self.started.set()
                 assert self.release.wait(60)
-            return payload
+            return outcome
 
-        monkeypatch.setattr(cache_module.np, "load", spy)
+        monkeypatch.setattr(cache_module, "_read_entry", spy)

@@ -4,9 +4,11 @@ memory layer holds (a result being written, or one read again)."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from repro.obs import MetricRegistry
 from repro.serve import ResultCache
 from repro.serve import cache as cache_module
-from repro.serve.cache import SCHEMA_VERSION, default_cache_dir
+from repro.serve.cache import default_cache_dir
 from repro.serve.request import SolveOutcome
 
 from .conftest import join_all
@@ -85,39 +87,63 @@ def test_lru_eviction_honours_get_recency(tmp_path):
     assert cache.get("sig-a") is not None
     assert cache.get("sig-c") is not None
     assert reg.snapshot().counter("serve_cache_evictions_total") == 1
-    # the evicted entry's payload was unlinked, not leaked
-    npz_files = list(tmp_path.glob("*.npz"))
-    assert len(npz_files) == 2
+    # the evicted entry's file was unlinked, not leaked
+    entry_files = list(tmp_path.glob("*.result"))
+    assert len(entry_files) == 2
 
 
-def test_unknown_schema_treated_as_empty(tmp_path):
-    cache = ResultCache(tmp_path)
+def test_a_memory_hit_counts_as_a_use(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path, max_entries=2)
     cache.put("sig-a", make_outcome("sig-a"))
-    index = json.loads((tmp_path / "index.json").read_text())
-    index["schema"] = SCHEMA_VERSION + 99
-    (tmp_path / "index.json").write_text(json.dumps(index))
-    fresh = ResultCache(tmp_path)
-    assert len(fresh) == 0
-    assert fresh.get("sig-a") is None  # never migrated, never crashed
-    fresh.put("sig-b", make_outcome("sig-b"))  # writes the current schema
-    doc = json.loads((tmp_path / "index.json").read_text())
-    assert doc["schema"] == SCHEMA_VERSION
-    assert list(doc["entries"]) == ["sig-b"]
-
-
-def test_corrupt_index_treated_as_empty(tmp_path):
-    (tmp_path / "index.json").write_text("{ not json !")
-    cache = ResultCache(tmp_path)
-    assert cache.get("sig-a") is None
-    cache.put("sig-a", make_outcome("sig-a"))  # heals by rewriting
+    assert cache.get("sig-a") is not None  # a disk hit: admitted
+    cache.put("sig-b", make_outcome("sig-b"))
+    disk = LoadSpy(monkeypatch)
+    assert cache.get("sig-a") is not None and disk.calls == 0  # from memory
+    cache.put("sig-c", make_outcome("sig-c"))
+    assert ResultCache(tmp_path).get("sig-b") is None  # b was the LRU
     assert ResultCache(tmp_path).get("sig-a") is not None
+
+
+def _respelled(key, change):
+    """Spoils an entry file by changing one field of its header."""
+    def spoil(blob: bytes) -> bytes:
+        head, payload = blob.split(b"\n", 1)
+        doc = json.loads(head)
+        doc[key] = change(doc[key])
+        return json.dumps(doc).encode() + b"\n" + payload
+    return spoil
+
+
+MALFORMED = {
+    "other-schema": _respelled("schema", lambda schema: schema + 99),
+    # another solve whose signature shares the 24-character file prefix
+    "other-signature": _respelled("signature", lambda sig: sig[:24] + "-another"),
+    "truncated-payload": lambda blob: blob[:-8],
+    "non-json-header": lambda blob: b"{ not json !\n" + blob.split(b"\n", 1)[1],
+    "zero-byte-file": lambda blob: b"",
+}
+
+
+@pytest.mark.parametrize("spoil", MALFORMED.values(), ids=list(MALFORMED))
+def test_a_malformed_entry_is_a_miss(tmp_path, spoil):
+    signature = "0123456789abcdef01234567-the-solve"
+    ResultCache(tmp_path).put(signature, make_outcome(signature, 2.0))
+    [entry] = tmp_path.glob("*.result")
+    entry.write_bytes(spoil(entry.read_bytes()))
+    reg = MetricRegistry()
+    cache = ResultCache(tmp_path, metrics=reg)
+    assert cache.get(signature) is None  # never migrated, never crashed
+    assert reg.snapshot().counter("serve_cache_misses_total") == 1
+    cache.put(signature, make_outcome(signature, 2.0))  # heals by replacing it
+    hit = ResultCache(tmp_path).get(signature)
+    assert hit is not None and np.array_equal(hit.grid, np.full((6, 6), 2.0))
 
 
 def test_lost_payload_is_a_miss_not_a_crash(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put("sig-a", make_outcome("sig-a"))
-    for npz in tmp_path.glob("*.npz"):
-        npz.unlink()
+    for entry in tmp_path.glob("*.result"):
+        entry.unlink()
     assert ResultCache(tmp_path).get("sig-a") is None
 
 
@@ -126,7 +152,10 @@ def test_atomic_writes_leave_no_temp_droppings(tmp_path):
     for i in range(5):
         cache.put(f"sig-{i}", make_outcome(f"sig-{i}", float(i)))
     assert not list(tmp_path.glob("*.tmp"))
-    json.loads((tmp_path / "index.json").read_text())  # always parseable
+    entries = list(tmp_path.glob("*.result"))
+    assert len(entries) == 5
+    for entry in entries:  # always parseable
+        json.loads(entry.read_bytes().split(b"\n", 1)[0])
 
 
 def test_atomic_write_failure_leaves_nothing_behind(tmp_path):
@@ -169,14 +198,36 @@ def test_checkpoint_meta_failure_leaks_no_temp_file(tmp_path, monkeypatch):
 
 
 def test_concurrent_stores_merge_not_clobber(tmp_path):
-    """Two service processes sharing one cache dir: the second put
-    re-reads the index before replacing it, so the first's entry
-    survives."""
+    """Two service processes sharing one cache dir: every entry is its
+    own file, so the second put leaves the first's entry in place."""
     first, second = ResultCache(tmp_path), ResultCache(tmp_path)
     first.put("sig-a", make_outcome("sig-a"))
     second.put("sig-b", make_outcome("sig-b"))
-    entries = ResultCache(tmp_path).entries()
-    assert set(entries) == {"sig-a", "sig-b"}
+    third = ResultCache(tmp_path)
+    assert len(third) == 2
+    assert third.get("sig-a") is not None and third.get("sig-b") is not None
+
+
+def test_a_hit_in_one_instance_protects_an_entry_from_anothers_eviction(
+        tmp_path, monkeypatch):
+    """Recency is the entry file's mtime, stamped explicitly: B's hit
+    on ``sig-a`` makes it the most recently used entry for A's next
+    eviction.  Every stamp lands in the same millisecond; stamps the
+    kernel chose would tie there, and the tie would evict ``sig-a``."""
+    start = time.time_ns() // 10**6 * 10**6  # a millisecond's first nanosecond
+    ticks = itertools.count(start)
+    monkeypatch.setattr(cache_module.time, "time_ns", lambda: next(ticks))
+    a = ResultCache(tmp_path, max_entries=2)
+    b = ResultCache(tmp_path, max_entries=2)
+    a.put("sig-a", make_outcome("sig-a"))
+    a.put("sig-b", make_outcome("sig-b"))
+    assert b.get("sig-a") is not None
+    a.put("sig-c", make_outcome("sig-c"))
+    assert 4 <= next(ticks) - start < 10**6  # two puts, a hit, a put: all stamped
+    monkeypatch.undo()
+    fresh = ResultCache(tmp_path)
+    assert fresh.get("sig-b") is None  # b was the LRU
+    assert fresh.get("sig-a") is not None and fresh.get("sig-c") is not None
 
 
 def test_clear_empties_index_and_payloads(tmp_path):
@@ -184,7 +235,7 @@ def test_clear_empties_index_and_payloads(tmp_path):
     cache.put("sig-a", make_outcome("sig-a"))
     cache.clear()
     assert len(cache) == 0
-    assert not list(tmp_path.glob("*.npz"))
+    assert not list(tmp_path.glob("*.result"))
     assert cache.get("sig-a") is None
 
 
@@ -193,7 +244,7 @@ def test_default_cache_dir_env_override(monkeypatch, tmp_path):
     assert default_cache_dir() == tmp_path / "elsewhere"
 
 
-# -- the lock is not held across a payload write; the index is parsed once --
+# -- the lock is not held across a payload write --------------------------
 
 
 def test_probes_do_not_wait_behind_a_payload_write(tmp_path, monkeypatch):
@@ -213,7 +264,8 @@ def test_probes_do_not_wait_behind_a_payload_write(tmp_path, monkeypatch):
         assert len(cache) == 1 and not writing.done()
         gate.release.set()
         writing.result(timeout=30)
-    assert set(ResultCache(tmp_path).entries()) == {"sig-old", "sig-a"}
+    fresh = ResultCache(tmp_path)
+    assert len(fresh) == 2 and fresh.get("sig-old") is not None
     assert ResultCache(tmp_path).get("sig-a") is not None
 
 
@@ -224,28 +276,6 @@ def test_failed_payload_write_leaves_no_entry_and_no_temp_file(tmp_path, monkeyp
         cache.put("sig-a", make_outcome("sig-a"))
     assert list(tmp_path.iterdir()) == [] and len(cache) == 0
     assert cache.get("sig-a") is None
-
-
-def test_index_is_parsed_once_until_another_process_replaces_it(tmp_path, monkeypatch):
-    writer = ResultCache(tmp_path)
-    for name in ("sig-a", "sig-b", "sig-c"):
-        writer.put(name, make_outcome(name))
-    assert "\n" not in (tmp_path / "index.json").read_text()  # no indent
-    parses, loads = [], json.loads
-    monkeypatch.setattr(cache_module.json, "loads",
-                        lambda text: (parses.append(1), loads(text))[1])
-    reader = ResultCache(tmp_path)
-    for k in range(5):
-        assert reader.get(f"never-stored-{k}") is None
-    assert len(reader) == 3 and set(reader.entries()) == {"sig-a", "sig-b", "sig-c"}
-    assert len(parses) == 1
-    reader.put("sig-d", make_outcome("sig-d"))  # merge-before-replace: from memory
-    assert reader.get("nope") is None and len(parses) == 1
-    writer.put("sig-e", make_outcome("sig-e"))  # "another process": it re-reads ...
-    assert set(writer.entries()) == {"sig-a", "sig-b", "sig-c", "sig-d", "sig-e"}
-    assert reader.get("sig-e") is not None  # ... and so does this one, once
-    assert reader.get("nope") is None and len(reader) == 5
-    assert len(parses) == 3
 
 
 # -- what the memory layer holds: the write window and re-reads --------------
@@ -343,7 +373,7 @@ def test_a_disk_hit_decodes_outside_the_lock(tmp_path, monkeypatch):
     with ThreadPoolExecutor(2) as threads:
         reading = threads.submit(cache.get, "sig-disk")
         assert disk.started.wait(30)
-        # A memory hit, a miss and an index merge all go by the parked read.
+        # A memory hit, a miss and a store all go by the parked read.
         assert threads.submit(cache.get, "sig-hot").result(timeout=10).cached
         assert threads.submit(cache.get, "sig-none").result(timeout=10) is None
         threads.submit(cache.put, "sig-new", make_outcome("sig-new")).result(timeout=10)

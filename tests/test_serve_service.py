@@ -415,7 +415,7 @@ def test_solve_returns_before_the_cache_write_and_stop_waits_for_it(
     client = SolverClient(service, tenant="alice")
     outcome = client.solve(problem, timeout=120)  # the write is parked
     assert not outcome.cached and gate.started.wait(30)
-    assert list(tmp_path.glob("*.npz")) == [] and len(service.cache) == 0
+    assert list(tmp_path.glob("*.result")) == [] and len(service.cache) == 0
     # The answer is already served from the cache's memory layer, and a
     # probe for something else does not wait for the write either.
     before = service.metrics.snapshot().counter("tasks_executed_total")
