@@ -180,18 +180,21 @@ def test_cache_hit_executes_zero_tasks(tmp_path, show):
 #: size of the wall-clock benchmark's ``serve_mix`` workload: 256^2
 #: solves (8 sweeps, 32-cell tiles, one worker thread per solve), every
 #: request executed (no result cache), ``OVERHEAD_REQUESTS`` per side --
-#: 3% of a side is a dozen requests' worth of time, not one scheduling
-#: hiccup.
+#: 3% of a side is dozens of requests' worth of time, not one scheduling
+#: hiccup.  Sized for ~20 s a side with the compiled kernel (~7 ms a
+#: request on a 2-core host; 400 requests took 2.9 s).
 OVERHEAD_SOLVE = dict(impl="base-parsec", tile=32, backend="threads", jobs=1)
 OVERHEAD_N, OVERHEAD_ITERATIONS = 256, 8
-OVERHEAD_REQUESTS = 400
+OVERHEAD_REQUESTS = 2800
 #: Both sides serve ``OVERHEAD_REQUESTS / OVERHEAD_ROUNDS`` requests per
 #: round and the order flips every round (ABBA), so a drift in this
 #: host's speed -- it slows by half after ~2 s of load and recovers when
 #: idle -- lands on both sides alike.  Measured resolution: the total
 #: over 20 such rounds repeats within about +-3 points, over 40 within
-#: about +-1.5, with single rounds anywhere in [-19%, +47%].
-OVERHEAD_ROUNDS = 40
+#: about +-1.5, with single rounds anywhere in [-19%, +47%].  A round's
+#: requests are submitted at once, so they must fit the service's
+#: default queue depth (64): 40 a round.
+OVERHEAD_ROUNDS = 70
 OVERHEAD_BUDGET = 0.03
 
 

@@ -7,8 +7,8 @@ First `jacobi_update_region` over a static half/half partition of
 private tiles -- `kernel_large`'s arithmetic (2048^2 cells, 16 sweeps)
 with no runtime in the way at all: no graph, no queue, no store, no
 shared data -- on 1 and on 2 threads, for tiles of 128 / 256 / 512 cells
-a side, with the kernel's row bands (`BAND_CELLS`) and without.  Best of
-five, seconds.
+a side, with the compiled kernel (which runs without the interpreter
+lock) and with the numpy one.  Best of five, seconds.
 
 Then the task runtime on the same shape: `run()` entry to grid on
 `threads` with `jobs=1` and `jobs=2` (the node-block graph: 8 row slabs
@@ -57,14 +57,14 @@ def solve(tile: int, threads: int) -> float:
 
 
 def bare_kernel() -> None:
-    banded = kernels.BAND_CELLS
-    print(f"{'tile':>6} {'bands':>9} {'1 thread':>10} {'2 threads':>10} {'2 / 1':>7}")
-    for label, cells in (("banded", banded), ("unbanded", 1 << 62)):
-        kernels.BAND_CELLS = cells
+    compiled = kernels._lib
+    print(f"{'tile':>6} {'kernel':>9} {'1 thread':>10} {'2 threads':>10} {'2 / 1':>7}")
+    for label, lib in ((kernels.active_kernel(), compiled), ("numpy", None)):
+        kernels._lib = lib
         for tile in (128, 256, 512):
             one, two = (min(solve(tile, n) for _ in range(REPS)) for n in (1, 2))
             print(f"{tile:>6} {label:>9} {one:>10.3f} {two:>10.3f} {two / one:>7.2f}")
-    kernels.BAND_CELLS = banded
+    kernels._lib = compiled
 
 
 def runtime(label: str, problem: JacobiProblem, nodes: int, tile: int) -> None:

@@ -12,7 +12,7 @@ tile and sweep, which is what every earlier version of this table
 divided by.  Then, in microseconds per *executed* task -- one node
 block's boundary or interior tiles for one sweep, what the real
 backends run -- executor `_prepare`, ready queue, `PayloadStore.gather`,
-the task body (plan lookup, pastes, banded kernel per rectangle, cuts;
+the task body (plan lookup, pastes, kernel per rectangle, cuts;
 for the last sweep the kernel writing the cores into the result grid),
 `publish`/`release` and the worker's per-task record.  Each figure is
 the median over the solve's tasks (over the last sweep's for "last
@@ -90,7 +90,7 @@ def one_solve(geometry: dict) -> dict[str, float]:
     # The run itself, in graph order (a legal schedule), hop by hop.
     store = PayloadStore(graph, graph.tasks.values())
     recorder = WallClockRecorder(1)
-    parts = {name: [] for name in ("gather", "plan lookup", "pastes", "banded kernel", "cuts",
+    parts = {name: [] for name in ("gather", "plan lookup", "pastes", "kernel", "cuts",
                                    "last sweep into grid", "stencil_task", "publish + release",
                                    "per-task record", "ring write (per message)",
                                    "ring drain (per message)")}
@@ -148,7 +148,7 @@ def one_solve(geometry: dict) -> dict[str, float]:
                 kernels._update(rect, read, kernels._halves(rect.block)[
                     1 - read, rect.rows, rect.cols])
 
-        parts["banded kernel"].append(clock(update)[0])
+        parts["kernel"].append(clock(update)[0])
         parts["cuts"].append(clock(kernels._cut, phase.cuts, 1 - read)[0])
     channels.close()
     for name, samples in parts.items():

@@ -62,8 +62,8 @@ from ..machine.machine import MachineSpec
 from ..runtime.graph import TaskGraph
 from ..runtime.task import Flow, Task, TaskKey
 from ..stencil.cost import KernelCostModel
-from ..stencil.kernels import BAND_CELLS, FLOP_PER_POINT, SLAB_CELLS
-from ..stencil.variable import apply_stencil_region
+from ..stencil.kernels import FLOP_PER_POINT, SLAB_CELLS
+from ..stencil.variable import BAND_CELLS, apply_stencil_region
 from .spec import ITEMSIZE, Slices, StencilSpec
 
 #: Priority bias making node-boundary tasks run before interior ones
@@ -140,7 +140,7 @@ class StencilKernels:
     boundary or interior tiles (or a row slab of them).
 
     A sweep pastes the task's incoming copies into the pads of half
-    ``t % 2``, runs the banded kernel once per rectangle of its tiles'
+    ``t % 2``, runs the kernel once per rectangle of its tiles'
     joined update regions from that half into the other, and cuts the
     copies its consumers in other buffers paste next; the last sweep
     writes the joined cores into ``grid`` and returns :data:`IN_GRID`.

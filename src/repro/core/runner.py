@@ -17,6 +17,7 @@ from typing import Any
 
 from ..machine.machine import MachineSpec, nacl
 from ..stencil.cost import KernelCostModel
+from ..stencil.kernels import active_kernel
 from ..stencil.problem import JacobiProblem
 from .base_parsec import build_base_graph
 from .ca_parsec import build_ca_graph
@@ -275,6 +276,8 @@ def run(
     # build -> rewrite -> attach chaos
     built, impl_params = _build(problem, machine, config)
     params.update(impl_params, overlap=config.overlap)
+    if config.with_kernels:
+        params["kernel"] = active_kernel()  # "c", or the numpy fallback
     pipe_report = None
     if config.passes is not None:
         built, pipe_report = _rewrite(built, machine, config, metrics)

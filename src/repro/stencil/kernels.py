@@ -1,4 +1,4 @@
-"""Vectorised 5-point Jacobi update kernels.
+"""The 5-point Jacobi update kernel.
 
 The paper uses the general weighted form (eq. 1):
 
@@ -7,45 +7,136 @@ The paper uses the general weighted form (eq. 1):
 
 with 5 multiplies + 4 adds = 9 FLOP per point for *every*
 implementation, so FLOP/s numbers are comparable across PETSc, base
-and CA versions.  The kernels here operate on a tile's extended
-(ghost-padded) array and update an arbitrary rectangular region, which
+and CA versions.  The kernel operates on a tile's extended
+(ghost-padded) array and updates an arbitrary rectangular region, which
 is what the CA version needs to update core-plus-shrinking-halo
 regions.
+
+As the paper's PaRSEC tasks do, the update runs a compiled C loop: one
+pass per cell (:data:`_SOURCE`), built at import with the host's ``cc``
+into ``~/.cache/repro/kernels/<key>.so`` -- once per source and compiler
+-- and called through :mod:`ctypes`, which releases the interpreter lock
+for the call.  Loading happens at import, so before any fork.  The
+numpy expression of the same update stays as the oracle the C loop is
+tested against, and as the fallback: without a compiler, when building
+or loading fails (one warning), and for arrays that are not float64
+with an inner stride of one element.  Both follow one operation order
+per weight kind, so they agree bit for bit, the sign of zero included.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
-import threading
+import os
+import shutil
+import subprocess
+import tempfile
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 #: FLOP per point of the general 5-point update.
 FLOP_PER_POINT = 9
 
-#: Cells of one row band of an update.  The kernel is memory-bound, so
-#: a band's accumulator, temporary, source rows and destination rows
-#: (4 x 256 KiB at this size) should stay in a core's L2 while the 4 or
-#: 9 passes run over them.  Measured on this repo's 2-core host (2 MiB
-#: L2 per core), best of 15-200 interleaved calls with ``out=new[rs,
-#: cs]``: a 2048^2 region takes 15.6 / 15.4 / 15.1 / 15.5 / 17.8 /
-#: 23.0 ms at 2k / 16k / 32k / 64k / 128k cells / unbanded, a 256^2 tile
-#: 333 / 161 / 157 / 160 us at 2k / 16k / 32k / 64k (short bands pay
-#: numpy's per-call cost, tall ones fall out of cache).
-BAND_CELLS = 32768
-
 #: Cells of one row slab of a node-block task (``repro.core.dataflow``):
 #: a part of a node block -- its boundary or its interior tiles -- is cut
 #: into ``cells // SLAB_CELLS`` runs of whole tile rows, so a node's
 #: workers have tasks to share.  A task costs ~40-100 us of runtime
 #: (``exec.overhead_us_per_task`` 67 / 92 on ``kernel_large`` /
-#: ``halo_base``) and the kernel ~4-6 ns a cell (the 2048^2 region above),
-#: so 2^19 cells is ~2-3 ms of kernel per task and the overhead a few
-#: percent of it.  A function of size alone, never of the worker count.
+#: ``halo_base``) and the C kernel ~1.6-2.3 ns a cell (0.86 ms for one
+#: ``kernel_large`` slab, EXPERIMENTS.md), so 2^19 cells is ~1 ms of
+#: kernel per task and the overhead 5-10 % of it.  A function of size
+#: alone, never of the worker count.
 SLAB_CELLS = 1 << 19
 
-_scratch = threading.local()
+#: The C kernel.  ``x`` points at the region's first cell and ``out``
+#: at its destination; strides are in doubles.  The operation order is
+#: the numpy path's, and ``-ffp-contract=off`` keeps the compiler from
+#: fusing a multiply and an add into one rounding.
+_SOURCE = """\
+#include <stddef.h>
+
+void laplace(const double *restrict x, ptrdiff_t xs, double *restrict out,
+             ptrdiff_t os, ptrdiff_t rows, ptrdiff_t cols, double w)
+{
+    for (ptrdiff_t i = 0; i < rows; i++, x += xs, out += os)
+        for (ptrdiff_t j = 0; j < cols; j++)
+            out[j] = (((x[j - xs] + x[j + xs]) + x[j - 1]) + x[j + 1]) * w;
+}
+
+void weighted(const double *restrict x, ptrdiff_t xs, double *restrict out,
+              ptrdiff_t os, ptrdiff_t rows, ptrdiff_t cols, double wc,
+              double wn, double ws, double ww, double we)
+{
+    for (ptrdiff_t i = 0; i < rows; i++, x += xs, out += os)
+        for (ptrdiff_t j = 0; j < cols; j++)
+            out[j] = wc * x[j] + wn * x[j - xs] + ws * x[j + xs]
+                   + ww * x[j - 1] + we * x[j + 1];
+}
+"""
+
+#: The compiler and its flags.  No ``-march=native``: a cached build
+#: must not fault on another CPU that shares the home directory.
+_CC = "cc"
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_CACHE_DIR = os.path.expanduser("~/.cache/repro/kernels")
+
+
+def _load() -> ctypes.CDLL | None:
+    """The C kernel, built into :data:`_CACHE_DIR` unless this source,
+    these flags and this compiler already have a build there; ``None``
+    and one warning when it cannot be built or loaded.
+
+    The compiler is identified by its resolved path, size and mtime
+    rather than by running ``cc --version``: a warm load starts no
+    process, because a child's peak RSS in ``getrusage`` is the
+    importer's resident set at the fork."""
+    try:
+        cc = shutil.which(_CC)
+        if cc is None:
+            raise FileNotFoundError(f"no {_CC!r} on PATH")
+        real = os.path.realpath(cc)
+        binary = os.stat(real)
+        compiler = f"{real} {binary.st_size} {binary.st_mtime_ns}"
+        key = hashlib.sha256("\0".join((_SOURCE, *_FLAGS, compiler)).encode())
+        path = Path(_CACHE_DIR) / f"{key.hexdigest()[:16]}.so"
+        if not path.exists():
+            _compile(cc, path)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, subprocess.SubprocessError) as exc:
+        stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace")
+        warnings.warn(f"no compiled stencil kernel ({exc} {stderr.strip()}); "
+                      "updates run the numpy kernel", RuntimeWarning, stacklevel=2)
+        return None
+    head = (ctypes.c_void_p, ctypes.c_ssize_t) * 2 + (ctypes.c_ssize_t,) * 2
+    lib.laplace.argtypes = head + (ctypes.c_double,)
+    lib.weighted.argtypes = head + (ctypes.c_double,) * 5
+    lib.laplace.restype = lib.weighted.restype = None
+    return lib
+
+
+def _compile(cc: str, path: Path) -> None:
+    """Build the shared object in a private directory, then publish it
+    atomically: a concurrent importer loads a whole build or none."""
+    from ..core.store import atomic_write  # repro.core imports this module
+
+    with tempfile.TemporaryDirectory() as tmp:
+        source, shared = Path(tmp, "kernel.c"), Path(tmp, "kernel.so")
+        source.write_text(_SOURCE)
+        subprocess.run([cc, *_FLAGS, "-o", str(shared), str(source)],
+                       capture_output=True, check=True)
+        binary = shared.read_bytes()
+    atomic_write(path, lambda fh: fh.write(binary))
+
+
+def active_kernel() -> str:
+    """``"c"`` when updates run the compiled loop, ``"numpy"`` when
+    this process fell back to the numpy kernel."""
+    return "numpy" if _lib is None else "c"
 
 
 @dataclass(frozen=True)
@@ -87,17 +178,6 @@ class StencilWeights:
         return cls(center=1.0 - 4 * k, north=k, south=k, west=k, east=k)
 
 
-def _band_scratch(cells: int) -> np.ndarray:
-    """This thread's ``(2, >= cells)`` accumulator/temporary pair.  It
-    grows to the largest band the thread has seen and is never
-    pre-sized: a process that only ever solves small tiles only ever
-    touches small scratch."""
-    buf = getattr(_scratch, "buf", None)
-    if buf is None or buf.shape[1] < cells:
-        buf = _scratch.buf = np.empty((2, cells))
-    return buf
-
-
 def update_target(
     ext: np.ndarray, rows: slice, cols: slice, out: np.ndarray | None
 ) -> np.ndarray:
@@ -119,37 +199,6 @@ def update_target(
     return out
 
 
-def row_bands(rows: slice, ncols: int):
-    """Split a non-empty update region into row bands of about
-    :data:`BAND_CELLS` cells; yields ``(b0, b1, acc, tmp)`` -- the
-    band's rows in the extended array and two contiguous
-    ``(b1 - b0, ncols)`` views of this thread's scratch."""
-    r0, r1 = rows.start, rows.stop
-    height = max(1, BAND_CELLS // ncols)
-    buf = _band_scratch(min(height, r1 - r0) * ncols)
-    for b0 in range(r0, r1, height):
-        b1 = min(b0 + height, r1)
-        band = buf[:, : (b1 - b0) * ncols].reshape(2, b1 - b0, ncols)
-        yield b0, b1, band[0], band[1]
-
-
-def weighted_sum_band(ext, b0, b1, c0, c1, weights, acc, tmp, dst) -> None:
-    """The general update of rows ``b0:b1`` of a region, in the paper's
-    order: ``wc*C + wn*N + ws*S + ww*W + we*E`` summed left to right, 9
-    passes, into ``dst``.  ``weights`` are five scalars or five
-    band-shaped coefficient arrays."""
-    wc, wn, ws, ww, we = weights
-    np.multiply(ext[b0:b1, c0:c1], wc, out=acc)
-    np.multiply(ext[b0 - 1 : b1 - 1, c0:c1], wn, out=tmp)
-    acc += tmp
-    np.multiply(ext[b0 + 1 : b1 + 1, c0:c1], ws, out=tmp)
-    acc += tmp
-    np.multiply(ext[b0:b1, c0 - 1 : c1 - 1], ww, out=tmp)
-    acc += tmp
-    np.multiply(ext[b0:b1, c0 + 1 : c1 + 1], we, out=tmp)
-    np.add(acc, tmp, out=dst)
-
-
 def jacobi_update_region(
     ext: np.ndarray,
     weights: StencilWeights,
@@ -164,19 +213,15 @@ def jacobi_update_region(
     leave at least one ring of valid data around the region.  The
     result goes to ``out`` when given -- any array of the region's
     shape that does not overlap ``ext``, including a strided view such
-    as ``new[rows, cols]`` -- and to a fresh array otherwise.  Nothing
-    region-sized is allocated besides that fresh array: the update
-    runs over row bands (:func:`row_bands`) accumulated in contiguous
-    per-thread scratch with shifted views of ``ext`` (no copies), each
-    finished band stored to ``out`` in its last pass.
+    as ``new[rows, cols]`` -- and to a fresh array otherwise.
 
-    Two operation orders, chosen by the weights alone:
+    Two operation orders, chosen by the weights alone, in the C loop
+    and in the numpy one alike:
 
     * centre weight 0 and the four neighbour weights one power of two
-      ``w`` (the paper's Laplace problem): ``(((N + S) + W) + E) * w``,
-      4 array passes;
+      ``w`` (the paper's Laplace problem): ``(((N + S) + W) + E) * w``;
     * any other weights: ``wc*C + wn*N + ws*S + ww*W + we*E`` summed
-      left to right, 9 passes.
+      left to right.
 
     On the first kind of weights the two orders agree bit for bit,
     because scaling by a power of two commutes with rounding.  That
@@ -188,20 +233,38 @@ def jacobi_update_region(
     out = update_target(ext, rows, cols, out)
     if out.size == 0:
         return out
-    r0 = rows.start
+    r0, r1 = rows.start, rows.stop
     c0, c1 = cols.start, cols.stop
     wc, wn, ws, ww, we = wts = weights.as_tuple()
     scaled_sum = wc == 0 and wn == ws == ww == we and math.frexp(wn)[0] == 0.5
-    for b0, b1, acc, tmp in row_bands(rows, c1 - c0):
-        dst = out[b0 - r0 : b1 - r0]
+    if _lib is not None and _flat(ext) and _flat(out) and out.flags.writeable:
+        x = ext.ctypes.data + r0 * ext.strides[0] + c0 * 8
+        xs, os_ = ext.strides[0] // 8, out.strides[0] // 8
         if scaled_sum:
-            np.add(ext[b0 - 1 : b1 - 1, c0:c1], ext[b0 + 1 : b1 + 1, c0:c1], out=acc)
-            acc += ext[b0:b1, c0 - 1 : c1 - 1]
-            acc += ext[b0:b1, c0 + 1 : c1 + 1]
-            np.multiply(acc, wn, out=dst)
+            _lib.laplace(x, xs, out.ctypes.data, os_, *out.shape, wn)
         else:
-            weighted_sum_band(ext, b0, b1, c0, c1, wts, acc, tmp, dst)
+            _lib.weighted(x, xs, out.ctypes.data, os_, *out.shape, *wts)
+        return out
+    north, south = ext[r0 - 1 : r1 - 1, c0:c1], ext[r0 + 1 : r1 + 1, c0:c1]
+    west, east = ext[r0:r1, c0 - 1 : c1 - 1], ext[r0:r1, c0 + 1 : c1 + 1]
+    if scaled_sum:
+        np.add(north, south, out=out)
+        out += west
+        out += east
+        out *= wn
+        return out
+    tmp = np.empty(out.shape)
+    np.multiply(ext[r0:r1, c0:c1], wc, out=out)
+    for neighbour, w in ((north, wn), (south, ws), (west, ww), (east, we)):
+        np.multiply(neighbour, w, out=tmp)
+        out += tmp
     return out
+
+
+def _flat(a: np.ndarray) -> bool:
+    """Whether the C loop can address ``a``: native float64, aligned,
+    one element between neighbours in a row."""
+    return a.dtype == np.float64 and a.strides[1] == 8 and a.flags.aligned
 
 
 def jacobi_sweep_framed(
@@ -230,3 +293,8 @@ def region_flops(rows: slice | tuple, cols: slice | tuple) -> int:
     else:
         nc = cols[1] - cols[0]
     return FLOP_PER_POINT * max(0, nr) * max(0, nc)
+
+
+# Last, so that the modules publishing the build (which import this
+# one) find everything above defined.
+_lib = _load()

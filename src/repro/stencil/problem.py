@@ -13,7 +13,8 @@ from typing import Callable
 import numpy as np
 
 from ..distgrid.boundary import DirichletBC
-from .kernels import BAND_CELLS, FLOP_PER_POINT, StencilWeights
+from .kernels import FLOP_PER_POINT, StencilWeights
+from .variable import BAND_CELLS
 from .reference import jacobi_sweeps
 
 Initializer = float | Callable[[np.ndarray, np.ndarray], np.ndarray]

@@ -17,22 +17,75 @@ models that want to charge it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .kernels import (
-    StencilWeights,
-    jacobi_update_region,
-    row_bands,
-    update_target,
-    weighted_sum_band,
-)
+from .kernels import StencilWeights, jacobi_update_region, update_target
+
+#: Cells of one row band of a multi-pass numpy computation: the
+#: variable-coefficient update (coefficient fields, then 9 passes),
+#: a source term added to a rectangle, the reference's initial load.
+#: The passes are memory-bound, so a band's accumulator, temporary,
+#: source rows and destination rows (4 x 256 KiB at this size) should
+#: stay in a core's L2 while they run.  Measured on a 2-core host
+#: (2 MiB L2 per core) with the constant-weight numpy update, best of
+#: 15-200 interleaved calls with ``out=new[rs, cs]``: a 2048^2 region
+#: took 15.6 / 15.4 / 15.1 / 15.5 / 17.8 / 23.0 ms at 2k / 16k / 32k /
+#: 64k / 128k cells / unbanded, a 256^2 tile 333 / 161 / 157 / 160 us at
+#: 2k / 16k / 32k / 64k (short bands pay numpy's per-call cost, tall
+#: ones fall out of cache).
+BAND_CELLS = 32768
+
+_scratch = threading.local()
 
 #: A coefficient field: constant, or a vectorised callable of global
 #: (row, col) index arrays.
 Coefficient = float | Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _band_scratch(cells: int) -> np.ndarray:
+    """This thread's ``(2, >= cells)`` accumulator/temporary pair.  It
+    grows to the largest band the thread has seen and is never
+    pre-sized: a process that only ever solves small tiles only ever
+    touches small scratch."""
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.shape[1] < cells:
+        buf = _scratch.buf = np.empty((2, cells))
+    return buf
+
+
+def _row_bands(rows: slice, ncols: int):
+    """Split a non-empty update region into row bands of about
+    :data:`BAND_CELLS` cells; yields ``(b0, b1, acc, tmp)`` -- the
+    band's rows in the extended array and two contiguous
+    ``(b1 - b0, ncols)`` views of this thread's scratch."""
+    r0, r1 = rows.start, rows.stop
+    height = max(1, BAND_CELLS // ncols)
+    buf = _band_scratch(min(height, r1 - r0) * ncols)
+    for b0 in range(r0, r1, height):
+        b1 = min(b0 + height, r1)
+        band = buf[:, : (b1 - b0) * ncols].reshape(2, b1 - b0, ncols)
+        yield b0, b1, band[0], band[1]
+
+
+def _weighted_sum_band(ext, b0, b1, c0, c1, weights, acc, tmp, dst) -> None:
+    """The general update of rows ``b0:b1`` of a region, in the paper's
+    order: ``wc*C + wn*N + ws*S + ww*W + we*E`` summed left to right, 9
+    passes, into ``dst``.  ``weights`` are five band-shaped coefficient
+    arrays."""
+    wc, wn, ws, ww, we = weights
+    np.multiply(ext[b0:b1, c0:c1], wc, out=acc)
+    np.multiply(ext[b0 - 1 : b1 - 1, c0:c1], wn, out=tmp)
+    acc += tmp
+    np.multiply(ext[b0 + 1 : b1 + 1, c0:c1], ws, out=tmp)
+    acc += tmp
+    np.multiply(ext[b0:b1, c0 - 1 : c1 - 1], ww, out=tmp)
+    acc += tmp
+    np.multiply(ext[b0:b1, c0 + 1 : c1 + 1], we, out=tmp)
+    np.add(acc, tmp, out=dst)
 
 
 def _evaluate(coef: Coefficient, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -119,8 +172,10 @@ def jacobi_update_region_variable(
 ) -> np.ndarray:
     """Variable-coefficient version of
     :func:`repro.stencil.kernels.jacobi_update_region`, with the same
-    ``out`` contract and the same row bands: the coefficient fields
-    are evaluated band by band, so they too stay cache-sized.
+    ``out`` contract and its general operation order, in numpy passes
+    over row bands (:func:`_row_bands`) accumulated in contiguous
+    per-thread scratch: the coefficient fields are evaluated band by
+    band, so they too stay cache-sized.
 
     ``origin`` is the global (row, col) of ``ext[0, 0]`` so the
     coefficient fields can be evaluated at the right grid positions.
@@ -131,12 +186,12 @@ def jacobi_update_region_variable(
     r0 = rows.start
     c0, c1 = cols.start, cols.stop
     gcols = np.arange(origin[1] + c0, origin[1] + c1)
-    for b0, b1, acc, tmp in row_bands(rows, c1 - c0):
+    for b0, b1, acc, tmp in _row_bands(rows, c1 - c0):
         gr, gc = np.meshgrid(
             np.arange(origin[0] + b0, origin[0] + b1), gcols, indexing="ij"
         )
-        weighted_sum_band(ext, b0, b1, c0, c1, weights.evaluate(gr, gc),
-                          acc, tmp, out[b0 - r0 : b1 - r0])
+        _weighted_sum_band(ext, b0, b1, c0, c1, weights.evaluate(gr, gc),
+                           acc, tmp, out[b0 - r0 : b1 - r0])
     return out
 
 

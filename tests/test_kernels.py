@@ -1,14 +1,16 @@
-"""Stencil kernels: weights, vectorised updates, FLOP accounting."""
+"""Stencil kernels: weights, the compiled update and its numpy oracle, FLOP accounting."""
 
+import shutil
 import sys
 import threading
-from contextlib import contextmanager
+import warnings
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.stencil import kernels
+from repro.stencil import kernels, variable
 from repro.stencil.kernels import (
     FLOP_PER_POINT,
     StencilWeights,
@@ -16,6 +18,7 @@ from repro.stencil.kernels import (
     jacobi_update_region,
     region_flops,
 )
+from repro.stencil.variable import VariableStencilWeights, jacobi_update_region_variable
 
 
 def test_default_weights_are_laplace_jacobi():
@@ -98,18 +101,33 @@ def test_region_flops():
     assert FLOP_PER_POINT == 9  # paper's 5 multiplies + 4 adds
 
 
-# -- banded, allocation-free arithmetic: bit-identity ---------------------
+# -- the compiled kernel and its numpy oracle: bit-identity ---------------
+
+
+@contextmanager
+def numpy_kernel():
+    """Run updates on the numpy path, as a host without a compiler does."""
+    saved, kernels._lib = kernels._lib, None
+    try:
+        yield
+    finally:
+        kernels._lib = saved
+
+
+#: The loaded kernel (C where it built) and the numpy oracle.
+KERNELS = (nullcontext, numpy_kernel)
 
 
 @contextmanager
 def band_cells(cells):
-    """Shrink the band so toy-sized regions straddle several bands."""
-    saved = kernels.BAND_CELLS
-    kernels.BAND_CELLS = cells
+    """Shrink the variable path's band so toy-sized regions straddle
+    several bands."""
+    saved = variable.BAND_CELLS
+    variable.BAND_CELLS = cells
     try:
         yield
     finally:
-        kernels.BAND_CELLS = saved
+        variable.BAND_CELLS = saved
 
 
 def wide_range_values(seed, shape):
@@ -178,21 +196,21 @@ def assert_bitwise(got, want, where=None):
 
 
 @settings(max_examples=60, deadline=None)
-@given(regions(), st.integers(0, 2**16), st.sampled_from([0.25, 0.5, 2.0**-5]),
-       st.sampled_from([1, 7, 40, 10**6]))
-def test_power_of_two_weights_equal_the_nine_term_update(region, seed, w, cells):
+@given(regions(), st.integers(0, 2**16), st.sampled_from([0.25, 0.5, 2.0**-5]))
+def test_power_of_two_weights_equal_the_nine_term_update(region, seed, w):
     shape, rows, cols = region
     ext = wide_range_values(seed, shape)
     weights = StencilWeights(0.0, w, w, w, w)
     want = nine_terms(ext, weights.as_tuple(), rows, cols)
     before = ext.copy()
-    with band_cells(cells):
-        for out, check in call_forms(ext, rows, cols):
-            got = jacobi_update_region(ext, weights, rows, cols, out=out)
-            check(got)
-            assert np.array_equal(got, want)
-            # ...and bit for bit, except possibly the sign of a zero.
-            assert_bitwise(got, want, where=want != 0)
+    for kernel in KERNELS:
+        with kernel():
+            for out, check in call_forms(ext, rows, cols):
+                got = jacobi_update_region(ext, weights, rows, cols, out=out)
+                check(got)
+                assert np.array_equal(got, want)
+                # ...and bit for bit, except possibly the sign of a zero.
+                assert_bitwise(got, want, where=want != 0)
     assert ext.tobytes() == before.tobytes()
 
 
@@ -201,17 +219,102 @@ def test_power_of_two_weights_equal_the_nine_term_update(region, seed, w, cells)
        st.sampled_from([StencilWeights(0.0, 0.2, 0.2, 0.2, 0.2),
                         StencilWeights.damped_jacobi(0.8),
                         StencilWeights.heat_explicit(0.2),
-                        StencilWeights(0.0, 0.25, 0.25, 0.25, 0.5)]),
-       st.sampled_from([1, 7, 40, 10**6]))
-def test_other_weights_keep_the_nine_term_order_bitwise(region, seed, weights, cells):
+                        StencilWeights(0.0, 0.25, 0.25, 0.25, 0.5)]))
+def test_other_weights_keep_the_nine_term_order_bitwise(region, seed, weights):
     shape, rows, cols = region
     ext = wide_range_values(seed, shape)
     want = nine_terms(ext, weights.as_tuple(), rows, cols)
-    with band_cells(cells):
-        for out, check in call_forms(ext, rows, cols):
-            got = jacobi_update_region(ext, weights, rows, cols, out=out)
-            check(got)
-            assert_bitwise(got, want)
+    for kernel in KERNELS:
+        with kernel():
+            for out, check in call_forms(ext, rows, cols):
+                got = jacobi_update_region(ext, weights, rows, cols, out=out)
+                check(got)
+                assert_bitwise(got, want)
+
+
+WEIGHTS = [StencilWeights(), StencilWeights(0.0, 2.0**-5, 2.0**-5, 2.0**-5, 2.0**-5),
+           StencilWeights(0.0, 0.2, 0.2, 0.2, 0.2), StencilWeights.damped_jacobi(0.8),
+           StencilWeights(0.0, 0.25, 0.25, 0.25, 0.5)]
+
+
+@st.composite
+def shaped_regions(draw):
+    """A region of one cell, one row, one column, one touching every
+    edge of the neighbour ring, or any."""
+    (height, width), rows, cols = draw(regions())
+    kind = draw(st.sampled_from(["any", "cell", "row", "column", "edge"]))
+    if kind in ("cell", "row"):
+        rows = slice(rows.start, rows.start + 1)
+    if kind in ("cell", "column"):
+        cols = slice(cols.start, cols.start + 1)
+    if kind == "edge":
+        rows, cols = slice(1, height - 1), slice(1, width - 1)
+    return (height, width), rows, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_regions(), st.integers(0, 2**16), st.sampled_from(WEIGHTS))
+def test_c_kernel_equals_the_numpy_oracle_bit_for_bit(region, seed, weights):
+    """``tobytes()`` equality, so the sign of an exact zero counts, on
+    every call form (``out=None``, contiguous, a strided view)."""
+    shape, rows, cols = region
+    ext = wide_range_values(seed, shape)
+    got = [jacobi_update_region(ext, weights, rows, cols, out=out)
+           for out, _ in call_forms(ext, rows, cols)]
+    with numpy_kernel():
+        want = jacobi_update_region(ext, weights, rows, cols)
+    assert all(g.tobytes() == want.tobytes() for g in got)
+
+
+class CallSpy:
+    """Stands in for the compiled library and records its calls."""
+
+    def __init__(self, lib):
+        self.calls = []
+        self.laplace = self.spy(lib.laplace, "laplace")
+        self.weighted = self.spy(lib.weighted, "weighted")
+
+    def spy(self, fn, name):
+        def call(*args):
+            self.calls.append(name)
+            return fn(*args)
+        return call
+
+
+@pytest.mark.skipif(kernels._lib is None, reason="no compiled kernel on this host")
+@pytest.mark.parametrize("weights", [StencilWeights(), StencilWeights.damped_jacobi(0.8)])
+def test_unsupported_arrays_route_to_numpy(monkeypatch, weights):
+    """Only float64 with an inner stride of one element reaches the C
+    loop; anything else gets the numpy path's result, bit for bit."""
+    spy = CallSpy(kernels._lib)
+    monkeypatch.setattr(kernels, "_lib", spy)
+    base = np.random.default_rng(4).normal(size=(9, 21))  # float32-safe
+    region = (slice(1, 8), slice(1, 10))
+
+    def oracle(ext, out=None):
+        with numpy_kernel():
+            return jacobi_update_region(ext, weights, *region, out=out)
+
+    got = jacobi_update_region(base, weights, *region)
+    assert spy.calls == ["laplace" if weights == StencilWeights() else "weighted"]
+    assert got.tobytes() == oracle(base).tobytes()
+    strided = np.full((7, 18), np.nan)[:, ::2]
+    readonly = np.empty((7, 9))
+    readonly.flags.writeable = False
+    for ext, out in [(base.astype(np.float32), None),   # not float64
+                     (base[:, ::2], None),               # inner stride 16
+                     (np.asfortranarray(base), None),    # column-major
+                     (base.astype(">f8"), None),         # not native
+                     (base, strided),                    # strided out
+                     (base, np.empty((7, 9), np.float32))]:
+        spy.calls.clear()
+        got = jacobi_update_region(ext, weights, *region, out=out)
+        assert spy.calls == []
+        want = oracle(ext, None if out is None else np.empty_like(out))
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):  # numpy's own error, not a write
+        jacobi_update_region(base, weights, *region, out=readonly)
+    assert spy.calls == []
 
 
 def test_weights_alone_select_the_operation_order():
@@ -228,19 +331,30 @@ def test_weights_alone_select_the_operation_order():
 
 
 @pytest.mark.parametrize("shape,rows,cols", [
-    ((302, 302), slice(1, 301), slice(1, 301)),  # 3 bands at the real band size
+    ((302, 302), slice(1, 301), slice(1, 301)),  # 3 variable-path bands
     ((400, 3), slice(1, 399), slice(1, 2)),      # width 1
     ((3, 40002), slice(1, 2), slice(1, 40001)),  # one row wider than a band
 ])
 def test_real_band_size_shapes(shape, rows, cols):
+    """Large and thin regions: C == numpy bit for bit, and both equal
+    the nine-term update -- as the variable path does at the real size
+    of its row bands."""
     assert (rows.stop - rows.start) * (cols.stop - cols.start) > 0
     ext = wide_range_values(5, shape)
     for weights in (StencilWeights(), StencilWeights.damped_jacobi(0.7)):
         want = nine_terms(ext, weights.as_tuple(), rows, cols)
-        for out, check in call_forms(ext, rows, cols):
-            got = jacobi_update_region(ext, weights, rows, cols, out=out)
-            check(got)
-            assert_bitwise(got, want, where=want != 0)
+        results = []
+        for kernel in KERNELS:
+            with kernel():
+                for out, check in call_forms(ext, rows, cols):
+                    got = jacobi_update_region(ext, weights, rows, cols, out=out)
+                    check(got)
+                    assert_bitwise(got, want, where=want != 0)
+                    results.append(got.tobytes())
+        assert len(set(results)) == 1
+        fields = VariableStencilWeights(*weights.as_tuple())
+        got = jacobi_update_region_variable(ext, fields, rows, cols, (0, 0))
+        assert_bitwise(got, want, where=want != 0)
 
 
 def test_out_shape_is_checked_and_empty_region_returns_out():
@@ -254,16 +368,20 @@ def test_out_shape_is_checked_and_empty_region_returns_out():
 
 
 def test_scratch_is_per_thread():
-    """Two threads updating at once never share an accumulator."""
+    """Threads updating at once never share an accumulator (the
+    variable path's band scratch) or an output (the C loop, which runs
+    without the interpreter lock)."""
     ext = wide_range_values(9, (130, 130))
     rows = cols = slice(1, 129)
     weights = StencilWeights.damped_jacobi(0.6)
+    fields = VariableStencilWeights(*weights.as_tuple())
     want = nine_terms(ext, weights.as_tuple(), rows, cols)
     results = []
 
     def work():
         for _ in range(50):
             results.append(jacobi_update_region(ext, weights, rows, cols))
+            results.append(jacobi_update_region_variable(ext, fields, rows, cols, (0, 0)))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -277,7 +395,7 @@ def test_scratch_is_per_thread():
                 assert not th.is_alive()
     finally:
         sys.setswitchinterval(old)
-    assert len(results) == 200
+    assert len(results) == 400
     assert all(got.tobytes() == want.tobytes() for got in results)
 
 
@@ -289,3 +407,69 @@ def test_framed_sweep_equals_the_nine_term_update():
     want = framed.copy()
     want[rows, cols] = nine_terms(framed, weights.as_tuple(), rows, cols)
     assert_bitwise(swept, want)
+
+
+# -- building and loading the C kernel -------------------------------------
+
+
+@pytest.mark.skipif(shutil.which(kernels._CC) is None, reason="no C compiler")
+def test_kernel_builds_once_per_source_and_compiler(tmp_path, monkeypatch):
+    monkeypatch.setattr(kernels, "_CACHE_DIR", str(tmp_path / "kernels"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernels._load() is not None  # cold: compiled and published
+        (built,) = (tmp_path / "kernels").iterdir()
+        assert built.suffix == ".so"
+
+        def no_process(*args, **kwargs):
+            raise AssertionError(f"a warm load ran {args}")
+
+        # warm: loaded from the cache, with no compiler run at all
+        monkeypatch.setattr(kernels.subprocess, "run", no_process)
+        assert kernels._load() is not None
+    assert [p.name for p in (tmp_path / "kernels").iterdir()] == [built.name]
+
+
+def solve(weights):
+    from repro.core.runner import run
+    from repro.machine.machine import nacl
+    from repro.stencil.problem import JacobiProblem
+
+    problem = JacobiProblem(n=40, iterations=5, weights=weights, init=0.5)
+    return run(problem, nacl(2), impl="ca-parsec", tile=10, steps=2, backend="threads")
+
+
+@pytest.mark.parametrize("broken", ["no compiler", "unwritable cache"])
+def test_a_failed_build_falls_back_to_numpy_with_one_warning(tmp_path, monkeypatch,
+                                                            broken):
+    """No ``cc``, or a cache directory that cannot be made: the numpy
+    path runs, one warning says so, and the grids do not move."""
+    if broken == "no compiler":
+        monkeypatch.setattr(kernels, "_CC", str(tmp_path / "no-such-cc"))
+    else:
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(kernels, "_CACHE_DIR", str(tmp_path / "file" / "kernels"))
+    weights = (StencilWeights(), StencilWeights.damped_jacobi(0.8))
+    loaded = [solve(w) for w in weights]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        monkeypatch.setattr(kernels, "_lib", kernels._load())
+        fallback = [solve(w) for w in weights]
+    assert kernels._lib is None and kernels.active_kernel() == "numpy"
+    assert [str(w.message).endswith("updates run the numpy kernel") for w in caught] == [True]
+    assert caught[0].category is RuntimeWarning
+    for before, after in zip(loaded, fallback):
+        assert after.params["kernel"] == "numpy"
+        assert before.params == {**after.params, "kernel": before.params["kernel"]}
+        assert after.grid.tobytes() == before.grid.tobytes()
+
+
+def test_a_run_records_which_kernel_ran():
+    result = solve(StencilWeights())
+    assert result.params["kernel"] == kernels.active_kernel()
+    if shutil.which(kernels._CC) is not None:
+        assert result.params["kernel"] == "c"
+    from repro.core.runner import run
+    from repro.stencil.problem import JacobiProblem
+
+    assert "kernel" not in run(JacobiProblem(n=40, iterations=2), mode="simulate").params

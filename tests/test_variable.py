@@ -130,7 +130,7 @@ def test_extra_traffic_estimate():
 def test_banded_variable_update_keeps_the_operation_order_bitwise(seed, cells):
     """``out=None``, contiguous ``out`` and strided-view ``out`` all
     equal the explicit left-to-right expression, band edges included."""
-    from repro.stencil import kernels
+    from repro.stencil import variable
 
     rng = np.random.default_rng(seed)
     ext = rng.normal(size=(14, 11))
@@ -140,15 +140,15 @@ def test_banded_variable_update_keeps_the_operation_order_bitwise(seed, cells):
     want = ((((wc * ext[2:13, 1:9] + wn * ext[1:12, 1:9]) + ws * ext[3:14, 1:9])
              + ww * ext[2:13, 0:8]) + we * ext[2:13, 2:10])
     new = np.full(ext.shape, np.nan)
-    saved = kernels.BAND_CELLS
-    kernels.BAND_CELLS = cells
+    saved = variable.BAND_CELLS
+    variable.BAND_CELLS = cells
     try:
         for out in (None, np.empty((11, 8)), new[rows, cols]):
             got = jacobi_update_region_variable(ext, wavy(), rows, cols, origin, out=out)
             assert out is None or got is out
             assert got.tobytes() == want.tobytes()
     finally:
-        kernels.BAND_CELLS = saved
+        variable.BAND_CELLS = saved
     assert np.isnan(new[:2]).all() and np.isnan(new[:, 9:]).all()
     empty = np.empty((0, 8))
     assert jacobi_update_region_variable(
