@@ -2,6 +2,14 @@
 `jobs > 1` tables of docs/runtime-guide.md.)
 
     PYTHONPATH=src python benchmarks/gil_scaling.py
+    PYTHONPATH=src python benchmarks/gil_scaling.py per-cell
+
+`per-cell` prints only the compiled kernel's cost per cell, in place
+(`jacobi_update_lines`, one array) against out of place
+(`jacobi_update_region` from one framed array into another, swapped
+each sweep), on 256^2, 2048^2 and 4096^2 grids, with one thread and
+with two (each sweeping half the rows of the same arrays), allocation
+included: best of five, nanoseconds per cell and sweep.
 
 First `jacobi_update_region` over a static half/half partition of
 private tiles -- `kernel_large`'s arithmetic (2048^2 cells, 16 sweeps)
@@ -22,6 +30,7 @@ and nothing for a second worker to share.
 from __future__ import annotations
 
 import statistics
+import sys
 import threading
 import time
 
@@ -31,7 +40,7 @@ from repro.core.runner import run
 from repro.distgrid.boundary import DirichletBC
 from repro.machine.machine import nacl
 from repro.stencil import kernels
-from repro.stencil.kernels import StencilWeights, jacobi_update_region
+from repro.stencil.kernels import StencilWeights, jacobi_update_lines, jacobi_update_region
 from repro.stencil.problem import JacobiProblem
 
 CELLS, SWEEPS, REPS = 2048 * 2048, 16, 5
@@ -93,7 +102,55 @@ def runtime(label: str, problem: JacobiProblem, nodes: int, tile: int) -> None:
     print(f"{'2 / 1':>12} {two / one:>8.2f}")
 
 
+def sweep_cost(n: int, threads: int, in_place: bool) -> float:
+    """Seconds per cell and sweep of ``threads`` workers each sweeping
+    ``n // threads`` rows of one ``n^2`` grid, its arrays allocated
+    inside the timing."""
+    sweeps = max(2, 2**25 // (n * n))
+    weights = StencilWeights()
+    t0 = time.perf_counter()
+    if in_place:
+        grid = np.full((n, n), 0.5)
+        frame = np.ones(n)
+
+        def work(r0: int, r1: int) -> None:
+            rows, cols = slice(r0, r1), slice(0, n)
+            north = grid[r0 - 1] if r0 else frame
+            south = grid[r1] if r1 < n else frame
+            for _ in range(sweeps):
+                jacobi_update_lines(grid, weights, rows, cols,
+                                    (north, south, frame[: r1 - r0], frame[: r1 - r0]))
+    else:
+        pair = [np.full((n + 2, n + 2), 0.5), np.full((n + 2, n + 2), 0.5)]
+
+        def work(r0: int, r1: int) -> None:
+            rows, cols = slice(r0 + 1, r1 + 1), slice(1, n + 1)
+            for k in range(sweeps):
+                src, dst = pair[k % 2], pair[1 - k % 2]
+                jacobi_update_region(src, weights, rows, cols, out=dst[rows, cols])
+
+    bounds = [(k * n // threads, (k + 1) * n // threads) for k in range(threads)]
+    workers = [threading.Thread(target=work, args=bound) for bound in bounds]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    return (time.perf_counter() - t0) / (n * n * sweeps)
+
+
+def per_cell() -> None:
+    print(f"{'grid':>6} {'threads':>8} {'out of place':>13} {'in place':>9}  (ns a cell)")
+    for n in (256, 2048, 4096):
+        for threads in (1, 2):
+            out, into = (min(sweep_cost(n, threads, in_place) for _ in range(REPS)) * 1e9
+                         for in_place in (False, True))
+            print(f"{n:>5}² {threads:>8} {out:>13.2f} {into:>9.2f}")
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["per-cell"]:
+        per_cell()
+        sys.exit()
     bare_kernel()
     # kernel_large: 2048^2, 256^2 tiles, 16 sweeps, one node (8 row slabs a sweep)
     runtime("kernel_large", JacobiProblem(n=2048, iterations=SWEEPS, init=0.5,

@@ -12,8 +12,9 @@ tile and sweep, which is what every earlier version of this table
 divided by.  Then, in microseconds per *executed* task -- one node
 block's boundary or interior tiles for one sweep, what the real
 backends run -- executor `_prepare`, ready queue, `PayloadStore.gather`,
-the task body (plan lookup, pastes, kernel per rectangle, cuts;
-for the last sweep the kernel writing the cores into the result grid),
+the task body (plan lookup, pastes, the in-place kernel per rectangle
+with its neighbour lines, seams, cuts; for the last sweep the kernel
+writing the cores into the result grid),
 `publish`/`release` and the worker's per-task record.  Each figure is
 the median over the solve's tasks (over the last sweep's for "last
 sweep into grid"), taken three times, best kept.  On the multi-node
@@ -90,7 +91,7 @@ def one_solve(geometry: dict) -> dict[str, float]:
     # The run itself, in graph order (a legal schedule), hop by hop.
     store = PayloadStore(graph, graph.tasks.values())
     recorder = WallClockRecorder(1)
-    parts = {name: [] for name in ("gather", "plan lookup", "pastes", "kernel", "cuts",
+    parts = {name: [] for name in ("gather", "plan lookup", "pastes", "kernel", "seams", "cuts",
                                    "last sweep into grid", "stencil_task", "publish + release",
                                    "per-task record", "ring write (per message)",
                                    "ring drain (per message)")}
@@ -120,36 +121,40 @@ def one_solve(geometry: dict) -> dict[str, float]:
         parts["stencil_task"].append(kernel_dt)
         parts["publish + release"].append(post_dt)
         parts["per-task record"].append(record_dt)
-        # The body's pieces again, on the same (now cache-warm) data:
-        # every piece is idempotent.
+        # The body's pieces again, on the same (now cache-warm) data.
+        # An in-place sweep run twice is two sweeps: the values this
+        # replay leaves are not a solve's, and nothing checks them.
         dt, (plan, phase) = clock(lambda: (
             (p := kernels.plans[task.key[:-1]]), p.phases[t % steps]))
         parts["plan lookup"].append(dt)
-        read = t % 2
+        last = t + 1 == problem.iterations
 
         def pastes():
-            for producer, tag, block, dest, shape, _ in phase.pastes:
-                values = inputs[(producer + (t - 1,), tag)]
-                if values.shape == shape:
-                    kernels._halves(block)[read][dest] = values
+            for copy in phase.copies:
+                values = inputs[(copy.producer + (t - 1,), copy.tag)]
+                if values.shape == copy.shape and copy.paste is not None and not last:
+                    cells, part = copy.paste
+                    kernels._array(copy.block)[cells] = values[part]
 
         parts["pastes"].append(clock(pastes)[0])
-        if t + 1 == problem.iterations:
-            def last():
-                for rect in plan.finals:
-                    rows, cols = kernels._global(rect)
-                    kernels._update(rect, read, built.grid[rows, cols])
+        if last and not kernels.in_grid:
+            def to_grid():
+                for sweep in plan.last:
+                    rows, cols = kernels._global(sweep.rect)
+                    kernels._update(sweep, inputs, t, built.grid[rows, cols])
 
-            parts["last sweep into grid"].append(clock(last)[0])
+            parts["last sweep into grid"].append(clock(to_grid)[0])
             continue
 
         def update():
-            for rect in phase.update:
-                kernels._update(rect, read, kernels._halves(rect.block)[
-                    1 - read, rect.rows, rect.cols])
+            for sweep in phase.update:
+                kernels._update(sweep, inputs, t)
 
-        parts["kernel"].append(clock(update)[0])
-        parts["cuts"].append(clock(kernels._cut, phase.cuts, 1 - read)[0])
+        (parts["last sweep into grid"] if last else parts["kernel"]).append(clock(update)[0])
+        if last:
+            continue
+        parts["seams"].append(clock(kernels._save, phase.saves, t)[0])
+        parts["cuts"].append(clock(kernels._cut, phase.cuts)[0])
     channels.close()
     for name, samples in parts.items():
         hops[name] = median(samples) * 1e6 if samples else float("nan")

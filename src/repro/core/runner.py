@@ -80,8 +80,8 @@ def _executed_machine(machine: MachineSpec, config: RunConfig) -> MachineSpec:
     """The machine whose graph ``config.backend`` executes.  A real
     backend builds for the address spaces it really has: ``processes``
     one per node of ``machine`` (``procs`` resized it), ``threads`` one
-    for all, so a tiled run on ``threads`` is one node block -- the
-    whole grid in one framed double buffer, every flow a token.
+    for all, so a tiled run on ``threads`` is one node block -- swept
+    in place inside the result grid, every flow a token.
     ``machine`` stays the model: what faults target, what the
     simulator prices and what ``RunResult.machine`` reports."""
     if config.backend == "threads" and applies("tile", config.impl):

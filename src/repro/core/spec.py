@@ -28,10 +28,15 @@ define the rule; :meth:`StencilSpec.exchange_plan` walks them once per
 the graph builder makes its flows from it, the kernels' plans paste and
 cut by it, the schedule verifier and the forecast iterate it.
 
-Each node block owns one framed double buffer
-(:meth:`StencilSpec.buffers`) of which its tiles' extended arrays are
-windows; a tile's pads toward a tile of the same block are that tile's
-core, so only strips and corners that cross a block edge are copied.
+Every sweep updates in place, over one array per node block
+(:meth:`StencilSpec.in_grid`): the result grid itself when the grid is
+one block, else the block's framed buffer (:meth:`StencilSpec.buffers`),
+of which its tiles' extended arrays are windows.  A tile's pads toward a
+tile of the same block are that tile's core, so only strips and corners
+that cross a block edge are copied; within a block, what a neighbour
+updates in the same sweep is read from a 1-deep *seam* its writer saved
+one sweep earlier (``repro.core.dataflow``).  Seams and the lines read
+from copies are derived from :meth:`StencilSpec.exchange_plan` too.
 """
 
 from __future__ import annotations
@@ -243,6 +248,12 @@ class StencilSpec:
                 for block, (r0, c0, r1, c1, node) in spans.items()
             }
         return buffers
+
+    def in_grid(self) -> bool:
+        """Whether the grid is one node block, which then sweeps in the
+        result grid itself; with more, each block sweeps in its own
+        framed buffer (:meth:`buffers`)."""
+        return self.partition.pgrid.size == 1
 
     def geometry(self) -> dict:
         """The complete tile table, exchange plan and node buffers: a

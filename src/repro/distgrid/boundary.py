@@ -51,6 +51,17 @@ class DirichletBC:
         of real neighbours) are left untouched."""
         self.fill_outside(ext, tile.origin, nrows, ncols)
 
+    def lines(self, nrows: int, ncols: int) -> tuple[np.ndarray, ...]:
+        """The boundary values next to the grid, as the four neighbour
+        lines of its outermost cells: ``(north, south, west, east)`` --
+        row -1 and row ``nrows`` over columns ``0..ncols-1``, column -1
+        and column ``ncols`` over rows ``0..nrows-1``.  O(perimeter)."""
+        rows, cols = np.arange(nrows), np.arange(ncols)
+        return (self.evaluate(np.full(ncols, -1), cols),
+                self.evaluate(np.full(ncols, nrows), cols),
+                self.evaluate(rows, np.full(nrows, -1)),
+                self.evaluate(rows, np.full(nrows, ncols)))
+
     def frame(self, nrows: int, ncols: int, depth: int = 1) -> np.ndarray:
         """A dense (nrows + 2*depth) x (ncols + 2*depth) array holding
         boundary values on the outer frame and zeros inside; used by

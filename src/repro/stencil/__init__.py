@@ -5,7 +5,7 @@ from .cost import KernelCostModel
 from .kernels import (
     FLOP_PER_POINT,
     StencilWeights,
-    jacobi_sweep_framed,
+    jacobi_update_lines,
     jacobi_update_region,
     region_flops,
 )
@@ -13,7 +13,7 @@ from .problem import JacobiProblem
 from .reference import jacobi_reference, residual_norm
 from .variable import (
     VariableStencilWeights,
-    apply_stencil_region,
+    apply_stencil_lines,
     jacobi_update_region_variable,
 )
 
@@ -23,9 +23,9 @@ __all__ = [
     "KernelCostModel",
     "StencilWeights",
     "VariableStencilWeights",
-    "apply_stencil_region",
+    "apply_stencil_lines",
     "jacobi_reference",
-    "jacobi_sweep_framed",
+    "jacobi_update_lines",
     "jacobi_update_region",
     "jacobi_update_region_variable",
     "region_flops",

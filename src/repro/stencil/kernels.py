@@ -22,6 +22,12 @@ tested against, and as the fallback: without a compiler, when building
 or loading fails (one warning), and for arrays that are not float64
 with an inner stride of one element.  Both follow one operation order
 per weight kind, so they agree bit for bit, the sign of zero included.
+
+Two entry points share those orders.  :func:`jacobi_update_region`
+reads a region and its neighbour ring from one array and writes the
+new values elsewhere.  :func:`jacobi_update_lines` -- what the solves
+run -- updates a region in place, its four neighbour lines passed in
+from wherever they live, so a sweep needs one array, not two.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,26 +63,102 @@ SLAB_CELLS = 1 << 19
 #: The C kernel.  ``x`` points at the region's first cell and ``out``
 #: at its destination; strides are in doubles.  The operation order is
 #: the numpy path's, and ``-ffp-contract=off`` keeps the compiler from
-#: fusing a multiply and an add into one rounding.
+#: fusing a multiply and an add into one rounding.  The region's four
+#: neighbour lines come from where the caller says -- north and south
+#: rows of unit stride, west and east columns of any stride.  With
+#: ``out == x`` the update is in place: row ``i`` goes into one of two
+#: ``scratch`` rows and row ``i - 1`` is copied back, so every row is
+#: computed from the values its neighbours had before the call; any
+#: other ``out`` (which must not overlap what is read) is written
+#: directly.  A ``src`` row, when given, is added to each new row.
 _SOURCE = """\
 #include <stddef.h>
+#include <string.h>
 
-void laplace(const double *restrict x, ptrdiff_t xs, double *restrict out,
-             ptrdiff_t os, ptrdiff_t rows, ptrdiff_t cols, double w)
+typedef void row_fn(const double *up, const double *mid, const double *down,
+                    double west, double east, double *restrict now,
+                    ptrdiff_t cols, const double *w);
+
+static void laplace_row(const double *up, const double *mid, const double *down,
+                        double west, double east, double *restrict now,
+                        ptrdiff_t cols, const double *w)
 {
-    for (ptrdiff_t i = 0; i < rows; i++, x += xs, out += os)
-        for (ptrdiff_t j = 0; j < cols; j++)
-            out[j] = (((x[j - xs] + x[j + xs]) + x[j - 1]) + x[j + 1]) * w;
+    ptrdiff_t last = cols - 1;
+    if (last == 0) {
+        now[0] = (((up[0] + down[0]) + west) + east) * w[0];
+        return;
+    }
+    now[0] = (((up[0] + down[0]) + west) + mid[1]) * w[0];
+    for (ptrdiff_t j = 1; j < last; j++)
+        now[j] = (((up[j] + down[j]) + mid[j - 1]) + mid[j + 1]) * w[0];
+    now[last] = (((up[last] + down[last]) + mid[last - 1]) + east) * w[0];
 }
 
-void weighted(const double *restrict x, ptrdiff_t xs, double *restrict out,
-              ptrdiff_t os, ptrdiff_t rows, ptrdiff_t cols, double wc,
-              double wn, double ws, double ww, double we)
+static void weighted_row(const double *up, const double *mid, const double *down,
+                         double west, double east, double *restrict now,
+                         ptrdiff_t cols, const double *w)
 {
-    for (ptrdiff_t i = 0; i < rows; i++, x += xs, out += os)
-        for (ptrdiff_t j = 0; j < cols; j++)
-            out[j] = wc * x[j] + wn * x[j - xs] + ws * x[j + xs]
-                   + ww * x[j - 1] + we * x[j + 1];
+    ptrdiff_t last = cols - 1;
+    if (last == 0) {
+        now[0] = w[0] * mid[0] + w[1] * up[0] + w[2] * down[0] + w[3] * west
+               + w[4] * east;
+        return;
+    }
+    now[0] = w[0] * mid[0] + w[1] * up[0] + w[2] * down[0] + w[3] * west
+           + w[4] * mid[1];
+    for (ptrdiff_t j = 1; j < last; j++)
+        now[j] = w[0] * mid[j] + w[1] * up[j] + w[2] * down[j] + w[3] * mid[j - 1]
+               + w[4] * mid[j + 1];
+    now[last] = w[0] * mid[last] + w[1] * up[last] + w[2] * down[last]
+              + w[3] * mid[last - 1] + w[4] * east;
+}
+
+static void sweep(row_fn *row, const double *w, double *x, ptrdiff_t xs,
+                  double *out, ptrdiff_t os, ptrdiff_t rows, ptrdiff_t cols,
+                  const double *north, const double *south,
+                  const double *west, ptrdiff_t wst, const double *east,
+                  ptrdiff_t est, const double *src, ptrdiff_t ss,
+                  double *restrict scratch)
+{
+    size_t bytes = (size_t)cols * sizeof(double);
+    int in_place = out == x;
+    if (rows <= 0 || cols <= 0)
+        return;
+    for (ptrdiff_t i = 0; i < rows; i++) {
+        double *restrict now = in_place ? scratch + (i & 1) * cols : out + i * os;
+        row(i ? x + (i - 1) * xs : north, x + i * xs,
+            i + 1 < rows ? x + (i + 1) * xs : south, west[i * wst], east[i * est],
+            now, cols, w);
+        if (src)
+            for (ptrdiff_t j = 0; j < cols; j++)
+                now[j] += src[i * ss + j];
+        if (in_place && i)
+            memcpy(out + (i - 1) * os, scratch + ((i - 1) & 1) * cols, bytes);
+    }
+    if (in_place)
+        memcpy(out + (rows - 1) * os, scratch + ((rows - 1) & 1) * cols, bytes);
+}
+
+void laplace_lines(double *x, ptrdiff_t xs, double *out, ptrdiff_t os,
+                   ptrdiff_t rows, ptrdiff_t cols, const double *north,
+                   const double *south, const double *west, ptrdiff_t wst,
+                   const double *east, ptrdiff_t est, const double *src,
+                   ptrdiff_t ss, double *scratch, double w)
+{
+    sweep(laplace_row, &w, x, xs, out, os, rows, cols, north, south, west, wst,
+          east, est, src, ss, scratch);
+}
+
+void weighted_lines(double *x, ptrdiff_t xs, double *out, ptrdiff_t os,
+                    ptrdiff_t rows, ptrdiff_t cols, const double *north,
+                    const double *south, const double *west, ptrdiff_t wst,
+                    const double *east, ptrdiff_t est, const double *src,
+                    ptrdiff_t ss, double *scratch, double wc, double wn,
+                    double ws, double ww, double we)
+{
+    const double w[5] = {wc, wn, ws, ww, we};
+    sweep(weighted_row, w, x, xs, out, os, rows, cols, north, south, west, wst,
+          east, est, src, ss, scratch);
 }
 """
 
@@ -112,10 +195,12 @@ def _load() -> ctypes.CDLL | None:
         warnings.warn(f"no compiled stencil kernel ({exc} {stderr.strip()}); "
                       "updates run the numpy kernel", RuntimeWarning, stacklevel=2)
         return None
-    head = (ctypes.c_void_p, ctypes.c_ssize_t) * 2 + (ctypes.c_ssize_t,) * 2
-    lib.laplace.argtypes = head + (ctypes.c_double,)
-    lib.weighted.argtypes = head + (ctypes.c_double,) * 5
-    lib.laplace.restype = lib.weighted.restype = None
+    head = ((ctypes.c_void_p, ctypes.c_ssize_t) * 2 + (ctypes.c_ssize_t,) * 2
+            + (ctypes.c_void_p,) * 2 + (ctypes.c_void_p, ctypes.c_ssize_t) * 3
+            + (ctypes.c_void_p,))
+    lib.laplace_lines.argtypes = head + (ctypes.c_double,)
+    lib.weighted_lines.argtypes = head + (ctypes.c_double,) * 5
+    lib.laplace_lines.restype = lib.weighted_lines.restype = None
     return lib
 
 
@@ -235,19 +320,13 @@ def jacobi_update_region(
         return out
     r0, r1 = rows.start, rows.stop
     c0, c1 = cols.start, cols.stop
-    wc, wn, ws, ww, we = wts = weights.as_tuple()
-    scaled_sum = wc == 0 and wn == ws == ww == we and math.frexp(wn)[0] == 0.5
-    if _lib is not None and _flat(ext) and _flat(out) and out.flags.writeable:
-        x = ext.ctypes.data + r0 * ext.strides[0] + c0 * 8
-        xs, os_ = ext.strides[0] // 8, out.strides[0] // 8
-        if scaled_sum:
-            _lib.laplace(x, xs, out.ctypes.data, os_, *out.shape, wn)
-        else:
-            _lib.weighted(x, xs, out.ctypes.data, os_, *out.shape, *wts)
-        return out
     north, south = ext[r0 - 1 : r1 - 1, c0:c1], ext[r0 + 1 : r1 + 1, c0:c1]
     west, east = ext[r0:r1, c0 - 1 : c1 - 1], ext[r0:r1, c0 + 1 : c1 + 1]
-    if scaled_sum:
+    ring = (north[0], south[-1], west[:, 0], east[:, -1])
+    if _compiled(ext, weights, rows, cols, ring, out, None):
+        return out
+    wc, wn, ws, ww, we = weights.as_tuple()
+    if _scaled_sum(weights):
         np.add(north, south, out=out)
         out += west
         out += east
@@ -261,25 +340,151 @@ def jacobi_update_region(
     return out
 
 
+def _scaled_sum(weights: StencilWeights) -> bool:
+    """Whether ``weights`` take the ``(((N + S) + W) + E) * w`` order."""
+    wc, wn, ws, ww, we = weights.as_tuple()
+    return wc == 0 and wn == ws == ww == we and math.frexp(wn)[0] == 0.5
+
+
+def _compiled(x, weights, rows, cols, lines, target, source) -> bool:
+    """Update ``x[rows, cols]`` into ``target`` with the C loop (in
+    place when ``target`` is that region) and return True, or return
+    False when the loop cannot address ``x``, ``target`` or ``source``.
+    Lines of any layout are gathered for it (O(perimeter))."""
+    if (_lib is None or not (_flat(x) and _flat(target) and target.flags.writeable)
+            or not (source is None or _flat(source))):
+        return False
+    lines = [line if line.dtype == np.float64 and line.flags.aligned
+             and line.strides[0] % 8 == 0 and (k > 1 or line.strides[0] == 8)
+             else np.ascontiguousarray(line, np.float64)
+             for k, line in enumerate(lines)]
+    args = [x.ctypes.data + rows.start * x.strides[0] + cols.start * 8, x.strides[0] // 8,
+            target.ctypes.data, target.strides[0] // 8, *target.shape,
+            lines[0].ctypes.data, lines[1].ctypes.data,
+            lines[2].ctypes.data, lines[2].strides[0] // 8,
+            lines[3].ctypes.data, lines[3].strides[0] // 8,
+            *((None, 0) if source is None else (source.ctypes.data, source.strides[0] // 8)),
+            _thread_scratch("rows", 2 * target.shape[1]).ctypes.data]
+    if _scaled_sum(weights):
+        _lib.laplace_lines(*args, weights.north)
+    else:
+        _lib.weighted_lines(*args, *weights.as_tuple())
+    return True
+
+
 def _flat(a: np.ndarray) -> bool:
     """Whether the C loop can address ``a``: native float64, aligned,
     one element between neighbours in a row."""
     return a.dtype == np.float64 and a.strides[1] == 8 and a.flags.aligned
 
 
-def jacobi_sweep_framed(
-    framed: np.ndarray, weights: StencilWeights, depth: int = 1
+#: Cells of one window of the numpy in-place path
+#: (:func:`update_in_windows`): a band of rows with its four neighbour
+#: lines, small enough to stay in a core's L2 while its passes run.
+WINDOW_CELLS = 32768
+
+_scratch = threading.local()
+
+
+def _thread_scratch(name: str, cells: int) -> np.ndarray:
+    """This thread's scratch vector ``name`` of at least ``cells``
+    doubles; it grows to the largest request and is never pre-sized."""
+    buf = getattr(_scratch, name, None)
+    if buf is None or buf.size < cells:
+        buf = np.empty(cells)
+        setattr(_scratch, name, buf)
+    return buf
+
+
+Lines = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def lines_target(x: np.ndarray, rows: slice, cols: slice, lines: Lines,
+                 out: np.ndarray | None, source: np.ndarray | None) -> np.ndarray:
+    """Validate an update of ``x[rows, cols]`` from its neighbour
+    ``lines`` and return the array its new values go to: ``out``, or
+    the region itself."""
+    r0, r1, c0, c1 = rows.start, rows.stop, cols.start, cols.stop
+    if r0 < 0 or c0 < 0 or r1 > x.shape[0] or c1 > x.shape[1]:
+        raise IndexError(f"update region rows {r0}:{r1} cols {c0}:{c1} outside "
+                         f"array of shape {x.shape}")
+    shape = (max(0, r1 - r0), max(0, c1 - c0))
+    want = (shape[1], shape[1], shape[0], shape[0])
+    if tuple(line.shape for line in lines) != tuple((n,) for n in want):
+        raise ValueError(f"neighbour lines of shapes {[line.shape for line in lines]} "
+                         f"for a {shape} region")
+    if source is not None and source.shape != shape:
+        raise ValueError(f"source has shape {source.shape}, the region {shape}")
+    if out is None:
+        return x[r0:r1, c0:c1]
+    if out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, the region {shape}")
+    return out
+
+
+def jacobi_update_lines(
+    x: np.ndarray,
+    weights: StencilWeights,
+    rows: slice,
+    cols: slice,
+    lines: Lines,
+    out: np.ndarray | None = None,
+    source: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One full Jacobi sweep over the interior of a framed array (frame
-    of ``depth`` boundary cells); returns a new framed array with the
-    frame preserved."""
-    if framed.shape[0] <= 2 * depth or framed.shape[1] <= 2 * depth:
-        raise ValueError("framed array smaller than its frame")
-    rows = slice(depth, framed.shape[0] - depth)
-    cols = slice(depth, framed.shape[1] - depth)
-    new = framed.copy()
-    jacobi_update_region(framed, weights, rows, cols, out=new[rows, cols])
-    return new
+    """Update ``x[rows, cols]`` in place -- or into ``out`` -- from its
+    own values and the four neighbour ``lines`` around it: ``(north,
+    south, west, east)``, the row above the region, the row below, the
+    column left of it and the column right of it, each a 1-D array that
+    may sit in ``x`` itself, in a vector of boundary values or in a copy
+    received from elsewhere.  ``source``, when given, is added to every
+    new value.  Returns the array written.
+
+    Every cell is computed from the values the region and the lines had
+    before the call, with :func:`jacobi_update_region`'s two operation
+    orders, so the result is bit for bit that function's on an array
+    holding the region and its lines.  The compiled loop keeps two rows
+    of per-thread scratch; the numpy path (the oracle, and the route
+    for arrays that are not float64 with an inner stride of one
+    element) goes through :func:`update_in_windows`."""
+    target = lines_target(x, rows, cols, lines, out, source)
+    if target.size == 0 or _compiled(x, weights, rows, cols, lines, target, source):
+        return target
+
+    def update(window, wrows, wcols, dst, corner):
+        return jacobi_update_region(window, weights, wrows, wcols, out=dst)
+
+    return update_in_windows(x, rows, cols, lines, target, source, update)
+
+
+def update_in_windows(x, rows: slice, cols: slice, lines: Lines, out: np.ndarray,
+                      source: np.ndarray | None, update) -> np.ndarray:
+    """The numpy path of :func:`jacobi_update_lines`, for any weights:
+    band by band, copy the band's old values and its neighbour lines
+    into a small window (the row above the band is the previous band's
+    last old row, kept in the window) and run the out-of-place
+    ``update(window, rows, cols, dst, corner)`` on it into ``dst``, the
+    band's rows of ``out``; ``corner`` is the ``(row, col)`` of ``x``
+    at ``window[0, 0]``.  ``source`` is added band by band."""
+    r0, r1, c0, c1 = rows.start, rows.stop, cols.start, cols.stop
+    north, south, west, east = lines
+    width = c1 - c0
+    height = max(1, WINDOW_CELLS // (width + 2))
+    cells = (min(height, r1 - r0) + 2) * (width + 2)
+    window = _thread_scratch("window", cells)[:cells].reshape(-1, width + 2)
+    window[0, 1:-1] = north
+    for b0 in range(r0, r1, height):
+        b1 = min(b0 + height, r1)
+        band = window[: b1 - b0 + 2]
+        band[1:-1, 1:-1] = x[b0:b1, c0:c1]
+        band[-1, 1:-1] = x[b1, c0:c1] if b1 < r1 else south
+        band[1:-1, 0] = west[b0 - r0 : b1 - r0]
+        band[1:-1, -1] = east[b0 - r0 : b1 - r0]
+        dst = out[b0 - r0 : b1 - r0]
+        update(band, slice(1, b1 - b0 + 1), slice(1, width + 1), dst, (b0 - 1, c0 - 1))
+        if source is not None:
+            dst += source[b0 - r0 : b1 - r0]
+        window[0, 1:-1] = band[-2, 1:-1]  # the next band's north: this one's last old row
+    return out
 
 
 def region_flops(rows: slice | tuple, cols: slice | tuple) -> int:

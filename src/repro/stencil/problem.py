@@ -112,16 +112,16 @@ class JacobiProblem:
 
     def reference_solution(self) -> np.ndarray:
         """Ground-truth final grid from the single-array solver.  The
-        initial values go straight into its framed buffer, band by band
-        as the tasks load them tile by tile, so the solve holds two
-        grids (a ``source`` is one more)."""
+        initial values go straight into the array it sweeps in place,
+        band by band as the tasks load them tile by tile, so the solve
+        holds one grid (a ``source`` is one more)."""
         nrows, ncols = self.shape
         band = max(1, BAND_CELLS // ncols)
 
-        def load(interior: np.ndarray) -> None:
+        def load(grid: np.ndarray) -> None:
             for r in range(0, nrows, band):
                 rows = slice(r, min(r + band, nrows))
-                interior[rows] = self.initial_block(rows, slice(0, ncols))
+                grid[rows] = self.initial_block(rows, slice(0, ncols))
 
         return jacobi_sweeps(self.shape, load, self.weights, self.iterations, self.bc,
                              self.source_grid())

@@ -2,8 +2,17 @@
 
 Every distributed implementation (base-PaRSEC, CA-PaRSEC, PETSc-lite)
 is property-tested to produce bit-identical results to this solver,
-which performs the textbook two-buffer Jacobi sweep on one dense array
-with an explicit Dirichlet frame.
+which sweeps one dense array in place, its Dirichlet values held as the
+four neighbour lines around the grid.
+
+An in-place sweep is still the textbook Jacobi iteration, not a
+Gauss-Seidel one: :func:`~repro.stencil.variable.apply_stencil_lines`
+computes every cell from the values of the previous sweep (the kernel
+keeps the new rows in two rows of scratch until no later row reads the
+old ones) with the same operation, in the same order, as the
+out-of-place :func:`~repro.stencil.kernels.jacobi_update_region`.
+``tests/test_kernels.py`` pins the two -- and the compiled loop against
+its numpy oracle -- equal bit for bit.  A solve holds one grid.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from ..distgrid.boundary import DirichletBC
-from .variable import apply_stencil_region
+from .variable import apply_stencil_lines
 
 
 def jacobi_reference(
@@ -34,8 +43,8 @@ def jacobi_reference(
     if grid.ndim != 2:
         raise ValueError("grid must be 2-D")
 
-    def load(interior: np.ndarray) -> None:
-        interior[...] = grid
+    def load(out: np.ndarray) -> None:
+        out[...] = grid
 
     return jacobi_sweeps(grid.shape, load, weights, iterations, bc, source)
 
@@ -49,30 +58,20 @@ def jacobi_sweeps(
     source: np.ndarray | None = None,
 ) -> np.ndarray:
     """The sweeps of :func:`jacobi_reference` on a grid of ``shape``
-    whose initial values ``load(interior)`` writes into the interior of
-    the framed buffer: two framed buffers, both this call's, so the
-    solve holds two grids -- the one it reads and the one it writes --
-    and only the final one while the result is copied out."""
+    whose initial values ``load(grid)`` writes: one array, this call's,
+    swept in place and returned -- the solve holds one grid and its
+    O(rows + cols) boundary lines."""
     if iterations < 0:  # checked before anything grid-sized exists
         raise ValueError("iteration count cannot be negative")
     if source is not None and source.shape != tuple(shape):
         raise ValueError(f"source shape {source.shape} != grid {tuple(shape)}")
-    cur = (bc or DirichletBC(0.0)).frame(*shape, depth=1)
-    rows = slice(1, shape[0] + 1)
-    cols = slice(1, shape[1] + 1)
-    load(cur[rows, cols])
-    nxt = cur.copy()
+    grid = np.empty(shape)
+    load(grid)
+    lines = (bc or DirichletBC(0.0)).lines(*shape)
+    rows, cols = slice(0, shape[0]), slice(0, shape[1])
     for _ in range(iterations):
-        # Sweep from one framed buffer straight into the other's
-        # interior; [0, 0] of either is global cell (-1, -1).
-        apply_stencil_region(
-            cur, weights, rows, cols, origin=(-1, -1), out=nxt[rows, cols]
-        )
-        if source is not None:
-            nxt[rows, cols] += source
-        cur, nxt = nxt, cur
-    del nxt  # two grids, not three, while the result is copied out
-    return cur[rows, cols].copy()
+        apply_stencil_lines(grid, weights, rows, cols, lines, origin=(0, 0), source=source)
+    return grid
 
 
 def residual_norm(

@@ -10,15 +10,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.distgrid.boundary import DirichletBC
 from repro.stencil import kernels, variable
 from repro.stencil.kernels import (
     FLOP_PER_POINT,
     StencilWeights,
-    jacobi_sweep_framed,
+    jacobi_update_lines,
     jacobi_update_region,
     region_flops,
 )
-from repro.stencil.variable import VariableStencilWeights, jacobi_update_region_variable
+from repro.stencil.reference import jacobi_reference
+from repro.stencil.variable import (
+    VariableStencilWeights,
+    apply_stencil_lines,
+    jacobi_update_region_variable,
+)
 
 
 def test_default_weights_are_laplace_jacobi():
@@ -84,14 +90,16 @@ def test_empty_region():
 
 
 def test_framed_sweep_preserves_frame():
-    framed = np.zeros((6, 6))
-    framed[0, :] = framed[-1, :] = framed[:, 0] = framed[:, -1] = 1.0
-    swept = jacobi_sweep_framed(framed, StencilWeights())
-    assert np.all(swept[0, :] == 1.0) and np.all(swept[:, -1] == 1.0)
-    # Interior cells adjacent to two frame edges get 0.5.
-    assert swept[1, 1] == pytest.approx(0.5)
+    """One reference sweep of zeros inside a frame of ones: the boundary
+    stays outside the returned grid, whose corner cells (two boundary
+    neighbours) get 0.5 and edge cells 0.25."""
+    grid = np.zeros((4, 4))
+    swept = jacobi_reference(grid, StencilWeights(), 1, DirichletBC(1.0))
+    assert swept.shape == (4, 4) and not grid.any()
+    assert swept[0, 0] == swept[-1, -1] == 0.5
+    assert swept[0, 1] == swept[1, -1] == 0.25 and swept[1, 1] == 0.0
     with pytest.raises(ValueError):
-        jacobi_sweep_framed(np.zeros((2, 2)), StencilWeights())
+        jacobi_reference(np.zeros(4), StencilWeights(), 1)
 
 
 def test_region_flops():
@@ -271,8 +279,8 @@ class CallSpy:
 
     def __init__(self, lib):
         self.calls = []
-        self.laplace = self.spy(lib.laplace, "laplace")
-        self.weighted = self.spy(lib.weighted, "weighted")
+        for name in ("laplace_lines", "weighted_lines"):
+            setattr(self, name, self.spy(getattr(lib, name), name))
 
     def spy(self, fn, name):
         def call(*args):
@@ -296,7 +304,7 @@ def test_unsupported_arrays_route_to_numpy(monkeypatch, weights):
             return jacobi_update_region(ext, weights, *region, out=out)
 
     got = jacobi_update_region(base, weights, *region)
-    assert spy.calls == ["laplace" if weights == StencilWeights() else "weighted"]
+    assert spy.calls == ["laplace_lines" if weights == StencilWeights() else "weighted_lines"]
     assert got.tobytes() == oracle(base).tobytes()
     strided = np.full((7, 18), np.nan)[:, ::2]
     readonly = np.empty((7, 9))
@@ -402,11 +410,155 @@ def test_scratch_is_per_thread():
 def test_framed_sweep_equals_the_nine_term_update():
     framed = wide_range_values(2, (9, 12))
     weights = StencilWeights.damped_jacobi(0.9)
-    swept = jacobi_sweep_framed(framed, weights, depth=2)
-    rows, cols = slice(2, 7), slice(2, 10)
-    want = framed.copy()
-    want[rows, cols] = nine_terms(framed, weights.as_tuple(), rows, cols)
-    assert_bitwise(swept, want)
+    bc = DirichletBC(lambda r, c: framed[r + 1, c + 1])
+    swept = jacobi_reference(framed[1:-1, 1:-1], weights, 1, bc)
+    assert_bitwise(swept, nine_terms(framed, weights.as_tuple(), slice(1, 8), slice(1, 11)))
+
+
+# -- the in-place update: C, its numpy oracle and the out-of-place update agree --
+
+
+@contextmanager
+def window_cells(cells):
+    """Shrink the numpy in-place path's windows so toy regions straddle
+    several of them."""
+    saved = kernels.WINDOW_CELLS
+    kernels.WINDOW_CELLS = cells
+    try:
+        yield
+    finally:
+        kernels.WINDOW_CELLS = saved
+
+
+def ring_lines(x, rows, cols):
+    """The four neighbour lines of ``x[rows, cols]`` as views of ``x``:
+    unit-stride rows, strided columns."""
+    r0, r1, c0, c1 = rows.start, rows.stop, cols.start, cols.stop
+    return x[r0 - 1, c0:c1], x[r1, c0:c1], x[r0:r1, c0 - 1], x[r0:r1, c1]
+
+
+def in_place_results(ext, rows, cols, update, source):
+    """``update(x, lines, out)`` on a copy of ``ext`` three ways -- lines
+    viewing the array, lines as separate vectors, into an ``out`` --
+    each checked to touch nothing else; yields the new region values."""
+    for separate in (False, True):
+        x = ext.copy()
+        lines = ring_lines(x, rows, cols)
+        if separate:
+            lines = tuple(line.copy() for line in lines)
+        got = update(x, lines, None)
+        assert got.base is x or got.base is x.base
+        outside = np.ones(ext.shape, bool)
+        outside[rows, cols] = False
+        assert x[outside].tobytes() == ext[outside].tobytes()
+        yield x[rows, cols].copy()
+    x = ext.copy()
+    out = np.full((rows.stop - rows.start, cols.stop - cols.start), np.nan)
+    assert update(x, ring_lines(x, rows, cols), out) is out
+    assert x.tobytes() == ext.tobytes()
+    yield out
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_regions(), st.integers(0, 2**16), st.sampled_from(WEIGHTS), st.booleans(),
+       st.sampled_from([32768, 7]))
+def test_in_place_c_numpy_and_out_of_place_agree_bit_for_bit(region, seed, weights, forced,
+                                                             window):
+    """``tobytes()`` equality -- the sign of an exact zero counts --
+    between the out-of-place update plus source and the in-place one,
+    compiled and numpy (in windows of any size), with lines from the
+    array itself, from vectors and into an ``out``; and the same for
+    variable weights, against the out-of-place variable update."""
+    shape, rows, cols = region
+    ext = wide_range_values(seed, shape)
+    region_shape = (rows.stop - rows.start, cols.stop - cols.start)
+    source = wide_range_values(seed + 1, region_shape) if forced else None
+    want = jacobi_update_region(ext, weights, rows, cols)
+    fields = VariableStencilWeights(*weights.as_tuple())
+    want_variable = jacobi_update_region_variable(ext, fields, rows, cols, (0, 0))
+    if source is not None:
+        want += source
+        want_variable += source
+    with window_cells(window):
+        for kernel in KERNELS:
+            with kernel():
+                for got in in_place_results(ext, rows, cols, lambda x, lines, out: (
+                        jacobi_update_lines(x, weights, rows, cols, lines, out, source)),
+                        source):
+                    assert got.tobytes() == want.tobytes()
+                for got in in_place_results(ext, rows, cols, lambda x, lines, out: (
+                        apply_stencil_lines(x, fields, rows, cols, lines, (0, 0), out,
+                                            source)), source):
+                    assert got.tobytes() == want_variable.tobytes()
+
+
+def test_in_place_sweeps_are_jacobi_not_gauss_seidel():
+    """Sweeping one array in place twice is two out-of-place sweeps:
+    each row is computed from the previous sweep's values above it."""
+    ext = wide_range_values(3, (40, 33))
+    rows, cols = slice(1, 39), slice(1, 32)
+    weights = StencilWeights.damped_jacobi(0.7)
+    want = ext.copy()
+    for _ in range(2):
+        want[rows, cols] = jacobi_update_region(want, weights, rows, cols)
+    for kernel in KERNELS:
+        with kernel(), window_cells(64):
+            x = ext.copy()
+            for _ in range(2):
+                jacobi_update_lines(x, weights, rows, cols, ring_lines(x, rows, cols))
+            assert x.tobytes() == want.tobytes()
+
+
+def test_in_place_lines_are_checked():
+    x = np.ones((5, 6))
+    rows, cols = slice(1, 4), slice(1, 5)
+    lines = ring_lines(x, rows, cols)
+    with pytest.raises(ValueError, match="neighbour lines"):
+        jacobi_update_lines(x, StencilWeights(), rows, cols, lines[:3] + (np.ones(4),))
+    with pytest.raises(IndexError):
+        jacobi_update_lines(x, StencilWeights(), slice(3, 6), cols, lines)
+    with pytest.raises(ValueError, match="source"):
+        jacobi_update_lines(x, StencilWeights(), rows, cols, lines, source=np.ones((3, 3)))
+    empty = jacobi_update_lines(x, StencilWeights(), slice(2, 2), cols,
+                                (np.ones(4), np.ones(4), np.ones(0), np.ones(0)))
+    assert empty.shape == (0, 4)
+
+
+@pytest.mark.skipif(kernels._lib is None, reason="no compiled kernel on this host")
+@pytest.mark.parametrize("weights", [StencilWeights(), StencilWeights.damped_jacobi(0.8)])
+def test_unsupported_arrays_route_the_in_place_update_to_numpy(monkeypatch, weights):
+    """Only float64 arrays with an inner stride of one element reach
+    the in-place C loop (lines of any layout are gathered for it);
+    anything else gets the numpy path's result, bit for bit."""
+    spy = CallSpy(kernels._lib)
+    monkeypatch.setattr(kernels, "_lib", spy)
+    base = np.random.default_rng(4).normal(size=(9, 21))  # float32-safe
+    rows, cols = slice(1, 8), slice(1, 10)
+    name = "laplace_lines" if weights == StencilWeights() else "weighted_lines"
+
+    def update(make, out=None, lines=None):
+        x = make()
+        lines = ring_lines(x, rows, cols) if lines is None else lines
+        return jacobi_update_lines(x, weights, rows, cols, lines,
+                                   None if out is None else out.copy()).copy()
+
+    def oracle(make, out=None, lines=None):
+        with numpy_kernel():
+            return update(make, out, lines)
+
+    odd_lines = tuple(line.astype(np.float32) for line in ring_lines(base, rows, cols))
+    for out, lines in [(None, None), (None, odd_lines),
+                       (np.full((14, 9), np.nan)[::2], None)]:  # strided out rows
+        spy.calls.clear()
+        assert update(base.copy, out, lines).tobytes() == oracle(base.copy, out, lines).tobytes()
+        assert spy.calls == [name]
+    for make in [lambda: base.astype(np.float32),   # not float64
+                 lambda: base.copy()[:, ::2],         # inner stride 16
+                 lambda: np.asfortranarray(base),     # column-major
+                 lambda: base.astype(">f8")]:         # not native
+        spy.calls.clear()
+        assert update(make).tobytes() == oracle(make).tobytes()
+        assert spy.calls == []
 
 
 # -- building and loading the C kernel -------------------------------------

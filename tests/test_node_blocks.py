@@ -1,7 +1,7 @@
 """The real backends execute node blocks, not tiles (``repro.core.dataflow``).
 
 Per node and sweep one task runs the node's boundary tiles and one its
-interior tiles, over one framed double buffer per node block; a part
+interior tiles, in place over one array per node block; a part
 of at least twice ``SLAB_CELLS`` cells is cut into row slabs, one task
 each, so a node's workers share its sweep.  Remote strips and corners
 stay one flow per message of the paper's graph.  These tests pin that
@@ -9,9 +9,10 @@ the grids are the reference's on every shape and backend, that the
 executed graph has one task per part or slab, node and sweep (the
 simulator keeps one per tile) whatever the worker count, that its
 census is the declared one, that a block's buffer is allocated once,
-and that a sweep never overwrites the half a task of the previous
-sweep still reads.  ``threads`` has one address space and runs the
-grid as one node block, whose faults still land on the modelled nodes.
+and that a sweep never overwrites a cell or a seam a task of the
+previous sweep still reads.  ``threads`` has one address space and runs
+the grid as one node block, swept in the result grid, whose faults
+still land on the modelled nodes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from repro.chaos import ChaosContext, FaultInjector, harness, parse_plan, run_wi
 from repro.core import dataflow
 from repro.core.base_parsec import build_base_graph
 from repro.core.ca_parsec import build_ca_graph
-from repro.core.dataflow import TEMPLATES
 from repro.core.runner import run
 from repro.distgrid.boundary import DirichletBC
 from repro.distgrid.partition import GridPartition, ProcessGrid
@@ -43,6 +43,7 @@ from repro.stencil.problem import JacobiProblem
 from repro.stencil.variable import VariableStencilWeights
 
 from .conftest import random_problem
+from .test_seams import check_plans, slab_cells
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")
 pytestmark = pytest.mark.timeout(300)
@@ -298,14 +299,12 @@ def test_two_workers_share_a_nodes_sweep():
 
 
 @pytest.fixture
-def small_slabs(monkeypatch):
+def small_slabs():
     """Every part cut into as many slabs as it has tile rows, on shapes
-    small enough to run every backend: a template holds the lowered
-    graph, so both sides of the test start cold."""
-    monkeypatch.setattr(dataflow, "SLAB_CELLS", 1)
-    TEMPLATES.clear()
-    yield
-    TEMPLATES.clear()
+    small enough to run every backend (``test_seams.slab_cells``, which
+    the hypothesis tests there use directly)."""
+    with slab_cells(1):
+        yield
 
 
 @pytest.mark.parametrize("shape,variant", [("square", "base"), ("odd", "ca3"),
@@ -404,12 +403,17 @@ def fast_switching():
 
 def check_write_after_read(built, truth, label) -> None:
     """Run ``built`` on four workers; each of a node's tasks at t+1 must
-    start after all of its tasks at t ended, and the grid is ``truth``."""
+    start after all of its tasks at t ended -- in particular after every
+    task whose cells or seams it overwrites (``check_plans``) -- and the
+    grid is ``truth``."""
+    pairs = check_plans(built)
     spans = Spans()
     for task in built.graph:
         spans.wrap(task)
     report = ThreadedExecutor(built.graph, jobs=4, policy="fifo").run(timeout=120)
     assert np.array_equal(built.assemble_grid(report.results), truth), label
+    for reader, writer in pairs:
+        assert spans.spans[reader][1] <= spans.spans[writer][0], (label, reader, writer)
     for key, (start, _) in spans.spans.items():
         node, t = built.graph[key].node, key[-1]
         for other, (_, end) in spans.spans.items():
@@ -417,12 +421,12 @@ def check_write_after_read(built, truth, label) -> None:
                 assert end <= start, (label, other, key)
 
 
-def test_a_sweep_never_overwrites_a_half_the_previous_sweep_still_reads(fast_switching):
-    """Sweep t+1 writes the half sweep t-1 wrote and sweep t reads: each
-    of a node's tasks at t+1 must start after all of its tasks at t
-    ended.  Four workers and a 10 us switch interval interleave the
-    interior and boundary tasks of four nodes as much as this host can;
-    every rep must still be the reference."""
+def test_a_sweep_never_overwrites_a_cell_the_previous_sweep_still_reads(fast_switching):
+    """Sweep t+1 overwrites in place the cells sweep t read, and the
+    seams sweep t - 1 saved: each of a node's tasks at t+1 must start
+    after all of its tasks at t ended.  Four workers and a 10 us switch
+    interval interleave the interior and boundary tasks of four nodes as
+    much as this host can; every rep must still be the reference."""
     problem = random_problem(32, 9, seed=5)
     truth = problem.reference_solution()
     for rep in range(20):
@@ -433,7 +437,7 @@ def test_a_sweep_never_overwrites_a_half_the_previous_sweep_still_reads(fast_swi
 
 
 @pytest.mark.parametrize("shape", SLABBED)
-def test_a_slab_never_overwrites_a_half_the_previous_sweep_still_reads(fast_switching, shape):
+def test_a_slab_never_overwrites_a_cell_still_read(fast_switching, shape):
     problem, _ = slabbed(shape, 4)
     rows, cols, nodes, pgrid, tile = SLABBED[shape]
     truth = problem.reference_solution()
@@ -445,7 +449,8 @@ def test_a_slab_never_overwrites_a_half_the_previous_sweep_still_reads(fast_swit
 @pytest.mark.parametrize("shape,reps", [("one-node", 4), ("square", 20)])
 def test_a_node_buffer_is_allocated_and_framed_once(fast_switching, monkeypatch, shape, reps):
     """Every task of a block may be the first to touch its buffer; one
-    of them frames each half, once."""
+    of them frames it, once.  A grid that is one block has no buffer:
+    it sweeps in the result grid, and nothing is framed."""
     if shape in SLABBED:
         problem, _ = slabbed(shape, 1)
         _, _, nodes, pgrid, tile = SLABBED[shape]
@@ -455,17 +460,18 @@ def test_a_node_buffer_is_allocated_and_framed_once(fast_switching, monkeypatch,
     bc = type(problem.bc)
     fill_outside, framed, lock = bc.fill_outside, Counter(), threading.Lock()
 
-    def counted(self, half, origin, *grid):
+    def counted(self, buffer, origin, *grid):
         with lock:
             framed[origin] += 1
-        return fill_outside(self, half, origin, *grid)
+        return fill_outside(self, buffer, origin, *grid)
 
     monkeypatch.setattr(bc, "fill_outside", counted)
     for rep in range(reps):
         built = build_base_graph(problem, nacl(nodes), tile=tile, pgrid=pgrid)
         ThreadedExecutor(built.graph, jobs=4, policy="fifo").run(timeout=120)
-        blocks = [buffer.origin for buffer in built.spec.buffers().values()]
-        assert framed == Counter({origin: 2 for origin in blocks}), rep
+        blocks = [] if built.spec.in_grid() else [
+            buffer.origin for buffer in built.spec.buffers().values()]
+        assert framed == Counter({origin: 1 for origin in blocks}), rep
         framed.clear()
 
 
@@ -474,8 +480,8 @@ def test_a_node_buffer_is_allocated_and_framed_once(fast_switching, monkeypatch,
 
 def test_threads_runs_the_serve_mix_geometry_as_one_node_block(monkeypatch):
     """``serve_mix``'s request (256^2, 8 sweeps, tile 32, modelled on
-    nacl(4)): 9 tasks, one buffer, every flow a token and nothing but
-    tokens published."""
+    nacl(4)): 9 tasks, no buffer (the block sweeps in the result grid),
+    every flow a token and nothing but tokens published."""
     allocated = []
     allocate = dataflow.StencilKernels._allocate
     monkeypatch.setattr(dataflow.StencilKernels, "_allocate",
@@ -495,7 +501,7 @@ def test_threads_runs_the_serve_mix_geometry_as_one_node_block(monkeypatch):
                  on_executor=recording)
     assert np.array_equal(result.grid, problem.reference_solution())
     assert len(result.graph) == result.engine.tasks_run == 9
-    assert allocated == [(0, 0)]
+    assert allocated == []
     assert all(flow.nbytes == 0 for task in result.graph for flow in task.inputs)
     assert result.graph.census().remote_messages == result.engine.messages == 0
     assert len(published) == 9 and not any(isinstance(p, np.ndarray) for p in published)
@@ -517,16 +523,17 @@ def test_threads_tasks_and_grids_do_not_depend_on_jobs(small_slabs, shape, varia
 
 
 @pytest.mark.parametrize("variant", ["base", "ca3"])
-def test_the_one_buffer_and_its_slabs_never_overwrite_a_half_still_read(
+def test_the_one_array_and_its_slabs_never_overwrite_a_cell_still_read(
         small_slabs, fast_switching, variant):
-    """What ``threads`` runs for a four-node model: one buffer, here cut
-    into a slab per tile row, on four workers."""
+    """What ``threads`` runs for a four-node model: one block swept in
+    the result grid, here cut into a slab per tile row, on four
+    workers."""
     problem = random_problem(32, 9, seed=8)
     truth = problem.reference_solution()
     builder = build_ca_graph if VARIANTS[variant] else build_base_graph
     for rep in range(10):
         built = builder(problem, nacl(1), tile=4, **VARIANTS[variant])
-        assert len(built.spec.buffers()) == 1 and len(built.kernels.plans) == 8
+        assert built.spec.in_grid() and len(built.kernels.plans) == 8
         check_write_after_read(built, truth, rep)
 
 

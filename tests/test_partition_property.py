@@ -166,10 +166,10 @@ def test_exchange_plan_sends_exactly_what_is_received(spec):
         received = 0
         for prefix, task_plan in kernels.plans.items():
             for phase, step in enumerate(task_plan.phases):
-                for paste in step.pastes:
-                    cells = _cells(origin[paste.block], paste.dest)
-                    assert sent[(paste.producer, phase, paste.tag)] == cells
-                    assert (cells[1] - cells[0], cells[3] - cells[2]) == paste.shape
+                for copy in step.copies:
+                    cells = _cells(origin[copy.block], copy.dest)
+                    assert sent[(copy.producer, phase, copy.tag)] == cells
+                    assert (cells[1] - cells[0], cells[3] - cells[2]) == copy.shape
                     received += 1
         assert received == len(sent)
         if kernels is built.kernels:  # within a buffer: the block graph's token edges

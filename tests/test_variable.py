@@ -12,7 +12,7 @@ from repro.stencil.problem import JacobiProblem
 from repro.stencil.reference import jacobi_reference
 from repro.stencil.variable import (
     VariableStencilWeights,
-    apply_stencil_region,
+    apply_stencil_lines,
     jacobi_update_region_variable,
 )
 
@@ -56,14 +56,21 @@ def test_origin_shifts_coefficients():
     assert np.allclose(at10 - at0, 10.0)
 
 
-def test_apply_stencil_region_dispatch():
+def test_apply_stencil_lines_dispatch():
+    """Constant weights ignore the origin, variable ones are evaluated
+    at it; anything else is refused."""
     ext = np.random.default_rng(2).normal(size=(6, 6))
+    rows, cols = slice(1, 5), slice(1, 5)
+    lines = (ext[0, 1:5], ext[5, 1:5], ext[1:5, 0], ext[1:5, 5])
     const = StencilWeights()
-    got = apply_stencil_region(ext, const, slice(1, 5), slice(1, 5), origin=(3, 3))
-    want = jacobi_update_region(ext, const, slice(1, 5), slice(1, 5))
-    assert np.array_equal(got, want)
+    got = apply_stencil_lines(ext.copy(), const, rows, cols, lines, origin=(3, 3))
+    assert np.array_equal(got, jacobi_update_region(ext, const, rows, cols))
+    var = wavy()
+    got = apply_stencil_lines(ext.copy(), var, rows, cols, lines, origin=(3, 3))
+    want = jacobi_update_region_variable(ext, var, rows, cols, origin=(3, 3))
+    assert got.tobytes() == want.tobytes()
     with pytest.raises(TypeError):
-        apply_stencil_region(ext, object(), slice(1, 5), slice(1, 5), (0, 0))
+        apply_stencil_lines(ext, object(), rows, cols, lines, (0, 0))
 
 
 def test_field_shape_validated():
