@@ -46,7 +46,7 @@ import argparse
 import sys
 
 from .analysis.tables import format_table
-from .core.config import APPLIES, BACKENDS, IMPLEMENTATIONS, SERVE, RunConfig
+from .core.config import APPLIES, BACKENDS, IMPLEMENTATIONS, SERVE, RunConfig, pipeline_arg
 from .core.runner import run
 from .exec.backends import MEASURED_BACKENDS
 from .machine.machine import preset
@@ -148,9 +148,9 @@ def _add_trace_diff_parser(sub: argparse._SubParsersAction) -> None:
     _add_problem_flags(p, n=23040, iterations=8, nodes=16)
     # ratio 0.2: the paper's profiled run is comm-bound.
     RunConfig.add_flags(p, omit=("impl", "passes"), tile=288, ratio=0.2)
-    p.add_argument("--passes-a", default=None, metavar="SPEC",
+    p.add_argument("--passes-a", default=None, metavar="SPEC", type=pipeline_arg,
                    help="IR rewrite pipeline for side A")
-    p.add_argument("--passes-b", default=None, metavar="SPEC",
+    p.add_argument("--passes-b", default=None, metavar="SPEC", type=pipeline_arg,
                    help="IR rewrite pipeline for side B")
     p.add_argument("--top", type=int, default=5,
                    help="task movers to list")
@@ -315,10 +315,11 @@ def _add_ir_parser(sub: argparse._SubParsersAction) -> None:
         help="rewrite a task graph through an IR pass pipeline and "
              "report the before/after evidence",
     )
-    p.add_argument("--passes", required=True, metavar="SPEC",
-                   help="pipeline spec, e.g. 'fuse,coarsen:factor=4' "
-                        "(passes: %s)" % ", ".join(
-                            ("fuse", "coarsen", "latency", "ca")))
+    from .ir.pipeline import PASSES
+
+    p.add_argument("--passes", required=True, metavar="SPEC", type=pipeline_arg,
+                   help="pipeline spec, e.g. 'coarsen:factor=4' "
+                        "(passes: %s)" % ", ".join(PASSES))
     _add_problem_flags(p, n=192, iterations=8)
     RunConfig.add_flags(p, omit=("backend", "jobs", "procs", "passes"),
                         impl="ca-parsec", steps=4)

@@ -74,6 +74,21 @@ def int_or_auto(value: str) -> int | str:
     return value if value == "auto" else int(value)
 
 
+def pipeline_arg(value: str) -> str:
+    """CLI type of ``--passes``: a pipeline spec that parses, kept as
+    spelled; one that does not is a usage error (exit 2) naming the
+    passes there are."""
+    from ..ir import canonical_pipeline
+
+    try:
+        canonical_pipeline(value)
+    except ValueError as exc:
+        import argparse
+
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def _knob(default, doc: str, role: str = SCHEDULE, faces: tuple = (),
           cli: dict | None = None):
     """One field: its default, its one-line meaning (also its ``--help``
@@ -146,9 +161,9 @@ class RunConfig:
               "which runs the grid as one node block)")
     passes: str | None = _knob(
         None, "IR rewrite pipeline applied to the built graph, e.g. "
-              "'fuse,coarsen:factor=4' (see docs/ir.md); canonicalised "
+              "'coarsen:factor=4' (see docs/ir.md); canonicalised "
               "on construction",
-        ANSWER, (SERVE,), dict(metavar="SPEC"))
+        ANSWER, (SERVE,), dict(metavar="SPEC", type=pipeline_arg))
     mode: str = _knob(
         "simulate", "fidelity of backend 'sim': 'simulate' = timing-only "
                     "graph, any problem size; 'execute' = real kernels on "

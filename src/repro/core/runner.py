@@ -230,7 +230,7 @@ def run(
 
     ``passes`` rewrites the built graph through the IR pass pipeline
     (:mod:`repro.ir`) before any backend sees it -- e.g.
-    ``passes="fuse,coarsen:factor=4"``.  Every pass is verified
+    ``passes="coarsen:factor=4"``.  Every pass is verified
     against its declared invariants, the per-pass evidence lands in
     ``result.pass_reports``, and the canonical pipeline spec is
     recorded in ``result.params["passes"]``.  Mutually exclusive with

@@ -2,12 +2,13 @@
 
 The builders in :mod:`repro.core` produce a task graph; this package
 treats that graph as an intermediate representation and rewrites it
-through a configurable pass pipeline -- tile fusion, coarsening,
-latency tolerance, CA insertion -- each pass emitting a
-machine-checkable :class:`~repro.ir.report.PassReport` and each
-verified against the invariants it claims to preserve.
+through a configurable pass pipeline -- CA insertion (the paper's
+future-work transform) and coarsening (message coalescing) -- each
+pass emitting a machine-checkable
+:class:`~repro.ir.report.PassReport` and each verified against the
+invariants it claims to preserve.
 
-Entry points: ``run(..., passes="fuse,coarsen:factor=4")``,
+Entry points: ``run(..., passes="coarsen:factor=4")``,
 ``repro run --passes ...`` and ``repro ir`` on the CLI, and the
 ``passes`` axis of the autotuner.
 """
@@ -15,8 +16,6 @@ Entry points: ``run(..., passes="fuse,coarsen:factor=4")``,
 from .ca import CAInsertionPass
 from .coarsen import CoarsenPass
 from .core import GraphPass, PassContext, PassError
-from .fuse import FusePass
-from .latency import LatencyPass
 from .pipeline import (
     INVARIANTS,
     PASSES,
@@ -27,7 +26,6 @@ from .pipeline import (
 )
 from .report import GraphStats, PassReport, PipelineReport
 from .rewrite import (
-    FusedKernel,
     PackedPayload,
     SuperKernel,
     UnpackKernel,
@@ -40,12 +38,9 @@ from .rewrite import (
 __all__ = [
     "CAInsertionPass",
     "CoarsenPass",
-    "FusePass",
-    "FusedKernel",
     "GraphPass",
     "GraphStats",
     "INVARIANTS",
-    "LatencyPass",
     "PASSES",
     "PackedPayload",
     "PassContext",

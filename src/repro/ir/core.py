@@ -56,7 +56,7 @@ class GraphPass:
     instance may run inside several pipelines.
     """
 
-    #: Registry name, also the head of the spec string (``"fuse"``).
+    #: Registry name, also the head of the spec string (``"coarsen"``).
     name: str = "?"
 
     #: Invariants the manager verifies after this pass.

@@ -1,10 +1,10 @@
 """Pass registry, pipeline-spec parsing and the verifying manager.
 
-A pipeline is written ``"fuse,coarsen:factor=4,latency:horizon=3"``:
+A pipeline is written ``"ca:steps=4,coarsen:factor=4"``:
 comma-separated pass specs, each ``name[:key=value[,key=value...]]``.
 A comma segment that contains ``=`` but no ``:`` continues the
-previous pass's parameter list, so ``latency:horizon=3,boost=2`` is
-one pass with two parameters, not two passes.
+previous pass's parameter list, so ``name:a=1,b=2`` is one pass with
+two parameters, not two passes.
 
 :class:`PassManager` runs the passes in order and, after every one,
 re-finalizes the rewritten graph with full validation, proves it
@@ -24,17 +24,13 @@ from ..runtime.graph import GraphError, TaskGraph
 from .ca import CAInsertionPass
 from .coarsen import CoarsenPass
 from .core import GraphPass, PassContext, PassError
-from .fuse import FusePass
-from .latency import LatencyPass
 from .report import GraphStats, PassReport, PipelineReport
 from .rewrite import terminal_outputs
 
 #: Registry of spec-addressable passes.
 PASSES: dict[str, type[GraphPass]] = {
-    FusePass.name: FusePass,
-    CoarsenPass.name: CoarsenPass,
-    LatencyPass.name: LatencyPass,
     CAInsertionPass.name: CAInsertionPass,
+    CoarsenPass.name: CoarsenPass,
 }
 
 

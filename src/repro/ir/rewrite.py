@@ -1,10 +1,10 @@
 """Shared rewrite machinery: graph rebuilding, payload packing and
-the composite kernels the structural passes emit.
+the composite kernels the coarsening pass emits.
 
 The execution contract every backend honours (engine, threads,
 processes) is ``kernel(inputs, task) -> {tag: payload}`` with inputs
 keyed ``(producer_key, tag)``.  Rewrites that merge tasks or coalesce
-flows must keep *member* kernels oblivious: a fused or coarsened task
+flows must keep *member* kernels oblivious: a coarsened super-task
 runs its original member kernels against the original key space, and
 a :class:`PackedPayload` -- the aggregated payload of one coalesced
 flow -- is transparently expanded back into original keys by
@@ -67,7 +67,7 @@ def _member_inputs(store: dict, member: Task) -> dict:
             gathered[key] = None
         else:
             raise RuntimeError(
-                f"payload {key!r} missing when fused member "
+                f"payload {key!r} missing when member "
                 f"{member.key!r} started"
             )
     return gathered
@@ -84,32 +84,6 @@ def _run_member(store: dict, member: Task) -> None:
         if isinstance(payload, np.ndarray):
             payload.setflags(write=False)
         store[(member.key, tag)] = payload
-
-
-class FusedKernel:
-    """Kernel of a fused producer->consumer chain.
-
-    Runs the member kernels in dependency order inside one task;
-    intermediate payloads never leave the composite, only the chain
-    root's outputs do (the fused task keeps the root's key, so
-    downstream consumers and terminal results are untouched).
-    """
-
-    __slots__ = ("members", "root_key")
-
-    def __init__(self, members: tuple[Task, ...], root_key: TaskKey) -> None:
-        self.members = members
-        self.root_key = root_key
-
-    def __call__(self, inputs: Mapping, task: Task) -> dict:
-        store = expand_inputs(inputs)
-        for member in self.members:
-            _run_member(store, member)
-        return {
-            tag: payload
-            for (key, tag), payload in store.items()
-            if key == self.root_key
-        }
 
 
 class SuperKernel:

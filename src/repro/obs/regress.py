@@ -300,7 +300,7 @@ def measure_ir_passes(
     steps: int = 4,
     iterations: int = 8,
     impl: str = "ca-parsec",
-    passes: str = "fuse,coarsen:factor=4",
+    passes: str = "coarsen:factor=4",
 ) -> dict[str, float]:
     """Deterministic simulated before/after comparison for a rewrite
     pipeline: the measurement behind ``BENCH_ir.json``.
@@ -413,8 +413,8 @@ def measure_bench_tuning(
         "fig6_nacl": lambda s: fig6(s, NACL),
         "fig6_stampede2": lambda s: fig6(s, STAMPEDE2),
         "fig9_nacl_16n_r02": fig9,
-        "ir_fuse_coarsen": lambda s: ir(s, "ca-parsec"),
-        "ir_fuse_coarsen_base": lambda s: ir(s, "base-parsec"),
+        "ir_coarsen": lambda s: ir(s, "ca-parsec"),
+        "ir_coarsen_base": lambda s: ir(s, "base-parsec"),
     }
     for section in sorted(wanted):
         runner = runners.get(section)

@@ -100,6 +100,13 @@ class TuningCache:
         entry = self._load().get(cache_key(machine, problem, backend, impl, extra))
         if entry is None or not all(f in entry for f in REQUIRED_FIELDS):
             return None
+        if entry.get("passes"):
+            from ..ir import canonical_pipeline
+
+            try:
+                canonical_pipeline(entry["passes"])
+            except ValueError:
+                return None  # names a pass this version lacks: re-tune
         return entry
 
     def put(

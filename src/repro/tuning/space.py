@@ -298,12 +298,11 @@ class SearchSpace:
         policies = tuple(sorted(POLICIES)) if wide else ("priority",)
         overlaps = (False, True) if wide else (True,)
         bprios = (False, True) if wide else (True,)
-        # The IR rewrite ladder: no rewrite, structural cleanup, and
-        # two coarsening granularities (the 'ca' pass is excluded by
-        # design -- the steps axis owns CA depth).
+        # The IR rewrite ladder: no rewrite and two coarsening
+        # granularities (the 'ca' pass is excluded by design -- the
+        # steps axis owns CA depth).
         pipelines = (
-            ("", "fuse", "fuse,coarsen:factor=4", "fuse,coarsen:factor=8")
-            if wide else ("",)
+            ("", "coarsen:factor=4", "coarsen:factor=8") if wide else ("",)
         )
         return cls(
             tiles=_thin_geometric(tiles, max_tiles),

@@ -150,14 +150,14 @@ def test_stats_section_serve_writes_and_checks_baseline(tmp_path, capsys):
 #: with the extra argv it cannot parse without.
 RUN_SHAPED = {
     "run": [], "stats": [], "trace-diff": [],
-    "ir": ["--passes", "latency"], "chaos": ["--plan", "kill:node=1,step=1"],
+    "ir": ["--passes", "coarsen"], "chaos": ["--plan", "kill:node=1,step=1"],
     "serve": [], "submit": [], "slo": [],
 }
 #: A non-default value per knob flag, so a mis-wired flag cannot hide
 #: behind a default.
 FLAG_VALUES = {"impl": "ca-parsec", "tile": 12, "steps": 2, "ratio": 0.5,
                "policy": "fifo", "backend": "threads", "jobs": 1,
-               "passes": "fuse:max_chain=0"}
+               "passes": "coarsen:factor=2"}
 
 
 @pytest.mark.parametrize("command", RUN_SHAPED)
@@ -192,7 +192,7 @@ def test_run_shaped_flags_are_runconfig_knobs(command):
     problem, machine = JacobiProblem(n=48, iterations=4), nacl(4)
     keywords = {**extra, **given}
     if command == "ir":
-        keywords["passes"] = "latency"
+        keywords["passes"] = "coarsen"
     from_flags = run(problem, machine, **config.knobs())
     from_keywords = run(problem, machine=machine, **keywords)
     assert from_flags.params == from_keywords.params

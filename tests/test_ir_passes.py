@@ -11,8 +11,6 @@ The load-bearing properties:
 * the manager refuses rewrites that violate their declared invariants.
 """
 
-import random
-
 import numpy as np
 import pytest
 
@@ -20,9 +18,10 @@ from repro.core.base_parsec import build_base_graph
 from repro.core.ca_parsec import build_ca_graph
 from repro.core.runner import run
 from repro.ir import (
-    FusePass,
+    CoarsenPass,
     PassContext,
     PassError,
+    PASSES,
     PassManager,
     canonical_pipeline,
     parse_pipeline,
@@ -49,32 +48,31 @@ def small_build(n=24, nodes=4, tile=6, T=4, seed=0, with_kernels=True):
 
 
 def test_parse_pipeline_specs():
-    passes = parse_pipeline("fuse,coarsen:factor=4,latency:horizon=3,boost=2")
-    assert [p.name for p in passes] == ["fuse", "coarsen", "latency"]
-    assert passes[1].factor == 4
-    assert passes[2].horizon == 3 and passes[2].boost == 2
-    # Canonical spec renders every parameter, sorted.
-    assert pipeline_spec(passes) == (
-        "fuse:max_chain=0,coarsen:factor=4,latency:boost=2,horizon=3"
-    )
+    assert sorted(PASSES) == ["ca", "coarsen"]
+    passes = parse_pipeline("ca:steps=3,coarsen:factor=2")
+    assert [p.name for p in passes] == ["ca", "coarsen"]
+    assert passes[0].steps == 3 and passes[1].factor == 2
+    # Canonical spec renders every parameter.
+    assert pipeline_spec(passes) == "ca:steps=3,coarsen:factor=2"
     # Equivalent spellings canonicalise identically.
     assert canonical_pipeline("coarsen") == canonical_pipeline("coarsen:factor=4")
     assert canonical_pipeline("") == ""
     assert canonical_pipeline(None) == ""
-    assert parse_pipeline([FusePass(), "coarsen:factor=2"])[1].factor == 2
+    assert parse_pipeline([CoarsenPass(), "coarsen:factor=2"])[1].factor == 2
 
 
 def test_parse_pipeline_rejects_garbage():
-    with pytest.raises(PassError, match="unknown pass"):
-        parse_pipeline("fuze")
+    for gone in ("fuse", "latency", "fuze"):
+        with pytest.raises(PassError, match="unknown pass .*available: ca, coarsen$"):
+            parse_pipeline(gone)
     with pytest.raises(PassError, match="not an integer"):
         parse_pipeline("coarsen:factor=two")
     with pytest.raises(PassError, match=">= 2"):
         parse_pipeline("coarsen:factor=1")
     with pytest.raises(PassError, match="unknown parameters"):
-        parse_pipeline("fuse:depth=3")
+        parse_pipeline("coarsen:depth=3")
     with pytest.raises(PassError, match="duplicate"):
-        parse_pipeline("latency:horizon=2,horizon=3")
+        parse_pipeline("coarsen:factor=2,factor=3")
     with pytest.raises(PassError, match="steps"):
         parse_pipeline("ca")  # ca requires steps=<s>
     with pytest.raises(PassError, match="empty"):
@@ -82,25 +80,6 @@ def test_parse_pipeline_rejects_garbage():
 
 
 # -- structural passes ----------------------------------------------------
-
-
-def test_fuse_contracts_single_tile_time_chain():
-    # One tile on one node: init -> t0 -> ... -> t_last is a pure chain.
-    prob, m, build = small_build(n=12, nodes=1, tile=12, T=5)
-    out, report = PassManager("fuse").run(build, PassContext(machine=m, with_kernels=True))
-    assert report.passes[0].notes["chains"] == 1
-    assert report.passes[0].notes["members_fused"] == 5
-    assert len(out.graph) == 1
-    # The terminal result slot survives under the root's key.
-    assert terminal_outputs(out.graph) == terminal_outputs(build.graph)
-
-
-def test_fuse_max_chain_caps_component_size():
-    prob, m, build = small_build(n=12, nodes=1, tile=12, T=5)
-    out, report = PassManager("fuse:max_chain=2").run(
-        build, PassContext(machine=m, with_kernels=True)
-    )
-    assert len(out.graph) == 3  # 6 tasks in chains of <= 2 members + root
 
 
 def test_coarsen_groups_same_level_tasks():
@@ -117,24 +96,6 @@ def test_coarsen_groups_same_level_tasks():
     rep = report.passes[0]
     assert rep.messages_saved == before.remote_messages - after.remote_messages
     assert rep.notes["super_tasks"] > 0
-
-
-def test_latency_pass_only_moves_priorities():
-    prob, m, build = small_build()
-    out, report = PassManager("latency:horizon=2").run(
-        build, PassContext(machine=m, with_kernels=True)
-    )
-    b, a = build.graph.census(), out.graph.census()
-    assert (a.remote_messages, a.remote_bytes, a.local_edges) == (
-        b.remote_messages, b.remote_bytes, b.local_edges
-    )
-    assert report.passes[0].notes["reprioritized"] > 0
-    boosted = [
-        out.graph[t.key].priority - t.priority
-        for t in build.graph
-        if out.graph[t.key].priority != t.priority
-    ]
-    assert boosted and all(d > 0 for d in boosted)
 
 
 # -- the manager's verification -------------------------------------------
@@ -168,38 +129,24 @@ def test_manager_rejects_invariant_violations():
 def test_reports_match_executed_graph():
     prob, m, _ = small_build()
     result = run(prob, impl="base-parsec", machine=m, tile=6,
-                 passes="fuse,coarsen:factor=4", mode="execute")
+                 passes="coarsen:factor=4", mode="execute")
     rep = result.pass_reports
     census = result.graph.census()
     assert rep.after.remote_messages == census.remote_messages
     assert rep.after.remote_bytes == census.remote_bytes
     assert rep.after.tasks == len(result.graph)
-    assert result.params["passes"] == "fuse:max_chain=0,coarsen:factor=4"
+    assert result.params["passes"] == "coarsen:factor=4"
 
 
 # -- end-to-end equivalence (the tentpole property) -----------------------
 
-PIPELINE_POOL = (
-    "fuse",
-    "fuse:max_chain=3",
-    "coarsen:factor=2",
-    "coarsen:factor=4",
-    "latency:horizon=2",
-    "latency:horizon=4,boost=3",
-)
+#: Two coarsening factors, and coarsening an already coarsened graph
+#: (super-tasks of super-tasks, packed payloads of packed payloads).
+PIPELINES = ("coarsen:factor=2", "coarsen:factor=4", "coarsen:factor=4,coarsen:factor=2")
 
 
-def _random_pipelines(seed, count):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        k = rng.randint(1, 3)
-        out.append(",".join(rng.sample(PIPELINE_POOL, k)))
-    return out
-
-
-@pytest.mark.parametrize("spec", _random_pipelines(seed=7, count=5))
-def test_random_pipelines_keep_grids_bit_identical(spec):
+@pytest.mark.parametrize("spec", PIPELINES)
+def test_pipelines_keep_grids_bit_identical(spec):
     prob = random_problem(n=24, iterations=4, seed=3)
     m = nacl(4)
     base = run(prob, impl="base-parsec", machine=m, tile=6, mode="execute")
@@ -220,7 +167,7 @@ def test_pipeline_grids_identical_on_processes_backend():
     m = nacl(2)
     base = run(prob, impl="base-parsec", machine=m, tile=4, mode="execute")
     r = run(prob, impl="base-parsec", machine=m, tile=4,
-            passes="fuse,coarsen:factor=3,latency",
+            passes="coarsen:factor=3",
             backend="processes", procs=2, jobs=2)
     assert np.array_equal(base.grid, r.grid)
 
@@ -231,7 +178,7 @@ def test_pipelines_compose_on_ca_graphs():
     base = run(prob, impl="ca-parsec", machine=m, tile=6, steps=2,
                mode="execute")
     r = run(prob, impl="ca-parsec", machine=m, tile=6, steps=2,
-            passes="coarsen:factor=2,latency", mode="execute")
+            passes="coarsen:factor=2", mode="execute")
     assert np.array_equal(base.grid, r.grid)
     assert r.pass_reports.messages_saved >= 0
 
@@ -287,7 +234,7 @@ def test_runner_rejects_passes_with_chaos(tmp_path):
     chaos = ChaosContext(injector)
     with pytest.raises(ValueError, match="passes and chaos"):
         run(prob, impl="base-parsec", machine=nacl(2), tile=4,
-            passes="fuse", chaos=chaos, backend="threads", jobs=2)
+            passes="coarsen", chaos=chaos, backend="threads", jobs=2)
 
 
 def test_runner_rejects_bad_pipeline_before_building():
@@ -296,15 +243,42 @@ def test_runner_rejects_bad_pipeline_before_building():
         run(prob, impl="base-parsec", machine=nacl(2), tile=4, passes="bogus")
 
 
+@pytest.mark.parametrize("gone", ["fuse", "latency"])
+def test_a_removed_pass_is_refused_at_every_front_door(gone, monkeypatch, tmp_path, capsys):
+    """A service request, a library run and the command line refuse a
+    pipeline naming a pass this version lacks with the passes there
+    are, before anything is admitted, built or written."""
+    from repro.cli import main
+    from repro.core import runner
+    from repro.serve.request import SolveRequest
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a graph for a refused pipeline")
+
+    monkeypatch.setattr(runner, "_build", no_build)
+    prob = random_problem(n=16, iterations=3, seed=0)
+    with pytest.raises(ValueError, match="available: ca, coarsen"):
+        SolveRequest(problem=prob, machine=nacl(2), tile=4, passes=gone)
+    with pytest.raises(ValueError, match="available: ca, coarsen"):
+        run(prob, impl="base-parsec", machine=nacl(2), tile=4, passes=gone)
+    trace = tmp_path / "t.json"
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--passes", gone, "--n", "16", "--tile", "4",
+              "--trace-out", str(trace)])
+    assert exit_.value.code == 2
+    assert "available: ca, coarsen" in capsys.readouterr().err
+    assert not trace.exists()
+
+
 def test_ir_metrics_published():
     from repro.obs import MetricRegistry
 
     prob = random_problem(n=24, iterations=4, seed=0)
     reg = MetricRegistry()
     run(prob, impl="base-parsec", machine=nacl(4), tile=6,
-        passes="fuse,coarsen:factor=4", metrics=reg)
+        passes="coarsen:factor=4", metrics=reg)
     snap = reg.snapshot()
-    assert snap.counter("ir_pass_applied") == 2
+    assert snap.counter("ir_pass_applied") == 1
     assert snap.counter("ir_pass_messages_saved", **{"pass": "coarsen"}) > 0
     assert snap.gauge("ir_messages_saved") > 0
 
@@ -314,17 +288,17 @@ def test_candidate_passes_axis():
 
     prob = random_problem(n=24, iterations=4, seed=0)
     m = nacl(4)
-    good = Candidate(tile=6, passes="fuse,coarsen:factor=4")
+    good = Candidate(tile=6, passes="coarsen:factor=4")
     assert invalid_reason(good, prob, m, "base-parsec") is None
-    assert good.run_kwargs("base-parsec")["passes"] == "fuse,coarsen:factor=4"
+    assert good.run_kwargs("base-parsec")["passes"] == "coarsen:factor=4"
     assert "passes=" in good.label()
     bad = Candidate(tile=6, passes="fuze")
     assert "bad pass pipeline" in invalid_reason(bad, prob, m, "base-parsec")
     ca = Candidate(tile=6, passes="ca:steps=2")
     assert "steps axis" in invalid_reason(ca, prob, m, "base-parsec")
-    space = SearchSpace(tiles=(6,), pipelines=("", "fuse"))
+    space = SearchSpace(tiles=(6,), pipelines=("", "coarsen"))
     assert space.size == 2
-    assert {c.passes for c in space.all_candidates()} == {"", "fuse"}
+    assert {c.passes for c in space.all_candidates()} == {"", "coarsen"}
 
 
 def test_tuning_cache_round_trips_passes(tmp_path):
@@ -334,7 +308,7 @@ def test_tuning_cache_round_trips_passes(tmp_path):
     prob = random_problem(n=24, iterations=4, seed=0)
     m = nacl(4)
     cache = TuningCache(tmp_path / "cache.json")
-    cand = Candidate(tile=6, steps=2, passes="fuse,coarsen:factor=4")
+    cand = Candidate(tile=6, steps=2, passes="coarsen:factor=4")
     cache.put(m, prob, "sim", "ca-parsec", cand)
     entry = cache.get(m, prob, "sim", "ca-parsec")
     assert cache.candidate_of(entry) == cand
@@ -353,7 +327,7 @@ def test_serve_request_canonicalises_passes():
     plain = SolveRequest(problem=prob, machine=m, tile=4)
     assert req.signature() != plain.signature()
     with pytest.raises(ValueError, match="passes and chaos"):
-        SolveRequest(problem=prob, machine=m, tile=4, passes="fuse",
+        SolveRequest(problem=prob, machine=m, tile=4, passes="coarsen",
                      chaos_plan="kill:node=1,step=1s")
 
 
@@ -362,4 +336,4 @@ def test_passes_token_normalisation():
 
     assert passes_token(None) is None
     assert passes_token("") is None
-    assert passes_token(" fuse , coarsen:factor=4 ") == "fuse,coarsen:factor=4"
+    assert passes_token(" ca:steps=2 , coarsen:factor=4 ") == "ca:steps=2,coarsen:factor=4"

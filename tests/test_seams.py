@@ -353,7 +353,7 @@ CASES = {
                          "slabs"),
     "ca-steps3": (lambda: random_problem(n=64, iterations=7), 4, 8, 3, "per-tile"),
     "per-tile": (lambda: random_problem(n=64, iterations=6), 4, 8, 2, "per-tile"),
-    "fuse-coarsen": (lambda: random_problem(n=96, iterations=6), 4, 8, 1, "fuse,coarsen"),
+    "coarsen": (lambda: random_problem(n=96, iterations=6), 4, 8, 1, "coarsen"),
     "processes": (lambda: random_problem(n=96, ncols=80, iterations=7), 4, 8, 3,
                   "processes"),
 }
@@ -375,7 +375,7 @@ def test_no_cell_is_written_while_a_task_may_still_read_it(fast_switching, monke
             built = build(problem, procs, tile, steps)
             if how == "per-tile":
                 built = built.per_tile()
-            elif how == "fuse,coarsen":
+            elif how == "coarsen":
                 built, _ = PassManager(parse_pipeline(how)).run(
                     built, PassContext(machine=nacl(procs), with_kernels=True))
             if how == "processes":

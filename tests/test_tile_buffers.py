@@ -104,7 +104,7 @@ BACKENDS = [
 @pytest.mark.parametrize("variant,passes", [
     ("base", None),
     ("ca", None),             # steps=4 does not divide the 10 iterations
-    ("ca", "fuse,coarsen"),
+    ("ca", "coarsen"),
 ])
 def test_complete_run_pins_no_tile_memory_and_empties_the_store(backend, variant, passes):
     problem = random_problem(n=24, iterations=10, seed=3)
@@ -316,7 +316,7 @@ def test_a_held_threads_result_keeps_no_node_buffer(wrapped, allocations, tmp_pa
             FaultInjector(parse_plan("delay:node=2,step=3,secs=0")),
             store=CheckpointStore(tmp_path), checkpoint_every=2)
     elif wrapped == "passes":
-        knobs["passes"] = "fuse,coarsen"
+        knobs["passes"] = "coarsen"
     result = run(problem, nacl(4), **knobs)
     assert allocations == []
     gc.collect()

@@ -111,6 +111,22 @@ def test_incomplete_entry_rejected(cache):
     assert cache.get(nacl(4), PROBLEM, "sim", "ca-parsec") is None
 
 
+def test_entry_naming_an_unknown_pass_is_a_miss_that_retunes(cache):
+    """A winner stored with a pipeline this version cannot parse (a
+    pass since removed) misses instead of failing the run that would
+    use it, and the next tune replaces it."""
+    from repro.tuning import tune
+
+    stale = Candidate(tile=24, steps=2, passes="nosuchpass,coarsen:factor=4")
+    cache.put(nacl(4), PROBLEM, "sim", "ca-parsec", stale)
+    assert cache.get(nacl(4), PROBLEM, "sim", "ca-parsec") is None
+    result = tune(PROBLEM, impl="ca-parsec", machine=nacl(4), budget=4,
+                  cache=cache)
+    assert result.source == "search"
+    entry = cache.get(nacl(4), PROBLEM, "sim", "ca-parsec")
+    assert cache.candidate_of(entry) == result.winner
+
+
 def test_concurrent_writers_merge_not_clobber(cache):
     other_problem = JacobiProblem(n=96, iterations=8)
     cache.put(nacl(4), PROBLEM, "sim", "ca-parsec", WINNER)
