@@ -9,7 +9,13 @@
 (`jacobi_update_region` from one framed array into another, swapped
 each sweep), on 256^2, 2048^2 and 4096^2 grids, with one thread and
 with two (each sweeping half the rows of the same arrays), allocation
-included: best of five, nanoseconds per cell and sweep.
+included: best of five, nanoseconds per cell and sweep.  Then, on one
+thread, the `halo_*` node block's 4096 x 128 rectangle: in place inside
+a framed 4096 x 130 array of its own (a private mapping asking for huge
+pages, as a node's framed buffer was), in place inside the 4096 x 256
+result grid where every node block sweeps now (a row stride of 256
+cells, in an anonymous shared mapping, as the build makes it), and out
+of place between two framed arrays.
 
 First `jacobi_update_region` over a static half/half partition of
 private tiles -- `kernel_large`'s arithmetic (2048^2 cells, 16 sweeps)
@@ -29,6 +35,7 @@ and nothing for a second worker to share.
 
 from __future__ import annotations
 
+import mmap
 import statistics
 import sys
 import threading
@@ -138,6 +145,33 @@ def sweep_cost(n: int, threads: int, in_place: bool) -> float:
     return (time.perf_counter() - t0) / (n * n * sweeps)
 
 
+def rect_cost(width: int | None) -> float:
+    """Seconds per cell and sweep of one thread sweeping the 4096 x 128
+    rectangle of a ``halo_*`` node: in place inside an array ``width``
+    cells wide (its lines a frame around it; 256: the result grid's
+    shared mapping, else a private one asking for huge pages), or
+    (``width`` None) out of place between two framed arrays."""
+    rows, cols, sweeps = 4096, 128, 64
+    weights = StencilWeights()
+    t0 = time.perf_counter()
+    if width is None:
+        pair = [np.full((rows + 2, cols + 2), 0.5), np.full((rows + 2, cols + 2), 0.5)]
+        region = slice(1, rows + 1), slice(1, cols + 1)
+        for k in range(sweeps):
+            jacobi_update_region(pair[k % 2], weights, *region, out=pair[1 - k % 2][region])
+    else:
+        flags = mmap.MAP_SHARED if width == 256 else mmap.MAP_PRIVATE
+        memory = mmap.mmap(-1, rows * width * 8, flags=flags)
+        if flags == mmap.MAP_PRIVATE and hasattr(mmap, "MADV_HUGEPAGE"):
+            memory.madvise(mmap.MADV_HUGEPAGE)
+        array, frame = np.ndarray((rows, width), buffer=memory), np.ones(rows)
+        array[...] = 0.5
+        lines = (frame[:cols], frame[:cols], frame, frame)
+        for _ in range(sweeps):
+            jacobi_update_lines(array, weights, slice(0, rows), slice(0, cols), lines)
+    return (time.perf_counter() - t0) / (rows * cols * sweeps)
+
+
 def per_cell() -> None:
     print(f"{'grid':>6} {'threads':>8} {'out of place':>13} {'in place':>9}  (ns a cell)")
     for n in (256, 2048, 4096):
@@ -145,6 +179,11 @@ def per_cell() -> None:
             out, into = (min(sweep_cost(n, threads, in_place) for _ in range(REPS)) * 1e9
                          for in_place in (False, True))
             print(f"{n:>5}² {threads:>8} {out:>13.2f} {into:>9.2f}")
+    print(f"{'4096 x 128 rectangle, one thread':<45} (ns a cell)")
+    for label, width in (("in place, own private 4096 x 130 array", 130),
+                         ("in place, in the shared 4096 x 256 grid", 256),
+                         ("out of place, two framed arrays", None)):
+        print(f"{label:<45} {min(rect_cost(width) for _ in range(REPS)) * 1e9:>9.2f}")
 
 
 if __name__ == "__main__":

@@ -12,17 +12,18 @@ tile and sweep, which is what every earlier version of this table
 divided by.  Then, in microseconds per *executed* task -- one node
 block's boundary or interior tiles for one sweep, what the real
 backends run -- executor `_prepare`, ready queue, `PayloadStore.gather`,
-the task body (plan lookup, pastes, the in-place kernel per rectangle
-with its neighbour lines, seams, cuts; for the last sweep the kernel
-writing the cores into the result grid),
-`publish`/`release` and the worker's per-task record.  Each figure is
-the median over the solve's tasks (over the last sweep's for "last
-sweep into grid"), taken three times, best kept.  On the multi-node
-geometries it also walks the `processes` backend's two hops per
-*message*: "ring write" (encode the record, copy it into the
-destination's shared-memory ring, post the doorbell) and "ring drain"
-(take the ring lock, copy the record out into a private array).  The
-hops are timed where they are called, one after the other, so the
+the task body (plan lookup, the lines a CA task copies of its own cells
+before it updates them, the in-place kernel per rectangle with its
+neighbour lines -- "line gather" times gathering those lines alone --
+seams, and the strips written into their consumers' landing slots; the
+last sweep updates the cores only), `publish`/`release` and the
+worker's per-task record.  Each figure is the median over the solve's
+tasks (over the last sweep's for "last sweep"), taken three times,
+best kept.  On the multi-node geometries it also walks the `processes`
+backend's two hops per *message*: "ring write" (put the header-only
+ready record into the destination's shared-memory ring, post the
+doorbell) and "ring drain" (take the ring lock, take the record out).
+The hops are timed where they are called, one after the other, so the
 numbers add up to a `jobs=1` solve without thread hand-offs; they are a
 map of where the time goes, not a benchmark.
 """
@@ -91,10 +92,10 @@ def one_solve(geometry: dict) -> dict[str, float]:
     # The run itself, in graph order (a legal schedule), hop by hop.
     store = PayloadStore(graph, graph.tasks.values())
     recorder = WallClockRecorder(1)
-    parts = {name: [] for name in ("gather", "plan lookup", "pastes", "kernel", "seams", "cuts",
-                                   "last sweep into grid", "stencil_task", "publish + release",
-                                   "per-task record", "ring write (per message)",
-                                   "ring drain (per message)")}
+    parts = {name: [] for name in ("gather", "plan lookup", "own lines", "kernel",
+                                   "line gather", "seams", "strips into slots", "last sweep",
+                                   "stencil_task", "publish + release", "per-task record",
+                                   "ring write (per message)", "ring drain (per message)")}
     # What the processes backend lays out before forking (rings only
     # where the plan sends: none on a one-node geometry).
     channels = _Channels(graph, nodes, multiprocessing.get_context("fork"))
@@ -128,33 +129,25 @@ def one_solve(geometry: dict) -> dict[str, float]:
             (p := kernels.plans[task.key[:-1]]), p.phases[t % steps]))
         parts["plan lookup"].append(dt)
         last = t + 1 == problem.iterations
-
-        def pastes():
-            for copy in phase.copies:
-                values = inputs[(copy.producer + (t - 1,), copy.tag)]
-                if values.shape == copy.shape and copy.paste is not None and not last:
-                    cells, part = copy.paste
-                    kernels._array(copy.block)[cells] = values[part]
-
-        parts["pastes"].append(clock(pastes)[0])
-        if last and not kernels.in_grid:
-            def to_grid():
-                for sweep in plan.last:
-                    rows, cols = kernels._global(sweep.rect)
-                    kernels._update(sweep, inputs, t, built.grid[rows, cols])
-
-            parts["last sweep into grid"].append(clock(to_grid)[0])
-            continue
+        block = plan.block
+        parts["own lines"].append(clock(kernels._save, block, phase.own, t)[0])
 
         def update():
             for sweep in phase.update:
-                kernels._update(sweep, inputs, t)
+                if not last or sweep.rect.array is None:
+                    kernels._update(sweep, block, t)
 
-        (parts["last sweep into grid"] if last else parts["kernel"]).append(clock(update)[0])
+        def lines():
+            for sweep in phase.update:
+                for line in sweep.lines:
+                    kernels._line(line, block, t)
+
+        (parts["last sweep"] if last else parts["kernel"]).append(clock(update)[0])
         if last:
             continue
-        parts["seams"].append(clock(kernels._save, phase.saves, t)[0])
-        parts["cuts"].append(clock(kernels._cut, phase.cuts)[0])
+        parts["line gather"].append(clock(lines)[0])
+        parts["seams"].append(clock(kernels._save, block, phase.saves, t)[0])
+        parts["strips into slots"].append(clock(kernels._cut, phase.cuts, t)[0])
     channels.close()
     for name, samples in parts.items():
         hops[name] = median(samples) * 1e6 if samples else float("nan")

@@ -146,7 +146,7 @@ class ChaosContext:
                         time.sleep(extra)
             out = kernel(inputs, task)
             if ckpt_step is not None:
-                # The cells this task wrote, as it left them in its node buffer.
+                # The cells this task wrote, as it left them in the grid.
                 for (r0, c0), cells in kernels.cores_after(key):
                     self.store.save(ckpt_step, r0, c0, cells)
             return out

@@ -33,27 +33,29 @@ truth):
 * ``"cNW" / ...`` -- corner blocks for remote refreshes, named by the
   consumer's corner (CA only).
 
-Data.  Every sweep updates in place, over one array per node block.
-A grid that is one node block (every ``threads`` run, a one-process
-run) sweeps inside the build's result grid, its Dirichlet values held
-as four boundary lines.  A block with a remote side owns one private
-framed buffer (:class:`~repro.core.spec.NodeBuffer`) whose windows are
-its tiles' extended arrays; its last sweep writes the cores into the
-result grid out of place.  A flow between two tiles of one array
-carries a token -- the values already sit where the consumer reads
-them, and the flow orders the two -- and a flow between arrays (every
-remote strip and corner) carries the copy the consumer reads.  The
-block graph keeps one such flow per copy, named ``tag:i,j`` after the
-producing tile, so its remote messages and bytes are the paper graph's,
-entry for entry.
+Data.  Every sweep updates in place, inside the build's result grid:
+each node block's tiles sweep their cores where they lie, the Dirichlet
+values held as four boundary lines.  A tile's pads toward another block
+-- its remote strips and corner blocks -- are slots of the *landing
+store* (:meth:`~repro.core.spec.StencilSpec.landing`), mapped with the
+grid before any fork.  The producer writes a strip straight into its
+consumer's slot (slot ``(t // s) % 2`` for the consumer's sweep ``t``),
+and the flow carries the token :data:`~repro.runtime.task.READY`; a
+flow between two tiles of one block carries it too -- the values
+already sit where the consumer reads them, and the flow orders the two.
+The block graph keeps one flow per strip or corner, named ``tag:i,j``
+after the producing tile, so its remote messages and bytes are the
+paper graph's, entry for entry.
 
 In place, the kernel reads a rectangle's four neighbour lines from
-wherever the plan says (:func:`_plans`): the array, a boundary line, a
-copy received from another block, or a *seam* -- a 1-deep copy of an
-edge line of a task's update that a neighbour reads one sweep later.
-Seams keep a sweep's tasks independent: a cell another rectangle writes
-in the same sweep is never read from the array, but from the seam its
-writer saved after the previous sweep, or from a received copy.
+wherever the plan says (:func:`_plans`): an array (the grid or a landing
+slot), a boundary line, or a *seam* -- a 1-deep copy of an edge line
+of a task's update that a neighbour reads one sweep later.  Seams keep
+a sweep's tasks independent: a cell another rectangle writes in the
+same sweep is never read from its array, but from the seam its writer
+saved after the previous sweep or, where the task itself writes it in
+another array (a CA tile's core and its halo layers in a slot), from
+the copy the task took before it started.
 """
 
 from __future__ import annotations
@@ -67,10 +69,11 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from ..distgrid.halo import CORNERS, Side
 from ..distgrid.tile import TileSpec
 from ..machine.machine import MachineSpec
 from ..runtime.graph import TaskGraph
-from ..runtime.task import Flow, Task, TaskKey
+from ..runtime.task import READY, Flow, Task, TaskKey
 from ..stencil.cost import KernelCostModel
 from ..stencil.kernels import FLOP_PER_POINT, SLAB_CELLS
 from ..stencil.variable import BAND_CELLS, apply_stencil_lines
@@ -85,21 +88,18 @@ BOUNDARY_PRIORITY = 1
 #: ``"tile"``: the core is in the build's result grid.
 IN_GRID = "in-grid"
 
-#: What every other same-buffer output carries: the values are in the
-#: node buffer the consumer reads.
-IN_BUFFER = "in-buffer"
-
 Block = tuple[int, int]  #: a node block, by its process-grid coordinates
 
-#: Node buffers of at least this many bytes ask for transparent huge
-#: pages, from the size at which numpy asks for its own arrays.
-HUGE_PAGE_BYTES = 1 << 22
+#: An array a sweep reads or writes: the result grid (``None``) or a
+#: landing array, by its index in ``spec.landing()``.
+Array = int | None
 
 
 class _Rect(NamedTuple):
-    """A rectangle of one node buffer."""
+    """A rectangle of one array, in that array's coordinates (a landing
+    array's: one slot's)."""
 
-    block: Block
+    array: Array
     rows: slice
     cols: slice
 
@@ -107,9 +107,9 @@ class _Rect(NamedTuple):
 class _Piece(NamedTuple):
     """A run of one neighbour line of an update, and where it is read."""
 
-    kind: str  #: "array", "seam", "copy" or "dirichlet"
-    key: object  #: copy: (producer prefix, tag); dirichlet: the Side; else None
-    index: object  #: into the block's array, its seam slot, the copy or the boundary line
+    kind: str  #: "array", "seam", "own" or "dirichlet"
+    key: object  #: array: the Array; dirichlet: the Side; else None
+    index: object  #: into the array, the block's seam slot or the boundary line
 
 
 class _Sweep(NamedTuple):
@@ -120,59 +120,58 @@ class _Sweep(NamedTuple):
 
 
 class _Save(NamedTuple):
-    """An edge line a task saves into its block's seam store after its
-    update, for a reader one sweep later."""
+    """An edge line a task copies into its block's seam store: after its
+    update, for a reader one sweep later (a *seam*), or before it, for
+    its own rectangles that read what another of them writes (*own*)."""
 
-    block: Block
-    cells: tuple  #: a 1-D run of the block's array
+    array: Array
+    cells: tuple  #: a 1-D run of the array
     seam: slice  #: where in the slot it goes
 
 
 class _Copy(NamedTuple):
-    """A copy a task receives from another block before it updates."""
+    """A strip or corner block a task reads from its landing slot; the
+    producing task wrote it there one sweep earlier."""
 
-    producer: tuple  #: key prefix of the task that cut it one sweep earlier
+    producer: tuple  #: key prefix of the producing task
     tag: str  #: the producer's output
-    block: Block
-    dest: Slices  #: the pad cells it holds, in the block's array
+    array: int
+    dest: Slices  #: the slot cells it fills
     shape: tuple[int, int]
     tile: tuple[int, int]  #: the tile whose pad it fills
-    #: (cells of the array, part of the copy): what lies in the tile's
-    #: update region and is pasted before the update; the rest is read
-    #: from the copy as neighbour lines
-    paste: tuple[Slices, Slices] | None
 
 
 class _Cut(NamedTuple):
-    """An output a task publishes after its update: the copy of
-    ``source`` for a consumer in another block, or (``source`` None) a
-    token for one in the same block."""
+    """An output a task publishes after its update: ``source`` cells of
+    the grid written into ``dest`` of its consumer's landing slot, or
+    (``source`` None) a flow within the block."""
 
     tag: str
-    block: Block | None
     source: Slices | None
+    array: int | None
+    dest: Slices | None
 
 
 class _Phase(NamedTuple):
     copies: tuple[_Copy, ...]
-    update: tuple[_Sweep, ...]  #: the tiles' update regions, joined
+    own: tuple[_Save, ...]  #: taken before the update, read during it
+    update: tuple[_Sweep, ...]  #: the tiles' update regions, joined per array
     saves: tuple[_Save, ...]  #: for the next sweep's readers
     cuts: tuple[_Cut, ...]  #: for the next sweep's consumers
 
 
 class _Plan(NamedTuple):
-    """What the kernels do for one task prefix: its tiles, their cores
-    (one rect each, for loading), the joined cores (the last sweep's
-    update, and the checkpoints), one :class:`_Phase` per ``t % steps``
-    (the initial load saves and cuts ``phases[-1]``'s) and, on a block
-    with a remote side, the last sweep: the joined cores, read from the
-    block's buffer into the result grid."""
+    """What the kernels do for one task prefix: its node block, its
+    tiles, their cores (one grid rect each, for loading), the joined
+    cores (what the last sweep updates, and the checkpoints) and one
+    :class:`_Phase` per ``t % steps`` (the initial load saves and cuts
+    ``phases[-1]``'s)."""
 
+    block: Block
     tiles: tuple[tuple[int, int], ...]
     cores: tuple[_Rect, ...]
     finals: tuple[_Rect, ...]
     phases: tuple[_Phase, ...]
-    last: tuple[_Sweep, ...]
 
 
 class StencilKernels:
@@ -181,104 +180,85 @@ class StencilKernels:
     at sweep ``t`` -- one tile of the paper's graph, or one node block's
     boundary or interior tiles (or a row slab of them).
 
-    A sweep pastes into its update regions the parts of its received
-    copies that lie there, updates each joined rectangle in place --
-    its neighbour lines read from the array, a boundary line, a copy or
-    a seam, as :func:`_plans` derived them -- then saves the seams its
-    neighbours read next sweep into slot ``t % 2`` of the block's seam
-    store and cuts the copies its consumers in other blocks read.  The
-    last sweep returns :data:`IN_GRID`: on a grid that is one block its
-    cores already are in the result grid, and a block with a remote side
-    writes them there from its buffer.  It updates the cores only: a CA
-    phase's halo extension has no reader after the last sweep (the
-    graph's declared flops and costs stay, and so does virtual time).
+    A sweep first copies the lines its own rectangles read from one
+    another (a CA tile's core and its halo layers, which lie in two
+    arrays), then updates each joined rectangle in place -- its
+    neighbour lines read from an array, a boundary line or a seam, as
+    :func:`_plans` derived them -- then saves the seams its neighbours
+    read next sweep into slot ``t % 2`` of the block's seam store and
+    writes the strips its consumers in other blocks read into their
+    landing slots.  The last sweep updates the cores only (a CA phase's
+    halo extension has no reader after it; the graph's declared flops
+    and costs stay, and so does virtual time) and returns
+    :data:`IN_GRID`.
 
-    Nothing is copied between tiles of one array but 1-deep seams, and
-    no task allocates anything tile-sized besides the copies it sends.
-    In a sweep each cell has one writer, and no task reads a cell that
-    another rectangle writes in that sweep except through a seam or a
-    received copy.  Across sweeps, every graph orders a task's sweep
-    ``t + 1`` after each sweep-``t`` task that reads what it overwrites
-    -- the paper's flows tile by tile, the block graph by joining every
-    task of a node to every task of its next sweep -- so seam slot
-    ``t % 2`` is rewritten at sweep ``t + 2``, after all its readers.
+    Nothing is copied but 1-deep seams and the strips that cross a block
+    edge, and no task allocates anything tile-sized.  In a sweep each
+    cell has one writer, and no rectangle reads a cell that a rectangle
+    writes in that sweep but through a seam.  Across sweeps, every graph
+    orders a task's sweep ``t + 1`` after each sweep-``t`` task that
+    reads what it overwrites -- the paper's flows tile by tile, the
+    block graph by joining every task of a node to every task of its
+    next sweep -- so seam slot ``t % 2`` is rewritten at sweep ``t + 2``,
+    after all its readers; and a landing slot, written at the end of a
+    superstep, is rewritten two supersteps later, after the strip its
+    consumer sent back at the end of the one in between.
 
-    A kernel's inputs are tokens and the copies, intact and read-only
-    when it returns: a wrapper may keep them.  The cells a task wrote
+    A kernel's inputs are tokens.  The cells a task wrote
     (:meth:`cores_after`) are rewritten one sweep later, so a wrapper
     reads or copies them before it returns (the chaos checkpoint hook
     saves synchronously).  A task runs at most once per build: running
-    it again applies one more sweep to the array it updates in place,
-    so a retry or a speculative copy of a task must rebuild from the
-    init tasks (chaos recovery starts a fresh build).
+    it again applies one more sweep to the grid it updates in place, so
+    a retry or a speculative copy of a task must rebuild from the init
+    tasks (chaos recovery starts a fresh build).
 
-    A block's buffer and seam store are allocated by the first task of
-    a process that touches the block (the ``processes`` parent never
-    does), and go once :meth:`BuildResult.assemble_grid` has seen every
-    final task report, so a kept result pins its grid alone.
+    A block's seam store is allocated by the first task of a process
+    that touches the block, and goes once :meth:`BuildResult.
+    assemble_grid` has seen every final task report.
     """
 
-    def __init__(self, spec: StencilSpec, grid: np.ndarray, plans: dict[tuple, _Plan]) -> None:
+    def __init__(self, spec: StencilSpec, grid: np.ndarray, store: np.ndarray,
+                 plans: dict[tuple, _Plan]) -> None:
         self.spec = spec
         self.grid = grid
+        #: the landing store, flat
+        self.store = store
         self.plans = plans
-        self.layout = spec.buffers()
-        self.in_grid = spec.in_grid()
-        #: node block -> global (row, col) of its array's [0, 0]
-        self.base = {block: _base(spec, block) for block in self.layout}
+        arrays = spec.landing()[1]
+        #: landing array -> its two slots, one ``(2, rows, cols)`` view
+        self.landing = [store[a.offset:a.offset + 2 * a.shape[0] * a.shape[1]].reshape(
+            2, *a.shape) for a in arrays]
+        #: array -> the global (row, col) of its [0, 0]
+        self.origin = {None: (0, 0), **{k: a.origin for k, a in enumerate(arrays)}}
         #: node block -> the length of one seam slot
         self.seam_cells: dict[Block, int] = {}
         for plan in plans.values():
             for phase in plan.phases:
-                for save in phase.saves:
-                    cells = self.seam_cells.get(save.block, 0)
-                    self.seam_cells[save.block] = max(cells, save.seam.stop)
-        #: node block -> its framed buffer (none for a grid that is one block)
-        self.buffers: dict[Block, np.ndarray] = {}
+                for save in phase.own + phase.saves:
+                    cells = self.seam_cells.get(plan.block, 0)
+                    self.seam_cells[plan.block] = max(cells, save.seam.stop)
         #: node block -> its two seam slots, one ``(2, cells)`` array
         self.seams: dict[Block, np.ndarray] = {}
-        #: a grid that is one block: the four boundary lines, O(perimeter)
-        self.boundary = spec.problem.bc.lines(*spec.problem.shape) if self.in_grid else ()
+        #: the four boundary lines, O(perimeter)
+        self.boundary = spec.problem.bc.lines(*spec.problem.shape)
         self._lock = threading.Lock()
 
     def bind(self, graph: TaskGraph) -> TaskGraph:
         return graph.bind(lambda task: self.init_task if task.kind == "init"
                           else self.stencil_task)
 
-    def _array(self, block: Block) -> np.ndarray:
-        if self.in_grid:
+    def _array(self, array: Array, t: int) -> np.ndarray:
+        """The grid, or the slot of landing array ``array`` that sweep
+        ``t`` reads and updates."""
+        if array is None:
             return self.grid
-        buffer = self.buffers.get(block)
-        if buffer is None:
-            # Several tasks of one block may start at once: one of them
-            # allocates and frames it, the others wait for that one.
-            with self._lock:
-                buffer = self.buffers.get(block)
-                if buffer is None:
-                    buffer = self.buffers[block] = self._allocate(block)
-        return buffer
-
-    def _allocate(self, block: Block) -> np.ndarray:
-        node_buffer, problem = self.layout[block], self.spec.problem
-        # A private anonymous mapping of its own: a node process makes
-        # its own, the pages go back to the OS with the array (a freed
-        # heap block of ~1 MiB may stay in the process, under glibc's
-        # dynamic mmap threshold), and a large one gets huge pages as
-        # numpy's large arrays do (a shared mapping would not: 30 ms
-        # against 5 ms to first touch 2 x 2050^2 on a 2-core x86 host).
-        # No cell but the frame is read before it is written.
-        shape = node_buffer.shape
-        memory = mmap.mmap(-1, shape[0] * shape[1] * ITEMSIZE, flags=mmap.MAP_PRIVATE)
-        if len(memory) >= HUGE_PAGE_BYTES and hasattr(mmap, "MADV_HUGEPAGE"):
-            memory.madvise(mmap.MADV_HUGEPAGE)
-        buffer = np.ndarray(shape, buffer=memory)
-        # Dirichlet data never changes: framed once.
-        problem.bc.fill_outside(buffer, node_buffer.origin, *problem.shape)
-        return buffer
+        return self.landing[array][(t // self.spec.steps) % 2]
 
     def _seams(self, block: Block) -> np.ndarray:
         seams = self.seams.get(block)
         if seams is None:
+            # Several tasks of one block may start at once: one of them
+            # allocates, the others wait for that one.
             with self._lock:
                 seams = self.seams.get(block)
                 if seams is None:
@@ -286,30 +266,21 @@ class StencilKernels:
         return seams
 
     def release(self) -> None:
-        """Drop the node buffers and seam stores (a later run of this
-        build allocates them afresh)."""
-        self.buffers, self.seams = {}, {}
-
-    def _global(self, rect: _Rect) -> Slices:
-        r, c = self.base[rect.block]
-        return (slice(r + rect.rows.start, r + rect.rows.stop),
-                slice(c + rect.cols.start, c + rect.cols.stop))
+        """Drop the seam stores (a later run of this build allocates them
+        afresh)."""
+        self.seams = {}
 
     # -- initialisation ---------------------------------------------------
 
     def init_task(self, inputs: Mapping, task: Task) -> dict:
         plan = self.plans[task.key[:-1]]
         problem = self.spec.problem
-        if problem.iterations == 0:  # the initial values are the final ones
-            for rect in plan.cores:
-                rows, cols = self._global(rect)
-                self.grid[rows, cols] = problem.initial_block(rows, cols)
-            return {"tile": IN_GRID}
         for rect in plan.cores:  # tile by tile: no block-sized temporary
-            self._array(rect.block)[rect.rows, rect.cols] = problem.initial_block(
-                *self._global(rect))
-        self._save(plan.phases[-1].saves, -1)
-        return self._cut(plan.phases[-1].cuts)
+            self.grid[rect.rows, rect.cols] = problem.initial_block(rect.rows, rect.cols)
+        if problem.iterations == 0:  # the initial values are the final ones
+            return {"tile": IN_GRID}
+        self._save(plan.block, plan.phases[-1].saves, -1)
+        return self._cut(plan.phases[-1].cuts, -1)
 
     # -- one stencil iteration -----------------------------------------------
 
@@ -317,91 +288,78 @@ class StencilKernels:
         t = task.key[-1]
         plan = self.plans[task.key[:-1]]
         phase = plan.phases[t % self.spec.steps]
-        last = t + 1 == self.spec.problem.iterations
-        to_grid = last and not self.in_grid  # out of place, buffer -> result grid
         for copy in phase.copies:
-            values = inputs[(copy.producer + (t - 1,), copy.tag)]
-            if values.shape != copy.shape:  # it may come from another process
+            token = inputs[(copy.producer + (t - 1,), copy.tag)]
+            if not isinstance(token, str) or token != READY:  # it may come from elsewhere
                 raise ValueError(f"tile {copy.tile}, iteration {t}: {copy.tag!r} from task "
-                                 f"{copy.producer + (t - 1,)} has shape {values.shape}, "
-                                 f"expected {copy.shape}")
-            if copy.paste is not None and not to_grid:
-                cells, part = copy.paste
-                self._array(copy.block)[cells] = values[part]
-        if to_grid:
-            for sweep in plan.last:
-                rows, cols = self._global(sweep.rect)
-                self._update(sweep, inputs, t, self.grid[rows, cols])
+                                 f"{copy.producer + (t - 1,)} is {token!r}, not {READY!r}")
+        self._save(plan.block, phase.own, t)
+        if t + 1 == self.spec.problem.iterations:
+            for sweep in phase.update:
+                if sweep.rect.array is None:  # the cores: no halo layer is read again
+                    self._update(sweep, plan.block, t)
             return {"tile": IN_GRID}
         for sweep in phase.update:
-            self._update(sweep, inputs, t)
-        if last:  # a grid that is one block: swept in the result grid
-            return {"tile": IN_GRID}
-        self._save(phase.saves, t)
-        return self._cut(phase.cuts)
+            self._update(sweep, plan.block, t)
+        self._save(plan.block, phase.saves, t)
+        return self._cut(phase.cuts, t)
 
-    def _update(self, sweep: _Sweep, inputs: Mapping, t: int,
-                out: np.ndarray | None = None) -> None:
+    def _update(self, sweep: _Sweep, block: Block, t: int) -> None:
         problem, rect = self.spec.problem, sweep.rect
-        lines = [self._line(line, rect.block, inputs, t) for line in sweep.lines]
-        out = apply_stencil_lines(self._array(rect.block), problem.weights, rect.rows,
-                                  rect.cols, lines, self.base[rect.block], out)
+        lines = [self._line(line, block, t) for line in sweep.lines]
+        origin = self.origin[rect.array]
+        out = apply_stencil_lines(self._array(rect.array, t), problem.weights, rect.rows,
+                                  rect.cols, lines, origin)
         if problem.source is not None:
             # Forcing is a global field, so redundantly updated halo
             # cells receive exactly the same contribution their owner
             # applies -- CA equivalence is preserved.  Added in bands,
             # once the rectangle is done: no rectangle-sized temporary.
-            rows, cols = self._global(rect)
+            rows, cols = _moved((rect.rows, rect.cols), origin)
             band = max(1, BAND_CELLS // out.shape[1])
             for r in range(0, out.shape[0], band):
                 out[r : r + band] += problem.source_block(
                     slice(rows.start + r, min(rows.start + r + band, rows.stop)), cols)
 
-    def _line(self, pieces: tuple[_Piece, ...], block: Block, inputs: Mapping,
-              t: int) -> np.ndarray:
+    def _line(self, pieces: tuple[_Piece, ...], block: Block, t: int) -> np.ndarray:
         parts = []
         for kind, key, index in pieces:
             if kind == "array":
-                parts.append(self._array(block)[index])
+                parts.append(self._array(key, t)[index])
             elif kind == "seam":  # saved by its writer one sweep earlier
                 parts.append(self._seams(block)[(t - 1) % 2, index])
-            elif kind == "copy":
-                parts.append(inputs[(key[0] + (t - 1,), key[1])][index])
+            elif kind == "own":  # taken by this task before its update
+                parts.append(self._seams(block)[t % 2, index])
             else:
                 parts.append(self.boundary[key][index])
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def _save(self, saves: tuple[_Save, ...], t: int) -> None:
-        for block, cells, seam in saves:
-            self._seams(block)[t % 2, seam] = self._array(block)[cells]
+    def _save(self, block: Block, saves: tuple[_Save, ...], t: int) -> None:
+        for array, cells, seam in saves:
+            self._seams(block)[t % 2, seam] = self._array(array, t)[cells]
 
-    def _cut(self, cuts: tuple[_Cut, ...]) -> dict:
-        outputs: dict = {"tile": IN_BUFFER}
-        for tag, block, source in cuts:
-            outputs[tag] = IN_BUFFER if source is None else self._array(block)[source].copy()
+    def _cut(self, cuts: tuple[_Cut, ...], t: int) -> dict:
+        slot = ((t + 1) // self.spec.steps) % 2  # what the consumer's next sweep reads
+        outputs: dict = {"tile": READY}
+        for tag, source, array, dest in cuts:
+            if source is not None:
+                self.landing[array][slot][dest] = self.grid[source]
+            outputs[tag] = READY
         return outputs
 
     def regions(self, key: TaskKey):
         """The global ``(rows, cols)`` of every joined core rectangle of
         task ``key``: the cells it owns."""
         for rect in self.plans[key[:-1]].finals:
-            yield self._global(rect)
+            yield rect.rows, rect.cols
 
     def cores_after(self, key: TaskKey):
         """``(origin, cells)`` for every joined core rectangle of task
-        ``key``: its global top-left cell and a view of its values
-        after that task's sweep (not the last one: those are in the
-        result grid), valid until the task's next sweep."""
+        ``key``: its global top-left cell and a view of its values in
+        the grid after that task's sweep, valid until the task's next
+        sweep."""
         for rect in self.plans[key[:-1]].finals:
-            rows, cols = self._global(rect)
-            yield (rows.start, cols.start), self._array(rect.block)[rect.rows, rect.cols]
-
-
-def _base(spec: StencilSpec, block: Block) -> tuple[int, int]:
-    """The global (row, col) of ``block``'s array at [0, 0]: the
-    result grid's for a grid that is one block, else its framed
-    buffer's."""
-    return (0, 0) if spec.in_grid() else spec.buffers()[block].origin
+            yield (rect.rows.start, rect.cols.start), self.grid[rect.rows, rect.cols]
 
 
 def _moved(slices: Slices, by: tuple[int, int]) -> Slices:
@@ -410,25 +368,30 @@ def _moved(slices: Slices, by: tuple[int, int]) -> Slices:
             slice(cols.start + by[1], cols.stop + by[1]))
 
 
+def _rank(array: Array) -> int:
+    return -1 if array is None else array
+
+
 def _joined(rects: list[_Rect]) -> tuple[_Rect, ...]:
     """Disjoint rectangles with fewer, larger ones in their place:
-    neighbours sharing a whole edge are joined, first along rows, then
-    along columns -- a node's interior is one rectangle, its boundary
-    ring one per side."""
+    neighbours in one array sharing a whole edge are joined, first along
+    rows, then along columns -- a node's interior is one rectangle, its
+    boundary ring one per side."""
     out: list[_Rect] = []
-    for rect in sorted(rects, key=lambda r: (r.block, r.rows.start, r.cols.start)):
+    for rect in sorted(rects, key=lambda r: (_rank(r.array), r.rows.start, r.cols.start)):
         last = out[-1] if out else None
-        if (last is not None and last.block == rect.block and last.rows == rect.rows
+        if (last is not None and last.array == rect.array and last.rows == rect.rows
                 and last.cols.stop == rect.cols.start):
-            out[-1] = _Rect(rect.block, rect.rows, slice(last.cols.start, rect.cols.stop))
+            out[-1] = _Rect(rect.array, rect.rows, slice(last.cols.start, rect.cols.stop))
         else:
             out.append(rect)
     joined: list[_Rect] = []
-    for rect in sorted(out, key=lambda r: (r.block, r.cols.start, r.cols.stop, r.rows.start)):
+    for rect in sorted(out, key=lambda r: (_rank(r.array), r.cols.start, r.cols.stop,
+                                           r.rows.start)):
         last = joined[-1] if joined else None
-        if (last is not None and last.block == rect.block and last.cols == rect.cols
+        if (last is not None and last.array == rect.array and last.cols == rect.cols
                 and last.rows.stop == rect.rows.start):
-            joined[-1] = _Rect(rect.block, slice(last.rows.start, rect.rows.stop), rect.cols)
+            joined[-1] = _Rect(rect.array, slice(last.rows.start, rect.rows.stop), rect.cols)
         else:
             joined.append(rect)
     return tuple(joined)
@@ -440,187 +403,235 @@ def _intersect(a: Slices, b: Slices) -> Slices | None:
     return (rows, cols) if rows.start < rows.stop and cols.start < cols.stop else None
 
 
+def _zones(tile: TileSpec, slot_of: dict) -> list[tuple[Array, Slices]]:
+    """Where each cell of ``tile``'s extended array is kept, as global
+    rectangles: a remote side's pad in its landing array, a corner block
+    in its own, the rest -- the core, the pads toward the same block and
+    the corners no corner block fills, which no update reads -- in the
+    grid."""
+    pn, ps, pw, pe = tile.pads
+    rows = {Side.NORTH: (tile.r0 - pn, tile.r0), None: (tile.r0, tile.r1),
+            Side.SOUTH: (tile.r1, tile.r1 + ps)}
+    cols = {Side.WEST: (tile.c0 - pw, tile.c0), None: (tile.c0, tile.c1),
+            Side.EAST: (tile.c1, tile.c1 + pe)}
+    zones: list[tuple[Array, Slices]] = []
+    for corner in CORNERS:
+        row_side, col_side = corner.sides
+        box = (slice(*rows[row_side]), slice(*cols[col_side]))
+        zones.append((slot_of.get((tile.key, "c" + corner.name)), box))
+    for side in Side:
+        box = ((slice(*rows[side]), slice(*cols[None])) if side.axis == 0
+               else (slice(*rows[None]), slice(*cols[side])))
+        zones.append((slot_of.get((tile.key, "d" + side.name[0])), box))
+    zones.append((None, (slice(*rows[None]), slice(*cols[None]))))
+    return zones
+
+
+def _zone_of(zones: list[tuple[Array, Slices]], cells: tuple) -> Array:
+    """The array that keeps ``cells`` (a rectangle, or a line run: an
+    index with one integer) of a tile's extended array."""
+    rows, cols = (slice(x, x + 1) if isinstance(x, int) else x for x in cells)
+    for array, box in zones:
+        if (box[0].start <= rows.start and rows.stop <= box[0].stop
+                and box[1].start <= cols.start and cols.stop <= box[1].stop):
+            return array
+    raise AssertionError(f"cells {cells} are kept nowhere")
+
+
 class _Entry(NamedTuple):
-    """An incoming entry of the exchange plan, in array coordinates."""
+    """An incoming entry of the exchange plan, in global coordinates."""
 
     producer: tuple[int, int]  #: the producing tile
-    tag: str  #: the consumer's flow tag
     dest: Slices
-    cross: bool  #: from another block: a copy, not a seam
+    slot: int | None  #: from another block: its landing array; else None
 
 
-def _edges(rect: _Rect) -> tuple[int, int, int, int]:
+def _edges(rect: Slices) -> tuple[int, int, int, int]:
     """The first row, end row, first column and end column of ``rect``:
     its north, south, west and east edges."""
-    return rect.rows.start, rect.rows.stop, rect.cols.start, rect.cols.stop
+    return rect[0].start, rect[0].stop, rect[1].start, rect[1].stop
 
 
-def _line_pieces(side: int, rect: _Rect, readers: list[tuple[_Rect, tuple[_Entry, ...]]],
-                 base: tuple[int, int], shape: tuple[int, int], final: bool,
-                 prefix_of: dict) -> list[tuple]:
-    """The neighbour line of ``rect`` on ``side`` (N, S, W, E) as raw
-    runs ``(kind, key, lo, hi, index)`` along it.  ``readers`` are the
-    regions ``rect`` joins, each with its tile's incoming entries: the
-    line cell next to a region's edge cell is what that tile's extended
-    array holds there -- an incoming entry's cell (a copy from another
-    block; from this block, the producer's seam, or on the last,
-    out-of-place sweep the array), the grid's boundary (a line outside
-    the ``shape`` grid; ``base`` is the global cell of the array's
-    [0, 0]) or the tile's own value from the previous sweep (the
-    array)."""
+def _line_runs(side: int, rect: Slices, readers: list, shape: tuple[int, int],
+               prefix_of: dict, zones: dict) -> list[tuple]:
+    """The neighbour line of the global rectangle ``rect`` on ``side``
+    (N, S, W, E) as runs ``(kind, key, lo, hi, cells)`` along it, ``cells``
+    the run's global index (None off the grid).  ``readers``
+    are ``(tile, its part in rect, its other parts, its entries)`` of
+    the tiles ``rect`` joins: the line cell next to a part's edge cell
+    is what that tile's extended array holds there -- the grid's
+    boundary (a line outside the ``shape`` grid); a cell the tile itself
+    updates in another array this sweep (``"own"``: copied before the
+    update, key ``(prefix, array)``); an incoming entry's cell (from
+    another block: its landing array; from this block, the producer's
+    seam, key ``(prefix, array)``); or else the tile's own value from
+    the previous sweep, in the array that keeps it."""
     edge = _edges(rect)[side]
     fixed = edge - 1 if side % 2 == 0 else edge  # north and west lie before the edge
     along = 1 if side < 2 else 0  # a row runs along the columns
-    span, cross_axis = (rect.rows, rect.cols)[along], 1 - along
+    span, cross_axis = rect[along], 1 - along
 
-    def index(lo: int, hi: int, at: int = fixed, by: tuple[int, int] = (0, 0)):
-        run = slice(lo - by[along], hi - by[along])
-        return (at - by[0], run) if along == 1 else (run, at - by[1])
+    def cells(lo: int, hi: int) -> tuple:
+        return (fixed, slice(lo, hi)) if along == 1 else (slice(lo, hi), fixed)
 
-    if not 0 <= fixed + base[cross_axis] < shape[cross_axis]:
-        return [("boundary", side, span.start, span.stop, index(span.start, span.stop))]
+    if not 0 <= fixed < shape[cross_axis]:
+        return [("dirichlet", side, span.start, span.stop, None)]
     runs = []
-    for region, entries in readers:
-        if _edges(region)[side] != edge:
+    for tile, part, others, entries in readers:
+        if _edges(part)[side] != edge:
             continue
-        extent = (region.rows, region.cols)[along]
-        cuts = []
+        extent = part[along]
+        covers = []  # (lo, hi, kind, key), first match wins
+        for array, other in others:
+            if other[cross_axis].start <= fixed < other[cross_axis].stop:
+                covers.append((other[along].start, other[along].stop, "own",
+                               (prefix_of[tile], array)))
         for entry in entries:
             if not entry.dest[cross_axis].start <= fixed < entry.dest[cross_axis].stop:
                 continue
-            lo = max(extent.start, entry.dest[along].start)
-            hi = min(extent.stop, entry.dest[along].stop)
-            if lo < hi:
-                cuts.append((lo, hi, entry))
-        pos = extent.start
-        for lo, hi, entry in sorted(cuts, key=lambda c: c[0]):
-            if pos < lo:
-                runs.append(("array", None, pos, lo, index(pos, lo)))
-            origin = (entry.dest[0].start, entry.dest[1].start)
-            if entry.cross:
-                key = (prefix_of[entry.producer], entry.tag)
-                runs.append(("copy", key, lo, hi, index(lo, hi, fixed, origin)))
-            elif final:  # nothing writes the buffer in its last sweep
-                runs.append(("array", None, lo, hi, index(lo, hi)))
+            lo, hi = entry.dest[along].start, entry.dest[along].stop
+            if max(lo, extent.start) >= min(hi, extent.stop):
+                continue
+            if entry.slot is not None:
+                covers.append((lo, hi, "array", entry.slot))
             else:
-                runs.append(("seam", prefix_of[entry.producer], lo, hi, index(lo, hi)))
-            pos = hi
-        if pos < extent.stop:
-            runs.append(("array", None, pos, extent.stop, index(pos, extent.stop)))
+                source = _zone_of(zones[entry.producer], cells(max(lo, extent.start),
+                                                               min(hi, extent.stop)))
+                covers.append((lo, hi, "seam", (prefix_of[entry.producer], source)))
+        cuts = sorted({extent.start, extent.stop, *(
+            x for lo, hi, _, _ in covers for x in (lo, hi) if extent.start < x < extent.stop)})
+        for lo, hi in zip(cuts, cuts[1:]):
+            kind, key = next(((kind, key) for a, b, kind, key in covers if a <= lo and hi <= b),
+                             (None, None))
+            if kind is None:
+                kind, key = "array", _zone_of(zones[tile], cells(lo, hi))
+            runs.append((kind, key, lo, hi))
     runs.sort(key=lambda run: run[2])
     assert runs and runs[0][2] == span.start and runs[-1][3] == span.stop and all(
         a[3] == b[2] for a, b in zip(runs, runs[1:])), (rect, side)
     merged = [runs[0]]
-    for run in runs[1:]:
-        kind, key, lo, _, _ = merged[-1]
-        if run[0] == kind != "copy" and run[1] == key:  # one copy is one run
-            merged[-1] = (kind, key, lo, run[3], index(lo, run[3]))
+    for kind, key, lo, hi in runs[1:]:
+        if merged[-1][:2] == (kind, key):
+            merged[-1] = (kind, key, merged[-1][2], hi)
         else:
-            merged.append(run)
-    return merged
+            merged.append((kind, key, lo, hi))
+    return [(kind, key, lo, hi, cells(lo, hi)) for kind, key, lo, hi in merged]
 
 
 def _plans(spec: StencilSpec, members: dict[tuple, list[tuple[int, int]]],
            per_tile: bool) -> dict[tuple, _Plan]:
     """Read ``spec.exchange_plan()`` for kernels whose task prefixes own
-    ``members`` (tile keys, row-major).  Per tile, every output a
-    consumer declared is published (a token within a block); per block,
-    only the copies, named after their producing tile.
+    ``members`` (tile keys, row-major; one block each).  Per tile, every
+    output a consumer declared is published; per block, only the strips
+    and corners that cross a block edge, named after their producing
+    tile.
 
-    Each joined update rectangle gets its four neighbour lines, cell run
-    by cell run (:func:`_line_pieces`); a run of cells another tile of
-    the same block writes in that sweep becomes a seam: its writer's
-    task saves it after the previous sweep into a slot region of the
-    block's seam store allocated here."""
+    A tile's update region is cut by where its cells are kept
+    (:func:`_zones`), the parts of a prefix joined per array; each
+    rectangle gets its four neighbour lines, cell run by cell run
+    (:func:`_line_runs`).  A run of cells another tile of the same
+    block writes in that sweep becomes a seam: its writer's task saves
+    it after the previous sweep into a slot region of the block's seam
+    store allocated here; a run the task itself writes in another array
+    is copied there before the update."""
     exchange, steps = spec.exchange_plan(), spec.steps
-    nrows, ncols = spec.problem.shape
-    in_grid = spec.in_grid()
+    shape = spec.problem.shape
+    slot_of, arrays = spec.landing()
+    origin = {None: (0, 0), **{k: a.origin for k, a in enumerate(arrays)}}
+
+    def local(array: Array, cells: tuple) -> tuple:
+        """Global ``cells`` (slices, or a line run's int and slice) as
+        an index of ``array``."""
+        return tuple(x - at if isinstance(x, int) else slice(x.start - at, x.stop - at)
+                     for x, at in zip(cells, origin[array]))
+
     prefix_of = {tile: prefix for prefix, tiles in members.items() for tile in tiles}
-    block_of, shift, base = {}, {}, {}
-    for tile in spec.tiles():
-        block = block_of[tile.key] = spec.partition.block(tile.i, tile.j)
-        base[block] = origin = _base(spec, block)
-        shift[tile.key] = (tile.origin[0] - origin[0], tile.origin[1] - origin[1])
-    cores = {key: _Rect(block_of[key], *_moved(spec.tile(*key).core_slices(), shift[key]))
-             for key in exchange}
-    regions = {key: [_Rect(block_of[key], *_moved(ex.update, shift[key])) for ex in phases]
-               for key, phases in exchange.items()}
-    entries = {key: [tuple(_Entry(e.producer, e.tag if per_tile else
-                                  f"{e.tag}:{e.producer[0]},{e.producer[1]}",
-                                  _moved(e.dest, shift[key]),
-                                  block_of[e.producer] != block_of[key])
-                           for e in ex.incoming) for ex in phases]
-               for key, phases in exchange.items()}
+    block_of = {key: spec.partition.block(*key) for key in exchange}
+    tiles = {key: spec.tile(*key) for key in exchange}
+    zones = {key: _zones(tile, slot_of) for key, tile in tiles.items()}
+    parts = {}  # tile -> per phase [(array, global rect)] of its update region
+    entries = {}  # tile -> per phase its _Entry tuple
+    for key, phases in exchange.items():
+        at = tiles[key].origin
+        parts[key] = [[(array, box) for array, zone in zones[key]
+                       if (box := _intersect(_moved(ex.update, at), zone)) is not None]
+                      for ex in phases]
+        entries[key] = [tuple(_Entry(e.producer, _moved(e.dest, at),
+                                     slot_of.get((key, e.tag))) for e in ex.incoming)
+                        for ex in phases]
     copies = {prefix: [[] for _ in range(steps)] for prefix in members}
     cuts = {prefix: [[] for _ in range(steps)] for prefix in members}
     for key, phases in exchange.items():
-        prefix, block = prefix_of[key], block_of[key]
         for phase, ex in enumerate(phases):
             for entry, incoming in zip(entries[key][phase], ex.incoming):
-                source = incoming.producer
-                out = cuts[prefix_of[source]][phase - 1]  # cut one sweep earlier
-                if not entry.cross:
+                tag = (incoming.tag if per_tile else
+                       f"{incoming.tag}:{entry.producer[0]},{entry.producer[1]}")
+                out = cuts[prefix_of[entry.producer]][phase - 1]  # cut one sweep earlier
+                if entry.slot is None:
+                    assert block_of[entry.producer] == block_of[key]
                     if per_tile:
-                        out.append(_Cut(entry.tag, None, None))
+                        out.append(_Cut(tag, None, None, None))
                     continue
-                inside = _intersect(entry.dest, (regions[key][phase].rows,
-                                                 regions[key][phase].cols))
-                paste = None if inside is None else (inside, _moved(
-                    inside, (-entry.dest[0].start, -entry.dest[1].start)))
-                copies[prefix][phase].append(_Copy(
-                    prefix_of[source], entry.tag, block, entry.dest, incoming.shape, key,
-                    paste))
-                out.append(_Cut(entry.tag, block_of[source],
-                                _moved(incoming.source, shift[source])))
+                producer = tiles[entry.producer]
+                source = _moved(incoming.source, producer.origin)
+                assert _zone_of(zones[entry.producer], source) is None  # from its core
+                dest = local(entry.slot, entry.dest)
+                copies[prefix_of[key]][phase].append(_Copy(
+                    prefix_of[entry.producer], tag, entry.slot, dest, incoming.shape, key))
+                out.append(_Cut(tag, source, entry.slot, dest))
     seam_used: dict[Block, int] = {}
     saves = {prefix: [[] for _ in range(steps)] for prefix in members}
+    own = {prefix: [[] for _ in range(steps)] for prefix in members}
 
-    def sweeps(tiles, rects, region_of, phase, final):
-        """The joined ``rects`` of ``tiles`` with their lines at
-        ``phase``; seams are allocated and their saves recorded."""
-        out = []
-        for rect in rects:
-            readers = [(region_of(key), entries[key][phase]) for key in tiles
-                       if _intersect((region_of(key).rows, region_of(key).cols),
-                                     (rect.rows, rect.cols))]
+    def sweeps(prefix, phase):
+        """The joined update rectangles of ``prefix`` at ``phase``, grid
+        first, with their lines; seams are allocated and their saves
+        recorded."""
+        block, out = block_of[members[prefix][0]], []
+        mine = [(key, array, box) for key in members[prefix] for array, box in parts[key][phase]]
+        for rect in _joined([_Rect(array, *box) for _, array, box in mine]):
+            whole = (rect.rows, rect.cols)
+            readers = [(key, box, [(a, b) for a, b in parts[key][phase] if a != array],
+                        entries[key][phase])
+                       for key, array, box in mine
+                       if array == rect.array and _intersect(box, whole)]
             lines = []
             for side in range(4):
                 pieces = []
-                for kind, key, lo, hi, index in _line_pieces(
-                        side, rect, readers, base[rect.block], (nrows, ncols), final, prefix_of):
-                    if kind == "boundary":
-                        # in the frame, or (array coordinates are global
-                        # ones then) a run of a boundary line
-                        kind, key, index = (("dirichlet", side, slice(lo, hi)) if in_grid
-                                            else ("array", None, index))
-                    elif kind == "seam":
-                        start = seam_used.get(rect.block, 0)
-                        seam = slice(start, start + hi - lo)
-                        seam_used[rect.block] = seam.stop
-                        saves[key][(phase - 1) % steps].append(_Save(rect.block, index, seam))
-                        key, index = None, seam
-                    pieces.append(_Piece(kind, key, index))
+                for kind, key, lo, hi, cells in _line_runs(side, whole, readers, shape,
+                                                           prefix_of, zones):
+                    if kind == "dirichlet":
+                        pieces.append(_Piece(kind, key, slice(lo, hi)))
+                    elif kind == "array":
+                        pieces.append(_Piece(kind, key, local(key, cells)))
+                    else:  # a seam slot region, and the save that fills it
+                        saver, array = key
+                        start = seam_used.get(block, 0)
+                        seam = seam_used[block] = start + hi - lo
+                        save = _Save(array, local(array, cells), slice(start, seam))
+                        if kind == "own":
+                            own[saver][phase].append(save)
+                        else:
+                            saves[saver][(phase - 1) % steps].append(save)
+                        pieces.append(_Piece(kind, None, slice(start, seam)))
                 lines.append(tuple(pieces))
-            out.append(_Sweep(rect, tuple(lines)))
+            out.append(_Sweep(_Rect(rect.array, *local(rect.array, whole)), tuple(lines)))
         return tuple(out)
 
-    last_phase = (spec.problem.iterations - 1) % steps
-    lowered = {}
-    for prefix, tiles in members.items():
-        finals = _joined([cores[key] for key in tiles])
-        updates = tuple(sweeps(tiles, _joined([regions[key][phase] for key in tiles]),
-                               lambda key: regions[key][phase], phase, False)
-                        for phase in range(steps))
-        last = () if in_grid else sweeps(tiles, finals, cores.get, last_phase, True)
-        lowered[prefix] = (finals, updates, last)
+    updates = {prefix: tuple(sweeps(prefix, phase) for phase in range(steps))
+               for prefix in members}
     # Built once every seam is allocated: a prefix's saves come from
     # its readers' lines.
-    return {prefix: _Plan(
-        tuple(members[prefix]), tuple(cores[key] for key in members[prefix]), finals, tuple(
-            _Phase(tuple(copies[prefix][phase]), updates[phase], tuple(saves[prefix][phase]),
+    plans = {}
+    for prefix, keys in members.items():
+        cores = tuple(_Rect(None, *_moved(tiles[key].core_slices(), tiles[key].origin))
+                      for key in keys)
+        plans[prefix] = _Plan(block_of[keys[0]], tuple(keys), cores, _joined(list(cores)), tuple(
+            _Phase(tuple(copies[prefix][phase]), tuple(own[prefix][phase]),
+                   updates[prefix][phase], tuple(saves[prefix][phase]),
                    tuple(cuts[prefix][phase]))
-            for phase in range(steps)), last)
-        for prefix, (finals, updates, last) in lowered.items()}
+            for phase in range(steps)))
+    return plans
 
 
 class _Unit(NamedTuple):
@@ -694,7 +705,7 @@ def _lower(spec: StencilSpec, name: str, units: dict[tuple, tuple[_Unit, ...]]
     (:func:`_slabs`), one ``(name, node, part, slab)`` per slab.  A task
     sums its tiles' costs and flops and keeps their kind and priority;
     it waits on every task of its node one sweep earlier (token flows)
-    and on one copy flow per pasted strip or corner."""
+    and on one flow per strip or corner landed in its slots."""
     parts: dict[tuple, list[TileSpec]] = {}
     for tile in sorted(spec.tiles(), key=lambda tile: (tile.node, not tile.is_boundary())):
         part = "boundary" if tile.is_boundary() else "interior"
@@ -757,7 +768,8 @@ class BuildResult:
 
     A build with kernels has one result ``grid``: float64 over an
     anonymous shared mapping that forked node processes write too and
-    that lives exactly as long as the array.  Running a build twice
+    that lives exactly as long as the array.  The landing store
+    (``kernels.store``) follows the grid in the same mapping.  Running a build twice
     overwrites it; ``run()`` builds per call, as an executor runs once.
     ``blocks`` says the graph runs node blocks (what the builder returns
     with kernels); :meth:`per_tile` is the same build as the paper's
@@ -780,7 +792,8 @@ class BuildResult:
         if not self.blocks:
             return self
         template = self.template
-        kernels = StencilKernels(self.spec, self.grid, template.tile_plans(self.spec))
+        kernels = StencilKernels(self.spec, self.grid, self.kernels.store,
+                                 template.tile_plans(self.spec))
         graph = kernels.bind(template.paper())
         TEMPLATES.put(template)
         return replace(self, graph=graph, kernels=kernels, blocks=False)
@@ -806,7 +819,7 @@ class BuildResult:
                                    f"report final values (result {key!r}); the grid is "
                                    f"incomplete")
         if self.kernels is not None:
-            # Every task has run and nothing reads the buffers again (a
+            # Every task has run and nothing reads the seams again (a
             # second run of this build allocates them afresh).
             self.kernels.release()
         return self.grid
@@ -924,9 +937,10 @@ def build_stencil_graph(
 ) -> BuildResult:
     """The task graph of ``spec``, bound to this run.  What depends on
     geometry and the cost model only -- the tile table, the exchange
-    plan, the node buffers, the unrolled graphs with their analysis --
-    is a :class:`Template` made once per shape (:data:`TEMPLATES`); per
-    call there is a result grid, one :class:`StencilKernels` and a
+    plan, the landing store's layout, the unrolled graphs with their
+    analysis -- is a :class:`Template` made once per shape
+    (:data:`TEMPLATES`); per call there is one shared mapping holding
+    the result grid and the landing store, one :class:`StencilKernels` and a
     shallow clone of every task pointing at it.  ``with_kernels=False``
     binds the paper's graph timing-only (no numpy work, no result grid),
     which is what the benchmark sweeps use; with kernels the graph is
@@ -944,7 +958,11 @@ def build_stencil_graph(
         return BuildResult(graph.bind(lambda task: None), spec, name)
     graph, plans = template.lowered(spec)
     TEMPLATES.put(template)
-    shape = spec.problem.shape
-    grid = np.ndarray(shape, buffer=mmap.mmap(-1, shape[0] * shape[1] * ITEMSIZE))
-    kernels = StencilKernels(spec, grid, plans)
+    shape, arrays = spec.problem.shape, spec.landing()[1]
+    cells = shape[0] * shape[1]
+    landing = sum(2 * a.shape[0] * a.shape[1] for a in arrays)
+    memory = mmap.mmap(-1, (cells + landing) * ITEMSIZE)
+    grid = np.ndarray(shape, buffer=memory)
+    store = np.ndarray((landing,), buffer=memory, offset=cells * ITEMSIZE)
+    kernels = StencilKernels(spec, grid, store, plans)
     return BuildResult(kernels.bind(graph), spec, name, grid, kernels, True, template)

@@ -25,18 +25,21 @@ phase ``t % s``).  The three primitives :meth:`StencilSpec.local_strip`,
 :meth:`~StencilSpec.deep_strip` and :meth:`~StencilSpec.corner_block`
 define the rule; :meth:`StencilSpec.exchange_plan` walks them once per
 (tile, phase) and is the single source of truth everything else reads:
-the graph builder makes its flows from it, the kernels' plans paste and
-cut by it, the schedule verifier and the forecast iterate it.
+the graph builder makes its flows from it, the kernels' plans read
+their lines and write strips by it, the schedule verifier and the
+forecast iterate it.
 
-Every sweep updates in place, over one array per node block
-(:meth:`StencilSpec.in_grid`): the result grid itself when the grid is
-one block, else the block's framed buffer (:meth:`StencilSpec.buffers`),
-of which its tiles' extended arrays are windows.  A tile's pads toward a
-tile of the same block are that tile's core, so only strips and corners
-that cross a block edge are copied; within a block, what a neighbour
-updates in the same sweep is read from a 1-deep *seam* its writer saved
-one sweep earlier (``repro.core.dataflow``).  Seams and the lines read
-from copies are derived from :meth:`StencilSpec.exchange_plan` too.
+Data.  Every sweep updates in place, inside the build's result grid:
+a tile's core and its pads toward tiles of the same node block are
+cells of the grid.  Its pads toward another block -- its s-deep remote
+strips and corners -- are windows of the *landing store*
+(:meth:`StencilSpec.landing`), laid out from the exchange plan: the
+producer writes a strip straight into its consumer's slot, and the
+consumer sweeps its redundant halo layers there in place.  Within a
+block, what a neighbour updates in the same sweep is read from a 1-deep
+*seam* its writer saved one sweep earlier (``repro.core.dataflow``).
+Seams and the slots lines are read from are derived from
+:meth:`StencilSpec.exchange_plan` too.
 """
 
 from __future__ import annotations
@@ -76,18 +79,17 @@ class Exchange(NamedTuple):
     update: Slices  #: the update region in the extended array
 
 
-class NodeBuffer(NamedTuple):
-    """Where one node block's framed buffer sits in the global grid.
+class Landing(NamedTuple):
+    """One array of the landing store: a block side's remote strips,
+    laid end to end (the slots of a node edge's tiles are one array, so
+    a line along the edge is one strided run), or one tile's corner
+    block.  It is two slots deep, by superstep parity: a producer writes
+    the slot its consumer reads next superstep while the consumer still
+    sweeps the other one."""
 
-    It is the bounding box of the block's tiles' extended arrays: the
-    block, its ghost pads (depth ``steps``, toward another node) and,
-    along the grid's edge, the Dirichlet frame.  Every tile's extended array is the window of
-    it at ``tile.origin - origin``.
-    """
-
-    node: int
-    origin: tuple[int, int]  #: global cell of ``buffer[0, 0]``
-    shape: tuple[int, int]
+    origin: tuple[int, int]  #: global cell of ``slot[0, 0]``
+    shape: tuple[int, int]  #: of one slot
+    offset: int  #: cells into the store, of slot 0; slot 1 follows
 
 
 @dataclass(frozen=True)
@@ -231,37 +233,48 @@ class StencilSpec:
             plan = self._memo["exchange"] = self._build_exchange_plan()
         return plan
 
-    def buffers(self) -> dict[tuple[int, int], NodeBuffer]:
-        """Node block (its process-grid coordinates,
-        :meth:`GridPartition.block`) -> its :class:`NodeBuffer`."""
-        buffers = self._memo.get("buffers")
-        if buffers is None:
-            spans: dict[tuple[int, int], tuple[int, int, int, int, int]] = {}
-            for tile in self.tiles():
-                (r, c), (h, w) = tile.origin, tile.ext_shape()
-                block = self.partition.block(tile.i, tile.j)
-                r0, c0, r1, c1, _ = spans.get(block, (r, c, r + h, c + w, tile.node))
-                spans[block] = (min(r0, r), min(c0, c), max(r1, r + h), max(c1, c + w),
-                                tile.node)
-            buffers = self._memo["buffers"] = {
-                block: NodeBuffer(node, (r0, c0), (r1 - r0, c1 - c0))
-                for block, (r0, c0, r1, c1, node) in spans.items()
-            }
-        return buffers
-
-    def in_grid(self) -> bool:
-        """Whether the grid is one node block, which then sweeps in the
-        result grid itself; with more, each block sweeps in its own
-        framed buffer (:meth:`buffers`)."""
-        return self.partition.pgrid.size == 1
+    def landing(self) -> tuple[dict[tuple, int], tuple[Landing, ...]]:
+        """The landing store: ``(consumer tile, tag)`` of every incoming
+        entry from another node block -> the index of the
+        :class:`Landing` array holding its slots, and those arrays.  A
+        deep strip ``"dX"`` lands in its block's side-``X`` array, a
+        corner block ``"cXY"`` in an array of its own (a neighbour
+        sweeps the strip cells it would share in place).  Every other
+        cell a tile reads is a cell of the result grid or a boundary
+        value."""
+        landing = self._memo.get("landing")
+        if landing is None:
+            boxes: dict[tuple, list[int]] = {}  # array key -> [r0, c0, r1, c1, cells]
+            slot_key = {}
+            for key, phases in self.exchange_plan().items():
+                tile, block = self.tile(*key), self.partition.block(*key)
+                for entry in phases[0].incoming:  # what crosses a block arrives at refresh
+                    if self.partition.block(*entry.producer) == block:
+                        continue
+                    array = (block, entry.tag) if entry.tag[0] == "d" else (key, entry.tag)
+                    rows, cols = entry.dest
+                    r0, c0 = tile.origin[0] + rows.start, tile.origin[1] + cols.start
+                    r1, c1 = r0 + entry.shape[0], c0 + entry.shape[1]
+                    box = boxes.setdefault(array, [r0, c0, r1, c1, 0])
+                    box[:4] = min(box[0], r0), min(box[1], c0), max(box[2], r1), max(box[3], c1)
+                    box[4] += entry.shape[0] * entry.shape[1]
+                    slot_key[(key, entry.tag)] = array
+            index, arrays, offset = {}, [], 0
+            for array, (r0, c0, r1, c1, cells) in sorted(boxes.items()):
+                assert cells == (r1 - r0) * (c1 - c0), f"{array}: the slots leave gaps"
+                index[array] = len(arrays)
+                arrays.append(Landing((r0, c0), (r1 - r0, c1 - c0), offset))
+                offset += 2 * cells
+            landing = self._memo["landing"] = (
+                {entry: index[array] for entry, array in slot_key.items()}, tuple(arrays))
+        return landing
 
     def geometry(self) -> dict:
-        """The complete tile table, exchange plan and node buffers: a
+        """The complete tile table, exchange plan and landing store: a
         function of ``(type(self), partition, steps)`` alone (no problem
         data), so a spec of another problem on the same three may adopt
         it."""
-        self.exchange_plan()  # walks every tile
-        self.buffers()
+        self.landing()  # walks every tile and the exchange plan
         return self._memo
 
     def adopt_geometry(self, geometry: dict) -> None:

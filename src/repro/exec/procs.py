@@ -5,9 +5,16 @@ graph inside one address space (so "communication" is a pointer hand
 over), this backend makes the paper's cost observable: every simulated
 cluster *node* becomes a real OS process that owns exactly the tasks
 placed on that node, and every node-boundary ghost flow becomes a real
-message -- a record one process writes into shared memory and another
-copies out.  The base-vs-CA message-count gap is therefore measured,
-not modelled: CA sends ~``s``x fewer messages for the same problem.
+message -- a record one process writes into a shared-memory ring and
+another takes out.  The base-vs-CA message-count gap is therefore
+measured, not modelled: CA sends ~``s``x fewer messages for the same
+problem.  A stencil's strip travels outside the ring: its producer
+writes it straight into the consumer's landing slot, which the build
+maps before the fork next to the result grid
+(:mod:`repro.core.dataflow`), and the flow's payload is the token
+:data:`~repro.runtime.task.READY`, which the ring carries as a
+header-only *ready* record -- the strip's partition marked ready, as
+persistent MPI's ``MPI_Pready`` does.
 
 Channels.  :meth:`TaskGraph.message_plan` lists every message before
 anything runs, so :meth:`ProcessExecutor.start` lays the channels out
@@ -19,20 +26,20 @@ that maps it, on every exit path.  With the rings come a process-shared
 lock per ring, a semaphore *doorbell* per node and a few header words
 per node (abort flag, tasks done, messages sent).
 
-No communication thread.  A send is a memcpy of a few KiB -- shorter
+No communication thread.  A send is a record of a few bytes -- shorter
 than one thread hand-off -- so the worker that ran the producing task
 writes its records itself (:meth:`_NodeExecutor._send_remote`) and posts
 each destination's doorbell once, and a worker looking for its next task
-first copies whatever arrived out of its node's inbound rings
+first takes whatever arrived out of its node's inbound rings
 (:meth:`_NodeExecutor._poll`); ``comm_busy`` is worker time.  A worker
 never blocks on a full ring: the record waits in the node's *outbox*
 (as does one a chaos ``drop`` fault delays), retried wherever rings are
 polled and before the node reports ``done``.  A node with nothing to
 run but remote inputs outstanding has exactly one idle worker asleep on
 its doorbell, outside the executor lock; the others sleep on the pool's
-condition as in the threads backend.  A received payload is a private
-copy (arrays read-only, owning their memory): no view into a ring ever
-reaches a kernel or the payload store.
+condition as in the threads backend.  Any other payload is pickled
+into its record and unpickled out of it, a private copy: no view into
+a ring ever reaches a kernel or the payload store.
 
 Visibility.  Ring bytes and the ``head``/``tail`` counters are read and
 written for effect only under the ring's lock, whose acquire/release
@@ -42,10 +49,12 @@ producer before it reuses the bytes.  The unlocked peek ``head !=
 tail`` decides *whether* to take the lock, never *what* is read: a
 stale "empty" costs a delay the doorbell bounds (posted after the
 release, and semaphore operations synchronise too), a stale
-"non-empty" one lock round-trip.  Nothing rests on a CPU's store
-ordering.  Lock order is executor lock -> ring lock, never the reverse,
-and every wait on a shared primitive is bounded by ``_POLL``, so a peer
-killed mid-write cannot hang anyone.
+"non-empty" one lock round-trip.  The same fences order a landing
+slot: its producer writes the strip before it puts the ready record,
+and the consumer reads the slot after it took the record.  Nothing
+rests on a CPU's store ordering.  Lock order is executor lock -> ring
+lock, never the reverse, and every wait on a shared primitive is
+bounded by ``_POLL``, so a peer killed mid-write cannot hang anyone.
 
 Roles.  The parent forks the children (graph and channels inherited
 copy-on-write; only statistics and terminal results are pickled -- of a
@@ -63,9 +72,10 @@ period so no orphan survives.
 
 Accounting.  Workers write exactly the message plan's entries, so
 per-edge message counts and *declared* payload bytes equal
-:meth:`TaskGraph.census` by construction; ring bytes (payloads plus
-record headers) are tallied apart as ``wire_bytes``.  A node ships what
-it *measured* home once, in its ``("done", stats)`` message (messages,
+:meth:`TaskGraph.census` by construction; ring bytes (record headers
+plus any pickled body: a stencil's ready records are headers alone) are
+tallied apart as ``wire_bytes``.  A node ships what it *measured* home
+once, in its ``("done", stats)`` message (messages,
 declared and ring bytes per destination, busy seconds); the
 parent builds the report from those and an attached registry is a fold
 of that report -- no registry exists in a child.  Send/recv spans land
@@ -95,7 +105,7 @@ from ..obs.metrics import MetricRegistry, publish_run
 from ..runtime.report import KernelError, NodeLostError
 from ..runtime.graph import TaskGraph
 from ..runtime.scheduler import DEFAULT_POLICY
-from ..runtime.task import Flow, Task, TaskKey
+from ..runtime.task import READY, Flow, Task, TaskKey
 from ..runtime.trace import Trace
 from .executor import ExecReport, ThreadedExecutor, ensure_executable
 from .futures import RunCancelled, RunHandle
@@ -129,11 +139,9 @@ RING_BYTES = 256 * 1024
 #: the 8 they declare.
 _MIN_RING = 4096
 
-#: Record header: plan index, encoding, two shape/length words.  The
-#: encoding is the ``ndim`` (1 or 2) of a raw C-contiguous float64
-#: array whose shape follows, or ``_PICKLED`` with the byte length.
-_HDR = struct.Struct("<4q")
-_PICKLED = 0
+#: Record header: plan index and the byte length of the pickled body
+#: that follows; 0 is a ready record, :data:`READY` and no body.
+_HDR = struct.Struct("<2q")
 
 #: int64 words per node / per ring in the shared header: one cache
 #: line each, so one node's per-task stores do not bounce a peer's.
@@ -247,23 +255,19 @@ class _Ring:
             if tail == self.words[_HEAD]:
                 return None
             data, pos = self.data, tail % self.capacity
-            index, encoding, rows, cols = _HDR.unpack_from(data, pos)
-            if encoding == _PICKLED:
-                body = bytearray(rows)
-            else:
-                payload = np.empty((rows, cols) if encoding == 2 else rows)
-                body = memoryview(payload).cast("B")
-            pos += _HDR.size
-            first = self.capacity - pos
-            if len(body) <= first:
-                body[:] = data[pos:pos + len(body)]
-            else:
-                body[:first] = data[pos:]
-                body[first:] = data[:len(body) - first]
-            if encoding == _PICKLED:
+            index, length = _HDR.unpack_from(data, pos)
+            payload, body = READY, bytearray(length)
+            if length:
+                pos += _HDR.size
+                first = self.capacity - pos
+                if length <= first:
+                    body[:] = data[pos:pos + length]
+                else:
+                    body[:first] = data[pos:]
+                    body[first:] = data[:length - first]
                 payload = pickle.loads(body)
-            if type(payload) is np.ndarray:
-                payload.setflags(write=False)
+                if type(payload) is np.ndarray:
+                    payload.setflags(write=False)  # as the payload store freezes outputs
             self.words[_TAIL] = tail + _record_bytes(body)
             return index, payload
         finally:
@@ -275,17 +279,14 @@ def _record_bytes(body) -> int:
     return _HDR.size * (1 - (-len(body) // _HDR.size))
 
 
-def _encode(index: int, payload) -> tuple[tuple, "bytes | memoryview"]:
-    """One record's header fields and body: raw bytes for the arrays the
-    stencil sends, pickle for the rest (scalars, ``None``, odd arrays)."""
-    if (type(payload) is np.ndarray and payload.dtype == np.float64
-            and payload.ndim in (1, 2) and payload.size
-            and payload.flags.c_contiguous):
-        cols = payload.shape[1] if payload.ndim == 2 else 0
-        return ((index, payload.ndim, payload.shape[0], cols),
-                memoryview(payload).cast("B"))
+def _encode(index: int, payload) -> tuple[tuple, bytes]:
+    """One record's header fields and body: none for :data:`READY` (a
+    ready record: the data is where its consumer reads it), a pickle
+    for anything else."""
+    if type(payload) is str and payload == READY:
+        return (index, 0), b""
     body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    return (index, _PICKLED, len(body), 0), body
+    return (index, len(body)), body
 
 
 class _Channels:
@@ -410,9 +411,10 @@ class _NodeExecutor(ThreadedExecutor):
 
     def _send_remote(self, task: Task, outputs: dict) -> None:
         """One record per entry of the graph's message plan, written by
-        the worker that ran ``task`` -- a node-block task sends one per
-        strip and corner it cut -- then one doorbell per destination
-        reached; also the node's live task tally."""
+        the worker that ran ``task`` -- a node-block task sends one ready
+        record per strip and corner it wrote into a landing slot -- then
+        one doorbell per destination reached; also the node's live task
+        tally."""
         self._published += 1
         self._words[_DONE] = self._published
         reached = set()
@@ -421,8 +423,9 @@ class _NodeExecutor(ThreadedExecutor):
             fields, body = _encode(index, outputs[tag])
             size, capacity = _record_bytes(body), self._outbound[dst].capacity
             if size > capacity:
+                sent = getattr(outputs[tag], "nbytes", len(body))
                 raise KernelError(
-                    f"task {task.key!r} sent {len(body)} bytes for tag "
+                    f"task {task.key!r} sent {sent} bytes for tag "
                     f"{tag!r} but declared {nbytes}: the record cannot fit "
                     f"the {capacity}-byte ring to node {dst}"
                 )
@@ -476,7 +479,7 @@ class _NodeExecutor(ThreadedExecutor):
 
     def _poll(self) -> None:
         """Before every pop: notice a peer's abort, retry the outbox,
-        copy arrived payloads out of the inbound rings and release
+        take arrived records out of the inbound rings and release
         their consumers into the node's ready queue."""
         if self._words[_ABORT] and not self._cancelled:
             self._cancelled = True

@@ -89,17 +89,9 @@ class GraphPass:
 
     @classmethod
     def from_params(cls, params: dict[str, str]) -> "GraphPass":
-        """Build an instance from parsed ``key=value`` strings.
-
-        The default accepts no parameters; parameterised passes
-        override this and convert/validate each value.
-        """
-        if params:
-            raise PassError(
-                f"pass {cls.name!r} takes no parameters, got "
-                f"{sorted(params)}"
-            )
-        return cls()
+        """Build an instance from parsed ``key=value`` strings, each
+        value converted and validated."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.spec()}>"

@@ -1,10 +1,8 @@
 """Pass registry, pipeline-spec parsing and the verifying manager.
 
 A pipeline is written ``"ca:steps=4,coarsen:factor=4"``:
-comma-separated pass specs, each ``name[:key=value[,key=value...]]``.
-A comma segment that contains ``=`` but no ``:`` continues the
-previous pass's parameter list, so ``name:a=1,b=2`` is one pass with
-two parameters, not two passes.
+comma-separated pass specs, each ``name[:key=value]`` -- every
+registered pass takes one parameter.
 
 :class:`PassManager` runs the passes in order and, after every one,
 re-finalizes the rewritten graph with full validation, proves it
@@ -53,16 +51,9 @@ def parse_pipeline(spec: str | Iterable[str | GraphPass] | None) -> list[GraphPa
                 passes.extend(parse_pipeline(item))
         return passes
 
-    segments = [s.strip() for s in spec.split(",") if s.strip()]
-    groups: list[list[str]] = []
-    for seg in segments:
-        if "=" in seg and ":" not in seg and groups:
-            groups[-1].append(seg)  # parameter continuation
-        else:
-            groups.append([seg])
     passes = []
-    for group in groups:
-        name, _, first = group[0].partition(":")
+    for segment in filter(None, (s.strip() for s in spec.split(","))):
+        name, _, param = segment.partition(":")
         name = name.strip()
         cls = PASSES.get(name)
         if cls is None:
@@ -70,16 +61,14 @@ def parse_pipeline(spec: str | Iterable[str | GraphPass] | None) -> list[GraphPa
                 f"unknown pass {name!r}; available: {', '.join(sorted(PASSES))}"
             )
         params: dict[str, str] = {}
-        for part in ([first] if first else []) + group[1:]:
-            key, sep, value = part.partition("=")
+        if param:
+            key, sep, value = param.partition("=")
             key = key.strip()
             if not sep or not key:
                 raise PassError(
-                    f"pass {name!r}: malformed parameter {part!r} "
+                    f"pass {name!r}: malformed parameter {param!r} "
                     "(expected key=value)"
                 )
-            if key in params:
-                raise PassError(f"pass {name!r}: duplicate parameter {key!r}")
             params[key] = value.strip()
         passes.append(cls.from_params(params))
     return passes

@@ -17,6 +17,12 @@ from typing import Any, Callable, Hashable, Mapping, NamedTuple
 #: ``("st", tx, ty, it)``.
 TaskKey = Hashable
 
+#: The payload of a flow whose data already sits where its consumer
+#: reads it (a stencil tile's cells, or a strip its producer wrote into
+#: the consumer's landing slot): the flow only orders the two tasks.
+#: Between node processes it travels as a header-only *ready* record.
+READY = "ready"
+
 #: A kernel receives {(producer_key, tag): payload} for its inputs plus
 #: the task itself, and returns {tag: payload} for its outputs.
 Kernel = Callable[[Mapping[tuple[TaskKey, str], Any], "Task"], Mapping[str, Any]]

@@ -12,6 +12,7 @@ from repro.core.spec import StencilSpec
 from repro.distgrid.partition import ProcessGrid
 from repro.machine.machine import nacl
 from repro.runtime.engine import Engine
+from repro.runtime.task import READY
 from repro.stencil.problem import JacobiProblem
 
 from .conftest import random_problem
@@ -163,9 +164,10 @@ def test_pinned_message_plan(name):
 
 
 def test_wrong_shaped_strip_is_rejected_not_broadcast():
-    """A strip arrives from another process on `processes`; one of the
-    wrong shape must fail naming tile and tag, not broadcast into the
-    pad (a (1, 1) array would assign silently)."""
+    """A strip lands in its consumer's landing slot and its flow carries
+    a ready token, which may arrive from another process on
+    `processes`; anything else -- an array of any shape -- must fail
+    naming tile and tag, not be taken for the strip."""
     built = build(steps=1, T=2)
     task = built.graph[("st", 3, "boundary", 0)]
     kernels = task.kernel.__self__
@@ -173,9 +175,9 @@ def test_wrong_shaped_strip_is_rejected_not_broadcast():
     for flow in task.inputs:
         producer = built.graph[flow.producer]
         inputs[(flow.producer, flow.tag)] = producer.kernel({}, producer)[flow.tag]
-    strips = [key for key, value in inputs.items() if isinstance(value, np.ndarray)]
-    assert strips and all(inputs[key].shape in ((1, 4), (4, 1)) for key in strips)
-    assert kernels.stencil_task(inputs, task)["tile"] == "in-buffer"
+    strips = [copy.tag for copy in kernels.plans[task.key[:-1]].phases[0].copies]
+    assert strips and set(inputs.values()) == {READY}
+    assert kernels.stencil_task(inputs, task)["tile"] == READY
     inputs[(("st", 1, "boundary", -1), "dN:2,3")] = np.zeros((1, 1))
     with pytest.raises(ValueError, match=r"tile \(3, 3\), iteration 0: 'dN:2,3'"):
         kernels.stencil_task(inputs, task)

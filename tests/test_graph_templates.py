@@ -265,7 +265,7 @@ def test_a_template_reaches_no_array_mapping_kernels_or_problem():
     run(random_problem(24, 4), nacl(4), impl="base-parsec", tile=6, mode="execute")
     assert len(TEMPLATES._items) == 2
     # The walk goes through the lowering too: node-block graphs, their
-    # kernels' plans and the node buffers' geometry.
+    # kernels' plans and the landing store's layout.
     lowered = [template.blocks for template in TEMPLATES._items.values()]
     assert all(blocks is not None for blocks in lowered)
     objects = reachable_from([TEMPLATES._items])

@@ -71,8 +71,8 @@ def test_parse_pipeline_rejects_garbage():
         parse_pipeline("coarsen:factor=1")
     with pytest.raises(PassError, match="unknown parameters"):
         parse_pipeline("coarsen:depth=3")
-    with pytest.raises(PassError, match="duplicate"):
-        parse_pipeline("coarsen:factor=2,factor=3")
+    with pytest.raises(PassError, match="unknown pass 'factor=3'"):
+        parse_pipeline("coarsen:factor=2,factor=3")  # one parameter per pass
     with pytest.raises(PassError, match="steps"):
         parse_pipeline("ca")  # ca requires steps=<s>
     with pytest.raises(PassError, match="empty"):

@@ -211,10 +211,15 @@ def test_the_benchmark_geometries_lower_to_few_tasks(name, shape, executed):
     paper = built.per_tile().graph
     assert len(paper) == len(built.spec.exchange_plan()) * (iterations + 1)
     # The kernel runs once per rectangle: one for a node's interior (or
-    # a slab of it), one per side of its boundary ring.
+    # a slab of it), one per side of its boundary ring -- and on CA one
+    # per landing array its halo layers are swept in.
     for prefix, plan in built.kernels.plans.items():
         assert len(plan.finals) <= (1 if prefix[2] == "interior" else 4)
-        assert all(len(phase.update) == len(plan.finals) for phase in plan.phases)
+        for phase in plan.phases:
+            grid = [sweep for sweep in phase.update if sweep.rect.array is None]
+            assert len(grid) == len(plan.finals)
+            slots = [sweep.rect.array for sweep in phase.update if sweep.rect.array is not None]
+            assert len(set(slots)) == len(slots) <= (steps > 1)
 
 
 # -- row slabs ------------------------------------------------------------------------------
@@ -447,32 +452,30 @@ def test_a_slab_never_overwrites_a_cell_still_read(fast_switching, shape):
 
 
 @pytest.mark.parametrize("shape,reps", [("one-node", 4), ("square", 20)])
-def test_a_node_buffer_is_allocated_and_framed_once(fast_switching, monkeypatch, shape, reps):
-    """Every task of a block may be the first to touch its buffer; one
-    of them frames it, once.  A grid that is one block has no buffer:
-    it sweeps in the result grid, and nothing is framed."""
+def test_a_blocks_seam_store_is_allocated_once(fast_switching, monkeypatch, shape, reps):
+    """Every task of a block may be the first to touch its seam store;
+    one of them allocates it, once, whatever the others do meanwhile."""
     if shape in SLABBED:
         problem, _ = slabbed(shape, 1)
         _, _, nodes, pgrid, tile = SLABBED[shape]
     else:
         problem = problem_of(shape, 1)
         _, _, nodes, pgrid, tile = SHAPES[shape]
-    bc = type(problem.bc)
-    fill_outside, framed, lock = bc.fill_outside, Counter(), threading.Lock()
+    handed: dict = {}  # block -> ids of the seam stores its tasks were handed
+    seams = dataflow.StencilKernels._seams
 
-    def counted(self, buffer, origin, *grid):
-        with lock:
-            framed[origin] += 1
-        return fill_outside(self, buffer, origin, *grid)
+    def recorded(self, block):
+        store = seams(self, block)
+        handed.setdefault(block, set()).add(id(store))
+        return store
 
-    monkeypatch.setattr(bc, "fill_outside", counted)
+    monkeypatch.setattr(dataflow.StencilKernels, "_seams", recorded)
     for rep in range(reps):
         built = build_base_graph(problem, nacl(nodes), tile=tile, pgrid=pgrid)
         ThreadedExecutor(built.graph, jobs=4, policy="fifo").run(timeout=120)
-        blocks = [] if built.spec.in_grid() else [
-            buffer.origin for buffer in built.spec.buffers().values()]
-        assert framed == Counter({origin: 1 for origin in blocks}), rep
-        framed.clear()
+        blocks = {plan.block for plan in built.kernels.plans.values()}
+        assert handed == {block: {id(built.kernels.seams[block])} for block in blocks}, rep
+        handed.clear()
 
 
 # -- threads: the grid as one node block -----------------------------------------------
@@ -480,16 +483,13 @@ def test_a_node_buffer_is_allocated_and_framed_once(fast_switching, monkeypatch,
 
 def test_threads_runs_the_serve_mix_geometry_as_one_node_block(monkeypatch):
     """``serve_mix``'s request (256^2, 8 sweeps, tile 32, modelled on
-    nacl(4)): 9 tasks, no buffer (the block sweeps in the result grid),
-    every flow a token and nothing but tokens published."""
-    allocated = []
-    allocate = dataflow.StencilKernels._allocate
-    monkeypatch.setattr(dataflow.StencilKernels, "_allocate",
-                        lambda self, block: allocated.append(block) or allocate(self, block))
-    published = []
+    nacl(4)): 9 tasks, no landing slot (the one block sweeps in the
+    result grid), every flow a token and nothing but tokens published."""
+    published, landing = [], set()
 
     def recording(executor):
         for task in executor.graph:
+            landing.add(task.kernel.__self__.store.size)
             def kernel(inputs, task, inner=task.kernel):
                 out = inner(inputs, task)
                 published.extend(out.values())
@@ -501,7 +501,7 @@ def test_threads_runs_the_serve_mix_geometry_as_one_node_block(monkeypatch):
                  on_executor=recording)
     assert np.array_equal(result.grid, problem.reference_solution())
     assert len(result.graph) == result.engine.tasks_run == 9
-    assert allocated == []
+    assert landing == {0}
     assert all(flow.nbytes == 0 for task in result.graph for flow in task.inputs)
     assert result.graph.census().remote_messages == result.engine.messages == 0
     assert len(published) == 9 and not any(isinstance(p, np.ndarray) for p in published)
@@ -533,7 +533,7 @@ def test_the_one_array_and_its_slabs_never_overwrite_a_cell_still_read(
     builder = build_ca_graph if VARIANTS[variant] else build_base_graph
     for rep in range(10):
         built = builder(problem, nacl(1), tile=4, **VARIANTS[variant])
-        assert built.spec.in_grid() and len(built.kernels.plans) == 8
+        assert built.spec.landing() == ({}, ()) and len(built.kernels.plans) == 8
         check_write_after_read(built, truth, rep)
 
 

@@ -127,10 +127,11 @@ def _cells(origin, slices):
 @given(specs())
 def test_exchange_plan_sends_exactly_what_is_received(spec):
     """Every incoming entry names a neighbour's cells that are the very
-    cells of its own pad, and what the kernels cut is exactly what they
-    paste one phase later -- per tile and per node block: the same tag,
-    shape and global cells, one paste per copy, nothing else cut, and a
-    token wherever producer and consumer share a node buffer."""
+    cells of its own pad, and what the kernels write into a landing slot
+    is exactly what they read from it one phase later -- per tile and
+    per node block: the same tag, slot, shape and global cells, one
+    reader per slot, nothing else written, and a token wherever producer
+    and consumer share a node block."""
     plan = spec.exchange_plan()
     assert set(plan) == set(spec.partition.tiles())
     declared = 0
@@ -151,28 +152,31 @@ def test_exchange_plan_sends_exactly_what_is_received(spec):
                 assert entry.nbytes == entry.shape[0] * entry.shape[1] * ITEMSIZE
                 declared += 1
     built = build_stencil_graph(spec, nacl(spec.partition.pgrid.size))
-    origin = {block: buffer.origin for block, buffer in spec.buffers().items()}
+    arrays = spec.landing()[1]
     for kernels in (built.kernels, built.per_tile().kernels):
         sent, tokens = {}, 0
         for prefix, task_plan in kernels.plans.items():
             for phase, step in enumerate(task_plan.phases):
-                for tag, block, source in step.cuts:
+                for tag, source, array, dest in step.cuts:
                     if source is None:
                         tokens += 1
                         continue
                     key = (prefix, (phase + 1) % spec.steps, tag)
                     assert key not in sent  # one tag, one consumer
-                    sent[key] = _cells(origin[block], source)
+                    # from the grid, straight into the consumer's slot
+                    cells = _cells(arrays[array].origin, dest)
+                    assert _cells((0, 0), source) == cells
+                    sent[key] = (array, cells)
         received = 0
         for prefix, task_plan in kernels.plans.items():
             for phase, step in enumerate(task_plan.phases):
                 for copy in step.copies:
-                    cells = _cells(origin[copy.block], copy.dest)
-                    assert sent[(copy.producer, phase, copy.tag)] == cells
+                    cells = _cells(arrays[copy.array].origin, copy.dest)
+                    assert sent[(copy.producer, phase, copy.tag)] == (copy.array, cells)
                     assert (cells[1] - cells[0], cells[3] - cells[2]) == copy.shape
                     received += 1
         assert received == len(sent)
-        if kernels is built.kernels:  # within a buffer: the block graph's token edges
+        if kernels is built.kernels:  # within a block: the block graph's token edges
             assert tokens == 0
         else:  # the paper's graph publishes every declared flow, by copy or token
             assert received + tokens == declared

@@ -75,12 +75,15 @@ def test_chain_traffic_wraps_a_tiny_ring_many_times(monkeypatch):
 
 
 def test_stencil_strips_wrap_mid_record(monkeypatch):
-    """64-byte strips in 96-byte records do not divide a 256-byte ring:
-    payloads are written and read in two pieces across the wrap.  Also
+    """A stencil's 64-byte strips land in their consumers' slots and
+    only 16-byte ready records cross the 256-byte rings, so no record
+    wraps any more (pickled payloads still do:
+    ``test_chain_traffic_wraps_a_tiny_ring_many_times``).  What stays is
     the stress case: a 3x2 process grid with two workers per node (12
     threads on this host's 2 cores) switching threads every 10 us (the
     forked nodes inherit the interval), full rings and a busy outbox --
-    a lost or doubled record would change the grid or the counts."""
+    a lost or doubled record, or a slot read before its record arrived,
+    would change the grid or the counts."""
     monkeypatch.setattr(procs, "RING_BYTES", 256)
     problem = random_problem(n=48, iterations=24, ncols=32)
     interval = sys.getswitchinterval()

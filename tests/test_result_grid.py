@@ -370,4 +370,4 @@ def test_procs_report_holds_tokens_and_the_message_counts_are_the_pinned_ones():
     assert set(report.results.values()) == {IN_GRID}
     assert (report.messages, report.message_bytes) == (
         census.remote_messages, census.remote_bytes) == (256, 256 * 16 * 8)
-    assert report.wire_bytes == 256 * (32 + 16 * 8)  # header + one strip each
+    assert report.wire_bytes == 256 * 16  # a ready record each: the strips land in slots

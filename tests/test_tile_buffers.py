@@ -1,25 +1,21 @@
-"""Node buffer lifetime and allocation budget of the stencil data path.
+"""Storage and allocation budget of the stencil data path.
 
-Every sweep updates one array per node block in place: the result grid
-itself for a grid that is one block, else the block's framed buffer,
-whose windows are its tiles' extended arrays.  A task pastes into its
-update regions the parts of the copies it received (remote strips and
-corners) that lie there, updates its tiles in place, saves the seams
-its neighbours read next sweep and cuts copies for the consumers in
-other buffers; a flow between tiles of one array is a token.  The last
-sweep of a framed block writes the cores into the build's result grid.
-These tests pin what makes that safe (inputs stay intact, a fresh
-executor on the same build starts clean), who owns the buffers (the
-kernels: they die with the run's result, and the ``processes`` parent
-never makes one) and that the allocations the buffers removed do not
-creep back: a solve holds one grid.
+Every sweep of every node block updates in place inside the build's
+result grid; a tile's pads toward another block are slots of the
+landing store, which shares the grid's mapping.  A task updates its
+tiles in place, saves the seams its neighbours read next sweep and
+writes the strips its consumers in other blocks read straight into
+their landing slots; every flow carries a token.  These tests pin what
+makes that safe (inputs stay intact, a fresh executor on the same
+build starts clean), that no backend allocates a node buffer -- not the
+simulator, not a ``threads`` worker, not a node process, not the
+``processes`` parent -- and that the allocations the one-grid rule
+removed do not creep back: a solve holds one grid.
 """
 
-import gc
 import mmap
 import queue
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -27,16 +23,16 @@ import pytest
 from repro.chaos import ChaosContext, CheckpointStore, FaultInjector, parse_plan
 from repro.core.base_parsec import build_base_graph
 from repro.core.ca_parsec import build_ca_graph
-from repro.core.dataflow import IN_BUFFER, IN_GRID, StencilKernels
+from repro.core.dataflow import IN_GRID, StencilKernels
 from repro.core.runner import run
-from repro.core.spec import StencilSpec
-from repro.exec import fork_available
+from repro.exec import fork_available, procs
 from repro.exec.executor import ThreadedExecutor
 from repro.exec.futures import RunCancelled
 from repro.exec.procs import ProcessExecutor
 from repro.ir import PassContext, PassManager, parse_pipeline
 from repro.machine.machine import nacl
 from repro.runtime.engine import Engine
+from repro.runtime.task import READY
 from repro.stencil.kernels import StencilWeights
 from repro.stencil.problem import JacobiProblem
 from repro.stencil.reference import jacobi_reference
@@ -59,29 +55,27 @@ def build(problem, machine, variant):
 
 
 def instrument(built):
-    """Wrap every task before any pass sees it: collect a weak reference
-    to each copy published, and fail the run -- in whichever process or
-    thread it happens -- if a last-sweep task publishes anything but its
-    grid token, or a copy is a view of a node buffer."""
+    """Wrap every task before any pass sees it: fail the run -- in
+    whichever process or thread it happens -- if a last-sweep task
+    publishes anything but its grid token, or any task anything but
+    tokens.  Returns the list the wrapped tasks count themselves in."""
     t_last = built.spec.problem.iterations - 1
-    copies = []
+    ran = []
 
     def wrapped(inner, last):
         def kernel(inputs, task):
             out = inner(inputs, task)
             if last and out != {"tile": IN_GRID}:
                 raise AssertionError(f"{task.key} published {out}")
-            buffers = list(inner.__self__.buffers.values())  # other tasks add to it
-            for copy in arrays_in(out.values()):
-                if any(np.shares_memory(copy, buffer) for buffer in buffers):
-                    raise AssertionError(f"{task.key} published a view of its buffer")
-                copies.append(weakref.ref(copy))
+            if not last and set(out.values()) != {READY}:
+                raise AssertionError(f"{task.key} published {out}")
+            ran.append(task.key)
             return out
         return kernel
 
     for task in built.graph:
         task.kernel = wrapped(task.kernel, task.key[-1] == t_last)
-    return copies
+    return ran
 
 
 def arrays_in(payloads):
@@ -112,7 +106,7 @@ def test_complete_run_pins_no_tile_memory_and_empties_the_store(backend, variant
     built = build(problem, machine, variant)
     if backend == "sim":
         built = built.per_tile()  # what the simulator runs
-    copies = instrument(built)
+    ran = instrument(built)
     if passes:
         built, _ = PassManager(parse_pipeline(passes)).run(
             built, PassContext(machine=machine, with_kernels=True))
@@ -123,7 +117,7 @@ def test_complete_run_pins_no_tile_memory_and_empties_the_store(backend, variant
     else:
         executor = ProcessExecutor(built.graph, procs=machine.nodes, jobs=1)
     report = executor.run()
-    buffers = len(built.kernels.buffers)
+    seams = len(built.kernels.seams)
     grid = built.assemble_grid(report.results)
     assert grid is built.grid
     assert np.array_equal(grid, problem.reference_solution())
@@ -131,16 +125,12 @@ def test_complete_run_pins_no_tile_memory_and_empties_the_store(backend, variant
     assert set(report.results) == set(built.final_keys())
     assert list(arrays_in(report.results.values())) == []
     if backend == "processes":
-        return  # the node processes' buffers and stores died with them
-    assert len(executor._store) == 0
-    # The graph, its kernels and the executor are all still here, yet
-    # none of the copies that crossed a buffer edge is alive, and the
-    # node buffers went once the grid was assembled: the grid is the
-    # only tile-sized memory left.
-    assert copies
-    gc.collect()
-    assert [ref() for ref in copies if ref() is not None] == []
-    assert buffers == machine.nodes and built.kernels.buffers == {}
+        return  # the node processes' seams and stores died with them
+    assert len(executor._store) == 0 and ran
+    # The graph, its kernels and the executor are all still here; every
+    # payload was a token, and the seam stores went once the grid was
+    # assembled: the grid and its landing store are all that is left.
+    assert seams == machine.nodes and built.kernels.seams == {}
 
 
 def sweep_by_hand(built, call):
@@ -166,31 +156,26 @@ def test_inputs_are_intact_and_read_only_when_the_kernel_returns(variant):
     problem = random_problem(n=24, iterations=7, seed=1)
     built = build(problem, nacl(4), variant)
     kernels = kernels_of(built)
-    pasted = 0
+    landed = 0
 
     def checked_call(task, inputs):
-        nonlocal pasted
+        nonlocal landed
         t = task.key[-1]
         before = {k: v.copy() for k, v in inputs.items() if isinstance(v, np.ndarray)}
         outputs = task.kernel(inputs, task)
         arrays = list(arrays_in(outputs.values()))
-        for k, payload in inputs.items():
-            if not isinstance(payload, np.ndarray):
-                assert payload == IN_BUFFER  # a flow within one buffer
-                continue
-            assert not payload.flags.writeable
-            assert all(not np.shares_memory(payload, out) for out in arrays)
-            assert payload.tobytes() == before[k].tobytes(), f"{task.key} wrote input {k}"
+        assert arrays == [] and before == {}
+        assert set(inputs.values()) <= {READY}  # every flow is a token
         if t >= 0:
-            # Every copy the plan reads arrived, whole.
+            # Every strip the plan reads from a landing slot was marked ready.
             plan = kernels.plans[task.key[:-1]]
             for copy in plan.phases[t % built.spec.steps].copies:
-                assert inputs[(copy.producer + (t - 1,), copy.tag)].shape == copy.shape
-                pasted += 1
+                assert inputs[(copy.producer + (t - 1,), copy.tag)] == READY
+                landed += 1
         return outputs
 
     payloads = sweep_by_hand(built, checked_call)
-    assert pasted > 0
+    assert landed > 0
     finals = {k: payloads[k] for k in built.final_keys()}
     assert list(arrays_in(finals.values())) == []
     assert np.array_equal(built.assemble_grid(finals), problem.reference_solution())
@@ -227,8 +212,8 @@ def test_running_the_same_task_twice_never_writes_its_input():
 @pytest.mark.timeout(120)
 def test_reset_and_rerun_of_the_same_graph_is_bit_identical():
     """A "reset" is a fresh executor on the same graph: its kernels
-    keep their node buffers from the previous run and must still be
-    right."""
+    keep their seams and landing slots from the previous run and must
+    still be right."""
     problem = random_problem(n=24, iterations=9, seed=5)
     built = build(problem, nacl(4), "ca")
     truth = problem.reference_solution()
@@ -242,7 +227,7 @@ def test_cancelled_run_then_reset_and_full_run_is_bit_identical():
     problem = random_problem(n=24, iterations=12, seed=6)
     built = build(problem, nacl(4), "base")
 
-    # Cancel from inside a mid-run task: the buffers hold a half-swept grid then.
+    # Cancel from inside a mid-run task: the grid is half-swept then.
     trigger = built.graph[(built.name, 3, "boundary", 6)]
     plain = trigger.kernel
     handles = queue.Queue()
@@ -263,52 +248,64 @@ def test_cancelled_run_then_reset_and_full_run_is_bit_identical():
                           problem.reference_solution())
 
 
-# -- who owns the node buffers -------------------------------------------------
+# -- no node buffer, anywhere ---------------------------------------------------
 
 
-@pytest.fixture
-def allocations(monkeypatch):
-    """(node block, weak reference) of every node buffer this process
-    allocates."""
-    made = []
-    allocate = StencilKernels._allocate
+class TaskPeaks:
+    """The largest tracemalloc peak of any steady-state stencil task
+    body -- sweep 1 on: sweep 0 makes the block's seam store and grows
+    the thread's scratch rows -- per node, in shared memory (forked node
+    processes write it too).  Patches the kernels' class."""
 
-    def recorded(self, block):
-        buffer = allocate(self, block)
-        made.append((block, weakref.ref(buffer)))
-        return buffer
+    def __init__(self, monkeypatch, nodes: int) -> None:
+        self.peaks = np.ndarray((nodes,), dtype=np.int64, buffer=mmap.mmap(-1, nodes * 8))
+        self.peaks[...] = -1
+        body = StencilKernels.stencil_task
+        peaks = self.peaks
 
-    monkeypatch.setattr(StencilKernels, "_allocate", recorded)
-    return made
+        def traced(kernels, inputs, task):
+            if task.key[-1] < 1:
+                return body(kernels, inputs, task)
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                return body(kernels, inputs, task)
+            finally:
+                peaks[task.node] = max(peaks[task.node],
+                                       tracemalloc.get_traced_memory()[1] - base)
+                tracemalloc.stop()
+
+        monkeypatch.setattr(StencilKernels, "stencil_task", traced)
 
 
 @pytest.mark.timeout(120)
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_node_buffers_die_with_the_run_result(backend, allocations):
-    problem = random_problem(n=24, iterations=5, seed=7)
-    knobs = dict(impl="ca-parsec", tile=6, steps=3, mode="execute", backend=backend)
+def test_node_buffers_die_with_the_run_result(backend, monkeypatch):
+    """There are none, on any backend: whatever runs the tasks -- the
+    simulator's one-tile tasks, a ``threads`` worker, a node process --
+    none allocates anything block-sized, because the cores sweep in the
+    result grid and the halo layers in the landing slots, both in the
+    build's one mapping.  What a run does make, its seam stores, goes
+    once the grid is assembled: a kept result pins its grid."""
+    problem = random_problem(n=256, iterations=5, seed=7)
+    block_bytes = 128 * 128 * 8  # a 2 x 2 process grid's block
+    log = TaskPeaks(monkeypatch, 4)
+    knobs = dict(impl="ca-parsec", tile=32, steps=3, mode="execute", backend=backend)
     result = run(problem, nacl(4), **knobs)
-    blocks = sorted(block for block, _ in allocations)
-    if backend == "processes":  # each node made its own, and died with it
-        assert blocks == []
-    elif backend == "threads":  # one node block, swept in the result grid
-        assert blocks == []
-    else:
-        assert blocks == [(0, 0), (0, 1), (1, 0), (1, 1)]  # one per node block
-    # Released once the grid was assembled: a kept result pins its grid alone.
-    gc.collect()
-    assert next(iter(result.graph)).kernel.__self__.buffers == {}
-    assert [block for block, ref in allocations if ref() is not None] == []
     assert np.array_equal(result.grid, problem.reference_solution())
+    nodes = {task.node for task in result.graph}
+    assert (log.peaks[sorted(nodes)] >= 0).all()
+    assert log.peaks.max() < block_bytes // 4, list(log.peaks)
+    assert next(iter(result.graph)).kernel.__self__.seams == {}
 
 
 @pytest.mark.timeout(120)
 @pytest.mark.parametrize("wrapped", ["plain", "chaos", "passes"])
-def test_a_held_threads_result_keeps_no_node_buffer(wrapped, allocations, tmp_path):
+def test_a_held_threads_result_keeps_no_node_buffer(wrapped, tmp_path):
     """However the kernels were wrapped -- by a chaos context (which
-    also checkpoints from the array during the run) or by a rewrite
+    also checkpoints from the grid during the run) or by a rewrite
     pass -- the result a caller keeps holds the grid and no buffer: the
-    one node block sweeps in the result grid, so there is none."""
+    one node block sweeps in the result grid, its seams gone."""
     problem = random_problem(n=48, iterations=6, seed=9)
     knobs = dict(impl="base-parsec", tile=6, backend="threads", jobs=2)
     if wrapped == "chaos":
@@ -318,9 +315,9 @@ def test_a_held_threads_result_keeps_no_node_buffer(wrapped, allocations, tmp_pa
     elif wrapped == "passes":
         knobs["passes"] = "coarsen"
     result = run(problem, nacl(4), **knobs)
-    assert allocations == []
-    gc.collect()
-    assert [ref() for _, ref in allocations if ref() is not None] == []
+    kernels = {task.kernel.__self__ for task in result.graph
+               if isinstance(getattr(task.kernel, "__self__", None), StencilKernels)}
+    assert all(k.seams == {} and k.store.size == 0 for k in kernels)
     assert np.array_equal(result.grid, problem.reference_solution())
     if wrapped == "chaos":
         assert knobs["chaos"].store.complete_steps() == [2, 4]
@@ -329,13 +326,15 @@ def test_a_held_threads_result_keeps_no_node_buffer(wrapped, allocations, tmp_pa
 @needs_fork
 @pytest.mark.timeout(120)
 def test_the_processes_parent_maps_no_node_buffer():
-    """Each node process makes its own node's buffer: the parent's
-    kernels never touch one, and after the run the parent maps exactly
-    one anonymous shared region more than before -- the result grid."""
+    """The node processes sweep in the result grid and write the landing
+    store, which the build mapped before the fork, in one anonymous
+    shared region: the parent's kernels make nothing, and after the run
+    the parent maps exactly that one region more than before."""
     problem = random_problem(n=24, iterations=5, seed=8)
     before = shared_mappings()
     result = run(problem, nacl(4), impl="base-parsec", tile=6, backend="processes")
-    assert next(iter(result.graph)).kernel.__self__.buffers == {}
+    kernels = next(iter(result.graph)).kernel.__self__
+    assert kernels.seams == {} and kernels.store.size > 0
     assert shared_mappings() == before + 1
     assert np.array_equal(result.grid, problem.reference_solution())
 
@@ -443,25 +442,28 @@ def test_a_threads_run_holds_the_grid_it_returns_and_its_perimeter():
 
 @needs_fork
 @pytest.mark.timeout(120)
-def test_a_processes_child_holds_one_framed_array(monkeypatch):
-    """Each node process allocates its block's buffer once, as one
-    framed array the shape of its tiles' extended arrays' bounding box
-    -- not two halves."""
-    problem = random_problem(n=48, ncols=40, iterations=5, seed=3)
-    spec = StencilSpec.create(problem, 4, 6, 2)
-    shapes = np.ndarray((4, 4), dtype=np.int64, buffer=mmap.mmap(-1, 4 * 4 * 8))
-    shapes[...] = 0
-    allocate = StencilKernels._allocate
+def test_a_node_process_allocates_nothing_block_sized(monkeypatch):
+    """Traced from its first instruction to its report home, a node
+    process allocates less than half its block (1 MiB): no framed buffer,
+    no received copy -- the strips it reads are in the landing store,
+    and the records it takes are headers."""
+    problem = random_problem(n=512, iterations=6, seed=3)
+    block_bytes = 512 * 256 * 8
+    peaks = np.ndarray((2,), dtype=np.int64, buffer=mmap.mmap(-1, 16))
+    peaks[...] = -1
+    node_main = procs._node_main
 
-    def recorded(self, block):
-        buffer = allocate(self, block)
-        row = shapes[self.layout[block].node]
-        row[0] += 1
-        row[1], row[2:2 + buffer.ndim] = buffer.ndim, buffer.shape
-        return buffer
+    def traced(node, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            node_main(node, *args, **kwargs)
+        finally:
+            peaks[node] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
 
-    monkeypatch.setattr(StencilKernels, "_allocate", recorded)
-    result = run(problem, nacl(4), impl="ca-parsec", steps=2, tile=6, backend="processes")
-    assert np.array_equal(result.grid, problem.reference_solution())
-    for buffer in spec.buffers().values():
-        assert tuple(shapes[buffer.node]) == (1, 2, *buffer.shape)
+    monkeypatch.setattr(procs, "_node_main", traced)
+    for impl, steps in (("base-parsec", 1), ("ca-parsec", 4)):
+        result = run(problem, nacl(2), impl=impl, steps=steps, tile=64, backend="processes")
+        assert np.array_equal(result.grid, problem.reference_solution())
+        assert (peaks >= 0).all() and peaks.max() < block_bytes // 2, (impl, list(peaks))
+        peaks[...] = -1
