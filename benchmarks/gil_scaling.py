@@ -10,12 +10,14 @@
 each sweep), on 256^2, 2048^2 and 4096^2 grids, with one thread and
 with two (each sweeping half the rows of the same arrays), allocation
 included: best of five, nanoseconds per cell and sweep.  Then, on one
-thread, the `halo_*` node block's 4096 x 128 rectangle: in place inside
-a framed 4096 x 130 array of its own (a private mapping asking for huge
-pages, as a node's framed buffer was), in place inside the 4096 x 256
-result grid where every node block sweeps now (a row stride of 256
-cells, in an anonymous shared mapping, as the build makes it), and out
-of place between two framed arrays.
+thread, the `halo_*` node block's 4096 x 128 rectangle in place, in a
+2 x 2 grid that keeps row stride and page kind apart: inside a 4096 x
+130 array (the block and its frame, as a node's own buffer was) or a
+4096 x 256 one (the result grid where every node block sweeps now),
+each in an anonymous shared mapping (as the build maps the grid) and
+in a private one asking for huge pages (as the node buffer was); and
+out of place between two framed arrays.  These time the sweeps only:
+mapping, first touch and one warm sweep run before the clock.
 
 First `jacobi_update_region` over a static half/half partition of
 private tiles -- `kernel_large`'s arithmetic (2048^2 cells, 16 sweeps)
@@ -145,30 +147,37 @@ def sweep_cost(n: int, threads: int, in_place: bool) -> float:
     return (time.perf_counter() - t0) / (n * n * sweeps)
 
 
-def rect_cost(width: int | None) -> float:
+def rect_cost(width: int | None, shared: bool = False) -> float:
     """Seconds per cell and sweep of one thread sweeping the 4096 x 128
     rectangle of a ``halo_*`` node: in place inside an array ``width``
-    cells wide (its lines a frame around it; 256: the result grid's
-    shared mapping, else a private one asking for huge pages), or
-    (``width`` None) out of place between two framed arrays."""
+    cells wide (its lines a frame around it), in a ``shared`` anonymous
+    mapping (as the build maps the result grid) or a private one asking
+    for huge pages (as a node's framed buffer was); or (``width`` None)
+    out of place between two framed arrays.  The mapping, the first
+    touch and one warm sweep stay outside the clock."""
     rows, cols, sweeps = 4096, 128, 64
     weights = StencilWeights()
-    t0 = time.perf_counter()
     if width is None:
         pair = [np.full((rows + 2, cols + 2), 0.5), np.full((rows + 2, cols + 2), 0.5)]
         region = slice(1, rows + 1), slice(1, cols + 1)
-        for k in range(sweeps):
+
+        def sweep(k: int) -> None:
             jacobi_update_region(pair[k % 2], weights, *region, out=pair[1 - k % 2][region])
     else:
-        flags = mmap.MAP_SHARED if width == 256 else mmap.MAP_PRIVATE
-        memory = mmap.mmap(-1, rows * width * 8, flags=flags)
-        if flags == mmap.MAP_PRIVATE and hasattr(mmap, "MADV_HUGEPAGE"):
+        memory = mmap.mmap(-1, rows * width * 8,
+                           flags=mmap.MAP_SHARED if shared else mmap.MAP_PRIVATE)
+        if not shared and hasattr(mmap, "MADV_HUGEPAGE"):
             memory.madvise(mmap.MADV_HUGEPAGE)
         array, frame = np.ndarray((rows, width), buffer=memory), np.ones(rows)
         array[...] = 0.5
         lines = (frame[:cols], frame[:cols], frame, frame)
-        for _ in range(sweeps):
+
+        def sweep(k: int) -> None:
             jacobi_update_lines(array, weights, slice(0, rows), slice(0, cols), lines)
+    sweep(0)
+    t0 = time.perf_counter()
+    for k in range(1, sweeps + 1):
+        sweep(k)
     return (time.perf_counter() - t0) / (rows * cols * sweeps)
 
 
@@ -179,11 +188,14 @@ def per_cell() -> None:
             out, into = (min(sweep_cost(n, threads, in_place) for _ in range(REPS)) * 1e9
                          for in_place in (False, True))
             print(f"{n:>5}² {threads:>8} {out:>13.2f} {into:>9.2f}")
-    print(f"{'4096 x 128 rectangle, one thread':<45} (ns a cell)")
-    for label, width in (("in place, own private 4096 x 130 array", 130),
-                         ("in place, in the shared 4096 x 256 grid", 256),
-                         ("out of place, two framed arrays", None)):
-        print(f"{label:<45} {min(rect_cost(width) for _ in range(REPS)) * 1e9:>9.2f}")
+    print("\n4096 x 128 rectangle, one thread, in place (ns a cell)")
+    print(f"{'array':>12} {'shared':>8} {'private':>8}")
+    for width in (130, 256):
+        shared, private = (min(rect_cost(width, kind) for _ in range(REPS)) * 1e9
+                           for kind in (True, False))
+        print(f"{f'4096 x {width}':>12} {shared:>8.2f} {private:>8.2f}")
+    out = min(rect_cost(None) for _ in range(REPS)) * 1e9
+    print(f"out of place, two framed arrays: {out:.2f}")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ subcommand each, in ``--help`` order:
   report where the time moved (defaults to the Fig.-10 base-vs-CA
   configuration; ``--assert-comm-drop`` exits 1 unless CA shows a
   strictly lower communication share of critical-path time);
-* ``ir`` -- rewrite a task graph through an IR pass pipeline and
+* ``ir`` -- rewrite a task graph through an IR pass and
   report the before/after evidence (see ``docs/ir.md``);
 * ``experiment`` -- regenerate one of the paper's tables/figures by
   registry id (``table1``, ``fig5`` ... ``headlines``);
@@ -149,9 +149,9 @@ def _add_trace_diff_parser(sub: argparse._SubParsersAction) -> None:
     # ratio 0.2: the paper's profiled run is comm-bound.
     RunConfig.add_flags(p, omit=("impl", "passes"), tile=288, ratio=0.2)
     p.add_argument("--passes-a", default=None, metavar="SPEC", type=pipeline_arg,
-                   help="IR rewrite pipeline for side A")
+                   help="IR rewrite pass for side A")
     p.add_argument("--passes-b", default=None, metavar="SPEC", type=pipeline_arg,
-                   help="IR rewrite pipeline for side B")
+                   help="IR rewrite pass for side B")
     p.add_argument("--top", type=int, default=5,
                    help="task movers to list")
     p.add_argument("--assert-comm-drop", action="store_true",
@@ -312,14 +312,11 @@ def _add_chaos_parser(sub: argparse._SubParsersAction) -> None:
 def _add_ir_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "ir",
-        help="rewrite a task graph through an IR pass pipeline and "
-             "report the before/after evidence",
+        help="rewrite a task graph through an IR pass and report the "
+             "before/after evidence",
     )
-    from .ir.pipeline import PASSES
-
     p.add_argument("--passes", required=True, metavar="SPEC", type=pipeline_arg,
-                   help="pipeline spec, e.g. 'coarsen:factor=4' "
-                        "(passes: %s)" % ", ".join(PASSES))
+                   help="the pass: 'coarsen' or 'coarsen:factor=N'")
     _add_problem_flags(p, n=192, iterations=8)
     RunConfig.add_flags(p, omit=("backend", "jobs", "procs", "passes"),
                         impl="ca-parsec", steps=4)

@@ -13,7 +13,7 @@ The rule "PETSc has no tile/steps/ratio, base-parsec has no CA step"
 lives in :data:`APPLIES` and nowhere else.
 
 Import-light by contract (stdlib and the two registries below; no
-numpy, and :mod:`repro.ir` only once a config names a pass pipeline):
+numpy, and :mod:`repro.ir` only once a config names a pass):
 the benchmark's ``setup_s`` pays for whatever this module imports.
 """
 
@@ -75,9 +75,9 @@ def int_or_auto(value: str) -> int | str:
 
 
 def pipeline_arg(value: str) -> str:
-    """CLI type of ``--passes``: a pipeline spec that parses, kept as
+    """CLI type of ``--passes``: a pass spec that parses, kept as
     spelled; one that does not is a usage error (exit 2) naming the
-    passes there are."""
+    pass there is."""
     from ..ir import canonical_pipeline
 
     try:
@@ -160,8 +160,8 @@ class RunConfig:
         True, "schedule node-boundary tiles first (no effect on 'threads', "
               "which runs the grid as one node block)")
     passes: str | None = _knob(
-        None, "IR rewrite pipeline applied to the built graph, e.g. "
-              "'coarsen:factor=4' (see docs/ir.md); canonicalised "
+        None, "IR rewrite pass applied to the built graph, "
+              "'coarsen[:factor=N]' (see docs/ir.md); canonicalised "
               "on construction",
         ANSWER, (SERVE,), dict(metavar="SPEC", type=pipeline_arg))
     mode: str = _knob(
@@ -217,9 +217,7 @@ class RunConfig:
             # and equivalent spellings share one signature.
             from ..ir import canonical_pipeline
 
-            object.__setattr__(
-                self, "passes", canonical_pipeline(self.passes) or None
-            )
+            object.__setattr__(self, "passes", canonical_pipeline(self.passes))
 
     # -- derived views ---------------------------------------------------
 

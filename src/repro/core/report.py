@@ -36,8 +36,8 @@ class RunResult:
     #: path, trace diffing) can join the trace back onto its
     #: dependencies without rebuilding the graph.
     graph: TaskGraph | None = None
-    #: The :class:`repro.ir.PipelineReport` when the run rewrote the
-    #: graph through ``passes=...`` -- per-pass before/after census
+    #: The :class:`repro.ir.PassReport` when the run rewrote the graph
+    #: through ``passes=...`` -- the pass's before/after census
     #: evidence; None for an unrewritten run.
     pass_reports: Any = None
 

@@ -43,24 +43,20 @@ def _publish_critpath(metrics, report, graph) -> None:
 
 
 def _publish_ir_metrics(metrics, report) -> None:
-    """Mirror what a pipeline bought into the registry: passes applied,
-    remote messages saved per pass (counters only go up: a negative
-    delta clamps to zero) and the signed pipeline total.  The per-pass
-    task, edge and byte deltas are fields of ``result.pass_reports``."""
+    """Mirror what the rewrite bought into the registry: the pass
+    applied and the remote messages it saved (never negative: the pass
+    declares ``remote_messages_not_increased``).  Its task, edge and
+    byte deltas are fields of ``result.pass_reports``."""
     if metrics is None:
         return
-    for p in report.passes:
-        labels = {"pass": p.name}
-        metrics.counter(
-            "ir_pass_applied", help="rewrite passes applied"
-        ).inc(1, **labels)
-        metrics.counter(
-            "ir_pass_messages_saved",
-            help="remote messages removed by rewrite passes",
-        ).inc(max(0, p.messages_saved), **labels)
-    metrics.gauge(
-        "ir_messages_saved", help="pipeline-total remote message delta (signed)"
-    ).set(report.messages_saved)
+    labels = {"pass": report.name}
+    metrics.counter(
+        "ir_pass_applied", help="rewrite passes applied"
+    ).inc(1, **labels)
+    metrics.counter(
+        "ir_pass_messages_saved",
+        help="remote messages removed by rewrite passes",
+    ).inc(report.messages_saved, **labels)
 
 
 def _publish_census(metrics, graph) -> None:
@@ -128,19 +124,12 @@ def _build(problem: JacobiProblem, machine: MachineSpec, config: RunConfig):
     return built, params
 
 
-def _rewrite(built, machine: MachineSpec, config: RunConfig, metrics):
-    """Run ``config.passes`` over the built graph; returns the rewritten
-    build and its :class:`~repro.ir.PipelineReport`."""
-    from ..ir import PassContext, PassManager, parse_pipeline
+def _rewrite(built, config: RunConfig, metrics):
+    """Run the pass ``config.passes`` names over the built graph;
+    returns the rewritten build and its :class:`~repro.ir.PassReport`."""
+    from ..ir import apply_pass, parse_pipeline
 
-    manager = PassManager(parse_pipeline(config.passes))
-    ctx = PassContext(
-        machine=_executed_machine(machine, config),
-        with_kernels=config.with_kernels,
-        ratio=config.ratio,
-        include_redundant=config.include_redundant,
-    )
-    built, report = manager.run(built, ctx)
+    built, report = apply_pass(parse_pipeline(config.passes), built)
     _publish_ir_metrics(metrics, report)
     return built, report
 
@@ -228,12 +217,12 @@ def run(
     before the backend runs it.  A fault-free run pays nothing -- the
     backends only consult the context when one is attached.
 
-    ``passes`` rewrites the built graph through the IR pass pipeline
-    (:mod:`repro.ir`) before any backend sees it -- e.g.
-    ``passes="coarsen:factor=4"``.  Every pass is verified
-    against its declared invariants, the per-pass evidence lands in
-    ``result.pass_reports``, and the canonical pipeline spec is
-    recorded in ``result.params["passes"]``.  Mutually exclusive with
+    ``passes`` rewrites the built graph through the one IR pass it
+    names (:mod:`repro.ir`) before any backend sees it --
+    ``passes="coarsen:factor=4"``.  The pass is verified against its
+    declared invariants, its evidence lands in
+    ``result.pass_reports``, and the canonical spec is recorded in
+    ``result.params["passes"]``.  Mutually exclusive with
     ``chaos`` (fault hooks instrument the original kernels, which a
     rewrite may merge away).
 
@@ -278,9 +267,9 @@ def run(
     params.update(impl_params, overlap=config.overlap)
     if config.with_kernels:
         params["kernel"] = active_kernel()  # "c", or the numpy fallback
-    pipe_report = None
+    pass_report = None
     if config.passes is not None:
-        built, pipe_report = _rewrite(built, machine, config, metrics)
+        built, pass_report = _rewrite(built, config, metrics)
         params["passes"] = config.passes
     if metrics is not None:
         _publish_census(metrics, built.graph)
@@ -306,5 +295,5 @@ def run(
         params=params,
         grid=built.assemble_grid(report.results) if config.with_kernels else None,
         graph=built.graph,
-        pass_reports=pipe_report,
+        pass_reports=pass_report,
     )

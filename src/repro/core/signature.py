@@ -20,7 +20,8 @@ near-duplicate hashing paths; this module is the single home of
   closure and a constant that produce the same grid hash identically.
 
 Keep this module cheap to import: numpy only, no sibling packages
-(machine/stencil objects arrive as arguments, duck-typed).
+at import time (machine/stencil objects arrive as arguments,
+duck-typed).
 """
 
 from __future__ import annotations
@@ -134,17 +135,14 @@ def problem_content_key(problem: Any) -> dict:
 
 
 def passes_token(passes: Any) -> str | None:
-    """Lexical normalisation of an IR pipeline spec for keying:
-    whitespace stripped, empty segments dropped, ``None`` for "no
-    rewrite".  Callers that can afford to import :mod:`repro.ir`
-    should prefer ``repro.ir.canonical_pipeline`` (which also renders
-    defaulted parameters); this helper keeps the signature module
-    import-light for the caches that only compare keys.
-    """
+    """The key token of a ``passes`` spec: its canonical spelling
+    (:func:`repro.ir.canonical_pipeline`), ``None`` for no rewrite.
+    The import waits for a spec, so the module stays import-light."""
     if not passes:
         return None
-    segments = [s.strip() for s in str(passes).split(",") if s.strip()]
-    return ",".join(segments) or None
+    from ..ir import canonical_pipeline
+
+    return canonical_pipeline(passes)
 
 
 def solve_signature(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from ..runtime.graph import TaskGraph
 from ..runtime.task import Flow, Task, TaskKey
-from .core import GraphPass, PassContext, int_param, reject_unknown
+from .core import GraphPass
 from .rewrite import (
     SuperKernel,
     UnpackKernel,
@@ -60,12 +60,6 @@ class CoarsenPass(GraphPass):
     def params(self) -> dict:
         return {"factor": self.factor}
 
-    @classmethod
-    def from_params(cls, params: dict[str, str]) -> "CoarsenPass":
-        factor = int_param(params, "factor", 4, cls.name, minimum=2)
-        reject_unknown(params, cls.name)
-        return cls(factor=factor)
-
     # -- grouping ---------------------------------------------------------
 
     def _groups(self, graph: TaskGraph) -> dict[TaskKey, tuple]:
@@ -92,7 +86,7 @@ class CoarsenPass(GraphPass):
 
     # -- rewrite ----------------------------------------------------------
 
-    def apply(self, build, ctx: PassContext):
+    def apply(self, build):
         graph: TaskGraph = build.graph
         group_of = self._groups(graph)
         if not group_of:

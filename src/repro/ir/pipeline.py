@@ -1,89 +1,75 @@
-"""Pass registry, pipeline-spec parsing and the verifying manager.
+"""Pass-spec parsing and the verifying application of a pass.
 
-A pipeline is written ``"ca:steps=4,coarsen:factor=4"``:
-comma-separated pass specs, each ``name[:key=value]`` -- every
-registered pass takes one parameter.
+A ``passes`` spec names one rewrite: ``coarsen`` or
+``coarsen:factor=N``.
 
-:class:`PassManager` runs the passes in order and, after every one,
-re-finalizes the rewritten graph with full validation, proves it
-acyclic, and verifies each invariant the pass declared in
-``preserves``.  A violation raises :class:`~repro.ir.core.PassError`
--- a rewrite that changes the useful work, the terminal outputs or an
-undeclared census dimension is a miscompile, never a warning.
+:func:`apply_pass` runs a pass, re-finalizes the rewritten graph with
+full validation, proves it acyclic, and verifies each invariant the
+pass declared in ``preserves``.  A violation raises
+:class:`~repro.ir.core.PassError` -- a rewrite that changes the useful
+work, the terminal outputs or the message count the wrong way is a
+miscompile, never a warning.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from ..runtime.graph import GraphError, TaskGraph
-from .ca import CAInsertionPass
 from .coarsen import CoarsenPass
-from .core import GraphPass, PassContext, PassError
-from .report import GraphStats, PassReport, PipelineReport
+from .core import GraphPass, PassError
+from .report import GraphStats, PassReport
 from .rewrite import terminal_outputs
-
-#: Registry of spec-addressable passes.
-PASSES: dict[str, type[GraphPass]] = {
-    CAInsertionPass.name: CAInsertionPass,
-    CoarsenPass.name: CoarsenPass,
-}
-
 
 # -- spec parsing ---------------------------------------------------------
 
 
-def parse_pipeline(spec: str | Iterable[str | GraphPass] | None) -> list[GraphPass]:
-    """A pipeline spec (string, or a list of specs/instances) to a
-    pass list.  ``None``/empty yields an empty pipeline."""
+def parse_pipeline(spec: str | None) -> CoarsenPass | None:
+    """The rewrite a ``passes`` spec names; ``None`` or empty names
+    none.  Anything but ``coarsen[:factor=N]`` raises :class:`PassError`
+    naming the one pass there is."""
+    available = f"available: {CoarsenPass.name}"
     if spec is None:
-        return []
-    if isinstance(spec, GraphPass):
-        return [spec]
+        return None
     if not isinstance(spec, str):
-        passes: list[GraphPass] = []
-        for item in spec:
-            if isinstance(item, GraphPass):
-                passes.append(item)
-            else:
-                passes.extend(parse_pipeline(item))
-        return passes
-
-    passes = []
-    for segment in filter(None, (s.strip() for s in spec.split(","))):
-        name, _, param = segment.partition(":")
-        name = name.strip()
-        cls = PASSES.get(name)
-        if cls is None:
-            raise PassError(
-                f"unknown pass {name!r}; available: {', '.join(sorted(PASSES))}"
-            )
-        params: dict[str, str] = {}
-        if param:
-            key, sep, value = param.partition("=")
-            key = key.strip()
-            if not sep or not key:
-                raise PassError(
-                    f"pass {name!r}: malformed parameter {param!r} "
-                    "(expected key=value)"
-                )
-            params[key] = value.strip()
-        passes.append(cls.from_params(params))
-    return passes
-
-
-def pipeline_spec(passes: Iterable[GraphPass]) -> str:
-    """The canonical spec string of a pass list (all parameters
-    rendered, sorted) -- stable across equivalent spellings, so cache
-    keys and signatures can use it verbatim."""
-    return ",".join(p.spec() for p in passes)
+        raise PassError(f"passes is one spec string, got {spec!r}; {available}")
+    spec = spec.strip()
+    if not spec:
+        return None
+    if "," in spec:
+        raise PassError(f"passes names one rewrite, got {spec!r}; {available}")
+    name, _, param = spec.partition(":")
+    name = name.strip()
+    if name != CoarsenPass.name:
+        raise PassError(f"unknown pass {name!r}; {available}")
+    if not param:
+        return CoarsenPass()
+    key, sep, value = (s.strip() for s in param.partition("="))
+    if not sep or not key:
+        raise PassError(
+            f"pass {name!r}: malformed parameter {param!r} (expected factor=N)"
+        )
+    if key != "factor":
+        raise PassError(f"pass {name!r} got unknown parameters [{key!r}]")
+    try:
+        factor = int(value)
+    except ValueError:
+        raise PassError(
+            f"pass {name!r}: parameter factor={value!r} is not an integer"
+        ) from None
+    if factor < 2:
+        raise PassError(f"pass {name!r}: factor must be >= 2, got {factor}")
+    return CoarsenPass(factor=factor)
 
 
-def canonical_pipeline(spec: str | Iterable[str | GraphPass] | None) -> str:
-    """Normalise any pipeline spelling to its canonical spec string."""
-    return pipeline_spec(parse_pipeline(spec))
+def canonical_pipeline(spec: str | None) -> str | None:
+    """Any spelling of a ``passes`` spec as its canonical string (the
+    parameter rendered, ``coarsen:factor=4``), or ``None`` for no
+    rewrite -- what cache keys and signatures record."""
+    rewrite = parse_pipeline(spec)
+    return rewrite.spec() if rewrite is not None else None
 
 
 # -- invariants -----------------------------------------------------------
@@ -101,29 +87,6 @@ def _check_useful_flops(before, after, bg, ag):
 def _check_redundant_flops(before, after, bg, ag):
     ok = _flops_equal(before.redundant_flops, after.redundant_flops)
     return ok, f"{before.redundant_flops} -> {after.redundant_flops}"
-
-
-def _check_remote_census(before, after, bg, ag):
-    ok = (
-        before.remote_messages == after.remote_messages
-        and before.remote_bytes == after.remote_bytes
-        and before.census.by_pair == after.census.by_pair
-    )
-    return ok, (
-        f"{before.remote_messages} msgs/{before.remote_bytes} B -> "
-        f"{after.remote_messages} msgs/{after.remote_bytes} B"
-    )
-
-
-def _check_local_census(before, after, bg, ag):
-    ok = (
-        before.local_edges == after.local_edges
-        and before.local_bytes == after.local_bytes
-    )
-    return ok, (
-        f"{before.local_edges} edges/{before.local_bytes} B -> "
-        f"{after.local_edges} edges/{after.local_bytes} B"
-    )
 
 
 def _check_messages_not_increased(before, after, bg, ag):
@@ -144,70 +107,45 @@ def _check_terminal_outputs(before, after, bg, ag):
 INVARIANTS: dict[str, Callable[..., tuple[bool, str]]] = {
     "useful_flops": _check_useful_flops,
     "redundant_flops": _check_redundant_flops,
-    "remote_census": _check_remote_census,
-    "local_census": _check_local_census,
     "remote_messages_not_increased": _check_messages_not_increased,
     "terminal_outputs": _check_terminal_outputs,
 }
 
 
-# -- the manager ----------------------------------------------------------
+# -- applying a pass ------------------------------------------------------
 
 
-class PassManager:
-    """Run a pass pipeline with per-pass verification."""
-
-    def __init__(self, passes: str | Iterable[str | GraphPass]) -> None:
-        self.passes = parse_pipeline(passes)
-        if not self.passes:
-            raise PassError("empty pass pipeline")
-
-    @property
-    def spec(self) -> str:
-        return pipeline_spec(self.passes)
-
-    def run(self, build: Any, ctx: PassContext) -> tuple[Any, PipelineReport]:
-        """Apply every pass to ``build``; return the rewritten build
-        and the full pipeline evidence."""
-        graph: TaskGraph = build.graph
-        before = GraphStats.of(graph)
-        reports: list[PassReport] = []
-        for p in self.passes:
-            t0 = time.perf_counter()
-            new_build, notes = p.apply(build, ctx)
-            new_graph: TaskGraph = new_build.graph
-            if not new_graph.finalized:
-                new_graph.finalize(validate=True)
-            try:
-                new_graph.topological_order()  # proves acyclicity
-            except GraphError as exc:
-                raise PassError(
-                    f"pass {p.spec()!r} produced a cyclic graph: {exc}"
-                ) from exc
-            after = GraphStats.of(new_graph)
-            invariants: dict[str, bool] = {}
-            for name in p.preserves:
-                check = INVARIANTS.get(name)
-                if check is None:
-                    raise PassError(
-                        f"pass {p.spec()!r} declares unknown invariant "
-                        f"{name!r}"
-                    )
-                ok, detail = check(before, after, graph, new_graph)
-                invariants[name] = ok
-                if not ok:
-                    raise PassError(
-                        f"pass {p.spec()!r} violated invariant {name!r}: "
-                        f"{detail}"
-                    )
-            reports.append(PassReport(
-                name=p.name,
-                spec=p.spec(),
-                before=before,
-                after=after,
-                invariants=invariants,
-                notes=dict(notes or {}),
-                elapsed_s=time.perf_counter() - t0,
-            ))
-            build, graph, before = new_build, new_graph, after
-        return build, PipelineReport(spec=self.spec, passes=tuple(reports))
+def apply_pass(rewrite: GraphPass, build: Any) -> tuple[Any, PassReport]:
+    """Apply ``rewrite`` to ``build`` and verify it; return the
+    rewritten build and the pass's evidence."""
+    graph: TaskGraph = build.graph
+    before = GraphStats.of(graph)
+    t0 = time.perf_counter()
+    new_build, notes = rewrite.apply(build)
+    new_graph: TaskGraph = new_build.graph
+    if not new_graph.finalized:
+        new_graph.finalize(validate=True)
+    try:
+        new_graph.topological_order()  # proves acyclicity
+    except GraphError as exc:
+        raise PassError(
+            f"pass {rewrite.spec()!r} produced a cyclic graph: {exc}"
+        ) from exc
+    after = GraphStats.of(new_graph)
+    invariants: dict[str, bool] = {}
+    for name in rewrite.preserves:
+        ok, detail = INVARIANTS[name](before, after, graph, new_graph)
+        invariants[name] = ok
+        if not ok:
+            raise PassError(
+                f"pass {rewrite.spec()!r} violated invariant {name!r}: {detail}"
+            )
+    return new_build, PassReport(
+        name=rewrite.name,
+        spec=rewrite.spec(),
+        before=before,
+        after=after,
+        invariants=invariants,
+        notes=dict(notes or {}),
+        elapsed_s=time.perf_counter() - t0,
+    )

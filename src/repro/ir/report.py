@@ -1,11 +1,10 @@
-"""Machine-checkable before/after evidence for every rewrite.
+"""Machine-checkable before/after evidence of a rewrite.
 
-A :class:`PassReport` records what one pass did to the graph --
+A :class:`PassReport` records what the pass did to the graph --
 task/edge/message/byte counts and flop totals before and after, the
-invariants verified, plus the pass's own notes.  A
-:class:`PipelineReport` strings them together and exposes the
-end-to-end deltas the CLI and the benchmarks assert on (``messages
-saved``, makespan-relevant task reduction).
+invariants verified, plus the pass's own notes -- and exposes the
+deltas the CLI and the benchmarks assert on (``messages saved``, tasks
+removed).
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..runtime.graph import TaskGraph
-from ..runtime.task import EdgeCensus
 
 
 @dataclass(frozen=True)
@@ -28,8 +26,6 @@ class GraphStats:
     remote_bytes: int
     useful_flops: float
     redundant_flops: float
-    #: The full census, kept for by-pair invariant checks.
-    census: EdgeCensus = field(compare=False, repr=False, default=None)
 
     @classmethod
     def of(cls, graph: TaskGraph) -> "GraphStats":
@@ -43,19 +39,7 @@ class GraphStats:
             remote_bytes=census.remote_bytes,
             useful_flops=useful,
             redundant_flops=redundant,
-            census=census,
         )
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "tasks": self.tasks,
-            "local_edges": self.local_edges,
-            "local_bytes": self.local_bytes,
-            "remote_messages": self.remote_messages,
-            "remote_bytes": self.remote_bytes,
-            "useful_flops": self.useful_flops,
-            "redundant_flops": self.redundant_flops,
-        }
 
 
 @dataclass(frozen=True)
@@ -66,12 +50,12 @@ class PassReport:
     spec: str
     before: GraphStats
     after: GraphStats
-    #: invariant name -> verified (the manager raises on any False,
+    #: invariant name -> verified (``apply_pass`` raises on any False,
     #: so a surviving report is all-True; kept explicit for the docs'
     #: machine-checkable contract).
     invariants: dict[str, bool] = field(default_factory=dict)
     notes: dict[str, Any] = field(default_factory=dict)
-    #: Wall time the manager spent applying and verifying this pass --
+    #: Wall time ``apply_pass`` spent applying and verifying the pass --
     #: the raw material of the lifecycle ``ir_passes`` span.
     elapsed_s: float = 0.0
 
@@ -82,29 +66,6 @@ class PassReport:
     @property
     def messages_saved(self) -> int:
         return self.before.remote_messages - self.after.remote_messages
-
-    @property
-    def local_edges_removed(self) -> int:
-        return self.before.local_edges - self.after.local_edges
-
-    @property
-    def remote_bytes_delta(self) -> int:
-        return self.after.remote_bytes - self.before.remote_bytes
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "pass": self.name,
-            "spec": self.spec,
-            "before": self.before.to_doc(),
-            "after": self.after.to_doc(),
-            "tasks_removed": self.tasks_removed,
-            "messages_saved": self.messages_saved,
-            "local_edges_removed": self.local_edges_removed,
-            "remote_bytes_delta": self.remote_bytes_delta,
-            "invariants": dict(self.invariants),
-            "notes": dict(self.notes),
-            "elapsed_s": self.elapsed_s,
-        }
 
     def format(self) -> str:
         b, a = self.before, self.after
@@ -126,48 +87,3 @@ class PassReport:
             lines.append(f"  invariants: {checked}")
         return "\n".join(lines)
 
-
-@dataclass(frozen=True)
-class PipelineReport:
-    """The whole pipeline's evidence, pass by pass."""
-
-    spec: str
-    passes: tuple[PassReport, ...]
-
-    @property
-    def elapsed_s(self) -> float:
-        return sum(p.elapsed_s for p in self.passes)
-
-    @property
-    def before(self) -> GraphStats:
-        return self.passes[0].before
-
-    @property
-    def after(self) -> GraphStats:
-        return self.passes[-1].after
-
-    @property
-    def tasks_removed(self) -> int:
-        return self.before.tasks - self.after.tasks
-
-    @property
-    def messages_saved(self) -> int:
-        return self.before.remote_messages - self.after.remote_messages
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "pipeline": self.spec,
-            "passes": [p.to_doc() for p in self.passes],
-            "tasks_removed": self.tasks_removed,
-            "messages_saved": self.messages_saved,
-            "elapsed_s": self.elapsed_s,
-        }
-
-    def format(self) -> str:
-        lines = [f"pipeline {self.spec}"]
-        lines.extend(p.format() for p in self.passes)
-        lines.append(
-            f"pipeline total: tasks {self.before.tasks} -> "
-            f"{self.after.tasks}, messages saved {self.messages_saved}"
-        )
-        return "\n".join(lines)

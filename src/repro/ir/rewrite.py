@@ -8,8 +8,7 @@ flows must keep *member* kernels oblivious: a coarsened super-task
 runs its original member kernels against the original key space, and
 a :class:`PackedPayload` -- the aggregated payload of one coalesced
 flow -- is transparently expanded back into original keys by
-:func:`expand_inputs` before any member kernel sees it.  That single
-normalisation point is what lets passes compose in any order.
+:func:`expand_inputs` before any member kernel sees it.
 """
 
 from __future__ import annotations

@@ -303,7 +303,7 @@ def measure_ir_passes(
     passes: str = "coarsen:factor=4",
 ) -> dict[str, float]:
     """Deterministic simulated before/after comparison for a rewrite
-    pipeline: the measurement behind ``BENCH_ir.json``.
+    pass: the measurement behind ``BENCH_ir.json``.
 
     Runs the same problem twice on the simulated backend -- once as
     built, once through ``passes`` -- and returns flat metrics whose

@@ -87,7 +87,7 @@ def execute_request(
     re-submission; this function never loops).
 
     ``lifecycle``/``trace_id`` record request-scoped spans (an
-    ``ir_passes`` child when the request carried a rewrite pipeline)
+    ``ir_passes`` child when the request carried a rewrite pass)
     under ``parent_span_id``; ``want_trace`` captures the
     execution-level trace on the outcome for the combined timeline.
     """

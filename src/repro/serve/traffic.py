@@ -79,7 +79,7 @@ class CannedSession:
 
     def force_fault(self, plan: str, timeout: float = 300.0) -> ServeError | None:
         """Submit one zero-retry request under chaos ``plan`` (a rewrite
-        pipeline in ``knobs`` is dropped: it cannot combine with chaos).
+        pass in ``knobs`` is dropped: it cannot combine with chaos).
         The point is the terminal failure -- it trips the flight
         recorder and burns the tenant's error budget -- so the error is
         returned, not raised; ``None`` means the request survived."""

@@ -106,7 +106,7 @@ class TuningCache:
             try:
                 canonical_pipeline(entry["passes"])
             except ValueError:
-                return None  # names a pass this version lacks: re-tune
+                return None  # a spec this version refuses: re-tune
         return entry
 
     def put(

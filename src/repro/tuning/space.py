@@ -53,13 +53,13 @@ class Candidate:
     policy: str = "priority"
     overlap: bool = True
     boundary_priority: bool = True
-    #: IR rewrite pipeline spec ("" = no rewrite); see repro.ir.
+    #: IR rewrite pass spec ("" = no rewrite); see repro.ir.
     passes: str = ""
 
     def run_kwargs(self, impl: str) -> dict:
         """The runner keyword arguments this candidate selects: its
         fields, minus what ``impl`` has no use for and an empty
-        pipeline."""
+        pass spec."""
         kwargs = applicable({"impl": impl, **asdict(self)})
         del kwargs["impl"]
         if not self.passes:
@@ -135,17 +135,9 @@ def invalid_reason(
         from ..ir import PassError, parse_pipeline
 
         try:
-            passes = parse_pipeline(candidate.passes)
+            parse_pipeline(candidate.passes)
         except PassError as exc:
-            return f"bad pass pipeline {candidate.passes!r}: {exc}"
-        if any(p.name == "ca" for p in passes):
-            # The steps axis already explores CA depth; a ca pass in
-            # the pipeline would tune the same knob twice (and it needs
-            # a steps=1 build, which the candidate may not be).
-            return (
-                "the 'ca' pass is not a tuning axis; CA depth is "
-                "explored via the steps axis"
-            )
+            return f"bad pass spec {candidate.passes!r}: {exc}"
     return None
 
 
@@ -186,7 +178,7 @@ class SearchSpace:
     policies: tuple[str, ...] = ("priority",)
     overlaps: tuple[bool, ...] = (True,)
     boundary_priorities: tuple[bool, ...] = (True,)
-    #: IR pipeline specs to cross in ("" = no rewrite).
+    #: IR pass specs to cross in ("" = no rewrite).
     pipelines: tuple[str, ...] = ("",)
     require_divisible: bool = True
 
@@ -299,8 +291,7 @@ class SearchSpace:
         overlaps = (False, True) if wide else (True,)
         bprios = (False, True) if wide else (True,)
         # The IR rewrite ladder: no rewrite and two coarsening
-        # granularities (the 'ca' pass is excluded by design -- the
-        # steps axis owns CA depth).
+        # granularities.
         pipelines = (
             ("", "coarsen:factor=4", "coarsen:factor=8") if wide else ("",)
         )

@@ -10,7 +10,6 @@ from repro.analysis import csvio, format_table, render_gantt
 from repro.core.verify import verify_schedule
 from repro.obs import export
 from repro.core.spec import ca_plan
-from repro.ir import PassContext, PassManager
 
 from .conftest import random_problem
 
@@ -50,14 +49,14 @@ def test_trace_pipeline_gantt_and_chrome(tmp_path, machine4):
 
 
 def test_transform_verify_run_roundtrip(machine4):
-    """Future-work workflow: base build -> automatic CA transform ->
+    """Base build and CA build of one problem -> replication plan ->
     static verification -> execution -> bit-exact result."""
     from repro.core.base_parsec import build_base_graph
+    from repro.core.ca_parsec import build_ca_graph
 
     prob = random_problem(n=24, iterations=7, seed=21)
     base = build_base_graph(prob, machine4, tile=6, with_kernels=False)
-    ctx = PassContext(machine=machine4, with_kernels=True)
-    ca, _ = PassManager("ca:steps=3").run(base, ctx)
+    ca = build_ca_graph(prob, machine4, tile=6, steps=3)
     assert ca_plan(base, ca).messages_saved_fraction > 0
     verify_schedule(ca.spec)
     rep = repro.Engine(ca.graph, machine4, execute=True).run()

@@ -1,31 +1,26 @@
-"""The task-graph IR: pass pipelines, invariants, and equivalence.
+"""The task-graph IR: the pass spec, invariants, and equivalence.
 
 The load-bearing properties:
 
-* any pipeline of structural passes keeps the solution grid
-  bit-identical on every backend (sim execute, threads, processes);
+* the coarsening pass keeps the solution grid bit-identical on every
+  backend (sim execute, threads, processes);
 * the census of the executed graph matches the PassReport's "after"
   stats -- the reports are evidence, not estimates;
-* the CA-insertion pass reproduces the hand-built CA graph's message
-  census exactly;
-* the manager refuses rewrites that violate their declared invariants.
+* ``apply_pass`` refuses rewrites that violate their declared
+  invariants.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.base_parsec import build_base_graph
-from repro.core.ca_parsec import build_ca_graph
 from repro.core.runner import run
 from repro.ir import (
     CoarsenPass,
-    PassContext,
     PassError,
-    PASSES,
-    PassManager,
+    apply_pass,
     canonical_pipeline,
     parse_pipeline,
-    pipeline_spec,
     terminal_outputs,
 )
 from repro.ir.core import GraphPass
@@ -48,35 +43,34 @@ def small_build(n=24, nodes=4, tile=6, T=4, seed=0, with_kernels=True):
 
 
 def test_parse_pipeline_specs():
-    assert sorted(PASSES) == ["ca", "coarsen"]
-    passes = parse_pipeline("ca:steps=3,coarsen:factor=2")
-    assert [p.name for p in passes] == ["ca", "coarsen"]
-    assert passes[0].steps == 3 and passes[1].factor == 2
-    # Canonical spec renders every parameter.
-    assert pipeline_spec(passes) == "ca:steps=3,coarsen:factor=2"
+    rewrite = parse_pipeline(" coarsen:factor=2 ")
+    assert isinstance(rewrite, CoarsenPass) and rewrite.factor == 2
+    # The canonical spec renders the parameter.
+    assert rewrite.spec() == "coarsen:factor=2"
     # Equivalent spellings canonicalise identically.
     assert canonical_pipeline("coarsen") == canonical_pipeline("coarsen:factor=4")
-    assert canonical_pipeline("") == ""
-    assert canonical_pipeline(None) == ""
-    assert parse_pipeline([CoarsenPass(), "coarsen:factor=2"])[1].factor == 2
+    assert canonical_pipeline("coarsen") == "coarsen:factor=4"
+    assert parse_pipeline("") is parse_pipeline(None) is None
+    assert canonical_pipeline("") is canonical_pipeline(None) is None
 
 
 def test_parse_pipeline_rejects_garbage():
-    for gone in ("fuse", "latency", "fuze"):
-        with pytest.raises(PassError, match="unknown pass .*available: ca, coarsen$"):
+    for gone in ("fuse", "latency", "fuze", "ca", "ca:steps=2"):
+        with pytest.raises(PassError, match="unknown pass .*available: coarsen$"):
             parse_pipeline(gone)
+    for several in ("coarsen,coarsen", "coarsen:factor=4,coarsen:factor=2"):
+        with pytest.raises(PassError, match="one rewrite.*available: coarsen$"):
+            parse_pipeline(several)
+    with pytest.raises(PassError, match="one spec string"):
+        parse_pipeline(["coarsen"])
     with pytest.raises(PassError, match="not an integer"):
         parse_pipeline("coarsen:factor=two")
     with pytest.raises(PassError, match=">= 2"):
         parse_pipeline("coarsen:factor=1")
     with pytest.raises(PassError, match="unknown parameters"):
         parse_pipeline("coarsen:depth=3")
-    with pytest.raises(PassError, match="unknown pass 'factor=3'"):
-        parse_pipeline("coarsen:factor=2,factor=3")  # one parameter per pass
-    with pytest.raises(PassError, match="steps"):
-        parse_pipeline("ca")  # ca requires steps=<s>
-    with pytest.raises(PassError, match="empty"):
-        PassManager("")
+    with pytest.raises(PassError, match="malformed parameter"):
+        parse_pipeline("coarsen:factor")
 
 
 # -- structural passes ----------------------------------------------------
@@ -85,29 +79,26 @@ def test_parse_pipeline_rejects_garbage():
 def test_coarsen_groups_same_level_tasks():
     prob, m, build = small_build()
     before = build.graph.census()
-    out, report = PassManager("coarsen:factor=4").run(
-        build, PassContext(machine=m, with_kernels=True)
-    )
+    out, rep = apply_pass(parse_pipeline("coarsen:factor=4"), build)
     after = out.graph.census()
     assert len(out.graph) < len(build.graph)
     assert after.remote_messages < before.remote_messages
     assert after.remote_bytes == before.remote_bytes  # aggregation, not volume
     assert terminal_outputs(out.graph) == terminal_outputs(build.graph)
-    rep = report.passes[0]
     assert rep.messages_saved == before.remote_messages - after.remote_messages
     assert rep.notes["super_tasks"] > 0
 
 
-# -- the manager's verification -------------------------------------------
+# -- apply_pass's verification --------------------------------------------
 
 
 class _EvilPass(GraphPass):
-    """Moves a task to another node but claims the census is intact."""
+    """Moves a task to another node but claims no message was added."""
 
     name = "evil"
-    preserves = ("remote_census",)
+    preserves = ("remote_messages_not_increased",)
 
-    def apply(self, build, ctx):
+    def apply(self, build):
         from repro.ir.rewrite import rebuild_graph, with_graph
 
         tasks = list(build.graph)
@@ -121,9 +112,9 @@ class _EvilPass(GraphPass):
 
 def test_manager_rejects_invariant_violations():
     prob, m, build = small_build(with_kernels=False)
-    manager = PassManager([_EvilPass()])
-    with pytest.raises(PassError, match="violated invariant 'remote_census'"):
-        manager.run(build, PassContext(machine=m))
+    with pytest.raises(PassError,
+                       match="violated invariant 'remote_messages_not_increased'"):
+        apply_pass(_EvilPass(), build)
 
 
 def test_reports_match_executed_graph():
@@ -140,12 +131,8 @@ def test_reports_match_executed_graph():
 
 # -- end-to-end equivalence (the tentpole property) -----------------------
 
-#: Two coarsening factors, and coarsening an already coarsened graph
-#: (super-tasks of super-tasks, packed payloads of packed payloads).
-PIPELINES = ("coarsen:factor=2", "coarsen:factor=4", "coarsen:factor=4,coarsen:factor=2")
 
-
-@pytest.mark.parametrize("spec", PIPELINES)
+@pytest.mark.parametrize("spec", ("coarsen:factor=2", "coarsen:factor=4"))
 def test_pipelines_keep_grids_bit_identical(spec):
     prob = random_problem(n=24, iterations=4, seed=3)
     m = nacl(4)
@@ -183,43 +170,6 @@ def test_pipelines_compose_on_ca_graphs():
     assert r.pass_reports.messages_saved >= 0
 
 
-# -- CA as a pass ---------------------------------------------------------
-
-
-def test_ca_pass_census_identical_to_transform_build():
-    prob, m, build = small_build(n=24, nodes=4, tile=6, T=4)
-    ctx = PassContext(machine=m, with_kernels=True)
-    by_pass, _ = PassManager("ca:steps=2").run(build, ctx)
-    by_hand = build_ca_graph(prob, m, tile=6, steps=2,
-                             cost=KernelCostModel(m), with_kernels=True)
-    ca, cb = by_pass.graph.census(), by_hand.graph.census()
-    assert ca.remote_messages == cb.remote_messages
-    assert ca.remote_bytes == cb.remote_bytes
-    assert ca.by_pair == cb.by_pair
-    assert len(by_pass.graph) == len(by_hand.graph)
-
-
-def test_ca_pass_grid_matches_hand_built_ca():
-    prob = random_problem(n=24, iterations=4, seed=2)
-    m = nacl(4)
-    hand = run(prob, impl="ca-parsec", machine=m, tile=6, steps=2,
-               mode="execute")
-    auto = run(prob, impl="base-parsec", machine=m, tile=6,
-               passes="ca:steps=2", mode="execute")
-    assert np.array_equal(hand.grid, auto.grid)
-    assert hand.graph.census().by_pair == auto.graph.census().by_pair
-
-
-def test_ca_pass_demands_base_build():
-    prob, m, build = small_build()
-    ctx = PassContext(machine=m, with_kernels=False)
-    ca_build, _ = PassManager("ca:steps=2").run(build, ctx)
-    with pytest.raises(PassError, match="steps=1"):
-        PassManager("ca:steps=2").run(ca_build, ctx)
-    with pytest.raises(PassError, match="smallest tile"):
-        PassManager("ca:steps=64").run(build, ctx)
-
-
 # -- runner / tuning / serve integration ----------------------------------
 
 
@@ -243,31 +193,36 @@ def test_runner_rejects_bad_pipeline_before_building():
         run(prob, impl="base-parsec", machine=nacl(2), tile=4, passes="bogus")
 
 
-@pytest.mark.parametrize("gone", ["fuse", "latency"])
+@pytest.mark.parametrize("gone", ["fuse", "latency", "ca:steps=2", "coarsen,coarsen"])
 def test_a_removed_pass_is_refused_at_every_front_door(gone, monkeypatch, tmp_path, capsys):
-    """A service request, a library run and the command line refuse a
-    pipeline naming a pass this version lacks with the passes there
-    are, before anything is admitted, built or written."""
+    """A service request, a config, a library run and the command line
+    refuse a spec naming a pass this version lacks, or more than one
+    pass, with the pass there is, before anything is admitted, built or
+    written."""
     from repro.cli import main
     from repro.core import runner
+    from repro.core.config import RunConfig
     from repro.serve.request import SolveRequest
 
     def no_build(*args, **kwargs):
-        raise AssertionError("built a graph for a refused pipeline")
+        raise AssertionError("built a graph for a refused spec")
 
     monkeypatch.setattr(runner, "_build", no_build)
     prob = random_problem(n=16, iterations=3, seed=0)
-    with pytest.raises(ValueError, match="available: ca, coarsen"):
+    with pytest.raises(ValueError, match="available: coarsen$"):
         SolveRequest(problem=prob, machine=nacl(2), tile=4, passes=gone)
-    with pytest.raises(ValueError, match="available: ca, coarsen"):
+    with pytest.raises(ValueError, match="available: coarsen$"):
+        RunConfig(impl="base-parsec", tile=4, passes=gone)
+    with pytest.raises(ValueError, match="available: coarsen$"):
         run(prob, impl="base-parsec", machine=nacl(2), tile=4, passes=gone)
     trace = tmp_path / "t.json"
-    with pytest.raises(SystemExit) as exit_:
-        main(["run", "--passes", gone, "--n", "16", "--tile", "4",
-              "--trace-out", str(trace)])
-    assert exit_.value.code == 2
-    assert "available: ca, coarsen" in capsys.readouterr().err
-    assert not trace.exists()
+    for command in (["run", "--trace-out", str(trace)],
+                    ["ir", "--trace-after", str(trace)]):
+        with pytest.raises(SystemExit) as exit_:
+            main([*command, "--passes", gone, "--n", "16", "--tile", "4"])
+        assert exit_.value.code == 2
+        assert "available: coarsen" in capsys.readouterr().err
+        assert not trace.exists()
 
 
 def test_ir_metrics_published():
@@ -280,7 +235,7 @@ def test_ir_metrics_published():
     snap = reg.snapshot()
     assert snap.counter("ir_pass_applied") == 1
     assert snap.counter("ir_pass_messages_saved", **{"pass": "coarsen"}) > 0
-    assert snap.gauge("ir_messages_saved") > 0
+    assert "ir_messages_saved" not in snap.data  # one series: the counter
 
 
 def test_candidate_passes_axis():
@@ -293,9 +248,10 @@ def test_candidate_passes_axis():
     assert good.run_kwargs("base-parsec")["passes"] == "coarsen:factor=4"
     assert "passes=" in good.label()
     bad = Candidate(tile=6, passes="fuze")
-    assert "bad pass pipeline" in invalid_reason(bad, prob, m, "base-parsec")
-    ca = Candidate(tile=6, passes="ca:steps=2")
-    assert "steps axis" in invalid_reason(ca, prob, m, "base-parsec")
+    assert "bad pass spec" in invalid_reason(bad, prob, m, "base-parsec")
+    for gone in ("ca:steps=2", "coarsen,coarsen"):
+        reason = invalid_reason(Candidate(tile=6, passes=gone), prob, m, "base-parsec")
+        assert "bad pass spec" in reason
     space = SearchSpace(tiles=(6,), pipelines=("", "coarsen"))
     assert space.size == 2
     assert {c.passes for c in space.all_candidates()} == {"", "coarsen"}
@@ -336,4 +292,10 @@ def test_passes_token_normalisation():
 
     assert passes_token(None) is None
     assert passes_token("") is None
-    assert passes_token(" ca:steps=2 , coarsen:factor=4 ") == "ca:steps=2,coarsen:factor=4"
+    # The canonical spelling, so a token can never disagree with it.
+    for spec in ("coarsen", " coarsen:factor=4 ", "coarsen:factor=8"):
+        assert passes_token(spec) == canonical_pipeline(spec)
+    assert passes_token(" coarsen ") == "coarsen:factor=4"
+    for gone in ("ca:steps=2", "coarsen,coarsen"):
+        with pytest.raises(PassError):
+            passes_token(gone)

@@ -214,7 +214,7 @@ def test_non_square_grid_with_ragged_tiles(backend, steps):
 @pytest.mark.parametrize("impl,passes", [
     ("ca-parsec", "coarsen"),
     ("base-parsec", "coarsen"),
-    ("base-parsec", "ca:steps=3"),
+    ("ca-parsec", None),
 ])
 def test_composites_keep_one_result_slot_per_final_tile(backend, impl, passes):
     problem = random_problem(n=24, iterations=7, seed=12)

@@ -54,7 +54,7 @@ from repro.exec import fork_available
 from repro.exec.executor import ThreadedExecutor
 from repro.exec.futures import RunCancelled
 from repro.exec.procs import ProcessExecutor
-from repro.ir import PassContext, PassManager, parse_pipeline
+from repro.ir import apply_pass, parse_pipeline
 from repro.machine.machine import nacl
 
 from .conftest import random_problem
@@ -456,8 +456,7 @@ def test_no_cell_is_written_while_a_task_may_still_read_it(fast_switching, monke
             if how == "per-tile":
                 built = built.per_tile()
             elif how == "coarsen":
-                built, _ = PassManager(parse_pipeline(how)).run(
-                    built, PassContext(machine=nacl(procs), with_kernels=True))
+                built, _ = apply_pass(parse_pipeline(how), built)
             if how == "processes":
                 executor = ProcessExecutor(built.graph, procs=procs, jobs=2)
             else:

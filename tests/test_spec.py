@@ -126,3 +126,31 @@ def test_counts():
     stats = spec.counts()
     assert stats["steps"] == 3 and stats["iterations"] == 9
     assert stats["tiles"] == 36
+
+
+def test_ca_plan_quantifies_replication():
+    from repro.core.base_parsec import build_base_graph
+    from repro.core.ca_parsec import build_ca_graph
+    from repro.core.spec import ca_plan
+    from repro.machine.machine import nacl
+
+    problem, machine = JacobiProblem(n=24, iterations=12), nacl(4)
+    base = build_base_graph(problem, machine, tile=4, with_kernels=False)
+
+    def plan(steps):
+        ca = build_ca_graph(problem, machine, tile=4, steps=steps, with_kernels=False)
+        return ca_plan(base, ca)
+
+    p = plan(3)
+    assert p.steps == 3
+    assert p.boundary_tiles == 20 and p.interior_tiles == 16
+    assert p.extra_ghost_bytes > 0
+    # 24 remote edges per superstep: 24 deep strips + corner blocks vs
+    # 24 * 3 base messages (corners weigh heavily on this tiny config).
+    assert p.messages_per_superstep > 24
+    assert 0.0 < p.messages_saved_fraction < 0.9
+    # Deeper steps amortise the corners away.
+    deeper = plan(4)
+    assert deeper.messages_per_superstep == p.messages_per_superstep
+    assert deeper.messages_saved_fraction > p.messages_saved_fraction
+    assert deeper.extra_ghost_bytes > p.extra_ghost_bytes

@@ -29,7 +29,7 @@ from repro.exec import fork_available, procs
 from repro.exec.executor import ThreadedExecutor
 from repro.exec.futures import RunCancelled
 from repro.exec.procs import ProcessExecutor
-from repro.ir import PassContext, PassManager, parse_pipeline
+from repro.ir import apply_pass, parse_pipeline
 from repro.machine.machine import nacl
 from repro.runtime.engine import Engine
 from repro.runtime.task import READY
@@ -108,8 +108,7 @@ def test_complete_run_pins_no_tile_memory_and_empties_the_store(backend, variant
         built = built.per_tile()  # what the simulator runs
     ran = instrument(built)
     if passes:
-        built, _ = PassManager(parse_pipeline(passes)).run(
-            built, PassContext(machine=machine, with_kernels=True))
+        built, _ = apply_pass(parse_pipeline(passes), built)
     if backend == "sim":
         executor = Engine(built.graph, machine, execute=True)
     elif backend == "threads":

@@ -112,14 +112,15 @@ def test_incomplete_entry_rejected(cache):
 
 
 def test_entry_naming_an_unknown_pass_is_a_miss_that_retunes(cache):
-    """A winner stored with a pipeline this version cannot parse (a
-    pass since removed) misses instead of failing the run that would
-    use it, and the next tune replaces it."""
+    """A winner stored with a pass spec this version cannot parse (a
+    pass since removed, or more than one pass) misses instead of failing
+    the run that would use it, and the next tune replaces it."""
     from repro.tuning import tune
 
-    stale = Candidate(tile=24, steps=2, passes="nosuchpass,coarsen:factor=4")
-    cache.put(nacl(4), PROBLEM, "sim", "ca-parsec", stale)
-    assert cache.get(nacl(4), PROBLEM, "sim", "ca-parsec") is None
+    for gone in ("ca:steps=2", "coarsen,coarsen", "nosuchpass,coarsen:factor=4"):
+        stale = Candidate(tile=24, steps=2, passes=gone)
+        cache.put(nacl(4), PROBLEM, "sim", "ca-parsec", stale)
+        assert cache.get(nacl(4), PROBLEM, "sim", "ca-parsec") is None, gone
     result = tune(PROBLEM, impl="ca-parsec", machine=nacl(4), budget=4,
                   cache=cache)
     assert result.source == "search"

@@ -20,7 +20,7 @@ imports.  A package ``__init__`` import of a name it lists in
 ``__all__`` is a re-export, and so is an entry of its lazy ``_EXPORTS``
 table (``repro._lazy``): it counts for the module it re-exports from
 only when some file imports that name through the package (``from
-..ir import PassManager`` is a use of ``ir/pipeline.py``).  Tests,
+..ir import apply_pass`` is a use of ``ir/pipeline.py``).  Tests,
 examples and docs do not count: a module only they import backs no
 run, benchmark or command.  Any orphan outside ``ALLOWED_ORPHANS``
 makes the script exit 1.
