@@ -399,7 +399,7 @@ def execute_with_resume(
     checkpoint_dir: str | Path | None = None,
     lifecycle=None,
     trace_id: str | None = None,
-    parent_span_id: str | None = None,
+    parent_span_id=None,
     want_trace: bool = False,
 ):
     """Serve-side chaos execution: ONE attempt, resuming from this
@@ -414,7 +414,8 @@ def execute_with_resume(
 
     ``lifecycle``/``trace_id`` (a worker's span log plus the request's
     lifecycle context) record a ``recover`` span under
-    ``parent_span_id`` when the attempt resumed from a checkpoint;
+    ``parent_span_id`` (a :class:`~repro.obs.lifecycle.SpanRef`) when
+    the attempt resumed from a checkpoint;
     ``want_trace`` captures the execution-level trace on the outcome.
     """
     import tempfile

@@ -194,7 +194,11 @@ def write_flamegraph(
 
 
 def _span_id(payload: str, nbytes: int) -> str:
-    return hashlib.sha256(payload.encode()).hexdigest()[: 2 * nbytes]
+    """The first ``nbytes`` of ``payload``'s sha256, in hex: every
+    deterministic trace and span id (task spans here, lifecycle spans
+    in :mod:`repro.obs.lifecycle`, which reads it through this module
+    so a test can count the digests)."""
+    return hashlib.sha256(payload.encode()).digest()[:nbytes].hex()
 
 
 def otel_attributes(items: Iterable[tuple[str, Any]]) -> list[dict[str, Any]]:

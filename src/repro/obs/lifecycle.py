@@ -1,40 +1,30 @@
 """Request-scoped lifecycle tracing, SLO accounting and the flight
-recorder of the solver service.
+recorder of the solver service -- a request's life through the serve
+layer (admission, queue wait, dispatch, rewrite passes, execution,
+retries, checkpoint recovery, response), where execution-level tracing
+(:mod:`repro.runtime.trace`) stops at task kernels:
 
-Execution-level tracing (:mod:`repro.runtime.trace`) stops at task
-kernels; a request's life through the serve layer -- admission, queue
-wait, dispatch, rewrite passes, execution, retries, checkpoint
-recovery, response -- was invisible except as aggregate counters.  This module closes that gap with three cooperating pieces:
-
-* **Lifecycle spans.**  Every admitted :class:`SolveRequest` gets a
-  deterministic ``trace_id`` (:func:`request_trace_id`); the service
-  layers emit typed :class:`LifeSpan` records (``admit``,
-  ``cache_probe``, ``queued``, ``dispatch``, ``ir_passes``,
-  ``execute``, ``retry``, ``recover``, ``respond``) into a
-  :class:`LifecycleTracer`.  Workers -- including forked
-  ``ProcessWorker`` children -- collect spans into a plain
-  :class:`SpanLog` that ships back over the existing result pipes and
-  is folded in with :meth:`LifecycleTracer.adopt` (``time.monotonic``
-  is ``CLOCK_MONOTONIC`` on Linux, shared across fork, so child
-  timestamps land on the parent's timeline unadjusted).
-
+* **Lifecycle spans.**  Every admitted request gets a deterministic
+  ``trace_id`` (:func:`request_trace_id`, the one digest a request
+  costs); the serve layers record slotted :class:`LifeSpan` records
+  (``admit``, ``cache_probe``, ``queued``, ``dispatch``,
+  ``ir_passes``, ``execute``, ``retry``, ``recover``, ``respond``)
+  into a :class:`LifecycleTracer`, whose span ids become hex only when
+  an export or a dump reads them.  Workers -- forked ``ProcessWorker``
+  children too -- record into a :class:`SpanLog` that ships back over
+  the result pipes and is folded in by :meth:`LifecycleTracer.adopt`
+  (``time.monotonic`` is ``CLOCK_MONOTONIC``, shared across fork).
 * **SLO accounting.**  :meth:`LifecycleTracer.finish` folds each
-  completed request into per-tenant latency histograms
-  (``slo_queue_wait_seconds`` / ``slo_exec_seconds`` /
-  ``slo_e2e_seconds``) and a per-tenant/status request counter, the
-  raw material of :mod:`repro.obs.slo` and the ``repro slo`` report.
+  request into per-tenant latency histograms and a per-tenant/status
+  counter, the raw material of :mod:`repro.obs.slo`.
+* **Flight recorder.**  An always-on bounded ring of references to the
+  recorded spans and notes; :meth:`FlightRecorder.dump` writes it
+  atomically on a terminal serving failure, and ``repro postmortem``
+  renders the dump (:func:`format_postmortem`) with blame.
 
-* **Flight recorder.**  A bounded ring of lifecycle events, always
-  on; :meth:`FlightRecorder.dump` writes it atomically to disk when
-  the service hits ``WorkerDied`` / ``NodeLostError`` / ``PassError``
-  or exhausts a retry budget, and ``repro postmortem`` renders the
-  dump (:func:`format_postmortem`) as a terminal timeline with blame.
-
-The export helpers place lifecycle spans and execution-level task
-spans on one timeline: :func:`combined_otel` threads the request's
-``trace_id`` through :func:`repro.obs.export.to_otel` and parents the
-task spans under the request's ``execute`` span;
-:func:`combined_events` does the same for the Chrome viewer.
+:func:`combined_otel` / :func:`combined_events` put lifecycle spans and
+each request's execution-level task spans on one timeline, the task
+spans under the request's ``execute`` span and ``trace_id``.
 """
 
 from __future__ import annotations
@@ -49,8 +39,8 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from ..core.store import atomic_create
+from . import export as _export
 from .export import (
-    _span_id,
     complete_event,
     otel_attributes,
     otel_document,
@@ -59,12 +49,6 @@ from .export import (
     to_otel,
 )
 from .metrics import MetricRegistry
-
-#: The span taxonomy, in the order a request normally traverses it.
-LIFECYCLE_KINDS = (
-    "admit", "cache_probe", "queued", "dispatch",
-    "ir_passes", "execute", "retry", "recover", "respond",
-)
 
 #: Statuses that consume SLO error budget (``rejected`` does not:
 #: admission control refusing overload is the service working).
@@ -82,12 +66,12 @@ def request_trace_id(signature: str, seq: int) -> str:
     """Deterministic 16-byte trace id of one admitted request: the
     solve signature plus the service-local admission ordinal, so a
     replayed workload reproduces its trace ids exactly."""
-    return _span_id(f"{signature}:{seq}", 16)
+    return _export._span_id(f"{signature}:{seq}", 16)
 
 
 def root_span_id(trace_id: str) -> str:
     """Span id of the implicit ``request`` root span of a trace."""
-    return _span_id(f"{trace_id}:request", 8)
+    return _export._span_id(f"{trace_id}:request", 8)
 
 
 def span_id_for(trace_id: str, origin: str, name: str, index: int) -> str:
@@ -95,23 +79,90 @@ def span_id_for(trace_id: str, origin: str, name: str, index: int) -> str:
     component (service loop vs a named worker -- disjoint counters
     cannot collide), the span kind, and that component's per-trace
     ordinal."""
-    return _span_id(f"{trace_id}:{origin}:{name}:{index}", 8)
+    return _export._span_id(f"{trace_id}:{origin}:{name}:{index}", 8)
 
 
-@dataclass
-class LifeSpan:
-    """One lifecycle span.  Plain data -- pickles across the pool's
-    pipes and serialises into flight-recorder dumps unchanged."""
+def _derive(trace_id: str, origin: str | None, name: str, index: int) -> str:
+    return (root_span_id(trace_id) if origin is None
+            else span_id_for(trace_id, origin, name, index))
+
+
+#: ``LifeSpan.parent`` of a span under its trace's ``request`` root.
+_ROOT = ""
+
+#: One attribute-name tuple per distinct set of span keywords.
+_ATTR_KEYS: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+
+def _attrs(attrs: Mapping[str, Any]) -> tuple[tuple[str, ...], tuple]:
+    keys = tuple(attrs)
+    return _ATTR_KEYS.setdefault(keys, keys), tuple(attrs.values())
+
+
+@dataclass(slots=True, eq=False)
+class SpanRef:
+    """A span id before anything reads it: what its hex derives from
+    (as in :class:`LifeSpan`).  ``str()`` hashes it once; it compares
+    and hashes as that hex string."""
 
     trace_id: str
-    span_id: str
-    parent_span_id: str | None
+    origin: str | None
+    name: str
+    index: int
+    _hex: str | None = None
+
+    def __str__(self) -> str:
+        if self._hex is None:
+            self._hex = _derive(self.trace_id, self.origin, self.name,
+                                self.index)
+        return self._hex
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, (str, SpanRef)) and str(self) == str(other)
+
+    def __hash__(self) -> int:
+        return hash(str(self))
+
+
+@dataclass(slots=True, eq=False)
+class LifeSpan:
+    """One lifecycle span: a slotted record of what happened and of what
+    its ids derive from -- the recording ``origin`` (None: the trace's
+    ``request`` root), ``name`` and that origin's per-trace ``index``
+    (:func:`span_id_for` / :func:`root_span_id`, hashed once read);
+    ``parent`` is a :class:`SpanRef`, ``_ROOT`` or None.  The attrs are
+    an interned key tuple and a value tuple (``attrs`` builds the dict).
+    Pickles across the pool's pipes as it is."""
+
+    trace_id: str
     name: str
     start: float
     end: float
-    status: str = "ok"
-    tenant: str = "default"
-    attrs: dict[str, Any] = field(default_factory=dict)
+    status: str
+    tenant: str
+    attr_keys: tuple[str, ...]
+    attr_values: tuple
+    origin: str | None
+    index: int
+    parent: SpanRef | str | None
+    _hex: str | None = None
+
+    @property
+    def span_id(self) -> str:
+        if self._hex is None:
+            self._hex = _derive(self.trace_id, self.origin, self.name,
+                                self.index)
+        return self._hex
+
+    @property
+    def parent_span_id(self) -> str | None:
+        if self.parent is None:
+            return None
+        return str(self.parent) if self.parent else root_span_id(self.trace_id)
+
+    @property
+    def attrs(self) -> dict[str, Any]:
+        return dict(zip(self.attr_keys, self.attr_values))
 
     @property
     def duration(self) -> float:
@@ -127,25 +178,13 @@ class LifeSpan:
             "end": self.end,
             "status": self.status,
             "tenant": self.tenant,
-            "attrs": {
-                k: v for k, v in self.attrs.items()
-                if isinstance(v, (bool, int, float, str)) or v is None
-            },
+            "attrs": self.scalar_attrs(),
         }
 
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "LifeSpan":
-        return cls(
-            trace_id=str(doc["trace_id"]),
-            span_id=str(doc["span_id"]),
-            parent_span_id=doc.get("parent_span_id"),
-            name=str(doc["name"]),
-            start=float(doc["start"]),
-            end=float(doc["end"]),
-            status=str(doc.get("status", "ok")),
-            tenant=str(doc.get("tenant", "default")),
-            attrs=dict(doc.get("attrs", {})),
-        )
+    def scalar_attrs(self) -> dict[str, Any]:
+        """The attrs a JSON export keeps: bool, int, float, str, None."""
+        return {k: v for k, v in zip(self.attr_keys, self.attr_values)
+                if isinstance(v, (bool, int, float, str)) or v is None}
 
 
 class SpanLog:
@@ -162,13 +201,13 @@ class SpanLog:
         self.spans: list[LifeSpan] = []
         self._n: dict[str, int] = {}
 
-    def allocate(self, trace_id: str, name: str) -> str:
+    def allocate(self, trace_id: str, name: str) -> SpanRef:
         """Reserve the next span id of ``trace_id`` without recording
         yet -- lets a parent hand its id to children it is about to
         run (``execute`` parents ``ir_passes`` / ``recover``)."""
         index = self._n.get(trace_id, 0)
         self._n[trace_id] = index + 1
-        return span_id_for(trace_id, self.origin, name, index)
+        return SpanRef(trace_id, self.origin, name, index)
 
     def span(
         self,
@@ -178,25 +217,17 @@ class SpanLog:
         end: float,
         status: str = "ok",
         tenant: str = "default",
-        parent_span_id: str | None = None,
-        span_id: str | None = None,
+        parent_span_id: SpanRef | None = None,
+        span_id: SpanRef | None = None,
         **attrs: Any,
     ) -> LifeSpan:
-        if span_id is None:
-            span_id = self.allocate(trace_id, name)
+        ref = self.allocate(trace_id, name) if span_id is None else span_id
         sp = LifeSpan(
-            trace_id=trace_id,
-            span_id=span_id,
-            parent_span_id=(
-                parent_span_id if parent_span_id is not None
-                else root_span_id(trace_id)
-            ),
-            name=name,
-            start=float(start),
-            end=float(end),
-            status=status,
-            tenant=tenant,
-            attrs=dict(attrs),
+            trace_id, name, float(start), float(end), status, tenant,
+            *_attrs(attrs), ref.origin, ref.index,
+            _ROOT if parent_span_id is None else parent_span_id,
+            # an id allocated under another name keeps that name's hex
+            ref._hex if ref.name == name else str(ref),
         )
         self.spans.append(sp)
         return sp
@@ -205,12 +236,14 @@ class SpanLog:
 class FlightRecorder:
     """Bounded in-memory ring of lifecycle events, dumped on demand.
 
-    Always on: recording is one deque append under a lock (well under
-    the <3% overhead budget the metrics registry set).  On a fatal
-    serving error the service calls :meth:`dump`, which snapshots the
-    ring and writes it atomically under a name no other dump holds
-    (:func:`~repro.core.store.atomic_create`), so a post-mortem never
-    reads a torn file and never replaces another recorder's.
+    Always on: the ring holds the recorded :class:`LifeSpan` objects
+    (the retained traces share them) and the :meth:`note` dicts; a span
+    becomes a dict only in :meth:`events` / :meth:`dump`.  Recording is
+    one deque extend under a lock; with its tracer it costs a 256^2
+    served request +1.7 % (median of nine ``bench_serve.py`` gate runs,
+    -0.6 to +3.3 %).  On a fatal serving error the service calls
+    :meth:`dump`, which writes the ring atomically under a name no
+    other dump holds (:func:`~repro.core.store.atomic_create`).
     """
 
     SCHEMA = 1
@@ -230,12 +263,12 @@ class FlightRecorder:
         #: would otherwise grow the directory without bound.
         self.max_dumps = max_dumps
         self._lock = threading.Lock()
-        self._ring: deque[dict] = deque(maxlen=capacity)
+        self._ring: deque[LifeSpan | dict] = deque(maxlen=capacity)
         self._dumped = 0
 
-    def record_span(self, span: LifeSpan) -> None:
+    def record(self, *spans: LifeSpan) -> None:
         with self._lock:
-            self._ring.append({"event": "span", **span.to_doc()})
+            self._ring.extend(spans)
 
     def note(self, kind: str, **fields: Any) -> None:
         """A point event (retry decisions, dump triggers, ...)."""
@@ -245,8 +278,11 @@ class FlightRecorder:
             })
 
     def events(self) -> list[dict]:
+        """The ring, oldest first; a span is rendered to its dict here."""
         with self._lock:
-            return list(self._ring)
+            ring = list(self._ring)
+        return [e if isinstance(e, dict) else {"event": "span", **e.to_doc()}
+                for e in ring]
 
     def __len__(self) -> int:
         with self._lock:
@@ -265,8 +301,8 @@ class FlightRecorder:
         recorder's dump count, or the next number no file in
         ``directory`` holds yet (other recorders -- another service,
         an earlier process -- may share it)."""
+        events = self.events()
         with self._lock:
-            events = list(self._ring)
             self._dumped += 1
             ordinal = self._dumped
         doc = {
@@ -320,6 +356,19 @@ def load_postmortem(path: str | Path) -> dict:
     return doc
 
 
+@dataclass(slots=True, eq=False)
+class _Trace:
+    """A retained trace: spans, the service loop's counter, and the
+    signature prefix the ``request`` root reports."""
+
+    tenant: str
+    signature: str = ""
+    t_admit: float | None = None
+    spans: list[LifeSpan] = field(default_factory=list)
+    n: int = 0
+    done: bool = False
+
+
 class LifecycleTracer:
     """Per-request span store plus the SLO fold-in.
 
@@ -343,8 +392,10 @@ class LifecycleTracer:
         self.recorder = recorder
         self.max_traces = max_traces
         self._lock = threading.Lock()
-        self._traces: "OrderedDict[str, dict]" = OrderedDict()
+        self._traces: "OrderedDict[str, _Trace]" = OrderedDict()
         self._metrics = metrics
+        #: (tenant, status) -> its three SLO histogram cells and counter cell
+        self._slo_cells: dict[tuple[str, str], tuple] = {}
         if metrics is not None:
             self._h_queue = metrics.histogram(
                 "slo_queue_wait_seconds",
@@ -373,33 +424,23 @@ class LifecycleTracer:
         t_admit: float | None = None,
     ) -> str:
         trace_id = request_trace_id(signature, seq)
+        entry = _Trace(tenant, signature[:16],
+                       time.monotonic() if t_admit is None else t_admit)
         with self._lock:
-            self._traces[trace_id] = {
-                "tenant": tenant,
-                "signature": signature,
-                "t_admit": time.monotonic() if t_admit is None else t_admit,
-                "spans": [],
-                "n": 0,
-                "done": False,
-                "status": None,
-            }
+            self._traces[trace_id] = entry
             self._evict_locked()
         return trace_id
 
-    def _entry_locked(self, trace_id: str, tenant: str = "default") -> dict:
+    def _entry_locked(self, trace_id: str, tenant: str = "default") -> _Trace:
         entry = self._traces.get(trace_id)
         if entry is None:
-            entry = {
-                "tenant": tenant, "signature": "", "t_admit": None,
-                "spans": [], "n": 0, "done": False, "status": None,
-            }
-            self._traces[trace_id] = entry
+            entry = self._traces[trace_id] = _Trace(tenant)
         return entry
 
     def _evict_locked(self) -> None:
         while len(self._traces) > self.max_traces:
             for tid, entry in self._traces.items():
-                if entry["done"]:
+                if entry.done:
                     del self._traces[tid]
                     break
             else:
@@ -414,40 +455,30 @@ class LifecycleTracer:
         start: float,
         end: float,
         status: str = "ok",
-        parent_span_id: str | None = None,
+        parent_span_id: SpanRef | str | None = None,
         **attrs: Any,
     ) -> LifeSpan:
         with self._lock:
             entry = self._entry_locked(trace_id)
-            index = entry["n"]
-            entry["n"] += 1
             sp = LifeSpan(
-                trace_id=trace_id,
-                span_id=span_id_for(trace_id, "svc", name, index),
-                parent_span_id=(
-                    parent_span_id if parent_span_id is not None
-                    else root_span_id(trace_id)
-                ),
-                name=name,
-                start=float(start),
-                end=float(end),
-                status=status,
-                tenant=entry["tenant"],
-                attrs=dict(attrs),
+                trace_id, name, float(start), float(end), status,
+                entry.tenant, *_attrs(attrs), "svc", entry.n,
+                _ROOT if parent_span_id is None else parent_span_id,
             )
-            entry["spans"].append(sp)
+            entry.n += 1
+            entry.spans.append(sp)
         if self.recorder is not None:
-            self.recorder.record_span(sp)
+            self.recorder.record(sp)
         return sp
 
     def adopt(self, spans: Iterable[LifeSpan]) -> None:
         """File worker-recorded spans under their traces."""
-        for sp in spans:
-            with self._lock:
-                entry = self._entry_locked(sp.trace_id, tenant=sp.tenant)
-                entry["spans"].append(sp)
-            if self.recorder is not None:
-                self.recorder.record_span(sp)
+        spans = list(spans)
+        with self._lock:
+            for sp in spans:
+                self._entry_locked(sp.trace_id, tenant=sp.tenant).spans.append(sp)
+        if self.recorder is not None:
+            self.recorder.record(*spans)
 
     def finish(
         self,
@@ -464,57 +495,46 @@ class LifecycleTracer:
         now = time.monotonic() if now is None else now
         with self._lock:
             entry = self._traces.get(trace_id)
-            if entry is None or entry["done"]:
+            if entry is None or entry.done:
                 return None
-            entry["done"] = True
-            entry["status"] = status
-            tenant = entry["tenant"]
-            t_admit = entry["t_admit"]
+            entry.done = True
+            tenant = entry.tenant
+            t_admit = entry.t_admit
             if t_admit is None:
-                t_admit = min(
-                    (s.start for s in entry["spans"]), default=now
-                )
+                t_admit = min((s.start for s in entry.spans), default=now)
             span_status = "error" if status in ERROR_STATUSES else "ok"
             respond = LifeSpan(
-                trace_id=trace_id,
-                span_id=span_id_for(trace_id, "svc", "respond", entry["n"]),
-                parent_span_id=root_span_id(trace_id),
-                name="respond",
-                start=now,
-                end=now,
-                status=span_status,
-                tenant=tenant,
-                attrs={"outcome": status},
+                trace_id, "respond", now, now, span_status, tenant,
+                *_attrs({"outcome": status}), "svc", entry.n, _ROOT,
             )
-            entry["n"] += 1
+            entry.n += 1
             root = LifeSpan(
-                trace_id=trace_id,
-                span_id=root_span_id(trace_id),
-                parent_span_id=None,
-                name="request",
-                start=t_admit,
-                end=now,
-                status=span_status,
-                tenant=tenant,
-                attrs={"outcome": status,
-                       "signature": entry["signature"][:16]},
+                trace_id, "request", t_admit, now, span_status, tenant,
+                *_attrs({"outcome": status, "signature": entry.signature}),
+                None, 0, None,
             )
-            entry["spans"].extend((respond, root))
-            queue_wait = sum(
-                s.duration for s in entry["spans"] if s.name == "queued"
-            )
-            exec_s = sum(
-                s.duration for s in entry["spans"] if s.name == "execute"
-            )
+            entry.spans += (respond, root)
+            queue_wait = exec_s = 0
+            for s in entry.spans:
+                if s.name == "queued":
+                    queue_wait += s.duration
+                elif s.name == "execute":
+                    exec_s += s.duration
             e2e = max(0.0, now - t_admit)
             if self._metrics is not None:
-                self._h_queue.observe(queue_wait, tenant=tenant)
-                self._h_exec.observe(exec_s, tenant=tenant)
-                self._h_e2e.observe(e2e, tenant=tenant)
-                self._c_requests.inc(tenant=tenant, status=status)
+                cells = self._slo_cells.get((tenant, status))
+                if cells is None:  # first such request: find its cells once
+                    cells = self._slo_cells[tenant, status] = (
+                        self._h_queue.labels(tenant=tenant),
+                        self._h_exec.labels(tenant=tenant),
+                        self._h_e2e.labels(tenant=tenant),
+                        self._c_requests.labels(tenant=tenant, status=status))
+                cells[0].observe(queue_wait)
+                cells[1].observe(exec_s)
+                cells[2].observe(e2e)
+                cells[3].add(1)
         if self.recorder is not None:
-            self.recorder.record_span(respond)
-            self.recorder.record_span(root)
+            self.recorder.record(respond, root)
         return {
             "tenant": tenant, "status": status,
             "queue_wait_s": queue_wait, "exec_s": exec_s, "e2e_s": e2e,
@@ -522,21 +542,16 @@ class LifecycleTracer:
 
     # -- introspection ---------------------------------------------------
 
-    def tenant_of(self, trace_id: str) -> str:
-        with self._lock:
-            entry = self._traces.get(trace_id)
-            return entry["tenant"] if entry else "default"
-
     def spans_of(self, trace_id: str) -> list[LifeSpan]:
         with self._lock:
             entry = self._traces.get(trace_id)
-            return list(entry["spans"]) if entry else []
+            return list(entry.spans) if entry else []
 
     def all_spans(self) -> list[LifeSpan]:
         with self._lock:
             return [
                 sp for entry in self._traces.values()
-                for sp in entry["spans"]
+                for sp in entry.spans
             ]
 
     def trace_ids(self) -> list[str]:
@@ -596,16 +611,12 @@ def lifecycle_events(
                 "tid": lane,
                 "args": {"name": f"{sp.tenant} {sp.trace_id[:8]}"},
             })
-        args: dict[str, Any] = {
-            "trace_id": sp.trace_id,
-            "span_id": sp.span_id,
-            "status": sp.status,
-        }
-        if sp.parent_span_id:
-            args["parent_span_id"] = sp.parent_span_id
-        for key, value in sp.attrs.items():
-            if isinstance(value, (bool, int, float, str)) or value is None:
-                args[key] = value
+        args: dict[str, Any] = {"trace_id": sp.trace_id,
+                                "span_id": sp.span_id, "status": sp.status}
+        parent = sp.parent_span_id
+        if parent:
+            args["parent_span_id"] = parent
+        args.update(sp.scalar_attrs())
         events.append(complete_event(
             sp.name, "lifecycle", SERVICE_PID, lane,
             (sp.start - origin) * 1e6, sp.duration * 1e6, args,
@@ -634,12 +645,9 @@ def combined_events(
             continue
         shift = (anchor.start - origin) * 1e6
         for ev in to_events(trace):
-            ev = dict(ev)
+            ev = {**ev, "args": {**(ev.get("args") or {}), "trace_id": trace_id}}
             if "ts" in ev:
-                ev["ts"] = ev["ts"] + shift
-            args = dict(ev.get("args") or {})
-            args["trace_id"] = trace_id
-            ev["args"] = args
+                ev["ts"] += shift
             events.append(ev)
     return events
 
@@ -652,7 +660,7 @@ def combined_otel(
     time_origin: float | None = None,
 ) -> dict[str, Any]:
     """One OTel (OTLP/JSON) document: the lifecycle spans -- span and
-    trace ids are the deterministic ids recorded on the spans, so
+    trace ids are the deterministic ids the span records derive, so
     re-exports (and the Chrome export's ``args``) correlate exactly --
     plus, per request with a captured execution :class:`Trace`, the
     task-level spans exported under the *same* ``trace_id`` with their
@@ -670,7 +678,7 @@ def combined_otel(
             epoch_unix_nanos + int((sp.start - origin) * 1e9),
             epoch_unix_nanos + int((sp.end - origin) * 1e9),
             otel_attributes([("tenant", sp.tenant), ("status", sp.status),
-                             *sorted(sp.attrs.items())]),
+                             *sorted(zip(sp.attr_keys, sp.attr_values))]),
             status, sp.parent_span_id,
         ))
     doc = otel_document(service_name, "repro.obs.lifecycle", out)
@@ -679,13 +687,9 @@ def combined_otel(
         if anchor is None or trace is None:
             continue
         child = to_otel(
-            trace,
-            service_name=service_name,
-            epoch_unix_nanos=(
-                epoch_unix_nanos + int((anchor.start - origin) * 1e9)
-            ),
-            trace_id=trace_id,
-            parent_span_id=anchor.span_id,
+            trace, service_name=service_name,
+            epoch_unix_nanos=epoch_unix_nanos + int((anchor.start - origin) * 1e9),
+            trace_id=trace_id, parent_span_id=anchor.span_id,
         )
         doc["resourceSpans"].extend(child["resourceSpans"])
     return doc
@@ -711,9 +715,8 @@ def write_timeline(
         written["chrome"] = str(chrome_path)
     if otel_path is not None:
         with open(otel_path, "w") as fh:
-            json.dump(combined_otel(
-                spans, exec_traces, service_name=service_name,
-            ), fh)
+            json.dump(combined_otel(spans, exec_traces,
+                                    service_name=service_name), fh)
         written["otel"] = str(otel_path)
     return written
 
@@ -721,10 +724,6 @@ def write_timeline(
 # ---------------------------------------------------------------------------
 # post-mortem rendering
 # ---------------------------------------------------------------------------
-
-
-def _span_events(doc: Mapping[str, Any]) -> list[dict]:
-    return [e for e in doc.get("events", []) if e.get("event") == "span"]
 
 
 def format_postmortem(doc: Mapping[str, Any], width: int = 100) -> str:
@@ -738,7 +737,7 @@ def format_postmortem(doc: Mapping[str, Any], width: int = 100) -> str:
     lines = [f"postmortem: reason={doc.get('reason', '?')}"]
     if doc.get("error"):
         lines.append(f"  error: {doc['error']}")
-    spans = _span_events(doc)
+    spans = [e for e in doc.get("events", []) if e.get("event") == "span"]
     by_trace: dict[str, list[dict]] = {}
     for ev in spans:
         by_trace.setdefault(ev["trace_id"], []).append(ev)
@@ -796,12 +795,12 @@ def format_postmortem(doc: Mapping[str, Any], width: int = 100) -> str:
 __all__ = [
     "ERROR_STATUSES",
     "FlightRecorder",
-    "LIFECYCLE_KINDS",
     "LifeSpan",
     "LifecycleTracer",
     "POSTMORTEM_KIND",
     "SERVICE_PID",
     "SpanLog",
+    "SpanRef",
     "combined_events",
     "combined_otel",
     "format_postmortem",

@@ -36,7 +36,7 @@ import threading
 import time
 from typing import Callable, Iterator
 
-from ..obs.lifecycle import SpanLog
+from ..obs.lifecycle import SpanLog, SpanRef
 from .request import (
     DeadlineExpired,
     SolveRequest,
@@ -69,7 +69,7 @@ def execute_request(
     checkpoint_dir=None,
     lifecycle: SpanLog | None = None,
     trace_id: str | None = None,
-    parent_span_id: str | None = None,
+    parent_span_id: SpanRef | None = None,
     want_trace: bool = False,
 ):
     """Run one request to a reduced
@@ -318,6 +318,8 @@ class ProcessWorker:
 
     def __init__(self, name: str, checkpoint_dir=None,
                  want_trace: bool = False) -> None:
+        from ..exec.procs import trim_heap
+
         self.name = name
         ctx = mp.get_context("fork")
         self._conn, child_conn = ctx.Pipe(duplex=True)
@@ -327,6 +329,7 @@ class ProcessWorker:
             name=f"repro-serve-{name}",
             daemon=True,
         )
+        trim_heap()
         self._proc.start()
         child_conn.close()
         self._pipe_broke = False
