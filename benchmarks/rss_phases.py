@@ -9,9 +9,10 @@ way `run.py` does -- imports, the reference solve, the set-up solves,
 then alternating timed pairs -- and reads resident memory around each
 phase: the process's peak within the phase (`VmHWM` of
 `/proc/self/status`, reset at the phase's start where
-`/proc/self/clear_refs` takes it), the largest reaped child's peak so
-far (`RUSAGE_CHILDREN`, the `processes` backend's node processes) and
-the grids resident above what the imports left.  The last line is the
+`/proc/self/clear_refs` takes it), the largest child's peak so far --
+the `processes` backend's node processes: a reaped one's from
+`RUSAGE_CHILDREN`, a live one's (a node pool outlives its runs) from its
+`VmHWM` -- and the grids resident above what the imports left.  The last line is the
 run's envelope, what `peak_rss_mb` reports: the largest phase peak plus
 the largest child's.  A recipe for finding where a peak comes from, not
 a benchmark: it prints, it gates nothing.
@@ -20,6 +21,7 @@ a benchmark: it prints, it gates nothing.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import resource
 import sys
 import time
@@ -33,12 +35,23 @@ WORKLOADS = ("kernel_large", "halo_base", "halo_ca", "serve_mix")
 MIB = 1024 * 1024
 
 
-def _status_kib(field: str) -> int:
-    with open("/proc/self/status") as fh:
+def _status_kib(field: str, pid: str = "self") -> int:
+    with open(f"/proc/{pid}/status") as fh:
         for line in fh:
             if line.startswith(field + ":"):
                 return int(line.split()[1])
-    raise RuntimeError(f"no {field} in /proc/self/status")
+    raise RuntimeError(f"no {field} in /proc/{pid}/status")
+
+
+def _largest_child_mib() -> float:
+    """The largest peak of a reaped child or of a live one."""
+    kib = [resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss]
+    for child in multiprocessing.active_children():
+        try:
+            kib.append(_status_kib("VmHWM", str(child.pid)))
+        except (OSError, RuntimeError):  # it exited meanwhile: reaped, counted above
+            pass
+    return max(kib) / 1024
 
 
 def _reset_peak() -> bool:
@@ -67,7 +80,7 @@ class Phases:
 
     def end(self, name: str) -> None:
         peak = _status_kib("VmHWM") / 1024
-        child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+        child = max(_largest_child_mib(), self.rows[-1][2] if self.rows else 0.0)
         if not self.rows:
             self.base_mib = _status_kib("VmRSS") / 1024
         self.rows.append((name, peak, child, time.perf_counter() - self._start))

@@ -26,6 +26,19 @@ doorbell) and "ring drain" (take the ring lock, take the record out).
 The hops are timed where they are called, one after the other, so the
 numbers add up to a `jobs=1` solve without thread hand-offs; they are a
 map of where the time goes, not a benchmark.
+
+On `halo_*` a second table splits one traced `processes` run (`jobs=1`,
+one process per node) into the parts no task span covers, from
+`ProcessExecutor.stamps` and the trace: fork, or pool checkout, until
+the parent is done with it or the first task starts, whichever comes
+first; child boot, or run dispatch, from then until the first task
+starts (a pool's first node may start while the parent is still
+dispatching to the second: then 0); last task end until
+the last report arrives; that report's unpickle plus the report and
+trace merge; reap; unmap (the last two are zero for a run on a pool,
+whose processes and rings outlive it).  Milliseconds, the median of
+twelve runs after two warm-ups, each after a reference solve as in the
+wall-clock benchmark's timed pairs.
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ from statistics import median
 from repro.core.dataflow import TEMPLATES, build_stencil_graph
 from repro.core.spec import StencilSpec
 from repro.exec.executor import ThreadedExecutor
-from repro.exec.procs import _Channels, _encode, _record_bytes
+from repro.exec.procs import ProcessExecutor, _Channels, _encode, _record_bytes
 from repro.exec.wallclock_trace import WallClockRecorder
 from repro.machine.machine import nacl
 from repro.runtime.scheduler import make_queue
@@ -155,6 +168,45 @@ def one_solve(geometry: dict) -> dict[str, float]:
     return hops
 
 
+#: What one `processes` run spends outside its task spans, in order.
+OUTSIDE = ("fork / pool checkout", "boot / dispatch -> first task",
+           "last task -> last report", "report unpickle + merge", "reap", "unmap")
+
+
+def outside_tasks(geometry: dict, runs: int = 12) -> dict[str, float]:
+    """Milliseconds of one traced `processes` run of ``geometry`` outside
+    its task spans, part by part (:data:`OUTSIDE`), then the run's wall
+    (`start()` to the report built) and the tasks' extent (first task
+    start to last task end): medians over ``runs`` runs after two."""
+    g = dict(geometry)
+    nodes, tile, steps = g.pop("nodes"), g.pop("tile"), g.pop("steps")
+    problem = JacobiProblem(init=0.5, **g)
+    parts: dict[str, list[float]] = {name: [] for name in (*OUTSIDE, "run wall", "tasks")}
+    for k in range(runs + 2):
+        problem.reference_solution()
+        built = build_stencil_graph(
+            StencilSpec.create(problem, nodes=nodes, tile=tile, steps=steps), nacl(nodes))
+        executor = ProcessExecutor(built.graph, procs=nodes, jobs=1, policy="priority",
+                                   trace=True)
+        report = executor.run()
+        built.assemble_grid(report.results)
+        if k < 2:
+            continue
+        at, epoch = executor.stamps, executor._epoch
+        tasks = report.trace.compute_spans()
+        first, last = (epoch + min(s.start for s in tasks), epoch + max(s.end for s in tasks))
+        reaped = at.get("reaped", at["received"])
+        unmapped = at.get("unmapped", reaped)
+        for name, seconds in zip((*OUTSIDE, "run wall", "tasks"), (
+                min(at["launched"], first) - at["start"], max(0.0, first - at["launched"]),
+                at["arrived"] - last,
+                at["received"] - at["arrived"] + at["reported"] - unmapped,
+                reaped - at["received"], unmapped - reaped,
+                at["reported"] - at["start"], last - first)):
+            parts[name].append(seconds * 1e3)
+    return {name: median(samples) for name, samples in parts.items()}
+
+
 def main(argv: list[str]) -> None:
     names = argv or list(GEOMETRIES)
     # A process's first solve also pays its imports' and numpy's
@@ -165,6 +217,12 @@ def main(argv: list[str]) -> None:
     for hop in runs[names[0]][0]:
         cells = (min(run[hop] for run in runs[name]) for name in names)
         print(f"{hop:<26}" + "".join(f"{cell:14.2f}" for cell in cells))
+    halos = [name for name in names if GEOMETRIES[name]["nodes"] > 1]
+    if halos:
+        split = {name: outside_tasks(GEOMETRIES[name]) for name in halos}
+        print(f"\n{'ms of a processes run':<32}" + "".join(f"{name:>14}" for name in halos))
+        for part in split[halos[0]]:
+            print(f"{part:<32}" + "".join(f"{split[name][part]:14.2f}" for name in halos))
 
 
 if __name__ == "__main__":

@@ -77,6 +77,7 @@ from ..runtime.task import READY, Flow, Task, TaskKey
 from ..stencil.cost import KernelCostModel
 from ..stencil.kernels import FLOP_PER_POINT, SLAB_CELLS
 from ..stencil.variable import BAND_CELLS, apply_stencil_lines
+from .recipe import Recipe, shared_mapping
 from .spec import ITEMSIZE, Slices, StencilSpec
 
 #: Priority bias making node-boundary tasks run before interior ones
@@ -869,7 +870,9 @@ class Template:
     def lowered(self, spec: StencilSpec) -> tuple[TaskGraph, dict[tuple, _Plan]]:
         if self.blocks is None:
             units, plans = _lower(spec, self.name, self.units)
-            self.blocks = (_unroll(units, self.iterations), plans)
+            graph = _unroll(units, self.iterations)
+            graph.plan_digest()  # before any bind: every bound graph shares it
+            self.blocks = (graph, plans)
         return self.blocks
 
 
@@ -934,17 +937,20 @@ def build_stencil_graph(
     name: str = "st",
     with_kernels: bool = True,
     boundary_priority: bool = True,
+    memory: mmap.mmap | None = None,
 ) -> BuildResult:
     """The task graph of ``spec``, bound to this run.  What depends on
     geometry and the cost model only -- the tile table, the exchange
     plan, the landing store's layout, the unrolled graphs with their
     analysis -- is a :class:`Template` made once per shape
     (:data:`TEMPLATES`); per call there is one shared mapping holding
-    the result grid and the landing store, one :class:`StencilKernels` and a
-    shallow clone of every task pointing at it.  ``with_kernels=False``
+    the result grid and the landing store (``memory``, when
+    :func:`~repro.core.recipe.rebuild` passes the one it was sent), one
+    :class:`StencilKernels` and a shallow clone of every task pointing
+    at it.  ``with_kernels=False``
     binds the paper's graph timing-only (no numpy work, no result grid),
     which is what the benchmark sweeps use; with kernels the graph is
-    the node-block one the real executors run."""
+    the node-block one the real executors run, with its :class:`Recipe`."""
     cost = cost or KernelCostModel(machine)
     key = (type(spec), spec.partition, spec.steps, spec.problem.iterations,
            name, boundary_priority, machine, cost)
@@ -961,8 +967,15 @@ def build_stencil_graph(
     shape, arrays = spec.problem.shape, spec.landing()[1]
     cells = shape[0] * shape[1]
     landing = sum(2 * a.shape[0] * a.shape[1] for a in arrays)
-    memory = mmap.mmap(-1, (cells + landing) * ITEMSIZE)
+    nbytes, fd = (cells + landing) * ITEMSIZE, None
+    if memory is None:
+        memory, fd = shared_mapping(nbytes)
+    elif len(memory) != nbytes:
+        raise ValueError(f"a {len(memory)}-byte mapping for a {nbytes}-byte build")
     grid = np.ndarray(shape, buffer=memory)
     store = np.ndarray((landing,), buffer=memory, offset=cells * ITEMSIZE)
     kernels = StencilKernels(spec, grid, store, plans)
-    return BuildResult(kernels.bind(graph), spec, name, grid, kernels, True, template)
+    bound = kernels.bind(graph)
+    if fd is not None:
+        bound.recipe = Recipe(key, spec.problem, graph.plan_digest(), memory, fd, kernels)
+    return BuildResult(bound, spec, name, grid, kernels, True, template)

@@ -19,12 +19,13 @@ persistent MPI's ``MPI_Pready`` does.
 Channels.  :meth:`TaskGraph.message_plan` lists every message before
 anything runs, so :meth:`ProcessExecutor.start` lays the channels out
 before forking (:class:`_Channels`): one single-producer/single-consumer
-byte ring per ordered node pair *the plan sends on*, inside one
-anonymous shared ``mmap`` the children inherit -- no name, no resource
-tracker, nothing to unlink: the kernel frees it with the last process
-that maps it, on every exit path.  With the rings come a process-shared
-lock per ring, a semaphore *doorbell* per node and a few header words
-per node (abort flag, tasks done, messages sent).
+byte ring per ordered node pair *the plan sends on* (for a kept pool,
+one per ordered pair), inside one anonymous shared ``mmap`` the children
+inherit -- no name, no resource tracker, nothing to unlink: the kernel
+frees it with the last process that maps it, on every exit path.  With
+the rings come a process-shared lock per ring, a semaphore *doorbell*
+per node and a few header words per node (abort flag, tasks done,
+messages sent).
 
 No communication thread.  A send is a record of a few bytes -- shorter
 than one thread hand-off -- so the worker that ran the producing task
@@ -62,13 +63,25 @@ stencil graph one token per final task: final cores land in the build's
 shared result grid) and watches one control pipe per child for the run's
 ``RunHandle``.  Each child runs a :class:`_NodeExecutor` -- a
 :class:`ThreadedExecutor` restricted to the node's tasks, plus the
-send/poll hooks -- and one *control* thread that blocks on the pipe
+send/poll hooks -- and one *control* thread, the pipe's one reader
 (``cancel`` down, EOF = the parent died), idle for all of a healthy
 run.  A failing node sets every peer's abort word, posts every doorbell
 and reports to the parent, which cancels everyone, so
 :class:`~repro.runtime.report.KernelError` crosses the process boundary
 without deadlocking anyone; stragglers are terminated after a grace
 period so no orphan survives.
+
+Pools.  The node processes outlive a run that a later one can
+*describe* (:mod:`repro.exec.pools`): its first run forks them as above
+and keeps them as the pool of its ``(procs, jobs)``.  A later run on
+that idle pool sends each node, down its control pipe, the template key
+and pickled problem, its knobs and the graph's plan digest, and beside
+it on the same socket the memfd of the build's grid-and-landing mapping
+(:class:`~repro.core.recipe.Recipe`); the node rebuilds the graph from
+its inherited templates, refuses it if the digest differs, maps the
+memfd, runs, reports, then drops the graph and unmaps the memfd
+(:func:`_run_described`).  Any other graph forks processes that exit
+with their run.
 
 Accounting.  Workers write exactly the message plan's entries, so
 per-edge message counts and *declared* payload bytes equal
@@ -87,10 +100,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import gc
 import mmap
 import multiprocessing as mp
 import os
 import pickle
+import queue
 import struct
 import sys
 import threading
@@ -98,6 +113,7 @@ import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as conn_wait
+from multiprocessing.reduction import recv_handle
 
 import numpy as np
 
@@ -111,15 +127,13 @@ from ..runtime.task import READY, Flow, Task, TaskKey
 from ..runtime.trace import Trace
 from .executor import ExecReport, ThreadedExecutor, ensure_executable
 from .futures import RunCancelled, RunHandle
+from .pools import _POOLS, IDLE_CLOSE, JOIN_GRACE, _Pool, close_pools
 
 #: Trace lanes of a node's communication (compute workers are
 #: ``0..jobs-1``; anything negative is a comm lane, as in the engine).
 #: Workers send and receive under the executor lock: a lane is serial.
 SEND_LANE = -1
 RECV_LANE = -2
-
-#: Seconds a process gets to exit voluntarily before it is terminated.
-JOIN_GRACE = 5.0
 
 #: Bound of every wait on a shared primitive (doorbell, ring lock) and
 #: of the parent's watcher loop: the reaction time to a dead peer.
@@ -308,31 +322,47 @@ def _encode(index: int, payload) -> tuple[tuple, bytes]:
     return (index, len(body)), body
 
 
-class _Channels:
-    """Everything the node processes share, laid out from the message
-    plan before the fork: the plan's index, the rings, the doorbells
-    and the header words."""
+def _ring_sizes(graph: TaskGraph) -> dict[tuple[int, int], int]:
+    """Ring bytes per ordered node pair ``graph``'s plan sends on: its
+    planned traffic, at most :data:`RING_BYTES` unless a quarter of the
+    ring would not hold its largest message."""
+    traffic: dict[tuple[int, int], list[int]] = {}  # pair -> [bytes, largest]
+    for producer, messages in graph.message_plan().items():
+        src = graph[producer].node
+        for _tag, dst, nbytes in messages:
+            pair = traffic.setdefault((src, dst), [0, 0])
+            pair[0] += 2 * _HDR.size + nbytes  # header + padding
+            pair[1] = max(pair[1], nbytes)
+    return {pair: min(max(planned, _MIN_RING), max(RING_BYTES, 4 * largest))
+            for pair, (planned, largest) in traffic.items()}
 
-    def __init__(self, graph: TaskGraph, procs: int, ctx) -> None:
-        #: plan index -> (producer, tag): what a record's index names
-        self.entries: list[tuple[TaskKey, str]] = []
-        #: producer -> [(plan index, tag, dst, declared nbytes)]
-        self.sends: dict[TaskKey, list[tuple[int, str, int, int]]] = {}
-        traffic: dict[tuple[int, int], list[int]] = {}  # pair -> [bytes, largest]
-        for producer, messages in graph.message_plan().items():
-            src = graph[producer].node
-            rows = self.sends[producer] = []
-            for tag, dst, nbytes in messages:
-                rows.append((len(self.entries), tag, dst, nbytes))
-                self.entries.append((producer, tag))
-                pair = traffic.setdefault((src, dst), [0, 0])
-                pair[0] += 2 * _HDR.size + nbytes  # header + padding
-                pair[1] = max(pair[1], nbytes)
+
+def _fits_pool(graph: TaskGraph) -> bool:
+    """Whether a pool's rings are at least as large as the ones a run of
+    ``graph`` would lay out for itself: no message of its plan exceeds
+    a quarter of :data:`RING_BYTES`."""
+    return 4 * graph.census().largest <= RING_BYTES
+
+
+class _Channels:
+    """Everything the node processes share, laid out before the fork:
+    the plan's index, the rings, the doorbells and the header words.
+    One ring per ordered node pair the plan sends on, sized to its
+    traffic (:func:`_ring_sizes`) -- or, for a pool (``pooled``), one
+    :data:`RING_BYTES` ring per ordered pair, which every later run
+    that fits (:func:`_fits_pool`) reuses: a node indexes its rebuilt
+    graph's plan (:meth:`index`), the parent zeroes the words between
+    runs (:meth:`reset`)."""
+
+    def __init__(self, graph: TaskGraph, procs: int, ctx, pooled: bool = False) -> None:
+        self.index(graph)
+        sizes = ({(src, dst): RING_BYTES for src in range(procs)
+                  for dst in range(procs) if src != dst}
+                 if pooled else _ring_sizes(graph))
         line = _LINE * 8
-        header = (procs + len(traffic)) * line  # the words; the rings follow
+        self._header = header = (procs + len(sizes)) * line  # the words; the rings follow
         offsets, size = {}, header
-        for pair, (planned, largest) in traffic.items():
-            capacity = min(max(planned, _MIN_RING), max(RING_BYTES, 4 * largest))
+        for pair, capacity in sizes.items():
             capacity = -(-capacity // line) * line
             offsets[pair] = (size, capacity)
             size += capacity
@@ -346,6 +376,28 @@ class _Channels:
             for k, (pair, (start, capacity)) in enumerate(offsets.items())
         }
         self.doorbells = [ctx.Semaphore(0) for _ in range(procs)]
+
+    def index(self, graph: TaskGraph) -> None:
+        """Read ``graph``'s message plan into what a record's index
+        names and what each producer sends."""
+        #: plan index -> (producer, tag)
+        self.entries: list[tuple[TaskKey, str]] = []
+        #: producer -> [(plan index, tag, dst, declared nbytes)]
+        self.sends: dict[TaskKey, list[tuple[int, str, int, int]]] = {}
+        for producer, messages in graph.message_plan().items():
+            rows = self.sends[producer] = []
+            for tag, dst, nbytes in messages:
+                rows.append((len(self.entries), tag, dst, nbytes))
+                self.entries.append((producer, tag))
+
+    def reset(self) -> None:
+        """Between two runs of a pool, every node idle and every ring
+        drained: zero the header words and take back the doorbell posts
+        nobody waited for."""
+        self._view[:self._header] = bytes(self._header)
+        for doorbell in self.doorbells:
+            while doorbell.acquire(False):
+                pass
 
     def abort(self, by: int) -> None:
         """Node ``by`` failed: tell everyone to stop waiting."""
@@ -548,20 +600,141 @@ class _NodeExecutor(ThreadedExecutor):
         self._doorbell.release()
 
 
-def _control(executor: _NodeExecutor, ctrl: Connection) -> None:
-    """The child's control thread: blocks on the control pipe for the
-    whole run.  Only a cancel request (the one message the parent
-    sends) or the parent's death (EOF) wake it, and either way the pool
-    unwinds -- a node does not run headless."""
-    try:
-        ctrl.recv()
-    except (EOFError, OSError):
-        pass
-    executor._request_cancel()
+class _Control:
+    """A node's control thread: the one reader of its control pipe, for
+    the node's whole life.  A run description (its memfd follows on the
+    same socket) is queued for the main thread; a cancel stops the run
+    in progress and every later one, and so does the end -- ``close``,
+    or EOF: the parent died -- after which the queue yields None.  A
+    node does not run headless."""
+
+    def __init__(self, ctrl: Connection) -> None:
+        self.ctrl = ctrl
+        #: (knobs, memfd) per run the parent sent; None once it closed
+        self.orders: queue.SimpleQueue = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._executor: _NodeExecutor | None = None
+        self._stopped = False
+
+    def attach(self, executor: _NodeExecutor | None) -> None:
+        """The run in progress (None between runs)."""
+        with self._lock:
+            self._executor = executor
+            stopped = self._stopped
+        if stopped and executor is not None:
+            executor._request_cancel()
+
+    def listen(self) -> None:
+        while True:
+            try:
+                message = self.ctrl.recv()
+                if message[0] == "run":
+                    self.orders.put((message[1], recv_handle(self.ctrl)))
+                    continue
+            except (EOFError, OSError, RuntimeError):  # RuntimeError: no descriptor came
+                message = ("close",)
+            with self._lock:
+                self._stopped = True
+                executor = self._executor
+            if executor is not None:
+                executor._request_cancel()
+            if message[0] == "close":
+                self.orders.put(None)
+                return
 
 
 def _relative_spans(records, epoch):
     return [(r[0] - epoch, r[1] - epoch, r[2]) for r in records]
+
+
+def _run_node(
+    node: int,
+    graph: TaskGraph,
+    channels: _Channels,
+    control: _Control,
+    jobs: int,
+    policy: str,
+    want_trace: bool,
+    epoch: float,
+    chaos=None,
+) -> tuple:
+    """One run of ``node``'s tasks of ``graph``: the report it sends
+    home, ``("done", stats)``, ``("cancelled", None)`` or ``("error",
+    exc)``."""
+    executor = _NodeExecutor(graph, node, channels, jobs=jobs,
+                             policy=policy, trace=want_trace, chaos=chaos)
+    control.attach(executor)
+    try:
+        executor.run()
+        if not executor.flush_outbox():
+            raise RunCancelled("stopped with records still in the outbox")
+    except RunCancelled:
+        return ("cancelled", None)
+    except BaseException as exc:  # KernelError and anything unexpected
+        if not isinstance(exc, KernelError):
+            exc = KernelError(f"node {node} failed: {exc!r}")
+        channels.abort(node)
+        return ("error", exc)
+    finally:
+        control.attach(None)
+    by_dst: dict[int, list[int]] = {}
+    for _start, _end, label, nbytes, ring_bytes in executor.sent:
+        tally = by_dst.setdefault(label[2], [0, 0, 0])
+        tally[0] += 1
+        tally[1] += nbytes
+        tally[2] += ring_bytes
+    stats = {
+        "completed": executor._recorder.completed(),
+        "results": executor._store.results,
+        "worker_busy": executor._recorder.busy_per_worker(),
+        "by_dst": by_dst,
+        "send_busy": sum(r[1] - r[0] for r in executor.sent),
+        "recv_busy": sum(r[1] - r[0] for r in executor.received),
+    }
+    if want_trace:
+        stats["task_spans"] = [
+            (wid, kind, start - epoch, end - epoch, label, task_id)
+            for wid, lane in enumerate(executor._recorder._lanes)
+            for kind, start, end, label, task_id in lane
+        ]
+        stats["send_spans"] = _relative_spans(executor.sent, epoch)
+        stats["recv_spans"] = _relative_spans(executor.received, epoch)
+    return ("done", stats)
+
+
+def _run_described(node: int, channels: _Channels, control: _Control,
+                   knobs: tuple, fd: int) -> tuple:
+    """One later run of a pool: rebuild the graph the description names
+    over the mapping behind ``fd``, refuse it unless its plan digest is
+    the parent's, run it, then let the build go and unmap the memfd."""
+    from ..core.recipe import rebuild
+
+    description, digest, jobs, policy, want_trace, epoch = knobs
+    try:
+        memory = mmap.mmap(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
+    built = None
+    try:
+        try:
+            built = rebuild(description, memory)
+        except Exception as exc:  # reported home: the parent closes the pool
+            return ("error", KernelError(f"node {node} could not rebuild the run's "
+                                         f"graph: {exc!r}"))
+        if built.graph.plan_digest() != digest:
+            return ("error", KernelError(
+                f"node {node} refused the run: its rebuilt graph's plan digest "
+                f"{built.graph.plan_digest()} is not the parent's {digest}"))
+        channels.index(built.graph)
+        return _run_node(node, built.graph, channels, control, jobs, policy,
+                         want_trace, epoch)
+    finally:
+        built = None
+        gc.collect()  # the run's executor and kernels, which view the mapping
+        try:
+            memory.close()
+        except BufferError:  # pragma: no cover - a view outlived the run
+            memory.madvise(mmap.MADV_DONTNEED)
 
 
 def _node_main(
@@ -575,51 +748,25 @@ def _node_main(
     ctrl: Connection,
     inherited: list[Connection],
     chaos=None,
+    recipe=None,
 ) -> None:
-    """Entry point of one node process (runs under fork)."""
+    """Entry point of one node process (runs under fork): the run of
+    the inherited ``graph``, then -- in a pool, ``recipe`` being that
+    build's :class:`~repro.core.recipe.Recipe` -- one run per
+    description the parent sends, until it closes the pool."""
     for conn in inherited:  # the parent's pipe ends: EOF must mean it died
         conn.close()
     try:
-        executor = _NodeExecutor(graph, node, channels, jobs=jobs,
-                                 policy=policy, trace=want_trace, chaos=chaos)
-        threading.Thread(target=_control, args=(executor, ctrl),
-                         name="repro-procs-control", daemon=True).start()
-        try:
-            executor.run()
-            if not executor.flush_outbox():
-                raise RunCancelled("stopped with records still in the outbox")
-        except RunCancelled:
-            ctrl.send(("cancelled", None))
+        control = _Control(ctrl)
+        threading.Thread(target=control.listen, name="repro-procs-control",
+                         daemon=True).start()
+        ctrl.send(_run_node(node, graph, channels, control, jobs, policy,
+                            want_trace, epoch, chaos))
+        if recipe is None:
             return
-        except BaseException as exc:  # KernelError and anything unexpected
-            if not isinstance(exc, KernelError):
-                exc = KernelError(f"node {node} failed: {exc!r}")
-            channels.abort(node)
-            ctrl.send(("error", exc))
-            return
-        by_dst: dict[int, list[int]] = {}
-        for _start, _end, label, nbytes, ring_bytes in executor.sent:
-            tally = by_dst.setdefault(label[2], [0, 0, 0])
-            tally[0] += 1
-            tally[1] += nbytes
-            tally[2] += ring_bytes
-        stats = {
-            "completed": executor._recorder.completed(),
-            "results": executor._store.results,
-            "worker_busy": executor._recorder.busy_per_worker(),
-            "by_dst": by_dst,
-            "send_busy": sum(r[1] - r[0] for r in executor.sent),
-            "recv_busy": sum(r[1] - r[0] for r in executor.received),
-        }
-        if want_trace:
-            stats["task_spans"] = [
-                (wid, kind, start - epoch, end - epoch, label, task_id)
-                for wid, lane in enumerate(executor._recorder._lanes)
-                for kind, start, end, label, task_id in lane
-            ]
-            stats["send_spans"] = _relative_spans(executor.sent, epoch)
-            stats["recv_spans"] = _relative_spans(executor.received, epoch)
-        ctrl.send(("done", stats))
+        recipe.release()  # the inherited build's seams and grid pages
+        while (order := control.orders.get()) is not None:
+            ctrl.send(_run_described(node, channels, control, *order))
     except BaseException as exc:  # pragma: no cover - defensive
         try:
             ctrl.send(("error", KernelError(f"node {node} crashed: {exc!r}")))
@@ -633,7 +780,10 @@ def _node_process(*args) -> None:
     joins the forking process's threads, and where the fork came from a
     ``ThreadPoolExecutor`` worker (a tuning candidate's timeout) the
     pool's exit hook joins the very thread that forked, raises, and the
-    child unwinds into the parent's code instead of exiting."""
+    child unwinds into the parent's code instead of exiting.  The
+    inherited objects are frozen first, so no collection here writes
+    to (and copies) the parent's pages."""
+    gc.freeze()
     try:
         _node_main(*args)
     finally:
@@ -676,6 +826,10 @@ class ProcessExecutor:
         ``("done", stats)`` message, the parent builds the report from
         them and folds the report into the registry
         (:func:`~repro.obs.metrics.publish_run`).
+
+    The run takes the idle pool of its ``(procs, jobs)`` when its graph
+    can be described to it, and forks the node processes otherwise
+    (module docstring, *Pools*).
     """
 
     def __init__(
@@ -719,10 +873,15 @@ class ProcessExecutor:
         #: when set, a lost node's :class:`NodeLostError` carries the
         #: latest complete checkpoint step for restart.
         self.checkpoint_store = None
+        #: ``time.perf_counter()`` stamps of the run outside its tasks:
+        #: ``start``, ``launched`` (nodes forked, or the description
+        #: sent to a pool's), ``arrived`` (the last report readable),
+        #: ``received`` (read), ``reaped`` and ``unmapped`` (a pool that
+        #: ends with the run), ``reported`` (the report built)
+        self.stamps: dict[str, float] = {}
 
         self._started = False
-        self._processes: list[mp.Process] = []
-        self._ctrl: dict[int, Connection] = {}
+        self._pool: _Pool | None = None
         self._channels: _Channels | None = None  # while the run is live
         #: (tasks done, messages sent, elapsed): the last progress() sample
         self._tallies: tuple[int, int, float] = (0, 0, 0.0)
@@ -734,7 +893,7 @@ class ProcessExecutor:
     @property
     def processes(self) -> list[mp.Process]:
         """The node processes (for liveness checks in tests/tools)."""
-        return list(self._processes)
+        return list(self._pool.processes) if self._pool is not None else []
 
     def progress(self) -> dict:
         """Live view for :mod:`repro.obs.monitor`: every node bumps its
@@ -751,45 +910,81 @@ class ProcessExecutor:
             "total": len(self.graph),
             "messages": messages,
             "elapsed_s": elapsed,
-            "procs_alive": sum(1 for p in self._processes if p.is_alive()),
+            "procs_alive": sum(1 for p in self.processes if p.is_alive()),
             "procs": self.procs,
         }
 
     # -- public API -----------------------------------------------------
 
     def start(self) -> RunHandle:
-        """Fork the node processes; returns immediately with the handle."""
+        """Dispatch the run to an idle pool, or fork the node processes;
+        returns immediately with the handle."""
         if self._started:
             raise RuntimeError(
                 "a ProcessExecutor instance runs exactly once; build "
                 "another executor to run the graph again"
             )
         self._started = True
-        ctx = mp.get_context("fork")
-        # Laid out before the fork: the children inherit the channels.
-        self._channels = _Channels(self.graph, self.procs, ctx)
-        trim_heap()
-        self._epoch = time.perf_counter()
-        for node in range(self.procs):
-            parent_end, child_end = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_node_process,
-                args=(node, self.graph, self._channels, self.jobs, self.policy,
-                      self.want_trace, self._epoch,
-                      child_end, [*self._ctrl.values(), parent_end], self.chaos),
-                name=f"repro-procs-{node}",
-                daemon=True,
-            )
-            proc.start()
-            child_end.close()  # the child owns it now
-            self._ctrl[node] = parent_end
-            self._processes.append(proc)
+        self.stamps["start"] = time.perf_counter()
+        key = (self.procs, self.jobs)
+        recipe, description = self.graph.recipe, None
+        if (self.chaos is None and recipe is not None and recipe.describes(self.graph)
+                and _fits_pool(self.graph)):
+            description = recipe.description()
+        pool = _POOLS.checkout(key) if description is not None else None
+        if pool is not None:
+            self._epoch = time.perf_counter()
+            try:
+                pool.dispatch(recipe, description,
+                              (self.jobs, self.policy, self.want_trace, self._epoch))
+            except OSError:  # a node died while idle
+                _POOLS.drop(pool)
+                pool.close(force=True)
+                pool = None
+        if pool is None:
+            pool = self._fork(key, keep=description is not None)
+        self._pool, self._channels = pool, pool.channels
+        self.stamps["launched"] = time.perf_counter()
 
         self._handle = RunHandle(self._request_cancel)
         threading.Thread(
             target=self._watch, name="repro-procs-watch", daemon=True
         ).start()
         return self._handle
+
+    def _fork(self, key: tuple[int, int], keep: bool) -> _Pool:
+        """Fork a pool for this run, kept for later runs if ``keep`` and
+        its key has none yet."""
+        ctx = mp.get_context("fork")
+        pool = _Pool(key)
+        if keep:
+            _POOLS.adopt(pool)
+        recipe = self.graph.recipe if pool.kept else None
+        try:
+            # Laid out before the fork: the children inherit the channels.
+            pool.channels = _Channels(self.graph, self.procs, ctx, pooled=pool.kept)
+            trim_heap()
+            self._epoch = time.perf_counter()
+            for node in range(self.procs):
+                parent_end, child_end = ctx.Pipe(duplex=True)
+                proc = ctx.Process(
+                    target=_node_process,
+                    args=(node, self.graph, pool.channels, self.jobs, self.policy,
+                          self.want_trace, self._epoch,
+                          child_end, [*pool.ctrl.values(), parent_end], self.chaos,
+                          recipe),
+                    name=f"repro-procs-{node}",
+                    daemon=True,
+                )
+                proc.start()
+                child_end.close()  # the child owns it now
+                pool.ctrl[node] = parent_end
+                pool.processes.append(proc)
+        except BaseException:
+            _POOLS.drop(pool)
+            pool.close(force=True)
+            raise
+        return pool
 
     def run(self, timeout: float | None = None) -> ProcsReport:
         """Start, wait, and return the report (the blocking front door)."""
@@ -809,7 +1004,8 @@ class ProcessExecutor:
         with self._lock:
             if self._cancel_at is None:
                 self._cancel_at = time.monotonic()
-            conns = list(self._ctrl.values())
+            # Only while the run is live: then the pool is its own.
+            conns = list(self._pool.ctrl.values()) if self._channels is not None else []
         for conn in conns:
             try:
                 conn.send(("cancel",))
@@ -817,9 +1013,11 @@ class ProcessExecutor:
                 pass
 
     def _watch(self) -> None:
-        """Collect every child's outcome, reap the processes, finish
-        the handle.  Runs on a daemon thread in the parent."""
-        waiting = dict(self._ctrl)  # node -> conn, removed once reported
+        """Collect every child's outcome, then hand the pool back idle or
+        close it, and finish the handle.  Runs on a daemon thread in the
+        parent; for a kept pool it stays to close it once idle."""
+        pool = self._pool
+        waiting = dict(pool.ctrl)  # node -> conn, removed once reported
         outcomes: dict[int, tuple] = {}
         first_error: BaseException | None = None
         forced = False
@@ -850,42 +1048,46 @@ class ProcessExecutor:
                     outcomes.setdefault(node, ("cancelled", None))
                 forced = True
                 break
-            sentinels = {n: self._processes[n].sentinel for n in waiting}
+            sentinels = {n: pool.processes[n].sentinel for n in waiting}
             ready = conn_wait([*waiting.values(), *sentinels.values()],
                               timeout=_POLL)
+            if ready:
+                self.stamps["arrived"] = time.perf_counter()
             for node in [n for n, conn in waiting.items()
                          if conn in ready or sentinels[n] in ready]:
-                # A child exits right after reporting, so its death and
-                # its report can show up together: read the pipe first.
+                # A one-shot child exits right after reporting, so its
+                # death and its report can show up together: read the
+                # pipe first.
                 conn = waiting.pop(node)
                 try:
                     outcome = conn.recv() if conn.poll() else None
                 except (EOFError, OSError):
                     outcome = None
                 if outcome is None:  # exited (or closed its pipe) unreported
-                    self._processes[node].join(timeout=_POLL)
+                    pool.processes[node].join(timeout=_POLL)
                     outcome = ("error", lost(node, (
                         f"node {node} process died without reporting (exit "
-                        f"code {self._processes[node].exitcode})")))
+                        f"code {pool.processes[node].exitcode})")))
                 outcomes[node] = outcome
                 if outcome[0] == "error":
                     fail(outcome[1])
-        t_end = time.perf_counter()
+        t_end = self.stamps["received"] = time.perf_counter()
 
-        self._reap(force=forced)
-        for conn in self._ctrl.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
-        with self._lock:  # freeze progress(), then unmap the channels
-            self._tallies = (*self._channels.tallies(), t_end - self._epoch)
-            self._channels.close()
+        cancelled = [n for n, o in outcomes.items() if o[0] == "cancelled"]
+        keep = pool.kept and first_error is None and not cancelled
+        if not keep:
+            _POOLS.drop(pool)
+            pool.reap(force=forced)
+            self.stamps["reaped"] = time.perf_counter()
+        with self._lock:  # freeze progress(), and cancel() lets go of the pool
+            self._tallies = (*pool.channels.tallies(), t_end - self._epoch)
             self._channels = None
+        if not keep:
+            pool.unmap()
+            self.stamps["unmapped"] = time.perf_counter()
 
         handle = self._handle
         assert handle is not None
-        cancelled = [n for n, o in outcomes.items() if o[0] == "cancelled"]
         if first_error is not None:
             handle._finish(None, first_error)
         elif cancelled:
@@ -894,21 +1096,12 @@ class ProcessExecutor:
                 "node processes unfinished"
             ))
         else:
-            handle._finish(self._build_report(outcomes, t_end), None)
-
-    def _reap(self, force: bool = False) -> None:
-        if not force:  # give everyone a chance to exit voluntarily
-            deadline = time.monotonic() + JOIN_GRACE
-            for proc in self._processes:
-                proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        for proc in self._processes:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self._processes:
-            proc.join(timeout=JOIN_GRACE)
-            if proc.is_alive():  # pragma: no cover - last resort
-                proc.kill()
-                proc.join(timeout=JOIN_GRACE)
+            report = self._build_report(outcomes, t_end)
+            self.stamps["reported"] = time.perf_counter()
+            runs = _POOLS.release(pool) if keep else 0
+            handle._finish(report, None)
+            if keep:
+                _POOLS.linger(pool, runs)
 
     # -- report ----------------------------------------------------------
 
@@ -989,7 +1182,8 @@ def execute_procs(
     timeout: float | None = None,
     metrics: MetricRegistry | None = None,
 ) -> ProcsReport:
-    """One-shot convenience: run ``graph`` on a fresh process pool."""
+    """One-shot convenience: run ``graph`` on node processes (a kept
+    pool's, where it can be described to one)."""
     return ProcessExecutor(
         graph, procs=procs, jobs=jobs, policy=policy, trace=trace,
         metrics=metrics,
@@ -997,11 +1191,13 @@ def execute_procs(
 
 
 __all__ = [
+    "IDLE_CLOSE",
     "JOIN_GRACE",
     "ProcessExecutor",
     "ProcsReport",
     "RECV_LANE",
     "SEND_LANE",
+    "close_pools",
     "default_procs",
     "execute_procs",
     "fork_available",

@@ -9,6 +9,7 @@ benchmarks and tests use as ground truth.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from typing import Callable, Iterator
 
@@ -38,6 +39,11 @@ class TaskGraph:
         self._plan: dict[TaskKey, list[tuple[str, int, int]]] | None = None
         #: (edges, bytes) of the same-node flows, tallied with the plan
         self._local = (0, 0)
+        self._digest: str | None = None
+        #: how a process forked before this graph was built may rebuild
+        #: it for itself (:class:`repro.core.recipe.Recipe`); set by a
+        #: stencil build on the graph it returns, None for any other
+        self.recipe = None
         self._census: EdgeCensus | None = None
         self._flops: tuple[float, float] | None = None
 
@@ -189,6 +195,17 @@ class TaskGraph:
             for key, per_message in sizes.items()
         }
         return self._plan
+
+    def plan_digest(self) -> str:
+        """16 hex digits of sha256 over :meth:`message_plan`, entry by
+        entry and in order: two graphs with one digest send the same
+        messages.  Computed on first use."""
+        if self._digest is None:
+            rows = [(producer, tag, dst, nbytes)
+                    for producer, messages in self.message_plan().items()
+                    for tag, dst, nbytes in messages]
+            self._digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+        return self._digest
 
     def census(self) -> EdgeCensus:
         """Totals of :meth:`message_plan` (remote messages and bytes,

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.base_parsec import build_base_graph
 from repro.distgrid.boundary import DirichletBC
+from repro.exec.procs import close_pools
 from repro.machine.machine import nacl
 from repro.stencil.kernels import StencilWeights
 from repro.stencil.problem import JacobiProblem
@@ -69,12 +70,30 @@ def assert_report_folds_match_graph(graph, report) -> None:
     assert by_kind == Counter(task.kind for task in graph)
 
 
+#: How /proc/self/maps names a shared mapping: an anonymous one
+#: (``mmap.mmap(-1, n)``: the procs backend's rings) and a build's
+#: grid-and-landing memfd (its anonymous twin where the host has no
+#: ``os.memfd_create``).
+SHARED_MAPPINGS = ("/dev/zero (deleted)", "/memfd:repro-grid (deleted)")
+
+
 def shared_mappings() -> int:
-    """Anonymous shared mappings of this process (what ``mmap.mmap(-1,
-    n)`` makes: the result grids and the procs backend's rings)."""
+    """Shared mappings of this process: the result grids and the procs
+    backend's rings.  Idle node pools are closed first: a pool a
+    previous run left idles for up to ``IDLE_CLOSE`` seconds, and its
+    rings must not come and go between two counts."""
+    close_pools()
     gc.collect()
     with open("/proc/self/maps") as maps:
-        return sum("/dev/zero (deleted)" in line for line in maps)
+        return sum(any(name in line for name in SHARED_MAPPINGS) for line in maps)
+
+
+@pytest.fixture(autouse=True)
+def _no_pool_outlives_its_test():
+    """Close the idle node pools a test's ``processes`` runs left, so
+    the next test starts without them."""
+    yield
+    close_pools()
 
 
 def join_all(workers, timeout: float = 10.0) -> list[str]:

@@ -138,17 +138,6 @@ PINNED = {
 }
 
 
-def plan_digest(graph) -> str:
-    import hashlib
-
-    rows = [
-        (producer, tag, dst, nbytes)
-        for producer, messages in graph.message_plan().items()
-        for tag, dst, nbytes in messages
-    ]
-    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
-
-
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_message_plan(name):
     (nrows, ncols, T, nodes, pgrid, tile, steps), tasks, messages, nbytes, digest = PINNED[name]
@@ -160,7 +149,7 @@ def test_pinned_message_plan(name):
     census = graph.census()
     assert len(graph) == tasks
     assert (census.remote_messages, census.remote_bytes) == (messages, nbytes)
-    assert plan_digest(graph) == digest
+    assert graph.plan_digest() == digest
 
 
 def test_wrong_shaped_strip_is_rejected_not_broadcast():

@@ -5,7 +5,9 @@ and glibc keeps freed heap below a live allocation resident until
 ``malloc_trim``: ``ProcessExecutor.start`` and the serve pool's
 ``ProcessWorker`` call :func:`repro.exec.procs.trim_heap` once before
 they fork.  The check runs in a fresh interpreter, because
-``RUSAGE_CHILDREN`` reports the largest child the process ever reaped.
+``RUSAGE_CHILDREN`` reports the largest child the process ever reaped;
+the node pools are closed after each solve, so the second forks anew
+after the free and both are reaped before the peak is read.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ FREED_MIB = 48
 CHILD = f"""
 import ctypes, resource
 from repro.core.runner import run
+from repro.exec.procs import close_pools
 from repro.stencil.problem import JacobiProblem
 
 def child_peak_mib():
@@ -37,6 +40,7 @@ def child_peak_mib():
 
 tiny = JacobiProblem(n=64, iterations=2)
 run(tiny, impl="base-parsec", tile=32, backend="processes", procs=2)
+close_pools()  # reaped, and the next run forks afresh
 before = child_peak_mib()
 libc = ctypes.CDLL(None)
 libc.malloc.restype = ctypes.c_void_p
@@ -50,6 +54,7 @@ assert pin > max(blocks), "the pin must sit above the freed region"
 for block in blocks:
     libc.free(block)
 run(tiny, impl="base-parsec", tile=32, backend="processes", procs=2)
+close_pools()
 print(child_peak_mib() - before)
 """
 

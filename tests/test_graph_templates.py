@@ -31,7 +31,6 @@ from repro.stencil.problem import JacobiProblem
 from repro.stencil.variable import VariableStencilWeights
 
 from .conftest import join_all, random_problem
-from .test_dataflow import plan_digest
 from .test_exchange_plan import _NoCorners
 from .test_seams import slab_cells
 
@@ -58,7 +57,7 @@ def facts(graph) -> dict:
                   for t in graph],
         "consumers": graph.consumers,
         "out_tags": graph.out_tags,
-        "plan": plan_digest(graph),
+        "plan": graph.plan_digest(),
         "census": (census.local_edges, census.local_bytes, census.remote_messages,
                    census.remote_bytes, census.by_pair),
         "flops": graph.total_flops(),
