@@ -796,6 +796,9 @@ class BuildResult:
         kernels = StencilKernels(self.spec, self.grid, self.kernels.store,
                                  template.tile_plans(self.spec))
         graph = kernels.bind(template.paper())
+        # The recipe describes none of these tasks; it stays with the
+        # grid, so that whoever ends the run can close its memfd.
+        graph.recipe = self.graph.recipe
         TEMPLATES.put(template)
         return replace(self, graph=graph, kernels=kernels, blocks=False)
 
@@ -969,7 +972,7 @@ def build_stencil_graph(
     landing = sum(2 * a.shape[0] * a.shape[1] for a in arrays)
     nbytes, fd = (cells + landing) * ITEMSIZE, None
     if memory is None:
-        memory, fd = shared_mapping(nbytes)
+        memory, fd, closer = shared_mapping(nbytes)
     elif len(memory) != nbytes:
         raise ValueError(f"a {len(memory)}-byte mapping for a {nbytes}-byte build")
     grid = np.ndarray(shape, buffer=memory)
@@ -977,5 +980,6 @@ def build_stencil_graph(
     kernels = StencilKernels(spec, grid, store, plans)
     bound = kernels.bind(graph)
     if fd is not None:
-        bound.recipe = Recipe(key, spec.problem, graph.plan_digest(), memory, fd, kernels)
+        bound.recipe = Recipe(key, spec.problem, graph.plan_digest(), memory, fd, kernels,
+                              closer)
     return BuildResult(bound, spec, name, grid, kernels, True, template)

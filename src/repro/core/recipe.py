@@ -13,6 +13,8 @@ the descriptor to send over a Unix socket.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import mmap
 import os
 import pickle
@@ -32,7 +34,7 @@ class Recipe:
     build's memfd.  A build makes one only where the host has
     ``os.memfd_create``; it describes the graph it came with for as
     long as every task still runs this build's kernels (chaos wraps
-    them, a rewrite makes other tasks)."""
+    them, a rewrite makes other tasks) and the descriptor is open."""
 
     key: tuple
     problem: JacobiProblem
@@ -40,10 +42,12 @@ class Recipe:
     memory: mmap.mmap
     fd: int
     kernels: StencilKernels
+    #: closes ``fd`` once: called by :meth:`close`, else when ``memory`` goes
+    closer: weakref.finalize
 
     def describes(self, graph: TaskGraph) -> bool:
         bodies = (self.kernels.init_task, self.kernels.stencil_task)
-        return all(task.kernel in bodies for task in graph)
+        return self.closer.alive and all(task.kernel in bodies for task in graph)
 
     def description(self) -> bytes | None:
         """The template key and the problem, pickled; None where the
@@ -55,28 +59,66 @@ class Recipe:
         except Exception:  # whatever the problem's objects raise: not describable
             return None
 
+    def close(self) -> None:
+        """Close the descriptor: the build's run is over, and a kept
+        result holds its grid, not an open file.  The graph is no longer
+        described; a later run of it forks."""
+        self.closer()
+
     def release(self) -> None:
-        """In a process that inherited this build with a fork: drop the
-        seam stores and the pages of the mapping it touched (the mapping
-        stays: the inherited heap holds views of it)."""
+        """In a process that inherited this build with a fork: close its
+        copy of the descriptor, drop the seam stores and the pages of the
+        mapping it touched (the mapping stays: the inherited heap holds
+        views of it)."""
+        self.close()
         self.kernels.release()
         self.memory.madvise(mmap.MADV_DONTNEED)
 
 
-def shared_mapping(nbytes: int) -> tuple[mmap.mmap, int | None]:
+#: ``MAP_FIXED`` on Linux, the one host with ``os.memfd_create`` here
+#: (:mod:`mmap` does not export it).
+_MAP_FIXED = 0x10
+
+
+@functools.cache
+def _libc_mmap():
+    libc_mmap = ctypes.CDLL(None, use_errno=True).mmap
+    libc_mmap.restype = ctypes.c_void_p
+    libc_mmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_int,
+                          ctypes.c_int, ctypes.c_long)
+    return libc_mmap
+
+
+def _map_over(memory: mmap.mmap, fd: int) -> None:
+    """Replace ``memory``'s pages, at the same address, with a shared
+    mapping of ``fd``: ``memory`` unmaps it when it goes, and holds no
+    descriptor meanwhile (``mmap.mmap(fd, n)`` keeps a duplicate open
+    for as long as the mapping lives)."""
+    anchor = ctypes.c_char.from_buffer(memory)
+    address = ctypes.addressof(anchor)
+    del anchor  # the buffer export: it would pin the mapping
+    got = _libc_mmap()(address, len(memory), mmap.PROT_READ | mmap.PROT_WRITE,
+                       mmap.MAP_SHARED | _MAP_FIXED, fd, 0)
+    if got != address:
+        raise OSError(ctypes.get_errno(), "could not map the memfd over the grid's mapping")
+
+
+def shared_mapping(nbytes: int) -> tuple[mmap.mmap, int | None, weakref.finalize | None]:
     """A build's shared mapping and, where the host has memfd, the
-    descriptor behind it (closed with the mapping)."""
+    descriptor behind it with the finalizer that closes it (:meth:`Recipe.close`;
+    at the latest, when the mapping goes).  The mapping itself holds no
+    descriptor, so a kept grid keeps no file open."""
     if not hasattr(os, "memfd_create"):
-        return mmap.mmap(-1, nbytes), None
+        return mmap.mmap(-1, nbytes), None, None
     fd = os.memfd_create("repro-grid", os.MFD_CLOEXEC)
+    memory = mmap.mmap(-1, nbytes)
     try:
         os.ftruncate(fd, nbytes)
-        memory = mmap.mmap(fd, nbytes)
+        _map_over(memory, fd)
     except BaseException:
         os.close(fd)
         raise
-    weakref.finalize(memory, os.close, fd)
-    return memory, fd
+    return memory, fd, weakref.finalize(memory, os.close, fd)
 
 
 def rebuild(description: bytes, memory: mmap.mmap) -> BuildResult:

@@ -264,6 +264,7 @@ def run(
 
     # build -> rewrite -> attach chaos
     built, impl_params = _build(problem, machine, config)
+    recipe = built.graph.recipe  # the build's memfd: closed once the run ends
     params.update(impl_params, overlap=config.overlap)
     if config.with_kernels:
         params["kernel"] = active_kernel()  # "c", or the numpy fallback
@@ -280,7 +281,11 @@ def run(
     executor = _make_executor(built.graph, machine, config, metrics, chaos)
     if on_executor is not None:
         on_executor(executor)
-    report = executor.run()
+    try:
+        report = executor.run()
+    finally:
+        if recipe is not None:
+            recipe.close()
     _publish_critpath(metrics, report, built.graph)
     if config.backend != "sim":
         params["backend"] = config.backend

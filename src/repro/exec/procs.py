@@ -322,26 +322,31 @@ def _encode(index: int, payload) -> tuple[tuple, bytes]:
     return (index, len(body)), body
 
 
+def _plan_traffic(graph: TaskGraph) -> dict[tuple[int, int], tuple[int, int]]:
+    """Per ordered node pair ``graph``'s plan sends on: the ring bytes
+    its messages take (header + padding each) and its largest message."""
+    traffic: dict[tuple[int, int], tuple[int, int]] = {}
+    for producer, messages in graph.message_plan().items():
+        src = graph[producer].node
+        for _tag, dst, nbytes in messages:
+            planned, largest = traffic.get((src, dst), (0, 0))
+            traffic[src, dst] = (planned + 2 * _HDR.size + nbytes, max(largest, nbytes))
+    return traffic
+
+
 def _ring_sizes(graph: TaskGraph) -> dict[tuple[int, int], int]:
     """Ring bytes per ordered node pair ``graph``'s plan sends on: its
     planned traffic, at most :data:`RING_BYTES` unless a quarter of the
     ring would not hold its largest message."""
-    traffic: dict[tuple[int, int], list[int]] = {}  # pair -> [bytes, largest]
-    for producer, messages in graph.message_plan().items():
-        src = graph[producer].node
-        for _tag, dst, nbytes in messages:
-            pair = traffic.setdefault((src, dst), [0, 0])
-            pair[0] += 2 * _HDR.size + nbytes  # header + padding
-            pair[1] = max(pair[1], nbytes)
     return {pair: min(max(planned, _MIN_RING), max(RING_BYTES, 4 * largest))
-            for pair, (planned, largest) in traffic.items()}
+            for pair, (planned, largest) in _plan_traffic(graph).items()}
 
 
 def _fits_pool(graph: TaskGraph) -> bool:
     """Whether a pool's rings are at least as large as the ones a run of
     ``graph`` would lay out for itself: no message of its plan exceeds
     a quarter of :data:`RING_BYTES`."""
-    return 4 * graph.census().largest <= RING_BYTES
+    return all(4 * largest <= RING_BYTES for _planned, largest in _plan_traffic(graph).values())
 
 
 class _Channels:
@@ -1074,15 +1079,17 @@ class ProcessExecutor:
         t_end = self.stamps["received"] = time.perf_counter()
 
         cancelled = [n for n, o in outcomes.items() if o[0] == "cancelled"]
-        keep = pool.kept and first_error is None and not cancelled
+        with self._lock:  # freeze progress(), and cancel() lets go of the pool
+            self._tallies = (*pool.channels.tallies(), t_end - self._epoch)
+            self._channels = None
+            # A cancel sent to nodes that had already reported stops them
+            # for good: any pool that was sent one closes.
+            keep = (pool.kept and first_error is None and not cancelled
+                    and self._cancel_at is None)
         if not keep:
             _POOLS.drop(pool)
             pool.reap(force=forced)
             self.stamps["reaped"] = time.perf_counter()
-        with self._lock:  # freeze progress(), and cancel() lets go of the pool
-            self._tallies = (*pool.channels.tallies(), t_end - self._epoch)
-            self._channels = None
-        if not keep:
             pool.unmap()
             self.stamps["unmapped"] = time.perf_counter()
 

@@ -179,13 +179,10 @@ class EdgeCensus:
     remote_bytes: int = 0
     #: messages per (src_node, dst_node) pair
     by_pair: dict = field(default_factory=dict)
-    #: bytes of the largest remote message
-    largest: int = 0
 
     def add_remote(self, src: int, dst: int, nbytes: int) -> None:
         self.remote_messages += 1
         self.remote_bytes += nbytes
-        self.largest = max(self.largest, nbytes)
         pair = (src, dst)
         msgs, byts = self.by_pair.get(pair, (0, 0))
         self.by_pair[pair] = (msgs + 1, byts + nbytes)

@@ -156,6 +156,30 @@ def test_a_cancel_or_a_lost_node_closes_the_pool(fault):
     assert np.array_equal(again.grid, problem.reference_solution())
 
 
+def test_a_cancel_after_every_node_reported_closes_the_pool():
+    """A cancel that comes once the last node has reported finds the
+    nodes idle and stops them for good: the run stands, but its pool
+    closes instead of cancelling the next run sent to it."""
+    problem = picklable_problem(24, 4, seed=10)
+    _, pids = pooled_run(problem)
+    built = build_base_graph(problem, nacl(2), tile=6)
+    executor = ProcessExecutor(built.graph, procs=2, jobs=1)
+
+    class CancelOnceReceived(dict):
+        def __setitem__(self, stamp, value):
+            super().__setitem__(stamp, value)
+            if stamp == "received":  # every node has reported
+                assert executor.cancel()
+
+    executor.stamps = CancelOnceReceived()
+    report = executor.run(timeout=60)
+    assert pids_of(executor) == pids
+    assert np.array_equal(built.assemble_grid(report.results), problem.reference_solution())
+    assert not any(proc.is_alive() for proc in executor.processes)  # reaped, not idling
+    again, fresh = pooled_run(problem)
+    assert fresh != pids and np.array_equal(again.grid, problem.reference_solution())
+
+
 def test_an_idle_pool_with_a_dead_node_is_replaced():
     problem = picklable_problem(24, 4, seed=3)
     seen = []

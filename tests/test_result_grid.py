@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 import mmap
 import multiprocessing
+import os
 import pickle
 import queue
 import threading
@@ -73,6 +74,23 @@ def test_grid_outlives_the_run_and_the_mapping_goes_with_the_array(backend):
     gc.collect()
     assert mapping() is None
     assert shared_mappings() == before
+
+
+@pytest.mark.parametrize("backend", [
+    "sim", "threads", pytest.param("processes", marks=needs_fork)])
+def test_kept_results_hold_their_grids_not_open_files(backend):
+    """A build's memfd is there to dispatch its run to a node pool; once
+    ``run()`` returns, the result it hands back holds no descriptor."""
+    problem = picklable_problem(24, 3, seed=11)
+    shared_mappings()  # closes idle pools, collects
+    before = len(os.listdir("/proc/self/fd"))
+    results = [run(problem, nacl(2), tile=6, mode="execute", backend=backend)
+               for _ in range(40)]
+    shared_mappings()  # the pool these runs kept closes too
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert all(np.array_equal(r.grid, results[0].grid) for r in results)
+    assert results[0].graph.recipe is None or not results[0].graph.recipe.describes(
+        results[0].graph)
 
 
 def test_a_build_run_twice_overwrites_its_own_grid():
