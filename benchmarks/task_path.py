@@ -38,7 +38,11 @@ the last report arrives; that report's unpickle plus the report and
 trace merge; reap; unmap (the last two are zero for a run on a pool,
 whose processes and rings outlive it).  Milliseconds, the median of
 twelve runs after two warm-ups, each after a reference solve as in the
-wall-clock benchmark's timed pairs.
+wall-clock benchmark's timed pairs.  A third table splits a pool's
+*first* run the same way: the idle pools are closed before each run, so
+each forks its nodes bare, sends them the run, and keeps them as the
+pool (the reap and unmap columns are the pool's, closed before the
+run, and read zero).
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ from statistics import median
 from repro.core.dataflow import TEMPLATES, build_stencil_graph
 from repro.core.spec import StencilSpec
 from repro.exec.executor import ThreadedExecutor
-from repro.exec.procs import ProcessExecutor, _Channels, _encode, _record_bytes
+from repro.exec.procs import (RING_BYTES, ProcessExecutor, _Channels, _encode, _plan_index,
+                              _record_bytes, close_pools)
 from repro.exec.wallclock_trace import WallClockRecorder
 from repro.machine.machine import nacl
 from repro.runtime.scheduler import make_queue
@@ -109,13 +114,14 @@ def one_solve(geometry: dict) -> dict[str, float]:
                                    "line gather", "seams", "strips into slots", "last sweep",
                                    "stencil_task", "publish + release", "per-task record",
                                    "ring write (per message)", "ring drain (per message)")}
-    # What the processes backend lays out before forking (rings only
-    # where the plan sends: none on a one-node geometry).
-    channels = _Channels(graph, nodes, multiprocessing.get_context("fork"))
+    # What the processes backend lays out before forking, and what a
+    # node reads the plan into (no message on a one-node geometry).
+    channels = _Channels(nodes, multiprocessing.get_context("fork"), RING_BYTES)
+    sends = _plan_index(graph)[1]
     for task in graph:
         dt, inputs = clock(store.gather, task)
         kernel_dt, outputs = clock(task.kernel, inputs, task)
-        for index, tag, dst, _nbytes in channels.sends.get(task.key, ()):
+        for index, tag, dst, _nbytes in sends.get(task.key, ()):
             ring = channels.rings[task.node, dst]
 
             def write():
@@ -173,17 +179,21 @@ OUTSIDE = ("fork / pool checkout", "boot / dispatch -> first task",
            "last task -> last report", "report unpickle + merge", "reap", "unmap")
 
 
-def outside_tasks(geometry: dict, runs: int = 12) -> dict[str, float]:
+def outside_tasks(geometry: dict, runs: int = 12, fresh: bool = False) -> dict[str, float]:
     """Milliseconds of one traced `processes` run of ``geometry`` outside
     its task spans, part by part (:data:`OUTSIDE`), then the run's wall
     (`start()` to the report built) and the tasks' extent (first task
-    start to last task end): medians over ``runs`` runs after two."""
+    start to last task end): medians over ``runs`` runs after two.  With
+    ``fresh``, each run is a pool's first: the idle pools are closed
+    before it."""
     g = dict(geometry)
     nodes, tile, steps = g.pop("nodes"), g.pop("tile"), g.pop("steps")
     problem = JacobiProblem(init=0.5, **g)
     parts: dict[str, list[float]] = {name: [] for name in (*OUTSIDE, "run wall", "tasks")}
     for k in range(runs + 2):
         problem.reference_solution()
+        if fresh:
+            close_pools()
         built = build_stencil_graph(
             StencilSpec.create(problem, nodes=nodes, tile=tile, steps=steps), nacl(nodes))
         executor = ProcessExecutor(built.graph, procs=nodes, jobs=1, policy="priority",
@@ -218,11 +228,12 @@ def main(argv: list[str]) -> None:
         cells = (min(run[hop] for run in runs[name]) for name in names)
         print(f"{hop:<26}" + "".join(f"{cell:14.2f}" for cell in cells))
     halos = [name for name in names if GEOMETRIES[name]["nodes"] > 1]
-    if halos:
-        split = {name: outside_tasks(GEOMETRIES[name]) for name in halos}
-        print(f"\n{'ms of a processes run':<32}" + "".join(f"{name:>14}" for name in halos))
-        for part in split[halos[0]]:
-            print(f"{part:<32}" + "".join(f"{split[name][part]:14.2f}" for name in halos))
+    for title, fresh in (("ms of a processes run", False), ("ms of a pool's first run", True)):
+        split = {name: outside_tasks(GEOMETRIES[name], fresh=fresh) for name in halos}
+        if split:
+            print(f"\n{title:<32}" + "".join(f"{name:>14}" for name in halos))
+            for part in split[halos[0]]:
+                print(f"{part:<32}" + "".join(f"{split[name][part]:14.2f}" for name in halos))
 
 
 if __name__ == "__main__":

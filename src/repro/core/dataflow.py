@@ -980,6 +980,5 @@ def build_stencil_graph(
     kernels = StencilKernels(spec, grid, store, plans)
     bound = kernels.bind(graph)
     if fd is not None:
-        bound.recipe = Recipe(key, spec.problem, graph.plan_digest(), memory, fd, kernels,
-                              closer)
+        bound.recipe = Recipe(key, spec.problem, graph.plan_digest(), fd, kernels, closer)
     return BuildResult(bound, spec, name, grid, kernels, True, template)

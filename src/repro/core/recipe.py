@@ -1,14 +1,15 @@
-"""How a stencil build is described to a process forked before it.
+"""How a stencil build is described to a node process.
 
 A node pool (:mod:`repro.exec.pools`) keeps node processes between the
-runs of the processes backend; a run it did not fork for cannot hand
-them its graph by inheritance.  A build with kernels
-(:func:`~repro.core.dataflow.build_stencil_graph`) maps its grid and
-landing store over a memfd and puts a :class:`Recipe` on the graph it
-returns: enough for another process to rebuild the same node-block
+runs of the processes backend and is sent every run it takes, its first
+included: its processes never run a graph they inherited.  A build with
+kernels (:func:`~repro.core.dataflow.build_stencil_graph`) maps its grid
+and landing store over a memfd and puts a :class:`Recipe` on the graph
+it returns: enough for another process to rebuild the same node-block
 graph over the same memory -- the template key and the problem, pickled
 (a few KiB), the graph's plan digest to check the rebuild against, and
-the descriptor to send over a Unix socket.
+the descriptor to send over a Unix socket.  A pool's process lets go of
+every build it inherited as it starts (:func:`release_builds`).
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ class Recipe:
     key: tuple
     problem: JacobiProblem
     digest: str
-    memory: mmap.mmap
     fd: int
     kernels: StencilKernels
-    #: closes ``fd`` once: called by :meth:`close`, else when ``memory`` goes
+    #: closes ``fd`` once: called by :meth:`close`, else when the
+    #: build's mapping goes
     closer: weakref.finalize
 
     def describes(self, graph: TaskGraph) -> bool:
@@ -65,14 +66,21 @@ class Recipe:
         described; a later run of it forks."""
         self.closer()
 
-    def release(self) -> None:
-        """In a process that inherited this build with a fork: close its
-        copy of the descriptor, drop the seam stores and the pages of the
-        mapping it touched (the mapping stays: the inherited heap holds
-        views of it)."""
-        self.close()
-        self.kernels.release()
-        self.memory.madvise(mmap.MADV_DONTNEED)
+
+#: This process's build mappings still alive, each with the finalizer
+#: that closes its memfd (:func:`shared_mapping`).
+_BUILDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def release_builds() -> None:
+    """In a process forked to run only what it is sent later (a pool's
+    node): close its copy of every build memfd it inherited and map
+    anonymous pages over every build mapping, each at the same address
+    (the inherited heap holds views of them), so that it holds no grid
+    of its parent's."""
+    for memory, closer in list(_BUILDS.items()):
+        closer()
+        _map_over(memory, -1)
 
 
 #: ``MAP_FIXED`` on Linux, the one host with ``os.memfd_create`` here
@@ -91,16 +99,18 @@ def _libc_mmap():
 
 def _map_over(memory: mmap.mmap, fd: int) -> None:
     """Replace ``memory``'s pages, at the same address, with a shared
-    mapping of ``fd``: ``memory`` unmaps it when it goes, and holds no
-    descriptor meanwhile (``mmap.mmap(fd, n)`` keeps a duplicate open
-    for as long as the mapping lives)."""
+    mapping of ``fd`` -- or, with ``fd`` -1, with private anonymous
+    ones: ``memory`` unmaps it when it goes, and holds no descriptor
+    meanwhile (``mmap.mmap(fd, n)`` keeps a duplicate open for as long
+    as the mapping lives)."""
     anchor = ctypes.c_char.from_buffer(memory)
     address = ctypes.addressof(anchor)
     del anchor  # the buffer export: it would pin the mapping
+    flags = (mmap.MAP_SHARED if fd >= 0 else mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     got = _libc_mmap()(address, len(memory), mmap.PROT_READ | mmap.PROT_WRITE,
-                       mmap.MAP_SHARED | _MAP_FIXED, fd, 0)
+                       flags | _MAP_FIXED, fd, 0)
     if got != address:
-        raise OSError(ctypes.get_errno(), "could not map the memfd over the grid's mapping")
+        raise OSError(ctypes.get_errno(), "could not map over the grid's mapping")
 
 
 def shared_mapping(nbytes: int) -> tuple[mmap.mmap, int | None, weakref.finalize | None]:
@@ -118,7 +128,8 @@ def shared_mapping(nbytes: int) -> tuple[mmap.mmap, int | None, weakref.finalize
     except BaseException:
         os.close(fd)
         raise
-    return memory, fd, weakref.finalize(memory, os.close, fd)
+    closer = _BUILDS[memory] = weakref.finalize(memory, os.close, fd)
+    return memory, fd, closer
 
 
 def rebuild(description: bytes, memory: mmap.mmap) -> BuildResult:

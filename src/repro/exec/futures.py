@@ -38,6 +38,9 @@ class RunHandle:
 
     def __init__(self, cancel_callback: Callable[[], None]) -> None:
         self._cancel_callback: Callable[[], None] | None = cancel_callback
+        #: orders :meth:`cancel` against :meth:`_finish`
+        self._lock = threading.Lock()
+        self._cancelled = False
         self._finished = threading.Event()
         self._report: "ExecReport | None" = None
         self._exception: BaseException | None = None
@@ -45,14 +48,19 @@ class RunHandle:
     # -- producer side (executor) --------------------------------------
 
     def _finish(self, report: "ExecReport | None", exc: BaseException | None) -> None:
-        self._report = report
-        self._exception = exc
-        # A finished run cannot be cancelled.  Letting go of the
-        # executor here breaks the executor <-> handle cycle, so a
-        # one-shot executor (graph, payload store, lanes) is freed by
-        # reference count, not whenever the cycle collector next runs.
-        self._cancel_callback = None
-        self._finished.set()
+        with self._lock:
+            if self._cancelled and exc is None:
+                # The cancel came after the last task, but it was
+                # accepted: the run counts as cancelled.
+                report, exc = None, RunCancelled("run cancelled after its last task finished")
+            self._report = report
+            self._exception = exc
+            # A finished run cannot be cancelled.  Letting go of the
+            # executor here breaks the executor <-> handle cycle, so a
+            # one-shot executor (graph, payload store, lanes) is freed by
+            # reference count, not whenever the cycle collector next runs.
+            self._cancel_callback = None
+            self._finished.set()
 
     # -- consumer side --------------------------------------------------
 
@@ -65,10 +73,13 @@ class RunHandle:
     def cancel(self) -> bool:
         """Request cancellation.  Returns ``False`` if the run already
         finished; otherwise workers stop dequeuing tasks and
-        :meth:`result` raises :class:`RunCancelled`."""
-        callback = self._cancel_callback
-        if callback is None or self._finished.is_set():
-            return False
+        :meth:`result` raises :class:`RunCancelled` -- even where every
+        task had already run."""
+        with self._lock:
+            callback = self._cancel_callback
+            if callback is None:
+                return False
+            self._cancelled = True
         callback()
         return True
 

@@ -1,15 +1,16 @@
 """Node pools: the node processes of the processes backend, kept
 between runs.
 
-The processes of a run whose graph a later run can *describe* -- a
-stencil build's graph, unwrapped, whose problem pickles
-(:class:`~repro.core.recipe.Recipe`) and whose records fit a
-:data:`~repro.exec.procs.RING_BYTES` ring -- outlive it as the pool
-of their ``(procs, jobs)``: its first run forks them with one ring per
-ordered node pair, and a later run on the idle pool is dispatched to
-them (:meth:`_Pool.dispatch`) instead of forking.  Any other run forks
-processes that exit with it, as does a run whose key's pool is busy.  A
-cancelled or failed run, or a lost node, closes its pool; an idle pool
+A run whose graph a node can rebuild from a description -- a stencil
+build's graph, unwrapped, whose problem pickles
+(:class:`~repro.core.recipe.Recipe`) -- is always dispatched
+(:meth:`_Pool.dispatch`): to the idle pool of its ``(procs, jobs)``, or
+else to nodes forked *bare* for it, which become that key's pool if it
+has none and are closed after the run otherwise; their rings, one of
+:data:`~repro.exec.procs.RING_BYTES` per ordered node pair, serve any
+run sent to them.  Any other run forks one-shot nodes that inherit its
+graph and exit with it.
+A cancelled or failed run, or a lost node, closes its pool; an idle pool
 closes itself after :data:`IDLE_CLOSE` (:func:`close_pools` at once, and
 at interpreter exit).
 """
@@ -39,25 +40,10 @@ JOIN_GRACE = 5.0
 IDLE_CLOSE = 0.8
 
 
-def _reap(processes: list, force: bool = False) -> None:
-    if not force:  # give everyone a chance to exit voluntarily
-        deadline = time.monotonic() + JOIN_GRACE
-        for proc in processes:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-    for proc in processes:
-        if proc.is_alive():
-            proc.terminate()
-    for proc in processes:
-        proc.join(timeout=JOIN_GRACE)
-        if proc.is_alive():  # pragma: no cover - last resort
-            proc.kill()
-            proc.join(timeout=JOIN_GRACE)
-
-
 class _Pool:
-    """The node processes of a run with their channels and control
-    pipes.  A one-shot pool ends with its run; a kept one (``kept``)
-    idles between the runs of its ``(procs, jobs)`` (:class:`_NodePools`)."""
+    """Node processes with their channels and control pipes.  A pool
+    ends with its run unless it is kept (``kept``): then it idles between
+    the runs of its ``(procs, jobs)`` (:class:`_NodePools`)."""
 
     def __init__(self, key: tuple[int, int]) -> None:
         self.key = key
@@ -74,7 +60,7 @@ class _Pool:
         return all(proc.is_alive() for proc in self.processes)
 
     def dispatch(self, recipe, description: bytes, knobs: tuple) -> None:
-        """Start a run on this idle kept pool: every node gets the
+        """Start a run on this pool's idle nodes: every node gets the
         description, the plan digest and the knobs, then the mapping's
         memfd on the same socket."""
         self.channels.reset()
@@ -84,16 +70,25 @@ class _Pool:
             send_handle(conn, recipe.fd, self.processes[node].pid)
 
     def reap(self, force: bool = False) -> None:
-        """Wait the processes out: a one-shot pool's exit after their
-        run, a kept pool's once told to close; stragglers (everyone,
-        with ``force``) are terminated."""
-        if self.kept and not force:
-            for conn in self.ctrl.values():
-                try:
-                    conn.send(("close",))
-                except OSError:
-                    pass
-        _reap(self.processes, force)
+        """Tell the processes to close, then wait them out; stragglers
+        (everyone, with ``force``) are terminated."""
+        for conn in self.ctrl.values():
+            try:
+                conn.send(("close",))
+            except OSError:  # exited already
+                pass
+        if not force:  # give everyone a chance to exit voluntarily
+            deadline = time.monotonic() + JOIN_GRACE
+            for proc in self.processes:
+                proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        for proc in self.processes:
+            if proc.is_alive():
+                proc.terminate()
+        for proc in self.processes:
+            proc.join(timeout=JOIN_GRACE)
+            if proc.is_alive():  # pragma: no cover - last resort
+                proc.kill()
+                proc.join(timeout=JOIN_GRACE)
 
     def unmap(self) -> None:
         """Close the control pipes and unmap the channels."""
@@ -134,15 +129,13 @@ class _NodePools:
                 conn.close()
         self._pools = {}
 
-    def adopt(self, pool: _Pool) -> bool:
+    def adopt(self, pool: _Pool) -> None:
         """Keep ``pool``, busy with its first run, unless its key has a
         pool already."""
         with self._lock:
-            if pool.key in self._pools:
-                return False
-            self._pools[pool.key] = pool
-            pool.kept = True
-            return True
+            if pool.key not in self._pools:
+                self._pools[pool.key] = pool
+                pool.kept = True
 
     def checkout(self, key: tuple[int, int]) -> _Pool | None:
         """The idle pool of ``key``, now busy; None if there is none or

@@ -16,16 +16,18 @@ maps before the fork next to the result grid
 header-only *ready* record -- the strip's partition marked ready, as
 persistent MPI's ``MPI_Pready`` does.
 
-Channels.  :meth:`TaskGraph.message_plan` lists every message before
-anything runs, so :meth:`ProcessExecutor.start` lays the channels out
-before forking (:class:`_Channels`): one single-producer/single-consumer
-byte ring per ordered node pair *the plan sends on* (for a kept pool,
-one per ordered pair), inside one anonymous shared ``mmap`` the children
-inherit -- no name, no resource tracker, nothing to unlink: the kernel
-frees it with the last process that maps it, on every exit path.  With
-the rings come a process-shared lock per ring, a semaphore *doorbell*
-per node and a few header words per node (abort flag, tasks done,
-messages sent).
+Channels.  The channels are laid out before the nodes are forked
+(:class:`_Channels`): one single-producer/single-consumer byte ring of
+:data:`RING_BYTES` per ordered node pair, inside one anonymous shared
+``mmap`` the children inherit -- no name, no resource tracker, nothing
+to unlink: the kernel frees it with the last process that maps it, on
+every exit path.  With the rings come a process-shared lock per ring, a
+semaphore *doorbell* per node and a few header words per node (abort
+flag, tasks done, messages sent).  A pool's channels serve every run it
+takes; each node reads its run's :meth:`TaskGraph.message_plan` into
+what a record names (:func:`_plan_index`).  Only a one-shot graph whose
+plan declares a message over a quarter of a ring gets larger rings:
+four times its largest message (:func:`_ring_bytes`).
 
 No communication thread.  A send is a record of a few bytes -- shorter
 than one thread hand-off -- so the worker that ran the producing task
@@ -57,31 +59,34 @@ rests on a CPU's store ordering.  Lock order is executor lock -> ring
 lock, never the reverse, and every wait on a shared primitive is
 bounded by ``_POLL``, so a peer killed mid-write cannot hang anyone.
 
-Roles.  The parent forks the children (graph and channels inherited
-copy-on-write; only statistics and terminal results are pickled -- of a
-stencil graph one token per final task: final cores land in the build's
-shared result grid) and watches one control pipe per child for the run's
-``RunHandle``.  Each child runs a :class:`_NodeExecutor` -- a
-:class:`ThreadedExecutor` restricted to the node's tasks, plus the
-send/poll hooks -- and one *control* thread, the pipe's one reader
-(``cancel`` down, EOF = the parent died), idle for all of a healthy
-run.  A failing node sets every peer's abort word, posts every doorbell
+Roles.  The parent forks the children (channels inherited, and a
+one-shot node's graph copy-on-write; only statistics and terminal
+results are pickled -- of a stencil graph one token per final task:
+final cores land in the build's shared result grid) and watches one
+control pipe per child for the run's ``RunHandle``.  Each child runs a
+:class:`_NodeExecutor` -- a :class:`ThreadedExecutor` restricted to the
+node's tasks, plus the send/poll hooks -- and one *control* thread, the
+pipe's one reader (a run's description, ``cancel``, ``close``; EOF =
+the parent died), idle for all of a healthy run.  A failing node sets every peer's abort word, posts every doorbell
 and reports to the parent, which cancels everyone, so
 :class:`~repro.runtime.report.KernelError` crosses the process boundary
 without deadlocking anyone; stragglers are terminated after a grace
 period so no orphan survives.
 
-Pools.  The node processes outlive a run that a later one can
-*describe* (:mod:`repro.exec.pools`): its first run forks them as above
-and keeps them as the pool of its ``(procs, jobs)``.  A later run on
-that idle pool sends each node, down its control pipe, the template key
-and pickled problem, its knobs and the graph's plan digest, and beside
-it on the same socket the memfd of the build's grid-and-landing mapping
-(:class:`~repro.core.recipe.Recipe`); the node rebuilds the graph from
-its inherited templates, refuses it if the digest differs, maps the
-memfd, runs, reports, then drops the graph and unmaps the memfd
-(:func:`_run_described`).  Any other graph forks processes that exit
-with their run.
+Pools.  A run whose graph a node can rebuild from a description is
+always dispatched to a pool's nodes (:mod:`repro.exec.pools`), never
+inherited: the idle pool of its ``(procs, jobs)``, or nodes forked bare
+for it.  Each node gets, down its control pipe, the template key and
+pickled problem, the knobs and the graph's plan digest, and beside them
+on the same socket the memfd of the build's grid-and-landing mapping
+(:class:`~repro.core.recipe.Recipe`); it rebuilds the graph from its
+inherited templates, refuses it if the digest differs, maps the memfd,
+runs, reports, then drops the graph and unmaps the memfd
+(:func:`_run_described`).  A bare node first lets go of every build it
+inherited -- its copies of their memfds closed, anonymous pages mapped
+over their grids (:func:`~repro.core.recipe.release_builds`) -- so an
+idle node holds no grid.  Any other graph forks one-shot nodes that
+inherit it, run it and exit.
 
 Accounting.  Workers write exactly the message plan's entries, so
 per-edge message counts and *declared* payload bytes equal
@@ -143,17 +148,13 @@ _POLL = 0.1
 #: signal that it made room, so the producer looks again.
 _RETRY = 0.0005
 
-#: Ring capacity per ordered node pair (bytes), unless the pair's whole
-#: planned traffic is smaller or a message exceeds a quarter of it.
+#: Ring capacity per ordered node pair (bytes), unless a one-shot
+#: graph's plan declares a message over a quarter of it.
 #: Measured flat: halo_base / halo_ca solve_s (median of 9 interleaved
 #: rounds, procs=2) 64 KiB 0.83 / 0.74 s, 256 KiB 0.83 / 0.73 s, 1 MiB
 #: 0.81 / 0.73 s (16 KiB, all outbox: 0.82 / 0.73) -- a node runs at most
 #: a sweep ahead, <= 64 / 132 KiB in flight; 256 KiB keeps the outbox idle.
 RING_BYTES = 256 * 1024
-
-#: Smallest ring: the suites send pickled scalars, whose bytes exceed
-#: the 8 they declare.
-_MIN_RING = 4096
 
 #: Record header: plan index and the byte length of the pickled body
 #: that follows; 0 is a ready record, :data:`READY` and no body.
@@ -322,78 +323,50 @@ def _encode(index: int, payload) -> tuple[tuple, bytes]:
     return (index, len(body)), body
 
 
-def _plan_traffic(graph: TaskGraph) -> dict[tuple[int, int], tuple[int, int]]:
-    """Per ordered node pair ``graph``'s plan sends on: the ring bytes
-    its messages take (header + padding each) and its largest message."""
-    traffic: dict[tuple[int, int], tuple[int, int]] = {}
+def _ring_bytes(graph: TaskGraph) -> int:
+    """Ring capacity of a one-shot run of ``graph``: :data:`RING_BYTES`,
+    unless a quarter of it would not hold the largest message the plan
+    declares.  (A graph a pool runs sends ready records only.)"""
+    largest = max((nbytes for messages in graph.message_plan().values()
+                   for _tag, _dst, nbytes in messages), default=0)
+    return max(RING_BYTES, 4 * largest)
+
+
+def _plan_index(graph: TaskGraph) -> tuple[list, dict]:
+    """``graph``'s message plan as its records name it: plan index ->
+    ``(producer, tag)``, and producer -> ``[(plan index, tag, dst,
+    declared nbytes)]``."""
+    entries: list[tuple[TaskKey, str]] = []
+    sends: dict[TaskKey, list[tuple[int, str, int, int]]] = {}
     for producer, messages in graph.message_plan().items():
-        src = graph[producer].node
-        for _tag, dst, nbytes in messages:
-            planned, largest = traffic.get((src, dst), (0, 0))
-            traffic[src, dst] = (planned + 2 * _HDR.size + nbytes, max(largest, nbytes))
-    return traffic
-
-
-def _ring_sizes(graph: TaskGraph) -> dict[tuple[int, int], int]:
-    """Ring bytes per ordered node pair ``graph``'s plan sends on: its
-    planned traffic, at most :data:`RING_BYTES` unless a quarter of the
-    ring would not hold its largest message."""
-    return {pair: min(max(planned, _MIN_RING), max(RING_BYTES, 4 * largest))
-            for pair, (planned, largest) in _plan_traffic(graph).items()}
-
-
-def _fits_pool(graph: TaskGraph) -> bool:
-    """Whether a pool's rings are at least as large as the ones a run of
-    ``graph`` would lay out for itself: no message of its plan exceeds
-    a quarter of :data:`RING_BYTES`."""
-    return all(4 * largest <= RING_BYTES for _planned, largest in _plan_traffic(graph).values())
+        rows = sends[producer] = []
+        for tag, dst, nbytes in messages:
+            rows.append((len(entries), tag, dst, nbytes))
+            entries.append((producer, tag))
+    return entries, sends
 
 
 class _Channels:
     """Everything the node processes share, laid out before the fork:
-    the plan's index, the rings, the doorbells and the header words.
-    One ring per ordered node pair the plan sends on, sized to its
-    traffic (:func:`_ring_sizes`) -- or, for a pool (``pooled``), one
-    :data:`RING_BYTES` ring per ordered pair, which every later run
-    that fits (:func:`_fits_pool`) reuses: a node indexes its rebuilt
-    graph's plan (:meth:`index`), the parent zeroes the words between
-    runs (:meth:`reset`)."""
+    one ring of ``ring_bytes`` per ordered node pair, the doorbells and
+    the header words.  A pool's channels serve every run it takes: the
+    parent zeroes the words between runs (:meth:`reset`)."""
 
-    def __init__(self, graph: TaskGraph, procs: int, ctx, pooled: bool = False) -> None:
-        self.index(graph)
-        sizes = ({(src, dst): RING_BYTES for src in range(procs)
-                  for dst in range(procs) if src != dst}
-                 if pooled else _ring_sizes(graph))
+    def __init__(self, procs: int, ctx, ring_bytes: int) -> None:
         line = _LINE * 8
-        self._header = header = (procs + len(sizes)) * line  # the words; the rings follow
-        offsets, size = {}, header
-        for pair, capacity in sizes.items():
-            capacity = -(-capacity // line) * line
-            offsets[pair] = (size, capacity)
-            size += capacity
-        self.region = mmap.mmap(-1, size)
+        pairs = [(src, dst) for src in range(procs) for dst in range(procs) if src != dst]
+        capacity = -(-ring_bytes // line) * line
+        self._header = header = (procs + len(pairs)) * line  # the words; the rings follow
+        self.region = mmap.mmap(-1, header + len(pairs) * capacity)
         self._view = memoryview(self.region)
         self.words = self._view[:header].cast("q")
         self.rings = {
-            pair: _Ring(self._view[start:start + capacity],
+            pair: _Ring(self._view[header + k * capacity:header + (k + 1) * capacity],
                         self.words[(procs + k) * _LINE:(procs + k + 1) * _LINE],
                         ctx.Lock())
-            for k, (pair, (start, capacity)) in enumerate(offsets.items())
+            for k, pair in enumerate(pairs)
         }
         self.doorbells = [ctx.Semaphore(0) for _ in range(procs)]
-
-    def index(self, graph: TaskGraph) -> None:
-        """Read ``graph``'s message plan into what a record's index
-        names and what each producer sends."""
-        #: plan index -> (producer, tag)
-        self.entries: list[tuple[TaskKey, str]] = []
-        #: producer -> [(plan index, tag, dst, declared nbytes)]
-        self.sends: dict[TaskKey, list[tuple[int, str, int, int]]] = {}
-        for producer, messages in graph.message_plan().items():
-            rows = self.sends[producer] = []
-            for tag, dst, nbytes in messages:
-                rows.append((len(self.entries), tag, dst, nbytes))
-                self.entries.append((producer, tag))
 
     def reset(self) -> None:
         """Between two runs of a pool, every node idle and every ring
@@ -444,6 +417,7 @@ class _NodeExecutor(ThreadedExecutor):
     ) -> None:
         self.node = node
         self._local: list[Task] = [t for t in graph if t.node == node]
+        self._entries, self._sends = _plan_index(graph)
         #: (producer, tag) -> local consumer keys (one entry per flow)
         self._remote_consumers: dict[tuple[TaskKey, str], list[TaskKey]] = {}
         self._channels = channels
@@ -494,7 +468,7 @@ class _NodeExecutor(ThreadedExecutor):
         self._published += 1
         self._words[_DONE] = self._published
         reached = set()
-        for index, tag, dst, nbytes in self._channels.sends.get(task.key, ()):
+        for index, tag, dst, nbytes in self._sends.get(task.key, ()):
             start = time.perf_counter()
             fields, body = _encode(index, outputs[tag])
             size, capacity = _record_bytes(body), self._outbound[dst].capacity
@@ -568,7 +542,7 @@ class _NodeExecutor(ThreadedExecutor):
                 record = ring.take()
                 if record is None:
                     break
-                producer, tag = self._channels.entries[record[0]]
+                producer, tag = self._entries[record[0]]
                 consumers = self._remote_consumers.pop((producer, tag))
                 self._store.inject(producer, tag, record[1])
                 if self._wake(consumers):
@@ -654,9 +628,9 @@ def _relative_spans(records, epoch):
 
 def _run_node(
     node: int,
-    graph: TaskGraph,
     channels: _Channels,
     control: _Control,
+    graph: TaskGraph,
     jobs: int,
     policy: str,
     want_trace: bool,
@@ -709,9 +683,9 @@ def _run_node(
 
 def _run_described(node: int, channels: _Channels, control: _Control,
                    knobs: tuple, fd: int) -> tuple:
-    """One later run of a pool: rebuild the graph the description names
-    over the mapping behind ``fd``, refuse it unless its plan digest is
-    the parent's, run it, then let the build go and unmap the memfd."""
+    """One run of a pool: rebuild the graph the description names over
+    the mapping behind ``fd``, refuse it unless its plan digest is the
+    parent's, run it, then let the build go and unmap the memfd."""
     from ..core.recipe import rebuild
 
     description, digest, jobs, policy, want_trace, epoch = knobs
@@ -730,8 +704,7 @@ def _run_described(node: int, channels: _Channels, control: _Control,
             return ("error", KernelError(
                 f"node {node} refused the run: its rebuilt graph's plan digest "
                 f"{built.graph.plan_digest()} is not the parent's {digest}"))
-        channels.index(built.graph)
-        return _run_node(node, built.graph, channels, control, jobs, policy,
+        return _run_node(node, channels, control, built.graph, jobs, policy,
                          want_trace, epoch)
     finally:
         built = None
@@ -744,32 +717,25 @@ def _run_described(node: int, channels: _Channels, control: _Control,
 
 def _node_main(
     node: int,
-    graph: TaskGraph,
     channels: _Channels,
-    jobs: int,
-    policy: str,
-    want_trace: bool,
-    epoch: float,
     ctrl: Connection,
     inherited: list[Connection],
-    chaos=None,
-    recipe=None,
+    one_shot: tuple | None,
 ) -> None:
-    """Entry point of one node process (runs under fork): the run of
-    the inherited ``graph``, then -- in a pool, ``recipe`` being that
-    build's :class:`~repro.core.recipe.Recipe` -- one run per
-    description the parent sends, until it closes the pool."""
+    """Entry point of one node process (runs under fork).  A one-shot
+    node runs the graph it inherited once -- ``one_shot`` is that run:
+    ``(graph, jobs, policy, want_trace, epoch, chaos)`` -- and returns;
+    a pool's node (``one_shot`` None) runs each description the parent
+    sends, until it closes the pool."""
     for conn in inherited:  # the parent's pipe ends: EOF must mean it died
         conn.close()
     try:
         control = _Control(ctrl)
         threading.Thread(target=control.listen, name="repro-procs-control",
                          daemon=True).start()
-        ctrl.send(_run_node(node, graph, channels, control, jobs, policy,
-                            want_trace, epoch, chaos))
-        if recipe is None:
+        if one_shot is not None:
+            ctrl.send(_run_node(node, channels, control, *one_shot))
             return
-        recipe.release()  # the inherited build's seams and grid pages
         while (order := control.orders.get()) is not None:
             ctrl.send(_run_described(node, channels, control, *order))
     except BaseException as exc:  # pragma: no cover - defensive
@@ -779,7 +745,8 @@ def _node_main(
             pass
 
 
-def _node_process(*args) -> None:
+def _node_process(node: int, channels: _Channels, ctrl: Connection,
+                  inherited: list[Connection], one_shot: tuple | None) -> None:
     """A node process: :func:`_node_main`, then exit at once.  It must
     not run the interpreter shutdown it inherited with the fork: that
     joins the forking process's threads, and where the fork came from a
@@ -787,10 +754,16 @@ def _node_process(*args) -> None:
     pool's exit hook joins the very thread that forked, raises, and the
     child unwinds into the parent's code instead of exiting.  The
     inherited objects are frozen first, so no collection here writes
-    to (and copies) the parent's pages."""
+    to (and copies) the parent's pages.  A pool's node then lets go of
+    every build it inherited (:func:`~repro.core.recipe.release_builds`):
+    it runs only what it is sent."""
+    from ..core.recipe import release_builds
+
     gc.freeze()
     try:
-        _node_main(*args)
+        if one_shot is None:
+            release_builds()
+        _node_main(node, channels, ctrl, inherited, one_shot)
     finally:
         for stream in (sys.stdout, sys.stderr):
             try:
@@ -832,9 +805,10 @@ class ProcessExecutor:
         them and folds the report into the registry
         (:func:`~repro.obs.metrics.publish_run`).
 
-    The run takes the idle pool of its ``(procs, jobs)`` when its graph
-    can be described to it, and forks the node processes otherwise
-    (module docstring, *Pools*).
+    A run whose graph can be described is dispatched to the idle pool
+    of its ``(procs, jobs)`` or to bare nodes forked for it; any other
+    run forks one-shot nodes that inherit the graph (module docstring,
+    *Pools*).
     """
 
     def __init__(
@@ -879,8 +853,8 @@ class ProcessExecutor:
         #: latest complete checkpoint step for restart.
         self.checkpoint_store = None
         #: ``time.perf_counter()`` stamps of the run outside its tasks:
-        #: ``start``, ``launched`` (nodes forked, or the description
-        #: sent to a pool's), ``arrived`` (the last report readable),
+        #: ``start``, ``launched`` (one-shot nodes forked, or the
+        #: description sent to a pool's), ``arrived`` (the last report readable),
         #: ``received`` (read), ``reaped`` and ``unmapped`` (a pool that
         #: ends with the run), ``reported`` (the report built)
         self.stamps: dict[str, float] = {}
@@ -922,7 +896,7 @@ class ProcessExecutor:
     # -- public API -----------------------------------------------------
 
     def start(self) -> RunHandle:
-        """Dispatch the run to an idle pool, or fork the node processes;
+        """Dispatch the run to a pool, or fork one-shot node processes;
         returns immediately with the handle."""
         if self._started:
             raise RuntimeError(
@@ -931,23 +905,11 @@ class ProcessExecutor:
             )
         self._started = True
         self.stamps["start"] = time.perf_counter()
-        key = (self.procs, self.jobs)
         recipe, description = self.graph.recipe, None
-        if (self.chaos is None and recipe is not None and recipe.describes(self.graph)
-                and _fits_pool(self.graph)):
+        if self.chaos is None and recipe is not None and recipe.describes(self.graph):
             description = recipe.description()
-        pool = _POOLS.checkout(key) if description is not None else None
-        if pool is not None:
-            self._epoch = time.perf_counter()
-            try:
-                pool.dispatch(recipe, description,
-                              (self.jobs, self.policy, self.want_trace, self._epoch))
-            except OSError:  # a node died while idle
-                _POOLS.drop(pool)
-                pool.close(force=True)
-                pool = None
-        if pool is None:
-            pool = self._fork(key, keep=description is not None)
+        pool = (self._fork(one_shot=True) if description is None
+                else self._dispatch(recipe, description))
         self._pool, self._channels = pool, pool.channels
         self.stamps["launched"] = time.perf_counter()
 
@@ -957,27 +919,47 @@ class ProcessExecutor:
         ).start()
         return self._handle
 
-    def _fork(self, key: tuple[int, int], keep: bool) -> _Pool:
-        """Fork a pool for this run, kept for later runs if ``keep`` and
-        its key has none yet."""
+    def _dispatch(self, recipe, description: bytes) -> _Pool:
+        """Send the run to the idle pool of its ``(procs, jobs)``, or to
+        bare nodes forked for it, kept as that pool if it has none."""
+        key = (self.procs, self.jobs)
+        while True:
+            pool = _POOLS.checkout(key)
+            fresh = pool is None
+            if fresh:
+                pool = self._fork(one_shot=False)
+                _POOLS.adopt(pool)
+            self._epoch = time.perf_counter()
+            try:
+                pool.dispatch(recipe, description,
+                              (self.jobs, self.policy, self.want_trace, self._epoch))
+                return pool
+            except OSError:  # a node died (while idle, or as it started)
+                _POOLS.drop(pool)
+                pool.close(force=True)
+                if fresh:
+                    raise
+
+    def _fork(self, one_shot: bool) -> _Pool:
+        """Fork node processes: one-shot nodes that run the graph they
+        inherit, or bare nodes for a pool, which let go of every build
+        they inherit (:func:`_node_process`)."""
         ctx = mp.get_context("fork")
-        pool = _Pool(key)
-        if keep:
-            _POOLS.adopt(pool)
-        recipe = self.graph.recipe if pool.kept else None
+        pool = _Pool((self.procs, self.jobs))
         try:
             # Laid out before the fork: the children inherit the channels.
-            pool.channels = _Channels(self.graph, self.procs, ctx, pooled=pool.kept)
+            pool.channels = _Channels(self.procs, ctx, _ring_bytes(self.graph) if one_shot
+                                      else RING_BYTES)
             trim_heap()
             self._epoch = time.perf_counter()
+            run = ((self.graph, self.jobs, self.policy, self.want_trace, self._epoch,
+                    self.chaos) if one_shot else None)
             for node in range(self.procs):
                 parent_end, child_end = ctx.Pipe(duplex=True)
                 proc = ctx.Process(
                     target=_node_process,
-                    args=(node, self.graph, pool.channels, self.jobs, self.policy,
-                          self.want_trace, self._epoch,
-                          child_end, [*pool.ctrl.values(), parent_end], self.chaos,
-                          recipe),
+                    args=(node, pool.channels, child_end,
+                          [*pool.ctrl.values(), parent_end], run),
                     name=f"repro-procs-{node}",
                     daemon=True,
                 )
@@ -986,7 +968,6 @@ class ProcessExecutor:
                 pool.ctrl[node] = parent_end
                 pool.processes.append(proc)
         except BaseException:
-            _POOLS.drop(pool)
             pool.close(force=True)
             raise
         return pool
@@ -1189,8 +1170,8 @@ def execute_procs(
     timeout: float | None = None,
     metrics: MetricRegistry | None = None,
 ) -> ProcsReport:
-    """One-shot convenience: run ``graph`` on node processes (a kept
-    pool's, where it can be described to one)."""
+    """One-shot convenience: run ``graph`` on node processes (a pool's,
+    where it can be described)."""
     return ProcessExecutor(
         graph, procs=procs, jobs=jobs, policy=policy, trace=trace,
         metrics=metrics,

@@ -16,6 +16,7 @@ from repro.core.base_parsec import build_base_graph
 from repro.exec import (
     ExecutionTimeout,
     RunCancelled,
+    RunHandle,
     ThreadedExecutor,
     execute,
 )
@@ -252,6 +253,30 @@ def test_cancel_stops_remaining_work():
         handle.result(timeout=30)
     assert isinstance(handle.exception(), RunCancelled)
     assert handle.cancel() is False and ex.cancel() is False  # finished
+
+
+def test_a_cancel_the_handle_accepted_makes_result_raise():
+    """``cancel()`` answering True means ``result()`` raises, even where
+    the run then finishes every task (the cancel came after the last
+    one); a handle that was not cancelled returns its report."""
+    calls = []
+    cancelled = RunHandle(lambda: calls.append("cancel"))
+    assert cancelled.cancel() and calls == ["cancel"]
+    cancelled._finish(object(), None)  # every task had reported
+    with pytest.raises(RunCancelled):
+        cancelled.result(timeout=1)
+    assert cancelled.cancel() is False and calls == ["cancel"]
+
+    report, plain = object(), RunHandle(lambda: calls.append("late"))
+    plain._finish(report, None)
+    assert plain.cancel() is False and plain.result(timeout=1) is report
+    assert calls == ["cancel"]
+
+    failed = RunHandle(lambda: None)
+    assert failed.cancel()
+    error = KernelError("boom")
+    failed._finish(None, error)
+    assert failed.exception(timeout=1) is error  # a failure stays the failure
 
 
 def test_outputs_published_read_only():

@@ -167,7 +167,7 @@ def test_every_payload_kind_crosses_intact_as_a_private_copy():
 
 def test_oversized_payload_fails_the_run_naming_the_message():
     def liar(inputs, task):
-        return {"x": np.zeros(4096)}  # 32 KiB behind a declared 8 bytes
+        return {"x": np.zeros(40_000)}  # 320 kB behind a declared 8 bytes: over a ring
 
     g = TaskGraph()
     g.add(Task("liar", node=0, kernel=liar, out_nbytes={"x": 8}))
@@ -175,7 +175,7 @@ def test_oversized_payload_fails_the_run_naming_the_message():
                out_nbytes={}))
     ex = ProcessExecutor(g, procs=2, jobs=1)
     with pytest.raises(KernelError,
-                       match=r"'liar' sent 32768 bytes for tag 'x' but declared 8"):
+                       match=r"'liar' sent 320000 bytes for tag 'x' but declared 8"):
         ex.run(timeout=60)
     assert_no_orphans(ex)
 
@@ -230,7 +230,7 @@ def test_exactly_one_idle_worker_sleeps_on_the_doorbell():
         g.add(Task(("c", i), node=1, inputs=(Flow("p", "v", 8),), kernel=kernel,
                    out_nbytes={}))
     g.finalize()
-    channels = procs._Channels(g, 2, FORK)
+    channels = procs._Channels(2, FORK, procs.RING_BYTES)
     bell = channels.doorbells[1] = CountingDoorbell(channels.doorbells[1])
     node1 = procs._NodeExecutor(g, 1, channels, jobs=3, policy="lifo", trace=False)
     handle = node1.start()

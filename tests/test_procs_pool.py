@@ -1,18 +1,20 @@
 """Node pools: the node processes of a ``processes`` run outlive it.
 
-A run whose graph can be described to a node process forked earlier (a
-stencil build, unwrapped, whose problem pickles) keeps its nodes as the
-pool of its ``(procs, jobs)``; a later run on that idle pool is sent as
-a description plus the memfd of its build's mapping, and each node
-rebuilds the graph for itself.  Anything else forks nodes that exit with
-their run.  A cancel, a failure or a lost node closes a pool; an idle
-one closes itself after ``IDLE_CLOSE`` seconds.
+A run whose graph can be described to a node process (a stencil build,
+unwrapped, whose problem pickles) is always sent as a description plus
+the memfd of its build's mapping -- to the idle pool of its ``(procs,
+jobs)``, or to nodes forked bare for it, kept as that pool if it has
+none -- and each node rebuilds the graph for itself.  Anything else
+forks one-shot nodes that inherit the graph and exit with their run.  A
+cancel, a failure or a lost node closes a pool; an idle one closes
+itself after ``IDLE_CLOSE`` seconds.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import mmap
 import multiprocessing
 import os
 import select
@@ -92,6 +94,39 @@ def leftovers() -> tuple[list, list]:
     return multiprocessing.active_children(), [t.name for t in procs_threads()]
 
 
+def grid_memfds(pid: int) -> set[int]:
+    """Inodes of the build memfds (``memfd:repro-grid``) process ``pid``
+    maps or holds open."""
+    inodes = set()
+    with open(f"/proc/{pid}/maps") as maps:
+        for line in maps:
+            if "memfd:repro-grid" in line:
+                inodes.add(int(line.split()[4]))
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            if "memfd:repro-grid" in os.readlink(f"/proc/{pid}/fd/{fd}"):
+                inodes.add(os.stat(f"/proc/{pid}/fd/{fd}").st_ino)
+        except OSError:  # closed meanwhile
+            pass
+    return inodes
+
+
+def node_kinds(monkeypatch):
+    """Spy on every node process forked from now on: a shared array of
+    one word per node, 1 where the node ran a graph it inherited, 0
+    where it was forked bare for a pool, -1 where none started."""
+    kinds = np.ndarray((4,), dtype=np.int64, buffer=mmap.mmap(-1, 32))
+    kinds[...] = -1
+    node_main = procs._node_main
+
+    def spied(node, channels, ctrl, inherited, one_shot):
+        kinds[node] = one_shot is not None
+        node_main(node, channels, ctrl, inherited, one_shot)
+
+    monkeypatch.setattr(procs, "_node_main", spied)
+    return kinds
+
+
 # -- reuse -------------------------------------------------------------------------
 
 
@@ -121,6 +156,94 @@ def test_a_node_refuses_a_description_whose_plan_digest_differs():
     assert join_all(executor.processes) == []
     again, fresh = pooled_run(problem)
     assert fresh != pids and np.array_equal(again.grid, problem.reference_solution())
+
+
+def test_a_fresh_pools_first_run_is_refused_on_a_digest_mismatch():
+    """A pool's first run is sent as a description like every later one,
+    so its nodes check the plan digest too."""
+    close_pools()
+    problem = picklable_problem(24, 4, seed=13)
+    built = build_base_graph(problem, nacl(2), tile=6)
+    built.graph.recipe = dataclasses.replace(built.graph.recipe, digest="0" * 16)
+    executor = ProcessExecutor(built.graph, procs=2, jobs=1)
+    with pytest.raises(KernelError, match="refused the run: its rebuilt graph's plan digest"):
+        executor.run(timeout=60)
+    assert join_all(executor.processes) == []
+    assert leftovers() == ([], [])
+
+
+def test_a_describable_run_is_sent_and_any_other_inherited(monkeypatch):
+    kinds = node_kinds(monkeypatch)
+    close_pools()
+    described = picklable_problem(24, 4, seed=14)
+    result, _ = pooled_run(described)
+    assert np.array_equal(result.grid, described.reference_solution())
+    assert list(kinds[:2]) == [0, 0]  # forked bare, the graph rebuilt from its description
+    close_pools()
+    kinds[...] = -1
+    closures = random_problem(24, 4, seed=14)
+    result, _ = pooled_run(closures)
+    assert np.array_equal(result.grid, closures.reference_solution())
+    assert list(kinds[:2]) == [1, 1]
+    assert leftovers()[0] == []  # one-shot: reaped before run() returned
+
+
+def test_a_run_whose_pool_is_busy_gets_bare_nodes_that_close_after_it(monkeypatch):
+    problem = picklable_problem(24, 4, seed=15)
+    _, pids = pooled_run(problem)
+    busy = pools._POOLS.checkout((2, 1))  # as a run in flight holds it
+    assert busy is not None and tuple(p.pid for p in busy.processes) == pids
+    kinds = node_kinds(monkeypatch)
+    try:
+        result, bare = pooled_run(problem)
+        assert np.array_equal(result.grid, problem.reference_solution())
+        assert list(kinds[:2]) == [0, 0]  # sent, not inherited
+        assert bare != pids and not any(map(_pid_running, bare))
+        assert sorted(p.pid for p in multiprocessing.active_children()) == sorted(pids)
+    finally:
+        pools._POOLS.release(busy)
+    again, same = pooled_run(problem)  # the pool itself was not disturbed
+    assert same == pids and np.array_equal(again.grid, problem.reference_solution())
+    close_pools()
+    assert leftovers() == ([], [])
+
+
+def test_an_idle_node_holds_no_grid(monkeypatch):
+    """A pool's node lets go of every build it inherited -- the one of
+    the run it was forked for, and any grid this process still held --
+    and maps each run's memfd for that run only: once the caller has let
+    go of a grid, no idle node maps or holds it.  (This process lets go
+    of the last run's when its pool closes: the watcher that keeps the
+    pool holds that run's executor.)"""
+    monkeypatch.setattr(pools, "IDLE_CLOSE", 60.0)  # idle while the test looks
+    problem = picklable_problem(48, 4, seed=16)
+    inodes, seen = [], []
+
+    def spy(executor):
+        seen.append(executor)
+        inodes.append(os.fstat(executor.graph.recipe.fd).st_ino)
+
+    def solve():
+        result = run(problem, backend="processes", impl="base-parsec", tile=6, procs=2,
+                     jobs=1, on_executor=spy)
+        assert np.array_equal(result.grid, problem.reference_solution())
+        return result
+
+    kept = solve()  # a grid held while the next pool is forked
+    close_pools()
+    solve()  # the pool's first run
+    last = solve()
+    pids = pids_of(seen[1])
+    assert pids_of(seen[2]) == pids
+    del kept, last, seen
+    gc.collect()
+    dropped = set(inodes[:2])
+    mine = grid_memfds(os.getpid())
+    assert not mine & dropped
+    for pid in pids:
+        assert _pid_running(pid)
+        held = grid_memfds(pid)
+        assert not held & dropped and held <= mine, pid
 
 
 # -- faults close the pool ------------------------------------------------------------
@@ -158,8 +281,9 @@ def test_a_cancel_or_a_lost_node_closes_the_pool(fault):
 
 def test_a_cancel_after_every_node_reported_closes_the_pool():
     """A cancel that comes once the last node has reported finds the
-    nodes idle and stops them for good: the run stands, but its pool
-    closes instead of cancelling the next run sent to it."""
+    nodes idle and stops them for good: ``cancel()`` said True, so the
+    run raises ``RunCancelled``, and its pool closes instead of
+    cancelling the next run sent to it."""
     problem = picklable_problem(24, 4, seed=10)
     _, pids = pooled_run(problem)
     built = build_base_graph(problem, nacl(2), tile=6)
@@ -172,9 +296,9 @@ def test_a_cancel_after_every_node_reported_closes_the_pool():
                 assert executor.cancel()
 
     executor.stamps = CancelOnceReceived()
-    report = executor.run(timeout=60)
+    with pytest.raises(RunCancelled):
+        executor.run(timeout=60)
     assert pids_of(executor) == pids
-    assert np.array_equal(built.assemble_grid(report.results), problem.reference_solution())
     assert not any(proc.is_alive() for proc in executor.processes)  # reaped, not idling
     again, fresh = pooled_run(problem)
     assert fresh != pids and np.array_equal(again.grid, problem.reference_solution())
@@ -214,7 +338,7 @@ def test_an_idle_pool_whose_parent_dies_unwinds():
 # -- what is not described forks, as before -----------------------------------------
 
 
-@pytest.mark.parametrize("case", ["closures", "chaos", "coarsen", "plan", "memfd"])
+@pytest.mark.parametrize("case", ["closures", "chaos", "coarsen", "memfd"])
 def test_what_cannot_be_described_leaves_no_child(case, monkeypatch):
     problem, knobs = picklable_problem(24, 4, seed=4), {}
     if case == "closures":
@@ -224,14 +348,29 @@ def test_what_cannot_be_described_leaves_no_child(case, monkeypatch):
         knobs["chaos"] = ChaosContext(FaultInjector(plan, s=1))
     elif case == "coarsen":
         knobs["passes"] = "coarsen:factor=2"
-    elif case == "plan":  # every strip larger than a quarter of a pool's ring
-        monkeypatch.setattr(procs, "RING_BYTES", 128)
     else:
         monkeypatch.delattr(os, "memfd_create")
     close_pools()
     result, _ = pooled_run(problem, **knobs)
     assert np.array_equal(result.grid, problem.reference_solution())
     assert leftovers()[0] == []  # reaped before run() returned
+
+
+def test_a_stencil_run_whose_strips_exceed_a_quarter_ring_is_pooled(monkeypatch):
+    """A stencil graph's records are 16-byte ready records whatever its
+    strips declare: a run whose strips exceed a quarter of a ring is
+    dispatched to a pool as any other."""
+    monkeypatch.setattr(procs, "RING_BYTES", 128)
+    close_pools()
+    problem = picklable_problem(24, 4, seed=4)
+    first, pids = pooled_run(problem)
+    assert max(nbytes for messages in first.graph.message_plan().values()
+               for _tag, _dst, nbytes in messages) > procs.RING_BYTES // 4
+    second, again = pooled_run(problem)
+    assert again == pids and all(map(_pid_running, pids))
+    truth = problem.reference_solution()
+    assert np.array_equal(first.grid, truth) and np.array_equal(second.grid, truth)
+    assert second.messages == second.graph.census().remote_messages
 
 
 # -- closing -------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from repro.distgrid.partition import ProcessGrid
 from repro.exec import fork_available
 from repro.exec.executor import ThreadedExecutor
 from repro.exec.futures import RunCancelled
-from repro.exec.procs import ProcessExecutor, _Channels, _node_main
+from repro.exec.procs import RING_BYTES, ProcessExecutor, _Channels, _node_main
 from repro.machine.machine import nacl
 from repro.obs import MetricRegistry
 from repro.runtime.engine import Engine
@@ -312,12 +312,12 @@ def done_messages(n: int, ncols: int, tile: int) -> list[dict]:
     problem = JacobiProblem(n=n, ncols=ncols, iterations=8, init=0.5)
     built = build_base_graph(problem, nacl(2), tile=tile)
     ctx = multiprocessing.get_context("fork")
-    channels = _Channels(built.graph, 2, ctx)
+    channels = _Channels(2, ctx, RING_BYTES)
     pipes = [ctx.Pipe(duplex=True) for _ in range(2)]
     nodes = [
         threading.Thread(target=_node_main, args=(
-            node, built.graph, channels, 1, "priority", False,
-            time.perf_counter(), pipes[node][1], [], None))
+            node, channels, pipes[node][1], [],
+            (built.graph, 1, "priority", False, time.perf_counter(), None)))
         for node in range(2)
     ]
     for thread in nodes:
