@@ -9,14 +9,13 @@ requests per cache hit) and prints where an *executed* request's
 latency went, from the service's own lifecycle spans:
 
     submit (signature, cache probe, enqueue) -> queued -> dispatch ->
-    baton wait -> execute (template bind, run, assemble) -> respond ->
-    the client's wake-up; then, off the request's path, the cache write
+    execute (template bind, run, assemble) -> respond -> the client's
+    wake-up; then, off the request's path, the cache write
 
 The hops between spans are read off the spans' edges, so the rows down
-to the client's wake-up add up to the client-side latency; `baton wait`
-is the worker's `queued` span (0 for a request that found the baton
-free), `cache write` is timed around `ResultCache.put` and happens
-after the future resolved, and the three stages inside `execute` are
+to the client's wake-up add up to the client-side latency; `cache
+write` is timed around `ResultCache.put` and happens after the future
+resolved, and the three stages inside `execute` are
 timed by running `run()`'s sequence on the same request shape with
 nothing else in flight (they are what `execute` is made of, not extra
 rows; the first build of a shape is timed from an empty template memo).
@@ -71,21 +70,16 @@ def client_loop(client: SolverClient, base: int, count: int, records: list) -> N
 
 def hops_of(service: SolverService, record, put_s: dict) -> dict[str, float]:
     t0, t_submitted, t_done, outcome = record
-    spans = {(s.name, s.attrs.get("where")): s
-             for s in service.lifecycle.spans_of(outcome.trace_id)}
-    probe, queued = spans["cache_probe", None], spans["queued", None]
-    dispatch = spans["dispatch", None]
-    execute, request = spans["execute", None], spans["request", None]
-    baton = spans.get(("queued", "baton"))
-    baton_s = baton.duration if baton is not None else 0.0
+    spans = {s.name: s for s in service.lifecycle.spans_of(outcome.trace_id)}
+    probe, queued, dispatch = spans["cache_probe"], spans["queued"], spans["dispatch"]
+    execute, request = spans["execute"], spans["request"]
     return {
         "submit: signature": probe.start - t0,
         "submit: cache probe (miss)": probe.duration,
         "submit: enqueue + admit span": t_submitted - probe.end,
         "queued": queued.duration,
         "dispatch (duplicates, worker lookup, spans)": dispatch.end - queued.end,
-        "hand-off to the worker": execute.start - dispatch.end - baton_s,
-        "baton wait (the other runner's solve)": baton_s,
+        "hand-off to the worker": execute.start - dispatch.end,
         "execute": execute.duration,
         "respond (adopt spans, remember, resolve, SLO fold)":
             request.end - execute.end,

@@ -1001,7 +1001,9 @@ class ProcessExecutor:
     def _watch(self) -> None:
         """Collect every child's outcome, then hand the pool back idle or
         close it, and finish the handle.  Runs on a daemon thread in the
-        parent; for a kept pool it stays to close it once idle."""
+        parent; a kept pool's idle wait gets a thread of its own, which
+        holds the pool and not this executor (its graph, kernels and
+        grid mapping are the caller's to drop)."""
         pool = self._pool
         waiting = dict(pool.ctrl)  # node -> conn, removed once reported
         outcomes: dict[int, tuple] = {}
@@ -1089,7 +1091,8 @@ class ProcessExecutor:
             runs = _POOLS.release(pool) if keep else 0
             handle._finish(report, None)
             if keep:
-                _POOLS.linger(pool, runs)
+                threading.Thread(target=_POOLS.linger, args=(pool, runs),
+                                 name="repro-procs-linger", daemon=True).start()
 
     # -- report ----------------------------------------------------------
 

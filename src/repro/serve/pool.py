@@ -8,10 +8,11 @@ Two kinds, one contract (``name``, ``alive()``, ``run(item)``,
 ``cancel(seq)``, ``close()``, ``retire_when_idle``):
 
 * ``"threads"`` -- :class:`InProcessWorker`, an object in the service
-  process; the solve runs on the runner thread that owns it, one at
-  a time across the process (:data:`_BATON`).  Warm here means that
-  the worker has run a request in this process before (lazy imports
-  done, allocator arenas grown).  It holds nothing, so it is never retired.
+  process; the solve runs on the runner thread that owns it, beside
+  the other runners' (the C kernel lets go of the interpreter lock).
+  Warm here means that the worker has run a request in this process
+  before (lazy imports done, allocator arenas grown).  It holds
+  nothing, so it is never retired.
 * ``"processes"`` -- :class:`ProcessWorker`, a persistent forked child
   with a duplex pipe, in the style of Parsl's HTEX interchange loop:
   the parent ships one pickled request, the child solves it and ships
@@ -50,16 +51,6 @@ from .request import (
 #: (None runs untraced) carries the request's lifecycle context into
 #: the worker, fork boundary included.
 WorkItem = tuple[int, SolveRequest, float | None, str | None]
-
-#: Held by the one in-process worker whose request computes in this
-#: interpreter (`threads`, `sim`; a `processes`-backend request computes
-#: in its node children and does not take it).  Two solves on two runner
-#: threads only trade the interpreter lock (`serve_mix`: 98 ms beside
-#: another, 25 ms alone), so the runners overlap admission, dispatch,
-#: cache I/O and responding; compute parallelism is ``pool="processes"``.
-#: Waiting for it is queue wait (a ``queued`` span, ``queue_wait_s``)
-#: bounded by the job's deadline; ``execute`` covers the solve alone.
-_BATON = threading.Lock()
 
 
 def execute_request(
@@ -132,8 +123,7 @@ def execute_request(
 
 
 def _run_item(item: WorkItem, name: str, served: Iterator[int],
-              capture=None, checkpoint_dir=None, want_trace: bool = False,
-              baton=None):
+              capture=None, checkpoint_dir=None, want_trace: bool = False):
     """Shared worker body: solve ``item`` on worker ``name``, honouring
     its deadline, into ``((status, payload), snapshot, spans)`` -- the
     solve's metrics snapshot and its lifecycle spans (an ``execute``
@@ -143,65 +133,49 @@ def _run_item(item: WorkItem, name: str, served: Iterator[int],
     ``served`` is the worker's own ``itertools.count()``: it yields how
     many requests the worker executed before this one, so a request is
     ``warm`` exactly when its worker had already run one -- whatever
-    the backend, chaos requests included.  ``baton``: :data:`_BATON`."""
+    the backend, chaos requests included."""
     from ..exec.futures import RunCancelled
     from ..obs.metrics import MetricRegistry
 
     seq, request, deadline, trace_id = item
     reg = MetricRegistry()
     log = SpanLog(origin=name)
-    held, waited, expired = None, 0.0, False
-    if baton is not None and request.config.backend != "processes":
-        held = baton
-        if not held.acquire(blocking=False):
-            t_wait = time.monotonic()
-            remaining = -1 if deadline is None else max(0.0, deadline - t_wait)
-            if not held.acquire(timeout=remaining):
-                held, expired = None, True
-            waited = time.monotonic() - t_wait
-            if trace_id is not None:
-                log.span(trace_id, "queued", t_wait, t_wait + waited,
-                         tenant=request.tenant, seq=seq, where="baton")
+    if deadline is not None and time.monotonic() >= deadline:
+        return (("expired", DeadlineExpired(
+            f"job {seq} expired before execution started")),
+            reg.snapshot(), log.spans)
+    exec_id = log.allocate(trace_id, "execute") if trace_id is not None else None
+    warm = next(served) > 0
+    start_kind = "warm" if warm else "cold"
+    reg.counter(
+        f"serve_pool_{start_kind}_starts_total",
+        f"requests executed on a {start_kind} pool worker", "starts",
+    ).inc(slot=name)
+    t0 = time.monotonic()
+    error = None
     try:
-        if expired or (deadline is not None and time.monotonic() >= deadline):
-            return (("expired", DeadlineExpired(
-                f"job {seq} expired before execution started")),
-                reg.snapshot(), log.spans)
-        exec_id = log.allocate(trace_id, "execute") if trace_id is not None else None
-        warm = next(served) > 0
-        start_kind = "warm" if warm else "cold"
-        reg.counter(
-            f"serve_pool_{start_kind}_starts_total",
-            f"requests executed on a {start_kind} pool worker", "starts",
-        ).inc(slot=name)
-        t0 = time.monotonic()
-        error = None
-        try:
-            if capture is not None:
-                capture.arm(seq)
-            outcome = execute_request(
-                request, metrics=reg,
-                on_executor=capture.seen if capture is not None else None,
-                checkpoint_dir=checkpoint_dir,
-                lifecycle=log if trace_id is not None else None,
-                trace_id=trace_id, parent_span_id=exec_id,
-                want_trace=want_trace,
-            )
-            outcome.warm, outcome.queue_wait_s = warm, waited
-            result = ("ok", outcome)
-        except RunCancelled:
-            error = "cancelled at deadline"
-            result = ("expired", DeadlineExpired(
-                f"job {seq} cancelled at its deadline mid-run"))
-        except Exception as exc:  # noqa: BLE001 - forwarded to the future
-            error = repr(exc)
-            result = ("error", exc)
-        finally:
-            if capture is not None:
-                capture.disarm()
+        if capture is not None:
+            capture.arm(seq)
+        outcome = execute_request(
+            request, metrics=reg,
+            on_executor=capture.seen if capture is not None else None,
+            checkpoint_dir=checkpoint_dir,
+            lifecycle=log if trace_id is not None else None,
+            trace_id=trace_id, parent_span_id=exec_id,
+            want_trace=want_trace,
+        )
+        outcome.warm = warm
+        result = ("ok", outcome)
+    except RunCancelled:
+        error = "cancelled at deadline"
+        result = ("expired", DeadlineExpired(
+            f"job {seq} cancelled at its deadline mid-run"))
+    except Exception as exc:  # noqa: BLE001 - forwarded to the future
+        error = repr(exc)
+        result = ("error", exc)
     finally:
-        if held is not None:
-            held.release()
+        if capture is not None:
+            capture.disarm()
     if trace_id is not None:
         attrs = {"seq": seq, "worker": name, "warm": warm}
         if error is not None:
@@ -272,7 +246,7 @@ class InProcessWorker:
         return _run_item(item, self.name, self._served,
                          capture=self._scope,
                          checkpoint_dir=self._checkpoint_dir,
-                         want_trace=self._want_trace, baton=_BATON)
+                         want_trace=self._want_trace)
 
     def cancel(self, seq: int | None = None) -> bool:
         return self._scope.cancel(seq)

@@ -507,8 +507,7 @@ class SolverService:
                 job.complete(replace(
                     outcome.with_tenant(job.tenant),
                     retries=job.extra.get("attempts", 0),
-                    queue_wait_s=(job.extra.get("queue_wait_s", 0.0)
-                                  + outcome.queue_wait_s),
+                    queue_wait_s=job.extra.get("queue_wait_s", 0.0),
                     trace_id=job.extra.get("trace_id"),
                 ))
                 self._finish_trace(job, "ok")

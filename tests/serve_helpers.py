@@ -53,34 +53,54 @@ class Gate:
     any thread but the one that armed it, a forked child included --
     until ``release`` is set, so a test can hold a request *in
     execution* and act on events instead of sleeping.  The events are
-    class attributes: a request crosses a pool child's pipe by pickle,
-    the events reach the child by fork."""
+    a class attribute, one pair per gate armed together: a request
+    crosses a pool child's pipe by pickle (the gate's slot), the events
+    reach the child by fork."""
 
-    owner = entered = release = None
+    owner = None
+    events: list = []
+
+    def __init__(self, slot: int) -> None:
+        self.slot = slot
 
     @classmethod
-    def arm(cls) -> "Gate":
+    def arm(cls, count: int = 1) -> list["Gate"]:
         event = (multiprocessing.get_context("fork").Event
                  if fork_available() else threading.Event)
         cls.owner = (os.getpid(), threading.get_ident())
-        cls.entered, cls.release = event(), event()
-        return cls()
+        cls.events = [(event(), event()) for _ in range(count)]
+        return [cls(slot) for slot in range(count)]
+
+    @property
+    def entered(self):
+        return self.events[self.slot][0]
+
+    @property
+    def release(self):
+        return self.events[self.slot][1]
 
     def __call__(self, rows, cols):
         me = (os.getpid(), threading.get_ident())
         if me != self.owner and not self.entered.is_set():
             self.entered.set()
             self.release.wait(60)
-        return 0.01 * rows + cols
+        return 0.01 * rows + cols + self.slot  # each gate its own signature
+
+
+def gated_problems(count: int, n=24, iterations=2) -> list[JacobiProblem]:
+    """``count`` problems whose solves each park in their first init
+    task (a problem's gate events are on its ``init``).  Build them
+    before the service forks the child that is to park; arming again
+    disarms the previous gates."""
+    return [JacobiProblem(n=n, iterations=iterations, init=gate,
+                          bc=DirichletBC(_bc),
+                          weights=StencilWeights.damped_jacobi(0.9))
+            for gate in Gate.arm(count)]
 
 
 def gated_problem(n=24, iterations=2) -> JacobiProblem:
-    """A problem whose solve parks in its first init task (the gate's
-    events are on the returned problem's ``init``).  Build it before
-    the service forks the child that is to park."""
-    return JacobiProblem(n=n, iterations=iterations, init=Gate.arm(),
-                         bc=DirichletBC(_bc),
-                         weights=StencilWeights.damped_jacobi(0.9))
+    """One of :func:`gated_problems`."""
+    return gated_problems(1, n, iterations)[0]
 
 
 def _request(problem, **overrides) -> SolveRequest:

@@ -212,9 +212,7 @@ def test_an_idle_node_holds_no_grid(monkeypatch):
     """A pool's node lets go of every build it inherited -- the one of
     the run it was forked for, and any grid this process still held --
     and maps each run's memfd for that run only: once the caller has let
-    go of a grid, no idle node maps or holds it.  (This process lets go
-    of the last run's when its pool closes: the watcher that keeps the
-    pool holds that run's executor.)"""
+    go of a grid, no idle node maps or holds it."""
     monkeypatch.setattr(pools, "IDLE_CLOSE", 60.0)  # idle while the test looks
     problem = picklable_problem(48, 4, seed=16)
     inodes, seen = [], []
@@ -244,6 +242,31 @@ def test_an_idle_node_holds_no_grid(monkeypatch):
         assert _pid_running(pid)
         held = grid_memfds(pid)
         assert not held & dropped and held <= mine, pid
+
+
+def test_an_idle_pool_does_not_keep_its_last_run_alive(monkeypatch):
+    """A kept pool's idle wait holds the pool, not the executor of its
+    last run: once the caller drops the result, this process maps no
+    grid of that run while the pool idles."""
+    monkeypatch.setattr(pools, "IDLE_CLOSE", 60.0)  # idle while the test looks
+    problem = picklable_problem(48, 4, seed=17)
+    close_pools()
+    inodes = []
+
+    def spy(executor):  # keeps the run's memfd inode, not the executor
+        inodes.append(os.fstat(executor.graph.recipe.fd).st_ino)
+
+    result = run(problem, backend="processes", impl="base-parsec", tile=6, procs=2,
+                 jobs=1, on_executor=spy)
+    assert np.array_equal(result.grid, problem.reference_solution())
+    pids = [proc.pid for proc in multiprocessing.active_children()]
+    assert len(pids) == 2
+    # the watcher ends once the run is reported (not asserted: at fault it lingers)
+    join_all([t for t in procs_threads() if t.name == "repro-procs-watch"], 5.0)
+    del result
+    gc.collect()
+    assert inodes[0] not in grid_memfds(os.getpid())
+    assert all(map(_pid_running, pids))  # the pool still idles
 
 
 # -- faults close the pool ------------------------------------------------------------
