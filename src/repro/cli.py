@@ -18,8 +18,6 @@ subcommand each, in ``--help`` order:
   report where the time moved (defaults to the Fig.-10 base-vs-CA
   configuration; ``--assert-comm-drop`` exits 1 unless CA shows a
   strictly lower communication share of critical-path time);
-* ``ir`` -- rewrite a task graph through an IR pass and
-  report the before/after evidence (see ``docs/ir.md``);
 * ``experiment`` -- regenerate one of the paper's tables/figures by
   registry id (``table1``, ``fig5`` ... ``headlines``);
 * ``serve`` -- run the persistent solver service against synthetic
@@ -46,7 +44,7 @@ import argparse
 import sys
 
 from .analysis.tables import format_table
-from .core.config import APPLIES, BACKENDS, IMPLEMENTATIONS, SERVE, RunConfig, pipeline_arg
+from .core.config import APPLIES, BACKENDS, IMPLEMENTATIONS, SERVE, RunConfig
 from .core.runner import run
 from .exec.backends import MEASURED_BACKENDS
 from .machine.machine import preset
@@ -119,8 +117,7 @@ def _add_stats_parser(sub: argparse._SubParsersAction) -> None:
              "perf-regression gate",
     )
     _add_problem_flags(p, n=256, iterations=8)
-    RunConfig.add_flags(p, omit=("passes",), auto=True,
-                        impl="ca-parsec", steps=4)
+    RunConfig.add_flags(p, auto=True, impl="ca-parsec", steps=4)
     p.add_argument("--check", default=None, metavar="FILE.json",
                    help="compare against a recorded baseline "
                         "(obs-baseline or BENCH_*.json); exit 1 on "
@@ -147,11 +144,7 @@ def _add_trace_diff_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--impl-b", choices=IMPLEMENTATIONS, default="ca-parsec")
     _add_problem_flags(p, n=23040, iterations=8, nodes=16)
     # ratio 0.2: the paper's profiled run is comm-bound.
-    RunConfig.add_flags(p, omit=("impl", "passes"), tile=288, ratio=0.2)
-    p.add_argument("--passes-a", default=None, metavar="SPEC", type=pipeline_arg,
-                   help="IR rewrite pass for side A")
-    p.add_argument("--passes-b", default=None, metavar="SPEC", type=pipeline_arg,
-                   help="IR rewrite pass for side B")
+    RunConfig.add_flags(p, omit=("impl",), tile=288, ratio=0.2)
     p.add_argument("--top", type=int, default=5,
                    help="task movers to list")
     p.add_argument("--assert-comm-drop", action="store_true",
@@ -293,7 +286,7 @@ def _add_chaos_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--seed", type=int, default=0,
                    help="plan seed recorded in the fingerprint")
     _add_problem_flags(p, n=192, iterations=24)
-    RunConfig.add_flags(p, omit=("ratio", "procs", "passes"),
+    RunConfig.add_flags(p, omit=("ratio", "procs"),
                         choices={"impl": APPLIES["tile"]},
                         impl="ca-parsec", tile=48, steps=4, backend="threads")
     p.add_argument("--max-restarts", type=int, default=3,
@@ -309,27 +302,6 @@ def _add_chaos_parser(sub: argparse._SubParsersAction) -> None:
                         "of the fault-free run")
 
 
-def _add_ir_parser(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "ir",
-        help="rewrite a task graph through an IR pass and report the "
-             "before/after evidence",
-    )
-    p.add_argument("--passes", required=True, metavar="SPEC", type=pipeline_arg,
-                   help="the pass: 'coarsen' or 'coarsen:factor=N'")
-    _add_problem_flags(p, n=192, iterations=8)
-    RunConfig.add_flags(p, omit=("backend", "jobs", "procs", "passes"),
-                        impl="ca-parsec", steps=4)
-    p.add_argument("--dot-before", default=None, metavar="FILE.dot",
-                   help="write the unrewritten graph as Graphviz dot")
-    p.add_argument("--dot-after", default=None, metavar="FILE.dot",
-                   help="write the rewritten graph as Graphviz dot")
-    p.add_argument("--trace-before", default=None, metavar="FILE.json",
-                   help="write the baseline's Chrome trace-event file")
-    p.add_argument("--trace-after", default=None, metavar="FILE.json",
-                   help="write the rewritten run's Chrome trace-event file")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     problem, machine = _problem_machine(args)
     config = RunConfig.from_args(
@@ -337,8 +309,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace=args.trace_out is not None,
     )
     result = run(problem, machine, **config.knobs())
-    if result.pass_reports is not None:
-        print(result.pass_reports.format())
     print(result.summary())
     if args.execute:
         import numpy as np
@@ -461,21 +431,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_diff_side(args: argparse.Namespace, impl: str,
-                   passes: str | None = None):
+def _run_diff_side(args: argparse.Namespace, impl: str):
     problem, machine = _problem_machine(args)
-    config = RunConfig.from_args(args, impl=impl, passes=passes, trace=True)
+    config = RunConfig.from_args(args, impl=impl, trace=True)
     return run(problem, machine, **config.knobs())
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
     from .obs.diff import diff_results
 
-    result_a = _run_diff_side(args, args.impl_a, args.passes_a)
-    result_b = _run_diff_side(args, args.impl_b, args.passes_b)
-    label_a = args.impl_a + (f"+{args.passes_a}" if args.passes_a else "")
-    label_b = args.impl_b + (f"+{args.passes_b}" if args.passes_b else "")
-    diff = diff_results(result_a, result_b, label_a=label_a, label_b=label_b)
+    result_a = _run_diff_side(args, args.impl_a)
+    result_b = _run_diff_side(args, args.impl_b)
+    diff = diff_results(result_a, result_b, label_a=args.impl_a, label_b=args.impl_b)
     print(result_a.summary())
     print(result_b.summary())
     print(diff.format(top=args.top))
@@ -502,43 +469,6 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
                   f"share of critical-path time ({-drop:+.1%} vs "
                   f"{args.impl_a})", file=sys.stderr)
             return 1
-    return 0
-
-
-def _cmd_ir(args: argparse.Namespace) -> int:
-    problem, machine = _problem_machine(args)
-    want_trace = bool(args.trace_before or args.trace_after)
-    config = RunConfig.from_args(args, trace=want_trace)
-    baseline = run(problem, machine, **config.replace(passes=None).knobs())
-    rewritten = run(problem, machine, **config.knobs())
-
-    print(rewritten.pass_reports.format())
-    delta = rewritten.elapsed - baseline.elapsed
-    rel = delta / baseline.elapsed if baseline.elapsed > 0 else 0.0
-    print(f"baseline : makespan {baseline.elapsed * 1e3:.3f} ms, "
-          f"{baseline.messages} msgs")
-    print(f"rewritten: makespan {rewritten.elapsed * 1e3:.3f} ms, "
-          f"{rewritten.messages} msgs")
-    print(f"makespan delta: {delta * 1e3:+.3f} ms ({rel:+.1%})")
-
-    if args.dot_before or args.dot_after:
-        from .runtime.dot import write_dot
-
-        if args.dot_before:
-            write_dot(baseline.graph, args.dot_before)
-            print(f"baseline graph written to {args.dot_before}")
-        if args.dot_after:
-            write_dot(rewritten.graph, args.dot_after)
-            print(f"rewritten graph written to {args.dot_after}")
-    if want_trace:
-        from .obs import export
-
-        if args.trace_before:
-            export.write(baseline.trace, args.trace_before)
-            print(f"baseline trace written to {args.trace_before}")
-        if args.trace_after:
-            export.write(rewritten.trace, args.trace_after)
-            print(f"rewritten trace written to {args.trace_after}")
     return 0
 
 
@@ -823,7 +753,6 @@ COMMANDS = {
     "tune": (_add_tune_parser, _cmd_tune),
     "stats": (_add_stats_parser, _cmd_stats),
     "trace-diff": (_add_trace_diff_parser, _cmd_trace_diff),
-    "ir": (_add_ir_parser, _cmd_ir),
     "experiment": (_add_experiment_parser, _cmd_experiment),
     "serve": (_add_serve_parser, _cmd_serve),
     "submit": (_add_submit_parser, _cmd_submit),

@@ -13,8 +13,8 @@ The rule "PETSc has no tile/steps/ratio, base-parsec has no CA step"
 lives in :data:`APPLIES` and nowhere else.
 
 Import-light by contract (stdlib and the two registries below; no
-numpy, and :mod:`repro.ir` only once a config names a pass):
-the benchmark's ``setup_s`` pays for whatever this module imports.
+numpy): the benchmark's ``setup_s`` pays for whatever this module
+imports.
 """
 
 from __future__ import annotations
@@ -72,21 +72,6 @@ def default_tile(problem, machine) -> int:
 def int_or_auto(value: str) -> int | str:
     """CLI type of the knobs the tuner can own: an integer or 'auto'."""
     return value if value == "auto" else int(value)
-
-
-def pipeline_arg(value: str) -> str:
-    """CLI type of ``--passes``: a pass spec that parses, kept as
-    spelled; one that does not is a usage error (exit 2) naming the
-    pass there is."""
-    from ..ir import canonical_pipeline
-
-    try:
-        canonical_pipeline(value)
-    except ValueError as exc:
-        import argparse
-
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
 
 
 def _knob(default, doc: str, role: str = SCHEDULE, faces: tuple = (),
@@ -159,11 +144,6 @@ class RunConfig:
     boundary_priority: bool = _knob(
         True, "schedule node-boundary tiles first (no effect on 'threads', "
               "which runs the grid as one node block)")
-    passes: str | None = _knob(
-        None, "IR rewrite pass applied to the built graph, "
-              "'coarsen[:factor=N]' (see docs/ir.md); canonicalised "
-              "on construction",
-        ANSWER, (SERVE,), dict(metavar="SPEC", type=pipeline_arg))
     mode: str = _knob(
         "simulate", "fidelity of backend 'sim': 'simulate' = timing-only "
                     "graph, any problem size; 'execute' = real kernels on "
@@ -212,12 +192,6 @@ class RunConfig:
                     f"backend={self.backend!r}"
                 )
             _check_count("procs", self.procs, "process count")
-        if self.passes is not None:
-            # Parsed up front so a typo fails here, not after the build,
-            # and equivalent spellings share one signature.
-            from ..ir import canonical_pipeline
-
-            object.__setattr__(self, "passes", canonical_pipeline(self.passes))
 
     # -- derived views ---------------------------------------------------
 

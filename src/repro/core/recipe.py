@@ -35,7 +35,7 @@ class Recipe:
     build's memfd.  A build makes one only where the host has
     ``os.memfd_create``; it describes the graph it came with for as
     long as every task still runs this build's kernels (chaos wraps
-    them, a rewrite makes other tasks) and the descriptor is open."""
+    them) and the descriptor is open."""
 
     key: tuple
     problem: JacobiProblem

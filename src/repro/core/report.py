@@ -36,10 +36,6 @@ class RunResult:
     #: path, trace diffing) can join the trace back onto its
     #: dependencies without rebuilding the graph.
     graph: TaskGraph | None = None
-    #: The :class:`repro.ir.PassReport` when the run rewrote the graph
-    #: through ``passes=...`` -- the pass's before/after census
-    #: evidence; None for an unrewritten run.
-    pass_reports: Any = None
 
     @property
     def elapsed(self) -> float:

@@ -1,9 +1,9 @@
 """Unified front door: run any of the three implementations.
 
 ``run(problem, machine, impl=..., ...)`` validates the knobs (one
-:class:`~repro.core.config.RunConfig`), builds the task graph, rewrites
-it through any IR passes, attaches chaos, makes the executor for the
-selected backend, runs it and assembles a
+:class:`~repro.core.config.RunConfig`), builds the task graph,
+attaches chaos, makes the executor for the selected backend, runs it
+and assembles a
 :class:`~repro.core.report.RunResult`.  Two orthogonal knobs select
 how much is real: ``mode`` (the fidelity of the *simulated* backend --
 timing-only, which is what the benchmark sweeps use, or real kernels)
@@ -40,23 +40,6 @@ def _publish_critpath(metrics, report, graph) -> None:
 
     publish_critpath_metrics(metrics, critical_path(report.trace, graph))
     report.metrics = metrics.snapshot()
-
-
-def _publish_ir_metrics(metrics, report) -> None:
-    """Mirror what the rewrite bought into the registry: the pass
-    applied and the remote messages it saved (never negative: the pass
-    declares ``remote_messages_not_increased``).  Its task, edge and
-    byte deltas are fields of ``result.pass_reports``."""
-    if metrics is None:
-        return
-    labels = {"pass": report.name}
-    metrics.counter(
-        "ir_pass_applied", help="rewrite passes applied"
-    ).inc(1, **labels)
-    metrics.counter(
-        "ir_pass_messages_saved",
-        help="remote messages removed by rewrite passes",
-    ).inc(report.messages_saved, **labels)
 
 
 def _publish_census(metrics, graph) -> None:
@@ -122,16 +105,6 @@ def _build(problem: JacobiProblem, machine: MachineSpec, config: RunConfig):
     if config.backend == "sim":  # the machine model prices the paper's tasks
         built = built.per_tile()
     return built, params
-
-
-def _rewrite(built, config: RunConfig, metrics):
-    """Run the pass ``config.passes`` names over the built graph;
-    returns the rewritten build and its :class:`~repro.ir.PassReport`."""
-    from ..ir import apply_pass, parse_pipeline
-
-    built, report = apply_pass(parse_pipeline(config.passes), built)
-    _publish_ir_metrics(metrics, report)
-    return built, report
 
 
 def _make_executor(graph, machine: MachineSpec, config: RunConfig,
@@ -217,27 +190,12 @@ def run(
     before the backend runs it.  A fault-free run pays nothing -- the
     backends only consult the context when one is attached.
 
-    ``passes`` rewrites the built graph through the one IR pass it
-    names (:mod:`repro.ir`) before any backend sees it --
-    ``passes="coarsen:factor=4"``.  The pass is verified against its
-    declared invariants, its evidence lands in
-    ``result.pass_reports``, and the canonical spec is recorded in
-    ``result.params["passes"]``.  Mutually exclusive with
-    ``chaos`` (fault hooks instrument the original kernels, which a
-    rewrite may merge away).
-
     Everything is validated here, before any graph is built or any
     tuning run is spent, so a typo fails with the list of choices
     instead of a confusing error deep in graph construction.
     """
     # validate
     config = RunConfig(**knobs)
-    if config.passes is not None and chaos is not None:
-        raise ValueError(
-            "passes and chaos cannot combine: chaos instruments the "
-            "builder's original kernels and checkpoint boundaries, which "
-            "a rewrite pass may merge or wrap away"
-        )
     if chaos is not None and not config.with_kernels:
         raise ValueError(
             "chaos needs executable kernels; use mode='execute' or a "
@@ -262,16 +220,12 @@ def run(
         machine = machine.with_nodes(config.procs)
     config = config.resolved(problem, machine)
 
-    # build -> rewrite -> attach chaos
+    # build -> attach chaos
     built, impl_params = _build(problem, machine, config)
     recipe = built.graph.recipe  # the build's memfd: closed once the run ends
     params.update(impl_params, overlap=config.overlap)
     if config.with_kernels:
         params["kernel"] = active_kernel()  # "c", or the numpy fallback
-    pass_report = None
-    if config.passes is not None:
-        built, pass_report = _rewrite(built, config, metrics)
-        params["passes"] = config.passes
     if metrics is not None:
         _publish_census(metrics, built.graph)
     if chaos is not None:
@@ -300,5 +254,4 @@ def run(
         params=params,
         grid=built.assemble_grid(report.results) if config.with_kernels else None,
         graph=built.graph,
-        pass_reports=pass_report,
     )

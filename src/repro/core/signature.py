@@ -134,17 +134,6 @@ def problem_content_key(problem: Any) -> dict:
     return doc
 
 
-def passes_token(passes: Any) -> str | None:
-    """The key token of a ``passes`` spec: its canonical spelling
-    (:func:`repro.ir.canonical_pipeline`), ``None`` for no rewrite.
-    The import waits for a spec, so the module stays import-light."""
-    if not passes:
-        return None
-    from ..ir import canonical_pipeline
-
-    return canonical_pipeline(passes)
-
-
 def solve_signature(
     problem: Any,
     machine: Any,
@@ -176,7 +165,6 @@ __all__ = [
     "array_digest",
     "fingerprint_dataclass",
     "machine_fingerprint",
-    "passes_token",
     "problem_content_key",
     "problem_signature",
     "solve_signature",

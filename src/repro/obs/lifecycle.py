@@ -1,14 +1,14 @@
 """Request-scoped lifecycle tracing, SLO accounting and the flight
 recorder of the solver service -- a request's life through the serve
-layer (admission, queue wait, dispatch, rewrite passes, execution,
-retries, checkpoint recovery, response), where execution-level tracing
+layer (admission, queue wait, dispatch, execution, retries,
+checkpoint recovery, response), where execution-level tracing
 (:mod:`repro.runtime.trace`) stops at task kernels:
 
 * **Lifecycle spans.**  Every admitted request gets a deterministic
   ``trace_id`` (:func:`request_trace_id`, the one digest a request
   costs); the serve layers record slotted :class:`LifeSpan` records
   (``admit``, ``cache_probe``, ``queued``, ``dispatch``,
-  ``ir_passes``, ``execute``, ``retry``, ``recover``, ``respond``)
+  ``execute``, ``retry``, ``recover``, ``respond``)
   into a :class:`LifecycleTracer`, whose span ids become hex only when
   an export or a dump reads them.  Workers -- forked ``ProcessWorker``
   children too -- record into a :class:`SpanLog` that ships back over
@@ -204,7 +204,7 @@ class SpanLog:
     def allocate(self, trace_id: str, name: str) -> SpanRef:
         """Reserve the next span id of ``trace_id`` without recording
         yet -- lets a parent hand its id to children it is about to
-        run (``execute`` parents ``ir_passes`` / ``recover``)."""
+        run (``execute`` parents ``recover``)."""
         index = self._n.get(trace_id, 0)
         self._n[trace_id] = index + 1
         return SpanRef(trace_id, self.origin, name, index)

@@ -17,9 +17,6 @@ they were write-only.  This module closes the loop:
   benches behind ``BENCH_tuning.json`` so the gate can re-measure the
   recorded sections; a section whose recorded problem size does not
   match the current scaling mode is skipped, not failed.
-* :func:`measure_ir_passes` re-runs the simulated before/after
-  comparison behind ``BENCH_ir.json`` (rewrite-pass pipelines from
-  ``repro.ir``); the same runner dispatch re-measures its sections.
 
 The CLI face is ``repro stats --check FILE`` (exit 1 on regression),
 wired as the opt-in ``regression-gate`` CI job.
@@ -42,7 +39,6 @@ __all__ = [
     "flatten",
     "load_baseline",
     "measure_bench_tuning",
-    "measure_ir_passes",
     "metrics_from_result",
     "metrics_from_serve",
     "write_baseline",
@@ -293,55 +289,6 @@ def write_baseline(path: str | Path, doc: Mapping[str, Any]) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def measure_ir_passes(
-    n: int = 192,
-    tile: int = 12,
-    nodes: int = 4,
-    steps: int = 4,
-    iterations: int = 8,
-    impl: str = "ca-parsec",
-    passes: str = "coarsen:factor=4",
-) -> dict[str, float]:
-    """Deterministic simulated before/after comparison for a rewrite
-    pass: the measurement behind ``BENCH_ir.json``.
-
-    Runs the same problem twice on the simulated backend -- once as
-    built, once through ``passes`` -- and returns flat metrics whose
-    names carry :func:`direction` hints, so the gate catches a pass
-    that stops saving messages, critical-path comm/queue blame, or
-    makespan.
-    """
-    from ..core.runner import run
-    from ..machine.machine import nacl
-    from ..stencil.problem import JacobiProblem
-    from .critpath import COMM_BLAMES, critical_path
-
-    machine = nacl(nodes)
-    problem = JacobiProblem(n=n, iterations=iterations)
-    base = run(problem, impl=impl, machine=machine, tile=tile, steps=steps,
-               trace=True)
-    opt = run(problem, impl=impl, machine=machine, tile=tile, steps=steps,
-              trace=True, passes=passes)
-
-    def comm_queue_blame(result: Any) -> float:
-        blames = critical_path(result.trace, result.graph).blame_seconds
-        return (sum(blames.get(b, 0.0) for b in COMM_BLAMES)
-                + blames.get("queue", 0.0))
-
-    return {
-        "makespan_base_seconds": base.elapsed,
-        "makespan_ir_seconds": opt.elapsed,
-        "pipeline_speedup": base.elapsed / opt.elapsed,
-        "remote_messages_base": float(base.messages),
-        "remote_messages_ir": float(opt.messages),
-        "comm_blame_base_seconds": comm_queue_blame(base),
-        "comm_blame_ir_seconds": comm_queue_blame(opt),
-        "tasks_base": float(len(base.graph)),
-        "tasks_ir": float(len(opt.graph)),
-        "saved_msg_count": float(opt.pass_reports.messages_saved),
-    }
-
-
 def measure_bench_tuning(
     baseline: Mapping[str, float],
     sections: list[str] | None = None,
@@ -397,24 +344,10 @@ def measure_bench_tuning(
         measured[f"{section}.runs_used"] = float(result.runs_used)
         measured[f"{section}.winner_steps"] = float(result.winner.steps)
 
-    def ir(section: str, impl: str) -> None:
-        metrics = measure_ir_passes(
-            n=int(baseline.get(f"{section}.problem_n", 192)),
-            tile=int(baseline.get(f"{section}.tile", 12)),
-            nodes=int(baseline.get(f"{section}.nodes", 4)),
-            steps=int(baseline.get(f"{section}.steps", 4)),
-            iterations=int(baseline.get(f"{section}.iterations", 8)),
-            impl=impl,
-        )
-        for key, value in metrics.items():
-            measured[f"{section}.{key}"] = value
-
     runners = {
         "fig6_nacl": lambda s: fig6(s, NACL),
         "fig6_stampede2": lambda s: fig6(s, STAMPEDE2),
         "fig9_nacl_16n_r02": fig9,
-        "ir_coarsen": lambda s: ir(s, "ca-parsec"),
-        "ir_coarsen_base": lambda s: ir(s, "base-parsec"),
     }
     for section in sorted(wanted):
         runner = runners.get(section)

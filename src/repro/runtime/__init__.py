@@ -18,7 +18,7 @@ Layers:
 * :mod:`~repro.runtime.trace` -- PaRSEC-profiling-style trace capture.
 
 Names resolve on first access (:mod:`repro._lazy`): a real backend
-loads neither the engine nor the DOT exporter.
+does not load the engine.
 """
 
 from .._lazy import lazy_exports
@@ -37,7 +37,6 @@ _EXPORTS = {
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
-    "dot",
     "EdgeCensus",
     "Engine",
     "EngineReport",

@@ -247,8 +247,7 @@ class TaskGraph:
     def topological_order(self) -> list[TaskKey]:
         """Every task key in dependency order (producers first).
 
-        The IR rewrite passes walk this to compute topological levels;
-        a cycle (possible when the graph was finalized with
+        A cycle (possible when the graph was finalized with
         ``validate=False``) raises rather than returning a silently
         truncated order."""
         if not self._finalized:

@@ -77,9 +77,9 @@ def execute_request(
     earlier attempt died (the service's retry budget drives the
     re-submission; this function never loops).
 
-    ``lifecycle``/``trace_id`` record request-scoped spans (an
-    ``ir_passes`` child when the request carried a rewrite pass)
-    under ``parent_span_id``; ``want_trace`` captures the
+    ``lifecycle``/``trace_id`` record request-scoped spans (a
+    chaos request's ``recover`` children) under ``parent_span_id``;
+    ``want_trace`` captures the
     execution-level trace on the outcome for the combined timeline.
     """
     from ..core.runner import run
@@ -95,24 +95,10 @@ def execute_request(
         )
 
     config = request.config.replace(trace=want_trace)
-    t0 = time.monotonic()
     result = run(
         request.problem, request.machine, metrics=metrics,
         on_executor=on_executor, **config.knobs(),
     )
-    if (
-        lifecycle is not None and trace_id is not None
-        and result.pass_reports is not None
-    ):
-        # The rewrite happened first inside run(); its measured wall
-        # time anchors the span at the front of the execute window.
-        pr = result.pass_reports
-        lifecycle.span(
-            trace_id, "ir_passes", t0, t0 + pr.elapsed_s,
-            tenant=request.tenant, parent_span_id=parent_span_id,
-            spec=pr.spec, tasks_removed=pr.tasks_removed,
-            messages_saved=pr.messages_saved,
-        )
     return outcome_from_result(
         result,
         signature=request.signature(),
@@ -127,8 +113,8 @@ def _run_item(item: WorkItem, name: str, served: Iterator[int],
     """Shared worker body: solve ``item`` on worker ``name``, honouring
     its deadline, into ``((status, payload), snapshot, spans)`` -- the
     solve's metrics snapshot and its lifecycle spans (an ``execute``
-    span when traced, parenting any ``ir_passes``/``recover`` children
-    the run recorded).
+    span when traced, parenting any ``recover`` children the run
+    recorded).
 
     ``served`` is the worker's own ``itertools.count()``: it yields how
     many requests the worker executed before this one, so a request is

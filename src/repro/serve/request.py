@@ -76,7 +76,7 @@ class SolveRequest:
     """One solve the service should perform.
 
     The solve-shape knobs (``impl``, ``tile``, ``steps``, ``ratio``,
-    ``passes``, ``backend``, ``jobs``, ``policy`` -- the ``SERVE``
+    ``backend``, ``jobs``, ``policy`` -- the ``SERVE``
     knobs of :class:`~repro.core.config.RunConfig`) are given as
     keywords, validated on construction and carried as ``config``;
     ``request.impl`` etc. read through to it.  Serving always executes
@@ -136,11 +136,6 @@ class SolveRequest:
         if retries is not None and retries < 0:
             raise ValueError(f"retries cannot be negative, got {retries}")
         if chaos_plan is not None:
-            if config.passes is not None:
-                raise ValueError(
-                    "passes and chaos_plan cannot combine (the rewrite "
-                    "may merge the kernels chaos instruments)"
-                )
             # Validate at admission, not deep inside a worker.
             from ..chaos.plan import parse_plan
 
@@ -154,7 +149,7 @@ class SolveRequest:
 
     def __getattr__(self, name: str) -> Any:
         # Only reached for names that are not fields: knob reads
-        # (request.impl, request.passes...) answer from the config.
+        # (request.impl, request.tile...) answer from the config.
         if name in SERVE_KNOBS:
             return getattr(self.config, name)
         raise AttributeError(name)
@@ -181,10 +176,7 @@ class SolveRequest:
         bit-identical solution grids.  Only the ``ANSWER`` knobs that
         apply to the implementation enter (schedule knobs -- policy,
         jobs, backend -- are deliberately excluded; the conformance
-        suite proves they cannot change the answer).  Conservative on
-        ``passes``: structural passes provably keep the grid
-        bit-identical, but a rewritten request never shares a cache
-        entry with an unrewritten one."""
+        suite proves they cannot change the answer)."""
         from ..core.signature import solve_signature
 
         params = {

@@ -610,14 +610,11 @@ class SolverService:
 
     @staticmethod
     def _failure_cause(exc: Exception) -> str:
-        from ..ir.core import PassError
         from ..runtime.report import NodeLostError
 
         for c in (exc, exc.__cause__):
             if isinstance(c, NodeLostError):
                 return "node-lost"
-            if isinstance(c, PassError):
-                return "pass-error"
             if isinstance(c, WorkerDied):
                 return "worker-died"
         return "failure"

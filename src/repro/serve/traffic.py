@@ -78,14 +78,12 @@ class CannedSession:
         return tally
 
     def force_fault(self, plan: str, timeout: float = 300.0) -> ServeError | None:
-        """Submit one zero-retry request under chaos ``plan`` (a rewrite
-        pass in ``knobs`` is dropped: it cannot combine with chaos).
+        """Submit one zero-retry request under chaos ``plan``.
         The point is the terminal failure -- it trips the flight
         recorder and burns the tenant's error budget -- so the error is
         returned, not raised; ``None`` means the request survived."""
-        knobs = {k: v for k, v in self.knobs.items() if k != "passes"}
         request = SolveRequest(self._fault_problem, tenant="chaos",
-                               chaos_plan=plan, retries=0, **knobs)
+                               chaos_plan=plan, retries=0, **self.knobs)
         try:
             self.service.submit(request).result(timeout)
         except ServeError as exc:

@@ -101,12 +101,7 @@ class TuningCache:
         if entry is None or not all(f in entry for f in REQUIRED_FIELDS):
             return None
         if entry.get("passes"):
-            from ..ir import canonical_pipeline
-
-            try:
-                canonical_pipeline(entry["passes"])
-            except ValueError:
-                return None  # a spec this version refuses: re-tune
+            return None  # won under a graph rewrite there no longer is: re-tune
         return entry
 
     def put(
@@ -166,6 +161,4 @@ class TuningCache:
             policy=str(entry["policy"]),
             overlap=bool(entry["overlap"]),
             boundary_priority=bool(entry["boundary_priority"]),
-            # Entries written before the IR pass axis carry no field.
-            passes=str(entry.get("passes", "") or ""),
         )

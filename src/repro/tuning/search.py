@@ -70,7 +70,6 @@ class Trial:
             "policy": self.candidate.policy,
             "overlap": self.candidate.overlap,
             "boundary_priority": self.candidate.boundary_priority,
-            "passes": self.candidate.passes or None,
             "backend": self.backend,
             "fidelity": self.fidelity,
             "gflops": self.gflops,

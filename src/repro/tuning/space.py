@@ -53,17 +53,12 @@ class Candidate:
     policy: str = "priority"
     overlap: bool = True
     boundary_priority: bool = True
-    #: IR rewrite pass spec ("" = no rewrite); see repro.ir.
-    passes: str = ""
 
     def run_kwargs(self, impl: str) -> dict:
         """The runner keyword arguments this candidate selects: its
-        fields, minus what ``impl`` has no use for and an empty
-        pass spec."""
+        fields, minus what ``impl`` has no use for."""
         kwargs = applicable({"impl": impl, **asdict(self)})
         del kwargs["impl"]
-        if not self.passes:
-            del kwargs["passes"]
         return kwargs
 
     def label(self) -> str:
@@ -76,8 +71,6 @@ class Candidate:
             parts.append("no-overlap")
         if not self.boundary_priority:
             parts.append("no-bprio")
-        if self.passes:
-            parts.append(f"passes={self.passes}")
         return " ".join(parts)
 
 
@@ -131,13 +124,6 @@ def invalid_reason(
             f"unknown policy {candidate.policy!r}; "
             f"choices: {tuple(sorted(POLICIES))}"
         )
-    if candidate.passes:
-        from ..ir import PassError, parse_pipeline
-
-        try:
-            parse_pipeline(candidate.passes)
-        except PassError as exc:
-            return f"bad pass spec {candidate.passes!r}: {exc}"
     return None
 
 
@@ -178,8 +164,6 @@ class SearchSpace:
     policies: tuple[str, ...] = ("priority",)
     overlaps: tuple[bool, ...] = (True,)
     boundary_priorities: tuple[bool, ...] = (True,)
-    #: IR pass specs to cross in ("" = no rewrite).
-    pipelines: tuple[str, ...] = ("",)
     require_divisible: bool = True
 
     def __post_init__(self) -> None:
@@ -191,7 +175,6 @@ class SearchSpace:
         return (
             len(self.tiles) * len(self.steps) * len(self.policies)
             * len(self.overlaps) * len(self.boundary_priorities)
-            * len(self.pipelines)
         )
 
     def all_candidates(self) -> Iterator[Candidate]:
@@ -199,7 +182,6 @@ class SearchSpace:
         combos = product(
             sorted(self.tiles), sorted(self.steps), sorted(self.policies),
             sorted(self.overlaps), sorted(self.boundary_priorities),
-            sorted(self.pipelines),
         )
         for combo in combos:  # axis order == Candidate field order
             yield Candidate(*combo)
@@ -290,17 +272,11 @@ class SearchSpace:
         policies = tuple(sorted(POLICIES)) if wide else ("priority",)
         overlaps = (False, True) if wide else (True,)
         bprios = (False, True) if wide else (True,)
-        # The IR rewrite ladder: no rewrite and two coarsening
-        # granularities.
-        pipelines = (
-            ("", "coarsen:factor=4", "coarsen:factor=8") if wide else ("",)
-        )
         return cls(
             tiles=_thin_geometric(tiles, max_tiles),
             steps=steps,
             policies=policies,
             overlaps=overlaps,
             boundary_priorities=bprios,
-            pipelines=pipelines,
             require_divisible=require_divisible,
         )

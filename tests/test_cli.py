@@ -150,14 +150,13 @@ def test_stats_section_serve_writes_and_checks_baseline(tmp_path, capsys):
 #: with the extra argv it cannot parse without.
 RUN_SHAPED = {
     "run": [], "stats": [], "trace-diff": [],
-    "ir": ["--passes", "coarsen"], "chaos": ["--plan", "kill:node=1,step=1"],
+    "chaos": ["--plan", "kill:node=1,step=1"],
     "serve": [], "submit": [], "slo": [],
 }
 #: A non-default value per knob flag, so a mis-wired flag cannot hide
 #: behind a default.
 FLAG_VALUES = {"impl": "ca-parsec", "tile": 12, "steps": 2, "ratio": 0.5,
-               "policy": "fifo", "backend": "threads", "jobs": 1,
-               "passes": "coarsen:factor=2"}
+               "policy": "fifo", "backend": "threads", "jobs": 1}
 
 
 @pytest.mark.parametrize("command", RUN_SHAPED)
@@ -191,8 +190,6 @@ def test_run_shaped_flags_are_runconfig_knobs(command):
 
     problem, machine = JacobiProblem(n=48, iterations=4), nacl(4)
     keywords = {**extra, **given}
-    if command == "ir":
-        keywords["passes"] = "coarsen"
     from_flags = run(problem, machine, **config.knobs())
     from_keywords = run(problem, machine=machine, **keywords)
     assert from_flags.params == from_keywords.params

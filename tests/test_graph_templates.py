@@ -13,7 +13,6 @@ import sys
 import threading
 import types
 import weakref
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from repro.stencil.variable import VariableStencilWeights
 
 from .conftest import join_all, random_problem
 from .test_exchange_plan import _NoCorners
-from .test_seams import slab_cells
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -215,33 +213,6 @@ def test_a_chaos_run_leaves_the_template_and_the_next_run_clean(backend):
     assert _plain_kernels(again.graph)  # no chaos wrapper, no inflated cost
     assert facts(again.graph) == facts(clean.graph)
     assert np.array_equal(again.grid, second.reference_solution())
-
-
-#: (pass, backend): on the simulator ``coarsen`` merges the paper's
-#: per-tile tasks; on ``threads`` the grid is one node block, which it
-#: rewrites too once the block is cut into row slabs -- a sweep's slabs
-#: share a level -- so that case cuts a slab per tile row, and is named
-#: ``slabs``.
-@pytest.mark.parametrize("passes,backend", [("coarsen", "sim"),
-                                            pytest.param("coarsen", "threads", id="slabs")])
-def test_a_rewritten_run_leaves_the_template_and_the_next_run_clean(passes, backend):
-    knobs = dict(impl="base-parsec", tile=6, mode="execute", backend=backend)
-    if backend != "sim":
-        knobs["jobs"] = 1
-    first, second = random_problem(24, 6, seed=3), random_problem(24, 6, seed=4)
-    with slab_cells(1) if backend == "threads" else nullcontext():
-        clean = run(first, nacl(4), **knobs)
-        retained = retained_facts()
-        rewritten = run(first, nacl(4), passes=passes, **knobs)
-        assert np.array_equal(rewritten.grid, clean.grid)
-        assert facts(rewritten.graph) != facts(clean.graph)
-        after = retained_facts()
-        assert {key: after[key] for key in retained} == retained
-        again = run(second, nacl(4), **knobs)
-        assert _plain_kernels(again.graph) and facts(again.graph) == facts(clean.graph)
-        assert np.array_equal(again.grid, second.reference_solution())
-        # ... and the rewritten run's build hits the memo the second time round.
-        assert np.array_equal(run(second, nacl(4), passes=passes, **knobs).grid, again.grid)
 
 
 # -- (d) what a template may keep alive -------------------------------------

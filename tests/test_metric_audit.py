@@ -13,8 +13,7 @@ import metric_audit  # noqa: E402
 
 #: The catalog tables: every markdown table in these files whose first
 #: header cell is ``metric``.
-CATALOGS = ("docs/observability.md", "docs/serving.md", "docs/chaos.md",
-            "docs/ir.md")
+CATALOGS = ("docs/observability.md", "docs/serving.md", "docs/chaos.md")
 
 
 def test_every_series_has_a_reader_outside_its_emitter_and_the_docs():

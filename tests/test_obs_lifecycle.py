@@ -107,14 +107,14 @@ def test_worker_span_log_allocate_then_adopt():
     log = SpanLog("worker-3")
     tid = request_trace_id(SIG, 5)
     exec_id = log.allocate(tid, "execute")
-    log.span(tid, "ir_passes", 1.0, 1.2, parent_span_id=exec_id)
+    log.span(tid, "recover", 1.0, 1.2, parent_span_id=exec_id)
     log.span(tid, "execute", 1.0, 2.0, span_id=exec_id, worker="worker-3")
     tracer = LifecycleTracer()
     tracer.begin(SIG, 5, t_admit=0.5)
     tracer.adopt(log.spans)
     by_name = {s.name: s for s in tracer.spans_of(tid)}
     assert by_name["execute"].span_id == exec_id
-    assert by_name["ir_passes"].parent_span_id == exec_id
+    assert by_name["recover"].parent_span_id == exec_id
 
 
 # -- the flight recorder -------------------------------------------------

@@ -1,12 +1,8 @@
-"""ASCII plotting and DOT export utilities."""
+"""ASCII plotting."""
 
 import pytest
 
 from repro.analysis.asciiplot import plot
-from repro.machine.machine import nacl
-from repro.runtime.dot import to_dot, write_dot
-from repro.runtime.graph import TaskGraph
-from repro.runtime.task import Flow
 
 
 def test_plot_basic_shape():
@@ -55,47 +51,3 @@ def test_plot_fig5_series():
                title="Fig. 5 (ASCII)")
     assert out.startswith("Fig. 5 (ASCII)")
 
-
-def make_graph():
-    g = TaskGraph()
-    g.add_task(("t", 0), node=0, out_nbytes={"o": 8}, kind="init")
-    g.add_task(("t", 1), node=0, inputs=(Flow(("t", 0), "o", 8),), kind="interior")
-    g.add_task(("t", 2), node=1, inputs=(Flow(("t", 0), "o", 8),), kind="boundary")
-    return g.finalize()
-
-
-def test_dot_structure():
-    dot = to_dot(make_graph())
-    assert dot.startswith("digraph")
-    assert "cluster_node0" in dot and "cluster_node1" in dot
-    assert "fillcolor=salmon" in dot  # boundary kind
-    assert "color=red" in dot  # the remote edge
-    assert dot.count("->") == 2
-
-
-def test_dot_requires_finalized_and_caps_size():
-    g = TaskGraph()
-    g.add_task("a", node=0)
-    with pytest.raises(ValueError, match="finalize"):
-        to_dot(g)
-    g.finalize()
-    with pytest.raises(ValueError, match="capped"):
-        to_dot(g, max_tasks=0)
-
-
-def test_write_dot_roundtrip(tmp_path):
-    path = tmp_path / "g.dot"
-    write_dot(make_graph(), str(path))
-    assert path.read_text().startswith("digraph")
-
-
-def test_dot_of_real_stencil_graph():
-    from repro.core.base_parsec import build_base_graph
-    from repro.stencil.problem import JacobiProblem
-
-    built = build_base_graph(JacobiProblem(n=8, iterations=2), nacl(4),
-                             tile=4, with_kernels=False)
-    dot = to_dot(built.graph)
-    # One tile per node: every exchange is a remote (deep) strip.
-    assert "dN:32B" in dot or "dS:32B" in dot
-    assert "color=red" in dot

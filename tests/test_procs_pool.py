@@ -361,7 +361,7 @@ def test_an_idle_pool_whose_parent_dies_unwinds():
 # -- what is not described forks, as before -----------------------------------------
 
 
-@pytest.mark.parametrize("case", ["closures", "chaos", "coarsen", "memfd"])
+@pytest.mark.parametrize("case", ["closures", "chaos", "memfd"])
 def test_what_cannot_be_described_leaves_no_child(case, monkeypatch):
     problem, knobs = picklable_problem(24, 4, seed=4), {}
     if case == "closures":
@@ -369,8 +369,6 @@ def test_what_cannot_be_described_leaves_no_child(case, monkeypatch):
     elif case == "chaos":
         plan = parse_plan("drop:src=0,dst=1,step=2,secs=0.01", seed=0)
         knobs["chaos"] = ChaosContext(FaultInjector(plan, s=1))
-    elif case == "coarsen":
-        knobs["passes"] = "coarsen:factor=2"
     else:
         monkeypatch.delattr(os, "memfd_create")
     close_pools()

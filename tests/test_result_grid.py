@@ -229,16 +229,11 @@ def test_non_square_grid_with_ragged_tiles(backend, steps):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("impl,passes", [
-    ("ca-parsec", "coarsen"),
-    ("base-parsec", "coarsen"),
-    ("ca-parsec", None),
-])
-def test_composites_keep_one_result_slot_per_final_tile(backend, impl, passes):
+# The id keeps the name the case had when a second parameter named a pass.
+@pytest.mark.parametrize("impl", [pytest.param("ca-parsec", id="ca-parsec-None")])
+def test_composites_keep_one_result_slot_per_final_tile(backend, impl):
     problem = random_problem(n=24, iterations=7, seed=12)
-    knobs = dict(impl=impl, tile=6, mode="execute", backend=backend, passes=passes)
-    if impl == "ca-parsec":
-        knobs["steps"] = 3
+    knobs = dict(impl=impl, tile=6, mode="execute", backend=backend, steps=3)
     if backend != "sim":
         knobs["jobs"] = 1
     result = run(problem, nacl(4), **knobs)

@@ -122,6 +122,24 @@ def test_counts_validated_before_any_tuning_run_is_spent(bad, monkeypatch):
             tune=True, **bad)
 
 
+@pytest.mark.parametrize("front_door", ["run", "SolveRequest", "cli"])
+def test_an_unknown_knob_is_refused_at_every_front_door(front_door, capsys):
+    """A knob there is not -- here ``passes``, the graph-rewrite knob
+    this version no longer has -- is an error, never silently dropped."""
+    if front_door == "cli":
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--passes", "coarsen"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --passes" in capsys.readouterr().err
+        return
+    from repro.serve import SolveRequest
+
+    with pytest.raises(TypeError, match="passes"):
+        (run if front_door == "run" else SolveRequest)(PROBLEM, passes="coarsen")
+
+
 def test_valid_arguments_still_run():
     result = run(PROBLEM, impl="base-parsec", machine=nacl(1), tile=8,
                  policy="fifo", mode="simulate")

@@ -54,7 +54,6 @@ from repro.exec import fork_available
 from repro.exec.executor import ThreadedExecutor
 from repro.exec.futures import RunCancelled
 from repro.exec.procs import ProcessExecutor
-from repro.ir import apply_pass, parse_pipeline
 from repro.machine.machine import nacl
 
 from .conftest import random_problem
@@ -429,7 +428,6 @@ CASES = {
                          "slabs"),
     "ca-steps3": (lambda: random_problem(n=64, iterations=7), 4, 8, 3, "per-tile"),
     "per-tile": (lambda: random_problem(n=64, iterations=6), 4, 8, 2, "per-tile"),
-    "coarsen": (lambda: random_problem(n=96, iterations=6), 4, 8, 1, "coarsen"),
     "processes": (lambda: random_problem(n=96, ncols=80, iterations=7), 4, 8, 3,
                   "processes"),
     # base's 1-deep landing slots on a 2 x 2 process grid, a slab per tile row
@@ -455,8 +453,6 @@ def test_no_cell_is_written_while_a_task_may_still_read_it(fast_switching, monke
             built = build(problem, procs, tile, steps)
             if how == "per-tile":
                 built = built.per_tile()
-            elif how == "coarsen":
-                built, _ = apply_pass(parse_pipeline(how), built)
             if how == "processes":
                 executor = ProcessExecutor(built.graph, procs=procs, jobs=2)
             else:

@@ -131,41 +131,32 @@ def test_tuning_cache_keys_via_shared_module():
 
 #: (request knobs, signature()) captured at the commit before RunConfig
 #: existed (c7ace3d): the refactor -- and any later one -- must not
-#: silently re-key the on-disk result cache.  The ``coarsen:factor=4``
-#: pins were captured at c01bcfd, the last commit with the ``fuse`` pass
-#: the earlier pins' pipeline named.
-PINNED = [
-    ({"impl": "petsc"},
-     "ac5d34ec5909a1d7ccc6d61c3d1e09bbe96694c4c711937767992ed8b69f21bb"),
-    ({"impl": "petsc", "passes": "coarsen:factor=4"},
-     "ec2de78c04ea530a4f755d7abf599c1196921f592728918b25bac6c30bd91dfc"),
-    ({"impl": "base-parsec"},
-     "1d20156556c2ce011e9ac769f83864d517e2115d0929d8f511e532db4c2eca6e"),
-    ({"impl": "base-parsec", "tile": 12},
-     "469d779b409ef39bc7798e6c53180e236a7cdd94789ff78b184ee001f8e89e9c"),
-    ({"impl": "base-parsec", "passes": "coarsen:factor=4"},
-     "fff4739a65827e0fbbf37560ed785821789b199c901052a1a3c3827a4c721e27"),
-    ({"impl": "base-parsec", "tile": 12, "passes": "coarsen:factor=4"},
-     "e156570cc020bfc30267266a9b9ba0f334e248156e701a8db95ec32e69617d1b"),
-    ({"impl": "ca-parsec", "steps": 3},
-     "54f89ae817465b8b65b9eebda41d0531eb3b28b131eefac976e4df28e276c26a"),
-    ({"impl": "ca-parsec", "tile": 12, "steps": 3},
-     "e09d837be46f84edf9e066a5ff7b36993fc42faf3ebcb7fd3d5ca5e000dc04c0"),
-    ({"impl": "ca-parsec", "steps": 3, "passes": "coarsen:factor=4"},
-     "91b032eadf42f0d36280c7269343511a5726efe1f33291f685dea7865f865048"),
-    ({"impl": "ca-parsec", "tile": 12, "steps": 3,
-      "passes": "coarsen:factor=4"},
-     "07401fb8ee3039f3e37bd1bb957767a8e0462a904cd6c08f03cb9631d471a74b"),
+#: silently re-key the on-disk result cache.  Keyed by the position each
+#: pin had in a longer list (with pins of the since-deleted ``passes``
+#: knob), so every test id stays as it was.
+PINNED = {
+    0: ({"impl": "petsc"},
+        "ac5d34ec5909a1d7ccc6d61c3d1e09bbe96694c4c711937767992ed8b69f21bb"),
+    2: ({"impl": "base-parsec"},
+        "1d20156556c2ce011e9ac769f83864d517e2115d0929d8f511e532db4c2eca6e"),
+    3: ({"impl": "base-parsec", "tile": 12},
+        "469d779b409ef39bc7798e6c53180e236a7cdd94789ff78b184ee001f8e89e9c"),
+    6: ({"impl": "ca-parsec", "steps": 3},
+        "54f89ae817465b8b65b9eebda41d0531eb3b28b131eefac976e4df28e276c26a"),
+    7: ({"impl": "ca-parsec", "tile": 12, "steps": 3},
+        "e09d837be46f84edf9e066a5ff7b36993fc42faf3ebcb7fd3d5ca5e000dc04c0"),
     # A chaos plan, tenant and schedule knobs never touch the signature
     # (it equals the plain tile=12/steps=3 one above).
-    ({"impl": "ca-parsec", "tile": 12, "steps": 3, "policy": "fifo",
-      "backend": "processes", "jobs": 2, "tenant": "t", "retries": 0,
-      "chaos_plan": "kill:node=1,step=1"},
-     "e09d837be46f84edf9e066a5ff7b36993fc42faf3ebcb7fd3d5ca5e000dc04c0"),
-]
+    10: ({"impl": "ca-parsec", "tile": 12, "steps": 3, "policy": "fifo",
+          "backend": "processes", "jobs": 2, "tenant": "t", "retries": 0,
+          "chaos_plan": "kill:node=1,step=1"},
+         "e09d837be46f84edf9e066a5ff7b36993fc42faf3ebcb7fd3d5ca5e000dc04c0"),
+}
 
 
-@pytest.mark.parametrize("knobs,signature", PINNED)
+@pytest.mark.parametrize("knobs,signature", [
+    pytest.param(knobs, signature, id=f"knobs{i}-{signature}")
+    for i, (knobs, signature) in PINNED.items()])
 def test_request_identity_is_pinned(knobs, signature):
     from repro.serve import SolveRequest
 

@@ -29,7 +29,6 @@ from repro.exec import fork_available, procs
 from repro.exec.executor import ThreadedExecutor
 from repro.exec.futures import RunCancelled
 from repro.exec.procs import ProcessExecutor
-from repro.ir import apply_pass, parse_pipeline
 from repro.machine.machine import nacl
 from repro.runtime.engine import Engine
 from repro.runtime.task import READY
@@ -95,20 +94,18 @@ BACKENDS = [
 
 @pytest.mark.timeout(120)
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("variant,passes", [
-    ("base", None),
-    ("ca", None),             # steps=4 does not divide the 10 iterations
-    ("ca", "coarsen"),
+# The ids keep the names the cases had when a second parameter named a pass.
+@pytest.mark.parametrize("variant", [
+    pytest.param("base", id="base-None"),
+    pytest.param("ca", id="ca-None"),  # steps=4 does not divide the 10 iterations
 ])
-def test_complete_run_pins_no_tile_memory_and_empties_the_store(backend, variant, passes):
+def test_complete_run_pins_no_tile_memory_and_empties_the_store(backend, variant):
     problem = random_problem(n=24, iterations=10, seed=3)
     machine = nacl(4)
     built = build(problem, machine, variant)
     if backend == "sim":
         built = built.per_tile()  # what the simulator runs
     ran = instrument(built)
-    if passes:
-        built, _ = apply_pass(parse_pipeline(passes), built)
     if backend == "sim":
         executor = Engine(built.graph, machine, execute=True)
     elif backend == "threads":
@@ -299,20 +296,18 @@ def test_node_buffers_die_with_the_run_result(backend, monkeypatch):
 
 
 @pytest.mark.timeout(120)
-@pytest.mark.parametrize("wrapped", ["plain", "chaos", "passes"])
+@pytest.mark.parametrize("wrapped", ["plain", "chaos"])
 def test_a_held_threads_result_keeps_no_node_buffer(wrapped, tmp_path):
-    """However the kernels were wrapped -- by a chaos context (which
-    also checkpoints from the grid during the run) or by a rewrite
-    pass -- the result a caller keeps holds the grid and no buffer: the
-    one node block sweeps in the result grid, its seams gone."""
+    """Whether or not a chaos context wrapped the kernels (it also
+    checkpoints from the grid during the run), the result a caller
+    keeps holds the grid and no buffer: the one node block sweeps in
+    the result grid, its seams gone."""
     problem = random_problem(n=48, iterations=6, seed=9)
     knobs = dict(impl="base-parsec", tile=6, backend="threads", jobs=2)
     if wrapped == "chaos":
         knobs["chaos"] = ChaosContext(
             FaultInjector(parse_plan("delay:node=2,step=3,secs=0")),
             store=CheckpointStore(tmp_path), checkpoint_every=2)
-    elif wrapped == "passes":
-        knobs["passes"] = "coarsen"
     result = run(problem, nacl(4), **knobs)
     kernels = {task.kernel.__self__ for task in result.graph
                if isinstance(getattr(task.kernel, "__self__", None), StencilKernels)}

@@ -112,14 +112,26 @@ def test_incomplete_entry_rejected(cache):
 
 
 def test_entry_naming_an_unknown_pass_is_a_miss_that_retunes(cache):
-    """A winner stored with a pass spec this version cannot parse (a
-    pass since removed, or more than one pass) misses instead of failing
-    the run that would use it, and the next tune replaces it."""
+    """A winner an older version stored with a graph-rewrite pass (this
+    version has none) misses instead of failing the run that would use
+    it or standing in as a pass-free winner, and the next tune replaces
+    it.  An empty ``passes`` field, which every older entry carries, is
+    no pass: that entry still hits."""
     from repro.tuning import tune
 
-    for gone in ("ca:steps=2", "coarsen,coarsen", "nosuchpass,coarsen:factor=4"):
-        stale = Candidate(tile=24, steps=2, passes=gone)
-        cache.put(nacl(4), PROBLEM, "sim", "ca-parsec", stale)
+    key = cache_key(nacl(4), PROBLEM, "sim", "ca-parsec")
+
+    def store(passes):  # the raw entry an older version wrote
+        cache.put(nacl(4), PROBLEM, "sim", "ca-parsec", WINNER)
+        doc = json.loads(cache.path.read_text())
+        doc["entries"][key]["passes"] = passes
+        cache.path.write_text(json.dumps(doc))
+
+    store("")
+    assert cache.candidate_of(cache.get(nacl(4), PROBLEM, "sim", "ca-parsec")) == WINNER
+    for gone in ("ca:steps=2", "coarsen,coarsen", "nosuchpass,coarsen:factor=4",
+                 "coarsen:factor=4"):
+        store(gone)
         assert cache.get(nacl(4), PROBLEM, "sim", "ca-parsec") is None, gone
     result = tune(PROBLEM, impl="ca-parsec", machine=nacl(4), budget=4,
                   cache=cache)

@@ -94,6 +94,8 @@ def test_for_problem_wide_adds_scheduling_axes():
     assert narrow.policies == ("priority",)
     assert len(wide.policies) > 1
     assert set(wide.overlaps) == {False, True}
+    # ... and nothing else: policy x overlap x boundary priority.
+    assert wide.size == narrow.size * len(wide.policies) * 2 * 2
 
 
 def test_narrowed_pins_axes():

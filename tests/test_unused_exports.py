@@ -61,8 +61,8 @@ def test_lazy_reexports_count_like_imported_ones(tmp_path):
 
 def test_a_solve_imports_only_what_it_runs():
     """The simulator, the PETSc model, the analytic model, the
-    schedule verifier, the host measurements and the DOT exporter stay
-    unloaded until something asks for them."""
+    schedule verifier and the host measurements stay unloaded until
+    something asks for them."""
     code = ("import sys, repro.serve, repro.core.runner; "
             "print('\\n'.join(sorted(m for m in sys.modules if m.startswith('repro'))))")
     loaded = set(subprocess.run(
@@ -72,7 +72,6 @@ def test_a_solve_imports_only_what_it_runs():
     assert "repro.core.runner" in loaded
     unwanted = {"repro.runtime.engine", "repro.core.petsc_jacobi", "repro.core.analytic",
                 "repro.core.verify", "repro.machine.stream",
-                "repro.machine.netpipe", "repro.machine.roofline", "repro.exec.compare",
-                "repro.runtime.dot"}
+                "repro.machine.netpipe", "repro.machine.roofline", "repro.exec.compare"}
     assert sorted(loaded & unwanted) == []
     assert sorted(m for m in loaded if m.startswith("repro.petsclite")) == []

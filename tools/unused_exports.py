@@ -20,7 +20,7 @@ imports.  A package ``__init__`` import of a name it lists in
 ``__all__`` is a re-export, and so is an entry of its lazy ``_EXPORTS``
 table (``repro._lazy``): it counts for the module it re-exports from
 only when some file imports that name through the package (``from
-..ir import apply_pass`` is a use of ``ir/pipeline.py``).  Tests,
+..chaos import parse_plan`` is a use of ``chaos/plan.py``).  Tests,
 examples and docs do not count: a module only they import backs no
 run, benchmark or command.  Any orphan outside ``ALLOWED_ORPHANS``
 makes the script exit 1.
@@ -46,7 +46,7 @@ ALLOWED_ORPHANS = {
 
 
 def _module_name(path: Path, src: Path) -> str:
-    """``src/repro/ir/core.py`` -> ``repro.ir.core``; a package's
+    """``src/repro/core/spec.py`` -> ``repro.core.spec``; a package's
     ``__init__.py`` -> the package."""
     parts = path.relative_to(src).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
