@@ -5,9 +5,10 @@ Everything else in this repo *models* time; this example measures it.
 The same CA task graph is executed on real worker threads
 (``backend="threads"``) at several worker counts, verified bit-exact
 against the reference solver, and compared against the simulator's
-prediction for the identical graph.  Also shows the asynchronous API:
-a ``RunHandle`` (wait / timeout / cancel) and, with ``trace=True``,
-where and when any one task ran.
+prediction for the identical graph.  Also shows the executor itself:
+a run is a call that computes on the calling thread (another thread may
+``cancel()`` it) and, with ``trace=True``, records where and when any
+one task ran.
 """
 
 import os
@@ -50,10 +51,12 @@ def main() -> None:
     print()
     print(format_comparison([comp], title="simulator prediction vs this host"))
 
-    # -- the asynchronous API -------------------------------------------
+    # -- the executor, directly ----------------------------------------
+    # run() makes the calling thread worker 0, beside jobs - 1 worker
+    # threads, and returns the report; executor.cancel() from another
+    # thread would make it raise RunCancelled instead.
     built = build_base_graph(problem, repro.nacl(1), tile=64)
-    handle = ThreadedExecutor(built.graph, jobs=2, trace=True).start()
-    report = handle.result(timeout=60)
+    report = ThreadedExecutor(built.graph, jobs=2, trace=True).run()
     # Every task leaves one span in the trace, addressed by its key: on
     # the real backends a task is one node block's tiles of one kind.
     last = ("base", 0, "interior", problem.iterations - 1)

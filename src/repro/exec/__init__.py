@@ -28,12 +28,16 @@ Entry points
   wants;
 * :class:`ThreadedExecutor` / :func:`execute` and
   :class:`ProcessExecutor` / :func:`execute_procs` -- run an arbitrary
-  finalized graph directly;
+  finalized graph directly.  A run is a call: ``run()`` works on the
+  calling thread (as worker 0 on ``threads``, watching the node
+  processes on ``processes``) and returns the report or raises.
+  Another thread stops it with ``executor.cancel()``, and ``run()``
+  then raises :class:`RunCancelled`;
 * :mod:`repro.exec.compare` -- simulated-vs-measured reports.
 """
 
 from .._lazy import lazy_exports
-from ..runtime.report import KernelError, NodeLostError
+from ..runtime.report import KernelError, NodeLostError, RunCancelled
 
 #: Re-exported name -> the sub-module that defines it: the simulated-vs-
 #: measured comparison loads the simulator, so a run does not load it.
@@ -43,7 +47,6 @@ _EXPORTS = {
                     "compare"),
     **dict.fromkeys(("ExecReport", "ThreadedExecutor", "ensure_executable", "execute"),
                     "executor"),
-    **dict.fromkeys(("ExecutionTimeout", "RunCancelled", "RunHandle"), "futures"),
     **dict.fromkeys(("ProcessExecutor", "ProcsReport", "default_procs", "execute_procs",
                      "fork_available"), "procs"),
     **dict.fromkeys(("HOST_NODE", "WallClockRecorder"), "wallclock_trace"),
@@ -56,14 +59,12 @@ __all__ = [
     "MEASURED_BACKENDS",
     "BackendComparison",
     "ExecReport",
-    "ExecutionTimeout",
     "HOST_NODE",
     "KernelError",
     "NodeLostError",
     "ProcessExecutor",
     "ProcsReport",
     "RunCancelled",
-    "RunHandle",
     "ThreadedExecutor",
     "WallClockRecorder",
     "compare_backends",

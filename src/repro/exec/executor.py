@@ -17,7 +17,10 @@ Structure -- a PaRSEC node, as the simulator models one:
   store and releases its consumers' dependency counts; tasks reaching
   zero are pushed to the queue;
 * one mutex guards the queue and the bookkeeping -- kernels run
-  outside it.
+  outside it;
+* the thread that calls :meth:`ThreadedExecutor.run` is worker 0, as
+  the thread waiting on a PaRSEC context computes too: a run starts
+  ``jobs - 1`` threads.
 
 The report mirrors :class:`~repro.runtime.report.EngineReport` (it
 *is* one, extended), so :class:`~repro.core.report.RunResult`, the
@@ -33,12 +36,11 @@ from dataclasses import dataclass
 
 from ..obs import trace_validation_enabled
 from ..obs.metrics import MetricRegistry, publish_run
-from ..runtime.report import EngineReport, KernelError
+from ..runtime.report import EngineReport, KernelError, RunCancelled
 from ..runtime.graph import TaskGraph
 from ..runtime.scheduler import DEFAULT_POLICY, make_queue
 from ..runtime.store import PayloadStore
 from ..runtime.task import Flow, Task, TaskKey
-from .futures import RunCancelled, RunHandle
 from .wallclock_trace import HOST_NODE, WallClockRecorder
 
 
@@ -111,7 +113,7 @@ class ThreadedExecutor:
         it once (:func:`~repro.obs.metrics.publish_run`).
 
     An executor is built for one graph, runs it once and returns a
-    report; a second :meth:`start` raises.
+    report; a second :meth:`run` raises.
     """
 
     def __init__(
@@ -142,15 +144,13 @@ class ThreadedExecutor:
         self._failure: BaseException | None = None
         self._cancelled = False
         self._started = False
+        self._finished = False
 
         #: the one per-task record: worker ``w`` appends a span tuple to
         #: lane ``w`` after each kernel, and every tally in the report
         #: (completed set, kind counts, busy seconds) is a fold of it
         self._recorder = WallClockRecorder(self.jobs)
-        self._handle: RunHandle | None = None
-        self._threads: list[threading.Thread] = []
         self._t_begin = 0.0
-        self._t_end = 0.0
         self._check_executable()
 
     # -- validation -----------------------------------------------------
@@ -182,42 +182,60 @@ class ThreadedExecutor:
 
     # -- public API --------------------------------------------------------
 
-    def start(self) -> RunHandle:
-        """Launch the worker pool; returns immediately with the handle."""
-        if self._started:
-            raise RuntimeError(
-                "a ThreadedExecutor instance runs exactly once; build "
-                "another executor to run the graph again"
-            )
-        self._started = True
-        self._handle = RunHandle(self._request_cancel)
+    def run(self) -> ExecReport:
+        """Execute the graph: the calling thread is worker 0 beside
+        ``jobs - 1`` worker threads.  Returns the report once every
+        worker is joined, or raises the first kernel error /
+        :class:`RunCancelled`.  Anything else that escapes worker 0
+        (a ``KeyboardInterrupt``) stops the others first."""
+        with self._lock:
+            if self._started:
+                raise RuntimeError(
+                    "a ThreadedExecutor instance runs exactly once; build "
+                    "another executor to run the graph again"
+                )
+            self._started = True
         self._prepare()
         self._t_begin = self._recorder.start()
-        self._threads = [
+        threads = [
             threading.Thread(
                 target=self._worker, args=(wid,), name=f"repro-exec-{wid}", daemon=True
             )
-            for wid in range(self.jobs)
+            for wid in range(1, self.jobs)
         ]
-        watcher = threading.Thread(
-            target=self._finalise, name="repro-exec-join", daemon=True
-        )
-        for t in self._threads:
+        for t in threads:
             t.start()
-        watcher.start()
-        return self._handle
-
-    def run(self, timeout: float | None = None) -> ExecReport:
-        """Start, wait, and return the report (the blocking front door)."""
-        return self.start().result(timeout)
+        try:
+            self._worker(0)
+        except BaseException:
+            self._request_cancel()
+            raise
+        finally:
+            for t in threads:
+                t.join()
+            elapsed = self._recorder.now() - self._t_begin
+            with self._lock:
+                self._finished = True
+        if self._failure is not None:
+            raise self._failure
+        if self._cancelled:
+            raise RunCancelled(
+                f"run cancelled with {self._unfinished} of "
+                f"{len(self.graph)} tasks unfinished"
+            )
+        return self._build_report(elapsed)
 
     def cancel(self) -> bool:
-        """Stop the run: workers finish the task in hand and take no
-        more, and the handle's ``result()`` raises
-        :class:`RunCancelled`.  ``False`` before :meth:`start` and
-        once the run has finished."""
-        handle = self._handle
-        return handle is not None and handle.cancel()
+        """Stop the run from another thread: workers finish the task in
+        hand and take no more, and :meth:`run` raises
+        :class:`RunCancelled` -- even where every task had already run.
+        ``False`` before :meth:`run` starts and once it has returned."""
+        with self._work_ready:
+            if not self._started or self._finished:
+                return False
+            self._cancelled = True
+            self._work_ready.notify_all()
+            return True
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -225,25 +243,6 @@ class ThreadedExecutor:
         with self._work_ready:
             self._cancelled = True
             self._work_ready.notify_all()
-
-    def _finalise(self) -> None:
-        for t in self._threads:
-            t.join()
-        self._t_end = self._recorder.now()
-        handle = self._handle
-        assert handle is not None
-        if self._failure is not None:
-            handle._finish(None, self._failure)
-        elif self._unfinished > 0:  # cancelled mid-flight
-            handle._finish(
-                None,
-                RunCancelled(
-                    f"run cancelled with {self._unfinished} of "
-                    f"{len(self.graph)} tasks unfinished"
-                ),
-            )
-        else:
-            handle._finish(self._build_report(), None)
 
     def progress(self) -> dict:
         """Live view of the run for :mod:`repro.obs.monitor`.  Reads
@@ -260,8 +259,7 @@ class ThreadedExecutor:
             "workers": self.jobs,
         }
 
-    def _build_report(self) -> ExecReport:
-        elapsed = self._t_end - self._t_begin
+    def _build_report(self, elapsed: float) -> ExecReport:
         useful, redundant = self.graph.total_flops()
         worker_busy = self._recorder.busy_per_worker()
         local_edges = sum(len(t.inputs) for t in self.graph)
@@ -332,7 +330,7 @@ class ThreadedExecutor:
                 )
                 end = recorder.now()
                 self._publish(task, outputs)
-            except Exception as exc:  # noqa: BLE001 - forwarded to the handle
+            except Exception as exc:  # noqa: BLE001 - raised by run()
                 failure = exc
                 if not isinstance(exc, KernelError):
                     failure = KernelError(
@@ -381,13 +379,12 @@ def execute(
     jobs: int | None = None,
     policy: str = DEFAULT_POLICY,
     trace: bool = False,
-    timeout: float | None = None,
     metrics: MetricRegistry | None = None,
 ) -> ExecReport:
     """One-shot convenience: run ``graph`` on a fresh pool."""
     return ThreadedExecutor(
         graph, jobs=jobs, policy=policy, trace=trace, metrics=metrics
-    ).run(timeout)
+    ).run()
 
 
 __all__ = [

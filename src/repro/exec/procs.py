@@ -62,8 +62,9 @@ bounded by ``_POLL``, so a peer killed mid-write cannot hang anyone.
 Roles.  The parent forks the children (channels inherited, and a
 one-shot node's graph copy-on-write; only statistics and terminal
 results are pickled -- of a stencil graph one token per final task:
-final cores land in the build's shared result grid) and watches one
-control pipe per child for the run's ``RunHandle``.  Each child runs a
+final cores land in the build's shared result grid) and, on the
+thread that called ``run()``, watches one control pipe per child until
+every node reported.  Each child runs a
 :class:`_NodeExecutor` -- a :class:`ThreadedExecutor` restricted to the
 node's tasks, plus the send/poll hooks -- and one *control* thread, the
 pipe's one reader (a run's description, ``cancel``, ``close``; EOF =
@@ -125,13 +126,12 @@ import numpy as np
 from ..obs import trace_validation_enabled
 from ..obs.export import build_trace
 from ..obs.metrics import MetricRegistry, publish_run
-from ..runtime.report import KernelError, NodeLostError
+from ..runtime.report import KernelError, NodeLostError, RunCancelled
 from ..runtime.graph import TaskGraph
 from ..runtime.scheduler import DEFAULT_POLICY
 from ..runtime.task import READY, Flow, Task, TaskKey
 from ..runtime.trace import Trace
 from .executor import ExecReport, ThreadedExecutor, ensure_executable
-from .futures import RunCancelled, RunHandle
 from .pools import _POOLS, IDLE_CLOSE, JOIN_GRACE, _Pool, close_pools
 
 #: Trace lanes of a node's communication (compute workers are
@@ -141,7 +141,7 @@ SEND_LANE = -1
 RECV_LANE = -2
 
 #: Bound of every wait on a shared primitive (doorbell, ring lock) and
-#: of the parent's watcher loop: the reaction time to a dead peer.
+#: of the parent's watch loop: the reaction time to a dead peer.
 _POLL = 0.1
 
 #: Doorbell timeout while the outbox is not empty: a consumer does not
@@ -846,7 +846,7 @@ class ProcessExecutor:
         ensure_executable(graph, backend="processes")
 
         #: optional fault-injection hook (repro.chaos), forked into the
-        #: node executors; set by the runner before start().
+        #: node executors; set by the runner before run().
         self.chaos = None
         #: optional :class:`repro.chaos.checkpoint.CheckpointStore`;
         #: when set, a lost node's :class:`NodeLostError` carries the
@@ -860,11 +860,11 @@ class ProcessExecutor:
         self.stamps: dict[str, float] = {}
 
         self._started = False
+        self._finished = False
         self._pool: _Pool | None = None
         self._channels: _Channels | None = None  # while the run is live
         #: (tasks done, messages sent, elapsed): the last progress() sample
         self._tallies: tuple[int, int, float] = (0, 0, 0.0)
-        self._handle: RunHandle | None = None
         self._epoch = 0.0
         self._cancel_at: float | None = None
         self._lock = threading.Lock()
@@ -895,29 +895,37 @@ class ProcessExecutor:
 
     # -- public API -----------------------------------------------------
 
-    def start(self) -> RunHandle:
-        """Dispatch the run to a pool, or fork one-shot node processes;
-        returns immediately with the handle."""
-        if self._started:
-            raise RuntimeError(
-                "a ProcessExecutor instance runs exactly once; build "
-                "another executor to run the graph again"
-            )
-        self._started = True
-        self.stamps["start"] = time.perf_counter()
-        recipe, description = self.graph.recipe, None
-        if self.chaos is None and recipe is not None and recipe.describes(self.graph):
-            description = recipe.description()
-        pool = (self._fork(one_shot=True) if description is None
-                else self._dispatch(recipe, description))
-        self._pool, self._channels = pool, pool.channels
-        self.stamps["launched"] = time.perf_counter()
-
-        self._handle = RunHandle(self._request_cancel)
-        threading.Thread(
-            target=self._watch, name="repro-procs-watch", daemon=True
-        ).start()
-        return self._handle
+    def run(self) -> ProcsReport:
+        """Dispatch the run to a pool, or fork one-shot node processes,
+        then watch the nodes on the calling thread: returns the report,
+        or raises the first node's error / :class:`RunCancelled`."""
+        with self._lock:
+            if self._started:
+                raise RuntimeError(
+                    "a ProcessExecutor instance runs exactly once; build "
+                    "another executor to run the graph again"
+                )
+            self._started = True
+        try:
+            self.stamps["start"] = time.perf_counter()
+            recipe, description = self.graph.recipe, None
+            if self.chaos is None and recipe is not None and recipe.describes(self.graph):
+                description = recipe.description()
+            pool = (self._fork(one_shot=True) if description is None
+                    else self._dispatch(recipe, description))
+            with self._lock:
+                self._pool, self._channels = pool, pool.channels
+            self.stamps["launched"] = time.perf_counter()
+            self._send_cancel()  # one accepted while the nodes were launched
+            return self._watch()
+        except BaseException:
+            with self._lock:
+                self._finished = True
+                live, self._channels = self._channels is not None, None
+            if live:  # interrupted mid-watch: the pool goes with the run
+                _POOLS.drop(pool)
+                pool.close(force=True)
+            raise
 
     def _dispatch(self, recipe, description: bytes) -> _Pool:
         """Send the run to the idle pool of its ``(procs, jobs)``, or to
@@ -972,38 +980,40 @@ class ProcessExecutor:
             raise
         return pool
 
-    def run(self, timeout: float | None = None) -> ProcsReport:
-        """Start, wait, and return the report (the blocking front door)."""
-        return self.start().result(timeout)
-
     def cancel(self) -> bool:
-        """Stop the run: every node pool is told to unwind (stragglers
-        are terminated after ``JOIN_GRACE``) and the handle's
-        ``result()`` raises :class:`RunCancelled`.  ``False`` before
-        :meth:`start` and once the run has finished."""
-        handle = self._handle
-        return handle is not None and handle.cancel()
+        """Stop the run from another thread: every node is told to
+        unwind (stragglers are terminated after ``JOIN_GRACE``) and
+        :meth:`run` raises :class:`RunCancelled`.  ``False`` before
+        :meth:`run` starts and once it has returned."""
+        with self._lock:
+            if not self._started or self._finished:
+                return False
+            if self._cancel_at is None:
+                self._cancel_at = time.monotonic()
+        self._send_cancel()
+        return True
 
     # -- lifecycle -------------------------------------------------------
 
-    def _request_cancel(self) -> None:
+    def _send_cancel(self) -> None:
+        """Tell the run's nodes to stop, once a cancel was accepted."""
         with self._lock:
-            if self._cancel_at is None:
-                self._cancel_at = time.monotonic()
             # Only while the run is live: then the pool is its own.
-            conns = list(self._pool.ctrl.values()) if self._channels is not None else []
+            conns = (list(self._pool.ctrl.values())
+                     if self._cancel_at is not None and self._channels is not None
+                     else [])
         for conn in conns:
             try:
                 conn.send(("cancel",))
             except (BrokenPipeError, OSError):
                 pass
 
-    def _watch(self) -> None:
+    def _watch(self) -> ProcsReport:
         """Collect every child's outcome, then hand the pool back idle or
-        close it, and finish the handle.  Runs on a daemon thread in the
-        parent; a kept pool's idle wait gets a thread of its own, which
-        holds the pool and not this executor (its graph, kernels and
-        grid mapping are the caller's to drop)."""
+        close it, and return the report or raise.  A kept pool's idle
+        wait gets a thread of its own, which holds the pool and not this
+        executor (its graph, kernels and grid mapping are the caller's
+        to drop)."""
         pool = self._pool
         waiting = dict(pool.ctrl)  # node -> conn, removed once reported
         outcomes: dict[int, tuple] = {}
@@ -1016,7 +1026,7 @@ class ProcessExecutor:
                 first_error = exc
                 # Peers may now be waiting on inputs that will never
                 # come; tell everyone to stop.
-                self._request_cancel()
+                self.cancel()
 
         def lost(node: int, why: str) -> NodeLostError:
             """The typed loss report: which node, and the last complete
@@ -1062,13 +1072,17 @@ class ProcessExecutor:
         t_end = self.stamps["received"] = time.perf_counter()
 
         cancelled = [n for n, o in outcomes.items() if o[0] == "cancelled"]
-        with self._lock:  # freeze progress(), and cancel() lets go of the pool
+        with self._lock:  # freeze progress(); cancel() answers False from here
             self._tallies = (*pool.channels.tallies(), t_end - self._epoch)
             self._channels = None
-            # A cancel sent to nodes that had already reported stops them
-            # for good: any pool that was sent one closes.
+            self._finished = True
+            # A cancel accepted after the last node reported still
+            # cancels the run, and a cancel sent to nodes that had
+            # already reported stops them for good: any pool that was
+            # sent one closes.
+            cancelled_at = self._cancel_at
             keep = (pool.kept and first_error is None and not cancelled
-                    and self._cancel_at is None)
+                    and cancelled_at is None)
         if not keep:
             _POOLS.drop(pool)
             pool.reap(force=forced)
@@ -1076,23 +1090,19 @@ class ProcessExecutor:
             pool.unmap()
             self.stamps["unmapped"] = time.perf_counter()
 
-        handle = self._handle
-        assert handle is not None
         if first_error is not None:
-            handle._finish(None, first_error)
-        elif cancelled:
-            handle._finish(None, RunCancelled(
+            raise first_error
+        if cancelled or cancelled_at is not None:
+            raise RunCancelled(
                 f"run cancelled with {len(cancelled)} of {self.procs} "
                 "node processes unfinished"
-            ))
-        else:
-            report = self._build_report(outcomes, t_end)
-            self.stamps["reported"] = time.perf_counter()
-            runs = _POOLS.release(pool) if keep else 0
-            handle._finish(report, None)
-            if keep:
-                threading.Thread(target=_POOLS.linger, args=(pool, runs),
-                                 name="repro-procs-linger", daemon=True).start()
+            )
+        report = self._build_report(outcomes, t_end)
+        self.stamps["reported"] = time.perf_counter()
+        if keep:
+            threading.Thread(target=_POOLS.linger, args=(pool, _POOLS.release(pool)),
+                             name="repro-procs-linger", daemon=True).start()
+        return report
 
     # -- report ----------------------------------------------------------
 
@@ -1170,7 +1180,6 @@ def execute_procs(
     jobs: int | None = None,
     policy: str = DEFAULT_POLICY,
     trace: bool = False,
-    timeout: float | None = None,
     metrics: MetricRegistry | None = None,
 ) -> ProcsReport:
     """One-shot convenience: run ``graph`` on node processes (a pool's,
@@ -1178,7 +1187,7 @@ def execute_procs(
     return ProcessExecutor(
         graph, procs=procs, jobs=jobs, policy=policy, trace=trace,
         metrics=metrics,
-    ).run(timeout)
+    ).run()
 
 
 __all__ = [

@@ -1,7 +1,8 @@
 """What every backend reports, and how a run fails: the run report the
-simulator, the threaded executor and the process mesh fill alike, and
-the two errors a kernel or a lost node raises through all of them.  A
-module of its own so a real backend does not load the simulator."""
+simulator, the threaded executor and the process mesh fill alike, the
+two errors a kernel or a lost node raises through all of them, and the
+one a cancelled real run raises.  A module of its own so a real backend
+does not load the simulator."""
 
 from __future__ import annotations
 
@@ -42,6 +43,10 @@ class NodeLostError(KernelError):
 
     def __reduce__(self):
         return (self.__class__, (self.args[0], self.node, self.checkpoint_step))
+
+
+class RunCancelled(RuntimeError):
+    """A real run was cancelled before every task completed."""
 
 
 @dataclass

@@ -120,8 +120,8 @@ def _run_item(item: WorkItem, name: str, served: Iterator[int],
     many requests the worker executed before this one, so a request is
     ``warm`` exactly when its worker had already run one -- whatever
     the backend, chaos requests included."""
-    from ..exec.futures import RunCancelled
     from ..obs.metrics import MetricRegistry
+    from ..runtime.report import RunCancelled
 
     seq, request, deadline, trace_id = item
     reg = MetricRegistry()

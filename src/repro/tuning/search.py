@@ -36,8 +36,8 @@ from ..analysis import csvio
 from ..core.config import applies
 from ..core.runner import run
 from ..exec import backends
-from ..exec.futures import RunCancelled
 from ..machine.machine import MachineSpec, nacl
+from ..runtime.report import RunCancelled
 from ..stencil.problem import JacobiProblem
 from . import model
 from .cache import TuningCache, cache_key

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import multiprocessing.connection
 import multiprocessing.process
+import threading
 import time
 from collections import Counter
 
@@ -94,6 +95,51 @@ def _no_pool_outlives_its_test():
     the next test starts without them."""
     yield
     close_pools()
+
+
+def count_thread_starts(monkeypatch) -> list[str]:
+    """The names of the threads started in this process from now on,
+    in order (``threading.Thread.start`` wrapped for the test)."""
+    started: list[str] = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+def run_on_thread(run, seconds: float):
+    """Start ``run()`` -- an executor's ``run``, or a front door around
+    one -- on a daemon thread, so the test can act while the run is in
+    progress (``executor.cancel()``, kill a node).  Returns ``wait``:
+    it returns what ``run`` returned or raises what it raised, and
+    fails the test if ``run`` has not returned within ``seconds`` of
+    the start: the hang guard of a run that takes no timeout."""
+    outcome: list = []
+    deadline = time.monotonic() + seconds
+
+    def target():
+        try:
+            outcome.append((run(), None))
+        except BaseException as exc:  # noqa: BLE001 - re-raised by wait()
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=target, name="test-run", daemon=True)
+    thread.start()
+
+    def wait():
+        thread.join(max(0.0, deadline - time.monotonic()))
+        if not outcome:
+            pytest.fail(f"run() did not return within {seconds} s")
+        result, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return result
+
+    return wait
 
 
 def join_all(workers, timeout: float = 10.0) -> list[str]:

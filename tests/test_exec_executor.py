@@ -1,5 +1,6 @@
-"""Unit tests of the threaded executor: pool mechanics, the run
-handle, cancellation, error propagation and the one ready queue."""
+"""Unit tests of the threaded executor: pool mechanics, a run on the
+calling thread, cancellation, error propagation and the one ready
+queue."""
 
 from __future__ import annotations
 
@@ -8,17 +9,18 @@ import gc
 import threading
 import time
 import weakref
+from multiprocessing.connection import wait as conn_wait
 
 import numpy as np
 import pytest
 
 from repro.core.base_parsec import build_base_graph
 from repro.exec import (
-    ExecutionTimeout,
+    ProcessExecutor,
     RunCancelled,
-    RunHandle,
     ThreadedExecutor,
     execute,
+    fork_available,
 )
 from repro.machine.machine import nacl
 from repro.obs import MetricRegistry
@@ -29,8 +31,9 @@ from repro.runtime.task import Flow, Task
 
 from .conftest import (
     assert_report_folds_match_graph,
-    join_all,
+    count_thread_starts,
     random_problem,
+    run_on_thread,
     small_stencil_graph,
 )
 
@@ -169,7 +172,7 @@ def test_one_default_policy():
     import inspect
 
     from repro.core.config import RunConfig
-    from repro.exec import ProcessExecutor, execute_procs
+    from repro.exec import execute_procs
     from repro.runtime.scheduler import DEFAULT_POLICY
 
     assert RunConfig().policy == DEFAULT_POLICY == "priority"
@@ -184,47 +187,69 @@ def test_executor_is_single_shot():
     ex = ThreadedExecutor(diamond_graph(), jobs=1)
     ex.run()
     with pytest.raises(RuntimeError, match="exactly once"):
-        ex.start()
+        ex.run()
 
 
 def test_finished_executor_is_freed_without_the_cycle_collector():
     """Executors are one per run, so a finished one must not wait for
-    the cycle collector: the handle lets go of it when the run ends."""
+    the cycle collector: nothing that outlives the run refers to it."""
     gc.disable()
     try:
         ex = ThreadedExecutor(diamond_graph(), jobs=2)
-        handle = ex.start()
-        handle.result(timeout=30)
-        # (the thread that finished the handle holds the executor
-        # until it returns)
-        assert join_all(t for t in threading.enumerate()
-                        if t.name == "repro-exec-join") == []
+        ex.run()
+        assert ex.cancel() is False
         gone = weakref.ref(ex)
         del ex
         assert gone() is None
-        assert handle.cancel() is False and handle.done()
     finally:
         gc.enable()
 
 
-def test_result_timeout_without_cancel():
-    gate = threading.Event()
+@pytest.mark.parametrize("jobs, threads", [(1, []), (3, ["repro-exec-1", "repro-exec-2"])])
+def test_the_calling_thread_is_worker_0(monkeypatch, jobs, threads):
+    """A run starts ``jobs - 1`` threads: the caller computes too, and
+    nothing watches it."""
+    lanes = set()
 
-    def slow(inputs, task):
-        gate.wait(30)
-        return {"x": 1.0}
+    def kernel(inputs, task):
+        lanes.add(threading.current_thread().name)
+        return {}
 
     g = TaskGraph()
-    g.add(Task("slow", node=0, kernel=slow, out_nbytes={}))
-    handle = ThreadedExecutor(g, jobs=1).start()
-    with pytest.raises(ExecutionTimeout):
-        handle.result(timeout=0.05)
-    assert handle.running()  # timeout does not cancel
-    gate.set()
-    report = handle.result(timeout=30)
+    g.add(Task("only", node=0, kernel=kernel, out_nbytes={}))
+    started = count_thread_starts(monkeypatch)
+    report = ThreadedExecutor(g, jobs=jobs).run()
+    assert started == threads
     assert report.tasks_run == 1
-    assert handle.done() and not handle.running()
-    assert handle.exception() is None
+    if jobs == 1:
+        assert lanes == {threading.current_thread().name}
+
+
+def test_a_keyboard_interrupt_on_the_calling_thread_stops_every_worker():
+    """A ``KeyboardInterrupt`` raised by a kernel on worker 0 cancels the
+    other workers and joins them before it propagates; the executor has
+    run."""
+    caller = threading.current_thread()
+    interrupted = threading.Event()
+
+    def kernel(inputs, task):
+        if threading.current_thread() is caller:
+            interrupted.set()
+            raise KeyboardInterrupt
+        interrupted.wait(30)  # the caller takes a task before the others finish
+        return {"v": 1.0}
+
+    g = TaskGraph()
+    for k in range(12):
+        g.add(Task(k, node=0, kernel=kernel, out_nbytes={"v": 8}))
+    ex = ThreadedExecutor(g, jobs=3)
+    with pytest.raises(KeyboardInterrupt):
+        ex.run()
+    assert [t.name for t in threading.enumerate()
+            if t.name.startswith("repro-exec-")] == []
+    assert ex.cancel() is False
+    with pytest.raises(RuntimeError, match="exactly once"):
+        ex.run()
 
 
 def test_cancel_stops_remaining_work():
@@ -245,38 +270,65 @@ def test_cancel_stops_remaining_work():
                out_nbytes={}))
     ex = ThreadedExecutor(g, jobs=1)
     assert ex.cancel() is False  # not started: nothing to stop yet
-    handle = ex.start()
+    wait = run_on_thread(ex.run, 30)
     started.wait(30)
     assert ex.cancel()  # the public stop a non-owner (the pool) uses
     release.set()
     with pytest.raises(RunCancelled):
-        handle.result(timeout=30)
-    assert isinstance(handle.exception(), RunCancelled)
-    assert handle.cancel() is False and ex.cancel() is False  # finished
+        wait()
+    assert ex.cancel() is False  # finished
 
 
-def test_a_cancel_the_handle_accepted_makes_result_raise():
-    """``cancel()`` answering True means ``result()`` raises, even where
-    the run then finishes every task (the cancel came after the last
-    one); a handle that was not cancelled returns its report."""
-    calls = []
-    cancelled = RunHandle(lambda: calls.append("cancel"))
-    assert cancelled.cancel() and calls == ["cancel"]
-    cancelled._finish(object(), None)  # every task had reported
-    with pytest.raises(RunCancelled):
-        cancelled.result(timeout=1)
-    assert cancelled.cancel() is False and calls == ["cancel"]
+def test_a_cancel_the_handle_accepted_makes_result_raise(monkeypatch):
+    """On both real backends, ``cancel()`` answering True means ``run()``
+    raises :class:`RunCancelled`, even where the run then finishes every
+    task (the cancel came after the last one); a kernel error stays the
+    error; a run that was not cancelled returns its report."""
+    import repro.exec.procs as procs
 
-    report, plain = object(), RunHandle(lambda: calls.append("late"))
-    plain._finish(report, None)
-    assert plain.cancel() is False and plain.result(timeout=1) is report
-    assert calls == ["cancel"]
+    def graph(kernel):
+        g = TaskGraph()
+        g.add(Task("only", node=0, kernel=kernel, out_nbytes={}))
+        return g
 
-    failed = RunHandle(lambda: None)
-    assert failed.cancel()
-    error = KernelError("boom")
-    failed._finish(None, error)
-    assert failed.exception(timeout=1) is error  # a failure stays the failure
+    def on_threads(fail: bool):
+        def last(inputs, task):  # worker 0: the run is in progress
+            assert ex.cancel()
+            if fail:
+                raise RuntimeError("boom")
+            return {}
+
+        ex = ThreadedExecutor(graph(last), jobs=1)
+        return ex
+
+    def on_processes(fail: bool):
+        def last(inputs, task):  # in the node process
+            if fail:
+                raise RuntimeError("boom")
+            return {}
+
+        ex = ProcessExecutor(graph(last), procs=1)
+
+        def arrived(conns, timeout=None):  # the node's report is readable
+            ready = conn_wait(conns, timeout)
+            if ready:
+                assert ex.cancel()
+            return ready
+
+        monkeypatch.setattr(procs, "conn_wait", arrived)
+        return ex
+
+    for make in (on_threads, on_processes) if fork_available() else (on_threads,):
+        ex = make(fail=False)
+        with pytest.raises(RunCancelled):
+            run_on_thread(ex.run, 30)()
+        assert ex.cancel() is False
+        with pytest.raises(KernelError, match="boom"):
+            run_on_thread(make(fail=True).run, 30)()
+
+    plain = ThreadedExecutor(graph(lambda inputs, task: {}), jobs=1)
+    assert run_on_thread(plain.run, 30)().tasks_run == 1
+    assert plain.cancel() is False
 
 
 def test_outputs_published_read_only():

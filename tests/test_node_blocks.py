@@ -42,7 +42,7 @@ from repro.stencil.kernels import SLAB_CELLS
 from repro.stencil.problem import JacobiProblem
 from repro.stencil.variable import VariableStencilWeights
 
-from .conftest import random_problem
+from .conftest import random_problem, run_on_thread
 from .test_seams import check_plans, slab_cells
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")
@@ -415,7 +415,7 @@ def check_write_after_read(built, truth, label) -> None:
     spans = Spans()
     for task in built.graph:
         spans.wrap(task)
-    report = ThreadedExecutor(built.graph, jobs=4, policy="fifo").run(timeout=120)
+    report = run_on_thread(ThreadedExecutor(built.graph, jobs=4, policy="fifo").run, 120)()
     assert np.array_equal(built.assemble_grid(report.results), truth), label
     for reader, writer in pairs:
         assert spans.spans[reader][1] <= spans.spans[writer][0], (label, reader, writer)
@@ -472,7 +472,7 @@ def test_a_blocks_seam_store_is_allocated_once(fast_switching, monkeypatch, shap
     monkeypatch.setattr(dataflow.StencilKernels, "_seams", recorded)
     for rep in range(reps):
         built = build_base_graph(problem, nacl(nodes), tile=tile, pgrid=pgrid)
-        ThreadedExecutor(built.graph, jobs=4, policy="fifo").run(timeout=120)
+        run_on_thread(ThreadedExecutor(built.graph, jobs=4, policy="fifo").run, 120)()
         blocks = {plan.block for plan in built.kernels.plans.values()}
         assert handed == {block: {id(built.kernels.seams[block])} for block in blocks}, rep
         handed.clear()

@@ -43,7 +43,7 @@ from repro.runtime.engine import KernelError
 from repro.runtime.graph import TaskGraph
 from repro.runtime.task import Flow, Task
 
-from .conftest import random_problem
+from .conftest import random_problem, run_on_thread
 from .test_procs_executor import assert_no_orphans, cross_chain, kernel
 
 pytestmark = [
@@ -120,7 +120,7 @@ def test_bursts_larger_than_the_ring_do_not_deadlock(monkeypatch):
         g.add(Task(("total", node), node=node, kernel=total, out_nbytes={},
                    inputs=tuple(Flow(("burst", 1 - node), f"s{k}", 1024)
                                 for k in range(count))))
-    report = execute_procs(g, procs=2, jobs=1, timeout=60)
+    report = run_on_thread(lambda: execute_procs(g, procs=2, jobs=1), 60)()
     want = float(sum((strip + k).sum() for k in range(count)))
     assert report.results == {(("total", 0), "sum"): want, (("total", 1), "sum"): want}
     assert report.messages == 2 * count
@@ -176,7 +176,7 @@ def test_oversized_payload_fails_the_run_naming_the_message():
     ex = ProcessExecutor(g, procs=2, jobs=1)
     with pytest.raises(KernelError,
                        match=r"'liar' sent 320000 bytes for tag 'x' but declared 8"):
-        ex.run(timeout=60)
+        run_on_thread(ex.run, 60)()
     assert_no_orphans(ex)
 
 
@@ -195,8 +195,7 @@ def test_a_node_process_has_no_communication_thread():
     report = execute_procs(g, procs=2, jobs=2)
     assert report.messages == 1  # the census ran after a message arrived
     assert report.results[("c", "threads")] == [
-        "MainThread", "repro-exec-0", "repro-exec-1", "repro-exec-join",
-        "repro-procs-control"]
+        "MainThread", "repro-exec-1", "repro-procs-control"]
 
 
 class CountingDoorbell:
@@ -233,7 +232,7 @@ def test_exactly_one_idle_worker_sleeps_on_the_doorbell():
     channels = procs._Channels(2, FORK, procs.RING_BYTES)
     bell = channels.doorbells[1] = CountingDoorbell(channels.doorbells[1])
     node1 = procs._NodeExecutor(g, 1, channels, jobs=3, policy="lifo", trace=False)
-    handle = node1.start()
+    wait = run_on_thread(node1.run, 10)
 
     def one_sleeper() -> bool:
         deadline = time.monotonic() + 10
@@ -245,11 +244,11 @@ def test_exactly_one_idle_worker_sleeps_on_the_doorbell():
     assert one_sleeper()
     time.sleep(3 * procs._POLL)
     assert one_sleeper() and bell.peak == 1
-    assert handle.running()
+    assert node1._unfinished == 3  # still waiting for node 0's record
     fields, body = procs._encode(0, 2.0)
     assert channels.rings[0, 1].put(fields, body, procs._record_bytes(body))
     bell.release()
-    report = handle.result(timeout=10)
+    report = wait()
     assert report.completed == {("c", 0), ("c", 1), ("c", 2)}
     assert bell.peak == 1
 
@@ -262,15 +261,15 @@ def test_progress_reads_live_task_and_message_counts():
     ex = ProcessExecutor(graph, procs=2, jobs=1)
     census = graph.census().remote_messages
     assert ex.progress()["done"] == 0
-    handle = ex.start()
-    mid = None
-    while handle.running() and mid is None:
+    wait = run_on_thread(ex.run, 60)
+    mid, sample, deadline = None, ex.progress(), time.monotonic() + 60
+    while mid is None and sample["done"] < sample["total"] and time.monotonic() < deadline:
         sample = ex.progress()
         # (the first task's done word lands before its message's count)
         if 0 < sample["done"] < sample["total"] and sample["messages"]:
             mid = sample
         time.sleep(0.002)
-    handle.result(timeout=60)
+    wait()
     assert mid is not None and 0 < mid["messages"] < census
     assert "tasks " in format_sample(mid, census) and "msgs " in format_sample(mid, census)
     final = ex.progress()
@@ -296,17 +295,25 @@ def _footprint() -> tuple:
     return sorted(os.listdir("/dev/shm")), len(os.listdir("/proc/self/fd")), shared, len(lines)
 
 
+def _launched(ex: ProcessExecutor, started) -> None:
+    """The pipeline got going, and ``ex.processes`` lists every node
+    (``run()`` publishes them once the last one is forked)."""
+    assert started.wait(30)
+    while len(ex.processes) < ex.procs:
+        os.sched_yield()
+
+
 def _kill_one_node_mid_traffic() -> None:
     started = FORK.Event()
     ex = ProcessExecutor(cross_chain(120, delay=0.005, started=started),
                          procs=2, jobs=1)
-    handle = ex.start()
-    assert started.wait(30)
+    wait = run_on_thread(ex.run, 30)
+    _launched(ex, started)
     time.sleep(0.002)  # messages are flowing both ways
     t0 = time.monotonic()
     os.kill(ex.processes[1].pid, signal.SIGKILL)
     with pytest.raises(NodeLostError) as info:
-        handle.result(timeout=30)
+        wait()
     assert info.value.node == 1
     assert time.monotonic() - t0 < procs.JOIN_GRACE + 2
     assert ex.progress()["done"] < 120
@@ -337,14 +344,19 @@ def test_parent_death_unwinds_the_node_processes():
     stop instead of running (or waiting on each other) headless."""
 
     def doomed_parent(conn):
-        ex = ProcessExecutor(cross_chain(500, delay=0.05), procs=2, jobs=1)
-        ex.start()
+        started = FORK.Event()
+        ex = ProcessExecutor(cross_chain(500, delay=0.05, started=started),
+                             procs=2, jobs=1)
+        run_on_thread(ex.run, 60)
+        _launched(ex, started)
         conn.send([p.pid for p in ex.processes])
         os._exit(0)  # no cleanup at all
 
     reader, writer = FORK.Pipe(duplex=False)
     parent = FORK.Process(target=doomed_parent, args=(writer,))
     parent.start()
+    # A doomed parent that fails before it sends fails the test, not hangs it.
+    assert reader.poll(30), f"the doomed parent sent no pids (exit code {parent.exitcode})"
     pids = reader.recv()
     parent.join(30)
     assert parent.exitcode == 0 and len(pids) == 2

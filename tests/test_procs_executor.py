@@ -1,18 +1,18 @@
 """Unit and stress tests of the multiprocess executor: cross-process
 payload routing, failure containment (a raising kernel must propagate
-as KernelError without hanging the pool), cancellation/timeout under
-load with no orphan worker processes, and argument validation."""
+as KernelError without hanging the pool), cancellation under load with
+no orphan worker processes, and argument validation."""
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 
 import numpy as np
 import pytest
 
 from repro.exec import (
-    ExecutionTimeout,
     ProcessExecutor,
     RunCancelled,
     execute,
@@ -29,6 +29,7 @@ from repro.runtime.task import Flow, Task
 from .conftest import (
     assert_report_folds_match_graph,
     join_all,
+    run_on_thread,
     small_stencil_graph,
 )
 
@@ -82,7 +83,7 @@ def cross_chain(n: int = 12, nodes: int = 2, delay: float = 0.0,
 
 
 def assert_no_orphans(ex: ProcessExecutor) -> None:
-    """Every node process must be dead once the handle resolved."""
+    """Every node process must be dead once ``run()`` returned."""
     alive = join_all(ex.processes)
     assert alive == [], f"orphan node processes survived the run: {alive}"
 
@@ -223,31 +224,30 @@ def test_cancel_under_load_leaves_no_orphans():
     ex = ProcessExecutor(cross_chain(400, delay=0.05, started=started),
                          procs=2, jobs=1)
     assert ex.cancel() is False  # not started: nothing to stop yet
-    handle = ex.start()
+    wait = run_on_thread(ex.run, 60)
     assert started.wait(60)  # the pipeline got going
     assert ex.cancel()
     with pytest.raises(RunCancelled):
-        handle.result(timeout=60)
+        wait()
     assert ex.cancel() is False  # finished
     assert_no_orphans(ex)
 
 
 def test_timeout_then_cancel_under_load():
+    """A caller whose own timeout expires cancels the run at once,
+    maybe while its nodes are still forking: the cancel reaches them."""
     ex = ProcessExecutor(cross_chain(400, delay=0.05), procs=2, jobs=1)
-    handle = ex.start()
-    with pytest.raises(ExecutionTimeout):
-        handle.result(timeout=0.2)
-    assert handle.running()  # a timeout alone does not cancel
-    handle.cancel()
+    wait = run_on_thread(ex.run, 60)
+    while not ex.cancel():  # accepted from the moment run() starts
+        os.sched_yield()
     with pytest.raises(RunCancelled):
-        handle.result(timeout=60)
-    assert isinstance(handle.exception(), RunCancelled)
+        wait()
     assert_no_orphans(ex)
 
 
 def test_stuck_kernel_is_forcibly_terminated(monkeypatch):
     """A kernel that ignores cancellation (stuck in C code, say) must
-    not keep the run handle or the process alive forever."""
+    not keep ``run()`` or the process alive forever."""
     monkeypatch.setattr("repro.exec.procs.JOIN_GRACE", 1.0)
 
     started = multiprocessing.get_context("fork").Event()
@@ -260,15 +260,15 @@ def test_stuck_kernel_is_forcibly_terminated(monkeypatch):
     g = TaskGraph()
     g.add(Task("stuck", node=0, kernel=stuck, out_nbytes={}))
     ex = ProcessExecutor(g, procs=1, jobs=1)
-    handle = ex.start()
+    wait = run_on_thread(ex.run, 30)
     assert started.wait(60)
-    handle.cancel()
+    assert ex.cancel()
     with pytest.raises(RunCancelled):
-        handle.result(timeout=30)
+        wait()
     assert_no_orphans(ex)
 
 
-# -- validation and handle contract -------------------------------------
+# -- validation and the single run -------------------------------------
 
 
 def test_default_procs_covers_used_nodes():
@@ -301,7 +301,7 @@ def test_executor_is_single_shot():
     ex = ProcessExecutor(cross_diamond(), procs=2, jobs=1)
     ex.run()
     with pytest.raises(RuntimeError, match="exactly once"):
-        ex.start()
+        ex.run()
 
 
 def test_silent_child_death_raises_typed_node_lost_error():

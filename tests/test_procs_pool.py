@@ -31,13 +31,18 @@ from repro.chaos.inject import FaultInjector
 from repro.core.base_parsec import build_base_graph
 from repro.core.runner import run
 from repro.exec import fork_available, pools, procs
-from repro.exec.futures import RunCancelled
 from repro.exec.procs import IDLE_CLOSE, ProcessExecutor, close_pools
 from repro.machine.machine import nacl
-from repro.runtime.report import KernelError, NodeLostError
+from repro.runtime.report import KernelError, NodeLostError, RunCancelled
 from repro.serve import ServiceConfig, SolverClient, SolverService
 
-from .conftest import join_all, random_problem, shared_mappings
+from .conftest import (
+    count_thread_starts,
+    join_all,
+    random_problem,
+    run_on_thread,
+    shared_mappings,
+)
 from .serve_helpers import random_problem as picklable_problem
 
 pytestmark = [pytest.mark.skipif(not fork_available(), reason="needs POSIX fork"),
@@ -151,7 +156,7 @@ def test_a_node_refuses_a_description_whose_plan_digest_differs():
     built.graph.recipe = dataclasses.replace(built.graph.recipe, digest="0" * 16)
     executor = ProcessExecutor(built.graph, procs=2, jobs=1)
     with pytest.raises(KernelError, match="refused the run: its rebuilt graph's plan digest"):
-        executor.run(timeout=60)
+        run_on_thread(executor.run, 60)()
     assert pids_of(executor) == pids  # it was sent to the pool, which closed
     assert join_all(executor.processes) == []
     again, fresh = pooled_run(problem)
@@ -167,7 +172,7 @@ def test_a_fresh_pools_first_run_is_refused_on_a_digest_mismatch():
     built.graph.recipe = dataclasses.replace(built.graph.recipe, digest="0" * 16)
     executor = ProcessExecutor(built.graph, procs=2, jobs=1)
     with pytest.raises(KernelError, match="refused the run: its rebuilt graph's plan digest"):
-        executor.run(timeout=60)
+        run_on_thread(executor.run, 60)()
     assert join_all(executor.processes) == []
     assert leftovers() == ([], [])
 
@@ -261,8 +266,6 @@ def test_an_idle_pool_does_not_keep_its_last_run_alive(monkeypatch):
     assert np.array_equal(result.grid, problem.reference_solution())
     pids = [proc.pid for proc in multiprocessing.active_children()]
     assert len(pids) == 2
-    # the watcher ends once the run is reported (not asserted: at fault it lingers)
-    join_all([t for t in procs_threads() if t.name == "repro-procs-watch"], 5.0)
     del result
     gc.collect()
     assert inodes[0] not in grid_memfds(os.getpid())
@@ -279,22 +282,24 @@ def _long_pooled_run():
     _, pids = pooled_run(problem)
     built = build_base_graph(problem, nacl(2), tile=6)
     executor = ProcessExecutor(built.graph, procs=2, jobs=1)
-    handle = executor.start()
-    assert pids_of(executor) == pids and handle.running()
-    return problem, pids, executor, handle
+    wait = run_on_thread(executor.run, 60)
+    while not executor.processes:  # listed once the run is sent
+        os.sched_yield()
+    assert pids_of(executor) == pids
+    return problem, pids, executor, wait
 
 
 @pytest.mark.parametrize("fault", ["cancel", "sigkill"])
 def test_a_cancel_or_a_lost_node_closes_the_pool(fault):
-    problem, pids, executor, handle = _long_pooled_run()
+    problem, pids, executor, wait = _long_pooled_run()
     if fault == "cancel":
-        assert handle.cancel()
+        assert executor.cancel()
         with pytest.raises(RunCancelled):
-            handle.result(timeout=60)
+            wait()
     else:
         os.kill(pids[1], signal.SIGKILL)
         with pytest.raises(NodeLostError) as info:
-            handle.result(timeout=60)
+            wait()
         assert info.value.node == 1
     assert join_all(executor.processes) == []
     again, fresh = pooled_run(problem)
@@ -320,11 +325,65 @@ def test_a_cancel_after_every_node_reported_closes_the_pool():
 
     executor.stamps = CancelOnceReceived()
     with pytest.raises(RunCancelled):
-        executor.run(timeout=60)
+        run_on_thread(executor.run, 60)()
     assert pids_of(executor) == pids
     assert not any(proc.is_alive() for proc in executor.processes)  # reaped, not idling
     again, fresh = pooled_run(problem)
     assert fresh != pids and np.array_equal(again.grid, problem.reference_solution())
+
+
+def test_a_cancel_during_dispatch_reaches_the_nodes(monkeypatch):
+    """A cancel accepted while the run is still being sent to its pool
+    is passed on once the nodes have it: they stop at once -- well
+    inside ``JOIN_GRACE``, with most of the run undone -- ``run()``
+    raises ``RunCancelled`` and the pool closes."""
+    _, pids = pooled_run(picklable_problem(24, 4, seed=2))
+    built = build_base_graph(picklable_problem(48, 300, seed=2), nacl(2), tile=6)
+    executor = ProcessExecutor(built.graph, procs=2, jobs=1)
+    dispatch = pools._Pool.dispatch
+
+    def cancel_first(pool, *args):
+        assert executor.cancel()
+        dispatch(pool, *args)
+
+    monkeypatch.setattr(pools._Pool, "dispatch", cancel_first)
+    t0 = time.monotonic()
+    with pytest.raises(RunCancelled):
+        run_on_thread(executor.run, 60)()
+    assert time.monotonic() - t0 < procs.JOIN_GRACE / 2
+    assert executor.progress()["done"] < len(built.graph) / 2
+    assert pids_of(executor) == pids
+    assert join_all(executor.processes) == []
+
+
+def test_an_interrupt_while_watching_closes_the_pool(monkeypatch):
+    """A ``KeyboardInterrupt`` on the calling thread while it watches
+    the nodes propagates, and the run's pool goes with it: no node keeps
+    running a run that nobody watches."""
+    _, pids = pooled_run(picklable_problem(24, 4, seed=2))
+    built = build_base_graph(picklable_problem(48, 300, seed=2), nacl(2), tile=6)
+    executor = ProcessExecutor(built.graph, procs=2, jobs=1)
+
+    def interrupted(conns, timeout=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(procs, "conn_wait", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_on_thread(executor.run, 60)()
+    assert pids_of(executor) == pids
+    assert join_all(executor.processes) == []
+    assert executor.cancel() is False
+
+
+def test_a_run_on_a_warm_pool_starts_one_thread(monkeypatch):
+    """The calling thread watches the nodes: a run sent to an idle pool
+    starts one thread in this process, the pool's idle wait."""
+    problem = picklable_problem(24, 4, seed=12)
+    _, pids = pooled_run(problem)
+    started = count_thread_starts(monkeypatch)
+    result, again = pooled_run(problem)
+    assert again == pids and started == ["repro-procs-linger"]
+    assert np.array_equal(result.grid, problem.reference_solution())
 
 
 def test_an_idle_pool_with_a_dead_node_is_replaced():
@@ -352,6 +411,7 @@ def test_an_idle_pool_whose_parent_dies_unwinds():
     reader, writer = ctx.Pipe(duplex=False)
     parent = ctx.Process(target=doomed_parent, args=(writer,))
     parent.start()
+    assert reader.poll(30), f"the doomed parent sent no pids (exit code {parent.exitcode})"
     pids = reader.recv()
     parent.join(30)
     assert parent.exitcode == 0 and len(pids) == 2
@@ -436,16 +496,16 @@ def test_an_in_process_serve_runner_leaves_its_node_pool_to_close(monkeypatch):
     """``processes`` requests on a ``pool="threads"`` service fork from a
     runner thread; the pool serves both, and closes once the service
     has stopped and the pool idled."""
-    start = ProcessExecutor.start
+    plain = ProcessExecutor.run
     runs, nodes = [], []
 
     def logged(self):
-        handle = start(self)
+        report = plain(self)
         runs.append(pids_of(self))
         nodes.extend(self.processes)
-        return handle
+        return report
 
-    monkeypatch.setattr(ProcessExecutor, "start", logged)
+    monkeypatch.setattr(ProcessExecutor, "run", logged)
     problem = picklable_problem(24, 4, seed=7)
     with SolverService(ServiceConfig(pool="threads", workers=1, cache=False)) as service:
         client = SolverClient(service)

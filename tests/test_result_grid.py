@@ -17,7 +17,6 @@ import mmap
 import multiprocessing
 import os
 import pickle
-import queue
 import threading
 import time
 import weakref
@@ -32,17 +31,17 @@ from repro.core.runner import run
 from repro.distgrid.partition import ProcessGrid
 from repro.exec import fork_available
 from repro.exec.executor import ThreadedExecutor
-from repro.exec.futures import RunCancelled
 from repro.exec.procs import RING_BYTES, ProcessExecutor, _Channels, _node_main
 from repro.machine.machine import nacl
 from repro.obs import MetricRegistry
 from repro.runtime.engine import Engine
+from repro.runtime.report import RunCancelled
 from repro.serve import ResultCache, ServiceConfig, SolverClient, SolverService
 from repro.serve.request import SolveOutcome
 from repro.stencil.problem import JacobiProblem
 from repro.stencil.variable import VariableStencilWeights
 
-from .conftest import random_problem, shared_mappings
+from .conftest import random_problem, run_on_thread, shared_mappings
 from .serve_helpers import random_problem as picklable_problem
 from .test_tile_buffers import arrays_in
 
@@ -136,13 +135,13 @@ def test_cancelled_run_raises_instead_of_returning_a_half_written_grid():
     built = build_base_graph(problem, nacl(4), tile=6)
     # The first last-sweep task to run cancels, then lands its core:
     # one core is in the grid, fifteen are not.
-    handles, fired = queue.Queue(), []
+    fired = []
 
     def cancelling(plain):
         def kernel(inputs, task):
             if not fired:  # one worker: no race
                 fired.append(task.key)
-                handles.get(timeout=30).cancel()
+                assert executor.cancel()
             return plain(inputs, task)
         return kernel
 
@@ -150,10 +149,8 @@ def test_cancelled_run_raises_instead_of_returning_a_half_written_grid():
         if task.key[-1] == 5:
             task.kernel = cancelling(task.kernel)
     executor = ThreadedExecutor(built.graph, jobs=1, policy="fifo")
-    handle = executor.start()
-    handles.put(handle)
     with pytest.raises(RunCancelled):
-        handle.result(timeout=60)
+        run_on_thread(executor.run, 60)()
     assert 0 < len(executor._store.results) < 16
     with pytest.raises(RuntimeError, match="did not report"):
         built.assemble_grid(executor._store.results)
@@ -255,14 +252,14 @@ def test_cancelled_processes_run_leaves_no_mapping_behind():
     before = shared_mappings()
     built = build_base_graph(problem, nacl(2), tile=6)
     executor = ProcessExecutor(built.graph, procs=2, jobs=1)
-    handle = executor.start()
+    wait = run_on_thread(executor.run, 60)
     while executor.progress()["done"] < 50:
         time.sleep(0.001)
-    handle.cancel()
+    assert executor.cancel()
     with pytest.raises(RunCancelled):
-        handle.result(timeout=60)
+        wait()
     assert shared_mappings() == before + 1  # the rings are unmapped
-    del built, executor, handle
+    del built, executor, wait
     assert shared_mappings() == before
     assert multiprocessing.active_children() == []
 

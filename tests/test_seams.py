@@ -35,7 +35,6 @@ slot or seam is written while a task that reads it still runs.
 from __future__ import annotations
 
 import mmap
-import queue
 import sys
 import time
 from contextlib import contextmanager
@@ -52,11 +51,11 @@ from repro.core.dataflow import StencilKernels
 from repro.distgrid.partition import ProcessGrid
 from repro.exec import fork_available
 from repro.exec.executor import ThreadedExecutor
-from repro.exec.futures import RunCancelled
 from repro.exec.procs import ProcessExecutor
 from repro.machine.machine import nacl
+from repro.runtime.report import RunCancelled
 
-from .conftest import random_problem
+from .conftest import random_problem, run_on_thread
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")
 pytestmark = pytest.mark.timeout(300)
@@ -457,7 +456,7 @@ def test_no_cell_is_written_while_a_task_may_still_read_it(fast_switching, monke
                 executor = ProcessExecutor(built.graph, procs=procs, jobs=2)
             else:
                 executor = ThreadedExecutor(built.graph, jobs=4 if how else 2)
-            report = executor.run(timeout=120)
+            report = run_on_thread(executor.run, 120)()
             assert np.array_equal(built.assemble_grid(report.results), truth), rep
             log.check(pairs)
 
@@ -473,19 +472,18 @@ def test_a_build_rerun_after_a_cancel_is_bit_identical(fast_switching, monkeypat
         log = SpanLog(monkeypatch, list(first.graph.tasks))
         built = build(problem, 4, 6, 2)
     trigger = built.graph[next(key for key in built.graph.tasks if key[-1] == 5)]
-    plain, handles = trigger.kernel, queue.Queue()
+    plain = trigger.kernel
 
     def cancelling(inputs, task):
-        handles.get(timeout=30).cancel()
+        assert executor.cancel()
         return plain(inputs, task)
 
     trigger.kernel = cancelling
-    handle = ThreadedExecutor(built.graph, jobs=3).start()
-    handles.put(handle)
+    executor = ThreadedExecutor(built.graph, jobs=3)
     with pytest.raises(RunCancelled):
-        handle.result(timeout=60)
+        run_on_thread(executor.run, 60)()
     trigger.kernel = plain
     log.spans[...] = np.nan
-    report = ThreadedExecutor(built.graph, jobs=3).run(timeout=60)
+    report = run_on_thread(ThreadedExecutor(built.graph, jobs=3).run, 60)()
     assert np.array_equal(built.assemble_grid(report.results), problem.reference_solution())
     log.check(pairs)

@@ -34,7 +34,7 @@ from repro.serve.pool import InProcessWorker, ProcessWorker, _CancelScope
 from repro.serve.request import DeadlineExpired, WorkerDied
 from repro.stencil.problem import JacobiProblem
 
-from .conftest import join_all
+from .conftest import join_all, run_on_thread
 from .serve_helpers import (
     _no_serve_leftovers,
     _request,
@@ -129,13 +129,13 @@ def test_cancel_scope_retries_until_the_run_has_started():
     assert scope.cancel(7) is False  # no executor seen yet
     scope.seen(executor)
     assert scope.cancel(7) is False  # seen, not started: next tick
-    handle = executor.start()
+    wait = run_on_thread(executor.run, 30)
     assert started.wait(30)
     assert scope.cancel(8) is False  # another job's deadline
     assert scope.cancel(7) is True
     release.set()
     with pytest.raises(RunCancelled):
-        handle.result(timeout=30)
+        wait()
     assert scope.cancel(7) is False  # finished
     scope.seen(object())  # the sim Engine: no cancel()
     assert scope.cancel(7) is False

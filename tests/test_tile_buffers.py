@@ -14,7 +14,6 @@ removed do not creep back: a solve holds one grid.
 """
 
 import mmap
-import queue
 import tracemalloc
 
 import numpy as np
@@ -27,17 +26,17 @@ from repro.core.dataflow import IN_GRID, StencilKernels
 from repro.core.runner import run
 from repro.exec import fork_available, procs
 from repro.exec.executor import ThreadedExecutor
-from repro.exec.futures import RunCancelled
 from repro.exec.procs import ProcessExecutor
 from repro.machine.machine import nacl
 from repro.runtime.engine import Engine
+from repro.runtime.report import RunCancelled
 from repro.runtime.task import READY
 from repro.stencil.kernels import StencilWeights
 from repro.stencil.problem import JacobiProblem
 from repro.stencil.reference import jacobi_reference
 from repro.stencil.variable import BAND_CELLS
 
-from .conftest import random_problem, shared_mappings
+from .conftest import random_problem, run_on_thread, shared_mappings
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="needs POSIX fork")
 
@@ -226,17 +225,15 @@ def test_cancelled_run_then_reset_and_full_run_is_bit_identical():
     # Cancel from inside a mid-run task: the grid is half-swept then.
     trigger = built.graph[(built.name, 3, "boundary", 6)]
     plain = trigger.kernel
-    handles = queue.Queue()
 
     def cancelling(inputs, task):
-        handles.get(timeout=30).cancel()
+        assert executor.cancel()
         return plain(inputs, task)
 
     trigger.kernel = cancelling
-    handle = ThreadedExecutor(built.graph, jobs=2).start()
-    handles.put(handle)
+    executor = ThreadedExecutor(built.graph, jobs=2)
     with pytest.raises(RunCancelled):
-        handle.result(timeout=60)
+        run_on_thread(executor.run, 60)()
 
     trigger.kernel = plain
     report = ThreadedExecutor(built.graph, jobs=2).run()
