@@ -1,6 +1,6 @@
 """One node-block task's path through the runtime, hop by hop (wall-clock).
 
-    PYTHONPATH=src python benchmarks/task_path.py [serve_mix|kernel_large|halo_base|halo_ca]
+    PYTHONPATH=src python benchmarks/task_path.py [serve_mix|kernel_large|halo_base|halo_ca|toy]
 
 Walks the hops `docs/runtime-guide.md` lists on one of the wall-clock
 benchmark's geometries, single-threaded, over the graph its backend
@@ -20,12 +20,14 @@ last sweep updates the cores only), `publish`/`release` and the
 worker's per-task record.  Each figure is the median over the solve's
 tasks (over the last sweep's for "last sweep"), taken three times,
 best kept.  On the multi-node geometries it also walks the `processes`
-backend's two hops per *message*: "ring write" (put the header-only
-ready record into the destination's shared-memory ring, post the
-doorbell) and "ring drain" (take the ring lock, take the record out).
-The hops are timed where they are called, one after the other, so the
-numbers add up to a `jobs=1` solve without thread hand-offs; they are a
-map of where the time goes, not a benchmark.
+backend's two hops per *record* -- one per producer task and node it
+reaches, for every strip and corner it wrote there -- "ring write"
+(put the header-only ready record into the destination's shared-memory
+ring, post the doorbell) and "ring drain" (take the ring lock, take the
+record out), and counts the records per executed task.  The hops are
+timed where they are called, one after the other, so the numbers add
+up to a `jobs=1` solve without thread hand-offs; they are a map of
+where the time goes, not a benchmark.
 
 On `halo_*` a second table splits one traced `processes` run (`jobs=1`,
 one process per node) into the parts no task span covers, from
@@ -42,7 +44,18 @@ wall-clock benchmark's timed pairs.  A third table splits a pool's
 *first* run the same way: the idle pools are closed before each run, so
 each forks its nodes bare, sends them the run, and keeps them as the
 pool (the reap and unmap columns are the pool's, closed before the
-run, and read zero).
+run, and read zero).  Each of the two tables ends with the traced
+run's own figures: the report build (`stamps["reported"] -
+stamps["received"]`: the nodes' stats merged into one trace), one
+record's hops between two tasks -- producer end -> record written (its
+send span ends) -> record drained (its recv span ends) -> the first
+task it released starts; medians over every record of the run, in
+microseconds -- and the nodes' *overlap*: the share of the time some
+node computes during which every node does.
+
+`toy` is a 64 x 64 grid on two nodes, small enough for a smoke run of
+every table; it keeps this script's private imports from
+`exec/procs.py` honest.
 """
 
 from __future__ import annotations
@@ -57,7 +70,7 @@ from repro.core.dataflow import TEMPLATES, build_stencil_graph
 from repro.core.spec import StencilSpec
 from repro.exec.executor import ThreadedExecutor
 from repro.exec.procs import (RING_BYTES, ProcessExecutor, _Channels, _encode, _plan_index,
-                              _record_bytes, close_pools)
+                              _record_bytes, _records, close_pools)
 from repro.exec.wallclock_trace import WallClockRecorder
 from repro.machine.machine import nacl
 from repro.runtime.scheduler import make_queue
@@ -74,6 +87,7 @@ GEOMETRIES = {
     "kernel_large": dict(n=2048, ncols=2048, iterations=16, nodes=1, tile=256, steps=1),
     "halo_base": dict(n=4096, ncols=256, iterations=64, nodes=2, tile=128, steps=1),
     "halo_ca": dict(n=4096, ncols=256, iterations=64, nodes=2, tile=128, steps=4),
+    "toy": dict(n=64, ncols=64, iterations=4, nodes=2, tile=16, steps=2),
 }
 
 
@@ -113,24 +127,29 @@ def one_solve(geometry: dict) -> dict[str, float]:
     parts = {name: [] for name in ("gather", "plan lookup", "own lines", "kernel",
                                    "line gather", "seams", "strips into slots", "last sweep",
                                    "stencil_task", "publish + release", "per-task record",
-                                   "ring write (per message)", "ring drain (per message)")}
-    # What the processes backend lays out before forking, and what a
-    # node reads the plan into (no message on a one-node geometry).
+                                   "ring write (per record)", "ring drain (per record)")}
+    # What the processes backend lays out before forking, and what each
+    # node reads the plan into (no record on a one-node geometry).
     channels = _Channels(nodes, multiprocessing.get_context("fork"), RING_BYTES)
-    sends = _plan_index(graph)[1]
+    sends = {}
+    for node in range(nodes):
+        sends.update(_plan_index(graph, node)[0])
+    records = 0
     for task in graph:
         dt, inputs = clock(store.gather, task)
         kernel_dt, outputs = clock(task.kernel, inputs, task)
-        for index, tag, dst, _nbytes in sends.get(task.key, ()):
+        for dst, first, tags, _sizes in sends.get(task.key, ()):
             ring = channels.rings[task.node, dst]
+            for offset, run, payload in _records(tags, outputs):
 
-            def write():
-                fields, body = _encode(index, outputs[tag])
-                ring.put(fields, body, _record_bytes(body))
-                channels.doorbells[dst].release()
+                def write():
+                    fields, body = _encode(first + offset, len(run), payload)
+                    ring.put(fields, body, _record_bytes(body))
+                    channels.doorbells[dst].release()
 
-            parts["ring write (per message)"].append(clock(write)[0])
-            parts["ring drain (per message)"].append(clock(ring.take)[0])
+                parts["ring write (per record)"].append(clock(write)[0])
+                parts["ring drain (per record)"].append(clock(ring.take)[0])
+                records += 1
         post_dt, _ = clock(lambda: (store.publish(task, dict(outputs)), store.release(task)))
         # All a worker writes about a finished task: one lane tuple.
         record_dt, _ = clock(recorder.record, 0, task.kind, 0.0, kernel_dt, task.key, task.key)
@@ -171,6 +190,7 @@ def one_solve(geometry: dict) -> dict[str, float]:
     for name, samples in parts.items():
         hops[name] = median(samples) * 1e6 if samples else float("nan")
     hops["executed tasks"] = len(stencil)
+    hops["records per task"] = records / len(stencil)
     return hops
 
 
@@ -179,17 +199,66 @@ OUTSIDE = ("fork / pool checkout", "boot / dispatch -> first task",
            "last task -> last report", "report unpickle + merge", "reap", "unmap")
 
 
+#: What a traced run reads off itself: its report build, one record's
+#: hops between two tasks (:func:`record_hops`) and the nodes' overlap.
+TRACED = ("report build", "end -> written (us)", "written -> drained (us)",
+          "drained -> consumer (us)", "overlap (%)")
+
+
+def record_hops(trace, graph) -> tuple[list[float], list[float], list[float]]:
+    """Seconds per record of a traced run: producer end -> record written
+    (its send span ends), written -> drained (its recv span ends),
+    drained -> the first task it released starts."""
+    starts = {span.task_id: span.start for span in trace.compute_spans()}
+    ends = {span.task_id: span.end for span in trace.compute_spans()}
+    written = {span.label: span.end for span in trace.spans if span.kind == "send"}
+    consumers: dict[tuple, list] = {}
+    for task in graph:
+        for flow in task.inputs:
+            consumers.setdefault((flow.producer, flow.tag, task.node), []).append(task.key)
+    hops: tuple[list[float], list[float], list[float]] = ([], [], [])
+    for span in trace.spans:
+        if span.kind != "recv":
+            continue
+        producer, tags, _src = span.label
+        sent = written[producer, tags, span.node]
+        released = min(starts[key] for tag in tags for key in consumers[producer, tag, span.node])
+        for hop, seconds in zip(hops, (sent - ends[producer], span.end - sent,
+                                       released - span.end)):
+            hop.append(seconds)
+    return hops
+
+
+def overlap(trace) -> float:
+    """The share of the time some node computes during which every node
+    does."""
+    spans = trace.compute_spans()
+    active = dict.fromkeys({span.node for span in spans}, 0)
+    every = some = 0.0
+    last = None
+    for t, delta, node in sorted((t, delta, span.node) for span in spans
+                                 for t, delta in ((span.start, 1), (span.end, -1))):
+        if last is not None:
+            working = sum(1 for count in active.values() if count)
+            every += (t - last) * (working == len(active))
+            some += (t - last) * (working > 0)
+        active[node] += delta
+        last = t
+    return every / some if some else 0.0
+
+
 def outside_tasks(geometry: dict, runs: int = 12, fresh: bool = False) -> dict[str, float]:
     """Milliseconds of one traced `processes` run of ``geometry`` outside
     its task spans, part by part (:data:`OUTSIDE`), then the run's wall
-    (`start()` to the report built) and the tasks' extent (first task
-    start to last task end): medians over ``runs`` runs after two.  With
-    ``fresh``, each run is a pool's first: the idle pools are closed
-    before it."""
+    (`start()` to the report built), the tasks' extent (first task
+    start to last task end) and what the trace says (:data:`TRACED`):
+    medians over ``runs`` runs after two.  With ``fresh``, each run is a
+    pool's first: the idle pools are closed before it."""
     g = dict(geometry)
     nodes, tile, steps = g.pop("nodes"), g.pop("tile"), g.pop("steps")
     problem = JacobiProblem(init=0.5, **g)
-    parts: dict[str, list[float]] = {name: [] for name in (*OUTSIDE, "run wall", "tasks")}
+    parts: dict[str, list[float]] = {
+        name: [] for name in (*OUTSIDE, "run wall", "tasks", *TRACED)}
     for k in range(runs + 2):
         problem.reference_solution()
         if fresh:
@@ -214,11 +283,16 @@ def outside_tasks(geometry: dict, runs: int = 12, fresh: bool = False) -> dict[s
                 reaped - at["received"], unmapped - reaped,
                 at["reported"] - at["start"], last - first)):
             parts[name].append(seconds * 1e3)
+        hops = record_hops(report.trace, built.graph)
+        for name, value in zip(TRACED, (
+                (at["reported"] - at["received"]) * 1e3,
+                *(median(hop) * 1e6 for hop in hops), overlap(report.trace) * 100)):
+            parts[name].append(value)
     return {name: median(samples) for name, samples in parts.items()}
 
 
 def main(argv: list[str]) -> None:
-    names = argv or list(GEOMETRIES)
+    names = argv or [name for name in GEOMETRIES if name != "toy"]
     # A process's first solve also pays its imports' and numpy's
     # first-call costs: spend them on a toy shape.
     one_solve(dict(n=64, ncols=64, iterations=2, nodes=4, tile=16, steps=1))

@@ -185,7 +185,8 @@ class ThreadedExecutor:
     def run(self) -> ExecReport:
         """Execute the graph: the calling thread is worker 0 beside
         ``jobs - 1`` worker threads.  Returns the report once every
-        worker is joined, or raises the first kernel error /
+        worker is joined, or raises the first kernel error (a
+        ``SystemExit`` a kernel raised, as it came) /
         :class:`RunCancelled`.  Anything else that escapes worker 0
         (a ``KeyboardInterrupt``) stops the others first."""
         with self._lock:
@@ -330,9 +331,11 @@ class ThreadedExecutor:
                 )
                 end = recorder.now()
                 self._publish(task, outputs)
-            except Exception as exc:  # noqa: BLE001 - raised by run()
+            except BaseException as exc:  # noqa: BLE001 - raised by run()
+                # A SystemExit on any worker stops the run as a kernel
+                # error does; run() re-raises it as it came.
                 failure = exc
-                if not isinstance(exc, KernelError):
+                if isinstance(exc, Exception) and not isinstance(exc, KernelError):
                     failure = KernelError(
                         f"kernel of task {task.key!r} (kind {task.kind!r}) "
                         f"failed: {exc}"

@@ -12,9 +12,12 @@ problem.  A stencil's strip travels outside the ring: its producer
 writes it straight into the consumer's landing slot, which the build
 maps before the fork next to the result grid
 (:mod:`repro.core.dataflow`), and the flow's payload is the token
-:data:`~repro.runtime.task.READY`, which the ring carries as a
-header-only *ready* record -- the strip's partition marked ready, as
-persistent MPI's ``MPI_Pready`` does.
+:data:`~repro.runtime.task.READY`.  What a producer task sends one node
+-- an *edge*: every strip and corner it wrote into that node's slots --
+becomes ready at once, so the ring carries one header-only *ready*
+record per edge, naming the run of plan entries it releases: as
+persistent MPI's ``MPI_Pready`` marks a partition ready, one mark for
+the partitions that are ready together.
 
 Channels.  The channels are laid out before the nodes are forked
 (:class:`_Channels`): one single-producer/single-consumer byte ring of
@@ -25,7 +28,7 @@ every exit path.  With the rings come a process-shared lock per ring, a
 semaphore *doorbell* per node and a few header words per node (abort
 flag, tasks done, messages sent).  A pool's channels serve every run it
 takes; each node reads its run's :meth:`TaskGraph.message_plan` into
-what a record names (:func:`_plan_index`).  Only a one-shot graph whose
+the edges it sends and receives (:func:`_plan_index`).  Only a one-shot graph whose
 plan declares a message over a quarter of a ring gets larger rings:
 four times its largest message (:func:`_ring_bytes`).
 
@@ -33,7 +36,8 @@ No communication thread.  A send is a record of a few bytes -- shorter
 than one thread hand-off -- so the worker that ran the producing task
 writes its records itself (:meth:`_NodeExecutor._send_remote`) and posts
 each destination's doorbell once, and a worker looking for its next task
-first takes whatever arrived out of its node's inbound rings
+first takes whatever arrived out of its node's inbound rings and
+releases every consumer of a record's entries at once
 (:meth:`_NodeExecutor._poll`); ``comm_busy`` is worker time.  A worker
 never blocks on a full ring: the record waits in the node's *outbox*
 (as does one a chaos ``drop`` fault delays), retried wherever rings are
@@ -41,8 +45,8 @@ polled and before the node reports ``done``.  A node with nothing to
 run but remote inputs outstanding has exactly one idle worker asleep on
 its doorbell, outside the executor lock; the others sleep on the pool's
 condition as in the threads backend.  Any other payload is pickled
-into its record and unpickled out of it, a private copy: no view into
-a ring ever reaches a kernel or the payload store.
+into a record of its own and unpickled out of it, a private copy: no
+view into a ring ever reaches a kernel or the payload store.
 
 Visibility.  Ring bytes and the ``head``/``tail`` counters are read and
 written for effect only under the ring's lock, whose acquire/release
@@ -89,21 +93,24 @@ over their grids (:func:`~repro.core.recipe.release_builds`) -- so an
 idle node holds no grid.  Any other graph forks one-shot nodes that
 inherit it, run it and exit.
 
-Accounting.  Workers write exactly the message plan's entries, so
-per-edge message counts and *declared* payload bytes equal
+Accounting.  Workers write exactly the message plan's entries, and a
+message is counted as a plan entry whatever record carried it, so
+per-pair message counts and *declared* payload bytes equal
 :meth:`TaskGraph.census` by construction; ring bytes (record headers
-plus any pickled body: a stencil's ready records are headers alone) are
-tallied apart as ``wire_bytes``.  A node ships what it *measured* home
-once, in its ``("done", stats)`` message (messages,
-declared and ring bytes per destination, busy seconds); the
-parent builds the report from those and an attached registry is a fold
-of that report -- no registry exists in a child.  Send/recv spans land
-on the comm lanes of the standard :class:`~repro.runtime.trace.Trace`
-schema.
+plus any pickled body: a stencil's ready records are headers alone, 16
+bytes an edge) are tallied apart as ``wire_bytes``.  A node keeps
+running tallies (messages, declared and ring bytes per destination,
+busy seconds) and ships them home once, in its ``("done", stats)``
+message; the parent builds the report from those and an attached
+registry is a fold of that report -- no registry exists in a child.  A
+traced node also ships one send and one recv span per record, on the
+comm lanes of the standard :class:`~repro.runtime.trace.Trace` schema,
+labelled ``(producer, tags, peer)``.
 """
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import functools
 import gc
@@ -156,9 +163,10 @@ _RETRY = 0.0005
 #: a sweep ahead, <= 64 / 132 KiB in flight; 256 KiB keeps the outbox idle.
 RING_BYTES = 256 * 1024
 
-#: Record header: plan index and the byte length of the pickled body
-#: that follows; 0 is a ready record, :data:`READY` and no body.
-_HDR = struct.Struct("<2q")
+#: Record header: first plan index, entry count and the byte length of
+#: the pickled body that follows.  A body is one entry's payload; no
+#: body is a ready record, :data:`READY` for each of its entries.
+_HDR = struct.Struct("<qii")
 
 #: int64 words per node / per ring in the shared header: one cache
 #: line each, so one node's per-task stores do not bounce a peer's.
@@ -280,8 +288,9 @@ class _Ring:
             self.lock.release()
 
     def take(self):
-        """Copy the oldest record out: ``(plan index, payload)``, or
-        None when the ring is empty (or its lock is stuck)."""
+        """Copy the oldest record out: ``(first plan index, entries,
+        payload)``, or None when the ring is empty (or its lock is
+        stuck)."""
         if not self.lock.acquire(timeout=_POLL):
             return None
         try:
@@ -289,21 +298,21 @@ class _Ring:
             if tail == self.words[_HEAD]:
                 return None
             data, pos = self.data, tail % self.capacity
-            index, length = _HDR.unpack_from(data, pos)
+            first, count, length = _HDR.unpack_from(data, pos)
             payload, body = READY, bytearray(length)
             if length:
                 pos += _HDR.size
-                first = self.capacity - pos
-                if length <= first:
+                split = self.capacity - pos
+                if length <= split:
                     body[:] = data[pos:pos + length]
                 else:
-                    body[:first] = data[pos:]
-                    body[first:] = data[:length - first]
+                    body[:split] = data[pos:]
+                    body[split:] = data[:length - split]
                 payload = pickle.loads(body)
                 if type(payload) is np.ndarray:
                     payload.setflags(write=False)  # as the payload store freezes outputs
             self.words[_TAIL] = tail + _record_bytes(body)
-            return index, payload
+            return first, count, payload
         finally:
             self.lock.release()
 
@@ -313,14 +322,27 @@ def _record_bytes(body) -> int:
     return _HDR.size * (1 - (-len(body) // _HDR.size))
 
 
-def _encode(index: int, payload) -> tuple[tuple, bytes]:
+def _ready(payload) -> bool:
+    return type(payload) is str and payload == READY
+
+
+def _encode(first: int, count: int, payload) -> tuple[tuple, bytes]:
     """One record's header fields and body: none for :data:`READY` (a
-    ready record: the data is where its consumer reads it), a pickle
-    for anything else."""
-    if type(payload) is str and payload == READY:
-        return (index, 0), b""
+    ready record for ``count`` entries: the data is where their
+    consumers read it), a pickle of one entry's payload for anything
+    else."""
+    if _ready(payload):
+        return (first, count, 0), b""
     body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    return (index, len(body)), body
+    return (first, 1, len(body)), body
+
+
+def _records(tags: tuple, outputs: dict) -> list[tuple]:
+    """One edge's entries as records, ``(offset, tags, payload)``: one
+    ready record when every payload is :data:`READY`, else one each."""
+    if all(_ready(outputs[tag]) for tag in tags):
+        return [(0, tags, READY)]
+    return [(k, (tag,), outputs[tag]) for k, tag in enumerate(tags)]
 
 
 def _ring_bytes(graph: TaskGraph) -> int:
@@ -332,18 +354,32 @@ def _ring_bytes(graph: TaskGraph) -> int:
     return max(RING_BYTES, 4 * largest)
 
 
-def _plan_index(graph: TaskGraph) -> tuple[list, dict]:
-    """``graph``'s message plan as its records name it: plan index ->
-    ``(producer, tag)``, and producer -> ``[(plan index, tag, dst,
-    declared nbytes)]``."""
-    entries: list[tuple[TaskKey, str]] = []
-    sends: dict[TaskKey, list[tuple[int, str, int, int]]] = {}
+def _plan_index(graph: TaskGraph, node: int) -> tuple[dict, list, list]:
+    """``graph``'s message plan as node ``node``'s records name it.
+    Every node numbers the plan's entries alike, producer by producer
+    and each producer's by destination, so what a producer sends one
+    node -- an *edge* -- is a run of consecutive plan indices.  Returns
+    the edges ``node`` sends, producer -> ``[(dst, first index, tags,
+    declared nbytes per tag)]``, and the ones it receives, in plan
+    order: their first indices, and their ``(producer, tags)``."""
+    sends: dict[TaskKey, list[tuple]] = {}
+    firsts: list[int] = []
+    inbound: list[tuple[TaskKey, tuple]] = []
+    index = 0
     for producer, messages in graph.message_plan().items():
-        rows = sends[producer] = []
+        edges: dict[int, list[tuple[str, int]]] = {}
         for tag, dst, nbytes in messages:
-            rows.append((len(entries), tag, dst, nbytes))
-            entries.append((producer, tag))
-    return entries, sends
+            edges.setdefault(dst, []).append((tag, nbytes))
+        src = graph[producer].node
+        for dst, rows in sorted(edges.items()):
+            tags, sizes = zip(*rows)
+            if src == node:
+                sends.setdefault(producer, []).append((dst, index, tags, sizes))
+            elif dst == node:
+                firsts.append(index)
+                inbound.append((producer, tags))
+            index += len(rows)
+    return sends, firsts, inbound
 
 
 class _Channels:
@@ -417,7 +453,9 @@ class _NodeExecutor(ThreadedExecutor):
     ) -> None:
         self.node = node
         self._local: list[Task] = [t for t in graph if t.node == node]
-        self._entries, self._sends = _plan_index(graph)
+        #: the edges this node sends, and the ones it receives: a
+        #: record's first plan index finds its edge by bisection
+        self._sends, self._firsts, self._edges = _plan_index(graph, node)
         #: (producer, tag) -> local consumer keys (one entry per flow)
         self._remote_consumers: dict[tuple[TaskKey, str], list[TaskKey]] = {}
         self._channels = channels
@@ -437,8 +475,12 @@ class _NodeExecutor(ThreadedExecutor):
         #: a worker is asleep on the doorbell (at most one is)
         self._listening = False
         self._published = 0
-        #: one tuple per message sent / received, raw perf_counter
-        #: stamps: (start, end, (producer, tag, peer), nbytes, ring bytes)
+        #: running tallies: dst -> [messages (plan entries), declared
+        #: bytes, ring bytes], and worker seconds spent sending/receiving
+        self.by_dst: dict[int, list[int]] = {}
+        self.send_busy = self.recv_busy = 0.0
+        #: traced only, one span per record sent / received, raw
+        #: perf_counter stamps: (start, end, (producer, tags, peer))
         self.sent: list[tuple] = []
         self.received: list[tuple] = []
         super().__init__(graph, jobs=jobs, policy=policy, trace=trace)
@@ -460,41 +502,54 @@ class _NodeExecutor(ThreadedExecutor):
     # -- sending (under the executor lock) ---------------------------------
 
     def _send_remote(self, task: Task, outputs: dict) -> None:
-        """One record per entry of the graph's message plan, written by
-        the worker that ran ``task`` -- a node-block task sends one ready
-        record per strip and corner it wrote into a landing slot -- then
-        one doorbell per destination reached; also the node's live task
-        tally."""
+        """One record per edge of ``task`` (its plan entries to one
+        node), written by the worker that ran it -- a node-block task
+        sends a neighbour one ready record for every strip and corner it
+        wrote into that node's landing slots; a payload other than
+        :data:`READY` is pickled into a record of its own -- then one
+        doorbell per destination reached; also the node's live task
+        tally.  Chaos is consulted once per record: a drop delays it
+        whole."""
         self._published += 1
         self._words[_DONE] = self._published
         reached = set()
-        for index, tag, dst, nbytes in self._sends.get(task.key, ()):
-            start = time.perf_counter()
-            fields, body = _encode(index, outputs[tag])
-            size, capacity = _record_bytes(body), self._outbound[dst].capacity
-            if size > capacity:
-                sent = getattr(outputs[tag], "nbytes", len(body))
-                raise KernelError(
-                    f"task {task.key!r} sent {sent} bytes for tag "
-                    f"{tag!r} but declared {nbytes}: the record cannot fit "
-                    f"the {capacity}-byte ring to node {dst}"
-                )
-            delay = (self._chaos.on_message(task.key, tag, self.node, dst)
-                     if self._chaos is not None else None)
-            record = ((task.key, tag, dst), nbytes, fields, body, size)
-            if delay or not self._ship(start, *record):
-                self._outbox.append((start + (delay or 0.0), *record))
-            else:
-                reached.add(dst)
+        for dst, first, tags, sizes in self._sends.get(task.key, ()):
+            for offset, run, payload in _records(tags, outputs):
+                start = time.perf_counter()
+                fields, body = _encode(first + offset, len(run), payload)
+                size, capacity = _record_bytes(body), self._outbound[dst].capacity
+                if size > capacity:
+                    raise KernelError(
+                        f"task {task.key!r} sent {getattr(payload, 'nbytes', len(body))} "
+                        f"bytes for tag {tags[offset]!r} but declared {sizes[offset]}: "
+                        f"the record cannot fit the {capacity}-byte ring to node {dst}"
+                    )
+                delay = (self._chaos.on_message(task.key, tags[offset], self.node, dst)
+                         if self._chaos is not None else None)
+                record = ((task.key, run, dst), sum(sizes[offset:offset + len(run)]),
+                          fields, body, size)
+                if delay or not self._ship(start, *record):
+                    self._outbox.append((start + (delay or 0.0), *record))
+                else:
+                    reached.add(dst)
         self._ring(reached)
 
     def _ship(self, start: float, label, nbytes: int, fields, body, size) -> bool:
-        """Write one record into its ring; the message is counted here,
-        once, when it is really on its way.  The caller rings."""
-        if not self._outbound[label[2]].put(fields, body, size):
+        """Write one record into its ring; its messages (the label's
+        tags) are tallied here, once, when they are really on their
+        way.  The caller rings."""
+        _producer, tags, dst = label
+        if not self._outbound[dst].put(fields, body, size):
             return False
-        self.sent.append((start, time.perf_counter(), label, nbytes, size))
-        self._words[_MESSAGES] = len(self.sent)
+        end = time.perf_counter()
+        tally = self.by_dst.setdefault(dst, [0, 0, 0])
+        tally[0] += len(tags)
+        tally[1] += nbytes
+        tally[2] += size
+        self.send_busy += end - start
+        if self.want_trace:
+            self.sent.append((start, end, label))
+        self._words[_MESSAGES] += len(tags)
         return True
 
     def _ring(self, nodes) -> None:
@@ -542,13 +597,21 @@ class _NodeExecutor(ThreadedExecutor):
                 record = ring.take()
                 if record is None:
                     break
-                producer, tag = self._entries[record[0]]
-                consumers = self._remote_consumers.pop((producer, tag))
-                self._store.inject(producer, tag, record[1])
+                first, count, payload = record
+                edge = bisect.bisect_right(self._firsts, first) - 1
+                producer, tags = self._edges[edge]
+                offset = first - self._firsts[edge]
+                tags = tags[offset:offset + count]
+                consumers = []
+                for tag in tags:
+                    consumers += self._remote_consumers.pop((producer, tag))
+                    self._store.inject(producer, tag, payload)
                 if self._wake(consumers):
                     self._work_ready.notify_all()
-                self.received.append(
-                    (start, time.perf_counter(), (producer, tag, src)))
+                end = time.perf_counter()
+                self.recv_busy += end - start
+                if self.want_trace:
+                    self.received.append((start, end, (producer, tags, src)))
 
     def _idle_wait(self) -> None:
         """Nothing to run.  With remote inputs (or outbox records)
@@ -656,19 +719,13 @@ def _run_node(
         return ("error", exc)
     finally:
         control.attach(None)
-    by_dst: dict[int, list[int]] = {}
-    for _start, _end, label, nbytes, ring_bytes in executor.sent:
-        tally = by_dst.setdefault(label[2], [0, 0, 0])
-        tally[0] += 1
-        tally[1] += nbytes
-        tally[2] += ring_bytes
     stats = {
         "completed": executor._recorder.completed(),
         "results": executor._store.results,
         "worker_busy": executor._recorder.busy_per_worker(),
-        "by_dst": by_dst,
-        "send_busy": sum(r[1] - r[0] for r in executor.sent),
-        "recv_busy": sum(r[1] - r[0] for r in executor.received),
+        "by_dst": executor.by_dst,
+        "send_busy": executor.send_busy,
+        "recv_busy": executor.recv_busy,
     }
     if want_trace:
         stats["task_spans"] = [

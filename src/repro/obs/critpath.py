@@ -246,9 +246,11 @@ def _task_identity(span: Span) -> Any:
     return label
 
 
-def _comm_label(span: Span) -> tuple[Any, str | None]:
+def _comm_label(span: Span) -> tuple[Any, Any]:
     """(producer, tag) of a comm span; tag ``None`` when unknown
-    (blocking-mode sends only carry the producer key)."""
+    (blocking-mode sends only carry the producer key), a tuple of tags
+    when the span moved several messages at once (a ``processes``
+    ready record)."""
     label = span.label
     if isinstance(label, tuple) and len(label) in (2, 3):
         return label[0], label[1]
@@ -334,7 +336,8 @@ class _CausalDag:
             for i in recv_spans:
                 span = self.spans[i]
                 producer, tag = _comm_label(span)
-                recv_exact[(producer, tag, span.node)] = i
+                for one in tag if isinstance(tag, tuple) else (tag,):
+                    recv_exact[(producer, one, span.node)] = i
             for task in graph:
                 v = task_span.get(task.key)
                 if v is None:

@@ -252,6 +252,38 @@ def test_a_keyboard_interrupt_on_the_calling_thread_stops_every_worker():
         ex.run()
 
 
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_a_system_exit_on_another_worker_ends_the_run(backend):
+    """A kernel that raises ``SystemExit`` on a worker other than the
+    caller's stops the run like a kernel error: the other workers take
+    no more tasks and ``run()`` raises, where the dead worker's task
+    used to stay unpublished and ``run()`` waited for it forever.  On
+    ``threads`` the ``SystemExit`` itself comes out; a node process
+    reports it as its node's failure."""
+    if backend == "processes" and not fork_available():
+        pytest.skip("needs POSIX fork")
+    exited = threading.Event()
+
+    def kernel(inputs, task):
+        if threading.current_thread().name.startswith("repro-exec-"):
+            exited.set()
+            raise SystemExit(3)
+        exited.wait(30)  # worker 0 holds a task until worker 1 died
+        return {"v": 1.0}
+
+    g = TaskGraph()
+    for k in range(4):
+        g.add(Task(k, node=0, kernel=kernel, out_nbytes={"v": 8}))
+    if backend == "threads":
+        wait = run_on_thread(ThreadedExecutor(g, jobs=2).run, 30)
+        with pytest.raises(SystemExit):
+            wait()
+    else:
+        wait = run_on_thread(ProcessExecutor(g, procs=1, jobs=2).run, 30)
+        with pytest.raises(KernelError, match="SystemExit"):
+            wait()
+
+
 def test_cancel_stops_remaining_work():
     started = threading.Event()
     release = threading.Event()

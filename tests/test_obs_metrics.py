@@ -177,8 +177,11 @@ def test_procs_merged_counters_equal_single_process_totals():
     assert procs.counter("messages_total") == sim.counter("messages_total")
     assert (procs.counter("message_bytes_total")
             == census.remote_bytes)
-    # the rings carry one header-only ready record per message
-    assert procs.counter("wire_bytes_total") == 16 * census.remote_messages
+    # the rings carry one header-only ready record per edge of the
+    # executed graph: what one producer task sends one node
+    edges = sum(len({dst for _tag, dst, _nbytes in messages})
+                for messages in procs_run.graph.message_plan().values())
+    assert procs.counter("wire_bytes_total") == 16 * edges < 16 * census.remote_messages
     # per-pair message labels survive the merge
     by_pair = {
         (int(dict(ls)["src"]), int(dict(ls)["dst"])): int(v)

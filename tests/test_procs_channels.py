@@ -41,7 +41,7 @@ from repro.machine.machine import nacl
 from repro.obs.monitor import format_sample
 from repro.runtime.engine import KernelError
 from repro.runtime.graph import TaskGraph
-from repro.runtime.task import Flow, Task
+from repro.runtime.task import READY, Flow, Task
 
 from .conftest import random_problem, run_on_thread
 from .test_procs_executor import assert_no_orphans, cross_chain, kernel
@@ -165,6 +165,40 @@ def test_every_payload_kind_crosses_intact_as_a_private_copy():
     assert results[("c", "shared")] == []
 
 
+def test_pickled_payloads_keep_one_record_per_entry():
+    """Only an edge of ready tokens is one record.  A producer that
+    sends node 1 two tokens, an array, then a token sends it four
+    records, a pickled array or a header-only token each; node 2 gets
+    one record, its array; node 3, two tokens, one."""
+    strip = np.arange(4.0)
+
+    def produce(inputs, task):
+        return {"a": READY, "b": READY, "c": strip, "d": READY, "e": strip + 1}
+
+    def consume(inputs, task):
+        return {"got": {tag: value for (_producer, tag), value in inputs.items()}}
+
+    g = TaskGraph()
+    g.add(Task("p", node=0, kernel=produce, out_nbytes=dict.fromkeys("abcde", 32)))
+    g.add(Task("c", node=1, kernel=consume, out_nbytes={},
+               inputs=tuple(Flow("p", tag, 32) for tag in "abcd")))
+    g.add(Task("f", node=2, kernel=consume, out_nbytes={}, inputs=(Flow("p", "e", 32),)))
+    g.add(Task("h", node=3, kernel=consume, out_nbytes={},
+               inputs=(Flow("p", "a", 32), Flow("p", "b", 32))))
+    report = execute_procs(g, procs=4, jobs=1, trace=True)
+    got = report.results[("c", "got")]
+    assert [got[tag] for tag in "abd"] == [READY] * 3
+    assert np.array_equal(got["c"], strip)
+    assert np.array_equal(report.results[("f", "got")]["e"], strip + 1)
+    assert report.results[("h", "got")] == {"a": READY, "b": READY}
+    assert report.messages == 7
+    sends = sorted(span.label[1:] for span in report.trace.spans if span.kind == "send")
+    assert sends == [(("a",), 1), (("a", "b"), 3), (("b",), 1), (("c",), 1), (("d",), 1),
+                     (("e",), 2)]
+    body = procs._record_bytes(procs._encode(0, 1, strip)[1])
+    assert report.wire_by_pair == {(0, 1): 3 * 16 + body, (0, 2): body, (0, 3): 16}
+
+
 def test_oversized_payload_fails_the_run_naming_the_message():
     def liar(inputs, task):
         return {"x": np.zeros(40_000)}  # 320 kB behind a declared 8 bytes: over a ring
@@ -245,7 +279,7 @@ def test_exactly_one_idle_worker_sleeps_on_the_doorbell():
     time.sleep(3 * procs._POLL)
     assert one_sleeper() and bell.peak == 1
     assert node1._unfinished == 3  # still waiting for node 0's record
-    fields, body = procs._encode(0, 2.0)
+    fields, body = procs._encode(0, 1, 2.0)
     assert channels.rings[0, 1].put(fields, body, procs._record_bytes(body))
     bell.release()
     report = wait()
@@ -366,10 +400,22 @@ def test_parent_death_unwinds_the_node_processes():
     assert not any(map(_pid_running, pids))
 
 
-# -- (i) chaos drop: one message late, same answer ---------------------------------
+# -- (i) chaos drop: one record late, same answer ---------------------------------
+
+
+def plan_edges(graph) -> list[tuple]:
+    """``(producer, dst, tags)`` of every edge of ``graph``'s message
+    plan: what one producer task sends one node, one record."""
+    out: dict[tuple, list] = {}
+    for producer, messages in graph.message_plan().items():
+        for tag, dst, _nbytes in messages:
+            out.setdefault((producer, dst), []).append(tag)
+    return [(producer, dst, tuple(tags)) for (producer, dst), tags in out.items()]
 
 
 def test_chaos_drop_delays_exactly_the_matched_message():
+    """The message the fault matches goes late with the rest of its
+    record: the one record its producer sends node 1, strips and all."""
     problem = random_problem(n=24, iterations=6)
     knobs = dict(impl="base-parsec", machine=nacl(2), tile=6, backend="processes",
                  procs=2, jobs=1, trace=True)
@@ -382,9 +428,38 @@ def test_chaos_drop_delays_exactly_the_matched_message():
     produced = {s.task_id: s.end for s in spans if s.worker >= 0}
     sends = sorted((s for s in spans if s.kind == "send"),
                    key=lambda s: s.start - produced[s.task_id])
-    assert len(sends) == dropped.messages
+    assert len(sends) == len(plan_edges(dropped.graph)) < dropped.messages
     late = sends[-1]
     assert late.start - produced[late.task_id] >= 0.3
     assert sends[-2].start - produced[sends[-2].task_id] < 0.15
-    producer, _tag, dst = late.label
+    producer, tags, dst = late.label
     assert (late.node, dst, producer[-1] + 1) == (0, 1, 3)
+    assert (producer, dst, tags) in plan_edges(dropped.graph) and len(tags) == 4
+
+
+def test_a_dropped_record_releases_its_whole_edge_at_once():
+    """CA on a 2x2 grid: a drop on the route 0 -> 1 holds back the one
+    record of the matched producer's edge to node 1, strips and corner.
+    It is received once, and every task on node 1 that waits on one of
+    its messages starts after that; the grid is bit-identical."""
+    problem = random_problem(n=32, iterations=8)
+    knobs = dict(impl="ca-parsec", machine=nacl(4), tile=8, steps=2, backend="processes",
+                 procs=4, jobs=1, trace=True, pgrid=ProcessGrid(2, 2))
+    clean = run(problem, **knobs)
+    plan = parse_plan("drop:src=0,dst=1,step=4,secs=0.3", seed=0)
+    dropped = run(problem, chaos=ChaosContext(FaultInjector(plan, s=2)), **knobs)
+    assert np.array_equal(dropped.grid, clean.grid)
+    assert dropped.messages == clean.graph.census().remote_messages
+    spans = dropped.trace.spans
+    produced = {s.task_id: s.end for s in spans if s.worker >= 0}
+    late = [s for s in spans if s.kind == "send" and s.start - produced[s.task_id] >= 0.3]
+    assert len(late) == 1
+    producer, tags, dst = late[0].label
+    assert (late[0].node, dst, producer[-1] + 1) == (0, 1, 4)
+    assert (producer, dst, tags) in plan_edges(dropped.graph) and len(tags) > 1
+    received = [s for s in spans if s.kind == "recv" and s.label[:2] == (producer, tags)]
+    assert len(received) == 1 and received[0].node == 1
+    waiting = [s for s in spans if s.worker >= 0 and s.node == 1 and any(
+        flow.producer == producer and flow.tag in tags
+        for flow in dropped.graph[s.task_id].inputs)]
+    assert waiting and min(s.start for s in waiting) >= received[0].end

@@ -9,6 +9,11 @@ with its census-declared payload size.  These tests pin the contract:
   (producer, tag, destination node));
 * base-parsec sends ~s x the messages of ca-parsec(s), the paper's
   communication-avoiding claim;
+* what crosses a ring is one 16-byte ready record per *edge* -- the
+  messages one producer task sends one node -- so the record count is
+  the plan's (producer, destination) pairs, and a traced record is one
+  send and one recv span that the critical path links to every
+  consumer it released;
 * send/recv spans land on the standard comm lanes of the Trace schema,
   so occupancy analysis and the Chrome-trace exporter work unchanged.
 """
@@ -16,6 +21,8 @@ with its census-declared payload size.  These tests pin the contract:
 from __future__ import annotations
 
 import json
+import multiprocessing
+import threading
 
 import pytest
 
@@ -23,9 +30,10 @@ from repro.core.base_parsec import build_base_graph
 from repro.core.ca_parsec import build_ca_graph
 from repro.core.runner import run
 from repro.distgrid.partition import ProcessGrid
-from repro.exec import fork_available
+from repro.exec import fork_available, procs
 from repro.machine.machine import nacl
 from repro.obs import export
+from repro.obs.critpath import _CausalDag
 from repro.stencil.problem import JacobiProblem
 
 pytestmark = [
@@ -104,11 +112,18 @@ def test_ca_sends_s_times_fewer_messages(base_run, ca_run):
     )
 
 
+def edges(graph) -> int:
+    """The (producer, destination node) pairs of ``graph``'s message plan."""
+    return sum(len({dst for _tag, dst, _nbytes in messages})
+               for messages in graph.message_plan().values())
+
+
 def test_wire_bytes_are_one_ready_record_per_message(base_run, ca_run):
     """A strip lands in its consumer's slot; what crosses a ring is a
-    16-byte header per message, whatever the strip's declared bytes."""
+    16-byte header per record, whatever the strips' declared bytes (on
+    this 1-D grid of full-width tiles a record carries one strip)."""
     for result in (base_run, ca_run):
-        assert result.engine.wire_bytes == 16 * result.messages, result.impl
+        assert result.engine.wire_bytes == 16 * edges(result.graph), result.impl
         total_pair_msgs = sum(m for m, _ in result.engine.by_pair.values())
         total_pair_bytes = sum(b for _, b in result.engine.by_pair.values())
         assert total_pair_msgs == result.messages, result.impl
@@ -136,3 +151,72 @@ def test_trace_has_comm_lanes_and_exports(tmp_path):
     export.write(trace, str(out))
     events = json.loads(out.read_text())["traceEvents"]
     assert any(e.get("cat") == "comm" for e in events)
+
+
+def _traced(impl: str, pgrid: ProcessGrid):
+    problem = JacobiProblem(n=32, iterations=8)
+    knobs = {"steps": 2} if impl == "ca-parsec" else {}
+    return run(problem, impl=impl, machine=nacl(pgrid.size), backend="processes",
+               procs=pgrid.size, jobs=1, trace=True, pgrid=pgrid, tile=8, **knobs)
+
+
+@pytest.mark.parametrize("impl", ["base-parsec", "ca-parsec"])
+@pytest.mark.parametrize("shape", [(1, 2), (2, 2)])
+def test_one_ready_record_per_producer_and_destination(impl, shape):
+    """A node-block task sends every node it reaches one ready record
+    for all the strips and corners it wrote into that node's slots:
+    records (send spans, recv spans, 16-byte headers) are the plan's
+    (producer, destination) pairs, while messages still equal the
+    census entry for entry."""
+    result = _traced(impl, ProcessGrid(*shape))
+    graph, census = result.graph, result.graph.census()
+    assert result.messages == census.remote_messages > edges(graph)
+    assert result.message_bytes == census.remote_bytes
+    assert result.engine.by_pair == census.by_pair
+    spans = result.trace.spans
+    sends = [s for s in spans if s.kind == "send"]
+    assert len(sends) == sum(s.kind == "recv" for s in spans) == edges(graph)
+    assert result.engine.wire_bytes == 16 * edges(graph)
+    assert sum(len(s.label[1]) for s in sends) == result.messages
+    if impl == "ca-parsec" and shape == (2, 2):  # corners: one producer reaches three nodes
+        assert max(len({dst for _t, dst, _b in messages})
+                   for messages in graph.message_plan().values()) == 3
+
+
+def test_the_critical_path_links_each_record_to_every_consumer_it_released():
+    result = _traced("ca-parsec", ProcessGrid(2, 2))
+    dag = _CausalDag(result.trace, result.graph)
+    spans, graph = dag.spans, result.graph
+    recvs = [i for i, span in enumerate(spans) if span.kind == "recv"]
+    assert recvs
+    for i in recvs:
+        producer, tags, _src = spans[i].label
+        released = {task.key for task in graph if task.node == spans[i].node
+                    and any((flow.producer, flow.tag) == (producer, tag)
+                            for flow in task.inputs for tag in tags)}
+        linked = {spans[v].task_id for v, etype in dag.succs[i] if etype == "dep"}
+        assert linked == released, spans[i].label
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_an_untraced_node_keeps_tallies_not_a_tuple_per_message(trace):
+    """The four nodes of the base run, in this process, one thread
+    each: what they tally per destination is the census, and only a
+    traced node keeps anything per record -- one send and one recv
+    span, no entry per message."""
+    graph = build_base_graph(PROBLEM, MACHINE, pgrid=PGRID, tile=TILE).graph
+    graph.finalize()
+    channels = procs._Channels(4, multiprocessing.get_context("fork"), procs.RING_BYTES)
+    nodes = [procs._NodeExecutor(graph, node, channels, jobs=1, policy="fifo", trace=trace)
+             for node in range(4)]
+    threads = [threading.Thread(target=node.run, daemon=True) for node in nodes]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+        assert not thread.is_alive()
+    assert {(node.node, dst): (messages, nbytes) for node in nodes
+            for dst, (messages, nbytes, _wire) in node.by_dst.items()} == graph.census().by_pair
+    records = edges(graph) if trace else 0
+    assert sum(len(node.sent) for node in nodes) == records
+    assert sum(len(node.received) for node in nodes) == records

@@ -380,4 +380,6 @@ def test_procs_report_holds_tokens_and_the_message_counts_are_the_pinned_ones():
     assert set(report.results.values()) == {IN_GRID}
     assert (report.messages, report.message_bytes) == (
         census.remote_messages, census.remote_bytes) == (256, 256 * 16 * 8)
-    assert report.wire_bytes == 256 * 16  # a ready record each: the strips land in slots
+    # The strips land in slots: one 16-byte ready record per boundary
+    # task and sweep carries a node's 16 strips to the other node.
+    assert report.wire_bytes == 16 * 16
