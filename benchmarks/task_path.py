@@ -21,7 +21,8 @@ worker's per-task record.  Each figure is the median over the solve's
 tasks (over the last sweep's for "last sweep"), taken three times,
 best kept.  On the multi-node geometries it also walks the `processes`
 backend's two hops per *record* -- one per producer task and node it
-reaches, for every strip and corner it wrote there -- "ring write"
+reaches, for its flows there, which stand for every strip and corner it
+wrote there -- "ring write"
 (put the header-only ready record into the destination's shared-memory
 ring, post the doorbell) and "ring drain" (take the ring lock, take the
 record out), and counts the records per executed task.  The hops are
@@ -138,7 +139,7 @@ def one_solve(geometry: dict) -> dict[str, float]:
     for task in graph:
         dt, inputs = clock(store.gather, task)
         kernel_dt, outputs = clock(task.kernel, inputs, task)
-        for dst, first, tags, _sizes in sends.get(task.key, ()):
+        for dst, first, tags, _counts in sends.get(task.key, ()):
             ring = channels.rings[task.node, dst]
             for offset, run, payload in _records(tags, outputs):
 
@@ -185,7 +186,7 @@ def one_solve(geometry: dict) -> dict[str, float]:
             continue
         parts["line gather"].append(clock(lines)[0])
         parts["seams"].append(clock(kernels._save, block, phase.saves, t)[0])
-        parts["strips into slots"].append(clock(kernels._cut, phase.cuts, t)[0])
+        parts["strips into slots"].append(clock(kernels._cut, phase, t)[0])
     channels.close()
     for name, samples in parts.items():
         hops[name] = median(samples) * 1e6 if samples else float("nan")

@@ -114,12 +114,6 @@ class FaultInjector:
                             "spec": fault.spec()})
         return out
 
-    def counts_by_kind(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for rec in self.firing_log():
-            counts[rec["kind"]] = counts.get(rec["kind"], 0) + 1
-        return counts
-
     # -- task-entry decisions -------------------------------------------
 
     def kill_action(self, node: int, gt: int | None):

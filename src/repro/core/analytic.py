@@ -27,10 +27,6 @@ class CommForecast:
     supersteps: int
     redundant_points: int  # replicated updates over the whole run
 
-    @property
-    def megabytes(self) -> float:
-        return self.bytes / 1e6
-
 
 def remote_edges(spec: StencilSpec) -> int:
     """Directed remote tile edges (= messages per exchanging

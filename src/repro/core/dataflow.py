@@ -43,9 +43,10 @@ consumer's slot (slot ``(t // s) % 2`` for the consumer's sweep ``t``),
 and the flow carries the token :data:`~repro.runtime.task.READY`; a
 flow between two tiles of one block carries it too -- the values
 already sit where the consumer reads them, and the flow orders the two.
-The block graph keeps one flow per strip or corner, named ``tag:i,j``
-after the producing tile, so its remote messages and bytes are the
-paper graph's, entry for entry.
+A block task has one flow per producer task in another block (an
+*edge*, tagged ``halo:`` and the consumer's node and part), whose parts
+are the strips and corners it orders, named ``tag:i,j`` after the
+producing tile: remote messages and bytes are the paper graph's.
 
 In place, the kernel reads a rectangle's four neighbour lines from
 wherever the plan says (:func:`_plans`): an array (the grid or a landing
@@ -135,11 +136,10 @@ class _Copy(NamedTuple):
     producing task wrote it there one sweep earlier."""
 
     producer: tuple  #: key prefix of the producing task
-    tag: str  #: the producer's output
+    tag: str  #: its message in the plan
     array: int
     dest: Slices  #: the slot cells it fills
     shape: tuple[int, int]
-    tile: tuple[int, int]  #: the tile whose pad it fills
 
 
 class _Cut(NamedTuple):
@@ -159,6 +159,8 @@ class _Phase(NamedTuple):
     update: tuple[_Sweep, ...]  #: the tiles' update regions, joined per array
     saves: tuple[_Save, ...]  #: for the next sweep's readers
     cuts: tuple[_Cut, ...]  #: for the next sweep's consumers
+    edges: tuple[tuple, ...]  #: (producer prefix, tag, nbytes, parts) per flow
+    outputs: tuple[str, ...]  #: the tags it publishes, ``"tile"`` first
 
 
 class _Plan(NamedTuple):
@@ -281,7 +283,7 @@ class StencilKernels:
         if problem.iterations == 0:  # the initial values are the final ones
             return {"tile": IN_GRID}
         self._save(plan.block, plan.phases[-1].saves, -1)
-        return self._cut(plan.phases[-1].cuts, -1)
+        return self._cut(plan.phases[-1], -1)
 
     # -- one stencil iteration -----------------------------------------------
 
@@ -289,11 +291,11 @@ class StencilKernels:
         t = task.key[-1]
         plan = self.plans[task.key[:-1]]
         phase = plan.phases[t % self.spec.steps]
-        for copy in phase.copies:
-            token = inputs[(copy.producer + (t - 1,), copy.tag)]
+        for producer, flow, *_ in phase.edges:
+            token = inputs[(producer := producer + (t - 1,), flow)]
             if not isinstance(token, str) or token != READY:  # it may come from elsewhere
-                raise ValueError(f"tile {copy.tile}, iteration {t}: {copy.tag!r} from task "
-                                 f"{copy.producer + (t - 1,)} is {token!r}, not {READY!r}")
+                raise ValueError(f"task {task.key}: {flow!r} from task {producer} "
+                                 f"is {token!r}, not {READY!r}")
         self._save(plan.block, phase.own, t)
         if t + 1 == self.spec.problem.iterations:
             for sweep in phase.update:
@@ -303,7 +305,7 @@ class StencilKernels:
         for sweep in phase.update:
             self._update(sweep, plan.block, t)
         self._save(plan.block, phase.saves, t)
-        return self._cut(phase.cuts, t)
+        return self._cut(phase, t)
 
     def _update(self, sweep: _Sweep, block: Block, t: int) -> None:
         problem, rect = self.spec.problem, sweep.rect
@@ -339,14 +341,13 @@ class StencilKernels:
         for array, cells, seam in saves:
             self._seams(block)[t % 2, seam] = self._array(array, t)[cells]
 
-    def _cut(self, cuts: tuple[_Cut, ...], t: int) -> dict:
+    def _cut(self, phase: _Phase, t: int) -> dict:
+        """Write the strips into their slots: each output is ready."""
         slot = ((t + 1) // self.spec.steps) % 2  # what the consumer's next sweep reads
-        outputs: dict = {"tile": READY}
-        for tag, source, array, dest in cuts:
+        for _tag, source, array, dest in phase.cuts:
             if source is not None:
                 self.landing[array][slot][dest] = self.grid[source]
-            outputs[tag] = READY
-        return outputs
+        return dict.fromkeys(phase.outputs, READY)
 
     def regions(self, key: TaskKey):
         """The global ``(rows, cols)`` of every joined core rectangle of
@@ -523,9 +524,10 @@ def _plans(spec: StencilSpec, members: dict[tuple, list[tuple[int, int]]],
            per_tile: bool) -> dict[tuple, _Plan]:
     """Read ``spec.exchange_plan()`` for kernels whose task prefixes own
     ``members`` (tile keys, row-major; one block each).  Per tile, every
-    output a consumer declared is published; per block, only the strips
-    and corners that cross a block edge, named after their producing
-    tile.
+    output a consumer declared is published, one flow each; per block,
+    only the strips and corners that cross a block edge, named after
+    their producing tile, on one flow per consumer task (``halo:`` and
+    the rest of its prefix).
 
     A tile's update region is cut by where its cells are kept
     (:func:`_zones`), the parts of a prefix joined per array; each
@@ -560,26 +562,32 @@ def _plans(spec: StencilSpec, members: dict[tuple, list[tuple[int, int]]],
         entries[key] = [tuple(_Entry(e.producer, _moved(e.dest, at),
                                      slot_of.get((key, e.tag))) for e in ex.incoming)
                         for ex in phases]
-    copies = {prefix: [[] for _ in range(steps)] for prefix in members}
-    cuts = {prefix: [[] for _ in range(steps)] for prefix in members}
+    copies, cuts = ({prefix: [[] for _ in range(steps)] for prefix in members} for _ in range(2))
+    outputs = {prefix: [{"tile": None} for _ in range(steps)] for prefix in members}
+    edges = {prefix: [{} for _ in range(steps)] for prefix in members}
     for key, phases in exchange.items():
         for phase, ex in enumerate(phases):
             for entry, incoming in zip(entries[key][phase], ex.incoming):
                 tag = (incoming.tag if per_tile else
                        f"{incoming.tag}:{entry.producer[0]},{entry.producer[1]}")
+                flow = tag if per_tile else "halo:" + ",".join(map(str, prefix_of[key][1:]))
                 out = cuts[prefix_of[entry.producer]][phase - 1]  # cut one sweep earlier
                 if entry.slot is None:
                     assert block_of[entry.producer] == block_of[key]
                     if per_tile:
                         out.append(_Cut(tag, None, None, None))
+                        outputs[prefix_of[entry.producer]][phase - 1][tag] = None
                     continue
                 producer = tiles[entry.producer]
                 source = _moved(incoming.source, producer.origin)
                 assert _zone_of(zones[entry.producer], source) is None  # from its core
                 dest = local(entry.slot, entry.dest)
                 copies[prefix_of[key]][phase].append(_Copy(
-                    prefix_of[entry.producer], tag, entry.slot, dest, incoming.shape, key))
+                    prefix_of[entry.producer], tag, entry.slot, dest, incoming.shape))
                 out.append(_Cut(tag, source, entry.slot, dest))
+                outputs[prefix_of[entry.producer]][phase - 1][flow] = None
+                edges[prefix_of[key]][phase].setdefault((prefix_of[entry.producer], flow), []
+                                                        ).append((tag, incoming.nbytes))
     seam_used: dict[Block, int] = {}
     saves = {prefix: [[] for _ in range(steps)] for prefix in members}
     own = {prefix: [[] for _ in range(steps)] for prefix in members}
@@ -630,7 +638,10 @@ def _plans(spec: StencilSpec, members: dict[tuple, list[tuple[int, int]]],
         plans[prefix] = _Plan(block_of[keys[0]], tuple(keys), cores, _joined(list(cores)), tuple(
             _Phase(tuple(copies[prefix][phase]), tuple(own[prefix][phase]),
                    updates[prefix][phase], tuple(saves[prefix][phase]),
-                   tuple(cuts[prefix][phase]))
+                   tuple(cuts[prefix][phase]),
+                   tuple((producer, flow, sum(nbytes for _, nbytes in parts), tuple(parts))
+                         for (producer, flow), parts in edges[prefix][phase].items()),
+                   tuple(outputs[prefix][phase]))
             for phase in range(steps)))
     return plans
 
@@ -641,7 +652,7 @@ class _Unit(NamedTuple):
     by prefix, one sweep earlier; the priority of sweep ``t`` is
     ``2 * (T - t) + bias``."""
 
-    flows: tuple[tuple[tuple, str, int], ...]  #: (producer prefix, tag, nbytes)
+    flows: tuple[tuple, ...]  #: (producer prefix, tag[, nbytes[, parts]])
     cost: float
     flops: float
     redundant_flops: float
@@ -706,7 +717,8 @@ def _lower(spec: StencilSpec, name: str, units: dict[tuple, tuple[_Unit, ...]]
     (:func:`_slabs`), one ``(name, node, part, slab)`` per slab.  A task
     sums its tiles' costs and flops and keeps their kind and priority;
     it waits on every task of its node one sweep earlier (token flows)
-    and on one flow per strip or corner landed in its slots."""
+    and on one flow per producer task in another block: an edge, whose
+    parts are the strips and corners that task lands in its slots."""
     parts: dict[tuple, list[TileSpec]] = {}
     for tile in sorted(spec.tiles(), key=lambda tile: (tile.node, not tile.is_boundary())):
         part = "boundary" if tile.is_boundary() else "interior"
@@ -722,13 +734,11 @@ def _lower(spec: StencilSpec, name: str, units: dict[tuple, tuple[_Unit, ...]]
         of_node.setdefault(prefix[1], []).append(prefix)
     blocks = {}
     for prefix, plan in plans.items():
-        tokens = tuple((task, "tile", 0) for task in of_node[prefix[1]])
+        tokens = tuple((task, "tile") for task in of_node[prefix[1]])
         per_phase = []
         for k, phase in enumerate((*plan.phases, None)):  # then the initial load
             tiles = [units[(name, i, j)][k] for (i, j) in plan.tiles]
-            flows = () if phase is None else tokens + tuple(
-                (copy.producer, copy.tag, copy.shape[0] * copy.shape[1] * ITEMSIZE)
-                for copy in phase.copies)
+            flows = () if phase is None else tokens + phase.edges
             per_phase.append(_Unit(
                 flows, sum(unit.cost for unit in tiles), sum(unit.flops for unit in tiles),
                 sum(unit.redundant_flops for unit in tiles), tiles[0].kind,
@@ -748,8 +758,7 @@ def _unroll(units: dict[tuple, tuple[_Unit, ...]], iterations: int) -> TaskGraph
             graph.add(Task(
                 prefix + (t,),
                 node=unit.node,
-                inputs=tuple(Flow(producer + (t - 1,), tag, nbytes)
-                             for producer, tag, nbytes in unit.flows),
+                inputs=tuple(Flow(producer + (t - 1,), *flow) for producer, *flow in unit.flows),
                 cost=unit.cost,
                 flops=unit.flops,
                 redundant_flops=unit.redundant_flops,

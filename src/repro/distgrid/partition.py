@@ -147,11 +147,6 @@ class GridPartition:
             raise IndexError(f"tile col {j} out of range")
         return starts[j], starts[j + 1]
 
-    def tile_size(self, i: int, j: int) -> tuple[int, int]:
-        r0, r1 = self.tile_rows(i)
-        c0, c1 = self.tile_cols(j)
-        return r1 - r0, c1 - c0
-
     def min_tile_dim(self) -> int:
         """Smallest tile edge anywhere -- the upper bound on the CA step
         size."""

@@ -13,10 +13,10 @@ writes it straight into the consumer's landing slot, which the build
 maps before the fork next to the result grid
 (:mod:`repro.core.dataflow`), and the flow's payload is the token
 :data:`~repro.runtime.task.READY`.  What a producer task sends one node
--- an *edge*: every strip and corner it wrote into that node's slots --
-becomes ready at once, so the ring carries one header-only *ready*
-record per edge, naming the run of plan entries it releases: as
-persistent MPI's ``MPI_Pready`` marks a partition ready, one mark for
+-- an *edge*: every strip and corner it wrote into that node's slots,
+on one flow per consumer task there -- becomes ready at once, so the
+ring carries one header-only *ready* record per edge, naming its flows:
+as persistent MPI's ``MPI_Pready`` marks a partition ready, one mark for
 the partitions that are ready together.
 
 Channels.  The channels are laid out before the nodes are forked
@@ -93,8 +93,8 @@ over their grids (:func:`~repro.core.recipe.release_builds`) -- so an
 idle node holds no grid.  Any other graph forks one-shot nodes that
 inherit it, run it and exit.
 
-Accounting.  Workers write exactly the message plan's entries, and a
-message is counted as a plan entry whatever record carried it, so
+Accounting.  Workers write every remote flow once per destination,
+and a record counts the plan messages its flows stand for, so
 per-pair message counts and *declared* payload bytes equal
 :meth:`TaskGraph.census` by construction; ring bytes (record headers
 plus any pickled body: a stencil's ready records are headers alone, 16
@@ -163,9 +163,9 @@ _RETRY = 0.0005
 #: a sweep ahead, <= 64 / 132 KiB in flight; 256 KiB keeps the outbox idle.
 RING_BYTES = 256 * 1024
 
-#: Record header: first plan index, entry count and the byte length of
-#: the pickled body that follows.  A body is one entry's payload; no
-#: body is a ready record, :data:`READY` for each of its entries.
+#: Record header: first flow index, flow count and the byte length of
+#: the pickled body that follows.  A body is one flow's payload; no
+#: body is a ready record, :data:`READY` for each of its flows.
 _HDR = struct.Struct("<qii")
 
 #: int64 words per node / per ring in the shared header: one cache
@@ -328,8 +328,8 @@ def _ready(payload) -> bool:
 
 def _encode(first: int, count: int, payload) -> tuple[tuple, bytes]:
     """One record's header fields and body: none for :data:`READY` (a
-    ready record for ``count`` entries: the data is where their
-    consumers read it), a pickle of one entry's payload for anything
+    ready record for ``count`` flows: the data is where their
+    consumers read it), a pickle of one flow's payload for anything
     else."""
     if _ready(payload):
         return (first, count, 0), b""
@@ -338,7 +338,7 @@ def _encode(first: int, count: int, payload) -> tuple[tuple, bytes]:
 
 
 def _records(tags: tuple, outputs: dict) -> list[tuple]:
-    """One edge's entries as records, ``(offset, tags, payload)``: one
+    """One edge's flows as records, ``(offset, tags, payload)``: one
     ready record when every payload is :data:`READY`, else one each."""
     if all(_ready(outputs[tag]) for tag in tags):
         return [(0, tags, READY)]
@@ -355,30 +355,36 @@ def _ring_bytes(graph: TaskGraph) -> int:
 
 
 def _plan_index(graph: TaskGraph, node: int) -> tuple[dict, list, list]:
-    """``graph``'s message plan as node ``node``'s records name it.
-    Every node numbers the plan's entries alike, producer by producer
-    and each producer's by destination, so what a producer sends one
-    node -- an *edge* -- is a run of consecutive plan indices.  Returns
-    the edges ``node`` sends, producer -> ``[(dst, first index, tags,
-    declared nbytes per tag)]``, and the ones it receives, in plan
-    order: their first indices, and their ``(producer, tags)``."""
+    """``graph``'s remote flows as node ``node``'s records name them.
+    Every node numbers them alike, producer by producer and each
+    producer's by destination, so what a producer sends one node -- an
+    *edge* -- is a run of consecutive indices.  A flow counts as the
+    plan messages it stands for, sized as the plan declares them.
+    Returns the edges ``node`` sends, producer -> ``[(dst, first index,
+    flow tags, (messages, nbytes) per flow)]``, and the ones it
+    receives, in order: their first indices, and ``(producer, tags)``."""
+    flows: dict[TaskKey, dict[int, dict[str, Flow]]] = {}
+    for task in graph:
+        for flow in task.inputs:
+            if graph[flow.producer].node != task.node:
+                flows.setdefault(flow.producer, {}).setdefault(
+                    task.node, {}).setdefault(flow.tag, flow)
     sends: dict[TaskKey, list[tuple]] = {}
     firsts: list[int] = []
     inbound: list[tuple[TaskKey, tuple]] = []
     index = 0
-    for producer, messages in graph.message_plan().items():
-        edges: dict[int, list[tuple[str, int]]] = {}
-        for tag, dst, nbytes in messages:
-            edges.setdefault(dst, []).append((tag, nbytes))
-        src = graph[producer].node
-        for dst, rows in sorted(edges.items()):
-            tags, sizes = zip(*rows)
-            if src == node:
-                sends.setdefault(producer, []).append((dst, index, tags, sizes))
+    for producer, edges in flows.items():
+        mine = graph[producer].node == node
+        size = {(tag, dst): n for tag, dst, n in graph.message_plan()[producer]} if mine else {}
+        for dst, edge in sorted(edges.items()):
+            if mine:
+                sends.setdefault(producer, []).append((dst, index, tuple(edge), tuple(
+                    (len(flow.messages), sum(size[tag, dst] for tag, _ in flow.messages))
+                    for flow in edge.values())))
             elif dst == node:
                 firsts.append(index)
-                inbound.append((producer, tags))
-            index += len(rows)
+                inbound.append((producer, tuple(edge)))
+            index += len(edge)
     return sends, firsts, inbound
 
 
@@ -454,7 +460,7 @@ class _NodeExecutor(ThreadedExecutor):
         self.node = node
         self._local: list[Task] = [t for t in graph if t.node == node]
         #: the edges this node sends, and the ones it receives: a
-        #: record's first plan index finds its edge by bisection
+        #: record's first flow index finds its edge by bisection
         self._sends, self._firsts, self._edges = _plan_index(graph, node)
         #: (producer, tag) -> local consumer keys (one entry per flow)
         self._remote_consumers: dict[tuple[TaskKey, str], list[TaskKey]] = {}
@@ -469,8 +475,8 @@ class _NodeExecutor(ThreadedExecutor):
         #: message waits its retransmit delay in the outbox, modelling
         #: one dropped frame.  None pays nothing.
         self._chaos = chaos
-        #: records waiting for their due time or for ring space:
-        #: (due, label, declared nbytes, header fields, body, ring bytes)
+        #: records waiting for their due time or for ring space: (due,
+        #: label, messages, declared nbytes, header fields, body, ring bytes)
         self._outbox: list[tuple] = []
         #: a worker is asleep on the doorbell (at most one is)
         self._listening = False
@@ -480,7 +486,7 @@ class _NodeExecutor(ThreadedExecutor):
         self.by_dst: dict[int, list[int]] = {}
         self.send_busy = self.recv_busy = 0.0
         #: traced only, one span per record sent / received, raw
-        #: perf_counter stamps: (start, end, (producer, tags, peer))
+        #: perf_counter stamps: (start, end, (producer, flow tags, peer))
         self.sent: list[tuple] = []
         self.received: list[tuple] = []
         super().__init__(graph, jobs=jobs, policy=policy, trace=trace)
@@ -502,18 +508,18 @@ class _NodeExecutor(ThreadedExecutor):
     # -- sending (under the executor lock) ---------------------------------
 
     def _send_remote(self, task: Task, outputs: dict) -> None:
-        """One record per edge of ``task`` (its plan entries to one
-        node), written by the worker that ran it -- a node-block task
-        sends a neighbour one ready record for every strip and corner it
-        wrote into that node's landing slots; a payload other than
-        :data:`READY` is pickled into a record of its own -- then one
-        doorbell per destination reached; also the node's live task
-        tally.  Chaos is consulted once per record: a drop delays it
-        whole."""
+        """One record per edge of ``task`` (its flows to one node),
+        written by the worker that ran it -- a node-block task sends a
+        neighbour one ready record for its one flow there, for every
+        strip and corner it wrote into that node's slots; a payload
+        other than :data:`READY` is pickled into a record of its own --
+        then one doorbell per destination reached; also the node's live
+        task tally.  Chaos is consulted once per record: a drop delays
+        it whole."""
         self._published += 1
         self._words[_DONE] = self._published
         reached = set()
-        for dst, first, tags, sizes in self._sends.get(task.key, ()):
+        for dst, first, tags, counts in self._sends.get(task.key, ()):
             for offset, run, payload in _records(tags, outputs):
                 start = time.perf_counter()
                 fields, body = _encode(first + offset, len(run), payload)
@@ -521,35 +527,35 @@ class _NodeExecutor(ThreadedExecutor):
                 if size > capacity:
                     raise KernelError(
                         f"task {task.key!r} sent {getattr(payload, 'nbytes', len(body))} "
-                        f"bytes for tag {tags[offset]!r} but declared {sizes[offset]}: "
+                        f"bytes for tag {tags[offset]!r} but declared {counts[offset][1]}: "
                         f"the record cannot fit the {capacity}-byte ring to node {dst}"
                     )
                 delay = (self._chaos.on_message(task.key, tags[offset], self.node, dst)
                          if self._chaos is not None else None)
-                record = ((task.key, run, dst), sum(sizes[offset:offset + len(run)]),
-                          fields, body, size)
+                messages, nbytes = map(sum, zip(*counts[offset:offset + len(run)]))
+                record = ((task.key, run, dst), messages, nbytes, fields, body, size)
                 if delay or not self._ship(start, *record):
                     self._outbox.append((start + (delay or 0.0), *record))
                 else:
                     reached.add(dst)
         self._ring(reached)
 
-    def _ship(self, start: float, label, nbytes: int, fields, body, size) -> bool:
-        """Write one record into its ring; its messages (the label's
-        tags) are tallied here, once, when they are really on their
-        way.  The caller rings."""
-        _producer, tags, dst = label
+    def _ship(self, start: float, label, messages: int, nbytes: int, fields, body, size):
+        """Write one record into its ring (False: it does not fit now);
+        its plan messages are tallied here, once, when they are really
+        on their way.  The caller rings."""
+        dst = label[2]
         if not self._outbound[dst].put(fields, body, size):
             return False
         end = time.perf_counter()
         tally = self.by_dst.setdefault(dst, [0, 0, 0])
-        tally[0] += len(tags)
+        tally[0] += messages
         tally[1] += nbytes
         tally[2] += size
         self.send_busy += end - start
         if self.want_trace:
             self.sent.append((start, end, label))
-        self._words[_MESSAGES] += len(tags)
+        self._words[_MESSAGES] += messages
         return True
 
     def _ring(self, nodes) -> None:

@@ -248,9 +248,9 @@ def _task_identity(span: Span) -> Any:
 
 def _comm_label(span: Span) -> tuple[Any, Any]:
     """(producer, tag) of a comm span; tag ``None`` when unknown
-    (blocking-mode sends only carry the producer key), a tuple of tags
-    when the span moved several messages at once (a ``processes``
-    ready record)."""
+    (blocking-mode sends only carry the producer key), a tuple of flow
+    tags for a ``processes`` record: the flows it released, each
+    perhaps standing for several messages."""
     label = span.label
     if isinstance(label, tuple) and len(label) in (2, 3):
         return label[0], label[1]
@@ -276,6 +276,7 @@ class _CausalDag:
         task_span: dict[Any, int] = {}
         send_exact: dict[tuple[Any, Any, int], int] = {}
         send_loose: dict[tuple[Any, Any], list[int]] = {}
+        recv_flow: dict[tuple[Any, Any, int], int] = {}
         recv_spans: list[int] = []
         send_spans: list[int] = []
         lanes: dict[tuple[int, int], list[int]] = {}
@@ -293,6 +294,9 @@ class _CausalDag:
                 send_loose.setdefault((producer, tag), []).append(i)
             elif span.kind == "recv":
                 recv_spans.append(i)
+                producer, tag = _comm_label(span)
+                for one in tag if isinstance(tag, tuple) else (tag,):
+                    recv_flow[(producer, one, span.node)] = i  # the flows it released
             elif span.worker >= 0:
                 task_span[_task_identity(span)] = i
 
@@ -329,22 +333,17 @@ class _CausalDag:
             if u is not None and u != i:
                 add_edge(u, i, "wire")
 
-        # Dataflow edges from the graph: producer (or its recv on the
-        # consumer's node, when the flow crossed nodes) to consumer.
+        # Dataflow edges from the graph: producer (or the recv that
+        # released the flow on the consumer's node, when it crossed
+        # nodes) to consumer.
         if graph is not None:
-            recv_exact: dict[tuple[Any, Any, int], int] = {}
-            for i in recv_spans:
-                span = self.spans[i]
-                producer, tag = _comm_label(span)
-                for one in tag if isinstance(tag, tuple) else (tag,):
-                    recv_exact[(producer, one, span.node)] = i
             for task in graph:
                 v = task_span.get(task.key)
                 if v is None:
                     continue
                 consumer_node = self.spans[v].node
                 for flow in task.inputs:
-                    u = recv_exact.get((flow.producer, flow.tag, consumer_node))
+                    u = recv_flow.get((flow.producer, flow.tag, consumer_node))
                     if u is None:
                         u = task_span.get(flow.producer)
                     if u is not None and u != v:

@@ -175,28 +175,27 @@ class Engine:
         * ``_local_waiters`` -- consumer lists woken directly when a
           same-node producer completes;
         * ``_waiters`` -- consumer lists keyed by (producer, tag, node),
-          woken when a message is delivered to that node.
+          woken when a message is delivered to that node (a flow that
+          stands for several messages waits for each).
         """
         tasks = self.graph.tasks
         local_waiters = self._local_waiters
         waiters = self._waiters
+        # Blocking MPI: the consumer's worker processes each receive itself.
+        overhead = 0.0 if self.overlap else self.machine.network.software_overhead
         for task in self.graph:
-            self._pending[task.key] = len(task.inputs)
-            node = task.node
+            key, node, pending = task.key, task.node, 0
             for flow in task.inputs:
                 if tasks[flow.producer].node == node:
-                    local_waiters.setdefault(flow.producer, []).append(task.key)
-                else:
-                    waiters.setdefault((flow.producer, flow.tag, node), []).append(
-                        task.key
-                    )
-                    if not self.overlap:
-                        # Blocking MPI: the consumer's worker processes
-                        # the matching receive itself.
-                        self._recv_charge[task.key] = (
-                            self._recv_charge.get(task.key, 0.0)
-                            + self.machine.network.software_overhead
-                        )
+                    local_waiters.setdefault(flow.producer, []).append(key)
+                    pending += 1
+                    continue
+                for tag, _nbytes in flow.messages:
+                    waiters.setdefault((flow.producer, tag, node), []).append(key)
+                    pending += 1
+                    if overhead:
+                        self._recv_charge[key] = self._recv_charge.get(key, 0.0) + overhead
+            self._pending[key] = pending
         for task in self.graph:
             if self._pending[task.key] == 0:
                 self._ready[task.node].push(task)

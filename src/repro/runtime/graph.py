@@ -102,7 +102,7 @@ class TaskGraph:
         consumers: dict[tuple[TaskKey, str], list[TaskKey]] = {}
         out_tags: dict[TaskKey, set[str]] = {key: set(t.out_nbytes) for key, t in self.tasks.items()}
         for task in self.tasks.values():
-            for producer, tag, _ in task.inputs:
+            for producer, tag, *_ in task.inputs:
                 tags = out_tags.get(producer)
                 if tags is None:
                     raise GraphError(
@@ -160,8 +160,9 @@ class TaskGraph:
     def message_plan(self) -> dict[TaskKey, list[tuple[str, int, int]]]:
         """The communication the graph implies, independent of any
         schedule: producer key -> ``(tag, destination node, nbytes)``,
-        one entry per remote *message*.  Consumers of one output on the
-        same node share a message (as in PaRSEC); its payload is the
+        one entry per remote *message* (a flow's, or each of its
+        ``parts``).  Consumers of one output on the same node share a
+        message (as in PaRSEC); its payload is the
         largest size any party declared for it -- the producer's
         ``out_nbytes`` or a consuming flow on that node.  Entries are
         ordered by their first consuming flow in graph order: that is
@@ -177,18 +178,19 @@ class TaskGraph:
         local_edges = local_bytes = 0
         for task in tasks.values():
             node = task.node
-            for key, tag, nbytes in task.inputs:
-                producer = tasks[key]
+            for flow in task.inputs:
+                producer = tasks[key := flow.producer]
                 if producer.node == node:
                     local_edges += 1
-                    local_bytes += nbytes
+                    local_bytes += flow.nbytes
                     continue
                 per_message = sizes.setdefault(key, {})
-                message = (tag, node)
-                prev = per_message.get(message)
-                if prev is None:
-                    prev = producer.out_nbytes.get(tag, 0)
-                per_message[message] = nbytes if nbytes > prev else prev
+                for tag, nbytes in flow.messages:
+                    message = (tag, node)
+                    prev = per_message.get(message)
+                    if prev is None:
+                        prev = producer.out_nbytes.get(tag, 0)
+                    per_message[message] = nbytes if nbytes > prev else prev
         self._local = (local_edges, local_bytes)
         self._plan = {
             key: [(tag, dst, nbytes) for (tag, dst), nbytes in per_message.items()]

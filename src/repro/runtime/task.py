@@ -32,6 +32,7 @@ class _FlowFields(NamedTuple):
     producer: TaskKey
     tag: str
     nbytes: int = 0
+    parts: tuple[tuple[str, int], ...] = ()
 
 
 class Flow(_FlowFields):
@@ -50,14 +51,24 @@ class Flow(_FlowFields):
         census; for zero-byte control edges (pure ordering, no
         payload) only the per-message software overhead is charged when
         the edge crosses nodes.
+    parts:
+        ``(tag, nbytes)`` of each message of the plan this flow stands
+        for, when more than one (their payload is :data:`READY`: they
+        sit where the consumer reads them); empty, it is one message.
     """
 
     __slots__ = ()
 
-    def __new__(cls, producer: TaskKey, tag: str, nbytes: int = 0) -> "Flow":
+    def __new__(cls, producer: TaskKey, tag: str, nbytes: int = 0,
+                parts: tuple[tuple[str, int], ...] = ()) -> "Flow":
         if nbytes < 0:
             raise ValueError("flow payload size cannot be negative")
-        return tuple.__new__(cls, (producer, tag, nbytes))
+        return tuple.__new__(cls, (producer, tag, nbytes, parts))
+
+    @property
+    def messages(self) -> tuple[tuple[str, int], ...]:
+        """``(tag, nbytes)`` of every plan message this flow stands for."""
+        return self.parts or ((self.tag, self.nbytes),)
 
 
 class Task:

@@ -82,23 +82,12 @@ class JacobiProblem:
         the figure all the paper's GFLOP/s numbers divide by."""
         return FLOP_PER_POINT * self.points * self.iterations
 
-    def initial_values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Evaluate the initialiser on global index arrays."""
-        return _field_values(self.init, rows, cols, "initialiser")
-
     def initial_block(self, rows: slice, cols: slice) -> np.ndarray:
         """Initial values of the global cells ``[rows, cols]``."""
         return _field_block(self.init, rows, cols, "initialiser")
 
     def initial_grid(self) -> np.ndarray:
         return self.initial_block(slice(0, self.shape[0]), slice(0, self.shape[1]))
-
-    def source_values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
-        """Evaluate the forcing term on global index arrays (None when
-        the problem has no source)."""
-        if self.source is None:
-            return None
-        return _field_values(self.source, rows, cols, "source")
 
     def source_block(self, rows: slice, cols: slice) -> np.ndarray | None:
         """Forcing on the global cells ``[rows, cols]`` (None when the

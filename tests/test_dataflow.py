@@ -153,10 +153,10 @@ def test_pinned_message_plan(name):
 
 
 def test_wrong_shaped_strip_is_rejected_not_broadcast():
-    """A strip lands in its consumer's landing slot and its flow carries
-    a ready token, which may arrive from another process on
+    """A strip lands in its consumer's landing slot and the edge it rides
+    on carries a ready token, which may arrive from another process on
     `processes`; anything else -- an array of any shape -- must fail
-    naming tile and tag, not be taken for the strip."""
+    naming producer and edge, not be taken for the strip."""
     built = build(steps=1, T=2)
     task = built.graph[("st", 3, "boundary", 0)]
     kernels = task.kernel.__self__
@@ -167,6 +167,9 @@ def test_wrong_shaped_strip_is_rejected_not_broadcast():
     strips = [copy.tag for copy in kernels.plans[task.key[:-1]].phases[0].copies]
     assert strips and set(inputs.values()) == {READY}
     assert kernels.stencil_task(inputs, task)["tile"] == READY
-    inputs[(("st", 1, "boundary", -1), "dN:2,3")] = np.zeros((1, 1))
-    with pytest.raises(ValueError, match=r"tile \(3, 3\), iteration 0: 'dN:2,3'"):
+    edge = (("st", 1, "boundary", -1), "halo:3,boundary")
+    assert "dN:2,3" in strips and edge in inputs  # the strip rides on the edge
+    inputs[edge] = np.zeros((1, 1))
+    with pytest.raises(ValueError,
+                       match=r"'halo:3,boundary' from task \('st', 1, 'boundary', -1\)"):
         kernels.stencil_task(inputs, task)

@@ -3,8 +3,10 @@
 Per node and sweep one task runs the node's boundary tiles and one its
 interior tiles, in place over one array per node block; a part
 of at least twice ``SLAB_CELLS`` cells is cut into row slabs, one task
-each, so a node's workers share its sweep.  Remote strips and corners
-stay one flow per message of the paper's graph.  These tests pin that
+each, so a node's workers share its sweep.  A task waits on each
+producer task once: remote strips and corners ride on one flow per
+producer in another block, which stands for their messages of the
+paper's graph.  These tests pin that
 the grids are the reference's on every shape and backend, that the
 executed graph has one task per part or slab, node and sweep (the
 simulator keeps one per tile) whatever the worker count, that its
@@ -17,6 +19,7 @@ still land on the modelled nodes.
 
 from __future__ import annotations
 
+import re
 import sys
 import threading
 import time
@@ -38,6 +41,7 @@ from repro.distgrid.partition import GridPartition, ProcessGrid
 from repro.exec import NodeLostError, fork_available
 from repro.exec.executor import ThreadedExecutor
 from repro.machine.machine import nacl
+from repro.runtime.task import READY
 from repro.stencil.kernels import SLAB_CELLS
 from repro.stencil.problem import JacobiProblem
 from repro.stencil.variable import VariableStencilWeights
@@ -371,6 +375,66 @@ def test_processes_measure_the_declared_messages():
     assert np.array_equal(result.grid, problem.reference_solution())
     assert (result.engine.messages, result.engine.message_bytes) == (
         declared.remote_messages, declared.remote_bytes) == (390, 26784)
+
+
+# -- one flow per edge --------------------------------------------------------------------
+
+
+def edge_graph(variant: str, shape: tuple[int, int]):
+    pgrid = ProcessGrid(*shape)
+    builder = build_ca_graph if VARIANTS[variant] else build_base_graph
+    return builder(random_problem(32, 8, seed=5), nacl(pgrid.size), tile=8, pgrid=pgrid,
+                   **VARIANTS[variant]).graph
+
+
+@pytest.mark.parametrize("variant", ["base", "ca2"])
+@pytest.mark.parametrize("shape", [(1, 2), (2, 2)])
+def test_a_task_has_one_input_flow_per_producer(variant, shape):
+    """Lowered, a task waits on each producer task once: a token from
+    each task of its node one sweep earlier, and one flow from each task
+    of another block that lands strips or corners in its slots, whose
+    parts are those messages -- so the plan still has one entry per
+    strip and corner.  CA on 2 x 2 reaches the diagonal node with
+    corners alone."""
+    graph = edge_graph(variant, shape)
+    reach: dict = {}
+    for task in graph:
+        assert len(task.inputs) == len({flow.producer for flow in task.inputs}), task.key
+        for flow in task.inputs:
+            if graph[flow.producer].node == task.node:
+                assert (flow.tag, flow.nbytes, flow.parts) == ("tile", 0, ())
+                continue
+            assert flow.parts and flow.nbytes == sum(nbytes for _tag, nbytes in flow.parts)
+            reach.setdefault(flow.producer, {})[task.node] = {tag[0] for tag, _ in flow.parts}
+    messages = sum(len(flow.messages) for task in graph for flow in task.inputs
+                   if graph[flow.producer].node != task.node)
+    assert messages == graph.census().remote_messages
+    assert max(len(nodes) for nodes in reach.values()) == (
+        1 if shape == (1, 2) else 3 if variant == "ca2" else 2)
+    for producer, nodes in reach.items():
+        if len(nodes) == 3:  # ranks 0 1 / 2 3: the diagonal of n is 3 - n
+            assert nodes[3 - graph[producer].node] == {"c"}
+
+
+@pytest.mark.parametrize("payload", [None, "READY", np.zeros((1, 1)), b"ready"],
+                         ids=["none", "wrong-case", "array", "bytes"])
+def test_an_edge_that_is_not_ready_fails_naming_producer_and_edge(payload):
+    """Every strip and corner on an edge sits in its consumer's slot
+    once the edge carries the ready token, which on `processes` comes
+    from another process; anything else fails the task before it
+    touches a cell, naming the producer and the edge -- whichever of
+    the task's three edges it is on (CA on 2 x 2: two sides and a
+    corner)."""
+    graph = edge_graph("ca2", (2, 2))
+    task = graph[("ca", 0, "boundary", 0)]
+    inputs = {(flow.producer, flow.tag): READY for flow in task.inputs}
+    edges = [flow for flow in task.inputs if graph[flow.producer].node != task.node]
+    assert len(edges) == 3
+    for flow in edges:
+        bad = {**inputs, (flow.producer, flow.tag): payload}
+        message = re.escape(f"{flow.tag!r} from task {flow.producer} is {payload!r}")
+        with pytest.raises(ValueError, match=message):
+            task.kernel(bad, task)
 
 
 # -- write after read ---------------------------------------------------------------------

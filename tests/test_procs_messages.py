@@ -177,7 +177,10 @@ def test_one_ready_record_per_producer_and_destination(impl, shape):
     sends = [s for s in spans if s.kind == "send"]
     assert len(sends) == sum(s.kind == "recv" for s in spans) == edges(graph)
     assert result.engine.wire_bytes == 16 * edges(graph)
-    assert sum(len(s.label[1]) for s in sends) == result.messages
+    # a record names its one flow, which stands for every message it carries
+    flows = {(flow.producer, flow.tag): flow for task in graph for flow in task.inputs}
+    assert all(len(s.label[1]) == 1 for s in sends)
+    assert sum(len(flows[s.label[0], s.label[1][0]].messages) for s in sends) == result.messages
     if impl == "ca-parsec" and shape == (2, 2):  # corners: one producer reaches three nodes
         assert max(len({dst for _t, dst, _b in messages})
                    for messages in graph.message_plan().values()) == 3

@@ -222,8 +222,12 @@ def check_plans(built) -> list[tuple]:
             for copy in phase.copies:
                 assert cut_log.get((copy.producer, t - 1, copy.tag)) == (copy.array, copy.dest), (
                     f"{prefix} at {t} reads an unwritten {copy.tag}")
-                assert (key(copy.producer, t - 1), copy.tag) in {
-                    (flow.producer, flow.tag) for flow in graph[key(prefix, t)].inputs}
+                # ... on a flow from its producer that stands for its message
+                assert any(producer == copy.producer and copy.tag in dict(parts)
+                           for producer, _flow, _nbytes, parts in phase.edges)
+            flows = {(flow.producer, flow.tag): flow for flow in graph[key(prefix, t)].inputs}
+            for producer, flow, _nbytes, parts in phase.edges:
+                assert flows[key(producer, t - 1), flow].messages == parts
         # What each task copies of its own cells before it updates them.
         for prefix, phase in phase_of.items():
             save(prefix, phase.own, t, writer, True)

@@ -164,9 +164,9 @@ def test_inputs_are_intact_and_read_only_when_the_kernel_returns(variant):
         if t >= 0:
             # Every strip the plan reads from a landing slot was marked ready.
             plan = kernels.plans[task.key[:-1]]
-            for copy in plan.phases[t % built.spec.steps].copies:
-                assert inputs[(copy.producer + (t - 1,), copy.tag)] == READY
-                landed += 1
+            for producer, flow, _nbytes, parts in plan.phases[t % built.spec.steps].edges:
+                assert inputs[(producer + (t - 1,), flow)] == READY
+                landed += len(parts)
         return outputs
 
     payloads = sweep_by_hand(built, checked_call)
